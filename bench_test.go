@@ -187,21 +187,11 @@ func BenchmarkFKWritePath(b *testing.B) {
 // BenchmarkFKShardedWritePath measures the sharded write pipeline: eight
 // concurrent sessions spread over four leader shards, reporting simulated
 // seconds per write so the speedup over BenchmarkFKWritePath's single
-// totally-ordered queue is directly visible. The gob/binary sub-benchmarks
-// compare the wire codecs on identical pipelines: vsec/op barely moves
-// (codec CPU is free in virtual time and the size delta is small next to
-// the 1KB payload), wall-clock ns/op and allocs/op are where the binary
-// codec pays off.
+// totally-ordered queue is directly visible.
 func BenchmarkFKShardedWritePath(b *testing.B) {
-	for _, codec := range []string{"gob", "binary"} {
-		b.Run(codec, func(b *testing.B) { benchFKShardedWrite(b, codec) })
-	}
-}
-
-func benchFKShardedWrite(b *testing.B, codec string) {
 	const sessions = 8
 	k := sim.NewKernel(1)
-	d := core.NewDeployment(k, core.Config{WriteShards: 4, WireCodec: codec})
+	d := core.NewDeployment(k, core.Config{WriteShards: 4})
 	b.ReportAllocs()
 	var virtual time.Duration
 	k.Go("bench", func() {
@@ -448,23 +438,13 @@ func BenchmarkFKMultiTxn(b *testing.B) {
 // through the two-level cache tier (compare with BenchmarkFKReadPath's
 // direct store access): after the first miss fills the caches, every
 // iteration is a client-cache hit until the TTL forces a refresh. The
-// gob/binary sub-benchmarks isolate the allocation overhaul on the hit
-// path: under binary the client memoizes the decoded node per (path,
-// mzxid), so a hit skips the znode.Unmarshal that dominates the gob
-// variant's ns/op and allocs/op; vsec/op is identical (no wire activity
-// on a cache hit).
+// client memoizes the decoded node per (path, mzxid), so a hit skips
+// znode.Unmarshal.
 func BenchmarkFKCachedReadPath(b *testing.B) {
-	for _, codec := range []string{"gob", "binary"} {
-		b.Run(codec, func(b *testing.B) { benchFKCachedRead(b, codec) })
-	}
-}
-
-func benchFKCachedRead(b *testing.B, codec string) {
 	k := sim.NewKernel(1)
 	d := core.NewDeployment(k, core.Config{
 		UserStore: core.StoreKV,
 		CacheMode: core.CacheTwoLevel,
-		WireCodec: codec,
 	})
 	b.ReportAllocs()
 	var virtual time.Duration

@@ -56,7 +56,7 @@ const tolerance = 0.15
 
 // benchLine matches e.g.
 //
-//	BenchmarkFKShardedWritePath/gob-8   10   136500 ns/op   0.055 vsec/op   58487 B/op   624 allocs/op
+//	BenchmarkFKMultiTxn/shards2-8   10   136500 ns/op   0.055 vsec/op   58487 B/op   624 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {

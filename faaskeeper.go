@@ -210,12 +210,6 @@ type DeploymentOptions struct {
 	// only), removing the first-read miss penalty of short-lived
 	// sessions. Default 0 — cold connects, as in the paper.
 	CacheWarmK int
-	// WireCodec selects the hot-path message serialization: "gob"
-	// (default, paper-faithful — byte-identical golden trace) or
-	// "binary" (the zero-copy varint codec of internal/wire: pooled
-	// encode buffers, reflection-free decoding, and the client's
-	// cached-read decode memo). Same protocol semantics either way.
-	WireCodec string
 	// Telemetry enables the virtual-time observability subsystem
 	// (package obs): a causal span per request covering every pipeline
 	// stage, plus counters/gauges/histograms keyed by component, shard,
@@ -279,7 +273,6 @@ func (s *Simulation) DeployFaaSKeeper(opts DeploymentOptions) *Deployment {
 		DynamicShards:        opts.DynamicShards,
 		AutoShard:            opts.AutoShard,
 		CacheWarmK:           opts.CacheWarmK,
-		WireCodec:            opts.WireCodec,
 		Telemetry:            opts.Telemetry,
 		CostAccounting:       opts.CostAccounting,
 		CostBudgetUSDPerHour: opts.CostBudgetUSDPerHour,

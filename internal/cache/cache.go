@@ -6,7 +6,6 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
-	"faaskeeper/internal/wire"
 )
 
 // Invalidation is the record the leader publishes to the regional cache on
@@ -88,7 +87,6 @@ type Regional struct {
 	floorCap    int
 	globalFloor int64
 	stats       Stats
-	codec       wire.Codec // invalidation size model (zero value = gob)
 
 	// vmAccrual amortizes the cache VM's hourly price over the metered
 	// operations (cost accounting opt-in): each op is charged the VM time
@@ -240,7 +238,7 @@ func (r *Regional) Fill(ctx cloud.Ctx, path string, blob []byte, mzxid int64) bo
 // higher-txid change, never serves a superseded child list.
 func (r *Regional) Invalidate(ctx cloud.Ctx, inv Invalidation) {
 	p := r.env.Profile
-	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, r.invSizeOf(inv))
+	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, invSize(inv))
 	r.chargeOp(ctx, "cache.write")
 	r.apply(inv)
 }
@@ -257,24 +255,13 @@ func (r *Regional) InvalidateBatch(ctx cloud.Ctx, invs []Invalidation) {
 	p := r.env.Profile
 	size := 0
 	for _, inv := range invs {
-		size += r.invSizeOf(inv)
+		size += invSize(inv)
 	}
 	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, size)
 	r.chargeOp(ctx, "cache.write")
 	for _, inv := range invs {
 		r.apply(inv)
 	}
-}
-
-// invSize is an invalidation entry's on-wire size for the latency model.
-// The map-epoch word is only carried (and only billed) on dynamic
-// deployments, keeping the static pipeline's record byte-identical.
-func invSize(inv Invalidation) int {
-	n := len(inv.Path) + 8*(2+len(inv.Epoch))
-	if inv.MapEpoch != 0 {
-		n += 8
-	}
-	return n
 }
 
 // apply raises one record's floor and drops the fenced entry (the

@@ -2,12 +2,10 @@ package cache
 
 // Wire codec for invalidation records (package wire). In the simulator
 // invalidations travel as in-memory values and only their size feeds the
-// latency model, so the gob-default path keeps the legacy fixed-width
-// size formula byte-for-byte (the golden trace depends on it) while the
-// binary codec bills the record's real varint-framed encoding — computed
-// arithmetically, no encode on the hot path. EncodeInvalidation and
-// DecodeInvalidation realize that exact format for tests and any future
-// off-box cache transport.
+// latency model: invSize bills the record's real varint-framed encoding,
+// computed arithmetically with no encode on the hot path.
+// EncodeInvalidation and DecodeInvalidation realize that exact format for
+// tests and any future off-box cache transport.
 
 import (
 	"fmt"
@@ -17,20 +15,9 @@ import (
 
 const tagInvalidation byte = 0xD1
 
-// SetWireCodec selects the invalidation size model (set once at
-// deployment time).
-func (r *Regional) SetWireCodec(c wire.Codec) { r.codec = c }
-
-func (r *Regional) invSizeOf(inv Invalidation) int {
-	if r.codec == wire.Gob {
-		return invSize(inv)
-	}
-	return binaryInvSize(inv)
-}
-
-// binaryInvSize is len(EncodeInvalidation(inv)), computed without
-// encoding.
-func binaryInvSize(inv Invalidation) int {
+// invSize is an invalidation record's on-wire size for the latency model:
+// len(EncodeInvalidation(inv)), computed without encoding.
+func invSize(inv Invalidation) int {
 	n := 1 + wire.UvarintLen(uint64(len(inv.Path))) + len(inv.Path) +
 		wire.VarintLen(inv.Mzxid) +
 		wire.UvarintLen(uint64(len(inv.Epoch))) +
@@ -49,10 +36,7 @@ func EncodeInvalidation(inv Invalidation) []byte {
 	e.Varint(inv.Mzxid)
 	e.Int64s(inv.Epoch)
 	e.Varint(inv.MapEpoch)
-	b := e.Data()
-	e.Detach()
-	e.Release()
-	return b
+	return e.Owned()
 }
 
 // DecodeInvalidation parses a record produced by EncodeInvalidation.

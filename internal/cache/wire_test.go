@@ -3,8 +3,6 @@ package cache
 import (
 	"reflect"
 	"testing"
-
-	"faaskeeper/internal/wire"
 )
 
 func TestInvalidationRoundTrip(t *testing.T) {
@@ -31,8 +29,8 @@ func TestInvalidationRoundTrip(t *testing.T) {
 }
 
 // TestBinaryInvSizeExact pins the arithmetic size model to the real
-// encoding: the latency bill under WireCodec "binary" must be the bytes
-// a real transport would move, computed without encoding.
+// encoding: the latency bill must be the bytes a real transport would
+// move, computed without encoding.
 func TestBinaryInvSizeExact(t *testing.T) {
 	for _, inv := range []Invalidation{
 		{},
@@ -40,24 +38,9 @@ func TestBinaryInvSizeExact(t *testing.T) {
 		{Path: "/deep/long/path/with/segments", Mzxid: 1 << 40, Epoch: []int64{5, 6, 7, 1 << 50}, MapEpoch: 3},
 		{Path: "/neg", Mzxid: -9, Epoch: []int64{-1}, MapEpoch: -2},
 	} {
-		if got, want := binaryInvSize(inv), len(EncodeInvalidation(inv)); got != want {
-			t.Errorf("binaryInvSize(%+v) = %d, encoded len %d", inv, got, want)
+		if got, want := invSize(inv), len(EncodeInvalidation(inv)); got != want {
+			t.Errorf("invSize(%+v) = %d, encoded len %d", inv, got, want)
 		}
-	}
-}
-
-// TestInvSizeModelSelection checks the codec switch: gob keeps the legacy
-// fixed-width formula (the golden trace depends on it), binary bills the
-// varint encoding.
-func TestInvSizeModelSelection(t *testing.T) {
-	inv := Invalidation{Path: "/a/b", Mzxid: 42, Epoch: []int64{1, 2}, MapEpoch: 7}
-	var r Regional
-	if got, want := r.invSizeOf(inv), invSize(inv); got != want {
-		t.Errorf("gob size = %d, want legacy %d", got, want)
-	}
-	r.SetWireCodec(wire.Binary)
-	if got, want := r.invSizeOf(inv), len(EncodeInvalidation(inv)); got != want {
-		t.Errorf("binary size = %d, want %d", got, want)
 	}
 }
 
@@ -69,7 +52,7 @@ func FuzzInvalidationCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, path string, mzxid int64, e1 int64, e2 int64, mapEpoch int64) {
 		inv := Invalidation{Path: path, Mzxid: mzxid, Epoch: []int64{e1, e2}, MapEpoch: mapEpoch}
 		b := EncodeInvalidation(inv)
-		if got, want := binaryInvSize(inv), len(b); got != want {
+		if got, want := invSize(inv), len(b); got != want {
 			t.Fatalf("size model %d != encoded %d", got, want)
 		}
 		got, err := DecodeInvalidation(b)

@@ -147,11 +147,13 @@ func (m *Meter) Cost(category string) float64 { return m.dollars[category] }
 // Count returns the accumulated operation count for one category.
 func (m *Meter) Count(category string) int64 { return m.counts[category] }
 
-// Total returns the overall accumulated dollars.
+// Total returns the overall accumulated dollars, summed in sorted category
+// order: float addition is not associative, so summing in map iteration
+// order made the last bit of every $/op figure vary from run to run.
 func (m *Meter) Total() float64 {
 	var t float64
-	for _, d := range m.dollars {
-		t += d
+	for _, c := range m.Categories() {
+		t += m.dollars[c]
 	}
 	return t
 }

@@ -16,10 +16,7 @@ func TestRequestEncodeDecode(t *testing.T) {
 		Session: "s1", Seq: 42, Op: OpCreate, Path: "/a/b",
 		Data: []byte{1, 2, 3}, Version: -1, Flags: znode.FlagEphemeral,
 	}
-	got, err := DecodeRequest(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTripReq(t, r)
 	if got.Session != "s1" || got.Seq != 42 || got.Op != OpCreate ||
 		got.Path != "/a/b" || !bytes.Equal(got.Data, r.Data) ||
 		got.Version != -1 || got.Flags != znode.FlagEphemeral {
@@ -36,10 +33,7 @@ func TestLeaderMsgEncodeDecode(t *testing.T) {
 		NodeBlob: []byte{9, 9}, ParentPath: "/", ChildAdd: "x",
 		LockTs: 123, ParentLockTs: 456, Version: 3, Cversion: 2, EphOwner: "s",
 	}
-	got, err := decodeLeaderMsg(m.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTripLM(t, m)
 	if got.LockTs != 123 || got.ParentLockTs != 456 || got.Version != 3 ||
 		!bytes.Equal(got.NodeBlob, m.NodeBlob) || got.EphOwner != "s" {
 		t.Fatalf("round trip: %+v", got)

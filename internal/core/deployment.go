@@ -17,7 +17,6 @@ import (
 	"faaskeeper/internal/stats"
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/watchfanout"
-	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
 
@@ -174,13 +173,10 @@ type Config struct {
 	// meaningful with WatchFanout.
 	FanoutDebounce time.Duration
 
-	// WireCodec selects the serialization of the hot message types
-	// (session-queue requests, leader messages, transaction payloads,
-	// watch invocations, the shard map): "gob" (default) is the
-	// paper-faithful encoding whose message sizes the golden trace is
-	// pinned to; "binary" is the hand-rolled zero-copy codec of package
-	// wire — same semantics, compact varint framing, pooled encode
-	// buffers, reflection-free decoding.
+	// WireCodec is inert: package wire's binary codec is the only wire
+	// format. The field survives, validated by name ("" and "binary" are
+	// accepted and equivalent, anything else panics), because the frozen
+	// bench presets still set it; nothing reads it after validation.
 	WireCodec string
 
 	// CollectPhases enables per-phase latency sampling (Figures 9-12,
@@ -190,11 +186,12 @@ type Config struct {
 	// Telemetry enables the virtual-time telemetry subsystem (package
 	// obs): causal per-request span trees across the whole pipeline and
 	// hot-path counters/histograms in the metrics registry. Trace ids are
-	// derived from fields the wire already carries, so gob messages — and
-	// therefore the golden virtual-time trace — stay byte-identical, and
-	// with Telemetry off every instrumentation point is a zero-allocation
-	// no-op. Default false. (Registry gauges, the AutoShard monitor's
-	// control-plane signals, function regardless of this flag.)
+	// derived from (Session, Seq) and always written, so message sizes —
+	// and therefore the golden virtual-time trace — do not depend on this
+	// flag, and with Telemetry off every instrumentation point is a
+	// zero-allocation no-op. Default false. (Registry gauges, the
+	// AutoShard monitor's control-plane signals, function regardless of
+	// this flag.)
 	Telemetry bool
 
 	// CostAccounting enables per-request dollar attribution (package obs
@@ -219,9 +216,6 @@ type Config struct {
 
 	// Faults injects failures for resilience tests.
 	Faults Faults
-
-	// codec is WireCodec parsed by defaults(); zero value = gob.
-	codec wire.Codec
 }
 
 // AutoShard configures shard auto-scaling (Config.AutoShard): the policy
@@ -361,13 +355,11 @@ func (c *Config) defaults() {
 	if c.FanoutDebounce <= 0 {
 		c.FanoutDebounce = 10 * time.Millisecond
 	}
-	codec, err := wire.Parse(c.WireCodec)
-	if err != nil {
-		// A typo must not silently deploy the slow path as if it were
-		// the requested fast one (or vice versa).
-		panic("core: " + err.Error())
+	if c.WireCodec != "" && c.WireCodec != "binary" {
+		// A caller asking for a format that no longer exists ("gob") must
+		// not silently get another one.
+		panic(fmt.Sprintf("core: unknown WireCodec %q (the only wire format is \"binary\")", c.WireCodec))
 	}
-	c.codec = codec
 }
 
 // Deployment is one running FaaSKeeper instance: storage, queues,
@@ -467,7 +459,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	d.System.SetCostCategory("syskv")
 	d.Locks = fksync.NewLockManager(env, d.System, cfg.LockLease)
 	d.Txns = txn.NewStore(d.System, k)
-	d.Txns.SetWireCodec(cfg.codec)
 	d.Txns.SetMetrics(d.Obs.Metrics)
 
 	regions := append([]cloud.Region{cfg.Profile.Home}, cfg.ExtraRegions...)
@@ -475,7 +466,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		d.Stores = append(d.Stores, d.newUserStore(r))
 		if cfg.CacheMode != CacheOff {
 			rc := cache.NewRegional(env, r, cfg.CacheCapacityB)
-			rc.SetWireCodec(cfg.codec)
 			if cfg.CostAccounting {
 				// Amortize the cache VM's hourly price over the regional
 				// hits it serves (only when accounting: accrual adds
@@ -515,7 +505,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 
 	if cfg.DynamicShards {
 		d.dyn = &dynShards{store: shardmap.NewStore(d.System), hot: map[string]int64{}}
-		d.dyn.store.SetWireCodec(cfg.codec)
 		seedMap := shardmap.New(cfg.WriteShards)
 		d.dyn.store.Seed(seedMap)
 		d.dyn.cur = seedMap
@@ -783,10 +772,6 @@ func watchAttr(wt WatchType) string {
 // NumShards returns the number of write shards the leader pipeline is
 // partitioned into (1 in the paper's base configuration).
 func (d *Deployment) NumShards() int { return len(d.LeaderQs) }
-
-// WireCodec reports the deployment's message codec (Config.WireCodec
-// parsed); the client library encodes its requests with the same one.
-func (d *Deployment) WireCodec() wire.Codec { return d.Cfg.codec }
 
 // Epoch returns the in-flight watch ids for a region, aggregated over all
 // write shards (strongly consistent system-store reads; exposed for tests

@@ -216,7 +216,7 @@ func (d *Deployment) leaderProcessBatched(ctx cloud.Ctx, msgs []decodedMsg, epoc
 			// transaction's commit still needs. The transaction itself
 			// never decrements — at worst a tombstone lingers until the
 			// next delete's collection, the lock-guard precedent.
-			if tm, err := decodeTxnMsgWith(d.Cfg.codec, dm.msg.NodeBlob); err == nil {
+			if tm, err := decodeTxnMsg(dm.msg.NodeBlob); err == nil {
 				for _, p := range txnTargets(tm.Ops) {
 					later[p]++
 				}
@@ -325,7 +325,7 @@ func (d *Deployment) flushBatch(ctx cloud.Ctx, msgs []decodedMsg, later map[stri
 			}
 			sp := d.tspan(d.msgTrace(r.msg), obs.SpanWatchDeliver, fw.path, r.msg.Shard, "")
 			wctx := d.billSpan(ctx, costMsgTrace(r.msg), sp, r.msg.Shard, "")
-			fut := d.Platform.InvokeAsync(wctx, FnWatch, d.encodeWatchOwned(payload))
+			fut := d.Platform.InvokeAsync(wctx, FnWatch, payload.encode())
 			completions = append(completions, watchCompletion{wid: fw.wid, fut: fut, span: sp})
 		}
 		tn := d.K.Now()

@@ -32,7 +32,7 @@ func (d *Deployment) followerHandler(inv *faas.Invocation) error {
 		defer func() { inv.Bill = d.invBill(traces, 0) }()
 	}
 	for _, m := range inv.Messages {
-		req, err := decodeRequestWith(d.Cfg.codec, m.Body)
+		req, err := DecodeRequest(m.Body)
 		if err != nil {
 			continue // malformed message: drop, never poison the queue
 		}
@@ -569,7 +569,7 @@ func (d *Deployment) pushToShard(ctx cloud.Ctx, msg leaderMsg) (routed, error) {
 	// shard (the caller's sink knows the trace but not the route).
 	ctx = d.billMsg(ctx, msg)
 	e := wire.NewEncoder()
-	seqNo, err := d.LeaderQs[msg.Shard].Send(ctx, msg.Session, msg.encodeWith(d.Cfg.codec, e))
+	seqNo, err := d.LeaderQs[msg.Shard].Send(ctx, msg.Session, msg.encode(e))
 	e.Release()
 	d.recordPhase("follower.push", d.K.Now()-t0)
 	if errors.Is(err, queue.ErrTooLarge) {

@@ -42,7 +42,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	shard := 0
 	acksOnly := true
 	for _, m := range inv.Messages {
-		msg, err := decodeLeaderMsgWith(d.Cfg.codec, m.Body)
+		msg, err := decodeLeaderMsg(m.Body)
 		if err != nil {
 			continue
 		}
@@ -158,7 +158,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 
 func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
 	if msg.Op == OpMulti || msg.Op == OpTxnCommit {
-		tm, err := decodeTxnMsgWith(d.Cfg.codec, msg.NodeBlob)
+		tm, err := decodeTxnMsg(msg.NodeBlob)
 		if err != nil {
 			return nil
 		}
@@ -257,7 +257,7 @@ func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epo
 		// The delivery's whole cost — invocation, fan-out pushes, the watch
 		// sandbox's GB-s — rides the propagated sink into this span.
 		wctx := d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, "")
-		fut := d.Platform.InvokeAsync(wctx, FnWatch, d.encodeWatchOwned(payload))
+		fut := d.Platform.InvokeAsync(wctx, FnWatch, payload.encode())
 		comps = append(comps, watchCompletion{wid: f.wid, fut: fut, span: sp})
 	}
 

@@ -249,7 +249,7 @@ func (d *Deployment) reshard(plan func(*shardmap.Map) (*shardmap.Map, error)) er
 	for _, s := range mig.Sources {
 		fence := leaderMsg{Op: OpReshardFence, Shard: s, DeregID: fenceID}
 		e := wire.NewEncoder()
-		_, err := d.LeaderQs[s].Send(ctx, "reshard", fence.encodeWith(d.Cfg.codec, e))
+		_, err := d.LeaderQs[s].Send(ctx, "reshard", fence.encode(e))
 		e.Release()
 		if err != nil {
 			return abort(err)

@@ -177,11 +177,9 @@ func (d *Deployment) awaitRoutable(ctx cloud.Ctx, path string) {
 // --- dynamic wire riders ---
 //
 // Dynamic-mode messages must carry the routing generation and the shard's
-// txid base, but adding fields to leaderMsg would change its gob type
-// descriptor — and with it the wire size and the golden trace of every
-// deployment. Non-deregistration messages never use Fanout/DeregID, so the
-// dynamic pipeline rides them (the precedent set by the transaction
-// payloads riding Request.Data and leaderMsg.NodeBlob).
+// txid base. Non-deregistration messages never use Fanout/DeregID, so the
+// dynamic pipeline rides them instead of growing every deployment's
+// leaderMsg encoding (ROADMAP follow-up: first-class fields).
 
 // dynStamp stores the routed shard's generation and txid base on a
 // non-deregistration leader message.

@@ -700,7 +700,7 @@ func (d *Deployment) buildTxnFold(ctx cloud.Ctx, resolved []txn.ResolvedOp, txid
 // redelivered in-flight transaction from its durable record, then run the
 // single-shard fast path or the cross-shard two-phase commit.
 func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
-	reqOps, err := txn.DecodeOpsWith(d.Cfg.codec, req.Data)
+	reqOps, err := txn.DecodeOps(req.Data)
 	if !d.Cfg.EnableTxn || err != nil || len(reqOps) == 0 {
 		d.respondFailure(req, CodeSystemError)
 		return nil
@@ -801,10 +801,10 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	msg := leaderMsg{
 		Session: req.Session, Seq: req.Seq, Op: OpMulti, Shard: shard,
 		Path: anchorPath(plan.resolved, shard),
-		NodeBlob: d.encodeTxnMsgOwned(txnMsg{
+		NodeBlob: txnMsg{
 			Ops: plan.resolved, ItemPaths: plan.order, LockTs: plan.lockTs(),
 			traceID: obs.TraceOf(req.Session, req.Seq),
-		}),
+		}.encode(),
 	}
 	if plan.mv != nil {
 		// Route with the plan's snapshot, not the live view: the commit
@@ -972,10 +972,10 @@ func (d *Deployment) txnCommitDrive(ctx cloud.Ctx, req Request, id int64, resolv
 		msg := leaderMsg{
 			Session: req.Session, Seq: req.Seq, Op: OpTxnCommit, Shard: s,
 			Path: anchorPath(resolved, s),
-			NodeBlob: d.encodeTxnMsgOwned(txnMsg{
+			NodeBlob: txnMsg{
 				ID: id, Ops: resolvedOfShard(resolved, s),
 				traceID: obs.TraceOf(req.Session, req.Seq),
-			}),
+			}.encode(),
 		}
 		if d.dyn != nil {
 			// Stamp the txid base so the shard's leader derives the same
@@ -1273,7 +1273,7 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 	for _, f := range fired {
 		payload := watchPayload{WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions}
 		sp := d.tspan(d.msgTrace(msg), obs.SpanWatchDeliver, f.path, msg.Shard, "")
-		fut := d.Platform.InvokeAsync(d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, ""), FnWatch, d.encodeWatchOwned(payload))
+		fut := d.Platform.InvokeAsync(d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, ""), FnWatch, payload.encode())
 		comps = append(comps, watchCompletion{wid: f.wid, fut: fut, span: sp})
 	}
 
@@ -1406,7 +1406,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 				payload := watchPayload{WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions}
 				sp := d.tspan(tr, obs.SpanWatchDeliver, f.path, msg.Shard, "")
 				spans = append(spans, sp)
-				futs = append(futs, d.Platform.InvokeAsync(d.billSpan(ctx, ctr, sp, msg.Shard, ""), FnWatch, d.encodeWatchOwned(payload)))
+				futs = append(futs, d.Platform.InvokeAsync(d.billSpan(ctx, ctr, sp, msg.Shard, ""), FnWatch, payload.encode()))
 				wids = append(wids, f.wid)
 			}
 			for i, fut := range futs {

@@ -12,8 +12,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -107,13 +105,11 @@ func CodeError(c Code) error {
 }
 
 // Request is a client write request, serialized into the session queue.
-// The wire format is binary (gob): unlike JSON's base64 expansion, a
-// 250 kB payload stays within SQS's 256 kB message limit, which is exactly
-// how the paper sizes its maximum node (Section 4.4).
-// An OpMulti request carries its sub-operations (txn.EncodeOps) in Data:
-// riding the existing field keeps the gob type descriptor — and with it
-// the single-op wire format and the golden trace — byte-identical to the
-// paper pipeline's.
+// The wire format is binary (package wire; codecs in wirecodec.go): unlike
+// JSON's base64 expansion, a 250 kB payload stays within SQS's 256 kB
+// message limit, which is exactly how the paper sizes its maximum node
+// (Section 4.4). An OpMulti request carries its sub-operations
+// (txn.EncodeOps) in Data.
 type Request struct {
 	Session string
 	Seq     int64 // client-side FIFO sequence
@@ -123,10 +119,9 @@ type Request struct {
 	Version int32 // expected version; -1 matches any
 	Flags   znode.Flags
 
-	// traceID is the request's causal trace id (package obs). Unexported:
-	// gob skips it, so the descriptor — and the golden trace — stays
-	// byte-identical. The binary codec carries it as a first-class trailing
-	// field, and any stage can recompute it from (Session, Seq).
+	// traceID is the request's causal trace id (package obs), the wire
+	// format's trailing field. Any stage can recompute it from (Session,
+	// Seq), so hand-built values may leave it zero.
 	traceID int64
 }
 
@@ -138,22 +133,6 @@ func (r Request) trace() int64 {
 		return r.traceID
 	}
 	return obs.TraceOf(r.Session, r.Seq)
-}
-
-// Encode serializes the request for the cloud queue.
-func (r Request) Encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		panic("core: request marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-// DecodeRequest parses a queue message body.
-func DecodeRequest(b []byte) (Request, error) {
-	var r Request
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
-	return r, err
 }
 
 // leaderMsg is the follower-to-leader message carrying a validated change
@@ -190,8 +169,7 @@ type leaderMsg struct {
 
 	EphOwner string
 
-	// traceID mirrors Request.traceID across the follower→leader hop (see
-	// there); unexported for the same gob-descriptor reason.
+	// traceID mirrors Request.traceID across the follower→leader hop.
 	traceID int64
 }
 
@@ -204,14 +182,12 @@ func (m leaderMsg) trace() int64 {
 }
 
 // txnMsg is the transaction payload an OpMulti or OpTxnCommit leader
-// message carries in its NodeBlob field (like Request.Data, reusing the
-// existing field keeps the single-op gob encoding byte-identical). Ops
-// are the resolved sub-ops the message applies; ItemPaths/LockTs (fast
-// path only) list the locked system items and their timed-lock
-// timestamps, letting the leader replay the multi-item commit on behalf
-// of a crashed coordinator, exactly like tryCommit's per-op
-// reconstruction — cross-shard replays are guarded by the intent
-// attribute instead.
+// message carries in its NodeBlob field. Ops are the resolved sub-ops the
+// message applies; ItemPaths/LockTs (fast path only) list the locked
+// system items and their timed-lock timestamps, letting the leader replay
+// the multi-item commit on behalf of a crashed coordinator, exactly like
+// tryCommit's per-op reconstruction — cross-shard replays are guarded by
+// the intent attribute instead.
 type txnMsg struct {
 	ID        int64
 	Ops       []txn.ResolvedOp
@@ -220,37 +196,9 @@ type txnMsg struct {
 
 	// traceID is the originating multi() request's causal trace id, set at
 	// construction (txnMsg has no Session/Seq of its own to re-mint it
-	// from). Unexported and always set deterministically, so the binary
-	// encoding is identical whether telemetry is on or off.
+	// from). Always set deterministically, so the encoding is identical
+	// whether telemetry is on or off.
 	traceID int64
-}
-
-func (m txnMsg) encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic("core: txn msg marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeTxnMsg(b []byte) (txnMsg, error) {
-	var m txnMsg
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
-	return m, err
-}
-
-func (m leaderMsg) encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic("core: leader msg marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeLeaderMsg(b []byte) (leaderMsg, error) {
-	var m leaderMsg
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
-	return m, err
 }
 
 // Response is sent to the client over its notification connection: from
@@ -380,18 +328,4 @@ type watchPayload struct {
 	Path     string
 	Txid     int64
 	Sessions []string
-}
-
-func (p watchPayload) encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		panic("core: watch payload marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeWatchPayload(b []byte) (watchPayload, error) {
-	var p watchPayload
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p)
-	return p, err
 }

@@ -21,7 +21,7 @@ var heartbeatPrepBase = sim.Q(0.3, 1.2, 2.5, 4.0, 10)
 // (internal/watchfanout), which owns session membership and delivery
 // pacing — see Deployment.FanoutFor.
 func (d *Deployment) watchHandler(inv *faas.Invocation) error {
-	p, err := decodeWatchPayloadWith(d.Cfg.codec, inv.Payload)
+	p, err := decodeWatchPayload(inv.Payload)
 	if err != nil {
 		return err
 	}
@@ -128,6 +128,6 @@ func (d *Deployment) evictSession(inv *faas.Invocation, session string) {
 	}
 	req := Request{Session: session, Op: OpDeregister, Version: -1}
 	e := wire.NewEncoder()
-	_, _ = q.Send(inv.Ctx, session, req.EncodeWith(d.Cfg.codec, e))
+	_, _ = q.Send(inv.Ctx, session, req.Encode(e))
 	e.Release()
 }

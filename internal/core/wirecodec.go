@@ -1,13 +1,13 @@
 package core
 
-// Binary wire codecs for the pipeline's hot message types (package wire).
-// The gob codecs in types.go stay the paper-faithful default — the golden
-// virtual-time trace depends on gob's message sizes — and every decode is
-// codec-directed by Config.WireCodec, never sniffed. Byte-slice fields
-// (Request.Data, leaderMsg.NodeBlob, resolved-op Data) decode as
-// zero-copy views into the queue message body, which the receiving
-// handler owns; everything the pipeline retains beyond the handler
-// (store items, marshaled znodes) is copied by the storage layer.
+// Wire codecs for the pipeline's message types (package wire). Queue
+// latencies and billed sizes are functions of these encodings, so a format
+// change here moves the golden virtual-time trace (TestWireSizesPinned
+// attributes the drift). Byte-slice fields (Request.Data,
+// leaderMsg.NodeBlob, resolved-op Data) decode as zero-copy views into the
+// queue message body, which the receiving handler owns; everything the
+// pipeline retains beyond the handler (store items, marshaled znodes) is
+// copied by the storage layer.
 
 import (
 	"fmt"
@@ -25,14 +25,11 @@ const (
 	tagWatch     byte = 0xB4
 )
 
-// EncodeWith serializes the request with the chosen codec (exported: the
-// client library encodes its own requests). Under binary the returned
-// slice aliases e's pooled buffer: consume (queue.Send copies) before
-// e.Release, or e.Detach to keep it.
-func (r Request) EncodeWith(c wire.Codec, e *wire.Encoder) []byte {
-	if c == wire.Gob {
-		return r.Encode()
-	}
+// Encode serializes the request for the session queue (exported: the
+// client library encodes its own requests). The returned slice aliases e's
+// pooled buffer: consume (queue.Send copies) before e.Release, or e.Detach
+// to keep it.
+func (r Request) Encode(e *wire.Encoder) []byte {
 	e.Byte(tagRequest)
 	e.String(r.Session)
 	e.Varint(r.Seq)
@@ -48,11 +45,8 @@ func (r Request) EncodeWith(c wire.Codec, e *wire.Encoder) []byte {
 	return e.Data()
 }
 
-// decodeRequestWith parses a session-queue body under the same codec.
-func decodeRequestWith(c wire.Codec, b []byte) (Request, error) {
-	if c == wire.Gob {
-		return DecodeRequest(b)
-	}
+// DecodeRequest parses a session-queue message body.
+func DecodeRequest(b []byte) (Request, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagRequest {
 		return Request{}, fmt.Errorf("%w: request tag", wire.ErrCorrupt)
@@ -70,12 +64,9 @@ func decodeRequestWith(c wire.Codec, b []byte) (Request, error) {
 	return r, d.Err()
 }
 
-// encodeWith serializes the leader message with the chosen codec; same
-// buffer ownership rules as Request.encodeWith.
-func (m leaderMsg) encodeWith(c wire.Codec, e *wire.Encoder) []byte {
-	if c == wire.Gob {
-		return m.encode()
-	}
+// encode serializes the leader message; same buffer ownership rules as
+// Request.Encode.
+func (m leaderMsg) encode(e *wire.Encoder) []byte {
 	e.Byte(tagLeaderMsg)
 	e.String(m.Session)
 	e.Varint(m.Seq)
@@ -97,11 +88,8 @@ func (m leaderMsg) encodeWith(c wire.Codec, e *wire.Encoder) []byte {
 	return e.Data()
 }
 
-// decodeLeaderMsgWith parses a leader-queue body under the same codec.
-func decodeLeaderMsgWith(c wire.Codec, b []byte) (leaderMsg, error) {
-	if c == wire.Gob {
-		return decodeLeaderMsg(b)
-	}
+// decodeLeaderMsg parses a leader-queue message body.
+func decodeLeaderMsg(b []byte) (leaderMsg, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagLeaderMsg {
 		return leaderMsg{}, fmt.Errorf("%w: leader msg tag", wire.ErrCorrupt)
@@ -128,26 +116,21 @@ func decodeLeaderMsgWith(c wire.Codec, b []byte) (leaderMsg, error) {
 	return m, d.Err()
 }
 
-// encodeWith serializes the transaction payload with the chosen codec;
-// same buffer ownership rules as Request.encodeWith.
-func (m txnMsg) encodeWith(c wire.Codec, e *wire.Encoder) []byte {
-	if c == wire.Gob {
-		return m.encode()
-	}
+// encode serializes the transaction payload into owned bytes (it rides
+// inside a leaderMsg, outliving any scratch buffer scope).
+func (m txnMsg) encode() []byte {
+	e := wire.NewEncoder()
 	e.Byte(tagTxnMsg)
 	e.Varint(m.ID)
 	txn.AppendResolvedOps(e, m.Ops)
 	e.Strings(m.ItemPaths)
 	e.Int64s(m.LockTs)
 	e.Varint(m.traceID) // set at construction; 0 only in hand-built fixtures
-	return e.Data()
+	return e.Owned()
 }
 
-// decodeTxnMsgWith parses a transaction payload under the same codec.
-func decodeTxnMsgWith(c wire.Codec, b []byte) (txnMsg, error) {
-	if c == wire.Gob {
-		return decodeTxnMsg(b)
-	}
+// decodeTxnMsg parses a transaction payload.
+func decodeTxnMsg(b []byte) (txnMsg, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagTxnMsg {
 		return txnMsg{}, fmt.Errorf("%w: txn msg tag", wire.ErrCorrupt)
@@ -162,48 +145,21 @@ func decodeTxnMsgWith(c wire.Codec, b []byte) (txnMsg, error) {
 	return m, d.Err()
 }
 
-// encodeWith serializes the watch invocation payload with the chosen
-// codec; same buffer ownership rules as Request.encodeWith (the faas
-// platform retains async payloads — Detach before Release).
-func (p watchPayload) encodeWith(c wire.Codec, e *wire.Encoder) []byte {
-	if c == wire.Gob {
-		return p.encode()
-	}
+// encode serializes the watch invocation payload into bytes the callee
+// may retain (faas.InvokeAsync captures its payload in a goroutine).
+func (p watchPayload) encode() []byte {
+	e := wire.NewEncoder()
 	e.Byte(tagWatch)
 	e.Varint(p.WatchID)
 	e.Byte(byte(p.Event))
 	e.String(p.Path)
 	e.Varint(p.Txid)
 	e.Strings(p.Sessions)
-	return e.Data()
+	return e.Owned()
 }
 
-// encodeWatchOwned serializes a watch payload into bytes the callee may
-// retain (faas.InvokeAsync captures its payload in a goroutine): the
-// pooled scratch buffer is detached before the encoder is recycled.
-func (d *Deployment) encodeWatchOwned(p watchPayload) []byte {
-	e := wire.NewEncoder()
-	b := p.encodeWith(d.Cfg.codec, e)
-	e.Detach()
-	e.Release()
-	return b
-}
-
-// encodeTxnMsgOwned serializes a transaction payload into owned bytes
-// (it rides inside a leaderMsg, outliving any scratch buffer scope).
-func (d *Deployment) encodeTxnMsgOwned(m txnMsg) []byte {
-	e := wire.NewEncoder()
-	b := m.encodeWith(d.Cfg.codec, e)
-	e.Detach()
-	e.Release()
-	return b
-}
-
-// decodeWatchPayloadWith parses a watch payload under the same codec.
-func decodeWatchPayloadWith(c wire.Codec, b []byte) (watchPayload, error) {
-	if c == wire.Gob {
-		return decodeWatchPayload(b)
-	}
+// decodeWatchPayload parses a watch invocation payload.
+func decodeWatchPayload(b []byte) (watchPayload, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagWatch {
 		return watchPayload{}, fmt.Errorf("%w: watch payload tag", wire.ErrCorrupt)

@@ -1,65 +1,43 @@
 package core
 
-// BenchmarkWireCodec isolates the codecs from the pipeline: encode and
-// decode per hot message type, gob vs binary, with allocs reported. This
-// is the microscopic view behind the BenchmarkFK* deltas — run with
+// BenchmarkWireCodec isolates the codec from the pipeline: one encode +
+// decode round trip per message type, with allocs reported. Run with
 //
 //	go test ./internal/core -bench BenchmarkWireCodec -benchmem
-//
-// to see the per-message cost the binary codec removes.
 
-import (
-	"testing"
-
-	"faaskeeper/internal/wire"
-)
+import "testing"
 
 func BenchmarkWireCodec(b *testing.B) {
 	req := testRequests()[1]
 	lm := testLeaderMsgs()[1]
 	tm := testTxnMsgs()[1]
 	wp := testWatchPayloads()[1]
-	for _, c := range []wire.Codec{wire.Gob, wire.Binary} {
-		c := c
-		b.Run("request/"+c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := wire.NewEncoder()
-				if _, err := decodeRequestWith(c, req.EncodeWith(c, e)); err != nil {
-					b.Fatal(err)
-				}
-				e.Release()
+	b.Run("request", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			roundTripReq(b, req)
+		}
+	})
+	b.Run("leadermsg", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			roundTripLM(b, lm)
+		}
+	})
+	b.Run("txnmsg", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeTxnMsg(tm.encode()); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("leadermsg/"+c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := wire.NewEncoder()
-				if _, err := decodeLeaderMsgWith(c, lm.encodeWith(c, e)); err != nil {
-					b.Fatal(err)
-				}
-				e.Release()
+		}
+	})
+	b.Run("watch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeWatchPayload(wp.encode()); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("txnmsg/"+c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := wire.NewEncoder()
-				if _, err := decodeTxnMsgWith(c, tm.encodeWith(c, e)); err != nil {
-					b.Fatal(err)
-				}
-				e.Release()
-			}
-		})
-		b.Run("watch/"+c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := wire.NewEncoder()
-				if _, err := decodeWatchPayloadWith(c, wp.encodeWith(c, e)); err != nil {
-					b.Fatal(err)
-				}
-				e.Release()
-			}
-		})
-	}
+		}
+	})
 }

@@ -1,11 +1,9 @@
 package core
 
-// Round-trip, cross-codec equivalence, and allocation-budget tests for
-// the binary wire codecs. Every wire type must satisfy two properties:
-// decode(encode(x)) == x under each codec, and the two codecs must be
-// semantically equivalent — the same value decodes to the same value
-// whichever representation carried it. Gob decodes empty slices as nil,
-// so comparisons normalize nil vs empty.
+// Round-trip, never-panic, pinned-size and allocation-budget tests for
+// the wire codecs. Every wire type must satisfy decode(encode(x)) == x up
+// to nil vs empty slices (the decoder returns nil for an empty list), and
+// no decoder may panic on arbitrary bytes.
 
 import (
 	"bytes"
@@ -61,11 +59,9 @@ func testWatchPayloads() []watchPayload {
 	}
 }
 
-// normalize maps nil and empty slices to a canonical form so gob's
-// nil-for-empty decoding compares equal to the binary decoder's output.
-// The trace id is zeroed: the binary wire carries it as a trailing field
-// (re-minted from Session/Seq when unset), while gob — which skips
-// unexported fields — leaves re-derivation to the receiver.
+// The norm* helpers map empty slices to nil, the decoder's canonical form.
+// Request and leaderMsg trace ids are zeroed: the wire always carries one
+// (re-minted from Session/Seq when unset), so a zero input decodes nonzero.
 func normReq(r Request) Request {
 	if len(r.Data) == 0 {
 		r.Data = nil
@@ -97,7 +93,6 @@ func normTM(m txnMsg) txnMsg {
 	if len(m.LockTs) == 0 {
 		m.LockTs = nil
 	}
-	m.traceID = 0
 	return m
 }
 
@@ -108,66 +103,76 @@ func normWP(p watchPayload) watchPayload {
 	return p
 }
 
+// roundTrip* encode x, decode the bytes, and return the decoded value.
+func roundTripReq(t testing.TB, r Request) Request {
+	t.Helper()
+	e := wire.NewEncoder()
+	defer e.Release()
+	got, err := DecodeRequest(r.Encode(e))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return got
+}
+
+func roundTripLM(t testing.TB, m leaderMsg) leaderMsg {
+	t.Helper()
+	e := wire.NewEncoder()
+	defer e.Release()
+	got, err := decodeLeaderMsg(m.encode(e))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return got
+}
+
+// The Test*CodecEquivalence names predate the single codec (they compared
+// gob against binary); they now check each codec against the identity.
 func TestRequestCodecEquivalence(t *testing.T) {
 	for _, r := range testRequests() {
-		for _, c := range []wire.Codec{wire.Gob, wire.Binary} {
-			e := wire.NewEncoder()
-			got, err := decodeRequestWith(c, r.EncodeWith(c, e))
-			e.Release()
-			if err != nil {
-				t.Fatalf("%v decode: %v", c, err)
-			}
-			if !reflect.DeepEqual(normReq(got), normReq(r)) {
-				t.Errorf("%v round trip: %+v != %+v", c, got, r)
-			}
+		if got := roundTripReq(t, r); !reflect.DeepEqual(normReq(got), normReq(r)) {
+			t.Errorf("round trip: %+v != %+v", got, r)
 		}
+	}
+	// A set trace id travels verbatim; an unset one is re-minted.
+	r := Request{Session: "s", Seq: 3, traceID: 77}
+	if got := roundTripReq(t, r); got.traceID != 77 {
+		t.Errorf("trace id %d, want 77", got.traceID)
+	}
+	r.traceID = 0
+	if got := roundTripReq(t, r); got.traceID != r.trace() {
+		t.Errorf("re-minted trace id %d, want %d", got.traceID, r.trace())
 	}
 }
 
 func TestLeaderMsgCodecEquivalence(t *testing.T) {
 	for _, m := range testLeaderMsgs() {
-		for _, c := range []wire.Codec{wire.Gob, wire.Binary} {
-			e := wire.NewEncoder()
-			got, err := decodeLeaderMsgWith(c, m.encodeWith(c, e))
-			e.Release()
-			if err != nil {
-				t.Fatalf("%v decode: %v", c, err)
-			}
-			if !reflect.DeepEqual(normLM(got), normLM(m)) {
-				t.Errorf("%v round trip: %+v != %+v", c, got, m)
-			}
+		if got := roundTripLM(t, m); !reflect.DeepEqual(normLM(got), normLM(m)) {
+			t.Errorf("round trip: %+v != %+v", got, m)
 		}
 	}
 }
 
 func TestTxnMsgCodecEquivalence(t *testing.T) {
-	for _, m := range testTxnMsgs() {
-		for _, c := range []wire.Codec{wire.Gob, wire.Binary} {
-			e := wire.NewEncoder()
-			got, err := decodeTxnMsgWith(c, m.encodeWith(c, e))
-			e.Release()
-			if err != nil {
-				t.Fatalf("%v decode: %v", c, err)
-			}
-			if !reflect.DeepEqual(normTM(got), normTM(m)) {
-				t.Errorf("%v round trip: %+v != %+v", c, got, m)
-			}
+	for _, m := range append(testTxnMsgs(), txnMsg{ID: 1, traceID: 99}) {
+		got, err := decodeTxnMsg(m.encode())
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(normTM(got), normTM(m)) {
+			t.Errorf("round trip: %+v != %+v", got, m)
 		}
 	}
 }
 
 func TestWatchPayloadCodecEquivalence(t *testing.T) {
 	for _, p := range testWatchPayloads() {
-		for _, c := range []wire.Codec{wire.Gob, wire.Binary} {
-			e := wire.NewEncoder()
-			got, err := decodeWatchPayloadWith(c, p.encodeWith(c, e))
-			e.Release()
-			if err != nil {
-				t.Fatalf("%v decode: %v", c, err)
-			}
-			if !reflect.DeepEqual(normWP(got), normWP(p)) {
-				t.Errorf("%v round trip: %+v != %+v", c, got, p)
-			}
+		got, err := decodeWatchPayload(p.encode())
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(normWP(got), normWP(p)) {
+			t.Errorf("round trip: %+v != %+v", got, p)
 		}
 	}
 }
@@ -175,73 +180,82 @@ func TestWatchPayloadCodecEquivalence(t *testing.T) {
 func TestDecodeRejectsWrongTag(t *testing.T) {
 	e := wire.NewEncoder()
 	defer e.Release()
-	b := Request{Session: "s"}.EncodeWith(wire.Binary, e)
-	if _, err := decodeLeaderMsgWith(wire.Binary, b); err == nil {
+	b := Request{Session: "s"}.Encode(e)
+	if _, err := decodeLeaderMsg(b); err == nil {
 		t.Error("leaderMsg decode accepted a request blob")
 	}
-	if _, err := decodeTxnMsgWith(wire.Binary, b); err == nil {
+	if _, err := decodeTxnMsg(b); err == nil {
 		t.Error("txnMsg decode accepted a request blob")
 	}
-	if _, err := decodeWatchPayloadWith(wire.Binary, b); err == nil {
+	if _, err := decodeWatchPayload(b); err == nil {
 		t.Error("watchPayload decode accepted a request blob")
+	}
+	if _, err := DecodeRequest(testWatchPayloads()[1].encode()); err == nil {
+		t.Error("request decode accepted a watch payload blob")
 	}
 }
 
-// Allocation budgets for the binary hot paths, locked so a regression
-// that reintroduces per-message garbage fails loudly. The counts are
-// ceilings, not exact (minor Go-version variance): a full encode+decode
-// round trip of a request is at most 5 allocations (three decoded
-// strings, the Op string, slice headers) and a leader message at most 8.
-// The gob equivalents run 30+ allocations per round trip — the budget
-// tests double as the codec's raison d'être.
+// TestWireSizesPinned pins len(encoded) of one fixture per message type.
+// Queue latency and billed cost are functions of these sizes, so when the
+// golden trace hash (fkclient.singleShardTraceSHA256) drifts, a failure
+// here names the message whose size moved instead of an opaque SHA.
+func TestWireSizesPinned(t *testing.T) {
+	e1, e2 := wire.NewEncoder(), wire.NewEncoder()
+	defer e1.Release()
+	defer e2.Release()
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Request", len(testRequests()[1].Encode(e1)), 38},
+		{"leaderMsg", len(testLeaderMsgs()[1].encode(e2)), 51},
+		{"watchPayload", len(testWatchPayloads()[1].encode()), 13},
+		{"txnMsg", len(testTxnMsgs()[1].encode()), 84},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s encodes to %d B, pinned %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// Allocation budgets for the hot paths, locked so a regression that
+// reintroduces per-message garbage fails loudly. The counts are ceilings,
+// not exact (minor Go-version variance): a full encode+decode round trip
+// of a request is at most 5 allocations (three decoded strings, the Op
+// string, slice headers) and a leader message at most 8.
 func TestBinaryAllocBudgets(t *testing.T) {
 	req := testRequests()[1]
 	lm := testLeaderMsgs()[1]
-	if allocs := testing.AllocsPerRun(200, func() {
-		e := wire.NewEncoder()
-		b := req.EncodeWith(wire.Binary, e)
-		if _, err := decodeRequestWith(wire.Binary, b); err != nil {
-			t.Fatal(err)
-		}
-		e.Release()
-	}); allocs > 5 {
-		t.Errorf("request binary round trip: %.0f allocs, budget 5", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { roundTripReq(t, req) }); allocs > 5 {
+		t.Errorf("request round trip: %.0f allocs, budget 5", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		e := wire.NewEncoder()
-		b := lm.encodeWith(wire.Binary, e)
-		if _, err := decodeLeaderMsgWith(wire.Binary, b); err != nil {
-			t.Fatal(err)
-		}
-		e.Release()
-	}); allocs > 8 {
-		t.Errorf("leader msg binary round trip: %.0f allocs, budget 8", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { roundTripLM(t, lm) }); allocs > 8 {
+		t.Errorf("leader msg round trip: %.0f allocs, budget 8", allocs)
 	}
 }
 
-// FuzzRequestCodecs feeds arbitrary field values through both codecs and
-// requires agreement: each round-trips exactly, and binary(x) decodes to
-// the same value gob(x) decodes to.
+// neverPanics feeds arbitrary bytes to every decoder: each must return a
+// value or an error, never panic — queue bodies are the one input the
+// pipeline does not produce itself under fault injection.
+func neverPanics(b []byte) {
+	_, _ = DecodeRequest(b)
+	_, _ = decodeLeaderMsg(b)
+	_, _ = decodeTxnMsg(b)
+	_, _ = decodeWatchPayload(b)
+}
+
+// FuzzRequestCodecs round-trips arbitrary field values and decodes the
+// data field as arbitrary bytes. (The Fuzz*Codecs names predate the
+// single codec; CI lists them.)
 func FuzzRequestCodecs(f *testing.F) {
 	f.Add("s", int64(1), "create", "/a", []byte("d"), int32(-1), byte(1))
 	f.Add("", int64(0), "", "", []byte(nil), int32(0), byte(0))
+	f.Add("", int64(0), "", "", []byte{tagRequest, 0xFF, 0xFF, 0xFF}, int32(0), byte(0))
 	f.Fuzz(func(t *testing.T, session string, seq int64, op string, path string, data []byte, version int32, flags byte) {
+		neverPanics(data)
 		r := Request{Session: session, Seq: seq, Op: OpCode(op), Path: path, Data: data, Version: version, Flags: znode.Flags(flags)}
-		e := wire.NewEncoder()
-		defer e.Release()
-		bin, err := decodeRequestWith(wire.Binary, r.EncodeWith(wire.Binary, e))
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		g, err := decodeRequestWith(wire.Gob, r.Encode())
-		if err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !reflect.DeepEqual(normReq(bin), normReq(g)) {
-			t.Fatalf("codecs disagree: binary %+v, gob %+v", bin, g)
-		}
-		if !reflect.DeepEqual(normReq(bin), normReq(r)) {
-			t.Fatalf("round trip: %+v != %+v", bin, r)
+		if got := roundTripReq(t, r); !reflect.DeepEqual(normReq(got), normReq(r)) {
+			t.Fatalf("round trip: %+v != %+v", got, r)
 		}
 	})
 }
@@ -252,26 +266,14 @@ func FuzzLeaderMsgCodecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, session string, seq int64, op string, path string, shard int, fanout int, deregID int64,
 		blob []byte, parent string, childAdd string, childDel string, lockTs int64, parentLockTs int64,
 		version int32, cversion int32, ephOwner string) {
+		neverPanics(blob)
 		m := leaderMsg{
 			Session: session, Seq: seq, Op: OpCode(op), Path: path, Shard: shard, Fanout: fanout,
 			DeregID: deregID, NodeBlob: blob, ParentPath: parent, ChildAdd: childAdd, ChildDel: childDel,
 			LockTs: lockTs, ParentLockTs: parentLockTs, Version: version, Cversion: cversion, EphOwner: ephOwner,
 		}
-		e := wire.NewEncoder()
-		defer e.Release()
-		bin, err := decodeLeaderMsgWith(wire.Binary, m.encodeWith(wire.Binary, e))
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		g, err := decodeLeaderMsgWith(wire.Gob, m.encode())
-		if err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !reflect.DeepEqual(normLM(bin), normLM(g)) {
-			t.Fatalf("codecs disagree: binary %+v, gob %+v", bin, g)
-		}
-		if !reflect.DeepEqual(normLM(bin), normLM(m)) {
-			t.Fatalf("round trip: %+v != %+v", bin, m)
+		if got := roundTripLM(t, m); !reflect.DeepEqual(normLM(got), normLM(m)) {
+			t.Fatalf("round trip: %+v != %+v", got, m)
 		}
 	})
 }
@@ -281,19 +283,14 @@ func FuzzLeaderMsgCodecs(f *testing.F) {
 func FuzzWatchPayloadCodecs(f *testing.F) {
 	f.Add(int64(1), byte(2), "/w", int64(3), "a", "b")
 	f.Fuzz(func(t *testing.T, wid int64, event byte, path string, txid int64, s1 string, s2 string) {
+		neverPanics([]byte(path))
 		p := watchPayload{WatchID: wid, Event: EventType(event), Path: path, Txid: txid, Sessions: []string{s1, s2}}
-		e := wire.NewEncoder()
-		defer e.Release()
-		bin, err := decodeWatchPayloadWith(wire.Binary, p.encodeWith(wire.Binary, e))
+		got, err := decodeWatchPayload(p.encode())
 		if err != nil {
-			t.Fatalf("binary decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
-		g, err := decodeWatchPayloadWith(wire.Gob, p.encode())
-		if err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !reflect.DeepEqual(normWP(bin), normWP(g)) {
-			t.Fatalf("codecs disagree: binary %+v, gob %+v", bin, g)
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("round trip: %+v != %+v", got, p)
 		}
 	})
 }
@@ -305,6 +302,7 @@ func FuzzTxnMsgCodecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id int64, opType string, path string, parent string, data []byte,
 		version int32, cversion int32, ephOwner string, childAdd string, childDel string, shard int,
 		itemPath string, lockTs int64) {
+		neverPanics(data)
 		m := txnMsg{
 			ID: id,
 			Ops: []txn.ResolvedOp{{
@@ -314,19 +312,14 @@ func FuzzTxnMsgCodecs(f *testing.F) {
 			}},
 			ItemPaths: []string{itemPath},
 			LockTs:    []int64{lockTs},
+			traceID:   id ^ lockTs,
 		}
-		e := wire.NewEncoder()
-		defer e.Release()
-		bin, err := decodeTxnMsgWith(wire.Binary, m.encodeWith(wire.Binary, e))
+		got, err := decodeTxnMsg(m.encode())
 		if err != nil {
-			t.Fatalf("binary decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
-		g, err := decodeTxnMsgWith(wire.Gob, m.encode())
-		if err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !reflect.DeepEqual(normTM(bin), normTM(g)) {
-			t.Fatalf("codecs disagree: binary %+v, gob %+v", bin, g)
+		if !reflect.DeepEqual(normTM(got), normTM(m)) {
+			t.Fatalf("round trip: %+v != %+v", got, m)
 		}
 	})
 }

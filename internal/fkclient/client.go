@@ -73,13 +73,10 @@ type Client struct {
 	cacheTTL time.Duration
 	lastSeen map[string]int64
 
-	// codec is the deployment's wire codec; requests this session encodes
-	// must match what the followers decode.
-	codec wire.Codec
 	// decoded memoizes the znode decoded from a client-cache entry, keyed
 	// by path and guarded by the entry's mzxid, so a repeat L1 hit skips
-	// the blob parse (binary fast path only; see fetch). The memo keeps
-	// private copies — hits hand out a shallow clone with copied Data.
+	// the blob parse (see fetch). The memo keeps private copies — hits hand
+	// out a shallow clone with copied Data.
 	decoded map[string]decodedNode
 
 	// smap is the session's cached view of the dynamic shard map (nil on
@@ -161,7 +158,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 		buffered:  map[int64]core.Response{},
 		mrd:       map[int]int64{},
 		watches:   map[int64]*watchEntry{},
-		codec:     d.WireCodec(),
 	}
 	if d.Dynamic() {
 		c.smap = d.LoadShardMap(c.ctx)
@@ -242,7 +238,7 @@ func (c *Client) senderLoop() {
 		}
 		e := wire.NewEncoder()
 		// The ingress send is the first charge of the request's bill.
-		_, err := c.transport.Queue.Send(c.d.BillRequestCtx(c.ctx, op.req), c.id, op.req.EncodeWith(c.codec, e))
+		_, err := c.transport.Queue.Send(c.d.BillRequestCtx(c.ctx, op.req), c.id, op.req.Encode(e))
 		e.Release()
 		if err != nil {
 			op.done.TryComplete(core.Response{
@@ -616,7 +612,7 @@ func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
 	p := &pendingOp{
 		req: core.Request{
 			Session: c.id, Seq: seq, Op: core.OpMulti,
-			Path: ops[0].Path, Data: txn.EncodeOpsWith(c.codec, ops),
+			Path: ops[0].Path, Data: txn.EncodeOps(ops),
 		},
 		done: sim.NewFuture[core.Response](c.d.K),
 	}
@@ -1015,12 +1011,8 @@ func (c *Client) memoHit(path string, mzxid int64) (*znode.Node, []int64, bool) 
 
 // memoize records a freshly decoded client-cache entry under its mzxid.
 // The memo clones the node so the caller may hand the original to the
-// application. Binary fast path only: the gob-default deployment keeps
-// the paper's allocation profile untouched.
+// application.
 func (c *Client) memoize(path string, mzxid int64, n *znode.Node, stamp []int64) {
-	if c.codec != wire.Binary {
-		return
-	}
 	if c.decoded == nil || len(c.decoded) >= memoCap {
 		c.decoded = map[string]decodedNode{}
 	}

@@ -1,12 +1,12 @@
 package fkclient
 
-// End-to-end coverage for Config.WireCodec: "binary". The codec swaps the
-// representation of every hot message (requests, leader/distributor
-// messages, transaction payloads, watch invocations, invalidation size
-// accounting) — these tests prove the full pipeline semantics survive the
-// swap by running the randomized workloads across the feature matrix
-// (batching × caching × transactions × resharding) under the binary
-// codec and checking the same invariants the gob suites check.
+// Randomized end-to-end coverage of the feature matrix (batching × caching
+// × transactions × resharding) at seeds and flag products no other suite
+// runs. The tests were written to prove the pipeline survives the swap to
+// the binary codec; with one codec they stay as additional search, minus
+// the rows whose configuration and assertions another test already runs
+// (plain: TestConsistencyRandomizedHistories; sharded:
+// TestShardedRandomizedHistories, seed 404 included).
 
 import (
 	"fmt"
@@ -21,14 +21,12 @@ func TestBinaryCodecRandomizedMatrix(t *testing.T) {
 		name string
 		cfg  core.Config
 	}{
-		{"plain", core.Config{WireCodec: "binary"}},
-		{"sharded", core.Config{WireCodec: "binary", WriteShards: 4}},
-		{"batching", core.Config{WireCodec: "binary", BatchWrites: true}},
-		{"batching-chunked", core.Config{WireCodec: "binary", BatchWrites: true, MaxBatch: 2}},
-		{"caching", core.Config{WireCodec: "binary", CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
-		{"hybrid-store", core.Config{WireCodec: "binary", UserStore: core.StoreHybrid}},
+		{"batching", core.Config{BatchWrites: true}},
+		{"batching-chunked", core.Config{BatchWrites: true, MaxBatch: 2}},
+		{"caching", core.Config{CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
+		{"hybrid-store", core.Config{UserStore: core.StoreHybrid}},
 		{"sharded-batching-caching", core.Config{
-			WireCodec: "binary", WriteShards: 4, BatchWrites: true,
+			WriteShards: 4, BatchWrites: true,
 			CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV,
 		}},
 	}
@@ -49,7 +47,7 @@ func TestBinaryCodecRandomizedMatrix(t *testing.T) {
 }
 
 // TestBinaryCodecReshardMatrix runs the reshard-under-load workload (with
-// transactions in the mix) under the binary codec: live split/merge/grow
+// transactions in the mix) at a third seed: live split/merge/grow
 // transitions while randomized clients churn, Z3 monotonicity during the
 // run, tree integrity after.
 func TestBinaryCodecReshardMatrix(t *testing.T) {
@@ -57,10 +55,10 @@ func TestBinaryCodecReshardMatrix(t *testing.T) {
 		name string
 		cfg  core.Config
 	}{
-		{"reshard", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true}},
-		{"reshard-batching", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, BatchWrites: true}},
-		{"reshard-txn", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, EnableTxn: true}},
-		{"reshard-caching", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}},
+		{"reshard", core.Config{WriteShards: 2, DynamicShards: true}},
+		{"reshard-batching", core.Config{WriteShards: 2, DynamicShards: true, BatchWrites: true}},
+		{"reshard-txn", core.Config{WriteShards: 2, DynamicShards: true, EnableTxn: true}},
+		{"reshard-caching", core.Config{WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}},
 	}
 	for _, mc := range matrix {
 		mc := mc
@@ -71,25 +69,36 @@ func TestBinaryCodecReshardMatrix(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecTxnHistories runs the multi() randomized workload under
-// the binary codec: cross-shard transactions ride txnMsg blobs inside
-// leader messages, the representation-compose case the codec must get
-// right.
+// TestBinaryCodecTxnHistories runs the randomized consistency workload
+// with the transaction gate on: cross-shard transactions ride txnMsg blobs
+// inside leader messages, the representation-compose case the codec must
+// get right.
 func TestBinaryCodecTxnHistories(t *testing.T) {
-	_, d := randomHistory(t, 1212, core.Config{WireCodec: "binary", EnableTxn: true, WriteShards: 2}, 4, 12)
+	_, d := randomHistory(t, 1212, core.Config{EnableTxn: true, WriteShards: 2}, 4, 12)
 	verifyTreeIntegrity(t, d)
-	obs, d1 := randomHistory(t, 1313, core.Config{WireCodec: "binary", EnableTxn: true}, 4, 12)
+	obs, d1 := randomHistory(t, 1313, core.Config{EnableTxn: true}, 4, 12)
 	verifyZ2(t, obs)
 	verifyTreeIntegrity(t, d1)
 }
 
-// TestWireCodecConfigRejected pins the config validation: an unknown
-// codec must fail fast at deployment time, not decode garbage later.
+// TestWireCodecConfigRejected pins the config validation of the inert
+// Config.WireCodec name: "" and "binary" deploy, anything else — the
+// deleted "gob" included — fails fast at deployment time instead of
+// silently running a format the caller did not ask for.
 func TestWireCodecConfigRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown WireCodec accepted")
-		}
-	}()
-	core.NewDeployment(sim.NewKernel(1), core.Config{WireCodec: "protobuf"})
+	for _, name := range []string{"", "binary"} {
+		k := sim.NewKernel(1)
+		core.NewDeployment(k, core.Config{WireCodec: name})
+		k.Shutdown()
+	}
+	for _, name := range []string{"protobuf", "gob"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WireCodec %q accepted", name)
+				}
+			}()
+			core.NewDeployment(sim.NewKernel(1), core.Config{WireCodec: name})
+		}()
+	}
 }

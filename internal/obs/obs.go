@@ -5,15 +5,15 @@
 // Tracing is causal and deterministic: the trace id of a request is a
 // pure function of (session, sequence) — TraceOf — so every pipeline
 // stage (client, follower, leader, distributor, transaction coordinator)
-// derives the same id independently, with no extra bytes on the gob wire
-// (the binary codec carries it as a first-class trailing field). A
-// request's spans form one tree: a root span covering submit to response,
-// a telescoping chain of stage spans that partition the root exactly
-// (each Stage call closes the current stage and opens the next, so stage
-// durations sum to the end-to-end virtual time by construction), and
-// free-floating child spans for legs that run concurrently with the
-// critical path (the follower's commit, per-region store writes, watch
-// deliveries, 2PC votes).
+// derives the same id independently; the wire carries it as a trailing
+// field that is always written, so message sizes do not depend on whether
+// tracing is on. A request's spans form one tree: a root span covering
+// submit to response, a telescoping chain of stage spans that partition
+// the root exactly (each Stage call closes the current stage and opens
+// the next, so stage durations sum to the end-to-end virtual time by
+// construction), and free-floating child spans for legs that run
+// concurrently with the critical path (the follower's commit, per-region
+// store writes, watch deliveries, 2PC votes).
 //
 // Everything is built for the simulator's cooperative scheduling: exactly
 // one process runs at a time, so the tracer and registry need no locks,
@@ -37,9 +37,9 @@ const (
 
 // TraceOf deterministically mints the trace id of a client request from
 // its session id and per-session sequence number — the pair that already
-// uniquely identifies a request end to end. Every stage recomputes it
-// from fields the wire already carries, so gob messages stay
-// byte-identical to the untraced pipeline.
+// uniquely identifies a request end to end. Every stage can recompute it
+// from fields the wire already carries, so messages are byte-identical to
+// the untraced pipeline's.
 func TraceOf(session string, seq int64) int64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(session); i++ {

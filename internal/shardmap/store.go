@@ -1,21 +1,18 @@
 package shardmap
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"strconv"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
-	"faaskeeper/internal/wire"
 )
 
 // The durable map lives in one system-store item. The routing table itself
-// is a gob blob; the per-shard generations are mirrored into numeric
-// attributes so a writer's commit transaction can pin "my shard's routing
-// has not changed since I routed" with a plain conditional check — the
-// same single-item conditional-expression primitive every other
+// is a binary blob (wire.go); the per-shard generations are mirrored into
+// numeric attributes so a writer's commit transaction can pin "my shard's
+// routing has not changed since I routed" with a plain conditional check —
+// the same single-item conditional-expression primitive every other
 // FaaSKeeper protocol builds on.
 const (
 	// DefaultKey is the system-store key of the shard map item.
@@ -45,14 +42,9 @@ func GenCond(shard int, gen int64) kv.Cond {
 
 // Store reads and writes the durable map item.
 type Store struct {
-	tbl   *kv.Table
-	key   string
-	codec wire.Codec // map-blob serialization (zero value = gob)
+	tbl *kv.Table
+	key string
 }
-
-// SetWireCodec selects the map-blob codec (set once at deployment time,
-// before the map is seeded).
-func (s *Store) SetWireCodec(c wire.Codec) { s.codec = c }
 
 // NewStore binds a store to the deployment's system table.
 func NewStore(tbl *kv.Table) *Store {
@@ -62,34 +54,9 @@ func NewStore(tbl *kv.Table) *Store {
 // Key returns the map item's key (commit guards reference it).
 func (s *Store) Key() string { return s.key }
 
-func encodeMap(m *Map) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic("shardmap: marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeMap(b []byte) (*Map, error) {
-	var m Map
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return nil, err
-	}
-	if m.Overrides == nil {
-		m.Overrides = map[int]int{}
-	}
-	if m.SeqBase == nil {
-		m.SeqBase = map[int]int64{}
-	}
-	if m.Gens == nil {
-		m.Gens = map[int]int64{}
-	}
-	return &m, nil
-}
-
 func (s *Store) item(m *Map) kv.Item {
 	it := kv.Item{
-		attrMapBlob:  kv.B(encodeMapWith(s.codec, m)),
+		attrMapBlob:  kv.B(encodeMap(m)),
 		attrMapEpoch: kv.N(m.Epoch),
 	}
 	for shard, gen := range m.Gens {
@@ -108,7 +75,7 @@ func (s *Store) Load(ctx cloud.Ctx) (*Map, error) {
 	if !ok {
 		return nil, ErrNoMap
 	}
-	return decodeMapWith(s.codec, it[attrMapBlob].Byt)
+	return decodeMap(it[attrMapBlob].Byt)
 }
 
 // Write replaces the durable map. Reshard transitions are serialized by

@@ -1,10 +1,9 @@
 package shardmap
 
-// Binary codec for the durable routing table (package wire). Gob stays
-// the default blob format; the binary format sorts map keys so equal maps
-// always encode to equal bytes — the map blob participates in item-level
-// conditional writes and deterministic replay, so encoding must not
-// depend on Go's map iteration order.
+// Wire codec for the durable routing table (package wire). Map keys are
+// sorted so equal maps always encode to equal bytes — the map blob
+// participates in item-level conditional writes and deterministic replay,
+// so encoding must not depend on Go's map iteration order.
 
 import (
 	"fmt"
@@ -15,16 +14,9 @@ import (
 
 const tagMap byte = 0xC1
 
-// maxEntries bounds decoded collection counts so corrupt input cannot
-// drive huge allocations or unbounded read loops.
-const maxEntries = 1 << 20
-
-// encodeMapWith serializes the map with the chosen codec. Binary bytes
-// are freshly owned (they are stored in the durable item).
-func encodeMapWith(c wire.Codec, m *Map) []byte {
-	if c == wire.Gob {
-		return encodeMap(m)
-	}
+// encodeMap serializes the map into freshly owned bytes (they are stored
+// in the durable item).
+func encodeMap(m *Map) []byte {
 	e := wire.NewEncoder()
 	e.Byte(tagMap)
 	e.Varint(m.Epoch)
@@ -45,17 +37,11 @@ func encodeMapWith(c wire.Codec, m *Map) []byte {
 		e.Ints(m.Mig.Sources)
 		e.Ints(m.Mig.Dests)
 	}
-	b := e.Data()
-	e.Detach()
-	e.Release()
-	return b
+	return e.Owned()
 }
 
-// decodeMapWith parses a map blob under the same codec.
-func decodeMapWith(c wire.Codec, b []byte) (*Map, error) {
-	if c == wire.Gob {
-		return decodeMap(b)
-	}
+// decodeMap parses a map blob; the three lookup maps are never nil.
+func decodeMap(b []byte) (*Map, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagMap {
 		return nil, fmt.Errorf("%w: shard map tag", wire.ErrCorrupt)
@@ -66,11 +52,7 @@ func decodeMapWith(c wire.Codec, b []byte) (*Map, error) {
 		Queues: int(d.Varint()),
 	}
 	m.Overrides = readIntMap(&d)
-	ns := int(d.Uvarint())
-	if ns > maxEntries {
-		d.Fail()
-	}
-	if d.Err() == nil && ns > 0 {
+	if ns := d.Count(); ns > 0 {
 		m.Splits = make([]Split, 0, ns)
 		for i := 0; i < ns; i++ {
 			m.Splits = append(m.Splits, Split{Prefix: d.String(), Shards: d.Ints()})
@@ -106,15 +88,8 @@ func appendIntMap(e *wire.Encoder, m map[int]int) {
 }
 
 func readIntMap(d *wire.Decoder) map[int]int {
-	n := int(d.Uvarint())
 	out := map[int]int{}
-	if n > maxEntries {
-		d.Fail()
-	}
-	if d.Err() != nil {
-		return out
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, d.Count(); i < n; i++ {
 		k := int(d.Varint())
 		out[k] = int(d.Varint())
 	}
@@ -135,15 +110,8 @@ func appendInt64Map(e *wire.Encoder, m map[int]int64) {
 }
 
 func readInt64Map(d *wire.Decoder) map[int]int64 {
-	n := int(d.Uvarint())
 	out := map[int]int64{}
-	if n > maxEntries {
-		d.Fail()
-	}
-	if d.Err() != nil {
-		return out
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, d.Count(); i < n; i++ {
 		k := int(d.Varint())
 		out[k] = d.Varint()
 	}

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -61,19 +60,68 @@ type event struct {
 	wakeSeq int64
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). It is
+// typed rather than a container/heap.Interface so push and pop move event
+// values directly instead of boxing each one into an `any` (one allocation
+// per scheduled wake-up). (at, seq) is a total order — seq is unique — so
+// pop order is independent of the heap's internal layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event   { return h[0] }
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+	*h = s
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so the backing array does not pin a finished *Process.
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s[r].before(s[child]) {
+			child = r
+		}
+		if !s[child].before(last) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	s[i] = last
+	return top
+}
+
+func (h eventHeap) peek() event { return h[0] }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
@@ -116,7 +164,7 @@ func (k *Kernel) scheduleWake(at Time, p *Process, wakeSeq int64) {
 		at = k.now
 	}
 	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, proc: p, wakeSeq: wakeSeq})
+	k.events.push(event{at: at, seq: k.seq, proc: p, wakeSeq: wakeSeq})
 }
 
 // park blocks the current process until some event wakes it. It must be
@@ -194,7 +242,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 			k.now = limit
 			break
 		}
-		ev := heap.Pop(&k.events).(event)
+		ev := k.events.pop()
 		p := ev.proc
 		if p.done || ev.wakeSeq != p.parkSeq {
 			continue // stale wake-up (timeout raced with completion, etc.)

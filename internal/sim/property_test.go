@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -132,4 +133,47 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	})
 	k.Run()
 	k.Shutdown()
+}
+
+// TestEventHeapPopsInAtSeqOrderProperty: the typed event heap pops exactly
+// in sorted (at, seq) order — with few distinct timestamps, so most
+// comparisons fall through to the seq tiebreaker, and with pops interleaved
+// between pushes as the scheduler does. Every virtual-time number rests on
+// this order. Vacated slots must also be zeroed so a popped event's
+// *Process is not pinned by the backing array.
+func TestEventHeapPopsInAtSeqOrderProperty(t *testing.T) {
+	f := func(ats []uint8, popEvery uint8) bool {
+		var h eventHeap
+		var ref []event // the heap's contents, kept sorted by (at, seq)
+		popMatches := func() bool {
+			want := ref[0]
+			ref = ref[1:]
+			return h.peek() == want && h.pop() == want
+		}
+		stride := int(popEvery%5) + 2
+		for i, at := range ats {
+			e := event{at: Time(at % 8), seq: int64(i + 1), proc: &Process{}}
+			h.push(e)
+			ref = append(ref, e)
+			sort.Slice(ref, func(a, b int) bool { return ref[a].before(ref[b]) })
+			if i%stride == 0 && !popMatches() {
+				return false
+			}
+		}
+		backing := h[:cap(h)]
+		for len(ref) > 0 {
+			if !popMatches() {
+				return false
+			}
+		}
+		for _, e := range backing {
+			if e != (event{}) {
+				return false // a vacated slot still holds its event
+			}
+		}
+		return len(h) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
 }

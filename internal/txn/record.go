@@ -10,7 +10,6 @@ import (
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
-	"faaskeeper/internal/wire"
 )
 
 // Status is a transaction record's state. Transitions are one-way and
@@ -86,19 +85,11 @@ type Store struct {
 	// transactions before draining source shards.
 	trackLive bool
 
-	// codec selects the op-blob serialization (zero value = gob, the
-	// paper-faithful default).
-	codec wire.Codec
-
 	// metrics, when set, counts record life-cycle transitions (begins,
 	// votes, decisions) — inert no-ops unless the registry's hot-path
 	// instruments are enabled.
 	metrics *obs.Registry
 }
-
-// SetWireCodec selects the record's op-blob codec (set once at deployment
-// time, before any transaction runs).
-func (s *Store) SetWireCodec(c wire.Codec) { s.codec = c }
 
 // SetMetrics wires the deployment's metrics registry into the record
 // store (set once at deployment time).
@@ -160,7 +151,7 @@ func (s *Store) Begin(ctx cloud.Ctx, id int64, session string, seq int64, ops []
 		attrStatus:  kv.S(string(StatusPreparing)),
 		attrSession: kv.S(session),
 		attrSeq:     kv.N(seq),
-		attrOps:     kv.B(EncodeOpsWith(s.codec, ops)),
+		attrOps:     kv.B(EncodeOps(ops)),
 	}, nil); err != nil {
 		return err
 	}
@@ -200,10 +191,10 @@ func (s *Store) decodeRecord(id int64, it kv.Item) Record {
 		Commits: map[int]int64{},
 	}
 	if b := it[attrOps].Byt; len(b) > 0 {
-		r.Ops, _ = DecodeOpsWith(s.codec, b)
+		r.Ops, _ = DecodeOps(b)
 	}
 	if b := it[attrResolved].Byt; len(b) > 0 {
-		r.Resolved, _ = DecodeResolvedWith(s.codec, b)
+		r.Resolved, _ = DecodeResolved(b)
 	}
 	for _, m := range it[attrVotes].SL {
 		if shard, val, ok := splitMarker(m); ok {
@@ -271,7 +262,7 @@ func verdictClass(verdict string) string {
 func (s *Store) Decide(ctx cloud.Ctx, id int64, from, to Status, resolved []ResolvedOp) error {
 	ups := []kv.Update{kv.Set{Name: attrStatus, V: kv.S(string(to))}}
 	if resolved != nil {
-		ups = append(ups, kv.Set{Name: attrResolved, V: kv.B(EncodeResolvedWith(s.codec, resolved))})
+		ups = append(ups, kv.Set{Name: attrResolved, V: kv.B(EncodeResolved(resolved))})
 	}
 	_, err := s.tbl.Update(ctx, recordKey(id), ups,
 		kv.Eq{Name: attrStatus, V: kv.S(string(from))})

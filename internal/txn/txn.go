@@ -12,8 +12,6 @@
 package txn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 
 	"faaskeeper/internal/znode"
@@ -98,38 +96,6 @@ type ResolvedOp struct {
 
 // Effectful reports whether the op mutates state (checks do not).
 func (r ResolvedOp) Effectful() bool { return r.Type != OpCheck }
-
-// EncodeOps serializes an op list for the durable record.
-func EncodeOps(ops []Op) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ops); err != nil {
-		panic("txn: ops marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-// DecodeOps parses a record's op blob.
-func DecodeOps(b []byte) ([]Op, error) {
-	var ops []Op
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ops)
-	return ops, err
-}
-
-// EncodeResolved serializes the decision's resolved op list.
-func EncodeResolved(ops []ResolvedOp) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ops); err != nil {
-		panic("txn: resolved ops marshal: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-// DecodeResolved parses a record's resolved-op blob.
-func DecodeResolved(b []byte) ([]ResolvedOp, error) {
-	var ops []ResolvedOp
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ops)
-	return ops, err
-}
 
 // Route partitions a multi's ops among write shards: shardOf is the
 // deployment's path-to-shard function (core.ShardOf partially applied).

@@ -1,10 +1,8 @@
 package txn
 
-// Binary wire codecs for the op vocabulary (package wire). The gob
-// encoders in txn.go remain the paper-faithful default; these are the
-// fast-path equivalents selected by Config.WireCodec: "binary". Both op
-// lists also ride inside core's leader messages, so the element codecs
-// are exported for core to compose.
+// Wire codecs for the op vocabulary (package wire). Both op lists also
+// ride inside core's leader messages, so the element codecs are exported
+// for core to compose.
 
 import (
 	"fmt"
@@ -20,44 +18,28 @@ const (
 	tagResolved byte = 0xA2
 )
 
-// maxOps bounds decoded op counts so corrupt input cannot drive huge
-// allocations (the wire package's collection ceiling).
-const maxOps = 1 << 20
-
-// EncodeOpsWith serializes an op list with the chosen codec. The binary
-// bytes are freshly owned (the record layer retains them).
-func EncodeOpsWith(c wire.Codec, ops []Op) []byte {
-	if c == wire.Gob {
-		return EncodeOps(ops)
-	}
+// EncodeOps serializes an op list (a multi() request's Data, the durable
+// record's op blob). The bytes are freshly owned: the record layer retains
+// them.
+func EncodeOps(ops []Op) []byte {
 	e := wire.NewEncoder()
 	e.Byte(tagOps)
 	e.Uvarint(uint64(len(ops)))
 	for i := range ops {
 		AppendOp(e, ops[i])
 	}
-	b := e.Data()
-	e.Detach()
-	e.Release()
-	return b
+	return e.Owned()
 }
 
-// DecodeOpsWith parses an op blob produced by EncodeOpsWith under the
-// same codec.
-func DecodeOpsWith(c wire.Codec, b []byte) ([]Op, error) {
-	if c == wire.Gob {
-		return DecodeOps(b)
-	}
+// DecodeOps parses an op blob produced by EncodeOps.
+func DecodeOps(b []byte) ([]Op, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagOps {
 		return nil, fmt.Errorf("%w: txn ops tag", wire.ErrCorrupt)
 	}
-	n := int(d.Uvarint())
+	n := d.Count()
 	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if n > maxOps {
-		return nil, fmt.Errorf("%w: txn ops count", wire.ErrCorrupt)
 	}
 	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {
@@ -69,25 +51,16 @@ func DecodeOpsWith(c wire.Codec, b []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// EncodeResolvedWith serializes a resolved-op list with the chosen codec.
-func EncodeResolvedWith(c wire.Codec, ops []ResolvedOp) []byte {
-	if c == wire.Gob {
-		return EncodeResolved(ops)
-	}
+// EncodeResolved serializes the decision's resolved-op list.
+func EncodeResolved(ops []ResolvedOp) []byte {
 	e := wire.NewEncoder()
 	e.Byte(tagResolved)
 	AppendResolvedOps(e, ops)
-	b := e.Data()
-	e.Detach()
-	e.Release()
-	return b
+	return e.Owned()
 }
 
-// DecodeResolvedWith parses a resolved-op blob under the same codec.
-func DecodeResolvedWith(c wire.Codec, b []byte) ([]ResolvedOp, error) {
-	if c == wire.Gob {
-		return DecodeResolved(b)
-	}
+// DecodeResolved parses a record's resolved-op blob.
+func DecodeResolved(b []byte) ([]ResolvedOp, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != tagResolved {
 		return nil, fmt.Errorf("%w: txn resolved tag", wire.ErrCorrupt)
@@ -140,11 +113,8 @@ func AppendResolvedOps(e *wire.Encoder, ops []ResolvedOp) {
 // ReadResolvedOps decodes a count-prefixed resolved-op list. Data fields
 // are zero-copy views into the input.
 func ReadResolvedOps(d *wire.Decoder) []ResolvedOp {
-	n := int(d.Uvarint())
-	if n > maxOps {
-		d.Fail()
-	}
-	if d.Err() != nil || n <= 0 {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
 	ops := make([]ResolvedOp, 0, n)

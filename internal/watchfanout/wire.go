@@ -1,12 +1,10 @@
 package watchfanout
 
-// Wire records for the fan-out tier (package wire, binary only — these
-// records did not exist on the paper-faithful path, so there is no gob
-// legacy to preserve). In the simulator they travel as in-memory values
-// and only their size feeds the latency model; the sizes below are the
-// exact encoded lengths, computed arithmetically so the hot path never
-// encodes. Encode/Decode realize the format for tests, fuzzing, and any
-// future off-box transport.
+// Wire records for the fan-out tier (package wire). In the simulator they
+// travel as in-memory values and only their size feeds the latency model;
+// the sizes below are the exact encoded lengths, computed arithmetically so
+// the hot path never encodes. Encode/Decode realize the format for tests,
+// fuzzing, and any future off-box transport.
 
 import (
 	"fmt"
@@ -67,10 +65,7 @@ func EncodeNotification(r NotificationRecord) []byte {
 	e.Byte(r.Op)
 	e.Varint(r.Txid)
 	e.Varint(r.Shard)
-	b := e.Data()
-	e.Detach()
-	e.Release()
-	return b
+	return e.Owned()
 }
 
 // DecodeNotification parses a record produced by EncodeNotification.
@@ -99,10 +94,7 @@ func EncodeRegistration(r RegistrationRecord) []byte {
 	e.Byte(r.Policy)
 	e.Varint(r.IntervalUS)
 	e.Varint(r.WID)
-	b := e.Data()
-	e.Detach()
-	e.Release()
-	return b
+	return e.Owned()
 }
 
 // DecodeRegistration parses a record produced by EncodeRegistration.

@@ -1,14 +1,10 @@
-// Package wire is the hand-rolled binary codec backing the hot message
-// paths: length-prefixed, varint-based, reflection-free, with pooled
-// encode buffers and a zero-copy decoder.
-//
-// Two codecs exist side by side. Gob is the paper-faithful default: every
-// message type keeps its original encoding/gob representation, so the
-// golden virtual-time trace stays byte-identical (queue latencies are a
-// function of message size). Binary is the fast path: each wire type owns
-// a compact hand-written format built from the primitives here. The
-// deployment picks one via Config.WireCodec and threads it to every
-// encode/decode site; decoding is codec-directed, never sniffed.
+// Package wire is the hand-rolled binary codec every message in the
+// pipeline travels in: length-prefixed, varint-based, reflection-free, with
+// pooled encode buffers and a zero-copy decoder. The paper asks only for a
+// compact binary payload that keeps a 250 kB node inside SQS's 256 kB
+// message limit (Section 4.4); each wire type owns a hand-written format
+// built from the primitives here, led by a one-byte tag so a mis-routed or
+// corrupt buffer fails loudly instead of decoding garbage.
 //
 // Ownership rules:
 //
@@ -16,7 +12,7 @@
 //     have been consumed or copied (cloud/queue.Send copies the body, so
 //     Release immediately after Send is safe). If the callee retains the
 //     slice (e.g. faas.InvokeAsync captures the payload in a goroutine),
-//     call Detach first to hand over ownership.
+//     call Detach first to hand over ownership (Owned does both).
 //   - Decoder.Bytes returns a sub-slice of the input, not a copy. Callers
 //     that outlive the input buffer must copy; callers decoding a queue
 //     message they own may alias freely.
@@ -25,38 +21,8 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 )
-
-// Codec selects the wire representation for the hot message types.
-type Codec uint8
-
-// Available codecs. Gob is the zero value so an unset Config stays
-// paper-faithful.
-const (
-	Gob Codec = iota
-	Binary
-)
-
-// Parse maps a Config.WireCodec string to a Codec. The empty string means
-// the default (gob).
-func Parse(name string) (Codec, error) {
-	switch name {
-	case "", "gob":
-		return Gob, nil
-	case "binary":
-		return Binary, nil
-	}
-	return Gob, fmt.Errorf("wire: unknown codec %q (want \"gob\" or \"binary\")", name)
-}
-
-func (c Codec) String() string {
-	if c == Binary {
-		return "binary"
-	}
-	return "gob"
-}
 
 // ErrCorrupt is returned when decoding malformed bytes.
 var ErrCorrupt = errors.New("wire: corrupt encoding")
@@ -97,12 +63,15 @@ func (e *Encoder) Release() {
 func (e *Encoder) Data() []byte { return e.buf }
 
 // Detach relinquishes the current buffer so the bytes survive Release.
-// A no-op when nothing was written (the gob path never touches the
-// encoder, and keeping its capacity pooled is free).
-func (e *Encoder) Detach() {
-	if len(e.buf) != 0 {
-		e.buf = nil
-	}
+func (e *Encoder) Detach() { e.buf = nil }
+
+// Owned finishes an encode whose bytes outlive the encoder: it detaches
+// and returns them, and releases the encoder.
+func (e *Encoder) Owned() []byte {
+	b := e.buf
+	e.Detach()
+	e.Release()
+	return b
 }
 
 // Byte appends one byte.
@@ -182,11 +151,6 @@ func (d *Decoder) fail() {
 		d.err = ErrCorrupt
 	}
 }
-
-// Fail latches a corrupt-input error from outside the package, for
-// composed codecs that reject a value the primitives decoded (an
-// out-of-range count, a bad tag mid-stream).
-func (d *Decoder) Fail() { d.fail() }
 
 // Byte reads one byte.
 func (d *Decoder) Byte() byte {
@@ -269,7 +233,7 @@ func (d *Decoder) view() []byte {
 
 // Int64s reads a count-prefixed []int64. nil for an empty list.
 func (d *Decoder) Int64s() []int64 {
-	n := d.count()
+	n := d.Count()
 	if n <= 0 {
 		return nil
 	}
@@ -282,7 +246,7 @@ func (d *Decoder) Int64s() []int64 {
 
 // Ints reads a count-prefixed []int. nil for an empty list.
 func (d *Decoder) Ints() []int {
-	n := d.count()
+	n := d.Count()
 	if n <= 0 {
 		return nil
 	}
@@ -295,7 +259,7 @@ func (d *Decoder) Ints() []int {
 
 // Strings reads a count-prefixed []string. nil for an empty list.
 func (d *Decoder) Strings() []string {
-	n := d.count()
+	n := d.Count()
 	if n <= 0 {
 		return nil
 	}
@@ -306,9 +270,12 @@ func (d *Decoder) Strings() []string {
 	return out
 }
 
-func (d *Decoder) count() int {
+// Count reads a collection length (exported for composed codecs). Every
+// element occupies at least one byte, so a count beyond the unread input
+// is corrupt — checked before the caller sizes an allocation by it.
+func (d *Decoder) Count() int {
 	n := d.Uvarint()
-	if n > maxCount {
+	if n > maxCount || n > uint64(len(d.buf)) {
 		d.fail()
 		return 0
 	}

@@ -112,6 +112,16 @@ func TestDecoderCountCeiling(t *testing.T) {
 	if !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatalf("Err = %v", d.Err())
 	}
+	// A count under the ceiling but beyond the unread input is corrupt
+	// too: it must fail before sizing an allocation, not after.
+	e2 := NewEncoder()
+	defer e2.Release()
+	e2.Uvarint(1000)
+	e2.Byte(1)
+	d = NewDecoder(e2.Data())
+	if got := d.Strings(); got != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("count beyond input: got %v, Err = %v", got, d.Err())
+	}
 }
 
 func TestEncoderDetach(t *testing.T) {
