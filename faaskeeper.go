@@ -161,15 +161,15 @@ type DeploymentOptions struct {
 	// Default 1 — the paper-faithful single totally-ordered write path.
 	// See the exp "sharding" experiment for the scaling behavior.
 	WriteShards int
-	// BatchWrites enables the leader's batching distributor: within one
-	// queue batch, user-store writes to the same node fold into the
-	// final state, parents get one child-list read-modify-write per
-	// batch, and cache invalidations coalesce into one record per
-	// touched path. Default false — the paper's per-message
+	// BatchWrites lets one distributor flush fold several queued
+	// messages: user-store writes to the same node fold into the final
+	// state, parents get one child-list read-modify-write per flush, and
+	// cache invalidations coalesce into one record per touched path.
+	// Default false ≡ chunks of one message — the paper's per-message
 	// distribution. See the "batching" experiment for the behavior.
 	BatchWrites bool
 	// MaxBatch caps how many queued messages one distributor flush may
-	// fold (0 = the whole invocation batch). Only used with BatchWrites.
+	// fold (0 = the whole invocation batch). Without BatchWrites it is 1.
 	MaxBatch int
 	// CacheMode deploys the read-path cache tier in front of the user
 	// store: a push-invalidated regional cache node (CacheRegional),

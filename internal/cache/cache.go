@@ -224,30 +224,21 @@ func (r *Regional) Fill(ctx cloud.Ctx, path string, blob []byte, mzxid int64) bo
 	return true
 }
 
-// Invalidate applies one leader-published record: STRICTLY raise the
-// path's floor — to the record's mzxid, but always past the previous
-// floor — and drop any cached entry below it. Within a shard records
-// arrive in txid order, so the floor lands exactly on each record's mzxid
-// and post-write fills pass. The strict bump matters for the shared root,
-// the one path written by several shards: its rebuilds are serialized by
-// the root lock but may carry out-of-order txids, and the freshness value
-// (pzxid only rises) cannot distinguish two successive root contents when
-// the later rebuild applies the lower txid. Bumping past the old floor
-// fences both the resident copy and any in-flight fill of the
-// pre-rebuild value — at worst the root over-misses until its next
-// higher-txid change, never serves a superseded child list.
-func (r *Regional) Invalidate(ctx cloud.Ctx, inv Invalidation) {
-	p := r.env.Profile
-	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, invSize(inv))
-	r.chargeOp(ctx, "cache.write")
-	r.apply(inv)
-}
-
-// InvalidateBatch applies a coalesced multi-path invalidation record —
-// what the leader's batching distributor publishes once per batch instead
-// of once per message: one cache-node round trip whose transfer term
-// covers all entries, then each path's floor raised exactly as a
-// standalone Invalidate would raise it.
+// InvalidateBatch applies one leader-published invalidation record — one
+// entry per path the distributor's flush touches: one cache-node round
+// trip whose transfer term covers all entries, then for each path
+// STRICTLY raise the floor — to the entry's mzxid, but always past the
+// previous floor — and drop any cached entry below it. Within a shard
+// records arrive in txid order, so the floor lands exactly on each
+// entry's mzxid and post-write fills pass. The strict bump matters for
+// the shared root, the one path written by several shards: its rebuilds
+// are serialized by the root lock but may carry out-of-order txids, and
+// the freshness value (pzxid only rises) cannot distinguish two
+// successive root contents when the later rebuild applies the lower txid.
+// Bumping past the old floor fences both the resident copy and any
+// in-flight fill of the pre-rebuild value — at worst the root over-misses
+// until its next higher-txid change, never serves a superseded child
+// list.
 func (r *Regional) InvalidateBatch(ctx cloud.Ctx, invs []Invalidation) {
 	if len(invs) == 0 {
 		return

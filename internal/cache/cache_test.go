@@ -32,7 +32,7 @@ func TestRegionalFillLookupInvalidate(t *testing.T) {
 		if !ok || mzxid != 10 || len(b) != 64 {
 			t.Fatalf("lookup after fill: ok=%v mzxid=%d len=%d", ok, mzxid, len(b))
 		}
-		r.Invalidate(ctx, Invalidation{Path: "/a", Mzxid: 20, Epoch: []int64{5, 6}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/a", Mzxid: 20, Epoch: []int64{5, 6}}})
 		if _, _, ok := r.Lookup(ctx, "/a"); ok {
 			t.Error("invalidated entry still served")
 		}
@@ -51,7 +51,7 @@ func TestRegionalStaleFillRejectedByFloor(t *testing.T) {
 	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
 		// The overwrite's invalidation lands before a reader — who
 		// fetched the pre-overwrite value from the store — tries to fill.
-		r.Invalidate(ctx, Invalidation{Path: "/n", Mzxid: 50})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/n", Mzxid: 50}})
 		if r.Fill(ctx, "/n", blob(32), 40) {
 			t.Error("fill below the invalidation floor must be rejected")
 		}
@@ -94,13 +94,13 @@ func TestRegionalSharedRootOutOfOrderInvalidation(t *testing.T) {
 		const txC, txD = 7, 10 // shard B commits C, shard A commits D first
 		// Shard A's rebuild (txid D) lands first: invalidate, write, and a
 		// reader caches the root at freshness D — without shard B's child.
-		r.Invalidate(ctx, Invalidation{Path: "/", Mzxid: txD})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/", Mzxid: txD}})
 		if !r.Fill(ctx, "/", blob(20), txD) {
 			t.Fatal("fill of the first rebuild rejected")
 		}
 		// Shard B's rebuild (txid C < D) runs second: its content
 		// supersedes the cached copy, its freshness is still D.
-		r.Invalidate(ctx, Invalidation{Path: "/", Mzxid: txC})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/", Mzxid: txC}})
 		if _, _, ok := r.Lookup(ctx, "/"); ok {
 			t.Error("superseded root copy survived the out-of-order invalidation")
 		}
@@ -110,7 +110,7 @@ func TestRegionalSharedRootOutOfOrderInvalidation(t *testing.T) {
 			t.Error("in-flight fill of the superseded root must be rejected")
 		}
 		// The root regains cacheability at its next higher-txid change.
-		r.Invalidate(ctx, Invalidation{Path: "/", Mzxid: txD + 5})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/", Mzxid: txD + 5}})
 		if !r.Fill(ctx, "/", blob(20), txD+5) {
 			t.Error("fill of a genuinely newer root rejected")
 		}
@@ -125,7 +125,7 @@ func TestFloorCompaction(t *testing.T) {
 		r.floorCap = 4
 		const paths = 8
 		for i := 0; i < paths; i++ {
-			r.Invalidate(ctx, Invalidation{Path: fmt.Sprintf("/n%d", i), Mzxid: int64(100 + i)})
+			r.InvalidateBatch(ctx, []Invalidation{{Path: fmt.Sprintf("/n%d", i), Mzxid: int64(100 + i)}})
 		}
 		if len(r.floors) > r.floorCap {
 			t.Errorf("floors map not bounded: %d > cap %d", len(r.floors), r.floorCap)
@@ -180,7 +180,7 @@ func TestInvalidationOrderingUnderConcurrentShardWrites(t *testing.T) {
 			defer wg.Done()
 			for seq := int64(1); seq <= writesPerShard; seq++ {
 				txid := seq*nShards + int64(shard)
-				r.Invalidate(ctx, Invalidation{Path: path, Mzxid: txid, Epoch: []int64{txid}})
+				r.InvalidateBatch(ctx, []Invalidation{{Path: path, Mzxid: txid, Epoch: []int64{txid}}})
 				// A racing reader re-fills the version this write just
 				// overwrote; the floor must reject it.
 				r.Fill(ctx, path, blob(24), txid-int64(nShards))
@@ -250,8 +250,8 @@ func TestInvalidateBatchCoalesces(t *testing.T) {
 		// The coalesced record must be cheaper than two standalone
 		// publishes (one base round trip instead of two).
 		t0 := k.Now()
-		r.Invalidate(ctx, Invalidation{Path: "/a", Mzxid: 40, Epoch: []int64{5}})
-		r.Invalidate(ctx, Invalidation{Path: "/b", Mzxid: 50, Epoch: []int64{5}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/a", Mzxid: 40, Epoch: []int64{5}}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/b", Mzxid: 50, Epoch: []int64{5}}})
 		if single := k.Now() - t0; batchDur >= single {
 			t.Errorf("batch record took %v, two standalone records %v", batchDur, single)
 		}

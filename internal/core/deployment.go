@@ -91,23 +91,22 @@ type Config struct {
 	// merges an idle split back.
 	AutoShard AutoShard
 
-	// BatchWrites enables the leader's batching distributor: the handler
-	// splits into a per-message commit phase (Algorithm 2's verification,
-	// watch claiming, and transaction pop, unchanged per operation) and a
-	// batch-level distributor that writes only the final folded state of
-	// each touched node to the user stores, performs one parent child-list
-	// read-modify-write per parent per batch, and publishes one coalesced
-	// cache-invalidation record per touched path. Every per-operation
-	// invariant is preserved: each client still receives its own Stat with
-	// its own txid, watch payloads carry the firing operation's txid, and
-	// epoch entries precede readability of the batch's writes (Z4).
-	// Default false — the paper's one-write-per-message distribution,
-	// byte-identical to the golden trace.
+	// BatchWrites lets one distributor flush fold several queued messages
+	// (distributor.go): within a chunk only the final state of each
+	// touched node is written to the user stores, every parent gets one
+	// child-list read-modify-write, and the regional caches get one
+	// coalesced invalidation record. Every per-operation invariant is
+	// preserved: each client still receives its own Stat with its own
+	// txid, watch payloads carry the firing operation's txid, and epoch
+	// entries precede readability of the chunk's writes (Z4). Default
+	// false ≡ chunks of one message — the paper's one-write-per-message
+	// distribution, byte-identical to the golden trace. defaults() turns
+	// false into MaxBatch = 1; nothing else reads this field.
 	BatchWrites bool
 
 	// MaxBatch caps how many queued messages one distributor flush may
 	// fold (0 = the whole invocation batch, itself bounded by the queue
-	// technology's receive limit). Only meaningful with BatchWrites.
+	// technology's receive limit). Forced to 1 unless BatchWrites.
 	MaxBatch int
 
 	// EnableTxn enables ZooKeeper-style multi() transactions (package
@@ -213,9 +212,6 @@ type Config struct {
 	// CostBudgetWindow is the burn-rate evaluation window (default 1 s of
 	// virtual time).
 	CostBudgetWindow time.Duration
-
-	// Faults injects failures for resilience tests.
-	Faults Faults
 }
 
 // AutoShard configures shard auto-scaling (Config.AutoShard): the policy
@@ -277,14 +273,6 @@ func (a *AutoShard) defaults() {
 	}
 }
 
-// Faults are injectable failure probabilities.
-type Faults struct {
-	// FollowerCrashAfterPush is the probability that the follower function
-	// dies after pushing to the leader queue but before committing the
-	// system store — the window Algorithm 2's TryCommit covers.
-	FollowerCrashAfterPush float64
-}
-
 func (c *Config) defaults() {
 	if c.Profile == nil {
 		c.Profile = cloud.AWSProfile()
@@ -334,6 +322,9 @@ func (c *Config) defaults() {
 	}
 	if c.MaxBatch < 0 {
 		c.MaxBatch = 0
+	}
+	if !c.BatchWrites {
+		c.MaxBatch = 1
 	}
 	switch c.CacheMode {
 	case "off":

@@ -169,7 +169,7 @@ func (d *Deployment) followerSetData(ctx cloud.Ctx, req Request) error {
 		d.respondFailure(req, CodeSystemError)
 		return nil
 	}
-	if d.crashInjected() || d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
+	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// ④ Commit and unlock in one conditional write (joined with the
@@ -295,7 +295,7 @@ func (d *Deployment) followerCreate(ctx cloud.Ctx, req Request) error {
 		return nil
 	}
 	txid := r.txid
-	if d.crashInjected() || d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
+	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// ④ A multi-node commit: the new node and its parent fail or succeed
@@ -405,7 +405,7 @@ func (d *Deployment) followerDelete(ctx cloud.Ctx, req Request) (int, error) {
 		return r.shard, nil
 	}
 	txid := r.txid
-	if d.crashInjected() || d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
+	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
 		return r.shard, errInjectedCrash
 	}
 	t0 := d.K.Now()
@@ -596,11 +596,6 @@ func (d *Deployment) unlockAll(ctx cloud.Ctx, locks ...fksync.Lock) {
 	for _, l := range locks {
 		_ = d.Locks.Release(ctx, l)
 	}
-}
-
-func (d *Deployment) crashInjected() bool {
-	p := d.Cfg.Faults.FollowerCrashAfterPush
-	return p > 0 && d.K.Rand().Float64() < p
 }
 
 // crashAt asks the kernel's fault hook (package chaos) whether the

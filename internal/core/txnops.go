@@ -823,7 +823,7 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		return nil
 	}
 	txid := r.txid
-	if d.crashInjected() || d.crashAt(obs.StageTxnPrep, req.Session, req.Seq) {
+	if d.crashAt(obs.StageTxnPrep, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// ④ One multi-item commit: every touched node and parent fails or
@@ -942,7 +942,7 @@ func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	if err := d.Txns.Decide(ctx, id, txn.StatusPreparing, txn.StatusCommitted, plan.resolved); err != nil {
 		return nil // a resumed duplicate owns the record; let it drive
 	}
-	if d.crashInjected() || d.crashAt(obs.StageTxnCommit, req.Session, req.Seq) {
+	if d.crashAt(obs.StageTxnCommit, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	return d.txnCommitDrive(ctx, req, id, plan.resolved, nil, false)
@@ -1000,7 +1000,7 @@ func (d *Deployment) txnCommitDrive(ctx cloud.Ctx, req Request, id int64, resolv
 	for _, s := range shards {
 		d.txnSysCommit(ctx, id, resolvedOfShard(resolved, s), commits[s])
 	}
-	if d.crashInjected() || d.crashAt(obs.StageTxnApply, req.Session, req.Seq) {
+	if d.crashAt(obs.StageTxnApply, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// Barrier: every shard leader finished its commit phase (watches
@@ -1085,7 +1085,7 @@ func (d *Deployment) applyTxn(ctx cloud.Ctx, resolved []txn.ResolvedOp, commits 
 		epochs[s.Region()] = e
 	}
 	fold, results := d.buildTxnFold(ctx, resolved, func(s int) int64 { return commits[s] }, map[string]sysNode{})
-	d.distributeFold(ctx, fold, epochs, true)
+	d.distributeFold(ctx, fold, epochs, true, nil)
 	fold.release()
 	d.recordPhase("txn.apply", d.K.Now()-t0)
 	return results
@@ -1223,6 +1223,24 @@ func (d *Deployment) tryCommitTxn(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int6
 	return d.System.Transact(ctx, txops) == nil
 }
 
+// claimTxnWatches claims the watches of every effectful op of a
+// transaction message before anything becomes readable (the multi-shard
+// pre-fire ordering; Z4 holds on every deployment).
+func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard int, txid int64, epochs map[cloud.Region][]int64) []firedWatch {
+	t0 := d.K.Now()
+	var fired []firedWatch
+	for _, op := range ops {
+		if !op.Effectful() {
+			continue
+		}
+		view := opMsgView(op)
+		view.Shard = shard
+		fired = append(fired, d.claimWatches(ctx, view, txid, epochs)...)
+	}
+	d.recordPhase("leader.watchquery", d.K.Now()-t0)
+	return fired
+}
+
 // leaderProcessMulti is the fast path's leader commit phase: await the
 // multi-item commit, pre-fire watches, fold the whole transaction, and
 // distribute it atomically within the shard's serialized pipeline.
@@ -1238,30 +1256,12 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{})
 		return nil
 	}
-	// Watch ids enter the epoch counters before anything becomes readable
-	// (the multi-shard pre-fire ordering; Z4 holds on every deployment).
-	t0 = d.K.Now()
-	var fired []firedWatch
-	for _, op := range tm.Ops {
-		if !op.Effectful() {
-			continue
-		}
-		view := opMsgView(op)
-		view.Shard = msg.Shard
-		if d.fanoutOn() {
-			d.fanoutPublish(ctx, view, txid, epochs)
-			continue
-		}
-		f := d.queryWatches(ctx, view)
-		d.appendEpochs(ctx, f, msg.Shard, epochs)
-		fired = append(fired, f...)
-	}
-	d.recordPhase("leader.watchquery", d.K.Now()-t0)
+	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, txid, epochs)
 
 	fold, results := d.buildTxnFold(ctx, tm.Ops, func(int) int64 { return txid }, states)
 	d.stageMsg(msg, obs.StageFlush)
 	t0 = d.K.Now()
-	d.distributeFold(ctx, fold, epochs, true)
+	d.distributeFold(ctx, fold, epochs, true, nil)
 	d.recordPhase("leader.update", d.K.Now()-t0)
 	if d.fanoutOn() {
 		// The whole multi() is applied atomically above: every sub-op's
@@ -1271,15 +1271,12 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 
 	var comps []watchCompletion
 	for _, f := range fired {
-		payload := watchPayload{WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions}
-		sp := d.tspan(d.msgTrace(msg), obs.SpanWatchDeliver, f.path, msg.Shard, "")
-		fut := d.Platform.InvokeAsync(d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, ""), FnWatch, payload.encode())
-		comps = append(comps, watchCompletion{wid: f.wid, fut: fut, span: sp})
+		comps = append(comps, d.launchWatch(ctx, msg, f, txid))
 	}
 
 	// Pop each target's single pending entry; deleted nodes may be
-	// collected — their user-store removal is already distributed, as in
-	// the per-message pipeline.
+	// collected — their user-store removal is already distributed, as
+	// for a single delete's pop after its flush.
 	for _, p := range txnTargets(tm.Ops) {
 		op := OpSetData
 		if nf := fold.nodes[p]; nf != nil && nf.del {
@@ -1332,25 +1329,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 		d.spanEnd(ssp)
 		return nil
 	}
-	t0 = d.K.Now()
-	var fired []firedWatch
-	fanoutPublished := false
-	for _, op := range tm.Ops {
-		if !op.Effectful() {
-			continue
-		}
-		view := opMsgView(op)
-		view.Shard = msg.Shard
-		if d.fanoutOn() {
-			d.fanoutPublish(ctx, view, txid, epochs)
-			fanoutPublished = true
-			continue
-		}
-		f := d.queryWatches(ctx, view)
-		d.appendEpochs(ctx, f, msg.Shard, epochs)
-		fired = append(fired, f...)
-	}
-	d.recordPhase("leader.watchquery", d.K.Now()-t0)
+	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, txid, epochs)
 	// Pop pendings but never collect tombstones here: the intent must
 	// keep fencing the path until the coordinator's atomic apply, and
 	// collecting the item would drop it.
@@ -1359,8 +1338,9 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 	}
 	_, _ = d.Txns.Ready(ctx, tm.ID, msg.Shard)
 	d.spanEnd(ssp)
-	if fanoutPublished {
-		// Fan-out tier: the release defers itself until the coordinator's
+	if d.fanoutOn() {
+		// Fan-out tier (a commit message always carries an effectful op,
+		// so claimTxnWatches published): the release defers itself until the coordinator's
 		// atomic apply makes the transaction readable — the same ordering
 		// the legacy post-apply delivery batch below enforces. The nodes
 		// own delivery and epoch exit from there.
@@ -1383,9 +1363,6 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 		// Z4 ordering (no delivery before the apply, no epoch exit before
 		// its delivery completes), a per-shard-constant number of epoch
 		// writes for watch-heavy transactional workloads.
-		fired := fired
-		tr := d.msgTrace(msg)
-		ctr := costMsgTrace(msg)
 		d.txnWatchBatches++
 		d.txnWatchDeliveries += int64(len(fired))
 		d.K.Go("txn-watch-batch", func() {
@@ -1399,19 +1376,15 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 					break
 				}
 			}
-			futs := make([]*sim.Future[error], 0, len(fired))
+			comps := make([]watchCompletion, 0, len(fired))
 			wids := make([]int64, 0, len(fired))
-			spans := make([]int64, 0, len(fired))
 			for _, f := range fired {
-				payload := watchPayload{WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions}
-				sp := d.tspan(tr, obs.SpanWatchDeliver, f.path, msg.Shard, "")
-				spans = append(spans, sp)
-				futs = append(futs, d.Platform.InvokeAsync(d.billSpan(ctx, ctr, sp, msg.Shard, ""), FnWatch, payload.encode()))
+				comps = append(comps, d.launchWatch(ctx, msg, f, txid))
 				wids = append(wids, f.wid)
 			}
-			for i, fut := range futs {
-				_ = fut.Wait()
-				d.spanEnd(spans[i])
+			for _, c := range comps {
+				_ = c.fut.Wait()
+				d.spanEnd(c.span)
 			}
 			for _, s := range d.Stores {
 				_, _ = d.System.Update(ctx, epochKey(s.Region(), msg.Shard),

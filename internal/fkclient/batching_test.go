@@ -5,8 +5,9 @@ package fkclient
 // folded, batch folding edge cases (create→delete→create, set→set),
 // sequential numbering and tombstone GC across a coalesced batch, watch
 // notification ordering, and the randomized consistency suite with
-// batching enabled. The paper-faithful default (BatchWrites off) stays
-// guarded by the golden trace test in sharding_test.go.
+// batching enabled. The paper-faithful default (BatchWrites off ≡ chunks
+// of one message) stays guarded by the golden trace tests in
+// sharding_test.go.
 
 import (
 	"fmt"
@@ -109,7 +110,7 @@ func TestBatchedPerOpStats(t *testing.T) {
 			prevTxid = txid
 		}
 		// The workload must actually have coalesced: every op pays exactly
-		// one user-store write on the per-message path.
+		// one user-store write in a chunk of its own.
 		if w := d.Env.Meter.Count("userkv.write"); w >= int64(total) {
 			t.Errorf("no folding happened: %d user-store writes for %d ops", w, total)
 		}
@@ -318,5 +319,57 @@ func TestBatchedRandomizedHistories(t *testing.T) {
 			_, d := randomHistory(t, 606, cfg, 4, 12)
 			verifyTreeIntegrity(t, d)
 		})
+	}
+}
+
+// chunkSysWrites pipelines one blocker write and then three sets from one
+// session. The blocker's flush holds the serialized leader while the three
+// queue up behind it, so they arrive as one invocation — one chunk under
+// BatchWrites. It returns the system-store and user-store write counts of
+// the whole run.
+func chunkSysWrites(t *testing.T, paths [3]string) (sys, user int64) {
+	t.Helper()
+	run(t, 81, core.Config{BatchWrites: true}, func(k *sim.Kernel, d *core.Deployment) {
+		c := mustConnect(t, d, "s1")
+		for _, p := range []string{"/w", "/x", "/y", "/z"} {
+			if _, err := c.Create(p, nil, 0); err != nil {
+				t.Fatalf("create %s: %v", p, err)
+			}
+		}
+		k.Sleep(sim.Ms(1000))
+		d.ResetMetrics()
+		futs := []*sim.Future[core.Response]{c.submitWrite(core.OpSetData, "/z", make([]byte, 200<<10), -1, 0)}
+		for i, p := range paths {
+			futs = append(futs, c.submitWrite(core.OpSetData, p, []byte{byte(i)}, -1, 0))
+		}
+		for i, f := range futs {
+			if resp, err := c.await(f); err != nil {
+				t.Fatalf("write %d: %v (%s)", i, err, resp.Code)
+			}
+		}
+		k.Sleep(sim.Ms(1000))
+		sys, user = d.Env.Meter.Count("syskv.write"), d.Env.Meter.Count("obj.write")
+		c.Close()
+	})
+	return sys, user
+}
+
+// TestBatchedSamePathChainPopsInCommitPhase pins the pipeline's pop rule:
+// a message followed in its chunk by another on the same path must pop its
+// pending entry in the commit phase. A missed early pop is still answered
+// correctly — the next message's awaitCommit clears the head as an orphan —
+// and shows only as one extra, failed conditional system-store write, so
+// the write count is the only tripwire: the chain [set /x, set /x, set /y]
+// must cost exactly what three distinct paths cost.
+func TestBatchedSamePathChainPopsInCommitPhase(t *testing.T) {
+	chainSys, chainUser := chunkSysWrites(t, [3]string{"/x", "/x", "/y"})
+	flatSys, flatUser := chunkSysWrites(t, [3]string{"/x", "/w", "/y"})
+	// Blocker + three distinct nodes vs blocker + two: the chain really
+	// was one chunk and folded.
+	if flatUser != 4 || chainUser != 3 {
+		t.Fatalf("user-store writes = %d (distinct) / %d (chain), want 4 / 3: the three sets did not arrive as one chunk", flatUser, chainUser)
+	}
+	if chainSys != flatSys {
+		t.Errorf("system-store writes = %d for the same-path chain, %d for distinct paths: a pending pop missed the commit phase", chainSys, flatSys)
 	}
 }

@@ -4,14 +4,50 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
+
+// crashAfterPush is the tests' sim.FaultHook: with probability p a
+// function dies right after it pushed to a leader queue — the follower
+// before its commit (the window Algorithm 2's TryCommit covers), the
+// multi() coordinator at its three stage boundaries. It draws from its own
+// seeded source and fires at most twice per (session, seq), so a retry
+// budget of three or more never drains.
+type crashAfterPush struct {
+	p       float64
+	rng     *rand.Rand
+	crashes map[string]int
+}
+
+func newCrashAfterPush(seed int64, p float64) *crashAfterPush {
+	return &crashAfterPush{p: p, rng: rand.New(rand.NewSource(seed)), crashes: map[string]int{}}
+}
+
+func (h *crashAfterPush) Crash(stage, session string, seq int64) bool {
+	switch stage {
+	case obs.StageLeaderQ, obs.StageTxnPrep, obs.StageTxnCommit, obs.StageTxnApply:
+	default:
+		return false
+	}
+	key := fmt.Sprintf("%s|%d", session, seq)
+	if h.rng.Float64() >= h.p || h.crashes[key] >= 2 {
+		return false
+	}
+	h.crashes[key]++
+	return true
+}
+
+func (*crashAfterPush) Redeliver(string) bool         { return false }
+func (*crashAfterPush) DeliveryDelay(string) sim.Time { return 0 }
+func (*crashAfterPush) OpDelay() sim.Time             { return 0 }
 
 // run spins up a deployment and executes fn inside a client process.
 func run(t *testing.T, seed int64, cfg core.Config, fn func(k *sim.Kernel, d *core.Deployment)) {
@@ -424,11 +460,9 @@ func TestReadYourWritesAndMonotonicReads(t *testing.T) {
 }
 
 func TestFollowerCrashRecoveredByLeaderTryCommit(t *testing.T) {
-	cfg := core.Config{
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.3},
-		Retries: 3,
-	}
-	run(t, 13, cfg, func(k *sim.Kernel, d *core.Deployment) {
+	run(t, 13, core.Config{Retries: 3}, func(k *sim.Kernel, d *core.Deployment) {
+		crashes := newCrashAfterPush(13, 0.3)
+		k.SetFaultHook(crashes)
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
 		c.Create("/r", nil, 0)
@@ -437,6 +471,9 @@ func TestFollowerCrashRecoveredByLeaderTryCommit(t *testing.T) {
 			if _, err := c.SetData("/r", []byte{byte(i)}, -1); err == nil {
 				okCount++
 			}
+		}
+		if len(crashes.crashes) == 0 {
+			t.Error("no follower crash was injected: the test exercised nothing")
 		}
 		if okCount != 20 {
 			t.Errorf("only %d/20 writes survived follower crashes", okCount)

@@ -25,9 +25,12 @@ type observation struct {
 
 // randomHistory drives nClients performing random writes over a small path
 // set and returns per-session commit observations plus the deployment.
-func randomHistory(t *testing.T, seed int64, cfg core.Config, nClients, opsPerClient int) (map[string][]observation, *core.Deployment) {
+func randomHistory(t *testing.T, seed int64, cfg core.Config, nClients, opsPerClient int, hook ...sim.FaultHook) (map[string][]observation, *core.Deployment) {
 	t.Helper()
 	k := sim.NewKernel(seed)
+	for _, h := range hook {
+		k.SetFaultHook(h)
+	}
 	d := core.NewDeployment(k, cfg)
 	obs := map[string][]observation{}
 	paths := []string{"/a", "/b", "/c", "/a/x", "/b/y"}
@@ -175,11 +178,7 @@ func TestConsistencyRandomizedHistories(t *testing.T) {
 }
 
 func TestConsistencyUnderFollowerCrashes(t *testing.T) {
-	cfg := core.Config{
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.15},
-		Retries: 3,
-	}
-	obs, d := randomHistory(t, 777, cfg, 3, 10)
+	obs, d := randomHistory(t, 777, core.Config{Retries: 3}, 3, 10, newCrashAfterPush(777, 0.15))
 	verifyZ2(t, obs)
 	verifyTreeIntegrity(t, d)
 }
@@ -228,10 +227,8 @@ func TestSingleSystemImageConvergence(t *testing.T) {
 // never rolled back").
 func TestAcceptedUpdatesNeverRollBack(t *testing.T) {
 	k := sim.NewKernel(67)
-	d := core.NewDeployment(k, core.Config{
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.3},
-		Retries: 3,
-	})
+	k.SetFaultHook(newCrashAfterPush(67, 0.3))
+	d := core.NewDeployment(k, core.Config{Retries: 3})
 	k.Go("driver", func() {
 		c, _ := Connect(d, "s", d.Cfg.Profile.Home)
 		defer c.Close()

@@ -121,6 +121,91 @@ func TestSingleShardTraceIdentical(t *testing.T) {
 	}
 }
 
+// concurrentTraceWorkload is traceWorkload's concurrent sibling: three
+// sessions start at t=0 and each pipelines create / set ×2 / delete /
+// re-create on the same two paths, one of them holding a data watch. The
+// single leader queue backs up, so invocations carry several messages and
+// same-path transaction chains — the shapes the sequential trace never
+// produces. Every response, read and notification is rendered with its
+// virtual timestamp.
+func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	k := sim.NewKernel(4321)
+	d := core.NewDeployment(k, cfg)
+	paths := []string{"/s1", "/s2"}
+	for i := 0; i < 3; i++ {
+		i := i
+		id := fmt.Sprintf("c%d", i)
+		k.Go("trace-"+id, func() {
+			c, err := Connect(d, id, d.Cfg.Profile.Home)
+			if err != nil {
+				t.Errorf("connect %s: %v", id, err)
+				return
+			}
+			// The first create of each path is synchronous so the watch
+			// below has a node to attach to; everything after is pipelined.
+			for _, p := range paths {
+				_, err := c.Create(p, []byte(id), 0)
+				fmt.Fprintf(&buf, "%d %s create %s err=%v\n", k.Now(), id, p, err)
+			}
+			if i == 0 {
+				_, st, err := c.GetDataW(paths[0], func(n core.Notification) {
+					fmt.Fprintf(&buf, "%d %s notify %s ev=%v txid=%d\n", k.Now(), id, n.Path, n.Event, n.Txid)
+				})
+				fmt.Fprintf(&buf, "%d %s watch %s v=%d mzxid=%d err=%v\n", k.Now(), id, paths[0], st.Version, st.Mzxid, err)
+			}
+			type sub struct {
+				op   core.OpCode
+				path string
+				fut  *sim.Future[core.Response]
+			}
+			var subs []sub
+			for j := range paths {
+				p := paths[(i+j)%len(paths)]
+				for _, op := range []core.OpCode{core.OpSetData, core.OpSetData, core.OpDelete, core.OpCreate} {
+					subs = append(subs, sub{op, p, c.submitWrite(op, p, []byte(id), -1, 0)})
+				}
+			}
+			for _, s := range subs {
+				resp, err := c.await(s.fut)
+				fmt.Fprintf(&buf, "%d %s %s %s v=%d mzxid=%d txid=%d err=%v\n",
+					k.Now(), id, s.op, s.path, resp.Stat.Version, resp.Stat.Mzxid, resp.Txid, err)
+			}
+			for _, p := range paths {
+				data, st, err := c.GetData(p)
+				fmt.Fprintf(&buf, "%d %s get %s:%s v=%d mzxid=%d err=%v\n", k.Now(), id, p, data, st.Version, st.Mzxid, err)
+			}
+			err = c.Close()
+			fmt.Fprintf(&buf, "%d %s close err=%v\n", k.Now(), id, err)
+		})
+	}
+	k.Run()
+	k.Shutdown()
+	return buf.Bytes()
+}
+
+// concurrentTraceSHA256 pins concurrentTraceWorkload on the default
+// configuration. It was recorded at the commit before the per-message
+// leader pipeline was folded into the distributor (PR 18) and must hold
+// across that merge: multi-message invocations and same-path chains are
+// where a reordered pop or watch claim would show first.
+const concurrentTraceSHA256 = "6ca0acd6015e55aeb6c802afe6d46d1e53d59e5aaaccbca8ebdeb70a93f8caad"
+
+// TestConcurrentTraceIdentical: the concurrent default-config trace matches
+// its golden hash, with and without an explicit WriteShards: 1.
+func TestConcurrentTraceIdentical(t *testing.T) {
+	base := concurrentTraceWorkload(t, core.Config{})
+	one := concurrentTraceWorkload(t, core.Config{WriteShards: 1})
+	if !bytes.Equal(base, one) {
+		t.Fatalf("WriteShards:1 trace differs from default:\n--- default ---\n%s--- shards=1 ---\n%s", base, one)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(base)); got != concurrentTraceSHA256 {
+		t.Fatalf("concurrent trace drifted from the paper-faithful pipeline:\nhash %s (golden %s)\ntrace:\n%s",
+			got, concurrentTraceSHA256, base)
+	}
+}
+
 // TestTraceIndependentOfProcessHistory: billed sizes — and through them
 // virtual time — must not depend on what ran earlier in the process.
 // encoding/gob assigned type ids from a process-global counter in

@@ -117,6 +117,54 @@ func TestTelemetryOffTraceByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigStoreWriteIsTheRequestsChild pins the attribution rule
+// for one-message chunks: on the default configuration the distribution is
+// the request's own, so every SetData's span tree carries a store.write
+// child under the request's trace (never a trace-0 pipeline span) — also
+// when sessions race and leader invocations carry several messages.
+func TestDefaultConfigStoreWriteIsTheRequestsChild(t *testing.T) {
+	run(t, 91, core.Config{Telemetry: true}, func(k *sim.Kernel, d *core.Deployment) {
+		setup := mustConnect(t, d, "setup")
+		if _, err := setup.Create("/n", nil, 0); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		var traces []int64
+		done := sim.NewWaitGroup(k)
+		for i := 0; i < 3; i++ {
+			c := mustConnect(t, d, fmt.Sprintf("w%d", i))
+			done.Add(1)
+			k.Go("writer-"+c.ID(), func() {
+				defer done.Done()
+				defer c.Close()
+				for op := 0; op < 4; op++ {
+					if _, err := c.SetData("/n", []byte{byte(op)}, -1); err != nil {
+						t.Errorf("%s set %d: %v", c.ID(), op, err)
+					}
+					traces = append(traces, obs.TraceOf(c.ID(), c.nextSeq))
+				}
+			})
+		}
+		done.Wait()
+		setup.Close()
+		tr := d.Obs.Tracer
+		checkSpanTrees(t, tr)
+		for _, trace := range traces {
+			found := false
+			for _, sp := range tr.TraceSpans(trace) {
+				found = found || (sp.Name == obs.SpanStoreWrite && sp.Path == "/n" && sp.Parent != 0)
+			}
+			if !found {
+				t.Errorf("trace %d: no store.write child under the request's trace", trace)
+			}
+		}
+		for _, sp := range tr.TraceSpans(0) {
+			if sp.Name == obs.SpanStoreWrite {
+				t.Errorf("trace-0 pipeline store.write span on the default configuration: %+v", sp)
+			}
+		}
+	})
+}
+
 // TestStageSumMatchesClientLatency drives sequential writes and checks
 // each root span's endpoints against the client-observed virtual times:
 // the chain opens at submission, closes at response release, and the

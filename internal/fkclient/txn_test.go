@@ -293,10 +293,11 @@ func TestMultiCoordinatorCrashRecovery(t *testing.T) {
 	// record and apply the transaction exactly once.
 	cfg := core.Config{
 		EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV,
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.4},
 		Retries: 6,
 	}
 	run(t, 97, cfg, func(k *sim.Kernel, d *core.Deployment) {
+		crashes := newCrashAfterPush(97, 0.4)
+		k.SetFaultHook(crashes)
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
 		paths := shardedPaths(4, 2)
@@ -318,6 +319,9 @@ func TestMultiCoordinatorCrashRecovery(t *testing.T) {
 		}
 		if committed != n {
 			t.Errorf("only %d/%d transactions survived coordinator crashes", committed, n)
+		}
+		if len(crashes.crashes) == 0 {
+			t.Error("no coordinator crash was injected: the test exercised nothing")
 		}
 		for _, p := range paths {
 			_, st, err := c.GetData(p)
