@@ -91,6 +91,12 @@ func BenchmarkReshardDynamicMap(b *testing.B) { benchExperiment(b, "reshard") }
 
 // --- micro-benchmarks of the implementation itself (real time) ---
 
+// The three shapes of a process switch, to be run at one and several OS
+// threads (go test -bench 'Sim|KVConditionalUpdate' -cpu 1,2): a process
+// that is its own next event (KernelEvents), two processes handing the
+// baton back and forth (HandOff), and a process that is spawned, runs and
+// exits (Spawn).
+
 // BenchmarkSimKernelEvents measures raw simulator event throughput.
 func BenchmarkSimKernelEvents(b *testing.B) {
 	b.ReportAllocs()
@@ -102,6 +108,52 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	})
 	b.ResetTimer()
 	k.RunFor(time.Duration(b.N) * time.Millisecond)
+	b.StopTimer()
+	k.Shutdown()
+}
+
+// BenchmarkSimHandOff measures one process-to-process switch: two processes
+// ping-pong through a pair of queues, two hand-offs per round trip.
+func BenchmarkSimHandOff(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	ping, pong := sim.NewQueue[int](k), sim.NewQueue[int](k)
+	k.Go("echo", func() {
+		for {
+			v, ok := ping.Pop()
+			if !ok {
+				return
+			}
+			pong.Push(v)
+		}
+	})
+	k.Go("driver", func() {
+		for i := 0; i < b.N; i += 2 {
+			ping.Push(i)
+			pong.Pop()
+		}
+		ping.Close()
+	})
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	k.Shutdown()
+}
+
+// BenchmarkSimSpawn measures a process's whole life: spawn, first dispatch,
+// completing a future its parent waits on, exit.
+func BenchmarkSimSpawn(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	k.Go("parent", func() {
+		for i := 0; i < b.N; i++ {
+			f := sim.NewFuture[int](k)
+			k.Go("child", func() { f.Complete(i) })
+			f.Wait()
+		}
+	})
+	b.ResetTimer()
+	k.Run()
 	b.StopTimer()
 	k.Shutdown()
 }

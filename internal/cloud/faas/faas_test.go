@@ -167,8 +167,8 @@ func TestStreamTrigger(t *testing.T) {
 	p.AddStreamTrigger(s, "consumer")
 	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
 	k.Go("writer", func() {
-		tbl.Put(ctx, "a", kv.Item{"v": kv.N(1)}, nil)
-		tbl.Put(ctx, "b", kv.Item{"v": kv.N(2)}, nil)
+		tbl.Put(ctx, "a", kv.Item{{Name: "v", V: kv.N(1)}}, nil)
+		tbl.Put(ctx, "b", kv.Item{{Name: "v", V: kv.N(2)}}, nil)
 		k.Sleep(sim.Ms(5000))
 		s.Records.Close()
 	})

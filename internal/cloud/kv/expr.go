@@ -1,6 +1,9 @@
 package kv
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Cond is a condition expression evaluated atomically against the current
 // item state when an update commits, mirroring DynamoDB condition
@@ -34,8 +37,7 @@ func (c AttrNotExists) Eval(item Item, exists bool) bool {
 	if !exists {
 		return true
 	}
-	_, ok := item[c.Name]
-	return !ok
+	return item.index(c.Name) < 0
 }
 func (c AttrNotExists) String() string { return fmt.Sprintf("attr_not_exists(%s)", c.Name) }
 
@@ -47,8 +49,7 @@ func (c AttrExists) Eval(item Item, exists bool) bool {
 	if !exists {
 		return false
 	}
-	_, ok := item[c.Name]
-	return ok
+	return item.index(c.Name) >= 0
 }
 func (c AttrExists) String() string { return fmt.Sprintf("attr_exists(%s)", c.Name) }
 
@@ -63,7 +64,7 @@ func (c Eq) Eval(item Item, exists bool) bool {
 	if !exists {
 		return false
 	}
-	v, ok := item[c.Name]
+	v, ok := item.Lookup(c.Name)
 	return ok && v.Equal(c.V)
 }
 func (c Eq) String() string { return fmt.Sprintf("%s == %s", c.Name, c.V) }
@@ -79,7 +80,7 @@ func (c NumLt) Eval(item Item, exists bool) bool {
 	if !exists {
 		return false
 	}
-	v, ok := item[c.Name]
+	v, ok := item.Lookup(c.Name)
 	return ok && v.Kind == KindNumber && v.Num < c.V
 }
 func (c NumLt) String() string { return fmt.Sprintf("%s < %d", c.Name, c.V) }
@@ -96,7 +97,7 @@ func (c NumListHeadEq) Eval(item Item, exists bool) bool {
 	if !exists {
 		return false
 	}
-	v, ok := item[c.Name]
+	v, ok := item.Lookup(c.Name)
 	return ok && v.Kind == KindNumList && len(v.NL) > 0 && v.NL[0] == c.V
 }
 func (c NumListHeadEq) String() string { return fmt.Sprintf("head(%s) == %d", c.Name, c.V) }
@@ -150,7 +151,7 @@ func joinConds[T Cond](cs []T, sep string) string {
 // Update is a single update-expression action, applied atomically with any
 // others in the same call.
 type Update interface {
-	Apply(item Item)
+	Apply(item *Item)
 	payloadSize() int
 }
 
@@ -161,14 +162,14 @@ type Set struct {
 }
 
 // Apply implements Update.
-func (u Set) Apply(item Item)  { item[u.Name] = u.V.Clone() }
+func (u Set) Apply(item *Item) { item.Set(u.Name, u.V.Clone()) }
 func (u Set) payloadSize() int { return u.V.Size() }
 
 // Remove deletes attribute Name.
 type Remove struct{ Name string }
 
 // Apply implements Update.
-func (u Remove) Apply(item Item)  { delete(item, u.Name) }
+func (u Remove) Apply(item *Item) { item.Remove(u.Name) }
 func (u Remove) payloadSize() int { return 0 }
 
 // Add atomically adds Delta to numeric attribute Name, creating it at
@@ -179,13 +180,12 @@ type Add struct {
 }
 
 // Apply implements Update.
-func (u Add) Apply(item Item) {
-	v := item[u.Name]
+func (u Add) Apply(item *Item) {
+	v := item.slot(u.Name)
 	if v.Kind != KindNumber {
-		v = N(0)
+		*v = N(0)
 	}
 	v.Num += u.Delta
-	item[u.Name] = v
 }
 func (u Add) payloadSize() int { return 8 }
 
@@ -197,13 +197,12 @@ type ListAppend struct {
 }
 
 // Apply implements Update.
-func (u ListAppend) Apply(item Item) {
-	v := item[u.Name]
+func (u ListAppend) Apply(item *Item) {
+	v := item.slot(u.Name)
 	if v.Kind != KindNumList {
-		v = NumList()
+		*v = NumList()
 	}
 	v.NL = append(append([]int64(nil), v.NL...), u.Vals...)
-	item[u.Name] = v
 }
 func (u ListAppend) payloadSize() int { return 8 * len(u.Vals) }
 
@@ -215,23 +214,18 @@ type ListRemove struct {
 }
 
 // Apply implements Update.
-func (u ListRemove) Apply(item Item) {
-	v, ok := item[u.Name]
-	if !ok || v.Kind != KindNumList {
+func (u ListRemove) Apply(item *Item) {
+	v := item.ptr(u.Name)
+	if v == nil || v.Kind != KindNumList {
 		return
-	}
-	drop := make(map[int64]bool, len(u.Vals))
-	for _, x := range u.Vals {
-		drop[x] = true
 	}
 	kept := v.NL[:0:0]
 	for _, x := range v.NL {
-		if !drop[x] {
+		if !slices.Contains(u.Vals, x) {
 			kept = append(kept, x)
 		}
 	}
 	v.NL = kept
-	item[u.Name] = v
 }
 func (u ListRemove) payloadSize() int { return 8 * len(u.Vals) }
 
@@ -239,13 +233,12 @@ func (u ListRemove) payloadSize() int { return 8 * len(u.Vals) }
 type ListPopHead struct{ Name string }
 
 // Apply implements Update.
-func (u ListPopHead) Apply(item Item) {
-	v, ok := item[u.Name]
-	if !ok || v.Kind != KindNumList || len(v.NL) == 0 {
+func (u ListPopHead) Apply(item *Item) {
+	v := item.ptr(u.Name)
+	if v == nil || v.Kind != KindNumList || len(v.NL) == 0 {
 		return
 	}
 	v.NL = append([]int64(nil), v.NL[1:]...)
-	item[u.Name] = v
 }
 func (u ListPopHead) payloadSize() int { return 0 }
 
@@ -256,13 +249,12 @@ type StrListAppend struct {
 }
 
 // Apply implements Update.
-func (u StrListAppend) Apply(item Item) {
-	v := item[u.Name]
+func (u StrListAppend) Apply(item *Item) {
+	v := item.slot(u.Name)
 	if v.Kind != KindStrList {
-		v = StrList()
+		*v = StrList()
 	}
 	v.SL = append(append([]string(nil), v.SL...), u.Vals...)
-	item[u.Name] = v
 }
 func (u StrListAppend) payloadSize() int {
 	n := 0
@@ -280,22 +272,17 @@ type StrListRemove struct {
 }
 
 // Apply implements Update.
-func (u StrListRemove) Apply(item Item) {
-	v, ok := item[u.Name]
-	if !ok || v.Kind != KindStrList {
+func (u StrListRemove) Apply(item *Item) {
+	v := item.ptr(u.Name)
+	if v == nil || v.Kind != KindStrList {
 		return
-	}
-	drop := make(map[string]bool, len(u.Vals))
-	for _, s := range u.Vals {
-		drop[s] = true
 	}
 	kept := v.SL[:0:0]
 	for _, s := range v.SL {
-		if !drop[s] {
+		if !slices.Contains(u.Vals, s) {
 			kept = append(kept, s)
 		}
 	}
 	v.SL = kept
-	item[u.Name] = v
 }
 func (u StrListRemove) payloadSize() int { return 0 }

@@ -223,7 +223,7 @@ func (t *Table) Put(ctx cloud.Ctx, key string, item Item, cond Cond) error {
 	if cond != nil && !cond.Eval(old, exists) {
 		return ErrConditionFailed
 	}
-	t.commit(key, item.Clone())
+	t.commit(key, storedCopy(item))
 	return nil
 }
 
@@ -246,14 +246,9 @@ func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (
 	if cond != nil && !cond.Eval(old, exists) {
 		return nil, ErrConditionFailed
 	}
-	var next Item
-	if exists {
-		next = old.Clone()
-	} else {
-		next = Item{}
-	}
+	next := old.clone(len(updates))
 	for _, u := range updates {
-		u.Apply(next)
+		u.Apply(&next)
 	}
 	if next.Size() > t.profile().KVMaxItemB {
 		return nil, fmt.Errorf("%w: %d > %d", ErrItemTooLarge, next.Size(), t.profile().KVMaxItemB)
@@ -329,15 +324,10 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 			}
 			continue
 		}
-		old, exists := t.lookup(op.Key)
-		var next Item
-		if exists {
-			next = old.Clone()
-		} else {
-			next = Item{}
-		}
+		old, _ := t.lookup(op.Key)
+		next := old.clone(len(op.Updates))
 		for _, u := range op.Updates {
-			u.Apply(next)
+			u.Apply(&next)
 		}
 		t.commit(op.Key, next)
 	}
@@ -381,7 +371,7 @@ func (t *Table) TotalSize() int {
 // SeedPut stores an item without latency or billing. Deployments use it to
 // bootstrap state (the tree root, for example) before measurement starts.
 func (t *Table) SeedPut(key string, item Item) {
-	t.commit(key, item.Clone())
+	t.commit(key, storedCopy(item))
 }
 
 // Peek returns the stored item without latency or billing; tests and
@@ -392,6 +382,17 @@ func (t *Table) Peek(key string) (Item, bool) {
 		return nil, false
 	}
 	return r.cur.Clone(), true
+}
+
+// storedCopy is the deep copy Put and SeedPut keep of a caller-built item.
+// It goes through Set, so a literal that repeats a name stores one
+// attribute (the last value wins, as in a map literal).
+func storedCopy(item Item) Item {
+	out := make(Item, 0, len(item))
+	for _, a := range item {
+		out.Set(a.Name, a.V.Clone())
+	}
+	return out
 }
 
 func (t *Table) lookup(key string) (Item, bool) {

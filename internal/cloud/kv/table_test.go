@@ -20,11 +20,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
-		if err := tbl.Put(ctx, "a", Item{"x": N(7), "s": S("hello")}, nil); err != nil {
+		if err := tbl.Put(ctx, "a", Item{{Name: "x", V: N(7)}, {Name: "s", V: S("hello")}}, nil); err != nil {
 			t.Errorf("put: %v", err)
 		}
 		it, ok := tbl.Get(ctx, "a", true)
-		if !ok || it["x"].Num != 7 || it["s"].Str != "hello" {
+		if !ok || it.Get("x").Num != 7 || it.Get("s").Str != "hello" {
 			t.Errorf("get: %v %v", it, ok)
 		}
 		if _, ok := tbl.Get(ctx, "missing", true); ok {
@@ -41,11 +41,11 @@ func TestGetReturnsCopy(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
-		tbl.Put(ctx, "a", Item{"b": B([]byte{1, 2})}, nil)
+		tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{1, 2})}}, nil)
 		it, _ := tbl.Get(ctx, "a", true)
-		it["b"].Byt[0] = 99
+		it.Get("b").Byt[0] = 99
 		it2, _ := tbl.Get(ctx, "a", true)
-		if it2["b"].Byt[0] != 1 {
+		if it2.Get("b").Byt[0] != 1 {
 			t.Error("stored item was aliased by reader")
 		}
 	})
@@ -56,15 +56,15 @@ func TestConditionalPut(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
-		if err := tbl.Put(ctx, "n", Item{"v": N(1)}, NotExists{}); err != nil {
+		if err := tbl.Put(ctx, "n", Item{{Name: "v", V: N(1)}}, NotExists{}); err != nil {
 			t.Errorf("first put: %v", err)
 		}
-		err := tbl.Put(ctx, "n", Item{"v": N(2)}, NotExists{})
+		err := tbl.Put(ctx, "n", Item{{Name: "v", V: N(2)}}, NotExists{})
 		if !errors.Is(err, ErrConditionFailed) {
 			t.Errorf("second put err = %v", err)
 		}
 		it, _ := tbl.Get(ctx, "n", true)
-		if it["v"].Num != 1 {
+		if it.Get("v").Num != 1 {
 			t.Errorf("overwrite happened: %v", it)
 		}
 	})
@@ -81,8 +81,8 @@ func TestUpdateAtomicCounter(t *testing.T) {
 			}
 		}
 		it, _ := tbl.Get(ctx, "ctr", true)
-		if it["n"].Num != 10 {
-			t.Errorf("counter = %d", it["n"].Num)
+		if it.Get("n").Num != 10 {
+			t.Errorf("counter = %d", it.Get("n").Num)
 		}
 	})
 	k.Run()
@@ -97,7 +97,7 @@ func TestUpdateListOps(t *testing.T) {
 		tbl.Update(ctx, "l", []Update{ListRemove{"xs", []int64{2}}}, nil)
 		it, _ := tbl.Get(ctx, "l", true)
 		want := []int64{1, 3, 4}
-		got := it["xs"].NL
+		got := it.Get("xs").NL
 		if len(got) != len(want) {
 			t.Fatalf("list = %v", got)
 		}
@@ -108,8 +108,8 @@ func TestUpdateListOps(t *testing.T) {
 		}
 		tbl.Update(ctx, "l", []Update{ListPopHead{"xs"}}, nil)
 		it, _ = tbl.Get(ctx, "l", true)
-		if it["xs"].NL[0] != 3 {
-			t.Fatalf("after pop: %v", it["xs"].NL)
+		if it.Get("xs").NL[0] != 3 {
+			t.Fatalf("after pop: %v", it.Get("xs").NL)
 		}
 	})
 	k.Run()
@@ -122,8 +122,8 @@ func TestStrListOps(t *testing.T) {
 		tbl.Update(ctx, "c", []Update{StrListAppend{"kids", []string{"a", "b"}}}, nil)
 		tbl.Update(ctx, "c", []Update{StrListRemove{"kids", []string{"a"}}}, nil)
 		it, _ := tbl.Get(ctx, "c", true)
-		if len(it["kids"].SL) != 1 || it["kids"].SL[0] != "b" {
-			t.Fatalf("kids = %v", it["kids"].SL)
+		if len(it.Get("kids").SL) != 1 || it.Get("kids").SL[0] != "b" {
+			t.Fatalf("kids = %v", it.Get("kids").SL)
 		}
 	})
 	k.Run()
@@ -158,7 +158,7 @@ func TestDeleteWithCondition(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
-		tbl.Put(ctx, "d", Item{"v": N(3)}, nil)
+		tbl.Put(ctx, "d", Item{{Name: "v", V: N(3)}}, nil)
 		if err := tbl.Delete(ctx, "d", Eq{"v", N(4)}); !errors.Is(err, ErrConditionFailed) {
 			t.Errorf("mismatched delete: %v", err)
 		}
@@ -180,10 +180,10 @@ func TestItemSizeLimit(t *testing.T) {
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
 		big := make([]byte, 401*1024)
-		if err := tbl.Put(ctx, "big", Item{"d": B(big)}, nil); !errors.Is(err, ErrItemTooLarge) {
+		if err := tbl.Put(ctx, "big", Item{{Name: "d", V: B(big)}}, nil); !errors.Is(err, ErrItemTooLarge) {
 			t.Errorf("put err = %v", err)
 		}
-		tbl.Put(ctx, "x", Item{"d": B(make([]byte, 399*1024))}, nil)
+		tbl.Put(ctx, "x", Item{{Name: "d", V: B(make([]byte, 399*1024))}}, nil)
 		_, err := tbl.Update(ctx, "x", []Update{Set{"e", B(make([]byte, 2*1024))}}, nil)
 		if !errors.Is(err, ErrItemTooLarge) {
 			t.Errorf("update err = %v", err)
@@ -197,17 +197,17 @@ func TestEventualReadCanBeStale(t *testing.T) {
 	tbl := NewTable(env, "state")
 	stale, fresh := 0, 0
 	k.Go("client", func() {
-		tbl.Put(ctx, "v", Item{"n": N(1)}, nil)
+		tbl.Put(ctx, "v", Item{{Name: "n", V: N(1)}}, nil)
 		k.Sleep(time.Second) // age the first version fully
 		for i := 0; i < 50; i++ {
-			tbl.Put(ctx, "v", Item{"n": N(2)}, nil)
+			tbl.Put(ctx, "v", Item{{Name: "n", V: N(2)}}, nil)
 			it, _ := tbl.Get(ctx, "v", false)
-			if it["n"].Num == 1 {
+			if it.Get("n").Num == 1 {
 				stale++
 			} else {
 				fresh++
 			}
-			tbl.Put(ctx, "v", Item{"n": N(1)}, nil)
+			tbl.Put(ctx, "v", Item{{Name: "n", V: N(1)}}, nil)
 			k.Sleep(100 * time.Millisecond)
 		}
 	})
@@ -223,9 +223,9 @@ func TestEventualReadCanBeStale(t *testing.T) {
 	tbl2 := NewTable(env2, "state")
 	k2.Go("client", func() {
 		for i := 0; i < 20; i++ {
-			tbl2.Put(ctx2, "v", Item{"n": N(int64(i))}, nil)
+			tbl2.Put(ctx2, "v", Item{{Name: "n", V: N(int64(i))}}, nil)
 			it, _ := tbl2.Get(ctx2, "v", true)
-			if it["n"].Num != int64(i) {
+			if it.Get("n").Num != int64(i) {
 				t.Errorf("strong read stale: %v", it)
 			}
 		}
@@ -237,7 +237,7 @@ func TestTransactAllOrNothing(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
-		tbl.Put(ctx, "a", Item{"v": N(1)}, nil)
+		tbl.Put(ctx, "a", Item{{Name: "v", V: N(1)}}, nil)
 		err := tbl.Transact(ctx, []TxOp{
 			{Key: "a", Updates: []Update{Set{"v", N(2)}}, Cond: Eq{"v", N(1)}},
 			{Key: "b", Updates: []Update{Set{"v", N(9)}}, Cond: Exists{}}, // fails
@@ -246,7 +246,7 @@ func TestTransactAllOrNothing(t *testing.T) {
 			t.Errorf("tx err = %v", err)
 		}
 		it, _ := tbl.Get(ctx, "a", true)
-		if it["v"].Num != 1 {
+		if it.Get("v").Num != 1 {
 			t.Errorf("partial tx applied: %v", it)
 		}
 		err = tbl.Transact(ctx, []TxOp{
@@ -258,7 +258,7 @@ func TestTransactAllOrNothing(t *testing.T) {
 		}
 		ita, _ := tbl.Get(ctx, "a", true)
 		itb, _ := tbl.Get(ctx, "b", true)
-		if ita["v"].Num != 2 || itb["v"].Num != 9 {
+		if ita.Get("v").Num != 2 || itb.Get("v").Num != 9 {
 			t.Errorf("tx results: %v %v", ita, itb)
 		}
 		// Transactional delete leg.
@@ -277,9 +277,9 @@ func TestScanOrderAndBilling(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "sessions")
 	k.Go("client", func() {
-		tbl.Put(ctx, "c", Item{"v": N(3)}, nil)
-		tbl.Put(ctx, "a", Item{"v": N(1)}, nil)
-		tbl.Put(ctx, "b", Item{"v": N(2)}, nil)
+		tbl.Put(ctx, "c", Item{{Name: "v", V: N(3)}}, nil)
+		tbl.Put(ctx, "a", Item{{Name: "v", V: N(1)}}, nil)
+		tbl.Put(ctx, "b", Item{{Name: "v", V: N(2)}}, nil)
 		got := tbl.Scan(ctx)
 		if len(got) != 3 || got[0].Key != "a" || got[1].Key != "b" || got[2].Key != "c" {
 			t.Errorf("scan = %v", got)
@@ -306,8 +306,8 @@ func TestStreamEmitsCommittedWrites(t *testing.T) {
 		}
 	})
 	k.Go("writer", func() {
-		tbl.Put(ctx, "a", Item{"v": N(1)}, nil)
-		tbl.Put(ctx, "a", Item{"v": N(2)}, NotExists{}) // fails: no record
+		tbl.Put(ctx, "a", Item{{Name: "v", V: N(1)}}, nil)
+		tbl.Put(ctx, "a", Item{{Name: "v", V: N(2)}}, NotExists{}) // fails: no record
 		tbl.Update(ctx, "a", []Update{Add{"v", 1}}, nil)
 		tbl.Delete(ctx, "a", nil)
 		s.Records.Close()
@@ -331,8 +331,8 @@ func TestLatencyGrowsWithItemSize(t *testing.T) {
 	tbl := NewTable(env, "state")
 	var small, large sim.Time
 	k.Go("client", func() {
-		tbl.Put(ctx, "s", Item{"d": B(make([]byte, 1024))}, nil)
-		tbl.Put(ctx, "l", Item{"d": B(make([]byte, 64*1024))}, nil)
+		tbl.Put(ctx, "s", Item{{Name: "d", V: B(make([]byte, 1024))}}, nil)
+		tbl.Put(ctx, "l", Item{{Name: "d", V: B(make([]byte, 64*1024))}}, nil)
 		t0 := k.Now()
 		for i := 0; i < 20; i++ {
 			tbl.Update(ctx, "s", []Update{Set{"lock", N(1)}}, AttrNotExists{"nope"})
@@ -381,7 +381,7 @@ func TestValueCloneIndependence(t *testing.T) {
 }
 
 func TestItemSizeAccounting(t *testing.T) {
-	it := Item{"ab": N(1), "c": S("xyz"), "d": B([]byte{1, 2, 3, 4})}
+	it := Item{{Name: "ab", V: N(1)}, {Name: "c", V: S("xyz")}, {Name: "d", V: B([]byte{1, 2, 3, 4})}}
 	// 2+8 + 1+3 + 1+4 = 19
 	if got := it.Size(); got != 19 {
 		t.Fatalf("size = %d", got)
@@ -395,7 +395,7 @@ func TestItemSizeAccounting(t *testing.T) {
 }
 
 func TestCondStringsAndCombinators(t *testing.T) {
-	it := Item{"v": N(5), "xs": NumList(7, 8)}
+	it := Item{{Name: "v", V: N(5)}, {Name: "xs", V: NumList(7, 8)}}
 	cases := []struct {
 		c    Cond
 		want bool
@@ -429,5 +429,101 @@ func TestCondStringsAndCombinators(t *testing.T) {
 	}
 	if !(NotExists{}).Eval(nil, false) {
 		t.Error("NotExists on absent item")
+	}
+}
+
+// TestUpdateReturnsCopy: the item Update hands back shares nothing with
+// table storage — neither the attribute list nor any list value.
+func TestUpdateReturnsCopy(t *testing.T) {
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		it, err := tbl.Update(ctx, "a", []Update{
+			Set{"b", B([]byte{1, 2})},
+			ListAppend{"nl", []int64{1, 2}},
+			StrListAppend{"sl", []string{"x", "y"}},
+		}, nil)
+		if err != nil {
+			t.Errorf("update: %v", err)
+			return
+		}
+
+		b, nl, sl := it.ptr("b"), it.ptr("nl"), it.ptr("sl")
+		b.Byt[0], nl.NL[0], sl.SL[0] = 99, 99, "zz"
+		b.Byt = append(b.Byt[:1], 7)
+		nl.NL = append(nl.NL[:1], 7)
+		sl.SL = append(sl.SL[:1], "q")
+		it.Set("b", N(0))
+		it.Set("new", N(1))
+		it.Remove("nl")
+
+		got, _ := tbl.Peek("a")
+		want := Item{{Name: "b", V: B([]byte{1, 2})}, {Name: "nl", V: NumList(1, 2)}, {Name: "sl", V: StrList("x", "y")}}
+		if len(got) != len(want) {
+			t.Errorf("stored item is %v, want %v", got, want)
+		}
+		for _, a := range want {
+			if !got.Get(a.Name).Equal(a.V) {
+				t.Errorf("stored %s changed through Update's result: %v, want %v", a.Name, got.Get(a.Name), a.V)
+			}
+		}
+	})
+	k.Run()
+}
+
+// TestItemNamesStayUnique: Set, Remove and the table's write paths never
+// leave two attributes with one name, whatever the caller's literal held.
+func TestItemNamesStayUnique(t *testing.T) {
+	var it Item
+	it.Set("a", N(1))
+	it.Set("b", N(2))
+	it.Set("a", N(3))
+	if len(it) != 2 || it.Get("a").Num != 3 || it.Get("b").Num != 2 {
+		t.Fatalf("after Set x3: %v", it)
+	}
+	it.Remove("a")
+	it.Remove("missing")
+	if _, ok := it.Lookup("a"); ok || len(it) != 1 {
+		t.Fatalf("after Remove: %v", it)
+	}
+	it.Set("a", N(4))
+	if len(it) != 2 || it.Get("a").Num != 4 {
+		t.Fatalf("after re-Set: %v", it)
+	}
+
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	dup := Item{{Name: "v", V: N(1)}, {Name: "w", V: N(2)}, {Name: "v", V: N(3)}}
+	tbl.SeedPut("seeded", dup)
+	k.Go("client", func() {
+		if err := tbl.Put(ctx, "put", dup, nil); err != nil {
+			t.Errorf("put: %v", err)
+		}
+	})
+	k.Run()
+	for _, key := range []string{"seeded", "put"} {
+		got, _ := tbl.Peek(key)
+		if len(got) != 2 || got.Get("v").Num != 3 || got.Get("w").Num != 2 {
+			t.Errorf("%s stored %v, want one v (the last) and one w", key, got)
+		}
+	}
+}
+
+// TestItemCloneAllocations pins the cost of the copy every Get, Update and
+// stream record makes: one allocation for the attribute list plus one per
+// non-empty list value. A map-backed item costs more than ten here.
+func TestItemCloneAllocations(t *testing.T) {
+	it := Item{
+		{Name: "exists", V: N(1)}, {Name: "version", V: N(2)}, {Name: "cversion", V: N(3)},
+		{Name: "czxid", V: N(4)}, {Name: "mzxid", V: N(5)}, {Name: "pzxid", V: N(6)},
+		{Name: "eph", V: S("session-1")}, {Name: "seq", V: N(7)},
+		{Name: "children", V: StrList("a", "b", "c")}, {Name: "pending", V: NumList(8, 9)},
+	}
+	var sink Item
+	if got := testing.AllocsPerRun(100, func() { sink = it.Clone() }); got > 3 {
+		t.Fatalf("Clone of a 10-attribute item with two lists: %v allocations, want at most 3", got)
+	}
+	if sink.String() != it.String() || sink.Size() != it.Size() {
+		t.Fatalf("clone differs: %v vs %v", sink, it)
 	}
 }

@@ -3,11 +3,17 @@
 // and eventually consistent reads, conditional update expressions, atomic
 // counters and list operations, multi-item transactions, change streams,
 // per-operation billing, and latencies calibrated to the paper's Table 6a.
+//
+// An Item is a short slice of named attributes. The table never shares a
+// stored item with a caller: Put and SeedPut store a deep copy, a commit
+// swaps in a whole new item, and Get, Update, Peek, Scan and stream records
+// return deep copies. GetView is the one read-only view of table storage.
 package kv
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -108,6 +114,12 @@ func (v Value) Equal(o Value) bool {
 
 // Clone returns a deep copy so callers cannot alias stored state.
 func (v Value) Clone() Value {
+	v.unshare()
+	return v
+}
+
+// unshare replaces the slice v holds with a copy of it.
+func (v *Value) unshare() {
 	switch v.Kind {
 	case KindBytes:
 		v.Byt = append([]byte(nil), v.Byt...)
@@ -116,7 +128,6 @@ func (v Value) Clone() Value {
 	case KindStrList:
 		v.SL = append([]string(nil), v.SL...)
 	}
-	return v
 }
 
 // String renders the value for debugging.
@@ -136,46 +147,108 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Item is one table row: attribute name -> value.
-type Item map[string]Value
+// Attr is one named attribute of an item.
+type Attr struct {
+	Name string
+	V    Value
+}
+
+// Item is one table row: a short list of attributes with unique names, in
+// the order they were first set. The system store's rows carry about ten
+// attributes, so a linear scan by name beats hashing, a copy is one
+// allocation plus the list attributes, and nothing grows behind the
+// caller's back. A literal should not repeat a name; Set, Remove and the
+// table's write paths keep names unique. Order carries no meaning: Size,
+// String and every condition are independent of it.
+type Item []Attr
+
+func (it Item) index(name string) int {
+	for i := range it {
+		if it[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// ptr returns a pointer to the named attribute's value in place, nil when
+// absent. The pointer is valid until the item is next appended to.
+func (it Item) ptr(name string) *Value {
+	if i := it.index(name); i >= 0 {
+		return &it[i].V
+	}
+	return nil
+}
+
+// slot is ptr that appends the attribute with the zero Value when absent.
+func (it *Item) slot(name string) *Value {
+	if v := it.ptr(name); v != nil {
+		return v
+	}
+	*it = append(*it, Attr{Name: name})
+	return &(*it)[len(*it)-1].V
+}
+
+// Get returns the named attribute's value, or the zero Value when the item
+// has no such attribute.
+func (it Item) Get(name string) Value {
+	if v := it.ptr(name); v != nil {
+		return *v
+	}
+	return Value{}
+}
+
+// Lookup returns the named attribute's value and whether it is present.
+func (it Item) Lookup(name string) (Value, bool) {
+	if v := it.ptr(name); v != nil {
+		return *v, true
+	}
+	return Value{}, false
+}
+
+// Set assigns v to the named attribute, adding it when absent.
+func (it *Item) Set(name string, v Value) { *it.slot(name) = v }
+
+// Remove deletes the named attribute if present.
+func (it *Item) Remove(name string) {
+	if i := it.index(name); i >= 0 {
+		*it = slices.Delete(*it, i, i+1)
+	}
+}
 
 // Size returns the billing size of the item: attribute names plus values.
 func (it Item) Size() int {
 	n := 0
-	for k, v := range it {
-		n += len(k) + v.Size()
+	for i := range it {
+		n += len(it[i].Name) + it[i].V.Size()
 	}
 	return n
 }
 
-// Clone deep-copies the item.
-func (it Item) Clone() Item {
-	out := make(Item, len(it))
-	for k, v := range it {
-		out[k] = v.Clone()
+// Clone deep-copies the item. The copy is never nil.
+func (it Item) Clone() Item { return it.clone(0) }
+
+// clone is Clone with room for extra more attributes.
+func (it Item) clone(extra int) Item {
+	out := make(Item, len(it), len(it)+extra)
+	copy(out, it)
+	for i := range out {
+		out[i].V.unshare()
 	}
 	return out
 }
 
 // String renders the item with attributes sorted for deterministic output.
 func (it Item) String() string {
-	keys := make([]string, 0, len(it))
-	for k := range it {
-		keys = append(keys, k)
-	}
-	// Tiny n: insertion sort keeps this dependency-free.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sorted := slices.Clone(it)
+	slices.SortFunc(sorted, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, a := range sorted {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s: %s", k, it[k])
+		fmt.Fprintf(&b, "%s: %s", a.Name, a.V)
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -100,7 +100,7 @@ func TestDeploymentSeedsRoot(t *testing.T) {
 	if !rootOK {
 		t.Fatal("root not seeded in user store")
 	}
-	if it, ok := d.System.Peek(nodeKey(znode.Root)); !ok || it[attrExists].Num != 1 {
+	if it, ok := d.System.Peek(nodeKey(znode.Root)); !ok || it.Get(attrExists).Num != 1 {
 		t.Fatal("root not seeded in system store")
 	}
 }
@@ -251,7 +251,7 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 		t.Fatalf("epoch should start empty: %v", epoch)
 	}
 	it, ok := d.System.Peek(watchKey("/cfg"))
-	if !ok || len(it[attrWatchData].SL) != 1 || it[attrWatchData].SL[0] != "s1" {
+	if !ok || len(it.Get(attrWatchData).SL) != 1 || it.Get(attrWatchData).SL[0] != "s1" {
 		t.Fatalf("watch item: %v", it)
 	}
 }

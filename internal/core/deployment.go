@@ -568,8 +568,8 @@ func (d *Deployment) newUserStore(r cloud.Region) UserStore {
 // seedRoot bootstraps "/" in system and user stores at no cost.
 func (d *Deployment) seedRoot() {
 	d.System.SeedPut(nodeKey(znode.Root), kv.Item{
-		attrExists:   kv.N(1),
-		attrChildren: kv.StrList(),
+		{Name: attrExists, V: kv.N(1)},
+		{Name: attrChildren, V: kv.StrList()},
 	})
 	root := &znode.Node{Path: znode.Root}
 	for _, s := range d.Stores {
@@ -720,9 +720,9 @@ func (d *Deployment) ResetMetrics() {
 // during connection establishment.
 func (d *Deployment) RegisterSession(ctx cloud.Ctx, sessionID string) error {
 	return d.System.Put(ctx, sessionKey(sessionID), kv.Item{
-		attrSessionReg:  kv.N(1),
-		attrSessionAddr: kv.S(string(ctx.Region)),
-		attrSessionEph:  kv.StrList(),
+		{Name: attrSessionReg, V: kv.N(1)},
+		{Name: attrSessionAddr, V: kv.S(string(ctx.Region))},
+		{Name: attrSessionEph, V: kv.StrList()},
 	}, nil)
 }
 
@@ -786,5 +786,5 @@ func (d *Deployment) epochShard(ctx cloud.Ctx, region cloud.Region, shard int) [
 	// The item is a read-only view; callers append to the returned slice
 	// (appendEpochs), so the list itself must be a private copy. Copying
 	// just the epoch list skips cloning the whole item.
-	return append([]int64(nil), it[attrEpochList].NL...)
+	return append([]int64(nil), it.Get(attrEpochList).NL...)
 }

@@ -140,7 +140,7 @@ func (d *Deployment) SessionWatchSet(ctx cloud.Ctx, sessionID string) []string {
 	if !ok {
 		return nil
 	}
-	return append([]string(nil), it[attrWatchSet].SL...)
+	return append([]string(nil), it.Get(attrWatchSet).SL...)
 }
 
 // FanoutKick is the client Z4 gate's escape hatch (see watchfanout.Kick):

@@ -208,7 +208,7 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 	}
 	prefix := fmt.Sprintf("%d/", msg.DeregID)
 	seen := map[string]bool{}
-	for _, m := range it[attrDeregAcks].SL {
+	for _, m := range it.Get(attrDeregAcks).SL {
 		if strings.HasPrefix(m, prefix) {
 			seen[m] = true
 		}
@@ -458,7 +458,7 @@ func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
 		}
 		var clear []kv.Update
 		for _, p := range pairs {
-			sessions := it[p.attr].SL
+			sessions := it.Get(p.attr).SL
 			if len(sessions) == 0 {
 				continue
 			}

@@ -245,7 +245,7 @@ func (d *Deployment) reshard(plan func(*shardmap.Map) (*shardmap.Map, error)) er
 	if err != nil {
 		return abort(err)
 	}
-	fenceID := it[attrReshardSeq].Num
+	fenceID := it.Get(attrReshardSeq).Num
 	for _, s := range mig.Sources {
 		fence := leaderMsg{Op: OpReshardFence, Shard: s, DeregID: fenceID}
 		e := wire.NewEncoder()
@@ -261,7 +261,7 @@ func (d *Deployment) reshard(plan func(*shardmap.Map) (*shardmap.Map, error)) er
 		if ok {
 			all := true
 			for _, s := range mig.Sources {
-				if it[fenceShardAttr(s)].Num != 1 {
+				if it.Get(fenceShardAttr(s)).Num != 1 {
 					all = false
 					break
 				}

@@ -111,20 +111,20 @@ func decodeSysNode(it kv.Item) sysNode {
 		return sysNode{}
 	}
 	return sysNode{
-		Exists:   it[attrExists].Num == 1,
-		Version:  int32(it[attrVersion].Num),
-		Cversion: int32(it[attrCversion].Num),
-		Czxid:    it[attrCzxid].Num,
-		Mzxid:    it[attrMzxid].Num,
-		Pzxid:    it[attrPzxid].Num,
+		Exists:   it.Get(attrExists).Num == 1,
+		Version:  int32(it.Get(attrVersion).Num),
+		Cversion: int32(it.Get(attrCversion).Num),
+		Czxid:    it.Get(attrCzxid).Num,
+		Mzxid:    it.Get(attrMzxid).Num,
+		Pzxid:    it.Get(attrPzxid).Num,
 		// Children is copied: the item may be a read-only GetView of table
 		// storage, and callers append to the list (spliceInto via
 		// buildUserNode). Pending stays a view — all uses are read-only.
-		Children:  append([]string(nil), it[attrChildren].SL...),
-		EphOwner:  it[attrEph].Str,
-		SeqCtr:    it[attrSeq].Num,
-		Pending:   it[attrPending].NL,
-		TxnIntent: it[attrTxnIntent].Num,
+		Children:  append([]string(nil), it.Get(attrChildren).SL...),
+		EphOwner:  it.Get(attrEph).Str,
+		SeqCtr:    it.Get(attrSeq).Num,
+		Pending:   it.Get(attrPending).NL,
+		TxnIntent: it.Get(attrTxnIntent).Num,
 	}
 }
 

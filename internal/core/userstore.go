@@ -116,7 +116,7 @@ func (s *kvStore) Region() cloud.Region { return s.region }
 func (s *kvStore) StoredBytes() int     { return s.tbl.TotalSize() }
 
 func (s *kvStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
-	return s.tbl.Put(ctx, n.Path, kv.Item{"n": kv.B(znode.Marshal(n, epoch))}, nil)
+	return s.tbl.Put(ctx, n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(n, epoch))}}, nil)
 }
 
 func (s *kvStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error) {
@@ -126,7 +126,7 @@ func (s *kvStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error)
 	if !ok {
 		return nil, nil, ErrUserNoNode
 	}
-	return znode.Unmarshal(it["n"].Byt)
+	return znode.Unmarshal(it.Get("n").Byt)
 }
 
 func (s *kvStore) Delete(ctx cloud.Ctx, path string) error {
@@ -134,7 +134,7 @@ func (s *kvStore) Delete(ctx cloud.Ctx, path string) error {
 }
 
 func (s *kvStore) Seed(n *znode.Node) {
-	s.tbl.SeedPut(n.Path, kv.Item{"n": kv.B(znode.Marshal(n, nil))})
+	s.tbl.SeedPut(n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(n, nil))}})
 }
 
 // ApplyBatch makes all of a transaction's writes readable atomically via
@@ -187,7 +187,7 @@ func (s *hybridStore) StoredBytes() int     { return s.tbl.TotalSize() + s.bucke
 
 func (s *hybridStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
 	if len(n.Data) <= s.thresholdB {
-		err := s.tbl.Put(ctx, n.Path, kv.Item{"n": kv.B(znode.Marshal(n, epoch))}, nil)
+		err := s.tbl.Put(ctx, n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(n, epoch))}}, nil)
 		if err == nil {
 			// A previously large node may have shrunk; drop stale spill.
 			if _, had := s.bucket.Peek(n.Path); had {
@@ -200,8 +200,8 @@ func (s *hybridStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
 	meta.Data = nil
 	meta.Stat.DataLength = int32(len(n.Data))
 	if err := s.tbl.Put(ctx, n.Path, kv.Item{
-		"n":     kv.B(znode.Marshal(meta, epoch)),
-		"spill": kv.N(1),
+		{Name: "n", V: kv.B(znode.Marshal(meta, epoch))},
+		{Name: "spill", V: kv.N(1)},
 	}, nil); err != nil {
 		return err
 	}
@@ -214,11 +214,11 @@ func (s *hybridStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, er
 	if !ok {
 		return nil, nil, ErrUserNoNode
 	}
-	n, epoch, err := znode.Unmarshal(it["n"].Byt)
+	n, epoch, err := znode.Unmarshal(it.Get("n").Byt)
 	if err != nil {
 		return nil, nil, err
 	}
-	if it["spill"].Num == 1 {
+	if it.Get("spill").Num == 1 {
 		data, err := s.bucket.Get(ctx, path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: hybrid spill read: %w", err)
@@ -243,12 +243,12 @@ func (s *hybridStore) Delete(ctx cloud.Ctx, path string) error {
 
 func (s *hybridStore) Seed(n *znode.Node) {
 	if len(n.Data) <= s.thresholdB {
-		s.tbl.SeedPut(n.Path, kv.Item{"n": kv.B(znode.Marshal(n, nil))})
+		s.tbl.SeedPut(n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(n, nil))}})
 		return
 	}
 	meta := n.Clone()
 	meta.Data = nil
-	s.tbl.SeedPut(n.Path, kv.Item{"n": kv.B(znode.Marshal(meta, nil)), "spill": kv.N(1)})
+	s.tbl.SeedPut(n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(meta, nil))}, {Name: "spill", V: kv.N(1)}})
 	s.bucket.SeedPut(n.Path, n.Data)
 }
 

@@ -64,7 +64,7 @@ func (d *Deployment) heartbeatHandler(inv *faas.Invocation) error {
 			continue
 		}
 		session := it.Key[len(sessionKeyPrefix):]
-		if len(it.Item[attrSessionEph].SL) == 0 {
+		if len(it.Item.Get(attrSessionEph).SL) == 0 {
 			continue // no ephemeral state at risk: skip the probe
 		}
 		st := d.sessions[session]

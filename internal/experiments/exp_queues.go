@@ -80,7 +80,7 @@ func newInvocationRig(seed int64, profile *cloud.Profile, kind cloud.QueueKind, 
 func (rig *invocationRig) send(payload []byte) {
 	switch {
 	case rig.stream != nil:
-		rig.tbl.Put(rig.ctx, fmt.Sprintf("k%d", rig.k.Now()), kv.Item{"d": kv.B(payload)}, nil)
+		rig.tbl.Put(rig.ctx, fmt.Sprintf("k%d", rig.k.Now()), kv.Item{{Name: "d", V: kv.B(payload)}}, nil)
 	case rig.q != nil:
 		rig.q.Send(rig.ctx, "g", payload)
 	default:
@@ -202,7 +202,7 @@ func queueLoadRun(seed int64, profile *cloud.Profile, kind cloud.QueueKind, useS
 				issueAt := rig.k.Now()
 				switch {
 				case rig.stream != nil:
-					rig.tbl.Put(rig.ctx, fmt.Sprintf("k%d-%d", pi, rig.k.Now()), kv.Item{"d": kv.B(payload)}, nil)
+					rig.tbl.Put(rig.ctx, fmt.Sprintf("k%d-%d", pi, rig.k.Now()), kv.Item{{Name: "d", V: kv.B(payload)}}, nil)
 				default:
 					rig.q.Send(rig.ctx, "g", payload)
 				}

@@ -55,7 +55,7 @@ func runFig4b(cfg RunConfig) *Report {
 			pt.s3wx = measure(func() { bucket.Put(remote, "k", data) })
 			pt.s3rx = measure(func() { bucket.Get(remote, "k") })
 			if size <= 390*1024 { // DynamoDB item cap is 400 kB
-				item := kv.Item{"d": kv.B(data)}
+				item := kv.Item{{Name: "d", V: kv.B(data)}}
 				pt.ddbw = measure(func() { table.Put(local, "k", item, nil) })
 				pt.ddbr = measure(func() { table.Get(local, "k", true) })
 				// Cross-region key-value access pays the same network

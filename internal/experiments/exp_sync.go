@@ -52,7 +52,7 @@ func runTab6a(cfg RunConfig) *Report {
 
 	k.Go("bench", func() {
 		for _, size := range []int{1024, 64 * 1024} {
-			item := kv.Item{"d": kv.B(make([]byte, size))}
+			item := kv.Item{{Name: "d", V: kv.B(make([]byte, size))}}
 			tbl.Put(ctx, "node", item, nil)
 			w := measure(func() {
 				tbl.Update(ctx, "node", []kv.Update{kv.Set{Name: "x", V: kv.N(1)}}, nil)

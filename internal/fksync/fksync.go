@@ -179,7 +179,7 @@ func (c *Counter) Add(ctx cloud.Ctx, delta int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return item[c.attr].Num, nil
+	return item.Get(c.attr).Num, nil
 }
 
 // Get reads the current value (0 when unset).
@@ -188,7 +188,7 @@ func (c *Counter) Get(ctx cloud.Ctx, consistent bool) (int64, error) {
 	if !ok {
 		return 0, nil
 	}
-	return item[c.attr].Num, nil
+	return item.Get(c.attr).Num, nil
 }
 
 // List is an atomic list of int64 stored in a single item attribute; it
@@ -211,7 +211,7 @@ func (l *List) Append(ctx cloud.Ctx, vals ...int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return item[l.attr].NL, nil
+	return item.Get(l.attr).NL, nil
 }
 
 // Remove atomically removes all occurrences of the given values.
@@ -220,7 +220,7 @@ func (l *List) Remove(ctx cloud.Ctx, vals ...int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return item[l.attr].NL, nil
+	return item.Get(l.attr).NL, nil
 }
 
 // Get reads the current content.
@@ -229,5 +229,5 @@ func (l *List) Get(ctx cloud.Ctx, consistent bool) ([]int64, error) {
 	if !ok {
 		return nil, nil
 	}
-	return item[l.attr].NL, nil
+	return item.Get(l.attr).NL, nil
 }

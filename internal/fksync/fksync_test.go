@@ -106,10 +106,10 @@ func TestExpiredHolderCannotCommit(t *testing.T) {
 	})
 	k.Run()
 	it, _ := tbl.Peek("node:/x")
-	if it["v"].Num != 2 {
-		t.Fatalf("v = %v, stale writer overwrote", it["v"])
+	if it.Get("v").Num != 2 {
+		t.Fatalf("v = %v, stale writer overwrote", it.Get("v"))
 	}
-	if _, hasLock := it[LockAttr]; hasLock {
+	if _, hasLock := it.Lookup(LockAttr); hasLock {
 		t.Fatal("lock attr not cleared")
 	}
 }
@@ -133,7 +133,7 @@ func TestCommitUnlockAppliesAtomically(t *testing.T) {
 	})
 	k.Run()
 	it, _ := tbl.Peek("node:/x")
-	if it["v"].Num != 7 || len(it["pending"].NL) != 1 {
+	if it.Get("v").Num != 7 || len(it.Get("pending").NL) != 1 {
 		t.Fatalf("item = %v", it)
 	}
 }
@@ -155,13 +155,13 @@ func TestCommitUnlockTxMultiNode(t *testing.T) {
 	k.Run()
 	child, _ := tbl.Peek("node:/parent/child")
 	parent, _ := tbl.Peek("node:/parent")
-	if child["exists"].Num != 1 {
+	if child.Get("exists").Num != 1 {
 		t.Fatalf("child = %v", child)
 	}
-	if len(parent["children"].SL) != 1 || parent["children"].SL[0] != "child" {
+	if len(parent.Get("children").SL) != 1 || parent.Get("children").SL[0] != "child" {
 		t.Fatalf("parent = %v", parent)
 	}
-	if _, locked := parent[LockAttr]; locked {
+	if _, locked := parent.Lookup(LockAttr); locked {
 		t.Fatal("parent still locked")
 	}
 }
@@ -182,7 +182,7 @@ func TestCommitUnlockTxFailsAtomically(t *testing.T) {
 	})
 	k.Run()
 	a, _ := tbl.Peek("node:/a")
-	if a["v"].Num != 0 {
+	if a.Get("v").Num != 0 {
 		t.Fatalf("partial tx applied: %v", a)
 	}
 }
@@ -250,8 +250,8 @@ func TestLockLatencyMatchesPaperShape(t *testing.T) {
 	m := NewLockManager(env, tbl, time.Second)
 	var lockSmall, lockLarge, plain sim.Time
 	k.Go("bench", func() {
-		tbl.Put(ctx, "small", kv.Item{"d": kv.B(make([]byte, 1024))}, nil)
-		tbl.Put(ctx, "large", kv.Item{"d": kv.B(make([]byte, 64*1024))}, nil)
+		tbl.Put(ctx, "small", kv.Item{{Name: "d", V: kv.B(make([]byte, 1024))}}, nil)
+		tbl.Put(ctx, "large", kv.Item{{Name: "d", V: kv.B(make([]byte, 64*1024))}}, nil)
 		n := 60
 		t0 := k.Now()
 		for i := 0; i < n; i++ {

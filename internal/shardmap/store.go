@@ -56,11 +56,11 @@ func (s *Store) Key() string { return s.key }
 
 func (s *Store) item(m *Map) kv.Item {
 	it := kv.Item{
-		attrMapBlob:  kv.B(encodeMap(m)),
-		attrMapEpoch: kv.N(m.Epoch),
+		{Name: attrMapBlob, V: kv.B(encodeMap(m))},
+		{Name: attrMapEpoch, V: kv.N(m.Epoch)},
 	}
 	for shard, gen := range m.Gens {
-		it[GenAttr(shard)] = kv.N(gen)
+		it.Set(GenAttr(shard), kv.N(gen))
 	}
 	return it
 }
@@ -75,7 +75,7 @@ func (s *Store) Load(ctx cloud.Ctx) (*Map, error) {
 	if !ok {
 		return nil, ErrNoMap
 	}
-	return decodeMap(it[attrMapBlob].Byt)
+	return decodeMap(it.Get(attrMapBlob).Byt)
 }
 
 // Write replaces the durable map. Reshard transitions are serialized by

@@ -2,18 +2,40 @@
 //
 // All concurrency in the simulated cloud (functions, storage services,
 // queues, clients, ZooKeeper servers) is expressed as sim processes.
-// Exactly one process is runnable at any instant: the kernel hands control
-// to a process, the process runs until it blocks on a kernel primitive
-// (Sleep, Future.Wait, Queue.Pop, ...) and control returns to the kernel,
-// which advances virtual time to the next scheduled event. Runs are fully
-// deterministic for a given seed, there are no data races by construction,
-// and virtual time is free: simulating 24 hours costs only the events that
-// occur within them.
+// Exactly one process is runnable at any instant: whoever holds the baton.
+// A process runs until it blocks on a kernel primitive (Sleep, Future.Wait,
+// Queue.Pop, ...) or returns; it then runs the scheduler itself (dispatch:
+// pop the next live event in (at, seq) order, advance virtual time) and
+// hands the baton straight to the process that event wakes. When that is
+// the blocking process itself — almost every Sleep of a closed loop — it
+// just keeps running, with no channel operation at all. Only when nothing
+// is runnable at or before RunUntil's limit does the baton go back to the
+// goroutine inside RunUntil. Runs are fully deterministic for a given
+// seed, there are no data races by construction, and virtual time is free:
+// simulating 24 hours costs only the events that occur within them.
+//
+// A hand-off is one send on the target's resume channel (or on
+// Kernel.parked for RunUntil), then one receive on the sender's own. Both
+// channels hold one token, because a hand-off must never block the sender:
+// the target may not have reached its receive yet (a goroutine that was
+// just spawned, or a parent still finishing its own send to the child that
+// now exits). A sender blocked there is readied later through the Go
+// scheduler's runnext slot of a goroutine that keeps inheriting the time
+// slice, and with GOMAXPROCS=1 it then waits for sysmon's 10 ms preemption
+// — exiting processes pile up far faster than they drain. Exactly one
+// baton exists, so a one-slot buffer is never full.
+//
+// Shutdown dispatches nothing. It wakes each live process in process-id
+// order with killed set; the process unwinds by panic, and a deferred
+// function that tries to block panics again at park instead of waiting for
+// a wake-up nobody will deliver. No simulated code past a blocking call
+// runs during Shutdown.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -25,14 +47,14 @@ type Time = time.Duration
 // processes with Go or Spawn, then call Run (or RunFor) to execute events.
 type Kernel struct {
 	now     Time
+	limit   Time // RunUntil's bound: dispatch runs no event later than this
 	events  eventHeap
 	seq     int64
 	current *Process
-	parked  chan struct{}
+	parked  chan struct{} // the baton's way back to RunUntil / Shutdown
 	rng     *rand.Rand
 	nextID  int64
 	live    map[int64]*Process
-	stopped bool
 	fault   FaultHook
 }
 
@@ -126,7 +148,7 @@ func (h eventHeap) peek() event { return h[0] }
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		parked: make(chan struct{}),
+		parked: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(seed)),
 		live:   make(map[int64]*Process),
 	}
@@ -167,12 +189,54 @@ func (k *Kernel) scheduleWake(at Time, p *Process, wakeSeq int64) {
 	k.events.push(event{at: at, seq: k.seq, proc: p, wakeSeq: wakeSeq})
 }
 
+// dispatch is the scheduler: it pops events in (at, seq) order, drops stale
+// wake-ups, advances virtual time and returns the process to run next, with
+// k.current already pointing at it. It returns nil when nothing is runnable
+// at or before k.limit. Whoever holds the baton calls it — RunUntil, a
+// process that blocks, a process that exits.
+func (k *Kernel) dispatch() *Process {
+	for len(k.events) > 0 && k.events.peek().at <= k.limit {
+		ev := k.events.pop()
+		p := ev.proc
+		if p.done || ev.wakeSeq != p.parkSeq {
+			continue // stale wake-up (timeout raced with completion, etc.)
+		}
+		if ev.at > k.now {
+			k.now = ev.at
+		}
+		p.parkSeq++
+		k.current = p
+		return p
+	}
+	k.current = nil
+	return nil
+}
+
+// handOff passes the baton to next, or back to RunUntil when next is nil.
+// Neither send can block: see the package comment.
+func (k *Kernel) handOff(next *Process) {
+	if next == nil {
+		k.parked <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
 // park blocks the current process until some event wakes it. It must be
 // called with at least one wake-up already scheduled (or registered with a
 // future/queue), otherwise the process sleeps forever.
 func (k *Kernel) park() {
 	p := k.current
-	k.parked <- struct{}{}
+	if p.killed {
+		// A deferred function of a process Shutdown is unwinding tried to
+		// block: keep unwinding.
+		panic(killedPanic{})
+	}
+	next := k.dispatch()
+	if next == p {
+		return // the next event is our own wake-up
+	}
+	k.handOff(next)
 	<-p.resume
 	if p.killed {
 		panic(killedPanic{})
@@ -184,32 +248,35 @@ func (k *Kernel) park() {
 // process.
 func (k *Kernel) Go(name string, fn func()) *Process {
 	k.nextID++
-	p := &Process{id: k.nextID, name: name, k: k, resume: make(chan struct{})}
+	p := &Process{id: k.nextID, name: name, k: k, resume: make(chan struct{}, 1)}
 	k.live[p.id] = p
 	go func() {
 		<-p.resume
-		if p.killed {
-			p.done = true
-			delete(k.live, p.id)
-			k.parked <- struct{}{}
-			return
+		defer k.exit(p)
+		if !p.killed {
+			fn()
 		}
-		defer func() {
-			p.done = true
-			delete(k.live, p.id)
-			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); ok {
-					k.parked <- struct{}{}
-					return
-				}
-				panic(r) // real bug: crash loudly
-			}
-			k.parked <- struct{}{}
-		}()
-		fn()
 	}()
 	k.scheduleWake(k.now, p, 0)
 	return p
+}
+
+// exit is the deferred end of every process goroutine: it retires p and
+// passes the baton on. It must be the deferred function itself for recover
+// to see a panic.
+func (k *Kernel) exit(p *Process) {
+	p.done = true
+	delete(k.live, p.id)
+	if r := recover(); r != nil {
+		if _, ok := r.(killedPanic); !ok {
+			panic(r) // real bug: crash loudly
+		}
+	}
+	if p.killed {
+		k.parked <- struct{}{} // back to Shutdown
+		return
+	}
+	k.handOff(k.dispatch())
 }
 
 // Sleep suspends the current process for d of virtual time.
@@ -226,44 +293,31 @@ func (k *Kernel) Sleep(d time.Duration) {
 // other process scheduled for the same instant run first.
 func (k *Kernel) Yield() { k.Sleep(0) }
 
-// Run executes events until none remain or the kernel is stopped. It
-// returns the final virtual time. Processes still parked when Run returns
-// (for example servers waiting for requests) are left suspended; call
-// Shutdown to release their goroutines.
+// Run executes events until none remain. It returns the final virtual
+// time. Processes still parked when Run returns (for example servers
+// waiting for requests) are left suspended; call Shutdown to release their
+// goroutines.
 func (k *Kernel) Run() Time {
 	return k.RunUntil(1<<62 - 1)
 }
 
 // RunUntil executes events with timestamps <= limit and returns the final
 // virtual time (which may exceed limit only if it already did on entry).
+// It must not be called from inside a process.
 func (k *Kernel) RunUntil(limit Time) Time {
-	for len(k.events) > 0 && !k.stopped {
-		if k.events.peek().at > limit {
-			k.now = limit
-			break
-		}
-		ev := k.events.pop()
-		p := ev.proc
-		if p.done || ev.wakeSeq != p.parkSeq {
-			continue // stale wake-up (timeout raced with completion, etc.)
-		}
-		if ev.at > k.now {
-			k.now = ev.at
-		}
-		p.parkSeq++
-		k.current = p
-		p.resume <- struct{}{}
+	k.limit = limit
+	if next := k.dispatch(); next != nil {
+		k.handOff(next)
 		<-k.parked
 	}
-	k.current = nil
+	if len(k.events) > 0 && k.now < limit {
+		k.now = limit // later events are pending: the window was run to its end
+	}
 	return k.now
 }
 
 // RunFor runs the simulation for d of virtual time from now.
 func (k *Kernel) RunFor(d time.Duration) Time { return k.RunUntil(k.now + d) }
-
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // Live returns the number of processes that have been spawned and have not
 // yet finished.
@@ -273,19 +327,28 @@ func (k *Kernel) Live() int { return len(k.live) }
 // underlying goroutines exit. The kernel must not be used afterwards. It is
 // safe to call after Run returns; it must not be called from inside a
 // process.
+//
+// Processes are unwound in process-id order, so the side effects of their
+// deferred functions happen in the same order on every run. Wake-ups those
+// functions schedule are never dispatched; the loop repeats only to catch a
+// process spawned by one of them.
 func (k *Kernel) Shutdown() {
-	// Drain any still-pending events so stale resumes do not interfere.
-	k.events = nil
-	for _, p := range k.live {
-		if p.done {
-			continue
+	for len(k.live) > 0 {
+		ids := make([]int64, 0, len(k.live))
+		for id := range k.live {
+			ids = append(ids, id)
 		}
-		p.killed = true
-		k.current = p
-		p.resume <- struct{}{}
-		<-k.parked
+		slices.Sort(ids)
+		for _, id := range ids {
+			p := k.live[id]
+			p.killed = true
+			k.current = p
+			p.resume <- struct{}{}
+			<-k.parked
+		}
 	}
-	k.live = map[int64]*Process{}
+	k.events = nil
+	k.current = nil
 }
 
 // waiter records a parked process together with the park generation the

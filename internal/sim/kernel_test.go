@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -242,4 +244,145 @@ func TestYieldInterleavesSameInstant(t *testing.T) {
 			t.Fatalf("order = %v", order)
 		}
 	}
+}
+
+// TestRunUntilNeverMovesClockBack: a limit in the past runs nothing and
+// leaves the clock where it is, also while later events are pending.
+func TestRunUntilNeverMovesClockBack(t *testing.T) {
+	k := NewKernel(1)
+	k.Go("ticker", func() {
+		for {
+			k.Sleep(time.Second)
+		}
+	})
+	k.RunUntil(15 * time.Second)
+	if got := k.RunUntil(5 * time.Second); got != 15*time.Second {
+		t.Fatalf("RunUntil(5s) after RunUntil(15s) returned %v, want 15s", got)
+	}
+	if k.Now() != 15*time.Second {
+		t.Fatalf("now = %v, want 15s", k.Now())
+	}
+	k.Shutdown()
+}
+
+// TestShutdownUnwindsDeferredBlockers: a process whose deferred function
+// blocks (in the codebase: a deferred lock release, which sleeps for the
+// store's latency) must still be unwound completely by Shutdown — outer
+// defers run and the goroutine exits.
+func TestShutdownUnwindsDeferredBlockers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	q := NewQueue[int](k)
+	const n = 50
+	outer := 0
+	for i := 0; i < n; i++ {
+		k.Go("blocker", func() {
+			defer func() { outer++ }()
+			defer k.Sleep(time.Millisecond)
+			q.Pop() // blocks forever
+		})
+	}
+	k.Run()
+	if k.Live() != n {
+		t.Fatalf("live = %d, want %d parked", k.Live(), n)
+	}
+	k.Shutdown()
+	if k.Live() != 0 {
+		t.Fatalf("live = %d after shutdown", k.Live())
+	}
+	if outer != n {
+		t.Fatalf("%d of %d outer defers ran", outer, n)
+	}
+	// A process goroutine hands the baton back just before it returns, so
+	// the last one may still be exiting when Shutdown returns.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, want at most %d", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestShutdownRunsNoSimulatedCode: unwinding a process may schedule
+// wake-ups (here a deferred wg.Done), and its deferred functions may try to
+// block; neither may let another process run past its blocking call.
+func TestShutdownRunsNoSimulatedCode(t *testing.T) {
+	for _, waiterFirst := range []bool{true, false} {
+		k := NewKernel(1)
+		q := NewQueue[int](k)
+		wg := NewWaitGroup(k)
+		wg.Add(1)
+		ranPast := false
+		waiter := func() {
+			wg.Wait()
+			ranPast = true
+		}
+		worker := func() {
+			defer k.Sleep(time.Millisecond) // runs after Done made the waiter runnable
+			defer wg.Done()
+			q.Pop() // blocks forever
+		}
+		if waiterFirst {
+			k.Go("waiter", waiter)
+			k.Go("worker", worker)
+		} else {
+			k.Go("worker", worker)
+			k.Go("waiter", waiter)
+		}
+		k.Run()
+		k.Shutdown()
+		if ranPast {
+			t.Fatalf("waiterFirst=%v: waiter ran past Wait during Shutdown", waiterFirst)
+		}
+		if k.Live() != 0 {
+			t.Fatalf("waiterFirst=%v: live = %d after shutdown", waiterFirst, k.Live())
+		}
+	}
+}
+
+// TestShutdownUnwindsInProcessOrder: deferred side effects happen in
+// process-id order on every run, not in map order.
+func TestShutdownUnwindsInProcessOrder(t *testing.T) {
+	k := NewKernel(1)
+	q := NewQueue[int](k)
+	var order []int64
+	for i := 0; i < 64; i++ {
+		k.Go("blocked", func() {
+			defer func() { order = append(order, k.Current().ID()) }()
+			q.Pop()
+		})
+	}
+	k.Run()
+	k.Shutdown()
+	if len(order) != 64 || !slices.IsSorted(order) {
+		t.Fatalf("unwind order = %v", order)
+	}
+}
+
+// TestExitedProcessesReleaseGoroutines is the tripwire for hand-offs that
+// can block the sender. With one OS thread, a process goroutine that blocks
+// in its final hand-off is readied through the runtime's runnext slot by a
+// goroutine that keeps the time slice, so it exits only at the next
+// preemption (~10 ms) while new processes exit every few microseconds:
+// goroutines pile up, and the GC scans their stacks. Checked immediately
+// after Run, with no host sleep that would let them drain.
+func TestExitedProcessesReleaseGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	k.Go("parent", func() {
+		for i := 0; i < 2000; i++ {
+			wg := NewWaitGroup(k)
+			wg.Add(1)
+			k.Go("child", func() {
+				defer wg.Done()
+				k.Sleep(time.Millisecond)
+			})
+			wg.Wait()
+		}
+	})
+	k.Run()
+	if n, limit := runtime.NumGoroutine(), base+k.Live()+1; n > limit {
+		t.Fatalf("%d goroutines right after Run, want at most %d", n, limit)
+	}
+	k.Shutdown()
 }

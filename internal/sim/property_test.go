@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -174,6 +176,90 @@ func TestEventHeapPopsInAtSeqOrderProperty(t *testing.T) {
 		return len(h) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stepLog is what a process mix leaves behind: one (time, process, step)
+// entry per scheduling-visible action, in execution order.
+type stepLog []logEntry
+
+type logEntry struct {
+	at   Time
+	proc int64
+	step int
+}
+
+// spawnRandomMix starts a few processes that sleep, wait on futures with
+// timeouts, exchange items through queues and spawn children, all driven by
+// the kernel's own random source — so any difference in scheduling changes
+// every later draw and shows in the log.
+func spawnRandomMix(k *Kernel, log *stepLog) {
+	rng := k.Rand()
+	us := func(n int) Time { return Time(rng.Intn(n)) * time.Microsecond }
+	record := func(step int) {
+		*log = append(*log, logEntry{k.Now(), k.Current().ID(), step})
+	}
+	queues := []*Queue[int]{NewQueue[int](k), NewQueue[int](k)}
+	var body func(depth, steps int) func()
+	body = func(depth, steps int) func() {
+		return func() {
+			for i := 0; i < steps; i++ {
+				switch rng.Intn(6) {
+				case 0, 1:
+					k.Sleep(us(3000))
+				case 2:
+					f := NewFuture[int](k)
+					d := us(2000)
+					k.Go("completer", func() {
+						k.Sleep(d)
+						f.TryComplete(1)
+					})
+					if _, ok := f.WaitTimeout(us(2000)); ok {
+						record(-1)
+					}
+				case 3:
+					queues[rng.Intn(len(queues))].Push(i)
+				case 4:
+					if _, ok := queues[rng.Intn(len(queues))].PopTimeout(us(4000)); ok {
+						record(-2)
+					}
+				case 5:
+					if depth < 2 {
+						k.Go("child", body(depth+1, 1+rng.Intn(4)))
+					}
+				}
+				record(i)
+			}
+		}
+	}
+	for p, n := 0, 3+rng.Intn(4); p < n; p++ {
+		k.Go("p", body(0, 5+rng.Intn(20)))
+	}
+}
+
+// TestRunForWindowsMatchRunProperty: driving the kernel in RunFor windows of
+// arbitrary length (chaos and recipes step it in 1 s windows) executes
+// exactly the schedule one Run() executes.
+func TestRunForWindowsMatchRunProperty(t *testing.T) {
+	f := func(seed, windowSeed int64) bool {
+		var whole, windowed stepLog
+		k := NewKernel(seed)
+		spawnRandomMix(k, &whole)
+		k.Run()
+		k.Shutdown()
+
+		k = NewKernel(seed)
+		spawnRandomMix(k, &windowed)
+		windows := rand.New(rand.NewSource(windowSeed))
+		for len(k.events) > 0 {
+			// Zero-length windows included: they run what is due now.
+			k.RunFor(Time(windows.Intn(5000)) * time.Microsecond)
+		}
+		k.Shutdown()
+		return len(whole) > 0 && slices.Equal(whole, windowed)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -117,7 +117,7 @@ func (s *Store) Live(ctx cloud.Ctx) int64 {
 	if !ok {
 		return 0
 	}
-	return it[attrLive].Num
+	return it.Get(attrLive).Num
 }
 
 func (s *Store) bumpLive(ctx cloud.Ctx, delta int64) {
@@ -140,7 +140,7 @@ func (s *Store) Mint(ctx cloud.Ctx) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return it[attrSeqCtr].Num, nil
+	return it.Get(attrSeqCtr).Num, nil
 }
 
 // Begin writes the durable record in StatusPreparing and points the
@@ -148,16 +148,16 @@ func (s *Store) Mint(ctx cloud.Ctx) (int64, error) {
 // in-flight transaction instead of starting a second one.
 func (s *Store) Begin(ctx cloud.Ctx, id int64, session string, seq int64, ops []Op) error {
 	if err := s.tbl.Put(ctx, recordKey(id), kv.Item{
-		attrStatus:  kv.S(string(StatusPreparing)),
-		attrSession: kv.S(session),
-		attrSeq:     kv.N(seq),
-		attrOps:     kv.B(EncodeOps(ops)),
+		{Name: attrStatus, V: kv.S(string(StatusPreparing))},
+		{Name: attrSession, V: kv.S(session)},
+		{Name: attrSeq, V: kv.N(seq)},
+		{Name: attrOps, V: kv.B(EncodeOps(ops))},
 	}, nil); err != nil {
 		return err
 	}
 	s.count("begin", 0)
 	s.bumpLive(ctx, 1)
-	return s.tbl.Put(ctx, reqKey(session, seq), kv.Item{attrID: kv.N(id)}, nil)
+	return s.tbl.Put(ctx, reqKey(session, seq), kv.Item{{Name: attrID, V: kv.N(id)}}, nil)
 }
 
 // IDForRequest returns the transaction id an earlier invocation of the
@@ -167,7 +167,7 @@ func (s *Store) IDForRequest(ctx cloud.Ctx, session string, seq int64) (int64, b
 	if !ok {
 		return 0, false
 	}
-	return it[attrID].Num, true
+	return it.Get(attrID).Num, true
 }
 
 // Lookup reads and decodes a record (false when it no longer exists —
@@ -183,32 +183,32 @@ func (s *Store) Lookup(ctx cloud.Ctx, id int64) (Record, bool) {
 func (s *Store) decodeRecord(id int64, it kv.Item) Record {
 	r := Record{
 		ID:      id,
-		Status:  Status(it[attrStatus].Str),
-		Session: it[attrSession].Str,
-		Seq:     it[attrSeq].Num,
+		Status:  Status(it.Get(attrStatus).Str),
+		Session: it.Get(attrSession).Str,
+		Seq:     it.Get(attrSeq).Num,
 		Votes:   map[int]string{},
 		Ready:   map[int]bool{},
 		Commits: map[int]int64{},
 	}
-	if b := it[attrOps].Byt; len(b) > 0 {
+	if b := it.Get(attrOps).Byt; len(b) > 0 {
 		r.Ops, _ = DecodeOps(b)
 	}
-	if b := it[attrResolved].Byt; len(b) > 0 {
+	if b := it.Get(attrResolved).Byt; len(b) > 0 {
 		r.Resolved, _ = DecodeResolved(b)
 	}
-	for _, m := range it[attrVotes].SL {
+	for _, m := range it.Get(attrVotes).SL {
 		if shard, val, ok := splitMarker(m); ok {
 			if _, dup := r.Votes[shard]; !dup {
 				r.Votes[shard] = val // first vote wins; redelivered dups ignored
 			}
 		}
 	}
-	for _, m := range it[attrReady].SL {
+	for _, m := range it.Get(attrReady).SL {
 		if shard, _, ok := splitMarker(m); ok {
 			r.Ready[shard] = true
 		}
 	}
-	for _, m := range it[attrCommits].SL {
+	for _, m := range it.Get(attrCommits).SL {
 		if shard, val, ok := splitMarker(m); ok {
 			if txid, err := strconv.ParseInt(val, 10, 64); err == nil {
 				r.Commits[shard] = txid
