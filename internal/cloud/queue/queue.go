@@ -99,8 +99,8 @@ func (q *Queue) Send(ctx cloud.Ctx, groupID string, body []byte) (int64, error) 
 // queue's delivery overhead. This is the poller API used by faas triggers.
 // ok is false once the queue is closed and drained.
 func (q *Queue) Receive(max int) ([]Message, bool) {
-	if cap := q.MaxBatch(); max <= 0 || max > cap {
-		max = cap
+	if limit := q.MaxBatch(); max <= 0 || max > limit {
+		max = limit
 	}
 	// Unordered queues accumulate for a short window, producing the large
 	// bursty batches observed in Figure 7b.
@@ -136,27 +136,6 @@ func (q *Queue) Receive(max int) ([]Message, bool) {
 // fifoGroupPacing is the per-message serialization delay of an SQS FIFO
 // message group.
 const fifoGroupPacing = 9 * time.Millisecond
-
-// Requeue puts messages back at the head for retry after a consumer
-// failure. Only the relative order within the returned batch is preserved,
-// which suffices because FIFO consumers process one batch at a time.
-func (q *Queue) Requeue(batch []Message) {
-	// Re-push preserving order before anything currently buffered: rebuild.
-	rest := make([]Message, 0, q.buf.Len())
-	for {
-		m, ok := q.buf.TryPop()
-		if !ok {
-			break
-		}
-		rest = append(rest, m)
-	}
-	for _, m := range batch {
-		q.buf.Push(m)
-	}
-	for _, m := range rest {
-		q.buf.Push(m)
-	}
-}
 
 // Close marks the queue closed so pollers drain and stop.
 func (q *Queue) Close() {

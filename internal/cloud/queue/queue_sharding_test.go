@@ -1,68 +1,15 @@
 package queue
 
-// Invariants the sharded leader pipeline leans on: a failed batch retried
-// via Requeue is redelivered before anything queued behind it (so a shard's
-// transaction order survives consumer crashes), and Receive honors both the
-// caller's max and the technology's batch cap on every queue kind.
+// An invariant the sharded leader pipeline leans on: Receive honors both
+// the caller's max and the technology's batch cap on every queue kind. (A
+// failed batch is retried in place by faas.deliver, never put back.)
 
 import (
-	"fmt"
 	"testing"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
 )
-
-// TestRequeueOrderingAfterFailedBatch: messages are requeued while later
-// sends are already buffered behind them; the drain must replay the failed
-// batch first and preserve the original global order, for both the ordered
-// and the unordered kind.
-func TestRequeueOrderingAfterFailedBatch(t *testing.T) {
-	for _, kind := range []cloud.QueueKind{cloud.QueueFIFO, cloud.QueueStandard} {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			k, env, ctx := newEnv(21)
-			q := New(env, "retry", kind)
-			var got []string
-			k.Go("driver", func() {
-				for i := 0; i < 5; i++ {
-					q.Send(ctx, "s", []byte(fmt.Sprintf("m%d", i)))
-				}
-				k.Sleep(sim.Ms(2000))
-				batch, ok := q.Receive(3)
-				if !ok || len(batch) == 0 {
-					t.Error("no first batch")
-					return
-				}
-				// Consumer "fails"; more traffic arrives before the retry.
-				q.Send(ctx, "s", []byte("m5"))
-				q.Requeue(batch)
-				for {
-					b, ok := q.Receive(0)
-					if !ok {
-						return
-					}
-					for _, m := range b {
-						got = append(got, string(m.Body))
-					}
-					if len(got) >= 6 {
-						q.Close()
-					}
-				}
-			})
-			k.Run()
-			k.Shutdown()
-			if len(got) != 6 {
-				t.Fatalf("drained %d messages: %v", len(got), got)
-			}
-			for i, m := range got {
-				if m != fmt.Sprintf("m%d", i) {
-					t.Fatalf("order broken after requeue at %d: %v", i, got)
-				}
-			}
-		})
-	}
-}
 
 // TestReceiveHonorsMaxBatch: an explicit max below the cap limits the
 // batch, max <= 0 and oversized max clamp to the technology's MaxBatch,

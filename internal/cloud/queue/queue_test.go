@@ -130,36 +130,6 @@ func TestSendBillsPer64KBChunk(t *testing.T) {
 	}
 }
 
-func TestRequeuePreservesHeadOrder(t *testing.T) {
-	k, env, ctx := newEnv(6)
-	q := New(env, "reqs", cloud.QueueFIFO)
-	var got []string
-	k.Go("sender", func() {
-		for _, s := range []string{"a", "b", "c"} {
-			q.Send(ctx, "s", []byte(s))
-		}
-		k.Sleep(sim.Ms(2000))
-		batch, _ := q.Receive(0)
-		q.Requeue(batch) // consumer failed; retry must see the same head
-		for {
-			b2, ok := q.Receive(0)
-			if !ok {
-				return
-			}
-			for _, m := range b2 {
-				got = append(got, string(m.Body))
-			}
-			if len(got) >= 3 {
-				q.Close()
-			}
-		}
-	})
-	k.Run()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestUnorderedQueueKindsAvailable(t *testing.T) {
 	k, env, ctx := newEnv(7)
 	std := New(env, "std", cloud.QueueStandard)

@@ -11,22 +11,57 @@ package core
 //	          invalidation record, the final state of every touched node,
 //	          one child-list read-modify-write per parent, per region
 //	complete  per message, in queue order: fire watches (➍), notify the
-//	          client, pop the pending transaction (➎)
+//	          client; then, for the whole chunk, pop the pending
+//	          transactions (➎)
 //
-// A one-message chunk is exactly Algorithm 2. Two of its steps move into
-// the commit phase when — and only when — something the code observes
-// forces them there:
+// The chunks of a run are software-pipelined in two lanes on the one handler
+// process. Only the flush touches the user stores and only the other steps
+// touch the system store, so while chunk n's regional legs are in flight
+// the handler, instead of parking, retires the pending pops chunk n−1 left
+// behind and runs the commit phase of chunk n+1, then joins the flush and
+// completes n:
+//
+//	user stores  ├──── flush n ─────┤            ├─── flush n+1 ────┤
+//	handler      pop n−1, commit n+1, join · complete n · pop n, commit n+2, join · complete n+1
+//
+// Flushes never overlap and stay in queue order: the stores always hold a
+// prefix of the total order (single system image). A chunk with no
+// successor in its run — every one-message invocation — commits, flushes,
+// completes and pops in Algorithm 2's order, step for step.
+//
+// A one-message chunk is exactly Algorithm 2. Three order rules say when a
+// step leaves its place there, each on something the code observes:
 //
 //   - Watch claim. Ids must be in the epoch counters before a value that
 //     another writer may causally follow becomes readable (Z4). A lone
 //     message on a single serialized shard keeps the paper's order (query
 //     after the flush, enter each id right before launching its
 //     delivery); several shards, the fan-out tier, or a chunk of several
-//     messages claim before the flush (flushChunk's claimEarly).
+//     messages claim before the flush (openChunk's claimEarly). Either way
+//     chunk n's ids are entered before flush n+1 starts, and a flush reads
+//     its epoch stamp before its legs start, so a claim prefetched under
+//     it cannot reach the stamp.
 //   - Pending pop. The next message's awaitCommit needs its txid at the
 //     head of the node's pending list, so a message followed in the same
 //     chunk by another on the same path pops in the commit phase. Every
-//     other pop stays after the client's notify, off its critical path.
+//     other pop runs after the notify of every message of its chunk, off
+//     any client's critical path: under the next flush, or at the end of
+//     the run.
+//   - Prefetched commit. A commit may run under the previous chunk's flush
+//     only when no un-popped message ahead of it shares its path; its
+//     verification is one read (peekCommit) and never pops, replays or
+//     sleeps. The lane order under a flush is "pops of n−1, then commit of
+//     n+1", so the only un-popped messages ahead are those of chunk n and
+//     of n+1 itself, and awaitCommit still finds every earlier entry of
+//     its path popped. Anything but "our txid is the head" leaves the
+//     message, and the rest of its chunk, to the serial position after
+//     complete n. Transaction messages, reshard fences (they end the run),
+//     flushes under a shared-path lock and empty folds carry nothing.
+//
+// A batch redelivered at any point replays as it always did: no step is
+// new, each is idempotent under its own condition (the pop on its txid at
+// the head, the commit check on the pending list), and a prefetch that
+// finds an entry already consumed is simply abandoned.
 //
 // Every per-operation guarantee holds at any chunk size:
 //
@@ -59,8 +94,8 @@ import (
 )
 
 // opResult is one message's buffered commit-phase outcome, completed
-// (watch launch, notify, pop, dereg ack) after the chunk's flush. Results
-// are index-aligned with the chunk's messages.
+// (watch launch, notify, dereg ack) after the chunk's flush and popped when
+// the chunk retires. Results are index-aligned with the chunk's messages.
 type opResult struct {
 	ctx    cloud.Ctx // the message's own billing context
 	code   Code
@@ -96,6 +131,15 @@ type batchFold struct {
 	parentOrder []string
 	parents     map[string]*parentFold
 
+	// A pipeline chunk's own state (unused by the transaction folds): its
+	// messages, how far their commit phase got — results is index-aligned
+	// with msgs and ends where the commit phase stands — and what the
+	// deferred pops and the chunk's leader.total need once it completed.
+	msgs       []decodedMsg
+	claimEarly bool     // order rule 1
+	staged     bool     // the next message's prefetch was abandoned: its commit stage is open
+	t0         sim.Time // the commit phase began
+
 	// results and the spare entry structs ride the pooled fold, so a
 	// steady-state flush allocates none of them.
 	results      []opResult
@@ -130,6 +174,7 @@ func (f *batchFold) release() {
 	clear(f.parents)
 	clear(f.results)
 	f.order, f.parentOrder, f.results = f.order[:0], f.parentOrder[:0], f.results[:0]
+	f.msgs, f.claimEarly, f.staged = nil, false, false
 	batchFoldPool.Put(f)
 }
 
@@ -223,117 +268,126 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 	n.Stat.NumChildren = int32(len(n.Children))
 }
 
+// leaderRun is one invocation's pass through the pipeline: what every
+// chunk shares, and the two neighbours of the chunk whose flush is in
+// flight. It lives on the handler's stack; the chunks are pooled folds.
+type leaderRun struct {
+	d           *Deployment
+	ctx         cloud.Ctx
+	epochs      map[cloud.Region][]int64
+	completions []watchCompletion
+
+	done  *batchFold // chunk n−1: completed, its pending pops (➎) deferred
+	ahead *batchFold // chunk n+1: next in the run, commit phase unfinished
+}
+
 // leaderPipeline runs one invocation's messages through the pipeline:
 // maximal runs between barriers, each cut into chunks of at most
 // Config.MaxBatch messages (0 = the whole run).
 func (d *Deployment) leaderPipeline(ctx cloud.Ctx, msgs []decodedMsg, epochs map[cloud.Region][]int64) []watchCompletion {
-	// Tombstone-GC lookahead: a delete followed in the same invocation by
-	// another operation on the same path (create→delete→create) must not
-	// collect the node item — the later operation's follower commit may
-	// not have appended to the pending list yet, and collecting the item
-	// would strand that commit.
-	later := map[string]int{}
-	for _, dm := range msgs {
-		switch dm.msg.Op {
-		case OpDeregister, OpReshardFence:
-		case OpMulti, OpTxnCommit:
-			// Transaction targets count toward the lookahead too, so a
-			// delete before them never collects a tombstone the
-			// transaction's commit still needs. The transaction itself
-			// never decrements — at worst a tombstone lingers until the
-			// next delete's collection, the lock-guard precedent.
-			if tm, err := decodeTxnMsg(dm.msg.NodeBlob); err == nil {
-				for _, p := range txnTargets(tm.Ops) {
-					later[p]++
-				}
-			}
-		default:
-			later[dm.msg.Path]++
+	for i := range msgs {
+		if msgs[i].msg.Op == OpDelete {
+			msgs[i].collect = collectable(msgs, i)
 		}
 	}
-	var completions []watchCompletion
+	p := leaderRun{d: d, ctx: ctx, epochs: epochs}
 	start := 0 // the current run is msgs[start:i]
-	flushRun := func(end int) {
-		run := msgs[start:end]
-		start = end + 1
-		chunk := d.Cfg.MaxBatch
-		if chunk <= 0 {
-			chunk = len(run)
-		}
-		for at := 0; at < len(run); at += chunk {
-			completions = append(completions, d.flushChunk(ctx, run[at:min(at+chunk, len(run))], later, epochs)...)
-		}
-	}
 	for i, dm := range msgs {
 		switch dm.msg.Op {
 		case OpMulti, OpTxnCommit:
 			// Transaction messages are fold barriers: their distribution
 			// has its own atomicity protocol, so the accumulated run
 			// flushes first.
-			flushRun(i)
+			p.flushRun(msgs[start:i])
+			start = i + 1
 			t0 := d.K.Now()
-			completions = append(completions, d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
+			p.completions = append(p.completions, d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
 			d.recordPhase("leader.total", d.K.Now()-t0)
 		case OpReshardFence:
 			// A reshard fence is a fold barrier too: the ack promises every
 			// earlier message of this serialized queue has been fully
 			// processed and distributed, and releases the coordinator.
-			flushRun(i)
+			p.flushRun(msgs[start:i])
+			start = i + 1
 			d.ackFence(d.billSys(ctx, dm.msg.Shard), dm.msg)
 		}
 	}
-	flushRun(len(msgs))
-	return completions
+	p.flushRun(msgs[start:])
+	return p.completions
 }
 
-// flushChunk runs the commit phase over one chunk, distributes the folded
-// state, and completes every buffered operation in queue order.
-func (d *Deployment) flushChunk(ctx cloud.Ctx, msgs []decodedMsg, later map[string]int, epochs map[cloud.Region][]int64) []watchCompletion {
-	tChunk := d.K.Now()
-	fold := newBatchFold()
+// flushRun pipelines one maximal run between barriers. Each chunk's flush
+// carries its two neighbours (underFlush); the last chunk's pops have no
+// flush left to hide under and retire here, ahead of whatever barrier
+// ended the run.
+func (p *leaderRun) flushRun(run []decodedMsg) {
+	size := p.d.Cfg.MaxBatch
+	if size <= 0 {
+		size = len(run)
+	}
+	for cur := p.openChunk(run, size); cur != nil; cur = p.ahead {
+		run = run[len(cur.msgs):]
+		p.ahead = p.openChunk(run, size)
+		p.flushChunk(cur)
+	}
+	p.retire()
+}
+
+// openChunk takes the chunk at the head of run; nil once the run is spent.
+func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
+	if len(run) == 0 {
+		return nil
+	}
+	f := newBatchFold()
+	f.msgs = run[:min(size, len(run))]
 	// Order rule 1 (see the package comment): only a lone message on a
 	// single serialized shard may keep the paper's claim-after-flush.
-	claimEarly := d.NumShards() > 1 || d.fanoutOn() || len(msgs) > 1
-	for i, dm := range msgs {
-		// Order rule 2: pop in the commit phase only for a later message
-		// of this chunk whose awaitCommit needs the head.
-		popEarly := slices.ContainsFunc(msgs[i+1:], func(nx decodedMsg) bool {
-			return nx.msg.Op != OpDeregister && nx.msg.Path == dm.msg.Path
-		})
-		fold.results = append(fold.results, d.commitOne(d.billMsg(ctx, dm.msg), dm, fold, later, epochs, claimEarly, popEarly))
+	f.claimEarly = p.d.NumShards() > 1 || p.d.fanoutOn() || len(f.msgs) > 1
+	return f
+}
+
+// flushChunk finishes cur's commit phase where a prefetch left it (nowhere,
+// for the first chunk of a run), distributes the folded state with the
+// second lane under it, and completes every buffered operation in queue
+// order. The chunk's pops stay behind for the next flush to carry.
+func (p *leaderRun) flushChunk(cur *batchFold) {
+	d, msgs := p.d, cur.msgs
+	if len(cur.results) < len(msgs) {
+		// The serial position: behind every pop ahead of it.
+		p.retire()
+		p.commit(cur, nil)
 	}
 
-	if !fold.empty() {
+	if !cur.empty() {
 		// A one-message chunk's distribution is that request's own: its
 		// legs open under the message's trace and bill to it. A larger
 		// fold serves the whole chunk at once: its legs are trace-0
 		// pipeline spans and its charges amortize across the chunk's
 		// traces (untraced members keep their share in the system bucket).
-		dctx := ctx
+		dctx := p.ctx
 		var own *leaderMsg
 		if len(msgs) == 1 {
-			dctx, own = fold.results[0].ctx, &msgs[0].msg
+			dctx, own = cur.results[0].ctx, &msgs[0].msg
 		} else if d.costOn() {
 			traces := make([]int64, 0, len(msgs))
 			for _, dm := range msgs {
 				traces = append(traces, costMsgTrace(dm.msg))
 			}
-			dctx = d.billFold(ctx, traces, msgs[0].msg.Shard, "")
+			dctx = d.billFold(p.ctx, traces, msgs[0].msg.Shard, "")
 		}
 		// Every committed message's chain enters the flush stage together.
 		for i, dm := range msgs {
-			if fold.results[i].code == CodeOK {
+			if cur.results[i].code == CodeOK {
 				d.stageMsg(dm.msg, obs.StageFlush)
 			}
 		}
 		t0 := d.K.Now()
-		d.distributeFold(dctx, fold, epochs, false, own)
+		d.distributeFold(dctx, cur, p.epochs, false, own, p)
 		d.recordPhase("leader.update", d.K.Now()-t0)
 	}
 
-	var completions []watchCompletion
 	for i, dm := range msgs {
-		r, msg := &fold.results[i], dm.msg
+		r, msg := &cur.results[i], dm.msg
 		if r.drop {
 			continue
 		}
@@ -351,50 +405,161 @@ func (d *Deployment) flushChunk(ctx cloud.Ctx, msgs []decodedMsg, later map[stri
 				// The chunk's writes are readable: release this operation's
 				// parked firings at the fan-out nodes.
 				d.fanoutRelease(r.ctx, dm.txid)
-			} else if !claimEarly {
+			} else if !cur.claimEarly {
 				t0 := d.K.Now()
 				r.fired = d.queryWatches(r.ctx, msg)
 				d.recordPhase("leader.watchquery", d.K.Now()-t0)
 			}
 			for _, fw := range r.fired {
-				if !claimEarly {
+				if !cur.claimEarly {
 					// The paper's interleaving: enter each id into the epoch
 					// counters right before launching its delivery.
-					d.appendEpochs(r.ctx, []firedWatch{fw}, msg.Shard, epochs)
+					d.appendEpochs(r.ctx, []firedWatch{fw}, msg.Shard, p.epochs)
 				}
-				completions = append(completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
+				p.completions = append(p.completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
 			}
 		}
 		t0 := d.K.Now()
 		d.notifyResult(msg, dm.txid, r.code, r.stat)
 		d.recordPhase("leader.notify", d.K.Now()-t0)
-		if r.code == CodeOK && !r.popped {
-			d.popPending(r.ctx, msg, dm.txid, later[msg.Path] == 0)
+	}
+	// Every response is out before any of the chunk's pops runs. A flush
+	// that could carry nothing (an empty fold, a shared-path lock) left the
+	// pops of the chunk before; they go first.
+	p.retire()
+	p.done = cur
+}
+
+// underFlush is the second lane: what the handler process does, instead of
+// parking, while cur's regional legs are in flight. The order is order
+// rule 3's: the pops of the chunk before cur, then the prefetch of the
+// chunk after it.
+func (p *leaderRun) underFlush(cur *batchFold) {
+	if pops := p.retire(); pops > 0 {
+		p.d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "pop_overlapped", Shard: cur.msgs[0].msg.Shard}, int64(pops))
+	}
+	if p.ahead != nil {
+		p.commit(p.ahead, cur)
+	}
+}
+
+// retire runs the deferred pending pops (➎) of the completed chunk, closes
+// its leader.total — the container of every phase from its commit to here
+// — and returns it to the pool. It reports how many pops it ran.
+func (p *leaderRun) retire() (pops int) {
+	f := p.done
+	if f == nil {
+		return 0
+	}
+	p.done = nil
+	for i, dm := range f.msgs {
+		if r := &f.results[i]; r.code == CodeOK && !r.popped {
+			p.d.popPending(r.ctx, dm.msg, dm.txid, dm.collect)
+			pops++
 		}
 	}
-	fold.release()
-	// One total per chunk, the container of every phase above.
-	d.recordPhase("leader.total", d.K.Now()-tChunk)
-	return completions
+	p.d.recordPhase("leader.total", p.d.K.Now()-f.t0)
+	f.release()
+	return pops
+}
+
+// collectable is the tombstone-GC lookahead for the delete at msgs[i]: a
+// delete followed in the same invocation by another operation on the same
+// path (create→delete→create) must not collect the node item — the later
+// operation's follower commit may not have appended to the pending list
+// yet, and collecting the item would strand that commit. Transaction
+// targets count wherever the transaction sits in the invocation; at worst
+// a tombstone lingers until the next delete's collection, the lock-guard
+// precedent. The answer depends on the message list alone, so no order the
+// lanes run in can change it.
+func collectable(msgs []decodedMsg, i int) bool {
+	path := msgs[i].msg.Path
+	for j := range msgs {
+		switch m := &msgs[j].msg; m.Op {
+		case OpDeregister, OpReshardFence:
+		case OpMulti, OpTxnCommit:
+			if tm, err := decodeTxnMsg(m.NodeBlob); err == nil && slices.Contains(txnTargets(tm.Ops), path) {
+				return false
+			}
+		default:
+			if j > i && m.Path == path {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// holdsPath reports whether a message of msgs commits on path: its entry
+// sits in the path's pending list until it pops.
+func holdsPath(msgs []decodedMsg, path string) bool {
+	for i := range msgs {
+		if msgs[i].msg.Op != OpDeregister && msgs[i].msg.Path == path {
+			return true
+		}
+	}
+	return false
+}
+
+// commit runs f's commit phase on from where it stands. In the serial
+// position (under nil) that is to the end of the chunk. Under the flush of
+// the chunk before, it is a prefetch and stops at the first message order
+// rule 3 keeps back: one with an un-popped message on its path ahead of it
+// — in under, or later in f, where order rule 2 would make it pop — or one
+// whose txid is not at the head of its pending list yet.
+func (p *leaderRun) commit(f, under *batchFold) {
+	for i := len(f.results); i < len(f.msgs); i++ {
+		dm := f.msgs[i]
+		// Order rule 2: pop in the commit phase only for a later message
+		// of this chunk whose awaitCommit needs the head.
+		popEarly := holdsPath(f.msgs[i+1:], dm.msg.Path)
+		if under != nil && (popEarly || holdsPath(under.msgs, dm.msg.Path)) {
+			return
+		}
+		if i == 0 {
+			f.t0 = p.d.K.Now()
+		}
+		// A message whose prefetch was abandoned is in its commit stage
+		// already when the serial position takes it up again.
+		if !f.staged {
+			p.d.stageMsg(dm.msg, obs.StageCommit)
+		}
+		r, ok := p.commitOne(f, dm, popEarly, under != nil)
+		f.staged = !ok
+		if !ok {
+			return
+		}
+		f.results = append(f.results, r)
+	}
 }
 
 // commitOne is the per-message commit phase: Algorithm 2's verification,
 // plus whichever of the watch claim and the pending pop the chunk's order
 // rules pull ahead of the flush. It folds the operation's effect and
 // captures the Stat here, from this operation's own txid and version,
-// before any later operation folds over the node.
-func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, later map[string]int, epochs map[cloud.Region][]int64, claimEarly, popEarly bool) opResult {
-	msg, txid := dm.msg, dm.txid
+// before any later operation folds over the node. A prefetch that does not
+// find the txid at the head of the pending list gives the message up
+// (false) having done nothing but that one read.
+func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bool) (opResult, bool) {
+	d, msg, txid := p.d, dm.msg, dm.txid
+	ctx := d.billMsg(p.ctx, msg)
 	if msg.Op == OpDeregister {
-		return opResult{ctx: ctx} // completed after the flush, nothing to commit
+		return opResult{ctx: ctx}, true // completed after the flush, nothing to commit
 	}
-	later[msg.Path]--
 	// ➊ Fetch the node's control record and verify our transaction is the
 	// head of its pending list (➋ trying to commit on behalf of a crashed
 	// follower when it is not).
-	d.stageMsg(msg, obs.StageCommit)
 	t0 := d.K.Now()
-	node, committed := d.awaitCommit(ctx, msg, txid)
+	var node sysNode
+	var committed bool
+	if prefetch {
+		if node, committed = d.peekCommit(ctx, msg, txid); !committed {
+			return opResult{}, false
+		}
+		d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "commit_prefetched", Shard: msg.Shard}, 1)
+	} else {
+		node, committed = d.awaitCommit(ctx, msg, txid)
+	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
 		// Stranded by a reshard? A live follower saw its commit fail the
@@ -405,37 +570,37 @@ func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, la
 		// own lock timestamps still on the node. Reclaiming those locks
 		// decides the race exactly once.
 		drop := d.staleDynMsg(ctx, msg, dynGen(msg)) && !d.reclaimFencedMsg(ctx, msg)
-		return opResult{ctx: ctx, code: CodeSystemError, drop: drop}
+		return opResult{ctx: ctx, code: CodeSystemError, drop: drop}, true
 	}
 
 	var fired []firedWatch
-	if claimEarly {
+	if f.claimEarly {
 		t0 = d.K.Now()
-		fired = d.claimWatches(ctx, msg, txid, epochs)
+		fired = d.claimWatches(ctx, msg, txid, p.epochs)
 		d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	}
 
 	var stat znode.Stat
 	switch {
 	case msg.Op == OpDelete:
-		fold.foldDelete(msg.Path, txid)
+		f.foldDelete(msg.Path, txid)
 		if msg.ParentPath != "" {
-			fold.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
+			f.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
 		}
 	default:
 		if n := d.buildUserNode(msg, txid, node); n != nil {
 			stat = n.Stat
-			fold.foldWrite(msg.Path, n, txid)
+			f.foldWrite(msg.Path, n, txid)
 			if msg.ParentPath != "" {
-				fold.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
+				f.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
 			}
 		}
 	}
 
 	if popEarly {
-		d.popPending(ctx, msg, txid, later[msg.Path] == 0)
+		d.popPending(ctx, msg, txid, dm.collect)
 	}
-	return opResult{ctx: ctx, code: CodeOK, stat: stat, fired: fired, popped: popEarly}
+	return opResult{ctx: ctx, code: CodeOK, stat: stat, fired: fired, popped: popEarly}, true
 }
 
 // distributeFold is ➌ for one fold: one coalesced invalidation record,
@@ -447,8 +612,10 @@ func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, la
 // store's AtomicApplier when it has one, becoming readable at a single
 // instant; stores without multi-key transactions (the object store) fall
 // back to writing in fold order, so readers observe a prefix of the
-// transaction, never an arbitrary mix.
-func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[cloud.Region][]int64, atomicApply bool, own *leaderMsg) {
+// transaction, never an arbitrary mix. lane is the pipeline run whose
+// second lane works while the regional legs are in flight (underFlush);
+// nil — the transaction callers — parks until they join.
+func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[cloud.Region][]int64, atomicApply bool, own *leaderMsg, lane *leaderRun) {
 	if fold.empty() {
 		return
 	}
@@ -522,11 +689,13 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 	wg := sim.NewWaitGroup(d.K)
 	for _, s := range d.Stores {
 		s := s
+		// The stamp is this flush's own: read before the legs start, so a
+		// watch claim prefetched under them cannot reach it (Z4).
+		stamp := epochs[s.Region()]
 		wg.Add(1)
 		d.K.Go("leader-update-"+string(s.Region()), func() {
 			defer wg.Done()
 			region := string(s.Region())
-			stamp := epochs[s.Region()]
 			// One coalesced record per touched path, published before any
 			// of the fold's writes become readable in this region: once a
 			// new value is readable, the regional cache has already
@@ -580,6 +749,9 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 				d.applyParentFold(d.legCtx(ctx, own, 0, region), s, p, pf, stamp)
 			}
 		})
+	}
+	if lane != nil && len(lockPaths) == 0 {
+		lane.underFlush(fold)
 	}
 	wg.Wait()
 

@@ -28,6 +28,9 @@ type watchCompletion struct {
 type decodedMsg struct {
 	msg  leaderMsg
 	txid int64
+	// collect lets a delete's pop garbage collect the tombstone: nothing
+	// later in the invocation targets the path (collectable).
+	collect bool
 }
 
 // leaderHandler is Algorithm 2: for each validated change it verifies the
@@ -272,6 +275,19 @@ func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysN
 		d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
 	}
 	return sysNode{}, false
+}
+
+// peekCommit is awaitCommit for a prefetch, which runs under another
+// chunk's flush and may do nothing it could regret there: one read, true
+// only when txid already heads the pending list. It never pops an orphan,
+// replays a commit or sleeps — anything else is the serial position's.
+func (d *Deployment) peekCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysNode, bool) {
+	it, ok := d.System.GetView(ctx, nodeKey(msg.Path), true)
+	if !ok {
+		return sysNode{}, false
+	}
+	node := decodeSysNode(it)
+	return node, len(node.Pending) > 0 && node.Pending[0] == txid
 }
 
 // reclaimFencedMsg resolves ownership of a pushed-then-fenced message

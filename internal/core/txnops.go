@@ -1085,7 +1085,7 @@ func (d *Deployment) applyTxn(ctx cloud.Ctx, resolved []txn.ResolvedOp, commits 
 		epochs[s.Region()] = e
 	}
 	fold, results := d.buildTxnFold(ctx, resolved, func(s int) int64 { return commits[s] }, map[string]sysNode{})
-	d.distributeFold(ctx, fold, epochs, true, nil)
+	d.distributeFold(ctx, fold, epochs, true, nil, nil)
 	fold.release()
 	d.recordPhase("txn.apply", d.K.Now()-t0)
 	return results
@@ -1261,7 +1261,7 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 	fold, results := d.buildTxnFold(ctx, tm.Ops, func(int) int64 { return txid }, states)
 	d.stageMsg(msg, obs.StageFlush)
 	t0 = d.K.Now()
-	d.distributeFold(ctx, fold, epochs, true, nil)
+	d.distributeFold(ctx, fold, epochs, true, nil, nil)
 	d.recordPhase("leader.update", d.K.Now()-t0)
 	if d.fanoutOn() {
 		// The whole multi() is applied atomically above: every sub-op's
