@@ -33,8 +33,7 @@ func scenarioFor(seed int64, config string) Scenario {
 		Faults: DefaultFaults(),
 	}
 	if *flagQuick {
-		s.Clients = 3
-		s.OpsPerClient = 12
+		s = s.Quick()
 	}
 	return s
 }
@@ -118,6 +117,35 @@ func TestChaos(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestReplayCmdReproducesScenario: running the flags a failure prints must
+// build the scenario that failed — its workload size included.
+func TestReplayCmdReproducesScenario(t *testing.T) {
+	defer func(q bool) { *flagQuick = q }(*flagQuick)
+	for _, want := range []Scenario{
+		{Seed: 5007, Config: "caching", Faults: DefaultFaults()},
+		Scenario{Seed: 3003, Config: "txn", Faults: DefaultFaults()}.Quick(),
+	} {
+		want = want.withDefaults() // as Run records it
+		cmd := (&Result{Scenario: want}).ReplayCmd()
+		fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+		seed := fs.Int64("chaos.seed", -1, "")
+		config := fs.String("chaos.config", "", "")
+		quick := fs.Bool("chaos.quick", false, "")
+		fs.VisitAll(func(f *flag.Flag) {
+			if flag.Lookup(f.Name) == nil {
+				t.Errorf("TestChaos has no -%s flag", f.Name)
+			}
+		})
+		if err := fs.Parse(strings.Fields(cmd[strings.Index(cmd, "-chaos."):])); err != nil {
+			t.Fatalf("%q: %v", cmd, err)
+		}
+		*flagQuick = *quick
+		if got := scenarioFor(*seed, *config).withDefaults(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q replays %+v, want %+v", cmd, got, want)
+		}
 	}
 }
 

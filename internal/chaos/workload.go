@@ -22,8 +22,8 @@ import (
 type Scenario struct {
 	Seed         int64
 	Config       string // one of Configs()
-	Clients      int    // shared-path worker sessions (default 4)
-	OpsPerClient int    // ops per worker (default 25)
+	Clients      int    // shared-path worker sessions (0 = defaultClients)
+	OpsPerClient int    // ops per worker (0 = defaultOpsPerClient)
 	Faults       Faults
 	Telemetry    bool
 }
@@ -42,10 +42,38 @@ type Result struct {
 // Failed reports whether the run found invariant violations.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// ReplayCmd is the command line that re-runs this exact scenario.
+// ReplayCmd is the command line that re-runs this exact scenario: the
+// workload's size is part of it.
 func (r *Result) ReplayCmd() string {
-	return fmt.Sprintf("go test ./internal/chaos -run TestChaos -chaos.seed=%d -chaos.config=%s",
+	cmd := fmt.Sprintf("go test ./internal/chaos -run TestChaos -chaos.seed=%d -chaos.config=%s",
 		r.Scenario.Seed, r.Scenario.Config)
+	if r.Scenario.Clients == quickClients && r.Scenario.OpsPerClient == quickOpsPerClient {
+		cmd += " -chaos.quick"
+	}
+	return cmd
+}
+
+// Workload sizes: the default, and the PR smoke's (-chaos.quick).
+const (
+	defaultClients, defaultOpsPerClient = 4, 25
+	quickClients, quickOpsPerClient     = 3, 12
+)
+
+// Quick returns the scenario at the PR smoke's workload size.
+func (s Scenario) Quick() Scenario {
+	s.Clients, s.OpsPerClient = quickClients, quickOpsPerClient
+	return s
+}
+
+// withDefaults fills in an unset workload size.
+func (s Scenario) withDefaults() Scenario {
+	if s.Clients <= 0 {
+		s.Clients = defaultClients
+	}
+	if s.OpsPerClient <= 0 {
+		s.OpsPerClient = defaultOpsPerClient
+	}
+	return s
 }
 
 // Configs lists the deployment configurations the chaos matrix covers:
@@ -104,7 +132,6 @@ var sharedRoots = []string{"/s0", "/s1", "/s2", "/s3"}
 
 const (
 	watchPath  = "/s0/x"
-	ephPath    = "/eph-cr0"
 	swapParent = "/swp"
 	swapA      = "/swp/a" // colocated pair: one shard, fast-path multi
 	swapB      = "/swp/b"
@@ -122,6 +149,24 @@ func swapPairsFor(config string) [][2]string {
 		pairs = append(pairs, [2]string{crossA, crossB})
 	}
 	return pairs
+}
+
+// crasher is an ephemeral owner that stops answering heartbeats mid-run:
+// the settle phase must reap its ephemeral.
+type crasher struct {
+	id, path string
+	viaMulti bool // the ephemeral is created through multi()
+}
+
+// crashersFor returns the crasher sessions active under a config. The txn
+// config's second one creates its ephemeral through a one-op multi(): the
+// fast path, which keeps the session's ephemeral record on its own.
+func crashersFor(config string) []crasher {
+	crashers := []crasher{{id: "cr0", path: "/eph-cr0"}}
+	if config == "txn" {
+		crashers = append(crashers, crasher{id: "cr1", path: "/eph-cr1", viaMulti: true})
+	}
+	return crashers
 }
 
 // isDefinite classifies an operation error: definite errors come from
@@ -154,12 +199,7 @@ func errStr(err error) string {
 // recorded history. It never calls testing APIs so the experiment runner
 // and the CLI share it with the test harness.
 func Run(s Scenario) *Result {
-	if s.Clients <= 0 {
-		s.Clients = 4
-	}
-	if s.OpsPerClient <= 0 {
-		s.OpsPerClient = 25
-	}
+	s = s.withDefaults()
 	cfg, ok := DeployConfig(s.Config)
 	if !ok {
 		return &Result{Scenario: s, Violations: []Violation{{
@@ -221,7 +261,7 @@ func Run(s Scenario) *Result {
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
 	}
-	doMulti := func(c *fkclient.Client, session string, ops ...txn.Op) {
+	doMulti := func(c *fkclient.Client, session string, ops ...txn.Op) error {
 		start := k.Now()
 		results, err := c.Multi(ops...)
 		ev := Event{
@@ -240,6 +280,7 @@ func Run(s Scenario) *Result {
 			ev.Ops = append(ev.Ops, sub)
 		}
 		record(ev)
+		return err
 	}
 
 	// ---- driver ---------------------------------------------------------
@@ -352,7 +393,7 @@ func Run(s Scenario) *Result {
 				defer c.Close()
 				for kk := 1; kk <= s.OpsPerClient; kk++ {
 					v := fmt.Sprintf("sw%d#%d", wi, kk)
-					doMulti(c, wid,
+					_ = doMulti(c, wid,
 						txn.SetData(pair[0], []byte(v), -1),
 						txn.SetData(pair[1], []byte(v), -1))
 					k.Sleep(60 * time.Millisecond)
@@ -500,24 +541,30 @@ func Run(s Scenario) *Result {
 			}
 		})
 
-		// Crasher: ephemeral owner that stops answering heartbeats mid-run
-		// — the settle phase must reap its ephemeral.
-		spawn("cr0", func() {
-			c, err := fkclient.Connect(d, "cr0", home)
-			if err != nil {
-				harness("cr0 connect: %v", err)
-				return
-			}
-			if doCreate(c, "cr0", ephPath, "eph#0", znode.FlagEphemeral) != nil {
+		for _, cr := range crashersFor(s.Config) {
+			cr := cr
+			spawn(cr.id, func() {
+				c, err := fkclient.Connect(d, cr.id, home)
+				if err != nil {
+					harness("%s connect: %v", cr.id, err)
+					return
+				}
+				if cr.viaMulti {
+					err = doMulti(c, cr.id, txn.Create(cr.path, []byte("eph#0"), znode.FlagEphemeral))
+				} else {
+					err = doCreate(c, cr.id, cr.path, "eph#0", znode.FlagEphemeral)
+				}
+				if err != nil {
+					c.Crash()
+					return
+				}
+				for n := 1; n <= 4; n++ {
+					doSet(c, cr.id, cr.path, fmt.Sprintf("eph#%d", n))
+					k.Sleep(40 * time.Millisecond)
+				}
 				c.Crash()
-				return
-			}
-			for n := 1; n <= 4; n++ {
-				doSet(c, "cr0", ephPath, fmt.Sprintf("eph#%d", n))
-				k.Sleep(40 * time.Millisecond)
-			}
-			c.Crash()
-		})
+			})
+		}
 
 		// Regional cache-node loss, where a cache tier exists.
 		if rc := d.CacheFor(home); rc != nil && s.Faults.CacheLosses > 0 {
@@ -585,24 +632,26 @@ func Run(s Scenario) *Result {
 			for _, p := range paths {
 				doGet(c, "audit", p)
 			}
-			// The crashed session's ephemeral must be reaped once its
+			// A crashed session's ephemeral must be reaped once its
 			// heartbeats lapse; poll since eviction rides the faulty
 			// pipeline too.
-			evicted := false
 			evictBy := k.Now() + sim.Time(90*time.Second)
-			for k.Now() < evictBy {
-				_, _, err := c.GetData(ephPath)
-				if errors.Is(err, core.ErrNoNode) {
-					evicted = true
-					break
+			for _, cr := range crashersFor(s.Config) {
+				evicted := false
+				for {
+					_, _, err := c.GetData(cr.path)
+					evicted = errors.Is(err, core.ErrNoNode)
+					if evicted || k.Now() >= evictBy {
+						break
+					}
+					k.Sleep(5 * time.Second)
 				}
-				k.Sleep(5 * time.Second)
-			}
-			if !evicted {
-				res.Violations = append(res.Violations, Violation{
-					Invariant: "ephemeral-reaping", Session: "cr0", Path: ephPath,
-					Detail: "ephemeral of crashed session still readable 90s after crash",
-				})
+				if !evicted {
+					res.Violations = append(res.Violations, Violation{
+						Invariant: "ephemeral-reaping", Session: cr.id, Path: cr.path,
+						Detail: "ephemeral of crashed session still readable 90s after crash",
+					})
+				}
 			}
 			// Tree integrity: parent/child links in the user store agree.
 			ctx := cloud.ClientCtx(home)

@@ -63,15 +63,11 @@ func (d *Deployment) processRequest(ctx cloud.Ctx, req Request) error {
 	t0 := d.K.Now()
 	var err error
 	switch req.Op {
-	case OpCreate:
-		err = d.retryStale(ctx, req, d.followerCreate)
-	case OpSetData:
-		err = d.retryStale(ctx, req, d.followerSetData)
-	case OpDelete:
-		err = d.retryStale(ctx, req, func(ctx cloud.Ctx, r Request) error {
-			_, derr := d.followerDelete(ctx, r)
-			return derr
-		})
+	case OpCreate, OpSetData, OpDelete:
+		if _, err = d.retryStale(ctx, req); errors.Is(err, errStaleRoute) {
+			d.respondFailure(req, CodeSystemError)
+			err = nil
+		}
 	case OpDeregister:
 		err = d.followerDeregister(ctx, req)
 	case OpMulti:
@@ -91,16 +87,16 @@ func (d *Deployment) processRequest(ctx cloud.Ctx, req Request) error {
 // costs at most one extra round per in-flight write).
 const staleRouteRetries = 8
 
-// retryStale runs one write op with dynamic-mode re-routing: a commit
+// retryStale runs followerWrite with dynamic-mode re-routing: a commit
 // rejected by the shard-map generation guard re-validates and re-routes
 // against the refreshed map, after waiting out any migration gating the
-// path. Static deployments call the op directly.
-func (d *Deployment) retryStale(ctx cloud.Ctx, req Request, fn func(cloud.Ctx, Request) error) error {
+// path. Once the retries are used up it hands errStaleRoute to the caller.
+// Static deployments call followerWrite directly.
+func (d *Deployment) retryStale(ctx cloud.Ctx, req Request) (int, error) {
 	if d.dyn == nil {
-		return fn(ctx, req)
+		return d.followerWrite(ctx, req)
 	}
-	var err error
-	for attempt := 0; attempt <= staleRouteRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			// The retry stage spans the migration-gate wait; the chain then
 			// re-enters validation against the refreshed map.
@@ -110,13 +106,11 @@ func (d *Deployment) retryStale(ctx cloud.Ctx, req Request, fn func(cloud.Ctx, R
 		if attempt > 0 {
 			d.stageReq(req, obs.StageValidate)
 		}
-		err = fn(ctx, req)
-		if !errors.Is(err, errStaleRoute) {
-			return err
+		shard, err := d.followerWrite(ctx, req)
+		if !errors.Is(err, errStaleRoute) || attempt == staleRouteRetries {
+			return shard, err
 		}
 	}
-	d.respondFailure(req, CodeSystemError)
-	return nil
 }
 
 // respondFailure notifies the client directly from the follower; rejected
@@ -135,325 +129,162 @@ func (d *Deployment) lockNode(ctx cloud.Ctx, path string) (fksync.Lock, sysNode,
 	return lock, decodeSysNode(item), err
 }
 
-func (d *Deployment) followerSetData(ctx cloud.Ctx, req Request) error {
+// followerWrite is Algorithm 1 for one create, set_data or delete; what the
+// op requires, sends and writes comes from the write-op table (writeop.go).
+// It returns the shard the op was routed to (the session-deregistration
+// barrier must put its ack behind a deletion in exactly that queue) along
+// with the usual handler error.
+func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
+	shard := d.RouteShard(req.Path)
+	var held []fksync.Lock // release order: node, then parent
+	fail := func(code Code) (int, error) {
+		d.unlockAll(ctx, held...)
+		d.respondFailure(req, code)
+		return shard, nil
+	}
 	if len(req.Data) > d.Cfg.MaxNodeB {
-		d.respondFailure(req, CodeTooLarge)
-		return nil
+		return fail(CodeTooLarge)
 	}
-	lock, node, err := d.lockNodeClean(ctx, req.Path, 0)
-	if err != nil {
-		d.respondFailure(req, CodeSystemError)
-		return nil
+	if code := checkPath(req.Op, req.Path); code != CodeOK {
+		return fail(code)
 	}
-	// ② Validate under the lock.
-	if !node.Exists {
-		d.unlockAll(ctx, lock)
-		d.respondFailure(req, CodeNoNode)
-		return nil
-	}
-	if req.Version != -1 && req.Version != node.Version {
-		d.unlockAll(ctx, lock)
-		d.respondFailure(req, CodeBadVersion)
-		return nil
-	}
-	newVersion := node.Version + 1
-	blob := znode.Marshal(node.toZNode(req.Path, req.Data), nil)
-	msg := leaderMsg{
-		Session: req.Session, Seq: req.Seq, Op: OpSetData, Path: req.Path,
-		NodeBlob: blob, LockTs: lock.Timestamp, Version: newVersion,
-	}
-	// ③ Push to the leader queue; the FIFO sequence number is the txid.
-	r, err := d.pushToLeader(ctx, msg)
-	if err != nil {
-		d.unlockAll(ctx, lock)
-		d.respondFailure(req, CodeSystemError)
-		return nil
-	}
-	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
-		return errInjectedCrash
-	}
-	// ④ Commit and unlock in one conditional write (joined with the
-	// shard-map generation guard on a dynamic deployment).
-	ups := []kv.Update{
-		kv.Set{Name: attrVersion, V: kv.N(int64(newVersion))},
-		kv.Set{Name: attrMzxid, V: kv.N(r.txid)},
-		kv.ListAppend{Name: attrPending, Vals: []int64{r.txid}},
-	}
-	t0 := d.K.Now()
-	sp := d.reqSpan(req, obs.SpanFollowerCommit, r.shard)
-	cctx := d.billSpan(ctx, costReqTrace(req), sp, r.shard, "")
-	if guard := d.dynGuard(r.shard, r.gen); guard != nil {
-		err = d.Locks.CommitUnlockTxGuard(cctx, []fksync.TxPart{{Lock: lock, Updates: ups}}, guard)
-	} else {
-		_, err = d.Locks.CommitUnlock(cctx, lock, ups)
-	}
-	d.spanEnd(sp)
-	d.recordPhase("follower.commit", d.K.Now()-t0)
-	if err != nil {
-		if d.staleRoutedCommit(ctx, r.shard, r.gen) {
-			// Fenced by a reshard: nothing was written, the locks are
-			// still ours — release them and re-route. The pushed message
-			// strands in the old queue; its leader recognizes the
-			// superseded generation and drops it silently.
-			d.unlockAll(ctx, lock)
-			return errStaleRoute
+	// ① Lock parent first, node second.
+	path := req.Path
+	var parentLock fksync.Lock
+	var parent sysNode
+	if splicesParent(req.Op) {
+		var err error
+		if parentLock, parent, err = d.lockNodeClean(ctx, znode.Parent(path), 0); err != nil {
+			return fail(CodeSystemError)
 		}
-		// Lost the lease: the leader's TryCommit may still save the
-		// transaction; nothing more to do here.
-		return nil
+		held = []fksync.Lock{parentLock}
+		// ② Validate under the locks, the parent as soon as it is held.
+		if code := checkParent(req.Op, parent); code != CodeOK {
+			return fail(code)
+		}
+		// Sequential nodes take their suffix from the parent's counter,
+		// read under the parent lock.
+		if req.Op == OpCreate && req.Flags&znode.FlagSequential != 0 {
+			path = znode.SequentialName(path, parent.SeqCtr)
+		}
 	}
-	return nil
+	nodeLock, node, err := d.lockNodeClean(ctx, path, 0)
+	if err != nil {
+		return fail(CodeSystemError)
+	}
+	held = append([]fksync.Lock{nodeLock}, held...)
+	if code := checkNode(req.Op, path, req.Version, node, parent); code != CodeOK {
+		return fail(code)
+	}
+	owner := ""
+	if req.Op == OpCreate && req.Flags&znode.FlagEphemeral != 0 {
+		owner = req.Session
+		if err := d.recordEphemeral(ctx, owner, path); err != nil {
+			return fail(CodeSystemError)
+		}
+	}
+	msg := validatedMsg(req, path, owner, node, parent)
+	msg.LockTs, msg.ParentLockTs = nodeLock.Timestamp, parentLock.Timestamp
+	d.routeMsg(&msg)
+	r, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageLeaderQ, held,
+		func(ctx cloud.Ctx, txid int64, guard []kv.TxOp) error {
+			return d.commitLocked(ctx, held, msg, txid, guard)
+		})
+	if committed && req.Op == OpDelete && node.EphOwner != "" {
+		d.forgetEphemeral(ctx, node.EphOwner, path)
+	}
+	return r.shard, err
 }
 
-func (d *Deployment) followerCreate(ctx cloud.Ctx, req Request) error {
-	if len(req.Data) > d.Cfg.MaxNodeB {
-		d.respondFailure(req, CodeTooLarge)
-		return nil
-	}
-	if req.Path == znode.Root {
-		d.respondFailure(req, CodeNodeExists)
-		return nil
-	}
-	parentPath := znode.Parent(req.Path)
-	// Lock parent first, node second: a uniform top-down order prevents
-	// deadlocks between concurrent creates/deletes.
-	parentLock, parent, err := d.lockNodeClean(ctx, parentPath, 0)
-	if err != nil {
-		d.respondFailure(req, CodeSystemError)
-		return nil
-	}
-	if !parent.Exists {
-		d.unlockAll(ctx, parentLock)
-		d.respondFailure(req, CodeNoNode)
-		return nil
-	}
-	if parent.EphOwner != "" {
-		d.unlockAll(ctx, parentLock)
-		d.respondFailure(req, CodeNoChildrenEph)
-		return nil
-	}
-	// Sequential nodes take their suffix from the parent's counter, read
-	// under the parent lock.
-	finalPath := req.Path
-	if req.Flags&znode.FlagSequential != 0 {
-		finalPath = znode.SequentialName(req.Path, parent.SeqCtr)
-	}
-	name := znode.Base(finalPath)
+// recordEphemeral tracks an ephemeral create on its owner's session record
+// (used by the heartbeat eviction path) BEFORE the push: once the message
+// is in the leader queue the node can commit even if this sandbox dies
+// (TryCommit), and an entry recorded only after a successful commit would
+// then be lost forever — leaking the node past its session's death. The
+// early entry is merely stale when the create fails or is replayed:
+// eviction's deletes are idempotent and a live session keeps answering
+// heartbeats, so a stale entry costs one ping. (Replays short-circuit on
+// node-exists and never get here twice for a committed create.)
+func (d *Deployment) recordEphemeral(ctx cloud.Ctx, owner, path string) error {
+	_, err := d.System.Update(ctx, sessionKey(owner),
+		[]kv.Update{kv.StrListAppend{Name: attrSessionEph, Vals: []string{path}}}, nil)
+	return err
+}
 
-	nodeLock, node, err := d.lockNodeClean(ctx, finalPath, 0)
-	if err != nil {
-		d.unlockAll(ctx, parentLock)
-		d.respondFailure(req, CodeSystemError)
-		return nil
-	}
-	if node.Exists {
-		d.unlockAll(ctx, nodeLock, parentLock)
-		d.respondFailure(req, CodeNodeExists)
-		return nil
-	}
+// forgetEphemeral drops a deleted ephemeral from its owner's session
+// record, after the commit; a stale entry left by a failure is harmless.
+func (d *Deployment) forgetEphemeral(ctx cloud.Ctx, owner, path string) {
+	_, _ = d.System.Update(ctx, sessionKey(owner),
+		[]kv.Update{kv.StrListRemove{Name: attrSessionEph, Vals: []string{path}}}, nil)
+}
 
-	owner := ""
-	if req.Flags&znode.FlagEphemeral != 0 {
-		owner = req.Session
-		// Track ephemeral ownership on the session record (used by the
-		// heartbeat eviction path) BEFORE the push: once the message is in
-		// the leader queue the node can commit even if this sandbox dies
-		// (TryCommit), and an entry recorded only after a successful
-		// commit would then be lost forever — leaking the node past its
-		// session's death. The early entry is merely stale when the
-		// create fails or is replayed: eviction's deletes are idempotent
-		// and a live session keeps answering heartbeats, so a stale entry
-		// costs one ping. (Replays short-circuit on node-exists above and
-		// never reach here twice for a committed create.)
-		if _, err := d.System.Update(ctx, sessionKey(req.Session),
-			[]kv.Update{kv.StrListAppend{Name: attrSessionEph, Vals: []string{finalPath}}}, nil); err != nil {
-			d.unlockAll(ctx, nodeLock, parentLock)
-			d.respondFailure(req, CodeSystemError)
-			return nil
-		}
-	}
-	newNode := &znode.Node{
-		Path: finalPath,
-		Data: req.Data,
-		Stat: znode.Stat{Ephemeral: owner != "", Owner: owner},
-	}
-	msg := leaderMsg{
-		Session: req.Session, Seq: req.Seq, Op: OpCreate, Path: finalPath,
-		NodeBlob:   znode.Marshal(newNode, nil),
-		ParentPath: parentPath, ChildAdd: name,
-		LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
-		Cversion: parent.Cversion + 1, EphOwner: owner,
-	}
-	r, err := d.pushToLeader(ctx, msg)
+// pushAndCommit is the tail of Algorithm 1 that a single op and a
+// single-shard multi() share: push the validated message to the shard set
+// on it (③; the FIFO sequence number is the txid), pass the crash point
+// between the two, and run commit — the caller's conditional write of every
+// locked item together with the lock release (④), joined with the shard-map
+// generation guard on a dynamic deployment. held is every lock taken, for
+// the paths that give up. committed is false with a nil error when the
+// request was answered here (push failure) or left to the leader's replay
+// (lease lost).
+func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, crashStage string, held []fksync.Lock,
+	commit func(ctx cloud.Ctx, txid int64, guard []kv.TxOp) error) (r routed, committed bool, err error) {
+	r, err = d.pushToShard(ctx, msg)
 	if err != nil {
-		d.unlockAll(ctx, nodeLock, parentLock)
+		d.unlockAll(ctx, held...)
 		code := CodeSystemError
 		if errors.Is(err, errMsgTooLarge) {
 			code = CodeTooLarge
 		}
 		d.respondFailure(req, code)
-		return nil
+		return r, false, nil
 	}
-	txid := r.txid
-	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
-		return errInjectedCrash
-	}
-	// ④ A multi-node commit: the new node and its parent fail or succeed
-	// together (Section 3.1).
-	t0 := d.K.Now()
-	sp := d.reqSpan(req, obs.SpanFollowerCommit, r.shard)
-	err = d.Locks.CommitUnlockTxGuard(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), []fksync.TxPart{
-		{Lock: nodeLock, Updates: createNodeUpdates(txid, owner)},
-		{Lock: parentLock, Updates: createParentUpdates(name, txid)},
-	}, d.dynGuard(r.shard, r.gen))
-	d.spanEnd(sp)
-	d.recordPhase("follower.commit", d.K.Now()-t0)
-	if err != nil {
-		if d.staleRoutedCommit(ctx, r.shard, r.gen) {
-			d.unlockAll(ctx, nodeLock, parentLock)
-			return errStaleRoute
-		}
-		return nil // lease lost: leader TryCommit may recover
-	}
-	return nil
-}
-
-// createNodeUpdates is the follower's node-item commit; the leader's
-// TryCommit reconstructs exactly the same updates.
-func createNodeUpdates(txid int64, owner string) []kv.Update {
-	return append(createNodeBase(txid, owner),
-		kv.ListAppend{Name: attrPending, Vals: []int64{txid}})
-}
-
-// createNodeBase is the create commit without the pending append — the
-// transaction path appends the pending entry once per node, even when
-// several sub-ops touch it.
-func createNodeBase(txid int64, owner string) []kv.Update {
-	ups := []kv.Update{
-		kv.Set{Name: attrExists, V: kv.N(1)},
-		kv.Set{Name: attrVersion, V: kv.N(0)},
-		kv.Set{Name: attrCversion, V: kv.N(0)},
-		kv.Set{Name: attrCzxid, V: kv.N(txid)},
-		kv.Set{Name: attrMzxid, V: kv.N(txid)},
-		kv.Set{Name: attrPzxid, V: kv.N(txid)},
-		kv.Set{Name: attrChildren, V: kv.StrList()},
-	}
-	if owner != "" {
-		ups = append(ups, kv.Set{Name: attrEph, V: kv.S(owner)})
-	}
-	return ups
-}
-
-func createParentUpdates(name string, txid int64) []kv.Update {
-	return []kv.Update{
-		kv.StrListAppend{Name: attrChildren, Vals: []string{name}},
-		kv.Add{Name: attrCversion, Delta: 1},
-		kv.Add{Name: attrSeq, Delta: 1},
-		kv.Set{Name: attrPzxid, V: kv.N(txid)},
-	}
-}
-
-// followerDelete validates and commits one deletion. It returns the shard
-// the deletion was routed to (the session-deregistration barrier must put
-// its ack behind the deletion in exactly that queue) along with the usual
-// handler error.
-func (d *Deployment) followerDelete(ctx cloud.Ctx, req Request) (int, error) {
-	shard := d.RouteShard(req.Path)
-	if req.Path == znode.Root {
-		d.respondFailure(req, CodeSystemError)
-		return shard, nil
-	}
-	parentPath := znode.Parent(req.Path)
-	parentLock, parent, err := d.lockNodeClean(ctx, parentPath, 0)
-	if err != nil {
-		d.respondFailure(req, CodeSystemError)
-		return shard, nil
-	}
-	nodeLock, node, err := d.lockNodeClean(ctx, req.Path, 0)
-	if err != nil {
-		d.unlockAll(ctx, parentLock)
-		d.respondFailure(req, CodeSystemError)
-		return shard, nil
-	}
-	code := CodeOK
-	switch {
-	case !node.Exists:
-		code = CodeNoNode
-	case req.Version != -1 && req.Version != node.Version:
-		code = CodeBadVersion
-	case len(node.Children) > 0:
-		code = CodeNotEmpty
-	case !parent.Exists || !parent.hasChild(znode.Base(req.Path)):
-		code = CodeSystemError
-	}
-	if code != CodeOK {
-		d.unlockAll(ctx, nodeLock, parentLock)
-		d.respondFailure(req, code)
-		return shard, nil
-	}
-	name := znode.Base(req.Path)
-	msg := leaderMsg{
-		Session: req.Session, Seq: req.Seq, Op: OpDelete, Path: req.Path,
-		ParentPath: parentPath, ChildDel: name,
-		LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
-		Cversion: parent.Cversion + 1, EphOwner: node.EphOwner,
-	}
-	r, err := d.pushToLeader(ctx, msg)
-	if err != nil {
-		d.unlockAll(ctx, nodeLock, parentLock)
-		d.respondFailure(req, CodeSystemError)
-		return r.shard, nil
-	}
-	txid := r.txid
-	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
-		return r.shard, errInjectedCrash
+	if d.crashAt(crashStage, req.Session, req.Seq) {
+		return r, false, errInjectedCrash
 	}
 	t0 := d.K.Now()
 	sp := d.reqSpan(req, obs.SpanFollowerCommit, r.shard)
-	err = d.Locks.CommitUnlockTxGuard(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), []fksync.TxPart{
-		{Lock: nodeLock, Updates: deleteNodeUpdates(txid)},
-		{Lock: parentLock, Updates: deleteParentUpdates(name, txid)},
-	}, d.dynGuard(r.shard, r.gen))
+	err = commit(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), r.txid, d.dynGuard(r.shard, r.gen))
 	d.spanEnd(sp)
 	d.recordPhase("follower.commit", d.K.Now()-t0)
-	if err != nil {
-		if d.staleRoutedCommit(ctx, r.shard, r.gen) {
-			d.unlockAll(ctx, nodeLock, parentLock)
-			return r.shard, errStaleRoute
-		}
-		return r.shard, nil
+	if err == nil {
+		return r, true, nil
 	}
-	if node.EphOwner != "" {
-		_, _ = d.System.Update(ctx, sessionKey(node.EphOwner),
-			[]kv.Update{kv.StrListRemove{Name: attrSessionEph, Vals: []string{req.Path}}}, nil)
+	if d.staleRoutedCommit(ctx, r.shard, r.gen) {
+		// Fenced by a reshard: nothing was written, the locks are still
+		// ours — release them and re-route. The pushed message strands in
+		// the old queue; its leader recognizes the superseded generation
+		// and drops it silently.
+		d.unlockAll(ctx, held...)
+		return r, false, errStaleRoute
 	}
-	return r.shard, nil
+	// Lost the lease: the leader's TryCommit may still save the
+	// transaction; nothing more to do here.
+	return r, false, nil
 }
 
-// deleteNodeUpdates tombstones the node (exists=0) while keeping the item
-// so the leader can track the pending transaction; the leader garbage
-// collects it after the pop.
-func deleteNodeUpdates(txid int64) []kv.Update {
-	return append(deleteNodeBase(txid),
-		kv.ListAppend{Name: attrPending, Vals: []int64{txid}})
+// commitLocked is step ④ of a single-op message committing at txid, as the
+// follower runs it and as the leader replays it for a dead one (TryCommit).
+func (d *Deployment) commitLocked(ctx cloud.Ctx, held []fksync.Lock, msg leaderMsg, txid int64, guard []kv.TxOp) error {
+	node, parent := commitUpdates(msg, txid)
+	return d.transactLocked(ctx, held, append(node, pendingAppend(txid)), parent, guard)
 }
 
-// deleteNodeBase is the delete commit without the pending append (see
-// createNodeBase).
-func deleteNodeBase(txid int64) []kv.Update {
-	return []kv.Update{
-		kv.Set{Name: attrExists, V: kv.N(0)},
-		kv.Set{Name: attrMzxid, V: kv.N(txid)},
-		kv.Remove{Name: attrEph},
+// transactLocked applies updates to the items a single op locked — held is
+// the node's lock, then the parent's if the op has one — and releases the
+// locks in the same conditional write: one update when the op touches one
+// item and nothing guards it, one transaction in which the node and its
+// parent fail or succeed together (Section 3.1) otherwise.
+func (d *Deployment) transactLocked(ctx cloud.Ctx, held []fksync.Lock, node, parent []kv.Update, guard []kv.TxOp) error {
+	if len(held) == 1 && guard == nil {
+		_, err := d.Locks.CommitUnlock(ctx, held[0], node)
+		return err
 	}
-}
-
-func deleteParentUpdates(name string, txid int64) []kv.Update {
-	return []kv.Update{
-		kv.StrListRemove{Name: attrChildren, Vals: []string{name}},
-		kv.Add{Name: attrCversion, Delta: 1},
-		kv.Set{Name: attrPzxid, V: kv.N(txid)},
+	parts := append(make([]fksync.TxPart, 0, 2), fksync.TxPart{Lock: held[0], Updates: node})
+	if len(held) > 1 {
+		parts = append(parts, fksync.TxPart{Lock: held[1], Updates: parent})
 	}
+	return d.Locks.CommitUnlockTxGuard(ctx, parts, guard)
 }
 
 // followerDeregister closes a session: every ephemeral node it owns is
@@ -476,11 +307,7 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 		// back from the delete itself (routing may change mid-loop on a
 		// dynamic deployment).
 		del := Request{Session: req.Session, Seq: -1, Op: OpDelete, Path: path, Version: -1}
-		shard, err := d.followerDelete(ctx, del)
-		for attempt := 0; errors.Is(err, errStaleRoute) && attempt < staleRouteRetries; attempt++ {
-			d.awaitRoutable(ctx, path)
-			shard, err = d.followerDelete(ctx, del)
-		}
+		shard, err := d.retryStale(ctx, del)
 		if err != nil {
 			return err
 		}
@@ -540,26 +367,25 @@ type routed struct {
 	gen   int64
 }
 
-// pushToLeader routes the validated change to its subtree's ordered queue
-// (③) and returns the transaction id. With one shard this is the paper's
-// single global FIFO queue and its total order of writes; with more, the
-// order is total per shard, which suffices because no operation spans
-// subtrees. A dynamic deployment routes through the shard map and stamps
-// the message with the routing generation and the shard's txid base.
-func (d *Deployment) pushToLeader(ctx cloud.Ctx, msg leaderMsg) (routed, error) {
-	if d.dyn != nil {
-		m := d.mapView()
-		msg.Shard = m.ShardFor(msg.Path)
-		dynStamp(&msg, m)
-		if d.Cfg.AutoShard.Enabled {
-			// Only the auto-shard monitor reads (and resets) the
-			// per-segment counters; without it they would just grow.
-			d.dyn.hot[shardmap.TopSegment(msg.Path)]++
-		}
-	} else {
+// routeMsg sets the shard of a validated change: its subtree's ordered
+// queue. With one shard this is the paper's single global FIFO queue and
+// its total order of writes; with more, the order is total per shard, which
+// suffices because no operation spans subtrees. A dynamic deployment routes
+// through the shard map and stamps the message with the routing generation
+// and the shard's txid base.
+func (d *Deployment) routeMsg(msg *leaderMsg) {
+	if d.dyn == nil {
 		msg.Shard = ShardOf(msg.Path, d.NumShards())
+		return
 	}
-	return d.pushToShard(ctx, msg)
+	m := d.mapView()
+	msg.Shard = m.ShardFor(msg.Path)
+	dynStamp(msg, m)
+	if d.Cfg.AutoShard.Enabled {
+		// Only the auto-shard monitor reads (and resets) the per-segment
+		// counters; without it they would just grow.
+		d.dyn.hot[shardmap.TopSegment(msg.Path)]++
+	}
 }
 
 // pushToShard sends the message to the shard already set on it.

@@ -290,6 +290,16 @@ func (d *Deployment) peekCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysNo
 	return node, len(node.Pending) > 0 && node.Pending[0] == txid
 }
 
+// msgLocks rebuilds the locks a single-op message's follower held from the
+// timestamps it carries: the node's, then the parent's if the op has one.
+func msgLocks(msg leaderMsg) []fksync.Lock {
+	held := []fksync.Lock{{Key: nodeKey(msg.Path), Timestamp: msg.LockTs}}
+	if msg.ParentPath != "" {
+		held = append(held, fksync.Lock{Key: nodeKey(msg.ParentPath), Timestamp: msg.ParentLockTs})
+	}
+	return held
+}
+
 // reclaimFencedMsg resolves ownership of a pushed-then-fenced message
 // whose follower may have died between push (③) and commit (④). A live
 // follower either committed (locks gone) or saw the generation guard
@@ -300,20 +310,7 @@ func (d *Deployment) peekCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysNo
 // marked the request processed in the warm-state dedup cache), so the
 // caller must answer the client itself or the request is lost forever.
 func (d *Deployment) reclaimFencedMsg(ctx cloud.Ctx, msg leaderMsg) bool {
-	lockCond := func(ts int64) kv.Cond { return kv.Eq{Name: "lock", V: kv.N(ts)} }
-	unlock := []kv.Update{kv.Remove{Name: "lock"}}
-	switch msg.Op {
-	case OpSetData:
-		_, err := d.System.Update(ctx, nodeKey(msg.Path), unlock, lockCond(msg.LockTs))
-		return err == nil
-	case OpCreate, OpDelete:
-		ops := []kv.TxOp{
-			{Key: nodeKey(msg.Path), Updates: unlock, Cond: lockCond(msg.LockTs)},
-			{Key: nodeKey(msg.ParentPath), Updates: unlock, Cond: lockCond(msg.ParentLockTs)},
-		}
-		return d.System.Transact(ctx, ops) == nil
-	}
-	return false
+	return d.transactLocked(ctx, msgLocks(msg), nil, nil, nil) == nil
 }
 
 // tryCommit replays the follower's conditional commit using the lock
@@ -323,40 +320,7 @@ func (d *Deployment) reclaimFencedMsg(ctx cloud.Ctx, msg leaderMsg) bool {
 // generation guard the follower's own commit would have carried, so a
 // replay can never land a write that a reshard already fenced out.
 func (d *Deployment) tryCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) bool {
-	lockCond := func(ts int64) kv.Cond { return kv.Eq{Name: "lock", V: kv.N(ts)} }
-	guard := d.dynGuard(msg.Shard, dynGen(msg))
-	switch msg.Op {
-	case OpSetData:
-		ups := []kv.Update{
-			kv.Set{Name: attrVersion, V: kv.N(int64(msg.Version))},
-			kv.Set{Name: attrMzxid, V: kv.N(txid)},
-			kv.ListAppend{Name: attrPending, Vals: []int64{txid}},
-			kv.Remove{Name: "lock"},
-		}
-		if guard != nil {
-			ops := append([]kv.TxOp{{Key: nodeKey(msg.Path), Updates: ups, Cond: lockCond(msg.LockTs)}}, guard...)
-			return d.System.Transact(ctx, ops) == nil
-		}
-		_, err := d.System.Update(ctx, nodeKey(msg.Path), ups, lockCond(msg.LockTs))
-		return err == nil
-	case OpCreate:
-		nodeUps := append(createNodeUpdates(txid, msg.EphOwner), kv.Remove{Name: "lock"})
-		parentUps := append(createParentUpdates(msg.ChildAdd, txid), kv.Remove{Name: "lock"})
-		ops := []kv.TxOp{
-			{Key: nodeKey(msg.Path), Updates: nodeUps, Cond: lockCond(msg.LockTs)},
-			{Key: nodeKey(msg.ParentPath), Updates: parentUps, Cond: lockCond(msg.ParentLockTs)},
-		}
-		return d.System.Transact(ctx, append(ops, guard...)) == nil
-	case OpDelete:
-		nodeUps := append(deleteNodeUpdates(txid), kv.Remove{Name: "lock"})
-		parentUps := append(deleteParentUpdates(msg.ChildDel, txid), kv.Remove{Name: "lock"})
-		ops := []kv.TxOp{
-			{Key: nodeKey(msg.Path), Updates: nodeUps, Cond: lockCond(msg.LockTs)},
-			{Key: nodeKey(msg.ParentPath), Updates: parentUps, Cond: lockCond(msg.ParentLockTs)},
-		}
-		return d.System.Transact(ctx, append(ops, guard...)) == nil
-	}
-	return false
+	return d.commitLocked(ctx, msgLocks(msg), msg, txid, d.dynGuard(msg.Shard, dynGen(msg))) == nil
 }
 
 // buildUserNode assembles the user-store object for one committed change:

@@ -198,12 +198,18 @@ func (s *pipeSession) arm(path string) {
 }
 
 func (s *pipeSession) submit(op OpCode, path, data string) *sim.Future[Response] {
+	return s.send(Request{Op: op, Path: path, Data: []byte(data), Version: -1})
+}
+
+// send stamps the request with the session's identity and next sequence
+// number and puts it on the session queue.
+func (s *pipeSession) send(req Request) *sim.Future[Response] {
 	s.seq++
-	req := Request{Session: s.id, Seq: s.seq, Op: op, Path: path, Data: []byte(data), Version: -1}
+	req.Session, req.Seq = s.id, s.seq
 	fut := sim.NewFuture[Response](s.rig.k)
 	s.futs[req.Seq] = fut
 	tr := s.rig.d.Obs.Tracer
-	tr.StartRequest(req.trace(), string(op), path)
+	tr.StartRequest(req.trace(), string(req.Op), req.Path)
 	e := wire.NewEncoder()
 	_, err := s.st.Queue.Send(s.ctx, s.id, req.Encode(e))
 	e.Release()

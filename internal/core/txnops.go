@@ -92,39 +92,6 @@ func (d *Deployment) lockNodeClean(ctx cloud.Ctx, path string, selfTxn int64) (f
 	return fksync.Lock{}, sysNode{}, fksync.ErrLockHeld
 }
 
-// specNode is the coordinator's speculative view of one locked item, so
-// later ops of the same multi validate against the earlier ops' effects
-// (ZooKeeper validates multi ops sequentially against the evolving state).
-type specNode struct {
-	exists   bool
-	version  int32
-	cversion int32
-	children map[string]bool
-	ephOwner string
-	seqCtr   int64
-}
-
-func specFrom(n sysNode) *specNode {
-	children := map[string]bool{}
-	for _, c := range n.Children {
-		children[c] = true
-	}
-	return &specNode{
-		exists: n.Exists, version: n.Version, cversion: n.Cversion,
-		children: children, ephOwner: n.EphOwner, seqCtr: n.SeqCtr,
-	}
-}
-
-func (s *specNode) childCount() int {
-	n := 0
-	for _, present := range s.children {
-		if present {
-			n++
-		}
-	}
-	return n
-}
-
 // multiItem is one locked system item a transaction touches.
 type multiItem struct {
 	path   string
@@ -142,13 +109,16 @@ type multiPlan struct {
 	resolved []txn.ResolvedOp
 	items    map[string]*multiItem
 	order    []string // lock acquisition order
-	specs    map[string]*specNode
-	route    func(string) int
-	mv       *shardmap.Map
+	// specs is the speculative state of every locked item: later ops of the
+	// same multi validate against the earlier ops' effects (ZooKeeper
+	// validates multi ops sequentially against the evolving state).
+	specs map[string]*sysNode
+	route func(string) int
+	mv    *shardmap.Map
 }
 
 func newMultiPlan(d *Deployment) *multiPlan {
-	p := &multiPlan{items: map[string]*multiItem{}, specs: map[string]*specNode{}}
+	p := &multiPlan{items: map[string]*multiItem{}, specs: map[string]*sysNode{}}
 	p.route, p.mv = d.routeFn()
 	return p
 }
@@ -164,7 +134,7 @@ func (p *multiPlan) acquire(d *Deployment, ctx cloud.Ctx, path string, shard int
 	}
 	p.items[path] = &multiItem{path: path, lock: lock, shard: shard}
 	p.order = append(p.order, path)
-	p.specs[path] = specFrom(node)
+	p.specs[path] = &node
 	return nil
 }
 
@@ -268,161 +238,113 @@ func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (
 	return plan, -1, CodeOK, nil
 }
 
-// validateMultiOp mirrors the follower's per-op validation against the
-// plan's speculative state and resolves the op on success.
+// validateMultiOp runs one op through the write-op table against the plan's
+// speculative state — the checks followerWrite runs against the stored one
+// — and on success resolves the op and applies its effect to that state.
 func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, session string) (txn.ResolvedOp, Code, error) {
-	switch op.Type {
-	case txn.OpSetData:
-		sp := plan.specs[op.Path]
-		if sp == nil || !sp.exists {
-			return txn.ResolvedOp{}, CodeNoNode, nil
-		}
-		if op.Version != -1 && op.Version != sp.version {
-			return txn.ResolvedOp{}, CodeBadVersion, nil
-		}
-		sp.version++
-		return txn.ResolvedOp{
-			Type: op.Type, Path: op.Path, Data: op.Data, Version: sp.version,
-			EphOwner: sp.ephOwner, Shard: plan.route(op.Path),
-		}, CodeOK, nil
-	case txn.OpCheck:
-		sp := plan.specs[op.Path]
-		if sp == nil || !sp.exists {
-			return txn.ResolvedOp{}, CodeNoNode, nil
-		}
-		if op.Version != -1 && op.Version != sp.version {
-			return txn.ResolvedOp{}, CodeBadVersion, nil
-		}
-		return txn.ResolvedOp{Type: op.Type, Path: op.Path, Shard: plan.route(op.Path)}, CodeOK, nil
-	case txn.OpCreate:
-		if op.Path == znode.Root {
-			return txn.ResolvedOp{}, CodeNodeExists, nil
-		}
-		parentPath := znode.Parent(op.Path)
-		pp := plan.specs[parentPath]
-		if pp == nil || !pp.exists {
-			return txn.ResolvedOp{}, CodeNoNode, nil
-		}
-		if pp.ephOwner != "" {
-			return txn.ResolvedOp{}, CodeNoChildrenEph, nil
-		}
-		finalPath := op.Path
-		if op.Flags&znode.FlagSequential != 0 {
-			finalPath = znode.SequentialName(op.Path, pp.seqCtr)
-		}
-		shard := plan.route(finalPath)
-		if err := plan.acquire(d, ctx, finalPath, shard); err != nil {
-			return txn.ResolvedOp{}, CodeSystemError, err
-		}
-		sp := plan.specs[finalPath]
-		if sp.exists {
-			return txn.ResolvedOp{}, CodeNodeExists, nil
-		}
-		owner := ""
-		if op.Flags&znode.FlagEphemeral != 0 {
-			owner = session
-		}
-		name := znode.Base(finalPath)
-		pp.seqCtr++
-		pp.cversion++
-		pp.children[name] = true
-		sp.exists, sp.version, sp.ephOwner = true, 0, owner
-		sp.children = map[string]bool{}
-		return txn.ResolvedOp{
-			Type: op.Type, Path: finalPath, ParentPath: parentPath, Data: op.Data,
-			Version: 0, Cversion: pp.cversion, EphOwner: owner, ChildAdd: name, Shard: shard,
-		}, CodeOK, nil
-	case txn.OpDelete:
-		if op.Path == znode.Root {
-			return txn.ResolvedOp{}, CodeSystemError, nil
-		}
-		parentPath := znode.Parent(op.Path)
-		pp := plan.specs[parentPath]
-		sp := plan.specs[op.Path]
-		if sp == nil || !sp.exists {
-			return txn.ResolvedOp{}, CodeNoNode, nil
-		}
-		if op.Version != -1 && op.Version != sp.version {
-			return txn.ResolvedOp{}, CodeBadVersion, nil
-		}
-		if sp.childCount() > 0 {
-			return txn.ResolvedOp{}, CodeNotEmpty, nil
-		}
-		name := znode.Base(op.Path)
-		if pp == nil || !pp.exists || !pp.children[name] {
-			return txn.ResolvedOp{}, CodeSystemError, nil
-		}
-		owner := sp.ephOwner
-		sp.exists = false
-		pp.cversion++
-		pp.children[name] = false
-		return txn.ResolvedOp{
-			Type: op.Type, Path: op.Path, ParentPath: parentPath,
-			Cversion: pp.cversion, EphOwner: owner, ChildDel: name, Shard: plan.route(op.Path),
-		}, CodeOK, nil
+	code := OpCode(op.Type)
+	if c := checkPath(code, op.Path); c != CodeOK {
+		return txn.ResolvedOp{}, c, nil
 	}
-	return txn.ResolvedOp{}, CodeSystemError, nil
+	path, parentPath := op.Path, ""
+	parent := &sysNode{} // stays empty for an op that splices none
+	if splicesParent(code) {
+		parentPath = znode.Parent(path)
+		parent = plan.specs[parentPath]
+		if c := checkParent(code, *parent); c != CodeOK {
+			return txn.ResolvedOp{}, c, nil
+		}
+		if code == OpCreate && op.Flags&znode.FlagSequential != 0 {
+			path = znode.SequentialName(path, parent.SeqCtr)
+		}
+	}
+	// Only a sequential create's resolved path is not locked yet.
+	shard := plan.route(path)
+	if err := plan.acquire(d, ctx, path, shard); err != nil {
+		return txn.ResolvedOp{}, CodeSystemError, err
+	}
+	node := plan.specs[path]
+	if c := checkNode(code, path, op.Version, *node, *parent); c != CodeOK {
+		return txn.ResolvedOp{}, c, nil
+	}
+	rop := txn.ResolvedOp{Type: op.Type, Path: path, ParentPath: parentPath, Shard: shard}
+	name := znode.Base(path)
+	switch code {
+	case OpSetData:
+		node.Version++
+		rop.Data, rop.Version, rop.EphOwner = op.Data, node.Version, node.EphOwner
+	case OpCreate:
+		if op.Flags&znode.FlagEphemeral != 0 {
+			rop.EphOwner = session
+		}
+		parent.SeqCtr++
+		parent.Cversion++
+		parent.Children = append(parent.Children, name)
+		*node = sysNode{Exists: true, EphOwner: rop.EphOwner, SeqCtr: node.SeqCtr}
+		rop.Data, rop.Cversion, rop.ChildAdd = op.Data, parent.Cversion, name
+	case OpDelete:
+		node.Exists = false
+		parent.Cversion++
+		parent.Children = removeString(parent.Children, name)
+		rop.Cversion, rop.EphOwner, rop.ChildDel = parent.Cversion, node.EphOwner, name
+	}
+	return rop, CodeOK, nil
 }
 
 // multiUpdates rebuilds every touched item's system-store updates for a
-// set of resolved ops committing at txid: per-op updates in op order, one
-// pending append per target node (even when several sub-ops touch it).
-// touched lists every item including check-only ones (which get no
-// updates); targets are the nodes whose pending list carries the
-// transaction. skipRoot omits the shared root item — in a cross-shard
-// commit its updates are coordinator-owned (txnRootCommit), because ops
-// from several shards may splice it and per-shard conditional commits
-// would double-apply.
-func multiUpdates(ops []txn.ResolvedOp, txid int64, skipRoot bool) (touched []string, ups map[string][]kv.Update, targets []string) {
+// set of resolved ops, each committing at its shard's txid: the table's
+// per-op updates in op order, then one pending append per target node (even
+// when several sub-ops touch it). touched lists every item in first-touch
+// order, including check-only ones (which get no updates).
+func multiUpdates(ops []txn.ResolvedOp, txidOf func(shard int) int64) (touched []string, ups map[string][]kv.Update) {
 	ups = map[string][]kv.Update{}
-	seen := map[string]bool{}
-	isTarget := map[string]bool{}
-	touch := func(p string) bool {
-		if skipRoot && p == znode.Root {
-			return false
-		}
-		if !seen[p] {
-			seen[p] = true
+	targetTxid := map[string]int64{}
+	touch := func(p string, u []kv.Update) {
+		if _, seen := ups[p]; !seen {
 			touched = append(touched, p)
 		}
-		return true
+		ups[p] = append(ups[p], u...)
 	}
 	for _, op := range ops {
-		switch op.Type {
-		case txn.OpCheck:
-			touch(op.Path)
-		case txn.OpCreate:
-			if touch(op.Path) {
-				ups[op.Path] = append(ups[op.Path], createNodeBase(txid, op.EphOwner)...)
-				isTarget[op.Path] = true
-			}
-			if touch(op.ParentPath) {
-				ups[op.ParentPath] = append(ups[op.ParentPath], createParentUpdates(op.ChildAdd, txid)...)
-			}
-		case txn.OpSetData:
-			if touch(op.Path) {
-				ups[op.Path] = append(ups[op.Path],
-					kv.Set{Name: attrVersion, V: kv.N(int64(op.Version))},
-					kv.Set{Name: attrMzxid, V: kv.N(txid)})
-				isTarget[op.Path] = true
-			}
-		case txn.OpDelete:
-			if touch(op.Path) {
-				ups[op.Path] = append(ups[op.Path], deleteNodeBase(txid)...)
-				isTarget[op.Path] = true
-			}
-			if touch(op.ParentPath) {
-				ups[op.ParentPath] = append(ups[op.ParentPath], deleteParentUpdates(op.ChildDel, txid)...)
-			}
+		txid := txidOf(op.Shard)
+		node, parent := commitUpdates(opMsgView(op), txid)
+		touch(op.Path, node)
+		if op.Effectful() {
+			targetTxid[op.Path] = txid
+		}
+		if op.ParentPath != "" {
+			touch(op.ParentPath, parent)
 		}
 	}
-	for _, p := range touched {
-		if isTarget[p] {
-			ups[p] = append(ups[p], kv.ListAppend{Name: attrPending, Vals: []int64{txid}})
-			targets = append(targets, p)
+	for p, txid := range targetTxid {
+		ups[p] = append(ups[p], pendingAppend(txid))
+	}
+	return touched, ups
+}
+
+// locks rebuilds the fast path's timed locks from the message, in
+// acquisition order.
+func (tm txnMsg) locks() []fksync.Lock {
+	locks := make([]fksync.Lock, len(tm.ItemPaths))
+	for i, p := range tm.ItemPaths {
+		locks[i].Key = nodeKey(p)
+		if i < len(tm.LockTs) {
+			locks[i].Timestamp = tm.LockTs[i]
 		}
 	}
-	return touched, ups, targets
+	return locks
+}
+
+// multiParts is step ④ of a fast-path multi() message committing at txid:
+// every touched node and parent, each under its own lock. The coordinator
+// and a leader acting for a dead one both commit exactly these.
+func multiParts(tm txnMsg, txid int64) []fksync.TxPart {
+	_, ups := multiUpdates(tm.Ops, func(int) int64 { return txid })
+	parts := make([]fksync.TxPart, len(tm.ItemPaths))
+	for i, l := range tm.locks() {
+		parts[i] = fksync.TxPart{Lock: l, Updates: ups[tm.ItemPaths[i]]}
+	}
+	return parts
 }
 
 // --- shared helpers over resolved op lists ---
@@ -513,21 +435,6 @@ func staticPaths(ops []txn.Op) []string {
 	return out
 }
 
-// opMsgView adapts one resolved sub-op to the leaderMsg shape the watch
-// query understands.
-func opMsgView(op txn.ResolvedOp) leaderMsg {
-	m := leaderMsg{Path: op.Path, ParentPath: op.ParentPath}
-	switch op.Type {
-	case txn.OpCreate:
-		m.Op = OpCreate
-	case txn.OpDelete:
-		m.Op = OpDelete
-	default:
-		m.Op = OpSetData
-	}
-	return m
-}
-
 // txnCommitCond guards every per-item commit write: the intent must still
 // be ours and the commit mark not yet set, making coordinator and leader
 // replays race-safe and idempotent.
@@ -550,20 +457,16 @@ func (d *Deployment) clearTxnMarks(ctx cloud.Ctx, id int64, paths []string) {
 }
 
 // applyEphRecords updates the session records' ephemeral lists after a
-// commit (outside the atomic transaction, like the single-op pipeline: a
-// stale entry is harmless, deletes are idempotent).
+// cross-shard commit, from the durable record's resolved ops (outside the
+// atomic transaction: a stale entry is harmless, deletes are idempotent).
 func (d *Deployment) applyEphRecords(ctx cloud.Ctx, resolved []txn.ResolvedOp) {
 	for _, op := range resolved {
-		if op.EphOwner == "" {
-			continue
-		}
-		switch op.Type {
-		case txn.OpCreate:
-			_, _ = d.System.Update(ctx, sessionKey(op.EphOwner),
-				[]kv.Update{kv.StrListAppend{Name: attrSessionEph, Vals: []string{op.Path}}}, nil)
-		case txn.OpDelete:
-			_, _ = d.System.Update(ctx, sessionKey(op.EphOwner),
-				[]kv.Update{kv.StrListRemove{Name: attrSessionEph, Vals: []string{op.Path}}}, nil)
+		switch {
+		case op.EphOwner == "":
+		case op.Type == txn.OpCreate:
+			_ = d.recordEphemeral(ctx, op.EphOwner, op.Path)
+		case op.Type == txn.OpDelete:
+			d.forgetEphemeral(ctx, op.EphOwner, op.Path)
 		}
 	}
 }
@@ -798,13 +701,13 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		return d.multiTwoPhase(ctx, req, reqOps)
 	}
 	shard := shards[0]
+	tm := txnMsg{
+		Ops: plan.resolved, ItemPaths: plan.order, LockTs: plan.lockTs(),
+		traceID: obs.TraceOf(req.Session, req.Seq),
+	}
 	msg := leaderMsg{
 		Session: req.Session, Seq: req.Seq, Op: OpMulti, Shard: shard,
-		Path: anchorPath(plan.resolved, shard),
-		NodeBlob: txnMsg{
-			Ops: plan.resolved, ItemPaths: plan.order, LockTs: plan.lockTs(),
-			traceID: obs.TraceOf(req.Session, req.Seq),
-		}.encode(),
+		Path: anchorPath(plan.resolved, shard), NodeBlob: tm.encode(),
 	}
 	if plan.mv != nil {
 		// Route with the plan's snapshot, not the live view: the commit
@@ -812,42 +715,33 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		// planning and pushing cannot desynchronize message and guard.
 		dynStamp(&msg, plan.mv)
 	}
-	r, err := d.pushToShard(ctx, msg)
-	if err != nil {
-		plan.unlock(d, ctx)
-		code := CodeSystemError
-		if errors.Is(err, errMsgTooLarge) {
-			code = CodeTooLarge
+	// Ephemeral creates go on their session records before the push, for
+	// a single create's reason (recordEphemeral).
+	for _, op := range plan.resolved {
+		if op.Type == txn.OpCreate && op.EphOwner != "" {
+			if err := d.recordEphemeral(ctx, op.EphOwner, op.Path); err != nil {
+				plan.unlock(d, ctx)
+				d.respondFailure(req, CodeSystemError)
+				return nil
+			}
 		}
-		d.respondFailure(req, code)
-		return nil
 	}
-	txid := r.txid
-	if d.crashAt(obs.StageTxnPrep, req.Session, req.Seq) {
-		return errInjectedCrash
-	}
-	// ④ One multi-item commit: every touched node and parent fails or
-	// succeeds together, and the pending appends hand the transaction to
-	// the shard's serialized leader.
-	_, ups, _ := multiUpdates(plan.resolved, txid, false)
-	parts := make([]fksync.TxPart, 0, len(plan.order))
-	for _, p := range plan.order {
-		parts = append(parts, fksync.TxPart{Lock: plan.items[p].lock, Updates: ups[p]})
-	}
-	t0 := d.K.Now()
-	sp := d.reqSpan(req, obs.SpanFollowerCommit, r.shard)
-	err = d.Locks.CommitUnlockTxGuard(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), parts, d.dynGuard(r.shard, r.gen))
-	d.spanEnd(sp)
-	d.recordPhase("follower.commit", d.K.Now()-t0)
-	if err != nil {
-		if d.staleRoutedCommit(ctx, r.shard, r.gen) {
-			plan.unlock(d, ctx)
-			return errStaleRoute
+	// ③–④ One message, one multi-item commit: every touched node and
+	// parent fails or succeeds together, and the pending appends hand the
+	// transaction to the shard's serialized leader.
+	_, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageTxnPrep, tm.locks(),
+		func(ctx cloud.Ctx, txid int64, guard []kv.TxOp) error {
+			return d.Locks.CommitUnlockTxGuard(ctx, multiParts(tm, txid), guard)
+		})
+	if committed {
+		for _, op := range plan.resolved {
+			// A path the same multi() created again keeps its entry.
+			if op.Type == txn.OpDelete && op.EphOwner != "" && !plan.specs[op.Path].Exists {
+				d.forgetEphemeral(ctx, op.EphOwner, op.Path)
+			}
 		}
-		return nil // lease lost: the leader's replay may still recover it
 	}
-	d.applyEphRecords(ctx, plan.resolved)
-	return nil
+	return err
 }
 
 // multiTwoPhase is the cross-shard coordinator: prepare (intents + votes),
@@ -1025,36 +919,19 @@ func (d *Deployment) txnCommitDrive(ctx cloud.Ctx, req Request, id int64, resolv
 }
 
 // txnRootCommit applies the transaction's merged updates to the shared
-// root item in one idempotent conditional write (see multiUpdates'
-// skipRoot). Includes the root's pending append when the root itself is a
-// target, so its shard's leader finds the transaction at the head.
+// root item in one idempotent conditional write: they are coordinator-owned
+// in a cross-shard commit, because ops from several shards may splice the
+// root and per-shard conditional commits would double-apply. Includes the
+// root's pending append when the root itself is a target, so its shard's
+// leader finds the transaction at the head.
 func (d *Deployment) txnRootCommit(ctx cloud.Ctx, id int64, resolved []txn.ResolvedOp, commits map[int]int64) {
-	var ups []kv.Update
-	rootTarget := false
-	var rootTxid int64
-	for _, op := range resolved {
-		txid := commits[op.Shard]
-		switch {
-		case op.Type == txn.OpSetData && op.Path == znode.Root:
-			ups = append(ups,
-				kv.Set{Name: attrVersion, V: kv.N(int64(op.Version))},
-				kv.Set{Name: attrMzxid, V: kv.N(txid)})
-			rootTarget = true
-			rootTxid = txid
-		case op.Type == txn.OpCreate && op.ParentPath == znode.Root:
-			ups = append(ups, createParentUpdates(op.ChildAdd, txid)...)
-		case op.Type == txn.OpDelete && op.ParentPath == znode.Root:
-			ups = append(ups, deleteParentUpdates(op.ChildDel, txid)...)
-		}
-	}
-	if len(ups) == 0 {
+	_, ups := multiUpdates(resolved, func(s int) int64 { return commits[s] })
+	root := ups[znode.Root]
+	if len(root) == 0 {
 		return
 	}
-	if rootTarget {
-		ups = append(ups, kv.ListAppend{Name: attrPending, Vals: []int64{rootTxid}})
-	}
-	ups = append(ups, kv.Set{Name: attrTxnCommitMark, V: kv.N(id)})
-	_, _ = d.System.Update(ctx, nodeKey(znode.Root), ups, txnCommitCond(id))
+	root = append(root, kv.Set{Name: attrTxnCommitMark, V: kv.N(id)})
+	_, _ = d.System.Update(ctx, nodeKey(znode.Root), root, txnCommitCond(id))
 }
 
 // txnSysCommit applies one shard's system-store commit in a single
@@ -1062,14 +939,17 @@ func (d *Deployment) txnRootCommit(ctx cloud.Ctx, id int64, resolved []txn.Resol
 // A failed condition (false) means the racing replica — coordinator or
 // leader replay, whichever lost — already applied it.
 func (d *Deployment) txnSysCommit(ctx cloud.Ctx, id int64, ops []txn.ResolvedOp, txid int64) bool {
-	touched, ups, _ := multiUpdates(ops, txid, true)
-	if len(touched) == 0 {
-		return false
-	}
+	touched, ups := multiUpdates(ops, func(int) int64 { return txid })
 	txops := make([]kv.TxOp, 0, len(touched))
 	for _, p := range touched {
+		if p == znode.Root {
+			continue // coordinator-owned: txnRootCommit
+		}
 		u := append(append([]kv.Update{}, ups[p]...), kv.Set{Name: attrTxnCommitMark, V: kv.N(id)})
 		txops = append(txops, kv.TxOp{Key: nodeKey(p), Updates: u, Cond: txnCommitCond(id)})
+	}
+	if len(txops) == 0 {
+		return false
 	}
 	return d.System.Transact(ctx, txops) == nil
 }
@@ -1203,24 +1083,7 @@ func (d *Deployment) tryCommitTxn(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int6
 	if op == OpTxnCommit {
 		return d.txnSysCommit(ctx, tm.ID, tm.Ops, txid)
 	}
-	// Fast path: rebuild the coordinator's multi-item CommitUnlockTx.
-	_, ups, _ := multiUpdates(tm.Ops, txid, false)
-	ts := map[string]int64{}
-	for i, p := range tm.ItemPaths {
-		if i < len(tm.LockTs) {
-			ts[p] = tm.LockTs[i]
-		}
-	}
-	txops := make([]kv.TxOp, 0, len(tm.ItemPaths))
-	for _, p := range tm.ItemPaths {
-		u := append(append([]kv.Update{}, ups[p]...), kv.Remove{Name: fksync.LockAttr})
-		txops = append(txops, kv.TxOp{
-			Key: nodeKey(p), Updates: u,
-			Cond: kv.Eq{Name: fksync.LockAttr, V: kv.N(ts[p])},
-		})
-	}
-	txops = append(txops, d.dynGuard(shard, gen)...)
-	return d.System.Transact(ctx, txops) == nil
+	return d.Locks.CommitUnlockTxGuard(ctx, multiParts(tm, txid), d.dynGuard(shard, gen)) == nil
 }
 
 // claimTxnWatches claims the watches of every effectful op of a
