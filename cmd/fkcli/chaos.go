@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"faaskeeper/internal/chaos"
@@ -12,7 +13,7 @@ import (
 // fault schedule or the fault-free control arm. Prints a verdict line
 // per run and, on a violation, the invariant details plus the
 // deterministic replay command. Returns the process exit code.
-func runChaosMode(args []string, seed int64, faults string, quick bool) int {
+func runChaosMode(out io.Writer, args []string, seed int64, faults string, quick bool) int {
 	var sched chaos.Faults
 	switch faults {
 	case "off":
@@ -43,15 +44,15 @@ func runChaosMode(args []string, seed int64, faults string, quick bool) int {
 		}
 		if res.Failed() {
 			failed++
-			fmt.Printf("chaos %-8s seed=%d faults=%s: %d VIOLATIONS (%d events, %d faults, vtime %s)\n",
+			fmt.Fprintf(out, "chaos %-8s seed=%d faults=%s: %d VIOLATIONS (%d events, %d faults, vtime %s)\n",
 				config, seed, faults, len(res.Violations), res.History.Len(), injected, res.VirtualTime)
 			for _, v := range res.Violations {
-				fmt.Printf("  %s\n", v)
+				fmt.Fprintf(out, "  %s\n", v)
 			}
-			fmt.Printf("  replay: %s\n", res.ReplayCmd())
+			fmt.Fprintf(out, "  replay: %s\n", res.ReplayCmd())
 			continue
 		}
-		fmt.Printf("chaos %-8s seed=%d faults=%s: clean (%d events, %d faults, vtime %s)\n",
+		fmt.Fprintf(out, "chaos %-8s seed=%d faults=%s: clean (%d events, %d faults, vtime %s)\n",
 			config, seed, faults, res.History.Len(), injected, res.VirtualTime)
 	}
 	if failed > 0 {

@@ -7,14 +7,14 @@
 //	fkcli create /app hello
 //	fkcli create /app/cfg v1 : get /app/cfg : set /app/cfg v2 : get /app/cfg
 //	fkcli -gcp -store hybrid create /x data : ls /
-//	fkcli -txn -shards 4 multi check /a 0 ";" set /a v2 ";" create /b x
+//	fkcli -shards 4 multi check /a 0 ";" set /a v2 ";" create /b x
 //	fkcli -dynamic -shards 2 create /hot x : reshard split /hot 4 : reshard map
 //
 // Commands (separated by ":"): create PATH [DATA] [eph] [seq],
 // get PATH, set PATH DATA, del PATH, ls PATH, stat PATH, watch PATH,
 // multi SUBOP [";" SUBOP]... — sub-ops (separated by ";") are
 // create PATH [DATA] [eph] [seq], set PATH DATA [VERSION],
-// del PATH [VERSION], check PATH [VERSION]; requires -txn.
+// del PATH [VERSION], check PATH [VERSION].
 // reshard map | grow N | shrink N | split PREFIX WAYS | merge PREFIX
 // drives the live shard map; requires -dynamic.
 // trace dumps the per-request span log recorded so far; requires -trace.
@@ -39,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -48,33 +49,41 @@ import (
 	"faaskeeper/internal/obs"
 )
 
-func main() {
-	gcp := flag.Bool("gcp", false, "deploy the GCP profile")
-	store := flag.String("store", "object", "user store: object|kv|hybrid|mem")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 1, "leader write shards (1 = paper-faithful)")
-	txnOn := flag.Bool("txn", false, "enable multi() transactions")
-	dynamic := flag.Bool("dynamic", false, "enable the live shard map (reshard command)")
-	traceFile := flag.String("trace", "", "enable telemetry and write a Chrome trace-event file on exit")
-	metricsFile := flag.String("metrics", "", "enable cost accounting and write a Prometheus-text registry snapshot on exit")
-	faults := flag.String("faults", "default", "chaos mode fault schedule: off|default")
-	quick := flag.Bool("quick", false, "chaos mode: smaller workload per scenario")
-	watchers := flag.Int("watchers", 0, "run the watch fan-out experiment with N persistent watchers and exit")
-	flag.Parse()
-	args := flag.Args()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole program: it parses args, drives one scripted session
+// (or the chaos / watch fan-out mode), prints everything to out and
+// returns the exit code.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("fkcli", flag.ContinueOnError)
+	fs.SetOutput(out)
+	gcp := fs.Bool("gcp", false, "deploy the GCP profile")
+	store := fs.String("store", "object", "user store: object|kv|hybrid|mem")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	shards := fs.Int("shards", 1, "leader write shards (1 = paper-faithful)")
+	dynamic := fs.Bool("dynamic", false, "enable the live shard map (reshard command)")
+	traceFile := fs.String("trace", "", "enable telemetry and write a Chrome trace-event file on exit")
+	metricsFile := fs.String("metrics", "", "enable cost accounting and write a Prometheus-text registry snapshot on exit")
+	faults := fs.String("faults", "default", "chaos mode fault schedule: off|default")
+	quick := fs.Bool("quick", false, "chaos mode: smaller workload per scenario")
+	watchers := fs.Int("watchers", 0, "run the watch fan-out experiment with N persistent watchers and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	args = fs.Args()
 	if *watchers > 0 {
-		fmt.Print(experiments.RunWatchFanoutAt(*seed, *watchers).Render())
-		return
+		fmt.Fprint(out, experiments.RunWatchFanoutAt(*seed, *watchers).Render())
+		return 0
 	}
 	if len(args) == 0 {
-		fmt.Println("usage: fkcli [flags] CMD ARGS [: CMD ARGS]...")
-		fmt.Println("       fkcli [-seed N] [-faults off|default] [-quick] chaos [CONFIG]")
-		fmt.Println("       fkcli [-seed N] -watchers N")
-		flag.PrintDefaults()
-		os.Exit(2)
+		fmt.Fprintln(out, "usage: fkcli [flags] CMD ARGS [: CMD ARGS]...")
+		fmt.Fprintln(out, "       fkcli [-seed N] [-faults off|default] [-quick] chaos [CONFIG]")
+		fmt.Fprintln(out, "       fkcli [-seed N] -watchers N")
+		fs.PrintDefaults()
+		return 2
 	}
 	if args[0] == "chaos" {
-		os.Exit(runChaosMode(args[1:], *seed, *faults, *quick))
+		return runChaosMode(out, args[1:], *seed, *faults, *quick)
 	}
 
 	var cmds [][]string
@@ -93,28 +102,34 @@ func main() {
 		cmds = append(cmds, cur)
 	}
 
-	s := faaskeeper.NewSimulation(*seed)
-	d := s.DeployFaaSKeeper(faaskeeper.DeploymentOptions{
-		GCP:            *gcp,
+	opts := faaskeeper.DeploymentOptions{
 		UserStore:      faaskeeper.StoreKind(*store),
 		WriteShards:    *shards,
-		EnableTxn:      *txnOn,
 		DynamicShards:  *dynamic,
 		Telemetry:      *traceFile != "",
 		CostAccounting: *metricsFile != "",
-	})
+	}
+	if err := opts.UserStore.Validate(); err != nil {
+		fmt.Fprintln(out, "fkcli:", err)
+		return 2
+	}
+	if *gcp {
+		opts.Profile = faaskeeper.GCPProfile()
+	}
+	s := faaskeeper.NewSimulation(*seed)
+	d := s.DeployFaaSKeeper(opts)
 	exit := 0
 	s.Go(func() {
 		c, err := d.Connect("fkcli")
 		if err != nil {
-			fmt.Println("connect:", err)
+			fmt.Fprintln(out, "connect:", err)
 			exit = 1
 			return
 		}
 		defer c.Close()
 		for _, cmd := range cmds {
-			if err := run(s, d, c, cmd); err != nil {
-				fmt.Printf("%s: %v\n", strings.Join(cmd, " "), err)
+			if err := runCmd(out, d, c, cmd); err != nil {
+				fmt.Fprintf(out, "%s: %v\n", strings.Join(cmd, " "), err)
 				exit = 1
 			}
 		}
@@ -123,23 +138,23 @@ func main() {
 	s.Run()
 	s.Shutdown()
 	if *traceFile != "" {
-		if err := writeTrace(d, *traceFile); err != nil {
-			fmt.Println("trace:", err)
+		if err := writeTrace(out, d, *traceFile); err != nil {
+			fmt.Fprintln(out, "trace:", err)
 			exit = 1
 		}
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(d, *metricsFile); err != nil {
-			fmt.Println("metrics:", err)
+		if err := writeMetrics(out, d, *metricsFile); err != nil {
+			fmt.Fprintln(out, "metrics:", err)
 			exit = 1
 		}
 	}
-	fmt.Printf("-- virtual time: %v, total cost: $%.6f --\n", s.Now(), d.TotalCost())
-	os.Exit(exit)
+	fmt.Fprintf(out, "-- virtual time: %v, total cost: $%.6f --\n", s.Now(), d.TotalCost())
+	return exit
 }
 
 // writeTrace exports every recorded span as a Chrome trace-event file.
-func writeTrace(d *faaskeeper.Deployment, path string) error {
+func writeTrace(out io.Writer, d *faaskeeper.Deployment, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -149,13 +164,13 @@ func writeTrace(d *faaskeeper.Deployment, path string) error {
 	if err := obs.WriteChromeTrace(f, spans); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d spans to %s\n", len(spans), path)
+	fmt.Fprintf(out, "wrote %d spans to %s\n", len(spans), path)
 	return nil
 }
 
 // writeMetrics dumps the registry — gauges, counters, and histogram
 // summaries, cost cells included — as Prometheus text.
-func writeMetrics(d *faaskeeper.Deployment, path string) error {
+func writeMetrics(out io.Writer, d *faaskeeper.Deployment, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -164,25 +179,25 @@ func writeMetrics(d *faaskeeper.Deployment, path string) error {
 	if err := obs.WritePrometheus(f, d.Obs().Metrics); err != nil {
 		return err
 	}
-	fmt.Printf("wrote metrics snapshot to %s\n", path)
+	fmt.Fprintf(out, "wrote metrics snapshot to %s\n", path)
 	return nil
 }
 
-func run(s *faaskeeper.Simulation, d *faaskeeper.Deployment, c *faaskeeper.Client, cmd []string) error {
+func runCmd(out io.Writer, d *faaskeeper.Deployment, c *faaskeeper.Client, cmd []string) error {
 	if cmd[0] == "reshard" {
-		return runReshard(d, cmd[1:])
+		return runReshard(out, d, cmd[1:])
 	}
 	if cmd[0] == "trace" {
 		if !d.Obs().Tracer.Enabled() {
 			return fmt.Errorf("telemetry is off; run with -trace FILE")
 		}
-		return obs.WriteSpanLog(os.Stdout, d.Obs().Tracer.Spans())
+		return obs.WriteSpanLog(out, d.Obs().Tracer.Spans())
 	}
 	if len(cmd) < 2 {
 		return fmt.Errorf("need a path")
 	}
 	if cmd[0] == "multi" {
-		return runMulti(c, cmd[1:])
+		return runMulti(out, c, cmd[1:])
 	}
 	op, path := cmd[0], cmd[1]
 	switch op {
@@ -203,13 +218,13 @@ func run(s *faaskeeper.Simulation, d *faaskeeper.Deployment, c *faaskeeper.Clien
 		if err != nil {
 			return err
 		}
-		fmt.Printf("created %s\n", name)
+		fmt.Fprintf(out, "created %s\n", name)
 	case "get":
 		data, stat, err := c.GetData(path)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s = %q (version %d, mzxid %d)\n", path, data, stat.Version, stat.Mzxid)
+		fmt.Fprintf(out, "%s = %q (version %d, mzxid %d)\n", path, data, stat.Version, stat.Mzxid)
 	case "set":
 		if len(cmd) < 3 {
 			return fmt.Errorf("set needs data")
@@ -218,36 +233,36 @@ func run(s *faaskeeper.Simulation, d *faaskeeper.Deployment, c *faaskeeper.Clien
 		if err != nil {
 			return err
 		}
-		fmt.Printf("set %s (version %d)\n", path, stat.Version)
+		fmt.Fprintf(out, "set %s (version %d)\n", path, stat.Version)
 	case "del":
 		if err := c.Delete(path, -1); err != nil {
 			return err
 		}
-		fmt.Printf("deleted %s\n", path)
+		fmt.Fprintf(out, "deleted %s\n", path)
 	case "ls":
 		kids, err := c.GetChildren(path)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s children: %v\n", path, kids)
+		fmt.Fprintf(out, "%s children: %v\n", path, kids)
 	case "stat":
 		st, err := c.Exists(path)
 		if err != nil {
 			return err
 		}
 		if st == nil {
-			fmt.Printf("%s does not exist\n", path)
+			fmt.Fprintf(out, "%s does not exist\n", path)
 		} else {
-			fmt.Printf("%s: %+v\n", path, *st)
+			fmt.Fprintf(out, "%s: %+v\n", path, *st)
 		}
 	case "watch":
 		_, _, err := c.GetDataW(path, func(n faaskeeper.Notification) {
-			fmt.Printf("watch fired: %s %s (txid %d)\n", n.Event, n.Path, n.Txid)
+			fmt.Fprintf(out, "watch fired: %s %s (txid %d)\n", n.Event, n.Path, n.Txid)
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("watching %s\n", path)
+		fmt.Fprintf(out, "watching %s\n", path)
 	default:
 		return fmt.Errorf("unknown command %q", op)
 	}
@@ -256,7 +271,7 @@ func run(s *faaskeeper.Simulation, d *faaskeeper.Deployment, c *faaskeeper.Clien
 
 // runReshard drives the live shard map: reshard map | grow N | shrink N |
 // split PREFIX WAYS | merge PREFIX. Requires -dynamic.
-func runReshard(d *faaskeeper.Deployment, args []string) error {
+func runReshard(out io.Writer, d *faaskeeper.Deployment, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("reshard needs a sub-command: map|grow|shrink|split|merge")
 	}
@@ -272,7 +287,7 @@ func runReshard(d *faaskeeper.Deployment, args []string) error {
 	}
 	switch args[0] {
 	case "map":
-		fmt.Println(d.ShardMapInfo())
+		fmt.Fprintln(out, d.ShardMapInfo())
 		return nil
 	case "grow":
 		n, err := intArg(1)
@@ -282,7 +297,7 @@ func runReshard(d *faaskeeper.Deployment, args []string) error {
 		if err := d.GrowShards(n); err != nil {
 			return err
 		}
-		fmt.Printf("grew to %d shard queues\n%s\n", n, d.ShardMapInfo())
+		fmt.Fprintf(out, "grew to %d shard queues\n%s\n", n, d.ShardMapInfo())
 		return nil
 	case "shrink":
 		n, err := intArg(1)
@@ -292,7 +307,7 @@ func runReshard(d *faaskeeper.Deployment, args []string) error {
 		if err := d.ShrinkShards(n); err != nil {
 			return err
 		}
-		fmt.Printf("shrank to %d shard queues\n%s\n", n, d.ShardMapInfo())
+		fmt.Fprintf(out, "shrank to %d shard queues\n%s\n", n, d.ShardMapInfo())
 		return nil
 	case "split":
 		if len(args) < 2 {
@@ -305,7 +320,7 @@ func runReshard(d *faaskeeper.Deployment, args []string) error {
 		if err := d.SplitSubtree(args[1], ways); err != nil {
 			return err
 		}
-		fmt.Printf("split %s over %d queues\n%s\n", args[1], ways, d.ShardMapInfo())
+		fmt.Fprintf(out, "split %s over %d queues\n%s\n", args[1], ways, d.ShardMapInfo())
 		return nil
 	case "merge":
 		if len(args) < 2 {
@@ -314,7 +329,7 @@ func runReshard(d *faaskeeper.Deployment, args []string) error {
 		if err := d.MergeSubtree(args[1]); err != nil {
 			return err
 		}
-		fmt.Printf("merged %s\n%s\n", args[1], d.ShardMapInfo())
+		fmt.Fprintf(out, "merged %s\n%s\n", args[1], d.ShardMapInfo())
 		return nil
 	}
 	return fmt.Errorf("unknown reshard sub-command %q", args[0])
@@ -322,7 +337,7 @@ func runReshard(d *faaskeeper.Deployment, args []string) error {
 
 // runMulti parses ";"-separated sub-ops and submits them as one atomic
 // transaction, printing each sub-op's outcome.
-func runMulti(c *faaskeeper.Client, args []string) error {
+func runMulti(out io.Writer, c *faaskeeper.Client, args []string) error {
 	var ops []faaskeeper.MultiOp
 	var cur []string
 	flush := func() error {
@@ -356,17 +371,17 @@ func runMulti(c *faaskeeper.Client, args []string) error {
 	for i, r := range results {
 		switch {
 		case r.Code == "ok" && r.Txid != 0:
-			fmt.Printf("  [%d] %s %s ok (txid %d, version %d)\n", i, r.Type, r.Path, r.Txid, r.Stat.Version)
+			fmt.Fprintf(out, "  [%d] %s %s ok (txid %d, version %d)\n", i, r.Type, r.Path, r.Txid, r.Stat.Version)
 		case r.Code == "ok":
-			fmt.Printf("  [%d] %s %s ok\n", i, r.Type, r.Path)
+			fmt.Fprintf(out, "  [%d] %s %s ok\n", i, r.Type, r.Path)
 		default:
-			fmt.Printf("  [%d] %s %s FAILED: %s\n", i, r.Type, r.Path, r.Code)
+			fmt.Fprintf(out, "  [%d] %s %s FAILED: %s\n", i, r.Type, r.Path, r.Code)
 		}
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("multi committed: %d ops\n", len(ops))
+	fmt.Fprintf(out, "multi committed: %d ops\n", len(ops))
 	return nil
 }
 

@@ -45,8 +45,10 @@ type (
 	Flags = znode.Flags
 	// Notification is a watch event delivered to callbacks.
 	Notification = core.Notification
-	// WatchCallback receives one-shot watch events.
+	// WatchCallback receives watch events.
 	WatchCallback = fkclient.WatchCallback
+	// WatchOptions configures Client.AddWatch (DeploymentOptions.WatchFanout).
+	WatchOptions = fkclient.WatchOptions
 )
 
 // Node creation flags.
@@ -57,15 +59,14 @@ const (
 
 // Client-facing errors.
 var (
-	ErrNodeExists  = core.ErrNodeExists
-	ErrNoNode      = core.ErrNoNode
-	ErrBadVersion  = core.ErrBadVersion
-	ErrNotEmpty    = core.ErrNotEmpty
-	ErrTxnAborted  = core.ErrTxnAborted
-	ErrTxnDisabled = core.ErrTxnDisabled
+	ErrNodeExists = core.ErrNodeExists
+	ErrNoNode     = core.ErrNoNode
+	ErrBadVersion = core.ErrBadVersion
+	ErrNotEmpty   = core.ErrNotEmpty
+	ErrTxnAborted = core.ErrTxnAborted
 )
 
-// Transaction types (Client.Multi; requires DeploymentOptions.EnableTxn).
+// Transaction types (Client.Multi).
 type (
 	// MultiOp is one sub-operation of a transaction.
 	MultiOp = txn.Op
@@ -139,109 +140,25 @@ const (
 	CacheTwoLevel = core.CacheTwoLevel // client cache + regional node
 )
 
-// DeploymentOptions configures a FaaSKeeper deployment.
-type DeploymentOptions struct {
-	// GCP deploys the Google Cloud profile instead of AWS.
-	GCP bool
-	// UserStore picks the read path's storage backend (default object
-	// storage, as in the paper's base AWS deployment).
-	UserStore StoreKind
-	// FunctionMemoryMB sizes the follower and leader functions (default 2048).
-	FunctionMemoryMB int
-	// ARM runs the functions on Graviton-like sandboxes.
-	ARM bool
-	// HeartbeatEvery enables the scheduled heartbeat function.
-	HeartbeatEvery time.Duration
-	// ExtraRegions adds user-store replicas updated in parallel.
-	ExtraRegions []string
-	// CollectPhases records per-phase latency samples.
-	CollectPhases bool
-	// WriteShards partitions the leader write pipeline by znode subtree
-	// into N ordered queues with one serialized leader instance each.
-	// Default 1 — the paper-faithful single totally-ordered write path.
-	// See the exp "sharding" experiment for the scaling behavior.
-	WriteShards int
-	// BatchWrites lets one distributor flush fold several queued
-	// messages: user-store writes to the same node fold into the final
-	// state, parents get one child-list read-modify-write per flush, and
-	// cache invalidations coalesce into one record per touched path.
-	// Default false ≡ chunks of one message — the paper's per-message
-	// distribution. See the "batching" experiment for the behavior.
-	BatchWrites bool
-	// MaxBatch caps how many queued messages one distributor flush may
-	// fold (0 = the whole invocation batch). Without BatchWrites it is 1.
-	MaxBatch int
-	// CacheMode deploys the read-path cache tier in front of the user
-	// store: a push-invalidated regional cache node (CacheRegional),
-	// optionally combined with a per-session client cache
-	// (CacheTwoLevel). Default CacheOff — the paper's direct read path.
-	// See the "caching" experiment for the latency/cost behavior.
-	CacheMode CacheMode
-	// CacheCapacityB sizes each regional cache node (default 64 MB).
-	CacheCapacityB int
-	// ClientCacheCapacityB sizes each session's client cache in
-	// CacheTwoLevel mode (default 256 kB).
-	ClientCacheCapacityB int
-	// CacheTTL bounds client-cache staleness (default 5 s).
-	CacheTTL time.Duration
-	// EnableTxn enables ZooKeeper-style multi() transactions: atomic
-	// multi-op commits via Client.Multi, coordinated across sharded
-	// leader pipelines with a two-phase commit where the ops span shards
-	// (single-shard multis take a fast path with no 2PC overhead).
-	// Default false — multi() is rejected and the paper pipeline is
-	// untouched. See the "txn" experiment for commit latency and abort
-	// behavior versus participant-shard count.
-	EnableTxn bool
-	// DynamicShards turns the fixed WriteShards route into a live,
-	// epoch-versioned shard map that can be resharded at runtime —
-	// Deployment.GrowShards/ShrinkShards move consistent-hash slots,
-	// SplitSubtree/MergeSubtree re-route a hot subtree at depth 2 —
-	// without stopping the pipeline. Default false — the static route.
-	// See the "reshard" experiment for the recovery behavior.
-	DynamicShards bool
-	// AutoShard enables the shard auto-scaling policy (implies
-	// DynamicShards): sustained queue depth splits the dominant hot
-	// subtree or grows the shard count; idle splits merge back. Note the
-	// policy monitor runs for the lifetime of the simulation — drive
-	// kernels hosting it with RunFor, like deployments with a heartbeat.
-	AutoShard AutoShard
-	// CacheWarmK prefetches the regional cache node's K hottest entries
-	// into each new session's client cache on connect (CacheTwoLevel
-	// only), removing the first-read miss penalty of short-lived
-	// sessions. Default 0 — cold connects, as in the paper.
-	CacheWarmK int
-	// Telemetry enables the virtual-time observability subsystem
-	// (package obs): a causal span per request covering every pipeline
-	// stage, plus counters/gauges/histograms keyed by component, shard,
-	// and region. Spans are pure bookkeeping — virtual timing and wire
-	// bytes are identical either way — and with Telemetry off (the
-	// default) every instrumentation point is a zero-allocation no-op.
-	// Export via Deployment.Obs: Chrome trace-event JSON
-	// (obs.WriteChromeTrace), a Prometheus-style text dump
-	// (obs.WritePrometheus), or a per-request span log
-	// (obs.WriteSpanLog). See the "telemetry" experiment.
-	Telemetry bool
-	// CostAccounting enables per-request dollar attribution: every
-	// pay-as-you-go charge a request causes is billed to it at the
-	// instant the charge occurs, aggregated into (category, shard,
-	// region) cost cells with $/1M-requests gauges, and — when Telemetry
-	// is also on — folded into each request's spans so per-stage costs
-	// telescope to the exact request total. Default false: every
-	// attribution point is a no-op and virtual timing is untouched. See
-	// the "cost" experiment and Deployment.Obs().Cost.
-	CostAccounting bool
-	// CostBudgetUSDPerHour arms the ledger's burn-rate monitor: spend is
-	// evaluated over tumbling windows of virtual time and a window
-	// exceeding this hourly rate emits a breach gauge and a "cost.breach"
-	// span. 0 disarms (the default). Requires CostAccounting.
-	CostBudgetUSDPerHour float64
-	// CostBudgetWindow is the burn-rate evaluation window (default 1 s of
-	// virtual time).
-	CostBudgetWindow time.Duration
-}
+// DeploymentOptions configures a FaaSKeeper deployment. It is core.Config
+// itself, so every switch the pipeline has is reachable from here and
+// documented once, on its field; README's "Configuration" table lists each
+// with its default, the paper's value and who sets it. The zero value is
+// the paper's base AWS deployment.
+type DeploymentOptions = core.Config
 
 // AutoShard is the shard auto-scaling policy (DeploymentOptions.AutoShard).
 type AutoShard = core.AutoShard
+
+// Provider profiles (DeploymentOptions.Profile; nil deploys AWS) and the
+// Graviton-like sandbox architecture (DeploymentOptions.Arch).
+var (
+	AWSProfile = cloud.AWSProfile
+	GCPProfile = cloud.GCPProfile
+)
+
+// ARM runs the functions on Graviton-like sandboxes.
+const ARM = faas.ARM
 
 // Deployment is a running FaaSKeeper instance.
 type Deployment struct {
@@ -251,40 +168,7 @@ type Deployment struct {
 
 // DeployFaaSKeeper provisions storage, queues, and the four functions.
 func (s *Simulation) DeployFaaSKeeper(opts DeploymentOptions) *Deployment {
-	profile := cloud.AWSProfile()
-	if opts.GCP {
-		profile = cloud.GCPProfile()
-	}
-	cfg := core.Config{
-		Profile:              profile,
-		UserStore:            opts.UserStore,
-		FollowerMemMB:        opts.FunctionMemoryMB,
-		LeaderMemMB:          opts.FunctionMemoryMB,
-		HeartbeatEvery:       opts.HeartbeatEvery,
-		CollectPhases:        opts.CollectPhases,
-		WriteShards:          opts.WriteShards,
-		BatchWrites:          opts.BatchWrites,
-		MaxBatch:             opts.MaxBatch,
-		CacheMode:            opts.CacheMode,
-		CacheCapacityB:       opts.CacheCapacityB,
-		ClientCacheCapacityB: opts.ClientCacheCapacityB,
-		CacheTTL:             opts.CacheTTL,
-		EnableTxn:            opts.EnableTxn,
-		DynamicShards:        opts.DynamicShards,
-		AutoShard:            opts.AutoShard,
-		CacheWarmK:           opts.CacheWarmK,
-		Telemetry:            opts.Telemetry,
-		CostAccounting:       opts.CostAccounting,
-		CostBudgetUSDPerHour: opts.CostBudgetUSDPerHour,
-		CostBudgetWindow:     opts.CostBudgetWindow,
-	}
-	if opts.ARM {
-		cfg.Arch = faas.ARM
-	}
-	for _, r := range opts.ExtraRegions {
-		cfg.ExtraRegions = append(cfg.ExtraRegions, cloud.Region(r))
-	}
-	return &Deployment{sim: s, core: core.NewDeployment(s.k, cfg)}
+	return &Deployment{sim: s, core: core.NewDeployment(s.k, opts)}
 }
 
 // Core exposes the underlying deployment for experiments and inspection.

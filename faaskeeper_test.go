@@ -2,8 +2,11 @@ package faaskeeper
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"faaskeeper/internal/core"
 )
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
@@ -103,4 +106,44 @@ func TestPublicAPISequentialEphemeral(t *testing.T) {
 	})
 	s.Run()
 	s.Shutdown()
+}
+
+// TestDeploymentOptionsIsCoreConfig: the public options are the pipeline's
+// own config, not a hand-copied subset — so a switch the mirror never
+// carried (WatchFanout) is reachable through the public surface.
+func TestDeploymentOptionsIsCoreConfig(t *testing.T) {
+	if got, want := reflect.TypeOf(DeploymentOptions{}), reflect.TypeOf(core.Config{}); got != want {
+		t.Fatalf("DeploymentOptions is %v, want %v itself", got, want)
+	}
+	s := NewSimulation(5)
+	d := s.DeployFaaSKeeper(DeploymentOptions{WatchFanout: true})
+	var events []Notification
+	s.Go(func() {
+		c, err := d.Connect("s1")
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		defer c.Close()
+		if _, err := c.Create("/cfg", []byte("v0"), 0); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if _, err := c.AddWatch("/cfg", WatchOptions{}, func(n Notification) { events = append(events, n) }); err != nil {
+			t.Errorf("AddWatch on DeploymentOptions{WatchFanout: true}: %v", err)
+			return
+		}
+		for _, v := range []string{"v1", "v2"} {
+			if _, err := c.SetData("/cfg", []byte(v), -1); err != nil {
+				t.Errorf("set %s: %v", v, err)
+			}
+		}
+		s.Sleep(5 * time.Second)
+	})
+	s.Run()
+	s.Shutdown()
+	// A persistent watch fires on every change without re-arming.
+	if len(events) != 2 || events[0].Path != "/cfg" || events[1].Txid <= events[0].Txid {
+		t.Errorf("persistent watch delivered %+v, want both sets of /cfg in order", events)
+	}
 }

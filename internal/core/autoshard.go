@@ -11,6 +11,10 @@ import (
 	"faaskeeper/internal/shardmap"
 )
 
+// delayUSDPerItemSec prices one queued item-second of delay: the
+// SLO-violation cost the cost-aware policy weighs against reshard spend.
+const delayUSDPerItemSec = 1e-6
+
 // autoShardAction is one tick's verdict: at most one reshard per tick,
 // and merges are only considered on ticks that did not split.
 type autoShardAction struct {
@@ -29,7 +33,7 @@ type autoShardPolicy struct {
 	idleStreak map[string]int
 
 	// delayPool prices each shard's queueing backlog: every sample adds
-	// depth x Interval x DelayUSDPerItemSec. A split "spends" the hot
+	// depth x Interval x delayUSDPerItemSec. A split "spends" the hot
 	// shard's pool; the pool is the delay cost the split relieves.
 	delayPool map[int]float64
 
@@ -68,7 +72,7 @@ func (p *autoShardPolicy) step(m *shardmap.Map, depth func(int) int64) autoShard
 	act := autoShardAction{splitShard: -1}
 	dt := p.cfg.Interval.Seconds()
 	for s := 0; s < m.Queues; s++ {
-		c := float64(depth(s)) * dt * p.cfg.DelayUSDPerItemSec
+		c := float64(depth(s)) * dt * delayUSDPerItemSec
 		p.delayPool[s] += c
 		if sp, ok := m.SplitFor(s); ok {
 			p.splitPaid[sp.Prefix] += c

@@ -39,33 +39,37 @@ const (
 	FnHeartbeat = "heartbeat"
 )
 
+// Facts of the deployment that no caller varies.
+const (
+	// MaxNodeB caps node data: the paper's AWS limit, from SQS message
+	// sizing (Section 4.4).
+	MaxNodeB = 250 * 1024
+
+	hybridThresholdB = 4096            // hybrid store's KV/object split point
+	watchMemMB       = 512             // watch function memory
+	lockLease        = 2 * time.Second // timed-lock lease
+)
+
 // Config selects the deployment's provider profile, storage backends, and
-// function resources.
+// function resources. It is also the public faaskeeper.DeploymentOptions;
+// README's "Configuration" table lists every field with its default and
+// who sets it.
 type Config struct {
 	Profile   *cloud.Profile // default: cloud.AWSProfile()
 	UserStore StoreKind      // default: StoreObject (the paper's base AWS setup)
-
-	// HybridThresholdB is the KV/object split point (default 4 kB).
-	HybridThresholdB int
 
 	// ExtraRegions adds user-store replicas the leader updates in parallel.
 	ExtraRegions []cloud.Region
 
 	FollowerMemMB  int // default 2048
 	LeaderMemMB    int // default 2048
-	WatchMemMB     int // default 512
 	HeartbeatMemMB int // default 512
 	Arch           faas.Arch
 	VCPU           float64
 
-	LockLease        time.Duration // timed-lock lease (default 2 s)
 	HeartbeatEvery   time.Duration // 0 disables the scheduled function
 	HeartbeatTimeout time.Duration // client reply deadline (default 1.5 s)
 	Retries          int           // event-function retry budget (default 2)
-
-	// MaxNodeB caps node data (default 250 kB, the paper's AWS limit from
-	// SQS message sizing; Section 4.4).
-	MaxNodeB int
 
 	// WriteShards partitions the leader pipeline by znode subtree: N
 	// ordered queues, each with one serialized leader instance and its own
@@ -108,21 +112,6 @@ type Config struct {
 	// fold (0 = the whole invocation batch, itself bounded by the queue
 	// technology's receive limit). Forced to 1 unless BatchWrites.
 	MaxBatch int
-
-	// EnableTxn enables ZooKeeper-style multi() transactions (package
-	// txn): single-shard multis take a fast path through the leader
-	// commit phase (one leader message, one multi-item system-store
-	// transaction), and multis spanning shards run a two-phase commit
-	// across the per-shard leader pipelines — prepare places intent locks
-	// on the touched node items and votes through a storage-backed
-	// barrier, a durable transaction record makes the decision
-	// recoverable by queue redelivery, and the commit applies every
-	// user-store write of the transaction in one atomic batch where the
-	// backend supports it. Default false — multi() is rejected and no
-	// transaction state ever touches the paper-faithful pipeline (the
-	// golden trace stays byte-identical even with EnableTxn on, as long
-	// as no multi() is issued).
-	EnableTxn bool
 
 	// CacheMode enables the read-path cache tier (package cache): a
 	// shared regional cache node fronting each region's user store,
@@ -178,13 +167,11 @@ type Config struct {
 	// bench presets still set it; nothing reads it after validation.
 	WireCodec string
 
-	// CollectPhases enables per-phase latency sampling (Figures 9-12,
-	// Table 3).
-	CollectPhases bool
-
 	// Telemetry enables the virtual-time telemetry subsystem (package
 	// obs): causal per-request span trees across the whole pipeline and
-	// hot-path counters/histograms in the metrics registry. Trace ids are
+	// hot-path counters/histograms in the metrics registry — among them
+	// the per-phase latencies of Figures 9-12 and Table 3
+	// (Deployment.Phase). Trace ids are
 	// derived from (Session, Seq) and always written, so message sizes —
 	// and therefore the golden virtual-time trace — do not depend on this
 	// flag, and with Telemetry off every instrumentation point is a
@@ -234,7 +221,7 @@ type AutoShard struct {
 
 	// CostAware replaces the raw depth thresholds with an economic
 	// objective: each sample accrues queue-delay cost
-	// (depth × Interval × DelayUSDPerItemSec) into a per-shard pool, a
+	// (depth × Interval × delayUSDPerItemSec) into a per-shard pool, a
 	// split is taken only once the hot shard's accumulated delay cost has
 	// paid for the estimated costmodel.ReshardCost of performing it, and
 	// an idle split is merged back only once the delay cost it absorbed
@@ -242,11 +229,6 @@ type AutoShard struct {
 	// never earned its keep is kept (merging would spend reshard dollars
 	// to save nothing, and a re-split would spend them again).
 	CostAware bool
-
-	// DelayUSDPerItemSec prices one queued item-second of delay (the
-	// SLO-violation cost the policy weighs against reshard spend;
-	// default $1e-6 per item-second).
-	DelayUSDPerItemSec float64
 }
 
 func (a *AutoShard) defaults() {
@@ -268,9 +250,6 @@ func (a *AutoShard) defaults() {
 	if a.MaxShards > shardmap.MaxShards {
 		a.MaxShards = shardmap.MaxShards
 	}
-	if a.DelayUSDPerItemSec <= 0 {
-		a.DelayUSDPerItemSec = 1e-6
-	}
 }
 
 func (c *Config) defaults() {
@@ -280,8 +259,9 @@ func (c *Config) defaults() {
 	if c.UserStore == "" {
 		c.UserStore = StoreObject
 	}
-	if c.HybridThresholdB <= 0 {
-		c.HybridThresholdB = 4096
+	if err := c.UserStore.Validate(); err != nil {
+		// A typo must not silently deploy (and measure) the object store.
+		panic("core: " + err.Error())
 	}
 	if c.FollowerMemMB <= 0 {
 		c.FollowerMemMB = 2048
@@ -289,23 +269,14 @@ func (c *Config) defaults() {
 	if c.LeaderMemMB <= 0 {
 		c.LeaderMemMB = 2048
 	}
-	if c.WatchMemMB <= 0 {
-		c.WatchMemMB = 512
-	}
 	if c.HeartbeatMemMB <= 0 {
 		c.HeartbeatMemMB = 512
-	}
-	if c.LockLease <= 0 {
-		c.LockLease = 2 * time.Second
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 1500 * time.Millisecond
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.MaxNodeB <= 0 {
-		c.MaxNodeB = 250 * 1024
 	}
 	if c.WriteShards <= 0 {
 		c.WriteShards = 1
@@ -366,8 +337,8 @@ type Deployment struct {
 	Stores []UserStore // [0] is the home-region primary
 
 	// Txns manages the durable transaction records of multi()
-	// coordinators (package txn). Always non-nil; unused — and therefore
-	// costless — unless Cfg.EnableTxn.
+	// coordinators (package txn). Always non-nil; it touches the system
+	// store only when a multi() runs or a reshard checks for live ones.
 	Txns *txn.Store
 
 	// Obs is the telemetry hub: the request tracer and the component
@@ -402,7 +373,6 @@ type Deployment struct {
 	txnWatchDeliveries int64
 
 	sessions map[string]*SessionTransport
-	phases   map[string]*stats.Sample
 
 	// lastSeq is the warm-sandbox deduplication cache: each session's
 	// queue has exactly one concurrent follower instance, so remembering
@@ -437,7 +407,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		Cfg:      cfg,
 		System:   kv.NewTable(env, "system"),
 		sessions: map[string]*SessionTransport{},
-		phases:   map[string]*stats.Sample{},
 		lastSeq:  map[string]int64{},
 	}
 	d.Obs = obs.NewHub(k, cfg.Telemetry, cfg.CostAccounting)
@@ -448,7 +417,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		})
 	}
 	d.System.SetCostCategory("syskv")
-	d.Locks = fksync.NewLockManager(env, d.System, cfg.LockLease)
+	d.Locks = fksync.NewLockManager(env, d.System, lockLease)
 	d.Txns = txn.NewStore(d.System, k)
 	d.Txns.SetMetrics(d.Obs.Metrics)
 
@@ -511,7 +480,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		Retries: cfg.Retries,
 	}, d.leaderHandler)
 	d.Platform.Deploy(faas.Config{
-		Name: FnWatch, MemoryMB: cfg.WatchMemMB, Arch: cfg.Arch, VCPU: cfg.VCPU,
+		Name: FnWatch, MemoryMB: watchMemMB, Arch: cfg.Arch, VCPU: cfg.VCPU,
 	}, d.watchHandler)
 	d.Platform.Deploy(faas.Config{
 		Name: FnHeartbeat, MemoryMB: cfg.HeartbeatMemMB,
@@ -557,10 +526,10 @@ func (d *Deployment) newUserStore(r cloud.Region) UserStore {
 	case StoreKV:
 		return NewKVStore(d.Env, "user-data-"+string(r), r)
 	case StoreHybrid:
-		return NewHybridStore(d.Env, "user-data-"+string(r), r, d.Cfg.HybridThresholdB)
+		return NewHybridStore(d.Env, "user-data-"+string(r), r, hybridThresholdB)
 	case StoreMem:
 		return NewMemStore(d.Env, r)
-	default:
+	default: // StoreObject: defaults() rejected every other value
 		return NewObjectStore(d.Env, "user-data-"+string(r), r)
 	}
 }
@@ -683,36 +652,27 @@ func (d *Deployment) notify(sessionID string, payload any, size int) {
 	st.cloudEnd.Send(payload, size)
 }
 
-// recordPhase samples a per-phase latency when collection is enabled.
+// phaseKey names a per-phase latency histogram in the metrics registry.
+func phaseKey(name string) obs.Key { return obs.Key{Component: "phase", Name: name} }
+
+// recordPhase observes a per-phase latency (Figures 9-12, Table 3) into
+// the metrics registry. With Telemetry off it returns before building the
+// key.
 func (d *Deployment) recordPhase(name string, dur sim.Time) {
-	if !d.Cfg.CollectPhases {
+	if !d.Obs.Metrics.Enabled() {
 		return
 	}
-	s, ok := d.phases[name]
-	if !ok {
-		s = stats.NewSample(1024)
-		d.phases[name] = s
-	}
-	s.AddDur(dur)
+	d.Obs.Metrics.Observe(phaseKey(name), dur)
 }
 
-// Phase returns the collected samples for one phase name (nil if none).
-func (d *Deployment) Phase(name string) *stats.Sample { return d.phases[name] }
+// Phase returns the registry's histogram for one phase name (nil if
+// nothing was observed, as always with Telemetry off).
+func (d *Deployment) Phase(name string) *stats.Sample { return d.Obs.Metrics.Hist(phaseKey(name)) }
 
-// PhaseNames lists phases with recorded samples.
-func (d *Deployment) PhaseNames() []string {
-	names := make([]string, 0, len(d.phases))
-	for n := range d.phases {
-		names = append(names, n)
-	}
-	return names
-}
-
-// ResetMetrics clears the cost meter, phase samples, and telemetry
-// spans/instruments (used after warmup).
+// ResetMetrics clears the cost meter and telemetry spans/instruments,
+// phase histograms included (used after warmup).
 func (d *Deployment) ResetMetrics() {
 	d.Env.Meter.Reset()
-	d.phases = map[string]*stats.Sample{}
 	d.Obs.Reset()
 }
 

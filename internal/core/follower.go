@@ -142,7 +142,7 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 		d.respondFailure(req, code)
 		return shard, nil
 	}
-	if len(req.Data) > d.Cfg.MaxNodeB {
+	if len(req.Data) > MaxNodeB {
 		return fail(CodeTooLarge)
 	}
 	if code := checkPath(req.Op, req.Path); code != CodeOK {

@@ -456,7 +456,7 @@ func TestPrefetchAbandonedLeavesFlushAlone(t *testing.T) {
 // container of every phase, the pop included. Deferring the pop must not
 // take it out of the total (Table 3's leader.total p50 would read 8 ms low).
 func TestLeaderTotalContainsPop(t *testing.T) {
-	r := newPipeRig(t, 11, Config{CollectPhases: true}, nil)
+	r := newPipeRig(t, 11, Config{}, nil) // the rig turns Telemetry on: phases are recorded
 	const writes = 20
 	r.k.Go("writer", func() {
 		s := r.open("w")

@@ -225,18 +225,16 @@ func (d *Deployment) reshard(plan func(*shardmap.Map) (*shardmap.Map, error)) er
 	// Transactions quiesce: their phase-two commit messages are ordered
 	// by intents rather than queue position, so none may be in flight
 	// when the sources drain. New multis wait at the gate.
-	if d.Cfg.EnableTxn {
-		quiesced := false
-		for attempt := 0; attempt < 2000; attempt++ {
-			if d.Txns.Live(ctx) == 0 {
-				quiesced = true
-				break
-			}
-			d.K.Sleep(5 * sim.Ms(1))
+	quiesced := false
+	for attempt := 0; attempt < 2000; attempt++ {
+		if d.Txns.Live(ctx) == 0 {
+			quiesced = true
+			break
 		}
-		if !quiesced {
-			return abort(fmt.Errorf("%w: transactions still in flight", ErrReshardBusy))
-		}
+		d.K.Sleep(5 * sim.Ms(1))
+	}
+	if !quiesced {
+		return abort(fmt.Errorf("%w: transactions still in flight", ErrReshardBusy))
 	}
 
 	// Fence and drain every source shard.

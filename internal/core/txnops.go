@@ -149,14 +149,19 @@ func (p *multiPlan) unlock(d *Deployment, ctx cloud.Ctx) {
 }
 
 // itemsByShard groups the locked items by owning shard for the parallel
-// intent/vote phase.
-func (p *multiPlan) itemsByShard() map[int][]*multiItem {
-	groups := map[int][]*multiItem{}
+// intent/vote phase. shards lists the groups in acquisition order: the vote
+// legs draw their latencies from the seeded RNG as they are spawned, so
+// ranging over the map would make a run irreproducible from its seed.
+func (p *multiPlan) itemsByShard() (shards []int, groups map[int][]*multiItem) {
+	groups = map[int][]*multiItem{}
 	for _, path := range p.order {
 		it := p.items[path]
+		if _, seen := groups[it.shard]; !seen {
+			shards = append(shards, it.shard)
+		}
 		groups[it.shard] = append(groups[it.shard], it)
 	}
-	return groups
+	return shards, groups
 }
 
 // lockTs returns the lock timestamps aligned with the acquisition order
@@ -478,7 +483,8 @@ func (d *Deployment) planWentStale(ctx cloud.Ctx, plan *multiPlan) bool {
 		return false
 	}
 	cur := d.refreshMap(ctx)
-	for s := range plan.itemsByShard() {
+	shards, _ := plan.itemsByShard()
+	for _, s := range shards {
 		if cur.GenOf(s) != plan.mv.GenOf(s) {
 			return true
 		}
@@ -604,7 +610,7 @@ func (d *Deployment) buildTxnFold(ctx cloud.Ctx, resolved []txn.ResolvedOp, txid
 // single-shard fast path or the cross-shard two-phase commit.
 func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	reqOps, err := txn.DecodeOps(req.Data)
-	if !d.Cfg.EnableTxn || err != nil || len(reqOps) == 0 {
+	if err != nil || len(reqOps) == 0 {
 		d.respondFailure(req, CodeSystemError)
 		return nil
 	}
@@ -613,7 +619,7 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 			d.respondMultiAbort(req, reqOps, i, CodeSystemError)
 			return nil
 		}
-		if len(op.Data) > d.Cfg.MaxNodeB {
+		if len(op.Data) > MaxNodeB {
 			d.respondMultiAbort(req, reqOps, i, CodeTooLarge)
 			return nil
 		}
@@ -776,10 +782,10 @@ func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	// parallel. The decision below is made from the votes as recorded,
 	// never from coordinator-local state, so a resumed coordinator would
 	// reach the same verdict.
-	groups := plan.itemsByShard()
+	shards, groups := plan.itemsByShard()
 	wg := sim.NewWaitGroup(d.K)
-	for s, items := range groups {
-		s, items := s, items
+	for _, s := range shards {
+		s, items := s, groups[s]
 		wg.Add(1)
 		d.K.Go("txn-prepare", func() {
 			defer wg.Done()

@@ -77,7 +77,6 @@ var (
 	ErrTooLarge      = errors.New("faaskeeper: node data too large")
 	ErrSessionClosed = errors.New("faaskeeper: session closed")
 	ErrTxnAborted    = errors.New("faaskeeper: transaction aborted")
-	ErrTxnDisabled   = errors.New("faaskeeper: transactions disabled (Config.EnableTxn)")
 )
 
 // CodeError converts a result code to the client-facing error (nil for OK).

@@ -22,6 +22,17 @@ const (
 	StoreMem    StoreKind = "mem"    // Redis-like in-memory cache on a VM
 )
 
+// Validate reports a value that names no backend, listing the ones that
+// do (Config.defaults panics with it; fkcli prints it and exits 2).
+func (k StoreKind) Validate() error {
+	switch k {
+	case StoreObject, StoreKV, StoreHybrid, StoreMem:
+		return nil
+	}
+	return fmt.Errorf("unknown user store %q (want %s|%s|%s|%s)", string(k),
+		StoreObject, StoreKV, StoreHybrid, StoreMem)
+}
+
 // ErrUserNoNode is returned when a read misses.
 var ErrUserNoNode = errors.New("core: node not in user store")
 

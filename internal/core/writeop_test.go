@@ -113,7 +113,7 @@ type writeOutcome struct {
 // submits op, alone or as a one-op multi().
 func runWriteCase(t *testing.T, fixture func(s *pipeSession), op txn.Op, asMulti bool) writeOutcome {
 	t.Helper()
-	r := newPipeRig(t, 77, Config{EnableTxn: true}, nil)
+	r := newPipeRig(t, 77, Config{}, nil)
 	var out writeOutcome
 	r.k.Go("case", func() {
 		s := r.open("c0")

@@ -138,7 +138,7 @@ var costConfigMatrix = []struct {
 	{"plain (paper-faithful)", core.Config{}, "plain"},
 	{"batching (2 shards, fold 16)", core.Config{WriteShards: 2, BatchWrites: true, MaxBatch: 16}, "plain"},
 	{"caching (two-level)", core.Config{CacheMode: core.CacheTwoLevel}, "plain"},
-	{"txn (4 shards, cross-shard)", core.Config{WriteShards: 4, EnableTxn: true}, "txn"},
+	{"txn (4 shards, cross-shard)", core.Config{WriteShards: 4}, "txn"},
 	{"reshard (live split mid-run)", core.Config{WriteShards: 2, DynamicShards: true}, "reshard"},
 }
 

@@ -275,7 +275,7 @@ func runTelemetry(cfg RunConfig) *Report {
 	}{
 		{"plain", core.Config{WriteShards: 2}, "plain"},
 		{"batched", core.Config{WriteShards: 2, BatchWrites: true}, "plain"},
-		{"cross-shard txn", core.Config{WriteShards: 4, EnableTxn: true}, "txn"},
+		{"cross-shard txn", core.Config{WriteShards: 4}, "txn"},
 		{"mid-reshard", core.Config{WriteShards: 2, DynamicShards: true}, "reshard"},
 	}
 	for i, c := range classes {

@@ -62,7 +62,7 @@ func (r txnRun) throughput() float64 {
 // multis of spread sub-ops over its own per-shard path set (conflict-free:
 // the numbers isolate coordination cost, not lock contention).
 func runTxnLatency(seed int64, shards, spread, sessions, ops int) txnRun {
-	cfg := core.Config{EnableTxn: true, WriteShards: shards, UserStore: core.StoreKV}
+	cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, cfg)
 	res := txnRun{txns: sessions * ops, lat: stats.NewSample(sessions * ops)}
@@ -130,7 +130,7 @@ func runTxnLatency(seed int64, shards, spread, sessions, ops int) txnRun {
 // (or on intent contention) and the final version counts exactly the
 // winners — the all-or-nothing bookkeeping the abort-rate column reports.
 func runTxnContention(seed int64, shards, sessions, rounds int) (commits, aborts int, lost bool) {
-	cfg := core.Config{EnableTxn: true, WriteShards: shards, UserStore: core.StoreKV}
+	cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, cfg)
 	var finalA, finalB int32

@@ -63,7 +63,7 @@ type writeRun struct {
 
 func runWrites(seed int64, cfg core.Config, sizes []int, reps int) *writeRun {
 	k := sim.NewKernel(seed)
-	cfg.CollectPhases = true
+	cfg.Telemetry = true
 	d := core.NewDeployment(k, cfg)
 	res := &writeRun{d: d, total: map[int]*stats.Sample{}}
 	k.Go("bench", func() {

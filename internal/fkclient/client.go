@@ -550,7 +550,7 @@ func (c *Client) Create(path string, data []byte, flags znode.Flags) (string, er
 	if err := c.check(path); err != nil {
 		return "", err
 	}
-	if len(data) > c.d.Cfg.MaxNodeB {
+	if len(data) > core.MaxNodeB {
 		return "", core.ErrTooLarge
 	}
 	resp, err := c.await(c.submitWrite(core.OpCreate, path, data, -1, flags))
@@ -565,7 +565,7 @@ func (c *Client) SetData(path string, data []byte, version int32) (znode.Stat, e
 	if err := c.check(path); err != nil {
 		return znode.Stat{}, err
 	}
-	if len(data) > c.d.Cfg.MaxNodeB {
+	if len(data) > core.MaxNodeB {
 		return znode.Stat{}, core.ErrTooLarge
 	}
 	resp, err := c.await(c.submitWrite(core.OpSetData, path, data, version, 0))
@@ -585,16 +585,12 @@ func (c *Client) Delete(path string, version int32) error {
 // or none do (create/set_data/delete/check, built with txn.Create,
 // txn.SetData, txn.Delete, txn.Check). Ops confined to one write shard
 // take a fast path through the leader pipeline; ops spanning shards run
-// the two-phase commit coordinator (package txn). Requires
-// Config.EnableTxn; the per-op results are returned even on a rollback,
-// where the failing op carries its own code and its siblings report
-// txn.CodeAborted.
+// the two-phase commit coordinator (package txn). The per-op results are
+// returned even on a rollback, where the failing op carries its own code
+// and its siblings report txn.CodeAborted.
 func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
 	if c.closed {
 		return nil, core.ErrSessionClosed
-	}
-	if !c.d.Cfg.EnableTxn {
-		return nil, core.ErrTxnDisabled
 	}
 	if len(ops) == 0 {
 		return nil, core.ErrSystemError
@@ -603,7 +599,7 @@ func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
 		if err := znode.ValidatePath(op.Path); err != nil {
 			return nil, err
 		}
-		if len(op.Data) > c.d.Cfg.MaxNodeB {
+		if len(op.Data) > core.MaxNodeB {
 			return nil, core.ErrTooLarge
 		}
 	}

@@ -39,19 +39,20 @@ func TestCostOffTraceByteIdentical(t *testing.T) {
 // sharding, each with and without span recording (the ledger must
 // conserve without a tracer to lean on).
 var costConfigs = []struct {
-	name string
-	cfg  core.Config
+	name   string
+	cfg    core.Config
+	multis bool // the workload issues multi() transactions
 }{
-	{"plain", core.Config{CostAccounting: true}},
-	{"plain-traced", core.Config{CostAccounting: true, Telemetry: true}},
-	{"sharded", core.Config{CostAccounting: true, WriteShards: 4}},
-	{"batched", core.Config{CostAccounting: true, WriteShards: 2, BatchWrites: true}},
-	{"batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, BatchWrites: true}},
-	{"cached", core.Config{CostAccounting: true, CacheMode: core.CacheTwoLevel}},
-	{"cached-traced", core.Config{CostAccounting: true, Telemetry: true, CacheMode: core.CacheTwoLevel}},
-	{"txn", core.Config{CostAccounting: true, WriteShards: 4, EnableTxn: true}},
-	{"txn-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 4, EnableTxn: true}},
-	{"txn-batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, EnableTxn: true, BatchWrites: true}},
+	{"plain", core.Config{CostAccounting: true}, false},
+	{"plain-traced", core.Config{CostAccounting: true, Telemetry: true}, false},
+	{"sharded", core.Config{CostAccounting: true, WriteShards: 4}, false},
+	{"batched", core.Config{CostAccounting: true, WriteShards: 2, BatchWrites: true}, false},
+	{"batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, BatchWrites: true}, false},
+	{"cached", core.Config{CostAccounting: true, CacheMode: core.CacheTwoLevel}, false},
+	{"cached-traced", core.Config{CostAccounting: true, Telemetry: true, CacheMode: core.CacheTwoLevel}, false},
+	{"txn", core.Config{CostAccounting: true, WriteShards: 4}, true},
+	{"txn-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 4}, true},
+	{"txn-batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, BatchWrites: true}, true},
 }
 
 // checkConservation asserts the ledger's global invariant and — when
@@ -125,7 +126,7 @@ func TestCostConservationRandomized(t *testing.T) {
 					case 4:
 						_, _, _ = c.GetData(p)
 					case 5:
-						if d.Cfg.EnableTxn {
+						if tc.multis {
 							q := paths[(rng.Intn(len(paths)-1)+1)%len(paths)]
 							_, _ = c.Multi(
 								txn.SetData(p, []byte("m"), -1),

@@ -108,14 +108,6 @@ func TestSingleShardTraceIdentical(t *testing.T) {
 	if !bytes.Equal(base, one) {
 		t.Fatalf("WriteShards:1 trace differs from default:\n--- default ---\n%s--- shards=1 ---\n%s", base, one)
 	}
-	// The transaction gate must add zero operations to the non-multi
-	// pipeline: even with EnableTxn on (but no Multi issued), the trace
-	// stays byte-identical — the multi payload rides existing wire fields
-	// and the intent checks are free without intents.
-	withTxn := traceWorkload(t, core.Config{EnableTxn: true})
-	if !bytes.Equal(base, withTxn) {
-		t.Fatalf("EnableTxn:true trace differs from default:\n--- default ---\n%s--- txn ---\n%s", base, withTxn)
-	}
 	if len(base) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -348,7 +340,7 @@ func checkConcurrentTrace(t *testing.T, trace []byte) {
 // split first (every txn, fence and shard-map wire type), then require the
 // golden hash.
 func TestTraceIndependentOfProcessHistory(t *testing.T) {
-	cfg := core.Config{EnableTxn: true, WriteShards: 2, DynamicShards: true}
+	cfg := core.Config{WriteShards: 2, DynamicShards: true}
 	run(t, 99, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "warm")
 		paths := shardedPaths(2, 2)

@@ -216,15 +216,16 @@ func TestStageSumMatchesClientLatency(t *testing.T) {
 // transitions (batched folds, cache invalidation legs, single-shard and
 // cross-shard transactions).
 var telemetryConfigs = []struct {
-	name string
-	cfg  core.Config
+	name   string
+	cfg    core.Config
+	multis bool // the workload issues multi() transactions
 }{
-	{"plain", core.Config{Telemetry: true}},
-	{"sharded", core.Config{Telemetry: true, WriteShards: 4}},
-	{"batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}},
-	{"cached", core.Config{Telemetry: true, CacheMode: core.CacheTwoLevel}},
-	{"txn", core.Config{Telemetry: true, WriteShards: 4, EnableTxn: true}},
-	{"txn-batched", core.Config{Telemetry: true, WriteShards: 2, EnableTxn: true, BatchWrites: true}},
+	{"plain", core.Config{Telemetry: true}, false},
+	{"sharded", core.Config{Telemetry: true, WriteShards: 4}, false},
+	{"batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}, false},
+	{"cached", core.Config{Telemetry: true, CacheMode: core.CacheTwoLevel}, false},
+	{"txn", core.Config{Telemetry: true, WriteShards: 4}, true},
+	{"txn-batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}, true},
 }
 
 // TestSpanInvariantsRandomized runs a seeded random workload (pipelined
@@ -260,7 +261,7 @@ func TestSpanInvariantsRandomized(t *testing.T) {
 					case 3:
 						_, _, _ = c.GetDataW(p, func(core.Notification) {})
 					case 4:
-						if d.Cfg.EnableTxn {
+						if tc.multis {
 							// Spans two top-level subtrees: cross-shard 2PC
 							// on the sharded configs, fast path otherwise.
 							q := paths[(rng.Intn(len(paths)-1)+1+rng.Intn(1))%len(paths)]

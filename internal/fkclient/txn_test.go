@@ -1,8 +1,8 @@
 package fkclient
 
 // Tests of the multi() transaction subsystem (package txn + the core
-// coordinator) from the client's perspective: the EnableTxn gate, the
-// single-shard fast path, cross-shard two-phase commits, validation
+// coordinator) from the client's perspective: multi() on the default
+// config, the single-shard fast path, cross-shard two-phase commits, validation
 // aborts with no partial effects, isolation against conflicting writers,
 // coordinator crash recovery by redelivery, and the randomized
 // cross-shard histories asserting that no partial commit is ever
@@ -22,18 +22,24 @@ import (
 	"faaskeeper/internal/znode"
 )
 
-func TestMultiDisabledByDefault(t *testing.T) {
+// TestMultiOnDefaultConfig: multi() needs no switch — a transaction on
+// the zero Config commits.
+func TestMultiOnDefaultConfig(t *testing.T) {
 	run(t, 81, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
-		if _, err := c.Multi(txn.Create("/a", nil, 0)); !errors.Is(err, core.ErrTxnDisabled) {
-			t.Errorf("multi with EnableTxn off: %v, want ErrTxnDisabled", err)
+		res, err := c.Multi(txn.Create("/a", []byte("v"), 0))
+		if err != nil || len(res) != 1 || res[0].Code != "ok" {
+			t.Fatalf("multi on core.Config{}: %+v, %v", res, err)
+		}
+		if data, _, err := c.GetData("/a"); err != nil || string(data) != "v" {
+			t.Errorf("get /a after multi: %q, %v", data, err)
 		}
 	})
 }
 
 func TestMultiSingleShardFastPath(t *testing.T) {
-	run(t, 82, core.Config{EnableTxn: true}, func(k *sim.Kernel, d *core.Deployment) {
+	run(t, 82, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
 		if _, err := c.Create("/app", []byte("v0"), 0); err != nil {
@@ -82,7 +88,7 @@ func TestMultiValidationAbortLeavesNoTrace(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			run(t, int64(83+shards), core.Config{EnableTxn: true, WriteShards: shards}, func(k *sim.Kernel, d *core.Deployment) {
+			run(t, int64(83+shards), core.Config{WriteShards: shards}, func(k *sim.Kernel, d *core.Deployment) {
 				c := mustConnect(t, d, "s1")
 				defer c.Close()
 				paths := shardedPaths(shards, max(2, shards))
@@ -123,7 +129,7 @@ func TestMultiCrossShardCommit(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			cfg := core.Config{EnableTxn: true, WriteShards: shards, UserStore: core.StoreKV}
+			cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
 			var dep *core.Deployment
 			run(t, int64(90+shards), cfg, func(k *sim.Kernel, d *core.Deployment) {
 				dep = d
@@ -184,7 +190,7 @@ func TestMultiCrossShardCommit(t *testing.T) {
 }
 
 func TestMultiCrossShardAbortAllOrNothing(t *testing.T) {
-	cfg := core.Config{EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV}
+	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	run(t, 95, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
@@ -220,7 +226,7 @@ func TestMultiIsolationAgainstConflictingWriters(t *testing.T) {
 	// nodes; every committed write must keep each node's version chain
 	// gapless (no lost updates, no writes slipping inside a transaction's
 	// prepare/apply window).
-	cfg := core.Config{EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV}
+	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	run(t, 96, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		setup := mustConnect(t, d, "setup")
 		paths := shardedPaths(4, 2)
@@ -292,7 +298,7 @@ func TestMultiCoordinatorCrashRecovery(t *testing.T) {
 	// the commit decision); queue redelivery must resume the durable
 	// record and apply the transaction exactly once.
 	cfg := core.Config{
-		EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV,
+		WriteShards: 4, UserStore: core.StoreKV,
 		Retries: 6,
 	}
 	run(t, 97, cfg, func(k *sim.Kernel, d *core.Deployment) {
@@ -344,7 +350,7 @@ func TestMultiCoordinatorCrashRecovery(t *testing.T) {
 // visibility of a transaction breaks the invariant. Values must also only
 // ever come from committed transactions (no uncommitted intents).
 func TestMultiRandomizedNoPartialCommit(t *testing.T) {
-	cfg := core.Config{EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV}
+	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	var dep *core.Deployment
 	run(t, 98, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		dep = d
@@ -473,9 +479,9 @@ func atoiOr(t *testing.T, s string) int {
 // variants — checking tree integrity afterwards.
 func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 	for _, cfg := range []core.Config{
-		{EnableTxn: true, WriteShards: 4},
-		{EnableTxn: true, WriteShards: 4, BatchWrites: true},
-		{EnableTxn: true, WriteShards: 2, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV},
+		{WriteShards: 4},
+		{WriteShards: 4, BatchWrites: true},
+		{WriteShards: 2, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV},
 	} {
 		cfg := cfg
 		name := fmt.Sprintf("shards%d-batch%v-cache%v", cfg.WriteShards, cfg.BatchWrites, cfg.CacheMode != core.CacheOff)
@@ -546,7 +552,7 @@ func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 // coordinator instead of committing a node outside its owning shard's
 // pipeline.
 func TestMultiTopLevelSequentialShardDrift(t *testing.T) {
-	cfg := core.Config{EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV}
+	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	run(t, 100, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
@@ -584,7 +590,7 @@ func TestMultiTopLevelSequentialShardDrift(t *testing.T) {
 // transaction and ephemeral creates register with the session (removed on
 // close).
 func TestMultiSequentialAndEphemeral(t *testing.T) {
-	run(t, 99, core.Config{EnableTxn: true, WriteShards: 2}, func(k *sim.Kernel, d *core.Deployment) {
+	run(t, 99, core.Config{WriteShards: 2}, func(k *sim.Kernel, d *core.Deployment) {
 		owner := mustConnect(t, d, "owner")
 		if _, err := owner.Create("/q", nil, 0); err != nil {
 			t.Fatalf("create: %v", err)

@@ -18,7 +18,7 @@ import (
 // counters drain, and the deliveries were folded into per-shard batches
 // (TxnWatchStats), not per-watch waiters.
 func TestTxnWatchDeliveryBatching(t *testing.T) {
-	run(t, 99, core.Config{WriteShards: 4, EnableTxn: true}, func(k *sim.Kernel, d *core.Deployment) {
+	run(t, 99, core.Config{WriteShards: 4}, func(k *sim.Kernel, d *core.Deployment) {
 		writer := mustConnect(t, d, "writer")
 		watcher := mustConnect(t, d, "watcher")
 

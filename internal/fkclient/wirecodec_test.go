@@ -52,31 +52,30 @@ func TestBinaryCodecRandomizedMatrix(t *testing.T) {
 // run, tree integrity after.
 func TestBinaryCodecReshardMatrix(t *testing.T) {
 	matrix := []struct {
-		name string
-		cfg  core.Config
+		name   string
+		cfg    core.Config
+		multis bool
 	}{
-		{"reshard", core.Config{WriteShards: 2, DynamicShards: true}},
-		{"reshard-batching", core.Config{WriteShards: 2, DynamicShards: true, BatchWrites: true}},
-		{"reshard-txn", core.Config{WriteShards: 2, DynamicShards: true, EnableTxn: true}},
-		{"reshard-caching", core.Config{WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}},
+		{"reshard", core.Config{WriteShards: 2, DynamicShards: true}, false},
+		{"reshard-batching", core.Config{WriteShards: 2, DynamicShards: true, BatchWrites: true}, false},
+		{"reshard-txn", core.Config{WriteShards: 2, DynamicShards: true}, true},
+		{"reshard-caching", core.Config{WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}, false},
 	}
 	for _, mc := range matrix {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
-			d := randomReshardHistory(t, 909, mc.cfg, 4, 10)
+			d := randomReshardHistory(t, 909, mc.cfg, mc.multis, 4, 10)
 			verifyTreeIntegrity(t, d)
 		})
 	}
 }
 
-// TestBinaryCodecTxnHistories runs the randomized consistency workload
-// with the transaction gate on: cross-shard transactions ride txnMsg blobs
-// inside leader messages, the representation-compose case the codec must
-// get right.
+// TestBinaryCodecTxnHistories runs the randomized consistency workload at
+// two more seeds, on two shards and on one.
 func TestBinaryCodecTxnHistories(t *testing.T) {
-	_, d := randomHistory(t, 1212, core.Config{EnableTxn: true, WriteShards: 2}, 4, 12)
+	_, d := randomHistory(t, 1212, core.Config{WriteShards: 2}, 4, 12)
 	verifyTreeIntegrity(t, d)
-	obs, d1 := randomHistory(t, 1313, core.Config{EnableTxn: true}, 4, 12)
+	obs, d1 := randomHistory(t, 1313, core.Config{}, 4, 12)
 	verifyZ2(t, obs)
 	verifyTreeIntegrity(t, d1)
 }

@@ -53,7 +53,7 @@ func TestEphemeralCommittedByLeaderReplayIsReapedOnClose(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run(t, 21, core.Config{EnableTxn: true}, func(k *sim.Kernel, d *core.Deployment) {
+			run(t, 21, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
 				hook := &crashOnce{stage: tc.stage}
 				k.SetFaultHook(hook)
 				owner := mustConnect(t, d, "owner")
@@ -95,7 +95,7 @@ func TestSetDataOverflowingLeaderQueueIsTooLarge(t *testing.T) {
 				t.Fatalf("create child %d: %v", i, err)
 			}
 		}
-		if _, err := c.SetData("/big", make([]byte, d.Cfg.MaxNodeB), -1); !errors.Is(err, core.ErrTooLarge) {
+		if _, err := c.SetData("/big", make([]byte, core.MaxNodeB), -1); !errors.Is(err, core.ErrTooLarge) {
 			t.Errorf("250 kB set_data on a node with 300 children: %v, want ErrTooLarge", err)
 		}
 		if _, err := c.SetData("/big", []byte("small"), -1); err != nil {
