@@ -47,6 +47,7 @@ import (
 	"faaskeeper"
 	"faaskeeper/internal/experiments"
 	"faaskeeper/internal/obs"
+	"faaskeeper/internal/shardmap"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
@@ -111,6 +112,11 @@ func run(args []string, out io.Writer) int {
 	}
 	if err := opts.UserStore.Validate(); err != nil {
 		fmt.Fprintln(out, "fkcli:", err)
+		return 2
+	}
+	if *dynamic && *shards > shardmap.MaxShards {
+		// The shard map's txid stride; core.Config.defaults() panics on it.
+		fmt.Fprintf(out, "fkcli: -dynamic supports at most %d write shards, got -shards %d\n", shardmap.MaxShards, *shards)
 		return 2
 	}
 	if *gcp {

@@ -31,6 +31,10 @@ func TestGoldenSessions(t *testing.T) {
 		// to deploy the object store silently (`-store dynamodb` measured
 		// S3). It exits 2 before deploying, naming what it accepts.
 		{"store_unknown", "-store dynamodb create /x", 2},
+		// Also input from outside the program: more shards than the live
+		// shard map can address is a panic in the deployment's defaults, so
+		// it exits 2 before deploying, naming the cap.
+		{"shards_over_cap", "-dynamic -shards 100 create /x v", 2},
 		{"reshard_split", "-dynamic -shards 2 create /hot x : create /hot/a y : reshard split /hot 4 : set /hot/a z : reshard map", 0},
 	} {
 		tc := tc

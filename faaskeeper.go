@@ -147,9 +147,6 @@ const (
 // the paper's base AWS deployment.
 type DeploymentOptions = core.Config
 
-// AutoShard is the shard auto-scaling policy (DeploymentOptions.AutoShard).
-type AutoShard = core.AutoShard
-
 // Provider profiles (DeploymentOptions.Profile; nil deploys AWS) and the
 // Graviton-like sandbox architecture (DeploymentOptions.Arch).
 var (

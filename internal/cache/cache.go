@@ -60,15 +60,6 @@ func (s Stats) Publish(reg *obs.Registry, region string) {
 	}
 }
 
-// HitRatio returns hits / (hits + misses), or 0 with no traffic.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Regional is the shared cache node of one region: an in-memory store on a
 // provisioned VM (the cloud profile's mem-store latencies, billed hourly
 // rather than per operation) that fronts the region's user store. All
@@ -288,37 +279,13 @@ type WarmEntry struct {
 	Entry Entry
 }
 
-// Warmup returns up to k of the node's most-recently-used entries — the
-// hot set a fresh session prefetches into its client cache on connect.
-// Recency in the shared regional node is the hotness signal: every
-// session's hits refresh it. The whole prefetch pays one read round trip
-// whose transfer term covers all returned blobs (a single pipelined
-// MGET, not k lookups), so warming K paths costs far less than K cold
-// first reads.
-func (r *Regional) Warmup(ctx cloud.Ctx, k int) []WarmEntry {
-	p := r.env.Profile
-	// Like Lookup: the probe executes server-side after the request
-	// travel, then the transfer term covers whatever is returned.
-	r.lat(ctx, p.MemReadBase, 0, 0)
-	out := make([]WarmEntry, 0, k)
-	size := 0
-	for el := r.lru.ll.Front(); el != nil && len(out) < k; el = el.Next() {
-		it := el.Value.(*lruItem)
-		out = append(out, WarmEntry{Path: it.key, Entry: it.entry})
-		size += len(it.entry.Blob)
-	}
-	if size > 0 {
-		r.lat(ctx, sim.Const(0), p.MemReadPerKB, size)
-	}
-	r.chargeOp(ctx, "cache.read")
-	return out
-}
-
-// WarmupPaths is Warmup for an explicit path list — the watch-set
-// warm-up: a reconnecting session prefetches exactly the paths its
-// durable persistent-watch registrations name, rather than the node's
-// global MRU hot set. Same single MGET-style round trip; paths the node
-// does not hold are simply absent from the result.
+// WarmupPaths is the watch-set warm-up: a reconnecting session prefetches
+// exactly the paths its durable persistent-watch registrations name into
+// its client cache. The whole prefetch pays one read round trip whose
+// transfer term covers all returned blobs (a single pipelined MGET, not
+// one lookup per path), so warming K paths costs far less than K cold
+// first reads; paths the node does not hold are simply absent from the
+// result.
 func (r *Regional) WarmupPaths(ctx cloud.Ctx, paths []string) []WarmEntry {
 	p := r.env.Profile
 	r.lat(ctx, p.MemReadBase, 0, 0)

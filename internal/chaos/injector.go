@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"faaskeeper/internal/sim"
 )
@@ -113,16 +112,6 @@ func (in *Injector) Counts() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// CountKinds returns the injected fault kinds, sorted, for reports.
-func (in *Injector) CountKinds() []string {
-	kinds := make([]string, 0, len(in.counts))
-	for k := range in.counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }
 
 // Schedule returns the recorded fault schedule (bounded at maxLog

@@ -70,7 +70,6 @@ type Function struct {
 	coldStarts  int64
 	errors      int64
 	dropped     int64 // batches abandoned after exhausting retries
-	redelivered int64 // duplicate deliveries injected by the fault hook
 	billedSec   float64
 }
 
@@ -128,10 +127,6 @@ func (f *Function) Errors() int64 { return f.errors }
 
 // Dropped returns how many event batches were abandoned after retries.
 func (f *Function) Dropped() int64 { return f.dropped }
-
-// Redelivered returns how many duplicate batch deliveries the fault hook
-// injected (always 0 without a hook).
-func (f *Function) Redelivered() int64 { return f.redelivered }
 
 // BilledSeconds returns the accumulated billed duration.
 func (f *Function) BilledSeconds() float64 { return f.billedSec }
@@ -321,7 +316,6 @@ func (p *Platform) deliver(f *Function, batch []queue.Message) {
 	// checks), so the duplicate's own error — including a further injected
 	// crash — is not retried.
 	if h := p.env.K.Fault(); h != nil && h.Redeliver(f.cfg.Name) {
-		f.redelivered++
 		_ = f.run(&Invocation{
 			K: p.env.K, Ctx: f.SandboxCtx(), Func: f, Messages: batch, Attempt: 2,
 		})

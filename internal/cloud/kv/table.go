@@ -148,10 +148,26 @@ func (t *Table) writeLatency(ctx cloud.Ctx, itemSize, appendSize int, conditiona
 	return base
 }
 
-// Get returns a deep copy of the item. With consistent=false the read is
-// eventually consistent: a read racing a recent write may return the
-// previous version (and is billed at half price on AWS).
+// Get is GetView plus a deep copy: the caller owns the returned item.
 func (t *Table) Get(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
+	it, ok := t.GetView(ctx, key, consistent)
+	if !ok {
+		return nil, false
+	}
+	return it.Clone(), true
+}
+
+// GetView reads the item without a defensive deep copy. With
+// consistent=false the read is eventually consistent: a read racing a
+// recent write may return the previous version (and is billed at half
+// price on AWS). The returned item is a READ-ONLY view of table storage,
+// valid until the caller's next yield point at the latest (a concurrent
+// writer may commit a replacement; the view itself is never mutated in
+// place — commits swap whole items). Callers must not modify the item or
+// any slice it holds, and must copy whatever they retain or mutate. Hot
+// read paths use it to skip cloning entire items — the paper's znode items
+// carry the full node blob, so the clone dominated read-side allocation.
+func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 	r := t.items[key]
 	size := 0
 	if r != nil {
@@ -169,39 +185,6 @@ func (t *Table) Get(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 		if age < lag {
 			// The replica lags behind with probability proportional to how
 			// fresh the write is.
-			pStale := 1 - float64(age)/float64(lag)
-			if t.env.K.Rand().Float64() < pStale {
-				return r.prev.Clone(), true
-			}
-		}
-	}
-	return r.cur.Clone(), true
-}
-
-// GetView is Get without the defensive deep copy: the returned item is a
-// READ-ONLY view of table storage, valid until the caller's next yield
-// point at the latest (a concurrent writer may commit a replacement; the
-// view itself is never mutated in place — commits swap whole items).
-// Callers must not modify the item or any slice it holds, and must copy
-// whatever they retain or mutate. Hot read paths use it to skip cloning
-// entire items — the paper's znode items carry the full node blob, so the
-// clone dominated read-side allocation.
-func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
-	r := t.items[key]
-	size := 0
-	if r != nil {
-		size = r.cur.Size()
-	}
-	t.env.K.Sleep(t.readLatency(ctx, size))
-	t.env.Charge(ctx, t.costCat+".read", t.profile().Pricing.KVReadCost(max(size, 1), consistent), 1)
-	r = t.items[key] // re-fetch: state may have changed while we slept
-	if r == nil {
-		return nil, false
-	}
-	if !consistent && r.prev != nil {
-		lag := t.profile().KVReplicaLag
-		age := t.env.K.Now() - r.writtenAt
-		if age < lag {
 			pStale := 1 - float64(age)/float64(lag)
 			if t.env.K.Rand().Float64() < pStale {
 				return r.prev, true

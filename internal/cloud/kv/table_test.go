@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -192,30 +193,49 @@ func TestItemSizeLimit(t *testing.T) {
 	k.Run()
 }
 
-func TestEventualReadCanBeStale(t *testing.T) {
+// eventualReads runs 50 eventually consistent reads of one key through
+// read, each racing a write that landed just before it (so the replica-lag
+// coin is flipped every time: the previous version holds 1, the current
+// one 2), then one read of a missing key. It returns what the reads saw,
+// the virtual time the run ended at and what it billed.
+func eventualReads(t *testing.T, read func(*Table, cloud.Ctx, string, bool) (Item, bool)) (vals []int64, end sim.Time, usd float64) {
 	k, env, ctx := newEnv(7)
 	tbl := NewTable(env, "state")
-	stale, fresh := 0, 0
 	k.Go("client", func() {
 		tbl.Put(ctx, "v", Item{{Name: "n", V: N(1)}}, nil)
 		k.Sleep(time.Second) // age the first version fully
 		for i := 0; i < 50; i++ {
 			tbl.Put(ctx, "v", Item{{Name: "n", V: N(2)}}, nil)
-			it, _ := tbl.Get(ctx, "v", false)
-			if it.Get("n").Num == 1 {
-				stale++
-			} else {
-				fresh++
-			}
+			it, _ := read(tbl, ctx, "v", false)
+			vals = append(vals, it.Get("n").Num)
 			tbl.Put(ctx, "v", Item{{Name: "n", V: N(1)}}, nil)
 			k.Sleep(100 * time.Millisecond)
 		}
+		if _, ok := read(tbl, ctx, "missing", false); ok {
+			t.Error("missing key found")
+		}
 	})
 	k.Run()
-	if stale == 0 {
+	return vals, k.Now(), env.Meter.Total()
+}
+
+// countStale counts the reads of eventualReads that saw the previous
+// version.
+func countStale(vals []int64) (stale int) {
+	for _, v := range vals {
+		if v == 1 {
+			stale++
+		}
+	}
+	return stale
+}
+
+func TestEventualReadCanBeStale(t *testing.T) {
+	vals, _, _ := eventualReads(t, (*Table).Get)
+	if countStale(vals) == 0 {
 		t.Fatal("eventually consistent reads never returned stale data")
 	}
-	if fresh == 0 {
+	if countStale(vals) == len(vals) {
 		t.Fatal("eventually consistent reads never caught up")
 	}
 	// Strongly consistent reads must never be stale.
@@ -231,6 +251,35 @@ func TestEventualReadCanBeStale(t *testing.T) {
 		}
 	})
 	k2.Run()
+}
+
+// TestGetViewMatchesGet: Get is GetView plus a copy, so the same read
+// sequence through either — stale branch and fresh branch both taken —
+// returns the same values, ends at the same virtual time and bills the
+// same dollars on a same-seed kernel. Only the view aliases table storage.
+func TestGetViewMatchesGet(t *testing.T) {
+	vals, end, usd := eventualReads(t, (*Table).GetView)
+	if n := countStale(vals); n == 0 || n == len(vals) {
+		t.Fatalf("GetView returned the previous version in %d reads of %d: the stale branch and the fresh one must both run",
+			n, len(vals))
+	}
+	gVals, gEnd, gUSD := eventualReads(t, (*Table).Get)
+	if !reflect.DeepEqual(vals, gVals) || end != gEnd || usd != gUSD {
+		t.Fatalf("Get and GetView diverged on the same seed:\n view %v, ends %v, $%v\n get  %v, ends %v, $%v",
+			vals, end, usd, gVals, gEnd, gUSD)
+	}
+
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{1, 2})}}, nil)
+		v1, _ := tbl.GetView(ctx, "a", true)
+		v2, _ := tbl.GetView(ctx, "a", true)
+		if &v1.Get("b").Byt[0] != &v2.Get("b").Byt[0] {
+			t.Error("GetView copied the item")
+		}
+	})
+	k.Run()
 }
 
 func TestTransactAllOrNothing(t *testing.T) {

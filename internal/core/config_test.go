@@ -6,8 +6,11 @@ package core
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -26,42 +29,91 @@ func exportedFields(v any) []string {
 	return names
 }
 
-// TestConfigSurfacePinned pins the exact exported fields of Config and
-// AutoShard. Config is the public faaskeeper.DeploymentOptions, and every
-// independent switch doubles the configurations tests and benchmarks must
-// cover — so growing the surface is a decision, not a side effect.
+// TestConfigSurfacePinned pins the exact exported fields of Config. Config
+// is the public faaskeeper.DeploymentOptions, and every independent switch
+// doubles the configurations tests and benchmarks must cover — so growing
+// the surface is a decision, not a side effect.
 func TestConfigSurfacePinned(t *testing.T) {
-	const rule = "a new Config / AutoShard field needs two non-test callers " +
+	const rule = "a new Config field needs two non-test callers " +
 		"(bench preset, chaos config, experiment, cmd) that set it to different values; " +
 		"with one value in use make it a constant, and if the code can work the value " +
 		"out from its inputs do that instead. A field that goes is deleted here too, " +
 		"with its row of README's Configuration table"
-	for _, tc := range []struct {
-		typ  string
-		got  []string
-		want string
-	}{
-		{"Config", exportedFields(Config{}), "Profile UserStore ExtraRegions " +
-			"FollowerMemMB LeaderMemMB HeartbeatMemMB Arch VCPU " +
-			"HeartbeatEvery HeartbeatTimeout Retries " +
-			"WriteShards DynamicShards AutoShard BatchWrites MaxBatch " +
-			"CacheMode CacheCapacityB ClientCacheCapacityB CacheTTL CacheWarmK " +
-			"WatchFanout FanoutDebounce WireCodec " +
-			"Telemetry CostAccounting CostBudgetUSDPerHour CostBudgetWindow"},
-		{"AutoShard", exportedFields(AutoShard{}),
-			"Enabled Interval SplitDepth Sustain SplitWays MaxShards MergeIdle CostAware"},
-	} {
-		if got := strings.Join(tc.got, " "); got != tc.want {
-			t.Errorf("%s's exported fields changed (%d now):\n got  %s\n want %s\nrule: %s",
-				tc.typ, len(tc.got), got, tc.want, rule)
+	const want = "Profile UserStore ExtraRegions " +
+		"FollowerMemMB LeaderMemMB HeartbeatMemMB Arch VCPU " +
+		"HeartbeatEvery Retries " +
+		"WriteShards DynamicShards BatchWrites MaxBatch " +
+		"CacheMode CacheCapacityB ClientCacheCapacityB " +
+		"WatchFanout FanoutDebounce WireCodec " +
+		"Telemetry CostAccounting CostBudgetUSDPerHour"
+	fields := exportedFields(Config{})
+	if got := strings.Join(fields, " "); got != want {
+		t.Errorf("Config's exported fields changed (%d now):\n got  %s\n want %s\nrule: %s",
+			len(fields), got, want, rule)
+	}
+	// One field is one settable value: a struct of knobs would grow the
+	// surface without growing this list.
+	for i, typ := 0, reflect.TypeOf(Config{}); i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Struct {
+			t.Errorf("Config.%s is a struct: each of its fields is a switch of its own\nrule: %s", f.Name, rule)
+		}
+	}
+}
+
+// testOnlyFields are the Config fields no bench preset, chaos config,
+// experiment, command or example sets, each with why it stays a field.
+var testOnlyFields = map[string]string{
+	"ExtraRegions":         "the paper's multi-region replication; the region set is a deployment setting",
+	"CostBudgetUSDPerHour": "the budget is the operator's number, not the code's; ROADMAP 5(c) mirrors the monitor for latency",
+	"FanoutDebounce":       "the end-to-end coalescing test needs a window wider than a write round trip",
+}
+
+// TestEveryConfigFieldHasANonTestSetter is the rule of
+// TestConfigSurfacePinned applied to the fields that already exist: a field
+// only _test.go files set guards code no caller reaches. It reads the
+// callers' source — bench/, cmd/, examples/, internal/chaos,
+// internal/experiments — for `Field:` in a literal, `.Field =`, or the
+// field's name as a string in bench/presets.go (which sets fields by name).
+func TestEveryConfigFieldHasANonTestSetter(t *testing.T) {
+	var src, presets strings.Builder
+	for _, dir := range []string{"bench", "cmd", "examples", "internal/chaos", "internal/experiments"} {
+		err := filepath.WalkDir(filepath.Join("../..", dir), func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			src.Write(b)
+			if filepath.Base(path) == "presets.go" {
+				presets.Write(b)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range exportedFields(Config{}) {
+		set := regexp.MustCompile(`\b`+f+`:|\.`+f+`\s*=[^=]`).MatchString(src.String()) ||
+			strings.Contains(presets.String(), `"`+f+`"`)
+		reason, allowed := testOnlyFields[f]
+		switch {
+		case !set && !allowed:
+			t.Errorf("Config.%s has no non-test setter: delete it with the code it guards, "+
+				"or make its one value a constant", f)
+		case set && allowed:
+			t.Errorf("Config.%s now has a non-test setter: drop it from testOnlyFields (%s)", f, reason)
+		}
+	}
+	for f := range testOnlyFields {
+		if _, ok := reflect.TypeOf(Config{}).FieldByName(f); !ok {
+			t.Errorf("testOnlyFields names %s, which is not a Config field", f)
 		}
 	}
 }
 
 // TestReadmeListsEveryConfigField: README's "Configuration" table is the
 // one place a switch's default, paper value and setters are written down;
-// every Config field has a row `| `Name` |` there and every AutoShard
-// field a row `| `AutoShard.Name` |`.
+// every Config field has a row `| `Name` |` there.
 func TestReadmeListsEveryConfigField(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -75,9 +127,6 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 		table = table[:i]
 	}
 	rows := exportedFields(Config{})
-	for _, f := range exportedFields(AutoShard{}) {
-		rows = append(rows, "AutoShard."+f)
-	}
 	for _, name := range rows {
 		if !strings.Contains(table, "\n| `"+name+"` |") {
 			t.Errorf("README.md's Configuration table has no row for `%s`", name)

@@ -45,9 +45,17 @@ const (
 	// sizing (Section 4.4).
 	MaxNodeB = 250 * 1024
 
-	hybridThresholdB = 4096            // hybrid store's KV/object split point
-	watchMemMB       = 512             // watch function memory
-	lockLease        = 2 * time.Second // timed-lock lease
+	// CacheTTL bounds client-cache staleness: an entry older than this is
+	// refetched, which keeps ZooKeeper's timeliness guarantee for a session
+	// that never observes newer state. The regional node needs no TTL — the
+	// leader push-invalidates it.
+	CacheTTL = 5 * time.Second
+
+	hybridThresholdB = 4096                    // hybrid store's KV/object split point
+	watchMemMB       = 512                     // watch function memory
+	lockLease        = 2 * time.Second         // timed-lock lease
+	heartbeatTimeout = 1500 * time.Millisecond // client's heartbeat reply deadline
+	costBudgetWindow = time.Second             // burn-rate evaluation window (virtual time)
 )
 
 // Config selects the deployment's provider profile, storage backends, and
@@ -67,9 +75,8 @@ type Config struct {
 	Arch           faas.Arch
 	VCPU           float64
 
-	HeartbeatEvery   time.Duration // 0 disables the scheduled function
-	HeartbeatTimeout time.Duration // client reply deadline (default 1.5 s)
-	Retries          int           // event-function retry budget (default 2)
+	HeartbeatEvery time.Duration // 0 disables the scheduled function
+	Retries        int           // event-function retry budget (default 2)
 
 	// WriteShards partitions the leader pipeline by znode subtree: N
 	// ordered queues, each with one serialized leader instance and its own
@@ -88,12 +95,6 @@ type Config struct {
 	// map. Default false: the static pipeline, byte-identical to the
 	// golden trace.
 	DynamicShards bool
-
-	// AutoShard is the shard auto-scaling policy (implies DynamicShards
-	// when enabled): a monitor samples per-shard queue depth and splits a
-	// sustained hot subtree (or grows the shard count) under load, and
-	// merges an idle split back.
-	AutoShard AutoShard
 
 	// BatchWrites lets one distributor flush fold several queued messages
 	// (distributor.go): within a chunk only the final state of each
@@ -127,18 +128,6 @@ type Config struct {
 	// ClientCacheCapacityB sizes each session's client cache in
 	// CacheTwoLevel mode (default 256 kB).
 	ClientCacheCapacityB int
-
-	// CacheTTL bounds client-cache staleness: entries older than this
-	// are refetched, preserving ZooKeeper's timeliness guarantee even
-	// for sessions that never observe newer state (default 5 s). The
-	// regional node needs no TTL — it is push-invalidated by the leader.
-	CacheTTL time.Duration
-
-	// CacheWarmK prefetches the regional cache node's K hottest entries
-	// into a new session's client cache on connect (two-level mode only),
-	// seeding the session's per-path floors so the first read of a hot
-	// path is already a hit. Default 0 — cold connects, as in the paper.
-	CacheWarmK int
 
 	// WatchFanout enables the hierarchical watch fan-out tier (package
 	// watchfanout): instead of enumerating watching sessions inside the
@@ -175,9 +164,8 @@ type Config struct {
 	// derived from (Session, Seq) and always written, so message sizes —
 	// and therefore the golden virtual-time trace — do not depend on this
 	// flag, and with Telemetry off every instrumentation point is a
-	// zero-allocation no-op. Default false. (Registry gauges, the
-	// AutoShard monitor's control-plane signals, function regardless of
-	// this flag.)
+	// zero-allocation no-op. Default false. (Registry gauges — the cost
+	// mirror, cache statistics — function regardless of this flag.)
 	Telemetry bool
 
 	// CostAccounting enables per-request dollar attribution (package obs
@@ -191,65 +179,10 @@ type Config struct {
 	CostAccounting bool
 
 	// CostBudgetUSDPerHour arms the ledger's burn-rate monitor: spend is
-	// evaluated over tumbling CostBudgetWindow windows of virtual time and
-	// a window exceeding this hourly rate emits a breach gauge and an
+	// evaluated over tumbling one-second windows of virtual time and a
+	// window exceeding this hourly rate emits a breach gauge and an
 	// instant "cost.breach" span. 0 disarms (the default).
 	CostBudgetUSDPerHour float64
-
-	// CostBudgetWindow is the burn-rate evaluation window (default 1 s of
-	// virtual time).
-	CostBudgetWindow time.Duration
-}
-
-// AutoShard configures shard auto-scaling (Config.AutoShard): the policy
-// samples each shard queue's depth every Interval; a shard whose depth
-// stays at or above SplitDepth for Sustain consecutive samples is
-// resharded — by splitting its dominant subtree over SplitWays new queues
-// when one top-level segment carries at least half of the shard's routed
-// writes, or by growing the queue count otherwise — and a split whose
-// target queues sit empty for MergeIdle consecutive samples is merged
-// back.
-type AutoShard struct {
-	Enabled bool
-
-	Interval   time.Duration // sampling period (default 1 s)
-	SplitDepth int           // queue-depth threshold (default 6)
-	Sustain    int           // consecutive hot samples before acting (default 3)
-	SplitWays  int           // subtree split fanout (default 2)
-	MaxShards  int           // queue-count ceiling (default 8)
-	MergeIdle  int           // idle samples before merging a split; 0 = never
-
-	// CostAware replaces the raw depth thresholds with an economic
-	// objective: each sample accrues queue-delay cost
-	// (depth × Interval × delayUSDPerItemSec) into a per-shard pool, a
-	// split is taken only once the hot shard's accumulated delay cost has
-	// paid for the estimated costmodel.ReshardCost of performing it, and
-	// an idle split is merged back only once the delay cost it absorbed
-	// since splitting covers both reshard operations — so a split that
-	// never earned its keep is kept (merging would spend reshard dollars
-	// to save nothing, and a re-split would spend them again).
-	CostAware bool
-}
-
-func (a *AutoShard) defaults() {
-	if a.Interval <= 0 {
-		a.Interval = time.Second
-	}
-	if a.SplitDepth <= 0 {
-		a.SplitDepth = 6
-	}
-	if a.Sustain <= 0 {
-		a.Sustain = 3
-	}
-	if a.SplitWays < 2 {
-		a.SplitWays = 2
-	}
-	if a.MaxShards <= 0 {
-		a.MaxShards = 8
-	}
-	if a.MaxShards > shardmap.MaxShards {
-		a.MaxShards = shardmap.MaxShards
-	}
 }
 
 func (c *Config) defaults() {
@@ -272,24 +205,14 @@ func (c *Config) defaults() {
 	if c.HeartbeatMemMB <= 0 {
 		c.HeartbeatMemMB = 512
 	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 1500 * time.Millisecond
-	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
 	if c.WriteShards <= 0 {
 		c.WriteShards = 1
 	}
-	if c.AutoShard.Enabled {
-		c.DynamicShards = true
-		c.AutoShard.defaults()
-	}
 	if c.DynamicShards && c.WriteShards > shardmap.MaxShards {
 		panic("core: DynamicShards supports at most 64 write shards")
-	}
-	if c.CacheWarmK < 0 {
-		c.CacheWarmK = 0
 	}
 	if c.MaxBatch < 0 {
 		c.MaxBatch = 0
@@ -310,9 +233,6 @@ func (c *Config) defaults() {
 	// passes through).
 	if c.ClientCacheCapacityB <= 0 {
 		c.ClientCacheCapacityB = 256 << 10
-	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = 5 * time.Second
 	}
 	if c.FanoutDebounce <= 0 {
 		c.FanoutDebounce = 10 * time.Millisecond
@@ -344,7 +264,7 @@ type Deployment struct {
 	// Obs is the telemetry hub: the request tracer and the component
 	// metrics registry. Always non-nil; the tracer and the registry's
 	// hot-path instruments record only when Cfg.Telemetry is set, while
-	// gauges (the AutoShard monitor's queue-depth signals) always work.
+	// gauges (the cost mirror, cache statistics) always work.
 	Obs *obs.Hub
 
 	// Caches holds one regional cache node per user store (aligned with
@@ -413,7 +333,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	if cfg.CostBudgetUSDPerHour > 0 {
 		d.Obs.Cost.SetBudget(obs.Budget{
 			USDPerHour: cfg.CostBudgetUSDPerHour,
-			Window:     sim.Time(cfg.CostBudgetWindow),
+			Window:     costBudgetWindow,
 		})
 	}
 	d.System.SetCostCategory("syskv")
@@ -464,7 +384,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	}
 
 	if cfg.DynamicShards {
-		d.dyn = &dynShards{store: shardmap.NewStore(d.System), hot: map[string]int64{}}
+		d.dyn = &dynShards{store: shardmap.NewStore(d.System)}
 		seedMap := shardmap.New(cfg.WriteShards)
 		d.dyn.store.Seed(seedMap)
 		d.dyn.cur = seedMap
@@ -494,10 +414,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 
 	if cfg.HeartbeatEvery > 0 {
 		d.Platform.AddSchedule(FnHeartbeat, cfg.HeartbeatEvery)
-	}
-
-	if cfg.AutoShard.Enabled {
-		d.K.Go("autoshard-monitor", d.autoShardMonitor)
 	}
 
 	d.seedRoot()
@@ -622,11 +538,6 @@ func (d *Deployment) Connect(sessionID string, region cloud.Region) *SessionTran
 		}
 	})
 	return st
-}
-
-// Transport returns the transport of a connected session, or nil.
-func (d *Deployment) Transport(sessionID string) *SessionTransport {
-	return d.sessions[sessionID]
 }
 
 // ReleaseTransport tears down a session's queue and connection after the

@@ -10,7 +10,6 @@ import (
 	"faaskeeper/internal/cloud/queue"
 	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
-	"faaskeeper/internal/shardmap"
 	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
@@ -381,11 +380,6 @@ func (d *Deployment) routeMsg(msg *leaderMsg) {
 	m := d.mapView()
 	msg.Shard = m.ShardFor(msg.Path)
 	dynStamp(msg, m)
-	if d.Cfg.AutoShard.Enabled {
-		// Only the auto-shard monitor reads (and resets) the per-segment
-		// counters; without it they would just grow.
-		d.dyn.hot[shardmap.TopSegment(msg.Path)]++
-	}
 }
 
 // pushToShard sends the message to the shard already set on it.

@@ -49,7 +49,6 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/fksync"
-	"faaskeeper/internal/obs"
 	"faaskeeper/internal/shardmap"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/wire"
@@ -295,74 +294,4 @@ func (d *Deployment) reshard(plan func(*shardmap.Map) (*shardmap.Map, error)) er
 	}
 	d.dyn.cur = final
 	return nil
-}
-
-// autoShardMonitor is the Config.AutoShard policy loop: a control-plane
-// process sampling per-shard queue depth (a CloudWatch-style metric). It
-// runs for the lifetime of the simulation — drive kernels hosting it with
-// RunFor, like deployments with a scheduled heartbeat.
-func (d *Deployment) autoShardMonitor() {
-	pol := newAutoShardPolicy(d.Cfg.AutoShard, d.reshardEstimateUSD())
-	for {
-		d.K.Sleep(pol.cfg.Interval)
-		m := d.mapView()
-		// Publish every shard's sampled depth into the metrics registry
-		// (gauges record regardless of Config.Telemetry), then make every
-		// decision below from the gauges — the exported telemetry always
-		// shows exactly the signal the policy acted on.
-		for s := 0; s < len(d.LeaderQs); s++ {
-			d.Obs.Metrics.SetGauge(
-				obs.Key{Component: "leader", Name: "queue_depth", Shard: s},
-				int64(d.LeaderQs[s].Len()))
-		}
-		depth := func(s int) int64 {
-			if s >= len(d.LeaderQs) {
-				return 0
-			}
-			return d.Obs.Metrics.Gauge(obs.Key{Component: "leader", Name: "queue_depth", Shard: s})
-		}
-		act := pol.step(m, depth)
-		// The economic signal the policy weighs, in micro-dollars (the
-		// same always-on gauge surface as the depth it derives from).
-		for s := 0; s < m.Queues && s < len(d.LeaderQs); s++ {
-			d.Obs.Metrics.SetGauge(
-				obs.Key{Component: "autoshard", Name: "delay_cost_micro", Shard: s},
-				int64(pol.delayPool[s]*1e6))
-		}
-		if act.splitShard >= 0 {
-			s := act.splitShard
-			seg, segWrites, shardWrites := d.hottestSegment(m, s)
-			switch {
-			case seg != "" && 2*segWrites >= shardWrites && m.Queues+pol.cfg.SplitWays <= pol.cfg.MaxShards:
-				// One subtree dominates the hot shard: sub-split it so
-				// the load spreads without disturbing anything else.
-				_ = d.SplitSubtree("/"+seg, pol.cfg.SplitWays)
-			case m.Queues < pol.cfg.MaxShards:
-				// Diffuse load: add a queue and rebalance slots onto it.
-				_ = d.GrowShards(m.Queues + 1)
-			}
-		}
-		if act.merge != "" {
-			_ = d.MergeSubtree(act.merge)
-		}
-		d.dyn.hot = map[string]int64{} // fresh sampling window
-	}
-}
-
-// hottestSegment returns the top-level segment with the most routed
-// writes on one shard in the current sampling window, its count, and the
-// shard's total.
-func (d *Deployment) hottestSegment(m *shardmap.Map, shard int) (string, int64, int64) {
-	var best string
-	var bestN, total int64
-	for seg, n := range d.dyn.hot {
-		if m.ShardFor("/"+seg) != shard {
-			continue
-		}
-		total += n
-		if n > bestN {
-			best, bestN = seg, n
-		}
-	}
-	return best, bestN, total
 }

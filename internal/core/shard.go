@@ -69,11 +69,6 @@ func leaderQueueName(shard, n int) string {
 type dynShards struct {
 	store *shardmap.Store
 	cur   *shardmap.Map
-
-	// hot counts routed writes per top-level segment since the last
-	// auto-shard sample — the policy's signal for picking the subtree to
-	// split (a metrics service in a real deployment; warm state here).
-	hot map[string]int64
 }
 
 // Dynamic reports whether the deployment routes through a live shard map.
@@ -102,15 +97,6 @@ func (d *Deployment) LoadShardMap(ctx cloud.Ctx) *shardmap.Map {
 		return d.dyn.cur
 	}
 	return m
-}
-
-// TxidShard recovers the shard that minted a txid: modulo the shard count
-// on a static deployment, modulo the fixed stride on a dynamic one.
-func (d *Deployment) TxidShard(txid int64) int {
-	if d.dyn != nil {
-		return shardmap.ShardOfTxid(txid)
-	}
-	return int(txid % int64(d.NumShards()))
 }
 
 // RouteShard returns the shard currently owning a path's writes.

@@ -43,14 +43,6 @@ func (d *Deployment) stageMsg(msg leaderMsg, stage string) {
 	d.Obs.Tracer.Stage(msg.trace(), stage)
 }
 
-// finishReq closes the request's span chain (terminal response point).
-func (d *Deployment) finishReq(req Request) {
-	if !d.traceOn() || !tracedReq(req) {
-		return
-	}
-	d.Obs.Tracer.Finish(req.trace())
-}
-
 // msgTrace returns the trace id a leader-side child span should attach to,
 // or 0 when the message is untraced. Unlike tracedMsg it includes
 // OpTxnCommit: the commit message's Session/Seq are the originating

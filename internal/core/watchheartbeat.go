@@ -82,7 +82,7 @@ func (d *Deployment) heartbeatHandler(inv *faas.Invocation) error {
 		nonce := d.K.Rand().Int63()
 		d.K.Go("heartbeat-ping", func() {
 			d.notify(session, Ping{Nonce: nonce}, 16)
-			deadline := d.K.Now() + sim.Time(d.Cfg.HeartbeatTimeout)
+			deadline := d.K.Now() + heartbeatTimeout
 			for {
 				remaining := deadline - d.K.Now()
 				if remaining <= 0 {

@@ -209,23 +209,6 @@ func (m Model) ReshardCost(sources, polls, retriedWrites, mapB, sizeB int) float
 	return c
 }
 
-// ReshardEstimate returns the planning estimate of one reshard transition
-// the cost-aware AutoShard policy weighs against accumulated queue-delay
-// cost: ReshardCost evaluated with nominal drain polling (four barrier
-// reads per source) and in-flight retry counts (two gate-crossed writes
-// per source) at 1 kB payloads. The policy compares dollars to dollars —
-// a split is only worth its transition once the delay it would relieve
-// has cost at least this much.
-func (m Model) ReshardEstimate(sources, mapB int) float64 {
-	if sources <= 0 {
-		sources = 1
-	}
-	if mapB <= 0 {
-		mapB = 512
-	}
-	return m.ReshardCost(sources, 4*sources, 2*sources, mapB, 1024)
-}
-
 // CachedReadCost returns the expected dollars for one read served through
 // the cache tier at the given hit ratio: hits touch only the regional
 // cache node (per-operation free — the node bills hourly, see

@@ -365,9 +365,7 @@ func TestCacheWatchReadBypassesClientCache(t *testing.T) {
 // timeliness guarantee) — the regional node was push-invalidated, only the
 // session-local copy could linger.
 func TestCacheTTLBoundsStaleness(t *testing.T) {
-	cfg := cachedCfg()
-	cfg.CacheTTL = 200 * time.Millisecond
-	runCached(t, 6, cfg, func(k *sim.Kernel, d *core.Deployment) {
+	runCached(t, 6, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		w, err := Connect(d, "w", d.Cfg.Profile.Home)
 		if err != nil {
 			t.Fatalf("connect w: %v", err)
@@ -387,7 +385,7 @@ func TestCacheTTLBoundsStaleness(t *testing.T) {
 		if _, err := w.SetData("/t", []byte("v1"), -1); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		k.Sleep(time.Second) // far beyond the TTL and the distribution
+		k.Sleep(core.CacheTTL + time.Second) // beyond the TTL and the distribution
 		data, _, err := r.GetData("/t")
 		if err != nil {
 			t.Fatalf("read after TTL: %v", err)

@@ -70,7 +70,6 @@ type Client struct {
 	// monotonicity still holds exactly.
 	rcache   *cache.Regional
 	lcache   *cache.LRU
-	cacheTTL time.Duration
 	lastSeen map[string]int64
 
 	// decoded memoizes the znode decoded from a client-cache entry, keyed
@@ -165,7 +164,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 	}
 	if rc := d.CacheFor(region); rc != nil {
 		c.rcache = rc
-		c.cacheTTL = d.Cfg.CacheTTL
 		c.lastSeen = map[string]int64{}
 		if d.Cfg.CacheMode == core.CacheTwoLevel {
 			c.lcache = cache.NewLRU(d.Cfg.ClientCacheCapacityB)
@@ -174,30 +172,15 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 	if err := d.RegisterSession(c.ctx, id); err != nil {
 		return nil, err
 	}
-	if c.lcache != nil && d.Cfg.CacheWarmK > 0 {
-		// Connect-time warm-up: prefetch the regional node's hot set into
-		// the session cache and seed the per-path floors, so the first
-		// read of a hot path is already a local hit. Safe for a fresh
+	if c.lcache != nil && d.Cfg.WatchFanout {
+		// Watch-set warm-up: a reconnecting session prefetches exactly
+		// the paths its durable persistent-watch registrations name —
+		// the paths it is about to read. One system-store read for the
+		// set, one cache round trip for the entries. Safe for a fresh
 		// session: an entry the regional node still holds is the path's
 		// current committed state (push-invalidation), exactly what a
 		// first direct read could return, and raising lastSeen only makes
 		// later guard checks stricter.
-		for _, w := range c.rcache.Warmup(c.ctx, d.Cfg.CacheWarmK) {
-			if !c.l1Cacheable(w.Path) {
-				continue
-			}
-			c.lcache.Put(w.Path, cache.Entry{Blob: w.Entry.Blob, Mzxid: w.Entry.Mzxid, FilledAt: d.K.Now()})
-			if w.Entry.Mzxid > c.lastSeen[w.Path] {
-				c.lastSeen[w.Path] = w.Entry.Mzxid
-			}
-		}
-	}
-	if c.lcache != nil && d.Cfg.WatchFanout {
-		// Watch-set warm-up: a reconnecting session prefetches exactly
-		// the paths its durable persistent-watch registrations name —
-		// the paths it is about to read — instead of relying on the
-		// global MRU hot set above. One system-store read for the set,
-		// one cache round trip for the entries.
 		if paths := d.SessionWatchSet(c.ctx, id); len(paths) > 0 {
 			for _, w := range c.rcache.WarmupPaths(c.ctx, paths) {
 				if !c.l1Cacheable(w.Path) {
@@ -443,7 +426,7 @@ func (c *Client) refreshMap(epoch int64) {
 // refreshMapTTL re-reads the map once per CacheTTL for sessions whose
 // client cache depends on shared-path classification (see smap).
 func (c *Client) refreshMapTTL() {
-	if c.smap == nil || c.lcache == nil || c.d.K.Now()-c.smapAt <= c.cacheTTL {
+	if c.smap == nil || c.lcache == nil || c.d.K.Now()-c.smapAt <= core.CacheTTL {
 		return
 	}
 	if m := c.d.LoadShardMap(c.ctx); m != nil {
@@ -917,7 +900,7 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 			l1Floor = c.mrdMax
 		}
 		if e, ok := c.lcache.Get(path); ok && e.Mzxid >= l1Floor &&
-			c.d.K.Now()-e.FilledAt <= c.cacheTTL {
+			c.d.K.Now()-e.FilledAt <= core.CacheTTL {
 			if n, stamp, ok := c.memoHit(path, e.Mzxid); ok {
 				c.l1Hits++
 				return n, stamp, nil

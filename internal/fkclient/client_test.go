@@ -259,12 +259,8 @@ func TestEphemeralRemovedOnClose(t *testing.T) {
 }
 
 func TestHeartbeatEvictsCrashedClient(t *testing.T) {
-	cfg := core.Config{
-		HeartbeatEvery:   30 * time.Second,
-		HeartbeatTimeout: 2 * time.Second,
-	}
 	k := sim.NewKernel(7)
-	d := core.NewDeployment(k, cfg)
+	d := core.NewDeployment(k, core.Config{HeartbeatEvery: 30 * time.Second})
 	var observed *znode.Stat
 	var observedErr error
 	k.Go("test-main", func() {

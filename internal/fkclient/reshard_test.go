@@ -3,8 +3,8 @@ package fkclient
 // Live-reshard correctness from the client's perspective: dynamic routing
 // equivalence at epoch 0, hot-subtree splits / grows / merges under
 // concurrent writers (no lost acknowledged write, monotonic per-path
-// mzxid), the randomized matrix across batching, caching, and
-// transactions, and the auto-shard policy.
+// mzxid), and the randomized matrix across batching, caching, and
+// transactions.
 
 import (
 	"fmt"
@@ -292,77 +292,4 @@ func randomReshardHistory(t *testing.T, seed int64, cfg core.Config, multis bool
 	k.Run()
 	k.Shutdown()
 	return d
-}
-
-// TestAutoShardSplitsHotSubtree: the auto-scaling policy detects the
-// sustained hot subtree, splits it without operator involvement, and —
-// once the split's queues go idle — merges it back.
-func TestAutoShardSplitsHotSubtree(t *testing.T) {
-	cfg := core.Config{
-		WriteShards: 2,
-		AutoShard: core.AutoShard{
-			Enabled: true, Interval: 200 * sim.Ms(1),
-			SplitDepth: 3, Sustain: 2, SplitWays: 2, MaxShards: 8,
-			MergeIdle: 5,
-		},
-	}
-	k := sim.NewKernel(3003)
-	d := core.NewDeployment(k, cfg)
-	var splitSeen *shardmap.Map
-	k.Go("driver", func() {
-		setup := mustConnect(t, d, "setup")
-		setup.Create("/hot", nil, 0)
-		paths := make([]string, 8)
-		for i := range paths {
-			paths[i] = fmt.Sprintf("/hot/n%d", i)
-			setup.Create(paths[i], nil, 0)
-		}
-		done := sim.NewWaitGroup(k)
-		for i := range paths {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("w%d", i), func() {
-				defer done.Done()
-				c, err := Connect(d, fmt.Sprintf("w%d", i), d.Cfg.Profile.Home)
-				if err != nil {
-					return
-				}
-				defer c.Close()
-				for op := 0; op < 25; op++ {
-					if _, err := c.SetData(paths[i], []byte("x"), -1); err != nil {
-						t.Errorf("w%d: %v", i, err)
-						return
-					}
-				}
-			})
-		}
-		done.Wait()
-		// The split should have landed while traffic was flowing.
-		splitSeen = d.LoadShardMap(ctlCtx(d))
-		setup.Close()
-	})
-	// The monitor loops forever; bound the run like a heartbeat test.
-	k.RunFor(120 * sim.Ms(1000))
-	var final *shardmap.Map
-	k.Go("inspect", func() { final = d.LoadShardMap(ctlCtx(d)) })
-	k.RunFor(sim.Ms(1000))
-	k.Shutdown()
-	if splitSeen == nil || splitSeen.Epoch == 0 {
-		t.Fatalf("auto-shard never resharded under load (map %v)", splitSeen)
-	}
-	split := false
-	for _, sp := range splitSeen.Splits {
-		if sp.Prefix == "/hot" {
-			split = true
-		}
-	}
-	if !split {
-		t.Errorf("auto-shard acted (epoch %d) but did not split /hot: %s", splitSeen.Epoch, splitSeen)
-	}
-	if final == nil || len(final.Splits) != 0 {
-		t.Errorf("idle split was never merged back: %s", final)
-	}
-	if final != nil && final.Epoch <= splitSeen.Epoch {
-		t.Errorf("merge did not bump the epoch: split at %d, final %d", splitSeen.Epoch, final.Epoch)
-	}
 }

@@ -44,9 +44,6 @@ func NewLockManager(env *cloud.Env, tbl *kv.Table, maxHold time.Duration) *LockM
 	return &LockManager{tbl: tbl, env: env, maxHold: maxHold}
 }
 
-// MaxHold returns the lease duration.
-func (m *LockManager) MaxHold() time.Duration { return m.maxHold }
-
 // acquireCond is the paper's lock condition: the lock is free when no
 // timestamp is present or the existing timestamp is older than the
 // maximum holding time.

@@ -51,9 +51,9 @@ type Budget struct {
 // charge made under an attribution sink lands here exactly once, split
 // into (category, shard, region) cells, per-trace totals, and a grand
 // total — all in picodollars. Cells mirror into the registry's gauges
-// (which, like the AutoShard queue-depth signals, function without
-// Telemetry), so Prometheus dumps carry cost series on any deployment
-// with cost accounting enabled. A disabled ledger is a nil-check no-op.
+// (which function without Telemetry), so Prometheus dumps carry cost
+// series on any deployment with cost accounting enabled. A disabled
+// ledger is a nil-check no-op.
 type CostLedger struct {
 	enabled bool
 	reg     *Registry
@@ -194,9 +194,6 @@ func (l *CostLedger) TracePd(trace int64) int64 {
 	}
 	return l.byTrace[trace]
 }
-
-// TraceUSD returns one trace's attributed total in dollars.
-func (l *CostLedger) TraceUSD(trace int64) float64 { return PdToUSD(l.TracePd(trace)) }
 
 // SystemPd returns the trace-0 bucket: charges attributed to the pipeline
 // rather than any single request.

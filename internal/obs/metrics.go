@@ -22,10 +22,11 @@ type Key struct {
 //
 // Counters and histograms are hot-path instruments: they record only when
 // the registry is enabled (Config.Telemetry) and are strict no-ops —
-// zero allocation, zero map traffic — when it is not. Gauges are
-// control-plane instruments sampled at low rate (the AutoShard monitor's
-// queue depths): they always function, so policy decisions can be fed
-// from the registry on deployments that never enable span telemetry.
+// zero allocation, zero map traffic — when it is not. Gauges are levels
+// owned by a subsystem with its own switch or publish call (the cost
+// ledger's mirror cells, cache and fan-out node statistics): they always
+// function, so a deployment that never enables span telemetry still
+// exports its cost and cache series.
 type Registry struct {
 	enabled  bool
 	counters map[Key]int64
@@ -62,8 +63,7 @@ func (r *Registry) Counter(k Key) int64 {
 	return r.counters[k]
 }
 
-// SetGauge records a sampled level. Gauges always function (see the type
-// comment); they are written from control-plane loops, never per-message.
+// SetGauge records a level. Gauges always function (see the type comment).
 func (r *Registry) SetGauge(k Key, v int64) {
 	if r == nil {
 		return

@@ -78,9 +78,6 @@ type Span struct {
 	CostPd int64 `json:"cost_pd,omitempty"`
 }
 
-// CostUSD converts the span's attributed cost to dollars.
-func (s Span) CostUSD() float64 { return PdToUSD(s.CostPd) }
-
 // Tracer records spans against a virtual clock. The zero of every method
 // is a no-op when the tracer is disabled or nil, costing nothing on the
 // hot path.

@@ -230,21 +230,6 @@ func (m *Map) ShardFor(path string) int {
 	return DefaultShard(path, m.Base)
 }
 
-// SplitFor returns the split rule that routes to the given shard, if any
-// — the reverse of a Split's Shards list, used by the cost-aware
-// auto-shard policy to attribute a shard's queue-delay cost to the split
-// that created it.
-func (m *Map) SplitFor(shard int) (Split, bool) {
-	for _, sp := range m.Splits {
-		for _, s := range sp.Shards {
-			if s == shard {
-				return sp, true
-			}
-		}
-	}
-	return Split{}, false
-}
-
 // Shared reports whether a path's user-store object is rebuilt by more
 // than one shard leader: the tree root of any multi-queue deployment, and
 // the root node of a split subtree (its child list is spliced by every

@@ -528,12 +528,3 @@ func (s *Server) sessionExpiryLoop() {
 		}
 	}
 }
-
-// SessionIDs lists the server's live session ids (test helper).
-func (s *Server) SessionIDs() []string {
-	out := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		out = append(out, id)
-	}
-	return out
-}
