@@ -168,16 +168,51 @@ func (t *Table) Get(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 // read paths use it to skip cloning entire items — the paper's znode items
 // carry the full node blob, so the clone dominated read-side allocation.
 func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
-	r := t.items[key]
-	size := 0
-	if r != nil {
-		size = r.cur.Size()
-	}
+	size := t.sizeOf(key)
 	t.env.K.Sleep(t.readLatency(ctx, size))
 	t.env.Charge(ctx, t.costCat+".read", t.profile().Pricing.KVReadCost(max(size, 1), consistent), 1)
-	r = t.items[key] // re-fetch: state may have changed while we slept
+	it := t.view(key, consistent) // state may have changed while we slept
+	return it, it != nil
+}
+
+// GetViews is the batched read (DynamoDB's BatchGetItem): one round trip
+// that fetches every key and takes as long as its slowest item, where a
+// loop of GetView calls would take the sum. Each item is still billed as
+// its own read, at GetView's price. out[i] receives keys[i]'s item under
+// GetView's read-only-view contract, all taken at the same instant after
+// the sleep, or nil when the key is missing; len(out) must be len(keys).
+func (t *Table) GetViews(ctx cloud.Ctx, keys []string, consistent bool, out []Item) {
+	var sizeBuf [8]int // enough for the leader's opening read without a heap slice
+	sizes := sizeBuf[:0]
+	var lat sim.Time
+	for _, key := range keys {
+		size := t.sizeOf(key)
+		sizes = append(sizes, size)
+		lat = max(lat, t.readLatency(ctx, size))
+	}
+	t.env.K.Sleep(lat)
+	cat, p := t.costCat+".read", t.profile()
+	for i, key := range keys {
+		t.env.Charge(ctx, cat, p.Pricing.KVReadCost(max(sizes[i], 1), consistent), 1)
+		out[i] = t.view(key, consistent)
+	}
+}
+
+// sizeOf is the stored size of key's item, 0 when it is missing.
+func (t *Table) sizeOf(key string) int {
+	if r := t.items[key]; r != nil {
+		return r.cur.Size()
+	}
+	return 0
+}
+
+// view returns key's item as a read sees it now, nil when it is missing:
+// the current version, or — for an eventually consistent read racing a
+// recent write — possibly the one before it.
+func (t *Table) view(key string, consistent bool) Item {
+	r := t.items[key]
 	if r == nil {
-		return nil, false
+		return nil
 	}
 	if !consistent && r.prev != nil {
 		lag := t.profile().KVReplicaLag
@@ -187,11 +222,11 @@ func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool)
 			// fresh the write is.
 			pStale := 1 - float64(age)/float64(lag)
 			if t.env.K.Rand().Float64() < pStale {
-				return r.prev, true
+				return r.prev
 			}
 		}
 	}
-	return r.cur, true
+	return r.cur
 }
 
 // Put stores item under key if cond (when non-nil) holds.

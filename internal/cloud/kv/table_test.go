@@ -576,3 +576,113 @@ func TestItemCloneAllocations(t *testing.T) {
 		t.Fatalf("clone differs: %v vs %v", sink, it)
 	}
 }
+
+// TestGetViewsIsOneRoundTrip: the batched read draws each item's latency as
+// GetView would, in key order, so on a same-seed kernel a loop of GetView
+// calls gives the per-item latencies to compare against. The batch takes as
+// long as its slowest item — not the sum — bills one read per key at
+// GetView's price, and returns the same items, nil for the missing key.
+func TestGetViewsIsOneRoundTrip(t *testing.T) {
+	keys := []string{"small", "missing", "large", "mid"}
+	seed := func(tbl *Table) {
+		tbl.SeedPut("small", Item{{Name: "d", V: B(make([]byte, 16))}})
+		tbl.SeedPut("large", Item{{Name: "d", V: B(make([]byte, 64*1024))}})
+		tbl.SeedPut("mid", Item{{Name: "d", V: B(make([]byte, 4*1024))}})
+	}
+	for _, consistent := range []bool{true, false} {
+		k, env, ctx := newEnv(11)
+		tbl := NewTable(env, "state")
+		seed(tbl)
+		var each []sim.Time
+		single := make([]Item, len(keys))
+		k.Go("loop", func() {
+			for i, key := range keys {
+				t0 := k.Now()
+				single[i], _ = tbl.GetView(ctx, key, consistent)
+				each = append(each, k.Now()-t0)
+			}
+		})
+		k.Run()
+
+		k2, env2, ctx2 := newEnv(11)
+		tbl2 := NewTable(env2, "state")
+		seed(tbl2)
+		batch := make([]Item, len(keys))
+		var took sim.Time
+		k2.Go("batch", func() {
+			t0 := k2.Now()
+			tbl2.GetViews(ctx2, keys, consistent, batch)
+			took = k2.Now() - t0
+		})
+		k2.Run()
+
+		var slowest, sum sim.Time
+		for _, d := range each {
+			slowest, sum = max(slowest, d), sum+d
+		}
+		if took != slowest || took >= sum {
+			t.Errorf("consistent=%v: the batch took %v; its items alone take %v (slowest %v, sum %v)", consistent, took, each, slowest, sum)
+		}
+		if got, want := env2.Meter.Count("kv.read"), int64(len(keys)); got != want || env.Meter.Count("kv.read") != want {
+			t.Errorf("consistent=%v: %d reads billed, want one per key (%d)", consistent, got, want)
+		}
+		if got, want := env2.Meter.Cost("kv.read"), env.Meter.Cost("kv.read"); got != want {
+			t.Errorf("consistent=%v: the batch billed $%v, the loop of GetView calls $%v", consistent, got, want)
+		}
+		for i, key := range keys {
+			if !reflect.DeepEqual(batch[i], single[i]) {
+				t.Errorf("consistent=%v: %s: batch read %v, GetView %v", consistent, key, batch[i], single[i])
+			}
+		}
+		if batch[1] != nil || batch[0] == nil {
+			t.Errorf("consistent=%v: missing key read as %v, present key as %v", consistent, batch[1], batch[0])
+		}
+	}
+}
+
+// TestGetViewsSeesCommitDuringItsSleep: the views are taken when the round
+// trip ends, so a write that commits while the batch is in flight is in it
+// (the leader's opening read relies on this: an earlier read is only a
+// staler poll, never a view older than its own return).
+func TestGetViewsSeesCommitDuringItsSleep(t *testing.T) {
+	k, env, ctx := newEnv(5)
+	tbl := NewTable(env, "state")
+	tbl.SeedPut("n", Item{{Name: "v", V: N(1)}})
+	tbl.SeedPut("other", Item{{Name: "v", V: N(0)}})
+	var committed sim.Time
+	k.Go("writer", func() {
+		k.Sleep(sim.Ms(20))
+		if err := tbl.Put(ctx, "n", Item{{Name: "v", V: N(2)}}, nil); err != nil {
+			t.Errorf("put: %v", err)
+		}
+		committed = k.Now()
+	})
+	type read struct {
+		start, end sim.Time
+		v          int64
+	}
+	var reads []read
+	k.Go("reader", func() {
+		out := make([]Item, 2)
+		for k.Now() < sim.Ms(60) {
+			t0 := k.Now()
+			tbl.GetViews(ctx, []string{"other", "n"}, true, out)
+			reads = append(reads, read{t0, k.Now(), out[1].Get("v").Num})
+		}
+	})
+	k.Run()
+	straddled := false
+	for _, r := range reads {
+		want := int64(1)
+		if r.end >= committed {
+			want = 2
+		}
+		if r.v != want {
+			t.Errorf("read [%v, %v] returned v=%d, want %d (the write committed at %v)", r.start, r.end, r.v, want, committed)
+		}
+		straddled = straddled || (r.start < committed && committed <= r.end)
+	}
+	if !straddled {
+		t.Fatalf("no read was in flight when the write committed at %v: %v", committed, reads)
+	}
+}

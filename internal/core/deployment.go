@@ -255,6 +255,10 @@ type Deployment struct {
 	System *kv.Table
 	Locks  *fksync.LockManager
 	Stores []UserStore // [0] is the home-region primary
+	// flushProcs names each store's regional flush process
+	// ("leader-update-<region>", aligned with Stores), built once: every
+	// flush spawns one per region.
+	flushProcs []string
 
 	// Txns manages the durable transaction records of multi()
 	// coordinators (package txn). Always non-nil; it touches the system
@@ -344,6 +348,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	regions := append([]cloud.Region{cfg.Profile.Home}, cfg.ExtraRegions...)
 	for _, r := range regions {
 		d.Stores = append(d.Stores, d.newUserStore(r))
+		d.flushProcs = append(d.flushProcs, "leader-update-"+string(r))
 		if cfg.CacheMode != CacheOff {
 			rc := cache.NewRegional(env, r, cfg.CacheCapacityB)
 			if cfg.CostAccounting {

@@ -27,20 +27,39 @@ package core
 // Flushes never overlap and stay in queue order: the stores always hold a
 // prefix of the total order (single system image). A chunk with no
 // successor in its run — every one-message invocation — commits, flushes,
-// completes and pops in Algorithm 2's order, step for step.
+// completes and pops in Algorithm 2's order.
 //
-// A one-message chunk is exactly Algorithm 2. Three order rules say when a
-// step leaves its place there, each on something the code observes:
+// A one-message chunk is Algorithm 2 with every read, write and condition
+// in place and two steps moved off the critical path, each still meeting
+// what its place was for:
+//
+//   - The first read of the control record (awaitCommit's first poll) rides
+//     the invocation's opening read, one batched round trip with the epoch
+//     counters (leader.go, open), instead of following it. The poll loop
+//     tolerates a stale view — it only ever acts through a conditional
+//     write or another read — and the epoch stamp is, as before, read
+//     before any flush's legs start.
+//   - A fired group's delivery is launched before its id is appended to the
+//     epoch counters, not after (flushChunk). The id has to be in the
+//     counters before the next flush reads its stamp and before the
+//     writer's response leaves; both follow the append on the one handler
+//     process.
+//
+// Three order rules say when a step leaves its place, each on something the
+// code observes:
 //
 //   - Watch claim. Ids must be in the epoch counters before a value that
 //     another writer may causally follow becomes readable (Z4). A lone
 //     message on a single serialized shard keeps the paper's order (query
-//     after the flush, enter each id right before launching its
-//     delivery); several shards, the fan-out tier, or a chunk of several
-//     messages claim before the flush (openChunk's claimEarly). Either way
-//     chunk n's ids are entered before flush n+1 starts, and a flush reads
-//     its epoch stamp before its legs start, so a claim prefetched under
-//     it cannot reach the stamp.
+//     after the flush, each id entered next to the launch of its delivery);
+//     several shards, the fan-out tier, or a chunk of several messages claim
+//     before the flush (openChunk's claimEarly). Either way chunk n's ids are
+//     entered before flush n+1 starts, and a flush reads its epoch stamp
+//     before its legs start, so a claim prefetched under it cannot reach the
+//     stamp. The query itself cannot move ahead of the flush on the paper's
+//     order: a watch registered between an early query and the put's landing
+//     would be armed on the old value and missed by this change (ROADMAP
+//     1(f) — the claimEarly configurations have exactly that window).
 //   - Pending pop. The next message's awaitCommit needs its txid at the
 //     head of the node's pending list, so a message followed in the same
 //     chunk by another on the same path pops in the commit phase. Every
@@ -60,8 +79,9 @@ package core
 //
 // A batch redelivered at any point replays as it always did: no step is
 // new, each is idempotent under its own condition (the pop on its txid at
-// the head, the commit check on the pending list), and a prefetch that
-// finds an entry already consumed is simply abandoned.
+// the head, the commit check on the pending list), a prefetch that finds an
+// entry already consumed is simply abandoned, and the opening read is a
+// read: taken again, it is the first poll again.
 //
 // Every per-operation guarantee holds at any chunk size:
 //
@@ -137,7 +157,6 @@ type batchFold struct {
 	// deferred pops and the chunk's leader.total need once it completed.
 	msgs       []decodedMsg
 	claimEarly bool     // order rule 1
-	staged     bool     // the next message's prefetch was abandoned: its commit stage is open
 	t0         sim.Time // the commit phase began
 
 	// results and the spare entry structs ride the pooled fold, so a
@@ -174,7 +193,7 @@ func (f *batchFold) release() {
 	clear(f.parents)
 	clear(f.results)
 	f.order, f.parentOrder, f.results = f.order[:0], f.parentOrder[:0], f.results[:0]
-	f.msgs, f.claimEarly, f.staged = nil, false, false
+	f.msgs, f.claimEarly = nil, false
 	batchFoldPool.Put(f)
 }
 
@@ -274,23 +293,30 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 type leaderRun struct {
 	d           *Deployment
 	ctx         cloud.Ctx
-	epochs      map[cloud.Region][]int64
+	epochs      map[cloud.Region][]int64 // the epoch counters' mirror (open)
 	completions []watchCompletion
+
+	// The opening read's share of the first message (open): its control
+	// record, awaitCommit's first poll, and the instant its commit phase
+	// began. The first commitOne takes them.
+	opening  sysNode
+	openedAt sim.Time
+	opened   bool
 
 	done  *batchFold // chunk n−1: completed, its pending pops (➎) deferred
 	ahead *batchFold // chunk n+1: next in the run, commit phase unfinished
 }
 
-// leaderPipeline runs one invocation's messages through the pipeline:
-// maximal runs between barriers, each cut into chunks of at most
-// Config.MaxBatch messages (0 = the whole run).
-func (d *Deployment) leaderPipeline(ctx cloud.Ctx, msgs []decodedMsg, epochs map[cloud.Region][]int64) []watchCompletion {
+// pipeline runs one invocation's messages through the pipeline: maximal
+// runs between barriers, each cut into chunks of at most Config.MaxBatch
+// messages (0 = the whole run).
+func (p *leaderRun) pipeline(msgs []decodedMsg) {
+	d, ctx, epochs := p.d, p.ctx, p.epochs
 	for i := range msgs {
 		if msgs[i].msg.Op == OpDelete {
 			msgs[i].collect = collectable(msgs, i)
 		}
 	}
-	p := leaderRun{d: d, ctx: ctx, epochs: epochs}
 	start := 0 // the current run is msgs[start:i]
 	for i, dm := range msgs {
 		switch dm.msg.Op {
@@ -300,6 +326,9 @@ func (d *Deployment) leaderPipeline(ctx cloud.Ctx, msgs []decodedMsg, epochs map
 			// flushes first.
 			p.flushRun(msgs[start:i])
 			start = i + 1
+			if !dm.staged {
+				d.stageMsg(dm.msg, obs.StageCommit)
+			}
 			t0 := d.K.Now()
 			p.completions = append(p.completions, d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
 			d.recordPhase("leader.total", d.K.Now()-t0)
@@ -313,7 +342,6 @@ func (d *Deployment) leaderPipeline(ctx cloud.Ctx, msgs []decodedMsg, epochs map
 		}
 	}
 	p.flushRun(msgs[start:])
-	return p.completions
 }
 
 // flushRun pipelines one maximal run between barriers. Each chunk's flush
@@ -410,13 +438,17 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 				r.fired = d.queryWatches(r.ctx, msg)
 				d.recordPhase("leader.watchquery", d.K.Now()-t0)
 			}
-			for _, fw := range r.fired {
-				if !cur.claimEarly {
-					// The paper's interleaving: enter each id into the epoch
-					// counters right before launching its delivery.
-					d.appendEpochs(r.ctx, []firedWatch{fw}, msg.Shard, p.epochs)
-				}
+			for i, fw := range r.fired {
 				p.completions = append(p.completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
+				if !cur.claimEarly {
+					// The paper enters each id into the epoch counters right
+					// before launching its delivery; here the update runs
+					// behind the launch, off the write-to-callback path. The
+					// id is still in before anything that needs it there: the
+					// next flush's stamp and this write's response both follow
+					// on this process (order rule 1).
+					d.appendEpochs(r.ctx, r.fired[i:i+1], msg.Shard, p.epochs)
+				}
 			}
 		}
 		t0 := d.K.Now()
@@ -454,7 +486,7 @@ func (p *leaderRun) retire() (pops int) {
 	p.done = nil
 	for i, dm := range f.msgs {
 		if r := &f.results[i]; r.code == CodeOK && !r.popped {
-			p.d.popPending(r.ctx, dm.msg, dm.txid, dm.collect)
+			p.d.popPending(r.ctx, dm.key, dm.txid, dm.collect)
 			pops++
 		}
 	}
@@ -509,7 +541,7 @@ func holdsPath(msgs []decodedMsg, path string) bool {
 // whose txid is not at the head of its pending list yet.
 func (p *leaderRun) commit(f, under *batchFold) {
 	for i := len(f.results); i < len(f.msgs); i++ {
-		dm := f.msgs[i]
+		dm := &f.msgs[i]
 		// Order rule 2: pop in the commit phase only for a later message
 		// of this chunk whose awaitCommit needs the head.
 		popEarly := holdsPath(f.msgs[i+1:], dm.msg.Path)
@@ -519,13 +551,14 @@ func (p *leaderRun) commit(f, under *batchFold) {
 		if i == 0 {
 			f.t0 = p.d.K.Now()
 		}
-		// A message whose prefetch was abandoned is in its commit stage
-		// already when the serial position takes it up again.
-		if !f.staged {
+		// The invocation's first message entered its commit stage ahead of
+		// the opening read, and a message whose prefetch was abandoned is
+		// still in it when the serial position takes it up again.
+		if !dm.staged {
 			p.d.stageMsg(dm.msg, obs.StageCommit)
+			dm.staged = true
 		}
-		r, ok := p.commitOne(f, dm, popEarly, under != nil)
-		f.staged = !ok
+		r, ok := p.commitOne(f, *dm, popEarly, under != nil)
 		if !ok {
 			return
 		}
@@ -553,12 +586,19 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	var node sysNode
 	var committed bool
 	if prefetch {
-		if node, committed = d.peekCommit(ctx, msg, txid); !committed {
+		if node, committed = d.peekCommit(ctx, dm.key, txid); !committed {
 			return opResult{}, false
 		}
 		d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "commit_prefetched", Shard: msg.Shard}, 1)
 	} else {
-		node, committed = d.awaitCommit(ctx, msg, txid)
+		// The invocation's first message was read by the opening read, which
+		// is where its leader.get and its chunk's leader.total began.
+		var first *sysNode
+		if p.opened {
+			first, t0, p.opened = &p.opening, p.openedAt, false
+			f.t0 = t0
+		}
+		node, committed = d.awaitCommit(ctx, msg, dm.key, txid, first)
 	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
@@ -598,7 +638,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	}
 
 	if popEarly {
-		d.popPending(ctx, msg, txid, dm.collect)
+		d.popPending(ctx, dm.key, txid, dm.collect)
 	}
 	return opResult{ctx: ctx, code: CodeOK, stat: stat, fired: fired, popped: popEarly}, true
 }
@@ -687,13 +727,12 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 	}
 
 	wg := sim.NewWaitGroup(d.K)
-	for _, s := range d.Stores {
-		s := s
+	for si, s := range d.Stores {
 		// The stamp is this flush's own: read before the legs start, so a
 		// watch claim prefetched under them cannot reach it (Z4).
 		stamp := epochs[s.Region()]
 		wg.Add(1)
-		d.K.Go("leader-update-"+string(s.Region()), func() {
+		d.K.Go(d.flushProcs[si], func() {
 			defer wg.Done()
 			region := string(s.Region())
 			// One coalesced record per touched path, published before any

@@ -28,9 +28,24 @@ type watchCompletion struct {
 type decodedMsg struct {
 	msg  leaderMsg
 	txid int64
+	// key is the system-store key of a create / set_data / delete's control
+	// record (empty for every other op), built once for every read and pop
+	// of the message.
+	key string
 	// collect lets a delete's pop garbage collect the tombstone: nothing
 	// later in the invocation targets the path (collectable).
 	collect bool
+	// staged: the message is in its commit stage already — the invocation's
+	// first message enters it ahead of the opening read, a message whose
+	// prefetch was abandoned stays in it until the serial position.
+	staged bool
+}
+
+// readControl is one strongly consistent read of the control record at key;
+// a missing record reads as the zero sysNode, with nothing pending.
+func (d *Deployment) readControl(ctx cloud.Ctx, key string) sysNode {
+	it, _ := d.System.GetView(ctx, key, true)
+	return decodeSysNode(it)
 }
 
 // leaderHandler is Algorithm 2: for each validated change it verifies the
@@ -40,7 +55,7 @@ type decodedMsg struct {
 // function returns, removing their ids from the epoch counters (➏). The
 // per-message steps live in the distributor's one pipeline
 // (distributor.go); this function owns what is per invocation — decoding,
-// the epoch load, and the reaping of watch deliveries.
+// the opening read, and the reaping of watch deliveries.
 func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	ctx := inv.Ctx
 	// A batch comes from exactly one shard's queue; decoding is free, so
@@ -54,10 +69,16 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 			continue
 		}
 		shard = msg.Shard
-		if msg.Op != OpDeregister && msg.Op != OpReshardFence {
+		dm := decodedMsg{msg: msg, txid: d.msgTxid(m.SeqNo, msg)}
+		switch msg.Op {
+		case OpDeregister, OpReshardFence:
+		case OpCreate, OpSetData, OpDelete:
+			dm.key = nodeKey(msg.Path)
+			acksOnly = false
+		default:
 			acksOnly = false
 		}
-		msgs = append(msgs, decodedMsg{msg: msg, txid: d.msgTxid(m.SeqNo, msg)})
+		msgs = append(msgs, dm)
 	}
 	if len(msgs) == 0 {
 		return nil
@@ -67,8 +88,8 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		for _, dm := range msgs {
 			traces = append(traces, costMsgTrace(dm.msg))
 		}
-		// The sandbox's GB-s and the batch-shared work below (epoch loads,
-		// epoch removals after watch deliveries) amortize across the
+		// The sandbox's GB-s and the batch-shared work below (the opening
+		// read, epoch removals after watch deliveries) amortize across the
 		// batch's requests; per-message phases re-sink to their own trace.
 		inv.Bill = d.invBill(traces, shard)
 		ctx = d.billFold(ctx, traces, shard, "")
@@ -81,52 +102,12 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	if d.crashAt(obs.StageCommit, msgs[0].msg.Session, msgs[0].msg.Seq) {
 		return errInjectedCrash
 	}
-	// Load the per-region epoch counters once per batch; they are
-	// maintained in the system store across invocations (functions are
-	// stateless) and mirrored here while the batch runs. With several
-	// shards the per-region stamp is the union over every shard's list: a
-	// strongly consistent read at batch start sees every watch id whose
-	// notification causally precedes this batch's writes (the client that
-	// triggered a write observed its previous response only after the
-	// firing shard appended the id), so reads of any node still hold for
-	// undelivered cross-shard notifications (Z4). On a multi-shard
-	// deployment, batches of pure deregistration acks never touch epochs
-	// and skip the reads (the single-shard path keeps them so it stays
-	// operation-for-operation identical to the paper's pipeline).
-	epochs := make(map[cloud.Region][]int64, len(d.Stores))
-	if !acksOnly || d.NumShards() == 1 {
-		if n := d.NumShards(); n == 1 {
-			for _, s := range d.Stores {
-				epochs[s.Region()] = d.epochShard(ctx, s.Region(), shard)
-			}
-		} else {
-			cells := make([][]int64, len(d.Stores)*n)
-			wg := sim.NewWaitGroup(d.K)
-			for ri, s := range d.Stores {
-				r := s.Region()
-				for sh := 0; sh < n; sh++ {
-					ri, sh := ri, sh
-					wg.Add(1)
-					d.K.Go("leader-epoch-load", func() {
-						defer wg.Done()
-						cells[ri*n+sh] = d.epochShard(ctx, r, sh)
-					})
-				}
-			}
-			wg.Wait()
-			for ri, s := range d.Stores {
-				var union []int64
-				for sh := 0; sh < n; sh++ {
-					union = append(union, cells[ri*n+sh]...)
-				}
-				epochs[s.Region()] = union
-			}
-		}
-	}
-	completions := d.leaderPipeline(ctx, msgs, epochs)
+	p := leaderRun{d: d, ctx: ctx}
+	p.open(msgs, acksOnly)
+	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
 	// returns, and its id leaves the epoch counter (➏).
-	for _, c := range completions {
+	for _, c := range p.completions {
 		_ = c.fut.Wait()
 		d.spanEnd(c.span)
 		for _, s := range d.Stores {
@@ -136,10 +117,75 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 			if err != nil {
 				return err
 			}
-			epochs[r] = removeID(epochs[r], c.wid)
+			p.epochs[r] = removeID(p.epochs[r], c.wid)
 		}
 	}
 	return nil
+}
+
+// open is the invocation's opening read: one batched round trip to the
+// system store for the two things Algorithm 2 reads first and that do not
+// depend on each other — the epoch counters and the first message's control
+// record.
+//
+// The epoch counters are maintained in the system store across invocations
+// (functions are stateless) and mirrored in p.epochs while the batch runs.
+// With several shards the per-region stamp is the union over every shard's
+// list: a strongly consistent read at batch start sees every watch id whose
+// notification causally precedes this batch's writes (the client that
+// triggered a write observed its previous response only after the firing
+// shard appended the id), so reads of any node still hold for undelivered
+// cross-shard notifications (Z4). On a multi-shard deployment, batches of
+// pure deregistration acks never touch epochs and read nothing (the
+// single-shard path keeps the read, as the paper's pipeline does).
+//
+// The control record of a create / set_data / delete at the head of the
+// batch becomes awaitCommit's first poll. Taken here it is at worst a
+// staler first poll of a loop that tolerates staleness — every later poll,
+// the orphan pop and the commit replay read the store again — so a
+// redelivered batch replays step for step. The message enters its commit
+// stage first: the read is the start of its leader.get and leader.total.
+func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
+	d := p.d
+	p.epochs = make(map[cloud.Region][]int64, len(d.Stores))
+	n := d.NumShards()
+	if acksOnly && n > 1 {
+		return
+	}
+	var keyBuf [8]string // the paper's deployment reads two keys; a 4-shard one, five
+	var itemBuf [len(keyBuf)]kv.Item
+	keys := keyBuf[:0]
+	for _, s := range d.Stores {
+		for sh := 0; sh < n; sh++ {
+			keys = append(keys, epochKey(s.Region(), sh))
+		}
+	}
+	head := &msgs[0]
+	d.stageMsg(head.msg, obs.StageCommit)
+	head.staged = true
+	if head.key != "" {
+		keys = append(keys, head.key)
+		p.opened, p.openedAt = true, d.K.Now()
+	}
+	items := itemBuf[:]
+	if len(keys) > len(items) {
+		items = make([]kv.Item, len(keys))
+	}
+	items = items[:len(keys)]
+	d.System.GetViews(p.ctx, keys, true, items)
+
+	if p.opened {
+		p.opening = decodeSysNode(items[len(items)-1])
+	}
+	for ri, s := range d.Stores {
+		// The items are read-only views and appendEpochs appends to the
+		// mirror, so each region's lists are copied out.
+		var ids []int64
+		for _, it := range items[ri*n : (ri+1)*n] {
+			ids = append(ids, it.Get(attrEpochList).NL...)
+		}
+		p.epochs[s.Region()] = ids
+	}
 }
 
 // leaderProcess dispatches a transaction message — a fold barrier of the
@@ -157,18 +203,17 @@ func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epo
 	return d.leaderTxnCommit(ctx, msg, tm, txid, epochs)
 }
 
-// popPending is step ➎: pop the transaction from the node's pending list;
-// once empty on a deleted node, garbage collect the tombstone (gc false
-// suppresses the collection — the pipeline passes it when a later
-// operation in the same invocation targets the path, whose commit may not
-// have appended to the pending list yet).
-func (d *Deployment) popPending(ctx cloud.Ctx, msg leaderMsg, txid int64, gc bool) {
+// popPending is step ➎: pop the transaction from the head of the pending
+// list of the control record at key; gc lets the pop of a delete garbage
+// collect the tombstone once the list is empty (the pipeline withholds it
+// when a later operation in the same invocation targets the path, whose
+// commit may not have appended to the pending list yet).
+func (d *Deployment) popPending(ctx cloud.Ctx, key string, txid int64, gc bool) {
 	t0 := d.K.Now()
-	key := nodeKey(msg.Path)
 	it, err := d.System.Update(ctx, key,
 		[]kv.Update{kv.ListPopHead{Name: attrPending}},
 		kv.NumListHeadEq{Name: attrPending, V: txid})
-	if err == nil && gc && msg.Op == OpDelete {
+	if err == nil && gc {
 		after := decodeSysNode(it)
 		if !after.Exists && len(after.Pending) == 0 {
 			// The lock guard keeps the collection from racing a pipelined
@@ -229,39 +274,43 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 // follower that appears to have died (➋), and clears orphaned pending
 // heads left behind by transactions the leader previously abandoned —
 // without this last step a single lost transaction would wedge the node's
-// pipeline forever.
-func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysNode, bool) {
+// pipeline forever. first, when non-nil, is a read of the record somebody
+// already paid for — the invocation's opening read — and stands in for the
+// first poll.
+func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, key string, txid int64, first *sysNode) (sysNode, bool) {
 	const attempts = 10
 	triedCommit := false
 	for attempt := 0; attempt < attempts; attempt++ {
-		it, ok := d.System.GetView(ctx, nodeKey(msg.Path), true)
-		if ok {
-			node := decodeSysNode(it)
-			if len(node.Pending) > 0 {
-				head := node.Pending[0]
-				if head == txid {
-					return node, true
-				}
-				if d.dyn != nil && shardmap.ShardOfTxid(head) != msg.Shard {
-					// A migration boundary: the head was minted by another
-					// shard, and txids across shards carry no order — the
-					// head is a live write of the path's new owner, never
-					// an orphan of ours. Keep polling (an uncommitted
-					// stray of this shard gives up and is dropped).
-					d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
-					continue
-				}
-				if head < txid {
-					// Orphan from an abandoned transaction: pop and retry.
-					_, _ = d.System.Update(ctx, nodeKey(msg.Path),
-						[]kv.Update{kv.ListPopHead{Name: attrPending}},
-						kv.NumListHeadEq{Name: attrPending, V: head})
-					continue
-				}
-				// head > txid: our entry was already consumed (a duplicate
-				// delivery after a retry); treat as not committed.
-				return sysNode{}, false
+		var node sysNode
+		if attempt == 0 && first != nil {
+			node = *first
+		} else {
+			node = d.readControl(ctx, key)
+		}
+		if len(node.Pending) > 0 {
+			head := node.Pending[0]
+			if head == txid {
+				return node, true
 			}
+			if d.dyn != nil && shardmap.ShardOfTxid(head) != msg.Shard {
+				// A migration boundary: the head was minted by another
+				// shard, and txids across shards carry no order — the
+				// head is a live write of the path's new owner, never
+				// an orphan of ours. Keep polling (an uncommitted
+				// stray of this shard gives up and is dropped).
+				d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
+				continue
+			}
+			if head < txid {
+				// Orphan from an abandoned transaction: pop and retry.
+				_, _ = d.System.Update(ctx, key,
+					[]kv.Update{kv.ListPopHead{Name: attrPending}},
+					kv.NumListHeadEq{Name: attrPending, V: head})
+				continue
+			}
+			// head > txid: our entry was already consumed (a duplicate
+			// delivery after a retry); treat as not committed.
+			return sysNode{}, false
 		}
 		// Nothing pending: the follower's commit may still be in flight,
 		// or the follower died after pushing. After a short grace period,
@@ -281,12 +330,8 @@ func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysN
 // chunk's flush and may do nothing it could regret there: one read, true
 // only when txid already heads the pending list. It never pops an orphan,
 // replays a commit or sleeps — anything else is the serial position's.
-func (d *Deployment) peekCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) (sysNode, bool) {
-	it, ok := d.System.GetView(ctx, nodeKey(msg.Path), true)
-	if !ok {
-		return sysNode{}, false
-	}
-	node := decodeSysNode(it)
+func (d *Deployment) peekCommit(ctx cloud.Ctx, key string, txid int64) (sysNode, bool) {
+	node := d.readControl(ctx, key)
 	return node, len(node.Pending) > 0 && node.Pending[0] == txid
 }
 

@@ -23,16 +23,21 @@ import (
 
 // pipeFaults is these tests' sim.FaultHook: a targeted crash predicate, a
 // function whose every successful batch is delivered once more, and a log
-// of when the leader's handler process started each storage operation.
+// of when the leader's handler process began each invocation (its crash
+// point is the first thing it reaches) and started each storage operation.
 type pipeFaults struct {
 	crash     func(stage, session string, seq int64) bool
 	redeliver string
 
-	k         *sim.Kernel
-	leaderOps []sim.Time
+	k           *sim.Kernel
+	leaderHeads []sim.Time
+	leaderOps   []sim.Time
 }
 
 func (h *pipeFaults) Crash(stage, session string, seq int64) bool {
+	if stage == obs.StageCommit {
+		h.leaderHeads = append(h.leaderHeads, h.k.Now())
+	}
 	return h.crash != nil && h.crash(stage, session, seq)
 }
 func (h *pipeFaults) Redeliver(fn string) bool    { return fn == h.redeliver }
@@ -154,6 +159,7 @@ type pipeSession struct {
 	seq   int64
 	futs  map[int64]*sim.Future[Response]
 	order []int64 // seqs in first-arrival order
+	resps int     // responses received, duplicates included
 	notes []Notification
 	arms  int // data watches registered, re-arming on every notification
 }
@@ -177,6 +183,7 @@ func (r *pipeRig) open(id string) *pipeSession {
 			}
 			switch v := pkt.Payload.(type) {
 			case Response:
+				s.resps++
 				if s.futs[v.Seq].TryComplete(v) {
 					s.order = append(s.order, v.Seq)
 					d.Obs.Tracer.Finish(obs.TraceOf(id, v.Seq))

@@ -1114,7 +1114,6 @@ func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard 
 // multi-item commit, pre-fire watches, fold the whole transaction, and
 // distribute it atomically within the shard's serialized pipeline.
 func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
-	d.stageMsg(msg, obs.StageCommit)
 	t0 := d.K.Now()
 	states, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid, msg.Shard, dynGen(msg))
 	d.recordPhase("leader.get", d.K.Now()-t0)
@@ -1147,11 +1146,8 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 	// collected — their user-store removal is already distributed, as
 	// for a single delete's pop after its flush.
 	for _, p := range txnTargets(tm.Ops) {
-		op := OpSetData
-		if nf := fold.nodes[p]; nf != nil && nf.del {
-			op = OpDelete
-		}
-		d.popPending(ctx, leaderMsg{Op: op, Path: p}, txid, true)
+		nf := fold.nodes[p]
+		d.popPending(ctx, nodeKey(p), txid, nf != nil && nf.del)
 	}
 	fold.release()
 	d.stageMsg(msg, obs.StageRespond)
@@ -1203,7 +1199,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 	// keep fencing the path until the coordinator's atomic apply, and
 	// collecting the item would drop it.
 	for _, p := range txnTargets(tm.Ops) {
-		d.popPending(ctx, leaderMsg{Op: OpSetData, Path: p}, txid, false)
+		d.popPending(ctx, nodeKey(p), txid, false)
 	}
 	_, _ = d.Txns.Ready(ctx, tm.ID, msg.Shard)
 	d.spanEnd(ssp)

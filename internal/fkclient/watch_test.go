@@ -1,7 +1,9 @@
 package fkclient
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,6 +153,73 @@ func TestWatchAcrossSessionCloseIsDropped(t *testing.T) {
 		// The system keeps working for everyone else.
 		if _, err := writer.SetData("/g", []byte("y"), -1); err != nil {
 			t.Errorf("follow-up write: %v", err)
+		}
+	})
+}
+
+// lostWatchOffsets sweeps the start of a GetDataW("/a/x") in 1-vms steps over
+// 60…200 vms after a concurrent SetData("/a/x") was submitted — across the
+// write's whole passage through follower, leader, flush and watch query — and
+// returns every offset at which the reader was handed the old value and never
+// told of the new one: the watch it armed on version 0 did not fire on the
+// first change after version 0.
+func lostWatchOffsets(t *testing.T, cfg core.Config) (lost []int) {
+	t.Helper()
+	for off := 60; off <= 200; off++ {
+		run(t, 77, cfg, func(k *sim.Kernel, d *core.Deployment) {
+			writer := mustConnect(t, d, "writer")
+			watcher := mustConnect(t, d, "watcher")
+			defer writer.Close()
+			defer watcher.Close()
+			writer.Create("/a", nil, 0)
+			writer.Create("/a/x", []byte("v0"), 0)
+			k.Sleep(2 * time.Second)
+
+			k.Go("set", func() {
+				if _, err := writer.SetData("/a/x", []byte("v1"), -1); err != nil {
+					t.Errorf("offset %d: set: %v", off, err)
+				}
+			})
+			k.Sleep(time.Duration(off) * time.Millisecond)
+			notified := false
+			data, _, err := watcher.GetDataW("/a/x", func(core.Notification) { notified = true })
+			if err != nil {
+				t.Errorf("offset %d: read: %v", off, err)
+			}
+			k.Sleep(5 * time.Second)
+			if string(data) == "v0" && !notified {
+				lost = append(lost, off)
+			}
+		})
+	}
+	return lost
+}
+
+// TestWatchArmedDuringFlushIsNotLost guards the order of the leader's watch
+// steps against the write's flush: a watch registered while the write is in
+// flight either is found by the watch query that follows the flush — and
+// fires — or belongs to a read that already returns the new value. On the
+// paper's order (query after the flush; the delivery launched ahead of the
+// epoch append) no offset loses a notification.
+//
+// Where the watch groups are claimed before the flush (several shards here;
+// see openChunk's claimEarly) the sweep finds a lost watch: a session that
+// registers after the claim and reads before the put lands holds v0 with an
+// armed watch that only v2 will fire (offsets 128…145 vms at seed 77; 131…147
+// before the leader's opening read moved the window). ROADMAP 1(f) has the
+// analysis; the subtest runs only when named:
+//
+//	go test ./internal/fkclient -run 'TestWatchArmedDuringFlushIsNotLost/two_shards' -count=1
+func TestWatchArmedDuringFlushIsNotLost(t *testing.T) {
+	if lost := lostWatchOffsets(t, core.Config{}); len(lost) > 0 {
+		t.Errorf("the watcher read v0 and was never notified of v1 at offsets %v vms", lost)
+	}
+	t.Run("two shards", func(t *testing.T) {
+		if !strings.Contains(flag.Lookup("test.run").Value.String(), "two_shards") {
+			t.Skip("known lost watch with claim-before-flush (ROADMAP 1(f), found in PR 24, not fixed)")
+		}
+		if lost := lostWatchOffsets(t, core.Config{WriteShards: 2}); len(lost) > 0 {
+			t.Errorf("the watcher read v0 and was never notified of v1 at offsets %v vms", lost)
 		}
 	})
 }

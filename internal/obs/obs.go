@@ -353,7 +353,7 @@ const (
 	StageValidate  = "follower.validate" // follower lock/validate/push (Algorithm 1 steps 1-3)
 	StageRetry     = "follower.retry"    // waiting out a stale shard route mid-reshard
 	StageLeaderQ   = "queue.leader"      // in the sharded ordered leader queue
-	StageCommit    = "leader.commit"     // leader awaitCommit + watch query (Algorithm 2 steps 1-2)
+	StageCommit    = "leader.commit"     // leader opening read, awaitCommit + watch claim (Algorithm 2 steps 1-2)
 	StageFlush     = "distributor.flush" // distributor fold/flush to user stores
 	StageRespond   = "response.net"      // response queued back to the client
 	StageTxnPrep   = "txn.prepare"       // 2PC: intents written, votes collected
