@@ -86,9 +86,6 @@ func BenchmarkBatchingDistributor(b *testing.B) { benchExperiment(b, "batching")
 // Cross-shard multi() transactions (beyond the paper).
 func BenchmarkTxnCoordinator(b *testing.B) { benchExperiment(b, "txn") }
 
-// Live resharding (beyond the paper; ROADMAP: shard auto-scaling).
-func BenchmarkReshardDynamicMap(b *testing.B) { benchExperiment(b, "reshard") }
-
 // --- micro-benchmarks of the implementation itself (real time) ---
 
 // The three shapes of a process switch, to be run at one and several OS

@@ -8,15 +8,12 @@
 //	fkcli create /app/cfg v1 : get /app/cfg : set /app/cfg v2 : get /app/cfg
 //	fkcli -gcp -store hybrid create /x data : ls /
 //	fkcli -shards 4 multi check /a 0 ";" set /a v2 ";" create /b x
-//	fkcli -dynamic -shards 2 create /hot x : reshard split /hot 4 : reshard map
 //
 // Commands (separated by ":"): create PATH [DATA] [eph] [seq],
 // get PATH, set PATH DATA, del PATH, ls PATH, stat PATH, watch PATH,
 // multi SUBOP [";" SUBOP]... — sub-ops (separated by ";") are
 // create PATH [DATA] [eph] [seq], set PATH DATA [VERSION],
 // del PATH [VERSION], check PATH [VERSION].
-// reshard map | grow N | shrink N | split PREFIX WAYS | merge PREFIX
-// drives the live shard map; requires -dynamic.
 // trace dumps the per-request span log recorded so far; requires -trace.
 //
 // A separate mode, `fkcli [-seed N] [-faults off|default] [-quick] chaos
@@ -47,7 +44,6 @@ import (
 	"faaskeeper"
 	"faaskeeper/internal/experiments"
 	"faaskeeper/internal/obs"
-	"faaskeeper/internal/shardmap"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
@@ -62,7 +58,6 @@ func run(args []string, out io.Writer) int {
 	store := fs.String("store", "object", "user store: object|kv|hybrid|mem")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	shards := fs.Int("shards", 1, "leader write shards (1 = paper-faithful)")
-	dynamic := fs.Bool("dynamic", false, "enable the live shard map (reshard command)")
 	traceFile := fs.String("trace", "", "enable telemetry and write a Chrome trace-event file on exit")
 	metricsFile := fs.String("metrics", "", "enable cost accounting and write a Prometheus-text registry snapshot on exit")
 	faults := fs.String("faults", "default", "chaos mode fault schedule: off|default")
@@ -106,17 +101,11 @@ func run(args []string, out io.Writer) int {
 	opts := faaskeeper.DeploymentOptions{
 		UserStore:      faaskeeper.StoreKind(*store),
 		WriteShards:    *shards,
-		DynamicShards:  *dynamic,
 		Telemetry:      *traceFile != "",
 		CostAccounting: *metricsFile != "",
 	}
 	if err := opts.UserStore.Validate(); err != nil {
 		fmt.Fprintln(out, "fkcli:", err)
-		return 2
-	}
-	if *dynamic && *shards > shardmap.MaxShards {
-		// The shard map's txid stride; core.Config.defaults() panics on it.
-		fmt.Fprintf(out, "fkcli: -dynamic supports at most %d write shards, got -shards %d\n", shardmap.MaxShards, *shards)
 		return 2
 	}
 	if *gcp {
@@ -190,9 +179,6 @@ func writeMetrics(out io.Writer, d *faaskeeper.Deployment, path string) error {
 }
 
 func runCmd(out io.Writer, d *faaskeeper.Deployment, c *faaskeeper.Client, cmd []string) error {
-	if cmd[0] == "reshard" {
-		return runReshard(out, d, cmd[1:])
-	}
 	if cmd[0] == "trace" {
 		if !d.Obs().Tracer.Enabled() {
 			return fmt.Errorf("telemetry is off; run with -trace FILE")
@@ -273,72 +259,6 @@ func runCmd(out io.Writer, d *faaskeeper.Deployment, c *faaskeeper.Client, cmd [
 		return fmt.Errorf("unknown command %q", op)
 	}
 	return nil
-}
-
-// runReshard drives the live shard map: reshard map | grow N | shrink N |
-// split PREFIX WAYS | merge PREFIX. Requires -dynamic.
-func runReshard(out io.Writer, d *faaskeeper.Deployment, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("reshard needs a sub-command: map|grow|shrink|split|merge")
-	}
-	intArg := func(idx int) (int, error) {
-		if len(args) <= idx {
-			return 0, fmt.Errorf("reshard %s needs a number", args[0])
-		}
-		var n int
-		if _, err := fmt.Sscanf(args[idx], "%d", &n); err != nil {
-			return 0, fmt.Errorf("bad number %q", args[idx])
-		}
-		return n, nil
-	}
-	switch args[0] {
-	case "map":
-		fmt.Fprintln(out, d.ShardMapInfo())
-		return nil
-	case "grow":
-		n, err := intArg(1)
-		if err != nil {
-			return err
-		}
-		if err := d.GrowShards(n); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "grew to %d shard queues\n%s\n", n, d.ShardMapInfo())
-		return nil
-	case "shrink":
-		n, err := intArg(1)
-		if err != nil {
-			return err
-		}
-		if err := d.ShrinkShards(n); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "shrank to %d shard queues\n%s\n", n, d.ShardMapInfo())
-		return nil
-	case "split":
-		if len(args) < 2 {
-			return fmt.Errorf("reshard split needs a prefix")
-		}
-		ways, err := intArg(2)
-		if err != nil {
-			return err
-		}
-		if err := d.SplitSubtree(args[1], ways); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "split %s over %d queues\n%s\n", args[1], ways, d.ShardMapInfo())
-		return nil
-	case "merge":
-		if len(args) < 2 {
-			return fmt.Errorf("reshard merge needs a prefix")
-		}
-		if err := d.MergeSubtree(args[1]); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "merged %s\n%s\n", args[1], d.ShardMapInfo())
-		return nil
-	}
-	return fmt.Errorf("unknown reshard sub-command %q", args[0])
 }
 
 // runMulti parses ";"-separated sub-ops and submits them as one atomic

@@ -171,34 +171,6 @@ func (s *Simulation) DeployFaaSKeeper(opts DeploymentOptions) *Deployment {
 // Core exposes the underlying deployment for experiments and inspection.
 func (d *Deployment) Core() *core.Deployment { return d.core }
 
-// GrowShards grows a dynamic deployment to n shard queues through the
-// live reshard protocol (must be called from inside a simulated process).
-func (d *Deployment) GrowShards(n int) error { return d.core.GrowShards(n) }
-
-// ShrinkShards retires trailing shard queues down to n (not below the
-// initial WriteShards).
-func (d *Deployment) ShrinkShards(n int) error { return d.core.ShrinkShards(n) }
-
-// SplitSubtree re-routes a hot top-level subtree (e.g. "/hot") over ways
-// new shard queues, hashing the second path segment so parents and
-// children below the subtree root stay colocated.
-func (d *Deployment) SplitSubtree(prefix string, ways int) error {
-	return d.core.SplitSubtree(prefix, ways)
-}
-
-// MergeSubtree folds a split subtree back onto its pre-split route.
-func (d *Deployment) MergeSubtree(prefix string) error { return d.core.MergeSubtree(prefix) }
-
-// ShardMapInfo renders the live routing table (empty on static
-// deployments). Must be called from inside a simulated process.
-func (d *Deployment) ShardMapInfo() string {
-	m := d.core.LoadShardMap(cloud.ClientCtx(d.core.Cfg.Profile.Home))
-	if m == nil {
-		return "static sharding (DynamicShards off)"
-	}
-	return m.String()
-}
-
 // Obs returns the deployment's telemetry hub — the request tracer and the
 // component metrics registry (inert unless DeploymentOptions.Telemetry).
 func (d *Deployment) Obs() *obs.Hub { return d.core.Obs }

@@ -13,10 +13,10 @@ import (
 // transaction id, and the union epoch stamp (the in-flight watch ids across
 // all shards) the new value will carry. The epoch union is retained with
 // the path's floor so a future stamp-carrying upgrade — or a test — can
-// reconstruct the exact invalidation order the cache observed. On a
-// dynamic-sharding deployment the record additionally carries the shard-map
-// epoch the publishing leader routed under (0 otherwise), so the
-// invalidation order remains attributable across live reshards.
+// reconstruct the exact invalidation order the cache observed. MapEpoch is
+// always 0: it is left over from the deleted live resharding, and its byte
+// stays in the record's modeled size (invSize) until a change that
+// re-measures the cache's latency drops it.
 type Invalidation struct {
 	Path     string
 	Mzxid    int64

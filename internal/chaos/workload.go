@@ -78,10 +78,10 @@ func (s Scenario) withDefaults() Scenario {
 
 // Configs lists the deployment configurations the chaos matrix covers:
 // the paper-faithful single-shard pipeline, the batching distributor, the
-// two-level cache tier, cross-shard transactions, live resharding, and
-// the hierarchical watch fan-out tier.
+// two-level cache tier, cross-shard transactions, and the hierarchical
+// watch fan-out tier.
 func Configs() []string {
-	return []string{"plain", "batching", "caching", "txn", "reshard", "fanout"}
+	return []string{"plain", "batching", "caching", "txn", "fanout"}
 }
 
 // DeployConfig maps a matrix config name to its deployment config. All
@@ -107,11 +107,6 @@ func DeployConfig(name string) (core.Config, bool) {
 		return base, true
 	case "txn":
 		base.WriteShards = 4
-		base.UserStore = core.StoreKV
-		return base, true
-	case "reshard":
-		base.WriteShards = 2
-		base.DynamicShards = true
 		base.UserStore = core.StoreKV
 		return base, true
 	case "fanout":
@@ -144,7 +139,7 @@ const (
 // are not numerically comparable, which the cache floors rely on).
 func swapPairsFor(config string) [][2]string {
 	pairs := [][2]string{{swapA, swapB}}
-	if config == "txn" || config == "reshard" {
+	if config == "txn" {
 		pairs = append(pairs, [2]string{crossA, crossB})
 	}
 	return pairs
@@ -571,24 +566,6 @@ func Run(s Scenario) *Result {
 				for n := 0; n < s.Faults.CacheLosses; n++ {
 					k.Sleep(3 * time.Second)
 					rc.Lose()
-				}
-			})
-		}
-
-		// Live resharding mid-traffic.
-		if s.Config == "reshard" {
-			spawn("resharder", func() {
-				k.Sleep(2 * time.Second)
-				if err := d.SplitSubtree("/s0", 2); err != nil {
-					harness("split /s0: %v", err)
-				}
-				k.Sleep(4 * time.Second)
-				if err := d.GrowShards(d.NumShards() + 1); err != nil {
-					harness("grow shards: %v", err)
-				}
-				k.Sleep(4 * time.Second)
-				if err := d.MergeSubtree("/s0"); err != nil {
-					harness("merge /s0: %v", err)
 				}
 			})
 		}

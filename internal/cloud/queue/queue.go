@@ -147,6 +147,3 @@ func (q *Queue) Close() {
 
 // Len returns the number of buffered messages.
 func (q *Queue) Len() int { return q.buf.Len() }
-
-// LastSeqNo returns the most recently assigned sequence number.
-func (q *Queue) LastSeqNo() int64 { return q.seqNo }

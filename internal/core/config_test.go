@@ -42,7 +42,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 	const want = "Profile UserStore ExtraRegions " +
 		"FollowerMemMB LeaderMemMB HeartbeatMemMB Arch VCPU " +
 		"HeartbeatEvery Retries " +
-		"WriteShards DynamicShards BatchWrites MaxBatch " +
+		"WriteShards BatchWrites MaxBatch " +
 		"CacheMode CacheCapacityB ClientCacheCapacityB " +
 		"WatchFanout FanoutDebounce WireCodec " +
 		"Telemetry CostAccounting CostBudgetUSDPerHour"

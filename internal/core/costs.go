@@ -38,7 +38,7 @@ func costReqTrace(req Request) int64 {
 // included: the cross-shard commit message's charges belong to the
 // originating multi()'s bill.
 func costMsgTrace(msg leaderMsg) int64 {
-	if msg.Seq <= 0 || msg.Op == OpDeregister || msg.Op == OpReshardFence {
+	if msg.Seq <= 0 || msg.Op == OpDeregister {
 		return 0
 	}
 	return msg.trace()
@@ -113,7 +113,7 @@ func (d *Deployment) billMsg(ctx cloud.Ctx, msg leaderMsg) cloud.Ctx {
 }
 
 // billSys returns ctx billing charges to the system bucket: control-plane
-// work (heartbeats, reshard transitions) no single request caused.
+// work (heartbeats) no single request caused.
 func (d *Deployment) billSys(ctx cloud.Ctx, shard int) cloud.Ctx {
 	if !d.costOn() {
 		return ctx

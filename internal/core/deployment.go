@@ -81,20 +81,9 @@ type Config struct {
 	// WriteShards partitions the leader pipeline by znode subtree: N
 	// ordered queues, each with one serialized leader instance and its own
 	// epoch counters. Default 1 — the paper's single totally-ordered
-	// write path. See ShardOf for the routing function.
+	// write path. See ShardOf for the routing function; the count is
+	// fixed for the deployment's lifetime.
 	WriteShards int
-
-	// DynamicShards replaces the fixed mod-N route with the durable
-	// epoch-versioned routing table of package shardmap, enabling live
-	// resharding: GrowShards/ShrinkShards move consistent-hash slots to
-	// added or retired queues, SplitSubtree re-routes a hot subtree at
-	// depth 2, and MergeSubtree folds it back — all without stopping the
-	// pipeline (reshard.go). Dynamic mode stamps each write's commit with
-	// the routed shard's map generation, so a write racing a reshard is
-	// rejected by its own conditional commit and retried against the new
-	// map. Default false: the static pipeline, byte-identical to the
-	// golden trace.
-	DynamicShards bool
 
 	// BatchWrites lets one distributor flush fold several queued messages
 	// (distributor.go): within a chunk only the final state of each
@@ -211,9 +200,6 @@ func (c *Config) defaults() {
 	if c.WriteShards <= 0 {
 		c.WriteShards = 1
 	}
-	if c.DynamicShards && c.WriteShards > shardmap.MaxShards {
-		panic("core: DynamicShards supports at most 64 write shards")
-	}
 	if c.MaxBatch < 0 {
 		c.MaxBatch = 0
 	}
@@ -262,7 +248,7 @@ type Deployment struct {
 
 	// Txns manages the durable transaction records of multi()
 	// coordinators (package txn). Always non-nil; it touches the system
-	// store only when a multi() runs or a reshard checks for live ones.
+	// store only when a multi() runs.
 	Txns *txn.Store
 
 	// Obs is the telemetry hub: the request tracer and the component
@@ -281,13 +267,12 @@ type Deployment struct {
 
 	// LeaderQs holds one ordered queue per write shard; LeaderQs[s] feeds
 	// shard s's serialized leader instance. A single-shard deployment has
-	// exactly the paper's one global queue. A dynamic deployment appends
-	// queues at runtime as the shard map grows.
+	// exactly the paper's one global queue.
 	LeaderQs []*queue.Queue
 
-	// dyn is the dynamic-sharding state (nil on static deployments; see
-	// dynShards in shard.go).
-	dyn *dynShards
+	// route maps a path to its write shard (Route); built once from
+	// WriteShards.
+	route *shardmap.Map
 
 	// txnWatchBatches / txnWatchDeliveries count the cross-shard
 	// transaction watch pipeline: deliveries are individual watch-function
@@ -387,14 +372,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
 	}
-
-	if cfg.DynamicShards {
-		d.dyn = &dynShards{store: shardmap.NewStore(d.System)}
-		seedMap := shardmap.New(cfg.WriteShards)
-		d.dyn.store.Seed(seedMap)
-		d.dyn.cur = seedMap
-		d.Txns.TrackLive(true)
-	}
+	d.route = shardmap.New(cfg.WriteShards)
 
 	d.Platform.Deploy(faas.Config{
 		Name: FnFollower, MemoryMB: cfg.FollowerMemMB, Arch: cfg.Arch, VCPU: cfg.VCPU,
@@ -423,16 +401,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 
 	d.seedRoot()
 	return d
-}
-
-// addShardQueue provisions one more leader queue with its serialized
-// trigger (the reshard engine grows the fleet before flipping the map, so
-// a routing target always has a consumer).
-func (d *Deployment) addShardQueue() {
-	s := len(d.LeaderQs)
-	q := queue.New(d.Env, fmt.Sprintf("leader-%d", s), d.Cfg.Profile.OrderedQueueKind())
-	d.LeaderQs = append(d.LeaderQs, q)
-	d.Platform.AddQueueTrigger(q, FnLeader, 1)
 }
 
 // TxnWatchStats reports the cross-shard transaction watch pipeline's

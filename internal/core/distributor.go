@@ -74,8 +74,8 @@ package core
 //     of n+1 itself, and awaitCommit still finds every earlier entry of
 //     its path popped. Anything but "our txid is the head" leaves the
 //     message, and the rest of its chunk, to the serial position after
-//     complete n. Transaction messages, reshard fences (they end the run),
-//     flushes under a shared-path lock and empty folds carry nothing.
+//     complete n. Transaction messages (they end the run), flushes under
+//     the root lock and empty folds carry nothing.
 //
 // A batch redelivered at any point replays as it always did: no step is
 // new, each is idempotent under its own condition (the pop on its txid at
@@ -98,8 +98,8 @@ package core
 //     racing read of a pre-chunk value can never re-fill a cache above
 //     the overwrite (the cache tier's standing ordering argument).
 //
-// Transaction messages and reshard fences are chunk barriers: the run
-// before them flushes first (txnops.go, reshard.go).
+// Transaction messages are chunk barriers: the run before them flushes
+// first (txnops.go).
 
 import (
 	"slices"
@@ -107,7 +107,6 @@ import (
 
 	"faaskeeper/internal/cache"
 	"faaskeeper/internal/cloud"
-	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
@@ -122,7 +121,6 @@ type opResult struct {
 	stat   znode.Stat
 	fired  []firedWatch
 	popped bool // ➎ already ran in the commit phase
-	drop   bool // stranded by a reshard: the follower owns the retry, stay silent
 }
 
 // nodeFold is the final folded user-store state of one touched node.
@@ -332,13 +330,6 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 			t0 := d.K.Now()
 			p.completions = append(p.completions, d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
 			d.recordPhase("leader.total", d.K.Now()-t0)
-		case OpReshardFence:
-			// A reshard fence is a fold barrier too: the ack promises every
-			// earlier message of this serialized queue has been fully
-			// processed and distributed, and releases the coordinator.
-			p.flushRun(msgs[start:i])
-			start = i + 1
-			d.ackFence(d.billSys(ctx, dm.msg.Shard), dm.msg)
 		}
 	}
 	p.flushRun(msgs[start:])
@@ -416,9 +407,6 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 
 	for i, dm := range msgs {
 		r, msg := &cur.results[i], dm.msg
-		if r.drop {
-			continue
-		}
 		if msg.Op == OpDeregister {
 			// Processed only after the flush: the ack's shard-FIFO position
 			// put it behind the session's ephemeral deletions, and the
@@ -508,7 +496,7 @@ func collectable(msgs []decodedMsg, i int) bool {
 	path := msgs[i].msg.Path
 	for j := range msgs {
 		switch m := &msgs[j].msg; m.Op {
-		case OpDeregister, OpReshardFence:
+		case OpDeregister:
 		case OpMulti, OpTxnCommit:
 			if tm, err := decodeTxnMsg(m.NodeBlob); err == nil && slices.Contains(txnTargets(tm.Ops), path) {
 				return false
@@ -602,15 +590,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
-		// Stranded by a reshard? A live follower saw its commit fail the
-		// generation guard and owns the re-route — answering here would
-		// race the retry's response. But a follower that died between push
-		// and commit never retries (the push marked the request processed,
-		// so queue redelivery dedups it away); its tell is the message's
-		// own lock timestamps still on the node. Reclaiming those locks
-		// decides the race exactly once.
-		drop := d.staleDynMsg(ctx, msg, dynGen(msg)) && !d.reclaimFencedMsg(ctx, msg)
-		return opResult{ctx: ctx, code: CodeSystemError, drop: drop}, true
+		return opResult{ctx: ctx, code: CodeSystemError}, true
 	}
 
 	var fired []firedWatch
@@ -663,15 +643,14 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 	// Merge child-list splices into node objects rewritten in the same
 	// batch: a per-parent RMW would read the store's pre-batch object and
 	// either the splice or the data write would be lost. A parent deleted
-	// in this batch drops its splices (its child list is moot). Shared
-	// parents — the root of a sharded deployment, a split subtree's root
-	// — are peeled off instead: their RMW must run under the cross-shard
-	// lock.
+	// in this batch drops its splices (its child list is moot). A shared
+	// parent — the root of a sharded deployment — is peeled off instead:
+	// its RMW must run under the cross-shard lock.
 	sharedPFs := map[string]*parentFold{}
 	var sharedOrder []string
 	for _, p := range fold.parentOrder {
 		pf := fold.parents[p]
-		if d.isSharedPath(p) {
+		if d.route.Shared(p) {
 			sharedPFs[p] = pf
 			sharedOrder = append(sharedOrder, p)
 			pf.consumed = true
@@ -691,36 +670,25 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 		}
 	}
 
-	// Cross-shard shared-path work — a data write to a shared object or a
-	// create/delete splice under it — is serialized under the path's
-	// shared lock, held once across the whole flush: an interleaved RMW
-	// from another shard would lose children, and a full-object write
-	// racing another shard's child splice would revert the child list
-	// (so under the lock it is refreshed from the system store, the
-	// source of truth). Locks are taken in sorted path order: two flushes
-	// on different shards touching the same shared paths then never
-	// deadlock.
-	lockSet := map[string]bool{}
-	for _, p := range sharedOrder {
-		lockSet[p] = true
-	}
+	// Cross-shard shared-path work — a data write to the root or a
+	// create/delete splice under it — is serialized under the root lock,
+	// held once across the whole flush: an interleaved RMW from another
+	// shard would lose children, and a full-object write racing another
+	// shard's child splice would revert the child list (so under the lock
+	// it is refreshed from the system store, the source of truth).
+	lockRoot := len(sharedOrder) > 0
 	for _, p := range fold.order {
-		if nf := fold.nodes[p]; !nf.del && d.isSharedPath(p) {
-			lockSet[p] = true
+		if nf := fold.nodes[p]; !nf.del && d.route.Shared(p) {
+			lockRoot = true
 		}
 	}
-	lockPaths := make([]string, 0, len(lockSet))
-	for p := range lockSet {
-		lockPaths = append(lockPaths, p)
-	}
-	slices.Sort(lockPaths)
-	for _, p := range lockPaths {
-		lock := d.acquireSharedLock(ctx, p)
-		defer func(l fksync.Lock) { _ = d.Locks.Release(ctx, l) }(lock)
+	if lockRoot {
+		lock := d.acquireRootLock(ctx)
+		defer func() { _ = d.Locks.Release(ctx, lock) }()
 	}
 	for _, p := range fold.order {
 		nf := fold.nodes[p]
-		if nf.del || !d.isSharedPath(p) {
+		if nf.del || !d.route.Shared(p) {
 			continue
 		}
 		d.refreshSharedFromSystem(ctx, p, nf.node)
@@ -746,7 +714,7 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 			if rc := d.CacheFor(s.Region()); rc != nil {
 				tsp := d.legSpan(own, obs.SpanCacheInval, region)
 				sp := invSlicePool.Get().(*[]cache.Invalidation)
-				invs := fold.appendInvalidations((*sp)[:0], sharedPFs, stamp, d.cacheMapEpoch())
+				invs := fold.appendInvalidations((*sp)[:0], sharedPFs, stamp)
 				rc.InvalidateBatch(d.legCtx(ctx, own, tsp, region), invs)
 				*sp = invs[:0]
 				invSlicePool.Put(sp)
@@ -789,13 +757,13 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 			}
 		})
 	}
-	if lane != nil && len(lockPaths) == 0 {
+	if lane != nil && !lockRoot {
 		lane.underFlush(fold)
 	}
 	wg.Wait()
 
-	// The shared parents' coalesced splices run after the regional writes,
-	// still under the shared locks taken above. The per-region stamps
+	// The root's coalesced splices run after the regional writes, still
+	// under the root lock taken above. The per-region stamps
 	// already hold the union of every shard's epoch list, so an in-flight
 	// child-watch notification fired by any shard still holds reads of the
 	// parent (Z4).
@@ -837,16 +805,16 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 // touched path once, at its newest folded txid. Shared parents' splices
 // (flushed after the regional writes) are included so their floors are
 // raised before their RMWs land too.
-func (f *batchFold) appendInvalidations(invs []cache.Invalidation, shared map[string]*parentFold, stamp []int64, mapEpoch int64) []cache.Invalidation {
+func (f *batchFold) appendInvalidations(invs []cache.Invalidation, shared map[string]*parentFold, stamp []int64) []cache.Invalidation {
 	for _, p := range f.order {
-		invs = append(invs, cache.Invalidation{Path: p, Mzxid: f.nodes[p].txid, Epoch: stamp, MapEpoch: mapEpoch})
+		invs = append(invs, cache.Invalidation{Path: p, Mzxid: f.nodes[p].txid, Epoch: stamp})
 	}
 	for _, p := range f.parentOrder {
 		pf := f.parents[p]
 		if _, isShared := shared[p]; pf.consumed && !isShared {
 			continue // folded into the node write above
 		}
-		invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp, MapEpoch: mapEpoch})
+		invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp})
 	}
 	return invs
 }

@@ -63,10 +63,7 @@ func (d *Deployment) processRequest(ctx cloud.Ctx, req Request) error {
 	var err error
 	switch req.Op {
 	case OpCreate, OpSetData, OpDelete:
-		if _, err = d.retryStale(ctx, req); errors.Is(err, errStaleRoute) {
-			d.respondFailure(req, CodeSystemError)
-			err = nil
-		}
+		_, err = d.followerWrite(ctx, req)
 	case OpDeregister:
 		err = d.followerDeregister(ctx, req)
 	case OpMulti:
@@ -79,37 +76,6 @@ func (d *Deployment) processRequest(ctx cloud.Ctx, req Request) error {
 		d.lastSeq[req.Session] = req.Seq
 	}
 	return err
-}
-
-// staleRouteRetries bounds how often one request re-routes after losing a
-// race with a reshard (each retry re-reads the map, so one transition
-// costs at most one extra round per in-flight write).
-const staleRouteRetries = 8
-
-// retryStale runs followerWrite with dynamic-mode re-routing: a commit
-// rejected by the shard-map generation guard re-validates and re-routes
-// against the refreshed map, after waiting out any migration gating the
-// path. Once the retries are used up it hands errStaleRoute to the caller.
-// Static deployments call followerWrite directly.
-func (d *Deployment) retryStale(ctx cloud.Ctx, req Request) (int, error) {
-	if d.dyn == nil {
-		return d.followerWrite(ctx, req)
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			// The retry stage spans the migration-gate wait; the chain then
-			// re-enters validation against the refreshed map.
-			d.stageReq(req, obs.StageRetry)
-		}
-		d.awaitRoutable(ctx, req.Path)
-		if attempt > 0 {
-			d.stageReq(req, obs.StageValidate)
-		}
-		shard, err := d.followerWrite(ctx, req)
-		if !errors.Is(err, errStaleRoute) || attempt == staleRouteRetries {
-			return shard, err
-		}
-	}
 }
 
 // respondFailure notifies the client directly from the follower; rejected
@@ -134,7 +100,7 @@ func (d *Deployment) lockNode(ctx cloud.Ctx, path string) (fksync.Lock, sysNode,
 // barrier must put its ack behind a deletion in exactly that queue) along
 // with the usual handler error.
 func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
-	shard := d.RouteShard(req.Path)
+	shard := d.route.ShardFor(req.Path)
 	var held []fksync.Lock // release order: node, then parent
 	fail := func(code Code) (int, error) {
 		d.unlockAll(ctx, held...)
@@ -184,10 +150,13 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 	}
 	msg := validatedMsg(req, path, owner, node, parent)
 	msg.LockTs, msg.ParentLockTs = nodeLock.Timestamp, parentLock.Timestamp
-	d.routeMsg(&msg)
+	// The subtree's ordered queue: with one shard the paper's single global
+	// FIFO queue and its total order of writes; with more, the order is
+	// total per shard, which suffices because no operation spans subtrees.
+	msg.Shard = d.route.ShardFor(msg.Path)
 	r, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageLeaderQ, held,
-		func(ctx cloud.Ctx, txid int64, guard []kv.TxOp) error {
-			return d.commitLocked(ctx, held, msg, txid, guard)
+		func(ctx cloud.Ctx, txid int64) error {
+			return d.commitLocked(ctx, held, msg, txid)
 		})
 	if committed && req.Op == OpDelete && node.EphOwner != "" {
 		d.forgetEphemeral(ctx, node.EphOwner, path)
@@ -221,13 +190,12 @@ func (d *Deployment) forgetEphemeral(ctx cloud.Ctx, owner, path string) {
 // single-shard multi() share: push the validated message to the shard set
 // on it (③; the FIFO sequence number is the txid), pass the crash point
 // between the two, and run commit — the caller's conditional write of every
-// locked item together with the lock release (④), joined with the shard-map
-// generation guard on a dynamic deployment. held is every lock taken, for
-// the paths that give up. committed is false with a nil error when the
-// request was answered here (push failure) or left to the leader's replay
-// (lease lost).
+// locked item together with the lock release (④). held is every lock
+// taken, for the paths that give up. committed is false with a nil error
+// when the request was answered here (push failure) or left to the leader's
+// replay (lease lost).
 func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, crashStage string, held []fksync.Lock,
-	commit func(ctx cloud.Ctx, txid int64, guard []kv.TxOp) error) (r routed, committed bool, err error) {
+	commit func(ctx cloud.Ctx, txid int64) error) (r routed, committed bool, err error) {
 	r, err = d.pushToShard(ctx, msg)
 	if err != nil {
 		d.unlockAll(ctx, held...)
@@ -243,19 +211,11 @@ func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, cr
 	}
 	t0 := d.K.Now()
 	sp := d.reqSpan(req, obs.SpanFollowerCommit, r.shard)
-	err = commit(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), r.txid, d.dynGuard(r.shard, r.gen))
+	err = commit(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), r.txid)
 	d.spanEnd(sp)
 	d.recordPhase("follower.commit", d.K.Now()-t0)
 	if err == nil {
 		return r, true, nil
-	}
-	if d.staleRoutedCommit(ctx, r.shard, r.gen) {
-		// Fenced by a reshard: nothing was written, the locks are still
-		// ours — release them and re-route. The pushed message strands in
-		// the old queue; its leader recognizes the superseded generation
-		// and drops it silently.
-		d.unlockAll(ctx, held...)
-		return r, false, errStaleRoute
 	}
 	// Lost the lease: the leader's TryCommit may still save the
 	// transaction; nothing more to do here.
@@ -264,26 +224,22 @@ func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, cr
 
 // commitLocked is step ④ of a single-op message committing at txid, as the
 // follower runs it and as the leader replays it for a dead one (TryCommit).
-func (d *Deployment) commitLocked(ctx cloud.Ctx, held []fksync.Lock, msg leaderMsg, txid int64, guard []kv.TxOp) error {
+// It applies the updates to the items the op locked — held is the node's
+// lock, then the parent's if the op has one — and releases the locks in the
+// same conditional write: one update when the op touches one item, one
+// transaction in which the node and its parent fail or succeed together
+// (Section 3.1) otherwise.
+func (d *Deployment) commitLocked(ctx cloud.Ctx, held []fksync.Lock, msg leaderMsg, txid int64) error {
 	node, parent := commitUpdates(msg, txid)
-	return d.transactLocked(ctx, held, append(node, pendingAppend(txid)), parent, guard)
-}
-
-// transactLocked applies updates to the items a single op locked — held is
-// the node's lock, then the parent's if the op has one — and releases the
-// locks in the same conditional write: one update when the op touches one
-// item and nothing guards it, one transaction in which the node and its
-// parent fail or succeed together (Section 3.1) otherwise.
-func (d *Deployment) transactLocked(ctx cloud.Ctx, held []fksync.Lock, node, parent []kv.Update, guard []kv.TxOp) error {
-	if len(held) == 1 && guard == nil {
+	node = append(node, pendingAppend(txid))
+	if len(held) == 1 {
 		_, err := d.Locks.CommitUnlock(ctx, held[0], node)
 		return err
 	}
-	parts := append(make([]fksync.TxPart, 0, 2), fksync.TxPart{Lock: held[0], Updates: node})
-	if len(held) > 1 {
-		parts = append(parts, fksync.TxPart{Lock: held[1], Updates: parent})
-	}
-	return d.Locks.CommitUnlockTxGuard(ctx, parts, guard)
+	return d.Locks.CommitUnlockTx(ctx, []fksync.TxPart{
+		{Lock: held[0], Updates: node},
+		{Lock: held[1], Updates: parent},
+	})
 }
 
 // followerDeregister closes a session: every ephemeral node it owns is
@@ -302,11 +258,9 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 	for _, path := range eph {
 		// Seq -1: these deletions produce no client-visible responses; the
 		// deregistration ack below covers them. The ack must ride the
-		// queue each deletion actually committed to, so the shard comes
-		// back from the delete itself (routing may change mid-loop on a
-		// dynamic deployment).
+		// queue each deletion committed to, which the delete reports.
 		del := Request{Session: req.Session, Seq: -1, Op: OpDelete, Path: path, Version: -1}
-		shard, err := d.retryStale(ctx, del)
+		shard, err := d.followerWrite(ctx, del)
 		if err != nil {
 			return err
 		}
@@ -357,29 +311,10 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 var errMsgTooLarge = errors.New("core: leader message exceeds queue limit")
 
 // routed is the outcome of a leader-queue push: the derived transaction
-// id, the shard the message landed on, and — on a dynamic deployment —
-// the map generation it was routed with, which the follower's commit must
-// pin (dynGuard).
+// id and the shard the message landed on.
 type routed struct {
 	txid  int64
 	shard int
-	gen   int64
-}
-
-// routeMsg sets the shard of a validated change: its subtree's ordered
-// queue. With one shard this is the paper's single global FIFO queue and
-// its total order of writes; with more, the order is total per shard, which
-// suffices because no operation spans subtrees. A dynamic deployment routes
-// through the shard map and stamps the message with the routing generation
-// and the shard's txid base.
-func (d *Deployment) routeMsg(msg *leaderMsg) {
-	if d.dyn == nil {
-		msg.Shard = ShardOf(msg.Path, d.NumShards())
-		return
-	}
-	m := d.mapView()
-	msg.Shard = m.ShardFor(msg.Path)
-	dynStamp(msg, m)
 }
 
 // pushToShard sends the message to the shard already set on it.
@@ -393,7 +328,7 @@ func (d *Deployment) pushToShard(ctx cloud.Ctx, msg leaderMsg) (routed, error) {
 	e.Release()
 	d.recordPhase("follower.push", d.K.Now()-t0)
 	if errors.Is(err, queue.ErrTooLarge) {
-		return routed{shard: msg.Shard, gen: dynGen(msg)}, errMsgTooLarge
+		return routed{shard: msg.Shard}, errMsgTooLarge
 	}
 	if err == nil {
 		d.stageMsg(msg, obs.StageLeaderQ)
@@ -409,7 +344,7 @@ func (d *Deployment) pushToShard(ctx cloud.Ctx, msg leaderMsg) (routed, error) {
 		// by redelivery until the whole transaction is applied.
 		d.lastSeq[msg.Session] = msg.Seq
 	}
-	return routed{txid: d.msgTxid(seqNo, msg), shard: msg.Shard, gen: dynGen(msg)}, err
+	return routed{txid: shardTxid(seqNo, msg.Shard, d.NumShards()), shard: msg.Shard}, err
 }
 
 func (d *Deployment) unlockAll(ctx cloud.Ctx, locks ...fksync.Lock) {

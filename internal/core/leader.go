@@ -9,7 +9,6 @@ import (
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
-	"faaskeeper/internal/shardmap"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -69,9 +68,9 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 			continue
 		}
 		shard = msg.Shard
-		dm := decodedMsg{msg: msg, txid: d.msgTxid(m.SeqNo, msg)}
+		dm := decodedMsg{msg: msg, txid: shardTxid(m.SeqNo, msg.Shard, d.NumShards())}
 		switch msg.Op {
-		case OpDeregister, OpReshardFence:
+		case OpDeregister:
 		case OpCreate, OpSetData, OpDelete:
 			dm.key = nodeKey(msg.Path)
 			acksOnly = false
@@ -292,15 +291,6 @@ func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, key string, txid 
 			if head == txid {
 				return node, true
 			}
-			if d.dyn != nil && shardmap.ShardOfTxid(head) != msg.Shard {
-				// A migration boundary: the head was minted by another
-				// shard, and txids across shards carry no order — the
-				// head is a live write of the path's new owner, never
-				// an orphan of ours. Keep polling (an uncommitted
-				// stray of this shard gives up and is dropped).
-				d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
-				continue
-			}
 			if head < txid {
 				// Orphan from an abandoned transaction: pop and retry.
 				_, _ = d.System.Update(ctx, key,
@@ -345,27 +335,11 @@ func msgLocks(msg leaderMsg) []fksync.Lock {
 	return held
 }
 
-// reclaimFencedMsg resolves ownership of a pushed-then-fenced message
-// whose follower may have died between push (③) and commit (④). A live
-// follower either committed (locks gone) or saw the generation guard
-// reject its commit and released the locks itself before re-routing
-// (errStaleRoute) — in both cases the conditional release below fails and
-// the follower owns the client's response. If the release lands, the
-// locks were orphaned by a crash: no retry is coming (the push already
-// marked the request processed in the warm-state dedup cache), so the
-// caller must answer the client itself or the request is lost forever.
-func (d *Deployment) reclaimFencedMsg(ctx cloud.Ctx, msg leaderMsg) bool {
-	return d.transactLocked(ctx, msgLocks(msg), nil, nil, nil) == nil
-}
-
 // tryCommit replays the follower's conditional commit using the lock
 // timestamps carried in the message. It only succeeds while the original
 // locks are still in place, which is exactly the crashed-follower window.
-// On a dynamic deployment the replay carries the same shard-map
-// generation guard the follower's own commit would have carried, so a
-// replay can never land a write that a reshard already fenced out.
 func (d *Deployment) tryCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) bool {
-	return d.commitLocked(ctx, msgLocks(msg), msg, txid, d.dynGuard(msg.Shard, dynGen(msg))) == nil
+	return d.commitLocked(ctx, msgLocks(msg), msg, txid) == nil
 }
 
 // buildUserNode assembles the user-store object for one committed change:
@@ -394,14 +368,6 @@ func (d *Deployment) buildUserNode(msg leaderMsg, txid int64, node sysNode) *zno
 	n.Children = node.Children
 	n.Stat.NumChildren = int32(len(node.Children))
 	return n
-}
-
-// cacheMapEpoch is the map epoch carried on cache invalidation records.
-func (d *Deployment) cacheMapEpoch() int64 {
-	if d.dyn == nil {
-		return 0
-	}
-	return d.mapView().Epoch
 }
 
 // appendEpochs enters fired watch ids into the shard's per-region epoch
@@ -440,14 +406,13 @@ func (d *Deployment) refreshSharedFromSystem(ctx cloud.Ctx, path string, n *znod
 	}
 }
 
-// acquireSharedLock takes the system-store timed lock serializing every
-// write to a shared path's user-store object (the tree root, or the root
-// node of a split subtree). It retries until acquired: the lease makes
-// the lock recoverable after a crash, and skipping the update would
-// permanently corrupt the shared object's child listing.
-func (d *Deployment) acquireSharedLock(ctx cloud.Ctx, path string) fksync.Lock {
+// acquireRootLock takes the system-store timed lock serializing every
+// write to the shared tree root's user-store object. It retries until
+// acquired: the lease makes the lock recoverable after a crash, and
+// skipping the update would permanently corrupt the root's child listing.
+func (d *Deployment) acquireRootLock(ctx cloud.Ctx) fksync.Lock {
 	for {
-		l, _, err := d.Locks.AcquireWait(ctx, sharedLockKey(path), 0)
+		l, _, err := d.Locks.AcquireWait(ctx, rootUpdateLockKey, 0)
 		if err == nil {
 			return l
 		}
@@ -463,13 +428,13 @@ type firedWatch struct {
 
 // queryWatches reads the watch registrations touched by this operation and
 // clears the fired (one-shot) groups. Shared-path watch groups (the root
-// of a multi-shard deployment, a split subtree's root) are claimed with a
-// conditional remove: two shard leaders may race between the read and the
-// clear there (shared paths are the only ones whose watches fire from
-// more than one shard), and firing the same group twice would consume a
-// watch the client re-registered in its callback — only the leader whose
-// conditional clear lands gets to fire. Everywhere else the owning
-// shard's leader is serialized and keeps the paper's one batched clear.
+// of a multi-shard deployment) are claimed with a conditional remove: two
+// shard leaders may race between the read and the clear there (shared
+// paths are the only ones whose watches fire from more than one shard),
+// and firing the same group twice would consume a watch the client
+// re-registered in its callback — only the leader whose conditional clear
+// lands gets to fire. Everywhere else the owning shard's leader is
+// serialized and keeps the paper's one batched clear.
 func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
 	var fired []firedWatch
 	collect := func(path string, pairs []struct {
@@ -487,7 +452,7 @@ func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
 			if len(sessions) == 0 {
 				continue
 			}
-			if d.isSharedPath(path) {
+			if d.route.Shared(path) {
 				_, err := d.System.Update(ctx, watchKey(path),
 					[]kv.Update{kv.Remove{Name: p.attr}}, kv.AttrExists{Name: p.attr})
 				if err != nil {
@@ -560,9 +525,6 @@ func (d *Deployment) notifyResult(msg leaderMsg, txid int64, code Code, stat zno
 	resp := Response{
 		Session: msg.Session, Seq: msg.Seq, Code: code, Path: msg.Path,
 		Stat: stat, Txid: txid,
-	}
-	if d.dyn != nil {
-		resp.MapEpoch = d.mapView().Epoch
 	}
 	d.notify(msg.Session, resp, resp.wireSize())
 }

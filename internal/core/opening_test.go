@@ -129,7 +129,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		{
 			name: "head is txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid, nil)
+				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
 			},
 			// Opening read (epochs + record), watch query; the pop.
 			code: CodeOK, reads: 3, writes: 1, stored: true,
@@ -138,7 +138,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			name: "orphan ahead of txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
 				_, _ = d.System.Update(ctx, nodeKey(msg.Path), []kv.Update{pendingAppend(5)}, nil)
-				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid, nil)
+				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
 			},
 			// The orphan is popped on the opening read's word, conditionally
 			// on the head it named; the poll after it reads the store.
@@ -147,7 +147,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		{
 			name: "duplicate: head beyond txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid, nil)
+				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
 				_, _ = d.System.Update(ctx, nodeKey(msg.Path),
 					[]kv.Update{kv.ListPopHead{Name: attrPending}, pendingAppend(12)}, nil)
 			},
@@ -236,15 +236,16 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 }
 
 // TestOpeningReadCarriesEpochsOnly: a batch whose first message commits on no
-// single control record — a deregistration ack, a reshard fence, a
-// transaction — opens with the epoch counters alone, every shard's in the one
+// single control record — a deregistration ack, a transaction — opens with the epoch counters alone, every shard's in the one
 // round trip, and a batch of nothing but acks on a multi-shard deployment
 // reads nothing at all.
 func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
 	// The opening read precedes the decoding of a transaction's payload, so
 	// an empty one will do: the handler drops the message right after.
 	dereg := leaderMsg{Session: "gone", Seq: 3, Op: OpDeregister, Fanout: 1}
-	fence := leaderMsg{Op: OpReshardFence, DeregID: 7}
+	// One shard's copy of an ack replicated to two shards: its barrier
+	// marker is a write.
+	dereg2 := leaderMsg{Session: "gone2", Seq: 3, Op: OpDeregister, Fanout: 2, DeregID: 7}
 	for _, tc := range []struct {
 		name    string
 		shards  int
@@ -253,12 +254,11 @@ func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
 		reads   int64 // system-store reads of the whole invocation
 	}{
 		{"deregister", 1, []leaderMsg{dereg}, 1, 1},
-		{"reshard fence", 1, []leaderMsg{fence}, 1, 1},
 		{"multi", 1, []leaderMsg{{Session: "m", Seq: 1, Op: OpMulti}}, 1, 1},
 		{"txn commit", 1, []leaderMsg{{Session: "m", Seq: 1, Op: OpTxnCommit}}, 1, 1},
 		{"multi, two shards", 2, []leaderMsg{{Session: "m", Seq: 1, Op: OpMulti}}, 2, 2},
-		// The one operation is a write, the fence's ack.
-		{"acks only, two shards", 2, []leaderMsg{dereg, fence}, 1, 0},
+		// The one operation is a write, the second ack's barrier marker.
+		{"acks only, two shards", 2, []leaderMsg{dereg, dereg2}, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hook := &pipeFaults{}

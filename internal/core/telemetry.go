@@ -21,10 +21,9 @@ func tracedReq(req Request) bool {
 // tracedMsg is tracedReq for the leader hop. OpTxnCommit is additionally
 // excluded from *stage* transitions — the cross-shard commit fans one
 // request into per-shard messages, and its stages are advanced by the
-// coordinating follower instead — and OpReshardFence carries no request.
+// coordinating follower instead.
 func tracedMsg(msg leaderMsg) bool {
-	return msg.Seq > 0 && msg.Op != OpDeregister &&
-		msg.Op != OpTxnCommit && msg.Op != OpReshardFence
+	return msg.Seq > 0 && msg.Op != OpDeregister && msg.Op != OpTxnCommit
 }
 
 // stageReq advances the request's span chain to the named stage.
@@ -48,8 +47,7 @@ func (d *Deployment) stageMsg(msg leaderMsg, stage string) {
 // OpTxnCommit: the commit message's Session/Seq are the originating
 // multi()'s, so its store writes and watch deliveries attach to that tree.
 func (d *Deployment) msgTrace(msg leaderMsg) int64 {
-	if !d.traceOn() || msg.Seq <= 0 ||
-		msg.Op == OpDeregister || msg.Op == OpReshardFence {
+	if !d.traceOn() || msg.Seq <= 0 || msg.Op == OpDeregister {
 		return 0
 	}
 	return msg.trace()

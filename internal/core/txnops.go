@@ -47,7 +47,6 @@ import (
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
-	"faaskeeper/internal/shardmap"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
@@ -101,10 +100,7 @@ type multiItem struct {
 }
 
 // multiPlan is the coordinator's prepared state: every touched item
-// locked, every op validated and resolved. route is the plan's routing
-// snapshot (one map view for the whole transaction); mv is the snapshot's
-// map on a dynamic deployment (nil otherwise), whose per-shard
-// generations guard the commit.
+// locked, every op validated and resolved.
 type multiPlan struct {
 	resolved []txn.ResolvedOp
 	items    map[string]*multiItem
@@ -113,14 +109,6 @@ type multiPlan struct {
 	// same multi validate against the earlier ops' effects (ZooKeeper
 	// validates multi ops sequentially against the evolving state).
 	specs map[string]*sysNode
-	route func(string) int
-	mv    *shardmap.Map
-}
-
-func newMultiPlan(d *Deployment) *multiPlan {
-	p := &multiPlan{items: map[string]*multiItem{}, specs: map[string]*sysNode{}}
-	p.route, p.mv = d.routeFn()
-	return p
 }
 
 // acquire locks one item (idempotently) and seeds its speculative state.
@@ -179,7 +167,7 @@ func (p *multiPlan) lockTs() []int64 {
 // On validation failure every lock is released and the failing op's index
 // and code are returned (failIdx >= 0). err is infrastructure-only.
 func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (plan *multiPlan, failIdx int, code Code, err error) {
-	plan = newMultiPlan(d)
+	plan = &multiPlan{items: map[string]*multiItem{}, specs: map[string]*sysNode{}}
 	// Statically known paths, each tagged with its first-touching op's
 	// shard (parents are colocated with children; only the shared root can
 	// be claimed by any op's shard).
@@ -190,7 +178,7 @@ func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (
 		}
 	}
 	for _, op := range reqOps {
-		s := plan.route(op.Path)
+		s := d.route.ShardFor(op.Path)
 		switch op.Type {
 		case txn.OpCreate:
 			if op.Path == znode.Root {
@@ -264,7 +252,7 @@ func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, 
 		}
 	}
 	// Only a sequential create's resolved path is not locked yet.
-	shard := plan.route(path)
+	shard := d.route.ShardFor(path)
 	if err := plan.acquire(d, ctx, path, shard); err != nil {
 		return txn.ResolvedOp{}, CodeSystemError, err
 	}
@@ -476,22 +464,6 @@ func (d *Deployment) applyEphRecords(ctx cloud.Ctx, resolved []txn.ResolvedOp) {
 	}
 }
 
-// planWentStale reports whether any of a plan's shard groups routed with
-// a since-superseded map generation (the transaction must re-route).
-func (d *Deployment) planWentStale(ctx cloud.Ctx, plan *multiPlan) bool {
-	if plan.mv == nil {
-		return false
-	}
-	cur := d.refreshMap(ctx)
-	shards, _ := plan.itemsByShard()
-	for _, s := range shards {
-		if cur.GenOf(s) != plan.mv.GenOf(s) {
-			return true
-		}
-	}
-	return false
-}
-
 // respondMultiAbort answers a multi() that failed validation: the failing
 // op carries its own code, the siblings report the rollback. failIdx < 0
 // marks a recovery answer where the failing op is no longer known.
@@ -521,9 +493,6 @@ func (d *Deployment) notifyMulti(req Request, results []txn.Result, commits map[
 	resp := Response{
 		Session: req.Session, Seq: req.Seq, Code: CodeOK, Path: req.Path,
 		Txid: maxTxid, MultiResults: results,
-	}
-	if d.dyn != nil {
-		resp.MapEpoch = d.mapView().Epoch
 	}
 	d.notify(req.Session, resp, resp.wireSize())
 }
@@ -631,46 +600,10 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 		}
 		// The crashed attempt was aborted and cleaned; run a fresh one.
 	}
-	for attempt := 0; attempt <= staleRouteRetries; attempt++ {
-		// A transaction's shard groups must all come from one map epoch,
-		// and its phase-two commit messages are ordered by intents rather
-		// than queue position — so multis simply wait out any in-flight
-		// migration instead of gating per path (the reshard engine in
-		// turn waits for live transactions to finish before draining).
-		if attempt > 0 {
-			d.stageReq(req, obs.StageRetry)
-		}
-		d.awaitTxnRoutable(ctx)
-		if attempt > 0 {
-			d.stageReq(req, obs.StageValidate)
-		}
-		route, _ := d.routeFn()
-		shards, _ := txn.Route(reqOps, route)
-		if len(shards) == 1 {
-			err = d.multiFastPath(ctx, req, reqOps)
-		} else {
-			err = d.multiTwoPhase(ctx, req, reqOps)
-		}
-		if !errors.Is(err, errStaleRoute) {
-			return err
-		}
+	if shards, _ := txn.Route(reqOps, d.route.ShardFor); len(shards) == 1 {
+		return d.multiFastPath(ctx, req, reqOps)
 	}
-	d.respondFailure(req, CodeSystemError)
-	return nil
-}
-
-// awaitTxnRoutable blocks while any migration is in flight (dynamic
-// deployments only; one strongly consistent map read per poll).
-func (d *Deployment) awaitTxnRoutable(ctx cloud.Ctx) {
-	if d.dyn == nil {
-		return
-	}
-	if d.mapView().Mig == nil {
-		return
-	}
-	for attempt := 0; d.refreshMap(ctx).Mig != nil; attempt++ {
-		d.K.Sleep(sim.Time(min(attempt+1, 10)) * 2 * sim.Ms(1))
-	}
+	return d.multiTwoPhase(ctx, req, reqOps)
 }
 
 // multiFastPath commits a single-shard multi through the existing
@@ -715,12 +648,6 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		Session: req.Session, Seq: req.Seq, Op: OpMulti, Shard: shard,
 		Path: anchorPath(plan.resolved, shard), NodeBlob: tm.encode(),
 	}
-	if plan.mv != nil {
-		// Route with the plan's snapshot, not the live view: the commit
-		// below pins the snapshot's generation, so a refresh between
-		// planning and pushing cannot desynchronize message and guard.
-		dynStamp(&msg, plan.mv)
-	}
 	// Ephemeral creates go on their session records before the push, for
 	// a single create's reason (recordEphemeral).
 	for _, op := range plan.resolved {
@@ -736,8 +663,8 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	// parent fails or succeeds together, and the pending appends hand the
 	// transaction to the shard's serialized leader.
 	_, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageTxnPrep, tm.locks(),
-		func(ctx cloud.Ctx, txid int64, guard []kv.TxOp) error {
-			return d.Locks.CommitUnlockTxGuard(ctx, multiParts(tm, txid), guard)
+		func(ctx cloud.Ctx, txid int64) error {
+			return d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
 		})
 	if committed {
 		for _, op := range plan.resolved {
@@ -796,20 +723,8 @@ func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 			vctx := d.billSpan(ctx, costReqTrace(req), vsp, s, "")
 			verdict := "ok"
 			for _, it := range items {
-				var err error
 				ups := []kv.Update{kv.Set{Name: attrTxnIntent, V: kv.N(id)}}
-				// The intent conversion pins the group's routing
-				// generation: once an intent is placed, the reshard
-				// engine is already fenced out (it waits for live
-				// transactions), so the guard only needs to reject a plan
-				// routed with a superseded map.
-				if guard := d.dynGuardMV(plan.mv, s); guard != nil {
-					err = d.Locks.CommitUnlockTxGuard(vctx,
-						[]fksync.TxPart{{Lock: it.lock, Updates: ups}}, guard)
-				} else {
-					_, err = d.Locks.CommitUnlock(vctx, it.lock, ups)
-				}
-				if err != nil {
+				if _, err := d.Locks.CommitUnlock(vctx, it.lock, ups); err != nil {
 					verdict = "fail:" + string(CodeSystemError)
 					break // lease lost mid-prepare: isolation not guaranteed
 				}
@@ -831,9 +746,6 @@ func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		plan.unlock(d, ctx) // locks that never became intents
 		d.clearTxnMarks(ctx, id, plan.order)
 		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		if d.planWentStale(ctx, plan) {
-			return errStaleRoute // re-route the whole transaction
-		}
 		d.respondFailure(req, CodeSystemError)
 		return nil
 	}
@@ -876,13 +788,6 @@ func (d *Deployment) txnCommitDrive(ctx cloud.Ctx, req Request, id int64, resolv
 				ID: id, Ops: resolvedOfShard(resolved, s),
 				traceID: obs.TraceOf(req.Session, req.Seq),
 			}.encode(),
-		}
-		if d.dyn != nil {
-			// Stamp the txid base so the shard's leader derives the same
-			// txid the record holds (the generation is irrelevant here —
-			// a committed transaction is applied regardless of reshards,
-			// which wait for it instead).
-			dynStamp(&msg, d.mapView())
 		}
 		r, err := d.pushToShard(ctx, msg)
 		if err != nil {
@@ -1025,10 +930,8 @@ func (d *Deployment) resumeTxn(ctx cloud.Ctx, req Request, reqOps []txn.Op, id i
 // every target node's pending head must become txid. Like awaitCommit it
 // clears orphaned heads and replays the commit on behalf of a crashed
 // coordinator — conditional on the fast path's timed locks or the
-// cross-shard intents, whichever the message carries. shard/gen identify
-// the message's routing for the dynamic foreign-head rule and the
-// fast-path replay's generation guard.
-func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64, shard int, gen int64) (map[string]sysNode, bool) {
+// cross-shard intents, whichever the message carries.
+func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64) (map[string]sysNode, bool) {
 	targets := txnTargets(tm.Ops)
 	states := map[string]sysNode{}
 	triedCommit := false
@@ -1045,13 +948,6 @@ func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int
 					head := node.Pending[0]
 					if head == txid {
 						states[p] = node
-						continue
-					}
-					if d.dyn != nil && shardmap.ShardOfTxid(head) != shard {
-						// Migration boundary: a foreign-shard head is a
-						// live write of the path's new owner, never an
-						// orphan of ours (see awaitCommit).
-						allOK = false
 						continue
 					}
 					if head < txid {
@@ -1071,7 +967,7 @@ func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int
 		}
 		if attempt >= 2 && !triedCommit {
 			triedCommit = true
-			d.tryCommitTxn(ctx, op, tm, txid, shard, gen)
+			d.tryCommitTxn(ctx, op, tm, txid)
 			continue
 		}
 		d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
@@ -1081,15 +977,12 @@ func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int
 
 // tryCommitTxn replays a transaction message's system-store commit on
 // behalf of a crashed coordinator: the fast path under the original timed
-// locks (plus the routing-generation guard on a dynamic deployment, like
-// tryCommit), a cross-shard shard under the intent/mark guard — never
-// generation-guarded, because a durably committed transaction must stay
-// appliable (the reshard engine waits live transactions out instead).
-func (d *Deployment) tryCommitTxn(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64, shard int, gen int64) bool {
+// locks, like tryCommit, a cross-shard shard under the intent/mark guard.
+func (d *Deployment) tryCommitTxn(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64) bool {
 	if op == OpTxnCommit {
 		return d.txnSysCommit(ctx, tm.ID, tm.Ops, txid)
 	}
-	return d.Locks.CommitUnlockTxGuard(ctx, multiParts(tm, txid), d.dynGuard(shard, gen)) == nil
+	return d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid)) == nil
 }
 
 // claimTxnWatches claims the watches of every effectful op of a
@@ -1115,12 +1008,9 @@ func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard 
 // distribute it atomically within the shard's serialized pipeline.
 func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
 	t0 := d.K.Now()
-	states, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid, msg.Shard, dynGen(msg))
+	states, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid)
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !ok {
-		if d.staleDynMsg(ctx, msg, dynGen(msg)) {
-			return nil // stranded by a reshard: the coordinator re-routes
-		}
 		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{})
 		return nil
 	}
@@ -1155,9 +1045,6 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 		Session: msg.Session, Seq: msg.Seq, Code: CodeOK, Path: msg.Path,
 		Txid: txid, MultiResults: results,
 	}
-	if d.dyn != nil {
-		resp.MapEpoch = d.mapView().Epoch
-	}
 	d.notify(msg.Session, resp, resp.wireSize())
 	return comps
 }
@@ -1186,7 +1073,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 	ssp := d.tspan(d.msgTrace(msg), obs.SpanTxnShard, msg.Path, msg.Shard, "")
 	ctx = d.billSpan(ctx, costMsgTrace(msg), ssp, msg.Shard, "")
 	t0 := d.K.Now()
-	_, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid, msg.Shard, dynGen(msg))
+	_, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid)
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !ok {
 		// The coordinator died before its commit write and the intent

@@ -38,15 +38,6 @@ const (
 	// transaction (package txn): it orders the transaction within the
 	// shard's pipeline and carries the shard's resolved sub-ops.
 	OpTxnCommit OpCode = "txn_commit"
-
-	// OpReshardFence is the live-reshard drain barrier (package shardmap):
-	// the reshard coordinator pushes one fence into each source shard's
-	// queue after gating the migrating prefixes; when the shard's
-	// serialized leader reaches it, every earlier message — in particular
-	// every committed write to a migrating path — has been fully
-	// distributed, and the leader's storage ack releases the coordinator
-	// to flip the map epoch. DeregID carries the fence id.
-	OpReshardFence OpCode = "reshard_fence"
 )
 
 // Code is the result of a write request, following ZooKeeper's error
@@ -213,13 +204,6 @@ type Response struct {
 
 	// MultiResults carries a multi()'s per-op outcomes (nil otherwise).
 	MultiResults []txn.Result
-
-	// MapEpoch is the shard-map epoch the answering leader observed (0 on
-	// static deployments): the client library refreshes its cached routing
-	// table when a response proves a newer epoch exists. Responses travel
-	// as in-memory payloads with a modeled wireSize, so the field adds no
-	// bytes to the golden trace.
-	MapEpoch int64
 }
 
 // wireSize estimates the response's on-wire size for the network model.

@@ -177,38 +177,6 @@ func (m Model) TxnOverhead(participants, ops, sizeB int, hybrid bool) float64 {
 	return m.TxnCost(participants, ops, sizeB, hybrid) / base
 }
 
-// DynamicWriteOverhead returns the extra dollars a write pays on a
-// dynamic-sharding deployment: the follower's commit becomes a
-// transactional write joining the shard-map generation check, modeled as
-// one additional system-store write on the map item. Reads and the rest
-// of the pipeline are untouched.
-func (m Model) DynamicWriteOverhead() float64 {
-	return m.P.KVWriteCost(1)
-}
-
-// ReshardCost returns the dollars one live reshard transition costs:
-//
-//	Cost_RS = 2*W_DD(map) + sources*(Q(1) + W_DD(1))
-//	        + polls*R_DD(1) + retried*(W_DD(1) + Q(s))
-//
-// Two map writes (the migration gate and the epoch flip), one fence
-// message and one barrier-ack write per source shard, the coordinator's
-// drain-polling reads, and — for writes in flight across the gate or the
-// flip — one failed commit plus one re-pushed queue message each. mapB
-// is the durable routing table's size (a few hundred bytes, growing with
-// overrides and splits). The transition itself is orders of magnitude
-// cheaper than a minute of the traffic that warrants it.
-func (m Model) ReshardCost(sources, polls, retriedWrites, mapB, sizeB int) float64 {
-	if sources <= 0 {
-		sources = 1
-	}
-	c := 2 * m.P.KVWriteCost(mapB)
-	c += float64(sources) * (m.P.QueueMsgCost(64) + m.P.KVWriteCost(1))
-	c += float64(polls) * m.P.KVReadCost(1, true)
-	c += float64(retriedWrites) * (m.P.KVWriteCost(1) + m.P.QueueMsgCost(sizeB))
-	return c
-}
-
 // CachedReadCost returns the expected dollars for one read served through
 // the cache tier at the given hit ratio: hits touch only the regional
 // cache node (per-operation free — the node bills hourly, see

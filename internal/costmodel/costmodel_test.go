@@ -291,28 +291,6 @@ func TestTxnCostScalesWithParticipants(t *testing.T) {
 	}
 }
 
-func TestReshardCostBounded(t *testing.T) {
-	m := NewAWSModel(2048)
-	one := m.ReshardCost(1, 20, 0, 512, 1024)
-	four := m.ReshardCost(4, 20, 0, 512, 1024)
-	if !(one > 0 && one < four) {
-		t.Errorf("reshard cost not monotone in sources: %g %g", one, four)
-	}
-	// A transition with a handful of in-flight retries stays far below
-	// one second of the hot traffic that warrants it (~100 writes/s).
-	withRetries := m.ReshardCost(4, 40, 8, 512, 1024)
-	if hundredWrites := 100 * m.WriteCost(1024, false); withRetries > hundredWrites {
-		t.Errorf("reshard $%.8f dwarfs 100 writes $%.8f", withRetries, hundredWrites)
-	}
-	if m.ReshardCost(0, 0, 0, 0, 0) <= 0 {
-		t.Error("clamped reshard cost must stay positive")
-	}
-	// The per-write dynamic overhead is a small fraction of a write.
-	if ov := m.DynamicWriteOverhead(); ov <= 0 || ov > 0.2*m.WriteCost(1024, false) {
-		t.Errorf("dynamic write overhead $%.10f out of range", ov)
-	}
-}
-
 func TestFanoutCostFlatInWatchers(t *testing.T) {
 	m := NewAWSModel(512)
 	pub := m.FanoutPublishCost()

@@ -42,9 +42,7 @@ func (r costRun) per1M() float64 { return r.perReq() * 1e6 }
 // runCostWorkload drives a mixed workload (each session alternates one
 // write — a cross-shard multi in "txn" mode — and one read) with cost
 // accounting on and returns the attributed dollars. The ledger is reset
-// after setup so the numbers cover only the measured requests; in
-// "reshard" mode a live /hot split lands mid-workload and its
-// control-plane spend shows up in the system bucket.
+// after setup so the numbers cover only the measured requests.
 func runCostWorkload(seed int64, cfg core.Config, mode string, sessions, ops int) costRun {
 	cfg.CostAccounting = true
 	k := sim.NewKernel(seed)
@@ -56,12 +54,6 @@ func runCostWorkload(seed int64, cfg core.Config, mode string, sessions, ops int
 			return
 		}
 		paths := uniformPaths(sessions)
-		if mode == "reshard" {
-			if _, err := setup.Create("/hot", nil, 0); err != nil {
-				return
-			}
-			paths = hotPaths(sessions)
-		}
 		for _, p := range paths {
 			if _, err := setup.Create(p, nil, 0); err != nil {
 				return
@@ -104,12 +96,6 @@ func runCostWorkload(seed int64, cfg core.Config, mode string, sessions, ops int
 				}
 			})
 		}
-		if mode == "reshard" {
-			k.Go("splitter", func() {
-				k.Sleep(5 * sim.Ms(1))
-				_ = d.SplitSubtree("/hot", 2)
-			})
-		}
 		done.Wait()
 		for _, c := range clients {
 			c.Close()
@@ -139,7 +125,6 @@ var costConfigMatrix = []struct {
 	{"batching (2 shards, fold 16)", core.Config{WriteShards: 2, BatchWrites: true, MaxBatch: 16}, "plain"},
 	{"caching (two-level)", core.Config{CacheMode: core.CacheTwoLevel}, "plain"},
 	{"txn (4 shards, cross-shard)", core.Config{WriteShards: 4}, "txn"},
-	{"reshard (live split mid-run)", core.Config{WriteShards: 2, DynamicShards: true}, "reshard"},
 }
 
 func runCostLive(cfg RunConfig) *Report {

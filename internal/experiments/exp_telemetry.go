@@ -25,7 +25,7 @@ func init() {
 // request's stage spans partition [submit, respond] exactly, so the
 // per-stage means in the tables sum to the end-to-end mean.
 var telemetryStages = []string{
-	obs.StageSubmit, obs.StageQueue, obs.StageValidate, obs.StageRetry,
+	obs.StageSubmit, obs.StageQueue, obs.StageValidate,
 	obs.StageLeaderQ, obs.StageCommit, obs.StageFlush,
 	obs.StageTxnPrep, obs.StageTxnCommit, obs.StageTxnApply,
 	obs.StageRespond,
@@ -121,9 +121,8 @@ func analyzeSpans(tr *obs.Tracer, wantStages []string) telemetryRun {
 }
 
 // runTelemetryWorkload drives sessions clients with telemetry on and
-// returns the span analysis. Modes: "plain" (sequential set_data),
-// "txn" (cross-shard multi per op), "reshard" (a live /hot split lands
-// mid-workload).
+// returns the span analysis. Modes: "plain" (sequential set_data) and
+// "txn" (cross-shard multi per op).
 func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, ops int) telemetryRun {
 	cfg.Telemetry = true
 	k := sim.NewKernel(seed)
@@ -147,12 +146,6 @@ func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, op
 			return
 		}
 		paths := uniformPaths(sessions)
-		if mode == "reshard" {
-			if _, err := setup.Create("/hot", nil, 0); err != nil {
-				return
-			}
-			paths = hotPaths(sessions)
-		}
 		for _, p := range paths {
 			if _, err := setup.Create(p, nil, 0); err != nil {
 				return
@@ -191,14 +184,6 @@ func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, op
 				}
 			})
 		}
-		if mode == "reshard" {
-			// Land the split while writers are in flight, so some traces
-			// carry follower.retry hops from re-routed messages.
-			k.Go("splitter", func() {
-				k.Sleep(5 * sim.Ms(1))
-				_ = d.SplitSubtree("/hot", 2)
-			})
-		}
 		done.Wait()
 		for _, c := range clients {
 			c.Close()
@@ -219,7 +204,7 @@ func stageBreakdownRow(label string, run telemetryRun) []string {
 		fmt.Sprintf("%d", run.traces),
 		f2(run.stageMean(obs.StageSubmit)),
 		f2(queueing),
-		f2(run.stageMean(obs.StageValidate) + run.stageMean(obs.StageRetry)),
+		f2(run.stageMean(obs.StageValidate)),
 		f2(run.stageMean(obs.StageCommit)),
 		f2(run.stageMean(obs.StageFlush)),
 		f2(run.stageMean(obs.StageRespond)),
@@ -276,7 +261,6 @@ func runTelemetry(cfg RunConfig) *Report {
 		{"plain", core.Config{WriteShards: 2}, "plain"},
 		{"batched", core.Config{WriteShards: 2, BatchWrites: true}, "plain"},
 		{"cross-shard txn", core.Config{WriteShards: 4}, "txn"},
-		{"mid-reshard", core.Config{WriteShards: 2, DynamicShards: true}, "reshard"},
 	}
 	for i, c := range classes {
 		run := runTelemetryWorkload(cfg.Seed+200+int64(i), c.cfg, c.mode, sessions, ops)

@@ -11,7 +11,7 @@ func TestRegistryComplete(t *testing.T) {
 		"tab1", "fig4a", "fig4b", "fig5", "tab6a", "fig6b",
 		"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10",
 		"tab3", "fig11", "fig12", "fig13", "tab4", "fig14", "sec532x",
-		"ablations", "sharding", "caching", "batching", "txn", "reshard",
+		"ablations", "sharding", "caching", "batching", "txn",
 		"telemetry", "chaos", "cost", "watchfanout",
 	}
 	for _, id := range want {
@@ -552,10 +552,10 @@ func TestTelemetryBreakdownValid(t *testing.T) {
 			}
 		}
 	}
-	// Every request class (plain, batched, cross-shard txn, mid-reshard)
-	// must leave zero open spans and zero invariant violations.
-	if got := len(rep.Sections[2].Rows); got != 4 {
-		t.Fatalf("expected 4 request classes, got %d", got)
+	// Every request class (plain, batched, cross-shard txn) must leave zero
+	// open spans and zero invariant violations.
+	if got := len(rep.Sections[2].Rows); got != 3 {
+		t.Fatalf("expected 3 request classes, got %d", got)
 	}
 	for _, row := range rep.Sections[2].Rows {
 		if row[3] != "0" || row[4] != "0" {

@@ -78,18 +78,9 @@ type Client struct {
 	// out a shallow clone with copied Data.
 	decoded map[string]decodedNode
 
-	// smap is the session's cached view of the dynamic shard map (nil on
-	// static deployments). The client uses it for per-shard MRD floor
-	// lookups and shared-path cacheability, and refreshes it whenever a
-	// response proves a newer epoch exists. A stale view is safe for the
-	// floor lookups (they are conservative relative to the cloud-side
-	// guards), but the shared-path cacheability decision needs bounded
-	// freshness — a read-only session sees no responses — so sessions
-	// with a client cache additionally re-read the map every CacheTTL
-	// (smapAt), bounding a freshly split subtree root's client-cache
-	// exposure to the same window every cached entry already has.
-	smap   *shardmap.Map
-	smapAt sim.Time
+	// route is the deployment's write route: the shard whose MRD floors a
+	// cached path, and whether the path is shared between shards.
+	route *shardmap.Map
 	// sysFloor is the newest transaction this session has observed
 	// through any read (including a parent's pzxid — a child splice
 	// advances system state without touching mzxid) or its own write
@@ -157,10 +148,7 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 		buffered:  map[int64]core.Response{},
 		mrd:       map[int]int64{},
 		watches:   map[int64]*watchEntry{},
-	}
-	if d.Dynamic() {
-		c.smap = d.LoadShardMap(c.ctx)
-		c.smapAt = d.K.Now()
+		route:     d.Route(),
 	}
 	if rc := d.CacheFor(region); rc != nil {
 		c.rcache = rc
@@ -317,7 +305,6 @@ func (c *Client) onResponse(r core.Response) {
 				c.noteOwnWrite(op.req.Op, resp)
 			}
 		}
-		c.refreshMap(resp.MapEpoch)
 		op.done.TryComplete(resp)
 		c.traceFinish(op.req)
 	}
@@ -391,48 +378,10 @@ func (c *Client) noteOwnMulti(results []txn.Result) {
 	}
 }
 
-// routeOf returns the shard currently owning a path's writes under the
-// session's cached map view (the static route otherwise).
-func (c *Client) routeOf(path string) int {
-	if c.smap != nil {
-		return c.smap.ShardFor(path)
-	}
-	return core.ShardOf(path, c.d.NumShards())
-}
-
-// mintShard recovers the shard that minted a txid — stable across map
-// epochs on a dynamic deployment (the fixed stride), the mod-N interleave
-// otherwise. Keying MRD floors by minting shard is what lets them survive
-// a path changing shards: old data checks against the old shard's floor.
+// mintShard recovers the shard that minted a txid from the interleave
+// txid = seqNo*N + shard.
 func (c *Client) mintShard(txid int64) int {
-	if c.smap != nil {
-		return shardmap.ShardOfTxid(txid)
-	}
 	return int(txid % int64(c.d.NumShards()))
-}
-
-// refreshMap reloads the session's map view when a response proves a
-// newer epoch exists.
-func (c *Client) refreshMap(epoch int64) {
-	if c.smap == nil || epoch <= c.smap.Epoch {
-		return
-	}
-	if m := c.d.LoadShardMap(c.ctx); m != nil {
-		c.smap = m
-		c.smapAt = c.d.K.Now()
-	}
-}
-
-// refreshMapTTL re-reads the map once per CacheTTL for sessions whose
-// client cache depends on shared-path classification (see smap).
-func (c *Client) refreshMapTTL() {
-	if c.smap == nil || c.lcache == nil || c.d.K.Now()-c.smapAt <= core.CacheTTL {
-		return
-	}
-	if m := c.d.LoadShardMap(c.ctx); m != nil {
-		c.smap = m
-	}
-	c.smapAt = c.d.K.Now()
 }
 
 func (c *Client) onNotification(n core.Notification) {
@@ -797,9 +746,8 @@ func (c *Client) read(path string, watching bool) (*znode.Node, error) {
 	// Ordered notifications (Z4): if the node was committed while one of
 	// *our* watches was still being delivered, hold the result until that
 	// notification arrives. Updates older than the minting shard's MRD
-	// are always safe (txids are totally ordered within a shard; the
-	// minting shard is the path's owner at write time, so the comparison
-	// survives live resharding). Cached entries carry the epoch stamp the
+	// are always safe (txids are totally ordered within a shard). Cached
+	// entries carry the epoch stamp the
 	// leader attached when it wrote this exact version, so the guard is
 	// identical on every source.
 	if n.Stat.Mzxid >= c.mrd[c.mintShard(n.Stat.Mzxid)] {
@@ -870,9 +818,8 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	if c.rcache == nil {
 		return c.store.Read(c.ctx, path)
 	}
-	c.refreshMapTTL()
 	floor := c.lastSeen[path]
-	if m := c.mrd[c.routeOf(path)]; m > floor {
+	if m := c.mrd[c.route.ShardFor(path)]; m > floor {
 		floor = m
 	}
 	if c.lcache != nil && !skipL1 && c.l1Cacheable(path) {
@@ -885,19 +832,6 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 		l1Floor := floor
 		if c.sysFloor > l1Floor {
 			l1Floor = c.sysFloor
-		}
-		if c.smap != nil && c.mrdMax > l1Floor {
-			// Live resharding breaks the static identity between a path's
-			// route and the shard that minted its cached copy: a
-			// notification from the path's former owner raises only that
-			// shard's MRD, which the route-keyed floor above no longer
-			// consults after a migration. Nothing invalidates
-			// session-local copies, so on a dynamic deployment the client
-			// cache floors on the session-wide MRD — any delivered
-			// notification fences every older local entry. (The regional
-			// node needs no such floor: it is push-invalidated before any
-			// superseding write becomes readable, on whichever shard.)
-			l1Floor = c.mrdMax
 		}
 		if e, ok := c.lcache.Get(path); ok && e.Mzxid >= l1Floor &&
 			c.d.K.Now()-e.FilledAt <= core.CacheTTL {
@@ -949,18 +883,13 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	return n, stamp, nil
 }
 
-// l1Cacheable reports whether a path may live in the client cache. Shared
-// paths — the root of a sharded deployment, the root node of a split
-// subtree — may not: they are rebuilt by several shard leaders, so two
-// successive contents can share one freshness value and no session-local
-// floor can order them. The regional node handles them safely — every
-// rebuild strictly raises its invalidation floor there.
-func (c *Client) l1Cacheable(path string) bool {
-	if c.smap != nil {
-		return !c.smap.Shared(path)
-	}
-	return path != znode.Root || c.d.NumShards() == 1
-}
+// l1Cacheable reports whether a path may live in the client cache. A
+// shared path — the root of a sharded deployment — may not: it is rebuilt
+// by several shard leaders, so two successive contents can share one
+// freshness value and no session-local floor can order them. The regional
+// node handles it safely — every rebuild strictly raises its invalidation
+// floor there.
+func (c *Client) l1Cacheable(path string) bool { return !c.route.Shared(path) }
 
 // decodedNode is one memoized client-cache decode (see Client.decoded).
 type decodedNode struct {

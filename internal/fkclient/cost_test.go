@@ -149,42 +149,6 @@ func TestCostConservationRandomized(t *testing.T) {
 	}
 }
 
-// TestCostConservationMidReshard covers the reshard axis of the matrix: a
-// live subtree split lands while billed writes are in flight, so charges
-// cross the retry hop and the transition's own control-plane spend enters
-// the system bucket — all still conserved.
-func TestCostConservationMidReshard(t *testing.T) {
-	run(t, 31337, core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, DynamicShards: true},
-		func(k *sim.Kernel, d *core.Deployment) {
-			c := mustConnect(t, d, "resh")
-			if _, err := c.Create("/hot", nil, 0); err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			var futs []*sim.Future[core.Response]
-			for i := 0; i < 12; i++ {
-				futs = append(futs, c.submitWrite(core.OpCreate, fmt.Sprintf("/hot/n%d", i), []byte("v"), -1, 0))
-			}
-			if err := d.SplitSubtree("/hot", 2); err != nil {
-				t.Fatalf("split: %v", err)
-			}
-			for i := 12; i < 24; i++ {
-				futs = append(futs, c.submitWrite(core.OpCreate, fmt.Sprintf("/hot/n%d", i), []byte("v"), -1, 0))
-			}
-			for _, f := range futs {
-				if r := f.Wait(); r.Code != core.CodeOK {
-					t.Fatalf("write failed: %+v", r)
-				}
-			}
-			if err := c.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			if d.Obs.Cost.SystemPd() == 0 {
-				t.Fatal("reshard transition charged nothing to the system bucket")
-			}
-			checkConservation(t, d)
-		})
-}
-
 // TestCostBudgetBreachEndToEnd arms a deliberately tiny budget and checks
 // a normal workload trips the burn-rate monitor through the full stack.
 func TestCostBudgetBreachEndToEnd(t *testing.T) {

@@ -352,14 +352,13 @@ func checkConcurrentTrace(t *testing.T, trace []byte) {
 // TestTraceIndependentOfProcessHistory: billed sizes — and through them
 // virtual time — must not depend on what ran earlier in the process.
 // encoding/gob assigned type ids from a process-global counter in
-// first-use order, so a transaction or shard-map encode in an earlier
-// simulation changed the byte size of later messages (core/gobinit.go
-// existed to pin that order). With hand-written codecs it holds by
-// construction; this pins it: run a cross-shard transaction and a live
-// split first (every txn, fence and shard-map wire type), then require the
-// golden hash.
+// first-use order, so a transaction encode in an earlier simulation
+// changed the byte size of later messages (core/gobinit.go existed to pin
+// that order). With hand-written codecs it holds by construction; this
+// pins it: run a cross-shard transaction first (every txn wire type), then
+// require the golden hash.
 func TestTraceIndependentOfProcessHistory(t *testing.T) {
-	cfg := core.Config{WriteShards: 2, DynamicShards: true}
+	cfg := core.Config{WriteShards: 2}
 	run(t, 99, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "warm")
 		paths := shardedPaths(2, 2)
@@ -373,9 +372,6 @@ func TestTraceIndependentOfProcessHistory(t *testing.T) {
 			txn.SetData(paths[1], []byte("y"), -1),
 		); err != nil {
 			t.Fatalf("cross-shard multi: %v", err)
-		}
-		if err := d.SplitSubtree(paths[0], 2); err != nil {
-			t.Fatalf("split: %v", err)
 		}
 		c.Close()
 	})

@@ -23,9 +23,9 @@ import (
 // (every other named span is a concurrent child leg).
 var stageNames = map[string]bool{
 	obs.StageSubmit: true, obs.StageQueue: true, obs.StageValidate: true,
-	obs.StageRetry: true, obs.StageLeaderQ: true, obs.StageCommit: true,
-	obs.StageFlush: true, obs.StageRespond: true, obs.StageTxnPrep: true,
-	obs.StageTxnCommit: true, obs.StageTxnApply: true,
+	obs.StageLeaderQ: true, obs.StageCommit: true, obs.StageFlush: true,
+	obs.StageRespond: true, obs.StageTxnPrep: true, obs.StageTxnCommit: true,
+	obs.StageTxnApply: true,
 }
 
 // checkSpanTrees asserts the tracer's global invariants and, per trace:
@@ -287,39 +287,6 @@ func TestSpanInvariantsRandomized(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestSpanInvariantsMidReshard checks the chain survives the retry hop: a
-// live subtree split lands while traced writes are in flight, so some
-// requests re-route (client.submit … follower.retry → follower.validate)
-// and stranded duplicates must not corrupt or leak spans.
-func TestSpanInvariantsMidReshard(t *testing.T) {
-	run(t, 31337, core.Config{Telemetry: true, WriteShards: 2, DynamicShards: true},
-		func(k *sim.Kernel, d *core.Deployment) {
-			c := mustConnect(t, d, "resh")
-			if _, err := c.Create("/hot", nil, 0); err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			var futs []*sim.Future[core.Response]
-			for i := 0; i < 12; i++ {
-				futs = append(futs, c.submitWrite(core.OpCreate, fmt.Sprintf("/hot/n%d", i), []byte("v"), -1, 0))
-			}
-			if err := d.SplitSubtree("/hot", 2); err != nil {
-				t.Fatalf("split: %v", err)
-			}
-			for i := 12; i < 24; i++ {
-				futs = append(futs, c.submitWrite(core.OpCreate, fmt.Sprintf("/hot/n%d", i), []byte("v"), -1, 0))
-			}
-			for _, f := range futs {
-				if r := f.Wait(); r.Code != core.CodeOK {
-					t.Fatalf("write failed: %+v", r)
-				}
-			}
-			if err := c.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			checkSpanTrees(t, d.Obs.Tracer)
-		})
 }
 
 // TestTelemetryExports runs a traced workload and round-trips all three

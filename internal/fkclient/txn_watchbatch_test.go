@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -81,8 +82,7 @@ func TestTxnWatchDeliveryBatching(t *testing.T) {
 			}
 		}
 		// All ids must have left the epoch counters after delivery.
-		ctx := ctlCtx(d)
-		ep, _ := d.Epoch(ctx, d.Cfg.Profile.Home)
+		ep, _ := d.Epoch(cloud.ClientCtx(d.Cfg.Profile.Home), d.Cfg.Profile.Home)
 		if len(ep) != 0 {
 			t.Errorf("epoch counters not drained: %v", ep)
 		}

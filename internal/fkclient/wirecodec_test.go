@@ -1,8 +1,7 @@
 package fkclient
 
 // Randomized end-to-end coverage of the feature matrix (batching × caching
-// × transactions × resharding) at seeds and flag products no other suite
-// runs. The tests were written to prove the pipeline survives the swap to
+// × transactions) at seeds and flag products no other suite runs. The tests were written to prove the pipeline survives the swap to
 // the binary codec; with one codec they stay as additional search, minus
 // the rows whose configuration and assertions another test already runs
 // (plain: TestConsistencyRandomizedHistories; sharded:
@@ -43,30 +42,6 @@ func TestBinaryCodecRandomizedMatrix(t *testing.T) {
 				verifyTreeIntegrity(t, d)
 			})
 		}
-	}
-}
-
-// TestBinaryCodecReshardMatrix runs the reshard-under-load workload (with
-// transactions in the mix) at a third seed: live split/merge/grow
-// transitions while randomized clients churn, Z3 monotonicity during the
-// run, tree integrity after.
-func TestBinaryCodecReshardMatrix(t *testing.T) {
-	matrix := []struct {
-		name   string
-		cfg    core.Config
-		multis bool
-	}{
-		{"reshard", core.Config{WriteShards: 2, DynamicShards: true}, false},
-		{"reshard-batching", core.Config{WriteShards: 2, DynamicShards: true, BatchWrites: true}, false},
-		{"reshard-txn", core.Config{WriteShards: 2, DynamicShards: true}, true},
-		{"reshard-caching", core.Config{WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}, false},
-	}
-	for _, mc := range matrix {
-		mc := mc
-		t.Run(mc.name, func(t *testing.T) {
-			d := randomReshardHistory(t, 909, mc.cfg, mc.multis, 4, 10)
-			verifyTreeIntegrity(t, d)
-		})
 	}
 }
 

@@ -132,15 +132,7 @@ type TxPart struct {
 // fails or succeeds atomically (creating a node also updates the locked
 // parent, Section 3.1).
 func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart) error {
-	return m.CommitUnlockTxGuard(ctx, parts, nil)
-}
-
-// CommitUnlockTxGuard is CommitUnlockTx with extra condition-only legs
-// joined into the same atomic transaction — the dynamic write path pins
-// its shard-map routing generation this way, so a commit racing a reshard
-// fails atomically with the guard instead of landing on a stale route.
-func (m *LockManager) CommitUnlockTxGuard(ctx cloud.Ctx, parts []TxPart, guards []kv.TxOp) error {
-	ops := make([]kv.TxOp, 0, len(parts)+len(guards))
+	ops := make([]kv.TxOp, 0, len(parts))
 	for _, p := range parts {
 		op := kv.TxOp{Key: p.Lock.Key, Cond: heldCond(p.Lock), Delete: p.Delete}
 		if !p.Delete {
@@ -150,7 +142,6 @@ func (m *LockManager) CommitUnlockTxGuard(ctx cloud.Ctx, parts []TxPart, guards 
 		}
 		ops = append(ops, op)
 	}
-	ops = append(ops, guards...)
 	err := m.tbl.Transact(ctx, ops)
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return ErrLockLost

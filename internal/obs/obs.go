@@ -168,9 +168,9 @@ func (t *Tracer) Stage(trace int64, name string) {
 	}
 	if _, live := t.open[root]; !live {
 		// The trace already finished: a superseded duplicate hop (e.g. a
-		// message stranded in its old shard's queue by a reshard, drained
-		// after the re-routed retry answered). Opening a stage now would
-		// leak it — the chain's endpoints belong to the live request only.
+		// leader batch redelivered after the request was answered).
+		// Opening a stage now would leak it — the chain's endpoints belong
+		// to the live request only.
 		return
 	}
 	if cur, ok := t.cur[trace]; ok {
@@ -351,7 +351,6 @@ const (
 	StageSubmit    = "client.submit"     // request built, waiting for the sender worker
 	StageQueue     = "queue.session"     // in the session FIFO queue to the follower
 	StageValidate  = "follower.validate" // follower lock/validate/push (Algorithm 1 steps 1-3)
-	StageRetry     = "follower.retry"    // waiting out a stale shard route mid-reshard
 	StageLeaderQ   = "queue.leader"      // in the sharded ordered leader queue
 	StageCommit    = "leader.commit"     // leader opening read, awaitCommit + watch claim (Algorithm 2 steps 1-2)
 	StageFlush     = "distributor.flush" // distributor fold/flush to user stores

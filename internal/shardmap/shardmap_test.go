@@ -1,216 +1,39 @@
-package shardmap
+package shardmap_test
 
 import (
 	"fmt"
 	"testing"
+
+	"faaskeeper/internal/core"
+	"faaskeeper/internal/shardmap"
 )
 
-// TestEpochZeroMatchesDefaultRoute: a freshly seeded map must route every
-// path exactly like the static pipeline's mod-N hash — that equivalence
-// is what keeps a dynamic deployment's epoch 0 byte-compatible with the
-// sharded write path.
-func TestEpochZeroMatchesDefaultRoute(t *testing.T) {
+// TestShardForMatchesShardOf pins the route a deployment builds to the one
+// core.ShardOf computes (and the benchmark's shardmap probe times): for
+// every shard count, every path lands on the same shard, the root on shard
+// 0, and only the root of a multi-shard deployment is shared.
+func TestShardForMatchesShardOf(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
-		m := New(n)
-		for i := 0; i < 500; i++ {
-			p := fmt.Sprintf("/seg%d/child%d", i, i)
-			if got, want := m.ShardFor(p), DefaultShard(p, n); got != want {
-				t.Fatalf("n=%d: ShardFor(%q) = %d, default %d", n, p, got, want)
+		m := shardmap.New(n)
+		for i := 0; i < 3000; i++ {
+			p := fmt.Sprintf("/seg%d", i)
+			if i%3 == 1 {
+				p += fmt.Sprintf("/child%d", i)
+			} else if i%3 == 2 {
+				p += fmt.Sprintf("/c/leaf-%d", i)
+			}
+			if got, want := m.ShardFor(p), core.ShardOf(p, n); got != want {
+				t.Fatalf("n=%d: ShardFor(%q) = %d, core.ShardOf %d", n, p, got, want)
+			}
+			if m.Shared(p) {
+				t.Fatalf("n=%d: %q reported shared", n, p)
 			}
 		}
 		if m.ShardFor("/") != 0 {
-			t.Fatalf("root must route to shard 0")
+			t.Fatalf("n=%d: root must route to shard 0", n)
 		}
-	}
-}
-
-// TestGrowMinimalMovement: growing the queue count moves only the
-// segments of reassigned slots — roughly Slots/queues per new queue — and
-// every moved segment lands on a new queue.
-func TestGrowMinimalMovement(t *testing.T) {
-	m := New(4)
-	next, err := m.PlanGrow(6)
-	if err != nil || next == nil {
-		t.Fatalf("PlanGrow: %v %v", next, err)
-	}
-	if next.Mig == nil || len(next.Mig.Slots) == 0 {
-		t.Fatal("grow plan has no migration")
-	}
-	final := next.Flip(0)
-	moved, total := 0, 2000
-	for i := 0; i < total; i++ {
-		p := fmt.Sprintf("/t%d", i)
-		before, after := m.ShardFor(p), final.ShardFor(p)
-		if before != after {
-			moved++
-			if after < 4 {
-				t.Fatalf("moved segment %q landed on old shard %d", p, after)
-			}
+		if got, want := m.Shared("/"), n > 1; got != want {
+			t.Fatalf("n=%d: Shared(/) = %v, want %v", n, got, want)
 		}
-	}
-	// Two new queues own 2/6 of the slots; allow generous hashing slack.
-	frac := float64(moved) / float64(total)
-	if frac < 0.15 || frac > 0.55 {
-		t.Fatalf("grow moved %.0f%% of segments, want ~33%%", frac*100)
-	}
-	if final.Epoch != m.Epoch+1 {
-		t.Fatalf("flip epoch = %d", final.Epoch)
-	}
-}
-
-// TestSplitColocationAndSharing: a split keeps parents and children below
-// the subtree root colocated, routes only the split prefix differently,
-// and marks the subtree root shared.
-func TestSplitColocationAndSharing(t *testing.T) {
-	m := New(2)
-	next, err := m.PlanSplit("/hot", 4)
-	if err != nil {
-		t.Fatalf("PlanSplit: %v", err)
-	}
-	final := next.Flip(123456)
-	if final.Queues != 6 {
-		t.Fatalf("queues = %d, want 6", final.Queues)
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		parent := fmt.Sprintf("/hot/n%d", i)
-		child := parent + "/leaf/deep"
-		ps, cs := final.ShardFor(parent), final.ShardFor(child)
-		if ps != cs {
-			t.Fatalf("split broke colocation: %q on %d, %q on %d", parent, ps, child, cs)
-		}
-		if ps < 2 || ps >= 6 {
-			t.Fatalf("split path %q routed to non-target shard %d", parent, ps)
-		}
-		seen[ps] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("split spread over %d targets, want >= 3", len(seen))
-	}
-	if !final.Shared("/hot") {
-		t.Fatal("split subtree root must be shared")
-	}
-	if final.Shared("/hot/n1") || final.Shared("/cold") {
-		t.Fatal("non-root split paths must not be shared")
-	}
-	// Unrelated segments keep their route.
-	for i := 0; i < 100; i++ {
-		p := fmt.Sprintf("/cold%d", i)
-		if m.ShardFor(p) != final.ShardFor(p) {
-			t.Fatalf("split moved unrelated path %q", p)
-		}
-	}
-	// SeqBase of every target cleared the bound.
-	for _, s := range []int{2, 3, 4, 5} {
-		if final.SeqBase[s] <= 123456/Stride {
-			t.Fatalf("target %d SeqBase %d below bound", s, final.SeqBase[s])
-		}
-	}
-	// Merge restores the original route.
-	merged, err := final.PlanMerge("/hot")
-	if err != nil {
-		t.Fatalf("PlanMerge: %v", err)
-	}
-	restored := merged.Flip(999999)
-	if got, want := restored.ShardFor("/hot/n3/x"), m.ShardFor("/hot/n3/x"); got != want {
-		t.Fatalf("merge routed /hot to %d, want %d", got, want)
-	}
-	if restored.Shared("/hot") {
-		t.Fatal("merged subtree root must not stay shared")
-	}
-}
-
-// TestTxidMonotonicAcrossFlips: per-shard txids stay strictly increasing
-// through SeqBase bumps, decode back to their minting shard, and a
-// destination's post-flip txids exceed the migration bound.
-func TestTxidMonotonicAcrossFlips(t *testing.T) {
-	m := New(2)
-	next, _ := m.PlanSplit("/hot", 2)
-	bound := m.Txid(500, 1) // source shard 1 minted 500 messages
-	final := next.Flip(bound)
-	for shard := 0; shard < final.Queues; shard++ {
-		var last int64 = -1
-		for seq := int64(1); seq < 50; seq++ {
-			tx := final.Txid(seq, shard)
-			if tx <= last {
-				t.Fatalf("shard %d txid regressed: %d after %d", shard, tx, last)
-			}
-			if ShardOfTxid(tx) != shard {
-				t.Fatalf("txid %d decodes to %d, want %d", tx, ShardOfTxid(tx), shard)
-			}
-			last = tx
-		}
-	}
-	for _, dst := range []int{2, 3} {
-		if first := final.Txid(1, dst); first <= bound {
-			t.Fatalf("dest %d first txid %d does not clear bound %d", dst, first, bound)
-		}
-	}
-}
-
-// TestBlockedGating: only migrating paths block during a transition.
-func TestBlockedGating(t *testing.T) {
-	m := New(2)
-	next, _ := m.PlanSplit("/hot", 2)
-	gated := m.Gate(next.Mig)
-	if !gated.Blocked("/hot/a") || !gated.Blocked("/hot") {
-		t.Fatal("split subtree must be gated")
-	}
-	if gated.Blocked("/cold/a") || gated.Blocked("/") {
-		t.Fatal("unrelated paths must not be gated")
-	}
-	if gated.GenOf(next.Mig.Sources[0]) != m.GenOf(next.Mig.Sources[0])+1 {
-		t.Fatal("gate must bump source generations")
-	}
-	// Compose the flip like the reshard engine: routing from the plan,
-	// generations carried over from the gate, bumped again at the flip.
-	flip := next.Clone()
-	flip.Gens = gated.Clone().Gens
-	final := flip.Flip(0)
-	if final.Blocked("/hot/a") {
-		t.Fatal("flip must clear the gate")
-	}
-	if final.GenOf(next.Mig.Sources[0]) != m.GenOf(next.Mig.Sources[0])+2 {
-		t.Fatal("flip must bump source generations again")
-	}
-}
-
-// TestShrinkRevertsGrow: shrinking back retires the grown queues and
-// restores the original routes.
-func TestShrinkRevertsGrow(t *testing.T) {
-	m := New(4)
-	grown, _ := m.PlanGrow(6)
-	g := grown.Flip(0)
-	shrunk, err := g.PlanShrink(4)
-	if err != nil {
-		t.Fatalf("PlanShrink: %v", err)
-	}
-	s := shrunk.Flip(777 * Stride)
-	for i := 0; i < 500; i++ {
-		p := fmt.Sprintf("/t%d", i)
-		if s.ShardFor(p) != m.ShardFor(p) {
-			t.Fatalf("shrink did not restore route of %q", p)
-		}
-	}
-	if _, err := m.PlanShrink(2); err == nil {
-		t.Fatal("shrinking below the base modulus must fail")
-	}
-	if _, err := m.PlanGrow(MaxShards + 1); err == nil {
-		t.Fatal("growing past the cap must fail")
-	}
-}
-
-// TestGenCond: the commit guard's conditions behave on present and
-// missing generation attributes.
-func TestGenCond(t *testing.T) {
-	if GenCond(1, 0) == nil || GenCond(1, 3) == nil {
-		t.Fatal("GenCond returned nil")
-	}
-	// Gen 0 must match a never-written attribute (epoch-0 deployments).
-	if !GenCond(0, 0).Eval(nil, false) {
-		t.Fatal("GenCond(shard, 0) must hold on a missing item")
-	}
-	if GenCond(0, 1).Eval(nil, false) {
-		t.Fatal("GenCond(shard, 1) must fail on a missing item")
 	}
 }

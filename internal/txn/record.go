@@ -79,12 +79,6 @@ type Store struct {
 	tbl *kv.Table
 	k   *sim.Kernel
 
-	// trackLive maintains an atomic counter of records between Begin and
-	// Delete. Off by default (zero cost for deployments that never ask);
-	// the dynamic-sharding reshard engine enables it to quiesce in-flight
-	// transactions before draining source shards.
-	trackLive bool
-
 	// metrics, when set, counts record life-cycle transitions (begins,
 	// votes, decisions) — inert no-ops unless the registry's hot-path
 	// instruments are enabled.
@@ -97,34 +91,6 @@ func (s *Store) SetMetrics(r *obs.Registry) { s.metrics = r }
 
 func (s *Store) count(name string, shard int) {
 	s.metrics.Inc(obs.Key{Component: "txn", Name: name, Shard: shard}, 1)
-}
-
-// liveKey / attrLive hold the live-record counter item.
-const (
-	liveKey  = "txnlive"
-	attrLive = "n"
-)
-
-// TrackLive toggles live-record counting (set once at deployment time,
-// before any transaction runs).
-func (s *Store) TrackLive(on bool) { s.trackLive = on }
-
-// Live returns the number of records currently between Begin and Delete
-// (0 when tracking is off — callers must only rely on it with tracking
-// enabled).
-func (s *Store) Live(ctx cloud.Ctx) int64 {
-	it, ok := s.tbl.Get(ctx, liveKey, true)
-	if !ok {
-		return 0
-	}
-	return it.Get(attrLive).Num
-}
-
-func (s *Store) bumpLive(ctx cloud.Ctx, delta int64) {
-	if !s.trackLive {
-		return
-	}
-	_, _ = s.tbl.Update(ctx, liveKey, []kv.Update{kv.Add{Name: attrLive, Delta: delta}}, nil)
 }
 
 // NewStore binds a record store to the deployment's system table.
@@ -156,7 +122,6 @@ func (s *Store) Begin(ctx cloud.Ctx, id int64, session string, seq int64, ops []
 		return err
 	}
 	s.count("begin", 0)
-	s.bumpLive(ctx, 1)
 	return s.tbl.Put(ctx, reqKey(session, seq), kv.Item{{Name: attrID, V: kv.N(id)}}, nil)
 }
 
@@ -300,17 +265,6 @@ func (s *Store) Ready(ctx cloud.Ctx, id int64, shard int) (int, error) {
 
 // Delete garbage collects a finished record and its request pointer.
 func (s *Store) Delete(ctx cloud.Ctx, id int64, session string, seq int64) {
-	if s.trackLive {
-		// Decrement only when the record still exists: Delete is called
-		// from multiple recovery paths and must stay idempotent.
-		if err := s.tbl.Delete(ctx, recordKey(id), kv.Exists{}); err != nil {
-			_ = s.tbl.Delete(ctx, reqKey(session, seq), nil)
-			return
-		}
-		s.bumpLive(ctx, -1)
-		_ = s.tbl.Delete(ctx, reqKey(session, seq), nil)
-		return
-	}
 	_ = s.tbl.Delete(ctx, recordKey(id), nil)
 	_ = s.tbl.Delete(ctx, reqKey(session, seq), nil)
 }

@@ -98,7 +98,7 @@ type ResolvedOp struct {
 func (r ResolvedOp) Effectful() bool { return r.Type != OpCheck }
 
 // Route partitions a multi's ops among write shards: shardOf is the
-// deployment's path-to-shard function (core.ShardOf partially applied).
+// deployment's path-to-shard function (its route's ShardFor).
 // It returns the participant shards in ascending order and the op indices
 // owned by each. Parent items are colocated with their children by the
 // sharding design, so an op's shard is fully determined by its own path.

@@ -77,15 +77,6 @@ func (e *Encoder) Owned() []byte {
 // Byte appends one byte.
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
-// Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
@@ -109,14 +100,6 @@ func (e *Encoder) Int64s(v []int64) {
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
 	for _, x := range v {
 		e.buf = binary.AppendVarint(e.buf, x)
-	}
-}
-
-// Ints appends a count-prefixed []int.
-func (e *Encoder) Ints(v []int) {
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
-	for _, x := range v {
-		e.buf = binary.AppendVarint(e.buf, int64(x))
 	}
 }
 
@@ -162,9 +145,6 @@ func (d *Decoder) Byte() byte {
 	d.buf = d.buf[1:]
 	return b
 }
-
-// Bool reads a one-byte bool.
-func (d *Decoder) Bool() bool { return d.Byte() == 1 }
 
 // Uvarint reads an unsigned varint.
 func (d *Decoder) Uvarint() uint64 {
@@ -240,19 +220,6 @@ func (d *Decoder) Int64s() []int64 {
 	out := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, d.Varint())
-	}
-	return out
-}
-
-// Ints reads a count-prefixed []int. nil for an empty list.
-func (d *Decoder) Ints() []int {
-	n := d.Count()
-	if n <= 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, int(d.Varint()))
 	}
 	return out
 }

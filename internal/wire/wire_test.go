@@ -12,8 +12,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	e := NewEncoder()
 	defer e.Release()
 	e.Byte(0xAB)
-	e.Bool(true)
-	e.Bool(false)
 	e.Uvarint(0)
 	e.Uvarint(math.MaxUint64)
 	e.Varint(-1)
@@ -24,15 +22,11 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	e.Bytes(nil)
 	e.Bytes([]byte{1, 2, 3})
 	e.Int64s([]int64{-5, 0, 7})
-	e.Ints([]int{4, -9})
 	e.Strings([]string{"a", "", "ccc"})
 
 	d := NewDecoder(e.Data())
 	if got := d.Byte(); got != 0xAB {
 		t.Errorf("Byte = %x", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip")
 	}
 	if d.Uvarint() != 0 || d.Uvarint() != math.MaxUint64 {
 		t.Error("Uvarint round trip")
@@ -51,9 +45,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	}
 	if got := d.Int64s(); len(got) != 3 || got[0] != -5 || got[1] != 0 || got[2] != 7 {
 		t.Errorf("Int64s = %v", got)
-	}
-	if got := d.Ints(); len(got) != 2 || got[0] != 4 || got[1] != -9 {
-		t.Errorf("Ints = %v", got)
 	}
 	if got := d.Strings(); len(got) != 3 || got[0] != "a" || got[1] != "" || got[2] != "ccc" {
 		t.Errorf("Strings = %v", got)
@@ -193,14 +184,12 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := NewDecoder(b)
 		_ = d.Byte()
-		_ = d.Bool()
 		_ = d.Uvarint()
 		_ = d.Varint()
 		_ = d.String()
 		_ = d.Bytes()
 		_ = d.BytesCopy()
 		_ = d.Int64s()
-		_ = d.Ints()
 		_ = d.Strings()
 	})
 }
