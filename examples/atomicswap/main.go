@@ -5,7 +5,7 @@
 // with generation g+1's flags (exactly the hazard the configwatch example
 // works around by keeping everything in one node). With multi() the swap
 // is one cross-shard transaction — a version guard on the rollout pointer
-// plus both writes — committed atomically by the two-phase coordinator
+// plus both writes — committed atomically by the cross-shard coordinator
 // (package txn), so the checkers' reverse-order reads can never observe a
 // torn pair. Concurrent operators race the same guard: exactly one swap
 // wins each round and the loser retries against the new state.

@@ -4,6 +4,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"faaskeeper"
@@ -62,7 +63,13 @@ func main() {
 
 	fmt.Printf("\nvirtual time elapsed: %v\n", sim.Now())
 	fmt.Printf("total pay-as-you-go cost: $%.6f\n", deployment.TotalCost())
-	for cat, c := range deployment.CostBreakdown() {
-		fmt.Printf("  %-16s $%.7f\n", cat, c)
+	costs := deployment.CostBreakdown()
+	cats := make([]string, 0, len(costs))
+	for cat := range costs {
+		cats = append(cats, cat)
+	}
+	sort.Strings(cats)
+	for _, cat := range cats {
+		fmt.Printf("  %-16s $%.7f\n", cat, costs[cat])
 	}
 }

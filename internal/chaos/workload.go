@@ -134,7 +134,7 @@ const (
 )
 
 // swapPairsFor returns the swap probes active under a config. The
-// cross-shard pair runs only where the user store applies the 2PC commit
+// cross-shard pair runs only where the user store applies the cross-shard commit
 // atomically and no cache tier sits in the read path (cross-shard txids
 // are not numerically comparable, which the cache floors rely on).
 func swapPairsFor(config string) [][2]string {

@@ -3,7 +3,7 @@ package core
 // Cost-attribution glue: the sinks the pipeline hangs off cloud.Ctx.Bill
 // so that every metered charge — function GB-s, store read/write units
 // (including conditional-write retries), queue deliveries, cache hits and
-// VM accrual, watch pushes, transaction votes — lands in the deployment's
+// VM accrual, watch pushes, cross-shard txn parts — lands in the deployment's
 // cost ledger exactly once, attributed to the request that caused it and
 // to the open span covering the work. Every helper returns its input
 // unchanged (or nil) when Config.CostAccounting is off, so the
@@ -35,8 +35,8 @@ func costReqTrace(req Request) int64 {
 }
 
 // costMsgTrace is costReqTrace for the leader hop. OpTxnCommit is
-// included: the cross-shard commit message's charges belong to the
-// originating multi()'s bill.
+// included: a cross-shard part's charges belong to the originating
+// multi()'s bill.
 func costMsgTrace(msg leaderMsg) int64 {
 	if msg.Seq <= 0 || msg.Op == OpDeregister {
 		return 0

@@ -160,7 +160,7 @@ type Config struct {
 	// CostAccounting enables per-request dollar attribution (package obs
 	// cost ledger): every pay-as-you-go charge a request causes — function
 	// GB-s, store read/write units, queue deliveries, cache hits, watch
-	// pushes, 2PC legs — is billed to its trace at the instant the charge
+	// pushes, cross-shard txn parts — is billed to its trace at the instant the charge
 	// occurs, and mirrored into the registry's cost gauges. Works with or
 	// without Telemetry (spans only carry per-stage costs when both are
 	// on). Default false: every attribution point is a nil-sink no-op and
@@ -328,7 +328,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	d.System.SetCostCategory("syskv")
 	d.Locks = fksync.NewLockManager(env, d.System, lockLease)
 	d.Txns = txn.NewStore(d.System, k)
-	d.Txns.SetMetrics(d.Obs.Metrics)
 
 	regions := append([]cloud.Region{cfg.Profile.Home}, cfg.ExtraRegions...)
 	for _, r := range regions {

@@ -198,7 +198,7 @@ func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epo
 		// A single-shard multi(): the fast path's leader commit phase.
 		return d.leaderProcessMulti(ctx, msg, tm, txid, epochs)
 	}
-	// One shard's share of a cross-shard transaction commit.
+	// One shard's part of a cross-shard transaction.
 	return d.leaderTxnCommit(ctx, msg, tm, txid, epochs)
 }
 

@@ -49,22 +49,13 @@ const (
 	attrSeq      = "seq"
 	attrPending  = "pending"
 
-	// attrTxnIntent marks a node item claimed by an in-flight cross-shard
-	// transaction (package txn): the value is the transaction id. Unlike
-	// the timed lock it never lease-expires — only the transaction's
-	// commit or abort clears it, so a committed decision can always apply.
-	// Writers finding a foreign intent consult the transaction record and
-	// either clear a stale one or wait (see lockNodeClean).
-	attrTxnIntent = "txnintent"
-
-	// attrTxnCommitMark makes the cross-shard commit's per-item updates
-	// idempotent: the conditional commit requires the intent AND the mark
-	// to be absent for this transaction id, so the coordinator and a
-	// leader replaying on its behalf can race without double-applying.
-	// Both attributes are cleared together after the transaction's
-	// user-store apply — the intent stays up to that point so no
-	// conflicting write can slip between a shard's commit and the
-	// atomic apply.
+	// attrTxnCommitMark fences a node item committed by a cross-shard
+	// transaction (package txn): the value is the transaction id. The
+	// coordinator's commit sets it on every item it locked, and only the
+	// coordinator clears it, after the transaction's user-store apply — so
+	// no conflicting write can slip between the commit and the atomic apply.
+	// Writers finding a mark consult the transaction record and either clear
+	// a stale one or wait (see lockNodeClean).
 	attrTxnCommitMark = "txnmark"
 
 	attrSessionEph  = "eph"
@@ -93,17 +84,17 @@ func epochKey(r cloud.Region, shard int) string {
 
 // sysNode is the decoded view of a per-node system item.
 type sysNode struct {
-	Exists    bool
-	Version   int32
-	Cversion  int32
-	Czxid     int64
-	Mzxid     int64
-	Pzxid     int64
-	Children  []string
-	EphOwner  string
-	SeqCtr    int64
-	Pending   []int64
-	TxnIntent int64 // in-flight transaction id holding this node (0 = none)
+	Exists   bool
+	Version  int32
+	Cversion int32
+	Czxid    int64
+	Mzxid    int64
+	Pzxid    int64
+	Children []string
+	EphOwner string
+	SeqCtr   int64
+	Pending  []int64
+	TxnMark  int64 // cross-shard transaction fencing this node (0 = none)
 }
 
 func decodeSysNode(it kv.Item) sysNode {
@@ -120,11 +111,11 @@ func decodeSysNode(it kv.Item) sysNode {
 		// Children is copied: the item may be a read-only GetView of table
 		// storage, and callers append to the list (spliceInto via
 		// buildUserNode). Pending stays a view — all uses are read-only.
-		Children:  append([]string(nil), it.Get(attrChildren).SL...),
-		EphOwner:  it.Get(attrEph).Str,
-		SeqCtr:    it.Get(attrSeq).Num,
-		Pending:   it.Get(attrPending).NL,
-		TxnIntent: it.Get(attrTxnIntent).Num,
+		Children: append([]string(nil), it.Get(attrChildren).SL...),
+		EphOwner: it.Get(attrEph).Str,
+		SeqCtr:   it.Get(attrSeq).Num,
+		Pending:  it.Get(attrPending).NL,
+		TxnMark:  it.Get(attrTxnCommitMark).Num,
 	}
 }
 

@@ -19,9 +19,9 @@ func tracedReq(req Request) bool {
 }
 
 // tracedMsg is tracedReq for the leader hop. OpTxnCommit is additionally
-// excluded from *stage* transitions — the cross-shard commit fans one
-// request into per-shard messages, and its stages are advanced by the
-// coordinating follower instead.
+// excluded from *stage* transitions — a cross-shard multi fans one request
+// into per-shard parts, and its stages are advanced by the coordinating
+// follower instead.
 func tracedMsg(msg leaderMsg) bool {
 	return msg.Seq > 0 && msg.Op != OpDeregister && msg.Op != OpTxnCommit
 }
@@ -44,7 +44,7 @@ func (d *Deployment) stageMsg(msg leaderMsg, stage string) {
 
 // msgTrace returns the trace id a leader-side child span should attach to,
 // or 0 when the message is untraced. Unlike tracedMsg it includes
-// OpTxnCommit: the commit message's Session/Seq are the originating
+// OpTxnCommit: a part's Session/Seq are the originating
 // multi()'s, so its store writes and watch deliveries attach to that tree.
 func (d *Deployment) msgTrace(msg leaderMsg) int64 {
 	if !d.traceOn() || msg.Seq <= 0 || msg.Op == OpDeregister {

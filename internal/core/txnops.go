@@ -1,46 +1,50 @@
 package core
 
-// Cross-shard multi() transactions (package txn): the coordinator rides in
-// the follower function handling the OpMulti request, so it inherits the
+// multi() transactions (package txn). The coordinator rides in the
+// follower function handling the OpMulti request, so it inherits the
 // session's FIFO position and the queue's redelivery-based retry.
 //
-// Single-shard multis take a fast path through the existing pipeline: the
-// coordinator locks every touched item (global lexicographic order),
-// validates the ops against a speculative state, pushes ONE OpMulti
-// message to the owning shard's queue, and commits all items in one
-// multi-item conditional transaction — atomicity falls out of the
-// system-store transaction plus the shard's serialized leader.
+// Every multi has one shape: lock each touched item (global lexicographic
+// order) and validate the ops against a speculative state, push the
+// transaction to the leader queue of each shard it writes, and commit
+// every item in ONE multi-item conditional transaction under the
+// coordinator's lock timestamps. That transaction is the decision: it
+// lands whole or not at all.
 //
-// Multis spanning shards run a two-phase commit:
+// A single-shard multi pushes one OpMulti message, and the shard's
+// serialized leader applies it like any write (replaying the commit under
+// the same locks for a coordinator that died).
 //
-//	prepare   lock every item, validate, then convert each shard group's
-//	          timed locks into intent attributes (never lease-expire) and
-//	          vote through the durable record's storage-backed barrier —
-//	          the deregister-fanout ack pattern.
-//	decide    one conditional status transition (preparing→committed with
-//	          the resolved ops, or →aborted) makes the outcome durable; a
-//	          crashed coordinator is resumed by queue redelivery from the
-//	          record.
-//	commit    one OpTxnCommit message per participant shard orders the
-//	          transaction inside that shard's pipeline (txid minting,
-//	          watch claiming, epoch entry, pending pops), guarded by
-//	          intent-conditional idempotent system-store writes.
-//	apply     after every shard leader posts its ready marker, the
-//	          coordinator distributes ALL user-store writes in one atomic
-//	          batch (AtomicApplier) — or in op order where the backend
-//	          has no transactions — publishes one coalesced cache
-//	          invalidation record first, and only then clears the
-//	          intents, answers the client, and releases the deferred
-//	          watch deliveries.
+// A multi writing several shards pushes one OpTxnCommit part per
+// participant shard, each taking its txid from its own queue. Its commit
+// also writes the transaction record (committed, the resolved ops, every
+// part's txid) and sets a commit mark on every item. Then:
 //
-// Intents double as the isolation fence: any conflicting writer's
-// follower blocks in lockNodeClean until the transaction's effects are
-// readable, so no write can slip between a shard's commit and the atomic
-// apply, and no reader ever observes uncommitted intents (nothing touches
-// the user store before the apply).
+//	ready   each part's leader claims its watches, enters their ids, pops
+//	        its pending entries and posts a ready marker on the record —
+//	        the deregister-fanout ack pattern
+//	apply   the coordinator distributes ALL user-store writes in one atomic
+//	        batch (AtomicApplier) — or in op order where the backend has no
+//	        transactions — after one coalesced cache invalidation record,
+//	        marks the record applied, and only then clears the marks,
+//	        answers the client and releases the deferred watch deliveries
+//
+// The marks are the isolation fence: a conflicting writer's follower
+// blocks in lockNodeClean until the transaction is readable, and nothing
+// touches the user store before the apply, so no reader observes part of
+// a transaction. A redelivered coordinator resumes from the record; with
+// no record nothing committed, and it starts afresh.
+//
+// A part whose commit never comes — the coordinator died between the
+// pushes and the commit, or lost its lease — cannot be replayed by its
+// leader, which lacks the other parts' txids. The leader decides
+// ownership instead (awaitTxnHeads): a release of one of the part's locks
+// under the coordinator's timestamp, which the commit needs too, so
+// exactly one of the two lands.
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"faaskeeper/internal/cloud"
@@ -56,28 +60,29 @@ import (
 // committed transaction from its durable record.
 var errTxnBarrier = errors.New("core: transaction barrier timed out; redelivery resumes")
 
-// txnIntentAttempts bounds how long a writer waits on a foreign intent.
-const txnIntentAttempts = 60
+// txnMarkAttempts bounds how long a writer waits on a foreign commit mark.
+const txnMarkAttempts = 60
 
-// lockNodeClean acquires the node's timed lock and resolves any
-// transaction intent found on the item. A stale intent — its transaction
-// already aborted, applied, or collected — is cleared inline under the
-// held lock (cooperative recovery of a crashed coordinator's leftovers).
-// A live intent (preparing or committed) owns the node: the lock is
-// released and the acquisition retried, so conflicting writers serialize
-// behind the transaction's apply. selfTxn tolerates the caller's own
-// intent. With no intent present (every non-transactional deployment)
-// the path is exactly lockNode: zero extra operations.
-func (d *Deployment) lockNodeClean(ctx cloud.Ctx, path string, selfTxn int64) (fksync.Lock, sysNode, error) {
-	for attempt := 0; attempt < txnIntentAttempts; attempt++ {
+// txnHeadPolls bounds a leader's wait for a transaction message's commit.
+const txnHeadPolls = 12
+
+// lockNodeClean acquires the node's timed lock and resolves any commit
+// mark found on the item. A stale mark — its transaction already applied
+// or collected — is cleared inline under the held lock (cooperative
+// recovery of a crashed coordinator's leftovers). A live mark (record
+// still committed) owns the node: the lock is released and the
+// acquisition retried, so conflicting writers serialize behind the
+// transaction's apply. With no mark present (every deployment without
+// cross-shard multis) the path is exactly lockNode: zero extra operations.
+func (d *Deployment) lockNodeClean(ctx cloud.Ctx, path string) (fksync.Lock, sysNode, error) {
+	for attempt := 0; attempt < txnMarkAttempts; attempt++ {
 		lock, node, err := d.lockNode(ctx, path)
-		if err != nil || node.TxnIntent == 0 || node.TxnIntent == selfTxn {
+		if err != nil || node.TxnMark == 0 {
 			return lock, node, err
 		}
-		rec, found := d.Txns.Lookup(ctx, node.TxnIntent)
-		if !found || rec.Status == txn.StatusAborted || rec.Status == txn.StatusApplied {
+		if rec, found := d.Txns.Lookup(ctx, node.TxnMark); !found || rec.Status == txn.StatusApplied {
 			it, cerr := d.System.Update(ctx, nodeKey(path),
-				[]kv.Update{kv.Remove{Name: attrTxnIntent}, kv.Remove{Name: attrTxnCommitMark}},
+				[]kv.Update{kv.Remove{Name: attrTxnCommitMark}},
 				kv.Eq{Name: fksync.LockAttr, V: kv.N(lock.Timestamp)})
 			if cerr == nil {
 				return lock, decodeSysNode(it), nil
@@ -91,19 +96,11 @@ func (d *Deployment) lockNodeClean(ctx cloud.Ctx, path string, selfTxn int64) (f
 	return fksync.Lock{}, sysNode{}, fksync.ErrLockHeld
 }
 
-// multiItem is one locked system item a transaction touches.
-type multiItem struct {
-	path   string
-	lock   fksync.Lock
-	shard  int  // owning shard group (the first-touching op's shard)
-	intent bool // 2PC: the timed lock was converted into an intent
-}
-
 // multiPlan is the coordinator's prepared state: every touched item
 // locked, every op validated and resolved.
 type multiPlan struct {
 	resolved []txn.ResolvedOp
-	items    map[string]*multiItem
+	locks    map[string]fksync.Lock
 	order    []string // lock acquisition order
 	// specs is the speculative state of every locked item: later ops of the
 	// same multi validate against the earlier ops' effects (ZooKeeper
@@ -112,54 +109,25 @@ type multiPlan struct {
 }
 
 // acquire locks one item (idempotently) and seeds its speculative state.
-func (p *multiPlan) acquire(d *Deployment, ctx cloud.Ctx, path string, shard int) error {
-	if _, held := p.items[path]; held {
+func (p *multiPlan) acquire(d *Deployment, ctx cloud.Ctx, path string) error {
+	if _, held := p.locks[path]; held {
 		return nil
 	}
-	lock, node, err := d.lockNodeClean(ctx, path, 0)
+	lock, node, err := d.lockNodeClean(ctx, path)
 	if err != nil {
 		return err
 	}
-	p.items[path] = &multiItem{path: path, lock: lock, shard: shard}
+	p.locks[path] = lock
 	p.order = append(p.order, path)
 	p.specs[path] = &node
 	return nil
 }
 
-// unlock releases every still-held timed lock (validation failure paths).
+// unlock releases every lock the plan holds (the paths that give up).
 func (p *multiPlan) unlock(d *Deployment, ctx cloud.Ctx) {
 	for _, path := range p.order {
-		it := p.items[path]
-		if !it.intent {
-			_ = d.Locks.Release(ctx, it.lock)
-		}
+		_ = d.Locks.Release(ctx, p.locks[path])
 	}
-}
-
-// itemsByShard groups the locked items by owning shard for the parallel
-// intent/vote phase. shards lists the groups in acquisition order: the vote
-// legs draw their latencies from the seeded RNG as they are spawned, so
-// ranging over the map would make a run irreproducible from its seed.
-func (p *multiPlan) itemsByShard() (shards []int, groups map[int][]*multiItem) {
-	groups = map[int][]*multiItem{}
-	for _, path := range p.order {
-		it := p.items[path]
-		if _, seen := groups[it.shard]; !seen {
-			shards = append(shards, it.shard)
-		}
-		groups[it.shard] = append(groups[it.shard], it)
-	}
-	return shards, groups
-}
-
-// lockTs returns the lock timestamps aligned with the acquisition order
-// (the fast-path message carries them for the leader's commit replay).
-func (p *multiPlan) lockTs() []int64 {
-	ts := make([]int64, len(p.order))
-	for i, path := range p.order {
-		ts[i] = p.items[path].lock.Timestamp
-	}
-	return ts
 }
 
 // prepareMulti locks every touched item in global lexicographic order and
@@ -167,40 +135,37 @@ func (p *multiPlan) lockTs() []int64 {
 // On validation failure every lock is released and the failing op's index
 // and code are returned (failIdx >= 0). err is infrastructure-only.
 func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (plan *multiPlan, failIdx int, code Code, err error) {
-	plan = &multiPlan{items: map[string]*multiItem{}, specs: map[string]*sysNode{}}
-	// Statically known paths, each tagged with its first-touching op's
-	// shard (parents are colocated with children; only the shared root can
-	// be claimed by any op's shard).
-	shardOf := map[string]int{}
-	note := func(p string, s int) {
-		if _, ok := shardOf[p]; !ok {
-			shardOf[p] = s
+	plan = &multiPlan{locks: map[string]fksync.Lock{}, specs: map[string]*sysNode{}}
+	// The statically known paths: every op's node and the parent a create
+	// or delete splices (a sequential create's node is named only during
+	// validation).
+	seen := map[string]bool{}
+	var static []string
+	note := func(p string) {
+		if !seen[p] {
+			seen[p] = true
+			static = append(static, p)
 		}
 	}
 	for _, op := range reqOps {
-		s := d.route.ShardFor(op.Path)
 		switch op.Type {
 		case txn.OpCreate:
 			if op.Path == znode.Root {
 				continue // validation will reject it
 			}
-			note(znode.Parent(op.Path), s)
+			note(znode.Parent(op.Path))
 			if op.Flags&znode.FlagSequential == 0 {
-				note(op.Path, s)
+				note(op.Path)
 			}
 		case txn.OpDelete:
 			if op.Path == znode.Root {
 				continue
 			}
-			note(znode.Parent(op.Path), s)
-			note(op.Path, s)
+			note(znode.Parent(op.Path))
+			note(op.Path)
 		default:
-			note(op.Path, s)
+			note(op.Path)
 		}
-	}
-	static := make([]string, 0, len(shardOf))
-	for p := range shardOf {
-		static = append(static, p)
 	}
 	// Lexicographic order is deadlock-free against single ops and other
 	// multis: a parent is a strict prefix of its children, so the global
@@ -210,7 +175,7 @@ func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (
 	sort.Strings(static)
 	t0 := d.K.Now()
 	for _, p := range static {
-		if err := plan.acquire(d, ctx, p, shardOf[p]); err != nil {
+		if err := plan.acquire(d, ctx, p); err != nil {
 			plan.unlock(d, ctx)
 			return nil, -1, CodeSystemError, err
 		}
@@ -252,15 +217,14 @@ func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, 
 		}
 	}
 	// Only a sequential create's resolved path is not locked yet.
-	shard := d.route.ShardFor(path)
-	if err := plan.acquire(d, ctx, path, shard); err != nil {
+	if err := plan.acquire(d, ctx, path); err != nil {
 		return txn.ResolvedOp{}, CodeSystemError, err
 	}
 	node := plan.specs[path]
 	if c := checkNode(code, path, op.Version, *node, *parent); c != CodeOK {
 		return txn.ResolvedOp{}, c, nil
 	}
-	rop := txn.ResolvedOp{Type: op.Type, Path: path, ParentPath: parentPath, Shard: shard}
+	rop := txn.ResolvedOp{Type: op.Type, Path: path, ParentPath: parentPath, Shard: d.route.ShardFor(path)}
 	name := znode.Base(path)
 	switch code {
 	case OpSetData:
@@ -340,19 +304,30 @@ func multiParts(tm txnMsg, txid int64) []fksync.TxPart {
 	return parts
 }
 
+// commitParts is a cross-shard transaction's commit: every locked item
+// under its own lock, with its updates, its shard's pending append and the
+// commit mark — check-only items too, so they stay fenced until the apply.
+func (p *multiPlan) commitParts(id int64, commits map[int]int64) []fksync.TxPart {
+	_, ups := multiUpdates(p.resolved, func(s int) int64 { return commits[s] })
+	parts := make([]fksync.TxPart, len(p.order))
+	for i, path := range p.order {
+		u := append(ups[path], kv.Set{Name: attrTxnCommitMark, V: kv.N(id)})
+		parts[i] = fksync.TxPart{Lock: p.locks[path], Updates: u}
+	}
+	return parts
+}
+
 // --- shared helpers over resolved op lists ---
 
 func effectfulShards(ops []txn.ResolvedOp) []int {
-	seen := map[int]bool{}
 	var shards []int
 	for _, op := range ops {
-		if op.Effectful() && !seen[op.Shard] {
-			seen[op.Shard] = true
+		if op.Effectful() {
 			shards = append(shards, op.Shard)
 		}
 	}
-	sort.Ints(shards)
-	return shards
+	slices.Sort(shards)
+	return slices.Compact(shards)
 }
 
 func resolvedOfShard(ops []txn.ResolvedOp, shard int) []txn.ResolvedOp {
@@ -390,7 +365,7 @@ func txnTargets(ops []txn.ResolvedOp) []string {
 }
 
 // allItemPaths lists every system item the transaction touched (targets,
-// parents, and check paths) for intent cleanup.
+// parents, and check paths) for clearing the commit marks.
 func allItemPaths(ops []txn.ResolvedOp) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -407,45 +382,13 @@ func allItemPaths(ops []txn.ResolvedOp) []string {
 	return out
 }
 
-// staticPaths lists the statically known item paths of a requested op
-// list (recovery cleanup; sequential-resolved paths self-heal through
-// lockNodeClean's stale-intent clearing).
-func staticPaths(ops []txn.Op) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(p string) {
-		if p != "" && !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, op := range ops {
-		add(op.Path)
-		if (op.Type == txn.OpCreate || op.Type == txn.OpDelete) && op.Path != znode.Root {
-			add(znode.Parent(op.Path))
-		}
-	}
-	return out
-}
-
-// txnCommitCond guards every per-item commit write: the intent must still
-// be ours and the commit mark not yet set, making coordinator and leader
-// replays race-safe and idempotent.
-func txnCommitCond(id int64) kv.Cond {
-	return kv.And{
-		kv.Eq{Name: attrTxnIntent, V: kv.N(id)},
-		kv.Not{C: kv.Eq{Name: attrTxnCommitMark, V: kv.N(id)}},
-	}
-}
-
-// clearTxnMarks releases the transaction's intents (and commit marks) on
-// the given items; conditional on ownership, so it is safe to call on
-// paths that never received one.
+// clearTxnMarks lifts the transaction's commit marks from the given items;
+// conditional on the mark, so it is safe to call on paths that lost theirs.
 func (d *Deployment) clearTxnMarks(ctx cloud.Ctx, id int64, paths []string) {
 	for _, p := range paths {
 		_, _ = d.System.Update(ctx, nodeKey(p),
-			[]kv.Update{kv.Remove{Name: attrTxnIntent}, kv.Remove{Name: attrTxnCommitMark}},
-			kv.Eq{Name: attrTxnIntent, V: kv.N(id)})
+			[]kv.Update{kv.Remove{Name: attrTxnCommitMark}},
+			kv.Eq{Name: attrTxnCommitMark, V: kv.N(id)})
 	}
 }
 
@@ -465,8 +408,7 @@ func (d *Deployment) applyEphRecords(ctx cloud.Ctx, resolved []txn.ResolvedOp) {
 }
 
 // respondMultiAbort answers a multi() that failed validation: the failing
-// op carries its own code, the siblings report the rollback. failIdx < 0
-// marks a recovery answer where the failing op is no longer known.
+// op carries its own code, the siblings report the rollback.
 func (d *Deployment) respondMultiAbort(req Request, reqOps []txn.Op, failIdx int, code Code) {
 	d.stageReq(req, obs.StageRespond)
 	results := make([]txn.Result, len(reqOps))
@@ -575,8 +517,8 @@ func (d *Deployment) buildTxnFold(ctx cloud.Ctx, resolved []txn.ResolvedOp, txid
 // --- the coordinator (follower side) ---
 
 // followerMulti handles an OpMulti request: validate statically, resume a
-// redelivered in-flight transaction from its durable record, then run the
-// single-shard fast path or the cross-shard two-phase commit.
+// redelivered transaction from its durable record, then lock and validate
+// every op and commit on the path the resolved ops' shards select.
 func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	reqOps, err := txn.DecodeOps(req.Data)
 	if err != nil || len(reqOps) == 0 {
@@ -594,24 +536,8 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 		}
 	}
 	if id, ok := d.Txns.IDForRequest(ctx, req.Session, req.Seq); ok {
-		done, err := d.resumeTxn(ctx, req, reqOps, id)
-		if done || err != nil {
-			return err
-		}
-		// The crashed attempt was aborted and cleaned; run a fresh one.
+		return d.resumeTxn(ctx, req, id)
 	}
-	if shards, _ := txn.Route(reqOps, d.route.ShardFor); len(shards) == 1 {
-		return d.multiFastPath(ctx, req, reqOps)
-	}
-	return d.multiTwoPhase(ctx, req, reqOps)
-}
-
-// multiFastPath commits a single-shard multi through the existing
-// pipeline: one leader message, one multi-item system-store transaction.
-// No transaction record, no intents — the timed locks held across the
-// commit and the shard's serialized leader give atomicity and isolation
-// for free, so a WriteShards=1 deployment pays zero 2PC overhead.
-func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) error {
 	plan, failIdx, code, err := d.prepareMulti(ctx, req, reqOps)
 	if err != nil {
 		d.respondFailure(req, CodeSystemError)
@@ -621,28 +547,35 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		d.respondMultiAbort(req, reqOps, failIdx, code)
 		return nil
 	}
-	shards := effectfulShards(plan.resolved)
-	if len(shards) == 0 {
+	// Route on the RESOLVED paths: a top-level sequential create may land
+	// in another shard than the path its request named.
+	switch shards := effectfulShards(plan.resolved); len(shards) {
+	case 0:
 		// Checks only: the locks proved every guard at one instant.
 		plan.unlock(d, ctx)
 		fold, results := d.buildTxnFold(ctx, plan.resolved, func(int) int64 { return 0 }, map[string]sysNode{})
 		fold.release()
 		d.notifyMulti(req, results, nil)
 		return nil
+	case 1:
+		return d.multiFastPath(ctx, req, plan, shards[0])
+	default:
+		return d.multiCrossShard(ctx, req, plan, shards)
 	}
-	if len(shards) > 1 {
-		// Routing was decided on the REQUESTED paths, but a top-level
-		// sequential create resolves to a different top segment — and so
-		// possibly a different shard. Never commit a node outside its
-		// owning shard's serialized pipeline: release and go through the
-		// coordinator (revalidation reruns against fresh state).
-		plan.unlock(d, ctx)
-		return d.multiTwoPhase(ctx, req, reqOps)
-	}
-	shard := shards[0]
+}
+
+// multiFastPath commits a single-shard multi through the existing
+// pipeline: one leader message, one multi-item system-store transaction.
+// No transaction record, no marks — the timed locks held across the
+// commit and the shard's serialized leader give atomicity and isolation
+// for free.
+func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, shard int) error {
 	tm := txnMsg{
-		Ops: plan.resolved, ItemPaths: plan.order, LockTs: plan.lockTs(),
+		Ops: plan.resolved, ItemPaths: plan.order, LockTs: make([]int64, len(plan.order)),
 		traceID: obs.TraceOf(req.Session, req.Seq),
+	}
+	for i, p := range plan.order {
+		tm.LockTs[i] = plan.locks[p].Timestamp
 	}
 	msg := leaderMsg{
 		Session: req.Session, Seq: req.Seq, Op: OpMulti, Shard: shard,
@@ -677,192 +610,95 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	return err
 }
 
-// multiTwoPhase is the cross-shard coordinator: prepare (intents + votes),
-// decide (durable record), then drive the per-shard commits and the
-// atomic apply.
-func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) error {
+// multiCrossShard is the cross-shard coordinator: push one part per
+// participant shard, commit every item together with the record, then
+// drive the ready barrier and the atomic apply.
+func (d *Deployment) multiCrossShard(ctx cloud.Ctx, req Request, plan *multiPlan, shards []int) error {
+	d.stageReq(req, obs.StageTxnPrep)
+	fail := func(code Code) error {
+		plan.unlock(d, ctx)
+		d.respondFailure(req, code)
+		return nil
+	}
 	id, err := d.Txns.Mint(ctx)
 	if err != nil {
-		d.respondFailure(req, CodeSystemError)
-		return nil
+		return fail(CodeSystemError)
 	}
-	if err := d.Txns.Begin(ctx, id, req.Session, req.Seq, reqOps); err != nil {
-		d.respondFailure(req, CodeSystemError)
-		return nil
-	}
-	d.stageReq(req, obs.StageTxnPrep)
-	plan, failIdx, code, err := d.prepareMulti(ctx, req, reqOps)
-	if err != nil || failIdx >= 0 {
-		_ = d.Txns.Decide(ctx, id, txn.StatusPreparing, txn.StatusAborted, nil)
-		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		if err != nil {
-			d.respondFailure(req, CodeSystemError)
-		} else {
-			d.respondMultiAbort(req, reqOps, failIdx, code)
-		}
-		return nil
-	}
-	// Phase 1: convert each shard group's timed locks into intents and
-	// vote through the record — the deregister-barrier ack pattern. The
-	// groups are disjoint (parents are colocated with children; the shared
-	// root belongs to its first-touching op's group), so they proceed in
-	// parallel. The decision below is made from the votes as recorded,
-	// never from coordinator-local state, so a resumed coordinator would
-	// reach the same verdict.
-	shards, groups := plan.itemsByShard()
-	wg := sim.NewWaitGroup(d.K)
+	commits := make(map[int]int64, len(shards))
 	for _, s := range shards {
-		s, items := s, groups[s]
-		wg.Add(1)
-		d.K.Go("txn-prepare", func() {
-			defer wg.Done()
-			vsp := d.reqSpan(req, obs.SpanTxnVote, s)
-			defer d.spanEnd(vsp)
-			// The whole vote leg — intent conversions plus the recorded
-			// vote — bills into the per-shard vote span.
-			vctx := d.billSpan(ctx, costReqTrace(req), vsp, s, "")
-			verdict := "ok"
-			for _, it := range items {
-				ups := []kv.Update{kv.Set{Name: attrTxnIntent, V: kv.N(id)}}
-				if _, err := d.Locks.CommitUnlock(vctx, it.lock, ups); err != nil {
-					verdict = "fail:" + string(CodeSystemError)
-					break // lease lost mid-prepare: isolation not guaranteed
-				}
-				it.intent = true
+		// A part carries the locks of its shard's items (its targets among
+		// them) for its leader's ownership decision.
+		tm := txnMsg{ID: id, Ops: resolvedOfShard(plan.resolved, s), traceID: obs.TraceOf(req.Session, req.Seq)}
+		for _, p := range plan.order {
+			if d.route.ShardFor(p) == s {
+				tm.ItemPaths = append(tm.ItemPaths, p)
+				tm.LockTs = append(tm.LockTs, plan.locks[p].Timestamp)
 			}
-			_, _ = d.Txns.Vote(vctx, id, s, verdict)
-		})
-	}
-	wg.Wait()
-	rec, found := d.Txns.Lookup(ctx, id)
-	voteFail := !found || len(rec.Votes) < len(groups)
-	for _, v := range rec.Votes {
-		if v != "ok" {
-			voteFail = true
 		}
+		r, err := d.pushToShard(ctx, leaderMsg{
+			Session: req.Session, Seq: req.Seq, Op: OpTxnCommit, Shard: s,
+			Path: anchorPath(plan.resolved, s), NodeBlob: tm.encode(),
+		})
+		if errors.Is(err, errMsgTooLarge) {
+			return fail(CodeTooLarge)
+		}
+		if err != nil {
+			return fail(CodeSystemError)
+		}
+		commits[s] = r.txid
 	}
-	if voteFail {
-		_ = d.Txns.Decide(ctx, id, txn.StatusPreparing, txn.StatusAborted, nil)
-		plan.unlock(d, ctx) // locks that never became intents
-		d.clearTxnMarks(ctx, id, plan.order)
-		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		d.respondFailure(req, CodeSystemError)
-		return nil
+	if d.crashAt(obs.StageTxnPrep, req.Session, req.Seq) {
+		return errInjectedCrash
 	}
-	// Decision: durable and exclusive. From here the transaction MUST
-	// apply; every later step is idempotent and resumable by redelivery.
-	if err := d.Txns.Decide(ctx, id, txn.StatusPreparing, txn.StatusCommitted, plan.resolved); err != nil {
-		return nil // a resumed duplicate owns the record; let it drive
+	// The decision: every item, the record and the request pointer in one
+	// transaction under the coordinator's lock timestamps. A lost lease or
+	// a leader's release fails it whole, and the leaders drop the parts;
+	// the answer is indeterminate to the client, like any system error.
+	d.stageReq(req, obs.StageTxnCommit)
+	t0 := d.K.Now()
+	err = d.Locks.CommitUnlockTx(ctx, plan.commitParts(id, commits),
+		d.Txns.Commit(id, req.Session, req.Seq, plan.resolved, commits)...)
+	d.recordPhase("txn.commit", d.K.Now()-t0)
+	if err != nil {
+		return fail(CodeSystemError)
 	}
 	if d.crashAt(obs.StageTxnCommit, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
-	return d.txnCommitDrive(ctx, req, id, plan.resolved, nil, false)
+	return d.txnApply(ctx, req, id, plan.resolved, commits)
 }
 
-// txnCommitDrive executes phase 2 of a committed transaction — shared by
-// the fresh path and record-based recovery (prior/repush set). Every step
-// is conditional on record or item state, so partial progress by a
-// crashed predecessor is absorbed, never double-applied.
-func (d *Deployment) txnCommitDrive(ctx cloud.Ctx, req Request, id int64, resolved []txn.ResolvedOp, prior *txn.Record, repush bool) error {
-	d.stageReq(req, obs.StageTxnCommit)
-	t0 := d.K.Now()
-	shards := effectfulShards(resolved)
-	commits := map[int]int64{}
-	ready := map[int]bool{}
-	if prior != nil {
-		for s, t := range prior.Commits {
-			commits[s] = t
-		}
-		ready = prior.Ready
-	}
-	for _, s := range shards {
-		_, pushed := commits[s]
-		if pushed && (!repush || ready[s]) {
-			continue
-		}
-		msg := leaderMsg{
-			Session: req.Session, Seq: req.Seq, Op: OpTxnCommit, Shard: s,
-			Path: anchorPath(resolved, s),
-			NodeBlob: txnMsg{
-				ID: id, Ops: resolvedOfShard(resolved, s),
-				traceID: obs.TraceOf(req.Session, req.Seq),
-			}.encode(),
-		}
-		r, err := d.pushToShard(ctx, msg)
-		if err != nil {
-			return err // redelivery re-drives from the record
-		}
-		if !pushed {
-			_ = d.Txns.NoteCommit(ctx, id, s, r.txid)
-			commits[s] = r.txid
-		}
-	}
-	// The shared root's merged updates are coordinator-owned; then each
-	// shard's items commit under the intent/mark guard. The leaders race
-	// these writes with their own replays — first one wins.
-	d.txnRootCommit(ctx, id, resolved, commits)
-	for _, s := range shards {
-		d.txnSysCommit(ctx, id, resolvedOfShard(resolved, s), commits[s])
-	}
-	if d.crashAt(obs.StageTxnApply, req.Session, req.Seq) {
-		return errInjectedCrash
-	}
-	// Barrier: every shard leader finished its commit phase (watches
-	// claimed, epochs entered, pendings popped) — the storage-backed
-	// ready markers, again the deregister-ack pattern.
-	if _, ok := d.Txns.AwaitReady(ctx, id, len(shards)); !ok {
+// txnApply drives a committed transaction to its answer — shared by the
+// fresh path and redelivery. Every step is conditional on record or item
+// state, or rewrites the same values, so a crashed predecessor's partial
+// progress is absorbed, never double-applied.
+func (d *Deployment) txnApply(ctx cloud.Ctx, req Request, id int64, resolved []txn.ResolvedOp, commits map[int]int64) error {
+	// Barrier: every part's leader finished (watches claimed, epochs
+	// entered, pendings popped) — the storage-backed ready markers, again
+	// the deregister-ack pattern.
+	if !d.Txns.AwaitReady(ctx, id, len(commits)) {
 		return errTxnBarrier
 	}
 	// Atomic apply: one coalesced cache invalidation, then every
 	// user-store write of the transaction in one batch.
 	d.stageReq(req, obs.StageTxnApply)
 	results := d.applyTxn(ctx, resolved, commits)
-	_ = d.Txns.Decide(ctx, id, txn.StatusCommitted, txn.StatusApplied, nil)
-	// Only now release the intents: conflicting writers were fenced until
-	// the transaction became readable, deferred watch deliveries fire.
+	if d.crashAt(obs.StageTxnApply, req.Session, req.Seq) {
+		return errInjectedCrash
+	}
+	_ = d.Txns.MarkApplied(ctx, id)
+	d.txnAnswer(ctx, req, id, resolved, commits, results)
+	return nil
+}
+
+// txnAnswer finishes an applied transaction. Only now are the marks
+// lifted: conflicting writers were fenced until the transaction became
+// readable, and the deferred watch deliveries fire.
+func (d *Deployment) txnAnswer(ctx cloud.Ctx, req Request, id int64, resolved []txn.ResolvedOp, commits map[int]int64, results []txn.Result) {
 	d.clearTxnMarks(ctx, id, allItemPaths(resolved))
 	d.applyEphRecords(ctx, resolved)
 	d.notifyMulti(req, results, commits)
 	d.Txns.Delete(ctx, id, req.Session, req.Seq)
-	d.recordPhase("txn.commit", d.K.Now()-t0)
-	return nil
-}
-
-// txnRootCommit applies the transaction's merged updates to the shared
-// root item in one idempotent conditional write: they are coordinator-owned
-// in a cross-shard commit, because ops from several shards may splice the
-// root and per-shard conditional commits would double-apply. Includes the
-// root's pending append when the root itself is a target, so its shard's
-// leader finds the transaction at the head.
-func (d *Deployment) txnRootCommit(ctx cloud.Ctx, id int64, resolved []txn.ResolvedOp, commits map[int]int64) {
-	_, ups := multiUpdates(resolved, func(s int) int64 { return commits[s] })
-	root := ups[znode.Root]
-	if len(root) == 0 {
-		return
-	}
-	root = append(root, kv.Set{Name: attrTxnCommitMark, V: kv.N(id)})
-	_, _ = d.System.Update(ctx, nodeKey(znode.Root), root, txnCommitCond(id))
-}
-
-// txnSysCommit applies one shard's system-store commit in a single
-// transaction over its items, guarded per item by the intent/mark pair.
-// A failed condition (false) means the racing replica — coordinator or
-// leader replay, whichever lost — already applied it.
-func (d *Deployment) txnSysCommit(ctx cloud.Ctx, id int64, ops []txn.ResolvedOp, txid int64) bool {
-	touched, ups := multiUpdates(ops, func(int) int64 { return txid })
-	txops := make([]kv.TxOp, 0, len(touched))
-	for _, p := range touched {
-		if p == znode.Root {
-			continue // coordinator-owned: txnRootCommit
-		}
-		u := append(append([]kv.Update{}, ups[p]...), kv.Set{Name: attrTxnCommitMark, V: kv.N(id)})
-		txops = append(txops, kv.TxOp{Key: nodeKey(p), Updates: u, Cond: txnCommitCond(id)})
-	}
-	if len(txops) == 0 {
-		return false
-	}
-	return d.System.Transact(ctx, txops) == nil
 }
 
 // applyTxn is the commit point for readers: reload the per-region epoch
@@ -882,107 +718,103 @@ func (d *Deployment) applyTxn(ctx cloud.Ctx, resolved []txn.ResolvedOp, commits 
 	return results
 }
 
-// resumeTxn continues a redelivered coordinator from its durable record.
-// done=false means the stale attempt was aborted and cleaned up and the
-// caller should run a fresh transaction.
-func (d *Deployment) resumeTxn(ctx cloud.Ctx, req Request, reqOps []txn.Op, id int64) (bool, error) {
+// resumeTxn continues a redelivered coordinator whose transaction
+// committed: the request pointer is written by the commit itself.
+func (d *Deployment) resumeTxn(ctx cloud.Ctx, req Request, id int64) error {
 	rec, found := d.Txns.Lookup(ctx, id)
-	if !found {
-		// The predecessor finished (the answer precedes collection); just
-		// drop the dangling request pointer.
+	switch {
+	case !found:
+		// The predecessor answered and collected the record (the answer
+		// precedes collection); just drop the dangling request pointer.
 		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		return true, nil
-	}
-	switch rec.Status {
-	case txn.StatusPreparing:
-		// Died mid-prepare: abort the attempt. Stray intents on
-		// sequential-resolved paths self-heal through lockNodeClean.
-		if err := d.Txns.Decide(ctx, id, txn.StatusPreparing, txn.StatusAborted, nil); err != nil {
-			return true, nil // someone else owns the record now
-		}
-		d.clearTxnMarks(ctx, id, staticPaths(rec.Ops))
-		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		return false, nil
-	case txn.StatusAborted:
-		d.clearTxnMarks(ctx, id, staticPaths(rec.Ops))
-		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		d.respondMultiAbort(req, reqOps, -1, CodeTxnAborted)
-		return true, nil
-	case txn.StatusCommitted:
-		return true, d.txnCommitDrive(ctx, req, id, rec.Resolved, &rec, true)
-	case txn.StatusApplied:
+	case rec.Status == txn.StatusCommitted:
+		return d.txnApply(ctx, req, id, rec.Resolved, rec.Commits)
+	default:
 		// Died between the apply and the answer: rebuild the results.
 		fold, results := d.buildTxnFold(ctx, rec.Resolved,
 			func(s int) int64 { return rec.Commits[s] }, map[string]sysNode{})
 		fold.release()
-		d.clearTxnMarks(ctx, id, allItemPaths(rec.Resolved))
-		d.applyEphRecords(ctx, rec.Resolved)
-		d.notifyMulti(req, results, rec.Commits)
-		d.Txns.Delete(ctx, id, req.Session, req.Seq)
-		return true, nil
+		d.txnAnswer(ctx, req, id, rec.Resolved, rec.Commits, results)
 	}
-	return true, nil
+	return nil
 }
 
 // --- the leader side ---
 
 // awaitTxnHeads resolves the push/commit race for a transaction message:
 // every target node's pending head must become txid. Like awaitCommit it
-// clears orphaned heads and replays the commit on behalf of a crashed
-// coordinator — conditional on the fast path's timed locks or the
-// cross-shard intents, whichever the message carries.
+// clears orphaned heads, and for a fast-path message it replays the commit
+// on behalf of a crashed coordinator under the message's timed locks.
+//
+// A cross-shard part cannot be replayed: its leader lacks the other parts'
+// txids. When the polls run out the leader releases the part's first lock
+// under the coordinator's timestamp, which the commit needs as well. If
+// the release lands, the commit never can: the part is dropped, with its
+// other locks, so a redelivered coordinator need not wait out the lease.
+// If it fails, the commit landed or the lock moved on for good, and one
+// more poll tells which.
 func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64) (map[string]sysNode, bool) {
 	targets := txnTargets(tm.Ops)
 	states := map[string]sysNode{}
-	triedCommit := false
-	for attempt := 0; attempt < 12; attempt++ {
-		allOK := true
-		for _, p := range targets {
-			if _, done := states[p]; done {
-				continue
-			}
-			it, ok := d.System.Get(ctx, nodeKey(p), true)
-			if ok {
-				node := decodeSysNode(it)
-				if len(node.Pending) > 0 {
-					head := node.Pending[0]
-					if head == txid {
-						states[p] = node
-						continue
-					}
-					if head < txid {
-						_, _ = d.System.Update(ctx, nodeKey(p),
-							[]kv.Update{kv.ListPopHead{Name: attrPending}},
-							kv.NumListHeadEq{Name: attrPending, V: head})
-						allOK = false
-						continue
-					}
-					return nil, false // our entry was already consumed
-				}
-			}
-			allOK = false
-		}
-		if allOK && len(states) == len(targets) {
+	for attempt := 0; attempt < txnHeadPolls; attempt++ {
+		done, consumed := d.pollTxnHeads(ctx, targets, txid, states)
+		if done {
 			return states, true
 		}
-		if attempt >= 2 && !triedCommit {
-			triedCommit = true
-			d.tryCommitTxn(ctx, op, tm, txid)
+		if consumed {
+			return nil, false
+		}
+		switch {
+		case op == OpMulti && attempt == 2:
+			_ = d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
 			continue
+		case op == OpTxnCommit && attempt == txnHeadPolls-1:
+			locks := tm.locks()
+			if d.Locks.Release(ctx, locks[0]) == nil {
+				d.unlockAll(ctx, locks[1:]...)
+				return nil, false
+			}
+			if done, _ := d.pollTxnHeads(ctx, targets, txid, states); done {
+				return states, true
+			}
+			return nil, false
 		}
 		d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
 	}
 	return nil, false
 }
 
-// tryCommitTxn replays a transaction message's system-store commit on
-// behalf of a crashed coordinator: the fast path under the original timed
-// locks, like tryCommit, a cross-shard shard under the intent/mark guard.
-func (d *Deployment) tryCommitTxn(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64) bool {
-	if op == OpTxnCommit {
-		return d.txnSysCommit(ctx, tm.ID, tm.Ops, txid)
+// pollTxnHeads reads every target not yet at txid into states, popping
+// orphaned heads below txid on the way, so one poll is conclusive: done
+// means every target is at txid, consumed that one is already past it (a
+// duplicate delivery).
+func (d *Deployment) pollTxnHeads(ctx cloud.Ctx, targets []string, txid int64, states map[string]sysNode) (done, consumed bool) {
+	done = true
+	for _, p := range targets {
+		if _, ok := states[p]; ok {
+			continue
+		}
+		for {
+			it, ok := d.System.Get(ctx, nodeKey(p), true)
+			node := decodeSysNode(it)
+			if !ok || len(node.Pending) == 0 {
+				done = false
+				break
+			}
+			head := node.Pending[0]
+			if head == txid {
+				states[p] = node
+				break
+			}
+			if head > txid {
+				return false, true
+			}
+			_, _ = d.System.Update(ctx, nodeKey(p),
+				[]kv.Update{kv.ListPopHead{Name: attrPending}},
+				kv.NumListHeadEq{Name: attrPending, V: head})
+		}
 	}
-	return d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid)) == nil
+	return done, false
 }
 
 // claimTxnWatches claims the watches of every effectful op of a
@@ -1049,85 +881,67 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 	return comps
 }
 
-// leaderTxnCommit is one shard's commit phase of a cross-shard
-// transaction: order it in the pipeline, claim watches and enter their
-// ids, pop the pendings, and post the ready marker. The user-store apply
-// belongs to the coordinator, so the leader NEVER blocks on other shards
-// — watch deliveries defer themselves until the transaction is readable,
-// each managing its own epoch exit (a blocking barrier here could
-// deadlock two transactions crossing the same pair of shard queues in
-// opposite orders).
+// leaderTxnCommit is one shard's part of a cross-shard transaction: order
+// it in the pipeline, claim watches and enter their ids, pop the pendings,
+// and post the ready marker. The user-store apply belongs to the
+// coordinator, so the leader NEVER blocks on other shards — watch
+// deliveries defer themselves until the transaction is readable, each
+// managing its own epoch exit (a blocking barrier here could deadlock two
+// transactions crossing the same pair of shard queues in opposite orders).
 func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
-	rec, found := d.Txns.Lookup(ctx, tm.ID)
-	if !found || rec.Ready[msg.Shard] {
-		return nil // duplicate delivery of a finished commit phase
-	}
-	if t, ok := rec.Commits[msg.Shard]; ok {
-		txid = t // a re-pushed message: the first push's txid is authoritative
-	}
-	// The shard's whole commit phase is one child span of the originating
-	// multi()'s tree (msgTrace resolves OpTxnCommit to that trace): the
-	// per-shard legs of a cross-shard 2PC show up side by side. Its
-	// charges — head polls, watch claims, pending pops, the ready marker —
-	// bill into the same span.
+	// The part is one child span of the originating multi()'s tree
+	// (msgTrace resolves OpTxnCommit to that trace): the per-shard legs of
+	// a cross-shard multi show up side by side. Its charges — head polls,
+	// watch claims, pending pops, the ready marker — bill into the span.
 	ssp := d.tspan(d.msgTrace(msg), obs.SpanTxnShard, msg.Path, msg.Shard, "")
 	ctx = d.billSpan(ctx, costMsgTrace(msg), ssp, msg.Shard, "")
 	t0 := d.K.Now()
 	_, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid)
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !ok {
-		// The coordinator died before its commit write and the intent
-		// replay could not land; redelivery will re-drive us.
+		// The commit never landed (or this is a duplicate delivery): the
+		// coordinator answers the client, nothing is left to do here.
 		d.spanEnd(ssp)
 		return nil
 	}
 	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, txid, epochs)
-	// Pop pendings but never collect tombstones here: the intent must
-	// keep fencing the path until the coordinator's atomic apply, and
+	// Pop pendings but never collect tombstones here: the mark must keep
+	// fencing the path until the coordinator's atomic apply, and
 	// collecting the item would drop it.
 	for _, p := range txnTargets(tm.Ops) {
 		d.popPending(ctx, nodeKey(p), txid, false)
 	}
-	_, _ = d.Txns.Ready(ctx, tm.ID, msg.Shard)
+	_ = d.Txns.Ready(ctx, tm.ID, msg.Shard)
 	d.spanEnd(ssp)
+	// A timed-out wait for the apply (false) means the coordinator is still
+	// being re-driven by redelivery: keep waiting — delivering before the
+	// apply would notify a change that is not yet readable (Z4).
+	awaitApplied := func() {
+		for !d.Txns.AwaitApplied(ctx, tm.ID) {
+		}
+	}
 	if d.fanoutOn() {
-		// Fan-out tier (a commit message always carries an effectful op,
-		// so claimTxnWatches published): the release defers itself until the coordinator's
-		// atomic apply makes the transaction readable — the same ordering
-		// the legacy post-apply delivery batch below enforces. The nodes
-		// own delivery and epoch exit from there.
+		// Fan-out tier (a part always carries an effectful op, so
+		// claimTxnWatches published): the release defers itself until the
+		// coordinator's atomic apply makes the transaction readable — the
+		// same ordering the legacy post-apply delivery batch below
+		// enforces. The nodes own delivery and epoch exit from there.
 		d.K.Go("txn-fanout-release", func() {
-			for {
-				if _, _, ok := d.Txns.AwaitStatus(ctx, tm.ID, txn.StatusApplied); ok {
-					break
-				}
-			}
+			awaitApplied()
 			d.fanoutRelease(ctx, txid)
 		})
 	}
 	if len(fired) > 0 {
-		// One post-apply delivery batch for the whole shard: a single
-		// goroutine polls the record once (instead of one poller per
-		// watch), launches every delivery in parallel once the
-		// transaction is readable, and — after all of them complete —
-		// exits every watch id from each region's epoch counter in ONE
-		// atomic list-remove per region instead of one per watch. Same
-		// Z4 ordering (no delivery before the apply, no epoch exit before
-		// its delivery completes), a per-shard-constant number of epoch
-		// writes for watch-heavy transactional workloads.
+		// One post-apply delivery batch for the whole shard: one poller,
+		// every delivery launched in parallel once the transaction is
+		// readable, then ONE atomic list-remove of all their ids per
+		// region's epoch counter. Same Z4 ordering (no delivery before the
+		// apply, no epoch exit before its delivery completes) at a
+		// per-shard-constant number of epoch writes.
 		d.txnWatchBatches++
 		d.txnWatchDeliveries += int64(len(fired))
 		d.K.Go("txn-watch-batch", func() {
-			// A missing record counts as applied (finished + collected).
-			// A timed-out poll (ok=false) means the coordinator is still
-			// being re-driven by redelivery: keep waiting — delivering
-			// before the apply would notify a change that is not yet
-			// readable (Z4).
-			for {
-				if _, _, ok := d.Txns.AwaitStatus(ctx, tm.ID, txn.StatusApplied); ok {
-					break
-				}
-			}
+			awaitApplied()
 			comps := make([]watchCompletion, 0, len(fired))
 			wids := make([]int64, 0, len(fired))
 			for _, f := range fired {

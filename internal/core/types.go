@@ -34,9 +34,9 @@ const (
 	// OpMulti is a client multi() request; on the leader queue it carries a
 	// single-shard transaction's resolved sub-ops (the fast path).
 	OpMulti OpCode = "multi"
-	// OpTxnCommit is one shard's phase-two commit message of a cross-shard
-	// transaction (package txn): it orders the transaction within the
-	// shard's pipeline and carries the shard's resolved sub-ops.
+	// OpTxnCommit is one shard's part of a cross-shard transaction
+	// (package txn): it orders the transaction within the shard's pipeline
+	// and carries the shard's resolved sub-ops.
 	OpTxnCommit OpCode = "txn_commit"
 )
 
@@ -173,11 +173,12 @@ func (m leaderMsg) trace() int64 {
 
 // txnMsg is the transaction payload an OpMulti or OpTxnCommit leader
 // message carries in its NodeBlob field. Ops are the resolved sub-ops the
-// message applies; ItemPaths/LockTs (fast path only) list the locked
-// system items and their timed-lock timestamps, letting the leader replay
-// the multi-item commit on behalf of a crashed coordinator, exactly like
-// tryCommit's per-op reconstruction — cross-shard replays are guarded by
-// the intent attribute instead.
+// message applies; ItemPaths/LockTs list the locked system items and their
+// timed-lock timestamps. A fast-path leader replays the multi-item commit
+// under them on behalf of a crashed coordinator, exactly like tryCommit's
+// per-op reconstruction; a cross-shard part's leader takes its ownership
+// decision with them (awaitTxnHeads). ID names a cross-shard transaction's
+// record (0 on the fast path).
 type txnMsg struct {
 	ID        int64
 	Ops       []txn.ResolvedOp

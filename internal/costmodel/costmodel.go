@@ -119,64 +119,6 @@ func (m Model) BatchFoldBreakEven(batchSize, sizeB int, hybrid bool, targetSavin
 	return 0
 }
 
-// TxnCost returns the dollars for one multi() transaction of ops
-// sub-operations spanning participants write shards (package txn).
-//
-// Every transaction pays the per-op pipeline terms: the session queue
-// message carrying all sub-ops, one lock write and one pending pop per
-// touched item, the multi-item commit transaction legs, the leader's head
-// checks, and one folded user-store write per target. The fast path
-// (participants == 1) adds just one leader-queue message — no
-// coordinator machinery at all.
-//
-// A cross-shard transaction (participants > 1) additionally pays the
-// two-phase commit: one commit queue message and one leader execution per
-// participant shard, one intent write per item, the durable record's
-// writes (begin + pointer, one vote / commit note / ready marker per
-// shard, decide, applied, delete + pointer), and the coordinator's
-// barrier polling reads.
-func (m Model) TxnCost(participants, ops, sizeB int, hybrid bool) float64 {
-	if participants < 1 {
-		participants = 1
-	}
-	if ops < 1 {
-		ops = 1
-	}
-	n, k := float64(ops), float64(participants)
-	payload := sizeB * ops
-	c := m.P.QueueMsgCost(payload) // session queue message
-	// The coordinator's follower execution scales with the op count
-	// (locking, validation, and — cross-shard — the apply).
-	c += m.P.FaaSCost(m.MemoryMB, 1, m.FollowerSeconds*n, m.ARM)
-	c += 3 * n * m.P.KVWriteCost(1)  // locks, commit legs, pending pops
-	c += n * m.P.KVReadCost(1, true) // leader head checks
-	c += n * m.P.StoreWriteCost(sizeB, hybrid)
-	c += m.P.FaaSCost(m.MemoryMB, 1, m.LeaderSeconds, m.ARM)
-	if participants == 1 {
-		return c + m.P.QueueMsgCost(payload)
-	}
-	c += k * m.P.QueueMsgCost(payload/participants) // commit messages
-	c += (k - 1) * m.P.FaaSCost(m.MemoryMB, 1, m.LeaderSeconds, m.ARM)
-	c += n * m.P.KVWriteCost(1)          // intent writes
-	c += (3*k + 6) * m.P.KVWriteCost(1)  // the durable record's lifecycle
-	c += 2 * k * m.P.KVReadCost(1, true) // barrier polls
-	return c
-}
-
-// TxnOverhead returns the cost multiplier of committing ops writes as one
-// transaction versus issuing them as independent set_data calls — the
-// price of atomicity the "txn" experiment tracks per shard count.
-func (m Model) TxnOverhead(participants, ops, sizeB int, hybrid bool) float64 {
-	if ops < 1 {
-		ops = 1
-	}
-	base := float64(ops) * m.WriteCost(sizeB, hybrid)
-	if base <= 0 {
-		return 0
-	}
-	return m.TxnCost(participants, ops, sizeB, hybrid) / base
-}
-
 // CachedReadCost returns the expected dollars for one read served through
 // the cache tier at the given hit ratio: hits touch only the regional
 // cache node (per-operation free — the node bills hourly, see

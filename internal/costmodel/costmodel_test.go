@@ -263,34 +263,6 @@ func TestBatchWriteSavingsAndBreakEven(t *testing.T) {
 	}
 }
 
-func TestTxnCostScalesWithParticipants(t *testing.T) {
-	m := NewAWSModel(2048)
-	fast := m.TxnCost(1, 4, 1024, false)
-	two := m.TxnCost(2, 4, 1024, false)
-	four := m.TxnCost(4, 4, 1024, false)
-	if !(fast < two && two < four) {
-		t.Errorf("txn cost not monotone in participants: %g %g %g", fast, two, four)
-	}
-	// The fast path stays in the same ballpark as independent writes (the
-	// queue payload and commit transaction trade against the folded store
-	// writes), while 2PC pays a real but bounded premium.
-	if ov := m.TxnOverhead(1, 4, 1024, false); ov <= 0 || ov > 2 {
-		t.Errorf("fast-path overhead = %.2fx, want (0, 2]", ov)
-	}
-	ov2 := m.TxnOverhead(2, 4, 1024, false)
-	ov4 := m.TxnOverhead(4, 4, 1024, false)
-	if ov2 <= m.TxnOverhead(1, 4, 1024, false) || ov4 <= ov2 {
-		t.Errorf("2PC overhead not increasing: %.2f %.2f", ov2, ov4)
-	}
-	if ov4 > 5 {
-		t.Errorf("4-shard overhead = %.2fx, implausibly high", ov4)
-	}
-	// Degenerate inputs clamp instead of dividing by zero.
-	if c := m.TxnCost(0, 0, 1024, false); c <= 0 {
-		t.Errorf("clamped cost = %g", c)
-	}
-}
-
 func TestFanoutCostFlatInWatchers(t *testing.T) {
 	m := NewAWSModel(512)
 	pub := m.FanoutPublishCost()

@@ -132,7 +132,7 @@ func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, op
 		obs.StageSubmit, obs.StageQueue, obs.StageValidate, obs.StageRespond,
 	}
 	if mode == "txn" {
-		// Cross-shard multis run 2PC: prepare/commit/apply replace the
+		// Cross-shard multis run the coordinator: prepare/commit/apply replace the
 		// plain pipeline's leader-queue/commit/flush legs entirely.
 		wantStages = append(wantStages,
 			obs.StageTxnPrep, obs.StageTxnCommit, obs.StageTxnApply)
@@ -173,7 +173,7 @@ func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, op
 					switch mode {
 					case "txn":
 						// Adjacent uniform paths live on different shards,
-						// so every multi crosses shards and runs 2PC.
+						// so every multi crosses shards and runs the coordinator.
 						partner := paths[(i+1)%len(paths)]
 						_, _ = clients[i].Multi(
 							txn.SetData(paths[i], payload, -1),
@@ -271,6 +271,6 @@ func runTelemetry(cfg RunConfig) *Report {
 	}
 
 	r.Note("Spans live in virtual time and record pure bookkeeping, so enabling telemetry does not move a single virtual timestamp — the golden single-shard trace stays byte-identical.")
-	r.Note("Queueing covers both the client-side session FIFO and the leader queue wait; cross-shard multis replace commit/flush with the 2PC stages (prepare, commit decision, apply), which the class table validates via the exported Chrome trace.")
+	r.Note("Queueing covers both the client-side session FIFO and the leader queue wait; cross-shard multis replace commit/flush with the coordinator stages (part pushes, all-items commit + ready barrier, apply), which the class table validates via the exported Chrome trace.")
 	return r
 }

@@ -5,7 +5,6 @@ import (
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
-	"faaskeeper/internal/costmodel"
 	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
@@ -127,7 +126,7 @@ func runTxnLatency(seed int64, shards, spread, sessions, ops int) txnRun {
 
 // runTxnContention races version-guarded cross-shard multis from several
 // sessions over ONE shared path pair: losers abort on the version check
-// (or on intent contention) and the final version counts exactly the
+// (or on lock contention) and the final version counts exactly the
 // winners — the all-or-nothing bookkeeping the abort-rate column reports.
 func runTxnContention(seed int64, shards, sessions, rounds int) (commits, aborts int, lost bool) {
 	cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
@@ -237,18 +236,17 @@ func runTxn(cfg RunConfig) *Report {
 	ops := cfg.reps(6, 20)
 	const shards = 4
 
-	m := costmodel.NewAWSModel(2048)
 	s := r.AddSection(
 		fmt.Sprintf("Commit latency vs participant shards (WriteShards=%d, %d sessions × %d multis, %d B/op, conflict-free)",
 			shards, sessions, ops, txnPayloadB),
-		[]string{"participants", "path", "txn/s", "p50 ms", "p99 ms", "$/txn", "model $/txn", "overhead vs single ops"})
+		[]string{"participants", "path", "txn/s", "p50 ms", "p99 ms", "$/txn"})
 	for vi, spread := range []int{1, 2, 4} {
 		run := runTxnLatency(cfg.Seed+int64(vi), shards, spread, sessions, ops)
 		if !run.ok {
-			s.AddRow(fmt.Sprintf("%d", spread), "-", "-", "-", "-", "-", "-", "-")
+			s.AddRow(fmt.Sprintf("%d", spread), "-", "-", "-", "-", "-")
 			continue
 		}
-		path := "2PC"
+		path := "cross-shard"
 		if spread == 1 {
 			path = "fast path"
 		}
@@ -256,14 +254,12 @@ func runTxn(cfg RunConfig) *Report {
 		s.AddRow(fmt.Sprintf("%d", spread), path,
 			f1(run.throughput()),
 			p50, p99,
-			fmt.Sprintf("$%.6f", run.cost/float64(run.txns)),
-			fmt.Sprintf("$%.6f", m.TxnCost(spread, spread, txnPayloadB, false)),
-			fmt.Sprintf("%.2fx", m.TxnOverhead(spread, spread, txnPayloadB, false)))
+			fmt.Sprintf("$%.6f", run.cost/float64(run.txns)))
 	}
 	zkLat := runZKMultiBaseline(cfg.Seed+11, 2, ops)
 	if zkLat.N() > 0 {
 		p50, p99 := latCells(zkLat, f1)
-		s.AddRow("2 (zk baseline)", "ZAB multi", "-", p50, p99, "-", "-", "-")
+		s.AddRow("2 (zk baseline)", "ZAB multi", "-", p50, p99, "-")
 	}
 
 	s2 := r.AddSection(
@@ -284,7 +280,7 @@ func runTxn(cfg RunConfig) *Report {
 	}
 
 	r.Note("The fast path (one participant shard) pays no coordinator machinery: one leader message and one multi-item system-store transaction; a WriteShards=1 deployment always takes it.")
-	r.Note("Cross-shard commits pay the two-phase protocol — intents + storage-backed votes, per-shard commit messages, a ready barrier, then one atomic user-store apply — so latency grows with the slowest participant, not with the op count.")
-	r.Note("Contention resolves through version guards and intent fencing: losers abort cleanly (the final versions count exactly the winners — the 'partial commits' column must stay 0).")
+	r.Note("Cross-shard commits have the same shape plus one leader-queue part per participant shard, the transaction record written by the same all-items commit, a ready barrier, then one atomic user-store apply — so latency grows with the participant count and the slowest leader, not with the op count.")
+	r.Note("Contention resolves through version guards and commit-mark fencing: losers abort cleanly (the final versions count exactly the winners — the 'partial commits' column must stay 0).")
 	return r
 }

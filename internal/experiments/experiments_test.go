@@ -489,13 +489,13 @@ func TestTxnCommitLatencyAndAtomicity(t *testing.T) {
 		}
 		return v
 	}
-	// The fast path must beat the 2PC rows on p50 commit latency, and
+	// The fast path must beat the cross-shard rows on p50 commit latency, and
 	// latency must grow with the participant count.
 	fast, two, four := parse(lat[0], 3), parse(lat[1], 3), parse(lat[2], 3)
 	if !(fast < two && two < four) {
 		t.Errorf("p50 latency not monotone in participants: %.1f %.1f %.1f", fast, two, four)
 	}
-	if lat[0][1] != "fast path" || lat[1][1] != "2PC" {
+	if lat[0][1] != "fast path" || lat[1][1] != "cross-shard" {
 		t.Errorf("path labels wrong: %v %v", lat[0][1], lat[1][1])
 	}
 	// Contention rows: some commits, and never a partial commit.

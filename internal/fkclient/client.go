@@ -517,7 +517,7 @@ func (c *Client) Delete(path string, version int32) error {
 // or none do (create/set_data/delete/check, built with txn.Create,
 // txn.SetData, txn.Delete, txn.Check). Ops confined to one write shard
 // take a fast path through the leader pipeline; ops spanning shards run
-// the two-phase commit coordinator (package txn). The per-op results are
+// the cross-shard coordinator (package txn). The per-op results are
 // returned even on a rollback, where the failing op carries its own code
 // and its siblings report txn.CodeAborted.
 func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {

@@ -262,7 +262,7 @@ func TestSpanInvariantsRandomized(t *testing.T) {
 						_, _, _ = c.GetDataW(p, func(core.Notification) {})
 					case 4:
 						if tc.multis {
-							// Spans two top-level subtrees: cross-shard 2PC
+							// Spans two top-level subtrees: cross-shard commit
 							// on the sharded configs, fast path otherwise.
 							q := paths[(rng.Intn(len(paths)-1)+1+rng.Intn(1))%len(paths)]
 							_, _ = c.Multi(

@@ -2,11 +2,11 @@ package fkclient
 
 // Tests of the multi() transaction subsystem (package txn + the core
 // coordinator) from the client's perspective: multi() on the default
-// config, the single-shard fast path, cross-shard two-phase commits, validation
+// config, the single-shard fast path, cross-shard commits, validation
 // aborts with no partial effects, isolation against conflicting writers,
 // coordinator crash recovery by redelivery, and the randomized
 // cross-shard histories asserting that no partial commit is ever
-// observable and no uncommitted intent is ever read.
+// observable and no uncommitted write is ever read.
 
 import (
 	"errors"
@@ -77,7 +77,7 @@ func TestMultiSingleShardFastPath(t *testing.T) {
 		if err != nil || len(kids) != 2 {
 			t.Errorf("children: %v (%v)", kids, err)
 		}
-		// No 2PC machinery on the fast path: no transaction records.
+		// No cross-shard machinery on the fast path: no transaction records.
 		if n, _ := d.Txns.Mint(cloud.ClientCtx(d.Cfg.Profile.Home)); n != 1 {
 			t.Errorf("txn counter = %d, want 1 (untouched before this mint)", n)
 		}
@@ -116,7 +116,7 @@ func TestMultiValidationAbortLeavesNoTrace(t *testing.T) {
 						t.Errorf("%s after abort: %q v%d (%v)", p, data, st.Version, err)
 					}
 				}
-				// A later write proceeds normally: no intent leaked.
+				// A later write proceeds normally: no lock or mark leaked.
 				if _, err := c.SetData(paths[1], []byte("after"), 0); err != nil {
 					t.Errorf("write after abort: %v", err)
 				}
@@ -175,7 +175,7 @@ func TestMultiCrossShardCommit(t *testing.T) {
 						t.Errorf("%s/child: %q (%v)", p, data, err)
 					}
 				}
-				// Reads and writes after the commit see no intent leftovers.
+				// Reads and writes after the commit see no commit-mark leftovers.
 				reader := mustConnect(t, d, "s2")
 				defer reader.Close()
 				for _, p := range paths {
@@ -348,7 +348,7 @@ func TestMultiCoordinatorCrashRecovery(t *testing.T) {
 // pair in REVERSE commit order. If a reader observes token T on the
 // second path, the first path must already show >= T — any partial
 // visibility of a transaction breaks the invariant. Values must also only
-// ever come from committed transactions (no uncommitted intents).
+// ever come from committed transactions (nothing uncommitted).
 func TestMultiRandomizedNoPartialCommit(t *testing.T) {
 	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	var dep *core.Deployment
@@ -444,7 +444,7 @@ func TestMultiRandomizedNoPartialCommit(t *testing.T) {
 		if maxCommitted == 0 {
 			t.Fatal("no transaction ever committed")
 		}
-		// Zero reads of uncommitted intents: every observed token belongs
+		// Zero reads of uncommitted writes: every observed token belongs
 		// to a transaction that committed (aborted ones wrote nothing).
 		for _, tok := range observed {
 			if !committed[tok] {

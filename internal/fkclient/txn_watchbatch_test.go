@@ -24,7 +24,7 @@ func TestTxnWatchDeliveryBatching(t *testing.T) {
 		watcher := mustConnect(t, d, "watcher")
 
 		// Three watched paths on one shard, one on another: the multi
-		// spans shards (2PC) and one shard carries three fired watches.
+		// spans shards (cross-shard commit) and one shard carries three fired watches.
 		shards := []int{}
 		groupA := []string{}
 		var pathB string

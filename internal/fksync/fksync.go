@@ -130,9 +130,10 @@ type TxPart struct {
 
 // CommitUnlockTx commits several locked items in one transaction that
 // fails or succeeds atomically (creating a node also updates the locked
-// parent, Section 3.1).
-func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart) error {
-	ops := make([]kv.TxOp, 0, len(parts))
+// parent, Section 3.1). extra writes items no lock guards in the same
+// transaction.
+func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart, extra ...kv.TxOp) error {
+	ops := make([]kv.TxOp, 0, len(parts)+len(extra))
 	for _, p := range parts {
 		op := kv.TxOp{Key: p.Lock.Key, Cond: heldCond(p.Lock), Delete: p.Delete}
 		if !p.Delete {
@@ -142,6 +143,7 @@ func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart) error {
 		}
 		ops = append(ops, op)
 	}
+	ops = append(ops, extra...)
 	err := m.tbl.Transact(ctx, ops)
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return ErrLockLost

@@ -13,7 +13,7 @@
 // the next, so stage durations sum to the end-to-end virtual time by
 // construction), and free-floating child spans for legs that run
 // concurrently with the critical path (the follower's commit, per-region
-// store writes, watch deliveries, 2PC votes).
+// store writes, watch deliveries, cross-shard txn parts).
 //
 // Everything is built for the simulator's cooperative scheduling: exactly
 // one process runs at a time, so the tracer and registry need no locks,
@@ -202,7 +202,7 @@ func (t *Tracer) Finish(trace int64) {
 }
 
 // Start opens a child span for a leg that runs concurrently with the
-// stage chain (a store write, a watch delivery, a 2PC vote). It returns
+// stage chain (a store write, a watch delivery, a cross-shard txn part). It returns
 // the span handle for End; 0 when disabled. Trace 0 records a
 // pipeline-level span outside any request tree.
 func (t *Tracer) Start(trace int64, name, path string, shard int, region string) int64 {
@@ -224,7 +224,7 @@ func (t *Tracer) End(id int64) {
 // AddCost attributes pd picodollars of pay-as-you-go cost to a span of
 // the trace, at the instant the underlying charge occurs. With a non-zero
 // span handle (an open concurrent leg — a store write, a watch delivery,
-// a 2PC vote) the cost lands on that span; otherwise it lands on the
+// a cross-shard txn part) the cost lands on that span; otherwise it lands on the
 // trace's currently open stage, so stage costs telescope to the request
 // total exactly as stage durations do. A charge arriving after the trace
 // finished (the leader's post-respond bookkeeping) is parked and joined
@@ -355,17 +355,16 @@ const (
 	StageCommit    = "leader.commit"     // leader opening read, awaitCommit + watch claim (Algorithm 2 steps 1-2)
 	StageFlush     = "distributor.flush" // distributor fold/flush to user stores
 	StageRespond   = "response.net"      // response queued back to the client
-	StageTxnPrep   = "txn.prepare"       // 2PC: intents written, votes collected
-	StageTxnCommit = "txn.commit"        // 2PC: per-shard commit drive + ready barrier
-	StageTxnApply  = "txn.apply"         // 2PC: atomic user-store apply
+	StageTxnPrep   = "txn.prepare"       // cross-shard multi: one part pushed per shard
+	StageTxnCommit = "txn.commit"        // cross-shard multi: all-items commit + ready barrier
+	StageTxnApply  = "txn.apply"         // cross-shard multi: atomic user-store apply
 
 	SpanFollowerCommit = "follower.commit" // system-store commit, concurrent with queue.leader
 	SpanStoreWrite     = "store.write"     // one region's user-store write
 	SpanCacheInval     = "cache.invalidate"
 	SpanWatchDeliver   = "watch.deliver"  // watch function invocation + delivery
 	SpanFanoutPublish  = "fanout.publish" // one-record notification to the fan-out nodes
-	SpanTxnVote        = "txn.vote"       // one shard's intent conversion + vote
-	SpanTxnShard       = "txn.shard"      // one shard leader's commit leg
+	SpanTxnShard       = "txn.shard"      // one shard leader's part of a cross-shard multi
 
 	SpanCostBreach = "cost.breach" // budget monitor burn-rate breach (instant)
 )

@@ -1,21 +1,16 @@
-// Package txn is the cross-shard transaction coordinator subsystem behind
-// FaaSKeeper's ZooKeeper-style multi(): the operation vocabulary, the
-// shard routing of an operation list, and the durable transaction record
-// that drives a two-phase commit across the sharded leader pipelines.
+// Package txn is the transaction subsystem behind FaaSKeeper's
+// ZooKeeper-style multi(): the operation vocabulary and the durable record
+// of a transaction that spans several sharded leader pipelines.
 //
 // The package deliberately owns only the protocol state — op lists, the
-// record's status machine (preparing → committed → applied, or aborted),
-// and the storage-backed vote/ready barriers modeled on the deregistration
-// fanout ack pattern. The pipeline integration (intent locks on node
-// items, leader-queue commit messages, the atomic user-store apply) lives
-// in package core, which imports this one.
+// record's status (committed → applied), and the storage-backed ready
+// barrier modeled on the deregistration fanout ack pattern. The pipeline
+// integration (the all-items commit, its commit marks, the per-shard
+// leader-queue parts, the atomic user-store apply) lives in package core,
+// which imports this one.
 package txn
 
-import (
-	"sort"
-
-	"faaskeeper/internal/znode"
-)
+import "faaskeeper/internal/znode"
 
 // OpType identifies one sub-operation of a multi().
 type OpType string
@@ -79,8 +74,7 @@ const (
 // ResolvedOp is a validated sub-operation with everything the commit phase
 // needs to rebuild its system-store updates and user-store state on any
 // actor — the coordinator after a crash, or a shard leader replaying a
-// commit. It is what the durable record stores once the decision is
-// committed.
+// fast-path commit. It is what the durable record stores.
 type ResolvedOp struct {
 	Type       OpType
 	Path       string // final path (sequential suffix resolved)
@@ -96,21 +90,3 @@ type ResolvedOp struct {
 
 // Effectful reports whether the op mutates state (checks do not).
 func (r ResolvedOp) Effectful() bool { return r.Type != OpCheck }
-
-// Route partitions a multi's ops among write shards: shardOf is the
-// deployment's path-to-shard function (its route's ShardFor).
-// It returns the participant shards in ascending order and the op indices
-// owned by each. Parent items are colocated with their children by the
-// sharding design, so an op's shard is fully determined by its own path.
-func Route(ops []Op, shardOf func(string) int) (shards []int, byShard map[int][]int) {
-	byShard = map[int][]int{}
-	for i, op := range ops {
-		s := shardOf(op.Path)
-		byShard[s] = append(byShard[s], i)
-	}
-	for s := range byShard {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	return shards, byShard
-}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"testing"
 
 	"faaskeeper/internal/cloud"
@@ -13,27 +14,6 @@ func newStore(seed int64) (*sim.Kernel, *Store, cloud.Ctx) {
 	env := cloud.NewEnv(k, cloud.AWSProfile())
 	tbl := kv.NewTable(env, "system")
 	return k, NewStore(tbl, k), cloud.ClientCtx(cloud.RegionAWSHome)
-}
-
-func TestRouteGroupsByShard(t *testing.T) {
-	shardOf := func(p string) int { return len(p) % 3 }
-	ops := []Op{
-		SetData("/aa", nil, -1),  // len 3 -> shard 0
-		Create("/b", nil, 0),     // len 2 -> shard 2
-		Check("/cc", -1),         // len 3 -> shard 0
-		Delete("/dddd", -1),      // len 5 -> shard 2
-		SetData("/eeee", nil, 0), // len 5 -> shard 2
-	}
-	shards, byShard := Route(ops, shardOf)
-	if len(shards) != 2 || shards[0] != 0 || shards[1] != 2 {
-		t.Fatalf("shards = %v", shards)
-	}
-	if got := byShard[0]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("shard 0 ops = %v", got)
-	}
-	if got := byShard[2]; len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
-		t.Errorf("shard 2 ops = %v", got)
-	}
 }
 
 func TestOpsCodecRoundTrip(t *testing.T) {
@@ -65,54 +45,45 @@ func TestRecordLifecycle(t *testing.T) {
 		if err != nil || id != 1 {
 			t.Errorf("mint: %d %v", id, err)
 		}
-		ops := []Op{SetData("/a", []byte("x"), 0), SetData("/b", []byte("y"), 0)}
-		if err := s.Begin(ctx, id, "sess", 7, ops); err != nil {
-			t.Fatalf("begin: %v", err)
+		// The record is born committed, in the caller's transaction.
+		resolved := []ResolvedOp{{Type: OpSetData, Path: "/a", Version: 1, Shard: 2}}
+		commit := s.Commit(id, "sess", 7, resolved, map[int]int64{2: 42, 0: 40})
+		if err := s.tbl.Transact(ctx, commit); err != nil {
+			t.Fatalf("commit: %v", err)
 		}
 		if got, ok := s.IDForRequest(ctx, "sess", 7); !ok || got != id {
 			t.Errorf("IDForRequest = %d %v", got, ok)
 		}
 		rec, found := s.Lookup(ctx, id)
-		if !found || rec.Status != StatusPreparing || len(rec.Ops) != 2 {
-			t.Fatalf("lookup: %+v %v", rec, found)
+		if !found || rec.Status != StatusCommitted || len(rec.Resolved) != 1 || rec.Resolved[0].Version != 1 ||
+			rec.Commits[0] != 40 || rec.Commits[2] != 42 {
+			t.Fatalf("committed record = %+v %v", rec, found)
 		}
-		// Votes behave as a per-shard set (idempotent under redelivery).
-		if _, err := s.Vote(ctx, id, 0, "ok"); err != nil {
-			t.Fatalf("vote: %v", err)
+		// A second attempt at the same request cannot commit.
+		if err := s.tbl.Transact(ctx, s.Commit(id+1, "sess", 7, resolved, nil)); !errors.Is(err, kv.ErrConditionFailed) {
+			t.Errorf("second commit of one request = %v, want ErrConditionFailed", err)
 		}
-		if _, err := s.Vote(ctx, id, 0, "ok"); err != nil {
-			t.Fatalf("dup vote: %v", err)
+		// Ready markers accumulate per shard; duplicates count once.
+		for _, shard := range []int{0, 2, 2} {
+			if err := s.Ready(ctx, id, shard); err != nil {
+				t.Fatalf("ready: %v", err)
+			}
 		}
-		rec, _ = s.Vote(ctx, id, 2, "fail:bad_version")
-		if len(rec.Votes) != 2 || rec.Votes[0] != "ok" || rec.Votes[2] != "fail:bad_version" {
-			t.Errorf("votes = %v", rec.Votes)
+		if rec, _ := s.Lookup(ctx, id); len(rec.Ready) != 2 {
+			t.Errorf("ready = %v", rec.Ready)
 		}
-		// Status transitions are conditional and one-way.
-		resolved := []ResolvedOp{{Type: OpSetData, Path: "/a", Version: 1}}
-		if err := s.Decide(ctx, id, StatusPreparing, StatusCommitted, resolved); err != nil {
-			t.Fatalf("decide: %v", err)
+		if !s.AwaitReady(ctx, id, 2) {
+			t.Error("await ready timed out")
 		}
-		if err := s.Decide(ctx, id, StatusPreparing, StatusAborted, nil); err != ErrStatusConflict {
-			t.Errorf("conflicting decide = %v, want ErrStatusConflict", err)
+		// committed -> applied is conditional and one-way.
+		if err := s.MarkApplied(ctx, id); err != nil {
+			t.Fatalf("mark applied: %v", err)
 		}
-		rec, _ = s.Lookup(ctx, id)
-		if rec.Status != StatusCommitted || len(rec.Resolved) != 1 || rec.Resolved[0].Version != 1 {
-			t.Errorf("committed record = %+v", rec)
+		if err := s.MarkApplied(ctx, id); !errors.Is(err, kv.ErrConditionFailed) {
+			t.Errorf("second mark applied = %v, want ErrConditionFailed", err)
 		}
-		// Commit txids and ready markers accumulate per shard.
-		_ = s.NoteCommit(ctx, id, 0, 40)
-		_ = s.NoteCommit(ctx, id, 2, 42)
-		if n, _ := s.Ready(ctx, id, 0); n != 1 {
-			t.Errorf("ready count = %d", n)
-		}
-		if n, _ := s.Ready(ctx, id, 2); n != 2 {
-			t.Errorf("ready count = %d", n)
-		}
-		if rec, ok := s.AwaitReady(ctx, id, 2); !ok || rec.Commits[2] != 42 {
-			t.Errorf("await ready: %+v %v", rec, ok)
-		}
-		if rec, found, ok := s.AwaitStatus(ctx, id, StatusCommitted); !ok || !found || rec.Status != StatusCommitted {
-			t.Errorf("await status: %+v %v %v", rec, found, ok)
+		if !s.AwaitApplied(ctx, id) {
+			t.Error("await applied timed out")
 		}
 		s.Delete(ctx, id, "sess", 7)
 		if _, found := s.Lookup(ctx, id); found {
@@ -122,8 +93,8 @@ func TestRecordLifecycle(t *testing.T) {
 			t.Error("request pointer survived delete")
 		}
 		// A missing record reads as finished to any waiter.
-		if _, found, ok := s.AwaitStatus(ctx, id, StatusApplied); found || !ok {
-			t.Errorf("await on missing record: found=%v ok=%v", found, ok)
+		if !s.AwaitApplied(ctx, id) {
+			t.Error("await on missing record timed out")
 		}
 	})
 	k.Run()

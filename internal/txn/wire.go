@@ -18,9 +18,8 @@ const (
 	tagResolved byte = 0xA2
 )
 
-// EncodeOps serializes an op list (a multi() request's Data, the durable
-// record's op blob). The bytes are freshly owned: the record layer retains
-// them.
+// EncodeOps serializes an op list (a multi() request's Data). The bytes
+// are freshly owned: the request retains them.
 func EncodeOps(ops []Op) []byte {
 	e := wire.NewEncoder()
 	e.Byte(tagOps)
@@ -51,7 +50,7 @@ func DecodeOps(b []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// EncodeResolved serializes the decision's resolved-op list.
+// EncodeResolved serializes the record's resolved-op list.
 func EncodeResolved(ops []ResolvedOp) []byte {
 	e := wire.NewEncoder()
 	e.Byte(tagResolved)
