@@ -63,6 +63,7 @@ type Function struct {
 	p       *Platform
 	cfg     Config
 	handler Handler
+	costCat string // "faas.<name>", the meter category of every run
 
 	warmExpiry []sim.Time // idle sandboxes, each with its expiry time
 
@@ -96,7 +97,7 @@ func (p *Platform) Deploy(cfg Config, h Handler) *Function {
 	if _, dup := p.fns[cfg.Name]; dup {
 		panic("faas: duplicate function " + cfg.Name)
 	}
-	f := &Function{p: p, cfg: cfg, handler: h}
+	f := &Function{p: p, cfg: cfg, handler: h, costCat: "faas." + cfg.Name}
 	p.fns[cfg.Name] = f
 	return f
 }
@@ -195,11 +196,11 @@ func (f *Function) run(inv *Invocation) error {
 		f.errors++
 	}
 	usd := env.Profile.Pricing.FaaSCost(f.cfg.MemoryMB, f.cfg.VCPU, sec, f.cfg.Arch == ARM)
-	env.Meter.Charge("faas."+f.cfg.Name, usd, 1)
+	env.Meter.Charge(f.costCat, usd, 1)
 	if sink := inv.Bill; sink != nil {
-		sink.BillOp("faas."+f.cfg.Name, usd, 1)
+		sink.BillOp(f.costCat, usd, 1)
 	} else if inv.Ctx.Bill != nil {
-		inv.Ctx.Bill.BillOp("faas."+f.cfg.Name, usd, 1)
+		inv.Ctx.Bill.BillOp(f.costCat, usd, 1)
 	}
 	f.releaseSandbox()
 	return err

@@ -69,6 +69,26 @@ func TestWarmSandboxReuse(t *testing.T) {
 	}
 }
 
+// TestWarmRunAllocations: a warm invocation of an empty handler allocates
+// its Invocation and nothing else — in particular not its meter category,
+// which the function builds once at deploy time.
+func TestWarmRunAllocations(t *testing.T) {
+	k, env, p := newPlatform(3)
+	p.Deploy(Config{Name: "noop"}, func(*Invocation) error { return nil })
+	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
+	got := sim.AllocsPerRun(k, 200, func() {
+		if err := p.Invoke(ctx, "noop", nil); err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+	})
+	if got != 1 {
+		t.Fatalf("warm run of an empty handler: %v allocations, want 1 (its Invocation)", got)
+	}
+	if f := p.Function("noop"); f.ColdStarts() != 1 || env.Meter.Count("faas.noop") != 201 {
+		t.Fatalf("%d cold starts and %d billed runs, want 1 and 201", f.ColdStarts(), env.Meter.Count("faas.noop"))
+	}
+}
+
 func TestSandboxExpiry(t *testing.T) {
 	k, _, p := newPlatform(3)
 	p.Deploy(Config{Name: "f", MemoryMB: 512}, func(inv *Invocation) error { return nil })

@@ -149,9 +149,12 @@ func joinConds[T Cond](cs []T, sep string) string {
 }
 
 // Update is a single update-expression action, applied atomically with any
-// others in the same call.
+// others in the same call. Apply returns the item with the action applied.
+// It may write into the attribute list it is handed — the commit's own copy
+// — but never into a slice value held by it: those are shared with the
+// stored version (see the package comment).
 type Update interface {
-	Apply(item *Item)
+	Apply(item Item) Item
 	payloadSize() int
 }
 
@@ -162,14 +165,20 @@ type Set struct {
 }
 
 // Apply implements Update.
-func (u Set) Apply(item *Item) { item.Set(u.Name, u.V.Clone()) }
+func (u Set) Apply(item Item) Item {
+	item.Set(u.Name, u.V.Clone())
+	return item
+}
 func (u Set) payloadSize() int { return u.V.Size() }
 
 // Remove deletes attribute Name.
 type Remove struct{ Name string }
 
 // Apply implements Update.
-func (u Remove) Apply(item *Item) { item.Remove(u.Name) }
+func (u Remove) Apply(item Item) Item {
+	item.Remove(u.Name)
+	return item
+}
 func (u Remove) payloadSize() int { return 0 }
 
 // Add atomically adds Delta to numeric attribute Name, creating it at
@@ -180,12 +189,13 @@ type Add struct {
 }
 
 // Apply implements Update.
-func (u Add) Apply(item *Item) {
+func (u Add) Apply(item Item) Item {
 	v := item.slot(u.Name)
 	if v.Kind != KindNumber {
 		*v = N(0)
 	}
 	v.Num += u.Delta
+	return item
 }
 func (u Add) payloadSize() int { return 8 }
 
@@ -197,12 +207,13 @@ type ListAppend struct {
 }
 
 // Apply implements Update.
-func (u ListAppend) Apply(item *Item) {
+func (u ListAppend) Apply(item Item) Item {
 	v := item.slot(u.Name)
 	if v.Kind != KindNumList {
 		*v = NumList()
 	}
 	v.NL = append(append([]int64(nil), v.NL...), u.Vals...)
+	return item
 }
 func (u ListAppend) payloadSize() int { return 8 * len(u.Vals) }
 
@@ -214,10 +225,10 @@ type ListRemove struct {
 }
 
 // Apply implements Update.
-func (u ListRemove) Apply(item *Item) {
+func (u ListRemove) Apply(item Item) Item {
 	v := item.ptr(u.Name)
 	if v == nil || v.Kind != KindNumList {
-		return
+		return item
 	}
 	kept := v.NL[:0:0]
 	for _, x := range v.NL {
@@ -226,6 +237,7 @@ func (u ListRemove) Apply(item *Item) {
 		}
 	}
 	v.NL = kept
+	return item
 }
 func (u ListRemove) payloadSize() int { return 8 * len(u.Vals) }
 
@@ -233,12 +245,13 @@ func (u ListRemove) payloadSize() int { return 8 * len(u.Vals) }
 type ListPopHead struct{ Name string }
 
 // Apply implements Update.
-func (u ListPopHead) Apply(item *Item) {
+func (u ListPopHead) Apply(item Item) Item {
 	v := item.ptr(u.Name)
 	if v == nil || v.Kind != KindNumList || len(v.NL) == 0 {
-		return
+		return item
 	}
 	v.NL = append([]int64(nil), v.NL[1:]...)
+	return item
 }
 func (u ListPopHead) payloadSize() int { return 0 }
 
@@ -249,12 +262,13 @@ type StrListAppend struct {
 }
 
 // Apply implements Update.
-func (u StrListAppend) Apply(item *Item) {
+func (u StrListAppend) Apply(item Item) Item {
 	v := item.slot(u.Name)
 	if v.Kind != KindStrList {
 		*v = StrList()
 	}
 	v.SL = append(append([]string(nil), v.SL...), u.Vals...)
+	return item
 }
 func (u StrListAppend) payloadSize() int {
 	n := 0
@@ -272,10 +286,10 @@ type StrListRemove struct {
 }
 
 // Apply implements Update.
-func (u StrListRemove) Apply(item *Item) {
+func (u StrListRemove) Apply(item Item) Item {
 	v := item.ptr(u.Name)
 	if v == nil || v.Kind != KindStrList {
-		return
+		return item
 	}
 	kept := v.SL[:0:0]
 	for _, s := range v.SL {
@@ -284,5 +298,6 @@ func (u StrListRemove) Apply(item *Item) {
 		}
 	}
 	v.SL = kept
+	return item
 }
 func (u StrListRemove) payloadSize() int { return 0 }

@@ -21,12 +21,14 @@ var (
 // the environment's meter before touching state, so concurrent conditional
 // updates contend exactly as they would against a real region.
 type Table struct {
-	env     *cloud.Env
-	name    string
-	costCat string
-	items   map[string]*row
-	keys    []string // sorted key index for deterministic scans
-	dirty   bool
+	env  *cloud.Env
+	name string
+	// readCat and writeCat are the meter categories "<cost category>.read"
+	// and ".write", built once instead of on every charge.
+	readCat, writeCat string
+	items             map[string]*row
+	keys              []string // sorted key index for deterministic scans
+	dirty             bool
 
 	stream *Stream
 	seqNo  int64
@@ -59,7 +61,9 @@ type StreamRecord struct {
 
 // NewTable creates an empty table in env.
 func NewTable(env *cloud.Env, name string) *Table {
-	return &Table{env: env, name: name, costCat: "kv", items: map[string]*row{}}
+	t := &Table{env: env, name: name, items: map[string]*row{}}
+	t.SetCostCategory("kv")
+	return t
 }
 
 // Name returns the table name.
@@ -67,7 +71,9 @@ func (t *Table) Name() string { return t.name }
 
 // SetCostCategory changes the meter category prefix (default "kv"), so
 // deployments can separate system-store from user-store spending.
-func (t *Table) SetCostCategory(cat string) { t.costCat = cat }
+func (t *Table) SetCostCategory(cat string) {
+	t.readCat, t.writeCat = cat+".read", cat+".write"
+}
 
 // SetWriteCapacity enables the write-throughput model: writes are admitted
 // at up to opsPerSec, and conditional updates consume condCost capacity
@@ -160,17 +166,17 @@ func (t *Table) Get(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 // GetView reads the item without a defensive deep copy. With
 // consistent=false the read is eventually consistent: a read racing a
 // recent write may return the previous version (and is billed at half
-// price on AWS). The returned item is a READ-ONLY view of table storage,
-// valid until the caller's next yield point at the latest (a concurrent
-// writer may commit a replacement; the view itself is never mutated in
-// place — commits swap whole items). Callers must not modify the item or
-// any slice it holds, and must copy whatever they retain or mutate. Hot
-// read paths use it to skip cloning entire items — the paper's znode items
-// carry the full node blob, so the clone dominated read-side allocation.
+// price on AWS). The returned item is a READ-ONLY view of table storage: a
+// snapshot of the version read, which a concurrent writer replaces but
+// never mutates (commits swap whole items). Callers must not modify the
+// item or any slice it holds, and must copy whatever they retain to
+// mutate. Hot read paths use it to skip cloning entire items — the paper's
+// znode items carry the full node blob, so the clone dominated read-side
+// allocation.
 func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 	size := t.sizeOf(key)
 	t.env.K.Sleep(t.readLatency(ctx, size))
-	t.env.Charge(ctx, t.costCat+".read", t.profile().Pricing.KVReadCost(max(size, 1), consistent), 1)
+	t.env.Charge(ctx, t.readCat, t.profile().Pricing.KVReadCost(max(size, 1), consistent), 1)
 	it := t.view(key, consistent) // state may have changed while we slept
 	return it, it != nil
 }
@@ -191,9 +197,9 @@ func (t *Table) GetViews(ctx cloud.Ctx, keys []string, consistent bool, out []It
 		lat = max(lat, t.readLatency(ctx, size))
 	}
 	t.env.K.Sleep(lat)
-	cat, p := t.costCat+".read", t.profile()
+	p := t.profile()
 	for i, key := range keys {
-		t.env.Charge(ctx, cat, p.Pricing.KVReadCost(max(sizes[i], 1), consistent), 1)
+		t.env.Charge(ctx, t.readCat, p.Pricing.KVReadCost(max(sizes[i], 1), consistent), 1)
 		out[i] = t.view(key, consistent)
 	}
 }
@@ -236,7 +242,7 @@ func (t *Table) Put(ctx cloud.Ctx, key string, item Item, cond Cond) error {
 		return fmt.Errorf("%w: %d > %d", ErrItemTooLarge, size, t.profile().KVMaxItemB)
 	}
 	t.env.K.Sleep(t.writeLatency(ctx, size, 0, cond != nil))
-	t.env.Charge(ctx, t.costCat+".write", t.profile().Pricing.KVWriteCost(size), 1)
+	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(size), 1)
 	old, exists := t.lookup(key)
 	if cond != nil && !cond.Eval(old, exists) {
 		return ErrConditionFailed
@@ -246,7 +252,10 @@ func (t *Table) Put(ctx cloud.Ctx, key string, item Item, cond Cond) error {
 }
 
 // Update applies the update actions atomically if cond holds, creating the
-// item when absent (upsert semantics). It returns the new item state.
+// item when absent (upsert semantics). It returns the committed item under
+// GetView's contract: a read-only view of table storage. Stored items are
+// never mutated in place, so the view is a snapshot of the item as this
+// update committed it, whatever commits later.
 func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (Item, error) {
 	old, exists := t.lookup(key)
 	size := 0
@@ -258,21 +267,21 @@ func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (
 		appendSize += u.payloadSize()
 	}
 	t.env.K.Sleep(t.writeLatency(ctx, max(size, appendSize), appendSize, cond != nil))
-	t.env.Charge(ctx, t.costCat+".write", t.profile().Pricing.KVWriteCost(max(size, appendSize)), 1)
+	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(max(size, appendSize)), 1)
 
 	old, exists = t.lookup(key) // re-evaluate after the latency
 	if cond != nil && !cond.Eval(old, exists) {
 		return nil, ErrConditionFailed
 	}
-	next := old.clone(len(updates))
+	next := old.next(len(updates))
 	for _, u := range updates {
-		u.Apply(&next)
+		next = u.Apply(next)
 	}
 	if next.Size() > t.profile().KVMaxItemB {
 		return nil, fmt.Errorf("%w: %d > %d", ErrItemTooLarge, next.Size(), t.profile().KVMaxItemB)
 	}
 	t.commit(key, next)
-	return next.Clone(), nil
+	return next, nil
 }
 
 // Delete removes the item if cond holds. Deleting a missing item succeeds,
@@ -284,7 +293,7 @@ func (t *Table) Delete(ctx cloud.Ctx, key string, cond Cond) error {
 		size = old.Size()
 	}
 	t.env.K.Sleep(t.writeLatency(ctx, size, 0, cond != nil))
-	t.env.Charge(ctx, t.costCat+".write", t.profile().Pricing.KVWriteCost(max(size, 1)), 1)
+	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(max(size, 1)), 1)
 	old, exists = t.lookup(key)
 	if cond != nil && !cond.Eval(old, exists) {
 		return ErrConditionFailed
@@ -324,7 +333,7 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 		lat += p.Sample(t.env.K.Rand())
 	}
 	t.env.K.Sleep(lat)
-	t.env.Charge(ctx, t.costCat+".write", t.profile().Pricing.KVWriteCost(max(size, 1))*float64(len(ops)), int64(len(ops)))
+	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(max(size, 1))*float64(len(ops)), int64(len(ops)))
 
 	// Check all conditions against the post-latency state.
 	for _, op := range ops {
@@ -343,9 +352,9 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 			continue
 		}
 		old, _ := t.lookup(op.Key)
-		next := old.clone(len(op.Updates))
+		next := old.next(len(op.Updates))
 		for _, u := range op.Updates {
-			u.Apply(&next)
+			next = u.Apply(next)
 		}
 		t.commit(op.Key, next)
 	}
@@ -366,7 +375,7 @@ func (t *Table) Scan(ctx cloud.Ctx) []KeyItem {
 		total += r.cur.Size()
 	}
 	t.env.K.Sleep(t.readLatency(ctx, total))
-	t.env.Charge(ctx, t.costCat+".read", t.profile().Pricing.KVReadCost(max(total, 1), true), 1)
+	t.env.Charge(ctx, t.readCat, t.profile().Pricing.KVReadCost(max(total, 1), true), 1)
 	out := make([]KeyItem, 0, len(t.items))
 	for _, k := range t.sortedKeys() {
 		out = append(out, KeyItem{Key: k, Item: t.items[k].cur.Clone()})

@@ -481,43 +481,81 @@ func TestCondStringsAndCombinators(t *testing.T) {
 	}
 }
 
-// TestUpdateReturnsCopy: the item Update hands back shares nothing with
-// table storage — neither the attribute list nor any list value.
-func TestUpdateReturnsCopy(t *testing.T) {
+// TestUpdateViewIsASnapshot: Update returns the committed item as a
+// read-only view of table storage, and a view is a snapshot. Later commits
+// through every kind of update action, a transaction and a Put leave it as
+// it was; the table shares it with storage rather than copying it; and the
+// stored item never aliases the caller's own argument slices.
+func TestUpdateViewIsASnapshot(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
-		it, err := tbl.Update(ctx, "a", []Update{
+		vals := []int64{1, 2}
+		view, err := tbl.Update(ctx, "a", []Update{
 			Set{"b", B([]byte{1, 2})},
-			ListAppend{"nl", []int64{1, 2}},
+			ListAppend{"nl", vals},
 			StrListAppend{"sl", []string{"x", "y"}},
+			Add{"n", 5},
 		}, nil)
 		if err != nil {
 			t.Errorf("update: %v", err)
 			return
 		}
-
-		b, nl, sl := it.ptr("b"), it.ptr("nl"), it.ptr("sl")
-		b.Byt[0], nl.NL[0], sl.SL[0] = 99, 99, "zz"
-		b.Byt = append(b.Byt[:1], 7)
-		nl.NL = append(nl.NL[:1], 7)
-		sl.SL = append(sl.SL[:1], "q")
-		it.Set("b", N(0))
-		it.Set("new", N(1))
-		it.Remove("nl")
-
-		got, _ := tbl.Peek("a")
-		want := Item{{Name: "b", V: B([]byte{1, 2})}, {Name: "nl", V: NumList(1, 2)}, {Name: "sl", V: StrList("x", "y")}}
-		if len(got) != len(want) {
-			t.Errorf("stored item is %v, want %v", got, want)
+		vals[0] = 99 // the caller reuses its argument
+		want := view.Clone()
+		if got, _ := tbl.GetView(ctx, "a", true); &got[0] != &view[0] {
+			t.Error("Update returned a copy, not the stored item")
 		}
-		for _, a := range want {
-			if !got.Get(a.Name).Equal(a.V) {
-				t.Errorf("stored %s changed through Update's result: %v, want %v", a.Name, got.Get(a.Name), a.V)
+
+		later := [][]Update{
+			{Set{"b", B([]byte{7})}, Add{"n", 1}},
+			{ListAppend{"nl", []int64{3}}, StrListAppend{"sl", []string{"z"}}},
+			{ListRemove{"nl", []int64{1}}, StrListRemove{"sl", []string{"x"}}},
+			{ListPopHead{"nl"}, Remove{"b"}, Set{"new", N(1)}},
+		}
+		for i, ups := range later {
+			if _, err := tbl.Update(ctx, "a", ups, nil); err != nil {
+				t.Errorf("later update %d: %v", i, err)
 			}
+			if view.String() != want.String() {
+				t.Fatalf("after later update %d the earlier view reads %v, want %v", i, view, want)
+			}
+		}
+		if err := tbl.Transact(ctx, []TxOp{{Key: "a", Updates: []Update{ListAppend{"nl", []int64{4}}}}}); err != nil {
+			t.Errorf("transact: %v", err)
+		}
+		if err := tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{9, 9})}}, nil); err != nil {
+			t.Errorf("put: %v", err)
+		}
+		if view.String() != want.String() || view.Get("b").Byt[0] != 1 || view.Get("nl").NL[0] != 1 {
+			t.Fatalf("after a transaction and a put the earlier view reads %v, want %v", view, want)
 		}
 	})
 	k.Run()
+}
+
+// TestUpdateAllocations: a conditional Update of an existing item costs
+// one allocation — the new attribute list — beyond what building its
+// arguments costs. The stored slices are shared with the new version
+// rather than copied, the committed item is returned without a second
+// copy, and the meter category is not rebuilt per charge.
+func TestUpdateAllocations(t *testing.T) {
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	tbl.SeedPut("n", Item{
+		{Name: "exists", V: N(1)}, {Name: "version", V: N(2)}, {Name: "mzxid", V: N(5)},
+		{Name: "children", V: StrList("a", "b", "c")}, {Name: "pending", V: NumList(8)},
+	})
+	ups := []Update{Set{"lock", N(1)}}
+	var cond Cond = AttrExists{"exists"}
+	got := sim.AllocsPerRun(k, 200, func() {
+		if _, err := tbl.Update(ctx, "n", ups, cond); err != nil {
+			t.Fatalf("update: %v", err)
+		}
+	})
+	if got != 1 {
+		t.Fatalf("Update of an existing item: %v allocations, want exactly 1", got)
+	}
 }
 
 // TestItemNamesStayUnique: Set, Remove and the table's write paths never
@@ -558,9 +596,9 @@ func TestItemNamesStayUnique(t *testing.T) {
 	}
 }
 
-// TestItemCloneAllocations pins the cost of the copy every Get, Update and
-// stream record makes: one allocation for the attribute list plus one per
-// non-empty list value. A map-backed item costs more than ten here.
+// TestItemCloneAllocations pins the cost of the copy every Get, Peek, Scan
+// and stream record makes: one allocation for the attribute list plus one
+// per non-empty list value. A map-backed item costs more than ten here.
 func TestItemCloneAllocations(t *testing.T) {
 	it := Item{
 		{Name: "exists", V: N(1)}, {Name: "version", V: N(2)}, {Name: "cversion", V: N(3)},

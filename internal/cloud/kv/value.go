@@ -4,10 +4,20 @@
 // counters and list operations, multi-item transactions, change streams,
 // per-operation billing, and latencies calibrated to the paper's Table 6a.
 //
-// An Item is a short slice of named attributes. The table never shares a
-// stored item with a caller: Put and SeedPut store a deep copy, a commit
-// swaps in a whole new item, and Get, Update, Peek, Scan and stream records
-// return deep copies. GetView is the one read-only view of table storage.
+// An Item is a short slice of named attributes. A stored item is never
+// mutated in place: Put and SeedPut store a deep copy of the caller's item,
+// and a commit swaps in a whole new attribute list — a copy of the old one
+// with the update actions applied, where an action that changes a list or
+// a byte value builds a new slice instead of writing into the stored one.
+// The old and the new version may therefore share the slices nobody
+// changed, and a reader may hold a stored item without copying it:
+//
+//   - Get, Peek, Scan and stream records return deep copies the caller
+//     owns and may modify.
+//   - GetView, GetViews and Update return read-only views of table
+//     storage. A view is a snapshot — later commits never change it — but
+//     the caller must not modify the item or any slice it holds, and must
+//     copy whatever part of it it retains to modify.
 package kv
 
 import (
@@ -226,15 +236,21 @@ func (it Item) Size() int {
 }
 
 // Clone deep-copies the item. The copy is never nil.
-func (it Item) Clone() Item { return it.clone(0) }
-
-// clone is Clone with room for extra more attributes.
-func (it Item) clone(extra int) Item {
-	out := make(Item, len(it), len(it)+extra)
-	copy(out, it)
+func (it Item) Clone() Item {
+	out := it.next(0)
 	for i := range out {
 		out[i].V.unshare()
 	}
+	return out
+}
+
+// next is the attribute list a commit builds from the stored item it: a
+// shallow copy with room for extra more attributes. It shares every slice
+// value with it, which the update actions never write into (see the
+// package comment).
+func (it Item) next(extra int) Item {
+	out := make(Item, len(it), len(it)+extra)
+	copy(out, it)
 	return out
 }
 

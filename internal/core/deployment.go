@@ -274,6 +274,18 @@ type Deployment struct {
 	// WriteShards.
 	route *shardmap.Map
 
+	// epochKeys memoizes the epoch counters' item keys per region, one per
+	// shard (epochKey).
+	epochKeys map[cloud.Region][]string
+	// leaderEpochs holds each shard's epoch-counter mirror (leaderRun.open
+	// rebuilds it at the start of every invocation). A shard has one
+	// serialized leader instance, so its invocations never overlap and one
+	// map serves them all.
+	leaderEpochs []map[cloud.Region][]int64
+	// spareLegs recycles the regional legs of finished flushes
+	// (distributeFold).
+	spareLegs []*flushLegs
+
 	// txnWatchBatches / txnWatchDeliveries count the cross-shard
 	// transaction watch pipeline: deliveries are individual watch-function
 	// invocations, batches the per-shard post-apply groups that carried
@@ -310,13 +322,14 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	cfg.defaults()
 	env := cloud.NewEnv(k, cfg.Profile)
 	d := &Deployment{
-		K:        k,
-		Env:      env,
-		Platform: faas.NewPlatform(env),
-		Cfg:      cfg,
-		System:   kv.NewTable(env, "system"),
-		sessions: map[string]*SessionTransport{},
-		lastSeq:  map[string]int64{},
+		K:         k,
+		Env:       env,
+		Platform:  faas.NewPlatform(env),
+		Cfg:       cfg,
+		System:    kv.NewTable(env, "system"),
+		sessions:  map[string]*SessionTransport{},
+		lastSeq:   map[string]int64{},
+		epochKeys: map[cloud.Region][]string{},
 	}
 	d.Obs = obs.NewHub(k, cfg.Telemetry, cfg.CostAccounting)
 	if cfg.CostBudgetUSDPerHour > 0 {
@@ -355,7 +368,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 					// from this region's shard epoch list so the read gate
 					// stops holding for it.
 					_, _ = d.System.Update(d.BillSystemCtx(cloud.ClientCtx(region)),
-						epochKey(region, shard),
+						d.epochKey(region, shard),
 						[]kv.Update{kv.ListRemove{Name: attrEpochList, Vals: []int64{wid}}}, nil)
 				},
 				sim.Time(cfg.FanoutDebounce))
@@ -370,6 +383,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	for s := 0; s < cfg.WriteShards; s++ {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
+		d.leaderEpochs = append(d.leaderEpochs, make(map[cloud.Region][]int64, len(d.Stores)))
 	}
 	d.route = shardmap.New(cfg.WriteShards)
 
@@ -622,7 +636,7 @@ func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) ([]int64, error) 
 // epochShard reads one shard's epoch counter for a region (a missing item
 // means no in-flight watches).
 func (d *Deployment) epochShard(ctx cloud.Ctx, region cloud.Region, shard int) []int64 {
-	it, ok := d.System.GetView(ctx, epochKey(region, shard), true)
+	it, ok := d.System.GetView(ctx, d.epochKey(region, shard), true)
 	if !ok {
 		return nil
 	}

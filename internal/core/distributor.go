@@ -137,6 +137,7 @@ type parentFold struct {
 	cversion int32           // max over the folded operations
 	pzxid    int64           // max txid over the folded operations
 	consumed bool            // merged into a node write or the shared root
+	shared   bool            // a shared path's: spliced under the root lock after the legs
 }
 
 // batchFold accumulates the net effect of one chunk on the user stores.
@@ -646,14 +647,12 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 	// in this batch drops its splices (its child list is moot). A shared
 	// parent — the root of a sharded deployment — is peeled off instead:
 	// its RMW must run under the cross-shard lock.
-	sharedPFs := map[string]*parentFold{}
 	var sharedOrder []string
 	for _, p := range fold.parentOrder {
 		pf := fold.parents[p]
 		if d.route.Shared(p) {
-			sharedPFs[p] = pf
 			sharedOrder = append(sharedOrder, p)
-			pf.consumed = true
+			pf.consumed, pf.shared = true, true
 			continue
 		}
 		nf, ok := fold.nodes[p]
@@ -694,73 +693,21 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 		d.refreshSharedFromSystem(ctx, p, nf.node)
 	}
 
-	wg := sim.NewWaitGroup(d.K)
+	legs := d.takeLegs()
 	for si, s := range d.Stores {
+		l := &legs.legs[si]
+		l.store, l.ctx, l.fold, l.own, l.atomicApply = s, ctx, fold, own, atomicApply
 		// The stamp is this flush's own: read before the legs start, so a
 		// watch claim prefetched under them cannot reach it (Z4).
-		stamp := epochs[s.Region()]
-		wg.Add(1)
-		d.K.Go(d.flushProcs[si], func() {
-			defer wg.Done()
-			region := string(s.Region())
-			// One coalesced record per touched path, published before any
-			// of the fold's writes become readable in this region: once a
-			// new value is readable, the regional cache has already
-			// dropped the old entry and raised the path's floor, so a
-			// concurrent read of the pre-write value can never re-fill the
-			// cache above the overwrite (package cache). A read in the
-			// window between the two sees exactly what the direct path
-			// would: the store's current value.
-			if rc := d.CacheFor(s.Region()); rc != nil {
-				tsp := d.legSpan(own, obs.SpanCacheInval, region)
-				sp := invSlicePool.Get().(*[]cache.Invalidation)
-				invs := fold.appendInvalidations((*sp)[:0], sharedPFs, stamp)
-				rc.InvalidateBatch(d.legCtx(ctx, own, tsp, region), invs)
-				*sp = invs[:0]
-				invSlicePool.Put(sp)
-				d.spanEnd(tsp)
-			}
-			tsp := d.legSpan(own, obs.SpanStoreWrite, region)
-			wctx := d.legCtx(ctx, own, tsp, region)
-			if aa, atomic := s.(AtomicApplier); atomicApply && atomic {
-				writes := make([]BatchWrite, 0, len(fold.order))
-				for _, p := range fold.order {
-					nf := fold.nodes[p]
-					if nf.del {
-						writes = append(writes, BatchWrite{Path: p})
-					} else {
-						writes = append(writes, BatchWrite{Path: p, Node: nf.node, Epoch: stamp})
-					}
-				}
-				_ = aa.ApplyBatch(wctx, writes)
-			} else {
-				for _, p := range fold.order {
-					nf := fold.nodes[p]
-					if nf.del {
-						_ = s.Delete(wctx, p)
-					} else {
-						_ = s.Write(wctx, nf.node, stamp)
-					}
-				}
-			}
-			d.spanEnd(tsp)
-			// Creates and deletes also change the parent's child list,
-			// which lives in the parent's node object: a read-modify-write
-			// cycle, because object stores lack partial updates
-			// (Section 3.2, Requirement #6).
-			for _, p := range fold.parentOrder {
-				pf := fold.parents[p]
-				if pf.consumed {
-					continue
-				}
-				d.applyParentFold(d.legCtx(ctx, own, 0, region), s, p, pf, stamp)
-			}
-		})
+		l.stamp = epochs[s.Region()]
+		legs.wg.Add(1)
+		d.K.Go(d.flushProcs[si], l.run)
 	}
 	if lane != nil && !lockRoot {
 		lane.underFlush(fold)
 	}
-	wg.Wait()
+	legs.wg.Wait()
+	d.putLegs(legs)
 
 	// The root's coalesced splices run after the regional writes, still
 	// under the root lock taken above. The per-region stamps
@@ -768,7 +715,7 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 	// child-watch notification fired by any shard still holds reads of the
 	// parent (Z4).
 	for _, p := range sharedOrder {
-		p, pf := p, sharedPFs[p]
+		p, pf := p, fold.parents[p]
 		rwg := sim.NewWaitGroup(d.K)
 		for _, s := range d.Stores {
 			s := s
@@ -779,6 +726,115 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 			})
 		}
 		rwg.Wait()
+	}
+}
+
+// flushLegs is one flush's regional legs, one per user store (aligned with
+// Deployment.Stores), and the wait group the flush joins them on. Sets are
+// recycled through Deployment.spareLegs with each leg's process body bound
+// once, so a steady-state flush spawns its legs without allocating.
+type flushLegs struct {
+	wg   *sim.WaitGroup
+	legs []flushLeg
+}
+
+// flushLeg is one region's share of a flush (➌), run as its own process.
+type flushLeg struct {
+	d   *Deployment
+	wg  *sim.WaitGroup
+	run func() // write, bound once
+
+	// The flush it serves: set by distributeFold, cleared by putLegs.
+	store       UserStore
+	ctx         cloud.Ctx
+	fold        *batchFold
+	stamp       []int64
+	own         *leaderMsg
+	atomicApply bool
+}
+
+// takeLegs returns a spare set of flush legs, or a new one.
+func (d *Deployment) takeLegs() *flushLegs {
+	if n := len(d.spareLegs); n > 0 {
+		legs := d.spareLegs[n-1]
+		d.spareLegs = d.spareLegs[:n-1]
+		return legs
+	}
+	legs := &flushLegs{wg: sim.NewWaitGroup(d.K), legs: make([]flushLeg, len(d.Stores))}
+	for i := range legs.legs {
+		l := &legs.legs[i]
+		l.d, l.wg = d, legs.wg
+		l.run = l.write
+	}
+	return legs
+}
+
+// putLegs returns a joined set of legs to the spare list, dropping what
+// they held of the flush.
+func (d *Deployment) putLegs(legs *flushLegs) {
+	for i := range legs.legs {
+		l := &legs.legs[i]
+		l.store, l.ctx, l.fold, l.stamp, l.own = nil, cloud.Ctx{}, nil, nil, nil
+	}
+	d.spareLegs = append(d.spareLegs, legs)
+}
+
+// write is one regional leg: invalidate the region's cache, write the
+// fold's nodes to its store, then apply the parent splices no node write
+// absorbed.
+func (l *flushLeg) write() {
+	d, s, fold, ctx, own, stamp := l.d, l.store, l.fold, l.ctx, l.own, l.stamp
+	defer l.wg.Done()
+	region := string(s.Region())
+	// One coalesced record per touched path, published before any of the
+	// fold's writes become readable in this region: once a new value is
+	// readable, the regional cache has already dropped the old entry and
+	// raised the path's floor, so a concurrent read of the pre-write value
+	// can never re-fill the cache above the overwrite (package cache). A
+	// read in the window between the two sees exactly what the direct path
+	// would: the store's current value.
+	if rc := d.CacheFor(s.Region()); rc != nil {
+		tsp := d.legSpan(own, obs.SpanCacheInval, region)
+		sp := invSlicePool.Get().(*[]cache.Invalidation)
+		invs := fold.appendInvalidations((*sp)[:0], stamp)
+		rc.InvalidateBatch(d.legCtx(ctx, own, tsp, region), invs)
+		*sp = invs[:0]
+		invSlicePool.Put(sp)
+		d.spanEnd(tsp)
+	}
+	tsp := d.legSpan(own, obs.SpanStoreWrite, region)
+	wctx := d.legCtx(ctx, own, tsp, region)
+	if aa, atomic := s.(AtomicApplier); l.atomicApply && atomic {
+		writes := make([]BatchWrite, 0, len(fold.order))
+		for _, p := range fold.order {
+			nf := fold.nodes[p]
+			if nf.del {
+				writes = append(writes, BatchWrite{Path: p})
+			} else {
+				writes = append(writes, BatchWrite{Path: p, Node: nf.node, Epoch: stamp})
+			}
+		}
+		_ = aa.ApplyBatch(wctx, writes)
+	} else {
+		for _, p := range fold.order {
+			nf := fold.nodes[p]
+			if nf.del {
+				_ = s.Delete(wctx, p)
+			} else {
+				_ = s.Write(wctx, nf.node, stamp)
+			}
+		}
+	}
+	d.spanEnd(tsp)
+	// Creates and deletes also change the parent's child list, which lives
+	// in the parent's node object: a read-modify-write cycle, because
+	// object stores lack partial updates (Section 3.2, Requirement #6).
+	for _, p := range fold.parentOrder {
+		pf := fold.parents[p]
+		if pf.consumed {
+			continue
+		}
+		d.applyParentFold(d.legCtx(ctx, own, 0, region), s, p, pf, stamp)
 	}
 }
 
@@ -805,13 +861,13 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 // touched path once, at its newest folded txid. Shared parents' splices
 // (flushed after the regional writes) are included so their floors are
 // raised before their RMWs land too.
-func (f *batchFold) appendInvalidations(invs []cache.Invalidation, shared map[string]*parentFold, stamp []int64) []cache.Invalidation {
+func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64) []cache.Invalidation {
 	for _, p := range f.order {
 		invs = append(invs, cache.Invalidation{Path: p, Mzxid: f.nodes[p].txid, Epoch: stamp})
 	}
 	for _, p := range f.parentOrder {
 		pf := f.parents[p]
-		if _, isShared := shared[p]; pf.consumed && !isShared {
+		if pf.consumed && !pf.shared {
 			continue // folded into the node write above
 		}
 		invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp})

@@ -103,7 +103,7 @@ func TestBatchFoldInvalidations(t *testing.T) {
 	}
 
 	stamp := []int64{11}
-	invs := f.appendInvalidations(nil, nil, stamp)
+	invs := f.appendInvalidations(nil, stamp)
 	got := map[string]int64{}
 	for _, inv := range invs {
 		if _, dup := got[inv.Path]; dup {

@@ -75,7 +75,7 @@ func (d *Deployment) fanoutPublish(ctx cloud.Ctx, msg leaderMsg, txid int64, epo
 			defer wg.Done()
 			r := n.Region()
 			for _, wid := range n.Publish(pctx, ch) {
-				if _, err := d.System.Update(pctx, epochKey(r, msg.Shard),
+				if _, err := d.System.Update(pctx, d.epochKey(r, msg.Shard),
 					[]kv.Update{kv.ListAppend{Name: attrEpochList, Vals: []int64{wid}}}, nil); err == nil {
 					epochs[r] = append(epochs[r], wid)
 				}

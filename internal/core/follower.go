@@ -230,14 +230,19 @@ func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, cr
 // transaction in which the node and its parent fail or succeed together
 // (Section 3.1) otherwise.
 func (d *Deployment) commitLocked(ctx cloud.Ctx, held []fksync.Lock, msg leaderMsg, txid int64) error {
-	node, parent := commitUpdates(msg, txid)
-	node = append(node, pendingAppend(txid))
 	if len(held) == 1 {
-		_, err := d.Locks.CommitUnlock(ctx, held[0], node)
+		// A set_data: its two actions and the pending append fit a stack
+		// buffer, which the transaction below would make escape.
+		var buf [3]kv.Update
+		node, _ := commitUpdates(buf[:0], nil, msg, txid)
+		_, err := d.Locks.CommitUnlock(ctx, held[0], append(node, pendingAppend(txid)))
 		return err
 	}
+	// Room for a create's node actions, an ephemeral owner's among them,
+	// and the pending append.
+	node, parent := commitUpdates(make([]kv.Update, 0, 9), nil, msg, txid)
 	return d.Locks.CommitUnlockTx(ctx, []fksync.TxPart{
-		{Lock: held[0], Updates: node},
+		{Lock: held[0], Updates: append(node, pendingAppend(txid))},
 		{Lock: held[1], Updates: parent},
 	})
 }

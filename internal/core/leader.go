@@ -102,7 +102,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		return errInjectedCrash
 	}
 	p := leaderRun{d: d, ctx: ctx}
-	p.open(msgs, acksOnly)
+	p.open(msgs, shard, acksOnly)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
 	// returns, and its id leaves the epoch counter (➏).
@@ -111,7 +111,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		d.spanEnd(c.span)
 		for _, s := range d.Stores {
 			r := s.Region()
-			_, err := d.System.Update(ctx, epochKey(r, shard),
+			_, err := d.System.Update(ctx, d.epochKey(r, shard),
 				[]kv.Update{kv.ListRemove{Name: attrEpochList, Vals: []int64{c.wid}}}, nil)
 			if err != nil {
 				return err
@@ -144,9 +144,10 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // the orphan pop and the commit replay read the store again — so a
 // redelivered batch replays step for step. The message enters its commit
 // stage first: the read is the start of its leader.get and leader.total.
-func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
+func (p *leaderRun) open(msgs []decodedMsg, shard int, acksOnly bool) {
 	d := p.d
-	p.epochs = make(map[cloud.Region][]int64, len(d.Stores))
+	p.epochs = d.leaderEpochs[shard]
+	clear(p.epochs)
 	n := d.NumShards()
 	if acksOnly && n > 1 {
 		return
@@ -156,7 +157,7 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	keys := keyBuf[:0]
 	for _, s := range d.Stores {
 		for sh := 0; sh < n; sh++ {
-			keys = append(keys, epochKey(s.Region(), sh))
+			keys = append(keys, d.epochKey(s.Region(), sh))
 		}
 	}
 	head := &msgs[0]
@@ -210,7 +211,7 @@ func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epo
 func (d *Deployment) popPending(ctx cloud.Ctx, key string, txid int64, gc bool) {
 	t0 := d.K.Now()
 	it, err := d.System.Update(ctx, key,
-		[]kv.Update{kv.ListPopHead{Name: attrPending}},
+		[]kv.Update{popPendingHead},
 		kv.NumListHeadEq{Name: attrPending, V: txid})
 	if err == nil && gc {
 		after := decodeSysNode(it)
@@ -294,7 +295,7 @@ func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, key string, txid 
 			if head < txid {
 				// Orphan from an abandoned transaction: pop and retry.
 				_, _ = d.System.Update(ctx, key,
-					[]kv.Update{kv.ListPopHead{Name: attrPending}},
+					[]kv.Update{popPendingHead},
 					kv.NumListHeadEq{Name: attrPending, V: head})
 				continue
 			}
@@ -376,7 +377,7 @@ func (d *Deployment) appendEpochs(ctx cloud.Ctx, fired []firedWatch, shard int, 
 	for _, f := range fired {
 		for _, s := range d.Stores {
 			r := s.Region()
-			_, err := d.System.Update(ctx, epochKey(r, shard),
+			_, err := d.System.Update(ctx, d.epochKey(r, shard),
 				[]kv.Update{kv.ListAppend{Name: attrEpochList, Vals: []int64{f.wid}}}, nil)
 			if err != nil {
 				continue

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"faaskeeper/internal/cloud"
@@ -595,4 +596,55 @@ func TestAlternatingPathsPrefetch(t *testing.T) {
 		t.Errorf("%d messages in %d invocations, %d commits prefetched: want every message behind its invocation's head, and at least %d",
 			msgs, inv, got, sets)
 	}
+}
+
+// TestPaperWriteAllocations pins the host cost of one write on the paper
+// preset, driven through the rig's minimal session without telemetry: the
+// request, the follower's lock, validation, push and commit, the leader's
+// opening read, commit check, flush, notify and pop, and the response.
+// bench's paper_write workload adds only its own per-write payload and
+// bookkeeping to this count (README, "Wire codec & allocation model").
+func TestPaperWriteAllocations(t *testing.T) {
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops what it is handed (the race detector does this to a quarter of all puts): the write path's pooled scratch reallocates at random and no count is exact")
+	}
+	k, d := newTestDeployment(1, Config{})
+	r := &pipeRig{t: t, k: k, d: d}
+	var s *pipeSession
+	k.Go("setup", func() {
+		s = r.open("w")
+		s.do(OpCreate, "/n", "0")
+		for i := 0; i < 20; i++ { // the sandboxes are warm, the buffers grown
+			s.do(OpSetData, "/n", "x")
+		}
+	})
+	k.Run()
+	got := sim.AllocsPerRun(k, 500, func() {
+		if resp := s.do(OpSetData, "/n", "x"); resp.Code != CodeOK {
+			t.Fatalf("set_data: %s", resp.Code)
+		}
+	})
+	k.Shutdown()
+	if got != paperWriteAllocs {
+		t.Fatalf("one paper-preset write: %v allocations, want %d", got, paperWriteAllocs)
+	}
+}
+
+// paperWriteAllocs is TestPaperWriteAllocations' pinned count. Re-pin it
+// only with a reason: it moves one for one with bench's paper_write
+// allocs_per_op.
+const paperWriteAllocs = 35
+
+// poolDropsPuts reports whether a sync.Pool fails to hand back what was
+// just put in it.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	x := new(int)
+	for i := 0; i < 100; i++ {
+		p.Put(x)
+		if p.Get() != x {
+			return true
+		}
+	}
+	return false
 }

@@ -77,9 +77,18 @@ func watchSetKey(id string) string { return watchSetKeyPrefix + id }
 
 // epochKey names the per-region, per-shard watch epoch counter. Each
 // leader shard keeps its own in-flight watch list, so shards never contend
-// on epoch bookkeeping.
-func epochKey(r cloud.Region, shard int) string {
-	return epochKeyPrefix + string(r) + "/" + strconv.Itoa(shard)
+// on epoch bookkeeping. A region's names are built on first use and kept:
+// every leader invocation reads them.
+func (d *Deployment) epochKey(r cloud.Region, shard int) string {
+	keys := d.epochKeys[r]
+	if keys == nil {
+		keys = make([]string, d.NumShards())
+		for s := range keys {
+			keys[s] = epochKeyPrefix + string(r) + "/" + strconv.Itoa(s)
+		}
+		d.epochKeys[r] = keys
+	}
+	return keys[shard]
 }
 
 // sysNode is the decoded view of a per-node system item.

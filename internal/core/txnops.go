@@ -264,7 +264,7 @@ func multiUpdates(ops []txn.ResolvedOp, txidOf func(shard int) int64) (touched [
 	}
 	for _, op := range ops {
 		txid := txidOf(op.Shard)
-		node, parent := commitUpdates(opMsgView(op), txid)
+		node, parent := commitUpdates(nil, nil, opMsgView(op), txid)
 		touch(op.Path, node)
 		if op.Effectful() {
 			targetTxid[op.Path] = txid
@@ -953,7 +953,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 				d.spanEnd(c.span)
 			}
 			for _, s := range d.Stores {
-				_, _ = d.System.Update(ctx, epochKey(s.Region(), msg.Shard),
+				_, _ = d.System.Update(ctx, d.epochKey(s.Region(), msg.Shard),
 					[]kv.Update{kv.ListRemove{Name: attrEpochList, Vals: wids}}, nil)
 			}
 		})

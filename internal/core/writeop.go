@@ -125,18 +125,19 @@ func opMsgView(op txn.ResolvedOp) leaderMsg {
 }
 
 // commitUpdates is the system-store effect of one validated op committing
-// at txid: the updates to its node item and to its parent's (nil where the
-// op has none). The follower's step ④, the leader's replay of it and the
-// transaction paths all write exactly these.
-func commitUpdates(msg leaderMsg, txid int64) (node, parent []kv.Update) {
+// at txid: it appends the updates to its node item to node and those to its
+// parent's to parent (nothing where the op has none). The follower's step
+// ④, the leader's replay of it and the transaction paths all write exactly
+// these. Appending lets a set_data commit build its list in a stack buffer
+// (commitLocked).
+func commitUpdates(node, parent []kv.Update, msg leaderMsg, txid int64) ([]kv.Update, []kv.Update) {
 	switch msg.Op {
 	case OpSetData:
-		// Each capacity leaves room for the pending append.
-		node = append(make([]kv.Update, 0, 3),
+		node = append(node,
 			kv.Set{Name: attrVersion, V: kv.N(int64(msg.Version))},
 			kv.Set{Name: attrMzxid, V: kv.N(txid)})
 	case OpCreate:
-		node = append(make([]kv.Update, 0, 9),
+		node = append(node,
 			kv.Set{Name: attrExists, V: kv.N(1)},
 			kv.Set{Name: attrVersion, V: kv.N(0)},
 			kv.Set{Name: attrCversion, V: kv.N(0)},
@@ -147,24 +148,22 @@ func commitUpdates(msg leaderMsg, txid int64) (node, parent []kv.Update) {
 		if msg.EphOwner != "" {
 			node = append(node, kv.Set{Name: attrEph, V: kv.S(msg.EphOwner)})
 		}
-		parent = []kv.Update{
+		parent = append(parent,
 			kv.StrListAppend{Name: attrChildren, Vals: []string{msg.ChildAdd}},
 			kv.Add{Name: attrCversion, Delta: 1},
 			kv.Add{Name: attrSeq, Delta: 1},
-			kv.Set{Name: attrPzxid, V: kv.N(txid)},
-		}
+			kv.Set{Name: attrPzxid, V: kv.N(txid)})
 	case OpDelete:
 		// A tombstone (exists=0): the item stays so the leader can track
 		// the pending transaction, and collects it after the pop.
-		node = append(make([]kv.Update, 0, 4),
+		node = append(node,
 			kv.Set{Name: attrExists, V: kv.N(0)},
 			kv.Set{Name: attrMzxid, V: kv.N(txid)},
 			kv.Remove{Name: attrEph})
-		parent = []kv.Update{
+		parent = append(parent,
 			kv.StrListRemove{Name: attrChildren, Vals: []string{msg.ChildDel}},
 			kv.Add{Name: attrCversion, Delta: 1},
-			kv.Set{Name: attrPzxid, V: kv.N(txid)},
-		}
+			kv.Set{Name: attrPzxid, V: kv.N(txid)})
 	}
 	return node, parent
 }
@@ -173,3 +172,7 @@ func commitUpdates(msg leaderMsg, txid int64) (node, parent []kv.Update) {
 func pendingAppend(txid int64) kv.Update {
 	return kv.ListAppend{Name: attrPending, Vals: []int64{txid}}
 }
+
+// popPendingHead removes the head of a node's pending list (➎, and the
+// leader's orphan pop), boxed once.
+var popPendingHead kv.Update = kv.ListPopHead{Name: attrPending}

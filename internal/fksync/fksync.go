@@ -7,6 +7,8 @@ package fksync
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"time"
 
 	"faaskeeper/internal/cloud"
@@ -44,24 +46,49 @@ func NewLockManager(env *cloud.Env, tbl *kv.Table, maxHold time.Duration) *LockM
 	return &LockManager{tbl: tbl, env: env, maxHold: maxHold}
 }
 
-// acquireCond is the paper's lock condition: the lock is free when no
-// timestamp is present or the existing timestamp is older than the
-// maximum holding time.
-func (m *LockManager) acquireCond(now int64) kv.Cond {
-	return kv.Or{
-		kv.AttrNotExists{Name: LockAttr},
-		kv.NumLt{Name: LockAttr, V: now - int64(m.maxHold)},
-	}
+// lockFree is the paper's lock condition: the lock is free when no
+// timestamp is present or the existing timestamp is older than expired.
+// It decides what kv.Or{kv.AttrNotExists{lock}, kv.NumLt{lock, expired}}
+// decides, as one value: boxing it into a kv.Cond is one 8-byte
+// allocation, boxing the Or of two conditions four.
+type lockFree int64
+
+// Eval implements kv.Cond.
+func (expired lockFree) Eval(item kv.Item, exists bool) bool {
+	v, ok := item.Lookup(LockAttr)
+	return !exists || !ok || (v.Kind == kv.KindNumber && v.Num < int64(expired))
 }
+
+func (expired lockFree) String() string {
+	return fmt.Sprintf("(attr_not_exists(%s) OR %s < %d)", LockAttr, LockAttr, int64(expired))
+}
+
+// lockHeld guards every mutation under the lock: the stored timestamp must
+// still be ours, so a lock lost to expiry cannot overwrite newer state. It
+// decides what kv.Eq{lock, kv.N(ts)} decides, in an 8-byte box where
+// kv.Eq takes 128 bytes.
+type lockHeld int64
+
+// Eval implements kv.Cond.
+func (ts lockHeld) Eval(item kv.Item, exists bool) bool {
+	v, ok := item.Lookup(LockAttr)
+	return exists && ok && v.Kind == kv.KindNumber && v.Num == int64(ts)
+}
+
+func (ts lockHeld) String() string { return fmt.Sprintf("%s == %d", LockAttr, int64(ts)) }
+
+// unlock is the release action every commit appends, boxed once.
+var unlock kv.Update = kv.Remove{Name: LockAttr}
 
 // Acquire attempts to take the lock once. On success it returns the lock
 // and the item's current state (the follower needs the node's old data to
-// validate the operation). A held, unexpired lock yields ErrLockHeld.
+// validate the operation) as a read-only view (kv.Table.Update). A held,
+// unexpired lock yields ErrLockHeld.
 func (m *LockManager) Acquire(ctx cloud.Ctx, key string) (Lock, kv.Item, error) {
 	now := int64(m.env.K.Now())
 	item, err := m.tbl.Update(ctx, key,
 		[]kv.Update{kv.Set{Name: LockAttr, V: kv.N(now)}},
-		m.acquireCond(now))
+		lockFree(now-int64(m.maxHold)))
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return Lock{}, nil, ErrLockHeld
 	}
@@ -92,15 +119,9 @@ func (m *LockManager) AcquireWait(ctx cloud.Ctx, key string, attempts int) (Lock
 	return Lock{}, nil, lastErr
 }
 
-// heldCond guards every mutation under the lock: the stored timestamp must
-// still be ours, so a lock lost to expiry cannot overwrite newer state.
-func heldCond(l Lock) kv.Cond {
-	return kv.Eq{Name: LockAttr, V: kv.N(l.Timestamp)}
-}
-
 // Release drops the lock without modifying the item.
 func (m *LockManager) Release(ctx cloud.Ctx, l Lock) error {
-	_, err := m.tbl.Update(ctx, l.Key, []kv.Update{kv.Remove{Name: LockAttr}}, heldCond(l))
+	_, err := m.tbl.Update(ctx, l.Key, []kv.Update{unlock}, lockHeld(l.Timestamp))
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return ErrLockLost
 	}
@@ -109,12 +130,11 @@ func (m *LockManager) Release(ctx cloud.Ctx, l Lock) error {
 
 // CommitUnlock atomically applies updates and releases the lock in a
 // single conditional write (step ④ of Algorithm 1). If the lease expired,
-// nothing is written.
+// nothing is written. The item is returned as a read-only view.
 func (m *LockManager) CommitUnlock(ctx cloud.Ctx, l Lock, updates []kv.Update) (kv.Item, error) {
-	all := make([]kv.Update, 0, len(updates)+1)
-	all = append(all, updates...)
-	all = append(all, kv.Remove{Name: LockAttr})
-	item, err := m.tbl.Update(ctx, l.Key, all, heldCond(l))
+	var buf [12]kv.Update // a create's node item takes 9 actions plus the release
+	all := append(append(buf[:0], updates...), unlock)
+	item, err := m.tbl.Update(ctx, l.Key, all, lockHeld(l.Timestamp))
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return nil, ErrLockLost
 	}
@@ -135,11 +155,11 @@ type TxPart struct {
 func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart, extra ...kv.TxOp) error {
 	ops := make([]kv.TxOp, 0, len(parts)+len(extra))
 	for _, p := range parts {
-		op := kv.TxOp{Key: p.Lock.Key, Cond: heldCond(p.Lock), Delete: p.Delete}
+		op := kv.TxOp{Key: p.Lock.Key, Cond: lockHeld(p.Lock.Timestamp), Delete: p.Delete}
 		if !p.Delete {
 			op.Updates = make([]kv.Update, 0, len(p.Updates)+1)
 			op.Updates = append(op.Updates, p.Updates...)
-			op.Updates = append(op.Updates, kv.Remove{Name: LockAttr})
+			op.Updates = append(op.Updates, unlock)
 		}
 		ops = append(ops, op)
 	}
@@ -201,7 +221,7 @@ func (l *List) Append(ctx cloud.Ctx, vals ...int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return item.Get(l.attr).NL, nil
+	return slices.Clone(item.Get(l.attr).NL), nil // the item is a view of table storage
 }
 
 // Remove atomically removes all occurrences of the given values.
@@ -210,7 +230,7 @@ func (l *List) Remove(ctx cloud.Ctx, vals ...int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return item.Get(l.attr).NL, nil
+	return slices.Clone(item.Get(l.attr).NL), nil
 }
 
 // Get reads the current content.

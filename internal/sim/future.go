@@ -1,12 +1,39 @@
 package sim
 
+// waiters is a wake-up list that holds its first waiter inline: a future
+// or a wait group almost always has exactly one process waiting on it, and
+// that one costs no allocation.
+type waiters struct {
+	first waiter // zero when nobody waits
+	more  []waiter
+}
+
+func (ws *waiters) add(w waiter) {
+	if ws.first.p == nil {
+		ws.first = w
+		return
+	}
+	ws.more = append(ws.more, w)
+}
+
+// wakeAll wakes every waiter in registration order and empties the list.
+func (ws *waiters) wakeAll(k *Kernel) {
+	if ws.first.p != nil {
+		k.wake(ws.first)
+	}
+	for _, w := range ws.more {
+		k.wake(w)
+	}
+	*ws = waiters{}
+}
+
 // Future is a one-shot value that processes can wait on. It is the
 // simulation counterpart of a channel receive with exactly one send.
 type Future[T any] struct {
 	k       *Kernel
 	done    bool
 	val     T
-	waiters []waiter
+	waiters waiters
 }
 
 // NewFuture creates an incomplete future bound to kernel k.
@@ -30,10 +57,7 @@ func (f *Future[T]) Complete(v T) {
 	}
 	f.done = true
 	f.val = v
-	for _, w := range f.waiters {
-		f.k.wake(w)
-	}
-	f.waiters = nil
+	f.waiters.wakeAll(f.k)
 }
 
 // TryComplete resolves the future if it is not already resolved and reports
@@ -51,8 +75,7 @@ func (f *Future[T]) TryComplete(v T) bool {
 // without yielding.
 func (f *Future[T]) Wait() T {
 	if !f.done {
-		p := f.k.current
-		f.waiters = append(f.waiters, f.k.waiterFor(p))
+		f.waiters.add(f.k.waiterFor(f.k.current))
 		f.k.park()
 	}
 	return f.val
@@ -62,9 +85,8 @@ func (f *Future[T]) Wait() T {
 // true if the future completed, or the zero value and false on timeout.
 func (f *Future[T]) WaitTimeout(d Time) (T, bool) {
 	if !f.done {
-		p := f.k.current
-		w := f.k.waiterFor(p)
-		f.waiters = append(f.waiters, w)
+		w := f.k.waiterFor(f.k.current)
+		f.waiters.add(w)
 		f.k.wakeAt(f.k.now+d, w)
 		f.k.park()
 	}
@@ -79,7 +101,7 @@ func (f *Future[T]) WaitTimeout(d Time) (T, bool) {
 type WaitGroup struct {
 	k       *Kernel
 	count   int
-	waiters []waiter
+	waiters waiters
 }
 
 // NewWaitGroup creates a WaitGroup bound to kernel k.
@@ -95,17 +117,14 @@ func (wg *WaitGroup) Done() {
 		panic("sim: WaitGroup count below zero")
 	}
 	if wg.count == 0 {
-		for _, w := range wg.waiters {
-			wg.k.wake(w)
-		}
-		wg.waiters = nil
+		wg.waiters.wakeAll(wg.k)
 	}
 }
 
 // Wait blocks until the count is zero.
 func (wg *WaitGroup) Wait() {
 	for wg.count > 0 {
-		wg.waiters = append(wg.waiters, wg.k.waiterFor(wg.k.current))
+		wg.waiters.add(wg.k.waiterFor(wg.k.current))
 		wg.k.park()
 	}
 }
@@ -114,7 +133,7 @@ func (wg *WaitGroup) Wait() {
 type Semaphore struct {
 	k       *Kernel
 	permits int
-	waiters []waiter
+	waiters fifo[waiter]
 }
 
 // NewSemaphore creates a semaphore with the given number of permits.
@@ -125,7 +144,7 @@ func NewSemaphore(k *Kernel, permits int) *Semaphore {
 // Acquire takes one permit, blocking while none are available.
 func (s *Semaphore) Acquire() {
 	for s.permits == 0 {
-		s.waiters = append(s.waiters, s.k.waiterFor(s.k.current))
+		s.waiters.push(s.k.waiterFor(s.k.current))
 		s.k.park()
 	}
 	s.permits--
@@ -143,14 +162,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit and wakes one waiter if any.
 func (s *Semaphore) Release() {
 	s.permits++
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.seq == w.p.parkSeq && !w.p.done { // still parked on us
-			s.k.wake(w)
-			return
-		}
-	}
+	s.k.wakeFirst(&s.waiters)
 }
 
 // Available returns the number of free permits.

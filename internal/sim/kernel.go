@@ -30,6 +30,18 @@
 // function that tries to block panics again at park instead of waiting for
 // a wake-up nobody will deliver. No simulated code past a blocking call
 // runs during Shutdown.
+//
+// A process that returns does not end its goroutine: the goroutine joins
+// the kernel's idle list and runs the body of the next Go, so a simulation
+// that spawns a process per request allocates neither a Process nor a
+// goroutine in steady state. The recycled Process gets the next id and its
+// start event the next seq, exactly as a fresh one would, and its parkSeq
+// keeps counting up across incarnations (exit bumps it once more), so a
+// wake-up addressed to an earlier incarnation — a timeout that outlived its
+// wait, a waiter left in a queue — carries a seq the process will never
+// park with again and is dropped as stale. The idle list lives only while
+// the kernel runs: RunUntil unwinds it before it returns, so a stopped
+// kernel holds one goroutine per live process and no more.
 package sim
 
 import (
@@ -55,18 +67,22 @@ type Kernel struct {
 	rng     *rand.Rand
 	nextID  int64
 	live    map[int64]*Process
+	idle    []*Process // returned processes whose goroutines wait for the next Go
 	fault   FaultHook
 }
 
 // Process is a simulated thread of control. Processes are created by
-// Kernel.Go and scheduled cooperatively by the kernel.
+// Kernel.Go and scheduled cooperatively by the kernel. A Process value is
+// recycled once its function returns (see the package comment): hold on to
+// one only while it runs.
 type Process struct {
 	id   int64
 	name string
 	k    *Kernel
+	fn   func() // this incarnation's body
 
 	resume  chan struct{}
-	parkSeq int64 // bumped on every resume; wake-ups carrying an older seq are stale
+	parkSeq int64 // bumped on every resume and at exit; wake-ups carrying an older seq are stale
 	done    bool
 	killed  bool
 }
@@ -245,38 +261,71 @@ func (k *Kernel) park() {
 
 // Go spawns a new process executing fn, scheduled to start at the current
 // virtual time. It may be called before Run or from inside a running
-// process.
+// process. The process reuses an idle goroutine when one is waiting.
 func (k *Kernel) Go(name string, fn func()) *Process {
 	k.nextID++
-	p := &Process{id: k.nextID, name: name, k: k, resume: make(chan struct{}, 1)}
+	var p *Process
+	if n := len(k.idle); n > 0 {
+		p = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+	} else {
+		p = &Process{k: k, resume: make(chan struct{}, 1)}
+		go k.loop(p)
+	}
+	p.id, p.name, p.fn, p.done = k.nextID, name, fn, false
 	k.live[p.id] = p
-	go func() {
-		<-p.resume
-		defer k.exit(p)
-		if !p.killed {
-			fn()
-		}
-	}()
-	k.scheduleWake(k.now, p, 0)
+	k.scheduleWake(k.now, p, p.parkSeq)
 	return p
 }
 
-// exit is the deferred end of every process goroutine: it retires p and
-// passes the baton on. It must be the deferred function itself for recover
-// to see a panic.
+// loop is a process goroutine: it runs one incarnation per start wake-up
+// and waits on the idle list between them, until Shutdown or RunUntil
+// unwinds it.
+func (k *Kernel) loop(p *Process) {
+	for {
+		<-p.resume
+		k.run(p)
+		if p.killed {
+			k.parked <- struct{}{} // back to Shutdown / releaseIdle
+			return
+		}
+		k.idle = append(k.idle, p)
+		k.handOff(k.dispatch())
+	}
+}
+
+// run executes one incarnation of p; its deferred exit retires it.
+func (k *Kernel) run(p *Process) {
+	defer k.exit(p)
+	if !p.killed {
+		p.fn()
+	}
+}
+
+// exit retires p's incarnation. It must be the deferred function itself for
+// recover to see a panic.
 func (k *Kernel) exit(p *Process) {
 	p.done = true
+	p.fn = nil
+	p.parkSeq++ // whatever still targets this incarnation is stale from here
 	delete(k.live, p.id)
 	if r := recover(); r != nil {
 		if _, ok := r.(killedPanic); !ok {
 			panic(r) // real bug: crash loudly
 		}
 	}
-	if p.killed {
-		k.parked <- struct{}{} // back to Shutdown
-		return
+}
+
+// releaseIdle unwinds the goroutines waiting on the idle list.
+func (k *Kernel) releaseIdle() {
+	for _, p := range k.idle {
+		p.killed = true
+		p.resume <- struct{}{}
+		<-k.parked
 	}
-	k.handOff(k.dispatch())
+	clear(k.idle)
+	k.idle = k.idle[:0]
 }
 
 // Sleep suspends the current process for d of virtual time.
@@ -310,6 +359,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		k.handOff(next)
 		<-k.parked
 	}
+	k.releaseIdle()
 	if len(k.events) > 0 && k.now < limit {
 		k.now = limit // later events are pending: the window was run to its end
 	}
@@ -363,6 +413,18 @@ func (k *Kernel) waiterFor(p *Process) waiter { return waiter{p: p, seq: p.parkS
 func (k *Kernel) wake(w waiter) { k.scheduleWake(k.now, w.p, w.seq) }
 
 func (k *Kernel) wakeAt(at Time, w waiter) { k.scheduleWake(at, w.p, w.seq) }
+
+// wakeFirst wakes the first waiter of ws still parked where it registered,
+// dropping the stale ones ahead of it (a popper that timed out, a process
+// that has exited since).
+func (k *Kernel) wakeFirst(ws *fifo[waiter]) {
+	for ws.len() > 0 {
+		if w := ws.pop(); w.seq == w.p.parkSeq && !w.p.done {
+			k.wake(w)
+			return
+		}
+	}
+}
 
 // String implements fmt.Stringer for debugging.
 func (p *Process) String() string { return fmt.Sprintf("proc(%d:%s)", p.id, p.name) }

@@ -386,3 +386,78 @@ func TestExitedProcessesReleaseGoroutines(t *testing.T) {
 	}
 	k.Shutdown()
 }
+
+// TestReusedProcessIgnoresStaleWakeups: a finished process is recycled by
+// the next Go, and nothing addressed to its previous incarnation reaches
+// the new one — not a WaitTimeout that fires after the process exited,
+// not a waiter it left in a queue when its PopTimeout gave up.
+func TestReusedProcessIgnoresStaleWakeups(t *testing.T) {
+	k := NewKernel(1)
+	f := NewFuture[int](k)
+	q := NewQueue[int](k)
+	var first, second, third *Process
+	var wokeAt Time
+	var got int
+	k.Go("spawner", func() {
+		first = k.Go("waiter", func() {
+			f.WaitTimeout(10 * time.Millisecond) // completed at 1 ms; the timeout stays queued for 10 ms
+			q.PopTimeout(time.Millisecond)       // gives up at 2 ms, its waiter left in q
+		})
+		k.Sleep(time.Millisecond)
+		f.Complete(1)
+		k.Sleep(2 * time.Millisecond)
+		second = k.Go("sleeper", func() {
+			k.Sleep(20 * time.Millisecond) // the old timeout fires at 10 ms, mid-sleep
+			wokeAt = k.Now()
+		})
+		k.Sleep(25 * time.Millisecond)
+		third = k.Go("popper", func() { got, _ = q.Pop() })
+		k.Sleep(time.Millisecond)
+		q.Push(7) // wakes the first waiter still parked: the new incarnation, not the stale one
+	})
+	k.Run()
+	if second != first || third != first {
+		t.Fatalf("the exited process was not reused (%p, %p, %p): the test proves nothing", first, second, third)
+	}
+	if wokeAt != 23*time.Millisecond {
+		t.Errorf("the reused process woke at %v, want 23ms: a wake-up of its previous incarnation reached it", wokeAt)
+	}
+	if got != 7 || k.Live() != 0 {
+		t.Errorf("the reused process popped %d with %d processes left, want 7 and none: the stale queue waiter took the push", got, k.Live())
+	}
+	k.Shutdown()
+}
+
+// TestIdleProcessesAreUnwound: finished processes wait for reuse only while
+// the kernel runs. When Run returns, and again after Shutdown, the process
+// goroutines are back to the live processes alone.
+func TestIdleProcessesAreUnwound(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	q := NewQueue[int](k)
+	k.Go("blocked", func() { q.Pop() }) // stays live
+	k.Go("parent", func() {
+		for i := 0; i < 100; i++ {
+			wg := NewWaitGroup(k)
+			for j := 0; j < 8; j++ {
+				wg.Add(1)
+				k.Go("child", func() {
+					defer wg.Done()
+					k.Sleep(time.Millisecond)
+				})
+			}
+			wg.Wait()
+		}
+	})
+	k.Run()
+	settled := func(want int, when string) {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+			}
+		}
+	}
+	settled(base+1, "after Run") // the blocked process
+	k.Shutdown()
+	settled(base, "after Shutdown")
+}

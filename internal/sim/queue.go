@@ -4,23 +4,58 @@ package sim
 // never block; Pops block while the queue is empty.
 type Queue[T any] struct {
 	k       *Kernel
-	items   []T
-	waiters []waiter
+	items   fifo[T]
+	waiters fifo[waiter]
 	closed  bool
+}
+
+// fifo is a slice-backed FIFO that keeps its backing array. A pop advances
+// the head index and zeroes the slot it leaves, so the array pins nothing
+// that was popped; a push into a full array whose dead head is at least
+// half of it slides the live items to the front instead of growing. A
+// queue in steady state — a push for every pop, as every mailbox of the
+// simulated cloud is — therefore stops allocating once its array has
+// reached twice its peak length.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the head item; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }
 
 // NewQueue creates an empty queue bound to kernel k.
 func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{k: k} }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Push appends v and wakes one blocked popper, if any.
 func (q *Queue[T]) Push(v T) {
 	if q.closed {
 		panic("sim: push on closed queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne()
 }
 
@@ -28,38 +63,27 @@ func (q *Queue[T]) Push(v T) {
 // once the buffer drains.
 func (q *Queue[T]) Close() {
 	q.closed = true
-	for _, w := range q.waiters {
-		q.k.wake(w)
+	for q.waiters.len() > 0 {
+		q.k.wake(q.waiters.pop())
 	}
-	q.waiters = nil
 }
 
-func (q *Queue[T]) wakeOne() {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.seq == w.p.parkSeq && !w.p.done {
-			q.k.wake(w)
-			return
-		}
-	}
-}
+func (q *Queue[T]) wakeOne() { q.k.wakeFirst(&q.waiters) }
 
 // Pop removes and returns the head item, blocking while the queue is empty.
 // It returns ok=false only if the queue is closed and drained.
 func (q *Queue[T]) Pop() (T, bool) {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed {
 			var zero T
 			return zero, false
 		}
-		q.waiters = append(q.waiters, q.k.waiterFor(q.k.current))
+		q.waiters.push(q.k.waiterFor(q.k.current))
 		q.k.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	// If more items remain, keep the wake-up chain going for other poppers.
-	if len(q.items) > 0 {
+	if q.items.len() > 0 {
 		q.wakeOne()
 	}
 	return v, true
@@ -67,31 +91,28 @@ func (q *Queue[T]) Pop() (T, bool) {
 
 // TryPop removes the head item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // PopTimeout waits at most d for an item. ok is false on timeout or close.
 func (q *Queue[T]) PopTimeout(d Time) (T, bool) {
 	deadline := q.k.now + d
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed || q.k.now >= deadline {
 			var zero T
 			return zero, false
 		}
 		w := q.k.waiterFor(q.k.current)
-		q.waiters = append(q.waiters, w)
+		q.waiters.push(w)
 		q.k.wakeAt(deadline, w)
 		q.k.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) > 0 {
+	v := q.items.pop()
+	if q.items.len() > 0 {
 		q.wakeOne()
 	}
 	return v, true
@@ -109,9 +130,8 @@ func (q *Queue[T]) PopBatch(max int, window Time) []T {
 	batch := []T{first}
 	deadline := q.k.now + window
 	for len(batch) < max {
-		if len(q.items) > 0 {
-			v, _ := q.TryPop()
-			batch = append(batch, v)
+		if q.items.len() > 0 {
+			batch = append(batch, q.items.pop())
 			continue
 		}
 		if window <= 0 || q.k.now >= deadline {

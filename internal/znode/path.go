@@ -33,7 +33,11 @@ func ValidatePath(p string) error {
 	if strings.HasSuffix(p, "/") {
 		return fmt.Errorf("%w: %q has a trailing slash", ErrBadPath, p)
 	}
-	for _, seg := range strings.Split(p[1:], "/") {
+	// Cut, not Split: every client call validates its path, and Split
+	// would allocate the segment slice.
+	for rest, more := p[1:], true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
 		if seg == "" {
 			return fmt.Errorf("%w: %q contains an empty segment", ErrBadPath, p)
 		}
