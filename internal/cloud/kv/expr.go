@@ -212,7 +212,7 @@ func (u ListAppend) Apply(item Item) Item {
 	if v.Kind != KindNumList {
 		*v = NumList()
 	}
-	v.NL = append(append([]int64(nil), v.NL...), u.Vals...)
+	v.NL = slices.Concat(v.NL, u.Vals)
 	return item
 }
 func (u ListAppend) payloadSize() int { return 8 * len(u.Vals) }
@@ -250,7 +250,7 @@ func (u ListPopHead) Apply(item Item) Item {
 	if v == nil || v.Kind != KindNumList || len(v.NL) == 0 {
 		return item
 	}
-	v.NL = append([]int64(nil), v.NL[1:]...)
+	v.NL = v.NL[1:] // the tail is shared, never written into
 	return item
 }
 func (u ListPopHead) payloadSize() int { return 0 }
@@ -267,7 +267,7 @@ func (u StrListAppend) Apply(item Item) Item {
 	if v.Kind != KindStrList {
 		*v = StrList()
 	}
-	v.SL = append(append([]string(nil), v.SL...), u.Vals...)
+	v.SL = slices.Concat(v.SL, u.Vals)
 	return item
 }
 func (u StrListAppend) payloadSize() int {

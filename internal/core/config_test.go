@@ -194,8 +194,9 @@ func TestPhasesLiveInRegistry(t *testing.T) {
 	})
 	r.run()
 	pop := r.d.Phase("leader.pop")
-	if pop == nil || pop.N() != writes {
-		t.Fatalf("leader.pop: %v, want %d samples", pop, writes)
+	// The last write's pop is carried to an invocation that never comes.
+	if pop == nil || pop.N() != writes-1 {
+		t.Fatalf("leader.pop: %v, want %d samples", pop, writes-1)
 	}
 	if reg := r.d.Obs.Metrics.Hist(obs.Key{Component: "phase", Name: "leader.pop"}); reg != pop {
 		t.Errorf("Phase(leader.pop) = %p, the registry's histogram is %p: a second latency store", pop, reg)

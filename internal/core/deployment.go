@@ -282,6 +282,11 @@ type Deployment struct {
 	// serialized leader instance, so its invocations never overlap and one
 	// map serves them all.
 	leaderEpochs []map[cloud.Region][]int64
+	// leaderCarry holds, per shard, the pending pops (➎) the last chunk of
+	// the shard's previous leader invocation left to the next one
+	// (leaderRun.carry). Like lastSeq it stands for warm sandbox memory: a
+	// cold invocation drops it (leaderHandler).
+	leaderCarry [][]pendingPop
 	// spareLegs recycles the regional legs of finished flushes
 	// (distributeFold).
 	spareLegs []*flushLegs
@@ -385,6 +390,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
 		d.leaderEpochs = append(d.leaderEpochs, make(map[cloud.Region][]int64, len(d.Stores)))
 	}
+	d.leaderCarry = make([][]pendingPop, cfg.WriteShards)
 	d.route = shardmap.New(cfg.WriteShards)
 
 	d.Platform.Deploy(faas.Config{

@@ -12,25 +12,31 @@ package core
 //	          one child-list read-modify-write per parent, per region
 //	complete  per message, in queue order: fire watches (➍), notify the
 //	          client; then, for the whole chunk, pop the pending
-//	          transactions (➎)
+//	          transactions (➎) — deferred (order rule 2)
 //
 // The chunks of a run are software-pipelined in two lanes on the one handler
 // process. Only the flush touches the user stores and only the other steps
 // touch the system store, so while chunk n's regional legs are in flight
 // the handler, instead of parking, retires the pending pops chunk n−1 left
 // behind and runs the commit phase of chunk n+1, then joins the flush and
-// completes n:
+// completes n. The lanes run on across invocations: an invocation's last
+// chunk leaves its pops to the shard's next invocation (carry), whose first
+// flush retires them as it would chunk n−1's:
 //
 //	user stores  ├──── flush n ─────┤            ├─── flush n+1 ────┤
 //	handler      pop n−1, commit n+1, join · complete n · pop n, commit n+2, join · complete n+1
 //
+//	user stores  ├flush┤                                      ├──── flush ─────┤
+//	handler      …, join · complete · carry ┆ open · commit · pops of i, …, join · complete
+//	             └───── invocation i ──────┘ └────────────── invocation i+1 ──────────────┘
+//
 // Flushes never overlap and stay in queue order: the stores always hold a
-// prefix of the total order (single system image). A chunk with no
-// successor in its run — every one-message invocation — commits, flushes,
-// completes and pops in Algorithm 2's order.
+// prefix of the total order (single system image). Every one-message
+// invocation commits, flushes and completes in Algorithm 2's order; its pop
+// runs under the next invocation's flush, after that one's commit check.
 //
 // A one-message chunk is Algorithm 2 with every read, write and condition
-// in place and two steps moved off the critical path, each still meeting
+// in place and three steps moved off the critical path, each still meeting
 // what its place was for:
 //
 //   - The first read of the control record (awaitCommit's first poll) rides
@@ -44,6 +50,10 @@ package core
 //     counters before the next flush reads its stamp and before the
 //     writer's response leaves; both follow the append on the one handler
 //     process.
+//   - The pop (➎) runs in the next invocation (order rule 2). Its pending
+//     entry is what marks a write not yet popped; the pop only had to follow
+//     the write's distribution, and to precede the next commit check on its
+//     path, which the same-path rule below stands in for.
 //
 // Three order rules say when a step leaves its place, each on something the
 // code observes:
@@ -62,26 +72,43 @@ package core
 //     1(f) — the claimEarly configurations have exactly that window).
 //   - Pending pop. The next message's awaitCommit needs its txid at the
 //     head of the node's pending list, so a message followed in the same
-//     chunk by another on the same path pops in the commit phase. Every
-//     other pop runs after the notify of every message of its chunk, off
-//     any client's critical path: under the next flush, or at the end of
-//     the run.
+//     chunk by another on the same path pops in the commit phase (behind a
+//     carried pop of that path, which it runs first). Every other pop runs
+//     after the notify of every message of its chunk, off any client's
+//     critical path: under the next flush; serially ahead of a transaction
+//     barrier; or, for an invocation's last chunk, carried to the shard's
+//     next invocation, where it runs under the first flush — or ahead of
+//     whatever that invocation cannot flush first, a barrier among them.
+//     The next invocation's commit check looks past a carried head
+//     (awaitCommit): with its own txid right behind it, a write on the path
+//     just written counts as committed on the opening read's word, and the
+//     carried pop still runs under its flush.
 //   - Prefetched commit. A commit may run under the previous chunk's flush
 //     only when no un-popped message ahead of it shares its path; its
 //     verification is one read (peekCommit) and never pops, replays or
-//     sleeps. The lane order under a flush is "pops of n−1, then commit of
-//     n+1", so the only un-popped messages ahead are those of chunk n and
-//     of n+1 itself, and awaitCommit still finds every earlier entry of
-//     its path popped. Anything but "our txid is the head" leaves the
-//     message, and the rest of its chunk, to the serial position after
-//     complete n. Transaction messages (they end the run), flushes under
-//     the root lock and empty folds carry nothing.
+//     sleeps. The lane order under a flush is "pops of n−1 (for an
+//     invocation's first chunk, the carried ones), then commit of n+1", so
+//     the only un-popped messages ahead are those of chunk n and of n+1
+//     itself, and awaitCommit still finds every earlier entry of its path
+//     popped. Anything but "our txid is the head" leaves the message, and
+//     the rest of its chunk, to the serial position after complete n.
+//     Transaction messages (they end the run), flushes under the root lock
+//     and empty folds carry nothing.
 //
 // A batch redelivered at any point replays as it always did: no step is
 // new, each is idempotent under its own condition (the pop on its txid at
 // the head, the commit check on the pending list), a prefetch that finds an
 // entry already consumed is simply abandoned, and the opening read is a
-// read: taken again, it is the first poll again.
+// read: taken again, it is the first poll again. A carried pop leaves its
+// entry in the store, the durable "not yet popped" marker it always was, so
+// a batch delivered again after its invocation completed still finds its
+// txid at the head. Only one fact lives in warm leader memory: that the
+// carried head was already distributed. A warm leader answers such a batch
+// as the duplicate it is and runs the carried pop. A cold one — a new
+// sandbox, or the retry of a crashed one — starts without the fact: it
+// replays such a batch step for step, rewriting the same objects, and an
+// entry whose carried pop it never learned of is cleared by the next write
+// on its path, through awaitCommit's orphan pop.
 //
 // Every per-operation guarantee holds at any chunk size:
 //
@@ -292,6 +319,7 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 type leaderRun struct {
 	d           *Deployment
 	ctx         cloud.Ctx
+	shard       int
 	epochs      map[cloud.Region][]int64 // the epoch counters' mirror (open)
 	completions []watchCompletion
 
@@ -302,13 +330,29 @@ type leaderRun struct {
 	openedAt sim.Time
 	opened   bool
 
-	done  *batchFold // chunk n−1: completed, its pending pops (➎) deferred
-	ahead *batchFold // chunk n+1: next in the run, commit phase unfinished
+	// carried holds the pops (➎) the shard's previous invocation left to
+	// this one (Deployment.leaderCarry), until they run: under the first
+	// flush, or serially ahead of a barrier.
+	carried []pendingPop
+	done    *batchFold // chunk n−1: completed, its pending pops deferred
+	ahead   *batchFold // chunk n+1: next in the run, commit phase unfinished
+}
+
+// pendingPop is one carried pending pop (➎): the control record at key
+// loses txid from the head of its pending list, gc lets a delete's pop
+// collect the tombstone (popPending), and trace is the request whose write
+// it ends, which it bills.
+type pendingPop struct {
+	key   string
+	txid  int64
+	gc    bool
+	trace int64
 }
 
 // pipeline runs one invocation's messages through the pipeline: maximal
 // runs between barriers, each cut into chunks of at most Config.MaxBatch
-// messages (0 = the whole run).
+// messages (0 = the whole run). The last chunk's pops are carried to the
+// shard's next invocation.
 func (p *leaderRun) pipeline(msgs []decodedMsg) {
 	d, ctx, epochs := p.d, p.ctx, p.epochs
 	for i := range msgs {
@@ -322,8 +366,10 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 		case OpMulti, OpTxnCommit:
 			// Transaction messages are fold barriers: their distribution
 			// has its own atomicity protocol, so the accumulated run
-			// flushes first.
+			// flushes first, and every pop ahead of the barrier — the
+			// carried ones included — runs before it.
 			p.flushRun(msgs[start:i])
+			p.retire()
 			start = i + 1
 			if !dm.staged {
 				d.stageMsg(dm.msg, obs.StageCommit)
@@ -334,12 +380,12 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 		}
 	}
 	p.flushRun(msgs[start:])
+	p.carry()
 }
 
 // flushRun pipelines one maximal run between barriers. Each chunk's flush
-// carries its two neighbours (underFlush); the last chunk's pops have no
-// flush left to hide under and retire here, ahead of whatever barrier
-// ended the run.
+// carries its two neighbours (underFlush); the last chunk's pops stay
+// deferred for whatever follows the run: a barrier, or the next invocation.
 func (p *leaderRun) flushRun(run []decodedMsg) {
 	size := p.d.Cfg.MaxBatch
 	if size <= 0 {
@@ -350,7 +396,6 @@ func (p *leaderRun) flushRun(run []decodedMsg) {
 		p.ahead = p.openChunk(run, size)
 		p.flushChunk(cur)
 	}
-	p.retire()
 }
 
 // openChunk takes the chunk at the head of run; nil once the run is spent.
@@ -373,8 +418,12 @@ func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
 func (p *leaderRun) flushChunk(cur *batchFold) {
 	d, msgs := p.d, cur.msgs
 	if len(cur.results) < len(msgs) {
-		// The serial position: behind every pop ahead of it.
-		p.retire()
+		// The serial position: behind every pop of this invocation ahead of
+		// it. The carried pops — only the first chunk can find any — stay
+		// for its flush: awaitCommit looks past a carried head.
+		if p.done != nil {
+			p.retire()
+		}
 		p.commit(cur, nil)
 	}
 
@@ -446,15 +495,16 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 	}
 	// Every response is out before any of the chunk's pops runs. A flush
 	// that could carry nothing (an empty fold, a shared-path lock) left the
-	// pops of the chunk before; they go first.
+	// pops of the chunk before — or the carried ones; they go first.
 	p.retire()
 	p.done = cur
 }
 
 // underFlush is the second lane: what the handler process does, instead of
 // parking, while cur's regional legs are in flight. The order is order
-// rule 3's: the pops of the chunk before cur, then the prefetch of the
-// chunk after it.
+// rule 3's: the pops of the chunk before cur — for an invocation's first
+// chunk, the pops carried from the previous invocation — then the prefetch
+// of the chunk after it.
 func (p *leaderRun) underFlush(cur *batchFold) {
 	if pops := p.retire(); pops > 0 {
 		p.d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "pop_overlapped", Shard: cur.msgs[0].msg.Shard}, int64(pops))
@@ -464,13 +514,19 @@ func (p *leaderRun) underFlush(cur *batchFold) {
 	}
 }
 
-// retire runs the deferred pending pops (➎) of the completed chunk, closes
-// its leader.total — the container of every phase from its commit to here
-// — and returns it to the pool. It reports how many pops it ran.
+// retire runs every deferred pending pop (➎): the carried ones first, as
+// they are older, then the completed chunk's. The chunk's leader.total, the
+// container of every phase from its commit to here, closes here, and the
+// chunk returns to the pool. It reports how many pops it ran.
 func (p *leaderRun) retire() (pops int) {
+	for _, c := range p.carried {
+		p.popOne(c)
+	}
+	pops = len(p.carried)
+	p.carried = p.carried[:0]
 	f := p.done
 	if f == nil {
-		return 0
+		return pops
 	}
 	p.done = nil
 	for i, dm := range f.msgs {
@@ -482,6 +538,53 @@ func (p *leaderRun) retire() (pops int) {
 	p.d.recordPhase("leader.total", p.d.K.Now()-f.t0)
 	f.release()
 	return pops
+}
+
+// carry ends the invocation: the pops of its last chunk are handed to the
+// shard's next invocation, whose first flush runs them, and the chunk's
+// leader.total closes here, in the invocation that completed it — it never
+// spans the idle time until the next one.
+func (p *leaderRun) carry() {
+	list := p.carried // empty by now (a flush or a barrier ran them); its array is reused
+	if f := p.done; f != nil {
+		p.done = nil
+		for i, dm := range f.msgs {
+			if r := &f.results[i]; r.code == CodeOK && !r.popped {
+				list = append(list, pendingPop{key: dm.key, txid: dm.txid, gc: dm.collect, trace: costMsgTrace(dm.msg)})
+			}
+		}
+		p.d.recordPhase("leader.total", p.d.K.Now()-f.t0)
+		f.release()
+	}
+	p.d.leaderCarry[p.shard] = list
+}
+
+// isCarried reports whether txid's pop on key is one this invocation
+// carries.
+func (p *leaderRun) isCarried(key string, txid int64) bool {
+	for _, c := range p.carried {
+		if c.key == key && c.txid == txid {
+			return true
+		}
+	}
+	return false
+}
+
+// popCarried runs the carried pop on key now, if there is one.
+func (p *leaderRun) popCarried(key string) {
+	for i, c := range p.carried {
+		if c.key == key {
+			p.popOne(c)
+			p.carried = slices.Delete(p.carried, i, i+1)
+			return
+		}
+	}
+}
+
+// popOne runs one carried pop, billed to its own request as the pop of a
+// chunk of this invocation is.
+func (p *leaderRun) popOne(c pendingPop) {
+	p.d.popPending(p.d.billSpan(p.ctx, c.trace, 0, p.shard, ""), c.key, c.txid, c.gc)
 }
 
 // collectable is the tombstone-GC lookahead for the delete at msgs[i]: a
@@ -587,7 +690,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 			first, t0, p.opened = &p.opening, p.openedAt, false
 			f.t0 = t0
 		}
-		node, committed = d.awaitCommit(ctx, msg, dm.key, txid, first)
+		node, committed = p.awaitCommit(ctx, dm, first)
 	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
@@ -619,6 +722,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	}
 
 	if popEarly {
+		p.popCarried(dm.key) // a carried entry ahead of ours goes first
 		d.popPending(ctx, dm.key, txid, dm.collect)
 	}
 	return opResult{ctx: ctx, code: CodeOK, stat: stat, fired: fired, popped: popEarly}, true

@@ -93,16 +93,24 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		inv.Bill = d.invBill(traces, shard)
 		ctx = d.billFold(ctx, traces, shard, "")
 	}
+	// The pops the shard's previous invocation carried live in warm sandbox
+	// memory. A new sandbox starts without them, and so does the retry of a
+	// crashed one: their entries stay at the heads of their pending lists,
+	// where awaitCommit's orphan pop clears them.
+	if inv.Cold {
+		d.leaderCarry[shard] = d.leaderCarry[shard][:0]
+	}
 	// Crash at batch start, before any message is processed or any epoch
 	// entered: redelivery replays the whole batch through awaitCommit's
 	// orphan/TryCommit path. Later crash windows are unsafe to fake at
 	// this granularity (a watch already launched would strand its epoch
 	// entry), so leader crashes are injected only here.
 	if d.crashAt(obs.StageCommit, msgs[0].msg.Session, msgs[0].msg.Seq) {
+		d.leaderCarry[shard] = d.leaderCarry[shard][:0]
 		return errInjectedCrash
 	}
-	p := leaderRun{d: d, ctx: ctx}
-	p.open(msgs, shard, acksOnly)
+	p := leaderRun{d: d, ctx: ctx, shard: shard, carried: d.leaderCarry[shard]}
+	p.open(msgs, acksOnly)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
 	// returns, and its id leaves the epoch counter (➏).
@@ -144,9 +152,9 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // the orphan pop and the commit replay read the store again — so a
 // redelivered batch replays step for step. The message enters its commit
 // stage first: the read is the start of its leader.get and leader.total.
-func (p *leaderRun) open(msgs []decodedMsg, shard int, acksOnly bool) {
+func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d := p.d
-	p.epochs = d.leaderEpochs[shard]
+	p.epochs = d.leaderEpochs[p.shard]
 	clear(p.epochs)
 	n := d.NumShards()
 	if acksOnly && n > 1 {
@@ -277,7 +285,18 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 // pipeline forever. first, when non-nil, is a read of the record somebody
 // already paid for — the invocation's opening read — and stands in for the
 // first poll.
-func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, key string, txid int64, first *sysNode) (sysNode, bool) {
+//
+// A head this leader carried from its previous invocation (p.carried) is no
+// orphan: it was distributed, only its pop is still to run. awaitCommit
+// looks past it. Our txid right behind it commits the message at once — a
+// write on the path just written costs no pop or re-read on its critical
+// path; the carried pop runs under the flush as usual. Nothing behind it is
+// a follower commit still in flight. Our own txid as the carried head is a
+// batch delivered again after it completed: a duplicate. Anything else
+// behind it (an orphan, a later txid) runs the carried pop here, and the
+// next poll decides as before.
+func (p *leaderRun) awaitCommit(ctx cloud.Ctx, dm decodedMsg, first *sysNode) (sysNode, bool) {
+	d, msg, key, txid := p.d, dm.msg, dm.key, dm.txid
 	const attempts = 10
 	triedCommit := false
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -287,8 +306,22 @@ func (d *Deployment) awaitCommit(ctx cloud.Ctx, msg leaderMsg, key string, txid 
 		} else {
 			node = d.readControl(ctx, key)
 		}
-		if len(node.Pending) > 0 {
-			head := node.Pending[0]
+		pending := node.Pending
+		if len(pending) > 0 && p.isCarried(key, pending[0]) {
+			switch {
+			case pending[0] == txid:
+				return sysNode{}, false
+			case len(pending) == 1:
+				pending = nil
+			case pending[1] == txid:
+				return node, true
+			default:
+				p.popCarried(key)
+				continue
+			}
+		}
+		if len(pending) > 0 {
+			head := pending[0]
 			if head == txid {
 				return node, true
 			}
@@ -428,14 +461,16 @@ type firedWatch struct {
 }
 
 // queryWatches reads the watch registrations touched by this operation and
-// clears the fired (one-shot) groups. Shared-path watch groups (the root
-// of a multi-shard deployment) are claimed with a conditional remove: two
-// shard leaders may race between the read and the clear there (shared
-// paths are the only ones whose watches fire from more than one shard),
-// and firing the same group twice would consume a watch the client
-// re-registered in its callback — only the leader whose conditional clear
-// lands gets to fire. Everywhere else the owning shard's leader is
-// serialized and keeps the paper's one batched clear.
+// clears the fired (one-shot) groups. A clear removes exactly the sessions
+// the read returned: a registration that lands between the read and the
+// clear belongs to a reader that may already hold the new value, and must
+// stay armed for the next change. Shared-path watch groups (the root of a
+// multi-shard deployment) are claimed (claimGroup): two shard leaders may
+// race between the read and the clear there (shared paths are the only ones
+// whose watches fire from more than one shard), and firing the same group
+// twice would consume a watch the client re-registered in its callback.
+// Everywhere else the owning shard's leader is serialized and keeps the
+// paper's one batched clear.
 func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
 	var fired []firedWatch
 	collect := func(path string, pairs []struct {
@@ -450,17 +485,13 @@ func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
 		var clear []kv.Update
 		for _, p := range pairs {
 			sessions := it.Get(p.attr).SL
+			if d.route.Shared(path) {
+				sessions = d.claimGroup(ctx, watchKey(path), p.attr, sessions)
+			} else if len(sessions) > 0 {
+				clear = append(clear, kv.StrListRemove{Name: p.attr, Vals: sessions})
+			}
 			if len(sessions) == 0 {
 				continue
-			}
-			if d.route.Shared(path) {
-				_, err := d.System.Update(ctx, watchKey(path),
-					[]kv.Update{kv.Remove{Name: p.attr}}, kv.AttrExists{Name: p.attr})
-				if err != nil {
-					continue // another shard's leader claimed this group
-				}
-			} else {
-				clear = append(clear, kv.Remove{Name: p.attr})
 			}
 			fired = append(fired, firedWatch{
 				wid:      WatchID(path, p.wt),
@@ -492,6 +523,26 @@ func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
 		collect(msg.ParentPath, []pair{{attrWatchChild, WatchChild, EventChildrenChanged}})
 	}
 	return fired
+}
+
+// claimGroup claims a shared path's watch group attr at key, starting from
+// the sessions a read returned: it removes exactly them, on the condition
+// that the group still holds exactly them. A failed condition means the
+// group changed under the claim — another shard's leader claimed it, or a
+// session registered — so it reads the group again and claims what it finds.
+// A group is fired by one leader only, and no registration is removed unread.
+// It returns the sessions claimed (none once the group is empty).
+func (d *Deployment) claimGroup(ctx cloud.Ctx, key, attr string, sessions []string) []string {
+	for len(sessions) > 0 {
+		_, err := d.System.Update(ctx, key,
+			[]kv.Update{kv.StrListRemove{Name: attr, Vals: sessions}}, kv.Eq{Name: attr, V: kv.StrList(sessions...)})
+		if err == nil {
+			return sessions
+		}
+		it, _ := d.System.GetView(ctx, key, true)
+		sessions = it.Get(attr).SL
+	}
+	return nil
 }
 
 // claimWatches is the claim half of ➍, run before the change is readable:

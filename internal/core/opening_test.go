@@ -40,7 +40,13 @@ func (h *pipeFaults) opsAt(at sim.Time) (n int) {
 // and reports when the handler started. It must run under leaderProc.
 func (r *pipeRig) deliver(ctx cloud.Ctx, seqNo int64, msgs ...leaderMsg) sim.Time {
 	r.t.Helper()
-	inv := &faas.Invocation{K: r.k, Ctx: ctx}
+	return r.deliverTo(false, ctx, seqNo, msgs...)
+}
+
+// deliverTo is deliver into a warm or a cold sandbox.
+func (r *pipeRig) deliverTo(cold bool, ctx cloud.Ctx, seqNo int64, msgs ...leaderMsg) sim.Time {
+	r.t.Helper()
+	inv := &faas.Invocation{K: r.k, Ctx: ctx, Cold: cold}
 	for i, m := range msgs {
 		e := wire.NewEncoder()
 		inv.Messages = append(inv.Messages, queue.Message{SeqNo: seqNo + int64(i), Body: slices.Clone(m.encode(e))})
@@ -75,7 +81,7 @@ func TestOpeningReadIsOneRoundTrip(t *testing.T) {
 		before, _ := syskv(r.d)
 		for i := 0; i < writes; i++ {
 			s.do(OpSetData, "/n", "x")
-			r.k.Sleep(sim.Ms(200)) // every message rides alone, its pop done
+			r.k.Sleep(sim.Ms(200)) // every message rides alone
 		}
 		after, _ := syskv(r.d)
 		reads = after - before
@@ -111,11 +117,18 @@ func TestOpeningReadIsOneRoundTrip(t *testing.T) {
 // hand, in every state a first or repeated delivery can find the node's
 // pending list in, and checks that the opening read's view of it stands in
 // for awaitCommit's first poll and for nothing else: every later poll, the
-// orphan pop and the commit replay still go to the store.
+// orphan pop and the commit replay still go to the store. The set's own pop
+// is carried to the next invocation, so it ends at the head of its list.
 func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 	const txid = 9
+	commit := func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
+		_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
+	}
 	for _, tc := range []struct {
 		name string
+		// carried: the create's pop is still carried when the set arrives
+		// (the create's invocation was the shard's last); otherwise it ran.
+		carried bool
 		// between is what happened between the follower's push and this
 		// delivery; the follower still holds lock.
 		between func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg)
@@ -127,27 +140,25 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		stored        bool // the user store received the write
 	}{
 		{
-			name: "head is txid",
-			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
-			},
-			// Opening read (epochs + record), watch query; the pop.
-			code: CodeOK, reads: 3, writes: 1, stored: true,
+			name:    "head is txid",
+			between: commit,
+			// Opening read (epochs + record), watch query.
+			code: CodeOK, reads: 3, writes: 0, pending: []int64{txid}, stored: true,
 		},
 		{
 			name: "orphan ahead of txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
 				_, _ = d.System.Update(ctx, nodeKey(msg.Path), []kv.Update{pendingAppend(5)}, nil)
-				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
+				commit(d, ctx, lock, msg)
 			},
 			// The orphan is popped on the opening read's word, conditionally
 			// on the head it named; the poll after it reads the store.
-			code: CodeOK, reads: 4, writes: 2, stored: true,
+			code: CodeOK, reads: 4, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name: "duplicate: head beyond txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
+				commit(d, ctx, lock, msg)
 				_, _ = d.System.Update(ctx, nodeKey(msg.Path),
 					[]kv.Update{kv.ListPopHead{Name: attrPending}, pendingAppend(12)}, nil)
 			},
@@ -158,14 +169,38 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
 			// Opening read, two polls, the commit replay after the second
 			// (attempt 2, as before), the poll that finds it, the watch
-			// query; the replay and the pop.
-			code: CodeOK, reads: 6, writes: 2, stored: true,
+			// query; the replay.
+			code: CodeOK, reads: 6, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "no control record",
 			missing: true,
 			// Opening read, nine polls and the one (failing) replay.
 			code: CodeSystemError, reads: 11, writes: 1,
+		},
+		{
+			name:    "carried head, txid behind it",
+			carried: true, between: commit,
+			// Committed on the opening read's word alone — no pop, no
+			// re-read — and the carried pop runs under the flush.
+			code: CodeOK, reads: 3, writes: 1, pending: []int64{txid}, stored: true,
+		},
+		{
+			name:    "carried head, nothing behind it: the follower died",
+			carried: true, between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
+			// "Nothing pending" above, plus the carried pop under the flush.
+			code: CodeOK, reads: 6, writes: 2, pending: []int64{txid}, stored: true,
+		},
+		{
+			name:    "carried head, orphan behind it",
+			carried: true,
+			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
+				_, _ = d.System.Update(ctx, nodeKey(msg.Path), []kv.Update{pendingAppend(5)}, nil)
+				commit(d, ctx, lock, msg)
+			},
+			// The carried pop runs at once, the next poll finds the orphan,
+			// pops it, and the one after finds txid.
+			code: CodeOK, reads: 5, writes: 2, pending: []int64{txid}, stored: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,6 +215,9 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 				s = r.open("w")
 				s.do(OpCreate, "/n", "0")
 				r.k.Sleep(sim.Ms(200))
+				if !tc.carried {
+					r.settle()
+				}
 
 				// The follower's half of set_data, up to the push.
 				req := Request{Session: s.id, Seq: 2, Op: OpSetData, Path: "/n", Data: []byte("1"), Version: -1}

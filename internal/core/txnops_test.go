@@ -175,6 +175,7 @@ func TestTxnLeaseLostBeforeCommit(t *testing.T) {
 		if v, ver := readData(t, r.d, w.ctx, pB); v != "0" || ver != 0 {
 			t.Errorf("%s = %q v%d, want it untouched", pB, v, ver)
 		}
+		r.settle() // the single write's pop is carried
 		if res := txnResidue(r.d, w.ctx); len(res) > 0 {
 			t.Errorf("left behind: %v", res)
 		}

@@ -135,8 +135,10 @@ func runWriteCase(t *testing.T, fixture func(s *pipeSession), op txn.Op, asMulti
 			}).Wait()
 			out = writeOutcome{code: resp.Code, path: resp.Path, stat: resp.Stat, txid: resp.Txid}
 		}
-		// The pending pop trails the response.
+		// The pending pop trails the response: the shard's next invocation
+		// runs it.
 		r.k.Sleep(sim.Ms(1000))
+		r.settle()
 		for _, ki := range r.d.System.Scan(s.ctx) {
 			// An empty item is the husk of a released lock on a path that
 			// never existed. A multi() locks its op's node up front, a create

@@ -243,9 +243,13 @@ func runWatchFanout(cfg RunConfig) *Report {
 		fmt.Sprintf("Leader-side work vs watcher count (%d writes of %d B to one hot path)",
 			writes, fanoutPayloadB),
 		fanoutSweepColumns)
+	// Every row runs the same seeded workload, so the watcher count is the
+	// only thing that differs: a leader's first poll missing its follower's
+	// commit (one extra read, a race of the seed) cannot pass for population
+	// cost.
 	var first, last fanoutSweep
 	for i, watchers := range []int{10_000, 100_000, 1_000_000} {
-		run := runFanoutSweep(cfg.Seed+int64(i)*101, watchers, writes)
+		run := runFanoutSweep(cfg.Seed, watchers, writes)
 		if i == 0 {
 			first = run
 		}

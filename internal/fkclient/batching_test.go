@@ -325,8 +325,8 @@ func TestBatchedRandomizedHistories(t *testing.T) {
 // chunkSysWrites pipelines one blocker write and then three sets from one
 // session. The blocker's flush holds the serialized leader while the three
 // queue up behind it, so they arrive as one invocation — one chunk under
-// BatchWrites. It returns the system-store and user-store write counts of
-// the whole run.
+// BatchWrites. A trailing write follows. It returns the system-store and
+// user-store write counts of the whole run.
 func chunkSysWrites(t *testing.T, paths [3]string) (sys, user int64) {
 	t.Helper()
 	run(t, 81, core.Config{BatchWrites: true}, func(k *sim.Kernel, d *core.Deployment) {
@@ -347,6 +347,11 @@ func chunkSysWrites(t *testing.T, paths [3]string) (sys, user int64) {
 				t.Fatalf("write %d: %v (%s)", i, err, resp.Code)
 			}
 		}
+		// The chunk's deferred pops are carried to the leader's next
+		// invocation: a trailing write on the blocker's path runs them.
+		if _, err := c.SetData("/z", nil, -1); err != nil {
+			t.Fatalf("trailing write: %v", err)
+		}
 		k.Sleep(sim.Ms(1000))
 		sys, user = d.Env.Meter.Count("syskv.write"), d.Env.Meter.Count("obj.write")
 		c.Close()
@@ -364,10 +369,10 @@ func chunkSysWrites(t *testing.T, paths [3]string) (sys, user int64) {
 func TestBatchedSamePathChainPopsInCommitPhase(t *testing.T) {
 	chainSys, chainUser := chunkSysWrites(t, [3]string{"/x", "/x", "/y"})
 	flatSys, flatUser := chunkSysWrites(t, [3]string{"/x", "/w", "/y"})
-	// Blocker + three distinct nodes vs blocker + two: the chain really
-	// was one chunk and folded.
-	if flatUser != 4 || chainUser != 3 {
-		t.Fatalf("user-store writes = %d (distinct) / %d (chain), want 4 / 3: the three sets did not arrive as one chunk", flatUser, chainUser)
+	// Blocker + three distinct nodes vs blocker + two, each + the trailing
+	// write: the chain really was one chunk and folded.
+	if flatUser != 5 || chainUser != 4 {
+		t.Fatalf("user-store writes = %d (distinct) / %d (chain), want 5 / 4: the three sets did not arrive as one chunk", flatUser, chainUser)
 	}
 	if chainSys != flatSys {
 		t.Errorf("system-store writes = %d for the same-path chain, %d for distinct paths: a pending pop missed the commit phase", chainSys, flatSys)
