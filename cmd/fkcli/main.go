@@ -21,10 +21,6 @@
 // matrix config — or all of them — and prints the checker verdict with a
 // deterministic replay command on failure.
 //
-// Another, `fkcli -watchers N`, runs the watch fan-out experiment with N
-// persistent watchers on one hot path and prints the leader-cost table —
-// the quickest way to see the O(1) publish cost at any population size.
-//
 // -trace FILE enables the telemetry subsystem and writes a Chrome
 // trace-event JSON file on exit (open it in chrome://tracing or Perfetto).
 //
@@ -42,14 +38,13 @@ import (
 	"time"
 
 	"faaskeeper"
-	"faaskeeper/internal/experiments"
 	"faaskeeper/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run is the whole program: it parses args, drives one scripted session
-// (or the chaos / watch fan-out mode), prints everything to out and
+// (or the chaos mode), prints everything to out and
 // returns the exit code.
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("fkcli", flag.ContinueOnError)
@@ -62,19 +57,13 @@ func run(args []string, out io.Writer) int {
 	metricsFile := fs.String("metrics", "", "enable cost accounting and write a Prometheus-text registry snapshot on exit")
 	faults := fs.String("faults", "default", "chaos mode fault schedule: off|default")
 	quick := fs.Bool("quick", false, "chaos mode: smaller workload per scenario")
-	watchers := fs.Int("watchers", 0, "run the watch fan-out experiment with N persistent watchers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	args = fs.Args()
-	if *watchers > 0 {
-		fmt.Fprint(out, experiments.RunWatchFanoutAt(*seed, *watchers).Render())
-		return 0
-	}
 	if len(args) == 0 {
 		fmt.Fprintln(out, "usage: fkcli [flags] CMD ARGS [: CMD ARGS]...")
 		fmt.Fprintln(out, "       fkcli [-seed N] [-faults off|default] [-quick] chaos [CONFIG]")
-		fmt.Fprintln(out, "       fkcli [-seed N] -watchers N")
 		fs.PrintDefaults()
 		return 2
 	}

@@ -47,8 +47,6 @@ type (
 	Notification = core.Notification
 	// WatchCallback receives watch events.
 	WatchCallback = fkclient.WatchCallback
-	// WatchOptions configures Client.AddWatch (DeploymentOptions.WatchFanout).
-	WatchOptions = fkclient.WatchOptions
 )
 
 // Node creation flags.

@@ -273,39 +273,6 @@ func (r *Regional) Floor(path string) (int64, []int64) {
 	return r.globalFloor, nil
 }
 
-// WarmEntry is one prefetched entry of a connect-time warm-up.
-type WarmEntry struct {
-	Path  string
-	Entry Entry
-}
-
-// WarmupPaths is the watch-set warm-up: a reconnecting session prefetches
-// exactly the paths its durable persistent-watch registrations name into
-// its client cache. The whole prefetch pays one read round trip whose
-// transfer term covers all returned blobs (a single pipelined MGET, not
-// one lookup per path), so warming K paths costs far less than K cold
-// first reads; paths the node does not hold are simply absent from the
-// result.
-func (r *Regional) WarmupPaths(ctx cloud.Ctx, paths []string) []WarmEntry {
-	p := r.env.Profile
-	r.lat(ctx, p.MemReadBase, 0, 0)
-	out := make([]WarmEntry, 0, len(paths))
-	size := 0
-	for _, path := range paths {
-		e, ok := r.lru.Get(path)
-		if !ok {
-			continue
-		}
-		out = append(out, WarmEntry{Path: path, Entry: e})
-		size += len(e.Blob)
-	}
-	if size > 0 {
-		r.lat(ctx, sim.Const(0), p.MemReadPerKB, size)
-	}
-	r.chargeOp(ctx, "cache.read")
-	return out
-}
-
 // Lose simulates the cache node's process dying and restarting empty:
 // cached entries, per-path invalidation floors, and the global fold floor
 // are all gone, as they would be for any in-memory node. Safety survives

@@ -90,6 +90,40 @@ func writeArtifacts(t *testing.T, res *Result) {
 // under the standing fault schedule, or — with -chaos.seed — one exact
 // replay of a reported failure.
 func TestChaos(t *testing.T) {
+	forEachScenario(t, runScenario)
+}
+
+// TestChaosWatchFiresOnFirstChange runs the seed matrix against
+// WatchFiredLate, ROADMAP 1(f)'s rule that a one-shot watch fires for the
+// first acked set after its arming read. The configurations that claim
+// watches before the flush still break it (1(f) has the counts), so Check
+// does not carry the rule and this test runs only when named:
+//
+//	go test ./internal/chaos -run TestChaosWatchFiresOnFirstChange -chaos.seeds=1000 -count=1
+func TestChaosWatchFiresOnFirstChange(t *testing.T) {
+	if !strings.Contains(flag.Lookup("test.run").Value.String(), "TestChaosWatchFiresOnFirstChange") {
+		t.Skip("known late fires with claim-before-flush (ROADMAP 1(f), not fixed)")
+	}
+	late := map[string]int{}
+	forEachScenario(t, func(t *testing.T, s Scenario) {
+		res := Run(s)
+		vs := WatchFiredLate(res.History)
+		if len(vs) == 0 {
+			return
+		}
+		late[s.Config]++
+		for _, v := range vs {
+			t.Errorf("%s", v)
+		}
+		t.Errorf("seed %d config %s: replay with: %s", s.Seed, s.Config,
+			strings.Replace(res.ReplayCmd(), "-run TestChaos ", "-run TestChaosWatchFiresOnFirstChange ", 1))
+	})
+	t.Logf("seeds with a late fire, per config: %v", late)
+}
+
+// forEachScenario runs fn on every scenario the chaos flags select: the
+// seed matrix of every config (or of -chaos.config), or one -chaos.seed.
+func forEachScenario(t *testing.T, fn func(*testing.T, Scenario)) {
 	configs := Configs()
 	if *flagConfig != "" {
 		if _, ok := DeployConfig(*flagConfig); !ok {
@@ -102,7 +136,7 @@ func TestChaos(t *testing.T) {
 		for _, cfg := range configs {
 			cfg := cfg
 			t.Run(fmt.Sprintf("%s/seed%d", cfg, *flagSeed), func(t *testing.T) {
-				runScenario(t, scenarioFor(*flagSeed, cfg))
+				fn(t, scenarioFor(*flagSeed, cfg))
 			})
 		}
 		return
@@ -113,7 +147,7 @@ func TestChaos(t *testing.T) {
 			for i := 0; i < *flagSeeds; i++ {
 				seed := matrixSeedBase*int64(i+1) + int64(len(cfg))
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					runScenario(t, scenarioFor(seed, cfg))
+					fn(t, scenarioFor(seed, cfg))
 				})
 			}
 		})
@@ -208,42 +242,6 @@ func TestChaosInjectsFaults(t *testing.T) {
 	if res.Failed() {
 		for _, v := range res.Violations {
 			t.Errorf("%s", v)
-		}
-	}
-}
-
-// TestChaosFanoutWatchesExercised guards the fanout config against
-// passing vacuously: the persistent and recursive watchers must have
-// armed and actually received deliveries, so the coverage rule judged a
-// non-empty fire set.
-func TestChaosFanoutWatchesExercised(t *testing.T) {
-	res := Run(scenarioFor(11, "fanout"))
-	if res.Failed() {
-		for _, v := range res.Violations {
-			t.Errorf("%s", v)
-		}
-	}
-	arms := map[string]int{}
-	firesBy := map[string]int{}
-	for _, e := range res.History.Events {
-		if !e.Persistent {
-			continue
-		}
-		switch e.Kind {
-		case KindWatchArm:
-			if e.Err == "" {
-				arms[e.Session]++
-			}
-		case KindWatchFire:
-			firesBy[e.Session]++
-		}
-	}
-	for _, id := range []string{"pwatch", "rwatch"} {
-		if arms[id] != 1 {
-			t.Errorf("%s: want 1 successful persistent arm, got %d", id, arms[id])
-		}
-		if firesBy[id] == 0 {
-			t.Errorf("%s: persistent watch armed but never delivered", id)
 		}
 	}
 }

@@ -52,6 +52,13 @@ type writeStatus struct{ ok, indet bool }
 
 type spKey struct{ session, path string }
 
+// swKey names one session's watch: a one-shot arm stays pending under it
+// until the fire that consumes it.
+type swKey struct {
+	session string
+	wid     int64
+}
+
 // Check validates a history against the linearizability-style invariants
 // of the client API: per-session per-path mzxid monotonicity, write-ack
 // txid ordering, value provenance (a read never returns data no
@@ -92,21 +99,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 		st.ok = st.ok || ok
 		st.indet = st.indet || indet
 	}
-	mzval := map[string]map[int64]string{}  // path -> mzxid -> value
-	setAcks := map[string]map[int64]int64{} // path -> acked set txid -> ack end time
-	ackSet := func(path string, txid, end int64) {
-		if txid <= 0 {
-			return
-		}
-		m := setAcks[path]
-		if m == nil {
-			m = map[int64]int64{}
-			setAcks[path] = m
-		}
-		if end > m[txid] {
-			m[txid] = end
-		}
-	}
+	mzval := map[string]map[int64]string{} // path -> mzxid -> value
 	flaggedMz := map[string]bool{}
 	noteMz := func(session, path string, mzxid int64, value string) {
 		if mzxid <= 0 {
@@ -140,7 +133,6 @@ func Check(h *History, opts CheckOpts) []Violation {
 			note(e.Path, e.Value, e.Err == "", e.Err != "" && !e.Definite)
 			if e.Err == "" && e.Op == "set" {
 				noteMz(e.Session, e.Path, e.Mzxid, e.Value)
-				ackSet(e.Path, e.Mzxid, int64(e.End))
 			}
 		case KindMulti:
 			for _, op := range e.Ops {
@@ -152,7 +144,6 @@ func Check(h *History, opts CheckOpts) []Violation {
 					note(op.Path, op.Value, true, false)
 					if op.Op == "set" {
 						noteMz(e.Session, op.Path, op.Txid, op.Value)
-						ackSet(op.Path, op.Txid, int64(e.End))
 					}
 				case e.Err != "" && !e.Definite:
 					note(op.Path, op.Value, false, true)
@@ -192,26 +183,8 @@ func Check(h *History, opts CheckOpts) []Violation {
 		armEnd  int64
 		fireEnd int64
 	}
-	type swKey struct {
-		session string
-		wid     int64
-	}
 	pendingArm := map[swKey]armRec{}
 	armPath := map[swKey]string{}
-	// Persistent (fan-out tier) watches: arms are never consumed and fires
-	// repeat, so they bypass the one-shot pairing above and are judged by
-	// the coverage rule below.
-	type pArmRec struct {
-		path string
-		rec  bool
-		end  int64
-	}
-	type pFireRec struct {
-		path string
-		t    int64
-	}
-	pArms := map[swKey]pArmRec{}
-	pFires := map[swKey][]pFireRec{}
 	var fires []struct {
 		session string
 		f       fireRec
@@ -328,21 +301,10 @@ func Check(h *History, opts CheckOpts) []Violation {
 				continue
 			}
 			k := swKey{e.Session, e.WatchID}
-			if e.Persistent {
-				pArms[k] = pArmRec{path: e.Path, rec: e.Recursive, end: int64(e.End)}
-				continue
-			}
 			pendingArm[k] = armRec{r: e.Mzxid, end: int64(e.End)}
 			armPath[k] = e.Path
 		case KindWatchFire:
 			k := swKey{e.Session, e.WatchID}
-			if e.Persistent {
-				// Deliveries do not enter the session's read-freshness
-				// chain: the kick gate bounds, not forbids, a read running
-				// ahead of a coalesced delivery.
-				pFires[k] = append(pFires[k], pFireRec{path: e.Path, t: e.Mzxid})
-				continue
-			}
 			if arm, ok := pendingArm[k]; ok {
 				fires = append(fires, struct {
 					session string
@@ -387,73 +349,64 @@ func Check(h *History, opts CheckOpts) []Violation {
 		}
 	}
 
-	// ---- Persistent watch coverage: the fan-out node may coalesce
-	// deliveries, but only ever below the delivered watermark — for every
-	// covered path, the newest delivered fire txid must catch up with every
-	// write acked well after the registration and well before history end.
-	// Fires must also stay inside the watch's scope and never announce a
-	// txid newer than any state the history observed on that path.
-	histEnd := int64(0)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Invariant < out[j].Invariant })
+	return out
+}
+
+// WatchFiredLate checks ROADMAP 1(f)'s rule: a one-shot watch armed by a
+// read at mzxid r fires no later than the first acked write after r. A fire
+// carrying txid t while the history holds an acked set on the watched path
+// with a txid in (r, t) fired late: the watch missed that set and was
+// delivered for a later one. Each such fire yields one "watch-fired-late"
+// violation naming the smallest missed txid. An indeterminate set (no ack)
+// proves nothing and is not counted.
+//
+// Check does not run this rule yet: 1(f)'s lost window is still open on
+// the configurations that claim watches before the flush.
+func WatchFiredLate(h *History) []Violation {
+	setAcks := map[string][]int64{} // path -> acked set txids
 	for _, e := range h.Events {
-		if int64(e.End) > histEnd {
-			histEnd = int64(e.End)
-		}
-	}
-	maxMz := map[string]int64{}
-	for p, m := range mzval {
-		for t := range m {
-			if t > maxMz[p] {
-				maxMz[p] = t
-			}
-		}
-	}
-	for k, arm := range pArms {
-		covers := func(p string) bool {
-			if arm.rec {
-				return p == arm.path || strings.HasPrefix(p, arm.path+"/")
-			}
-			return p == arm.path
-		}
-		maxFire := map[string]int64{}
-		for _, f := range pFires[k] {
-			if !covers(f.path) {
-				add("persistent-watch-scope", k.session, f.path,
-					"delivery for a path outside watch root %s", arm.path)
-				continue
-			}
-			if mm := maxMz[f.path]; mm > 0 && f.t > mm {
-				add("phantom-notification", k.session, f.path,
-					"delivered txid %d but newest observed mzxid is %d", f.t, mm)
-			}
-			if f.t > maxFire[f.path] {
-				maxFire[f.path] = f.t
-			}
-		}
-		if !opts.OpenSessions[k.session] {
-			continue
-		}
-		for p, acks := range setAcks {
-			if !covers(p) {
-				continue
-			}
-			var want int64
-			for t, end := range acks {
-				// Writes still in the leader pipeline at registration may
-				// legally miss the watch; writes acked at the very end may
-				// not have had time to deliver before recording stopped.
-				if end > arm.end+opts.LostWatchGap && end+opts.LostWatchGap < histEnd && t > want {
-					want = t
+		switch {
+		case e.Kind == KindWrite && e.Op == "set" && e.Err == "" && e.Mzxid > 0:
+			setAcks[e.Path] = append(setAcks[e.Path], e.Mzxid)
+		case e.Kind == KindMulti && e.Err == "":
+			for _, op := range e.Ops {
+				if op.Op == "set" && op.Code == "ok" && op.Txid > 0 {
+					setAcks[op.Path] = append(setAcks[op.Path], op.Txid)
 				}
 			}
-			if want > maxFire[p] {
-				add("persistent-watch-coverage", k.session, p,
-					"write txid %d settled post-arm but newest delivered fire is %d (coalescing may only suppress below the delivered watermark)",
-					want, maxFire[p])
+		}
+	}
+	armedAt := map[swKey]int64{} // pending one-shot arm -> mzxid of its read
+	var out []Violation
+	for _, e := range h.Events {
+		k := swKey{e.Session, e.WatchID}
+		switch e.Kind {
+		case KindWatchArm:
+			if e.Err == "" {
+				armedAt[k] = e.Mzxid
+			}
+		case KindWatchFire:
+			r, ok := armedAt[k]
+			if !ok {
+				continue
+			}
+			delete(armedAt, k)
+			missed := int64(0)
+			for _, s := range setAcks[e.Path] {
+				if s > r && s < e.Mzxid && (missed == 0 || s < missed) {
+					missed = s
+				}
+			}
+			if missed > 0 {
+				out = append(out, Violation{
+					Invariant: "watch-fired-late", Session: e.Session, Path: e.Path,
+					Detail: fmt.Sprintf("watch %d armed at mzxid %d fired with txid %d, missing acked set %d",
+						e.WatchID, r, e.Mzxid, missed),
+				})
 			}
 		}
 	}
-
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Invariant < out[j].Invariant })
 	return out
 }
 

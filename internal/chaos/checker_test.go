@@ -5,6 +5,7 @@ package chaos
 // see a planted bug proves nothing about the runs it blesses.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -196,5 +197,33 @@ func TestCheckerLostWatchNeedsDistantEvidence(t *testing.T) {
 	)
 	if hasViolation(vs, "lost-watch") {
 		t.Fatalf("fired watch misflagged as lost: %v", vs)
+	}
+}
+
+func TestCheckerFlagsWatchFiredLate(t *testing.T) {
+	// Armed by a read at mzxid 10; sets were acked at 14 and 18, but the
+	// one fire carries 18: the watch missed 14.
+	arm := Event{Session: "w", Kind: KindWatchArm, Path: "/x", Mzxid: 10, WatchID: 77, End: 2}
+	set14 := Event{Session: "s", Kind: KindWrite, Op: "set", Path: "/x", Value: "v#1", Mzxid: 14, End: 3}
+	set18 := Event{Session: "s", Kind: KindWrite, Op: "set", Path: "/x", Value: "v#2", Mzxid: 18, End: 4}
+	fire := func(t int64) Event {
+		return Event{Session: "w", Kind: KindWatchFire, Path: "/x", Mzxid: t, WatchID: 77, End: 5}
+	}
+	vs := WatchFiredLate(&History{Events: []Event{arm, set14, set18, fire(18)}})
+	if len(vs) != 1 || vs[0].Invariant != "watch-fired-late" || !strings.Contains(vs[0].Detail, "missing acked set 14") {
+		t.Fatalf("late fire: got %v, want one watch-fired-late naming set 14", vs)
+	}
+
+	// Clean: the fire announces the first acked set after the arm.
+	if vs := WatchFiredLate(&History{Events: []Event{arm, set14, set18, fire(14)}}); len(vs) != 0 {
+		t.Fatalf("fire on the first change flagged: %v", vs)
+	}
+
+	// Indeterminate: the set at 14 timed out, so nothing says it landed
+	// before 18; only an acked set counts as missed.
+	timedOut := Event{Session: "s", Kind: KindWrite, Op: "set", Path: "/x", Value: "v#1",
+		Err: "fkclient: request timed out", End: 3}
+	if vs := WatchFiredLate(&History{Events: []Event{arm, timedOut, set18, fire(18)}}); len(vs) != 0 {
+		t.Fatalf("fire after an indeterminate set flagged: %v", vs)
 	}
 }

@@ -43,15 +43,9 @@ type Event struct {
 	// commit (no_node, bad_version, ...): the operation certainly did not
 	// happen. Errors without it (system error, timeout) are indeterminate
 	// — the write may still have committed behind the failure.
-	Definite bool  `json:"definite,omitempty"`
-	WatchID  int64 `json:"watch_id,omitempty"`
-	// Persistent marks fan-out tier watch events (addWatch-style): arms
-	// are never consumed and fires repeat, so the one-shot pairing rules
-	// do not apply — the persistent coverage rule judges them instead.
-	// Recursive additionally marks a subtree watch rooted at Path.
-	Persistent bool    `json:"persistent,omitempty"`
-	Recursive  bool    `json:"recursive,omitempty"`
-	Ops        []SubOp `json:"ops,omitempty"`
+	Definite bool    `json:"definite,omitempty"`
+	WatchID  int64   `json:"watch_id,omitempty"`
+	Ops      []SubOp `json:"ops,omitempty"`
 }
 
 // History is the recorded client-visible history of one scenario run.

@@ -12,7 +12,6 @@ import (
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
-	"faaskeeper/internal/watchfanout"
 	"faaskeeper/internal/znode"
 )
 
@@ -78,10 +77,9 @@ func (s Scenario) withDefaults() Scenario {
 
 // Configs lists the deployment configurations the chaos matrix covers:
 // the paper-faithful single-shard pipeline, the batching distributor, the
-// two-level cache tier, cross-shard transactions, and the hierarchical
-// watch fan-out tier.
+// two-level cache tier, and cross-shard transactions.
 func Configs() []string {
-	return []string{"plain", "batching", "caching", "txn", "fanout"}
+	return []string{"plain", "batching", "caching", "txn"}
 }
 
 // DeployConfig maps a matrix config name to its deployment config. All
@@ -108,11 +106,6 @@ func DeployConfig(name string) (core.Config, bool) {
 	case "txn":
 		base.WriteShards = 4
 		base.UserStore = core.StoreKV
-		return base, true
-	case "fanout":
-		base.WriteShards = 2
-		base.UserStore = core.StoreKV
-		base.WatchFanout = true
 		return base, true
 	default:
 		return core.Config{}, false
@@ -465,56 +458,6 @@ func Run(s Scenario) *Result {
 			}
 		})
 
-		// Fan-out tier watchers: a coalescing persistent data watch on the
-		// hot path and a recursive subtree watch. Both sessions stay open
-		// to history end so the persistent coverage rule can judge them:
-		// coalescing may suppress intermediate deliveries, but the newest
-		// delivered txid must catch up with every settled write.
-		if cfg.WatchFanout {
-			for _, pw := range []struct {
-				id   string
-				path string
-				opts fkclient.WatchOptions
-			}{
-				{"pwatch", watchPath, fkclient.WatchOptions{Policy: watchfanout.PolicyCoalesce}},
-				{"rwatch", "/s0", fkclient.WatchOptions{Recursive: true}},
-			} {
-				pw := pw
-				spawn(pw.id, func() {
-					c, err := fkclient.Connect(d, pw.id, home)
-					if err != nil {
-						harness("%s connect: %v", pw.id, err)
-						return
-					}
-					// No Close: the coverage rule only judges open sessions.
-					start := k.Now()
-					wid, err := c.AddWatch(pw.path, pw.opts, func(note core.Notification) {
-						record(Event{
-							Session: pw.id, Kind: KindWatchFire, Path: note.Path,
-							Mzxid: note.Txid, WatchID: note.WatchID,
-							Persistent: true, Recursive: pw.opts.Recursive,
-							Start: k.Now(), End: k.Now(),
-						})
-					})
-					record(Event{
-						Session: pw.id, Kind: KindWatchArm, Path: pw.path, WatchID: wid,
-						Persistent: true, Recursive: pw.opts.Recursive,
-						Start: start, End: k.Now(), Err: errStr(err),
-					})
-					if err != nil {
-						harness("%s addwatch: %v", pw.id, err)
-						return
-					}
-					// Reads through the persistent Z4 kick gate, interleaved
-					// with the deliveries they may have to wait on.
-					for n := 0; n < s.OpsPerClient/2; n++ {
-						doGet(c, pw.id, pw.path)
-						k.Sleep(300 * time.Millisecond)
-					}
-				})
-			}
-		}
-
 		// Session churn: connect, work, clean close, reconnect fresh.
 		spawn("churn", func() {
 			for gen := 0; gen < 3; gen++ {
@@ -678,14 +621,9 @@ func Run(s Scenario) *Result {
 	}
 	k.Shutdown()
 
-	open := map[string]bool{watcherID: true}
-	if cfg.WatchFanout {
-		open["pwatch"] = true
-		open["rwatch"] = true
-	}
 	res.Violations = append(res.Violations, Check(h, CheckOpts{
 		SwapPairs:    swapPairsFor(s.Config),
-		OpenSessions: open,
+		OpenSessions: map[string]bool{watcherID: true},
 	})...)
 	return res
 }

@@ -44,7 +44,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 		"HeartbeatEvery Retries " +
 		"WriteShards BatchWrites MaxBatch " +
 		"CacheMode CacheCapacityB ClientCacheCapacityB " +
-		"WatchFanout FanoutDebounce WireCodec " +
+		"WireCodec " +
 		"Telemetry CostAccounting CostBudgetUSDPerHour"
 	fields := exportedFields(Config{})
 	if got := strings.Join(fields, " "); got != want {
@@ -65,7 +65,6 @@ func TestConfigSurfacePinned(t *testing.T) {
 var testOnlyFields = map[string]string{
 	"ExtraRegions":         "the paper's multi-region replication; the region set is a deployment setting",
 	"CostBudgetUSDPerHour": "the budget is the operator's number, not the code's; ROADMAP 5(c) mirrors the monitor for latency",
-	"FanoutDebounce":       "the end-to-end coalescing test needs a window wider than a write round trip",
 }
 
 // TestEveryConfigFieldHasANonTestSetter is the rule of

@@ -16,7 +16,6 @@ import (
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
 	"faaskeeper/internal/txn"
-	"faaskeeper/internal/watchfanout"
 	"faaskeeper/internal/znode"
 )
 
@@ -118,27 +117,6 @@ type Config struct {
 	// CacheTwoLevel mode (default 256 kB).
 	ClientCacheCapacityB int
 
-	// WatchFanout enables the hierarchical watch fan-out tier (package
-	// watchfanout): instead of enumerating watching sessions inside the
-	// write hot path, the leader publishes ONE notification record per
-	// (path, txid) to each region's fan-out node — colocated with the
-	// regional cache — and the node owns the per-session delivery with
-	// per-watch debounce/coalesce policies, plus ZooKeeper 3.6-style
-	// persistent and recursive watches (Deployment.AddWatch). Watch
-	// registration and matching move off the system store entirely, so
-	// the leader's per-write watch work is O(1) in watcher count. The
-	// epoch-stamp read gate (Z4) is preserved: a watch id enters the
-	// shard epoch list when its first firing is published and leaves when
-	// its last in-flight firing is delivered or coalesced into a newer
-	// one. Default false — the paper's per-watcher delivery path,
-	// byte-identical to the golden trace.
-	WatchFanout bool
-
-	// FanoutDebounce is the latest-wins coalescing window applied by
-	// fan-out nodes to PolicyCoalesce registrations (default 10ms). Only
-	// meaningful with WatchFanout.
-	FanoutDebounce time.Duration
-
 	// WireCodec is inert: package wire's binary codec is the only wire
 	// format. The field survives, validated by name ("" and "binary" are
 	// accepted and equivalent, anything else panics), because the frozen
@@ -220,9 +198,6 @@ func (c *Config) defaults() {
 	if c.ClientCacheCapacityB <= 0 {
 		c.ClientCacheCapacityB = 256 << 10
 	}
-	if c.FanoutDebounce <= 0 {
-		c.FanoutDebounce = 10 * time.Millisecond
-	}
 	if c.WireCodec != "" && c.WireCodec != "binary" {
 		// A caller asking for a format that no longer exists ("gob") must
 		// not silently get another one.
@@ -260,10 +235,6 @@ type Deployment struct {
 	// Caches holds one regional cache node per user store (aligned with
 	// Stores); empty when CacheMode is CacheOff.
 	Caches []*cache.Regional
-
-	// Fanouts holds one watch fan-out node per user store (aligned with
-	// Stores); empty unless Cfg.WatchFanout.
-	Fanouts []*watchfanout.Node
 
 	// LeaderQs holds one ordered queue per write shard; LeaderQs[s] feeds
 	// shard s's serialized leader instance. A single-shard deployment has
@@ -360,28 +331,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 				rc.EnableVMAccrual()
 			}
 			d.Caches = append(d.Caches, rc)
-		}
-		if cfg.WatchFanout {
-			region := r
-			fn := watchfanout.New(env, region,
-				func(session string, wid int64, ev watchfanout.Event, path string, txid int64) {
-					n := Notification{WatchID: wid, Event: EventType(ev), Path: path, Txid: txid}
-					d.notify(session, n, n.wireSize())
-				},
-				func(shard int, wid int64) {
-					// The watch's last in-flight firing is done: retire it
-					// from this region's shard epoch list so the read gate
-					// stops holding for it.
-					_, _ = d.System.Update(d.BillSystemCtx(cloud.ClientCtx(region)),
-						d.epochKey(region, shard),
-						[]kv.Update{kv.ListRemove{Name: attrEpochList, Vals: []int64{wid}}}, nil)
-				},
-				sim.Time(cfg.FanoutDebounce))
-			if cfg.CostAccounting {
-				fn.EnableVMAccrual()
-				fn.SetBillCtx(d.BillSystemCtx(cloud.ClientCtx(region)))
-			}
-			d.Fanouts = append(d.Fanouts, fn)
 		}
 	}
 
@@ -482,20 +431,6 @@ func (d *Deployment) CacheFor(region cloud.Region) *cache.Regional {
 	return d.Caches[0]
 }
 
-// FanoutFor returns the watch fan-out node local to a region (nil when
-// the tier is off), with the same closest-replica fallback as StoreFor.
-func (d *Deployment) FanoutFor(region cloud.Region) *watchfanout.Node {
-	if len(d.Fanouts) == 0 {
-		return nil
-	}
-	for _, n := range d.Fanouts {
-		if n.Region() == region {
-			return n
-		}
-	}
-	return d.Fanouts[0]
-}
-
 // Connect provisions the cloud-side transport for a new session: a FIFO
 // request queue with a follower trigger (one concurrent instance per
 // session preserves the session's FIFO order while different sessions
@@ -594,18 +529,8 @@ func (d *Deployment) RegisterSession(ctx cloud.Ctx, sessionID string) error {
 // ordering. Registration is a single system-store write (Section 4.1:
 // "adding insignificant cost").
 func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, sessionID string) (int64, error) {
-	if d.fanoutOn() {
-		// The fan-out tier owns all registrations: one-shot watches keep
-		// their exact client-visible semantics but live on the regional
-		// node instead of the system store.
-		return d.fanoutRegister(ctx, path, wt, sessionID, watchfanout.PolicyImmediate, 0)
-	}
-	if wt >= WatchPersistent {
-		return 0, ErrFanoutOff
-	}
-	attr := watchAttr(wt)
 	_, err := d.System.Update(ctx, watchKey(path),
-		[]kv.Update{kv.StrListAppend{Name: attr, Vals: []string{sessionID}}}, nil)
+		[]kv.Update{kv.StrListAppend{Name: watchAttr(wt), Vals: []string{sessionID}}}, nil)
 	if err != nil {
 		return 0, err
 	}

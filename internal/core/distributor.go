@@ -62,8 +62,8 @@ package core
 //     another writer may causally follow becomes readable (Z4). A lone
 //     message on a single serialized shard keeps the paper's order (query
 //     after the flush, each id entered next to the launch of its delivery);
-//     several shards, the fan-out tier, or a chunk of several messages claim
-//     before the flush (openChunk's claimEarly). Either way chunk n's ids are
+//     several shards or a chunk of several messages claim before the flush
+//     (openChunk's claimEarly). Either way chunk n's ids are
 //     entered before flush n+1 starts, and a flush reads its epoch stamp
 //     before its legs start, so a claim prefetched under it cannot reach the
 //     stamp. The query itself cannot move ahead of the flush on the paper's
@@ -407,7 +407,7 @@ func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
 	f.msgs = run[:min(size, len(run))]
 	// Order rule 1 (see the package comment): only a lone message on a
 	// single serialized shard may keep the paper's claim-after-flush.
-	f.claimEarly = p.d.NumShards() > 1 || p.d.fanoutOn() || len(f.msgs) > 1
+	f.claimEarly = p.d.NumShards() > 1 || len(f.msgs) > 1
 	return f
 }
 
@@ -467,11 +467,7 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			continue
 		}
 		if r.code == CodeOK {
-			if d.fanoutOn() {
-				// The chunk's writes are readable: release this operation's
-				// parked firings at the fan-out nodes.
-				d.fanoutRelease(r.ctx, dm.txid)
-			} else if !cur.claimEarly {
+			if !cur.claimEarly {
 				t0 := d.K.Now()
 				r.fired = d.queryWatches(r.ctx, msg)
 				d.recordPhase("leader.watchquery", d.K.Now()-t0)
@@ -700,7 +696,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	var fired []firedWatch
 	if f.claimEarly {
 		t0 = d.K.Now()
-		fired = d.claimWatches(ctx, msg, txid, p.epochs)
+		fired = d.claimWatches(ctx, msg, p.epochs)
 		d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	}
 

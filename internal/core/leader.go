@@ -546,15 +546,9 @@ func (d *Deployment) claimGroup(ctx cloud.Ctx, key, attr string, sessions []stri
 }
 
 // claimWatches is the claim half of ➍, run before the change is readable:
-// the fan-out tier publishes one record per (path, txid) and owns delivery
-// (nothing is returned — the leader never enumerates sessions); otherwise
 // the fired groups are claimed and their ids entered into the epoch
 // counters, so every value written afterwards carries them (Z4).
-func (d *Deployment) claimWatches(ctx cloud.Ctx, msg leaderMsg, txid int64, epochs map[cloud.Region][]int64) []firedWatch {
-	if d.fanoutOn() {
-		d.fanoutPublish(ctx, msg, txid, epochs)
-		return nil
-	}
+func (d *Deployment) claimWatches(ctx cloud.Ctx, msg leaderMsg, epochs map[cloud.Region][]int64) []firedWatch {
 	fired := d.queryWatches(ctx, msg)
 	d.appendEpochs(ctx, fired, msg.Shard, epochs)
 	return fired

@@ -19,13 +19,6 @@ const (
 	epochKeyPrefix   = "epoch:"
 	deregKeyPrefix   = "dereg:"
 
-	// watchSetKeyPrefix items record each session's persistent watch
-	// registrations (fan-out tier only): one string list of watched
-	// paths, durable and cheap to read back at connect time for
-	// watch-set cache warm-up.
-	watchSetKeyPrefix = "watchset:"
-	attrWatchSet      = "paths"
-
 	// rootUpdateLockKey is the timed-lock item serializing cross-shard
 	// read-modify-write cycles on the root node's user-store object.
 	rootUpdateLockKey = "rootupdate"
@@ -69,11 +62,10 @@ const (
 	attrEpochList = "w"
 )
 
-func nodeKey(path string) string   { return nodeKeyPrefix + path }
-func sessionKey(id string) string  { return sessionKeyPrefix + id }
-func watchKey(path string) string  { return watchKeyPrefix + path }
-func deregKey(id string) string    { return deregKeyPrefix + id }
-func watchSetKey(id string) string { return watchSetKeyPrefix + id }
+func nodeKey(path string) string  { return nodeKeyPrefix + path }
+func sessionKey(id string) string { return sessionKeyPrefix + id }
+func watchKey(path string) string { return watchKeyPrefix + path }
+func deregKey(id string) string   { return deregKeyPrefix + id }
 
 // epochKey names the per-region, per-shard watch epoch counter. Each
 // leader shard keeps its own in-flight watch list, so shards never contend

@@ -820,7 +820,7 @@ func (d *Deployment) pollTxnHeads(ctx cloud.Ctx, targets []string, txid int64, s
 // claimTxnWatches claims the watches of every effectful op of a
 // transaction message before anything becomes readable (the multi-shard
 // pre-fire ordering; Z4 holds on every deployment).
-func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard int, txid int64, epochs map[cloud.Region][]int64) []firedWatch {
+func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard int, epochs map[cloud.Region][]int64) []firedWatch {
 	t0 := d.K.Now()
 	var fired []firedWatch
 	for _, op := range ops {
@@ -829,7 +829,7 @@ func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard 
 		}
 		view := opMsgView(op)
 		view.Shard = shard
-		fired = append(fired, d.claimWatches(ctx, view, txid, epochs)...)
+		fired = append(fired, d.claimWatches(ctx, view, epochs)...)
 	}
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
@@ -846,18 +846,13 @@ func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg,
 		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{})
 		return nil
 	}
-	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, txid, epochs)
+	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, epochs)
 
 	fold, results := d.buildTxnFold(ctx, tm.Ops, func(int) int64 { return txid }, states)
 	d.stageMsg(msg, obs.StageFlush)
 	t0 = d.K.Now()
 	d.distributeFold(ctx, fold, epochs, true, nil, nil)
 	d.recordPhase("leader.update", d.K.Now()-t0)
-	if d.fanoutOn() {
-		// The whole multi() is applied atomically above: every sub-op's
-		// parked firings share this txid and release together.
-		d.fanoutRelease(ctx, txid)
-	}
 
 	var comps []watchCompletion
 	for _, f := range fired {
@@ -904,7 +899,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 		d.spanEnd(ssp)
 		return nil
 	}
-	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, txid, epochs)
+	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, epochs)
 	// Pop pendings but never collect tombstones here: the mark must keep
 	// fencing the path until the coordinator's atomic apply, and
 	// collecting the item would drop it.
@@ -913,24 +908,6 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 	}
 	_ = d.Txns.Ready(ctx, tm.ID, msg.Shard)
 	d.spanEnd(ssp)
-	// A timed-out wait for the apply (false) means the coordinator is still
-	// being re-driven by redelivery: keep waiting — delivering before the
-	// apply would notify a change that is not yet readable (Z4).
-	awaitApplied := func() {
-		for !d.Txns.AwaitApplied(ctx, tm.ID) {
-		}
-	}
-	if d.fanoutOn() {
-		// Fan-out tier (a part always carries an effectful op, so
-		// claimTxnWatches published): the release defers itself until the
-		// coordinator's atomic apply makes the transaction readable — the
-		// same ordering the legacy post-apply delivery batch below
-		// enforces. The nodes own delivery and epoch exit from there.
-		d.K.Go("txn-fanout-release", func() {
-			awaitApplied()
-			d.fanoutRelease(ctx, txid)
-		})
-	}
 	if len(fired) > 0 {
 		// One post-apply delivery batch for the whole shard: one poller,
 		// every delivery launched in parallel once the transaction is
@@ -941,7 +918,12 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 		d.txnWatchBatches++
 		d.txnWatchDeliveries += int64(len(fired))
 		d.K.Go("txn-watch-batch", func() {
-			awaitApplied()
+			// A timed-out wait for the apply (false) means the coordinator is
+			// still being re-driven by redelivery: keep waiting — delivering
+			// before the apply would notify a change that is not yet readable
+			// (Z4).
+			for !d.Txns.AwaitApplied(ctx, tm.ID) {
+			}
 			comps := make([]watchCompletion, 0, len(fired))
 			wids := make([]int64, 0, len(fired))
 			for _, f := range fired {

@@ -224,11 +224,6 @@ const (
 	WatchData WatchType = iota + 1
 	WatchExists
 	WatchChild
-	// The persistent kinds (ZooKeeper 3.6 addWatch) are served by the
-	// watch fan-out tier only — they never touch the legacy system-store
-	// watch items. Values mirror watchfanout.Kind.
-	WatchPersistent
-	WatchPersistentRecursive
 )
 
 func (w WatchType) String() string {
@@ -239,10 +234,6 @@ func (w WatchType) String() string {
 		return "exists"
 	case WatchChild:
 		return "child"
-	case WatchPersistent:
-		return "persistent"
-	case WatchPersistentRecursive:
-		return "recursive"
 	}
 	return "?"
 }

@@ -15,11 +15,7 @@ var heartbeatPrepBase = sim.Q(0.3, 1.2, 2.5, 4.0, 10)
 // Delivery"): it fans one notification out to every subscribed client in
 // parallel and waits for the deliveries before returning, which is what
 // lets the leader's epoch bookkeeping treat the invocation's completion as
-// "notification delivered". This per-session enumeration is the
-// paper-faithful path; with Config.WatchFanout the leader instead
-// publishes one record per (path, txid) to the regional fan-out node
-// (internal/watchfanout), which owns session membership and delivery
-// pacing — see Deployment.FanoutFor.
+// "notification delivered".
 func (d *Deployment) watchHandler(inv *faas.Invocation) error {
 	p, err := decodeWatchPayload(inv.Payload)
 	if err != nil {

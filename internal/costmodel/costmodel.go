@@ -165,50 +165,6 @@ func (m Model) CacheBreakEvenReads(hitRatio float64, sizeB int, hybrid bool, reg
 	return m.CacheNodeDailyCost(regions) / saved
 }
 
-// LegacyWatchQueryCost returns the leader-side dollars for firing one
-// watch group the paper's way: a strongly consistent system-store read
-// of the session list (one entry per watcher) plus the conditional write
-// that clears the one-shot group. It grows linearly with the number of
-// registered watchers — the term the fan-out tier removes.
-func (m Model) LegacyWatchQueryCost(watchers int) float64 {
-	if watchers < 0 {
-		watchers = 0
-	}
-	const entryBytes = 40 // session id + watch metadata per registration
-	return m.P.KVReadCost(watchers*entryBytes, true) + m.P.KVWriteCost(1)
-}
-
-// FanoutPublishCost returns the leader-side dollars for the same firing
-// with the fan-out tier deployed: one notification record — path, op,
-// txid — written toward the regional node, independent of the watcher
-// count (session enumeration and delivery happen on the per-op-free
-// node, see FanoutNodeDailyCost).
-func (m Model) FanoutPublishCost() float64 {
-	const recordBytes = 64 // NotificationRecord wire size, small paths
-	return m.P.KVWriteCost(recordBytes)
-}
-
-// FanoutNodeDailyCost is the provisioned cost of the fan-out tier: one
-// regional node per user-store region, billed like a cache node.
-func (m Model) FanoutNodeDailyCost(regions int) float64 {
-	if regions <= 0 {
-		regions = 1
-	}
-	return m.P.CacheVMDailyCost(regions)
-}
-
-// FanoutBreakEvenFirings returns the daily watch-group firings above
-// which the fan-out tier pays for itself at the given watcher count: the
-// point where the per-firing leader savings cover the provisioned nodes.
-// Infinite when the tier saves nothing per firing.
-func (m Model) FanoutBreakEvenFirings(watchers, regions int) float64 {
-	saved := m.LegacyWatchQueryCost(watchers) - m.FanoutPublishCost()
-	if saved <= 0 {
-		return math.Inf(1)
-	}
-	return m.FanoutNodeDailyCost(regions) / saved
-}
-
 // DailyCost returns FaaSKeeper's cost for a day of traffic.
 func (m Model) DailyCost(requestsPerDay float64, readFraction float64, sizeB int, hybrid bool) float64 {
 	reads := requestsPerDay * readFraction

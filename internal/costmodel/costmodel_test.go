@@ -262,31 +262,3 @@ func TestBatchWriteSavingsAndBreakEven(t *testing.T) {
 		t.Error("a batch of one cannot fold")
 	}
 }
-
-func TestFanoutCostFlatInWatchers(t *testing.T) {
-	m := NewAWSModel(512)
-	pub := m.FanoutPublishCost()
-	if pub <= 0 {
-		t.Fatalf("publish cost = %g", pub)
-	}
-	// The legacy leader-side watch query grows with the watcher count;
-	// the fan-out publish does not reference it at all.
-	l10k := m.LegacyWatchQueryCost(10_000)
-	l1m := m.LegacyWatchQueryCost(1_000_000)
-	if l1m <= l10k {
-		t.Fatalf("legacy cost not increasing: %g <= %g", l1m, l10k)
-	}
-	if l1m/pub < 10 {
-		t.Fatalf("fan-out saves too little at 1M watchers: legacy %g vs publish %g", l1m, pub)
-	}
-	// Break-even falls as the watcher count (and thus per-firing savings)
-	// grows, and the node cost matches the cache-tier precedent.
-	be10k := m.FanoutBreakEvenFirings(10_000, 1)
-	be1m := m.FanoutBreakEvenFirings(1_000_000, 1)
-	if be1m >= be10k {
-		t.Fatalf("break-even did not fall with watchers: %g >= %g", be1m, be10k)
-	}
-	if m.FanoutNodeDailyCost(2) != m.CacheNodeDailyCost(2) {
-		t.Fatalf("fan-out node cost diverges from cache node cost")
-	}
-}

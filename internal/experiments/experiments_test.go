@@ -12,7 +12,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10",
 		"tab3", "fig11", "fig12", "fig13", "tab4", "fig14", "sec532x",
 		"ablations", "sharding", "caching", "batching", "txn",
-		"telemetry", "chaos", "cost", "watchfanout",
+		"telemetry", "chaos", "cost",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
@@ -618,49 +618,5 @@ func TestCostLiveMeasuredAndConserved(t *testing.T) {
 	}
 	if !(parse(last[1]) > parse(last[zk])) {
 		t.Errorf("at %s req/day the plain config should exceed ZooKeeper: %v", last[0], last)
-	}
-}
-
-func TestWatchFanoutFlatAndCoalesced(t *testing.T) {
-	rep := runQuick(t, "watchfanout")
-	// Section A: leader-side per-write work must be identical at every
-	// watcher count while node deliveries scale with the population.
-	sweep := rep.Sections[0].Rows
-	if len(sweep) != 3 {
-		t.Fatalf("sweep rows = %d, want 3", len(sweep))
-	}
-	for _, col := range []int{1, 2, 3} {
-		for _, row := range sweep[1:] {
-			if row[col] != sweep[0][col] {
-				t.Errorf("leader work not flat in column %d: %v vs %v", col, row, sweep[0])
-			}
-		}
-	}
-	d0, _ := strconv.ParseInt(sweep[0][4], 10, 64)
-	d2, _ := strconv.ParseInt(sweep[2][4], 10, 64)
-	if d2 < 50*d0 {
-		t.Errorf("node deliveries did not scale with watchers: %d vs %d", d2, d0)
-	}
-	// Section B: coalescing must cut node deliveries at least 10x on the
-	// confd burst.
-	burst := rep.Sections[1].Rows
-	imm, _ := strconv.ParseInt(burst[0][1], 10, 64)
-	coal, err := strconv.ParseInt(burst[1][1], 10, 64)
-	if err != nil || imm == 0 || coal == 0 {
-		t.Fatalf("burst rows incomplete: %v", burst)
-	}
-	if float64(imm)/float64(coal) < 10 {
-		t.Errorf("coalescing saves only %.1fx, want >= 10x", float64(imm)/float64(coal))
-	}
-	// Section C: the fan-out tier must do strictly less leader-side
-	// system-store work than the legacy watch query.
-	cmp := rep.Sections[2].Rows
-	legacy, _ := strconv.ParseFloat(cmp[0][1], 64)
-	fan, err2 := strconv.ParseFloat(cmp[1][1], 64)
-	if err2 != nil || legacy == 0 {
-		t.Fatalf("compare rows incomplete: %v", cmp)
-	}
-	if fan >= legacy {
-		t.Errorf("fan-out tier not cheaper: %v vs %v syskv ops/write", fan, legacy)
 	}
 }

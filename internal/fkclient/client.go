@@ -19,7 +19,6 @@ import (
 	"faaskeeper/internal/shardmap"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
-	"faaskeeper/internal/watchfanout"
 	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
@@ -104,9 +103,6 @@ type pendingOp struct {
 }
 
 type watchEntry struct {
-	wid       int64
-	path      string
-	wt        core.WatchType
 	cb        WatchCallback
 	delivered *sim.Future[core.Notification]
 
@@ -122,14 +118,6 @@ type watchEntry struct {
 	// the registration landed, hence commits — and mints its txid — after
 	// every notification already delivered by then.
 	armMRD map[int]int64
-
-	// persistent marks a fan-out-tier addWatch registration: the entry
-	// survives fires (delivered is re-armed after each one) and lastFired
-	// tracks the newest delivered txid, which the read gate compares
-	// against a fetched version under coalescing — a suppressed firing is
-	// always covered by a delivered one with a larger txid.
-	persistent bool
-	lastFired  int64
 }
 
 // Connect registers a new session and starts the client workers. It must
@@ -159,27 +147,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 	}
 	if err := d.RegisterSession(c.ctx, id); err != nil {
 		return nil, err
-	}
-	if c.lcache != nil && d.Cfg.WatchFanout {
-		// Watch-set warm-up: a reconnecting session prefetches exactly
-		// the paths its durable persistent-watch registrations name —
-		// the paths it is about to read. One system-store read for the
-		// set, one cache round trip for the entries. Safe for a fresh
-		// session: an entry the regional node still holds is the path's
-		// current committed state (push-invalidation), exactly what a
-		// first direct read could return, and raising lastSeen only makes
-		// later guard checks stricter.
-		if paths := d.SessionWatchSet(c.ctx, id); len(paths) > 0 {
-			for _, w := range c.rcache.WarmupPaths(c.ctx, paths) {
-				if !c.l1Cacheable(w.Path) {
-					continue
-				}
-				c.lcache.Put(w.Path, cache.Entry{Blob: w.Entry.Blob, Mzxid: w.Entry.Mzxid, FilledAt: d.K.Now()})
-				if w.Entry.Mzxid > c.lastSeen[w.Path] {
-					c.lastSeen[w.Path] = w.Entry.Mzxid
-				}
-			}
-		}
 	}
 	d.K.Go("client-sender-"+id, c.senderLoop)
 	d.K.Go("client-responder-"+id, c.responderLoop)
@@ -406,19 +373,8 @@ func (c *Client) onNotification(n core.Notification) {
 	if !ok {
 		return
 	}
-	if entry.persistent {
-		// Persistent (ZooKeeper 3.6 addWatch): no re-arm, the entry
-		// stays. Wake the current fire's waiters and arm a fresh future
-		// for the next one.
-		if n.Txid > entry.lastFired {
-			entry.lastFired = n.Txid
-		}
-		entry.delivered.TryComplete(n)
-		entry.delivered = sim.NewFuture[core.Notification](c.d.K)
-	} else {
-		delete(c.watches, n.WatchID) // one-shot, as in ZooKeeper
-		entry.delivered.TryComplete(n)
-	}
+	delete(c.watches, n.WatchID) // one-shot, as in ZooKeeper
+	entry.delivered.TryComplete(n)
 	if cb := entry.cb; cb != nil {
 		c.callbacks.Push(func() { cb(n) })
 	}
@@ -643,83 +599,11 @@ func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback)
 		armMRD[shard] = txid
 	}
 	c.watches[wid] = &watchEntry{
-		wid: wid, path: path, wt: wt, cb: cb,
+		cb:        cb,
 		delivered: sim.NewFuture[core.Notification](c.d.K),
 		armMRD:    armMRD,
 	}
 	return nil
-}
-
-// WatchOptions configures a persistent (fan-out tier) watch.
-type WatchOptions struct {
-	// Recursive watches the whole subtree rooted at the path (ZooKeeper
-	// 3.6 PERSISTENT_RECURSIVE): data and node lifecycle events fire for
-	// every descendant, no ChildrenChanged events.
-	Recursive bool
-	// Policy paces deliveries at the regional node: PolicyImmediate (one
-	// delivery per write), PolicyCoalesce (latest-wins inside the node's
-	// debounce window — the recommended default for config watches), or
-	// PolicyInterval (confd-style batching on Interval).
-	Policy watchfanout.Policy
-	// Interval is the PolicyInterval batching window.
-	Interval time.Duration
-}
-
-// AddWatch registers a persistent watch on path (ZooKeeper 3.6 addWatch)
-// and returns its watch id. The watch fires on every matching change
-// without re-arming; cb runs on the client's callback worker for each
-// delivered notification. Requires a deployment with Config.WatchFanout.
-func (c *Client) AddWatch(path string, opts WatchOptions, cb WatchCallback) (int64, error) {
-	if c.closed {
-		return 0, core.ErrSessionClosed
-	}
-	wid, err := c.d.AddWatch(c.ctx, path, opts.Recursive, opts.Policy, opts.Interval, c.id)
-	if err != nil {
-		return 0, err
-	}
-	if e, exists := c.watches[wid]; exists {
-		e.cb = cb // re-registration: latest callback wins, like registerWatch
-		return wid, nil
-	}
-	wt := core.WatchPersistent
-	if opts.Recursive {
-		wt = core.WatchPersistentRecursive
-	}
-	armMRD := make(map[int]int64, len(c.mrd))
-	for shard, txid := range c.mrd {
-		armMRD[shard] = txid
-	}
-	c.watches[wid] = &watchEntry{
-		wid: wid, path: path, wt: wt, cb: cb,
-		delivered:  sim.NewFuture[core.Notification](c.d.K),
-		armMRD:     armMRD,
-		persistent: true,
-	}
-	return wid, nil
-}
-
-// awaitPersistentFire holds a read that fetched version mzxid of a path
-// covered by one of the session's persistent watches until that
-// version's notification — or a covering newer one — has been delivered
-// (Z4). Coalescing may be holding the firing in an open debounce slot,
-// so each round kicks the regional node (forcing the slot to flush and
-// marking unreleased firings urgent) before waiting. The attempts are
-// bounded: after a fan-out node loss the notification may legitimately
-// never come (the lost-watch guarantee is bounded exactly like the
-// legacy tier's), and a persistent watch must not wedge every subsequent
-// read of the path.
-func (c *Client) awaitPersistentFire(entry *watchEntry, mzxid int64) {
-	for attempts := 0; entry.lastFired < mzxid && attempts < 4; attempts++ {
-		f := entry.delivered // capture before the kick's round trip
-		if c.d.FanoutKick(c.ctx, entry.wid) >= mzxid {
-			// Delivered node-side; our own copy is in flight — fall
-			// through and wait for it to land locally.
-		}
-		if entry.lastFired >= mzxid {
-			return
-		}
-		_, _ = f.WaitTimeout(DefaultRequestTimeout / 4)
-	}
 }
 
 // read performs the storage read — through the cache tier when one is
@@ -761,10 +645,6 @@ func (c *Client) read(path string, watching bool) (*znode.Node, error) {
 				// registration of the same watch id and was already
 				// delivered before the current one was armed (see
 				// watchEntry.armMRD).
-				continue
-			}
-			if entry.persistent {
-				c.awaitPersistentFire(entry, n.Stat.Mzxid)
 				continue
 			}
 			if _, ok := entry.delivered.WaitTimeout(DefaultRequestTimeout); !ok {

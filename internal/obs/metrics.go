@@ -24,7 +24,7 @@ type Key struct {
 // the registry is enabled (Config.Telemetry) and are strict no-ops —
 // zero allocation, zero map traffic — when it is not. Gauges are levels
 // owned by a subsystem with its own switch or publish call (the cost
-// ledger's mirror cells, cache and fan-out node statistics): they always
+// ledger's mirror cells, cache node statistics): they always
 // function, so a deployment that never enables span telemetry still
 // exports its cost and cache series.
 type Registry struct {

@@ -362,9 +362,8 @@ const (
 	SpanFollowerCommit = "follower.commit" // system-store commit, concurrent with queue.leader
 	SpanStoreWrite     = "store.write"     // one region's user-store write
 	SpanCacheInval     = "cache.invalidate"
-	SpanWatchDeliver   = "watch.deliver"  // watch function invocation + delivery
-	SpanFanoutPublish  = "fanout.publish" // one-record notification to the fan-out nodes
-	SpanTxnShard       = "txn.shard"      // one shard leader's part of a cross-shard multi
+	SpanWatchDeliver   = "watch.deliver" // watch function invocation + delivery
+	SpanTxnShard       = "txn.shard"     // one shard leader's part of a cross-shard multi
 
 	SpanCostBreach = "cost.breach" // budget monitor burn-rate breach (instant)
 )

@@ -68,10 +68,6 @@ type Client struct {
 	nextSeq int64
 	pending map[int64]*sim.Future[response]
 	watches map[clientWatchKey]WatchCallback
-	// addWatch registrations: persistent callbacks keyed by exact path,
-	// recursive ones by subtree root. Neither is cleared on dispatch.
-	pwatches map[string]WatchCallback
-	rwatches map[string]WatchCallback
 	// events decouples callback execution from the I/O loop, like the
 	// Java client's event thread: a callback may safely issue synchronous
 	// operations (re-registering a watch, for example).
@@ -93,11 +89,9 @@ func Connect(e *Ensemble, serverIdx int) (*Client, error) {
 	s.accept(id, conn.A())
 	c := &Client{
 		ens: e, id: id, end: conn.B(),
-		pending:  map[int64]*sim.Future[response]{},
-		watches:  map[clientWatchKey]WatchCallback{},
-		pwatches: map[string]WatchCallback{},
-		rwatches: map[string]WatchCallback{},
-		events:   sim.NewQueue[WatchEvent](e.env.K),
+		pending: map[int64]*sim.Future[response]{},
+		watches: map[clientWatchKey]WatchCallback{},
+		events:  sim.NewQueue[WatchEvent](e.env.K),
 	}
 	e.env.K.Go("zk-client-"+id, c.responderLoop)
 	e.env.K.Go("zk-events-"+id, c.eventLoop)
@@ -158,19 +152,6 @@ func (c *Client) dispatchEvent(ev WatchEvent) {
 		if cb, ok := c.watches[key]; ok {
 			delete(c.watches, key)
 			if cb != nil {
-				cb(ev)
-			}
-		}
-	}
-	// addWatch callbacks fire on every matching event without being
-	// cleared; recursive ones match the whole subtree but never see
-	// ChildrenChanged (ZooKeeper 3.6 semantics).
-	if cb, ok := c.pwatches[ev.Path]; ok && cb != nil {
-		cb(ev)
-	}
-	if ev.Type != EventChildrenChanged {
-		for root, cb := range c.rwatches {
-			if cb != nil && underTree(root, ev.Path) {
 				cb(ev)
 			}
 		}
@@ -329,28 +310,6 @@ func (c *Client) GetChildrenW(path string, cb WatchCallback) ([]string, error) {
 		return nil, e
 	}
 	return resp.Children, nil
-}
-
-// AddWatch registers a persistent watch on path (ZooKeeper 3.6 addWatch):
-// it fires cb on every matching event without re-arming, until the
-// session ends. With AddWatchPersistentRecursive the watch covers the
-// whole subtree (node lifecycle and data events, no ChildrenChanged).
-func (c *Client) AddWatch(path string, mode AddWatchMode, cb WatchCallback) error {
-	if err := c.check(path); err != nil {
-		return err
-	}
-	// Arm the local callback before the request so no event delivered
-	// after the server-side registration can be missed.
-	if mode == AddWatchPersistentRecursive {
-		c.rwatches[path] = cb
-	} else {
-		c.pwatches[path] = cb
-	}
-	resp, err := c.call(request{Op: OpAddWatch, Path: path, Mode: mode})
-	if err != nil {
-		return err
-	}
-	return codeError(resp.Code)
 }
 
 func (c *Client) check(path string) error {

@@ -59,8 +59,6 @@ type Server struct {
 	lastApplied int64
 	sessions    map[string]*serverSession
 	watches     map[string]map[EventType]map[string]bool // path -> event -> sessions
-	persistent  map[string]map[string]bool               // path -> sessions (addWatch)
-	recursive   map[string]map[string]bool               // subtree root -> sessions
 	nextSessNum int64
 }
 
@@ -76,14 +74,12 @@ func NewEnsemble(env *cloud.Env, cfg Config) *Ensemble {
 	for i := 0; i < cfg.Servers; i++ {
 		s := &Server{
 			ens: e, id: i, alive: true,
-			replica:    newTree(),
-			mailbox:    sim.NewQueue[peerMsg](env.K),
-			peers:      map[int]*network.End{},
-			pending:    map[int64]*proposal{},
-			sessions:   map[string]*serverSession{},
-			watches:    map[string]map[EventType]map[string]bool{},
-			persistent: map[string]map[string]bool{},
-			recursive:  map[string]map[string]bool{},
+			replica:  newTree(),
+			mailbox:  sim.NewQueue[peerMsg](env.K),
+			peers:    map[int]*network.End{},
+			pending:  map[int64]*proposal{},
+			sessions: map[string]*serverSession{},
+			watches:  map[string]map[EventType]map[string]bool{},
 		}
 		e.servers = append(e.servers, s)
 	}
@@ -439,41 +435,12 @@ func (s *Server) fireWatches(events []firedEvent, zxid int64) {
 				consume(EventChildrenChanged)
 			}
 		}
-		// addWatch registrations survive their fires. Persistent watches
-		// see every event type at the exact path; persistent-recursive
-		// watches see node lifecycle and data events anywhere in the
-		// subtree but no ChildrenChanged (ZooKeeper 3.6 semantics).
-		for sess := range s.persistent[ev.Path] {
-			targets[sess] = true
-		}
-		if ev.Type != EventChildrenChanged {
-			for root, sessions := range s.recursive {
-				if !underTree(root, ev.Path) {
-					continue
-				}
-				for sess := range sessions {
-					targets[sess] = true
-				}
-			}
-		}
 		for sessID := range targets {
 			if sess, ok := s.sessions[sessID]; ok {
 				sess.sendEvent(WatchEvent{Type: ev.Type, Path: ev.Path, Zxid: zxid})
 			}
 		}
 	}
-}
-
-// underTree reports whether path lies in the subtree rooted at root
-// (inclusive).
-func underTree(root, path string) bool {
-	if root == path {
-		return true
-	}
-	if root == "/" {
-		return true
-	}
-	return len(path) > len(root) && path[:len(root)] == root && path[len(root)] == '/'
 }
 
 // registerWatch adds a one-shot registration. Watch kinds are encoded by
@@ -489,20 +456,6 @@ func (s *Server) registerWatch(path string, et EventType, session string) {
 		byEvent[et] = map[string]bool{}
 	}
 	byEvent[et][session] = true
-}
-
-// registerAddWatch adds a persistent (mode AddWatchPersistent) or
-// persistent-recursive registration; unlike one-shot watches it is never
-// consumed by a fire and lives until the session ends.
-func (s *Server) registerAddWatch(path string, mode AddWatchMode, session string) {
-	reg := s.persistent
-	if mode == AddWatchPersistentRecursive {
-		reg = s.recursive
-	}
-	if reg[path] == nil {
-		reg[path] = map[string]bool{}
-	}
-	reg[path][session] = true
 }
 
 // sessionExpiryLoop prunes sessions that stopped sending heartbeats,

@@ -23,18 +23,8 @@ const (
 	OpGetChildren
 	OpPing
 	OpCloseSession
-	OpCheck    // version guard inside a multi
-	OpMulti    // atomic multi-op transaction
-	OpAddWatch // ZooKeeper 3.6 addWatch: persistent / persistent-recursive
-)
-
-// AddWatchMode selects the addWatch registration kind.
-type AddWatchMode uint8
-
-// addWatch modes, mirroring ZooKeeper's AddWatchMode enum.
-const (
-	AddWatchPersistent AddWatchMode = iota + 1
-	AddWatchPersistentRecursive
+	OpCheck // version guard inside a multi
+	OpMulti // atomic multi-op transaction
 )
 
 // MultiOp is one sub-operation of a baseline multi() transaction.
@@ -55,7 +45,6 @@ type request struct {
 	Version  int32
 	Flags    znode.Flags
 	Watch    bool
-	Mode     AddWatchMode // OpAddWatch only
 	MultiOps []MultiOp
 }
 

@@ -63,14 +63,6 @@ func (sess *serverSession) handlerLoop() {
 		switch req.Op {
 		case OpPing:
 			sess.send(response{Seq: req.Seq, Code: CodeOK})
-		case OpAddWatch:
-			// Registration is server-local (the replica serving this
-			// session fires it), like one-shot watch arming on reads.
-			if sess.writeBarrier != nil && !sess.writeBarrier.Done() {
-				sess.writeBarrier.Wait()
-			}
-			s.registerAddWatch(req.Path, req.Mode, sess.id)
-			sess.send(response{Seq: req.Seq, Code: CodeOK})
 		case OpGetData, OpExists, OpGetChildren:
 			sess.handleRead(req)
 		case OpCreate, OpSetData, OpDelete, OpMulti, OpCloseSession:

@@ -328,78 +328,3 @@ func TestMultiAtomicCommitAndAbort(t *testing.T) {
 		}
 	})
 }
-
-func TestAddWatchPersistentAndRecursive(t *testing.T) {
-	harness(t, 9, Config{}, time.Hour, func(k *sim.Kernel, e *Ensemble) {
-		c, err := Connect(e, 1)
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		defer c.Close()
-		w, err := Connect(e, 2)
-		if err != nil {
-			t.Errorf("connect watcher: %v", err)
-			return
-		}
-		defer w.Close()
-		if _, err := c.Create("/app", nil, 0); err != nil {
-			t.Errorf("create: %v", err)
-		}
-		var pfires, rfires []WatchEvent
-		if err := w.AddWatch("/app", AddWatchPersistent, func(ev WatchEvent) {
-			pfires = append(pfires, ev)
-		}); err != nil {
-			t.Errorf("addwatch persistent: %v", err)
-		}
-		if err := w.AddWatch("/app", AddWatchPersistentRecursive, func(ev WatchEvent) {
-			rfires = append(rfires, ev)
-		}); err != nil {
-			t.Errorf("addwatch recursive: %v", err)
-		}
-		// Persistent fires on every change at the exact path, including
-		// ChildrenChanged; recursive covers the subtree without
-		// ChildrenChanged. Neither is consumed by a fire.
-		if _, err := c.SetData("/app", []byte("v1"), -1); err != nil {
-			t.Errorf("set: %v", err)
-		}
-		if _, err := c.SetData("/app", []byte("v2"), -1); err != nil {
-			t.Errorf("set2: %v", err)
-		}
-		if _, err := c.Create("/app/svc", []byte("x"), 0); err != nil {
-			t.Errorf("create child: %v", err)
-		}
-		if _, err := c.SetData("/app/svc", []byte("y"), -1); err != nil {
-			t.Errorf("set child: %v", err)
-		}
-		k.Sleep(time.Second)
-		// Persistent at /app: 2 data changes + 1 ChildrenChanged.
-		if len(pfires) != 3 {
-			t.Errorf("persistent fires = %+v, want 3", pfires)
-		}
-		nChild := 0
-		for _, ev := range pfires {
-			if ev.Type == EventChildrenChanged {
-				nChild++
-			}
-		}
-		if nChild != 1 {
-			t.Errorf("persistent ChildrenChanged fires = %d, want 1", nChild)
-		}
-		// Recursive at /app: 2 data changes at /app, create + set of
-		// /app/svc — and no ChildrenChanged.
-		if len(rfires) != 4 {
-			t.Errorf("recursive fires = %+v, want 4", rfires)
-		}
-		for _, ev := range rfires {
-			if ev.Type == EventChildrenChanged {
-				t.Errorf("recursive watch saw ChildrenChanged: %+v", ev)
-			}
-		}
-		for i := 1; i < len(rfires); i++ {
-			if rfires[i].Zxid < rfires[i-1].Zxid {
-				t.Errorf("recursive fires out of order: %+v", rfires)
-			}
-		}
-	})
-}
