@@ -7,7 +7,7 @@
 //	fkrepro -all               # run everything
 //	fkrepro -all -quick        # reduced repetition counts
 //	fkrepro -seed 7 -run tab3  # change the simulation seed
-//	fkrepro -run cost -json cost.json  # also write the tables as JSON
+//	fkrepro -run fig14 -json fig14.json  # also write the tables as JSON
 package main
 
 import (

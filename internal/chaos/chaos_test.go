@@ -38,14 +38,14 @@ func scenarioFor(seed int64, config string) Scenario {
 	return s
 }
 
-func runScenario(t *testing.T, s Scenario) {
+func runScenario(t *testing.T, s Scenario) *Result {
 	t.Helper()
 	res := Run(s)
 	if res.History.Len() == 0 {
 		t.Fatalf("seed %d config %s recorded no events", s.Seed, s.Config)
 	}
 	if !res.Failed() {
-		return
+		return res
 	}
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)
@@ -53,6 +53,7 @@ func runScenario(t *testing.T, s Scenario) {
 	t.Errorf("seed %d config %s: %d violation(s); replay with: %s",
 		s.Seed, s.Config, len(res.Violations), res.ReplayCmd())
 	writeArtifacts(t, res)
+	return res
 }
 
 // writeArtifacts dumps the failing run's history, fault schedule, and
@@ -90,7 +91,7 @@ func writeArtifacts(t *testing.T, res *Result) {
 // under the standing fault schedule, or — with -chaos.seed — one exact
 // replay of a reported failure.
 func TestChaos(t *testing.T) {
-	forEachScenario(t, runScenario)
+	forEachScenario(t, func(t *testing.T, s Scenario) { runScenario(t, s) })
 }
 
 // TestChaosWatchFiresOnFirstChange runs the seed matrix against
@@ -184,15 +185,17 @@ func TestReplayCmdReproducesScenario(t *testing.T) {
 }
 
 // TestChaosQuietControl runs the workload with every fault off: the
-// harness and checker themselves must be clean before a failure under
-// faults means anything.
+// harness and checker themselves must be clean, and nothing injected,
+// before a failure under faults means anything.
 func TestChaosQuietControl(t *testing.T) {
 	for _, cfg := range Configs() {
 		cfg := cfg
 		t.Run(cfg, func(t *testing.T) {
 			s := scenarioFor(42, cfg)
 			s.Faults = Quiet()
-			runScenario(t, s)
+			if res := runScenario(t, s); len(res.FaultCounts) != 0 {
+				t.Errorf("fault-free control injected faults: %v", res.FaultCounts)
+			}
 		})
 	}
 }

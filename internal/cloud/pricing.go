@@ -174,12 +174,6 @@ func (p Pricing) BlockStorageDailyCost(gb float64) float64 {
 	return p.BlockGBMo * gb * 12 / 365
 }
 
-// CacheVMDailyCost returns the dollars per day for the regional cache
-// nodes of the read-path cache tier.
-func (p Pricing) CacheVMDailyCost(nodes int) float64 {
-	return p.CacheVMHourly * 24 * float64(nodes)
-}
-
 // units computes ceil(size/unit) with a minimum of one unit.
 func units(sizeB, unitB int) int64 {
 	if unitB <= 0 {

@@ -42,7 +42,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 	const want = "Profile UserStore ExtraRegions " +
 		"FollowerMemMB LeaderMemMB HeartbeatMemMB Arch VCPU " +
 		"HeartbeatEvery Retries " +
-		"WriteShards BatchWrites MaxBatch " +
+		"WriteShards BatchWrites " +
 		"CacheMode CacheCapacityB ClientCacheCapacityB " +
 		"WireCodec " +
 		"Telemetry CostAccounting CostBudgetUSDPerHour"

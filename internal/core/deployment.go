@@ -91,16 +91,12 @@ type Config struct {
 	// coalesced invalidation record. Every per-operation invariant is
 	// preserved: each client still receives its own Stat with its own
 	// txid, watch payloads carry the firing operation's txid, and epoch
-	// entries precede readability of the chunk's writes (Z4). Default
-	// false ≡ chunks of one message — the paper's one-write-per-message
-	// distribution, byte-identical to the golden trace. defaults() turns
-	// false into MaxBatch = 1; nothing else reads this field.
+	// entries precede readability of the chunk's writes (Z4). On, a chunk
+	// is the whole run of messages between transaction barriers (bounded
+	// by the queue technology's receive limit); default false ≡ chunks of
+	// one message — the paper's one-write-per-message distribution,
+	// byte-identical to the golden trace.
 	BatchWrites bool
-
-	// MaxBatch caps how many queued messages one distributor flush may
-	// fold (0 = the whole invocation batch, itself bounded by the queue
-	// technology's receive limit). Forced to 1 unless BatchWrites.
-	MaxBatch int
 
 	// CacheMode enables the read-path cache tier (package cache): a
 	// shared regional cache node fronting each region's user store,
@@ -177,12 +173,6 @@ func (c *Config) defaults() {
 	}
 	if c.WriteShards <= 0 {
 		c.WriteShards = 1
-	}
-	if c.MaxBatch < 0 {
-		c.MaxBatch = 0
-	}
-	if !c.BatchWrites {
-		c.MaxBatch = 1
 	}
 	switch c.CacheMode {
 	case "off":

@@ -1,9 +1,9 @@
 package core
 
 // The distributor is the leader's one write pipeline. Every invocation's
-// messages run through it in chunks of at most Config.MaxBatch
-// (BatchWrites off ≡ chunks of one message, the paper's per-message
-// distribution), each chunk in three phases:
+// messages run through it in chunks: with Config.BatchWrites a chunk is a
+// whole run between transaction barriers, without it one message (the
+// paper's per-message distribution). Each chunk runs in three phases:
 //
 //	commit    per message: verify the system-store commit (➊/➋) and fold
 //	          the operation's effect into the chunk's batchFold
@@ -350,8 +350,8 @@ type pendingPop struct {
 }
 
 // pipeline runs one invocation's messages through the pipeline: maximal
-// runs between barriers, each cut into chunks of at most Config.MaxBatch
-// messages (0 = the whole run). The last chunk's pops are carried to the
+// runs between barriers, each one chunk under Config.BatchWrites and a
+// chunk per message without it. The last chunk's pops are carried to the
 // shard's next invocation.
 func (p *leaderRun) pipeline(msgs []decodedMsg) {
 	d, ctx, epochs := p.d, p.ctx, p.epochs
@@ -387,8 +387,8 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 // carries its two neighbours (underFlush); the last chunk's pops stay
 // deferred for whatever follows the run: a barrier, or the next invocation.
 func (p *leaderRun) flushRun(run []decodedMsg) {
-	size := p.d.Cfg.MaxBatch
-	if size <= 0 {
+	size := 1
+	if p.d.Cfg.BatchWrites {
 		size = len(run)
 	}
 	for cur := p.openChunk(run, size); cur != nil; cur = p.ahead {

@@ -126,9 +126,9 @@ func roundTripLM(t testing.TB, m leaderMsg) leaderMsg {
 	return got
 }
 
-// The Test*CodecEquivalence names predate the single codec (they compared
-// gob against binary); they now check each codec against the identity.
-func TestRequestCodecEquivalence(t *testing.T) {
+// The *RoundTripIdentity tests check decode(encode(x)) == x for each
+// message type of the wire format.
+func TestRequestRoundTripIdentity(t *testing.T) {
 	for _, r := range testRequests() {
 		if got := roundTripReq(t, r); !reflect.DeepEqual(normReq(got), normReq(r)) {
 			t.Errorf("round trip: %+v != %+v", got, r)
@@ -145,7 +145,7 @@ func TestRequestCodecEquivalence(t *testing.T) {
 	}
 }
 
-func TestLeaderMsgCodecEquivalence(t *testing.T) {
+func TestLeaderMsgRoundTripIdentity(t *testing.T) {
 	for _, m := range testLeaderMsgs() {
 		if got := roundTripLM(t, m); !reflect.DeepEqual(normLM(got), normLM(m)) {
 			t.Errorf("round trip: %+v != %+v", got, m)
@@ -153,7 +153,7 @@ func TestLeaderMsgCodecEquivalence(t *testing.T) {
 	}
 }
 
-func TestTxnMsgCodecEquivalence(t *testing.T) {
+func TestTxnMsgRoundTripIdentity(t *testing.T) {
 	for _, m := range append(testTxnMsgs(), txnMsg{ID: 1, traceID: 99}) {
 		got, err := decodeTxnMsg(m.encode())
 		if err != nil {
@@ -165,7 +165,7 @@ func TestTxnMsgCodecEquivalence(t *testing.T) {
 	}
 }
 
-func TestWatchPayloadCodecEquivalence(t *testing.T) {
+func TestWatchPayloadRoundTripIdentity(t *testing.T) {
 	for _, p := range testWatchPayloads() {
 		got, err := decodeWatchPayload(p.encode())
 		if err != nil {

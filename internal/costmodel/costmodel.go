@@ -64,107 +64,6 @@ func (m Model) WriteCost(sizeB int, hybrid bool) float64 {
 	return c
 }
 
-// BatchedWriteCost returns the average dollars per write when the
-// leader's batching distributor folds a batch of batchSize queued writes
-// into storeWrites user-store writes (storeWrites <= batchSize; equal
-// means no folding). The per-operation terms of Table 4 are unchanged —
-// each write still pays its two queue messages, three system-store
-// writes, the system-store read, and its follower execution — but the
-// user-store term is paid only per surviving write, and the whole batch
-// shares one leader invocation whose runtime scales with the folded
-// distribution instead of one full execution per message.
-func (m Model) BatchedWriteCost(batchSize, storeWrites, sizeB int, hybrid bool) float64 {
-	if batchSize <= 0 {
-		batchSize = 1
-	}
-	if storeWrites <= 0 || storeWrites > batchSize {
-		storeWrites = batchSize
-	}
-	n := float64(batchSize)
-	w := float64(storeWrites)
-	perOp := 2 * m.P.QueueMsgCost(sizeB)
-	perOp += 3 * m.P.KVWriteCost(1)
-	perOp += m.P.KVReadCost(1, true)
-	perOp += m.P.FaaSCost(m.MemoryMB, 1, m.FollowerSeconds, m.ARM)
-	total := n * perOp
-	total += w * m.P.StoreWriteCost(sizeB, hybrid)
-	total += m.P.FaaSCost(m.MemoryMB, 1, m.LeaderSeconds*w, m.ARM)
-	return total / n
-}
-
-// BatchWriteSavings returns the fraction of the unbatched per-write cost
-// the distributor saves at the given batch size and fold outcome.
-func (m Model) BatchWriteSavings(batchSize, storeWrites, sizeB int, hybrid bool) float64 {
-	base := m.WriteCost(sizeB, hybrid)
-	if base <= 0 {
-		return 0
-	}
-	return 1 - m.BatchedWriteCost(batchSize, storeWrites, sizeB, hybrid)/base
-}
-
-// BatchFoldBreakEven returns the largest fold ratio (storeWrites divided
-// by batchSize, in (0, 1]) at which batching still saves at least
-// targetSavings of the unbatched per-write dollars, scanning the possible
-// outcomes of one batch. Zero when even perfect folding (one store write
-// per batch) cannot reach the target.
-func (m Model) BatchFoldBreakEven(batchSize, sizeB int, hybrid bool, targetSavings float64) float64 {
-	if batchSize <= 1 {
-		return 0
-	}
-	for w := batchSize; w >= 1; w-- {
-		if m.BatchWriteSavings(batchSize, w, sizeB, hybrid) >= targetSavings {
-			return float64(w) / float64(batchSize)
-		}
-	}
-	return 0
-}
-
-// CachedReadCost returns the expected dollars for one read served through
-// the cache tier at the given hit ratio: hits touch only the regional
-// cache node (per-operation free — the node bills hourly, see
-// CacheNodeDailyCost), misses additionally pay the full store read.
-func (m Model) CachedReadCost(hitRatio float64, sizeB int, hybrid bool) float64 {
-	if hitRatio < 0 {
-		hitRatio = 0
-	}
-	if hitRatio > 1 {
-		hitRatio = 1
-	}
-	return (1 - hitRatio) * m.ReadCost(sizeB, hybrid)
-}
-
-// CacheNodeDailyCost is the provisioned cost of the cache tier: one
-// regional cache node per user-store region.
-func (m Model) CacheNodeDailyCost(regions int) float64 {
-	if regions <= 0 {
-		regions = 1
-	}
-	return m.P.CacheVMDailyCost(regions)
-}
-
-// CachedDailyCost returns a day of traffic with the cache tier deployed:
-// reads at the hit ratio, writes unchanged (each write additionally
-// publishes an invalidation to the cache node, which is per-op free), plus
-// the provisioned nodes.
-func (m Model) CachedDailyCost(requestsPerDay, readFraction, hitRatio float64, sizeB int, hybrid bool, regions int) float64 {
-	reads := requestsPerDay * readFraction
-	writes := requestsPerDay * (1 - readFraction)
-	return reads*m.CachedReadCost(hitRatio, sizeB, hybrid) +
-		writes*m.WriteCost(sizeB, hybrid) +
-		m.CacheNodeDailyCost(regions)
-}
-
-// CacheBreakEvenReads returns the daily read volume above which the cache
-// tier pays for itself: the point where the per-read savings of cache hits
-// cover the provisioned nodes. Infinite when the hit ratio saves nothing.
-func (m Model) CacheBreakEvenReads(hitRatio float64, sizeB int, hybrid bool, regions int) float64 {
-	saved := m.ReadCost(sizeB, hybrid) - m.CachedReadCost(hitRatio, sizeB, hybrid)
-	if saved <= 0 {
-		return math.Inf(1)
-	}
-	return m.CacheNodeDailyCost(regions) / saved
-}
-
 // DailyCost returns FaaSKeeper's cost for a day of traffic.
 func (m Model) DailyCost(requestsPerDay float64, readFraction float64, sizeB int, hybrid bool) float64 {
 	reads := requestsPerDay * readFraction

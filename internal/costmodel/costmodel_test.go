@@ -159,106 +159,3 @@ func TestGCPModelWriteCheaperQueueCostlierKV(t *testing.T) {
 		t.Error("Pub/Sub small message should be cheaper than SQS")
 	}
 }
-
-func TestCachedReadCostScalesWithHitRatio(t *testing.T) {
-	m := NewAWSModel(512)
-	full := m.ReadCost(1024, true)
-	if got := m.CachedReadCost(0, 1024, true); got != full {
-		t.Errorf("0%% hits should cost a full read: $%v vs $%v", got, full)
-	}
-	if got := m.CachedReadCost(1, 1024, true); got != 0 {
-		t.Errorf("100%% hits should be per-op free, got $%v", got)
-	}
-	lo, hi := m.CachedReadCost(0.9, 1024, true), m.CachedReadCost(0.5, 1024, true)
-	if !(lo < hi && hi < full) {
-		t.Errorf("cached read cost not monotone in miss ratio: %v %v %v", lo, hi, full)
-	}
-	// Out-of-range ratios clamp instead of going negative.
-	if m.CachedReadCost(1.5, 1024, true) != 0 || m.CachedReadCost(-1, 1024, true) != full {
-		t.Error("hit ratio should clamp to [0,1]")
-	}
-}
-
-func TestCacheBreakEven(t *testing.T) {
-	m := NewAWSModel(512)
-	be := m.CacheBreakEvenReads(0.9, 1024, true, 1)
-	if math.IsInf(be, 1) || be <= 0 {
-		t.Fatalf("break-even should be finite and positive, got %v", be)
-	}
-	// At the break-even read volume the cached deployment costs the same
-	// as the uncached one (pure-read workload).
-	plain := m.DailyCost(be, 1, 1024, true)
-	cached := m.CachedDailyCost(be, 1, 0.9, 1024, true, 1)
-	if diff := math.Abs(plain-cached) / plain; diff > 1e-9 {
-		t.Errorf("costs at break-even differ: $%v vs $%v", plain, cached)
-	}
-	// A zero hit ratio never pays for the node.
-	if !math.IsInf(m.CacheBreakEvenReads(0, 1024, true, 1), 1) {
-		t.Error("0%% hit ratio should never break even")
-	}
-	// More regions cost proportionally more.
-	if m.CacheNodeDailyCost(3) != 3*m.CacheNodeDailyCost(1) {
-		t.Error("cache node cost should scale with regions")
-	}
-}
-
-func TestBatchedWriteCost(t *testing.T) {
-	m := NewAWSModel(2048)
-	base := m.WriteCost(1024, false)
-	// No folding (every write survives) still saves a little: the batch
-	// shares one leader invocation's request fee.
-	unfolded := m.BatchedWriteCost(10, 10, 1024, false)
-	if unfolded > base {
-		t.Errorf("unfolded batch $%.8f above per-message $%.8f", unfolded, base)
-	}
-	// Perfect folding on standard storage drops the dominant W_S3 term:
-	// a hot-node batch of 10 must save well over a third per write
-	// (Table 4: W_S3 is $5/M of the ~$11.2/M write).
-	folded := m.BatchedWriteCost(10, 1, 1024, false)
-	if folded > 0.65*base {
-		t.Errorf("fully folded batch $%.8f, want <= 65%% of $%.8f", folded, base)
-	}
-	// Monotone in the fold outcome.
-	prev := 0.0
-	for w := 1; w <= 10; w++ {
-		c := m.BatchedWriteCost(10, w, 1024, false)
-		if c < prev {
-			t.Fatalf("BatchedWriteCost not monotone in store writes at w=%d", w)
-		}
-		prev = c
-	}
-	// Degenerate inputs collapse to sensible bounds.
-	if got := m.BatchedWriteCost(1, 1, 1024, false); got > base {
-		t.Errorf("batch of one costs $%.8f, above per-message $%.8f", got, base)
-	}
-	if m.BatchedWriteCost(10, 0, 1024, false) != m.BatchedWriteCost(10, 10, 1024, false) {
-		t.Error("storeWrites=0 must clamp to the unfolded batch")
-	}
-}
-
-func TestBatchWriteSavingsAndBreakEven(t *testing.T) {
-	m := NewAWSModel(2048)
-	s := m.BatchWriteSavings(10, 1, 1024, false)
-	if s <= 0.3 || s >= 1 {
-		t.Errorf("perfect-fold savings = %.3f, want a large fraction below 1", s)
-	}
-	if hs := m.BatchWriteSavings(10, 1, 1024, true); hs >= s {
-		t.Errorf("hybrid savings %.3f should trail standard %.3f (W_DD < W_S3 at 1 kB)", hs, s)
-	}
-	// The break-even fold ratio for a modest target must be reachable,
-	// monotone in the target, and 0 for impossible targets.
-	easy := m.BatchFoldBreakEven(10, 1024, false, 0.10)
-	hard := m.BatchFoldBreakEven(10, 1024, false, 0.30)
-	if easy <= 0 || easy > 1 || hard <= 0 {
-		t.Fatalf("break-even ratios: easy=%.2f hard=%.2f", easy, hard)
-	}
-	if hard > easy {
-		t.Errorf("stricter target needs more folding: hard=%.2f > easy=%.2f", hard, easy)
-	}
-	if m.BatchFoldBreakEven(10, 1024, false, 0.99) != 0 {
-		t.Error("unreachable target must report 0")
-	}
-	if m.BatchFoldBreakEven(1, 1024, false, 0.1) != 0 {
-		t.Error("a batch of one cannot fold")
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"faaskeeper/internal/core"
-	"faaskeeper/internal/costmodel"
 	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
@@ -33,8 +32,18 @@ type cachingRun struct {
 	l2Hits  int64
 	misses  int64
 	z3Viol  int
-	elapsed float64 // seconds of the read phase
+	readUSD float64 // metered read-side dollars of the read phase
 	ok      bool
+}
+
+// readSideCategories are the meter categories a read pays: the KV user
+// store's reads and the cache node's VM time, which accrues per cache
+// operation under cost accounting.
+var readSideCategories = []string{"userkv.read", "cache.vm"}
+
+// dollarsPer1M is the run's metered read-side cost per million reads.
+func (r cachingRun) dollarsPer1M() float64 {
+	return r.readUSD / float64(r.reads) * 1e6
 }
 
 // hitRatio is the client-observed share of reads served by either cache
@@ -52,8 +61,10 @@ func (r cachingRun) hitRatio() float64 {
 // one writer session keeps overwriting zipf-chosen nodes, so the leader's
 // push invalidations and the cache's fill/floor races actually exercise.
 // Each reader checks Z3 inline: a node's observed mzxid must never regress
-// within the session.
+// within the session. Cost accounting is on so the cache VM accrues on the
+// meter.
 func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCount int) cachingRun {
+	cfg.CostAccounting = true
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, cfg)
 	res := cachingRun{reads: readers * readsPer, lat: stats.NewSample(readers * readsPer)}
@@ -61,7 +72,6 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/app/n%d", i)
 	}
-	var t0, t1 sim.Time
 	k.Go("driver", func() {
 		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
 		if err != nil {
@@ -92,7 +102,6 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 		readersDone := sim.NewWaitGroup(k)
 		writerDone := sim.NewWaitGroup(k)
 		stopWriter := false
-		t0 = k.Now()
 		writerDone.Add(1)
 		k.Go("caching-writer", func() {
 			defer writerDone.Done()
@@ -131,7 +140,9 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 			})
 		}
 		readersDone.Wait()
-		t1 = k.Now()
+		for _, c := range readSideCategories {
+			res.readUSD += d.Env.Meter.Cost(c)
+		}
 		stopWriter = true
 		writerDone.Wait()
 		for i, c := range clients {
@@ -148,25 +159,7 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 	})
 	k.Run()
 	k.Shutdown()
-	res.elapsed = (t1 - t0).Seconds()
 	return res
-}
-
-// cachingDollarsPer1M prices one million reads of this configuration:
-// per-operation storage charges at the measured hit ratio plus the
-// provisioned cache VM amortized over the time those reads take at the
-// measured throughput.
-func cachingDollarsPer1M(m costmodel.Model, run cachingRun, perOpFree bool, vmNodes int) float64 {
-	perOp := m.CachedReadCost(run.hitRatio(), cachingPayloadB, true)
-	if perOpFree {
-		perOp = 0
-	}
-	cost := perOp * 1e6
-	if vmNodes > 0 && run.elapsed > 0 {
-		tput := float64(run.reads) / run.elapsed
-		cost += m.CacheNodeDailyCost(vmNodes) * (1e6 / (tput * 86400))
-	}
-	return cost
 }
 
 func runCaching(cfg RunConfig) *Report {
@@ -179,24 +172,20 @@ func runCaching(cfg RunConfig) *Report {
 	readsPer := cfg.reps(25, 120)
 	nodes := 32
 
-	type variant struct {
-		label     string
-		cc        core.Config
-		perOpFree bool // no per-operation storage charges (mem-backed)
-		vmNodes   int  // provisioned VMs to amortize
-	}
-	variants := []variant{
-		{"FK DynamoDB (no cache)", core.Config{UserStore: core.StoreKV}, false, 0},
-		{"FK DynamoDB + regional cache", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional}, false, 1},
-		{"FK DynamoDB + two-level cache", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel}, false, 1},
-		{"FK Redis user store (paper ablation)", core.Config{UserStore: core.StoreMem}, true, 1},
+	variants := []struct {
+		label string
+		cc    core.Config
+	}{
+		{"FK DynamoDB (no cache)", core.Config{UserStore: core.StoreKV}},
+		{"FK DynamoDB + regional cache", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional}},
+		{"FK DynamoDB + two-level cache", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel}},
+		{"FK Redis user store (paper ablation)", core.Config{UserStore: core.StoreMem}},
 	}
 
 	s := r.AddSection(
 		fmt.Sprintf("AWS, Zipf(0.99) read-heavy: %d readers × %d reads of %d B over %d nodes, concurrent writer",
 			readers, readsPer, cachingPayloadB, nodes),
 		[]string{"configuration", "hit %", "mean ms", "p50 ms", "p99 ms", "$/1M reads", "Z3 viol"})
-	m := costmodel.NewAWSModel(2048)
 	var baseMean, cachedMean float64
 	var cachedHit float64
 	for i, v := range variants {
@@ -217,7 +206,7 @@ func runCaching(cfg RunConfig) *Report {
 		s.AddRow(v.label,
 			f1(run.hitRatio()*100),
 			f2(mean), p50, p99,
-			dollars(cachingDollarsPer1M(m, run, v.perOpFree, v.vmNodes)),
+			dollars(run.dollarsPer1M()),
 			fmt.Sprintf("%d", run.z3Viol))
 	}
 
@@ -248,7 +237,6 @@ func runCaching(cfg RunConfig) *Report {
 			cachedMean, baseMean, baseMean/cachedMean, cachedHit*100)
 	}
 	r.Note("Entries are served only when they pass the session guards (per-path last-seen floor, shard MRD, Z4 epoch stamps), so the Z3 violation column must stay zero; the leader push-invalidates the regional node on every user-store write and per-path mzxid floors reject stale fills that race an overwrite.")
-	r.Note("Break-even: at %.0f%% hits on 256 B hybrid reads one cache node pays for itself above %.1fM reads/day.",
-		90.0, m.CacheBreakEvenReads(0.9, cachingPayloadB, true, 1)/1e6)
+	r.Note("$/1M reads is the meter's read-side spend over the read phase: user-store reads plus the cache node's VM time, accrued per cache operation. The Redis row's VM bills by the hour outside the meter, so it reads $0.")
 	return r
 }

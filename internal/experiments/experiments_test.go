@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"faaskeeper/internal/core"
+	"faaskeeper/internal/costmodel"
+	"faaskeeper/internal/fkclient"
+	"faaskeeper/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -12,7 +19,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10",
 		"tab3", "fig11", "fig12", "fig13", "tab4", "fig14", "sec532x",
 		"ablations", "sharding", "caching", "batching", "txn",
-		"telemetry", "chaos", "cost",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
@@ -93,6 +99,86 @@ func TestTab1AndTab4AndFig4aAndFig14(t *testing.T) {
 	rep14 := runQuick(t, "fig14")
 	if len(rep14.Sections) != 3 {
 		t.Errorf("fig14 should have 3 read-mix panels, got %d", len(rep14.Sections))
+	}
+}
+
+// TestTable4MatchesMeasuredPaperCost pins the analytic model that prices
+// Table 4 and Fig. 14 to the simulator's meter: 1 KB set_data and get_data
+// on the paper preset, $/op measured against WriteCost / ReadCost at the
+// preset's 2048 MB functions. Measured at seed 7: writes $13.11 per 1M
+// against the model's $13.73 (−4.5 %), reads $0.40 against $0.40 (exact:
+// one object-store GET). The write gap has two known causes, which pull in
+// opposite directions:
+//   - the model bills a fixed 65 ms leader and 35 ms follower, while the
+//     simulated ones bill about 38 and 28 ms (the leader that carries its
+//     last pop into the next invocation runs shorter): −$1.13 per 1M;
+//   - a write makes 3.03 system-store reads where the model counts 1
+//     (ROADMAP 4(d)): +$0.51 per 1M.
+//
+// The tolerance sits just above the gap, so a change that moves either
+// side by more than about half a percent re-opens the question.
+func TestTable4MatchesMeasuredPaperCost(t *testing.T) {
+	const (
+		nodes  = 16
+		writes = 400
+		reads  = 400
+		tolW   = 0.05
+		tolR   = 1e-9
+	)
+	k := sim.NewKernel(7)
+	d := core.NewDeployment(k, core.Config{})
+	var perWrite, perRead float64
+	k.Go("driver", func() {
+		c, err := fkclient.Connect(d, "s", d.Cfg.Profile.Home)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		payload := make([]byte, 1024)
+		paths := make([]string, nodes)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("/n%d", i)
+			if _, err := c.Create(paths[i], payload, 0); err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+		}
+		d.ResetMetrics()
+		for i := 0; i < writes; i++ {
+			if _, err := c.SetData(paths[i%nodes], payload, -1); err != nil {
+				t.Errorf("set_data: %v", err)
+				return
+			}
+		}
+		perWrite = d.Env.Meter.Total() / writes
+		d.ResetMetrics()
+		for i := 0; i < reads; i++ {
+			if _, _, err := c.GetData(paths[i%nodes]); err != nil {
+				t.Errorf("get_data: %v", err)
+				return
+			}
+		}
+		perRead = d.Env.Meter.Total() / reads
+		c.Close()
+	})
+	k.Run()
+	k.Shutdown()
+
+	m := costmodel.NewAWSModel(2048)
+	for _, c := range []struct {
+		op              string
+		measured, model float64
+		tol             float64
+	}{
+		{"write", perWrite, m.WriteCost(1024, false), tolW},
+		{"read", perRead, m.ReadCost(1024, false), tolR},
+	} {
+		gap := (c.measured - c.model) / c.model
+		t.Logf("%s: measured $%.4f per 1M, model $%.4f (%+.2f%%)", c.op, c.measured*1e6, c.model*1e6, gap*100)
+		if math.Abs(gap) > c.tol {
+			t.Errorf("%s: measured $%.4f per 1M is %+.2f%% off the Table 4 model's $%.4f (tolerance %.1f%%)",
+				c.op, c.measured*1e6, gap*100, c.model*1e6, c.tol*100)
+		}
 	}
 }
 
@@ -506,117 +592,5 @@ func TestTxnCommitLatencyAndAtomicity(t *testing.T) {
 		if row[4] != "0" {
 			t.Errorf("shards=%s: partial commits reported: %s", row[0], row[4])
 		}
-	}
-}
-
-func TestChaosMatrixClean(t *testing.T) {
-	rep := runQuick(t, "chaos")
-	if len(rep.Sections) != 2 {
-		t.Fatalf("expected matrix and fault-kind sections, got %d", len(rep.Sections))
-	}
-	// Every (config, seed, arm) row must come back clean, the control arm
-	// must inject zero faults, and the fault arm must inject at least one.
-	for _, row := range rep.Sections[0].Rows {
-		if row[6] != "clean" {
-			t.Errorf("%s seed %s faults=%s: %s", row[0], row[1], row[2], row[6])
-		}
-		injected, err := strconv.ParseInt(row[4], 10, 64)
-		if err != nil {
-			t.Fatalf("bad injected count in %v", row)
-		}
-		if row[2] == "off" && injected != 0 {
-			t.Errorf("%s seed %s: control arm injected %d faults", row[0], row[1], injected)
-		}
-		if row[2] == "default" && injected == 0 {
-			t.Errorf("%s seed %s: fault arm injected nothing", row[0], row[1])
-		}
-	}
-	// The representative heavy run must exercise more than one fault class.
-	if len(rep.Sections[1].Rows) < 2 {
-		t.Errorf("fault-kind breakdown too thin: %v", rep.Sections[1].Rows)
-	}
-}
-
-func TestTelemetryBreakdownValid(t *testing.T) {
-	rep := runQuick(t, "telemetry")
-	if len(rep.Sections) != 3 {
-		t.Fatalf("expected shard, batch, and class sections, got %d", len(rep.Sections))
-	}
-	// Shard and batch sweeps: stage sums must telescope to end-to-end and
-	// the exported Chrome trace must carry the expected stage names.
-	for _, sec := range rep.Sections[:2] {
-		for _, row := range sec.Rows {
-			n := len(row)
-			if row[n-2] != "yes" || row[n-1] != "yes" {
-				t.Errorf("%s: stage-sum/chrome check failed: %v", row[0], row)
-			}
-		}
-	}
-	// Every request class (plain, batched, cross-shard txn) must leave zero
-	// open spans and zero invariant violations.
-	if got := len(rep.Sections[2].Rows); got != 3 {
-		t.Fatalf("expected 3 request classes, got %d", got)
-	}
-	for _, row := range rep.Sections[2].Rows {
-		if row[3] != "0" || row[4] != "0" {
-			t.Errorf("class %s: open=%s violations=%s", row[0], row[3], row[4])
-		}
-		if row[5] != "yes" || row[6] != "yes" {
-			t.Errorf("class %s: stage-sum/chrome check failed: %v", row[0], row)
-		}
-	}
-	// Deeper sharding must shrink the queueing stage mean: the whole point
-	// of the breakdown is attributing the speedup to the right stage.
-	q := map[string]float64{}
-	for _, row := range rep.Sections[0].Rows {
-		v, err := strconv.ParseFloat(row[3], 64)
-		if err != nil {
-			t.Fatalf("bad queueing mean in %v", row)
-		}
-		q[row[0]] = v
-	}
-	if !(q["4 shards"] < q["1 shards"]) {
-		t.Errorf("queueing mean should drop with shards: %v", q)
-	}
-}
-
-func TestCostLiveMeasuredAndConserved(t *testing.T) {
-	rep := runQuick(t, "cost")
-	if len(rep.Sections) != 2 {
-		t.Fatalf("expected per-config and load-sweep sections, got %d", len(rep.Sections))
-	}
-	// Every config must bill real dollars, conserve its ledger, and the
-	// headline shape must hold: pay-as-you-go undercuts the provisioned
-	// ensemble at low load and overtakes it at high load (a break-even
-	// exists inside the sweep).
-	per1m := map[string]float64{}
-	for _, row := range rep.Sections[0].Rows {
-		v, err := strconv.ParseFloat(strings.TrimPrefix(row[2], "$"), 64)
-		if err != nil || v <= 0 {
-			t.Fatalf("config %s: bad $/1M %q", row[0], row[2])
-		}
-		per1m[row[0]] = v
-		if row[len(row)-1] != "yes" {
-			t.Errorf("config %s: conservation check failed: %v", row[0], row)
-		}
-	}
-	if len(per1m) != len(costConfigMatrix) {
-		t.Fatalf("expected %d configs, got %d", len(costConfigMatrix), len(per1m))
-	}
-	sweep := rep.Sections[1].Rows
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimPrefix(s, "$"), 64)
-		if err != nil {
-			t.Fatalf("bad dollar cell %q", s)
-		}
-		return v
-	}
-	first, last := sweep[0], sweep[len(sweep)-1]
-	zk := len(first) - 1
-	if !(parse(first[1]) < parse(first[zk])) {
-		t.Errorf("at %s req/day the plain config should undercut ZooKeeper: %v", first[0], first)
-	}
-	if !(parse(last[1]) > parse(last[zk])) {
-		t.Errorf("at %s req/day the plain config should exceed ZooKeeper: %v", last[0], last)
 	}
 }

@@ -310,11 +310,11 @@ func TestBatchedRandomizedHistories(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{BatchWrites: true},
 		{BatchWrites: true, WriteShards: 4},
-		{BatchWrites: true, MaxBatch: 2},
 		{BatchWrites: true, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV},
 	} {
 		cfg := cfg
-		name := fmt.Sprintf("shards%d-max%d-cache%v", cfg.WriteShards, cfg.MaxBatch, cfg.CacheMode != core.CacheOff)
+		// "max0": a chunk is the whole run between barriers.
+		name := fmt.Sprintf("shards%d-max0-cache%v", cfg.WriteShards, cfg.CacheMode != core.CacheOff)
 		t.Run(name, func(t *testing.T) {
 			_, d := randomHistory(t, 606, cfg, 4, 12)
 			verifyTreeIntegrity(t, d)

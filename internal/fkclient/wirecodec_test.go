@@ -15,13 +15,12 @@ import (
 	"faaskeeper/internal/sim"
 )
 
-func TestBinaryCodecRandomizedMatrix(t *testing.T) {
+func TestFeatureMatrixRandomizedHistories(t *testing.T) {
 	matrix := []struct {
 		name string
 		cfg  core.Config
 	}{
 		{"batching", core.Config{BatchWrites: true}},
-		{"batching-chunked", core.Config{BatchWrites: true, MaxBatch: 2}},
 		{"caching", core.Config{CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
 		{"hybrid-store", core.Config{UserStore: core.StoreHybrid}},
 		{"sharded-batching-caching", core.Config{
@@ -45,9 +44,9 @@ func TestBinaryCodecRandomizedMatrix(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecTxnHistories runs the randomized consistency workload at
-// two more seeds, on two shards and on one.
-func TestBinaryCodecTxnHistories(t *testing.T) {
+// TestRandomizedHistoriesExtraSeeds runs the randomized consistency
+// workload at two more seeds, on two shards and on one.
+func TestRandomizedHistoriesExtraSeeds(t *testing.T) {
 	_, d := randomHistory(t, 1212, core.Config{WriteShards: 2}, 4, 12)
 	verifyTreeIntegrity(t, d)
 	obs, d1 := randomHistory(t, 1313, core.Config{}, 4, 12)

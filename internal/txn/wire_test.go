@@ -45,9 +45,9 @@ func normResolved(ops []ResolvedOp) []ResolvedOp {
 	return out
 }
 
-// The Test*CodecEquivalence names predate the single codec (they compared
-// gob against binary); they now check each codec against the identity.
-func TestOpsCodecEquivalence(t *testing.T) {
+// The *RoundTripIdentity tests check decode(encode(x)) == x, the empty and
+// nil lists included.
+func TestOpsRoundTripIdentity(t *testing.T) {
 	for _, ops := range [][]Op{testOps(), {}, nil} {
 		got, err := DecodeOps(EncodeOps(ops))
 		if err != nil {
@@ -59,7 +59,7 @@ func TestOpsCodecEquivalence(t *testing.T) {
 	}
 }
 
-func TestResolvedCodecEquivalence(t *testing.T) {
+func TestResolvedRoundTripIdentity(t *testing.T) {
 	for _, ops := range [][]ResolvedOp{testResolved(), nil} {
 		got, err := DecodeResolved(EncodeResolved(ops))
 		if err != nil {
