@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"faaskeeper/internal/cache"
@@ -235,9 +236,10 @@ type Deployment struct {
 	// WriteShards.
 	route *shardmap.Map
 
-	// epochKeys memoizes the epoch counters' item keys per region, one per
-	// shard (epochKey).
-	epochKeys map[cloud.Region][]string
+	// epochKeys memoizes each region's epoch item key (epochKey), and
+	// epochAttrs names each shard's watch list on it.
+	epochKeys  map[cloud.Region]string
+	epochAttrs []string
 	// leaderEpochs holds each shard's epoch-counter mirror (leaderRun.open
 	// rebuilds it at the start of every invocation). A shard has one
 	// serialized leader instance, so its invocations never overlap and one
@@ -295,7 +297,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		System:    kv.NewTable(env, "system"),
 		sessions:  map[string]*SessionTransport{},
 		lastSeq:   map[string]int64{},
-		epochKeys: map[cloud.Region][]string{},
+		epochKeys: map[cloud.Region]string{},
 	}
 	d.Obs = obs.NewHub(k, cfg.Telemetry, cfg.CostAccounting)
 	if cfg.CostBudgetUSDPerHour > 0 {
@@ -328,6 +330,11 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
 		d.leaderEpochs = append(d.leaderEpochs, make(map[cloud.Region][]int64, len(d.Stores)))
+		attr := attrEpochList
+		if s > 0 {
+			attr += strconv.Itoa(s)
+		}
+		d.epochAttrs = append(d.epochAttrs, attr)
 	}
 	d.leaderCarry = make([][]pendingPop, cfg.WriteShards)
 	d.route = shardmap.New(cfg.WriteShards)
@@ -542,27 +549,11 @@ func watchAttr(wt WatchType) string {
 // partitioned into (1 in the paper's base configuration).
 func (d *Deployment) NumShards() int { return len(d.LeaderQs) }
 
-// Epoch returns the in-flight watch ids for a region, aggregated over all
-// write shards (strongly consistent system-store reads; exposed for tests
-// and the client library). The error is always nil, kept for API
-// stability.
+// Epoch returns the in-flight watch ids for a region, the union over all
+// write shards: one strongly consistent read of the region's epoch item (a
+// missing item means none; exposed for tests and the client library). The
+// error is always nil, kept for API stability.
 func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) ([]int64, error) {
-	var all []int64
-	for s := 0; s < d.NumShards(); s++ {
-		all = append(all, d.epochShard(ctx, region, s)...)
-	}
-	return all, nil
-}
-
-// epochShard reads one shard's epoch counter for a region (a missing item
-// means no in-flight watches).
-func (d *Deployment) epochShard(ctx cloud.Ctx, region cloud.Region, shard int) []int64 {
-	it, ok := d.System.GetView(ctx, d.epochKey(region, shard), true)
-	if !ok {
-		return nil
-	}
-	// The item is a read-only view; callers append to the returned slice
-	// (appendEpochs), so the list itself must be a private copy. Copying
-	// just the epoch list skips cloning the whole item.
-	return append([]int64(nil), it.Get(attrEpochList).NL...)
+	it, _ := d.System.GetView(ctx, d.epochKey(region), true)
+	return d.epochUnion(it), nil
 }

@@ -113,14 +113,14 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	p.open(msgs, acksOnly)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
-	// returns, and its id leaves the epoch counter (➏).
+	// returns, and its id leaves the shard's epoch list (➏).
 	for _, c := range p.completions {
 		_ = c.fut.Wait()
 		d.spanEnd(c.span)
 		for _, s := range d.Stores {
 			r := s.Region()
-			_, err := d.System.Update(ctx, d.epochKey(r, shard),
-				[]kv.Update{kv.ListRemove{Name: attrEpochList, Vals: []int64{c.wid}}}, nil)
+			_, err := d.System.Update(ctx, d.epochKey(r),
+				[]kv.Update{kv.ListRemove{Name: d.epochAttrs[shard], Vals: []int64{c.wid}}}, nil)
 			if err != nil {
 				return err
 			}
@@ -133,18 +133,21 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // open is the invocation's opening read: one batched round trip to the
 // system store for the two things Algorithm 2 reads first and that do not
 // depend on each other — the epoch counters and the first message's control
-// record.
+// record. That is one epoch item per region, whatever the shard count, plus
+// the record: two items on the paper's deployment and on a 4-shard one.
 //
 // The epoch counters are maintained in the system store across invocations
 // (functions are stateless) and mirrored in p.epochs while the batch runs.
 // With several shards the per-region stamp is the union over every shard's
-// list: a strongly consistent read at batch start sees every watch id whose
-// notification causally precedes this batch's writes (the client that
-// triggered a write observed its previous response only after the firing
-// shard appended the id), so reads of any node still hold for undelivered
-// cross-shard notifications (Z4). On a multi-shard deployment, batches of
-// pure deregistration acks never touch epochs and read nothing (the
-// single-shard path keeps the read, as the paper's pipeline does).
+// list, all of them attributes of the region's one epoch item (epochKey): a
+// strongly consistent read of it at batch start is an atomic snapshot that
+// sees every watch id whose notification causally precedes this batch's
+// writes (the client that triggered a write observed its previous response
+// only after the firing shard appended the id), so reads of any node still
+// hold for undelivered cross-shard notifications (Z4). On a multi-shard
+// deployment, batches of pure deregistration acks never touch epochs and
+// read nothing (the single-shard path keeps the read, as the paper's
+// pipeline does).
 //
 // The control record of a create / set_data / delete at the head of the
 // batch becomes awaitCommit's first poll. Taken here it is at worst a
@@ -156,17 +159,14 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d := p.d
 	p.epochs = d.leaderEpochs[p.shard]
 	clear(p.epochs)
-	n := d.NumShards()
-	if acksOnly && n > 1 {
+	if acksOnly && d.NumShards() > 1 {
 		return
 	}
-	var keyBuf [8]string // the paper's deployment reads two keys; a 4-shard one, five
+	var keyBuf [4]string // one epoch item per region and the record
 	var itemBuf [len(keyBuf)]kv.Item
 	keys := keyBuf[:0]
 	for _, s := range d.Stores {
-		for sh := 0; sh < n; sh++ {
-			keys = append(keys, d.epochKey(s.Region(), sh))
-		}
+		keys = append(keys, d.epochKey(s.Region()))
 	}
 	head := &msgs[0]
 	d.stageMsg(head.msg, obs.StageCommit)
@@ -186,13 +186,7 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 		p.opening = decodeSysNode(items[len(items)-1])
 	}
 	for ri, s := range d.Stores {
-		// The items are read-only views and appendEpochs appends to the
-		// mirror, so each region's lists are copied out.
-		var ids []int64
-		for _, it := range items[ri*n : (ri+1)*n] {
-			ids = append(ids, it.Get(attrEpochList).NL...)
-		}
-		p.epochs[s.Region()] = ids
+		p.epochs[s.Region()] = d.epochUnion(items[ri])
 	}
 }
 
@@ -404,14 +398,14 @@ func (d *Deployment) buildUserNode(msg leaderMsg, txid int64, node sysNode) *zno
 	return n
 }
 
-// appendEpochs enters fired watch ids into the shard's per-region epoch
-// counters (and the batch's in-memory mirror).
+// appendEpochs enters fired watch ids into the shard's list on every
+// region's epoch item (and the batch's in-memory mirror).
 func (d *Deployment) appendEpochs(ctx cloud.Ctx, fired []firedWatch, shard int, epochs map[cloud.Region][]int64) {
 	for _, f := range fired {
 		for _, s := range d.Stores {
 			r := s.Region()
-			_, err := d.System.Update(ctx, d.epochKey(r, shard),
-				[]kv.Update{kv.ListAppend{Name: attrEpochList, Vals: []int64{f.wid}}}, nil)
+			_, err := d.System.Update(ctx, d.epochKey(r),
+				[]kv.Update{kv.ListAppend{Name: d.epochAttrs[shard], Vals: []int64{f.wid}}}, nil)
 			if err != nil {
 				continue
 			}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/znode"
@@ -67,20 +65,31 @@ func sessionKey(id string) string { return sessionKeyPrefix + id }
 func watchKey(path string) string { return watchKeyPrefix + path }
 func deregKey(id string) string   { return deregKeyPrefix + id }
 
-// epochKey names the per-region, per-shard watch epoch counter. Each
-// leader shard keeps its own in-flight watch list, so shards never contend
-// on epoch bookkeeping. A region's names are built on first use and kept:
-// every leader invocation reads them.
-func (d *Deployment) epochKey(r cloud.Region, shard int) string {
-	keys := d.epochKeys[r]
-	if keys == nil {
-		keys = make([]string, d.NumShards())
-		for s := range keys {
-			keys[s] = epochKeyPrefix + string(r) + "/" + strconv.Itoa(s)
-		}
-		d.epochKeys[r] = keys
+// epochKey names a region's watch epoch item. It holds every leader shard's
+// in-flight watch list, one attribute per shard (Deployment.epochAttrs;
+// shard 0's is attrEpochList, so a one-shard item is the paper's counter).
+// One strongly consistent read of it is an atomic snapshot of the region's
+// union, and shards still never contend: each writes only its own
+// attribute, with unconditional updates. A region's key is built on first
+// use and kept: every leader invocation reads it.
+func (d *Deployment) epochKey(r cloud.Region) string {
+	key, ok := d.epochKeys[r]
+	if !ok {
+		key = epochKeyPrefix + string(r)
+		d.epochKeys[r] = key
 	}
-	return keys[shard]
+	return key
+}
+
+// epochUnion copies out the union of an epoch item's per-shard lists, in
+// shard order: the item may be a read-only view, and callers append to the
+// union (appendEpochs).
+func (d *Deployment) epochUnion(it kv.Item) []int64 {
+	var ids []int64
+	for _, attr := range d.epochAttrs {
+		ids = append(ids, it.Get(attr).NL...)
+	}
+	return ids
 }
 
 // sysNode is the decoded view of a per-node system item.

@@ -935,8 +935,8 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 				d.spanEnd(c.span)
 			}
 			for _, s := range d.Stores {
-				_, _ = d.System.Update(ctx, d.epochKey(s.Region(), msg.Shard),
-					[]kv.Update{kv.ListRemove{Name: attrEpochList, Vals: wids}}, nil)
+				_, _ = d.System.Update(ctx, d.epochKey(s.Region()),
+					[]kv.Update{kv.ListRemove{Name: d.epochAttrs[msg.Shard], Vals: wids}}, nil)
 			}
 		})
 	}
