@@ -45,7 +45,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 		"WriteShards BatchWrites " +
 		"CacheMode CacheCapacityB ClientCacheCapacityB " +
 		"WireCodec " +
-		"Telemetry CostAccounting CostBudgetUSDPerHour"
+		"Telemetry CostAccounting"
 	fields := exportedFields(Config{})
 	if got := strings.Join(fields, " "); got != want {
 		t.Errorf("Config's exported fields changed (%d now):\n got  %s\n want %s\nrule: %s",
@@ -63,8 +63,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 // testOnlyFields are the Config fields no bench preset, chaos config,
 // experiment, command or example sets, each with why it stays a field.
 var testOnlyFields = map[string]string{
-	"ExtraRegions":         "the paper's multi-region replication; the region set is a deployment setting",
-	"CostBudgetUSDPerHour": "the budget is the operator's number, not the code's; ROADMAP 5(c) mirrors the monitor for latency",
+	"ExtraRegions": "the paper's multi-region replication; the region set is a deployment setting",
 }
 
 // TestEveryConfigFieldHasANonTestSetter is the rule of

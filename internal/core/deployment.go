@@ -55,7 +55,6 @@ const (
 	watchMemMB       = 512                     // watch function memory
 	lockLease        = 2 * time.Second         // timed-lock lease
 	heartbeatTimeout = 1500 * time.Millisecond // client's heartbeat reply deadline
-	costBudgetWindow = time.Second             // burn-rate evaluation window (virtual time)
 )
 
 // Config selects the deployment's provider profile, storage backends, and
@@ -141,12 +140,6 @@ type Config struct {
 	// on). Default false: every attribution point is a nil-sink no-op and
 	// the golden virtual-time trace is byte-identical.
 	CostAccounting bool
-
-	// CostBudgetUSDPerHour arms the ledger's burn-rate monitor: spend is
-	// evaluated over tumbling one-second windows of virtual time and a
-	// window exceeding this hourly rate emits a breach gauge and an
-	// instant "cost.breach" span. 0 disarms (the default).
-	CostBudgetUSDPerHour float64
 }
 
 func (c *Config) defaults() {
@@ -300,12 +293,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		epochKeys: map[cloud.Region]string{},
 	}
 	d.Obs = obs.NewHub(k, cfg.Telemetry, cfg.CostAccounting)
-	if cfg.CostBudgetUSDPerHour > 0 {
-		d.Obs.Cost.SetBudget(obs.Budget{
-			USDPerHour: cfg.CostBudgetUSDPerHour,
-			Window:     costBudgetWindow,
-		})
-	}
 	d.System.SetCostCategory("syskv")
 	d.Locks = fksync.NewLockManager(env, d.System, lockLease)
 	d.Txns = txn.NewStore(d.System, k)

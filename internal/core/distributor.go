@@ -1,132 +1,61 @@
 package core
 
-// The distributor is the leader's one write pipeline. Every invocation's
-// messages run through it in chunks: with Config.BatchWrites a chunk is a
-// whole run between transaction barriers, without it one message (the
-// paper's per-message distribution). Each chunk runs in three phases:
+// The distributor is the leader's one write pipeline: Algorithm 2 for every
+// message kind. Each step has exactly one implementation, and leaves its
+// place in the paper's order only by a move its row admits:
 //
-//	commit    per message: verify the system-store commit (➊/➋) and fold
-//	          the operation's effect into the chunk's batchFold
-//	flush     per chunk: distribute the folded state (➌) — one
-//	          invalidation record, the final state of every touched node,
-//	          one child-list read-modify-write per parent, per region
-//	complete  per message, in queue order: fire watches (➍), notify the
-//	          client; then, for the whole chunk, pop the pending
-//	          transactions (➎) — deferred (order rule 2)
+//	step              function        admissible moves
+//	➊/➋ commit check  awaitCommit     first poll rides the opening read (open);
+//	                                  prefetched under the previous flush (rule 3)
+//	➍ watch claim     queryWatches    run ahead of the flush, ids entered at
+//	                                  once (claimWatches; rule 1)
+//	➌ flush           distributeFold  —
+//	➍ delivery        launchWatch     a cross-shard part's waits for the apply
+//	  epoch entry     appendEpochs    right behind its delivery's launch
+//	  answer          notifyResult    —
+//	➎ pop             popPending      run under the next flush; carried to the
+//	                                  next invocation; run ahead of a barrier;
+//	                                  in the commit phase (rule 2)
+//	➏ epoch exit      exitEpochs      —
 //
-// The chunks of a run are software-pipelined in two lanes on the one handler
-// process. Only the flush touches the user stores and only the other steps
-// touch the system store, so while chunk n's regional legs are in flight
-// the handler, instead of parking, retires the pending pops chunk n−1 left
-// behind and runs the commit phase of chunk n+1, then joins the flush and
-// completes n. The lanes run on across invocations: an invocation's last
-// chunk leaves its pops to the shard's next invocation (carry), whose first
-// flush retires them as it would chunk n−1's:
+// Three lanes call them in this order. A chunk of single ops (flushChunk)
+// answers before it pops. A single-shard multi() (multi) claims ahead of its
+// flush and pops before it answers. One shard's part of a cross-shard
+// multi() (txnPart) claims, pops and posts its ready marker; its coordinator
+// flushes and answers, and its deliveries wait for that apply (txnops.go).
+//
+// A chunk is one message — the paper's per-message distribution — or, with
+// Config.BatchWrites, a whole run between transaction messages, which are
+// barriers. It commits per message, folding each change into its batchFold,
+// flushes the fold once (one invalidation record, the final state of every
+// touched node, one child-list read-modify-write per parent, per region),
+// and completes per message in queue order. Only the flush touches the user
+// stores, so the chunks of a run are pipelined in two lanes on the one
+// handler process: while flush n's legs are in flight the handler runs the
+// pops chunk n−1 deferred and the commit phase of n+1 (underFlush). The
+// pops of an invocation's last chunk are carried to the shard's next
+// invocation, whose first flush runs them:
 //
 //	user stores  ├──── flush n ─────┤            ├─── flush n+1 ────┤
 //	handler      pop n−1, commit n+1, join · complete n · pop n, commit n+2, join · complete n+1
 //
-//	user stores  ├flush┤                                      ├──── flush ─────┤
-//	handler      …, join · complete · carry ┆ open · commit · pops of i, …, join · complete
-//	             └───── invocation i ──────┘ └────────────── invocation i+1 ──────────────┘
-//
 // Flushes never overlap and stay in queue order: the stores always hold a
-// prefix of the total order (single system image). Every one-message
-// invocation commits, flushes and completes in Algorithm 2's order; its pop
-// runs under the next invocation's flush, after that one's commit check.
+// prefix of the total order (single system image). The order rules:
 //
-// A one-message chunk is Algorithm 2 with every read, write and condition
-// in place and three steps moved off the critical path, each still meeting
-// what its place was for:
+//  1. Watch claim. A lone message on a single shard claims after its flush,
+//     on the paper's order; several shards, a chunk of several messages and
+//     a transaction message claim ahead of it (openChunk).
+//  2. Pop. A message followed in its chunk by another on its path pops in the
+//     commit phase (commit); every other pop follows every answer of its
+//     chunk. A commit check looks past a head whose pop is deferred
+//     (pollCommit).
+//  3. Prefetched commit. A commit runs under the previous flush only when no
+//     un-popped message ahead of it shares its path, as one read that never
+//     acts (commitOne); anything else waits for the serial position.
 //
-//   - The first read of the control record (awaitCommit's first poll) rides
-//     the invocation's opening read, one batched round trip with the epoch
-//     counters (leader.go, open), instead of following it. The poll loop
-//     tolerates a stale view — it only ever acts through a conditional
-//     write or another read — and the epoch stamp is, as before, read
-//     before any flush's legs start.
-//   - A fired group's delivery is launched before its id is appended to the
-//     epoch counters, not after (flushChunk). The id has to be in the
-//     counters before the next flush reads its stamp and before the
-//     writer's response leaves; both follow the append on the one handler
-//     process.
-//   - The pop (➎) runs in the next invocation (order rule 2). Its pending
-//     entry is what marks a write not yet popped; the pop only had to follow
-//     the write's distribution, and to precede the next commit check on its
-//     path, which the same-path rule below stands in for.
-//
-// Three order rules say when a step leaves its place, each on something the
-// code observes:
-//
-//   - Watch claim. Ids must be in the epoch counters before a value that
-//     another writer may causally follow becomes readable (Z4). A lone
-//     message on a single serialized shard keeps the paper's order (query
-//     after the flush, each id entered next to the launch of its delivery);
-//     several shards or a chunk of several messages claim before the flush
-//     (openChunk's claimEarly). Either way chunk n's ids are
-//     entered before flush n+1 starts, and a flush reads its epoch stamp
-//     before its legs start, so a claim prefetched under it cannot reach the
-//     stamp. The query itself cannot move ahead of the flush on the paper's
-//     order: a watch registered between an early query and the put's landing
-//     would be armed on the old value and missed by this change (ROADMAP
-//     1(f) — the claimEarly configurations have exactly that window).
-//   - Pending pop. The next message's awaitCommit needs its txid at the
-//     head of the node's pending list, so a message followed in the same
-//     chunk by another on the same path pops in the commit phase (behind a
-//     carried pop of that path, which it runs first). Every other pop runs
-//     after the notify of every message of its chunk, off any client's
-//     critical path: under the next flush; serially ahead of a transaction
-//     barrier; or, for an invocation's last chunk, carried to the shard's
-//     next invocation, where it runs under the first flush — or ahead of
-//     whatever that invocation cannot flush first, a barrier among them.
-//     The next invocation's commit check looks past a carried head
-//     (awaitCommit): with its own txid right behind it, a write on the path
-//     just written counts as committed on the opening read's word, and the
-//     carried pop still runs under its flush.
-//   - Prefetched commit. A commit may run under the previous chunk's flush
-//     only when no un-popped message ahead of it shares its path; its
-//     verification is one read (peekCommit) and never pops, replays or
-//     sleeps. The lane order under a flush is "pops of n−1 (for an
-//     invocation's first chunk, the carried ones), then commit of n+1", so
-//     the only un-popped messages ahead are those of chunk n and of n+1
-//     itself, and awaitCommit still finds every earlier entry of its path
-//     popped. Anything but "our txid is the head" leaves the message, and
-//     the rest of its chunk, to the serial position after complete n.
-//     Transaction messages (they end the run), flushes under the root lock
-//     and empty folds carry nothing.
-//
-// A batch redelivered at any point replays as it always did: no step is
-// new, each is idempotent under its own condition (the pop on its txid at
-// the head, the commit check on the pending list), a prefetch that finds an
-// entry already consumed is simply abandoned, and the opening read is a
-// read: taken again, it is the first poll again. A carried pop leaves its
-// entry in the store, the durable "not yet popped" marker it always was, so
-// a batch delivered again after its invocation completed still finds its
-// txid at the head. Only one fact lives in warm leader memory: that the
-// carried head was already distributed. A warm leader answers such a batch
-// as the duplicate it is and runs the carried pop. A cold one — a new
-// sandbox, or the retry of a crashed one — starts without the fact: it
-// replays such a batch step for step, rewriting the same objects, and an
-// entry whose carried pop it never learned of is cleared by the next write
-// on its path, through awaitCommit's orphan pop.
-//
-// Every per-operation guarantee holds at any chunk size:
-//
-//   - Each client receives its own Stat carrying its own txid/mzxid,
-//     computed during that message's commit phase before later writes
-//     fold over it (no final-stat leakage).
-//   - Deliveries launch after the flush, each payload carrying its own
-//     operation's txid.
-//   - Client notifications go out only after the flush: a response in
-//     hand implies the write is readable (read-your-writes), and
-//     deregistration acks still order behind every ephemeral deletion's
-//     distribution.
-//   - Invalidations publish before any of the chunk's writes land, so a
-//     racing read of a pre-chunk value can never re-fill a cache above
-//     the overwrite (the cache tier's standing ordering argument).
-//
-// Transaction messages are chunk barriers: the run before them flushes
-// first (txnops.go).
+// A batch redelivered at any point replays step for step: each step is
+// idempotent under its own condition, and a deferred pop's entry stays in
+// the store as the durable "not yet popped" marker (carry).
 
 import (
 	"slices"
@@ -330,31 +259,31 @@ type leaderRun struct {
 	openedAt sim.Time
 	opened   bool
 
-	// carried holds the pops (➎) the shard's previous invocation left to
-	// this one (Deployment.leaderCarry), until they run: under the first
-	// flush, or serially ahead of a barrier.
-	carried []pendingPop
-	done    *batchFold // chunk n−1: completed, its pending pops deferred
-	ahead   *batchFold // chunk n+1: next in the run, commit phase unfinished
+	// pops holds the deferred pops (➎), oldest first, until they run: those
+	// the shard's previous invocation carried (Deployment.leaderCarry), then
+	// the completed chunk's.
+	pops  []pendingPop
+	done  *batchFold // chunk n−1: completed, its pops deferred
+	ahead *batchFold // chunk n+1: next in the run, commit phase unfinished
 }
 
-// pendingPop is one carried pending pop (➎): the control record at key
-// loses txid from the head of its pending list, gc lets a delete's pop
-// collect the tombstone (popPending), and trace is the request whose write
-// it ends, which it bills.
+// pendingPop is one pop (➎): the control record at key loses txid from the
+// head of its pending list, gc lets a delete's pop collect the tombstone
+// (popPending), and ctx bills the request whose write it ends.
 type pendingPop struct {
-	key   string
-	txid  int64
-	gc    bool
-	trace int64
+	ctx  cloud.Ctx
+	key  string
+	txid int64
+	gc   bool
 }
 
 // pipeline runs one invocation's messages through the pipeline: maximal
 // runs between barriers, each one chunk under Config.BatchWrites and a
-// chunk per message without it. The last chunk's pops are carried to the
-// shard's next invocation.
+// chunk per message without it, and each transaction message in its own
+// lane (txnops.go). The last chunk's pops are carried to the shard's next
+// invocation.
 func (p *leaderRun) pipeline(msgs []decodedMsg) {
-	d, ctx, epochs := p.d, p.ctx, p.epochs
+	d := p.d
 	for i := range msgs {
 		if msgs[i].msg.Op == OpDelete {
 			msgs[i].collect = collectable(msgs, i)
@@ -362,22 +291,28 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 	}
 	start := 0 // the current run is msgs[start:i]
 	for i, dm := range msgs {
-		switch dm.msg.Op {
-		case OpMulti, OpTxnCommit:
-			// Transaction messages are fold barriers: their distribution
-			// has its own atomicity protocol, so the accumulated run
-			// flushes first, and every pop ahead of the barrier — the
-			// carried ones included — runs before it.
-			p.flushRun(msgs[start:i])
-			p.retire()
-			start = i + 1
-			if !dm.staged {
-				d.stageMsg(dm.msg, obs.StageCommit)
-			}
-			t0 := d.K.Now()
-			p.completions = append(p.completions, d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
-			d.recordPhase("leader.total", d.K.Now()-t0)
+		if dm.msg.Op != OpMulti && dm.msg.Op != OpTxnCommit {
+			continue
 		}
+		// Transaction messages are fold barriers: their distribution has its
+		// own atomicity protocol, so the accumulated run flushes first, and
+		// every deferred pop — the carried ones included — runs before it.
+		p.flushRun(msgs[start:i])
+		p.retire()
+		start = i + 1
+		if !dm.staged {
+			d.stageMsg(dm.msg, obs.StageCommit)
+		}
+		t0 := d.K.Now()
+		tm, err := decodeTxnMsg(dm.msg.NodeBlob)
+		switch {
+		case err != nil:
+		case dm.msg.Op == OpMulti:
+			p.multi(dm, tm)
+		default:
+			p.txnPart(dm, tm)
+		}
+		d.recordPhase("leader.total", d.K.Now()-t0)
 	}
 	p.flushRun(msgs[start:])
 	p.carry()
@@ -399,14 +334,25 @@ func (p *leaderRun) flushRun(run []decodedMsg) {
 }
 
 // openChunk takes the chunk at the head of run; nil once the run is spent.
+//
+// It also places the chunk's watch claim (order rule 1). Ids must be in the
+// epoch counters before a value that another writer may causally follow
+// becomes readable (Z4). A lone message on a single serialized shard keeps
+// the paper's order: the query after the flush, each id entered next to the
+// launch of its delivery, so before the next flush and this write's answer.
+// Several shards or several messages claim before the flush (claimEarly);
+// either way chunk n's ids are entered before flush n+1 starts, and a flush
+// reads its stamp before its legs start, so a claim prefetched under it
+// cannot reach the stamp. The paper's query cannot move ahead of the flush:
+// a watch registered between an early query and the put's landing would be
+// armed on the old value and missed by this change (ROADMAP 1(f) — the
+// claimEarly configurations have exactly that window).
 func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
 	if len(run) == 0 {
 		return nil
 	}
 	f := newBatchFold()
 	f.msgs = run[:min(size, len(run))]
-	// Order rule 1 (see the package comment): only a lone message on a
-	// single serialized shard may keep the paper's claim-after-flush.
 	f.claimEarly = p.d.NumShards() > 1 || len(f.msgs) > 1
 	return f
 }
@@ -414,13 +360,15 @@ func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
 // flushChunk finishes cur's commit phase where a prefetch left it (nowhere,
 // for the first chunk of a run), distributes the folded state with the
 // second lane under it, and completes every buffered operation in queue
-// order. The chunk's pops stay behind for the next flush to carry.
+// order: deliveries launch, and answers leave, only after the flush, so a
+// response in hand implies the write is readable (read-your-writes). The
+// chunk's pops stay behind for the next flush to carry.
 func (p *leaderRun) flushChunk(cur *batchFold) {
 	d, msgs := p.d, cur.msgs
 	if len(cur.results) < len(msgs) {
 		// The serial position: behind every pop of this invocation ahead of
 		// it. The carried pops — only the first chunk can find any — stay
-		// for its flush: awaitCommit looks past a carried head.
+		// for its flush: awaitCommit looks past a deferred head.
 		if p.done != nil {
 			p.retire()
 		}
@@ -462,14 +410,14 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			// put it behind the session's ephemeral deletions, and the
 			// flush just distributed them.
 			if d.deregAckComplete(r.ctx, msg) {
-				d.notifyResult(msg, dm.txid, CodeOK, znode.Stat{})
+				d.notifyResult(msg, dm.txid, CodeOK, znode.Stat{}, nil)
 			}
 			continue
 		}
 		if r.code == CodeOK {
 			if !cur.claimEarly {
 				t0 := d.K.Now()
-				r.fired = d.queryWatches(r.ctx, msg)
+				r.fired = d.queryWatches(r.ctx, msg, nil)
 				d.recordPhase("leader.watchquery", d.K.Now()-t0)
 			}
 			for i, fw := range r.fired {
@@ -486,7 +434,7 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			}
 		}
 		t0 := d.K.Now()
-		d.notifyResult(msg, dm.txid, r.code, r.stat)
+		d.notifyResult(msg, dm.txid, r.code, r.stat, nil)
 		d.recordPhase("leader.notify", d.K.Now()-t0)
 	}
 	// Every response is out before any of the chunk's pops runs. A flush
@@ -494,6 +442,11 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 	// pops of the chunk before — or the carried ones; they go first.
 	p.retire()
 	p.done = cur
+	for i, dm := range msgs {
+		if r := &cur.results[i]; r.code == CodeOK && !r.popped {
+			p.pops = append(p.pops, pendingPop{ctx: r.ctx, key: dm.key, txid: dm.txid, gc: dm.collect})
+		}
+	}
 }
 
 // underFlush is the second lane: what the handler process does, instead of
@@ -510,77 +463,61 @@ func (p *leaderRun) underFlush(cur *batchFold) {
 	}
 }
 
-// retire runs every deferred pending pop (➎): the carried ones first, as
-// they are older, then the completed chunk's. The chunk's leader.total, the
-// container of every phase from its commit to here, closes here, and the
-// chunk returns to the pool. It reports how many pops it ran.
+// retire runs every deferred pop (➎), oldest first, and closes the
+// completed chunk (closeDone). It reports how many pops it ran.
 func (p *leaderRun) retire() (pops int) {
-	for _, c := range p.carried {
-		p.popOne(c)
+	for _, c := range p.pops {
+		p.d.popPending(c)
 	}
-	pops = len(p.carried)
-	p.carried = p.carried[:0]
-	f := p.done
-	if f == nil {
-		return pops
-	}
-	p.done = nil
-	for i, dm := range f.msgs {
-		if r := &f.results[i]; r.code == CodeOK && !r.popped {
-			p.d.popPending(r.ctx, dm.key, dm.txid, dm.collect)
-			pops++
-		}
-	}
-	p.d.recordPhase("leader.total", p.d.K.Now()-f.t0)
-	f.release()
+	pops = len(p.pops)
+	p.pops = p.pops[:0]
+	p.closeDone()
 	return pops
 }
 
-// carry ends the invocation: the pops of its last chunk are handed to the
-// shard's next invocation, whose first flush runs them, and the chunk's
-// leader.total closes here, in the invocation that completed it — it never
-// spans the idle time until the next one.
+// carry ends the invocation: the deferred pops — its last chunk's — are
+// handed to the shard's next invocation, whose first flush runs them. A pop
+// only has to follow its write's distribution and precede the next commit
+// check on its path, and that check looks past a deferred head
+// (pollCommit).
+//
+// A carried pop leaves its entry in the store, the durable "not yet popped"
+// marker it always was, so a batch delivered again after its invocation
+// completed still finds its txid at the head. Only one fact lives in warm
+// leader memory: that the carried head was already distributed. A warm
+// leader answers such a batch as the duplicate it is and runs the carried
+// pop. A cold one — a new sandbox, or the retry of a crashed one — starts
+// without the fact: it replays such a batch step for step, rewriting the
+// same objects, and an entry whose carried pop it never learned of is
+// cleared by the next write on its path, through awaitCommit's orphan pop.
 func (p *leaderRun) carry() {
-	list := p.carried // empty by now (a flush or a barrier ran them); its array is reused
+	p.closeDone()
+	p.d.leaderCarry[p.shard] = p.pops
+}
+
+// closeDone closes the completed chunk's leader.total, the container of
+// every phase from its commit to its pops — or, for an invocation's last
+// chunk, to the invocation's end: it never spans the idle time until the
+// next one — and returns the chunk to the pool.
+func (p *leaderRun) closeDone() {
 	if f := p.done; f != nil {
 		p.done = nil
-		for i, dm := range f.msgs {
-			if r := &f.results[i]; r.code == CodeOK && !r.popped {
-				list = append(list, pendingPop{key: dm.key, txid: dm.txid, gc: dm.collect, trace: costMsgTrace(dm.msg)})
-			}
-		}
 		p.d.recordPhase("leader.total", p.d.K.Now()-f.t0)
 		f.release()
 	}
-	p.d.leaderCarry[p.shard] = list
 }
 
-// isCarried reports whether txid's pop on key is one this invocation
-// carries.
-func (p *leaderRun) isCarried(key string, txid int64) bool {
-	for _, c := range p.carried {
-		if c.key == key && c.txid == txid {
-			return true
-		}
+// deferred reports whether txid's pop on key is deferred.
+func (p *leaderRun) deferred(key string, txid int64) bool {
+	return slices.ContainsFunc(p.pops, func(c pendingPop) bool { return c.key == key && c.txid == txid })
+}
+
+// popDeferred runs the deferred pop on key now, if there is one.
+func (p *leaderRun) popDeferred(key string) {
+	if i := slices.IndexFunc(p.pops, func(c pendingPop) bool { return c.key == key }); i >= 0 {
+		p.d.popPending(p.pops[i])
+		p.pops = slices.Delete(p.pops, i, i+1)
 	}
-	return false
-}
-
-// popCarried runs the carried pop on key now, if there is one.
-func (p *leaderRun) popCarried(key string) {
-	for i, c := range p.carried {
-		if c.key == key {
-			p.popOne(c)
-			p.carried = slices.Delete(p.carried, i, i+1)
-			return
-		}
-	}
-}
-
-// popOne runs one carried pop, billed to its own request as the pop of a
-// chunk of this invocation is.
-func (p *leaderRun) popOne(c pendingPop) {
-	p.d.popPending(p.d.billSpan(p.ctx, c.trace, 0, p.shard, ""), c.key, c.txid, c.gc)
 }
 
 // collectable is the tombstone-GC lookahead for the delete at msgs[i]: a
@@ -626,7 +563,11 @@ func holdsPath(msgs []decodedMsg, path string) bool {
 // the chunk before, it is a prefetch and stops at the first message order
 // rule 3 keeps back: one with an un-popped message on its path ahead of it
 // — in under, or later in f, where order rule 2 would make it pop — or one
-// whose txid is not at the head of its pending list yet.
+// whose txid is not at the head of its pending list yet. The lane order
+// under a flush is "pops of n−1 (for an invocation's first chunk, the
+// carried ones), then commit of n+1", so the only un-popped messages ahead
+// are those of chunk n and of n+1 itself, and a later awaitCommit still
+// finds every earlier entry of its path popped.
 func (p *leaderRun) commit(f, under *batchFold) {
 	for i := len(f.results); i < len(f.msgs); i++ {
 		dm := &f.msgs[i]
@@ -658,25 +599,25 @@ func (p *leaderRun) commit(f, under *batchFold) {
 // plus whichever of the watch claim and the pending pop the chunk's order
 // rules pull ahead of the flush. It folds the operation's effect and
 // captures the Stat here, from this operation's own txid and version,
-// before any later operation folds over the node. A prefetch that does not
-// find the txid at the head of the pending list gives the message up
-// (false) having done nothing but that one read.
+// before any later operation folds over the node, so each client receives
+// its own Stat at any chunk size. A prefetch may do nothing it could
+// regret under another chunk's flush: one read, and a txid not at the head
+// of the pending list gives the message up (false).
 func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bool) (opResult, bool) {
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
 	if msg.Op == OpDeregister {
 		return opResult{ctx: ctx}, true // completed after the flush, nothing to commit
 	}
-	// ➊ Fetch the node's control record and verify our transaction is the
-	// head of its pending list (➋ trying to commit on behalf of a crashed
-	// follower when it is not).
 	t0 := d.K.Now()
-	var node sysNode
-	var committed bool
+	keys, nodes := [1]string{dm.key}, [1]sysNode{}
+	committed := false
 	if prefetch {
-		if node, committed = d.peekCommit(ctx, dm.key, txid); !committed {
+		nodes[0] = d.readControl(ctx, dm.key)
+		if pending := nodes[0].Pending; len(pending) == 0 || pending[0] != txid {
 			return opResult{}, false
 		}
+		committed = true
 		d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "commit_prefetched", Shard: msg.Shard}, 1)
 	} else {
 		// The invocation's first message was read by the opening read, which
@@ -686,7 +627,10 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 			first, t0, p.opened = &p.opening, p.openedAt, false
 			f.t0 = t0
 		}
-		node, committed = p.awaitCommit(ctx, dm, first)
+		committed = p.awaitCommit(ctx, keys[:], txid, nodes[:], first, opPolls, replayPoll, true, func() (bool, bool) {
+			_ = d.commitLocked(ctx, msgLocks(msg), msg, txid) // the follower died after its push
+			return false, false
+		})
 	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
@@ -695,9 +639,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 
 	var fired []firedWatch
 	if f.claimEarly {
-		t0 = d.K.Now()
-		fired = d.claimWatches(ctx, msg, p.epochs)
-		d.recordPhase("leader.watchquery", d.K.Now()-t0)
+		fired = p.claimWatches(ctx, msg)
 	}
 
 	var stat znode.Stat
@@ -708,7 +650,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 			f.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
 		}
 	default:
-		if n := d.buildUserNode(msg, txid, node); n != nil {
+		if n := d.buildUserNode(msg, txid, nodes[0]); n != nil {
 			stat = n.Stat
 			f.foldWrite(msg.Path, n, txid)
 			if msg.ParentPath != "" {
@@ -718,8 +660,8 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	}
 
 	if popEarly {
-		p.popCarried(dm.key) // a carried entry ahead of ours goes first
-		d.popPending(ctx, dm.key, txid, dm.collect)
+		p.popDeferred(dm.key) // a carried entry ahead of ours goes first
+		d.popPending(pendingPop{ctx: ctx, key: dm.key, txid: txid, gc: dm.collect})
 	}
 	return opResult{ctx: ctx, code: CodeOK, stat: stat, fired: fired, popped: popEarly}, true
 }

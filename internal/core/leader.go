@@ -10,6 +10,7 @@ import (
 	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
 
@@ -47,14 +48,10 @@ func (d *Deployment) readControl(ctx cloud.Ctx, key string) sysNode {
 	return decodeSysNode(it)
 }
 
-// leaderHandler is Algorithm 2: for each validated change it verifies the
-// system-store commit (➊/➋), distributes the new data to every region's
-// user store (➌), queries and fires watches (➍), notifies the client, and
-// pops the per-node transaction (➎). Watch deliveries finish before the
-// function returns, removing their ids from the epoch counters (➏). The
-// per-message steps live in the distributor's one pipeline
-// (distributor.go); this function owns what is per invocation — decoding,
-// the opening read, and the reaping of watch deliveries.
+// leaderHandler is Algorithm 2, one invocation of it: the steps of every
+// message run in the distributor's one pipeline (distributor.go, whose
+// package comment tables them); this function owns what is per invocation
+// — decoding, the opening read, and the reaping of watch deliveries (➏).
 func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	ctx := inv.Ctx
 	// A batch comes from exactly one shard's queue; decoding is free, so
@@ -102,14 +99,14 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	}
 	// Crash at batch start, before any message is processed or any epoch
 	// entered: redelivery replays the whole batch through awaitCommit's
-	// orphan/TryCommit path. Later crash windows are unsafe to fake at
+	// orphan pop and commit replay. Later crash windows are unsafe to fake at
 	// this granularity (a watch already launched would strand its epoch
 	// entry), so leader crashes are injected only here.
 	if d.crashAt(obs.StageCommit, msgs[0].msg.Session, msgs[0].msg.Seq) {
 		d.leaderCarry[shard] = d.leaderCarry[shard][:0]
 		return errInjectedCrash
 	}
-	p := leaderRun{d: d, ctx: ctx, shard: shard, carried: d.leaderCarry[shard]}
+	p := leaderRun{d: d, ctx: ctx, shard: shard, pops: d.leaderCarry[shard]}
 	p.open(msgs, acksOnly)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
@@ -117,15 +114,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	for _, c := range p.completions {
 		_ = c.fut.Wait()
 		d.spanEnd(c.span)
-		for _, s := range d.Stores {
-			r := s.Region()
-			_, err := d.System.Update(ctx, d.epochKey(r),
-				[]kv.Update{kv.ListRemove{Name: d.epochAttrs[shard], Vals: []int64{c.wid}}}, nil)
-			if err != nil {
-				return err
-			}
-			p.epochs[r] = removeID(p.epochs[r], c.wid)
-		}
+		d.exitEpochs(ctx, shard, []int64{c.wid})
 	}
 	return nil
 }
@@ -190,32 +179,17 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	}
 }
 
-// leaderProcess dispatches a transaction message — a fold barrier of the
-// pipeline, distributed under package txn's own atomicity protocol.
-func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
-	tm, err := decodeTxnMsg(msg.NodeBlob)
-	if err != nil {
-		return nil
-	}
-	if msg.Op == OpMulti {
-		// A single-shard multi(): the fast path's leader commit phase.
-		return d.leaderProcessMulti(ctx, msg, tm, txid, epochs)
-	}
-	// One shard's part of a cross-shard transaction.
-	return d.leaderTxnCommit(ctx, msg, tm, txid, epochs)
-}
-
-// popPending is step ➎: pop the transaction from the head of the pending
-// list of the control record at key; gc lets the pop of a delete garbage
-// collect the tombstone once the list is empty (the pipeline withholds it
-// when a later operation in the same invocation targets the path, whose
-// commit may not have appended to the pending list yet).
-func (d *Deployment) popPending(ctx cloud.Ctx, key string, txid int64, gc bool) {
+// popPending is step ➎ for every message kind: c.txid leaves the head of
+// the pending list of the control record at c.key; c.gc lets the pop of a
+// delete garbage collect the tombstone once the list is empty (the pipeline
+// withholds it when a later operation in the same invocation targets the
+// path, whose commit may not have appended to the pending list yet).
+func (d *Deployment) popPending(c pendingPop) {
 	t0 := d.K.Now()
-	it, err := d.System.Update(ctx, key,
+	it, err := d.System.Update(c.ctx, c.key,
 		[]kv.Update{popPendingHead},
-		kv.NumListHeadEq{Name: attrPending, V: txid})
-	if err == nil && gc {
+		kv.NumListHeadEq{Name: attrPending, V: c.txid})
+	if err == nil && c.gc {
 		after := decodeSysNode(it)
 		if !after.Exists && len(after.Pending) == 0 {
 			// The lock guard keeps the collection from racing a pipelined
@@ -225,7 +199,7 @@ func (d *Deployment) popPending(ctx cloud.Ctx, key string, txid int64, gc bool) 
 			// (its conditional update needs the lock attribute to
 			// survive). A locked tombstone is simply left for the next
 			// delete's collection.
-			_ = d.System.Delete(ctx, key, kv.And{
+			_ = d.System.Delete(c.ctx, c.key, kv.And{
 				kv.Eq{Name: attrExists, V: kv.N(0)},
 				kv.Eq{Name: attrPending, V: kv.NumList()},
 				kv.AttrNotExists{Name: "lock"},
@@ -270,104 +244,123 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 	return true
 }
 
-// awaitCommit resolves the race between the push (③, which intentionally
-// precedes the commit ④) and the leader observing the transaction. It
-// polls the node's pending list, replays the commit on behalf of a
-// follower that appears to have died (➋), and clears orphaned pending
-// heads left behind by transactions the leader previously abandoned —
-// without this last step a single lost transaction would wedge the node's
-// pipeline forever. first, when non-nil, is a read of the record somebody
-// already paid for — the invocation's opening read — and stands in for the
-// first poll.
-//
-// A head this leader carried from its previous invocation (p.carried) is no
-// orphan: it was distributed, only its pop is still to run. awaitCommit
-// looks past it. Our txid right behind it commits the message at once — a
-// write on the path just written costs no pop or re-read on its critical
-// path; the carried pop runs under the flush as usual. Nothing behind it is
-// a follower commit still in flight. Our own txid as the carried head is a
-// batch delivered again after it completed: a duplicate. Anything else
-// behind it (an orphan, a later txid) runs the carried pop here, and the
-// next poll decides as before.
-func (p *leaderRun) awaitCommit(ctx cloud.Ctx, dm decodedMsg, first *sysNode) (sysNode, bool) {
-	d, msg, key, txid := p.d, dm.msg, dm.key, dm.txid
-	const attempts = 10
-	triedCommit := false
-	for attempt := 0; attempt < attempts; attempt++ {
-		var node sysNode
-		if attempt == 0 && first != nil {
-			node = *first
-		} else {
-			node = d.readControl(ctx, key)
-		}
-		pending := node.Pending
-		if len(pending) > 0 && p.isCarried(key, pending[0]) {
-			switch {
-			case pending[0] == txid:
-				return sysNode{}, false
-			case len(pending) == 1:
-				pending = nil
-			case pending[1] == txid:
-				return node, true
-			default:
-				p.popCarried(key)
-				continue
+// The commit check's budgets: a single op polls opPolls times (a
+// transaction message txnHeadPolls), and replays a dead committer's commit
+// at the first poll from the third on that finds nothing pending.
+const opPolls, replayPoll = 10, 2
+
+// awaitCommit is the commit check (➊/➋) of every message kind. It resolves
+// the race between the push (③, which intentionally precedes the commit ④)
+// and the leader observing the transaction: it polls until txid heads the
+// pending list of every key, recording each control record found so in
+// nodes. A poll that finds nothing pending on a key — the commit may still
+// be in flight, or its committer died after pushing — sleeps and polls
+// again; the first such poll from replayAt on runs replay instead, which
+// replays the commit on the committer's behalf (➋: whichever of the two
+// conditional commits lands first wins, and the next poll decides) or, when
+// decided, ends the check with its own verdict. The kinds differ only in
+// these arguments and in orphanEndsPoll (pollCommit). first, when non-nil,
+// is a read of keys[0] somebody already paid for — the invocation's opening
+// read — and stands in for its first read.
+func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys []string, txid int64, nodes []sysNode, first *sysNode,
+	polls, replayAt int, orphanEndsPoll bool, replay func() (committed, decided bool)) bool {
+	replayed := false
+	for attempt := 0; attempt < polls; attempt++ {
+		done, consumed, popped := p.pollCommit(ctx, keys, txid, nodes, first, orphanEndsPoll)
+		first = nil
+		switch {
+		case done:
+			return true
+		case consumed:
+			return false
+		case popped:
+			continue
+		case attempt >= replayAt && !replayed:
+			replayed = true
+			if committed, decided := replay(); decided {
+				return committed
 			}
-		}
-		if len(pending) > 0 {
-			head := pending[0]
-			if head == txid {
-				return node, true
-			}
-			if head < txid {
-				// Orphan from an abandoned transaction: pop and retry.
-				_, _ = d.System.Update(ctx, key,
-					[]kv.Update{popPendingHead},
-					kv.NumListHeadEq{Name: attrPending, V: head})
-				continue
-			}
-			// head > txid: our entry was already consumed (a duplicate
-			// delivery after a retry); treat as not committed.
-			return sysNode{}, false
-		}
-		// Nothing pending: the follower's commit may still be in flight,
-		// or the follower died after pushing. After a short grace period,
-		// replay the commit ourselves (➋); whichever of the two
-		// conditional commits lands first wins and the next poll decides.
-		if attempt >= 2 && !triedCommit {
-			triedCommit = true
-			d.tryCommit(ctx, msg, txid)
 			continue
 		}
-		d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
+		p.d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
 	}
-	return sysNode{}, false
+	return false
 }
 
-// peekCommit is awaitCommit for a prefetch, which runs under another
-// chunk's flush and may do nothing it could regret there: one read, true
-// only when txid already heads the pending list. It never pops an orphan,
-// replays a commit or sleeps — anything else is the serial position's.
-func (d *Deployment) peekCommit(ctx cloud.Ctx, key string, txid int64) (sysNode, bool) {
-	node := d.readControl(ctx, key)
-	return node, len(node.Pending) > 0 && node.Pending[0] == txid
+// pollCommit is one poll of awaitCommit: it reads each key whose record is
+// not in nodes yet until txid heads its pending list, nothing is pending
+// (not done), or its head is past txid — our entry was consumed already, a
+// duplicate delivery (consumed). A head below txid is an orphan of a
+// transaction the leader abandoned, popped on the spot: without this a
+// single lost transaction would wedge its node's pipeline forever. A single
+// op's poll ends at its orphan pop (orphanEndsPoll: popped, and the pop
+// costs a poll), a transaction message's reads the key again.
+//
+// A head whose pop this leader deferred (p.pops) is no orphan: it was
+// distributed, only its pop is still to run, so the poll looks past it. Our
+// txid right behind it commits the message at once — a write on the path
+// just written costs no pop or re-read on its critical path, and the
+// deferred pop runs under the flush as usual. Nothing behind it is a commit
+// still in flight. Our own txid as that head is a batch delivered again
+// after it completed: a duplicate. Anything else behind it (an orphan, a
+// later txid) runs the deferred pop here, as an orphan pop.
+func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys []string, txid int64, nodes []sysNode, first *sysNode, orphanEndsPoll bool) (done, consumed, popped bool) {
+	done = true
+	for i, key := range keys {
+		for len(nodes[i].Pending) == 0 {
+			var node sysNode
+			if first != nil {
+				node, first = *first, nil
+			} else {
+				node = p.d.readControl(ctx, key)
+			}
+			pending := node.Pending
+			if len(pending) > 0 && p.deferred(key, pending[0]) {
+				switch {
+				case pending[0] == txid:
+					return false, true, false
+				case len(pending) == 1 || pending[1] == txid:
+					pending = pending[1:]
+				default:
+					p.popDeferred(key)
+					if orphanEndsPoll {
+						return false, false, true
+					}
+					continue
+				}
+			}
+			if len(pending) == 0 {
+				done = false
+				break
+			}
+			if head := pending[0]; head == txid {
+				nodes[i] = node
+			} else if head > txid {
+				return false, true, false
+			} else {
+				_, _ = p.d.System.Update(ctx, key,
+					[]kv.Update{popPendingHead},
+					kv.NumListHeadEq{Name: attrPending, V: head})
+				if orphanEndsPoll {
+					return false, false, true
+				}
+			}
+		}
+	}
+	return done, false, false
 }
 
 // msgLocks rebuilds the locks a single-op message's follower held from the
 // timestamps it carries: the node's, then the parent's if the op has one.
+// The leader's replay of the follower's commit under them only succeeds
+// while they are still in place, which is exactly the crashed-follower
+// window.
 func msgLocks(msg leaderMsg) []fksync.Lock {
 	held := []fksync.Lock{{Key: nodeKey(msg.Path), Timestamp: msg.LockTs}}
 	if msg.ParentPath != "" {
 		held = append(held, fksync.Lock{Key: nodeKey(msg.ParentPath), Timestamp: msg.ParentLockTs})
 	}
 	return held
-}
-
-// tryCommit replays the follower's conditional commit using the lock
-// timestamps carried in the message. It only succeeds while the original
-// locks are still in place, which is exactly the crashed-follower window.
-func (d *Deployment) tryCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) bool {
-	return d.commitLocked(ctx, msgLocks(msg), msg, txid) == nil
 }
 
 // buildUserNode assembles the user-store object for one committed change:
@@ -414,6 +407,16 @@ func (d *Deployment) appendEpochs(ctx cloud.Ctx, fired []firedWatch, shard int, 
 	}
 }
 
+// exitEpochs is ➏: once their deliveries completed, wids leave the shard's
+// list on every region's epoch item. An unconditional removal cannot fail:
+// it never grows the item.
+func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) {
+	for _, s := range d.Stores {
+		_, _ = d.System.Update(ctx, d.epochKey(s.Region()),
+			[]kv.Update{kv.ListRemove{Name: d.epochAttrs[shard], Vals: wids}}, nil)
+	}
+}
+
 // refreshSharedFromSystem overwrites a shared object's child list (and
 // raises its child stamps) from the system store, the source of truth.
 // Must run under the path's shared lock: a full-object write racing
@@ -454,67 +457,69 @@ type firedWatch struct {
 	sessions []string
 }
 
-// queryWatches reads the watch registrations touched by this operation and
-// clears the fired (one-shot) groups. A clear removes exactly the sessions
-// the read returned: a registration that lands between the read and the
-// clear belongs to a reader that may already hold the new value, and must
-// stay armed for the next change. Shared-path watch groups (the root of a
-// multi-shard deployment) are claimed (claimGroup): two shard leaders may
-// race between the read and the clear there (shared paths are the only ones
-// whose watches fire from more than one shard), and firing the same group
-// twice would consume a watch the client re-registered in its callback.
-// Everywhere else the owning shard's leader is serialized and keeps the
-// paper's one batched clear.
-func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg) []firedWatch {
-	var fired []firedWatch
-	collect := func(path string, pairs []struct {
-		attr  string
-		wt    WatchType
-		event EventType
-	}) {
-		it, ok := d.System.GetView(ctx, watchKey(path), true)
-		if !ok {
-			return
-		}
-		var clear []kv.Update
-		for _, p := range pairs {
-			sessions := it.Get(p.attr).SL
-			if d.route.Shared(path) {
-				sessions = d.claimGroup(ctx, watchKey(path), p.attr, sessions)
-			} else if len(sessions) > 0 {
-				clear = append(clear, kv.StrListRemove{Name: p.attr, Vals: sessions})
-			}
-			if len(sessions) == 0 {
-				continue
-			}
-			fired = append(fired, firedWatch{
-				wid:      WatchID(path, p.wt),
-				event:    p.event,
-				path:     path,
-				sessions: append([]string(nil), sessions...),
-			})
-		}
-		if len(clear) > 0 {
-			_, _ = d.System.Update(ctx, watchKey(path), clear, nil)
-		}
-	}
-	type pair = struct {
-		attr  string
-		wt    WatchType
-		event EventType
-	}
+// watchGroup is one watch list a change fires: its attribute on the path's
+// watch item, its type, and the event its delivery carries.
+type watchGroup struct {
+	attr  string
+	wt    WatchType
+	event EventType
+}
+
+// queryWatches is ➍'s claim for one change: it reads the watch
+// registrations the change touches and clears the fired (one-shot) groups,
+// appending them to fired. A clear removes exactly the sessions the read
+// returned: a registration that lands between the read and the clear
+// belongs to a reader that may already hold the new value, and must stay
+// armed for the next change.
+func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg, fired []firedWatch) []firedWatch {
+	child := watchGroup{attrWatchChild, WatchChild, EventChildrenChanged}
 	switch msg.Op {
 	case OpSetData:
-		collect(msg.Path, []pair{{attrWatchData, WatchData, EventDataChanged}})
+		fired = d.fireGroups(ctx, msg.Path, fired, watchGroup{attrWatchData, WatchData, EventDataChanged})
 	case OpCreate:
-		collect(msg.Path, []pair{{attrWatchExists, WatchExists, EventCreated}})
-		collect(msg.ParentPath, []pair{{attrWatchChild, WatchChild, EventChildrenChanged}})
+		fired = d.fireGroups(ctx, msg.Path, fired, watchGroup{attrWatchExists, WatchExists, EventCreated})
+		fired = d.fireGroups(ctx, msg.ParentPath, fired, child)
 	case OpDelete:
-		collect(msg.Path, []pair{
-			{attrWatchData, WatchData, EventDeleted},
-			{attrWatchExists, WatchExists, EventDeleted},
+		fired = d.fireGroups(ctx, msg.Path, fired,
+			watchGroup{attrWatchData, WatchData, EventDeleted}, watchGroup{attrWatchExists, WatchExists, EventDeleted})
+		fired = d.fireGroups(ctx, msg.ParentPath, fired, child)
+	}
+	return fired
+}
+
+// fireGroups claims path's non-empty groups with one read and, off shared
+// paths, one batched clear. Shared-path groups (the root of a multi-shard
+// deployment) are claimed one by one (claimGroup): two shard leaders may
+// race between the read and the clear there (shared paths are the only
+// ones whose watches fire from more than one shard), and firing the same
+// group twice would consume a watch the client re-registered in its
+// callback. Everywhere else the owning shard's leader is serialized and
+// keeps the paper's one batched clear.
+func (d *Deployment) fireGroups(ctx cloud.Ctx, path string, fired []firedWatch, groups ...watchGroup) []firedWatch {
+	it, ok := d.System.GetView(ctx, watchKey(path), true)
+	if !ok {
+		return fired
+	}
+	var clear []kv.Update
+	for _, g := range groups {
+		sessions := it.Get(g.attr).SL
+		if d.route.Shared(path) {
+			sessions = d.claimGroup(ctx, watchKey(path), g.attr, sessions)
+		} else if len(sessions) > 0 {
+			clear = append(clear, kv.StrListRemove{Name: g.attr, Vals: sessions})
+		}
+		if len(sessions) == 0 {
+			continue
+		}
+		fired = append(fired, firedWatch{
+			wid:      WatchID(path, g.wt),
+			event:    g.event,
+			path:     path,
+			sessions: append([]string(nil), sessions...),
 		})
-		collect(msg.ParentPath, []pair{{attrWatchChild, WatchChild, EventChildrenChanged}})
+	}
+	if len(clear) > 0 {
+		_, _ = d.System.Update(ctx, watchKey(path), clear, nil)
 	}
 	return fired
 }
@@ -539,12 +544,19 @@ func (d *Deployment) claimGroup(ctx cloud.Ctx, key, attr string, sessions []stri
 	return nil
 }
 
-// claimWatches is the claim half of ➍, run before the change is readable:
-// the fired groups are claimed and their ids entered into the epoch
-// counters, so every value written afterwards carries them (Z4).
-func (d *Deployment) claimWatches(ctx cloud.Ctx, msg leaderMsg, epochs map[cloud.Region][]int64) []firedWatch {
-	fired := d.queryWatches(ctx, msg)
-	d.appendEpochs(ctx, fired, msg.Shard, epochs)
+// claimWatches is ➍'s claim run ahead of the flush, for every message kind:
+// each change's fired groups are claimed and their ids entered into the
+// shard's epoch counters at once, so every value written afterwards
+// carries them (Z4). A transaction message's changes are its effectful ops.
+func (p *leaderRun) claimWatches(ctx cloud.Ctx, changes ...leaderMsg) (fired []firedWatch) {
+	d := p.d
+	t0 := d.K.Now()
+	for _, msg := range changes {
+		n := len(fired)
+		fired = d.queryWatches(ctx, msg, fired)
+		d.appendEpochs(ctx, fired[n:], p.shard, p.epochs)
+	}
+	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
 }
 
@@ -560,11 +572,13 @@ func (d *Deployment) launchWatch(ctx cloud.Ctx, msg leaderMsg, f firedWatch, txi
 	return watchCompletion{wid: f.wid, fut: d.Platform.InvokeAsync(wctx, FnWatch, payload.encode()), span: sp}
 }
 
-func (d *Deployment) notifyResult(msg leaderMsg, txid int64, code Code, stat znode.Stat) {
+// notifyResult is the leader's one answer to a client: a single op's code
+// and Stat, or a multi()'s per-op results.
+func (d *Deployment) notifyResult(msg leaderMsg, txid int64, code Code, stat znode.Stat, results []txn.Result) {
 	d.stageMsg(msg, obs.StageRespond)
 	resp := Response{
 		Session: msg.Session, Seq: msg.Seq, Code: code, Path: msg.Path,
-		Stat: stat, Txid: txid,
+		Stat: stat, Txid: txid, MultiResults: results,
 	}
 	d.notify(msg.Session, resp, resp.wireSize())
 }
@@ -573,16 +587,6 @@ func removeString(ss []string, s string) []string {
 	out := ss[:0:0]
 	for _, x := range ss {
 		if x != s {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func removeID(ids []int64, id int64) []int64 {
-	out := ids[:0:0]
-	for _, x := range ids {
-		if x != id {
 			out = append(out, x)
 		}
 	}

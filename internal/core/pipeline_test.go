@@ -139,7 +139,7 @@ func (r *pipeRig) run() {
 // process.
 func (r *pipeRig) settle() {
 	for shard, carried := range r.d.leaderCarry {
-		p := leaderRun{d: r.d, ctx: r.d.BillSystemCtx(cloud.ClientCtx(r.d.Cfg.Profile.Home)), shard: shard, carried: carried}
+		p := leaderRun{d: r.d, ctx: r.d.BillSystemCtx(cloud.ClientCtx(r.d.Cfg.Profile.Home)), shard: shard, pops: carried}
 		p.retire()
 		p.carry()
 	}

@@ -38,7 +38,7 @@ package core
 // A part whose commit never comes — the coordinator died between the
 // pushes and the commit, or lost its lease — cannot be replayed by its
 // leader, which lacks the other parts' txids. The leader decides
-// ownership instead (awaitTxnHeads): a release of one of the part's locks
+// ownership instead (txnPart): a release of one of the part's locks
 // under the coordinator's timestamp, which the commit needs too, so
 // exactly one of the two lands.
 
@@ -741,170 +741,120 @@ func (d *Deployment) resumeTxn(ctx cloud.Ctx, req Request, id int64) error {
 
 // --- the leader side ---
 
-// awaitTxnHeads resolves the push/commit race for a transaction message:
-// every target node's pending head must become txid. Like awaitCommit it
-// clears orphaned heads, and for a fast-path message it replays the commit
-// on behalf of a crashed coordinator under the message's timed locks.
-//
-// A cross-shard part cannot be replayed: its leader lacks the other parts'
-// txids. When the polls run out the leader releases the part's first lock
-// under the coordinator's timestamp, which the commit needs as well. If
-// the release lands, the commit never can: the part is dropped, with its
-// other locks, so a redelivered coordinator need not wait out the lease.
-// If it fails, the commit landed or the lock moved on for good, and one
-// more poll tells which.
-func (d *Deployment) awaitTxnHeads(ctx cloud.Ctx, op OpCode, tm txnMsg, txid int64) (map[string]sysNode, bool) {
-	targets := txnTargets(tm.Ops)
-	states := map[string]sysNode{}
-	for attempt := 0; attempt < txnHeadPolls; attempt++ {
-		done, consumed := d.pollTxnHeads(ctx, targets, txid, states)
-		if done {
-			return states, true
-		}
-		if consumed {
-			return nil, false
-		}
-		switch {
-		case op == OpMulti && attempt == 2:
-			_ = d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
-			continue
-		case op == OpTxnCommit && attempt == txnHeadPolls-1:
-			locks := tm.locks()
-			if d.Locks.Release(ctx, locks[0]) == nil {
-				d.unlockAll(ctx, locks[1:]...)
-				return nil, false
-			}
-			if done, _ := d.pollTxnHeads(ctx, targets, txid, states); done {
-				return states, true
-			}
-			return nil, false
-		}
-		d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
-	}
-	return nil, false
-}
-
-// pollTxnHeads reads every target not yet at txid into states, popping
-// orphaned heads below txid on the way, so one poll is conclusive: done
-// means every target is at txid, consumed that one is already past it (a
-// duplicate delivery).
-func (d *Deployment) pollTxnHeads(ctx cloud.Ctx, targets []string, txid int64, states map[string]sysNode) (done, consumed bool) {
-	done = true
+// txnHeads lists a transaction message's commit-check targets — its
+// effectful ops' nodes, in first-touch order — with their control-record
+// keys and a slot for each record awaitCommit finds at txid.
+func txnHeads(tm txnMsg) (targets, keys []string, nodes []sysNode) {
+	targets = txnTargets(tm.Ops)
 	for _, p := range targets {
-		if _, ok := states[p]; ok {
-			continue
-		}
-		for {
-			it, ok := d.System.Get(ctx, nodeKey(p), true)
-			node := decodeSysNode(it)
-			if !ok || len(node.Pending) == 0 {
-				done = false
-				break
-			}
-			head := node.Pending[0]
-			if head == txid {
-				states[p] = node
-				break
-			}
-			if head > txid {
-				return false, true
-			}
-			_, _ = d.System.Update(ctx, nodeKey(p),
-				[]kv.Update{kv.ListPopHead{Name: attrPending}},
-				kv.NumListHeadEq{Name: attrPending, V: head})
-		}
+		keys = append(keys, nodeKey(p))
 	}
-	return done, false
+	return targets, keys, make([]sysNode, len(targets))
 }
 
-// claimTxnWatches claims the watches of every effectful op of a
-// transaction message before anything becomes readable (the multi-shard
-// pre-fire ordering; Z4 holds on every deployment).
-func (d *Deployment) claimTxnWatches(ctx cloud.Ctx, ops []txn.ResolvedOp, shard int, epochs map[cloud.Region][]int64) []firedWatch {
-	t0 := d.K.Now()
-	var fired []firedWatch
-	for _, op := range ops {
-		if !op.Effectful() {
-			continue
+// changes lists a transaction message's effectful ops as the changes its
+// watch claim fires for.
+func (tm txnMsg) changes() (out []leaderMsg) {
+	for _, op := range tm.Ops {
+		if op.Effectful() {
+			out = append(out, opMsgView(op))
 		}
-		view := opMsgView(op)
-		view.Shard = shard
-		fired = append(fired, d.claimWatches(ctx, view, epochs)...)
 	}
-	d.recordPhase("leader.watchquery", d.K.Now()-t0)
-	return fired
+	return out
 }
 
-// leaderProcessMulti is the fast path's leader commit phase: await the
-// multi-item commit, pre-fire watches, fold the whole transaction, and
-// distribute it atomically within the shard's serialized pipeline.
-func (d *Deployment) leaderProcessMulti(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
+// multi is a single-shard multi()'s lane: the steps of a chunk of one, on
+// every target at once. It claims its watches before anything becomes
+// readable, distributes the whole transaction atomically within the
+// shard's serialized pipeline, and pops before it answers. For a
+// coordinator that died after its push, the commit check replays the
+// multi-item commit under the message's timed locks.
+func (p *leaderRun) multi(dm decodedMsg, tm txnMsg) {
+	d, msg, txid := p.d, dm.msg, dm.txid
+	ctx := d.billMsg(p.ctx, msg)
+	targets, keys, nodes := txnHeads(tm)
 	t0 := d.K.Now()
-	states, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid)
+	ok := p.awaitCommit(ctx, keys, txid, nodes, nil, txnHeadPolls, replayPoll, false, func() (bool, bool) {
+		_ = d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
+		return false, false
+	})
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !ok {
-		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{})
-		return nil
+		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{}, nil)
+		return
 	}
-	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, epochs)
+	fired := p.claimWatches(ctx, tm.changes()...)
 
+	states := make(map[string]sysNode, len(targets))
+	for i, path := range targets {
+		states[path] = nodes[i]
+	}
 	fold, results := d.buildTxnFold(ctx, tm.Ops, func(int) int64 { return txid }, states)
 	d.stageMsg(msg, obs.StageFlush)
 	t0 = d.K.Now()
-	d.distributeFold(ctx, fold, epochs, true, nil, nil)
+	d.distributeFold(ctx, fold, p.epochs, true, nil, nil)
 	d.recordPhase("leader.update", d.K.Now()-t0)
 
-	var comps []watchCompletion
 	for _, f := range fired {
-		comps = append(comps, d.launchWatch(ctx, msg, f, txid))
+		p.completions = append(p.completions, d.launchWatch(ctx, msg, f, txid))
 	}
-
-	// Pop each target's single pending entry; deleted nodes may be
-	// collected — their user-store removal is already distributed, as
-	// for a single delete's pop after its flush.
-	for _, p := range txnTargets(tm.Ops) {
-		nf := fold.nodes[p]
-		d.popPending(ctx, nodeKey(p), txid, nf != nil && nf.del)
+	// Deleted nodes may be collected: their user-store removal is already
+	// distributed, as for a single delete's pop after its flush.
+	for i, key := range keys {
+		nf := fold.nodes[targets[i]]
+		d.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: nf != nil && nf.del})
 	}
 	fold.release()
-	d.stageMsg(msg, obs.StageRespond)
-	resp := Response{
-		Session: msg.Session, Seq: msg.Seq, Code: CodeOK, Path: msg.Path,
-		Txid: txid, MultiResults: results,
-	}
-	d.notify(msg.Session, resp, resp.wireSize())
-	return comps
+	d.notifyResult(msg, txid, CodeOK, znode.Stat{}, results)
 }
 
-// leaderTxnCommit is one shard's part of a cross-shard transaction: order
-// it in the pipeline, claim watches and enter their ids, pop the pendings,
-// and post the ready marker. The user-store apply belongs to the
+// txnPart is the lane of one shard's part of a cross-shard transaction:
+// order it in the pipeline, claim watches and enter their ids, pop the
+// pendings, and post the ready marker. The user-store apply belongs to the
 // coordinator, so the leader NEVER blocks on other shards — watch
 // deliveries defer themselves until the transaction is readable, each
 // managing its own epoch exit (a blocking barrier here could deadlock two
 // transactions crossing the same pair of shard queues in opposite orders).
-func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
+//
+// A part cannot be replayed: its leader lacks the other parts' txids. When
+// the commit check's polls run out the leader releases the part's first
+// lock under the coordinator's timestamp, which the commit needs as well.
+// If the release lands, the commit never can: the part is dropped, with its
+// other locks, so a redelivered coordinator need not wait out the lease. If
+// it fails, the commit landed or the lock moved on for good, and one more
+// poll tells which.
+func (p *leaderRun) txnPart(dm decodedMsg, tm txnMsg) {
+	d, msg, txid := p.d, dm.msg, dm.txid
 	// The part is one child span of the originating multi()'s tree
 	// (msgTrace resolves OpTxnCommit to that trace): the per-shard legs of
 	// a cross-shard multi show up side by side. Its charges — head polls,
 	// watch claims, pending pops, the ready marker — bill into the span.
 	ssp := d.tspan(d.msgTrace(msg), obs.SpanTxnShard, msg.Path, msg.Shard, "")
-	ctx = d.billSpan(ctx, costMsgTrace(msg), ssp, msg.Shard, "")
+	ctx := d.billSpan(p.ctx, costMsgTrace(msg), ssp, msg.Shard, "")
+	_, keys, nodes := txnHeads(tm)
 	t0 := d.K.Now()
-	_, ok := d.awaitTxnHeads(ctx, msg.Op, tm, txid)
+	ok := p.awaitCommit(ctx, keys, txid, nodes, nil, txnHeadPolls, txnHeadPolls-1, false, func() (bool, bool) {
+		locks := tm.locks()
+		if d.Locks.Release(ctx, locks[0]) == nil {
+			d.unlockAll(ctx, locks[1:]...)
+			return false, true
+		}
+		done, _, _ := p.pollCommit(ctx, keys, txid, nodes, nil, false)
+		return done, true
+	})
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !ok {
 		// The commit never landed (or this is a duplicate delivery): the
 		// coordinator answers the client, nothing is left to do here.
 		d.spanEnd(ssp)
-		return nil
+		return
 	}
-	fired := d.claimTxnWatches(ctx, tm.Ops, msg.Shard, epochs)
+	fired := p.claimWatches(ctx, tm.changes()...)
 	// Pop pendings but never collect tombstones here: the mark must keep
 	// fencing the path until the coordinator's atomic apply, and
 	// collecting the item would drop it.
-	for _, p := range txnTargets(tm.Ops) {
-		d.popPending(ctx, nodeKey(p), txid, false)
+	for _, key := range keys {
+		d.popPending(pendingPop{ctx: ctx, key: key, txid: txid})
 	}
 	_ = d.Txns.Ready(ctx, tm.ID, msg.Shard)
 	d.spanEnd(ssp)
@@ -934,11 +884,7 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 				_ = c.fut.Wait()
 				d.spanEnd(c.span)
 			}
-			for _, s := range d.Stores {
-				_, _ = d.System.Update(ctx, d.epochKey(s.Region()),
-					[]kv.Update{kv.ListRemove{Name: d.epochAttrs[msg.Shard], Vals: wids}}, nil)
-			}
+			d.exitEpochs(ctx, msg.Shard, wids)
 		})
 	}
-	return nil
 }

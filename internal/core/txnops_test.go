@@ -7,6 +7,7 @@ package core
 // in-package session and read the system store directly.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,6 +184,125 @@ func TestTxnLeaseLostBeforeCommit(t *testing.T) {
 	r.run()
 }
 
+// TestTxnCommitCheck is TestOpeningReadFeedsAwaitCommit for a fast-path
+// multi() message: it delivers one multi() setting /a and /b to the handler
+// by hand, in the states a first or repeated delivery can find the two
+// pending lists in, and checks the leader's commit check (➊/➋) against each
+// — an orphan is popped without costing a poll, a message whose entry is
+// already consumed is answered at once, and a coordinator that died after
+// its push is replayed at the third poll.
+func TestTxnCommitCheck(t *testing.T) {
+	const txid = 9
+	commit := func(d *Deployment, ctx cloud.Ctx, tm txnMsg) {
+		if err := d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid)); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// between is what happened between the coordinator's push and this
+		// delivery; until its commit the coordinator holds both locks.
+		between func(d *Deployment, ctx cloud.Ctx, tm txnMsg)
+
+		code          Code
+		reads, writes int64 // the handler's system-store operations
+		pendingA      []int64
+		stored        bool // the user store received the transaction
+	}{
+		{
+			name: "orphan below txid on one target",
+			between: func(d *Deployment, ctx cloud.Ctx, tm txnMsg) {
+				_, _ = d.System.Update(ctx, nodeKey("/b"), []kv.Update{pendingAppend(5)}, nil)
+				commit(d, ctx, tm)
+			},
+			// The epoch read; /a, /b, the orphan's pop and /b again in the one
+			// poll; a watch query per target; both pops.
+			code: CodeOK, reads: 6, writes: 3, stored: true,
+		},
+		{
+			name: "delivered again after its pop",
+			between: func(d *Deployment, ctx cloud.Ctx, tm txnMsg) {
+				commit(d, ctx, tm)
+				for _, p := range []string{"/a", "/b"} {
+					_, _ = d.System.Update(ctx, nodeKey(p), []kv.Update{kv.ListPopHead{Name: attrPending}}, nil)
+				}
+				_, _ = d.System.Update(ctx, nodeKey("/a"), []kv.Update{pendingAppend(12)}, nil)
+			},
+			// The epoch read and /a, whose head is past txid.
+			code: CodeSystemError, reads: 2, writes: 0, pendingA: []int64{12},
+		},
+		{
+			name:    "the coordinator died after its push",
+			between: func(*Deployment, cloud.Ctx, txnMsg) {},
+			// The epoch read, four polls of both targets with the replayed
+			// commit after the third, a watch query per target; the replay (a
+			// write per item) and both pops.
+			code: CodeOK, reads: 11, writes: 4, stored: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPipeRig(t, 23, Config{}, &pipeFaults{})
+			d := r.d
+			var s *pipeSession
+			var resp Response
+			var reads, writes int64
+			r.k.Go(leaderProc, func() {
+				s = r.open("w")
+				s.do(OpCreate, "/a", "0")
+				s.do(OpCreate, "/b", "0")
+				r.k.Sleep(sim.Ms(200))
+				r.settle()
+
+				// The coordinator's half of the multi(), up to the push.
+				ops := []txn.ResolvedOp{
+					{Type: txn.OpSetData, Path: "/a", Data: []byte("1"), Version: 1},
+					{Type: txn.OpSetData, Path: "/b", Data: []byte("1"), Version: 1},
+				}
+				tm := txnMsg{Ops: ops, ItemPaths: []string{"/a", "/b"}}
+				for _, p := range tm.ItemPaths {
+					lock, _, err := d.Locks.Acquire(s.ctx, nodeKey(p))
+					if err != nil {
+						t.Errorf("lock %s: %v", p, err)
+						return
+					}
+					tm.LockTs = append(tm.LockTs, lock.Timestamp)
+				}
+				tc.between(d, s.ctx, tm)
+				s.seq = 3
+				s.futs[s.seq] = sim.NewFuture[Response](r.k)
+				msg := leaderMsg{Session: s.id, Seq: s.seq, Op: OpMulti, Path: "/a", NodeBlob: tm.encode()}
+
+				r0, w0 := syskv(d)
+				r.deliver(s.ctx, txid, msg)
+				r1, w1 := syskv(d)
+				reads, writes = r1-r0, w1-w0
+				resp = s.futs[s.seq].Wait()
+				r.k.Sleep(sim.Ms(200))
+			})
+			r.run()
+
+			if resp.Code != tc.code || s.resps != 3 {
+				t.Errorf("answered %s, %d responses in all; want %s and exactly one for each of the three requests", resp.Code, s.resps, tc.code)
+			}
+			if reads != tc.reads || writes != tc.writes {
+				t.Errorf("the handler made %d system-store reads and %d writes, want %d and %d", reads, writes, tc.reads, tc.writes)
+			}
+			it, _ := d.System.Peek(nodeKey("/a"))
+			if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pendingA) {
+				t.Errorf("/a's pending list ends as %v, want %v", got, tc.pendingA)
+			}
+			it, _ = d.System.Peek(nodeKey("/b"))
+			if got := decodeSysNode(it).Pending; len(got) > 0 {
+				t.Errorf("/b's pending list ends as %v, want it empty", got)
+			}
+			stored := slices.ContainsFunc(r.calls, func(c storeCall) bool { return c.mzxid == txid })
+			if stored != tc.stored {
+				t.Errorf("user store written: %v, want %v", stored, tc.stored)
+			}
+		})
+	}
+}
+
 // raceHook lands a cross-shard commit while the leader's ownership release
 // is in flight: the leader's first storage operation after its last poll
 // is the release, and the hook stretches it while a committer runs.
@@ -239,7 +359,8 @@ func TestTxnReleaseLosesToLandedCommit(t *testing.T) {
 		tm := txnMsg{ID: id, Ops: ops, ItemPaths: []string{"/a"}, LockTs: []int64{lock.Timestamp}}
 		msg := leaderMsg{Session: "w", Seq: 1, Op: OpTxnCommit, Path: "/a"}
 		k.Go(hook.leader, func() {
-			d.leaderTxnCommit(ctx, msg, tm, txid, map[cloud.Region][]int64{})
+			p := leaderRun{d: d, ctx: ctx, epochs: map[cloud.Region][]int64{}}
+			p.txnPart(decodedMsg{msg: msg, txid: txid}, tm)
 			if !hook.landed {
 				t.Fatal("the commit did not land during the release: the test exercised nothing")
 			}

@@ -177,7 +177,7 @@ func (m leaderMsg) trace() int64 {
 // timed-lock timestamps. A fast-path leader replays the multi-item commit
 // under them on behalf of a crashed coordinator, exactly like tryCommit's
 // per-op reconstruction; a cross-shard part's leader takes its ownership
-// decision with them (awaitTxnHeads). ID names a cross-shard transaction's
+// decision with them (txnPart). ID names a cross-shard transaction's
 // record (0 on the fast path).
 type txnMsg struct {
 	ID        int64

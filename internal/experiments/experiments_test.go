@@ -233,20 +233,29 @@ func TestFig6bEfficiency(t *testing.T) {
 	}
 }
 
+// TestFig7aOrderings checks the paper's trigger orderings at the 64 B p50,
+// on AWS (Figure 7a) and on GCP (Figure 7c).
 func TestFig7aOrderings(t *testing.T) {
-	rep := runQuick(t, "fig7a")
-	p50 := map[string]float64{}
-	for _, row := range rep.Sections[0].Rows {
-		if row[1] == "64B" {
-			v, _ := strconv.ParseFloat(row[3], 64)
-			p50[row[0]] = v
+	p50Of := func(id string) map[string]float64 {
+		p50 := map[string]float64{}
+		for _, row := range runQuick(t, id).Sections[0].Rows {
+			if row[1] == "64B" {
+				v, _ := strconv.ParseFloat(row[3], 64)
+				p50[row[0]] = v
+			}
 		}
+		return p50
 	}
+	p50 := p50Of("fig7a")
 	if !(p50["SQS FIFO"] < p50["Direct"]) {
 		t.Errorf("FIFO (%v) should beat direct (%v) at p50, as in the paper", p50["SQS FIFO"], p50["Direct"])
 	}
 	if !(p50["DynamoDB Stream"] > 4*p50["SQS FIFO"]) {
 		t.Errorf("streams (%v) should be far slower than FIFO (%v)", p50["DynamoDB Stream"], p50["SQS FIFO"])
+	}
+	gcp := p50Of("fig7c")
+	if !(gcp["PubSub FIFO"] > 2*gcp["Direct"]) {
+		t.Errorf("GCP: ordered Pub/Sub (%v) should be far slower than direct invocation (%v), as in the paper", gcp["PubSub FIFO"], gcp["Direct"])
 	}
 }
 

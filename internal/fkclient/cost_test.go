@@ -149,32 +149,6 @@ func TestCostConservationRandomized(t *testing.T) {
 	}
 }
 
-// TestCostBudgetBreachEndToEnd arms a deliberately tiny budget and checks
-// a normal workload trips the burn-rate monitor through the full stack.
-func TestCostBudgetBreachEndToEnd(t *testing.T) {
-	cfg := core.Config{CostAccounting: true, Telemetry: true, CostBudgetUSDPerHour: 1e-9}
-	run(t, 9, cfg, func(k *sim.Kernel, d *core.Deployment) {
-		c := mustConnect(t, d, "budget")
-		for i := 0; i < 20; i++ {
-			if _, err := c.Create(fmt.Sprintf("/b%d", i), []byte("x"), 0); err != nil {
-				t.Fatalf("create: %v", err)
-			}
-		}
-		if d.Obs.Cost.Breaches() == 0 {
-			t.Fatal("tiny budget never breached")
-		}
-		found := false
-		for _, sp := range d.Obs.Tracer.Spans() {
-			if sp.Name == obs.SpanCostBreach {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatal("no cost.breach span in the trace log")
-		}
-	})
-}
-
 // TestCostPrometheusSeries checks the exported registry carries the cost
 // series the CI smoke greps for.
 func TestCostPrometheusSeries(t *testing.T) {

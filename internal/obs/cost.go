@@ -3,8 +3,6 @@ package obs
 import (
 	"math"
 	"sort"
-
-	"faaskeeper/internal/sim"
 )
 
 // Cost accounting works in integer picodollars (1 pd = 1e-12 USD) so that
@@ -40,13 +38,6 @@ type costKey struct {
 	region string
 }
 
-// Budget declares a spend target for the burn-rate monitor: a dollars-
-// per-hour budget evaluated over tumbling windows of virtual time.
-type Budget struct {
-	USDPerHour float64
-	Window     sim.Time // default 1 virtual second
-}
-
 // CostLedger is the always-on aggregation side of cost attribution: every
 // charge made under an attribution sink lands here exactly once, split
 // into (category, shard, region) cells, per-trace totals, and a grand
@@ -57,29 +48,19 @@ type Budget struct {
 type CostLedger struct {
 	enabled bool
 	reg     *Registry
-	tracer  *Tracer
-	clock   sim.Clock
 
 	cells   map[costKey]*costCell
 	byTrace map[int64]int64
 	totalPd int64
 	sysPd   int64 // trace-0 bucket: batch remainders, untraced requests
-
-	budget     Budget
-	budgetPdHr int64
-	winStart   sim.Time
-	winPd      int64
-	breaches   int64
 }
 
-// NewCostLedger builds a ledger over the registry (gauge mirror) and
-// tracer (breach events). A disabled ledger records nothing.
-func NewCostLedger(clock sim.Clock, reg *Registry, tracer *Tracer, enabled bool) *CostLedger {
+// NewCostLedger builds a ledger over the registry (gauge mirror). A
+// disabled ledger records nothing.
+func NewCostLedger(reg *Registry, enabled bool) *CostLedger {
 	return &CostLedger{
 		enabled: enabled,
 		reg:     reg,
-		tracer:  tracer,
-		clock:   clock,
 		cells:   map[costKey]*costCell{},
 		byTrace: map[int64]int64{},
 	}
@@ -88,23 +69,8 @@ func NewCostLedger(clock sim.Clock, reg *Registry, tracer *Tracer, enabled bool)
 // Enabled reports whether the ledger records charges.
 func (l *CostLedger) Enabled() bool { return l != nil && l.enabled }
 
-// SetBudget arms the burn-rate monitor. Zero USDPerHour disarms it.
-func (l *CostLedger) SetBudget(b Budget) {
-	if l == nil {
-		return
-	}
-	if b.Window <= 0 {
-		b.Window = sim.Time(1e9) // 1 virtual second
-	}
-	l.budget = b
-	l.budgetPdHr = USDToPd(b.USDPerHour)
-	l.winStart = l.clock.Now()
-	l.winPd = 0
-}
-
 // Charge records one metered charge in the category's cell and the grand
-// total, mirrors the cell into the registry, advances the budget window,
-// and returns the charge in picodollars — the exact amount the caller
+// total, mirrors the cell into the registry, and returns the charge in picodollars — the exact amount the caller
 // must then distribute with Attribute so the ledger stays conserved.
 func (l *CostLedger) Charge(cat string, shard int, region string, usd float64, n int64) int64 {
 	if !l.Enabled() {
@@ -129,7 +95,6 @@ func (l *CostLedger) Charge(cat string, shard int, region string, usd float64, n
 		l.reg.SetGauge(c.perOpKey, c.pd/c.n)
 	}
 	l.reg.Inc(c.opsKey, n)
-	l.burn(pd)
 	return pd
 }
 
@@ -147,32 +112,6 @@ func (l *CostLedger) Attribute(trace, pd int64) {
 		return
 	}
 	l.byTrace[trace] += pd
-}
-
-// burn advances the tumbling budget window and emits a breach when the
-// window's spend rate exceeds the declared budget: a counter-like gauge,
-// a burn-rate gauge (micro-USD/hour), and an instant span in the trace
-// log when telemetry records.
-func (l *CostLedger) burn(pd int64) {
-	if l.budgetPdHr <= 0 {
-		return
-	}
-	now := l.clock.Now()
-	elapsed := now - l.winStart
-	if elapsed < l.budget.Window {
-		l.winPd += pd
-		return
-	}
-	// pd/hour over the closed window; micro-USD/hour fits the gauge.
-	ratePdHr := int64(float64(l.winPd) * float64(sim.Time(3600*1e9)) / float64(elapsed))
-	l.reg.SetGauge(Key{Component: "cost", Name: "burn_usd_per_hour_micro"}, ratePdHr/1e6)
-	if ratePdHr > l.budgetPdHr {
-		l.breaches++
-		l.reg.SetGauge(Key{Component: "cost", Name: "budget_breaches"}, l.breaches)
-		l.tracer.End(l.tracer.Start(0, SpanCostBreach, "", 0, ""))
-	}
-	l.winStart = now
-	l.winPd = pd
 }
 
 // TotalPd returns the grand total in picodollars.
@@ -243,16 +182,8 @@ func (l *CostLedger) CategoryPd(cat string, shard int, region string) int64 {
 	return c.pd
 }
 
-// Breaches returns how many budget windows exceeded the burn-rate target.
-func (l *CostLedger) Breaches() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.breaches
-}
-
-// Reset clears all cells, per-trace totals, and the budget window (the
-// experiment warm-up boundary). Enabled state and budget are preserved.
+// Reset clears all cells and per-trace totals (the experiment warm-up
+// boundary). The enabled state is preserved.
 func (l *CostLedger) Reset() {
 	if l == nil {
 		return
@@ -261,7 +192,4 @@ func (l *CostLedger) Reset() {
 	l.byTrace = map[int64]int64{}
 	l.totalPd = 0
 	l.sysPd = 0
-	l.winPd = 0
-	l.breaches = 0
-	l.winStart = l.clock.Now()
 }

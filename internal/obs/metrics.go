@@ -178,7 +178,7 @@ type Hub struct {
 func NewHub(clock sim.Clock, telemetry, cost bool) *Hub {
 	reg := NewRegistry(telemetry)
 	tr := NewTracer(clock, reg, telemetry)
-	return &Hub{Tracer: tr, Metrics: reg, Cost: NewCostLedger(clock, reg, tr, cost)}
+	return &Hub{Tracer: tr, Metrics: reg, Cost: NewCostLedger(reg, cost)}
 }
 
 // Reset clears spans, metrics, and the cost ledger (the experiment

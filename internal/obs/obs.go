@@ -364,6 +364,4 @@ const (
 	SpanCacheInval     = "cache.invalidate"
 	SpanWatchDeliver   = "watch.deliver" // watch function invocation + delivery
 	SpanTxnShard       = "txn.shard"     // one shard leader's part of a cross-shard multi
-
-	SpanCostBreach = "cost.breach" // budget monitor burn-rate breach (instant)
 )
