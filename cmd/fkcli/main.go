@@ -7,7 +7,7 @@
 //	fkcli create /app hello
 //	fkcli create /app/cfg v1 : get /app/cfg : set /app/cfg v2 : get /app/cfg
 //	fkcli -gcp -store hybrid create /x data : ls /
-//	fkcli -shards 4 multi check /a 0 ";" set /a v2 ";" create /b x
+//	fkcli -shards 4 create /a v1 : multi check /a 0 ";" set /a v2 ";" create /a/b x
 //
 // Commands (separated by ":"): create PATH [DATA] [eph] [seq],
 // get PATH, set PATH DATA, del PATH, ls PATH, stat PATH, watch PATH,

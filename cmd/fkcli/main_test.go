@@ -24,14 +24,14 @@ func TestGoldenSessions(t *testing.T) {
 		exit int
 	}{
 		{"session", "create /x hello : get /x : set /x world : get /x : ls / : stat /x : watch /x : set /x again : stat /nope", 0},
-		// multi() needs no flag: the default deployment commits it. Last
-		// moved 3.047 → 3.187 vs, cost unchanged at $0.000109, when each
-		// region's epoch lists became one item: the opening read and the
-		// transaction apply read fewer items, so the seeded latency stream
-		// is dealt anew. One run is noise: over seeds 1–30 the session's
-		// mean is 3.205 → 3.222 vs (paired difference +0.018 ± 0.026 s.e.)
-		// and $0.0001107 → $0.0001079.
-		{"multi", "-shards 4 create /a v1 : multi check /a 0 ; set /a v2 ; create /b x : get /a : multi check /a 0 ; del /b", 1},
+		// multi() needs no flag: the default deployment commits it, on one
+		// shard. /a and /a/b share one; the last multi() writes /a and /b,
+		// two shards, and is answered cross_shard. Last moved 3.187 vs,
+		// $0.000109 → 2.980 vs, $0.000071 when the cross-shard path was
+		// deleted: the session used to commit /a and /b through it, a
+		// multi() no longer reads the transaction record's request pointer,
+		// and its leader message lost the record id and the per-op shard.
+		{"multi", "-shards 4 create /a v1 : multi check /a 0 ; set /a v2 ; create /a/b x : get /a : multi check /a 0 ; del /a/b : multi set /a v3 ; create /b y", 1},
 		{"gcp_hybrid", "-gcp -store hybrid create /x data : get /x : ls /", 0},
 		// The bugfix's regression case: a store name that is no backend used
 		// to deploy the object store silently (`-store dynamodb` measured

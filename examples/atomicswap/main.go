@@ -1,14 +1,19 @@
 // Atomicswap: an operator rolls a service's configuration forward in two
-// halves that live on DIFFERENT write shards — the endpoint map and the
-// feature flags must advance together. The racy classic is two sequential
-// set_data calls: a reader between them observes generation g's endpoints
-// with generation g+1's flags (exactly the hazard the configwatch example
-// works around by keeping everything in one node). With multi() the swap
-// is one cross-shard transaction — a version guard on the rollout pointer
-// plus both writes — committed atomically by the cross-shard coordinator
-// (package txn), so the checkers' reverse-order reads can never observe a
-// torn pair. Concurrent operators race the same guard: exactly one swap
-// wins each round and the loser retries against the new state.
+// halves kept in two nodes — the endpoint map and the feature flags must
+// advance together. The racy classic is two sequential set_data calls: a
+// reader between them observes generation g's endpoints with generation
+// g+1's flags (exactly the hazard the configwatch example works around by
+// keeping everything in one node). With multi() the swap is one
+// transaction — a version guard on the rollout pointer plus both writes —
+// committed atomically in one leader message, so the checkers'
+// reverse-order reads can never observe a torn pair. Concurrent operators
+// race the same guard: exactly one swap wins each round and the loser
+// retries against the new state.
+//
+// A multi() must stay within one write shard: the deployment has four, and
+// a multi() whose writes span two is answered with ErrCrossShard and
+// changes nothing. Shards partition the tree by top-level node, so the
+// three nodes live under /cfg.
 package main
 
 import (
@@ -42,11 +47,11 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		// /endpoints and /flags hash to different shards; /active is the
-		// guarded pointer every swap must win.
-		operator.Create("/endpoints", []byte("v0"), 0)
-		operator.Create("/flags", []byte("v0"), 0)
-		operator.Create("/active", []byte("v0"), 0)
+		// /cfg/active is the guarded pointer every swap must win.
+		operator.Create("/cfg", nil, 0)
+		operator.Create("/cfg/endpoints", []byte("v0"), 0)
+		operator.Create("/cfg/flags", []byte("v0"), 0)
+		operator.Create("/cfg/active", []byte("v0"), 0)
 
 		// Checkers continuously read both halves; a mismatch would be the
 		// torn state the racy two-step pattern exposes.
@@ -60,13 +65,13 @@ func main() {
 			sim.Go(func() {
 				for !stop {
 					// Read in REVERSE write order: the transaction writes
-					// /endpoints before /flags, so if a checker sees flags
+					// endpoints before flags, so if a checker sees flags
 					// at generation g, endpoints must already be at >= g —
 					// anything less is a torn (partially applied) swap. The
 					// two-step pattern breaks this constantly; one atomic
 					// multi() never does.
-					fl, _, err1 := c.GetData("/flags")
-					ep, _, err2 := c.GetData("/endpoints")
+					fl, _, err1 := c.GetData("/cfg/flags")
+					ep, _, err2 := c.GetData("/cfg/endpoints")
 					if err1 == nil && err2 == nil {
 						reads++
 						if gen(ep) < gen(fl) {
@@ -84,24 +89,24 @@ func main() {
 		// pointer's version so concurrent tooling cannot double-flip.
 		for round := 1; round <= 5; round++ {
 			sim.Sleep(700 * time.Millisecond)
-			_, st, err := operator.GetData("/active")
+			_, st, err := operator.GetData("/cfg/active")
 			if err != nil {
 				panic(err)
 			}
 			next := fmt.Sprintf("v%d", round)
 			results, err := operator.Multi(
-				faaskeeper.CheckOp("/active", st.Version),
-				faaskeeper.SetDataOp("/endpoints", []byte(next), -1),
-				faaskeeper.SetDataOp("/flags", []byte(next), -1),
-				faaskeeper.SetDataOp("/active", []byte(next), st.Version),
+				faaskeeper.CheckOp("/cfg/active", st.Version),
+				faaskeeper.SetDataOp("/cfg/endpoints", []byte(next), -1),
+				faaskeeper.SetDataOp("/cfg/flags", []byte(next), -1),
+				faaskeeper.SetDataOp("/cfg/active", []byte(next), st.Version),
 			)
 			if err != nil {
 				fmt.Printf("[t=%7v] swap to %s lost the guard (%v), retrying next round\n",
 					sim.Now().Truncate(time.Millisecond), next, err)
 				continue
 			}
-			fmt.Printf("[t=%7v] swapped both halves to %s (txids %d/%d)\n",
-				sim.Now().Truncate(time.Millisecond), next, results[1].Txid, results[2].Txid)
+			fmt.Printf("[t=%7v] swapped both halves to %s (txid %d)\n",
+				sim.Now().Truncate(time.Millisecond), next, results[1].Txid)
 		}
 		sim.Sleep(300 * time.Millisecond)
 		stop = true

@@ -8,8 +8,7 @@
 // single atomic set_data. A config split across several nodes must NOT be
 // rolled out as sequential set_data calls — readers would observe torn
 // half-updated states between them. See examples/atomicswap for the
-// multi() transaction that swaps a multi-node (even cross-shard) config
-// atomically.
+// multi() transaction that swaps a multi-node config atomically.
 package main
 
 import (

@@ -77,7 +77,7 @@ func (s Scenario) withDefaults() Scenario {
 
 // Configs lists the deployment configurations the chaos matrix covers:
 // the paper-faithful single-shard pipeline, the batching distributor, the
-// two-level cache tier, and cross-shard transactions.
+// two-level cache tier, and multi() on four shards.
 func Configs() []string {
 	return []string{"plain", "batching", "caching", "txn"}
 }
@@ -120,23 +120,13 @@ var sharedRoots = []string{"/s0", "/s1", "/s2", "/s3"}
 const (
 	watchPath  = "/s0/x"
 	swapParent = "/swp"
-	swapA      = "/swp/a" // colocated pair: one shard, fast-path multi
+	swapA      = "/swp/a" // colocated pair: one shard, one multi() message
 	swapB      = "/swp/b"
-	crossA     = "/sxa" // top-level pair: spans shards under WriteShards>1
-	crossB     = "/sxb"
 )
 
-// swapPairsFor returns the swap probes active under a config. The
-// cross-shard pair runs only where the user store applies the cross-shard commit
-// atomically and no cache tier sits in the read path (cross-shard txids
-// are not numerically comparable, which the cache floors rely on).
-func swapPairsFor(config string) [][2]string {
-	pairs := [][2]string{{swapA, swapB}}
-	if config == "txn" {
-		pairs = append(pairs, [2]string{crossA, crossB})
-	}
-	return pairs
-}
+// swapPairs lists the swap probes: pairs one multi() may write, so they
+// share their top-level node and with it a shard.
+var swapPairs = [][2]string{{swapA, swapB}}
 
 // crasher is an ephemeral owner that stops answering heartbeats mid-run:
 // the settle phase must reap its ephemeral.
@@ -294,7 +284,7 @@ func Run(s Scenario) *Result {
 		_ = doCreate(setup, "setup", watchPath, "init"+watchPath+"#0", 0)
 		_ = doCreate(setup, "setup", "/s1/y", "init/s1/y#0", 0)
 		_ = doCreate(setup, "setup", swapParent, "init"+swapParent+"#0", 0)
-		for _, pair := range swapPairsFor(s.Config) {
+		for _, pair := range swapPairs {
 			_ = doCreate(setup, "setup", pair[0], pair[0]+"#0", 0)
 			_ = doCreate(setup, "setup", pair[1], pair[1]+"#0", 0)
 		}
@@ -367,7 +357,7 @@ func Run(s Scenario) *Result {
 		}
 
 		// Swap writer + reverse-order reader per active pair.
-		for wi, pair := range swapPairsFor(s.Config) {
+		for wi, pair := range swapPairs {
 			pair := pair
 			wid := fmt.Sprintf("swapw%d", wi)
 			rid := fmt.Sprintf("swapr%d", wi)
@@ -545,7 +535,7 @@ func Run(s Scenario) *Result {
 			defer c.Close()
 			paths := append([]string{}, sharedRoots...)
 			paths = append(paths, watchPath, "/s1/y")
-			for _, pair := range swapPairsFor(s.Config) {
+			for _, pair := range swapPairs {
 				paths = append(paths, pair[0], pair[1])
 			}
 			for _, p := range paths {
@@ -622,7 +612,7 @@ func Run(s Scenario) *Result {
 	k.Shutdown()
 
 	res.Violations = append(res.Violations, Check(h, CheckOpts{
-		SwapPairs:    swapPairsFor(s.Config),
+		SwapPairs:    swapPairs,
 		OpenSessions: map[string]bool{watcherID: true},
 	})...)
 	return res

@@ -53,6 +53,8 @@ func TestCodeErrorMapping(t *testing.T) {
 		{CodeNotEmpty, ErrNotEmpty},
 		{CodeNoChildrenEph, ErrNoChildrenEph},
 		{CodeTooLarge, ErrTooLarge},
+		{CodeTxnAborted, ErrTxnAborted},
+		{CodeCrossShard, ErrCrossShard},
 		{CodeSystemError, ErrSystemError},
 	}
 	for _, c := range cases {

@@ -3,11 +3,11 @@ package core
 // Cost-attribution glue: the sinks the pipeline hangs off cloud.Ctx.Bill
 // so that every metered charge — function GB-s, store read/write units
 // (including conditional-write retries), queue deliveries, cache hits and
-// VM accrual, watch pushes, cross-shard txn parts — lands in the deployment's
-// cost ledger exactly once, attributed to the request that caused it and
-// to the open span covering the work. Every helper returns its input
-// unchanged (or nil) when Config.CostAccounting is off, so the
-// instrumentation points cost nothing on the default configuration.
+// VM accrual, watch pushes — lands in the deployment's cost ledger exactly
+// once, attributed to the request that caused it and to the open span
+// covering the work. Every helper returns its input unchanged (or nil)
+// when Config.CostAccounting is off, so the instrumentation points cost
+// nothing on the default configuration.
 //
 // Attribution must ride the context rather than any "current request"
 // global: cloud primitives Sleep before charging, and the simulator's
@@ -34,11 +34,9 @@ func costReqTrace(req Request) int64 {
 	return req.trace()
 }
 
-// costMsgTrace is costReqTrace for the leader hop. OpTxnCommit is
-// included: a cross-shard part's charges belong to the originating
-// multi()'s bill.
+// costMsgTrace is costReqTrace for the leader hop.
 func costMsgTrace(msg leaderMsg) int64 {
-	if msg.Seq <= 0 || msg.Op == OpDeregister {
+	if !tracedMsg(msg) {
 		return 0
 	}
 	return msg.trace()

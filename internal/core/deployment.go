@@ -16,7 +16,6 @@ import (
 	"faaskeeper/internal/shardmap"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
-	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
 
@@ -134,11 +133,11 @@ type Config struct {
 	// CostAccounting enables per-request dollar attribution (package obs
 	// cost ledger): every pay-as-you-go charge a request causes — function
 	// GB-s, store read/write units, queue deliveries, cache hits, watch
-	// pushes, cross-shard txn parts — is billed to its trace at the instant the charge
-	// occurs, and mirrored into the registry's cost gauges. Works with or
-	// without Telemetry (spans only carry per-stage costs when both are
-	// on). Default false: every attribution point is a nil-sink no-op and
-	// the golden virtual-time trace is byte-identical.
+	// pushes — is billed to its trace at the instant the charge occurs,
+	// and mirrored into the registry's cost gauges. Works with or without
+	// Telemetry (spans only carry per-stage costs when both are on).
+	// Default false: every attribution point is a nil-sink no-op and the
+	// golden virtual-time trace is byte-identical.
 	CostAccounting bool
 }
 
@@ -205,11 +204,6 @@ type Deployment struct {
 	// flush spawns one per region.
 	flushProcs []string
 
-	// Txns manages the durable transaction records of multi()
-	// coordinators (package txn). Always non-nil; it touches the system
-	// store only when a multi() runs.
-	Txns *txn.Store
-
 	// Obs is the telemetry hub: the request tracer and the component
 	// metrics registry. Always non-nil; the tracer and the registry's
 	// hot-path instruments record only when Cfg.Telemetry is set, while
@@ -246,13 +240,6 @@ type Deployment struct {
 	// spareLegs recycles the regional legs of finished flushes
 	// (distributeFold).
 	spareLegs []*flushLegs
-
-	// txnWatchBatches / txnWatchDeliveries count the cross-shard
-	// transaction watch pipeline: deliveries are individual watch-function
-	// invocations, batches the per-shard post-apply groups that carried
-	// them (one epoch-exit write per region per batch).
-	txnWatchBatches    int64
-	txnWatchDeliveries int64
 
 	sessions map[string]*SessionTransport
 
@@ -295,7 +282,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	d.Obs = obs.NewHub(k, cfg.Telemetry, cfg.CostAccounting)
 	d.System.SetCostCategory("syskv")
 	d.Locks = fksync.NewLockManager(env, d.System, lockLease)
-	d.Txns = txn.NewStore(d.System, k)
 
 	regions := append([]cloud.Region{cfg.Profile.Home}, cfg.ExtraRegions...)
 	for _, r := range regions {
@@ -353,13 +339,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 
 	d.seedRoot()
 	return d
-}
-
-// TxnWatchStats reports the cross-shard transaction watch pipeline's
-// delivery batching: total watch-function invocations and the per-shard
-// post-apply batches they were folded into.
-func (d *Deployment) TxnWatchStats() (batches, deliveries int64) {
-	return d.txnWatchBatches, d.txnWatchDeliveries
 }
 
 func (d *Deployment) newUserStore(r cloud.Region) UserStore {

@@ -10,7 +10,7 @@ package core
 //	➍ watch claim     queryWatches    run ahead of the flush, ids entered at
 //	                                  once (claimWatches; rule 1)
 //	➌ flush           distributeFold  —
-//	➍ delivery        launchWatch     a cross-shard part's waits for the apply
+//	➍ delivery        launchWatch     —
 //	  epoch entry     appendEpochs    right behind its delivery's launch
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
@@ -18,14 +18,12 @@ package core
 //	                                  in the commit phase (rule 2)
 //	➏ epoch exit      exitEpochs      —
 //
-// Three lanes call them in this order. A chunk of single ops (flushChunk)
-// answers before it pops. A single-shard multi() (multi) claims ahead of its
-// flush and pops before it answers. One shard's part of a cross-shard
-// multi() (txnPart) claims, pops and posts its ready marker; its coordinator
-// flushes and answers, and its deliveries wait for that apply (txnops.go).
+// Two lanes call them in this order. A chunk of single ops (flushChunk)
+// answers before it pops. A multi() (multi, txnops.go) claims ahead of its
+// flush and pops before it answers.
 //
 // A chunk is one message — the paper's per-message distribution — or, with
-// Config.BatchWrites, a whole run between transaction messages, which are
+// Config.BatchWrites, a whole run between multi() messages, which are
 // barriers. It commits per message, folding each change into its batchFold,
 // flushes the fold once (one invalidation record, the final state of every
 // touched node, one child-list read-modify-write per parent, per region),
@@ -44,7 +42,7 @@ package core
 //
 //  1. Watch claim. A lone message on a single shard claims after its flush,
 //     on the paper's order; several shards, a chunk of several messages and
-//     a transaction message claim ahead of it (openChunk).
+//     a multi() message claim ahead of it (openChunk).
 //  2. Pop. A message followed in its chunk by another on its path pops in the
 //     commit phase (commit); every other pop follows every answer of its
 //     chunk. A commit check looks past a head whose pop is deferred
@@ -106,7 +104,7 @@ type batchFold struct {
 	parentOrder []string
 	parents     map[string]*parentFold
 
-	// A pipeline chunk's own state (unused by the transaction folds): its
+	// A pipeline chunk's own state (unused by a multi()'s fold): its
 	// messages, how far their commit phase got — results is index-aligned
 	// with msgs and ends where the commit phase stands — and what the
 	// deferred pops and the chunk's leader.total need once it completed.
@@ -279,8 +277,8 @@ type pendingPop struct {
 
 // pipeline runs one invocation's messages through the pipeline: maximal
 // runs between barriers, each one chunk under Config.BatchWrites and a
-// chunk per message without it, and each transaction message in its own
-// lane (txnops.go). The last chunk's pops are carried to the shard's next
+// chunk per message without it, and each multi() message in its own lane
+// (txnops.go). The last chunk's pops are carried to the shard's next
 // invocation.
 func (p *leaderRun) pipeline(msgs []decodedMsg) {
 	d := p.d
@@ -291,12 +289,12 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 	}
 	start := 0 // the current run is msgs[start:i]
 	for i, dm := range msgs {
-		if dm.msg.Op != OpMulti && dm.msg.Op != OpTxnCommit {
+		if dm.msg.Op != OpMulti {
 			continue
 		}
-		// Transaction messages are fold barriers: their distribution has its
-		// own atomicity protocol, so the accumulated run flushes first, and
-		// every deferred pop — the carried ones included — runs before it.
+		// A multi() message is a fold barrier: its distribution is atomic on
+		// its own, so the accumulated run flushes first, and every deferred
+		// pop — the carried ones included — runs before it.
 		p.flushRun(msgs[start:i])
 		p.retire()
 		start = i + 1
@@ -304,13 +302,8 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 			d.stageMsg(dm.msg, obs.StageCommit)
 		}
 		t0 := d.K.Now()
-		tm, err := decodeTxnMsg(dm.msg.NodeBlob)
-		switch {
-		case err != nil:
-		case dm.msg.Op == OpMulti:
+		if tm, err := decodeTxnMsg(dm.msg.NodeBlob); err == nil {
 			p.multi(dm, tm)
-		default:
-			p.txnPart(dm, tm)
 		}
 		d.recordPhase("leader.total", d.K.Now()-t0)
 	}
@@ -524,8 +517,8 @@ func (p *leaderRun) popDeferred(key string) {
 // delete followed in the same invocation by another operation on the same
 // path (create→delete→create) must not collect the node item — the later
 // operation's follower commit may not have appended to the pending list
-// yet, and collecting the item would strand that commit. Transaction
-// targets count wherever the transaction sits in the invocation; at worst
+// yet, and collecting the item would strand that commit. A multi()'s
+// targets count wherever the multi() sits in the invocation; at worst
 // a tombstone lingers until the next delete's collection, the lock-guard
 // precedent. The answer depends on the message list alone, so no order the
 // lanes run in can change it.
@@ -534,7 +527,7 @@ func collectable(msgs []decodedMsg, i int) bool {
 	for j := range msgs {
 		switch m := &msgs[j].msg; m.Op {
 		case OpDeregister:
-		case OpMulti, OpTxnCommit:
+		case OpMulti:
 			if tm, err := decodeTxnMsg(m.NodeBlob); err == nil && slices.Contains(txnTargets(tm.Ops), path) {
 				return false
 			}
@@ -627,9 +620,8 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 			first, t0, p.opened = &p.opening, p.openedAt, false
 			f.t0 = t0
 		}
-		committed = p.awaitCommit(ctx, keys[:], txid, nodes[:], first, opPolls, replayPoll, true, func() (bool, bool) {
+		committed = p.awaitCommit(ctx, keys[:], txid, nodes[:], first, opPolls, true, func() {
 			_ = d.commitLocked(ctx, msgLocks(msg), msg, txid) // the follower died after its push
-			return false, false
 		})
 	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
@@ -677,7 +669,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 // back to writing in fold order, so readers observe a prefix of the
 // transaction, never an arbitrary mix. lane is the pipeline run whose
 // second lane works while the regional legs are in flight (underFlush);
-// nil — the transaction callers — parks until they join.
+// nil — the multi() lane — parks until they join.
 func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[cloud.Region][]int64, atomicApply bool, own *leaderMsg, lane *leaderRun) {
 	if fold.empty() {
 		return

@@ -119,7 +119,7 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 	var parent sysNode
 	if splicesParent(req.Op) {
 		var err error
-		if parentLock, parent, err = d.lockNodeClean(ctx, znode.Parent(path)); err != nil {
+		if parentLock, parent, err = d.lockNode(ctx, znode.Parent(path)); err != nil {
 			return fail(CodeSystemError)
 		}
 		held = []fksync.Lock{parentLock}
@@ -133,7 +133,7 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 			path = znode.SequentialName(path, parent.SeqCtr)
 		}
 	}
-	nodeLock, node, err := d.lockNodeClean(ctx, path)
+	nodeLock, node, err := d.lockNode(ctx, path)
 	if err != nil {
 		return fail(CodeSystemError)
 	}
@@ -338,15 +338,12 @@ func (d *Deployment) pushToShard(ctx cloud.Ctx, msg leaderMsg) (routed, error) {
 	if err == nil {
 		d.stageMsg(msg, obs.StageLeaderQ)
 	}
-	if err == nil && msg.Seq > 0 && msg.Op != OpDeregister && msg.Op != OpTxnCommit {
+	if err == nil && msg.Seq > 0 && msg.Op != OpDeregister {
 		// Once pushed, the leader will complete (or TryCommit) this
 		// request even if we crash right here — mark it processed so a
 		// queue retry does not apply it a second time. Deregister acks are
 		// excluded: their fanout must complete as a whole before the
 		// request counts as processed (processRequest marks it then).
-		// Cross-shard parts are excluded for the same reason: a
-		// coordinator that crashes between its pushes and its commit must
-		// be redriven by redelivery, which then starts a fresh attempt.
 		d.lastSeq[msg.Session] = msg.Seq
 	}
 	return routed{txid: shardTxid(seqNo, msg.Shard, d.NumShards()), shard: msg.Shard}, err

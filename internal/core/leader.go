@@ -244,9 +244,9 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 	return true
 }
 
-// The commit check's budgets: a single op polls opPolls times (a
-// transaction message txnHeadPolls), and replays a dead committer's commit
-// at the first poll from the third on that finds nothing pending.
+// The commit check's budgets: a single op polls opPolls times (a multi()
+// message txnHeadPolls), and replays a dead committer's commit at the first
+// poll from the third on that finds nothing pending.
 const opPolls, replayPoll = 10, 2
 
 // awaitCommit is the commit check (➊/➋) of every message kind. It resolves
@@ -255,15 +255,14 @@ const opPolls, replayPoll = 10, 2
 // pending list of every key, recording each control record found so in
 // nodes. A poll that finds nothing pending on a key — the commit may still
 // be in flight, or its committer died after pushing — sleeps and polls
-// again; the first such poll from replayAt on runs replay instead, which
+// again; the first such poll from replayPoll on runs replay instead, which
 // replays the commit on the committer's behalf (➋: whichever of the two
-// conditional commits lands first wins, and the next poll decides) or, when
-// decided, ends the check with its own verdict. The kinds differ only in
-// these arguments and in orphanEndsPoll (pollCommit). first, when non-nil,
-// is a read of keys[0] somebody already paid for — the invocation's opening
-// read — and stands in for its first read.
+// conditional commits lands first wins, and the next poll decides). The
+// kinds differ only in polls and in orphanEndsPoll (pollCommit). first,
+// when non-nil, is a read of keys[0] somebody already paid for — the
+// invocation's opening read — and stands in for its first read.
 func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys []string, txid int64, nodes []sysNode, first *sysNode,
-	polls, replayAt int, orphanEndsPoll bool, replay func() (committed, decided bool)) bool {
+	polls int, orphanEndsPoll bool, replay func()) bool {
 	replayed := false
 	for attempt := 0; attempt < polls; attempt++ {
 		done, consumed, popped := p.pollCommit(ctx, keys, txid, nodes, first, orphanEndsPoll)
@@ -275,11 +274,9 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys []string, txid int64, nodes 
 			return false
 		case popped:
 			continue
-		case attempt >= replayAt && !replayed:
+		case attempt >= replayPoll && !replayed:
 			replayed = true
-			if committed, decided := replay(); decided {
-				return committed
-			}
+			replay()
 			continue
 		}
 		p.d.K.Sleep(sim.Time(attempt+1) * 2 * sim.Ms(1))
@@ -294,7 +291,7 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys []string, txid int64, nodes 
 // transaction the leader abandoned, popped on the spot: without this a
 // single lost transaction would wedge its node's pipeline forever. A single
 // op's poll ends at its orphan pop (orphanEndsPoll: popped, and the pop
-// costs a poll), a transaction message's reads the key again.
+// costs a poll), a multi() message's reads the key again.
 //
 // A head whose pop this leader deferred (p.pops) is no orphan: it was
 // distributed, only its pop is still to run, so the poll looks past it. Our

@@ -274,11 +274,11 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 }
 
 // TestOpeningReadCarriesEpochsOnly: a batch whose first message commits on no
-// single control record — a deregistration ack, a transaction — opens with
+// single control record — a deregistration ack, a multi() — opens with
 // the epoch counters alone, and a batch of nothing but acks on a multi-shard
 // deployment reads nothing at all.
 func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
-	// The opening read precedes the decoding of a transaction's payload, so
+	// The opening read precedes the decoding of a multi()'s payload, so
 	// an empty one will do: the handler drops the message right after.
 	dereg := leaderMsg{Session: "gone", Seq: 3, Op: OpDeregister, Fanout: 1}
 	// One shard's copy of an ack replicated to two shards: its barrier
@@ -293,7 +293,6 @@ func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
 	}{
 		{"deregister", 1, []leaderMsg{dereg}, 1, 1},
 		{"multi", 1, []leaderMsg{{Session: "m", Seq: 1, Op: OpMulti}}, 1, 1},
-		{"txn commit", 1, []leaderMsg{{Session: "m", Seq: 1, Op: OpTxnCommit}}, 1, 1},
 		// Every shard's list is an attribute of the region's one epoch
 		// item, so two shards read one item, as one shard does.
 		{"multi, two shards", 2, []leaderMsg{{Session: "m", Seq: 1, Op: OpMulti}}, 1, 1},

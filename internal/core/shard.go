@@ -47,6 +47,5 @@ func leaderQueueName(shard, n int) string {
 }
 
 // Route returns the deployment's routing table: every layer that routes a
-// path (follower, transaction coordinator, client library) reads this one
-// value.
+// path (follower, client library) reads this one value.
 func (d *Deployment) Route() *shardmap.Map { return d.route }

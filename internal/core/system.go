@@ -40,15 +40,6 @@ const (
 	attrSeq      = "seq"
 	attrPending  = "pending"
 
-	// attrTxnCommitMark fences a node item committed by a cross-shard
-	// transaction (package txn): the value is the transaction id. The
-	// coordinator's commit sets it on every item it locked, and only the
-	// coordinator clears it, after the transaction's user-store apply — so
-	// no conflicting write can slip between the commit and the atomic apply.
-	// Writers finding a mark consult the transaction record and either clear
-	// a stale one or wait (see lockNodeClean).
-	attrTxnCommitMark = "txnmark"
-
 	attrSessionEph  = "eph"
 	attrSessionReg  = "reg"
 	attrSessionAddr = "addr"
@@ -104,7 +95,6 @@ type sysNode struct {
 	EphOwner string
 	SeqCtr   int64
 	Pending  []int64
-	TxnMark  int64 // cross-shard transaction fencing this node (0 = none)
 }
 
 func decodeSysNode(it kv.Item) sysNode {
@@ -125,7 +115,6 @@ func decodeSysNode(it kv.Item) sysNode {
 		EphOwner: it.Get(attrEph).Str,
 		SeqCtr:   it.Get(attrSeq).Num,
 		Pending:  it.Get(attrPending).NL,
-		TxnMark:  it.Get(attrTxnCommitMark).Num,
 	}
 }
 

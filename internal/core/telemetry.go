@@ -18,12 +18,9 @@ func tracedReq(req Request) bool {
 	return req.Seq > 0 && req.Op != OpDeregister
 }
 
-// tracedMsg is tracedReq for the leader hop. OpTxnCommit is additionally
-// excluded from *stage* transitions — a cross-shard multi fans one request
-// into per-shard parts, and its stages are advanced by the coordinating
-// follower instead.
+// tracedMsg is tracedReq for the leader hop.
 func tracedMsg(msg leaderMsg) bool {
-	return msg.Seq > 0 && msg.Op != OpDeregister && msg.Op != OpTxnCommit
+	return msg.Seq > 0 && msg.Op != OpDeregister
 }
 
 // stageReq advances the request's span chain to the named stage.
@@ -43,11 +40,9 @@ func (d *Deployment) stageMsg(msg leaderMsg, stage string) {
 }
 
 // msgTrace returns the trace id a leader-side child span should attach to,
-// or 0 when the message is untraced. Unlike tracedMsg it includes
-// OpTxnCommit: a part's Session/Seq are the originating
-// multi()'s, so its store writes and watch deliveries attach to that tree.
+// or 0 when the message is untraced.
 func (d *Deployment) msgTrace(msg leaderMsg) int64 {
-	if !d.traceOn() || msg.Seq <= 0 || msg.Op == OpDeregister {
+	if !d.traceOn() || !tracedMsg(msg) {
 		return 0
 	}
 	return msg.trace()

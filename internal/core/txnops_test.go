@@ -1,12 +1,12 @@
 package core
 
-// Tests of the cross-shard multi() protocol's two hard cases: a part whose
-// commit never comes (the coordinator died or lost its lease between its
-// pushes and its commit) and a leader's ownership release racing a commit
-// that lands. They drive the deployment through pipeline_test.go's
+// Tests of multi() on the leader and at the follower: the fast path's
+// commit check, and the determinate answer to a multi() whose effectful
+// ops span shards. They drive the deployment through pipeline_test.go's
 // in-package session and read the system store directly.
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -14,174 +14,88 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/fksync"
-	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
+	"faaskeeper/internal/znode"
 )
 
-// twoShardPaths returns one top-level path per shard of a two-shard
-// deployment.
-func twoShardPaths() (a, b string) {
-	for _, p := range []string{"/a", "/b", "/c", "/d", "/e", "/f"} {
-		switch {
-		case a == "" && ShardOf(p, 2) == 0:
-			a = p
-		case b == "" && ShardOf(p, 2) == 1:
-			b = p
+// TestMultiCrossShardRejected: a multi() whose effectful ops resolve onto
+// two shards is answered at the follower. The first op on the second shard
+// carries cross_shard, every other op txn_aborted, and nothing is left
+// behind: no lock or pending entry on any item, no message in any leader
+// queue (each shard's next write takes the txid right after its last), and
+// the create's parent keeps its child version and sequence counter. A check
+// on a third shard does not count: the locks prove it.
+func TestMultiCrossShardRejected(t *testing.T) {
+	const shards = 4
+	var paths []string // one top-level path per shard, in shard order
+	for i := 0; len(paths) < shards; i++ {
+		if p := fmt.Sprintf("/n%d", i); ShardOf(p, shards) == len(paths) {
+			paths = append(paths, p)
 		}
 	}
-	return a, b
+	pA, pB, pC := paths[0], paths[1], paths[2]
+	r := newPipeRig(t, 31, Config{WriteShards: shards}, &pipeFaults{})
+	r.k.Go("main", func() {
+		s := r.open("w")
+		txids := map[string]int64{}
+		for _, p := range paths[:3] {
+			txids[p] = s.do(OpCreate, p, "0").Txid
+		}
+		before := r.sysNode(pB)
+		ops := []txn.Op{
+			txn.SetData(pA, []byte("1"), -1),
+			txn.Check(pC, -1),
+			txn.Create(pB+"/q-", []byte("1"), znode.FlagSequential),
+			txn.SetData(pB, []byte("1"), -1),
+		}
+		resp := s.send(Request{Op: OpMulti, Path: pA, Data: txn.EncodeOps(ops)}).Wait()
+		if resp.Code != CodeCrossShard {
+			t.Errorf("multi over two shards answered %s, want %s", resp.Code, CodeCrossShard)
+		}
+		want := []string{txn.CodeAborted, txn.CodeAborted, string(CodeCrossShard), txn.CodeAborted}
+		for i, res := range resp.MultiResults {
+			if res.Code != want[i] {
+				t.Errorf("op %d (%s %s) carries %s, want %s", i, res.Type, res.Path, res.Code, want[i])
+			}
+		}
+		after := r.sysNode(pB)
+		if after.Cversion != before.Cversion || after.SeqCtr != before.SeqCtr {
+			t.Errorf("%s: cversion %d, seq %d after the rejection; want %d, %d", pB, after.Cversion, after.SeqCtr, before.Cversion, before.SeqCtr)
+		}
+		for _, p := range paths[:3] {
+			if got := s.do(OpSetData, p, "2").Txid; got != txids[p]+shards {
+				t.Errorf("%s: next write committed at txid %d after %d: a leader message was pushed in between", p, got, txids[p])
+			}
+		}
+		r.k.Sleep(sim.Ms(200))
+		r.settle()
+		if res := txnResidue(r.d, s.ctx); len(res) > 0 {
+			t.Errorf("left behind: %v", res)
+		}
+	})
+	r.run()
 }
 
-// swapReq is the multi() that sets both paths to v.
-func swapReq(a, b, v string) Request {
-	ops := []txn.Op{txn.SetData(a, []byte(v), -1), txn.SetData(b, []byte(v), -1)}
-	return Request{Op: OpMulti, Path: a, Data: txn.EncodeOps(ops)}
+// sysNode reads path's control record. It must run inside a sim process.
+func (r *pipeRig) sysNode(path string) sysNode {
+	it, _ := r.d.System.GetView(cloud.ClientCtx(r.d.Cfg.Profile.Home), nodeKey(path), true)
+	return decodeSysNode(it)
 }
 
-// txnResidue lists what no finished multi() may leave behind: a commit
-// mark, a pending entry or a held lock on a node item, and a transaction
-// record or request pointer.
+// txnResidue lists what no finished multi() may leave behind on a node
+// item: a held lock or a pending entry.
 func txnResidue(d *Deployment, ctx cloud.Ctx) []string {
 	var out []string
 	for _, ki := range d.System.Scan(ctx) {
-		switch {
-		case strings.HasPrefix(ki.Key, nodeKeyPrefix):
-			n := decodeSysNode(ki.Item)
-			if _, locked := ki.Item.Lookup(fksync.LockAttr); locked || n.TxnMark != 0 || len(n.Pending) > 0 {
-				out = append(out, ki.Key+" "+ki.Item.String())
-			}
-		case strings.HasPrefix(ki.Key, "txn:"), strings.HasPrefix(ki.Key, "txnreq:"):
-			out = append(out, ki.Key)
+		if !strings.HasPrefix(ki.Key, nodeKeyPrefix) {
+			continue
+		}
+		if _, locked := ki.Item.Lookup(fksync.LockAttr); locked || len(decodeSysNode(ki.Item).Pending) > 0 {
+			out = append(out, ki.Key+" "+ki.Item.String())
 		}
 	}
 	return out
-}
-
-// readData reads a node's data from the primary user store.
-func readData(t *testing.T, d *Deployment, ctx cloud.Ctx, path string) (string, int32) {
-	t.Helper()
-	n, _, err := d.PrimaryStore().Read(ctx, path)
-	if err != nil {
-		t.Errorf("read %s: %v", path, err)
-		return "", -1
-	}
-	return string(n.Data), n.Stat.Version
-}
-
-// TestTxnCrashAfterPushesCommitsOnce: the coordinator dies after pushing
-// both parts, before the commit. Both leaders drop their stale parts by
-// releasing the crashed attempt's locks — so the redelivered attempt need
-// not wait out the lease — and that attempt commits exactly once. A reader
-// probing the pair in reverse order never sees one half without the other.
-func TestTxnCrashAfterPushesCommitsOnce(t *testing.T) {
-	var crashedAt sim.Time
-	hook := &pipeFaults{}
-	hook.crash = func(stage, session string, seq int64) bool {
-		if stage != obs.StageTxnPrep || session != "w" || crashedAt != 0 {
-			return false
-		}
-		crashedAt = hook.k.Now()
-		return true
-	}
-	r := newPipeRig(t, 11, Config{WriteShards: 2}, hook)
-	pA, pB := twoShardPaths()
-	r.k.Go("main", func() {
-		setup := r.open("setup")
-		setup.do(OpCreate, pA, "0")
-		setup.do(OpCreate, pB, "0")
-		w := r.open("w")
-		done := false
-		probes := 0
-		r.k.Go("reader", func() {
-			for !done {
-				vB, _ := readData(t, r.d, w.ctx, pB)
-				vA, _ := readData(t, r.d, w.ctx, pA)
-				if vA < vB {
-					t.Errorf("partial commit observed: %s=%q while %s=%q", pA, vA, pB, vB)
-				}
-				probes++
-				r.k.Sleep(sim.Ms(2))
-			}
-		})
-		resp := w.send(swapReq(pA, pB, "1")).Wait()
-		answered := r.k.Now()
-		done = true
-		if resp.Code != CodeOK {
-			t.Fatalf("multi after a coordinator crash: %s", resp.Code)
-		}
-		if crashedAt == 0 {
-			t.Fatal("the coordinator never crashed: the test exercised nothing")
-		}
-		if answered-crashedAt >= sim.Time(lockLease) {
-			t.Errorf("answered %v after the crash: the redelivered attempt waited out the lease, so no leader released", answered-crashedAt)
-		}
-		r.k.Sleep(sim.Ms(1000))
-		for _, p := range []string{pA, pB} {
-			if v, ver := readData(t, r.d, w.ctx, p); v != "1" || ver != 1 {
-				t.Errorf("%s = %q v%d, want \"1\" v1: committed other than once", p, v, ver)
-			}
-		}
-		// Two attempts minted two ids; the next is the third.
-		if id, _ := r.d.Txns.Mint(w.ctx); id != 3 {
-			t.Errorf("next txn id = %d, want 3", id)
-		}
-		if res := txnResidue(r.d, w.ctx); len(res) > 0 {
-			t.Errorf("left behind: %v", res)
-		}
-		if probes == 0 {
-			t.Error("the reader never probed")
-		}
-	})
-	r.run()
-}
-
-// TestTxnLeaseLostBeforeCommit: the coordinator stalls between its pushes
-// and its commit for longer than the lock lease, and a single-op writer
-// takes one of the items meanwhile. The commit fails whole: the client
-// gets a system error, the writer's value stands, the other half is
-// untouched, and no item keeps a mark, a pending entry or a lock.
-func TestTxnLeaseLostBeforeCommit(t *testing.T) {
-	hook := &pipeFaults{}
-	stalled := false
-	hook.crash = func(stage, session string, seq int64) bool {
-		if stage == obs.StageTxnPrep && session == "w" && !stalled {
-			stalled = true
-			hook.k.Sleep(sim.Time(lockLease) + sim.Ms(1000))
-		}
-		return false
-	}
-	r := newPipeRig(t, 12, Config{WriteShards: 2}, hook)
-	pA, pB := twoShardPaths()
-	r.k.Go("main", func() {
-		setup := r.open("setup")
-		setup.do(OpCreate, pA, "0")
-		setup.do(OpCreate, pB, "0")
-		w := r.open("w")
-		fut := w.send(swapReq(pA, pB, "1"))
-		r.k.Sleep(sim.Ms(500))
-		if resp := setup.do(OpSetData, pA, "single"); resp.Code != CodeOK {
-			t.Errorf("single write during the stall: %s", resp.Code)
-		}
-		if resp := fut.Wait(); resp.Code != CodeSystemError {
-			t.Errorf("multi that lost its lease answered %s, want %s", resp.Code, CodeSystemError)
-		}
-		if !stalled {
-			t.Fatal("the coordinator never stalled: the test exercised nothing")
-		}
-		r.k.Sleep(sim.Ms(1000))
-		if v, ver := readData(t, r.d, w.ctx, pA); v != "single" || ver != 1 {
-			t.Errorf("%s = %q v%d, want the single write", pA, v, ver)
-		}
-		if v, ver := readData(t, r.d, w.ctx, pB); v != "0" || ver != 0 {
-			t.Errorf("%s = %q v%d, want it untouched", pB, v, ver)
-		}
-		r.settle() // the single write's pop is carried
-		if res := txnResidue(r.d, w.ctx); len(res) > 0 {
-			t.Errorf("left behind: %v", res)
-		}
-	})
-	r.run()
 }
 
 // TestTxnCommitCheck is TestOpeningReadFeedsAwaitCommit for a fast-path
@@ -301,79 +215,4 @@ func TestTxnCommitCheck(t *testing.T) {
 			}
 		})
 	}
-}
-
-// raceHook lands a cross-shard commit while the leader's ownership release
-// is in flight: the leader's first storage operation after its last poll
-// is the release, and the hook stretches it while a committer runs.
-type raceHook struct {
-	k      *sim.Kernel
-	leader string
-	ops    int
-	commit func()
-	landed bool
-}
-
-func (*raceHook) Crash(string, string, int64) bool { return false }
-func (*raceHook) Redeliver(string) bool            { return false }
-func (*raceHook) DeliveryDelay(string) sim.Time    { return 0 }
-func (h *raceHook) OpDelay() sim.Time {
-	if h.k.Current().Name() != h.leader {
-		return 0
-	}
-	if h.ops++; h.ops == txnHeadPolls+1 {
-		h.k.Go("committer", func() {
-			h.commit()
-			h.landed = true
-		})
-		return sim.Ms(100)
-	}
-	return 0
-}
-
-// TestTxnReleaseLosesToLandedCommit: the commit lands after the leader's
-// last poll but before its release is evaluated. The release fails, one
-// more poll finds the part's txid at the head, and the leader proceeds:
-// its pending entry pops and its ready marker is posted.
-func TestTxnReleaseLosesToLandedCommit(t *testing.T) {
-	k, d := newTestDeployment(13, Config{})
-	hook := &raceHook{k: k, leader: "leader-under-test"}
-	k.SetFaultHook(hook)
-	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
-	const id, txid = int64(1), int64(5)
-	ops := []txn.ResolvedOp{{Type: txn.OpSetData, Path: "/a", Version: 1}}
-	k.Go("setup", func() {
-		lock, _, err := d.Locks.Acquire(ctx, nodeKey("/a"))
-		if err != nil {
-			t.Errorf("lock: %v", err)
-			return
-		}
-		hook.commit = func() {
-			err := d.Locks.CommitUnlockTx(ctx,
-				[]fksync.TxPart{{Lock: lock, Updates: []kv.Update{pendingAppend(txid), kv.Set{Name: attrTxnCommitMark, V: kv.N(id)}}}},
-				d.Txns.Commit(id, "w", 1, ops, map[int]int64{0: txid})...)
-			if err != nil {
-				t.Errorf("commit: %v", err)
-			}
-		}
-		tm := txnMsg{ID: id, Ops: ops, ItemPaths: []string{"/a"}, LockTs: []int64{lock.Timestamp}}
-		msg := leaderMsg{Session: "w", Seq: 1, Op: OpTxnCommit, Path: "/a"}
-		k.Go(hook.leader, func() {
-			p := leaderRun{d: d, ctx: ctx, epochs: map[cloud.Region][]int64{}}
-			p.txnPart(decodedMsg{msg: msg, txid: txid}, tm)
-			if !hook.landed {
-				t.Fatal("the commit did not land during the release: the test exercised nothing")
-			}
-			rec, found := d.Txns.Lookup(ctx, id)
-			if !found || !rec.Ready[0] {
-				t.Errorf("leader dropped a part whose commit landed: record %+v (found %v)", rec, found)
-			}
-			it, _ := d.System.Peek(nodeKey("/a"))
-			if n := decodeSysNode(it); len(n.Pending) != 0 || n.TxnMark != id {
-				t.Errorf("after the part: pending %v, mark %d; want nothing pending, the mark kept for the apply", n.Pending, n.TxnMark)
-			}
-		})
-	})
-	k.Run()
-	k.Shutdown()
 }

@@ -31,13 +31,9 @@ const (
 	OpDelete     OpCode = "delete"
 	OpDeregister OpCode = "deregister" // session close / eviction
 
-	// OpMulti is a client multi() request; on the leader queue it carries a
-	// single-shard transaction's resolved sub-ops (the fast path).
+	// OpMulti is a client multi() request; on the leader queue it carries
+	// the transaction's resolved sub-ops.
 	OpMulti OpCode = "multi"
-	// OpTxnCommit is one shard's part of a cross-shard transaction
-	// (package txn): it orders the transaction within the shard's pipeline
-	// and carries the shard's resolved sub-ops.
-	OpTxnCommit OpCode = "txn_commit"
 )
 
 // Code is the result of a write request, following ZooKeeper's error
@@ -55,6 +51,7 @@ const (
 	CodeSystemError   Code = "system_error"
 	CodeTooLarge      Code = "too_large"
 	CodeTxnAborted    Code = "txn_aborted" // multi() rolled back: a sibling op failed
+	CodeCrossShard    Code = "cross_shard" // multi() writes more than one shard
 )
 
 // Client-facing errors corresponding to result codes.
@@ -68,6 +65,7 @@ var (
 	ErrTooLarge      = errors.New("faaskeeper: node data too large")
 	ErrSessionClosed = errors.New("faaskeeper: session closed")
 	ErrTxnAborted    = errors.New("faaskeeper: transaction aborted")
+	ErrCrossShard    = errors.New("faaskeeper: transaction spans write shards")
 )
 
 // CodeError converts a result code to the client-facing error (nil for OK).
@@ -89,6 +87,8 @@ func CodeError(c Code) error {
 		return ErrTooLarge
 	case CodeTxnAborted:
 		return ErrTxnAborted
+	case CodeCrossShard:
+		return ErrCrossShard
 	default:
 		return fmt.Errorf("%w: %s", ErrSystemError, c)
 	}
@@ -171,16 +171,12 @@ func (m leaderMsg) trace() int64 {
 	return obs.TraceOf(m.Session, m.Seq)
 }
 
-// txnMsg is the transaction payload an OpMulti or OpTxnCommit leader
-// message carries in its NodeBlob field. Ops are the resolved sub-ops the
-// message applies; ItemPaths/LockTs list the locked system items and their
-// timed-lock timestamps. A fast-path leader replays the multi-item commit
-// under them on behalf of a crashed coordinator, exactly like tryCommit's
-// per-op reconstruction; a cross-shard part's leader takes its ownership
-// decision with them (txnPart). ID names a cross-shard transaction's
-// record (0 on the fast path).
+// txnMsg is the transaction payload an OpMulti leader message carries in
+// its NodeBlob field. Ops are the resolved sub-ops the message applies;
+// ItemPaths/LockTs list the locked system items and their timed-lock
+// timestamps, under which the leader replays the multi-item commit on
+// behalf of a crashed follower, exactly like a single op's commit replay.
 type txnMsg struct {
-	ID        int64
 	Ops       []txn.ResolvedOp
 	ItemPaths []string
 	LockTs    []int64

@@ -121,7 +121,6 @@ func decodeLeaderMsg(b []byte) (leaderMsg, error) {
 func (m txnMsg) encode() []byte {
 	e := wire.NewEncoder()
 	e.Byte(tagTxnMsg)
-	e.Varint(m.ID)
 	txn.AppendResolvedOps(e, m.Ops)
 	e.Strings(m.ItemPaths)
 	e.Int64s(m.LockTs)
@@ -136,7 +135,6 @@ func decodeTxnMsg(b []byte) (txnMsg, error) {
 		return txnMsg{}, fmt.Errorf("%w: txn msg tag", wire.ErrCorrupt)
 	}
 	m := txnMsg{
-		ID:        d.Varint(),
 		Ops:       txn.ReadResolvedOps(&d),
 		ItemPaths: d.Strings(),
 		LockTs:    d.Int64s(),

@@ -40,10 +40,9 @@ func testTxnMsgs() []txnMsg {
 	return []txnMsg{
 		{},
 		{
-			ID: 88,
 			Ops: []txn.ResolvedOp{
-				{Type: txn.OpCreate, Path: "/t/a", ParentPath: "/t", Data: []byte("d"), Cversion: 2, EphOwner: "e", ChildAdd: "a", Shard: 1},
-				{Type: txn.OpDelete, Path: "/t/b", ParentPath: "/t", Version: 3, ChildDel: "b", Shard: 2},
+				{Type: txn.OpCreate, Path: "/t/a", ParentPath: "/t", Data: []byte("d"), Cversion: 2, EphOwner: "e", ChildAdd: "a"},
+				{Type: txn.OpDelete, Path: "/t/b", ParentPath: "/t", Version: 3, ChildDel: "b"},
 				{Type: txn.OpCheck, Path: "/t"},
 			},
 			ItemPaths: []string{"/t/a", "/t/b"},
@@ -154,7 +153,7 @@ func TestLeaderMsgRoundTripIdentity(t *testing.T) {
 }
 
 func TestTxnMsgRoundTripIdentity(t *testing.T) {
-	for _, m := range append(testTxnMsgs(), txnMsg{ID: 1, traceID: 99}) {
+	for _, m := range append(testTxnMsgs(), txnMsg{traceID: 99}) {
 		got, err := decodeTxnMsg(m.encode())
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -210,7 +209,7 @@ func TestWireSizesPinned(t *testing.T) {
 		{"Request", len(testRequests()[1].Encode(e1)), 38},
 		{"leaderMsg", len(testLeaderMsgs()[1].encode(e2)), 51},
 		{"watchPayload", len(testWatchPayloads()[1].encode()), 13},
-		{"txnMsg", len(testTxnMsgs()[1].encode()), 84},
+		{"txnMsg", len(testTxnMsgs()[1].encode()), 79},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s encodes to %d B, pinned %d", c.name, c.got, c.want)
@@ -298,21 +297,20 @@ func FuzzWatchPayloadCodecs(f *testing.F) {
 // FuzzTxnMsgCodecs covers the transaction payload with one fuzzed
 // resolved op plus list fields.
 func FuzzTxnMsgCodecs(f *testing.F) {
-	f.Add(int64(1), "create", "/t/a", "/t", []byte("d"), int32(1), int32(2), "e", "a", "", 3, "/t/a", int64(9))
-	f.Fuzz(func(t *testing.T, id int64, opType string, path string, parent string, data []byte,
-		version int32, cversion int32, ephOwner string, childAdd string, childDel string, shard int,
+	f.Add(int64(1), "create", "/t/a", "/t", []byte("d"), int32(1), int32(2), "e", "a", "", "/t/a", int64(9))
+	f.Fuzz(func(t *testing.T, trace int64, opType string, path string, parent string, data []byte,
+		version int32, cversion int32, ephOwner string, childAdd string, childDel string,
 		itemPath string, lockTs int64) {
 		neverPanics(data)
 		m := txnMsg{
-			ID: id,
 			Ops: []txn.ResolvedOp{{
 				Type: txn.OpType(opType), Path: path, ParentPath: parent, Data: data,
 				Version: version, Cversion: cversion, EphOwner: ephOwner,
-				ChildAdd: childAdd, ChildDel: childDel, Shard: shard,
+				ChildAdd: childAdd, ChildDel: childDel,
 			}},
 			ItemPaths: []string{itemPath},
 			LockTs:    []int64{lockTs},
-			traceID:   id ^ lockTs,
+			traceID:   trace,
 		}
 		got, err := decodeTxnMsg(m.encode())
 		if err != nil {

@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"tab1", "fig4a", "fig4b", "fig5", "tab6a", "fig6b",
 		"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10",
 		"tab3", "fig11", "fig12", "fig13", "tab4", "fig14", "sec532x",
-		"ablations", "sharding", "caching", "batching", "txn",
+		"ablations", "sharding", "caching", "batching",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
@@ -568,38 +568,5 @@ func TestBatchingFoldsHotWrites(t *testing.T) {
 	_, uOnWr, _ := parse(uni[1])
 	if uOffWr != 1 || uOnWr != 1 {
 		t.Errorf("uniform store writes/op = %.2f/%.2f, want 1.00 both", uOffWr, uOnWr)
-	}
-}
-
-func TestTxnCommitLatencyAndAtomicity(t *testing.T) {
-	rep := runQuick(t, "txn")
-	if len(rep.Sections) != 2 {
-		t.Fatalf("expected latency and contention sections, got %d", len(rep.Sections))
-	}
-	lat := rep.Sections[0].Rows
-	parse := func(row []string, col int) float64 {
-		v, err := strconv.ParseFloat(row[col], 64)
-		if err != nil {
-			t.Fatalf("bad cell %q in row %v", row[col], row)
-		}
-		return v
-	}
-	// The fast path must beat the cross-shard rows on p50 commit latency, and
-	// latency must grow with the participant count.
-	fast, two, four := parse(lat[0], 3), parse(lat[1], 3), parse(lat[2], 3)
-	if !(fast < two && two < four) {
-		t.Errorf("p50 latency not monotone in participants: %.1f %.1f %.1f", fast, two, four)
-	}
-	if lat[0][1] != "fast path" || lat[1][1] != "cross-shard" {
-		t.Errorf("path labels wrong: %v %v", lat[0][1], lat[1][1])
-	}
-	// Contention rows: some commits, and never a partial commit.
-	for _, row := range rep.Sections[1].Rows {
-		if c := parse(row, 1); c <= 0 {
-			t.Errorf("shards=%s: no commits under contention", row[0])
-		}
-		if row[4] != "0" {
-			t.Errorf("shards=%s: partial commits reported: %s", row[0], row[4])
-		}
 	}
 }

@@ -471,11 +471,11 @@ func (c *Client) Delete(path string, version int32) error {
 
 // Multi submits a ZooKeeper-style transaction: all ops commit atomically
 // or none do (create/set_data/delete/check, built with txn.Create,
-// txn.SetData, txn.Delete, txn.Check). Ops confined to one write shard
-// take a fast path through the leader pipeline; ops spanning shards run
-// the cross-shard coordinator (package txn). The per-op results are
-// returned even on a rollback, where the failing op carries its own code
-// and its siblings report txn.CodeAborted.
+// txn.SetData, txn.Delete, txn.Check), in one message through one write
+// shard's leader pipeline. Ops whose writes span shards are rejected with
+// core.ErrCrossShard. The per-op results are returned even on a rollback,
+// where the failing op carries its own code and its siblings report
+// txn.CodeAborted.
 func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
 	if c.closed {
 		return nil, core.ErrSessionClosed

@@ -16,11 +16,11 @@ import (
 )
 
 // crashAfterPush is the tests' sim.FaultHook: with probability p a
-// function dies right after it pushed to a leader queue — the follower
-// before its commit (the window Algorithm 2's TryCommit covers), the
-// multi() coordinator at its three stage boundaries. It draws from its own
-// seeded source and fires at most twice per (session, seq), so a retry
-// budget of three or more never drains.
+// follower dies right after it pushed to a leader queue, before its commit
+// (the window Algorithm 2's TryCommit covers), for a single op and for a
+// multi() alike. It draws from its own seeded source and fires at most
+// twice per (session, seq), so a retry budget of three or more never
+// drains.
 type crashAfterPush struct {
 	p       float64
 	rng     *rand.Rand
@@ -33,7 +33,7 @@ func newCrashAfterPush(seed int64, p float64) *crashAfterPush {
 
 func (h *crashAfterPush) Crash(stage, session string, seq int64) bool {
 	switch stage {
-	case obs.StageLeaderQ, obs.StageTxnPrep, obs.StageTxnCommit, obs.StageTxnApply:
+	case obs.StageLeaderQ, obs.StageTxnPrep:
 	default:
 		return false
 	}

@@ -93,9 +93,9 @@ func checkConservation(t *testing.T, d *core.Deployment) {
 }
 
 // TestCostConservationRandomized runs a seeded random workload (pipelined
-// writes, reads, watches, failures, single- and cross-shard multis) over
-// the config matrix and checks that every charged picodollar is
-// attributed exactly once.
+// writes, reads, watches, failures, multis committed or answered
+// cross_shard) over the config matrix and checks that every charged
+// picodollar is attributed exactly once.
 func TestCostConservationRandomized(t *testing.T) {
 	for _, tc := range costConfigs {
 		tc := tc

@@ -375,8 +375,9 @@ func checkConcurrentTrace(t *testing.T, trace []byte) {
 // first-use order, so a transaction encode in an earlier simulation
 // changed the byte size of later messages (core/gobinit.go existed to pin
 // that order). With hand-written codecs it holds by construction; this
-// pins it: run a cross-shard transaction first (every txn wire type), then
-// require the golden hash.
+// pins it: run a transaction first (every txn wire type, its lock list
+// naming an item on the other shard, which its check reads), then require
+// the golden hash.
 func TestTraceIndependentOfProcessHistory(t *testing.T) {
 	cfg := core.Config{WriteShards: 2}
 	run(t, 99, cfg, func(k *sim.Kernel, d *core.Deployment) {
@@ -389,9 +390,9 @@ func TestTraceIndependentOfProcessHistory(t *testing.T) {
 		}
 		if _, err := c.Multi(
 			txn.SetData(paths[0], []byte("x"), -1),
-			txn.SetData(paths[1], []byte("y"), -1),
+			txn.Check(paths[1], -1),
 		); err != nil {
-			t.Fatalf("cross-shard multi: %v", err)
+			t.Fatalf("multi with a check on the other shard: %v", err)
 		}
 		c.Close()
 	})

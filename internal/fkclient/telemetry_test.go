@@ -24,8 +24,7 @@ import (
 var stageNames = map[string]bool{
 	obs.StageSubmit: true, obs.StageQueue: true, obs.StageValidate: true,
 	obs.StageLeaderQ: true, obs.StageCommit: true, obs.StageFlush: true,
-	obs.StageRespond: true, obs.StageTxnPrep: true, obs.StageTxnCommit: true,
-	obs.StageTxnApply: true,
+	obs.StageRespond: true,
 }
 
 // checkSpanTrees asserts the tracer's global invariants and, per trace:
@@ -213,8 +212,8 @@ func TestStageSumMatchesClientLatency(t *testing.T) {
 
 // telemetryConfigs is the pipeline matrix the randomized invariant test
 // sweeps: every combination exercises a different set of stage
-// transitions (batched folds, cache invalidation legs, single-shard and
-// cross-shard transactions).
+// transitions (batched folds, cache invalidation legs, transactions
+// committed on one shard and answered cross_shard by the follower).
 var telemetryConfigs = []struct {
 	name   string
 	cfg    core.Config
@@ -229,9 +228,9 @@ var telemetryConfigs = []struct {
 }
 
 // TestSpanInvariantsRandomized runs a seeded random workload (pipelined
-// writes, watches, single- and cross-shard multis, failure responses)
-// over the config matrix and checks every trace forms one connected,
-// telescoping span tree with every span closed exactly once.
+// writes, watches, multis committed or answered cross_shard, failure
+// responses) over the config matrix and checks every trace forms one
+// connected, telescoping span tree with every span closed exactly once.
 func TestSpanInvariantsRandomized(t *testing.T) {
 	for _, tc := range telemetryConfigs {
 		tc := tc
@@ -262,8 +261,8 @@ func TestSpanInvariantsRandomized(t *testing.T) {
 						_, _, _ = c.GetDataW(p, func(core.Notification) {})
 					case 4:
 						if tc.multis {
-							// Spans two top-level subtrees: cross-shard commit
-							// on the sharded configs, fast path otherwise.
+							// Spans two top-level subtrees: answered cross_shard
+							// where they sit on two shards, committed otherwise.
 							q := paths[(rng.Intn(len(paths)-1)+1+rng.Intn(1))%len(paths)]
 							_, _ = c.Multi(
 								txn.SetData(p, []byte("m"), -1),

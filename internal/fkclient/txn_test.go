@@ -1,12 +1,12 @@
 package fkclient
 
-// Tests of the multi() transaction subsystem (package txn + the core
-// coordinator) from the client's perspective: multi() on the default
-// config, the single-shard fast path, cross-shard commits, validation
-// aborts with no partial effects, isolation against conflicting writers,
-// coordinator crash recovery by redelivery, and the randomized
-// cross-shard histories asserting that no partial commit is ever
-// observable and no uncommitted write is ever read.
+// Tests of multi() (package txn + the core fast path) from the client's
+// perspective: multi() on the default config, the one-shard fast path,
+// validation aborts with no partial effects, the cross_shard answer,
+// isolation against conflicting writers, and the randomized histories
+// asserting that no partial commit is ever observable and no uncommitted
+// write is ever read. On a sharded deployment the pairs a multi() writes
+// sit under one top-level node, so they share a shard.
 
 import (
 	"errors"
@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -77,10 +76,6 @@ func TestMultiSingleShardFastPath(t *testing.T) {
 		if err != nil || len(kids) != 2 {
 			t.Errorf("children: %v (%v)", kids, err)
 		}
-		// No cross-shard machinery on the fast path: no transaction records.
-		if n, _ := d.Txns.Mint(cloud.ClientCtx(d.Cfg.Profile.Home)); n != 1 {
-			t.Errorf("txn counter = %d, want 1 (untouched before this mint)", n)
-		}
 	})
 }
 
@@ -125,111 +120,15 @@ func TestMultiValidationAbortLeavesNoTrace(t *testing.T) {
 	}
 }
 
-func TestMultiCrossShardCommit(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
-			var dep *core.Deployment
-			run(t, int64(90+shards), cfg, func(k *sim.Kernel, d *core.Deployment) {
-				dep = d
-				c := mustConnect(t, d, "s1")
-				defer c.Close()
-				paths := shardedPaths(shards, shards)
-				for _, p := range paths {
-					if _, err := c.Create(p, []byte("v0"), 0); err != nil {
-						t.Fatalf("create %s: %v", p, err)
-					}
-				}
-				var ops []txn.Op
-				for _, p := range paths {
-					ops = append(ops, txn.SetData(p, []byte("committed"), 0))
-					ops = append(ops, txn.Create(p+"/child", []byte("born"), 0))
-				}
-				results, err := c.Multi(ops...)
-				if err != nil {
-					t.Fatalf("multi: %v", err)
-				}
-				// Per-shard txids: ops of one shard share one, different
-				// shards differ.
-				byShard := map[int]int64{}
-				for i, r := range results {
-					if r.Code != txn.CodeOK {
-						t.Fatalf("op %d: %s", i, r.Code)
-					}
-					s := core.ShardOf(r.Path, shards)
-					if prev, ok := byShard[s]; ok && prev != r.Txid {
-						t.Errorf("shard %d ops carry txids %d and %d", s, prev, r.Txid)
-					}
-					byShard[s] = r.Txid
-				}
-				if len(byShard) != shards {
-					t.Errorf("participant shards = %d, want %d", len(byShard), shards)
-				}
-				for _, p := range paths {
-					data, st, err := c.GetData(p)
-					if err != nil || string(data) != "committed" || st.Version != 1 {
-						t.Errorf("%s: %q v%d (%v)", p, data, st.Version, err)
-					}
-					if data, _, err := c.GetData(p + "/child"); err != nil || string(data) != "born" {
-						t.Errorf("%s/child: %q (%v)", p, data, err)
-					}
-				}
-				// Reads and writes after the commit see no commit-mark leftovers.
-				reader := mustConnect(t, d, "s2")
-				defer reader.Close()
-				for _, p := range paths {
-					if _, err := reader.SetData(p, []byte("later"), 1); err != nil {
-						t.Errorf("post-commit write %s: %v", p, err)
-					}
-				}
-			})
-			verifyTreeIntegrity(t, dep)
-		})
-	}
-}
-
-func TestMultiCrossShardAbortAllOrNothing(t *testing.T) {
-	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
-	run(t, 95, cfg, func(k *sim.Kernel, d *core.Deployment) {
-		c := mustConnect(t, d, "s1")
-		defer c.Close()
-		paths := shardedPaths(4, 4)
-		for _, p := range paths {
-			if _, err := c.Create(p, []byte("v0"), 0); err != nil {
-				t.Fatalf("create %s: %v", p, err)
-			}
-		}
-		results, err := c.Multi(
-			txn.SetData(paths[0], []byte("x"), 0),
-			txn.SetData(paths[1], []byte("x"), 0),
-			txn.Check(paths[2], 9), // fails
-			txn.Delete(paths[3], 0),
-		)
-		if !errors.Is(err, core.ErrBadVersion) {
-			t.Fatalf("multi err = %v, want ErrBadVersion", err)
-		}
-		if results[2].Code != string(core.CodeBadVersion) {
-			t.Errorf("check result = %+v", results[2])
-		}
-		for _, p := range paths {
-			data, st, err := c.GetData(p)
-			if err != nil || string(data) != "v0" || st.Version != 0 {
-				t.Errorf("%s after abort: %q v%d (%v)", p, data, st.Version, err)
-			}
-		}
-	})
-}
-
 func TestMultiIsolationAgainstConflictingWriters(t *testing.T) {
-	// Transactions and single-op writers hammer the same two cross-shard
+	// Transactions and single-op writers hammer the same two colocated
 	// nodes; every committed write must keep each node's version chain
 	// gapless (no lost updates, no writes slipping inside a transaction's
 	// prepare/apply window).
 	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	run(t, 96, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		setup := mustConnect(t, d, "setup")
-		paths := shardedPaths(4, 2)
+		paths := colocatedPair(t, setup)
 		for _, p := range paths {
 			if _, err := setup.Create(p, nil, 0); err != nil {
 				t.Fatalf("create %s: %v", p, err)
@@ -293,58 +192,21 @@ func c0Read(t *testing.T, c *Client, path string) ([]byte, znode.Stat, error) {
 	return c.GetData(path)
 }
 
-func TestMultiCoordinatorCrashRecovery(t *testing.T) {
-	// Crash injection fires inside the coordinator (after pushes and after
-	// the commit decision); queue redelivery must resume the durable
-	// record and apply the transaction exactly once.
-	cfg := core.Config{
-		WriteShards: 4, UserStore: core.StoreKV,
-		Retries: 6,
+// colocatedPair creates one top-level node of a 4-shard deployment and
+// returns two paths under it, not yet created: a pair one multi() may write.
+func colocatedPair(t *testing.T, c *Client) []string {
+	t.Helper()
+	top := shardedPaths(4, 1)[0]
+	if _, err := c.Create(top, nil, 0); err != nil {
+		t.Errorf("create %s: %v", top, err)
 	}
-	run(t, 97, cfg, func(k *sim.Kernel, d *core.Deployment) {
-		crashes := newCrashAfterPush(97, 0.4)
-		k.SetFaultHook(crashes)
-		c := mustConnect(t, d, "s1")
-		defer c.Close()
-		paths := shardedPaths(4, 2)
-		for _, p := range paths {
-			if _, err := c.Create(p, nil, 0); err != nil {
-				t.Fatalf("create %s: %v", p, err)
-			}
-		}
-		const n = 8
-		committed := 0
-		for i := 0; i < n; i++ {
-			_, err := c.Multi(
-				txn.SetData(paths[0], []byte{byte(i)}, -1),
-				txn.SetData(paths[1], []byte{byte(i)}, -1),
-			)
-			if err == nil {
-				committed++
-			}
-		}
-		if committed != n {
-			t.Errorf("only %d/%d transactions survived coordinator crashes", committed, n)
-		}
-		if len(crashes.crashes) == 0 {
-			t.Error("no coordinator crash was injected: the test exercised nothing")
-		}
-		for _, p := range paths {
-			_, st, err := c.GetData(p)
-			if err != nil {
-				t.Fatalf("read %s: %v", p, err)
-			}
-			if st.Version != int32(committed) {
-				t.Errorf("%s version = %d, want %d: a crash double-applied or lost a commit", p, st.Version, committed)
-			}
-		}
-	})
+	return []string{top + "/a", top + "/b"}
 }
 
 // TestMultiRandomizedNoPartialCommit is the flagship isolation suite: on a
 // KV-backed 4-shard deployment (atomic multi-path apply), writers race
 // version-guarded transactions that write one monotonically increasing
-// token to a cross-shard path pair, while readers continuously read the
+// token to a colocated path pair, while readers continuously read the
 // pair in REVERSE commit order. If a reader observes token T on the
 // second path, the first path must already show >= T — any partial
 // visibility of a transaction breaks the invariant. Values must also only
@@ -355,7 +217,7 @@ func TestMultiRandomizedNoPartialCommit(t *testing.T) {
 	run(t, 98, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		dep = d
 		setup := mustConnect(t, d, "setup")
-		paths := shardedPaths(4, 2)
+		paths := colocatedPair(t, setup)
 		pA, pB := paths[0], paths[1]
 		if _, err := setup.Create(pA, []byte("0"), 0); err != nil {
 			t.Fatalf("create: %v", err)
@@ -492,8 +354,10 @@ func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 				setup := mustConnect(t, d, "setup")
 				paths := shardedPaths(cfg.WriteShards, 4)
 				for _, p := range paths {
-					if _, err := setup.Create(p, nil, 0); err != nil {
-						t.Fatalf("create %s: %v", p, err)
+					for _, n := range []string{p, p + "/c"} {
+						if _, err := setup.Create(n, nil, 0); err != nil {
+							t.Fatalf("create %s: %v", n, err)
+						}
 					}
 				}
 				done := sim.NewWaitGroup(k)
@@ -507,11 +371,11 @@ func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 						r := rand.New(rand.NewSource(int64(707 + ci)))
 						for op := 0; op < 10; op++ {
 							switch r.Intn(4) {
-							case 0: // cross-shard txn
-								i, j := r.Intn(len(paths)), r.Intn(len(paths))
+							case 0: // txn over a node and its child: one shard
+								p := paths[r.Intn(len(paths))]
 								_, err := c.Multi(
-									txn.SetData(paths[i], []byte{byte(ci), byte(op)}, -1),
-									txn.SetData(paths[j], []byte{byte(ci), byte(op)}, -1),
+									txn.SetData(p, []byte{byte(ci), byte(op)}, -1),
+									txn.SetData(p+"/c", []byte{byte(ci), byte(op)}, -1),
 								)
 								if err != nil && !isExpectedError(err) && !errors.Is(err, core.ErrSystemError) {
 									t.Errorf("txn: %v", err)
@@ -545,43 +409,53 @@ func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 	}
 }
 
-// TestMultiTopLevelSequentialShardDrift: routing is decided on the
-// REQUESTED paths, but a top-level sequential create resolves to a
-// different top segment — and so possibly a different shard. The fast
-// path must detect the drift after resolution and fall back to the
-// coordinator instead of committing a node outside its owning shard's
-// pipeline.
+// TestMultiTopLevelSequentialShardDrift: a top-level sequential create is
+// named only during validation, and its name hashes to any shard. Where it
+// lands on another shard than its sibling the multi() spans two shards: the
+// sibling, the first op on the second shard, carries cross_shard, the
+// create txn_aborted, and nothing is created. Next to a sibling on the
+// name's own shard the same create commits, under that shard's txid.
 func TestMultiTopLevelSequentialShardDrift(t *testing.T) {
 	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV}
 	run(t, 100, cfg, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
-		anchor := shardedPaths(4, 1)[0]
-		if _, err := c.Create(anchor, nil, 0); err != nil {
-			t.Fatalf("create: %v", err)
+		anchors := shardedPaths(4, 4) // anchors[s] is on shard s
+		for _, p := range anchors {
+			if _, err := c.Create(p, nil, 0); err != nil {
+				t.Fatalf("create %s: %v", p, err)
+			}
 		}
-		// Both requested paths route to one shard; the sequential create's
-		// final name may hash anywhere.
-		for i := 0; i < 6; i++ {
-			results, err := c.Multi(
-				txn.Create("/seq-", []byte{byte(i)}, znode.FlagSequential),
-				txn.SetData(anchor, []byte{byte(i)}, int32(i)),
+		// The root's counter stands at the four creates.
+		name := znode.SequentialName("/seq-", 4)
+		shard := core.ShardOf(name, 4)
+		multi := func(anchor string) ([]txn.Result, error) {
+			return c.Multi(
+				txn.Create("/seq-", []byte("x"), znode.FlagSequential),
+				txn.SetData(anchor, []byte("x"), 0),
 			)
-			if err != nil {
-				t.Fatalf("multi %d: %v", i, err)
-			}
-			p := results[0].Path
-			// The committed txid's shard residue must name the resolved
-			// path's owning shard (MRD/epoch attribution depends on it).
-			if got := int(results[0].Txid % 4); got != core.ShardOf(p, 4) {
-				t.Errorf("create %s committed under shard %d, owner is %d", p, got, core.ShardOf(p, 4))
-			}
-			if data, _, err := c.GetData(p); err != nil || len(data) != 1 || data[0] != byte(i) {
-				t.Errorf("read %s: %q (%v)", p, data, err)
-			}
 		}
-		if _, st, err := c.GetData(anchor); err != nil || st.Version != 6 {
-			t.Errorf("anchor version = %d (%v), want 6", st.Version, err)
+		results, err := multi(anchors[(shard+1)%4])
+		if !errors.Is(err, core.ErrCrossShard) {
+			t.Errorf("multi drifting onto shard %d: %v, want ErrCrossShard", shard, err)
+			return
+		}
+		if results[0].Code != txn.CodeAborted || results[1].Code != string(core.CodeCrossShard) {
+			t.Errorf("results = %+v, want [txn_aborted cross_shard]", results)
+		}
+		if st, err := c.Exists(name); err != nil || st != nil {
+			t.Errorf("%s after the rejection: %v (%v)", name, st, err)
+		}
+		results, err = multi(anchors[shard])
+		if err != nil {
+			t.Errorf("multi on the name's own shard: %v", err)
+			return
+		}
+		if p := results[0].Path; p != name || int(results[0].Txid%4) != shard {
+			t.Errorf("create %s committed under shard %d; want %s under shard %d", p, results[0].Txid%4, name, shard)
+		}
+		if data, _, err := c.GetData(name); err != nil || string(data) != "x" {
+			t.Errorf("read %s: %q (%v)", name, data, err)
 		}
 	})
 }

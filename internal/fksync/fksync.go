@@ -150,10 +150,9 @@ type TxPart struct {
 
 // CommitUnlockTx commits several locked items in one transaction that
 // fails or succeeds atomically (creating a node also updates the locked
-// parent, Section 3.1). extra writes items no lock guards in the same
-// transaction.
-func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart, extra ...kv.TxOp) error {
-	ops := make([]kv.TxOp, 0, len(parts)+len(extra))
+// parent, Section 3.1).
+func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart) error {
+	ops := make([]kv.TxOp, 0, len(parts))
 	for _, p := range parts {
 		op := kv.TxOp{Key: p.Lock.Key, Cond: lockHeld(p.Lock.Timestamp), Delete: p.Delete}
 		if !p.Delete {
@@ -163,7 +162,6 @@ func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart, extra ...kv.
 		}
 		ops = append(ops, op)
 	}
-	ops = append(ops, extra...)
 	err := m.tbl.Transact(ctx, ops)
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return ErrLockLost

@@ -4,16 +4,16 @@
 //
 // Tracing is causal and deterministic: the trace id of a request is a
 // pure function of (session, sequence) — TraceOf — so every pipeline
-// stage (client, follower, leader, distributor, transaction coordinator)
-// derives the same id independently; the wire carries it as a trailing
-// field that is always written, so message sizes do not depend on whether
-// tracing is on. A request's spans form one tree: a root span covering
-// submit to response, a telescoping chain of stage spans that partition
-// the root exactly (each Stage call closes the current stage and opens
-// the next, so stage durations sum to the end-to-end virtual time by
-// construction), and free-floating child spans for legs that run
+// stage (client, follower, leader, distributor) derives the same id
+// independently; the wire carries it as a trailing field that is always
+// written, so message sizes do not depend on whether tracing is on. A
+// request's spans form one tree: a root span covering submit to response,
+// a telescoping chain of stage spans that partition the root exactly
+// (each Stage call closes the current stage and opens the next, so stage
+// durations sum to the end-to-end virtual time by construction), and
+// free-floating child spans for legs that run
 // concurrently with the critical path (the follower's commit, per-region
-// store writes, watch deliveries, cross-shard txn parts).
+// store writes, watch deliveries).
 //
 // Everything is built for the simulator's cooperative scheduling: exactly
 // one process runs at a time, so the tracer and registry need no locks,
@@ -202,8 +202,8 @@ func (t *Tracer) Finish(trace int64) {
 }
 
 // Start opens a child span for a leg that runs concurrently with the
-// stage chain (a store write, a watch delivery, a cross-shard txn part). It returns
-// the span handle for End; 0 when disabled. Trace 0 records a
+// stage chain (a store write, a watch delivery). It returns the span
+// handle for End; 0 when disabled. Trace 0 records a
 // pipeline-level span outside any request tree.
 func (t *Tracer) Start(trace int64, name, path string, shard int, region string) int64 {
 	if !t.Enabled() {
@@ -223,9 +223,9 @@ func (t *Tracer) End(id int64) {
 
 // AddCost attributes pd picodollars of pay-as-you-go cost to a span of
 // the trace, at the instant the underlying charge occurs. With a non-zero
-// span handle (an open concurrent leg — a store write, a watch delivery,
-// a cross-shard txn part) the cost lands on that span; otherwise it lands on the
-// trace's currently open stage, so stage costs telescope to the request
+// span handle (an open concurrent leg — a store write, a watch delivery)
+// the cost lands on that span; otherwise it lands on the trace's currently
+// open stage, so stage costs telescope to the request
 // total exactly as stage durations do. A charge arriving after the trace
 // finished (the leader's post-respond bookkeeping) is parked and joined
 // onto the root span at export time, keeping the per-trace sum exact.
@@ -348,20 +348,17 @@ func (t *Tracer) Reset() {
 // Canonical stage and child-span names, shared by the pipeline
 // instrumentation, the telemetry experiment, and the CI smoke assertion.
 const (
-	StageSubmit    = "client.submit"     // request built, waiting for the sender worker
-	StageQueue     = "queue.session"     // in the session FIFO queue to the follower
-	StageValidate  = "follower.validate" // follower lock/validate/push (Algorithm 1 steps 1-3)
-	StageLeaderQ   = "queue.leader"      // in the sharded ordered leader queue
-	StageCommit    = "leader.commit"     // leader opening read, awaitCommit + watch claim (Algorithm 2 steps 1-2)
-	StageFlush     = "distributor.flush" // distributor fold/flush to user stores
-	StageRespond   = "response.net"      // response queued back to the client
-	StageTxnPrep   = "txn.prepare"       // cross-shard multi: one part pushed per shard
-	StageTxnCommit = "txn.commit"        // cross-shard multi: all-items commit + ready barrier
-	StageTxnApply  = "txn.apply"         // cross-shard multi: atomic user-store apply
+	StageSubmit   = "client.submit"     // request built, waiting for the sender worker
+	StageQueue    = "queue.session"     // in the session FIFO queue to the follower
+	StageValidate = "follower.validate" // follower lock/validate/push (Algorithm 1 steps 1-3)
+	StageLeaderQ  = "queue.leader"      // in the sharded ordered leader queue
+	StageCommit   = "leader.commit"     // leader opening read, awaitCommit + watch claim (Algorithm 2 steps 1-2)
+	StageFlush    = "distributor.flush" // distributor fold/flush to user stores
+	StageRespond  = "response.net"      // response queued back to the client
+	StageTxnPrep  = "txn.prepare"       // multi(): crash point between its leader push and its commit
 
 	SpanFollowerCommit = "follower.commit" // system-store commit, concurrent with queue.leader
 	SpanStoreWrite     = "store.write"     // one region's user-store write
 	SpanCacheInval     = "cache.invalidate"
 	SpanWatchDeliver   = "watch.deliver" // watch function invocation + delivery
-	SpanTxnShard       = "txn.shard"     // one shard leader's part of a cross-shard multi
 )

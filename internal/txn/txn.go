@@ -1,13 +1,8 @@
-// Package txn is the transaction subsystem behind FaaSKeeper's
-// ZooKeeper-style multi(): the operation vocabulary and the durable record
-// of a transaction that spans several sharded leader pipelines.
-//
-// The package deliberately owns only the protocol state — op lists, the
-// record's status (committed → applied), and the storage-backed ready
-// barrier modeled on the deregistration fanout ack pattern. The pipeline
-// integration (the all-items commit, its commit marks, the per-shard
-// leader-queue parts, the atomic user-store apply) lives in package core,
-// which imports this one.
+// Package txn is the vocabulary of FaaSKeeper's ZooKeeper-style multi():
+// the requested and the resolved sub-operations, their per-op results, and
+// their wire codecs. The pipeline integration (validation under the locks,
+// the one-message commit, the atomic user-store apply) lives in package
+// core, which imports this one.
 package txn
 
 import "faaskeeper/internal/znode"
@@ -64,8 +59,8 @@ type Result struct {
 	Txid int64
 }
 
-// Code values the coordinator itself produces (the rest of the vocabulary
-// comes from the validating pipeline and matches core's result codes).
+// Code values package txn names (the rest of the vocabulary comes from the
+// validating pipeline and matches core's result codes).
 const (
 	CodeOK      = "ok"
 	CodeAborted = "txn_aborted" // rolled back: a sibling op failed validation
@@ -73,8 +68,8 @@ const (
 
 // ResolvedOp is a validated sub-operation with everything the commit phase
 // needs to rebuild its system-store updates and user-store state on any
-// actor — the coordinator after a crash, or a shard leader replaying a
-// fast-path commit. It is what the durable record stores.
+// actor: the follower, or a shard leader replaying the commit of one that
+// died.
 type ResolvedOp struct {
 	Type       OpType
 	Path       string // final path (sequential suffix resolved)
@@ -85,7 +80,6 @@ type ResolvedOp struct {
 	EphOwner   string
 	ChildAdd   string
 	ChildDel   string
-	Shard      int
 }
 
 // Effectful reports whether the op mutates state (checks do not).

@@ -1,8 +1,8 @@
 package txn
 
-// Wire codecs for the op vocabulary (package wire). Both op lists also
-// ride inside core's leader messages, so the element codecs are exported
-// for core to compose.
+// Wire codecs for the op vocabulary (package wire): the request's op list
+// as a tagged blob, and the resolved-op list as a count-prefixed element
+// that rides inside core's leader message, which composes it.
 
 import (
 	"fmt"
@@ -11,12 +11,9 @@ import (
 	"faaskeeper/internal/znode"
 )
 
-// Format tags: one leading byte per blob so a corrupt or mis-routed
-// buffer fails loudly instead of decoding garbage.
-const (
-	tagOps      byte = 0xA1
-	tagResolved byte = 0xA2
-)
+// tagOps leads an op blob, so a corrupt or mis-routed buffer fails loudly
+// instead of decoding garbage.
+const tagOps byte = 0xA1
 
 // EncodeOps serializes an op list (a multi() request's Data). The bytes
 // are freshly owned: the request retains them.
@@ -44,27 +41,6 @@ func DecodeOps(b []byte) ([]Op, error) {
 	for i := 0; i < n; i++ {
 		ops = append(ops, ReadOp(&d))
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
-}
-
-// EncodeResolved serializes the record's resolved-op list.
-func EncodeResolved(ops []ResolvedOp) []byte {
-	e := wire.NewEncoder()
-	e.Byte(tagResolved)
-	AppendResolvedOps(e, ops)
-	return e.Owned()
-}
-
-// DecodeResolved parses a record's resolved-op blob.
-func DecodeResolved(b []byte) ([]ResolvedOp, error) {
-	d := wire.NewDecoder(b)
-	if d.Byte() != tagResolved {
-		return nil, fmt.Errorf("%w: txn resolved tag", wire.ErrCorrupt)
-	}
-	ops := ReadResolvedOps(&d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -105,7 +81,6 @@ func AppendResolvedOps(e *wire.Encoder, ops []ResolvedOp) {
 		e.String(op.EphOwner)
 		e.String(op.ChildAdd)
 		e.String(op.ChildDel)
-		e.Varint(int64(op.Shard))
 	}
 }
 
@@ -128,7 +103,6 @@ func ReadResolvedOps(d *wire.Decoder) []ResolvedOp {
 			EphOwner:   d.String(),
 			ChildAdd:   d.String(),
 			ChildDel:   d.String(),
-			Shard:      int(d.Varint()),
 		})
 	}
 	return ops

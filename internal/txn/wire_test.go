@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
 
@@ -18,9 +19,9 @@ func testOps() []Op {
 
 func testResolved() []ResolvedOp {
 	return []ResolvedOp{
-		{Type: OpCreate, Path: "/t/a0001", ParentPath: "/t", Data: []byte("d"), Cversion: 4, EphOwner: "sess", ChildAdd: "a0001", Shard: 2},
-		{Type: OpSetData, Path: "/t/b", Data: nil, Version: 8, Shard: 0},
-		{Type: OpDelete, Path: "/t/c", ParentPath: "/t", Version: 2, ChildDel: "c", Shard: 1},
+		{Type: OpCreate, Path: "/t/a0001", ParentPath: "/t", Data: []byte("d"), Cversion: 4, EphOwner: "sess", ChildAdd: "a0001"},
+		{Type: OpSetData, Path: "/t/b", Data: nil, Version: 8},
+		{Type: OpDelete, Path: "/t/c", ParentPath: "/t", Version: 2, ChildDel: "c"},
 		{Type: OpCheck, Path: "/t"},
 	}
 }
@@ -33,6 +34,21 @@ func normOps(ops []Op) []Op {
 		}
 	}
 	return out
+}
+
+// roundTripResolved encodes a resolved-op list the way a leader message
+// carries it and reads it back.
+func roundTripResolved(ops []ResolvedOp) ([]ResolvedOp, error) {
+	e := wire.NewEncoder()
+	AppendResolvedOps(e, ops)
+	return readResolved(e.Owned())
+}
+
+// readResolved decodes a count-prefixed resolved-op list.
+func readResolved(b []byte) ([]ResolvedOp, error) {
+	d := wire.NewDecoder(b)
+	ops := ReadResolvedOps(&d)
+	return ops, d.Err()
 }
 
 func normResolved(ops []ResolvedOp) []ResolvedOp {
@@ -61,7 +77,7 @@ func TestOpsRoundTripIdentity(t *testing.T) {
 
 func TestResolvedRoundTripIdentity(t *testing.T) {
 	for _, ops := range [][]ResolvedOp{testResolved(), nil} {
-		got, err := DecodeResolved(EncodeResolved(ops))
+		got, err := roundTripResolved(ops)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -75,13 +91,16 @@ func TestOpsDecodeRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeOps([]byte{0xEE}); err == nil {
 		t.Error("bad tag accepted")
 	}
-	if _, err := DecodeResolved(EncodeOps(testOps())); err == nil {
-		t.Error("resolved decode accepted an ops blob")
-	}
 	// A truncated buffer must error, not return a partial list silently.
 	full := EncodeOps(testOps())
 	if _, err := DecodeOps(full[:len(full)/2]); err == nil {
 		t.Error("truncated ops accepted")
+	}
+	e := wire.NewEncoder()
+	AppendResolvedOps(e, testResolved())
+	resolved := e.Owned()
+	if _, err := readResolved(resolved[:len(resolved)/2]); err == nil {
+		t.Error("truncated resolved ops accepted")
 	}
 }
 
@@ -118,18 +137,19 @@ func FuzzOpsCodecs(f *testing.F) {
 	})
 }
 
-// FuzzResolvedCodecs does the same for the resolved-op vocabulary.
+// FuzzResolvedCodecs does the same for the resolved-op list a leader
+// message carries (AppendResolvedOps / ReadResolvedOps).
 func FuzzResolvedCodecs(f *testing.F) {
-	f.Add("create", "/a", "/p", []byte("d"), int32(1), int32(2), "e", "a", "", 3)
+	f.Add("create", "/a", "/p", []byte("d"), int32(1), int32(2), "e", "a", "")
 	f.Fuzz(func(t *testing.T, opType string, path string, parent string, data []byte,
-		version int32, cversion int32, ephOwner string, childAdd string, childDel string, shard int) {
-		_, _ = DecodeResolved(data)
+		version int32, cversion int32, ephOwner string, childAdd string, childDel string) {
+		_, _ = readResolved(data)
 		ops := []ResolvedOp{{
 			Type: OpType(opType), Path: path, ParentPath: parent, Data: data,
 			Version: version, Cversion: cversion, EphOwner: ephOwner,
-			ChildAdd: childAdd, ChildDel: childDel, Shard: shard,
+			ChildAdd: childAdd, ChildDel: childDel,
 		}}
-		got, err := DecodeResolved(EncodeResolved(ops))
+		got, err := roundTripResolved(ops)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

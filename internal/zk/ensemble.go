@@ -303,7 +303,7 @@ func (s *Server) leaderPropose(pw *pendingWrite) {
 // leaderProposeMulti validates a multi() sequentially against a clone of
 // the speculative tree (sub-ops see their predecessors' effects) and, if
 // every sub-op passes, replicates the whole batch as ONE transaction with
-// one zxid — the baseline semantics FaaSKeeper's coordinator is compared
+// one zxid — the baseline semantics FaaSKeeper's multi() is compared
 // against. Any failure rejects the multi without replicating anything.
 func (s *Server) leaderProposeMulti(pw *pendingWrite) {
 	spec := s.spec.clone()
