@@ -65,7 +65,8 @@ type swKey struct {
 // non-failed write produced), a single data value per mzxid, strict
 // read-your-writes on single-writer paths, reverse-order multi()
 // atomicity, and watch ordering (no stale read before a delivered
-// notification, no silently lost watch). It returns every violation
+// notification, no silently lost watch, no fire later than the first acked
+// change after the arming read: WatchFiredLate). It returns every violation
 // found; an empty slice is a clean history.
 func Check(h *History, opts CheckOpts) []Violation {
 	if opts.PrivatePrefix == "" {
@@ -330,7 +331,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 
 	// ---- Lost watches: an armed watch whose owner then observed two
 	// distinct post-arm changes must have fired — the second change's
-	// watch query provably ran after the registration landed.
+	// watch claim provably ran after the registration landed.
 	for k, arm := range pendingArm {
 		if !opts.OpenSessions[k.session] {
 			continue
@@ -349,20 +350,18 @@ func Check(h *History, opts CheckOpts) []Violation {
 		}
 	}
 
+	out = append(out, WatchFiredLate(h)...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Invariant < out[j].Invariant })
 	return out
 }
 
-// WatchFiredLate checks ROADMAP 1(f)'s rule: a one-shot watch armed by a
-// read at mzxid r fires no later than the first acked write after r. A fire
-// carrying txid t while the history holds an acked set on the watched path
-// with a txid in (r, t) fired late: the watch missed that set and was
-// delivered for a later one. Each such fire yields one "watch-fired-late"
-// violation naming the smallest missed txid. An indeterminate set (no ack)
-// proves nothing and is not counted.
-//
-// Check does not run this rule yet: 1(f)'s lost window is still open on
-// the configurations that claim watches before the flush.
+// WatchFiredLate checks that a one-shot watch armed by a read at mzxid r
+// fires no later than the first acked write after r. A fire carrying txid t
+// while the history holds an acked set on the watched path with a txid in
+// (r, t) fired late: the watch missed that set and was delivered for a later
+// one. Each such fire yields one "watch-fired-late" violation naming the
+// smallest missed txid. An indeterminate set (no ack) proves nothing and is
+// not counted. Check runs it.
 func WatchFiredLate(h *History) []Violation {
 	setAcks := map[string][]int64{} // path -> acked set txids
 	for _, e := range h.Events {

@@ -213,6 +213,9 @@ func TestCheckerFlagsWatchFiredLate(t *testing.T) {
 	if len(vs) != 1 || vs[0].Invariant != "watch-fired-late" || !strings.Contains(vs[0].Detail, "missing acked set 14") {
 		t.Fatalf("late fire: got %v, want one watch-fired-late naming set 14", vs)
 	}
+	if vs := checkH(arm, set14, set18, fire(18)); !hasViolation(vs, "watch-fired-late") {
+		t.Fatalf("Check does not carry the late-fire rule: %v", vs)
+	}
 
 	// Clean: the fire announces the first acked set after the arm.
 	if vs := WatchFiredLate(&History{Events: []Event{arm, set14, set18, fire(14)}}); len(vs) != 0 {

@@ -81,7 +81,7 @@ func (c NumLt) Eval(item Item, exists bool) bool {
 		return false
 	}
 	v, ok := item.Lookup(c.Name)
-	return ok && v.Kind == KindNumber && v.Num < c.V
+	return ok && v.Kind() == KindNumber && v.Num() < c.V
 }
 func (c NumLt) String() string { return fmt.Sprintf("%s < %d", c.Name, c.V) }
 
@@ -98,7 +98,8 @@ func (c NumListHeadEq) Eval(item Item, exists bool) bool {
 		return false
 	}
 	v, ok := item.Lookup(c.Name)
-	return ok && v.Kind == KindNumList && len(v.NL) > 0 && v.NL[0] == c.V
+	nl := v.NL()
+	return ok && len(nl) > 0 && nl[0] == c.V
 }
 func (c NumListHeadEq) String() string { return fmt.Sprintf("head(%s) == %d", c.Name, c.V) }
 
@@ -191,10 +192,7 @@ type Add struct {
 // Apply implements Update.
 func (u Add) Apply(item Item) Item {
 	v := item.slot(u.Name)
-	if v.Kind != KindNumber {
-		*v = N(0)
-	}
-	v.Num += u.Delta
+	*v = N(v.Num() + u.Delta)
 	return item
 }
 func (u Add) payloadSize() int { return 8 }
@@ -209,10 +207,7 @@ type ListAppend struct {
 // Apply implements Update.
 func (u ListAppend) Apply(item Item) Item {
 	v := item.slot(u.Name)
-	if v.Kind != KindNumList {
-		*v = NumList()
-	}
-	v.NL = slices.Concat(v.NL, u.Vals)
+	*v = NumList(slices.Concat(v.NL(), u.Vals)...)
 	return item
 }
 func (u ListAppend) payloadSize() int { return 8 * len(u.Vals) }
@@ -227,16 +222,16 @@ type ListRemove struct {
 // Apply implements Update.
 func (u ListRemove) Apply(item Item) Item {
 	v := item.ptr(u.Name)
-	if v == nil || v.Kind != KindNumList {
+	if v == nil || v.Kind() != KindNumList {
 		return item
 	}
-	kept := v.NL[:0:0]
-	for _, x := range v.NL {
+	var kept []int64
+	for _, x := range v.NL() {
 		if !slices.Contains(u.Vals, x) {
 			kept = append(kept, x)
 		}
 	}
-	v.NL = kept
+	*v = NumList(kept...)
 	return item
 }
 func (u ListRemove) payloadSize() int { return 8 * len(u.Vals) }
@@ -247,10 +242,10 @@ type ListPopHead struct{ Name string }
 // Apply implements Update.
 func (u ListPopHead) Apply(item Item) Item {
 	v := item.ptr(u.Name)
-	if v == nil || v.Kind != KindNumList || len(v.NL) == 0 {
+	if v == nil || len(v.NL()) == 0 {
 		return item
 	}
-	v.NL = v.NL[1:] // the tail is shared, never written into
+	*v = NumList(v.NL()[1:]...) // the tail is shared, never written into
 	return item
 }
 func (u ListPopHead) payloadSize() int { return 0 }
@@ -264,10 +259,7 @@ type StrListAppend struct {
 // Apply implements Update.
 func (u StrListAppend) Apply(item Item) Item {
 	v := item.slot(u.Name)
-	if v.Kind != KindStrList {
-		*v = StrList()
-	}
-	v.SL = slices.Concat(v.SL, u.Vals)
+	*v = StrList(slices.Concat(v.SL(), u.Vals)...)
 	return item
 }
 func (u StrListAppend) payloadSize() int {
@@ -288,16 +280,16 @@ type StrListRemove struct {
 // Apply implements Update.
 func (u StrListRemove) Apply(item Item) Item {
 	v := item.ptr(u.Name)
-	if v == nil || v.Kind != KindStrList {
+	if v == nil || v.Kind() != KindStrList {
 		return item
 	}
-	kept := v.SL[:0:0]
-	for _, s := range v.SL {
+	var kept []string
+	for _, s := range v.SL() {
 		if !slices.Contains(u.Vals, s) {
 			kept = append(kept, s)
 		}
 	}
-	v.SL = kept
+	*v = StrList(kept...)
 	return item
 }
 func (u StrListRemove) payloadSize() int { return 0 }

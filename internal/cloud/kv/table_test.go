@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,7 +26,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Errorf("put: %v", err)
 		}
 		it, ok := tbl.Get(ctx, "a", true)
-		if !ok || it.Get("x").Num != 7 || it.Get("s").Str != "hello" {
+		if !ok || it.Get("x").Num() != 7 || it.Get("s").Str() != "hello" {
 			t.Errorf("get: %v %v", it, ok)
 		}
 		if _, ok := tbl.Get(ctx, "missing", true); ok {
@@ -44,9 +45,9 @@ func TestGetReturnsCopy(t *testing.T) {
 	k.Go("client", func() {
 		tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{1, 2})}}, nil)
 		it, _ := tbl.Get(ctx, "a", true)
-		it.Get("b").Byt[0] = 99
+		it.Get("b").Byt()[0] = 99
 		it2, _ := tbl.Get(ctx, "a", true)
-		if it2.Get("b").Byt[0] != 1 {
+		if it2.Get("b").Byt()[0] != 1 {
 			t.Error("stored item was aliased by reader")
 		}
 	})
@@ -65,7 +66,7 @@ func TestConditionalPut(t *testing.T) {
 			t.Errorf("second put err = %v", err)
 		}
 		it, _ := tbl.Get(ctx, "n", true)
-		if it.Get("v").Num != 1 {
+		if it.Get("v").Num() != 1 {
 			t.Errorf("overwrite happened: %v", it)
 		}
 	})
@@ -82,8 +83,8 @@ func TestUpdateAtomicCounter(t *testing.T) {
 			}
 		}
 		it, _ := tbl.Get(ctx, "ctr", true)
-		if it.Get("n").Num != 10 {
-			t.Errorf("counter = %d", it.Get("n").Num)
+		if it.Get("n").Num() != 10 {
+			t.Errorf("counter = %d", it.Get("n").Num())
 		}
 	})
 	k.Run()
@@ -98,7 +99,7 @@ func TestUpdateListOps(t *testing.T) {
 		tbl.Update(ctx, "l", []Update{ListRemove{"xs", []int64{2}}}, nil)
 		it, _ := tbl.Get(ctx, "l", true)
 		want := []int64{1, 3, 4}
-		got := it.Get("xs").NL
+		got := it.Get("xs").NL()
 		if len(got) != len(want) {
 			t.Fatalf("list = %v", got)
 		}
@@ -109,8 +110,8 @@ func TestUpdateListOps(t *testing.T) {
 		}
 		tbl.Update(ctx, "l", []Update{ListPopHead{"xs"}}, nil)
 		it, _ = tbl.Get(ctx, "l", true)
-		if it.Get("xs").NL[0] != 3 {
-			t.Fatalf("after pop: %v", it.Get("xs").NL)
+		if it.Get("xs").NL()[0] != 3 {
+			t.Fatalf("after pop: %v", it.Get("xs").NL())
 		}
 	})
 	k.Run()
@@ -123,8 +124,8 @@ func TestStrListOps(t *testing.T) {
 		tbl.Update(ctx, "c", []Update{StrListAppend{"kids", []string{"a", "b"}}}, nil)
 		tbl.Update(ctx, "c", []Update{StrListRemove{"kids", []string{"a"}}}, nil)
 		it, _ := tbl.Get(ctx, "c", true)
-		if len(it.Get("kids").SL) != 1 || it.Get("kids").SL[0] != "b" {
-			t.Fatalf("kids = %v", it.Get("kids").SL)
+		if len(it.Get("kids").SL()) != 1 || it.Get("kids").SL()[0] != "b" {
+			t.Fatalf("kids = %v", it.Get("kids").SL())
 		}
 	})
 	k.Run()
@@ -207,7 +208,7 @@ func eventualReads(t *testing.T, read func(*Table, cloud.Ctx, string, bool) (Ite
 		for i := 0; i < 50; i++ {
 			tbl.Put(ctx, "v", Item{{Name: "n", V: N(2)}}, nil)
 			it, _ := read(tbl, ctx, "v", false)
-			vals = append(vals, it.Get("n").Num)
+			vals = append(vals, it.Get("n").Num())
 			tbl.Put(ctx, "v", Item{{Name: "n", V: N(1)}}, nil)
 			k.Sleep(100 * time.Millisecond)
 		}
@@ -245,7 +246,7 @@ func TestEventualReadCanBeStale(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			tbl2.Put(ctx2, "v", Item{{Name: "n", V: N(int64(i))}}, nil)
 			it, _ := tbl2.Get(ctx2, "v", true)
-			if it.Get("n").Num != int64(i) {
+			if it.Get("n").Num() != int64(i) {
 				t.Errorf("strong read stale: %v", it)
 			}
 		}
@@ -275,7 +276,7 @@ func TestGetViewMatchesGet(t *testing.T) {
 		tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{1, 2})}}, nil)
 		v1, _ := tbl.GetView(ctx, "a", true)
 		v2, _ := tbl.GetView(ctx, "a", true)
-		if &v1.Get("b").Byt[0] != &v2.Get("b").Byt[0] {
+		if &v1.Get("b").Byt()[0] != &v2.Get("b").Byt()[0] {
 			t.Error("GetView copied the item")
 		}
 	})
@@ -295,7 +296,7 @@ func TestTransactAllOrNothing(t *testing.T) {
 			t.Errorf("tx err = %v", err)
 		}
 		it, _ := tbl.Get(ctx, "a", true)
-		if it.Get("v").Num != 1 {
+		if it.Get("v").Num() != 1 {
 			t.Errorf("partial tx applied: %v", it)
 		}
 		err = tbl.Transact(ctx, []TxOp{
@@ -307,7 +308,7 @@ func TestTransactAllOrNothing(t *testing.T) {
 		}
 		ita, _ := tbl.Get(ctx, "a", true)
 		itb, _ := tbl.Get(ctx, "b", true)
-		if ita.Get("v").Num != 2 || itb.Get("v").Num != 9 {
+		if ita.Get("v").Num() != 2 || itb.Get("v").Num() != 9 {
 			t.Errorf("tx results: %v %v", ita, itb)
 		}
 		// Transactional delete leg.
@@ -406,19 +407,19 @@ func TestValueCloneIndependence(t *testing.T) {
 		v3 := B(bs).Clone()
 		if len(ns) > 0 {
 			ns[0]++
-			if v1.NL[0] == ns[0] {
+			if v1.NL()[0] == ns[0] {
 				return false
 			}
 		}
 		if len(ss) > 0 {
 			ss[0] += "x"
-			if v2.SL[0] == ss[0] {
+			if v2.SL()[0] == ss[0] {
 				return false
 			}
 		}
 		if len(bs) > 0 {
 			bs[0]++
-			if v3.Byt[0] == bs[0] {
+			if v3.Byt()[0] == bs[0] {
 				return false
 			}
 		}
@@ -527,7 +528,7 @@ func TestUpdateViewIsASnapshot(t *testing.T) {
 		if err := tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{9, 9})}}, nil); err != nil {
 			t.Errorf("put: %v", err)
 		}
-		if view.String() != want.String() || view.Get("b").Byt[0] != 1 || view.Get("nl").NL[0] != 1 {
+		if view.String() != want.String() || view.Get("b").Byt()[0] != 1 || view.Get("nl").NL()[0] != 1 {
 			t.Fatalf("after a transaction and a put the earlier view reads %v, want %v", view, want)
 		}
 	})
@@ -565,7 +566,7 @@ func TestItemNamesStayUnique(t *testing.T) {
 	it.Set("a", N(1))
 	it.Set("b", N(2))
 	it.Set("a", N(3))
-	if len(it) != 2 || it.Get("a").Num != 3 || it.Get("b").Num != 2 {
+	if len(it) != 2 || it.Get("a").Num() != 3 || it.Get("b").Num() != 2 {
 		t.Fatalf("after Set x3: %v", it)
 	}
 	it.Remove("a")
@@ -574,7 +575,7 @@ func TestItemNamesStayUnique(t *testing.T) {
 		t.Fatalf("after Remove: %v", it)
 	}
 	it.Set("a", N(4))
-	if len(it) != 2 || it.Get("a").Num != 4 {
+	if len(it) != 2 || it.Get("a").Num() != 4 {
 		t.Fatalf("after re-Set: %v", it)
 	}
 
@@ -590,7 +591,7 @@ func TestItemNamesStayUnique(t *testing.T) {
 	k.Run()
 	for _, key := range []string{"seeded", "put"} {
 		got, _ := tbl.Peek(key)
-		if len(got) != 2 || got.Get("v").Num != 3 || got.Get("w").Num != 2 {
+		if len(got) != 2 || got.Get("v").Num() != 3 || got.Get("w").Num() != 2 {
 			t.Errorf("%s stored %v, want one v (the last) and one w", key, got)
 		}
 	}
@@ -668,7 +669,7 @@ func TestGetViewsIsOneRoundTrip(t *testing.T) {
 			t.Errorf("consistent=%v: the batch billed $%v, the loop of GetView calls $%v", consistent, got, want)
 		}
 		for i, key := range keys {
-			if !reflect.DeepEqual(batch[i], single[i]) {
+			if !slices.EqualFunc(batch[i], single[i], func(a, b Attr) bool { return a.Name == b.Name && a.V.Equal(b.V) }) {
 				t.Errorf("consistent=%v: %s: batch read %v, GetView %v", consistent, key, batch[i], single[i])
 			}
 		}
@@ -705,7 +706,7 @@ func TestGetViewsSeesCommitDuringItsSleep(t *testing.T) {
 		for k.Now() < sim.Ms(60) {
 			t0 := k.Now()
 			tbl.GetViews(ctx, []string{"other", "n"}, true, out)
-			reads = append(reads, read{t0, k.Now(), out[1].Get("v").Num})
+			reads = append(reads, read{t0, k.Now(), out[1].Get("v").Num()})
 		}
 	})
 	k.Run()

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the attribute value types the reproduction needs.
@@ -40,45 +41,96 @@ const (
 )
 
 // Value is a typed attribute value (the equivalent of a DynamoDB
-// AttributeValue restricted to the types FaaSKeeper uses).
+// AttributeValue restricted to the types FaaSKeeper uses). It is three
+// words — the kind, a number or a length, and a pointer to a string's bytes
+// or a list's first element — because every commit copies its item's
+// attribute list (Item.next), and the system store's rows carry about ten
+// attributes. The accessors return the value of their kind and the zero
+// value of any other.
 type Value struct {
-	Kind Kind
-	Str  string
-	Num  int64
-	Byt  []byte
-	NL   []int64
-	SL   []string
+	kind Kind
+	n    int64          // the number, or the length of a string, byte or list value
+	p    unsafe.Pointer // the bytes or the first element; nil when the length is 0
 }
 
 // S builds a string value.
-func S(s string) Value { return Value{Kind: KindString, Str: s} }
+func S(s string) Value {
+	v := Value{kind: KindString, n: int64(len(s))}
+	if len(s) > 0 {
+		v.p = unsafe.Pointer(unsafe.StringData(s))
+	}
+	return v
+}
 
 // N builds a number value.
-func N(n int64) Value { return Value{Kind: KindNumber, Num: n} }
+func N(n int64) Value { return Value{kind: KindNumber, n: n} }
 
 // B builds a binary value.
-func B(b []byte) Value { return Value{Kind: KindBytes, Byt: b} }
+func B(b []byte) Value { return slice(KindBytes, b) }
 
 // NumList builds a number-list value.
-func NumList(ns ...int64) Value { return Value{Kind: KindNumList, NL: ns} }
+func NumList(ns ...int64) Value { return slice(KindNumList, ns) }
 
 // StrList builds a string-list value.
-func StrList(ss ...string) Value { return Value{Kind: KindStrList, SL: ss} }
+func StrList(ss ...string) Value { return slice(KindStrList, ss) }
+
+// slice builds a value of kind k over s.
+func slice[T any](k Kind, s []T) Value {
+	v := Value{kind: k, n: int64(len(s))}
+	if len(s) > 0 {
+		v.p = unsafe.Pointer(unsafe.SliceData(s))
+	}
+	return v
+}
+
+// view returns v's elements when v is of kind k.
+func view[T any](v Value, k Kind) []T {
+	if v.kind != k || v.p == nil {
+		return nil
+	}
+	return unsafe.Slice((*T)(v.p), v.n)
+}
+
+// Kind returns the value's type.
+func (v Value) Kind() Kind { return v.kind }
+
+// Num returns a number value.
+func (v Value) Num() int64 {
+	if v.kind != KindNumber {
+		return 0
+	}
+	return v.n
+}
+
+// Str returns a string value.
+func (v Value) Str() string {
+	if v.kind != KindString || v.p == nil {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
+// Byt returns a binary value.
+func (v Value) Byt() []byte { return view[byte](v, KindBytes) }
+
+// NL returns a number-list value.
+func (v Value) NL() []int64 { return view[int64](v, KindNumList) }
+
+// SL returns a string-list value.
+func (v Value) SL() []string { return view[string](v, KindStrList) }
 
 // Size returns the billing size of the value in bytes.
 func (v Value) Size() int {
-	switch v.Kind {
-	case KindString:
-		return len(v.Str)
+	switch v.kind {
+	case KindString, KindBytes:
+		return int(v.n)
 	case KindNumber:
 		return 8
-	case KindBytes:
-		return len(v.Byt)
 	case KindNumList:
-		return 8 * len(v.NL)
+		return 8 * int(v.n)
 	case KindStrList:
 		n := 0
-		for _, s := range v.SL {
+		for _, s := range v.SL() {
 			n += len(s) + 1
 		}
 		return n
@@ -88,36 +140,20 @@ func (v Value) Size() int {
 
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
+	if v.kind != o.kind {
 		return false
 	}
-	switch v.Kind {
+	switch v.kind {
 	case KindString:
-		return v.Str == o.Str
+		return v.Str() == o.Str()
 	case KindNumber:
-		return v.Num == o.Num
+		return v.n == o.n
 	case KindBytes:
-		return bytes.Equal(v.Byt, o.Byt)
+		return bytes.Equal(v.Byt(), o.Byt())
 	case KindNumList:
-		if len(v.NL) != len(o.NL) {
-			return false
-		}
-		for i := range v.NL {
-			if v.NL[i] != o.NL[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.NL(), o.NL())
 	case KindStrList:
-		if len(v.SL) != len(o.SL) {
-			return false
-		}
-		for i := range v.SL {
-			if v.SL[i] != o.SL[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.SL(), o.SL())
 	}
 	return false
 }
@@ -130,29 +166,29 @@ func (v Value) Clone() Value {
 
 // unshare replaces the slice v holds with a copy of it.
 func (v *Value) unshare() {
-	switch v.Kind {
+	switch v.kind {
 	case KindBytes:
-		v.Byt = append([]byte(nil), v.Byt...)
+		*v = B(slices.Clone(v.Byt()))
 	case KindNumList:
-		v.NL = append([]int64(nil), v.NL...)
+		*v = NumList(slices.Clone(v.NL())...)
 	case KindStrList:
-		v.SL = append([]string(nil), v.SL...)
+		*v = StrList(slices.Clone(v.SL())...)
 	}
 }
 
 // String renders the value for debugging.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.kind {
 	case KindString:
-		return fmt.Sprintf("%q", v.Str)
+		return fmt.Sprintf("%q", v.Str())
 	case KindNumber:
-		return fmt.Sprintf("%d", v.Num)
+		return fmt.Sprintf("%d", v.n)
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.Byt))
+		return fmt.Sprintf("bytes[%d]", v.n)
 	case KindNumList:
-		return fmt.Sprintf("%v", v.NL)
+		return fmt.Sprintf("%v", v.NL())
 	case KindStrList:
-		return fmt.Sprintf("%q", v.SL)
+		return fmt.Sprintf("%q", v.SL())
 	}
 	return "?"
 }

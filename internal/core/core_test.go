@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -103,7 +104,7 @@ func TestDeploymentSeedsRoot(t *testing.T) {
 	if !rootOK {
 		t.Fatal("root not seeded in user store")
 	}
-	if it, ok := d.System.Peek(nodeKey(znode.Root)); !ok || it.Get(attrExists).Num != 1 {
+	if it, ok := d.System.Peek(nodeKey(znode.Root)); !ok || it.Get(attrExists).Num() != 1 {
 		t.Fatal("root not seeded in system store")
 	}
 }
@@ -232,17 +233,28 @@ func TestHybridReadLatencySplit(t *testing.T) {
 	}
 }
 
+// TestRegisterWatchAndEpoch: a registration is one write on the node's own
+// control record, and its frontier is what that record held: mzxid, or
+// pzxid for a child watch, and whether the node existed.
 func TestRegisterWatchAndEpoch(t *testing.T) {
 	k, d := newTestDeployment(6, Config{})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
 	var wid int64
+	var missing, data, child Frontier
 	var epoch []int64
+	var writes int64
 	k.Go("w", func() {
 		var err error
-		wid, err = d.RegisterWatch(ctx, "/cfg", WatchData, "s1")
-		if err != nil {
+		if wid, missing, err = d.RegisterWatch(ctx, "/cfg", WatchData, "s1"); err != nil {
 			t.Errorf("register: %v", err)
 		}
+		d.System.SeedPut(nodeKey("/n"), kv.Item{
+			{Name: attrExists, V: kv.N(1)}, {Name: attrMzxid, V: kv.N(7)}, {Name: attrPzxid, V: kv.N(9)},
+		})
+		w0 := d.Env.Meter.Count("syskv.write")
+		_, data, _ = d.RegisterWatch(ctx, "/n", WatchData, "s1")
+		_, child, _ = d.RegisterWatch(ctx, "/n", WatchChild, "s2")
+		writes = d.Env.Meter.Count("syskv.write") - w0
 		epoch, _ = d.Epoch(ctx, d.Cfg.Profile.Home)
 	})
 	k.Run()
@@ -253,9 +265,25 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 	if len(epoch) != 0 {
 		t.Fatalf("epoch should start empty: %v", epoch)
 	}
-	it, ok := d.System.Peek(watchKey("/cfg"))
-	if !ok || len(it.Get(attrWatchData).SL) != 1 || it.Get(attrWatchData).SL[0] != "s1" {
-		t.Fatalf("watch item: %v", it)
+	if want := (Frontier{}); missing != want {
+		t.Errorf("frontier on a missing node %+v, want %+v", missing, want)
+	}
+	if want := (Frontier{Zxid: 7, Exists: true}); data != want {
+		t.Errorf("data watch frontier %+v, want %+v", data, want)
+	}
+	if want := (Frontier{Zxid: 9, Exists: true}); child != want {
+		t.Errorf("child watch frontier %+v, want %+v", child, want)
+	}
+	if writes != 2 {
+		t.Errorf("two registrations made %d system-store writes, want one each", writes)
+	}
+	it, ok := d.System.Peek(nodeKey("/cfg"))
+	if !ok || !slices.Equal(decodeSysNode(it).Watches[WatchData-1], []string{"s1"}) {
+		t.Fatalf("control record: %v", it)
+	}
+	it, _ = d.System.Peek(nodeKey("/n"))
+	if w := decodeSysNode(it).Watches; !slices.Equal(w[WatchData-1], []string{"s1"}) || !slices.Equal(w[WatchChild-1], []string{"s2"}) {
+		t.Fatalf("control record: %v", it)
 	}
 }
 
@@ -267,15 +295,15 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 func TestClaimGroupFiresOnceAndWipesNothingUnread(t *testing.T) {
 	k, d := newTestDeployment(6, Config{WriteShards: 2})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
-	key := watchKey(znode.Root)
+	key := nodeKey(znode.Root)
 	var claims [2][]string
 	var left []string
 	k.Go("main", func() {
-		if _, err := d.RegisterWatch(ctx, znode.Root, WatchChild, "a"); err != nil {
+		if _, _, err := d.RegisterWatch(ctx, znode.Root, WatchChild, "a"); err != nil {
 			t.Errorf("register a: %v", err)
 		}
 		it, _ := d.System.GetView(ctx, key, true)
-		read := it.Get(attrWatchChild).SL
+		read := it.Get(attrWatchChild).SL()
 		wg := sim.NewWaitGroup(k)
 		for i := range claims {
 			wg.Add(1)
@@ -284,12 +312,12 @@ func TestClaimGroupFiresOnceAndWipesNothingUnread(t *testing.T) {
 				claims[i] = d.claimGroup(ctx, key, attrWatchChild, read)
 			})
 		}
-		if _, err := d.RegisterWatch(ctx, znode.Root, WatchChild, "b"); err != nil {
+		if _, _, err := d.RegisterWatch(ctx, znode.Root, WatchChild, "b"); err != nil {
 			t.Errorf("register b: %v", err)
 		}
 		wg.Wait()
 		it, _ = d.System.GetView(ctx, key, true)
-		left = it.Get(attrWatchChild).SL
+		left = it.Get(attrWatchChild).SL()
 	})
 	k.Run()
 	k.Shutdown()

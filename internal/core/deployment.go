@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -487,28 +488,43 @@ func (d *Deployment) RegisterSession(ctx cloud.Ctx, sessionID string) error {
 	}, nil)
 }
 
-// RegisterWatch adds the session to the watch group for (path, type) and
-// returns the watch id the client must remember for epoch-based read
-// ordering. Registration is a single system-store write (Section 4.1:
-// "adding insignificant cost").
-func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, sessionID string) (int64, error) {
-	_, err := d.System.Update(ctx, watchKey(path),
-		[]kv.Update{kv.StrListAppend{Name: watchAttr(wt), Vals: []string{sessionID}}}, nil)
+// RegisterWatch adds the session to the watch group for (path, type) on the
+// node's control record, and returns the watch id the client must remember
+// for epoch-based read ordering and the registration's frontier.
+// Registration is a single system-store write (Section 4.1: "adding
+// insignificant cost"). The record carries the watch so that the read which
+// confirms a change's commit also returns the registrations it fires; the
+// cost is that they count toward the record's size, which every lock,
+// commit and pop write pays for per 1 KB (about 70 session ids on one node).
+func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, sessionID string) (int64, Frontier, error) {
+	it, err := d.System.Update(ctx, nodeKey(path),
+		[]kv.Update{kv.StrListAppend{Name: watchAttrs[wt-1], Vals: []string{sessionID}}}, nil)
 	if err != nil {
-		return 0, err
+		return 0, Frontier{}, err
 	}
-	return WatchID(path, wt), nil
+	f := Frontier{Zxid: it.Get(attrMzxid).Num(), Exists: it.Get(attrExists).Num() == 1}
+	if wt == WatchChild {
+		f.Zxid = it.Get(attrPzxid).Num()
+	}
+	return WatchID(path, wt), f, nil
 }
 
-func watchAttr(wt WatchType) string {
-	switch wt {
-	case WatchData:
-		return attrWatchData
-	case WatchExists:
-		return attrWatchExists
-	default:
-		return attrWatchChild
-	}
+// Armed reports whether the session's watch of type wt on path is still
+// registered, that is, no claim has fired it yet: one strongly consistent
+// read of the node's control record.
+func (d *Deployment) Armed(ctx cloud.Ctx, path string, wt WatchType, sessionID string) bool {
+	it, _ := d.System.GetView(ctx, nodeKey(path), true)
+	return slices.Contains(it.Get(watchAttrs[wt-1]).SL(), sessionID)
+}
+
+// Frontier is the newest committed state of its node a watch registration
+// found: the record's mzxid (pzxid for a child watch) and whether the node
+// existed. A change committed before the registration may have been claimed
+// without it, so the read that arms the watch must return a state at or past
+// the frontier: one the watch has nothing left to fire for.
+type Frontier struct {
+	Zxid   int64
+	Exists bool
 }
 
 // NumShards returns the number of write shards the leader pipeline is

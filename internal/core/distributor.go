@@ -6,21 +6,32 @@ package core
 //
 //	step              function        admissible moves
 //	➊/➋ commit check  awaitCommit     first poll rides the opening read (open);
-//	                                  prefetched under the previous flush (rule 3)
-//	➍ watch claim     queryWatches    run ahead of the flush, ids entered at
-//	                                  once (claimWatches; rule 1)
+//	                                  prefetched under the previous flush (rule 2)
+//	➍ watch claim     queryWatches    rides the commit check's read, ahead of
+//	                                  the flush
+//	  epoch entry     appendEpochs    with its claim (queryWatches)
 //	➌ flush           distributeFold  —
 //	➍ delivery        launchWatch     —
-//	  epoch entry     appendEpochs    right behind its delivery's launch
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
 //	                                  next invocation; run ahead of a barrier;
-//	                                  in the commit phase (rule 2)
+//	                                  in the commit phase (rule 1)
 //	➏ epoch exit      exitEpochs      —
 //
 // Two lanes call them in this order. A chunk of single ops (flushChunk)
-// answers before it pops. A multi() (multi, txnops.go) claims ahead of its
-// flush and pops before it answers.
+// answers before it pops. A multi() (multi, txnops.go) pops before it
+// answers.
+//
+// The watch claim reads nothing: a node's registrations live on its control
+// record, so the read that shows a change's txid at the head of its pending
+// list — the first read that can see the commit — returns the groups it
+// fires, with its parent's record in the same round trip for a create or
+// delete. A registration that lands after that read found the commit, and
+// the reader that made it waits for a value at or past it (Frontier), so
+// no value the claim missed is ever armed on. The ids enter the epoch
+// counters before any flush whose stamp must carry them (Z4): a flush reads
+// its stamp before its legs start, so a claim prefetched under it cannot
+// reach the stamp.
 //
 // A chunk is one message — the paper's per-message distribution — or, with
 // Config.BatchWrites, a whole run between multi() messages, which are
@@ -40,14 +51,11 @@ package core
 // Flushes never overlap and stay in queue order: the stores always hold a
 // prefix of the total order (single system image). The order rules:
 //
-//  1. Watch claim. A lone message on a single shard claims after its flush,
-//     on the paper's order; several shards, a chunk of several messages and
-//     a multi() message claim ahead of it (openChunk).
-//  2. Pop. A message followed in its chunk by another on its path pops in the
+//  1. Pop. A message followed in its chunk by another on its path pops in the
 //     commit phase (commit); every other pop follows every answer of its
 //     chunk. A commit check looks past a head whose pop is deferred
 //     (pollCommit).
-//  3. Prefetched commit. A commit runs under the previous flush only when no
+//  2. Prefetched commit. A commit runs under the previous flush only when no
 //     un-popped message ahead of it shares its path, as one read that never
 //     acts (commitOne); anything else waits for the serial position.
 //
@@ -108,9 +116,8 @@ type batchFold struct {
 	// messages, how far their commit phase got — results is index-aligned
 	// with msgs and ends where the commit phase stands — and what the
 	// deferred pops and the chunk's leader.total need once it completed.
-	msgs       []decodedMsg
-	claimEarly bool     // order rule 1
-	t0         sim.Time // the commit phase began
+	msgs []decodedMsg
+	t0   sim.Time // the commit phase began
 
 	// results and the spare entry structs ride the pooled fold, so a
 	// steady-state flush allocates none of them.
@@ -146,7 +153,7 @@ func (f *batchFold) release() {
 	clear(f.parents)
 	clear(f.results)
 	f.order, f.parentOrder, f.results = f.order[:0], f.parentOrder[:0], f.results[:0]
-	f.msgs, f.claimEarly = nil, false
+	f.msgs = nil
 	batchFoldPool.Put(f)
 }
 
@@ -251,9 +258,9 @@ type leaderRun struct {
 	completions []watchCompletion
 
 	// The opening read's share of the first message (open): its control
-	// record, awaitCommit's first poll, and the instant its commit phase
-	// began. The first commitOne takes them.
-	opening  sysNode
+	// record and its parent's, awaitCommit's first poll, and the instant its
+	// commit phase began. The first commitOne takes them.
+	opening  [2]sysNode
 	openedAt sim.Time
 	opened   bool
 
@@ -327,26 +334,12 @@ func (p *leaderRun) flushRun(run []decodedMsg) {
 }
 
 // openChunk takes the chunk at the head of run; nil once the run is spent.
-//
-// It also places the chunk's watch claim (order rule 1). Ids must be in the
-// epoch counters before a value that another writer may causally follow
-// becomes readable (Z4). A lone message on a single serialized shard keeps
-// the paper's order: the query after the flush, each id entered next to the
-// launch of its delivery, so before the next flush and this write's answer.
-// Several shards or several messages claim before the flush (claimEarly);
-// either way chunk n's ids are entered before flush n+1 starts, and a flush
-// reads its stamp before its legs start, so a claim prefetched under it
-// cannot reach the stamp. The paper's query cannot move ahead of the flush:
-// a watch registered between an early query and the put's landing would be
-// armed on the old value and missed by this change (ROADMAP 1(f) — the
-// claimEarly configurations have exactly that window).
 func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
 	if len(run) == 0 {
 		return nil
 	}
 	f := newBatchFold()
 	f.msgs = run[:min(size, len(run))]
-	f.claimEarly = p.d.NumShards() > 1 || len(f.msgs) > 1
 	return f
 }
 
@@ -407,24 +400,8 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			}
 			continue
 		}
-		if r.code == CodeOK {
-			if !cur.claimEarly {
-				t0 := d.K.Now()
-				r.fired = d.queryWatches(r.ctx, msg, nil)
-				d.recordPhase("leader.watchquery", d.K.Now()-t0)
-			}
-			for i, fw := range r.fired {
-				p.completions = append(p.completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
-				if !cur.claimEarly {
-					// The paper enters each id into the epoch counters right
-					// before launching its delivery; here the update runs
-					// behind the launch, off the write-to-callback path. The
-					// id is still in before anything that needs it there: the
-					// next flush's stamp and this write's response both follow
-					// on this process (order rule 1).
-					d.appendEpochs(r.ctx, r.fired[i:i+1], msg.Shard, p.epochs)
-				}
-			}
+		for _, fw := range r.fired {
+			p.completions = append(p.completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
 		}
 		t0 := d.K.Now()
 		d.notifyResult(msg, dm.txid, r.code, r.stat, nil)
@@ -444,7 +421,7 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 
 // underFlush is the second lane: what the handler process does, instead of
 // parking, while cur's regional legs are in flight. The order is order
-// rule 3's: the pops of the chunk before cur — for an invocation's first
+// rule 2's: the pops of the chunk before cur — for an invocation's first
 // chunk, the pops carried from the previous invocation — then the prefetch
 // of the chunk after it.
 func (p *leaderRun) underFlush(cur *batchFold) {
@@ -554,8 +531,8 @@ func holdsPath(msgs []decodedMsg, path string) bool {
 // commit runs f's commit phase on from where it stands. In the serial
 // position (under nil) that is to the end of the chunk. Under the flush of
 // the chunk before, it is a prefetch and stops at the first message order
-// rule 3 keeps back: one with an un-popped message on its path ahead of it
-// — in under, or later in f, where order rule 2 would make it pop — or one
+// rule 2 keeps back: one with an un-popped message on its path ahead of it
+// — in under, or later in f, where order rule 1 would make it pop — or one
 // whose txid is not at the head of its pending list yet. The lane order
 // under a flush is "pops of n−1 (for an invocation's first chunk, the
 // carried ones), then commit of n+1", so the only un-popped messages ahead
@@ -564,7 +541,7 @@ func holdsPath(msgs []decodedMsg, path string) bool {
 func (p *leaderRun) commit(f, under *batchFold) {
 	for i := len(f.results); i < len(f.msgs); i++ {
 		dm := &f.msgs[i]
-		// Order rule 2: pop in the commit phase only for a later message
+		// Order rule 1: pop in the commit phase only for a later message
 		// of this chunk whose awaitCommit needs the head.
 		popEarly := holdsPath(f.msgs[i+1:], dm.msg.Path)
 		if under != nil && (popEarly || holdsPath(under.msgs, dm.msg.Path)) {
@@ -589,9 +566,9 @@ func (p *leaderRun) commit(f, under *batchFold) {
 }
 
 // commitOne is the per-message commit phase: Algorithm 2's verification,
-// plus whichever of the watch claim and the pending pop the chunk's order
-// rules pull ahead of the flush. It folds the operation's effect and
-// captures the Stat here, from this operation's own txid and version,
+// the watch claim on the records it confirmed, and the pending pop when
+// order rule 1 pulls it ahead of the flush. It folds the operation's effect
+// and captures the Stat here, from this operation's own txid and version,
 // before any later operation folds over the node, so each client receives
 // its own Stat at any chunk size. A prefetch may do nothing it could
 // regret under another chunk's flush: one read, and a txid not at the head
@@ -603,10 +580,12 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 		return opResult{ctx: ctx}, true // completed after the flush, nothing to commit
 	}
 	t0 := d.K.Now()
-	keys, nodes := [1]string{dm.key}, [1]sysNode{}
+	var keyBuf [2]string
+	keys := dm.appendControls(keyBuf[:0])
+	var nodes [len(keyBuf)]sysNode // the record, then its parent's
 	committed := false
 	if prefetch {
-		nodes[0] = d.readControl(ctx, dm.key)
+		d.readControls(ctx, keys, nodes[:len(keys)])
 		if pending := nodes[0].Pending; len(pending) == 0 || pending[0] != txid {
 			return opResult{}, false
 		}
@@ -615,12 +594,12 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	} else {
 		// The invocation's first message was read by the opening read, which
 		// is where its leader.get and its chunk's leader.total began.
-		var first *sysNode
+		var first []sysNode
 		if p.opened {
-			first, t0, p.opened = &p.opening, p.openedAt, false
+			first, t0, p.opened = p.opening[:len(keys)], p.openedAt, false
 			f.t0 = t0
 		}
-		committed = p.awaitCommit(ctx, keys[:], txid, nodes[:], first, opPolls, true, func() {
+		committed = p.awaitCommit(ctx, keys[:1], keys[1:], txid, nodes[:len(keys)], first, opPolls, true, func() {
 			_ = d.commitLocked(ctx, msgLocks(msg), msg, txid) // the follower died after its push
 		})
 	}
@@ -629,10 +608,9 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 		return opResult{ctx: ctx, code: CodeSystemError}, true
 	}
 
-	var fired []firedWatch
-	if f.claimEarly {
-		fired = p.claimWatches(ctx, msg)
-	}
+	// ➍ rides the read that confirmed the commit: a registration it missed
+	// landed after the commit, and its reader waits for this change.
+	fired := p.queryWatches(ctx, msg, &nodes[0], &nodes[1], nil)
 
 	var stat znode.Stat
 	switch {

@@ -82,7 +82,7 @@ func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 	for _, rd := range reads {
 		var union []int64
 		for s, attr := range d.epochAttrs {
-			list := rd.item.Get(attr).NL
+			list := rd.item.Get(attr).NL()
 			for _, id := range list {
 				if !slices.Contains(fired[s], id) {
 					t.Fatalf("at %d shard %d's list %s holds %d, which it did not fire (item %v)", rd.at, s, attr, id, rd.item)
@@ -116,8 +116,8 @@ func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 		t.Fatalf("epoch item after the run: %v, want one attribute per shard", reaped)
 	}
 	for _, a := range reaped {
-		if len(a.V.NL) != 0 {
-			t.Errorf("list %s still holds %v after every delivery was reaped", a.Name, a.V.NL)
+		if len(a.V.NL()) != 0 {
+			t.Errorf("list %s still holds %v after every delivery was reaped", a.Name, a.V.NL())
 		}
 	}
 }
@@ -139,10 +139,10 @@ func TestOneShardEpochItemIsThePaperCounter(t *testing.T) {
 		inFlight, _ = r.d.System.Peek(key)
 	})
 	r.run()
-	if len(inFlight) != 1 || inFlight[0].Name != "w" || !slices.Equal(inFlight[0].V.NL, []int64{wid}) {
+	if len(inFlight) != 1 || inFlight[0].Name != "w" || !slices.Equal(inFlight[0].V.NL(), []int64{wid}) {
 		t.Errorf("one-shard epoch item in flight = %v, want {w: [%d]}", inFlight, wid)
 	}
-	if reaped, _ := r.d.System.Peek(key); len(reaped) != 1 || reaped[0].Name != "w" || len(reaped[0].V.NL) != 0 {
+	if reaped, _ := r.d.System.Peek(key); len(reaped) != 1 || reaped[0].Name != "w" || len(reaped[0].V.NL()) != 0 {
 		t.Errorf("one-shard epoch item after the run = %v, want {w: []}", reaped)
 	}
 }

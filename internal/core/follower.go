@@ -258,7 +258,7 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 		d.notify(req.Session, resp, resp.wireSize())
 		return nil
 	}
-	eph := append([]string(nil), item.Get(attrSessionEph).SL...)
+	eph := append([]string(nil), item.Get(attrSessionEph).SL()...)
 	touched := map[int]bool{}
 	for _, path := range eph {
 		// Seq -1: these deletions produce no client-visible responses; the
@@ -296,7 +296,7 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 		if err != nil {
 			return fmt.Errorf("core: deregister id: %w", err)
 		}
-		deregID = it.Get(attrDeregSeq).Num
+		deregID = it.Get(attrDeregSeq).Num()
 	}
 	for s := 0; s < d.NumShards(); s++ { // in shard order: determinism
 		if !touched[s] {

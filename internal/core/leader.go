@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"faaskeeper/internal/cloud"
@@ -32,6 +33,10 @@ type decodedMsg struct {
 	// record (empty for every other op), built once for every read and pop
 	// of the message.
 	key string
+	// parent is the control-record key of a create's or delete's parent,
+	// whose child watches the change fires: every read of key carries it in
+	// the same round trip.
+	parent string
 	// collect lets a delete's pop garbage collect the tombstone: nothing
 	// later in the invocation targets the path (collectable).
 	collect bool
@@ -41,11 +46,16 @@ type decodedMsg struct {
 	staged bool
 }
 
-// readControl is one strongly consistent read of the control record at key;
-// a missing record reads as the zero sysNode, with nothing pending.
-func (d *Deployment) readControl(ctx cloud.Ctx, key string) sysNode {
-	it, _ := d.System.GetView(ctx, key, true)
-	return decodeSysNode(it)
+// readControls is one strongly consistent round trip for the control records
+// at keys, decoded into nodes (index-aligned); a missing record reads as the
+// zero sysNode, with nothing pending and no watch registered.
+func (d *Deployment) readControls(ctx cloud.Ctx, keys []string, nodes []sysNode) {
+	var itemBuf [2]kv.Item
+	items := slices.Grow(itemBuf[:0], len(keys))[:len(keys)]
+	d.System.GetViews(ctx, keys, true, items)
+	for i, it := range items {
+		nodes[i] = decodeSysNode(it)
+	}
 }
 
 // leaderHandler is Algorithm 2, one invocation of it: the steps of every
@@ -70,6 +80,9 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		case OpDeregister:
 		case OpCreate, OpSetData, OpDelete:
 			dm.key = nodeKey(msg.Path)
+			if msg.ParentPath != "" {
+				dm.parent = nodeKey(msg.ParentPath)
+			}
 			acksOnly = false
 		default:
 			acksOnly = false
@@ -139,11 +152,12 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // pipeline does).
 //
 // The control record of a create / set_data / delete at the head of the
-// batch becomes awaitCommit's first poll. Taken here it is at worst a
-// staler first poll of a loop that tolerates staleness — every later poll,
-// the orphan pop and the commit replay read the store again — so a
-// redelivered batch replays step for step. The message enters its commit
-// stage first: the read is the start of its leader.get and leader.total.
+// batch — with its parent's, for a create or delete — becomes awaitCommit's
+// first poll. Taken here it is at worst a staler first poll of a loop that
+// tolerates staleness — every later poll, the orphan pop and the commit
+// replay read the store again — so a redelivered batch replays step for
+// step. The message enters its commit stage first: the read is the start of
+// its leader.get and leader.total.
 func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d := p.d
 	p.epochs = d.leaderEpochs[p.shard]
@@ -151,7 +165,7 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	if acksOnly && d.NumShards() > 1 {
 		return
 	}
-	var keyBuf [4]string // one epoch item per region and the record
+	var keyBuf [4]string // one epoch item per region, the record and its parent's
 	var itemBuf [len(keyBuf)]kv.Item
 	keys := keyBuf[:0]
 	for _, s := range d.Stores {
@@ -161,22 +175,29 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d.stageMsg(head.msg, obs.StageCommit)
 	head.staged = true
 	if head.key != "" {
-		keys = append(keys, head.key)
+		keys = head.appendControls(keys)
 		p.opened, p.openedAt = true, d.K.Now()
 	}
-	items := itemBuf[:]
-	if len(keys) > len(items) {
-		items = make([]kv.Item, len(keys))
-	}
-	items = items[:len(keys)]
+	items := slices.Grow(itemBuf[:0], len(keys))[:len(keys)]
 	d.System.GetViews(p.ctx, keys, true, items)
 
 	if p.opened {
-		p.opening = decodeSysNode(items[len(items)-1])
+		for i, it := range items[len(d.Stores):] {
+			p.opening[i] = decodeSysNode(it)
+		}
 	}
 	for ri, s := range d.Stores {
 		p.epochs[s.Region()] = d.epochUnion(items[ri])
 	}
+}
+
+// appendControls appends the keys one read of the message's control record
+// takes in one round trip: the record, then its parent's when the op has one.
+func (dm *decodedMsg) appendControls(keys []string) []string {
+	if keys = append(keys, dm.key); dm.parent != "" {
+		keys = append(keys, dm.parent)
+	}
+	return keys
 }
 
 // popPending is step ➎ for every message kind: c.txid leaves the head of
@@ -190,23 +211,29 @@ func (d *Deployment) popPending(c pendingPop) {
 		[]kv.Update{popPendingHead},
 		kv.NumListHeadEq{Name: attrPending, V: c.txid})
 	if err == nil && c.gc {
-		after := decodeSysNode(it)
-		if !after.Exists && len(after.Pending) == 0 {
-			// The lock guard keeps the collection from racing a pipelined
-			// re-create: a follower validating create-after-delete holds
-			// the node lock from before its push until its commit, and
-			// deleting the item in that window would strand the commit
-			// (its conditional update needs the lock attribute to
-			// survive). A locked tombstone is simply left for the next
-			// delete's collection.
-			_ = d.System.Delete(c.ctx, c.key, kv.And{
-				kv.Eq{Name: attrExists, V: kv.N(0)},
-				kv.Eq{Name: attrPending, V: kv.NumList()},
-				kv.AttrNotExists{Name: "lock"},
-			})
+		if after := decodeSysNode(it); !after.Exists && len(after.Pending) == 0 {
+			_ = d.System.Delete(c.ctx, c.key, collectible)
 		}
 	}
 	d.recordPhase("leader.pop", d.K.Now()-t0)
+}
+
+// collectible holds on a tombstone nothing needs any more: nothing pending,
+// no watch registered — an exists watch armed on the deleted node fires
+// when it is created again — and no lock held. The lock guard keeps the
+// collection from racing a pipelined re-create: a follower validating
+// create-after-delete holds the node lock from before its push until its
+// commit, and deleting the item in that window would strand the commit (its
+// conditional update needs the lock attribute to survive). A tombstone that
+// fails it is simply left for the next delete's collection.
+var collectible = kv.And{
+	kv.Eq{Name: attrExists, V: kv.N(0)},
+	kv.Eq{Name: attrPending, V: kv.NumList()},
+	kv.AttrNotExists{Name: "lock"},
+	// Each watch group absent, or emptied by a claim.
+	kv.Or{kv.AttrNotExists{Name: attrWatchData}, kv.Eq{Name: attrWatchData, V: kv.StrList()}},
+	kv.Or{kv.AttrNotExists{Name: attrWatchExists}, kv.Eq{Name: attrWatchExists, V: kv.StrList()}},
+	kv.Or{kv.AttrNotExists{Name: attrWatchChild}, kv.Eq{Name: attrWatchChild, V: kv.StrList()}},
 }
 
 // deregAckComplete processes one shard's deregistration ack and reports
@@ -232,7 +259,7 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 	}
 	prefix := fmt.Sprintf("%d/", msg.DeregID)
 	seen := map[string]bool{}
-	for _, m := range it.Get(attrDeregAcks).SL {
+	for _, m := range it.Get(attrDeregAcks).SL() {
 		if strings.HasPrefix(m, prefix) {
 			seen[m] = true
 		}
@@ -258,14 +285,19 @@ const opPolls, replayPoll = 10, 2
 // again; the first such poll from replayPoll on runs replay instead, which
 // replays the commit on the committer's behalf (➋: whichever of the two
 // conditional commits lands first wins, and the next poll decides). The
-// kinds differ only in polls and in orphanEndsPoll (pollCommit). first,
-// when non-nil, is a read of keys[0] somebody already paid for — the
-// invocation's opening read — and stands in for its first read.
-func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys []string, txid int64, nodes []sysNode, first *sysNode,
+// kinds differ only in polls and in orphanEndsPoll (pollCommit).
+//
+// also names the records the change's watch claim needs besides its targets
+// (a create's or delete's parent): every read of keys[0] takes them in the
+// same round trip, and the read that confirms keys[0] — the first that can
+// show the commit, so the first after it — records them in nodes after the
+// targets'. first, when non-nil, is such a read somebody already paid for —
+// the invocation's opening read — and stands in for the first one.
+func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode,
 	polls int, orphanEndsPoll bool, replay func()) bool {
 	replayed := false
 	for attempt := 0; attempt < polls; attempt++ {
-		done, consumed, popped := p.pollCommit(ctx, keys, txid, nodes, first, orphanEndsPoll)
+		done, consumed, popped := p.pollCommit(ctx, keys, also, txid, nodes, first, orphanEndsPoll)
 		first = nil
 		switch {
 		case done:
@@ -301,16 +333,24 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys []string, txid int64, nodes 
 // still in flight. Our own txid as that head is a batch delivered again
 // after it completed: a duplicate. Anything else behind it (an orphan, a
 // later txid) runs the deferred pop here, as an orphan pop.
-func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys []string, txid int64, nodes []sysNode, first *sysNode, orphanEndsPoll bool) (done, consumed, popped bool) {
+func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode, orphanEndsPoll bool) (done, consumed, popped bool) {
 	done = true
+	var keyBuf [2]string
+	var readBuf [len(keyBuf)]sysNode
 	for i, key := range keys {
+		batch := append(keyBuf[:0], key)
+		if i == 0 {
+			batch = append(batch, also...)
+		}
 		for len(nodes[i].Pending) == 0 {
-			var node sysNode
-			if first != nil {
-				node, first = *first, nil
+			read := first
+			if read != nil {
+				first = nil
 			} else {
-				node = p.d.readControl(ctx, key)
+				read = slices.Grow(readBuf[:0], len(batch))[:len(batch)]
+				p.d.readControls(ctx, batch, read)
 			}
+			node := read[0]
 			pending := node.Pending
 			if len(pending) > 0 && p.deferred(key, pending[0]) {
 				switch {
@@ -332,6 +372,7 @@ func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys []string, txid int64, nodes [
 			}
 			if head := pending[0]; head == txid {
 				nodes[i] = node
+				copy(nodes[len(keys):], read[1:])
 			} else if head > txid {
 				return false, true, false
 			} else {
@@ -454,56 +495,59 @@ type firedWatch struct {
 	sessions []string
 }
 
-// watchGroup is one watch list a change fires: its attribute on the path's
-// watch item, its type, and the event its delivery carries.
+// watchGroup is one watch list a change fires: its type and the event its
+// delivery carries.
 type watchGroup struct {
-	attr  string
 	wt    WatchType
 	event EventType
 }
 
-// queryWatches is ➍'s claim for one change: it reads the watch
-// registrations the change touches and clears the fired (one-shot) groups,
-// appending them to fired. A clear removes exactly the sessions the read
-// returned: a registration that lands between the read and the clear
-// belongs to a reader that may already hold the new value, and must stay
-// armed for the next change.
-func (d *Deployment) queryWatches(ctx cloud.Ctx, msg leaderMsg, fired []firedWatch) []firedWatch {
-	child := watchGroup{attrWatchChild, WatchChild, EventChildrenChanged}
+// queryWatches is ➍ for one change, in its message's commit phase, on the
+// records its commit check confirmed: the node's, and for a create or delete
+// its parent's. It reads nothing — the records carry the registrations — and
+// clears the fired (one-shot) groups, appending them to fired, and enters
+// their ids into the shard's epoch counters at once, so every value written
+// afterwards carries them (Z4). A clear removes exactly the sessions the
+// read returned: a registration that lands after the read found the change
+// committed, and its reader waits for a value at or past it (Frontier), so
+// it must stay armed for the next change.
+func (p *leaderRun) queryWatches(ctx cloud.Ctx, msg leaderMsg, node, parent *sysNode, fired []firedWatch) []firedWatch {
+	d, n, t0 := p.d, len(fired), p.d.K.Now()
+	child := watchGroup{WatchChild, EventChildrenChanged}
 	switch msg.Op {
 	case OpSetData:
-		fired = d.fireGroups(ctx, msg.Path, fired, watchGroup{attrWatchData, WatchData, EventDataChanged})
+		fired = d.fireGroups(ctx, msg.Path, node, fired, watchGroup{WatchData, EventDataChanged})
 	case OpCreate:
-		fired = d.fireGroups(ctx, msg.Path, fired, watchGroup{attrWatchExists, WatchExists, EventCreated})
-		fired = d.fireGroups(ctx, msg.ParentPath, fired, child)
+		fired = d.fireGroups(ctx, msg.Path, node, fired, watchGroup{WatchExists, EventCreated})
+		fired = d.fireGroups(ctx, msg.ParentPath, parent, fired, child)
 	case OpDelete:
-		fired = d.fireGroups(ctx, msg.Path, fired,
-			watchGroup{attrWatchData, WatchData, EventDeleted}, watchGroup{attrWatchExists, WatchExists, EventDeleted})
-		fired = d.fireGroups(ctx, msg.ParentPath, fired, child)
+		fired = d.fireGroups(ctx, msg.Path, node, fired,
+			watchGroup{WatchData, EventDeleted}, watchGroup{WatchExists, EventDeleted})
+		fired = d.fireGroups(ctx, msg.ParentPath, parent, fired, child)
 	}
+	d.appendEpochs(ctx, fired[n:], p.shard, p.epochs)
+	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
 }
 
-// fireGroups claims path's non-empty groups with one read and, off shared
-// paths, one batched clear. Shared-path groups (the root of a multi-shard
-// deployment) are claimed one by one (claimGroup): two shard leaders may
-// race between the read and the clear there (shared paths are the only
-// ones whose watches fire from more than one shard), and firing the same
-// group twice would consume a watch the client re-registered in its
+// fireGroups claims path's non-empty groups in rec, its record as read, with
+// one batched clear off shared paths, and empties them in rec: a later
+// change of the same multi() finds them claimed. Shared-path groups (the
+// root of a multi-shard deployment) are claimed one by one (claimGroup): two
+// shard leaders may race between the read and the clear there (shared paths
+// are the only ones whose watches fire from more than one shard), and firing
+// the same group twice would consume a watch the client re-registered in its
 // callback. Everywhere else the owning shard's leader is serialized and
 // keeps the paper's one batched clear.
-func (d *Deployment) fireGroups(ctx cloud.Ctx, path string, fired []firedWatch, groups ...watchGroup) []firedWatch {
-	it, ok := d.System.GetView(ctx, watchKey(path), true)
-	if !ok {
-		return fired
-	}
+func (d *Deployment) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired []firedWatch, groups ...watchGroup) []firedWatch {
 	var clear []kv.Update
 	for _, g := range groups {
-		sessions := it.Get(g.attr).SL
+		attr, sessions := watchAttrs[g.wt-1], rec.Watches[g.wt-1]
+		rec.Watches[g.wt-1] = nil
 		if d.route.Shared(path) {
-			sessions = d.claimGroup(ctx, watchKey(path), g.attr, sessions)
+			sessions = d.claimGroup(ctx, nodeKey(path), attr, sessions)
 		} else if len(sessions) > 0 {
-			clear = append(clear, kv.StrListRemove{Name: g.attr, Vals: sessions})
+			clear = append(clear, kv.StrListRemove{Name: attr, Vals: sessions})
 		}
 		if len(sessions) == 0 {
 			continue
@@ -516,7 +560,7 @@ func (d *Deployment) fireGroups(ctx cloud.Ctx, path string, fired []firedWatch, 
 		})
 	}
 	if len(clear) > 0 {
-		_, _ = d.System.Update(ctx, watchKey(path), clear, nil)
+		_, _ = d.System.Update(ctx, nodeKey(path), clear, nil)
 	}
 	return fired
 }
@@ -536,25 +580,9 @@ func (d *Deployment) claimGroup(ctx cloud.Ctx, key, attr string, sessions []stri
 			return sessions
 		}
 		it, _ := d.System.GetView(ctx, key, true)
-		sessions = it.Get(attr).SL
+		sessions = it.Get(attr).SL()
 	}
 	return nil
-}
-
-// claimWatches is ➍'s claim run ahead of the flush, for every message kind:
-// each change's fired groups are claimed and their ids entered into the
-// shard's epoch counters at once, so every value written afterwards
-// carries them (Z4). A transaction message's changes are its effectful ops.
-func (p *leaderRun) claimWatches(ctx cloud.Ctx, changes ...leaderMsg) (fired []firedWatch) {
-	d := p.d
-	t0 := d.K.Now()
-	for _, msg := range changes {
-		n := len(fired)
-		fired = d.queryWatches(ctx, msg, fired)
-		d.appendEpochs(ctx, fired[n:], p.shard, p.epochs)
-	}
-	d.recordPhase("leader.watchquery", d.K.Now()-t0)
-	return fired
 }
 
 // launchWatch starts one claimed group's delivery as a child span of the

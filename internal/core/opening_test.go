@@ -8,6 +8,7 @@ package core
 // trips" is read off instants, not inferred from latencies.
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -64,52 +65,69 @@ func syskv(d *Deployment) (reads, writes int64) {
 }
 
 // TestOpeningReadIsOneRoundTrip: a message that rides alone reaches its flush
-// one system-store round trip after its invocation began — the epoch counter
-// and the control record in one batch — its commit stage opens at the
-// handler's first instant (stage.queue_leader is queue and trigger time
-// only), and a write still costs three system-store reads: those two and the
-// watch query.
+// one system-store round trip after its invocation began, and its commit
+// stage opens at the handler's first instant (stage.queue_leader is queue
+// and trigger time only). That round trip is every system-store read the
+// leader makes for it: a set_data reads the epoch item and its control
+// record, a create its parent's record too, whose child watches it fires.
+// The watch claim rides the record's view and reads nothing.
 func TestOpeningReadIsOneRoundTrip(t *testing.T) {
-	hook := &pipeFaults{}
-	r := newPipeRig(t, 11, Config{}, hook)
-	const writes = 20
-	var reads int64
-	r.k.Go("writer", func() {
-		s := r.open("w")
-		s.do(OpCreate, "/n", "0")
-		r.k.Sleep(sim.Ms(200))
-		before, _ := syskv(r.d)
-		for i := 0; i < writes; i++ {
-			s.do(OpSetData, "/n", "x")
-			r.k.Sleep(sim.Ms(200)) // every message rides alone
-		}
-		after, _ := syskv(r.d)
-		reads = after - before
-	})
-	r.run()
+	for _, tc := range []struct {
+		op    OpCode
+		reads int // per write, all at the invocation's first instant
+	}{
+		{OpSetData, 2},
+		{OpCreate, 3},
+	} {
+		t.Run(string(tc.op), func(t *testing.T) {
+			hook := &pipeFaults{}
+			r := newPipeRig(t, 11, Config{}, hook)
+			const writes = 20
+			var reads int64
+			r.k.Go("writer", func() {
+				s := r.open("w")
+				s.do(OpCreate, "/n", "0")
+				r.k.Sleep(sim.Ms(200))
+				before, _ := syskv(r.d)
+				for i := 0; i < writes; i++ {
+					path := "/n"
+					if tc.op == OpCreate {
+						path = fmt.Sprintf("/n/c%d", i)
+					}
+					if resp := s.do(tc.op, path, "x"); resp.Code != CodeOK {
+						t.Errorf("%s %s: %s", tc.op, path, resp.Code)
+					}
+					r.k.Sleep(sim.Ms(200)) // every message rides alone
+				}
+				after, _ := syskv(r.d)
+				reads = after - before
+			})
+			r.run()
 
-	for seq := int64(2); seq <= writes+1; seq++ {
-		trace := obs.TraceOf("w", seq)
-		commit, flush := r.span(trace, obs.StageCommit), r.span(trace, obs.StageFlush)
-		if !slices.Contains(hook.leaderHeads, commit.Start) {
-			t.Errorf("seq %d: its commit stage opened at %d, not at the start of a leader invocation %v", seq, commit.Start, hook.leaderHeads)
-		}
-		var ops []sim.Time
-		for _, at := range hook.leaderOps {
-			if at >= commit.Start && at < flush.Start {
-				ops = append(ops, at)
+			for seq := int64(2); seq <= writes+1; seq++ {
+				trace := obs.TraceOf("w", seq)
+				commit, flush := r.span(trace, obs.StageCommit), r.span(trace, obs.StageFlush)
+				if !slices.Contains(hook.leaderHeads, commit.Start) {
+					t.Errorf("seq %d: its commit stage opened at %d, not at the start of a leader invocation %v", seq, commit.Start, hook.leaderHeads)
+				}
+				var ops []sim.Time
+				for _, at := range hook.leaderOps {
+					if at >= commit.Start && at < flush.Start {
+						ops = append(ops, at)
+					}
+				}
+				if len(ops) != tc.reads || slices.ContainsFunc(ops, func(at sim.Time) bool { return at != commit.Start }) {
+					t.Errorf("seq %d: between the start of its invocation (%d) and its flush (%d) the leader started storage operations at %v, want %d at the start: one round trip",
+						seq, commit.Start, flush.Start, ops, tc.reads)
+				}
 			}
-		}
-		if len(ops) != 2 || ops[0] != commit.Start || ops[1] != commit.Start {
-			t.Errorf("seq %d: between the start of its invocation (%d) and its flush (%d) the leader started storage operations at %v, want two at the start: one round trip",
-				seq, commit.Start, flush.Start, ops)
-		}
-	}
-	if reads != 3*writes {
-		t.Errorf("%d system-store reads for %d lone writes, want 3 each (a first poll that misses the follower's commit adds one: pick another seed)", reads, writes)
-	}
-	if get, total := r.d.Phase("leader.get"), r.d.Phase("leader.total"); get.Min() < 1 || total.Min() < get.Min() {
-		t.Errorf("leader.get min %.3f ms, leader.total min %.3f ms: the opening read fell out of a phase", get.Min(), total.Min())
+			if reads != int64(tc.reads*writes) {
+				t.Errorf("%d system-store reads for %d lone writes, want %d each (a first poll that misses the follower's commit adds one: pick another seed)", reads, writes, tc.reads)
+			}
+			if get, total := r.d.Phase("leader.get"), r.d.Phase("leader.total"); get.Min() < 1 || total.Min() < get.Min() {
+				t.Errorf("leader.get min %.3f ms, leader.total min %.3f ms: the opening read fell out of a phase", get.Min(), total.Min())
+			}
+		})
 	}
 }
 
@@ -142,8 +160,8 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		{
 			name:    "head is txid",
 			between: commit,
-			// Opening read (epochs + record), watch query.
-			code: CodeOK, reads: 3, writes: 0, pending: []int64{txid}, stored: true,
+			// The opening read (epochs + record) alone.
+			code: CodeOK, reads: 2, writes: 0, pending: []int64{txid}, stored: true,
 		},
 		{
 			name: "orphan ahead of txid",
@@ -153,7 +171,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			},
 			// The orphan is popped on the opening read's word, conditionally
 			// on the head it named; the poll after it reads the store.
-			code: CodeOK, reads: 4, writes: 1, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 3, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name: "duplicate: head beyond txid",
@@ -168,9 +186,8 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			name:    "nothing pending: the follower died before its commit",
 			between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
 			// Opening read, two polls, the commit replay after the second
-			// (attempt 2, as before), the poll that finds it, the watch
-			// query; the replay.
-			code: CodeOK, reads: 6, writes: 1, pending: []int64{txid}, stored: true,
+			// (attempt 2, as before), the poll that finds it; the replay.
+			code: CodeOK, reads: 5, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "no control record",
@@ -183,13 +200,13 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			carried: true, between: commit,
 			// Committed on the opening read's word alone — no pop, no
 			// re-read — and the carried pop runs under the flush.
-			code: CodeOK, reads: 3, writes: 1, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 2, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "carried head, nothing behind it: the follower died",
 			carried: true, between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
 			// "Nothing pending" above, plus the carried pop under the flush.
-			code: CodeOK, reads: 6, writes: 2, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 5, writes: 2, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "carried head, orphan behind it",
@@ -200,7 +217,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			},
 			// The carried pop runs at once, the next poll finds the orphan,
 			// pops it, and the one after finds txid.
-			code: CodeOK, reads: 5, writes: 2, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 4, writes: 2, pending: []int64{txid}, stored: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -225,7 +225,7 @@ func (r *pipeRig) open(id string) *pipeSession {
 }
 
 func (s *pipeSession) arm(path string) {
-	if _, err := s.rig.d.RegisterWatch(s.ctx, path, WatchData, s.id); err != nil {
+	if _, _, err := s.rig.d.RegisterWatch(s.ctx, path, WatchData, s.id); err != nil {
 		s.rig.t.Errorf("%s: arm %s: %v", s.id, path, err)
 	}
 	s.arms++
@@ -376,8 +376,8 @@ func TestPipelineConcurrentInvariants(t *testing.T) {
 				}
 			}
 			armed := 0
-			if it, ok := r.d.System.Peek(watchKey(paths[0])); ok {
-				armed = len(it.Get(attrWatchData).SL)
+			if it, ok := r.d.System.Peek(nodeKey(paths[0])); ok {
+				armed = len(decodeSysNode(it).Watches[WatchData-1])
 			}
 			if w.arms != len(w.notes)+armed {
 				t.Errorf("%d arms, %d notifications, %d still armed", w.arms, len(w.notes), armed)
@@ -615,7 +615,7 @@ func TestChunkNotifiesBeforeItPops(t *testing.T) {
 			shared++
 		}
 		for _, txid := range c.txids {
-			// A pop before the flush is order rule 2's, in the commit phase.
+			// A pop before the flush is order rule 1's, in the commit phase.
 			// One that lands the instant a notify starts was run ahead of it.
 			if pop := r.pops[txid]; pop >= flush && pop <= c.lastNotify {
 				t.Errorf("txid %d popped at %d, not after its chunk's last notify at %d", txid, pop, c.lastNotify)

@@ -7,13 +7,12 @@ import (
 )
 
 // System-store key prefixes and attribute names. One DynamoDB-like table
-// holds four kinds of items (Section 3.3): per-node control records (lock
-// timestamp, committed metadata, pending transactions), session records,
-// watch registrations, and the region epoch counters.
+// holds three kinds of items (Section 3.3): per-node control records (lock
+// timestamp, committed metadata, pending transactions, watch
+// registrations), session records, and the region epoch counters.
 const (
 	nodeKeyPrefix    = "node:"
 	sessionKeyPrefix = "session:"
-	watchKeyPrefix   = "watch:"
 	epochKeyPrefix   = "epoch:"
 	deregKeyPrefix   = "dereg:"
 
@@ -51,9 +50,12 @@ const (
 	attrEpochList = "w"
 )
 
+// watchAttrs names each watch type's session list on a control record,
+// indexed by WatchType-1.
+var watchAttrs = [...]string{attrWatchData, attrWatchExists, attrWatchChild}
+
 func nodeKey(path string) string  { return nodeKeyPrefix + path }
 func sessionKey(id string) string { return sessionKeyPrefix + id }
-func watchKey(path string) string { return watchKeyPrefix + path }
 func deregKey(id string) string   { return deregKeyPrefix + id }
 
 // epochKey names a region's watch epoch item. It holds every leader shard's
@@ -78,7 +80,7 @@ func (d *Deployment) epochKey(r cloud.Region) string {
 func (d *Deployment) epochUnion(it kv.Item) []int64 {
 	var ids []int64
 	for _, attr := range d.epochAttrs {
-		ids = append(ids, it.Get(attr).NL...)
+		ids = append(ids, it.Get(attr).NL()...)
 	}
 	return ids
 }
@@ -95,27 +97,36 @@ type sysNode struct {
 	EphOwner string
 	SeqCtr   int64
 	Pending  []int64
+	// Watches lists the sessions registered for each watch type (index
+	// WatchType-1). They live on the record whose change fires them, so
+	// the commit check's read of a change returns them.
+	Watches [len(watchAttrs)][]string
 }
 
 func decodeSysNode(it kv.Item) sysNode {
 	if it == nil {
 		return sysNode{}
 	}
-	return sysNode{
-		Exists:   it.Get(attrExists).Num == 1,
-		Version:  int32(it.Get(attrVersion).Num),
-		Cversion: int32(it.Get(attrCversion).Num),
-		Czxid:    it.Get(attrCzxid).Num,
-		Mzxid:    it.Get(attrMzxid).Num,
-		Pzxid:    it.Get(attrPzxid).Num,
+	n := sysNode{
+		Exists:   it.Get(attrExists).Num() == 1,
+		Version:  int32(it.Get(attrVersion).Num()),
+		Cversion: int32(it.Get(attrCversion).Num()),
+		Czxid:    it.Get(attrCzxid).Num(),
+		Mzxid:    it.Get(attrMzxid).Num(),
+		Pzxid:    it.Get(attrPzxid).Num(),
 		// Children is copied: the item may be a read-only GetView of table
 		// storage, and callers append to the list (spliceInto via
-		// buildUserNode). Pending stays a view — all uses are read-only.
-		Children: append([]string(nil), it.Get(attrChildren).SL...),
-		EphOwner: it.Get(attrEph).Str,
-		SeqCtr:   it.Get(attrSeq).Num,
-		Pending:  it.Get(attrPending).NL,
+		// buildUserNode). Pending and Watches stay views — all uses are
+		// read-only.
+		Children: append([]string(nil), it.Get(attrChildren).SL()...),
+		EphOwner: it.Get(attrEph).Str(),
+		SeqCtr:   it.Get(attrSeq).Num(),
+		Pending:  it.Get(attrPending).NL(),
 	}
+	for i, attr := range watchAttrs {
+		n.Watches[i] = it.Get(attr).SL()
+	}
+	return n
 }
 
 // hasChild reports whether the child name is present.

@@ -21,6 +21,7 @@ package core
 // every multi() commits.
 
 import (
+	"slices"
 	"sort"
 
 	"faaskeeper/internal/cloud"
@@ -285,23 +286,11 @@ func (d *Deployment) respondMulti(req Request, code Code, results []txn.Result) 
 
 // buildTxnFold folds a committed multi()'s resolved ops into the
 // distributor's batch fold and builds the per-op client results. Every op
-// commits at txid, as a ZooKeeper multi shares one zxid. states supplies
-// pre-read system states; missing ones are read from the system store.
-func (d *Deployment) buildTxnFold(ctx cloud.Ctx, resolved []txn.ResolvedOp, txid int64, states map[string]sysNode) (*batchFold, []txn.Result) {
+// commits at txid, as a ZooKeeper multi shares one zxid. recs holds the
+// control record of every target as the commit check confirmed it.
+func buildTxnFold(resolved []txn.ResolvedOp, txid int64, recs map[string]*sysNode) (*batchFold, []txn.Result) {
 	fold := newBatchFold()
 	results := make([]txn.Result, len(resolved))
-	stateOf := func(p string) sysNode {
-		if n, ok := states[p]; ok {
-			return n
-		}
-		it, ok := d.System.Get(ctx, nodeKey(p), true)
-		if !ok {
-			return sysNode{}
-		}
-		n := decodeSysNode(it)
-		states[p] = n
-		return n
-	}
 	created := map[string]bool{}
 	for i, op := range resolved {
 		res := txn.Result{Type: op.Type, Path: op.Path, Code: txn.CodeOK}
@@ -337,7 +326,7 @@ func (d *Deployment) buildTxnFold(ctx cloud.Ctx, resolved []txn.ResolvedOp, txid
 					Ephemeral: op.EphOwner != "", Owner: op.EphOwner,
 				}
 			} else {
-				state := stateOf(op.Path)
+				state := recs[op.Path]
 				children = append([]string(nil), state.Children...)
 				st = znode.Stat{
 					Czxid: state.Czxid, Mzxid: txid, Pzxid: state.Pzxid,
@@ -404,7 +393,7 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	if shard < 0 {
 		// Checks only: the locks proved every guard at one instant.
 		plan.unlock(d, ctx)
-		fold, results := d.buildTxnFold(ctx, plan.resolved, 0, map[string]sysNode{})
+		fold, results := buildTxnFold(plan.resolved, 0, nil)
 		fold.release()
 		d.respondMulti(req, CodeOK, results)
 		return nil
@@ -459,26 +448,23 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, 
 
 // --- the leader side ---
 
-// txnHeads lists a transaction message's commit-check targets — its
-// effectful ops' nodes, in first-touch order — with their control-record
-// keys and a slot for each record awaitCommit finds at txid.
-func txnHeads(tm txnMsg) (targets, keys []string, nodes []sysNode) {
-	targets = txnTargets(tm.Ops)
-	for _, p := range targets {
-		keys = append(keys, nodeKey(p))
-	}
-	return targets, keys, make([]sysNode, len(targets))
-}
-
-// changes lists a transaction message's effectful ops as the changes its
-// watch claim fires for.
-func (tm txnMsg) changes() (out []leaderMsg) {
+// txnHeads lists the records a transaction message's commit check reads:
+// its targets — its effectful ops' nodes, in first-touch order, each
+// awaited at txid — then the parents its creates and deletes splice that
+// are no target, whose child watches its claim fires. It returns their
+// paths, their control-record keys and a slot for each record.
+func txnHeads(tm txnMsg) (paths, keys []string, targets int, nodes []sysNode) {
+	paths = txnTargets(tm.Ops)
+	targets = len(paths)
 	for _, op := range tm.Ops {
-		if op.Effectful() {
-			out = append(out, opMsgView(op))
+		if op.ParentPath != "" && !slices.Contains(paths, op.ParentPath) {
+			paths = append(paths, op.ParentPath)
 		}
 	}
-	return out
+	for _, p := range paths {
+		keys = append(keys, nodeKey(p))
+	}
+	return paths, keys, targets, make([]sysNode, len(paths))
 }
 
 // multi is a multi()'s lane: the steps of a chunk of one, on every target
@@ -490,9 +476,11 @@ func (tm txnMsg) changes() (out []leaderMsg) {
 func (p *leaderRun) multi(dm decodedMsg, tm txnMsg) {
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
-	targets, keys, nodes := txnHeads(tm)
+	paths, keys, targets, nodes := txnHeads(tm)
 	t0 := d.K.Now()
-	ok := p.awaitCommit(ctx, keys, txid, nodes, nil, txnHeadPolls, false, func() {
+	// The commit is one transaction, so the read that confirms the first
+	// target is past it for every record the claim needs.
+	ok := p.awaitCommit(ctx, keys[:targets], keys[targets:], txid, nodes, nil, txnHeadPolls, false, func() {
 		_ = d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
 	})
 	d.recordPhase("leader.get", d.K.Now()-t0)
@@ -500,13 +488,20 @@ func (p *leaderRun) multi(dm decodedMsg, tm txnMsg) {
 		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{}, nil)
 		return
 	}
-	fired := p.claimWatches(ctx, tm.changes()...)
-
-	states := make(map[string]sysNode, len(targets))
-	for i, path := range targets {
-		states[path] = nodes[i]
+	// Each effectful op is a change its claim fires for, on the records as
+	// confirmed: a group one op claimed is empty for the next.
+	recs := make(map[string]*sysNode, len(paths))
+	for i, path := range paths {
+		recs[path] = &nodes[i]
 	}
-	fold, results := d.buildTxnFold(ctx, tm.Ops, txid, states)
+	var fired []firedWatch
+	for _, op := range tm.Ops {
+		if op.Effectful() {
+			fired = p.queryWatches(ctx, opMsgView(op), recs[op.Path], recs[op.ParentPath], fired)
+		}
+	}
+
+	fold, results := buildTxnFold(tm.Ops, txid, recs)
 	d.stageMsg(msg, obs.StageFlush)
 	t0 = d.K.Now()
 	d.distributeFold(ctx, fold, p.epochs, true, nil, nil)
@@ -517,8 +512,8 @@ func (p *leaderRun) multi(dm decodedMsg, tm txnMsg) {
 	}
 	// Deleted nodes may be collected: their user-store removal is already
 	// distributed, as for a single delete's pop after its flush.
-	for i, key := range keys {
-		nf := fold.nodes[targets[i]]
+	for i, key := range keys[:targets] {
+		nf := fold.nodes[paths[i]]
 		d.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: nf != nil && nf.del})
 	}
 	fold.release()

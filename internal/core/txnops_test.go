@@ -130,8 +130,8 @@ func TestTxnCommitCheck(t *testing.T) {
 				commit(d, ctx, tm)
 			},
 			// The epoch read; /a, /b, the orphan's pop and /b again in the one
-			// poll; a watch query per target; both pops.
-			code: CodeOK, reads: 6, writes: 3, stored: true,
+			// poll; both pops.
+			code: CodeOK, reads: 4, writes: 3, stored: true,
 		},
 		{
 			name: "delivered again after its pop",
@@ -149,9 +149,9 @@ func TestTxnCommitCheck(t *testing.T) {
 			name:    "the coordinator died after its push",
 			between: func(*Deployment, cloud.Ctx, txnMsg) {},
 			// The epoch read, four polls of both targets with the replayed
-			// commit after the third, a watch query per target; the replay (a
-			// write per item) and both pops.
-			code: CodeOK, reads: 11, writes: 4, stored: true,
+			// commit after the third; the replay (a write per item) and both
+			// pops.
+			code: CodeOK, reads: 9, writes: 4, stored: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

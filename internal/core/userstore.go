@@ -137,7 +137,7 @@ func (s *kvStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error)
 	if !ok {
 		return nil, nil, ErrUserNoNode
 	}
-	return znode.Unmarshal(it.Get("n").Byt)
+	return znode.Unmarshal(it.Get("n").Byt())
 }
 
 func (s *kvStore) Delete(ctx cloud.Ctx, path string) error {
@@ -225,11 +225,11 @@ func (s *hybridStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, er
 	if !ok {
 		return nil, nil, ErrUserNoNode
 	}
-	n, epoch, err := znode.Unmarshal(it.Get("n").Byt)
+	n, epoch, err := znode.Unmarshal(it.Get("n").Byt())
 	if err != nil {
 		return nil, nil, err
 	}
-	if it.Get("spill").Num == 1 {
+	if it.Get("spill").Num() == 1 {
 		data, err := s.bucket.Get(ctx, path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: hybrid spill read: %w", err)

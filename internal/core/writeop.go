@@ -115,7 +115,7 @@ func validatedMsg(req Request, path, owner string, node, parent sysNode) leaderM
 }
 
 // opMsgView adapts one resolved multi() sub-op to the leaderMsg shape the
-// table and the watch query read.
+// table and the watch claim read.
 func opMsgView(op txn.ResolvedOp) leaderMsg {
 	return leaderMsg{
 		Op: OpCode(op.Type), Path: op.Path, ParentPath: op.ParentPath,

@@ -153,7 +153,7 @@ func runSharding(cfg RunConfig) *Report {
 		Ref:   "beyond the paper (ROADMAP: sharding)",
 	}
 	sessions := 16
-	ops := cfg.reps(8, 25)
+	ops := cfg.reps(16, 25)
 	if !cfg.Quick {
 		sessions = 24
 	}

@@ -10,6 +10,7 @@ package fkclient
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"faaskeeper/internal/cache"
@@ -55,7 +56,7 @@ type Client struct {
 	// read-ordering shortcut ("updates older than the MRD are always
 	// safe") must compare against the owning shard's MRD; with one shard
 	// this is exactly the paper's single MRD register.
-	mrd          map[int]int64
+	mrd          []int64
 	mrdMax       int64 // max across shards (informational)
 	maxSeenMzxid int64 // newest data this session has observed (Z3)
 
@@ -92,6 +93,10 @@ type Client struct {
 	l12Miss  int64
 
 	watches map[int64]*watchEntry
+	// arming counts the watched reads in flight; the callbacks of
+	// notifications that arrive meanwhile are held until none is (armed).
+	arming int
+	held   []func()
 
 	closed  bool
 	crashed bool
@@ -105,6 +110,8 @@ type pendingOp struct {
 type watchEntry struct {
 	cb        WatchCallback
 	delivered *sim.Future[core.Notification]
+	path      string
+	wt        core.WatchType
 
 	// armMRD snapshots the per-shard MRD at registration time. A watch id
 	// is a pure hash of (path, type), so a re-registration after a
@@ -114,10 +121,11 @@ type watchEntry struct {
 	// read-then-re-arm pattern would wedge until an unrelated next
 	// write). A version at or below the arm-time MRD of its minting shard
 	// cannot have a notification in flight for this registration: any
-	// transaction that fires the new watch queried the watch list after
-	// the registration landed, hence commits — and mints its txid — after
-	// every notification already delivered by then.
-	armMRD map[int]int64
+	// transaction that fires the new watch read the registration in its
+	// commit check, so its commit phase ran after the registration landed,
+	// and a notification already delivered by then was launched behind the
+	// flush of a transaction earlier in the shard's order.
+	armMRD []int64
 }
 
 // Connect registers a new session and starts the client workers. It must
@@ -134,7 +142,7 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 		callbacks: sim.NewQueue[func()](d.K),
 		pending:   map[int64]*pendingOp{},
 		buffered:  map[int64]core.Response{},
-		mrd:       map[int]int64{},
+		mrd:       make([]int64, d.NumShards()),
 		watches:   map[int64]*watchEntry{},
 		route:     d.Route(),
 	}
@@ -376,7 +384,11 @@ func (c *Client) onNotification(n core.Notification) {
 	delete(c.watches, n.WatchID) // one-shot, as in ZooKeeper
 	entry.delivered.TryComplete(n)
 	if cb := entry.cb; cb != nil {
-		c.callbacks.Push(func() { cb(n) })
+		if fn := func() { cb(n) }; c.arming > 0 {
+			c.held = append(c.held, fn)
+		} else {
+			c.callbacks.Push(fn)
+		}
 	}
 }
 
@@ -520,12 +532,14 @@ func (c *Client) GetDataW(path string, cb WatchCallback) ([]byte, znode.Stat, er
 	if err := c.check(path); err != nil {
 		return nil, znode.Stat{}, err
 	}
+	var arm watchArm
 	if cb != nil {
-		if err := c.registerWatch(path, core.WatchData, cb); err != nil {
+		var err error
+		if arm, err = c.registerWatch(path, core.WatchData, cb); err != nil {
 			return nil, znode.Stat{}, err
 		}
 	}
-	n, err := c.read(path, cb != nil)
+	n, err := c.read(path, arm)
 	if err != nil {
 		return nil, znode.Stat{}, err
 	}
@@ -543,12 +557,14 @@ func (c *Client) ExistsW(path string, cb WatchCallback) (*znode.Stat, error) {
 	if err := c.check(path); err != nil {
 		return nil, err
 	}
+	var arm watchArm
 	if cb != nil {
-		if err := c.registerWatch(path, core.WatchExists, cb); err != nil {
+		var err error
+		if arm, err = c.registerWatch(path, core.WatchExists, cb); err != nil {
 			return nil, err
 		}
 	}
-	n, err := c.read(path, cb != nil)
+	n, err := c.read(path, arm)
 	if errors.Is(err, core.ErrNoNode) {
 		return nil, nil
 	}
@@ -570,46 +586,82 @@ func (c *Client) GetChildrenW(path string, cb WatchCallback) ([]string, error) {
 	if err := c.check(path); err != nil {
 		return nil, err
 	}
+	var arm watchArm
 	if cb != nil {
-		if err := c.registerWatch(path, core.WatchChild, cb); err != nil {
+		var err error
+		if arm, err = c.registerWatch(path, core.WatchChild, cb); err != nil {
 			return nil, err
 		}
 	}
-	n, err := c.read(path, cb != nil)
+	n, err := c.read(path, arm)
 	if err != nil {
 		return nil, err
 	}
 	return n.SortedChildren(), nil
 }
 
-func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback) error {
-	wid, err := c.d.RegisterWatch(c.ctx, path, wt, c.id)
-	if err != nil {
-		return err
+// watchArm is a watch the read that registered it arms: the registration's
+// frontier for its watch type, and the client's entry for it (nil when the
+// read arms nothing).
+type watchArm struct {
+	wt    core.WatchType
+	front core.Frontier
+	entry *watchEntry
+}
+
+// reached reports whether a fetch's result may arm the watch: a node whose
+// mzxid — pzxid for a child watch — is at or past the frontier, or a store
+// error, which the read returns as it is. No node is past the frontier where
+// the registration found none. Where it found one, the create may not be
+// readable yet, or a delete may have followed: that fires a data or exists
+// watch, whose delivery ends the wait (fetchArmed), but no child watch, which
+// takes no node as it is.
+func (a watchArm) reached(n *znode.Node, err error) bool {
+	switch {
+	case errors.Is(err, core.ErrUserNoNode):
+		return !a.front.Exists || a.wt == core.WatchChild
+	case err != nil:
+		return true
+	case a.wt == core.WatchChild:
+		return n.Stat.Pzxid >= a.front.Zxid
 	}
-	if _, exists := c.watches[wid]; exists {
+	return n.Stat.Mzxid >= a.front.Zxid
+}
+
+// frontierRetry spaces the re-reads of a watched read whose store has not
+// reached the registration's frontier yet: the leader is flushing the change
+// the registration found committed.
+const frontierRetry = 2 * time.Millisecond
+
+func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback) (watchArm, error) {
+	wid, front, err := c.d.RegisterWatch(c.ctx, path, wt, c.id)
+	if err != nil {
+		return watchArm{}, err
+	}
+	arm := watchArm{wt: wt, front: front, entry: c.watches[wid]}
+	if arm.entry != nil {
 		// Same path+type watched twice: keep one entry, both callbacks via
 		// chaining would complicate ordering; latest callback wins, as the
 		// registration is idempotent server-side.
-		c.watches[wid].cb = cb
-		return nil
+		arm.entry.cb = cb
+		return arm, nil
 	}
-	armMRD := make(map[int]int64, len(c.mrd))
-	for shard, txid := range c.mrd {
-		armMRD[shard] = txid
-	}
-	c.watches[wid] = &watchEntry{
+	arm.entry = &watchEntry{
 		cb:        cb,
 		delivered: sim.NewFuture[core.Notification](c.d.K),
-		armMRD:    armMRD,
+		path:      path,
+		wt:        wt,
+		armMRD:    slices.Clone(c.mrd),
 	}
-	return nil
+	c.watches[wid] = arm.entry
+	return arm, nil
 }
 
 // read performs the storage read — through the cache tier when one is
-// deployed — and applies the ordering gate. watching marks a read that
-// just registered a watch and therefore bypasses the client cache.
-func (c *Client) read(path string, watching bool) (*znode.Node, error) {
+// deployed — and applies the ordering gate. arm names the watch the read
+// just registered, if any: the read bypasses the client cache and re-reads
+// until it reaches the registration's frontier (fetchArmed).
+func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 	if c.closed {
 		return nil, core.ErrSessionClosed
 	}
@@ -620,7 +672,18 @@ func (c *Client) read(path string, watching bool) (*znode.Node, error) {
 			return nil, ErrTimeout
 		}
 	}
-	n, stamp, err := c.fetch(path, watching)
+	var n *znode.Node
+	var stamp []int64
+	var err error
+	if arm.entry == nil {
+		n, stamp, err = c.fetch(path, false)
+	} else {
+		// A watch event follows the read that set the watch (ZooKeeper
+		// answers the read first): callbacks wait until this read returns.
+		c.arming++
+		defer c.armed()
+		n, stamp, err = c.fetchArmed(path, arm)
+	}
 	if errors.Is(err, core.ErrUserNoNode) {
 		return nil, core.ErrNoNode
 	}
@@ -647,6 +710,12 @@ func (c *Client) read(path string, watching bool) (*znode.Node, error) {
 				// watchEntry.armMRD).
 				continue
 			}
+			if c.d.Armed(c.ctx, entry.path, entry.wt, c.id) {
+				// Another registration's alias: a claim that fired ours for
+				// a change at or below this version cleared it before the
+				// version's flush, and it is still registered.
+				continue
+			}
 			if _, ok := entry.delivered.WaitTimeout(DefaultRequestTimeout); !ok {
 				return nil, ErrTimeout
 			}
@@ -665,6 +734,41 @@ func (c *Client) read(path string, watching bool) (*znode.Node, error) {
 		}
 	}
 	return n, nil
+}
+
+// fetchArmed is fetch for a read that just registered a watch. A change
+// committed before the registration landed may have been claimed without
+// it, so a value older than that change would arm a watch the change never
+// fires: the read re-reads until its result reaches the registration's
+// frontier, or until the watch has fired — a claim that read the
+// registration came after every claim that missed it, and the store holds
+// the claimed change by its delivery. It gives up at DefaultRequestTimeout.
+func (c *Client) fetchArmed(path string, arm watchArm) (*znode.Node, []int64, error) {
+	deadline := c.d.K.Now() + sim.Time(DefaultRequestTimeout)
+	for {
+		fired := arm.entry.delivered.Done()
+		n, stamp, err := c.fetch(path, true)
+		if fired || arm.reached(n, err) {
+			return n, stamp, err
+		}
+		if c.d.K.Now() >= deadline {
+			return nil, nil, ErrTimeout
+		}
+		c.d.K.Sleep(frontierRetry)
+	}
+}
+
+// armed ends a watched read: once none is in flight, the callbacks held
+// behind it run, in notification order.
+func (c *Client) armed() {
+	if c.arming--; c.arming > 0 {
+		return
+	}
+	for _, fn := range c.held {
+		c.callbacks.Push(fn)
+	}
+	clear(c.held)
+	c.held = c.held[:0]
 }
 
 // nodeFresh is the newest transaction reflected in a node's user-store

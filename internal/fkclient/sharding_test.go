@@ -118,7 +118,14 @@ func traceWorkload(t *testing.T, cfg core.Config) []byte {
 // seeds 1…200 this workload ends at 1 604.8 ms on average, against
 // 1 608.2 ms before. At this seed the last line moves 1 608 592 418 →
 // 1 742 357 962 ns.
-const singleShardTraceSHA256 = "ca246c37e2d5df9a1569df891f1268dc9b1cd7b7458c95ae27a594d57e7163e7"
+//
+// Re-pinned a fourth time (from ca246c37…e7e3) when the watch claim began to
+// ride the commit check's read (watch registrations live on the node's
+// control record): no system-store read runs between a write's flush and its
+// answer any more. The nine lines keep their content and land sooner — the
+// set of v1 at 806 ms, was 870 — and the last line moves 1 742 357 962 →
+// 1 693 502 641 ns.
+const singleShardTraceSHA256 = "6bc630211fa24e3b0dc200f4ac18cc16198bb0f3bfc618b5ad1a699cca090354"
 
 // TestSingleShardTraceIdentical is the determinism guard: an explicit
 // WriteShards: 1 deployment must produce a byte-identical virtual-time
@@ -236,7 +243,16 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // c0's) the races go other ways — 10 lines carry an error where 8 did, c0's
 // delete and re-create of /s2 among them — and the history ends at
 // 2 116 776 222 ns, was 2 421 420 899. checkConcurrentTrace passes on it.
-const concurrentTraceSHA256 = "91f707d2f0f7b34a6e37d1e49e4aa532dab5164172938281ddc2ea41d5678664"
+//
+// Re-pinned a fourth time (from 91f707d2…8664) for the watch claim on the
+// commit check's read (see singleShardTraceSHA256). The first 12 of the lines
+// keep their content. Line 13 is c0's GetDataW of /s1: its registration finds
+// c1's create committed but not yet readable, so the read waits for the
+// registration's frontier and returns the node (mzxid 1) where it answered
+// no_node. From there the races go other ways — 14 lines carry an error
+// where 10 did — and the history ends at 2 034 072 048 ns, was
+// 2 116 776 222. checkConcurrentTrace passes on it.
+const concurrentTraceSHA256 = "a5ac0d44cf3e10c0a677b3f668b0580f482a7aa732d7b0aee67570e7e78a3eca"
 
 // TestConcurrentTraceIdentical: the concurrent default-config trace matches
 // its golden hash, with and without an explicit WriteShards: 1, and is a

@@ -1,14 +1,13 @@
 package fkclient
 
 import (
-	"flag"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/znode"
 )
 
 // TestWatchReRegistrationFromCallback: callbacks run on the client's event
@@ -159,7 +158,7 @@ func TestWatchAcrossSessionCloseIsDropped(t *testing.T) {
 
 // lostWatchOffsets sweeps the start of a GetDataW("/a/x") in 1-vms steps over
 // 60…200 vms after a concurrent SetData("/a/x") was submitted — across the
-// write's whole passage through follower, leader, flush and watch query — and
+// write's whole passage through follower, leader, watch claim and flush — and
 // returns every offset at which the reader was handed the old value and never
 // told of the new one: the watch it armed on version 0 did not fire on the
 // first change after version 0.
@@ -196,10 +195,11 @@ func lostWatchOffsets(t *testing.T, cfg core.Config) (lost []int) {
 }
 
 // TestWatchRegisteredDuringClearIsNotWiped: watcher A's data watch on /a/x is
-// armed when SetData(v1) reaches the leader, whose watch query reads the
-// group and then clears it. Watcher B's GetDataW is swept across the write in
-// 1-vms steps; a registration that lands between the query's read and its
-// clear must survive the clear, so B — whatever version it read — hears of
+// armed when SetData(v1) reaches the leader, whose watch claim reads the
+// group with the commit check and then clears it. Watcher B's GetDataW is
+// swept across the write in 1-vms steps; a registration that lands between
+// the claim's read and its clear must survive the clear, so B — whatever
+// version it read — hears of
 // the first change after it. Until the clear removed exactly the sessions it
 // had read, offsets 89…93 vms at seed 77 read v1 and never heard of v2.
 func TestWatchRegisteredDuringClearIsNotWiped(t *testing.T) {
@@ -245,33 +245,120 @@ func TestWatchRegisteredDuringClearIsNotWiped(t *testing.T) {
 	}
 }
 
-// TestWatchArmedDuringFlushIsNotLost guards the order of the leader's watch
-// steps against the write's flush: a watch registered while the write is in
-// flight either is found by the watch query that follows the flush — and
-// fires — or belongs to a read that already returns the new value. On the
-// paper's order (query after the flush; the delivery launched ahead of the
-// epoch append) no offset loses a notification.
-//
-// Where the watch groups are claimed before the flush (several shards here;
-// see openChunk's claimEarly) the sweep finds a lost watch: a session that
-// registers after the claim and reads before the put lands holds v0 with an
-// armed watch that only v2 will fire (offsets 96…115 vms at seed 77, 98
-// aside; 128…145 before the leader carried its last pop to the next
-// invocation and the seeded latency stream was dealt anew, 131…147 before
-// the leader's opening read). ROADMAP 1(f) has the analysis; the subtest runs
-// only when named:
-//
-//	go test ./internal/fkclient -run 'TestWatchArmedDuringFlushIsNotLost/two_shards' -count=1
+// TestWatchArmedDuringFlushIsNotLost guards the watch claim against the
+// write's flush: the claim runs before the flush, on the read that confirmed
+// the commit, so a watch registered while the write is in flight either is
+// in that read — and fires — or landed after it, found the change committed
+// and waits for a value at or past it. No offset loses a notification, on
+// the paper's deployment, on several shards or with batched writes. (Until
+// the read that arms a watch waited for its registration's frontier, the
+// configurations that claimed before the flush lost offsets 96…115 vms at
+// seed 77 with two shards.)
 func TestWatchArmedDuringFlushIsNotLost(t *testing.T) {
-	if lost := lostWatchOffsets(t, core.Config{}); len(lost) > 0 {
-		t.Errorf("the watcher read v0 and was never notified of v1 at offsets %v vms", lost)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"paper", core.Config{}},
+		{"two shards", core.Config{WriteShards: 2}},
+		{"batched writes", core.Config{BatchWrites: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if lost := lostWatchOffsets(t, tc.cfg); len(lost) > 0 {
+				t.Errorf("the watcher read v0 and was never notified of v1 at offsets %v vms", lost)
+			}
+		})
 	}
-	t.Run("two shards", func(t *testing.T) {
-		if !strings.Contains(flag.Lookup("test.run").Value.String(), "two_shards") {
-			t.Skip("known lost watch with claim-before-flush (ROADMAP 1(f), found in PR 24, not fixed)")
+}
+
+// TestWatchedReadReachesFrontier: a GetDataW whose registration lands after
+// the read that confirmed SetData(v1)'s commit — so v1's claim misses it —
+// but before v1's put lands must not return v0: its watch would be armed on a
+// value the claim skipped and fire only on v2. The read waits for the
+// registration's frontier (core.Frontier), returns v1 and fires on v2. The
+// sweep starts the GetDataW in 1-vms steps across the write: every offset
+// fires on v1 or reads v1, and some offset registered in that window — v1's
+// claim missed it and its read went to the store more than once.
+func TestWatchedReadReachesFrontier(t *testing.T) {
+	waited := 0
+	for off := 60; off <= 200; off++ {
+		run(t, 77, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+			writer := mustConnect(t, d, "writer")
+			watcher := mustConnect(t, d, "watcher")
+			defer writer.Close()
+			defer watcher.Close()
+			writer.Create("/a", nil, 0)
+			writer.Create("/a/x", []byte("v0"), 0)
+			k.Sleep(2 * time.Second)
+
+			var v1 znode.Stat
+			k.Go("set", func() {
+				v1, _ = writer.SetData("/a/x", []byte("v1"), -1)
+			})
+			k.Sleep(time.Duration(off) * time.Millisecond)
+			var fired []int64
+			reads := d.Env.Meter.Count("obj.read")
+			data, _, err := watcher.GetDataW("/a/x", func(n core.Notification) { fired = append(fired, n.Txid) })
+			reads = d.Env.Meter.Count("obj.read") - reads
+			if err != nil {
+				t.Errorf("offset %d: read: %v", off, err)
+			}
+			k.Sleep(3 * time.Second)
+			v2, _ := writer.SetData("/a/x", []byte("v2"), -1)
+			k.Sleep(5 * time.Second)
+
+			if len(fired) != 1 {
+				t.Errorf("offset %d: notified of %v, want exactly one change", off, fired)
+				return
+			}
+			switch {
+			case fired[0] == v1.Mzxid:
+			case fired[0] != v2.Mzxid:
+				t.Errorf("offset %d: notified of txid %d, want v1's %d or v2's %d", off, fired[0], v1.Mzxid, v2.Mzxid)
+			case string(data) != "v1":
+				t.Errorf("offset %d: v1's claim missed the watch, yet the read returned %q and the watch fired on v2", off, data)
+			case reads > 1:
+				waited++ // v1 was not readable yet when the registration landed
+			}
+		})
+	}
+	if waited == 0 {
+		t.Error("no offset registered between v1's confirming read and its put: the window is not exercised")
+	}
+}
+
+// TestExistsWatchOnTombstoneSurvivesCollection: an exists watch armed on a
+// deleted node lives on the node's tombstone, which the delete's pop would
+// collect. The collection must leave a watched tombstone alone, so creating
+// the node again fires NodeCreated. The delete's pop is carried to the next
+// leader invocation — here a write elsewhere — so the registration lands on
+// the tombstone before its collection is tried.
+func TestExistsWatchOnTombstoneSurvivesCollection(t *testing.T) {
+	run(t, 47, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+		writer := mustConnect(t, d, "writer")
+		watcher := mustConnect(t, d, "watcher")
+		defer writer.Close()
+		defer watcher.Close()
+		writer.Create("/x", nil, 0)
+		writer.Create("/y", nil, 0)
+		if err := writer.Delete("/x", -1); err != nil {
+			t.Fatalf("delete: %v", err)
 		}
-		if lost := lostWatchOffsets(t, core.Config{WriteShards: 2}); len(lost) > 0 {
-			t.Errorf("the watcher read v0 and was never notified of v1 at offsets %v vms", lost)
+		var events []core.EventType
+		st, err := watcher.ExistsW("/x", func(n core.Notification) { events = append(events, n.Event) })
+		if err != nil || st != nil {
+			t.Fatalf("ExistsW on the deleted node: %v, %v; want no node", st, err)
+		}
+		if _, err := writer.SetData("/y", []byte("1"), -1); err != nil { // runs the carried pop
+			t.Fatalf("set: %v", err)
+		}
+		k.Sleep(time.Second)
+		if _, err := writer.Create("/x", nil, 0); err != nil {
+			t.Fatalf("re-create: %v", err)
+		}
+		k.Sleep(5 * time.Second)
+		if len(events) != 1 || events[0] != core.EventCreated {
+			t.Errorf("events %v, want one NodeCreated", events)
 		}
 	})
 }

@@ -56,7 +56,7 @@ type lockFree int64
 // Eval implements kv.Cond.
 func (expired lockFree) Eval(item kv.Item, exists bool) bool {
 	v, ok := item.Lookup(LockAttr)
-	return !exists || !ok || (v.Kind == kv.KindNumber && v.Num < int64(expired))
+	return !exists || !ok || (v.Kind() == kv.KindNumber && v.Num() < int64(expired))
 }
 
 func (expired lockFree) String() string {
@@ -72,7 +72,7 @@ type lockHeld int64
 // Eval implements kv.Cond.
 func (ts lockHeld) Eval(item kv.Item, exists bool) bool {
 	v, ok := item.Lookup(LockAttr)
-	return exists && ok && v.Kind == kv.KindNumber && v.Num == int64(ts)
+	return exists && ok && v.Kind() == kv.KindNumber && v.Num() == int64(ts)
 }
 
 func (ts lockHeld) String() string { return fmt.Sprintf("%s == %d", LockAttr, int64(ts)) }
@@ -187,7 +187,7 @@ func (c *Counter) Add(ctx cloud.Ctx, delta int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return item.Get(c.attr).Num, nil
+	return item.Get(c.attr).Num(), nil
 }
 
 // Get reads the current value (0 when unset).
@@ -196,7 +196,7 @@ func (c *Counter) Get(ctx cloud.Ctx, consistent bool) (int64, error) {
 	if !ok {
 		return 0, nil
 	}
-	return item.Get(c.attr).Num, nil
+	return item.Get(c.attr).Num(), nil
 }
 
 // List is an atomic list of int64 stored in a single item attribute; it
@@ -219,7 +219,7 @@ func (l *List) Append(ctx cloud.Ctx, vals ...int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(item.Get(l.attr).NL), nil // the item is a view of table storage
+	return slices.Clone(item.Get(l.attr).NL()), nil // the item is a view of table storage
 }
 
 // Remove atomically removes all occurrences of the given values.
@@ -228,7 +228,7 @@ func (l *List) Remove(ctx cloud.Ctx, vals ...int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(item.Get(l.attr).NL), nil
+	return slices.Clone(item.Get(l.attr).NL()), nil
 }
 
 // Get reads the current content.
@@ -237,5 +237,5 @@ func (l *List) Get(ctx cloud.Ctx, consistent bool) ([]int64, error) {
 	if !ok {
 		return nil, nil
 	}
-	return item.Get(l.attr).NL, nil
+	return item.Get(l.attr).NL(), nil
 }

@@ -106,7 +106,7 @@ func TestExpiredHolderCannotCommit(t *testing.T) {
 	})
 	k.Run()
 	it, _ := tbl.Peek("node:/x")
-	if it.Get("v").Num != 2 {
+	if it.Get("v").Num() != 2 {
 		t.Fatalf("v = %v, stale writer overwrote", it.Get("v"))
 	}
 	if _, hasLock := it.Lookup(LockAttr); hasLock {
@@ -133,7 +133,7 @@ func TestCommitUnlockAppliesAtomically(t *testing.T) {
 	})
 	k.Run()
 	it, _ := tbl.Peek("node:/x")
-	if it.Get("v").Num != 7 || len(it.Get("pending").NL) != 1 {
+	if it.Get("v").Num() != 7 || len(it.Get("pending").NL()) != 1 {
 		t.Fatalf("item = %v", it)
 	}
 }
@@ -155,10 +155,10 @@ func TestCommitUnlockTxMultiNode(t *testing.T) {
 	k.Run()
 	child, _ := tbl.Peek("node:/parent/child")
 	parent, _ := tbl.Peek("node:/parent")
-	if child.Get("exists").Num != 1 {
+	if child.Get("exists").Num() != 1 {
 		t.Fatalf("child = %v", child)
 	}
-	if len(parent.Get("children").SL) != 1 || parent.Get("children").SL[0] != "child" {
+	if len(parent.Get("children").SL()) != 1 || parent.Get("children").SL()[0] != "child" {
 		t.Fatalf("parent = %v", parent)
 	}
 	if _, locked := parent.Lookup(LockAttr); locked {
@@ -182,7 +182,7 @@ func TestCommitUnlockTxFailsAtomically(t *testing.T) {
 	})
 	k.Run()
 	a, _ := tbl.Peek("node:/a")
-	if a.Get("v").Num != 0 {
+	if a.Get("v").Num() != 0 {
 		t.Fatalf("partial tx applied: %v", a)
 	}
 }
