@@ -168,6 +168,23 @@ func TestChaos(t *testing.T) {
 	})
 }
 
+// TestChaosCachingObjectAsOfItsTxid replays, full size, the four caching
+// seeds the known-red list carried for ROADMAP 1(a) (mzxid-regression on
+// /s1). The leader used to build a set_data's user-store object from the
+// control record its commit check read, which a later child create's commit
+// may already have raised: the object of an earlier txid carried the later
+// pzxid, a cached read took that as its freshness, passed the floor a newer
+// write's invalidation had set, and served a session the value before the
+// one it had written. Every object is now the follower's snapshot as of its
+// own txid (core.buildUserNode).
+func TestChaosCachingObjectAsOfItsTxid(t *testing.T) {
+	for _, seed := range []int64{326007, 1140007, 1358007, 1633007} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runScenario(t, Scenario{Seed: seed, Config: "caching", Faults: DefaultFaults()}, nil)
+		})
+	}
+}
+
 // TestChaosKnownList: the committed known-red list parses, names real
 // configs and no scenario twice for one rule, and triage logs exactly the
 // listed rule, fails an unlisted one, and flags a listed rule that no

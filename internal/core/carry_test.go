@@ -36,8 +36,10 @@ func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderM
 	if err != nil {
 		r.t.Fatalf("lock %s: %v", path, err)
 	}
-	msg := validatedMsg(req, path, "", decodeSysNode(item), sysNode{})
-	msg.LockTs = lock.Timestamp
+	msg := leaderMsg{
+		Session: s.id, Seq: s.seq, LockTs: lock.Timestamp,
+		change: validatedChange(OpSetData, path, req.Data, "", decodeSysNode(item), sysNode{}),
+	}
 	if err := r.d.commitLocked(s.ctx, []fksync.Lock{lock}, msg, txid); err != nil {
 		r.t.Fatalf("commit %s: %v", path, err)
 	}

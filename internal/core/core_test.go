@@ -31,9 +31,12 @@ func TestRequestEncodeDecode(t *testing.T) {
 
 func TestLeaderMsgEncodeDecode(t *testing.T) {
 	m := leaderMsg{
-		Session: "s", Seq: 7, Op: OpSetData, Path: "/x",
-		NodeBlob: []byte{9, 9}, ParentPath: "/", ChildAdd: "x",
-		LockTs: 123, ParentLockTs: 456, Version: 3, Cversion: 2, EphOwner: "s",
+		Session: "s", Seq: 7,
+		change: change{
+			Op: OpSetData, Path: "/x", NodeBlob: []byte{9, 9}, ParentPath: "/", ChildAdd: "x",
+			Version: 3, Cversion: 2, EphOwner: "s",
+		},
+		LockTs: 123, ParentLockTs: 456,
 	}
 	got := roundTripLM(t, m)
 	if got.LockTs != 123 || got.ParentLockTs != 456 || got.Version != 3 ||

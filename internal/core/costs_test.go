@@ -17,7 +17,7 @@ func TestCostOffBillersAllocateNothing(t *testing.T) {
 	d := NewDeployment(k, Config{})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
 	req := Request{Session: "s", Seq: 1, Op: OpSetData, Path: "/a"}
-	msg := leaderMsg{Session: "s", Seq: 1, Op: OpSetData, Path: "/a"}
+	msg := leaderMsg{Session: "s", Seq: 1, change: change{Op: OpSetData, Path: "/a"}}
 	if allocs := testing.AllocsPerRun(200, func() {
 		c := d.billReq(ctx, req, 0)
 		c = d.billMsg(c, msg)

@@ -223,6 +223,42 @@ func (f *batchFold) foldParent(parent, childAdd, childDel string, cversion int32
 	}
 }
 
+// foldChange folds one committed change: its node's object (buildUserNode)
+// or tombstone, and its parent's splice. It returns the Stat the change's
+// writer is answered with (zero for a delete or a check).
+//
+// A multi()'s set_data is the one change whose snapshot can predate changes
+// committed at its own txid — earlier ops of the same multi(), which its
+// speculative state applied without knowing the txid. An object such an op
+// wrote keeps its czxid and pzxid, and a child list one changed has the
+// txid as its pzxid. Single ops never share a txid, so neither rule touches
+// them.
+func (f *batchFold) foldChange(c change, txid int64) (stat znode.Stat) {
+	switch c.Op {
+	case OpDelete:
+		f.foldDelete(c.Path, txid)
+	case OpCreate, OpSetData:
+		n := buildUserNode(c, txid)
+		if n == nil {
+			return stat
+		}
+		if prev := f.nodes[c.Path]; prev != nil && prev.txid == txid && prev.node != nil {
+			n.Stat.Czxid, n.Stat.Pzxid = prev.node.Stat.Czxid, prev.node.Stat.Pzxid
+		}
+		if pf := f.parents[c.Path]; pf != nil && pf.pzxid == txid {
+			n.Stat.Pzxid = txid
+		}
+		f.foldWrite(c.Path, n, txid)
+		stat = n.Stat
+	default:
+		return stat
+	}
+	if c.ParentPath != "" {
+		f.foldParent(c.ParentPath, c.ChildAdd, c.ChildDel, c.Cversion, txid)
+	}
+	return stat
+}
+
 // spliceInto applies a parent fold to a node object: the final child
 // presences (idempotently — the object may already reflect some of them)
 // and only-raised stamps (within a shard they are monotone anyway; on a
@@ -309,9 +345,7 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 			d.stageMsg(dm.msg, obs.StageCommit)
 		}
 		t0 := d.K.Now()
-		if tm, err := decodeTxnMsg(dm.msg.NodeBlob); err == nil {
-			p.multi(dm, tm)
-		}
+		p.multi(dm)
 		d.recordPhase("leader.total", d.K.Now()-t0)
 	}
 	p.flushRun(msgs[start:])
@@ -505,7 +539,7 @@ func collectable(msgs []decodedMsg, i int) bool {
 		switch m := &msgs[j].msg; m.Op {
 		case OpDeregister:
 		case OpMulti:
-			if tm, err := decodeTxnMsg(m.NodeBlob); err == nil && slices.Contains(txnTargets(tm.Ops), path) {
+			if slices.Contains(txnTargets(m.Ops), path) {
 				return false
 			}
 		default:
@@ -610,24 +644,9 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 
 	// ➍ rides the read that confirmed the commit: a registration it missed
 	// landed after the commit, and its reader waits for this change.
-	fired := p.queryWatches(ctx, msg, &nodes[0], &nodes[1], nil)
+	fired := p.queryWatches(ctx, msg.change, &nodes[0], &nodes[1], nil)
 
-	var stat znode.Stat
-	switch {
-	case msg.Op == OpDelete:
-		f.foldDelete(msg.Path, txid)
-		if msg.ParentPath != "" {
-			f.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
-		}
-	default:
-		if n := d.buildUserNode(msg, txid, nodes[0]); n != nil {
-			stat = n.Stat
-			f.foldWrite(msg.Path, n, txid)
-			if msg.ParentPath != "" {
-				f.foldParent(msg.ParentPath, msg.ChildAdd, msg.ChildDel, msg.Cversion, txid)
-			}
-		}
-	}
+	stat := f.foldChange(msg.change, txid)
 
 	if popEarly {
 		p.popDeferred(dm.key) // a carried entry ahead of ours goes first

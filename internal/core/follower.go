@@ -148,12 +148,16 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 			return fail(CodeSystemError)
 		}
 	}
-	msg := validatedMsg(req, path, owner, node, parent)
-	msg.LockTs, msg.ParentLockTs = nodeLock.Timestamp, parentLock.Timestamp
-	// The subtree's ordered queue: with one shard the paper's single global
-	// FIFO queue and its total order of writes; with more, the order is
-	// total per shard, which suffices because no operation spans subtrees.
-	msg.Shard = d.route.ShardFor(msg.Path)
+	msg := leaderMsg{
+		Session: req.Session, Seq: req.Seq,
+		change: validatedChange(req.Op, path, req.Data, owner, node, parent),
+		// The subtree's ordered queue: with one shard the paper's single
+		// global FIFO queue and its total order of writes; with more, the
+		// order is total per shard, which suffices because no operation
+		// spans subtrees.
+		Shard:  d.route.ShardFor(path),
+		LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
+	}
 	r, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageLeaderQ, held,
 		func(ctx cloud.Ctx, txid int64) error {
 			return d.commitLocked(ctx, held, msg, txid)
@@ -234,13 +238,13 @@ func (d *Deployment) commitLocked(ctx cloud.Ctx, held []fksync.Lock, msg leaderM
 		// A set_data: its two actions and the pending append fit a stack
 		// buffer, which the transaction below would make escape.
 		var buf [3]kv.Update
-		node, _ := commitUpdates(buf[:0], nil, msg, txid)
+		node, _ := commitUpdates(buf[:0], nil, msg.change, txid)
 		_, err := d.Locks.CommitUnlock(ctx, held[0], append(node, pendingAppend(txid)))
 		return err
 	}
 	// Room for a create's node actions, an ephemeral owner's among them,
 	// and the pending append.
-	node, parent := commitUpdates(make([]kv.Update, 0, 9), nil, msg, txid)
+	node, parent := commitUpdates(make([]kv.Update, 0, 9), nil, msg.change, txid)
 	return d.Locks.CommitUnlockTx(ctx, []fksync.TxPart{
 		{Lock: held[0], Updates: append(node, pendingAppend(txid))},
 		{Lock: held[1], Updates: parent},
@@ -303,7 +307,7 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 			continue
 		}
 		ack := leaderMsg{
-			Session: req.Session, Seq: req.Seq, Op: OpDeregister,
+			Session: req.Session, Seq: req.Seq, change: change{Op: OpDeregister},
 			Shard: s, Fanout: len(touched), DeregID: deregID,
 		}
 		if _, err := d.pushToShard(ctx, ack); err != nil {

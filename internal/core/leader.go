@@ -402,30 +402,23 @@ func msgLocks(msg leaderMsg) []fksync.Lock {
 }
 
 // buildUserNode assembles the user-store object for one committed change:
-// the follower's marshaled node patched with the transaction stamps only
-// the leader knows. The version comes from the message, not from the
-// system store: with pipelined writes the store may already reflect later
-// commits. Nil for deletes (and undecodable blobs).
-func (d *Deployment) buildUserNode(msg leaderMsg, txid int64, node sysNode) *znode.Node {
-	if msg.Op == OpDelete {
-		return nil
-	}
-	n, _, err := znode.Unmarshal(msg.NodeBlob)
+// the node the follower marshaled from its snapshot under the locks,
+// stamped with what only the txid decides — mzxid, and for a create czxid
+// and pzxid — and the version the change carries. It reads no record: the
+// control record may already reflect later commits (a child created since
+// would leak its pzxid and its name into an object of an earlier txid), and
+// the snapshot is exactly the state at this txid. Nil for a delete or a
+// check (and an undecodable blob).
+func buildUserNode(c change, txid int64) *znode.Node {
+	n, _, err := znode.Unmarshal(c.NodeBlob)
 	if err != nil {
 		return nil
 	}
 	n.Stat.Mzxid = txid
-	n.Stat.Version = msg.Version
-	n.Stat.Czxid = node.Czxid
-	if msg.Op == OpCreate {
-		n.Stat.Czxid = txid
-		n.Stat.Version = 0
+	n.Stat.Version = c.Version
+	if c.Op == OpCreate {
+		n.Stat.Czxid, n.Stat.Pzxid = txid, txid
 	}
-	n.Stat.Cversion = node.Cversion
-	n.Stat.Pzxid = node.Pzxid
-	n.Stat.DataLength = int32(len(n.Data))
-	n.Children = node.Children
-	n.Stat.NumChildren = int32(len(node.Children))
 	return n
 }
 
@@ -511,19 +504,19 @@ type watchGroup struct {
 // read returned: a registration that lands after the read found the change
 // committed, and its reader waits for a value at or past it (Frontier), so
 // it must stay armed for the next change.
-func (p *leaderRun) queryWatches(ctx cloud.Ctx, msg leaderMsg, node, parent *sysNode, fired []firedWatch) []firedWatch {
+func (p *leaderRun) queryWatches(ctx cloud.Ctx, c change, node, parent *sysNode, fired []firedWatch) []firedWatch {
 	d, n, t0 := p.d, len(fired), p.d.K.Now()
 	child := watchGroup{WatchChild, EventChildrenChanged}
-	switch msg.Op {
+	switch c.Op {
 	case OpSetData:
-		fired = d.fireGroups(ctx, msg.Path, node, fired, watchGroup{WatchData, EventDataChanged})
+		fired = d.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchData, EventDataChanged})
 	case OpCreate:
-		fired = d.fireGroups(ctx, msg.Path, node, fired, watchGroup{WatchExists, EventCreated})
-		fired = d.fireGroups(ctx, msg.ParentPath, parent, fired, child)
+		fired = d.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchExists, EventCreated})
+		fired = d.fireGroups(ctx, c.ParentPath, parent, fired, child)
 	case OpDelete:
-		fired = d.fireGroups(ctx, msg.Path, node, fired,
+		fired = d.fireGroups(ctx, c.Path, node, fired,
 			watchGroup{WatchData, EventDeleted}, watchGroup{WatchExists, EventDeleted})
-		fired = d.fireGroups(ctx, msg.ParentPath, parent, fired, child)
+		fired = d.fireGroups(ctx, c.ParentPath, parent, fired, child)
 	}
 	d.appendEpochs(ctx, fired[n:], p.shard, p.epochs)
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)

@@ -241,16 +241,20 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 				var msg leaderMsg
 				if tc.missing {
 					req.Path = "/gone"
-					msg = validatedMsg(req, req.Path, "", sysNode{Exists: true}, sysNode{})
-					msg.LockTs = 1
+					msg = leaderMsg{
+						Session: req.Session, Seq: req.Seq, LockTs: 1,
+						change: validatedChange(OpSetData, req.Path, req.Data, "", sysNode{Exists: true}, sysNode{}),
+					}
 				} else {
 					lock, item, err := d.Locks.Acquire(s.ctx, nodeKey(req.Path))
 					if err != nil {
 						t.Errorf("lock: %v", err)
 						return
 					}
-					msg = validatedMsg(req, req.Path, "", decodeSysNode(item), sysNode{})
-					msg.LockTs = lock.Timestamp
+					msg = leaderMsg{
+						Session: req.Session, Seq: req.Seq, LockTs: lock.Timestamp,
+						change: validatedChange(OpSetData, req.Path, req.Data, "", decodeSysNode(item), sysNode{}),
+					}
 					tc.between(d, s.ctx, lock, msg)
 				}
 				s.seq = req.Seq
@@ -295,12 +299,13 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 // the epoch counters alone, and a batch of nothing but acks on a multi-shard
 // deployment reads nothing at all.
 func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
-	// The opening read precedes the decoding of a multi()'s payload, so
-	// an empty one will do: the handler drops the message right after.
-	dereg := leaderMsg{Session: "gone", Seq: 3, Op: OpDeregister, Fanout: 1}
+	// A multi() of no ops will do: it has no control record to read, and
+	// commits nothing.
+	dereg := leaderMsg{Session: "gone", Seq: 3, change: change{Op: OpDeregister}, Fanout: 1}
 	// One shard's copy of an ack replicated to two shards: its barrier
 	// marker is a write.
-	dereg2 := leaderMsg{Session: "gone2", Seq: 3, Op: OpDeregister, Fanout: 2, DeregID: 7}
+	dereg2 := leaderMsg{Session: "gone2", Seq: 3, change: change{Op: OpDeregister}, Fanout: 2, DeregID: 7}
+	multi := leaderMsg{Session: "m", Seq: 1, change: change{Op: OpMulti}}
 	for _, tc := range []struct {
 		name    string
 		shards  int
@@ -309,10 +314,10 @@ func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
 		reads   int64 // system-store reads of the whole invocation
 	}{
 		{"deregister", 1, []leaderMsg{dereg}, 1, 1},
-		{"multi", 1, []leaderMsg{{Session: "m", Seq: 1, Op: OpMulti}}, 1, 1},
+		{"multi", 1, []leaderMsg{multi}, 1, 1},
 		// Every shard's list is an attribute of the region's one epoch
 		// item, so two shards read one item, as one shard does.
-		{"multi, two shards", 2, []leaderMsg{{Session: "m", Seq: 1, Op: OpMulti}}, 1, 1},
+		{"multi, two shards", 2, []leaderMsg{multi}, 1, 1},
 		// The one operation is a write, the second ack's barrier marker.
 		{"acks only, two shards", 2, []leaderMsg{dereg, dereg2}, 1, 0},
 	} {

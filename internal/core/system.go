@@ -114,9 +114,9 @@ func decodeSysNode(it kv.Item) sysNode {
 		Czxid:    it.Get(attrCzxid).Num(),
 		Mzxid:    it.Get(attrMzxid).Num(),
 		Pzxid:    it.Get(attrPzxid).Num(),
-		// Children is copied: the item may be a read-only GetView of table
-		// storage, and callers append to the list (spliceInto via
-		// buildUserNode). Pending and Watches stay views — all uses are
+		// Children is copied: the item may be a read-only view of table
+		// storage, and a multi()'s speculative state appends to the list
+		// (validateMultiOp). Pending and Watches stay views — all uses are
 		// read-only.
 		Children: append([]string(nil), it.Get(attrChildren).SL()...),
 		EphOwner: it.Get(attrEph).Str(),

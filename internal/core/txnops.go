@@ -36,11 +36,11 @@ import (
 const txnHeadPolls = 12
 
 // multiPlan is a multi()'s prepared state: every touched item locked, every
-// op validated and resolved.
+// op validated into its change.
 type multiPlan struct {
-	resolved []txn.ResolvedOp
-	locks    map[string]fksync.Lock
-	order    []string // lock acquisition order
+	ops   []change
+	locks map[string]fksync.Lock
+	order []string // lock acquisition order
 	// specs is the speculative state of every locked item: later ops of the
 	// same multi validate against the earlier ops' effects (ZooKeeper
 	// validates multi ops sequentially against the evolving state).
@@ -120,7 +120,7 @@ func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (
 		}
 	}
 	for i, op := range reqOps {
-		rop, code, err := d.validateMultiOp(ctx, plan, op, req.Session)
+		c, code, err := d.validateMultiOp(ctx, plan, op, req.Session)
 		if err != nil {
 			plan.unlock(d, ctx)
 			return nil, -1, CodeSystemError, err
@@ -129,7 +129,7 @@ func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (
 			plan.unlock(d, ctx)
 			return nil, i, code, nil
 		}
-		plan.resolved = append(plan.resolved, rop)
+		plan.ops = append(plan.ops, c)
 	}
 	d.recordPhase("txn.prepare", d.K.Now()-t0)
 	return plan, -1, CodeOK, nil
@@ -137,19 +137,19 @@ func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (
 
 // validateMultiOp runs one op through the write-op table against the plan's
 // speculative state — the checks followerWrite runs against the stored one
-// — and on success resolves the op and applies its effect to that state.
-func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, session string) (txn.ResolvedOp, Code, error) {
+// — and on success builds its change from that state, as followerWrite does
+// from the stored one, and applies its effect to the state.
+func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, session string) (change, Code, error) {
 	code := OpCode(op.Type)
 	if c := checkPath(code, op.Path); c != CodeOK {
-		return txn.ResolvedOp{}, c, nil
+		return change{}, c, nil
 	}
-	path, parentPath := op.Path, ""
+	path := op.Path
 	parent := &sysNode{} // stays empty for an op that splices none
 	if splicesParent(code) {
-		parentPath = znode.Parent(path)
-		parent = plan.specs[parentPath]
+		parent = plan.specs[znode.Parent(path)]
 		if c := checkParent(code, *parent); c != CodeOK {
-			return txn.ResolvedOp{}, c, nil
+			return change{}, c, nil
 		}
 		if code == OpCreate && op.Flags&znode.FlagSequential != 0 {
 			path = znode.SequentialName(path, parent.SeqCtr)
@@ -157,42 +157,40 @@ func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, 
 	}
 	// Only a sequential create's resolved path is not locked yet.
 	if err := plan.acquire(d, ctx, path); err != nil {
-		return txn.ResolvedOp{}, CodeSystemError, err
+		return change{}, CodeSystemError, err
 	}
 	node := plan.specs[path]
 	if c := checkNode(code, path, op.Version, *node, *parent); c != CodeOK {
-		return txn.ResolvedOp{}, c, nil
+		return change{}, c, nil
 	}
-	rop := txn.ResolvedOp{Type: op.Type, Path: path, ParentPath: parentPath}
+	owner := ""
+	if code == OpCreate && op.Flags&znode.FlagEphemeral != 0 {
+		owner = session
+	}
+	c := validatedChange(code, path, op.Data, owner, *node, *parent)
 	name := znode.Base(path)
 	switch code {
 	case OpSetData:
-		node.Version++
-		rop.Data, rop.Version, rop.EphOwner = op.Data, node.Version, node.EphOwner
+		node.Version = c.Version
 	case OpCreate:
-		if op.Flags&znode.FlagEphemeral != 0 {
-			rop.EphOwner = session
-		}
 		parent.SeqCtr++
-		parent.Cversion++
+		parent.Cversion = c.Cversion
 		parent.Children = append(parent.Children, name)
-		*node = sysNode{Exists: true, EphOwner: rop.EphOwner, SeqCtr: node.SeqCtr}
-		rop.Data, rop.Cversion, rop.ChildAdd = op.Data, parent.Cversion, name
+		*node = sysNode{Exists: true, EphOwner: owner, SeqCtr: node.SeqCtr}
 	case OpDelete:
 		node.Exists = false
-		parent.Cversion++
+		parent.Cversion = c.Cversion
 		parent.Children = removeString(parent.Children, name)
-		rop.Cversion, rop.EphOwner, rop.ChildDel = parent.Cversion, node.EphOwner, name
 	}
-	return rop, CodeOK, nil
+	return c, CodeOK, nil
 }
 
 // multiUpdates rebuilds every touched item's system-store updates for a
-// set of resolved ops committing at txid: the table's per-op updates in op
+// multi()'s changes committing at txid: the table's per-op updates in op
 // order, then one pending append per target node (even when several sub-ops
 // touch it). touched lists every item in first-touch order, including
 // check-only ones (which get no updates).
-func multiUpdates(ops []txn.ResolvedOp, txid int64) (touched []string, ups map[string][]kv.Update) {
+func multiUpdates(ops []change, txid int64) (touched []string, ups map[string][]kv.Update) {
 	ups = map[string][]kv.Update{}
 	touch := func(p string, u []kv.Update) {
 		if _, seen := ups[p]; !seen {
@@ -200,11 +198,11 @@ func multiUpdates(ops []txn.ResolvedOp, txid int64) (touched []string, ups map[s
 		}
 		ups[p] = append(ups[p], u...)
 	}
-	for _, op := range ops {
-		node, parent := commitUpdates(nil, nil, opMsgView(op), txid)
-		touch(op.Path, node)
-		if op.ParentPath != "" {
-			touch(op.ParentPath, parent)
+	for _, c := range ops {
+		node, parent := commitUpdates(nil, nil, c, txid)
+		touch(c.Path, node)
+		if c.ParentPath != "" {
+			touch(c.ParentPath, parent)
 		}
 	}
 	for _, p := range txnTargets(ops) {
@@ -213,14 +211,13 @@ func multiUpdates(ops []txn.ResolvedOp, txid int64) (touched []string, ups map[s
 	return touched, ups
 }
 
-// locks rebuilds the fast path's timed locks from the message, in
-// acquisition order.
-func (tm txnMsg) locks() []fksync.Lock {
-	locks := make([]fksync.Lock, len(tm.ItemPaths))
-	for i, p := range tm.ItemPaths {
+// itemLocks rebuilds a multi() message's timed locks, in acquisition order.
+func (m leaderMsg) itemLocks() []fksync.Lock {
+	locks := make([]fksync.Lock, len(m.ItemPaths))
+	for i, p := range m.ItemPaths {
 		locks[i].Key = nodeKey(p)
-		if i < len(tm.LockTs) {
-			locks[i].Timestamp = tm.LockTs[i]
+		if i < len(m.ItemLockTs) {
+			locks[i].Timestamp = m.ItemLockTs[i]
 		}
 	}
 	return locks
@@ -229,34 +226,34 @@ func (tm txnMsg) locks() []fksync.Lock {
 // multiParts is step ④ of a multi() message committing at txid: every
 // touched node and parent, each under its own lock. The follower and a
 // leader acting for a dead one both commit exactly these.
-func multiParts(tm txnMsg, txid int64) []fksync.TxPart {
-	_, ups := multiUpdates(tm.Ops, txid)
-	parts := make([]fksync.TxPart, len(tm.ItemPaths))
-	for i, l := range tm.locks() {
-		parts[i] = fksync.TxPart{Lock: l, Updates: ups[tm.ItemPaths[i]]}
+func multiParts(m leaderMsg, txid int64) []fksync.TxPart {
+	_, ups := multiUpdates(m.Ops, txid)
+	parts := make([]fksync.TxPart, len(m.ItemPaths))
+	for i, l := range m.itemLocks() {
+		parts[i] = fksync.TxPart{Lock: l, Updates: ups[m.ItemPaths[i]]}
 	}
 	return parts
 }
 
 // anchorPath names a multi() message's Path field: its first effectful
 // op's path (echoed in the answer, and named on the message's spans).
-func anchorPath(ops []txn.ResolvedOp) string {
-	for _, op := range ops {
-		if op.Effectful() {
-			return op.Path
+func anchorPath(ops []change) string {
+	for _, c := range ops {
+		if c.effectful() {
+			return c.Path
 		}
 	}
 	return znode.Root
 }
 
 // txnTargets lists the effectful ops' node paths in first-touch order.
-func txnTargets(ops []txn.ResolvedOp) []string {
+func txnTargets(ops []change) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, op := range ops {
-		if op.Effectful() && !seen[op.Path] {
-			seen[op.Path] = true
-			out = append(out, op.Path)
+	for _, c := range ops {
+		if c.effectful() && !seen[c.Path] {
+			seen[c.Path] = true
+			out = append(out, c.Path)
 		}
 	}
 	return out
@@ -284,63 +281,18 @@ func (d *Deployment) respondMulti(req Request, code Code, results []txn.Result) 
 	d.notify(req.Session, resp, resp.wireSize())
 }
 
-// buildTxnFold folds a committed multi()'s resolved ops into the
-// distributor's batch fold and builds the per-op client results. Every op
-// commits at txid, as a ZooKeeper multi shares one zxid. recs holds the
-// control record of every target as the commit check confirmed it.
-func buildTxnFold(resolved []txn.ResolvedOp, txid int64, recs map[string]*sysNode) (*batchFold, []txn.Result) {
+// buildTxnFold folds a committed multi()'s changes into the distributor's
+// batch fold, as the chunk pipeline folds a single op's (foldChange), and
+// builds the per-op client results. Every op commits at txid, as a
+// ZooKeeper multi shares one zxid.
+func buildTxnFold(ops []change, txid int64) (*batchFold, []txn.Result) {
 	fold := newBatchFold()
-	results := make([]txn.Result, len(resolved))
-	created := map[string]bool{}
-	for i, op := range resolved {
-		res := txn.Result{Type: op.Type, Path: op.Path, Code: txn.CodeOK}
-		switch op.Type {
-		case txn.OpCheck:
-			// Validated at prepare; nothing to distribute.
-		case txn.OpDelete:
-			res.Txid = txid
-			fold.foldDelete(op.Path, txid)
-			fold.foldParent(op.ParentPath, "", op.ChildDel, op.Cversion, txid)
-		case txn.OpCreate:
-			res.Txid = txid
-			n := &znode.Node{
-				Path: op.Path,
-				Data: op.Data,
-				Stat: znode.Stat{
-					Czxid: txid, Mzxid: txid, Pzxid: txid, Version: 0,
-					Ephemeral: op.EphOwner != "", Owner: op.EphOwner,
-					DataLength: int32(len(op.Data)),
-				},
-			}
-			created[op.Path] = true
-			res.Stat = n.Stat
-			fold.foldWrite(op.Path, n, txid)
-			fold.foldParent(op.ParentPath, op.ChildAdd, "", op.Cversion, txid)
-		case txn.OpSetData:
-			res.Txid = txid
-			var st znode.Stat
-			var children []string
-			if created[op.Path] {
-				st = znode.Stat{
-					Czxid: txid, Mzxid: txid, Pzxid: txid, Version: op.Version,
-					Ephemeral: op.EphOwner != "", Owner: op.EphOwner,
-				}
-			} else {
-				state := recs[op.Path]
-				children = append([]string(nil), state.Children...)
-				st = znode.Stat{
-					Czxid: state.Czxid, Mzxid: txid, Pzxid: state.Pzxid,
-					Version: op.Version, Cversion: state.Cversion,
-					Ephemeral: state.EphOwner != "", Owner: state.EphOwner,
-					NumChildren: int32(len(children)),
-				}
-			}
-			st.DataLength = int32(len(op.Data))
-			n := &znode.Node{Path: op.Path, Data: op.Data, Stat: st, Children: children}
-			res.Stat = st
-			fold.foldWrite(op.Path, n, txid)
+	results := make([]txn.Result, len(ops))
+	for i, c := range ops {
+		results[i] = txn.Result{Type: txn.OpType(c.Op), Path: c.Path, Code: txn.CodeOK, Stat: fold.foldChange(c, txid)}
+		if c.effectful() {
+			results[i].Txid = txid
 		}
-		results[i] = res
 	}
 	return fold, results
 }
@@ -348,7 +300,8 @@ func buildTxnFold(resolved []txn.ResolvedOp, txid int64, recs map[string]*sysNod
 // --- the follower side ---
 
 // followerMulti handles an OpMulti request: validate statically, lock and
-// validate every op, and commit on the one shard the resolved ops write.
+// validate every op into its change, and commit on the one shard the
+// changes write.
 func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	reqOps, err := txn.DecodeOps(req.Data)
 	if err != nil || len(reqOps) == 0 {
@@ -375,14 +328,14 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 		return nil
 	}
 	// Route on the RESOLVED paths: a top-level sequential create may land
-	// in another shard than the path its request named. (The resolved ops
-	// are index-aligned with the request's.)
+	// in another shard than the path its request named. (The changes are
+	// index-aligned with the request's ops.)
 	shard := -1
-	for i, op := range plan.resolved {
-		if !op.Effectful() {
+	for i, c := range plan.ops {
+		if !c.effectful() {
 			continue
 		}
-		if s := d.route.ShardFor(op.Path); shard < 0 {
+		if s := d.route.ShardFor(c.Path); shard < 0 {
 			shard = s
 		} else if s != shard {
 			plan.unlock(d, ctx)
@@ -393,7 +346,7 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	if shard < 0 {
 		// Checks only: the locks proved every guard at one instant.
 		plan.unlock(d, ctx)
-		fold, results := buildTxnFold(plan.resolved, 0, nil)
+		fold, results := buildTxnFold(plan.ops, 0)
 		fold.release()
 		d.respondMulti(req, CodeOK, results)
 		return nil
@@ -406,22 +359,18 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 // held across the commit and the shard's serialized leader give atomicity
 // and isolation for free.
 func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, shard int) error {
-	tm := txnMsg{
-		Ops: plan.resolved, ItemPaths: plan.order, LockTs: make([]int64, len(plan.order)),
-		traceID: obs.TraceOf(req.Session, req.Seq),
+	msg := leaderMsg{
+		Session: req.Session, Seq: req.Seq, change: change{Op: OpMulti, Path: anchorPath(plan.ops)}, Shard: shard,
+		Ops: plan.ops, ItemPaths: plan.order, ItemLockTs: make([]int64, len(plan.order)),
 	}
 	for i, p := range plan.order {
-		tm.LockTs[i] = plan.locks[p].Timestamp
-	}
-	msg := leaderMsg{
-		Session: req.Session, Seq: req.Seq, Op: OpMulti, Shard: shard,
-		Path: anchorPath(plan.resolved), NodeBlob: tm.encode(),
+		msg.ItemLockTs[i] = plan.locks[p].Timestamp
 	}
 	// Ephemeral creates go on their session records before the push, for
 	// a single create's reason (recordEphemeral).
-	for _, op := range plan.resolved {
-		if op.Type == txn.OpCreate && op.EphOwner != "" {
-			if err := d.recordEphemeral(ctx, op.EphOwner, op.Path); err != nil {
+	for _, c := range plan.ops {
+		if c.Op == OpCreate && c.EphOwner != "" {
+			if err := d.recordEphemeral(ctx, c.EphOwner, c.Path); err != nil {
 				plan.unlock(d, ctx)
 				d.respondFailure(req, CodeSystemError)
 				return nil
@@ -431,15 +380,15 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, 
 	// ③–④ One message, one multi-item commit: every touched node and
 	// parent fails or succeeds together, and the pending appends hand the
 	// transaction to the shard's serialized leader.
-	_, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageTxnPrep, tm.locks(),
+	_, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageTxnPrep, msg.itemLocks(),
 		func(ctx cloud.Ctx, txid int64) error {
-			return d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
+			return d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid))
 		})
 	if committed {
-		for _, op := range plan.resolved {
+		for _, c := range plan.ops {
 			// A path the same multi() created again keeps its entry.
-			if op.Type == txn.OpDelete && op.EphOwner != "" && !plan.specs[op.Path].Exists {
-				d.forgetEphemeral(ctx, op.EphOwner, op.Path)
+			if c.Op == OpDelete && c.EphOwner != "" && !plan.specs[c.Path].Exists {
+				d.forgetEphemeral(ctx, c.EphOwner, c.Path)
 			}
 		}
 	}
@@ -453,12 +402,12 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, 
 // awaited at txid — then the parents its creates and deletes splice that
 // are no target, whose child watches its claim fires. It returns their
 // paths, their control-record keys and a slot for each record.
-func txnHeads(tm txnMsg) (paths, keys []string, targets int, nodes []sysNode) {
-	paths = txnTargets(tm.Ops)
+func txnHeads(ops []change) (paths, keys []string, targets int, nodes []sysNode) {
+	paths = txnTargets(ops)
 	targets = len(paths)
-	for _, op := range tm.Ops {
-		if op.ParentPath != "" && !slices.Contains(paths, op.ParentPath) {
-			paths = append(paths, op.ParentPath)
+	for _, c := range ops {
+		if c.ParentPath != "" && !slices.Contains(paths, c.ParentPath) {
+			paths = append(paths, c.ParentPath)
 		}
 	}
 	for _, p := range paths {
@@ -473,15 +422,15 @@ func txnHeads(tm txnMsg) (paths, keys []string, targets int, nodes []sysNode) {
 // serialized pipeline, and pops before it answers. For a follower that died
 // after its push, the commit check replays the multi-item commit under the
 // message's timed locks.
-func (p *leaderRun) multi(dm decodedMsg, tm txnMsg) {
+func (p *leaderRun) multi(dm decodedMsg) {
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
-	paths, keys, targets, nodes := txnHeads(tm)
+	paths, keys, targets, nodes := txnHeads(msg.Ops)
 	t0 := d.K.Now()
 	// The commit is one transaction, so the read that confirms the first
 	// target is past it for every record the claim needs.
 	ok := p.awaitCommit(ctx, keys[:targets], keys[targets:], txid, nodes, nil, txnHeadPolls, false, func() {
-		_ = d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid))
+		_ = d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid))
 	})
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !ok {
@@ -495,13 +444,13 @@ func (p *leaderRun) multi(dm decodedMsg, tm txnMsg) {
 		recs[path] = &nodes[i]
 	}
 	var fired []firedWatch
-	for _, op := range tm.Ops {
-		if op.Effectful() {
-			fired = p.queryWatches(ctx, opMsgView(op), recs[op.Path], recs[op.ParentPath], fired)
+	for _, c := range msg.Ops {
+		if c.effectful() {
+			fired = p.queryWatches(ctx, c, recs[c.Path], recs[c.ParentPath], fired)
 		}
 	}
 
-	fold, results := buildTxnFold(tm.Ops, txid, recs)
+	fold, results := buildTxnFold(msg.Ops, txid)
 	d.stageMsg(msg, obs.StageFlush)
 	t0 = d.K.Now()
 	d.distributeFold(ctx, fold, p.epochs, true, nil, nil)

@@ -107,8 +107,8 @@ func txnResidue(d *Deployment, ctx cloud.Ctx) []string {
 // its push is replayed at the third poll.
 func TestTxnCommitCheck(t *testing.T) {
 	const txid = 9
-	commit := func(d *Deployment, ctx cloud.Ctx, tm txnMsg) {
-		if err := d.Locks.CommitUnlockTx(ctx, multiParts(tm, txid)); err != nil {
+	commit := func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
+		if err := d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid)); err != nil {
 			t.Errorf("commit: %v", err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestTxnCommitCheck(t *testing.T) {
 		name string
 		// between is what happened between the coordinator's push and this
 		// delivery; until its commit the coordinator holds both locks.
-		between func(d *Deployment, ctx cloud.Ctx, tm txnMsg)
+		between func(d *Deployment, ctx cloud.Ctx, msg leaderMsg)
 
 		code          Code
 		reads, writes int64 // the handler's system-store operations
@@ -125,9 +125,9 @@ func TestTxnCommitCheck(t *testing.T) {
 	}{
 		{
 			name: "orphan below txid on one target",
-			between: func(d *Deployment, ctx cloud.Ctx, tm txnMsg) {
+			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
 				_, _ = d.System.Update(ctx, nodeKey("/b"), []kv.Update{pendingAppend(5)}, nil)
-				commit(d, ctx, tm)
+				commit(d, ctx, msg)
 			},
 			// The epoch read; /a, /b, the orphan's pop and /b again in the one
 			// poll; both pops.
@@ -135,8 +135,8 @@ func TestTxnCommitCheck(t *testing.T) {
 		},
 		{
 			name: "delivered again after its pop",
-			between: func(d *Deployment, ctx cloud.Ctx, tm txnMsg) {
-				commit(d, ctx, tm)
+			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
+				commit(d, ctx, msg)
 				for _, p := range []string{"/a", "/b"} {
 					_, _ = d.System.Update(ctx, nodeKey(p), []kv.Update{kv.ListPopHead{Name: attrPending}}, nil)
 				}
@@ -147,7 +147,7 @@ func TestTxnCommitCheck(t *testing.T) {
 		},
 		{
 			name:    "the coordinator died after its push",
-			between: func(*Deployment, cloud.Ctx, txnMsg) {},
+			between: func(*Deployment, cloud.Ctx, leaderMsg) {},
 			// The epoch read, four polls of both targets with the replayed
 			// commit after the third; the replay (a write per item) and both
 			// pops.
@@ -168,23 +168,19 @@ func TestTxnCommitCheck(t *testing.T) {
 				r.settle()
 
 				// The coordinator's half of the multi(), up to the push.
-				ops := []txn.ResolvedOp{
-					{Type: txn.OpSetData, Path: "/a", Data: []byte("1"), Version: 1},
-					{Type: txn.OpSetData, Path: "/b", Data: []byte("1"), Version: 1},
-				}
-				tm := txnMsg{Ops: ops, ItemPaths: []string{"/a", "/b"}}
-				for _, p := range tm.ItemPaths {
-					lock, _, err := d.Locks.Acquire(s.ctx, nodeKey(p))
+				msg := leaderMsg{Session: s.id, Seq: 3, change: change{Op: OpMulti, Path: "/a"}, ItemPaths: []string{"/a", "/b"}}
+				for _, p := range msg.ItemPaths {
+					lock, item, err := d.Locks.Acquire(s.ctx, nodeKey(p))
 					if err != nil {
 						t.Errorf("lock %s: %v", p, err)
 						return
 					}
-					tm.LockTs = append(tm.LockTs, lock.Timestamp)
+					msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
+					msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte("1"), "", decodeSysNode(item), sysNode{}))
 				}
-				tc.between(d, s.ctx, tm)
-				s.seq = 3
+				tc.between(d, s.ctx, msg)
+				s.seq = msg.Seq
 				s.futs[s.seq] = sim.NewFuture[Response](r.k)
-				msg := leaderMsg{Session: s.id, Seq: s.seq, Op: OpMulti, Path: "/a", NodeBlob: tm.encode()}
 
 				r0, w0 := syskv(d)
 				r.deliver(s.ctx, txid, msg)

@@ -32,7 +32,7 @@ const (
 	OpDeregister OpCode = "deregister" // session close / eviction
 
 	// OpMulti is a client multi() request; on the leader queue it carries
-	// the transaction's resolved sub-ops.
+	// the transaction's validated sub-ops (leaderMsg.Ops).
 	OpMulti OpCode = "multi"
 )
 
@@ -125,14 +125,41 @@ func (r Request) trace() int64 {
 	return obs.TraceOf(r.Session, r.Seq)
 }
 
+// change is one validated create, set_data or delete — or a multi()'s
+// check, which changes nothing — as the follower decided it under the
+// locks: everything that commits it (the follower, the leader's replay) and
+// everything that distributes it reads this, and nothing else.
+type change struct {
+	Op         OpCode
+	Path       string // final path (a sequential create's suffix resolved)
+	ParentPath string // "" for set_data and check
+
+	// NodeBlob is the node as of the change, marshaled: a set_data's is the
+	// follower's snapshot of the control record under the node lock (every
+	// change to its children holds that lock too, so the snapshot is the
+	// state at the change's txid), a create's its data and owner. The leader
+	// stamps only what the txid decides (buildUserNode). Nil for a delete.
+	NodeBlob []byte
+
+	Version  int32 // node's new data version
+	Cversion int32 // parent's new child version
+	EphOwner string
+	ChildAdd string
+	ChildDel string
+}
+
+// effectful reports whether the change writes anything (a check does not).
+func (c change) effectful() bool { return c.Op != OpCode(txn.OpCheck) }
+
 // leaderMsg is the follower-to-leader message carrying a validated change
-// (step ③ of Algorithm 1). The queue's sequence number becomes the
-// transaction id.
+// (step ③ of Algorithm 1), or a multi()'s validated changes. The queue's
+// sequence number becomes the transaction id.
 type leaderMsg struct {
 	Session string
 	Seq     int64
-	Op      OpCode
-	Path    string
+	// A multi()'s own change is Op and Path alone: OpMulti and its anchor,
+	// the first effectful op's path (anchorPath).
+	change
 
 	// Shard is the leader pipeline this message was routed to; txids are
 	// derived from the shard queue's sequence number via shardTxid.
@@ -145,19 +172,17 @@ type leaderMsg struct {
 	Fanout  int
 	DeregID int64
 
-	NodeBlob []byte // marshaled znode (mzxid patched by leader)
-
-	ParentPath string
-	ChildAdd   string
-	ChildDel   string
-
 	LockTs       int64 // for the leader's TryCommit fallback
 	ParentLockTs int64
 
-	Version  int32 // node's new data version
-	Cversion int32 // parent's new child version
-
-	EphOwner string
+	// A multi()'s payload (Op == OpMulti, and on the wire only then): its
+	// sub-ops, validated in order against the speculative state, and every
+	// item it locked with its timed-lock timestamp, in acquisition order —
+	// the locks under which the leader replays the multi-item commit for a
+	// follower that died, as it does a single op's.
+	Ops        []change
+	ItemPaths  []string
+	ItemLockTs []int64
 
 	// traceID mirrors Request.traceID across the follower→leader hop.
 	traceID int64
@@ -169,23 +194,6 @@ func (m leaderMsg) trace() int64 {
 		return m.traceID
 	}
 	return obs.TraceOf(m.Session, m.Seq)
-}
-
-// txnMsg is the transaction payload an OpMulti leader message carries in
-// its NodeBlob field. Ops are the resolved sub-ops the message applies;
-// ItemPaths/LockTs list the locked system items and their timed-lock
-// timestamps, under which the leader replays the multi-item commit on
-// behalf of a crashed follower, exactly like a single op's commit replay.
-type txnMsg struct {
-	Ops       []txn.ResolvedOp
-	ItemPaths []string
-	LockTs    []int64
-
-	// traceID is the originating multi() request's causal trace id, set at
-	// construction (txnMsg has no Session/Seq of its own to re-mint it
-	// from). Always set deterministically, so the encoding is identical
-	// whether telemetry is on or off.
-	traceID int64
 }
 
 // Response is sent to the client over its notification connection: from

@@ -3,16 +3,14 @@ package core
 // Wire codecs for the pipeline's message types (package wire). Queue
 // latencies and billed sizes are functions of these encodings, so a format
 // change here moves the golden virtual-time trace (TestWireSizesPinned
-// attributes the drift). Byte-slice fields (Request.Data,
-// leaderMsg.NodeBlob, resolved-op Data) decode as zero-copy views into the
-// queue message body, which the receiving handler owns; everything the
-// pipeline retains beyond the handler (store items, marshaled znodes) is
-// copied by the storage layer.
+// attributes the drift). Byte-slice fields (Request.Data, every change's
+// NodeBlob) decode as zero-copy views into the queue message body, which
+// the receiving handler owns; everything the pipeline retains beyond the
+// handler (store items, marshaled znodes) is copied by the storage layer.
 
 import (
 	"fmt"
 
-	"faaskeeper/internal/txn"
 	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
@@ -21,7 +19,6 @@ import (
 const (
 	tagRequest   byte = 0xB1
 	tagLeaderMsg byte = 0xB2
-	tagTxnMsg    byte = 0xB3
 	tagWatch     byte = 0xB4
 )
 
@@ -65,26 +62,27 @@ func DecodeRequest(b []byte) (Request, error) {
 }
 
 // encode serializes the leader message; same buffer ownership rules as
-// Request.Encode.
+// Request.Encode. A multi()'s payload follows the trailing trace id, so a
+// single op's message carries none of it.
 func (m leaderMsg) encode(e *wire.Encoder) []byte {
 	e.Byte(tagLeaderMsg)
 	e.String(m.Session)
 	e.Varint(m.Seq)
-	e.String(string(m.Op))
-	e.String(m.Path)
+	m.change.append(e)
 	e.Varint(int64(m.Shard))
 	e.Varint(int64(m.Fanout))
 	e.Varint(m.DeregID)
-	e.Bytes(m.NodeBlob)
-	e.String(m.ParentPath)
-	e.String(m.ChildAdd)
-	e.String(m.ChildDel)
 	e.Varint(m.LockTs)
 	e.Varint(m.ParentLockTs)
-	e.Varint(int64(m.Version))
-	e.Varint(int64(m.Cversion))
-	e.String(m.EphOwner)
 	e.Varint(m.trace()) // trailing trace id, same rule as Request
+	if m.Op == OpMulti {
+		e.Uvarint(uint64(len(m.Ops)))
+		for i := range m.Ops {
+			m.Ops[i].append(e)
+		}
+		e.Strings(m.ItemPaths)
+		e.Int64s(m.ItemLockTs)
+	}
 	return e.Data()
 }
 
@@ -97,50 +95,53 @@ func decodeLeaderMsg(b []byte) (leaderMsg, error) {
 	m := leaderMsg{
 		Session:      d.String(),
 		Seq:          d.Varint(),
-		Op:           OpCode(d.String()),
-		Path:         d.String(),
+		change:       readChange(&d),
 		Shard:        int(d.Varint()),
 		Fanout:       int(d.Varint()),
 		DeregID:      d.Varint(),
-		NodeBlob:     d.Bytes(),
-		ParentPath:   d.String(),
-		ChildAdd:     d.String(),
-		ChildDel:     d.String(),
 		LockTs:       d.Varint(),
 		ParentLockTs: d.Varint(),
-		Version:      int32(d.Varint()),
-		Cversion:     int32(d.Varint()),
-		EphOwner:     d.String(),
 		traceID:      d.Varint(),
 	}
+	if m.Op == OpMulti {
+		if n := d.Count(); n > 0 {
+			m.Ops = make([]change, 0, n)
+			for i := 0; i < n; i++ {
+				m.Ops = append(m.Ops, readChange(&d))
+			}
+		}
+		m.ItemPaths = d.Strings()
+		m.ItemLockTs = d.Int64s()
+	}
 	return m, d.Err()
 }
 
-// encode serializes the transaction payload into owned bytes (it rides
-// inside a leaderMsg, outliving any scratch buffer scope).
-func (m txnMsg) encode() []byte {
-	e := wire.NewEncoder()
-	e.Byte(tagTxnMsg)
-	txn.AppendResolvedOps(e, m.Ops)
-	e.Strings(m.ItemPaths)
-	e.Int64s(m.LockTs)
-	e.Varint(m.traceID) // set at construction; 0 only in hand-built fixtures
-	return e.Owned()
+// append writes one validated change in the binary format.
+func (c change) append(e *wire.Encoder) {
+	e.String(string(c.Op))
+	e.String(c.Path)
+	e.String(c.ParentPath)
+	e.Bytes(c.NodeBlob)
+	e.Varint(int64(c.Version))
+	e.Varint(int64(c.Cversion))
+	e.String(c.EphOwner)
+	e.String(c.ChildAdd)
+	e.String(c.ChildDel)
 }
 
-// decodeTxnMsg parses a transaction payload.
-func decodeTxnMsg(b []byte) (txnMsg, error) {
-	d := wire.NewDecoder(b)
-	if d.Byte() != tagTxnMsg {
-		return txnMsg{}, fmt.Errorf("%w: txn msg tag", wire.ErrCorrupt)
+// readChange decodes one change; NodeBlob is a zero-copy view.
+func readChange(d *wire.Decoder) change {
+	return change{
+		Op:         OpCode(d.String()),
+		Path:       d.String(),
+		ParentPath: d.String(),
+		NodeBlob:   d.Bytes(),
+		Version:    int32(d.Varint()),
+		Cversion:   int32(d.Varint()),
+		EphOwner:   d.String(),
+		ChildAdd:   d.String(),
+		ChildDel:   d.String(),
 	}
-	m := txnMsg{
-		Ops:       txn.ReadResolvedOps(&d),
-		ItemPaths: d.Strings(),
-		LockTs:    d.Int64s(),
-		traceID:   d.Varint(),
-	}
-	return m, d.Err()
 }
 
 // encode serializes the watch invocation payload into bytes the callee

@@ -10,7 +10,7 @@ import "testing"
 func BenchmarkWireCodec(b *testing.B) {
 	req := testRequests()[1]
 	lm := testLeaderMsgs()[1]
-	tm := testTxnMsgs()[1]
+	mm := testMultiMsg()
 	wp := testWatchPayloads()[1]
 	b.Run("request", func(b *testing.B) {
 		b.ReportAllocs()
@@ -24,12 +24,10 @@ func BenchmarkWireCodec(b *testing.B) {
 			roundTripLM(b, lm)
 		}
 	})
-	b.Run("txnmsg", func(b *testing.B) {
+	b.Run("multimsg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeTxnMsg(tm.encode()); err != nil {
-				b.Fatal(err)
-			}
+			roundTripLM(b, mm)
 		}
 	})
 	b.Run("watch", func(b *testing.B) {

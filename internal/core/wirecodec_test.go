@@ -28,26 +28,40 @@ func testLeaderMsgs() []leaderMsg {
 	return []leaderMsg{
 		{},
 		{
-			Session: "s", Seq: 9, Op: OpCreate, Path: "/p/c", Shard: 3, Fanout: 2, DeregID: 44,
-			NodeBlob: []byte{1, 2, 3}, ParentPath: "/p", ChildAdd: "c", ChildDel: "d",
-			LockTs: 100, ParentLockTs: 101, Version: 5, Cversion: 6, EphOwner: "owner",
+			Session: "s", Seq: 9, Shard: 3, Fanout: 2, DeregID: 44,
+			change: change{
+				Op: OpCreate, Path: "/p/c", NodeBlob: []byte{1, 2, 3}, ParentPath: "/p", ChildAdd: "c", ChildDel: "d",
+				Version: 5, Cversion: 6, EphOwner: "owner",
+			},
+			LockTs: 100, ParentLockTs: 101,
 		},
-		{Session: "neg", Seq: -1, Op: OpDelete, Path: "/z", Version: -1},
+		{Session: "neg", Seq: -1, change: change{Op: OpDelete, Path: "/z", Version: -1}},
 	}
 }
 
-func testTxnMsgs() []txnMsg {
-	return []txnMsg{
-		{},
-		{
-			Ops: []txn.ResolvedOp{
-				{Type: txn.OpCreate, Path: "/t/a", ParentPath: "/t", Data: []byte("d"), Cversion: 2, EphOwner: "e", ChildAdd: "a"},
-				{Type: txn.OpDelete, Path: "/t/b", ParentPath: "/t", Version: 3, ChildDel: "b"},
-				{Type: txn.OpCheck, Path: "/t"},
-			},
-			ItemPaths: []string{"/t/a", "/t/b"},
-			LockTs:    []int64{10, -20},
-		},
+// testTxnMsgs are multi() leader messages: the transaction payload (sub-ops,
+// ItemPaths, ItemLockTs) travels as leaderMsg fields when Op == OpMulti.
+func testTxnMsgs() []leaderMsg {
+	return []leaderMsg{
+		{Session: "m", change: change{Op: OpMulti}},
+		testMultiMsg(),
+	}
+}
+
+// testMultiMsg is a multi() message as multiFastPath builds it: a create, a
+// delete and a check under /t, validated against stored states, with the
+// lock of every item it touches.
+func testMultiMsg() leaderMsg {
+	t := sysNode{Exists: true, Cversion: 4, Children: []string{"b"}}
+	b := sysNode{Exists: true, Version: 2}
+	ops := []change{
+		validatedChange(OpCreate, "/t/a", []byte("d"), "e", sysNode{}, t),
+		validatedChange(OpDelete, "/t/b", nil, "", b, t),
+		validatedChange(OpCode(txn.OpCheck), "/t", nil, "", t, sysNode{}),
+	}
+	return leaderMsg{
+		Session: "s", Seq: 9, change: change{Op: OpMulti, Path: anchorPath(ops)},
+		Ops: ops, ItemPaths: []string{"/t", "/t/a", "/t/b"}, ItemLockTs: []int64{10, -20, 30},
 	}
 }
 
@@ -73,14 +87,9 @@ func normLM(m leaderMsg) leaderMsg {
 	if len(m.NodeBlob) == 0 {
 		m.NodeBlob = nil
 	}
-	m.traceID = 0
-	return m
-}
-
-func normTM(m txnMsg) txnMsg {
 	for i := range m.Ops {
-		if len(m.Ops[i].Data) == 0 {
-			m.Ops[i].Data = nil
+		if len(m.Ops[i].NodeBlob) == 0 {
+			m.Ops[i].NodeBlob = nil
 		}
 	}
 	if len(m.Ops) == 0 {
@@ -89,9 +98,10 @@ func normTM(m txnMsg) txnMsg {
 	if len(m.ItemPaths) == 0 {
 		m.ItemPaths = nil
 	}
-	if len(m.LockTs) == 0 {
-		m.LockTs = nil
+	if len(m.ItemLockTs) == 0 {
+		m.ItemLockTs = nil
 	}
+	m.traceID = 0
 	return m
 }
 
@@ -144,23 +154,36 @@ func TestRequestRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// A multi() message's payload travels only with Op == OpMulti: a single
+// op's message encodes the same bytes whatever its payload fields hold.
 func TestLeaderMsgRoundTripIdentity(t *testing.T) {
 	for _, m := range testLeaderMsgs() {
 		if got := roundTripLM(t, m); !reflect.DeepEqual(normLM(got), normLM(m)) {
 			t.Errorf("round trip: %+v != %+v", got, m)
 		}
 	}
+	single := testLeaderMsgs()[1]
+	e1, e2 := wire.NewEncoder(), wire.NewEncoder()
+	defer e1.Release()
+	defer e2.Release()
+	withOps := single
+	withOps.Ops, withOps.ItemPaths, withOps.ItemLockTs = testMultiMsg().Ops, []string{"/p"}, []int64{1}
+	if a, b := single.encode(e1), withOps.encode(e2); !bytes.Equal(a, b) {
+		t.Errorf("a single op's message carries a multi() payload: %d B, %d B without", len(b), len(a))
+	}
 }
 
 func TestTxnMsgRoundTripIdentity(t *testing.T) {
-	for _, m := range append(testTxnMsgs(), txnMsg{traceID: 99}) {
-		got, err := decodeTxnMsg(m.encode())
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(normTM(got), normTM(m)) {
+	for _, m := range testTxnMsgs() {
+		if got := roundTripLM(t, m); !reflect.DeepEqual(normLM(got), normLM(m)) {
 			t.Errorf("round trip: %+v != %+v", got, m)
 		}
+	}
+	// The payload follows the trailing trace id, which a multi() keeps.
+	m := testMultiMsg()
+	m.traceID = 99
+	if got := roundTripLM(t, m); got.traceID != 99 {
+		t.Errorf("trace id %d, want 99", got.traceID)
 	}
 }
 
@@ -183,9 +206,6 @@ func TestDecodeRejectsWrongTag(t *testing.T) {
 	if _, err := decodeLeaderMsg(b); err == nil {
 		t.Error("leaderMsg decode accepted a request blob")
 	}
-	if _, err := decodeTxnMsg(b); err == nil {
-		t.Error("txnMsg decode accepted a request blob")
-	}
 	if _, err := decodeWatchPayload(b); err == nil {
 		t.Error("watchPayload decode accepted a request blob")
 	}
@@ -199,9 +219,10 @@ func TestDecodeRejectsWrongTag(t *testing.T) {
 // golden trace hash (fkclient.singleShardTraceSHA256) drifts, a failure
 // here names the message whose size moved instead of an opaque SHA.
 func TestWireSizesPinned(t *testing.T) {
-	e1, e2 := wire.NewEncoder(), wire.NewEncoder()
+	e1, e2, e3 := wire.NewEncoder(), wire.NewEncoder(), wire.NewEncoder()
 	defer e1.Release()
 	defer e2.Release()
+	defer e3.Release()
 	for _, c := range []struct {
 		name      string
 		got, want int
@@ -209,7 +230,11 @@ func TestWireSizesPinned(t *testing.T) {
 		{"Request", len(testRequests()[1].Encode(e1)), 38},
 		{"leaderMsg", len(testLeaderMsgs()[1].encode(e2)), 51},
 		{"watchPayload", len(testWatchPayloads()[1].encode()), 13},
-		{"txnMsg", len(testTxnMsgs()[1].encode()), 79},
+		// The same multi() encoded to 127 B as a leaderMsg nesting its
+		// payload in NodeBlob: the blob's length prefix, tag and second
+		// trace id went (−9 B), and the create carries its marshaled node
+		// instead of its raw data, as a single create does (+16 B).
+		{"leaderMsg multi", len(testMultiMsg().encode(e3)), 134},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s encodes to %d B, pinned %d", c.name, c.got, c.want)
@@ -239,7 +264,6 @@ func TestBinaryAllocBudgets(t *testing.T) {
 func neverPanics(b []byte) {
 	_, _ = DecodeRequest(b)
 	_, _ = decodeLeaderMsg(b)
-	_, _ = decodeTxnMsg(b)
 	_, _ = decodeWatchPayload(b)
 }
 
@@ -259,20 +283,55 @@ func FuzzRequestCodecs(f *testing.F) {
 	})
 }
 
-// FuzzLeaderMsgCodecs does the same for the leader pipeline message.
+// FuzzLeaderMsgCodecs does the same for a single op's leader pipeline
+// message.
 func FuzzLeaderMsgCodecs(f *testing.F) {
 	f.Add("s", int64(2), "set_data", "/p", 1, 0, int64(3), []byte{9}, "/q", "a", "b", int64(4), int64(5), int32(6), int32(7), "o")
 	f.Fuzz(func(t *testing.T, session string, seq int64, op string, path string, shard int, fanout int, deregID int64,
 		blob []byte, parent string, childAdd string, childDel string, lockTs int64, parentLockTs int64,
 		version int32, cversion int32, ephOwner string) {
 		neverPanics(blob)
+		if OpCode(op) == OpMulti {
+			op = string(OpSetData)
+		}
 		m := leaderMsg{
-			Session: session, Seq: seq, Op: OpCode(op), Path: path, Shard: shard, Fanout: fanout,
-			DeregID: deregID, NodeBlob: blob, ParentPath: parent, ChildAdd: childAdd, ChildDel: childDel,
-			LockTs: lockTs, ParentLockTs: parentLockTs, Version: version, Cversion: cversion, EphOwner: ephOwner,
+			Session: session, Seq: seq, Shard: shard, Fanout: fanout, DeregID: deregID,
+			change: change{
+				Op: OpCode(op), Path: path, NodeBlob: blob, ParentPath: parent, ChildAdd: childAdd, ChildDel: childDel,
+				Version: version, Cversion: cversion, EphOwner: ephOwner,
+			},
+			LockTs: lockTs, ParentLockTs: parentLockTs,
 		}
 		if got := roundTripLM(t, m); !reflect.DeepEqual(normLM(got), normLM(m)) {
 			t.Fatalf("round trip: %+v != %+v", got, m)
+		}
+	})
+}
+
+// FuzzTxnMsgCodecs covers a multi()'s leader message: one fuzzed change as
+// its sub-op plus one locked item.
+func FuzzTxnMsgCodecs(f *testing.F) {
+	f.Add(int64(1), "create", "/t/a", "/t", []byte("d"), int32(1), int32(2), "e", "a", "", "/t/a", int64(9))
+	f.Fuzz(func(t *testing.T, trace int64, op string, path string, parent string, blob []byte,
+		version int32, cversion int32, ephOwner string, childAdd string, childDel string,
+		itemPath string, lockTs int64) {
+		neverPanics(blob)
+		m := leaderMsg{
+			Session: "s", Seq: 1, change: change{Op: OpMulti, Path: path},
+			Ops: []change{{
+				Op: OpCode(op), Path: path, NodeBlob: blob, ParentPath: parent, ChildAdd: childAdd, ChildDel: childDel,
+				Version: version, Cversion: cversion, EphOwner: ephOwner,
+			}},
+			ItemPaths:  []string{itemPath},
+			ItemLockTs: []int64{lockTs},
+			traceID:    trace,
+		}
+		got := roundTripLM(t, m)
+		if !reflect.DeepEqual(normLM(got), normLM(m)) {
+			t.Fatalf("round trip: %+v != %+v", got, m)
+		}
+		if trace != 0 && got.traceID != trace {
+			t.Fatalf("trace id %d, want %d", got.traceID, trace)
 		}
 	})
 }
@@ -290,34 +349,6 @@ func FuzzWatchPayloadCodecs(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, p) {
 			t.Fatalf("round trip: %+v != %+v", got, p)
-		}
-	})
-}
-
-// FuzzTxnMsgCodecs covers the transaction payload with one fuzzed
-// resolved op plus list fields.
-func FuzzTxnMsgCodecs(f *testing.F) {
-	f.Add(int64(1), "create", "/t/a", "/t", []byte("d"), int32(1), int32(2), "e", "a", "", "/t/a", int64(9))
-	f.Fuzz(func(t *testing.T, trace int64, opType string, path string, parent string, data []byte,
-		version int32, cversion int32, ephOwner string, childAdd string, childDel string,
-		itemPath string, lockTs int64) {
-		neverPanics(data)
-		m := txnMsg{
-			Ops: []txn.ResolvedOp{{
-				Type: txn.OpType(opType), Path: path, ParentPath: parent, Data: data,
-				Version: version, Cversion: cversion, EphOwner: ephOwner,
-				ChildAdd: childAdd, ChildDel: childDel,
-			}},
-			ItemPaths: []string{itemPath},
-			LockTs:    []int64{lockTs},
-			traceID:   trace,
-		}
-		got, err := decodeTxnMsg(m.encode())
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(normTM(got), normTM(m)) {
-			t.Fatalf("round trip: %+v != %+v", got, m)
 		}
 	})
 }

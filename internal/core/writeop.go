@@ -19,7 +19,6 @@ package core
 
 import (
 	"faaskeeper/internal/cloud/kv"
-	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
 
@@ -85,43 +84,34 @@ func checkNode(op OpCode, path string, version int32, node, parent sysNode) Code
 	return CodeOK
 }
 
-// validatedMsg builds the leader message of a validated single op (step ③
-// of Algorithm 1) from the states read under the locks. path is the final
-// path (a sequential create's suffix resolved); owner is the ephemeral
-// owner a create stamps. The caller adds the lock timestamps.
-func validatedMsg(req Request, path, owner string, node, parent sysNode) leaderMsg {
-	msg := leaderMsg{Session: req.Session, Seq: req.Seq, Op: req.Op, Path: path}
-	switch req.Op {
+// validatedChange builds the change a validated op sends to the leader
+// (step ③ of Algorithm 1) from the states read under the locks — the stored
+// ones for a single op, the plan's speculative ones for a multi()'s sub-op.
+// path is the final path (a sequential create's suffix resolved); owner is
+// the ephemeral owner a create stamps.
+func validatedChange(op OpCode, path string, data []byte, owner string, node, parent sysNode) change {
+	c := change{Op: op, Path: path}
+	switch op {
 	case OpSetData:
-		msg.Version = node.Version + 1
-		msg.NodeBlob = znode.Marshal(node.toZNode(path, req.Data), nil)
+		c.Version = node.Version + 1
+		c.NodeBlob = znode.Marshal(node.toZNode(path, data), nil)
 	case OpCreate:
-		msg.NodeBlob = znode.Marshal(&znode.Node{
+		c.NodeBlob = znode.Marshal(&znode.Node{
 			Path: path,
-			Data: req.Data,
+			Data: data,
 			Stat: znode.Stat{Ephemeral: owner != "", Owner: owner},
 		}, nil)
-		msg.ChildAdd = znode.Base(path)
-		msg.EphOwner = owner
+		c.ChildAdd = znode.Base(path)
+		c.EphOwner = owner
 	case OpDelete:
-		msg.ChildDel = znode.Base(path)
-		msg.EphOwner = node.EphOwner
+		c.ChildDel = znode.Base(path)
+		c.EphOwner = node.EphOwner
 	}
-	if splicesParent(req.Op) {
-		msg.ParentPath = znode.Parent(path)
-		msg.Cversion = parent.Cversion + 1
+	if splicesParent(op) {
+		c.ParentPath = znode.Parent(path)
+		c.Cversion = parent.Cversion + 1
 	}
-	return msg
-}
-
-// opMsgView adapts one resolved multi() sub-op to the leaderMsg shape the
-// table and the watch claim read.
-func opMsgView(op txn.ResolvedOp) leaderMsg {
-	return leaderMsg{
-		Op: OpCode(op.Type), Path: op.Path, ParentPath: op.ParentPath,
-		Version: op.Version, EphOwner: op.EphOwner,
-		ChildAdd: op.ChildAdd, ChildDel: op.ChildDel,
-	}
+	return c
 }
 
 // commitUpdates is the system-store effect of one validated op committing
@@ -130,11 +120,11 @@ func opMsgView(op txn.ResolvedOp) leaderMsg {
 // ④, the leader's replay of it and the transaction paths all write exactly
 // these. Appending lets a set_data commit build its list in a stack buffer
 // (commitLocked).
-func commitUpdates(node, parent []kv.Update, msg leaderMsg, txid int64) ([]kv.Update, []kv.Update) {
-	switch msg.Op {
+func commitUpdates(node, parent []kv.Update, c change, txid int64) ([]kv.Update, []kv.Update) {
+	switch c.Op {
 	case OpSetData:
 		node = append(node,
-			kv.Set{Name: attrVersion, V: kv.N(int64(msg.Version))},
+			kv.Set{Name: attrVersion, V: kv.N(int64(c.Version))},
 			kv.Set{Name: attrMzxid, V: kv.N(txid)})
 	case OpCreate:
 		node = append(node,
@@ -145,11 +135,11 @@ func commitUpdates(node, parent []kv.Update, msg leaderMsg, txid int64) ([]kv.Up
 			kv.Set{Name: attrMzxid, V: kv.N(txid)},
 			kv.Set{Name: attrPzxid, V: kv.N(txid)},
 			kv.Set{Name: attrChildren, V: kv.StrList()})
-		if msg.EphOwner != "" {
-			node = append(node, kv.Set{Name: attrEph, V: kv.S(msg.EphOwner)})
+		if c.EphOwner != "" {
+			node = append(node, kv.Set{Name: attrEph, V: kv.S(c.EphOwner)})
 		}
 		parent = append(parent,
-			kv.StrListAppend{Name: attrChildren, Vals: []string{msg.ChildAdd}},
+			kv.StrListAppend{Name: attrChildren, Vals: []string{c.ChildAdd}},
 			kv.Add{Name: attrCversion, Delta: 1},
 			kv.Add{Name: attrSeq, Delta: 1},
 			kv.Set{Name: attrPzxid, V: kv.N(txid)})
@@ -161,7 +151,7 @@ func commitUpdates(node, parent []kv.Update, msg leaderMsg, txid int64) ([]kv.Up
 			kv.Set{Name: attrMzxid, V: kv.N(txid)},
 			kv.Remove{Name: attrEph})
 		parent = append(parent,
-			kv.StrListRemove{Name: attrChildren, Vals: []string{msg.ChildDel}},
+			kv.StrListRemove{Name: attrChildren, Vals: []string{c.ChildDel}},
 			kv.Add{Name: attrCversion, Delta: 1},
 			kv.Set{Name: attrPzxid, V: kv.N(txid)})
 	}

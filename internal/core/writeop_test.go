@@ -1,14 +1,17 @@
 package core
 
 // Tests of the write-op table (writeop.go): the precondition stages on their
-// own, and the property the table exists for — a single op and the one-op
-// multi() of it are the same write.
+// own, the property the table exists for — a single op and the one-op
+// multi() of it are the same write — and the change it builds, whose object
+// is the node as of its own txid.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"faaskeeper/internal/cloud/kv"
+	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
@@ -242,5 +245,209 @@ func diffLines(t *testing.T, what string, single, multi []string) {
 		if single[i] != multi[i] {
 			t.Errorf("%s differs:\n single %s\n multi  %s", what, single[i], multi[i])
 		}
+	}
+}
+
+// pushCreate is the follower's half of a create of path by s, through its
+// commit under txid: lock the parent, then the node, validate, commit. It
+// returns the leader message, with s waiting for the answer.
+func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg {
+	r.t.Helper()
+	parentLock, parent, err := r.d.Locks.Acquire(s.ctx, nodeKey(znode.Parent(path)))
+	if err != nil {
+		r.t.Fatalf("lock the parent of %s: %v", path, err)
+	}
+	nodeLock, node, err := r.d.Locks.Acquire(s.ctx, nodeKey(path))
+	if err != nil {
+		r.t.Fatalf("lock %s: %v", path, err)
+	}
+	s.seq++
+	msg := leaderMsg{
+		Session: s.id, Seq: s.seq, LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
+		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node), decodeSysNode(parent)),
+	}
+	if err := r.d.commitLocked(s.ctx, []fksync.Lock{nodeLock, parentLock}, msg, txid); err != nil {
+		r.t.Fatalf("commit %s: %v", path, err)
+	}
+	s.futs[s.seq] = sim.NewFuture[Response](r.k)
+	return msg
+}
+
+// TestObjectIsTheSnapshotAtItsTxid: a set_data's user-store object is the
+// node as of its own txid. Here a child create commits after the set's
+// follower did and before the leader takes the set up, so the set's commit
+// check reads a control record that already lists the child at a later
+// pzxid. The object — and the Stat the writer is answered with — keeps the
+// state the follower read under the node lock: no child, and the pzxid of
+// the node's own create, as a single op and as a multi() sub-op.
+func TestObjectIsTheSnapshotAtItsTxid(t *testing.T) {
+	const set, childCreate = 9, 10
+	for _, tc := range []struct {
+		name string
+		// push is the set's follower half, through its commit at txid set.
+		push func(r *pipeRig, s *pipeSession) leaderMsg
+		stat func(Response) znode.Stat
+	}{
+		{
+			name: "set_data",
+			push: func(r *pipeRig, s *pipeSession) leaderMsg { return r.pushSet(s, "/p", "1", set) },
+			stat: func(resp Response) znode.Stat { return resp.Stat },
+		},
+		{
+			name: "multi() set_data",
+			push: func(r *pipeRig, s *pipeSession) leaderMsg {
+				s.seq++
+				lock, item, err := r.d.Locks.Acquire(s.ctx, nodeKey("/p"))
+				if err != nil {
+					r.t.Fatalf("lock /p: %v", err)
+				}
+				msg := leaderMsg{
+					Session: s.id, Seq: s.seq, change: change{Op: OpMulti, Path: "/p"},
+					Ops:       []change{validatedChange(OpSetData, "/p", []byte("1"), "", decodeSysNode(item), sysNode{})},
+					ItemPaths: []string{"/p"}, ItemLockTs: []int64{lock.Timestamp},
+				}
+				if err := r.d.Locks.CommitUnlockTx(s.ctx, multiParts(msg, set)); err != nil {
+					r.t.Fatalf("commit: %v", err)
+				}
+				s.futs[s.seq] = sim.NewFuture[Response](r.k)
+				return msg
+			},
+			stat: func(resp Response) znode.Stat {
+				if len(resp.MultiResults) != 1 {
+					return znode.Stat{}
+				}
+				return resp.MultiResults[0].Stat
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPipeRig(t, 21, Config{}, &pipeFaults{})
+			var born int64
+			var resp Response
+			var obj *znode.Node
+			r.k.Go(leaderProc, func() {
+				s := r.open("w")
+				born = s.do(OpCreate, "/p", "0").Txid
+				r.k.Sleep(sim.Ms(200))
+				r.settle()
+				msg := tc.push(r, s)
+				r.pushCreate(s, "/p/c", childCreate)
+				r.deliver(s.ctx, set, msg)
+				resp = s.futs[msg.Seq].Wait()
+				r.k.Sleep(sim.Ms(200))
+				var err error
+				if obj, _, err = r.d.PrimaryStore().Read(s.ctx, "/p"); err != nil {
+					t.Errorf("read /p: %v", err)
+				}
+			})
+			r.run()
+			if resp.Code != CodeOK || obj == nil {
+				t.Fatalf("answered %s", resp.Code)
+			}
+			want := znode.Stat{Czxid: born, Mzxid: set, Pzxid: born, Version: 1, DataLength: 1}
+			if obj.Stat != want || len(obj.Children) != 0 {
+				t.Errorf("object %+v %v, want %+v and no child: the commit check's read of a later create leaked in", obj.Stat, obj.Children, want)
+			}
+			if got := tc.stat(resp); got != want {
+				t.Errorf("answered with %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestChunkObjectsAreEachTheirTxids: under BatchWrites a chunk of set /p, a
+// child create under /p and set /p folds three txids into one flush. Each
+// set is answered with the node as of its own txid — the first without the
+// child, the second with it at the create's pzxid — and the object written
+// is the second's.
+func TestChunkObjectsAreEachTheirTxids(t *testing.T) {
+	r := newPipeRig(t, 21, Config{BatchWrites: true}, &pipeFaults{})
+	var born int64
+	var resps [3]Response
+	var obj *znode.Node
+	r.k.Go(leaderProc, func() {
+		s := r.open("w")
+		born = s.do(OpCreate, "/p", "0").Txid
+		r.k.Sleep(sim.Ms(200))
+		r.settle()
+		msgs := []leaderMsg{r.pushSet(s, "/p", "1", 9), r.pushCreate(s, "/p/c", 10), r.pushSet(s, "/p", "2", 11)}
+		r.deliver(s.ctx, 9, msgs...)
+		for i, m := range msgs {
+			resps[i] = s.futs[m.Seq].Wait()
+		}
+		r.k.Sleep(sim.Ms(200))
+		var err error
+		if obj, _, err = r.d.PrimaryStore().Read(s.ctx, "/p"); err != nil {
+			t.Errorf("read /p: %v", err)
+		}
+	})
+	r.run()
+	first := znode.Stat{Czxid: born, Mzxid: 9, Pzxid: born, Version: 1, DataLength: 1}
+	second := znode.Stat{Czxid: born, Mzxid: 11, Pzxid: 10, Version: 2, Cversion: 1, DataLength: 1, NumChildren: 1}
+	if resps[0].Stat != first || resps[2].Stat != second {
+		t.Errorf("the sets were answered with %+v and %+v, want %+v and %+v", resps[0].Stat, resps[2].Stat, first, second)
+	}
+	if obj == nil || obj.Stat != second || !slices.Equal(obj.Children, []string{"c"}) {
+		t.Errorf("object %+v, want %+v listing c", obj, second)
+	}
+}
+
+// TestMultiSetTakesItsTxidsStamps: a set_data on a node an earlier op of the
+// same multi() created, or whose child list one changed, builds its object
+// from the speculative state, which cannot know the txid: it takes the
+// create's czxid and pzxid, and the txid as its pzxid once its child list
+// changed.
+func TestMultiSetTakesItsTxidsStamps(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		exists   bool // /q is created ahead of the multi()
+		ops      []txn.Op
+		children []string
+		version  int32
+	}{
+		{"create, set", false, []txn.Op{txn.Create("/q", []byte("0"), 0), txn.SetData("/q", []byte("1"), 0)}, nil, 1},
+		{"create, create a child, set, set", false, []txn.Op{
+			txn.Create("/q", []byte("0"), 0), txn.Create("/q/c", nil, 0),
+			txn.SetData("/q", []byte("1"), 0), txn.SetData("/q", []byte("1"), 1),
+		}, []string{"c"}, 2},
+		{"create a child, set", true, []txn.Op{txn.Create("/q/c", nil, 0), txn.SetData("/q", []byte("1"), 0)}, []string{"c"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPipeRig(t, 21, Config{}, nil)
+			var resp Response
+			var obj *znode.Node
+			var born int64
+			r.k.Go("client", func() {
+				s := r.open("w")
+				if tc.exists {
+					born = s.do(OpCreate, "/q", "0").Txid
+				}
+				resp = s.send(Request{Op: OpMulti, Path: "/q", Data: txn.EncodeOps(tc.ops)}).Wait()
+				r.k.Sleep(sim.Ms(200))
+				var err error
+				if obj, _, err = r.d.PrimaryStore().Read(s.ctx, "/q"); err != nil {
+					t.Errorf("read /q: %v", err)
+				}
+			})
+			r.run()
+			if resp.Code != CodeOK || len(resp.MultiResults) != len(tc.ops) || obj == nil {
+				t.Fatalf("answered %s with %d results", resp.Code, len(resp.MultiResults))
+			}
+			last := resp.MultiResults[len(tc.ops)-1]
+			txid := last.Txid
+			if !tc.exists {
+				born = txid
+			}
+			want := znode.Stat{
+				Czxid: born, Mzxid: txid, Pzxid: txid, Version: tc.version, Cversion: int32(len(tc.children)),
+				DataLength: 1, NumChildren: int32(len(tc.children)),
+			}
+			if obj.Stat != want || !slices.Equal(obj.Children, tc.children) {
+				t.Errorf("object %+v %v, want %+v %v", obj.Stat, obj.Children, want, tc.children)
+			}
+			if last.Stat != want {
+				t.Errorf("the last set answered %+v, want %+v", last.Stat, want)
+			}
+		})
 	}
 }

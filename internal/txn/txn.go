@@ -1,8 +1,8 @@
 // Package txn is the vocabulary of FaaSKeeper's ZooKeeper-style multi():
-// the requested and the resolved sub-operations, their per-op results, and
-// their wire codecs. The pipeline integration (validation under the locks,
-// the one-message commit, the atomic user-store apply) lives in package
-// core, which imports this one.
+// the requested sub-operations, their per-op results, and the request's
+// wire codec. The pipeline integration (validation under the locks into the
+// changes a leader message carries, the one-message commit, the atomic
+// user-store apply) lives in package core, which imports this one.
 package txn
 
 import "faaskeeper/internal/znode"
@@ -65,22 +65,3 @@ const (
 	CodeOK      = "ok"
 	CodeAborted = "txn_aborted" // rolled back: a sibling op failed validation
 )
-
-// ResolvedOp is a validated sub-operation with everything the commit phase
-// needs to rebuild its system-store updates and user-store state on any
-// actor: the follower, or a shard leader replaying the commit of one that
-// died.
-type ResolvedOp struct {
-	Type       OpType
-	Path       string // final path (sequential suffix resolved)
-	ParentPath string // "" for set_data/check
-	Data       []byte
-	Version    int32 // node's new data version (set_data), 0 for create
-	Cversion   int32 // parent's new child version (create/delete)
-	EphOwner   string
-	ChildAdd   string
-	ChildDel   string
-}
-
-// Effectful reports whether the op mutates state (checks do not).
-func (r ResolvedOp) Effectful() bool { return r.Type != OpCheck }

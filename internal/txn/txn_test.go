@@ -17,9 +17,4 @@ func TestOpsCodecRoundTrip(t *testing.T) {
 		got[2].Version != -1 || got[3].Path != "/d" {
 		t.Errorf("round trip = %+v", got)
 	}
-	resolved := []ResolvedOp{{Type: OpCreate, Path: "/a", ParentPath: "/", Cversion: 2, ChildAdd: "a"}}
-	r2, err := roundTripResolved(resolved)
-	if err != nil || len(r2) != 1 || r2[0].Cversion != 2 || r2[0].ChildAdd != "a" {
-		t.Errorf("resolved round trip = %+v (%v)", r2, err)
-	}
 }

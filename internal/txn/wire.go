@@ -1,8 +1,8 @@
 package txn
 
-// Wire codecs for the op vocabulary (package wire): the request's op list
-// as a tagged blob, and the resolved-op list as a count-prefixed element
-// that rides inside core's leader message, which composes it.
+// Wire codec for the op vocabulary (package wire): the request's op list
+// as a tagged blob. The validated sub-ops ride core's leader message in
+// core's own layout.
 
 import (
 	"fmt"
@@ -65,45 +65,4 @@ func ReadOp(d *wire.Decoder) Op {
 		Version: int32(d.Varint()),
 		Flags:   znode.Flags(d.Byte()),
 	}
-}
-
-// AppendResolvedOps appends a count-prefixed resolved-op list.
-func AppendResolvedOps(e *wire.Encoder, ops []ResolvedOp) {
-	e.Uvarint(uint64(len(ops)))
-	for i := range ops {
-		op := &ops[i]
-		e.String(string(op.Type))
-		e.String(op.Path)
-		e.String(op.ParentPath)
-		e.Bytes(op.Data)
-		e.Varint(int64(op.Version))
-		e.Varint(int64(op.Cversion))
-		e.String(op.EphOwner)
-		e.String(op.ChildAdd)
-		e.String(op.ChildDel)
-	}
-}
-
-// ReadResolvedOps decodes a count-prefixed resolved-op list. Data fields
-// are zero-copy views into the input.
-func ReadResolvedOps(d *wire.Decoder) []ResolvedOp {
-	n := d.Count()
-	if n == 0 {
-		return nil
-	}
-	ops := make([]ResolvedOp, 0, n)
-	for i := 0; i < n; i++ {
-		ops = append(ops, ResolvedOp{
-			Type:       OpType(d.String()),
-			Path:       d.String(),
-			ParentPath: d.String(),
-			Data:       d.Bytes(),
-			Version:    int32(d.Varint()),
-			Cversion:   int32(d.Varint()),
-			EphOwner:   d.String(),
-			ChildAdd:   d.String(),
-			ChildDel:   d.String(),
-		})
-	}
-	return ops
 }

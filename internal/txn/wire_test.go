@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
 
@@ -14,15 +13,6 @@ func testOps() []Op {
 		SetData("/t/b", nil, 7),
 		Delete("/t/c", -1),
 		Check("/t", 3),
-	}
-}
-
-func testResolved() []ResolvedOp {
-	return []ResolvedOp{
-		{Type: OpCreate, Path: "/t/a0001", ParentPath: "/t", Data: []byte("d"), Cversion: 4, EphOwner: "sess", ChildAdd: "a0001"},
-		{Type: OpSetData, Path: "/t/b", Data: nil, Version: 8},
-		{Type: OpDelete, Path: "/t/c", ParentPath: "/t", Version: 2, ChildDel: "c"},
-		{Type: OpCheck, Path: "/t"},
 	}
 }
 
@@ -36,33 +26,8 @@ func normOps(ops []Op) []Op {
 	return out
 }
 
-// roundTripResolved encodes a resolved-op list the way a leader message
-// carries it and reads it back.
-func roundTripResolved(ops []ResolvedOp) ([]ResolvedOp, error) {
-	e := wire.NewEncoder()
-	AppendResolvedOps(e, ops)
-	return readResolved(e.Owned())
-}
-
-// readResolved decodes a count-prefixed resolved-op list.
-func readResolved(b []byte) ([]ResolvedOp, error) {
-	d := wire.NewDecoder(b)
-	ops := ReadResolvedOps(&d)
-	return ops, d.Err()
-}
-
-func normResolved(ops []ResolvedOp) []ResolvedOp {
-	out := append([]ResolvedOp(nil), ops...)
-	for i := range out {
-		if len(out[i].Data) == 0 {
-			out[i].Data = nil
-		}
-	}
-	return out
-}
-
-// The *RoundTripIdentity tests check decode(encode(x)) == x, the empty and
-// nil lists included.
+// TestOpsRoundTripIdentity checks decode(encode(x)) == x, the empty and nil
+// lists included.
 func TestOpsRoundTripIdentity(t *testing.T) {
 	for _, ops := range [][]Op{testOps(), {}, nil} {
 		got, err := DecodeOps(EncodeOps(ops))
@@ -70,18 +35,6 @@ func TestOpsRoundTripIdentity(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		if !reflect.DeepEqual(normOps(got), normOps(ops)) {
-			t.Errorf("round trip:\n got %+v\nwant %+v", got, ops)
-		}
-	}
-}
-
-func TestResolvedRoundTripIdentity(t *testing.T) {
-	for _, ops := range [][]ResolvedOp{testResolved(), nil} {
-		got, err := roundTripResolved(ops)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(normResolved(got), normResolved(ops)) {
 			t.Errorf("round trip:\n got %+v\nwant %+v", got, ops)
 		}
 	}
@@ -95,12 +48,6 @@ func TestOpsDecodeRejectsCorrupt(t *testing.T) {
 	full := EncodeOps(testOps())
 	if _, err := DecodeOps(full[:len(full)/2]); err == nil {
 		t.Error("truncated ops accepted")
-	}
-	e := wire.NewEncoder()
-	AppendResolvedOps(e, testResolved())
-	resolved := e.Owned()
-	if _, err := readResolved(resolved[:len(resolved)/2]); err == nil {
-		t.Error("truncated resolved ops accepted")
 	}
 }
 
@@ -132,28 +79,6 @@ func FuzzOpsCodecs(f *testing.F) {
 			t.Fatalf("decode: %v", err)
 		}
 		if !reflect.DeepEqual(normOps(got), normOps(ops)) {
-			t.Fatalf("round trip: %+v != %+v", got, ops)
-		}
-	})
-}
-
-// FuzzResolvedCodecs does the same for the resolved-op list a leader
-// message carries (AppendResolvedOps / ReadResolvedOps).
-func FuzzResolvedCodecs(f *testing.F) {
-	f.Add("create", "/a", "/p", []byte("d"), int32(1), int32(2), "e", "a", "")
-	f.Fuzz(func(t *testing.T, opType string, path string, parent string, data []byte,
-		version int32, cversion int32, ephOwner string, childAdd string, childDel string) {
-		_, _ = readResolved(data)
-		ops := []ResolvedOp{{
-			Type: OpType(opType), Path: path, ParentPath: parent, Data: data,
-			Version: version, Cversion: cversion, EphOwner: ephOwner,
-			ChildAdd: childAdd, ChildDel: childDel,
-		}}
-		got, err := roundTripResolved(ops)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(normResolved(got), normResolved(ops)) {
 			t.Fatalf("round trip: %+v != %+v", got, ops)
 		}
 	})
