@@ -32,14 +32,16 @@ func TestGoldenSessions(t *testing.T) {
 		{"session", "create /x hello : get /x : set /x world : get /x : ls / : stat /x : watch /x : set /x again : stat /nope", 0},
 		// multi() needs no flag: the default deployment commits it, on one
 		// shard. /a and /a/b share one; the last multi() writes /a and /b,
-		// two shards, and is answered cross_shard. Last moved 3.092471639 →
-		// 3.092476307 vs ($0.000070 held) when a multi()'s payload became
-		// leader-message fields: each set_data and create now carries its
-		// marshaled node, as a single op's message does, where it carried
-		// raw data, and the nested blob's tag, length and second trace id
-		// went — about 20 B more for the committed multi(), a few µs of
-		// leader-queue time. Before that, 3.187 vs, $0.000109 → 2.980 vs,
-		// $0.000071 when the cross-shard path was deleted.
+		// two shards, and is answered cross_shard. Last moved 3.092476307 →
+		// 2.898413596 vs ($0.000070 held) when a multi() became a chunk of
+		// the leader's one lane: it answers before its pops, which the next
+		// invocation runs under its flush, so the committed multi() takes
+		// 208.9 ms where it took 226.8, and the seeded latency stream is
+		// dealt anew for the rest of the session. Before that, 3.092471639 →
+		// 3.092476307 vs when a multi()'s payload became leader-message
+		// fields (about 20 B more for the committed multi(), a few µs of
+		// leader-queue time), and 3.187 vs, $0.000109 → 2.980 vs, $0.000071
+		// when the cross-shard path was deleted.
 		{"multi", "-shards 4 create /a v1 : multi check /a 0 ; set /a v2 ; create /a/b x : get /a : multi check /a 0 ; del /a/b : multi set /a v3 ; create /b y", 1},
 		{"gcp_hybrid", "-gcp -store hybrid create /x data : get /x : ls /", 0},
 		// The bugfix's regression case: a store name that is no backend used

@@ -326,35 +326,48 @@ func TestCarriedDeleteCollectsTombstone(t *testing.T) {
 	}
 }
 
-// TestTxnBarrierRetiresCarriedPops: a multi() at the head of an invocation
-// is a barrier, and the pops carried from the previous invocation run ahead
-// of it, serially — the first thing after the opening read, before the
-// transaction's first poll — not after it or never.
-func TestTxnBarrierRetiresCarriedPops(t *testing.T) {
-	hook := &pipeFaults{}
-	r := newPipeRig(t, 31, Config{}, hook)
-	var cn, resp Response
-	r.k.Go("client", func() {
-		s := r.open("c")
-		s.do(OpCreate, "/m", "0")
-		cn = s.do(OpCreate, "/n", "0") // its pop is carried
-		resp = s.send(Request{Op: OpMulti, Path: "/m", Data: txn.EncodeOps([]txn.Op{txn.SetData("/m", []byte("1"), -1)})}).Wait()
-	})
-	r.run()
-	if cn.Code != CodeOK || resp.Code != CodeOK {
-		t.Fatalf("create %s, multi %s", cn.Code, resp.Code)
-	}
-	trace := obs.TraceOf("c", 3)
-	commit := r.span(trace, obs.StageCommit).Start
-	var ops []sim.Time
-	for _, at := range hook.leaderOps {
-		if at >= commit {
-			ops = append(ops, at)
-		}
-	}
-	pop, ok := r.pops[cn.Txid]
-	if !ok || len(ops) < 3 || pop < commit || pop > ops[2] {
-		t.Errorf("the carried pop of txid %d landed at %v (ok %v); the multi's invocation opened at %d with storage operations at %v: want it after the opening read, before the transaction's first poll",
-			cn.Txid, pop, ok, commit, ops)
+// TestMultiRunsCarriedPopsUnderItsFlush: a multi() at the head of an
+// invocation is a chunk like any other, so the pops carried from the
+// previous invocation stay deferred for its flush. On another path the
+// carried pop runs under that flush; on one of the multi()'s targets its
+// commit check looks past the carried head (pollCommit) and the pop still
+// runs under the flush. Either way it lands after the multi()'s first poll,
+// never serially ahead of it.
+func TestMultiRunsCarriedPopsUnderItsFlush(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []txn.Op
+	}{
+		{"carried on another path", []txn.Op{txn.SetData("/m", []byte("1"), -1)}},
+		{"carried on a target", []txn.Op{txn.SetData("/m", []byte("1"), -1), txn.SetData("/n", []byte("1"), -1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hook := &pipeFaults{}
+			r := newPipeRig(t, 31, Config{}, hook)
+			var cn, resp Response
+			r.k.Go("client", func() {
+				s := r.open("c")
+				s.do(OpCreate, "/m", "0")
+				cn = s.do(OpCreate, "/n", "0") // its pop is carried
+				resp = s.send(Request{Op: OpMulti, Path: "/m", Data: txn.EncodeOps(tc.ops)}).Wait()
+			})
+			r.run()
+			if cn.Code != CodeOK || resp.Code != CodeOK {
+				t.Fatalf("create %s, multi %s", cn.Code, resp.Code)
+			}
+			trace := obs.TraceOf("c", 3)
+			commit, flush := r.span(trace, obs.StageCommit).Start, r.span(trace, obs.SpanStoreWrite)
+			var ops []sim.Time
+			for _, at := range hook.leaderOps {
+				if at >= commit {
+					ops = append(ops, at)
+				}
+			}
+			pop, ok := r.pops[cn.Txid]
+			if !ok || len(ops) < 2 || pop <= ops[1] || pop < flush.Start || pop > flush.End {
+				t.Errorf("the carried pop of txid %d landed at %v (ok %v); the multi's invocation opened at %d with storage operations at %v and flushed over [%d, %d]: want it under the flush, after the first poll",
+					cn.Txid, pop, ok, commit, ops, flush.Start, flush.End)
+			}
+		})
 	}
 }

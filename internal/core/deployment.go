@@ -92,8 +92,9 @@ type Config struct {
 	// preserved: each client still receives its own Stat with its own
 	// txid, watch payloads carry the firing operation's txid, and epoch
 	// entries precede readability of the chunk's writes (Z4). On, a chunk
-	// is the whole run of messages between transaction barriers (bounded
-	// by the queue technology's receive limit); default false ≡ chunks of
+	// is the whole run of single ops up to the next multi(), which is a
+	// chunk of its own (bounded by the queue technology's receive limit);
+	// default false ≡ chunks of
 	// one message — the paper's one-write-per-message distribution,
 	// byte-identical to the golden trace.
 	BatchWrites bool

@@ -1,12 +1,13 @@
 package core
 
 // The distributor is the leader's one write pipeline: Algorithm 2 for every
-// message kind. Each step has exactly one implementation, and leaves its
-// place in the paper's order only by a move its row admits:
+// message, single op or multi(). Each step has exactly one implementation,
+// and leaves its place in the paper's order only by a move its row admits:
 //
 //	step              function        admissible moves
-//	➊/➋ commit check  awaitCommit     first poll rides the opening read (open);
-//	                                  prefetched under the previous flush (rule 2)
+//	➊/➋ commit check  awaitCommit     a single op's first poll rides the opening
+//	                                  read (open); prefetched under the previous
+//	                                  flush (rule 2)
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
 //	                                  the flush
 //	  epoch entry     appendEpochs    with its claim (queryWatches)
@@ -14,13 +15,14 @@ package core
 //	➍ delivery        launchWatch     —
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
-//	                                  next invocation; run ahead of a barrier;
-//	                                  in the commit phase (rule 1)
+//	                                  next invocation; in the commit phase
+//	                                  (rule 1)
 //	➏ epoch exit      exitEpochs      —
 //
-// Two lanes call them in this order. A chunk of single ops (flushChunk)
-// answers before it pops. A multi() (multi, txnops.go) pops before it
-// answers.
+// One lane calls them in this order, chunk by chunk (flushChunk): a chunk
+// answers before it pops. A message commits on a list of targets: a single
+// op on its node, a multi() on its effectful ops' nodes, each awaited at
+// its txid, confirmed by the read its watch claim rides, and popped.
 //
 // The watch claim reads nothing: a node's registrations live on its control
 // record, so the read that shows a change's txid at the head of its pending
@@ -34,16 +36,20 @@ package core
 // reach the stamp.
 //
 // A chunk is one message — the paper's per-message distribution — or, with
-// Config.BatchWrites, a whole run between multi() messages, which are
-// barriers. It commits per message, folding each change into its batchFold,
-// flushes the fold once (one invalidation record, the final state of every
-// touched node, one child-list read-modify-write per parent, per region),
-// and completes per message in queue order. Only the flush touches the user
-// stores, so the chunks of a run are pipelined in two lanes on the one
-// handler process: while flush n's legs are in flight the handler runs the
-// pops chunk n−1 deferred and the commit phase of n+1 (underFlush). The
-// pops of an invocation's last chunk are carried to the shard's next
-// invocation, whose first flush runs them:
+// Config.BatchWrites, a whole run of single ops up to the next multi(). A
+// multi() is a chunk of its own, and its flush is atomic (atomicApply). On
+// object storage, atomic means readers see a prefix of the multi()'s op
+// order; the fold writes in first-touch order, so a multi() folded behind a
+// single op on one of its later paths would write that path first, and a
+// reader could see a torn transaction. A chunk commits per message, folding
+// each change into its batchFold, flushes the fold once (one invalidation
+// record, the final state of every touched node, one child-list
+// read-modify-write per parent, per region), and completes per message in
+// queue order. Only the flush touches the user stores, so the chunks of an
+// invocation are pipelined on the one handler process: while flush n's legs
+// are in flight the handler runs the pops chunk n−1 deferred and the commit
+// phase of n+1 (underFlush). The pops of an invocation's last chunk are
+// carried to the shard's next invocation, whose first flush runs them:
 //
 //	user stores  ├──── flush n ─────┤            ├─── flush n+1 ────┤
 //	handler      pop n−1, commit n+1, join · complete n · pop n, commit n+2, join · complete n+1
@@ -51,13 +57,14 @@ package core
 // Flushes never overlap and stay in queue order: the stores always hold a
 // prefix of the total order (single system image). The order rules:
 //
-//  1. Pop. A message followed in its chunk by another on its path pops in the
-//     commit phase (commit); every other pop follows every answer of its
-//     chunk. A commit check looks past a head whose pop is deferred
-//     (pollCommit).
+//  1. Pop. A message followed in its chunk by another on one of its targets
+//     pops in the commit phase (commit); every other pop follows every
+//     answer of its chunk. A commit check looks past a head whose pop is
+//     deferred (pollCommit).
 //  2. Prefetched commit. A commit runs under the previous flush only when no
-//     un-popped message ahead of it shares its path, as one read that never
-//     acts (commitOne); anything else waits for the serial position.
+//     un-popped message ahead of it shares one of its targets, as one read
+//     that never acts (commitOne); anything else waits for the serial
+//     position.
 //
 // A batch redelivered at any point replays step for step: each step is
 // idempotent under its own condition, and a deferred pop's entry stays in
@@ -71,6 +78,7 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
 
@@ -78,11 +86,12 @@ import (
 // (watch launch, notify, dereg ack) after the chunk's flush and popped when
 // the chunk retires. Results are index-aligned with the chunk's messages.
 type opResult struct {
-	ctx    cloud.Ctx // the message's own billing context
-	code   Code
-	stat   znode.Stat
-	fired  []firedWatch
-	popped bool // ➎ already ran in the commit phase
+	ctx     cloud.Ctx // the message's own billing context
+	code    Code
+	stat    znode.Stat
+	results []txn.Result // a multi()'s per-op answers
+	fired   []firedWatch
+	popped  bool // ➎ already ran in the commit phase
 }
 
 // nodeFold is the final folded user-store state of one touched node.
@@ -112,10 +121,10 @@ type batchFold struct {
 	parentOrder []string
 	parents     map[string]*parentFold
 
-	// A pipeline chunk's own state (unused by a multi()'s fold): its
-	// messages, how far their commit phase got — results is index-aligned
-	// with msgs and ends where the commit phase stands — and what the
-	// deferred pops and the chunk's leader.total need once it completed.
+	// The chunk's own state: its messages, how far their commit phase got —
+	// results is index-aligned with msgs and ends where the commit phase
+	// stands — and what the deferred pops and the chunk's leader.total need
+	// once it completed.
 	msgs []decodedMsg
 	t0   sim.Time // the commit phase began
 
@@ -305,12 +314,13 @@ type leaderRun struct {
 	// the completed chunk's.
 	pops  []pendingPop
 	done  *batchFold // chunk n−1: completed, its pops deferred
-	ahead *batchFold // chunk n+1: next in the run, commit phase unfinished
+	ahead *batchFold // chunk n+1: next in the invocation, commit phase unfinished
 }
 
 // pendingPop is one pop (➎): the control record at key loses txid from the
-// head of its pending list, gc lets a delete's pop collect the tombstone
-// (popPending), and ctx bills the request whose write it ends.
+// head of its pending list, gc lets the pop collect a tombstone
+// (popPending; only a delete or a multi() leaves one), and ctx bills the
+// request whose write it ends.
 type pendingPop struct {
 	ctx  cloud.Ctx
 	key  string
@@ -318,71 +328,56 @@ type pendingPop struct {
 	gc   bool
 }
 
-// pipeline runs one invocation's messages through the pipeline: maximal
-// runs between barriers, each one chunk under Config.BatchWrites and a
-// chunk per message without it, and each multi() message in its own lane
-// (txnops.go). The last chunk's pops are carried to the shard's next
-// invocation.
+// pipeline runs one invocation's messages through the pipeline, chunk by
+// chunk, each chunk's flush carrying its two neighbours (underFlush). The
+// last chunk's pops are carried to the shard's next invocation.
+//
+// A delete's pops, and a multi()'s, may garbage collect a tombstone unless a
+// later message of the invocation commits on one of its targets: that
+// operation's follower commit may not have appended to the pending list
+// yet, and collecting the item would strand it. The answer depends on the
+// message list alone, so no order the steps run in can change it; at worst
+// a tombstone lingers until the next delete's collection, the lock-guard
+// precedent.
 func (p *leaderRun) pipeline(msgs []decodedMsg) {
-	d := p.d
 	for i := range msgs {
-		if msgs[i].msg.Op == OpDelete {
-			msgs[i].collect = collectable(msgs, i)
+		if op := msgs[i].msg.Op; op == OpDelete || op == OpMulti {
+			msgs[i].collect = !holdsTarget(msgs[i+1:], &msgs[i])
 		}
 	}
-	start := 0 // the current run is msgs[start:i]
-	for i, dm := range msgs {
-		if dm.msg.Op != OpMulti {
-			continue
-		}
-		// A multi() message is a fold barrier: its distribution is atomic on
-		// its own, so the accumulated run flushes first, and every deferred
-		// pop — the carried ones included — runs before it.
-		p.flushRun(msgs[start:i])
-		p.retire()
-		start = i + 1
-		if !dm.staged {
-			d.stageMsg(dm.msg, obs.StageCommit)
-		}
-		t0 := d.K.Now()
-		p.multi(dm)
-		d.recordPhase("leader.total", d.K.Now()-t0)
+	for cur := p.openChunk(msgs); cur != nil; cur = p.ahead {
+		msgs = msgs[len(cur.msgs):]
+		p.ahead = p.openChunk(msgs)
+		p.flushChunk(cur)
 	}
-	p.flushRun(msgs[start:])
 	p.carry()
 }
 
-// flushRun pipelines one maximal run between barriers. Each chunk's flush
-// carries its two neighbours (underFlush); the last chunk's pops stay
-// deferred for whatever follows the run: a barrier, or the next invocation.
-func (p *leaderRun) flushRun(run []decodedMsg) {
-	size := 1
-	if p.d.Cfg.BatchWrites {
-		size = len(run)
-	}
-	for cur := p.openChunk(run, size); cur != nil; cur = p.ahead {
-		run = run[len(cur.msgs):]
-		p.ahead = p.openChunk(run, size)
-		p.flushChunk(cur)
-	}
-}
-
-// openChunk takes the chunk at the head of run; nil once the run is spent.
-func (p *leaderRun) openChunk(run []decodedMsg, size int) *batchFold {
-	if len(run) == 0 {
+// openChunk takes the chunk at the head of msgs, nil once they are spent: one
+// message, or under Config.BatchWrites the run of single ops up to the next
+// multi(), which is a chunk of its own.
+func (p *leaderRun) openChunk(msgs []decodedMsg) *batchFold {
+	if len(msgs) == 0 {
 		return nil
 	}
+	n := 1
+	if p.d.Cfg.BatchWrites && msgs[0].msg.Op != OpMulti {
+		for n < len(msgs) && msgs[n].msg.Op != OpMulti {
+			n++
+		}
+	}
 	f := newBatchFold()
-	f.msgs = run[:min(size, len(run))]
+	f.msgs = msgs[:n]
 	return f
 }
 
 // flushChunk finishes cur's commit phase where a prefetch left it (nowhere,
-// for the first chunk of a run), distributes the folded state with the
-// second lane under it, and completes every buffered operation in queue
-// order: deliveries launch, and answers leave, only after the flush, so a
-// response in hand implies the write is readable (read-your-writes). The
-// chunk's pops stay behind for the next flush to carry.
+// for an invocation's first chunk), distributes the folded state with the
+// work underFlush runs under it — atomically for a multi() — and completes
+// every buffered operation in queue order: deliveries launch, and answers
+// leave, only after the flush, so a response in hand implies the write is
+// readable (read-your-writes). The chunk's pops stay behind for the next
+// flush to carry.
 func (p *leaderRun) flushChunk(cur *batchFold) {
 	d, msgs := p.d, cur.msgs
 	if len(cur.results) < len(msgs) {
@@ -419,7 +414,7 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			}
 		}
 		t0 := d.K.Now()
-		d.distributeFold(dctx, cur, p.epochs, false, own, p)
+		d.distributeFold(dctx, cur, msgs[0].msg.Op == OpMulti, own, p)
 		d.recordPhase("leader.update", d.K.Now()-t0)
 	}
 
@@ -438,7 +433,7 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			p.completions = append(p.completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
 		}
 		t0 := d.K.Now()
-		d.notifyResult(msg, dm.txid, r.code, r.stat, nil)
+		d.notifyResult(msg, dm.txid, r.code, r.stat, r.results)
 		d.recordPhase("leader.notify", d.K.Now()-t0)
 	}
 	// Every response is out before any of the chunk's pops runs. A flush
@@ -446,18 +441,21 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 	// pops of the chunk before — or the carried ones; they go first.
 	p.retire()
 	p.done = cur
-	for i, dm := range msgs {
+	for i := range msgs {
+		dm := &msgs[i]
 		if r := &cur.results[i]; r.code == CodeOK && !r.popped {
-			p.pops = append(p.pops, pendingPop{ctx: r.ctx, key: dm.key, txid: dm.txid, gc: dm.collect})
+			for _, key := range dm.targetKeys() {
+				p.pops = append(p.pops, pendingPop{ctx: r.ctx, key: key, txid: dm.txid, gc: dm.collect})
+			}
 		}
 	}
 }
 
-// underFlush is the second lane: what the handler process does, instead of
-// parking, while cur's regional legs are in flight. The order is order
-// rule 2's: the pops of the chunk before cur — for an invocation's first
-// chunk, the pops carried from the previous invocation — then the prefetch
-// of the chunk after it.
+// underFlush is what the handler process does, instead of parking, while
+// cur's regional legs are in flight. The order is order rule 2's: the pops
+// of the chunk before cur — for an invocation's first chunk, the pops
+// carried from the previous invocation — then the prefetch of the chunk
+// after it.
 func (p *leaderRun) underFlush(cur *batchFold) {
 	if pops := p.retire(); pops > 0 {
 		p.d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "pop_overlapped", Shard: cur.msgs[0].msg.Shard}, int64(pops))
@@ -524,39 +522,15 @@ func (p *leaderRun) popDeferred(key string) {
 	}
 }
 
-// collectable is the tombstone-GC lookahead for the delete at msgs[i]: a
-// delete followed in the same invocation by another operation on the same
-// path (create→delete→create) must not collect the node item — the later
-// operation's follower commit may not have appended to the pending list
-// yet, and collecting the item would strand that commit. A multi()'s
-// targets count wherever the multi() sits in the invocation; at worst
-// a tombstone lingers until the next delete's collection, the lock-guard
-// precedent. The answer depends on the message list alone, so no order the
-// lanes run in can change it.
-func collectable(msgs []decodedMsg, i int) bool {
-	path := msgs[i].msg.Path
-	for j := range msgs {
-		switch m := &msgs[j].msg; m.Op {
-		case OpDeregister:
-		case OpMulti:
-			if slices.Contains(txnTargets(m.Ops), path) {
-				return false
+// holdsTarget reports whether a message of msgs commits on a record dm
+// commits on: its entry sits in that record's pending list until it pops.
+// Every target of both counts, not a multi()'s Path, which is its anchor.
+func holdsTarget(msgs []decodedMsg, dm *decodedMsg) bool {
+	for _, key := range dm.targetKeys() {
+		for i := range msgs {
+			if slices.Contains(msgs[i].targetKeys(), key) {
+				return true
 			}
-		default:
-			if j > i && m.Path == path {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// holdsPath reports whether a message of msgs commits on path: its entry
-// sits in the path's pending list until it pops.
-func holdsPath(msgs []decodedMsg, path string) bool {
-	for i := range msgs {
-		if msgs[i].msg.Op != OpDeregister && msgs[i].msg.Path == path {
-			return true
 		}
 	}
 	return false
@@ -565,20 +539,20 @@ func holdsPath(msgs []decodedMsg, path string) bool {
 // commit runs f's commit phase on from where it stands. In the serial
 // position (under nil) that is to the end of the chunk. Under the flush of
 // the chunk before, it is a prefetch and stops at the first message order
-// rule 2 keeps back: one with an un-popped message on its path ahead of it
-// — in under, or later in f, where order rule 1 would make it pop — or one
-// whose txid is not at the head of its pending list yet. The lane order
-// under a flush is "pops of n−1 (for an invocation's first chunk, the
-// carried ones), then commit of n+1", so the only un-popped messages ahead
-// are those of chunk n and of n+1 itself, and a later awaitCommit still
-// finds every earlier entry of its path popped.
+// rule 2 keeps back: one with an un-popped message on one of its targets
+// ahead of it — in under, or later in f, where order rule 1 would make it
+// pop — or one whose txid is not at the head of every target's pending list
+// yet. The order under a flush is "pops of n−1 (for an invocation's first
+// chunk, the carried ones), then commit of n+1", so the only un-popped
+// messages ahead are those of chunk n and of n+1 itself, and a later
+// awaitCommit still finds every earlier entry of its targets popped.
 func (p *leaderRun) commit(f, under *batchFold) {
 	for i := len(f.results); i < len(f.msgs); i++ {
 		dm := &f.msgs[i]
 		// Order rule 1: pop in the commit phase only for a later message
 		// of this chunk whose awaitCommit needs the head.
-		popEarly := holdsPath(f.msgs[i+1:], dm.msg.Path)
-		if under != nil && (popEarly || holdsPath(under.msgs, dm.msg.Path)) {
+		popEarly := holdsTarget(f.msgs[i+1:], dm)
+		if under != nil && (popEarly || holdsTarget(under.msgs, dm)) {
 			return
 		}
 		if i == 0 {
@@ -591,7 +565,7 @@ func (p *leaderRun) commit(f, under *batchFold) {
 			p.d.stageMsg(dm.msg, obs.StageCommit)
 			dm.staged = true
 		}
-		r, ok := p.commitOne(f, *dm, popEarly, under != nil)
+		r, ok := p.commitOne(f, dm, popEarly, under != nil)
 		if !ok {
 			return
 		}
@@ -599,29 +573,31 @@ func (p *leaderRun) commit(f, under *batchFold) {
 	}
 }
 
-// commitOne is the per-message commit phase: Algorithm 2's verification,
-// the watch claim on the records it confirmed, and the pending pop when
-// order rule 1 pulls it ahead of the flush. It folds the operation's effect
-// and captures the Stat here, from this operation's own txid and version,
-// before any later operation folds over the node, so each client receives
-// its own Stat at any chunk size. A prefetch may do nothing it could
-// regret under another chunk's flush: one read, and a txid not at the head
-// of the pending list gives the message up (false).
-func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bool) (opResult, bool) {
+// commitOne is the per-message commit phase: Algorithm 2's verification on
+// every target, the watch claim on the records it confirmed, and the
+// pending pops when order rule 1 pulls them ahead of the flush. It folds
+// each change and captures its Stat here, from the change's own txid and
+// version, before any later operation folds over the node, so each client
+// receives its own Stat at any chunk size. A prefetch may do nothing it
+// could regret under another chunk's flush: one read, and a txid not at the
+// head of every target's pending list gives the message up (false).
+func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch bool) (opResult, bool) {
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
 	if msg.Op == OpDeregister {
 		return opResult{ctx: ctx}, true // completed after the flush, nothing to commit
 	}
 	t0 := d.K.Now()
-	var keyBuf [2]string
-	keys := dm.appendControls(keyBuf[:0])
-	var nodes [len(keyBuf)]sysNode // the record, then its parent's
+	keys, targets := dm.keys, dm.targetKeys()
+	var nodeBuf [2]sysNode
+	nodes := slices.Grow(nodeBuf[:0], len(keys))[:len(keys)] // index-aligned with keys
 	committed := false
 	if prefetch {
-		d.readControls(ctx, keys, nodes[:len(keys)])
-		if pending := nodes[0].Pending; len(pending) == 0 || pending[0] != txid {
-			return opResult{}, false
+		d.readControls(ctx, keys, nodes)
+		for i := range targets {
+			if pending := nodes[i].Pending; len(pending) == 0 || pending[0] != txid {
+				return opResult{}, false
+			}
 		}
 		committed = true
 		d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "commit_prefetched", Shard: msg.Shard}, 1)
@@ -633,8 +609,8 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 			first, t0, p.opened = p.opening[:len(keys)], p.openedAt, false
 			f.t0 = t0
 		}
-		committed = p.awaitCommit(ctx, keys[:1], keys[1:], txid, nodes[:len(keys)], first, opPolls, true, func() {
-			_ = d.commitLocked(ctx, msgLocks(msg), msg, txid) // the follower died after its push
+		committed = p.awaitCommit(ctx, targets, keys[len(targets):], txid, nodes, first, func() {
+			d.replayCommit(ctx, msg, txid) // the follower died after its push
 		})
 	}
 	d.recordPhase("leader.get", d.K.Now()-t0)
@@ -643,16 +619,38 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 	}
 
 	// ➍ rides the read that confirmed the commit: a registration it missed
-	// landed after the commit, and its reader waits for this change.
-	fired := p.queryWatches(ctx, msg.change, &nodes[0], &nodes[1], nil)
-
-	stat := f.foldChange(msg.change, txid)
+	// landed after the commit, and its reader waits for this change. A group
+	// one change of a multi() claimed is empty for the next.
+	r := opResult{ctx: ctx, code: CodeOK, popped: popEarly}
+	var one [1]change
+	changes := msg.changes(&one)
+	for _, c := range changes {
+		if c.effectful() {
+			r.fired = p.queryWatches(ctx, c, recordOf(keys, nodes, c.Path), recordOf(keys, nodes, c.ParentPath), r.fired)
+		}
+	}
+	for _, c := range changes {
+		stat := f.foldChange(c, txid)
+		if msg.Op != OpMulti {
+			r.stat = stat
+			continue
+		}
+		// Every op of a multi() commits at txid, as a ZooKeeper multi shares
+		// one zxid.
+		res := txn.Result{Type: txn.OpType(c.Op), Path: c.Path, Code: txn.CodeOK, Stat: stat}
+		if c.effectful() {
+			res.Txid = txid
+		}
+		r.results = append(r.results, res)
+	}
 
 	if popEarly {
-		p.popDeferred(dm.key) // a carried entry ahead of ours goes first
-		d.popPending(pendingPop{ctx: ctx, key: dm.key, txid: txid, gc: dm.collect})
+		for _, key := range targets {
+			p.popDeferred(key) // a carried entry ahead of ours goes first
+			d.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: dm.collect})
+		}
 	}
-	return opResult{ctx: ctx, code: CodeOK, stat: stat, fired: fired, popped: popEarly}, true
+	return r, true
 }
 
 // distributeFold is ➌ for one fold: one coalesced invalidation record,
@@ -664,13 +662,14 @@ func (p *leaderRun) commitOne(f *batchFold, dm decodedMsg, popEarly, prefetch bo
 // store's AtomicApplier when it has one, becoming readable at a single
 // instant; stores without multi-key transactions (the object store) fall
 // back to writing in fold order, so readers observe a prefix of the
-// transaction, never an arbitrary mix. lane is the pipeline run whose
-// second lane works while the regional legs are in flight (underFlush);
-// nil — the multi() lane — parks until they join.
-func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[cloud.Region][]int64, atomicApply bool, own *leaderMsg, lane *leaderRun) {
+// transaction, never an arbitrary mix. run is the invocation's run: its
+// epoch mirror stamps the writes, and its handler works while the regional
+// legs are in flight (underFlush).
+func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply bool, own *leaderMsg, run *leaderRun) {
 	if fold.empty() {
 		return
 	}
+	epochs := run.epochs
 
 	// Merge child-list splices into node objects rewritten in the same
 	// batch: a per-parent RMW would read the store's pre-batch object and
@@ -734,8 +733,8 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 		legs.wg.Add(1)
 		d.K.Go(d.flushProcs[si], l.run)
 	}
-	if lane != nil && !lockRoot {
-		lane.underFlush(fold)
+	if !lockRoot {
+		run.underFlush(fold)
 	}
 	legs.wg.Wait()
 	d.putLegs(legs)

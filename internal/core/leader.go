@@ -29,16 +29,19 @@ type watchCompletion struct {
 type decodedMsg struct {
 	msg  leaderMsg
 	txid int64
-	// key is the system-store key of a create / set_data / delete's control
-	// record (empty for every other op), built once for every read and pop
-	// of the message.
-	key string
-	// parent is the control-record key of a create's or delete's parent,
-	// whose child watches the change fires: every read of key carries it in
-	// the same round trip.
-	parent string
-	// collect lets a delete's pop garbage collect the tombstone: nothing
-	// later in the invocation targets the path (collectable).
+	// keys are the control records the message's commit check reads, built
+	// once for every read and pop of it (index): its targets first — the
+	// records it commits on, each awaited at txid and popped after it: a
+	// single op's node, a multi()'s effectful ops' nodes in first-touch order
+	// — then the parents its creates and deletes splice that are no target,
+	// whose child watches its claim fires. Nil for an ack. ctl backs a single
+	// op's.
+	keys    []string
+	targets int
+	ctl     [2]string
+	// collect lets the pops of a delete, or of a multi(), garbage collect a
+	// tombstone: nothing later in the invocation commits on any of its
+	// targets (pipeline).
 	collect bool
 	// staged: the message is in its commit stage already — the invocation's
 	// first message enters it ahead of the opening read, a message whose
@@ -75,19 +78,9 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 			continue
 		}
 		shard = msg.Shard
-		dm := decodedMsg{msg: msg, txid: shardTxid(m.SeqNo, msg.Shard, d.NumShards())}
-		switch msg.Op {
-		case OpDeregister:
-		case OpCreate, OpSetData, OpDelete:
-			dm.key = nodeKey(msg.Path)
-			if msg.ParentPath != "" {
-				dm.parent = nodeKey(msg.ParentPath)
-			}
-			acksOnly = false
-		default:
-			acksOnly = false
-		}
-		msgs = append(msgs, dm)
+		acksOnly = acksOnly && msg.Op == OpDeregister
+		msgs = append(msgs, decodedMsg{msg: msg, txid: shardTxid(m.SeqNo, msg.Shard, d.NumShards())})
+		msgs[len(msgs)-1].index()
 	}
 	if len(msgs) == 0 {
 		return nil
@@ -151,13 +144,13 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // read nothing (the single-shard path keeps the read, as the paper's
 // pipeline does).
 //
-// The control record of a create / set_data / delete at the head of the
-// batch — with its parent's, for a create or delete — becomes awaitCommit's
-// first poll. Taken here it is at worst a staler first poll of a loop that
-// tolerates staleness — every later poll, the orphan pop and the commit
-// replay read the store again — so a redelivered batch replays step for
-// step. The message enters its commit stage first: the read is the start of
-// its leader.get and leader.total.
+// The control record of a single op at the head of the batch — with its
+// parent's, for a create or delete — becomes awaitCommit's first poll (a
+// multi() at the head polls its targets itself). Taken here it is at worst
+// a staler first poll of a loop that tolerates staleness — every later
+// poll, the orphan pop and the commit replay read the store again — so a
+// redelivered batch replays step for step. The message enters its commit
+// stage first: the read is the start of its leader.get and leader.total.
 func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d := p.d
 	p.epochs = d.leaderEpochs[p.shard]
@@ -174,8 +167,8 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	head := &msgs[0]
 	d.stageMsg(head.msg, obs.StageCommit)
 	head.staged = true
-	if head.key != "" {
-		keys = head.appendControls(keys)
+	if head.msg.Op != OpMulti && head.keys != nil {
+		keys = append(keys, head.keys...)
 		p.opened, p.openedAt = true, d.K.Now()
 	}
 	items := slices.Grow(itemBuf[:0], len(keys))[:len(keys)]
@@ -191,13 +184,55 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	}
 }
 
-// appendControls appends the keys one read of the message's control record
-// takes in one round trip: the record, then its parent's when the op has one.
-func (dm *decodedMsg) appendControls(keys []string) []string {
-	if keys = append(keys, dm.key); dm.parent != "" {
-		keys = append(keys, dm.parent)
+// index builds the message's keys. It runs on the message in place, in the
+// invocation's list: a single op's keys live in its own ctl.
+func (dm *decodedMsg) index() {
+	if dm.msg.Op == OpDeregister {
+		return
 	}
-	return keys
+	dm.keys = dm.ctl[:0]
+	add := func(path string) {
+		if key := nodeKey(path); !slices.Contains(dm.keys, key) {
+			dm.keys = append(dm.keys, key)
+		}
+	}
+	var one [1]change
+	changes := dm.msg.changes(&one)
+	for _, c := range changes {
+		if c.effectful() {
+			add(c.Path)
+		}
+	}
+	dm.targets = len(dm.keys)
+	for _, c := range changes {
+		if c.ParentPath != "" {
+			add(c.ParentPath)
+		}
+	}
+}
+
+// targetKeys are the keys of the records the message commits on.
+func (dm *decodedMsg) targetKeys() []string { return dm.keys[:dm.targets] }
+
+// changes lists the changes the message commits: a multi()'s sub-ops, or a
+// single op's own, which one backs.
+func (m *leaderMsg) changes(one *[1]change) []change {
+	if m.Op == OpMulti {
+		return m.Ops
+	}
+	one[0] = m.change
+	return one[:]
+}
+
+// recordOf returns path's record among nodes, index-aligned with keys; nil
+// when the message's commit check read none.
+func recordOf(keys []string, nodes []sysNode, path string) *sysNode {
+	for i, key := range keys {
+		if key[len(nodeKeyPrefix):] == path {
+			return &nodes[i]
+		}
+	}
+	return nil
 }
 
 // popPending is step ➎ for every message kind: c.txid leaves the head of
@@ -271,33 +306,33 @@ func (d *Deployment) deregAckComplete(ctx cloud.Ctx, msg leaderMsg) bool {
 	return true
 }
 
-// The commit check's budgets: a single op polls opPolls times (a multi()
-// message txnHeadPolls), and replays a dead committer's commit at the first
-// poll from the third on that finds nothing pending.
+// The commit check's budgets: a message polls opPolls times, and replays a
+// dead committer's commit at the first poll from the third on that finds
+// nothing pending.
 const opPolls, replayPoll = 10, 2
 
-// awaitCommit is the commit check (➊/➋) of every message kind. It resolves
-// the race between the push (③, which intentionally precedes the commit ④)
-// and the leader observing the transaction: it polls until txid heads the
-// pending list of every key, recording each control record found so in
-// nodes. A poll that finds nothing pending on a key — the commit may still
-// be in flight, or its committer died after pushing — sleeps and polls
-// again; the first such poll from replayPoll on runs replay instead, which
-// replays the commit on the committer's behalf (➋: whichever of the two
-// conditional commits lands first wins, and the next poll decides). The
-// kinds differ only in polls and in orphanEndsPoll (pollCommit).
+// awaitCommit is the commit check (➊/➋) of every message. It resolves the
+// race between the push (③, which intentionally precedes the commit ④) and
+// the leader observing the transaction: it polls until txid heads the
+// pending list of every key — the message's targets — recording each
+// control record found so in nodes. A poll that finds nothing pending on a
+// key — the commit may still be in flight, or its committer died after
+// pushing — sleeps and polls again; the first such poll from replayPoll on
+// runs replay instead, which replays the commit on the committer's behalf
+// (➋: whichever of the two conditional commits lands first wins, and the
+// next poll decides).
 //
-// also names the records the change's watch claim needs besides its targets
-// (a create's or delete's parent): every read of keys[0] takes them in the
-// same round trip, and the read that confirms keys[0] — the first that can
-// show the commit, so the first after it — records them in nodes after the
+// also names the records the message's watch claim needs besides its
+// targets (the parents its creates and deletes splice): every read of
+// keys[0] takes them in the same round trip, and the read that confirms
+// keys[0] — the first that can show the commit, so the first after it; a
+// multi()'s commit is one transaction — records them in nodes after the
 // targets'. first, when non-nil, is such a read somebody already paid for —
 // the invocation's opening read — and stands in for the first one.
-func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode,
-	polls int, orphanEndsPoll bool, replay func()) bool {
+func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode, replay func()) bool {
 	replayed := false
-	for attempt := 0; attempt < polls; attempt++ {
-		done, consumed, popped := p.pollCommit(ctx, keys, also, txid, nodes, first, orphanEndsPoll)
+	for attempt := 0; attempt < opPolls; attempt++ {
+		done, consumed, popped := p.pollCommit(ctx, keys, also, txid, nodes, first)
 		first = nil
 		switch {
 		case done:
@@ -317,13 +352,14 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, 
 }
 
 // pollCommit is one poll of awaitCommit: it reads each key whose record is
-// not in nodes yet until txid heads its pending list, nothing is pending
-// (not done), or its head is past txid — our entry was consumed already, a
-// duplicate delivery (consumed). A head below txid is an orphan of a
+// not in nodes yet, which txid at the head of its pending list confirms.
+// Nothing pending leaves the key to the next poll (not done); a head past
+// txid means our entry was consumed already, a duplicate delivery
+// (consumed). A head below txid is an orphan of a
 // transaction the leader abandoned, popped on the spot: without this a
-// single lost transaction would wedge its node's pipeline forever. A single
-// op's poll ends at its orphan pop (orphanEndsPoll: popped, and the pop
-// costs a poll), a multi() message's reads the key again.
+// single lost transaction would wedge its node's pipeline forever. The poll
+// ends at the orphan pop (popped, and the pop costs a poll); the next one
+// reads only the keys not confirmed yet.
 //
 // A head whose pop this leader deferred (p.pops) is no orphan: it was
 // distributed, only its pop is still to run, so the poll looks past it. Our
@@ -333,72 +369,72 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, 
 // still in flight. Our own txid as that head is a batch delivered again
 // after it completed: a duplicate. Anything else behind it (an orphan, a
 // later txid) runs the deferred pop here, as an orphan pop.
-func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode, orphanEndsPoll bool) (done, consumed, popped bool) {
+func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode) (done, consumed, popped bool) {
 	done = true
 	var keyBuf [2]string
 	var readBuf [len(keyBuf)]sysNode
 	for i, key := range keys {
-		batch := append(keyBuf[:0], key)
-		if i == 0 {
-			batch = append(batch, also...)
+		if len(nodes[i].Pending) > 0 {
+			continue // confirmed by an earlier poll
 		}
-		for len(nodes[i].Pending) == 0 {
-			read := first
-			if read != nil {
-				first = nil
-			} else {
-				read = slices.Grow(readBuf[:0], len(batch))[:len(batch)]
-				p.d.readControls(ctx, batch, read)
+		read := first
+		if read != nil {
+			first = nil
+		} else {
+			batch := append(keyBuf[:0], key)
+			if i == 0 {
+				batch = append(batch, also...)
 			}
-			node := read[0]
-			pending := node.Pending
-			if len(pending) > 0 && p.deferred(key, pending[0]) {
-				switch {
-				case pending[0] == txid:
-					return false, true, false
-				case len(pending) == 1 || pending[1] == txid:
-					pending = pending[1:]
-				default:
-					p.popDeferred(key)
-					if orphanEndsPoll {
-						return false, false, true
-					}
-					continue
-				}
-			}
-			if len(pending) == 0 {
-				done = false
-				break
-			}
-			if head := pending[0]; head == txid {
-				nodes[i] = node
-				copy(nodes[len(keys):], read[1:])
-			} else if head > txid {
+			read = slices.Grow(readBuf[:0], len(batch))[:len(batch)]
+			p.d.readControls(ctx, batch, read)
+		}
+		node := read[0]
+		pending := node.Pending
+		if len(pending) > 0 && p.deferred(key, pending[0]) {
+			switch {
+			case pending[0] == txid:
 				return false, true, false
-			} else {
-				_, _ = p.d.System.Update(ctx, key,
-					[]kv.Update{popPendingHead},
-					kv.NumListHeadEq{Name: attrPending, V: head})
-				if orphanEndsPoll {
-					return false, false, true
-				}
+			case len(pending) == 1 || pending[1] == txid:
+				pending = pending[1:]
+			default:
+				p.popDeferred(key)
+				return false, false, true
 			}
+		}
+		switch {
+		case len(pending) == 0:
+			done = false
+		case pending[0] == txid:
+			nodes[i] = node
+			copy(nodes[len(keys):], read[1:])
+		case pending[0] > txid:
+			return false, true, false
+		default:
+			_, _ = p.d.System.Update(ctx, key,
+				[]kv.Update{popPendingHead},
+				kv.NumListHeadEq{Name: attrPending, V: pending[0]})
+			return false, false, true
 		}
 	}
 	return done, false, false
 }
 
-// msgLocks rebuilds the locks a single-op message's follower held from the
-// timestamps it carries: the node's, then the parent's if the op has one.
-// The leader's replay of the follower's commit under them only succeeds
-// while they are still in place, which is exactly the crashed-follower
-// window.
-func msgLocks(msg leaderMsg) []fksync.Lock {
+// replayCommit is ➋: the leader runs the commit (④) of a follower that died
+// after its push, under the locks the follower held, rebuilt from the
+// timestamps the message carries: every item a multi() locked (multiParts),
+// or a single op's node, then its parent if the op has one. The replay only
+// succeeds while they are still in place, which is exactly the
+// crashed-follower window.
+func (d *Deployment) replayCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) {
+	if msg.Op == OpMulti {
+		_ = d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid))
+		return
+	}
 	held := []fksync.Lock{{Key: nodeKey(msg.Path), Timestamp: msg.LockTs}}
 	if msg.ParentPath != "" {
 		held = append(held, fksync.Lock{Key: nodeKey(msg.ParentPath), Timestamp: msg.ParentLockTs})
 	}
-	return held
+	_ = d.commitLocked(ctx, held, msg, txid)
 }
 
 // buildUserNode assembles the user-store object for one committed change:

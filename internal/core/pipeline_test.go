@@ -1,8 +1,8 @@
 package core
 
-// Tests of the leader's two-lane software pipeline (distributor.go): what
+// Tests of the leader's software pipeline (distributor.go): what
 // may run under a flush in flight, what may not, and that nothing a client
-// or a store can observe tells the lanes apart from Algorithm 2's order.
+// or a store can observe tells the pipelined order apart from Algorithm 2's.
 // They drive the deployment through a minimal in-package session (package
 // fkclient imports this one) and watch it from three sides: the telemetry
 // spans (when each stage and store leg ran), the system store's change
@@ -63,7 +63,7 @@ type pipeRig struct {
 	k     *sim.Kernel
 	d     *Deployment
 	calls []storeCall        // in start order
-	pops  map[int64]sim.Time // txid -> instant it left the head of its pending list
+	pops  map[int64]sim.Time // txid -> first instant it left the head of a pending list
 }
 
 // recStore records the interval of every mutation of the store it wraps.
@@ -116,7 +116,9 @@ func newPipeRig(t *testing.T, seed int64, cfg Config, hook *pipeFaults) *pipeRig
 				head = p[0]
 			}
 			if old := heads[rec.Key]; old != 0 && old != head {
-				r.pops[old] = k.Now()
+				if _, seen := r.pops[old]; !seen {
+					r.pops[old] = k.Now() // a multi() pops one entry per target
+				}
 			}
 			heads[rec.Key] = head
 		}
@@ -261,7 +263,7 @@ func (s *pipeSession) do(op OpCode, path, data string) Response {
 // TestPipelineConcurrentInvariants runs the shape of fkclient's
 // concurrentTraceWorkload — three sessions pipelining set ×2 / delete /
 // create on two shared paths, one re-arming data watch — where invocations
-// carry several messages and same-path chains, and checks what no lane
+// carry several messages and same-path chains, and checks what no step
 // order may change. Then again with every leader batch delivered twice.
 func TestPipelineConcurrentInvariants(t *testing.T) {
 	for _, tc := range []struct {
@@ -627,9 +629,151 @@ func TestChunkNotifiesBeforeItPops(t *testing.T) {
 	}
 }
 
+// traced opens the request span trees of hand-built messages, as the
+// session opens those of the requests it sends, so their leader-side spans
+// can be read back.
+func (r *pipeRig) traced(msgs ...leaderMsg) []leaderMsg {
+	for _, m := range msgs {
+		r.d.Obs.Tracer.StartRequest(m.trace(), string(m.Op), m.Path)
+	}
+	return msgs
+}
+
+// TestMultiNotifiesBeforeItPops: a multi() is a chunk like any other, so it
+// answers before its pops, one per target, join the deferred list; they run
+// under the flush of the message behind it in the invocation.
+func TestMultiNotifiesBeforeItPops(t *testing.T) {
+	r := newPipeRig(t, 21, Config{}, &pipeFaults{})
+	var msgs []leaderMsg
+	r.k.Go(leaderProc, func() {
+		s := r.open("w")
+		for _, p := range []string{"/a", "/b", "/c"} {
+			s.do(OpCreate, p, "0")
+		}
+		r.k.Sleep(sim.Ms(200))
+		r.settle()
+		msgs = r.traced(r.pushMulti(s, 9, "1", "/a", "/b"), r.pushSet(s, "/c", "1", 10))
+		r.deliver(s.ctx, 9, msgs...)
+		for _, m := range msgs {
+			if resp := s.futs[m.Seq].Wait(); resp.Code != CodeOK {
+				t.Errorf("seq %d: %s", m.Seq, resp.Code)
+			}
+		}
+	})
+	r.run()
+	respond := r.span(msgs[0].trace(), obs.StageRespond).Start
+	flush := r.span(msgs[1].trace(), obs.SpanStoreWrite)
+	if pop, ok := r.pops[9]; !ok || pop < respond || pop < flush.Start || pop > flush.End {
+		t.Errorf("the multi's first pop landed at %v (ok %v), its answer at %d: want it after the answer, under the next flush [%d, %d]",
+			pop, ok, respond, flush.Start, flush.End)
+	}
+	for _, p := range []string{"/a", "/b"} {
+		if got := r.pending(p); len(got) != 0 {
+			t.Errorf("%s pending %v after the invocation, want its pop run", p, got)
+		}
+	}
+}
+
+// TestMultiPrefetchComparesEveryTarget: under BatchWrites a commit is
+// prefetched under the previous chunk's flush only when no message there
+// commits on one of its targets — every target of both, not a multi()'s
+// anchor alone. A single op on the multi()'s second target, behind it or
+// ahead of it, waits for the serial position; one on a path of its own is
+// prefetched, and so is a multi() behind one.
+func TestMultiPrefetchComparesEveryTarget(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		multiFirst bool
+		single     string // the single op's path; the multi() sets /a, then /b
+		prefetched bool   // the second message's commit ran under the first's flush
+	}{
+		{"set on the second target after the multi", true, "/b", false},
+		{"multi after a set on its second target", false, "/b", false},
+		{"set on its own path after the multi", true, "/c", true},
+		{"multi after a set on another path", false, "/c", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPipeRig(t, 21, Config{BatchWrites: true}, &pipeFaults{})
+			var msgs []leaderMsg
+			var obj string
+			r.k.Go(leaderProc, func() {
+				s := r.open("w")
+				for _, p := range []string{"/a", "/b", "/c"} {
+					s.do(OpCreate, p, "0")
+				}
+				r.k.Sleep(sim.Ms(200))
+				r.settle()
+				if tc.multiFirst {
+					msgs = r.traced(r.pushMulti(s, 9, "m", "/a", "/b"), r.pushSet(s, tc.single, "s", 10))
+				} else {
+					msgs = r.traced(r.pushSet(s, tc.single, "s", 9), r.pushMulti(s, 10, "m", "/a", "/b"))
+				}
+				r.deliver(s.ctx, 9, msgs...)
+				for _, m := range msgs {
+					if resp := s.futs[m.Seq].Wait(); resp.Code != CodeOK {
+						t.Errorf("seq %d: %s", m.Seq, resp.Code)
+					}
+				}
+				r.k.Sleep(sim.Ms(200))
+				obj = r.userNode("/b")
+			})
+			r.run()
+			flush := r.span(msgs[0].trace(), obs.SpanStoreWrite)
+			commit := r.span(msgs[1].trace(), obs.StageCommit).Start
+			if under := commit < flush.End; under != tc.prefetched || (r.counter("commit_prefetched") == 1) != tc.prefetched {
+				t.Errorf("the second message's commit stage opened at %d, the first's flush ran over [%d, %d], %d commits prefetched: want prefetched %v",
+					commit, flush.Start, flush.End, r.counter("commit_prefetched"), tc.prefetched)
+			}
+			want := "m" // the last write of /b
+			if tc.multiFirst && tc.single == "/b" {
+				want = "s"
+			}
+			if obj[:1] != want {
+				t.Errorf("user store /b = %s, want the last write's %q", obj, want)
+			}
+		})
+	}
+}
+
+// TestMultiIsAChunkOfItsOwn: under BatchWrites the run set /p/b, multi(set
+// /p/a, set /p/b), set /p/c flushes in three chunks, in queue order, and the
+// multi()'s objects are written in its op order. Folded into one chunk, /p/b
+// would be written first: a reader of the multi()'s paths in reverse order
+// could see its new /p/b next to its old /p/a.
+func TestMultiIsAChunkOfItsOwn(t *testing.T) {
+	r := newPipeRig(t, 21, Config{BatchWrites: true}, &pipeFaults{})
+	var from, flushes int
+	r.k.Go(leaderProc, func() {
+		s := r.open("w")
+		s.do(OpCreate, "/p", "0")
+		for _, p := range []string{"/p/a", "/p/b", "/p/c"} {
+			s.do(OpCreate, p, "0")
+		}
+		r.k.Sleep(sim.Ms(200))
+		r.settle()
+		msgs := []leaderMsg{r.pushSet(s, "/p/b", "1", 9), r.pushMulti(s, 10, "2", "/p/a", "/p/b"), r.pushSet(s, "/p/c", "3", 11)}
+		from, flushes = len(r.calls), r.d.Phase("leader.update").N()
+		r.deliver(s.ctx, 9, msgs...)
+		flushes = r.d.Phase("leader.update").N() - flushes
+		for _, m := range msgs {
+			if resp := s.futs[m.Seq].Wait(); resp.Code != CodeOK {
+				t.Errorf("seq %d: %s", m.Seq, resp.Code)
+			}
+		}
+	})
+	r.run()
+	var got []string
+	for _, c := range r.calls[from:] {
+		got = append(got, fmt.Sprintf("%s@%d", c.path, c.mzxid))
+	}
+	if want := []string{"/p/b@9", "/p/a@10", "/p/b@10", "/p/c@11"}; flushes != 3 || !slices.Equal(got, want) {
+		t.Errorf("%d flushes wrote %v, want 3 writing %v", flushes, got, want)
+	}
+}
+
 // TestAlternatingPathsPrefetch: two sessions each take turns on two paths
 // of their own, so no message follows one on its own path directly, but
-// many follow one at a distance of two: x y x. The lane order under a
+// many follow one at a distance of two: x y x. The order under a
 // flush — the pops of the chunk before, then the prefetch of the chunk
 // after — is what lets the second x find the first one popped, so every
 // message behind the head of its invocation commits under the flush ahead

@@ -21,7 +21,6 @@ package core
 // every multi() commits.
 
 import (
-	"slices"
 	"sort"
 
 	"faaskeeper/internal/cloud"
@@ -31,9 +30,6 @@ import (
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
-
-// txnHeadPolls bounds a leader's wait for a multi() message's commit.
-const txnHeadPolls = 12
 
 // multiPlan is a multi()'s prepared state: every touched item locked, every
 // op validated into its change.
@@ -281,22 +277,6 @@ func (d *Deployment) respondMulti(req Request, code Code, results []txn.Result) 
 	d.notify(req.Session, resp, resp.wireSize())
 }
 
-// buildTxnFold folds a committed multi()'s changes into the distributor's
-// batch fold, as the chunk pipeline folds a single op's (foldChange), and
-// builds the per-op client results. Every op commits at txid, as a
-// ZooKeeper multi shares one zxid.
-func buildTxnFold(ops []change, txid int64) (*batchFold, []txn.Result) {
-	fold := newBatchFold()
-	results := make([]txn.Result, len(ops))
-	for i, c := range ops {
-		results[i] = txn.Result{Type: txn.OpType(c.Op), Path: c.Path, Code: txn.CodeOK, Stat: fold.foldChange(c, txid)}
-		if c.effectful() {
-			results[i].Txid = txid
-		}
-	}
-	return fold, results
-}
-
 // --- the follower side ---
 
 // followerMulti handles an OpMulti request: validate statically, lock and
@@ -346,8 +326,10 @@ func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	if shard < 0 {
 		// Checks only: the locks proved every guard at one instant.
 		plan.unlock(d, ctx)
-		fold, results := buildTxnFold(plan.ops, 0)
-		fold.release()
+		results := make([]txn.Result, len(plan.ops))
+		for i, c := range plan.ops {
+			results[i] = txn.Result{Type: txn.OpType(c.Op), Path: c.Path, Code: txn.CodeOK}
+		}
 		d.respondMulti(req, CodeOK, results)
 		return nil
 	}
@@ -393,78 +375,4 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, 
 		}
 	}
 	return err
-}
-
-// --- the leader side ---
-
-// txnHeads lists the records a transaction message's commit check reads:
-// its targets — its effectful ops' nodes, in first-touch order, each
-// awaited at txid — then the parents its creates and deletes splice that
-// are no target, whose child watches its claim fires. It returns their
-// paths, their control-record keys and a slot for each record.
-func txnHeads(ops []change) (paths, keys []string, targets int, nodes []sysNode) {
-	paths = txnTargets(ops)
-	targets = len(paths)
-	for _, c := range ops {
-		if c.ParentPath != "" && !slices.Contains(paths, c.ParentPath) {
-			paths = append(paths, c.ParentPath)
-		}
-	}
-	for _, p := range paths {
-		keys = append(keys, nodeKey(p))
-	}
-	return paths, keys, targets, make([]sysNode, len(paths))
-}
-
-// multi is a multi()'s lane: the steps of a chunk of one, on every target
-// at once. It claims its watches before anything becomes readable,
-// distributes the whole transaction atomically within the shard's
-// serialized pipeline, and pops before it answers. For a follower that died
-// after its push, the commit check replays the multi-item commit under the
-// message's timed locks.
-func (p *leaderRun) multi(dm decodedMsg) {
-	d, msg, txid := p.d, dm.msg, dm.txid
-	ctx := d.billMsg(p.ctx, msg)
-	paths, keys, targets, nodes := txnHeads(msg.Ops)
-	t0 := d.K.Now()
-	// The commit is one transaction, so the read that confirms the first
-	// target is past it for every record the claim needs.
-	ok := p.awaitCommit(ctx, keys[:targets], keys[targets:], txid, nodes, nil, txnHeadPolls, false, func() {
-		_ = d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid))
-	})
-	d.recordPhase("leader.get", d.K.Now()-t0)
-	if !ok {
-		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{}, nil)
-		return
-	}
-	// Each effectful op is a change its claim fires for, on the records as
-	// confirmed: a group one op claimed is empty for the next.
-	recs := make(map[string]*sysNode, len(paths))
-	for i, path := range paths {
-		recs[path] = &nodes[i]
-	}
-	var fired []firedWatch
-	for _, c := range msg.Ops {
-		if c.effectful() {
-			fired = p.queryWatches(ctx, c, recs[c.Path], recs[c.ParentPath], fired)
-		}
-	}
-
-	fold, results := buildTxnFold(msg.Ops, txid)
-	d.stageMsg(msg, obs.StageFlush)
-	t0 = d.K.Now()
-	d.distributeFold(ctx, fold, p.epochs, true, nil, nil)
-	d.recordPhase("leader.update", d.K.Now()-t0)
-
-	for _, f := range fired {
-		p.completions = append(p.completions, d.launchWatch(ctx, msg, f, txid))
-	}
-	// Deleted nodes may be collected: their user-store removal is already
-	// distributed, as for a single delete's pop after its flush.
-	for i, key := range keys[:targets] {
-		nf := fold.nodes[paths[i]]
-		d.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: nf != nil && nf.del})
-	}
-	fold.release()
-	d.notifyResult(msg, txid, CodeOK, znode.Stat{}, results)
 }

@@ -98,13 +98,38 @@ func txnResidue(d *Deployment, ctx cloud.Ctx) []string {
 	return out
 }
 
+// pushMulti is the follower's half of a multi() setting each of paths to
+// data by s, through its commit under txid: lock every path, validate,
+// commit them in one transaction. It returns the leader message, with s
+// waiting for the answer.
+func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...string) leaderMsg {
+	r.t.Helper()
+	s.seq++
+	msg := leaderMsg{Session: s.id, Seq: s.seq, change: change{Op: OpMulti, Path: paths[0]}, ItemPaths: paths}
+	for _, p := range paths {
+		lock, item, err := r.d.Locks.Acquire(s.ctx, nodeKey(p))
+		if err != nil {
+			r.t.Fatalf("lock %s: %v", p, err)
+		}
+		msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
+		msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte(data), "", decodeSysNode(item), sysNode{}))
+	}
+	if err := r.d.Locks.CommitUnlockTx(s.ctx, multiParts(msg, txid)); err != nil {
+		r.t.Fatalf("commit: %v", err)
+	}
+	s.futs[s.seq] = sim.NewFuture[Response](r.k)
+	return msg
+}
+
 // TestTxnCommitCheck is TestOpeningReadFeedsAwaitCommit for a fast-path
 // multi() message: it delivers one multi() setting /a and /b to the handler
 // by hand, in the states a first or repeated delivery can find the two
 // pending lists in, and checks the leader's commit check (➊/➋) against each
-// — an orphan is popped without costing a poll, a message whose entry is
-// already consumed is answered at once, and a coordinator that died after
-// its push is replayed at the third poll.
+// — an orphan pop ends its poll and the next one reads only the target not
+// confirmed yet, a message whose entry is already consumed is answered at
+// once, and a coordinator that died after its push is replayed at the third
+// poll. A committed multi()'s pops are carried to the next invocation, one
+// per target, as a single op's is.
 func TestTxnCommitCheck(t *testing.T) {
 	const txid = 9
 	commit := func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
@@ -118,10 +143,10 @@ func TestTxnCommitCheck(t *testing.T) {
 		// delivery; until its commit the coordinator holds both locks.
 		between func(d *Deployment, ctx cloud.Ctx, msg leaderMsg)
 
-		code          Code
-		reads, writes int64 // the handler's system-store operations
-		pendingA      []int64
-		stored        bool // the user store received the transaction
+		code               Code
+		reads, writes      int64 // the handler's system-store operations
+		pendingA, pendingB []int64
+		stored             bool // the user store received the transaction
 	}{
 		{
 			name: "orphan below txid on one target",
@@ -129,9 +154,9 @@ func TestTxnCommitCheck(t *testing.T) {
 				_, _ = d.System.Update(ctx, nodeKey("/b"), []kv.Update{pendingAppend(5)}, nil)
 				commit(d, ctx, msg)
 			},
-			// The epoch read; /a, /b, the orphan's pop and /b again in the one
-			// poll; both pops.
-			code: CodeOK, reads: 4, writes: 3, stored: true,
+			// The epoch read; /a and /b, whose orphan's pop ends the poll; /b
+			// again. Both pops are carried.
+			code: CodeOK, reads: 4, writes: 1, pendingA: []int64{txid}, pendingB: []int64{txid}, stored: true,
 		},
 		{
 			name: "delivered again after its pop",
@@ -149,9 +174,9 @@ func TestTxnCommitCheck(t *testing.T) {
 			name:    "the coordinator died after its push",
 			between: func(*Deployment, cloud.Ctx, leaderMsg) {},
 			// The epoch read, four polls of both targets with the replayed
-			// commit after the third; the replay (a write per item) and both
-			// pops.
-			code: CodeOK, reads: 9, writes: 4, stored: true,
+			// commit after the third; the replay (a write per item). Both
+			// pops are carried.
+			code: CodeOK, reads: 9, writes: 2, pendingA: []int64{txid}, pendingB: []int64{txid}, stored: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,8 +227,11 @@ func TestTxnCommitCheck(t *testing.T) {
 				t.Errorf("/a's pending list ends as %v, want %v", got, tc.pendingA)
 			}
 			it, _ = d.System.Peek(nodeKey("/b"))
-			if got := decodeSysNode(it).Pending; len(got) > 0 {
-				t.Errorf("/b's pending list ends as %v, want it empty", got)
+			if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pendingB) {
+				t.Errorf("/b's pending list ends as %v, want %v", got, tc.pendingB)
+			}
+			if r.carried(txid) != tc.stored {
+				t.Errorf("the multi()'s pops carried: %v, want %v", r.carried(txid), tc.stored)
 			}
 			stored := slices.ContainsFunc(r.calls, func(c storeCall) bool { return c.mzxid == txid })
 			if stored != tc.stored {

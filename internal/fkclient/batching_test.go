@@ -313,7 +313,7 @@ func TestBatchedRandomizedHistories(t *testing.T) {
 		{BatchWrites: true, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV},
 	} {
 		cfg := cfg
-		// "max0": a chunk is the whole run between barriers.
+		// "max0": a chunk is the whole run of single ops between multi()s.
 		name := fmt.Sprintf("shards%d-max0-cache%v", cfg.WriteShards, cfg.CacheMode != core.CacheOff)
 		t.Run(name, func(t *testing.T) {
 			_, d := randomHistory(t, 606, cfg, 4, 12)
