@@ -13,15 +13,20 @@ import (
 // transaction id, and the union epoch stamp (the in-flight watch ids across
 // all shards) the new value will carry. The epoch union is retained with
 // the path's floor so a future stamp-carrying upgrade — or a test — can
-// reconstruct the exact invalidation order the cache observed. MapEpoch is
-// always 0: it is left over from the deleted live resharding, and its byte
-// stays in the record's modeled size (invSize) until a change that
-// re-measures the cache's latency drops it.
+// reconstruct the exact invalidation order the cache observed.
 type Invalidation struct {
-	Path     string
-	Mzxid    int64
-	Epoch    []int64
-	MapEpoch int64
+	Path  string
+	Mzxid int64
+	Epoch []int64
+}
+
+// Install is one object the leader just wrote to the region's user store:
+// the blob the store write used and its freshness value (the node's mzxid,
+// raised to its pzxid — the value a reader's fill would carry).
+type Install struct {
+	Path  string
+	Blob  []byte
+	Mzxid int64
 }
 
 // floor is the per-path invalidation watermark: fills below it are
@@ -34,12 +39,14 @@ type floor struct {
 
 // Stats counts one regional cache's traffic.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	Fills         int64
-	RejectedFills int64
-	Invalidations int64
-	Losses        int64
+	Hits             int64
+	Misses           int64
+	Fills            int64
+	RejectedFills    int64
+	Installs         int64
+	RejectedInstalls int64
+	Invalidations    int64
+	Losses           int64
 }
 
 // Publish mirrors the counters into a metrics registry as gauges keyed
@@ -54,6 +61,8 @@ func (s Stats) Publish(reg *obs.Registry, region string) {
 		{"misses", s.Misses},
 		{"fills", s.Fills},
 		{"rejected_fills", s.RejectedFills},
+		{"installs", s.Installs},
+		{"rejected_installs", s.RejectedInstalls},
 		{"invalidations", s.Invalidations},
 	} {
 		reg.SetGauge(obs.Key{Component: "cache", Name: g.name, Region: region}, g.v)
@@ -65,7 +74,9 @@ func (s Stats) Publish(reg *obs.Registry, region string) {
 // rather than per operation) that fronts the region's user store. All
 // consistency decisions stay with the client library — the cache only
 // promises that an entry's (blob, mzxid) pair is something the user store
-// returned at some point and that no entry survives its invalidation.
+// held at some point, whether a reader filled it after a store read or the
+// leader installed it after its store write, and that no entry survives its
+// invalidation.
 type Regional struct {
 	env    *cloud.Env
 	region cloud.Region
@@ -202,16 +213,49 @@ func (r *Regional) Fill(ctx cloud.Ctx, path string, blob []byte, mzxid int64) bo
 	p := r.env.Profile
 	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, len(blob))
 	r.chargeOp(ctx, "cache.write")
-	if mzxid < r.floorOf(path) {
+	if !r.admit(path, blob, mzxid) {
 		r.stats.RejectedFills++
+		return false
+	}
+	r.stats.Fills++
+	return true
+}
+
+// InstallBatch stores the objects one flush leg just wrote to the region's
+// user store: one cache-node round trip whose transfer term covers every
+// blob. Each object passes Fill's admission rule, so an install that lands
+// after a later write's invalidation is rejected by the raised floor.
+func (r *Regional) InstallBatch(ctx cloud.Ctx, objs []Install) {
+	if len(objs) == 0 {
+		return
+	}
+	p := r.env.Profile
+	size := 0
+	for _, o := range objs {
+		size += len(o.Blob)
+	}
+	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, size)
+	r.chargeOp(ctx, "cache.write")
+	for _, o := range objs {
+		if r.admit(o.Path, o.Blob, o.Mzxid) {
+			r.stats.Installs++
+		} else {
+			r.stats.RejectedInstalls++
+		}
+	}
+}
+
+// admit is the one admission rule for a (blob, mzxid) pair the user store
+// held: it is stored unless the path's invalidation floor or a newer
+// resident entry proves it stale. Reports whether it was stored.
+func (r *Regional) admit(path string, blob []byte, mzxid int64) bool {
+	if mzxid < r.floorOf(path) {
 		return false
 	}
 	if cur, ok := r.lru.Peek(path); ok && cur.Mzxid > mzxid {
-		r.stats.RejectedFills++
 		return false
 	}
 	r.lru.Put(path, Entry{Blob: blob, Mzxid: mzxid, FilledAt: r.env.K.Now()})
-	r.stats.Fills++
 	return true
 }
 
@@ -279,7 +323,7 @@ func (r *Regional) Floor(path string) (int64, []int64) {
 // the loss because every consistency decision lives with the clients
 // (per-path lastSeen floors, per-shard MRDs, the session sysFloor) and
 // every entry the rebuilt node will ever hold is still a genuine
-// (blob, mzxid) pair the user store returned — at worst a fresh session
+// (blob, mzxid) pair the user store held — at worst a fresh session
 // reads older-but-real state, the staleness ZooKeeper's model already
 // permits and the client TTL already bounds. The chaos harness calls this
 // to verify exactly that argument.

@@ -68,6 +68,41 @@ func TestRegionalStaleFillRejectedByFloor(t *testing.T) {
 	})
 }
 
+// TestRegionalInstallBatch: a flush leg's install is one cache-node round
+// trip for the whole batch, admits each object by Fill's rule — rejected
+// below the path's floor or below a newer resident entry, accepted at the
+// floor — and is counted in Stats.
+func TestRegionalInstallBatch(t *testing.T) {
+	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/floored", Mzxid: 50}, {Path: "/at", Mzxid: 50}})
+		if !r.Fill(ctx, "/newer", blob(16), 100) {
+			t.Fatal("fill rejected")
+		}
+		writes := r.env.Meter.Count("cache.write")
+		r.InstallBatch(ctx, []Install{
+			{Path: "/a", Blob: blob(32), Mzxid: 60},
+			{Path: "/floored", Blob: blob(32), Mzxid: 40},
+			{Path: "/at", Blob: blob(32), Mzxid: 50},
+			{Path: "/newer", Blob: blob(32), Mzxid: 90},
+		})
+		if n := r.env.Meter.Count("cache.write") - writes; n != 1 {
+			t.Errorf("the install made %d cache-node round trips, want 1", n)
+		}
+		for path, want := range map[string]int64{"/a": 60, "/at": 50, "/newer": 100} {
+			if _, mzxid, ok := r.Lookup(ctx, path); !ok || mzxid != want {
+				t.Errorf("%s: ok=%v mzxid=%d, want %d", path, ok, mzxid, want)
+			}
+		}
+		if _, _, ok := r.Lookup(ctx, "/floored"); ok {
+			t.Error("an install below the floor must not be readable")
+		}
+		st := r.Stats()
+		if st.Installs != 2 || st.RejectedInstalls != 2 || st.Fills != 1 || st.RejectedFills != 0 {
+			t.Errorf("stats off: %+v", st)
+		}
+	})
+}
+
 func TestRegionalOlderFillLosesToNewerEntry(t *testing.T) {
 	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
 		if !r.Fill(ctx, "/r", blob(16), 100) {

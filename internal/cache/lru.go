@@ -4,10 +4,12 @@
 // per-session client cache. Entries carry the node's marshaled blob — which
 // embeds the epoch stamp the leader attached at write time — and its mzxid,
 // so the client library can apply the exact Z3/Z4 guards the direct read
-// path uses before serving a cached copy. Invalidation is push-based:
-// the leader publishes per-path records (path, new mzxid, epoch union) on
-// every user-store write, and the cache keeps a per-path mzxid floor so a
-// stale fill racing an invalidation can never resurrect overwritten data.
+// path uses before serving a cached copy. The leader keeps the regional
+// node current: it publishes per-path invalidation records (path, new
+// mzxid, epoch union) before every user-store write and installs the
+// objects it wrote after the write, and the cache keeps a per-path mzxid
+// floor so a stale fill racing an invalidation can never resurrect
+// overwritten data.
 package cache
 
 import (

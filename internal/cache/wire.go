@@ -20,8 +20,7 @@ const tagInvalidation byte = 0xD1
 func invSize(inv Invalidation) int {
 	n := 1 + wire.UvarintLen(uint64(len(inv.Path))) + len(inv.Path) +
 		wire.VarintLen(inv.Mzxid) +
-		wire.UvarintLen(uint64(len(inv.Epoch))) +
-		wire.VarintLen(inv.MapEpoch)
+		wire.UvarintLen(uint64(len(inv.Epoch)))
 	for _, e := range inv.Epoch {
 		n += wire.VarintLen(e)
 	}
@@ -35,7 +34,6 @@ func EncodeInvalidation(inv Invalidation) []byte {
 	e.String(inv.Path)
 	e.Varint(inv.Mzxid)
 	e.Int64s(inv.Epoch)
-	e.Varint(inv.MapEpoch)
 	return e.Owned()
 }
 
@@ -46,10 +44,9 @@ func DecodeInvalidation(b []byte) (Invalidation, error) {
 		return Invalidation{}, fmt.Errorf("%w: invalidation tag", wire.ErrCorrupt)
 	}
 	inv := Invalidation{
-		Path:     d.String(),
-		Mzxid:    d.Varint(),
-		Epoch:    d.Int64s(),
-		MapEpoch: d.Varint(),
+		Path:  d.String(),
+		Mzxid: d.Varint(),
+		Epoch: d.Int64s(),
 	}
 	return inv, d.Err()
 }

@@ -8,7 +8,7 @@ import (
 func TestInvalidationRoundTrip(t *testing.T) {
 	for _, inv := range []Invalidation{
 		{},
-		{Path: "/a/b", Mzxid: 42, Epoch: []int64{1, -2, 3}, MapEpoch: 9},
+		{Path: "/a/b", Mzxid: 42, Epoch: []int64{1, -2, 3}},
 		{Path: "/x", Mzxid: -1},
 	} {
 		got, err := DecodeInvalidation(EncodeInvalidation(inv))
@@ -35,8 +35,8 @@ func TestBinaryInvSizeExact(t *testing.T) {
 	for _, inv := range []Invalidation{
 		{},
 		{Path: "/a", Mzxid: 1},
-		{Path: "/deep/long/path/with/segments", Mzxid: 1 << 40, Epoch: []int64{5, 6, 7, 1 << 50}, MapEpoch: 3},
-		{Path: "/neg", Mzxid: -9, Epoch: []int64{-1}, MapEpoch: -2},
+		{Path: "/deep/long/path/with/segments", Mzxid: 1 << 40, Epoch: []int64{5, 6, 7, 1 << 50}},
+		{Path: "/neg", Mzxid: -9, Epoch: []int64{-1}},
 	} {
 		if got, want := invSize(inv), len(EncodeInvalidation(inv)); got != want {
 			t.Errorf("invSize(%+v) = %d, encoded len %d", inv, got, want)
@@ -47,10 +47,10 @@ func TestBinaryInvSizeExact(t *testing.T) {
 // FuzzInvalidationCodec round-trips fuzzed records and cross-checks the
 // arithmetic size model against the real encoding.
 func FuzzInvalidationCodec(f *testing.F) {
-	f.Add("/a", int64(1), int64(2), int64(3), int64(4))
-	f.Add("", int64(0), int64(-1), int64(1)<<62, int64(0))
-	f.Fuzz(func(t *testing.T, path string, mzxid int64, e1 int64, e2 int64, mapEpoch int64) {
-		inv := Invalidation{Path: path, Mzxid: mzxid, Epoch: []int64{e1, e2}, MapEpoch: mapEpoch}
+	f.Add("/a", int64(1), int64(2), int64(3))
+	f.Add("", int64(0), int64(-1), int64(1)<<62)
+	f.Fuzz(func(t *testing.T, path string, mzxid int64, e1 int64, e2 int64) {
+		inv := Invalidation{Path: path, Mzxid: mzxid, Epoch: []int64{e1, e2}}
 		b := EncodeInvalidation(inv)
 		if got, want := invSize(inv), len(b); got != want {
 			t.Fatalf("size model %d != encoded %d", got, want)

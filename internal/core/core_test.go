@@ -139,10 +139,10 @@ func TestUserStoreRoundTripAllKinds(t *testing.T) {
 					Stat: znode.Stat{Mzxid: 5, Version: 1}, Children: []string{"c1"}}
 				big := &znode.Node{Path: "/big", Data: make([]byte, 64*1024),
 					Stat: znode.Stat{Mzxid: 6}}
-				if err := s.Write(ctx, small, []int64{11}); err != nil {
+				if err := s.Write(ctx, NewObject(small, []int64{11})); err != nil {
 					t.Errorf("write small: %v", err)
 				}
-				if err := s.Write(ctx, big, nil); err != nil {
+				if err := s.Write(ctx, NewObject(big, nil)); err != nil {
 					t.Errorf("write big: %v", err)
 				}
 				n, stamp, err := s.Read(ctx, "/small")
@@ -180,8 +180,8 @@ func TestHybridStoreSpillsLargeNodes(t *testing.T) {
 	k.Go("rt", func() {
 		small := &znode.Node{Path: "/s", Data: make([]byte, 1000)}
 		large := &znode.Node{Path: "/l", Data: make([]byte, 10000)}
-		s.Write(ctx, small, nil)
-		s.Write(ctx, large, nil)
+		s.Write(ctx, NewObject(small, nil))
+		s.Write(ctx, NewObject(large, nil))
 		if _, spilled := s.bucket.Peek("/s"); spilled {
 			t.Error("small node spilled to object store")
 		}
@@ -190,7 +190,7 @@ func TestHybridStoreSpillsLargeNodes(t *testing.T) {
 		}
 		// Shrinking a node must clean its spill object.
 		large.Data = make([]byte, 100)
-		s.Write(ctx, large, nil)
+		s.Write(ctx, NewObject(large, nil))
 		if _, spilled := s.bucket.Peek("/l"); spilled {
 			t.Error("stale spill object after shrink")
 		}
@@ -212,8 +212,8 @@ func TestHybridReadLatencySplit(t *testing.T) {
 	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
 	var tSmall, tLarge sim.Time
 	k.Go("m", func() {
-		s.Write(ctx, &znode.Node{Path: "/s", Data: make([]byte, 1024)}, nil)
-		s.Write(ctx, &znode.Node{Path: "/l", Data: make([]byte, 100*1024)}, nil)
+		s.Write(ctx, NewObject(&znode.Node{Path: "/s", Data: make([]byte, 1024)}, nil))
+		s.Write(ctx, NewObject(&znode.Node{Path: "/l", Data: make([]byte, 100*1024)}, nil))
 		n := 30
 		t0 := k.Now()
 		for i := 0; i < n; i++ {

@@ -11,7 +11,8 @@ package core
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
 //	                                  the flush
 //	  epoch entry     appendEpochs    with its claim (queryWatches)
-//	➌ flush           distributeFold  —
+//	➌ flush           distributeFold  per region: invalidate → write →
+//	                                  install (flushLeg.write)
 //	➍ delivery        launchWatch     —
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
@@ -44,8 +45,9 @@ package core
 // reader could see a torn transaction. A chunk commits per message, folding
 // each change into its batchFold, flushes the fold once (one invalidation
 // record, the final state of every touched node, one child-list
-// read-modify-write per parent, per region), and completes per message in
-// queue order. Only the flush touches the user stores, so the chunks of an
+// read-modify-write per parent, then one cache install of everything
+// written, per region), and completes per message in queue order. Only the
+// flush touches the user stores, so the chunks of an
 // invocation are pipelined on the one handler process: while flush n's legs
 // are in flight the handler runs the pops chunk n−1 deferred and the commit
 // phase of n+1 (underFlush). The pops of an invocation's last chunk are
@@ -654,8 +656,9 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 }
 
 // distributeFold is ➌ for one fold: one coalesced invalidation record,
-// the final state of every touched node, and one read-modify-write per
-// parent, per region in parallel. own names the request whose span tree
+// the final state of every touched node, one read-modify-write per parent
+// and one cache install of the objects written, per region in parallel.
+// own names the request whose span tree
 // and bill the regional legs belong to (a one-message chunk); nil records
 // them as trace-0 pipeline spans billed through ctx. atomicApply is the
 // transaction commit point (package txn): node writes go through the
@@ -781,6 +784,11 @@ type flushLeg struct {
 	stamp       []int64
 	own         *leaderMsg
 	atomicApply bool
+
+	// Scratch the leg reuses from flush to flush: the objects it writes and
+	// the cache installs it makes of them.
+	objs     []Object
+	installs []cache.Install
 }
 
 // takeLegs returns a spare set of flush legs, or a new one.
@@ -805,17 +813,21 @@ func (d *Deployment) putLegs(legs *flushLegs) {
 	for i := range legs.legs {
 		l := &legs.legs[i]
 		l.store, l.ctx, l.fold, l.stamp, l.own = nil, cloud.Ctx{}, nil, nil, nil
+		clear(l.objs)
+		clear(l.installs)
+		l.objs, l.installs = l.objs[:0], l.installs[:0]
 	}
 	d.spareLegs = append(d.spareLegs, legs)
 }
 
 // write is one regional leg: invalidate the region's cache, write the
-// fold's nodes to its store, then apply the parent splices no node write
-// absorbed.
+// fold's nodes to its store, apply the parent splices no node write
+// absorbed, then install every object it wrote in the region's cache.
 func (l *flushLeg) write() {
 	d, s, fold, ctx, own, stamp := l.d, l.store, l.fold, l.ctx, l.own, l.stamp
 	defer l.wg.Done()
 	region := string(s.Region())
+	rc := d.CacheFor(s.Region())
 	// One coalesced record per touched path, published before any of the
 	// fold's writes become readable in this region: once a new value is
 	// readable, the regional cache has already dropped the old entry and
@@ -823,7 +835,7 @@ func (l *flushLeg) write() {
 	// can never re-fill the cache above the overwrite (package cache). A
 	// read in the window between the two sees exactly what the direct path
 	// would: the store's current value.
-	if rc := d.CacheFor(s.Region()); rc != nil {
+	if rc != nil {
 		tsp := d.legSpan(own, obs.SpanCacheInval, region)
 		sp := invSlicePool.Get().(*[]cache.Invalidation)
 		invs := fold.appendInvalidations((*sp)[:0], stamp)
@@ -832,26 +844,26 @@ func (l *flushLeg) write() {
 		invSlicePool.Put(sp)
 		d.spanEnd(tsp)
 	}
+	// Each object is marshaled once, under this region's stamp: the store
+	// keeps the blob, and the install below carries the same one.
+	objs := l.objs[:0]
+	for _, p := range fold.order {
+		if nf := fold.nodes[p]; nf.del {
+			objs = append(objs, Object{Path: p})
+		} else {
+			objs = append(objs, NewObject(nf.node, stamp))
+		}
+	}
 	tsp := d.legSpan(own, obs.SpanStoreWrite, region)
 	wctx := d.legCtx(ctx, own, tsp, region)
 	if aa, atomic := s.(AtomicApplier); l.atomicApply && atomic {
-		writes := make([]BatchWrite, 0, len(fold.order))
-		for _, p := range fold.order {
-			nf := fold.nodes[p]
-			if nf.del {
-				writes = append(writes, BatchWrite{Path: p})
-			} else {
-				writes = append(writes, BatchWrite{Path: p, Node: nf.node, Epoch: stamp})
-			}
-		}
-		_ = aa.ApplyBatch(wctx, writes)
+		_ = aa.ApplyBatch(wctx, objs)
 	} else {
-		for _, p := range fold.order {
-			nf := fold.nodes[p]
-			if nf.del {
-				_ = s.Delete(wctx, p)
+		for _, o := range objs {
+			if o.Node == nil {
+				_ = s.Delete(wctx, o.Path)
 			} else {
-				_ = s.Write(wctx, nf.node, stamp)
+				_ = s.Write(wctx, o)
 			}
 		}
 	}
@@ -864,8 +876,38 @@ func (l *flushLeg) write() {
 		if pf.consumed {
 			continue
 		}
-		d.applyParentFold(d.legCtx(ctx, own, 0, region), s, p, pf, stamp)
+		if o, ok := d.applyParentFold(d.legCtx(ctx, own, 0, region), s, p, pf, stamp); ok {
+			objs = append(objs, o)
+		}
 	}
+	l.objs = objs
+	if rc != nil {
+		l.install(rc, region)
+	}
+}
+
+// install is the leg's last round trip: every object it wrote goes into the
+// region's cache at its freshness value, the value a reader's fill would
+// carry, so the next read of a written node is a hit. The store already
+// holds each one, so the cache never shows a value the store does not; an
+// install that loses a race with a later invalidation of its path is
+// rejected by the raised floor. Deletes install nothing, and neither do
+// shared paths: their rebuilds run under the root lock after the legs.
+func (l *flushLeg) install(rc *cache.Regional, region string) {
+	d := l.d
+	installs := l.installs[:0]
+	for _, o := range l.objs {
+		if o.Node != nil && !d.route.Shared(o.Path) {
+			installs = append(installs, cache.Install{Path: o.Path, Blob: o.Blob, Mzxid: o.Node.Fresh()})
+		}
+	}
+	l.installs = installs
+	if len(installs) == 0 {
+		return
+	}
+	tsp := d.legSpan(l.own, obs.SpanCacheInstall, region)
+	rc.InstallBatch(d.legCtx(l.ctx, l.own, tsp, region), installs)
+	d.spanEnd(tsp)
 }
 
 // legSpan opens one regional leg of a flush: a child of own's request, or
@@ -908,12 +950,13 @@ func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64
 // applyParentFold is the batch's one read-modify-write per parent and
 // region: read, apply the coalesced splices, raise the stamps, write
 // back. The invalidation for this path was already published with the
-// batch record.
-func (d *Deployment) applyParentFold(ctx cloud.Ctx, s UserStore, path string, pf *parentFold, stamp []int64) {
+// batch record. It returns the object it wrote, if it wrote one.
+func (d *Deployment) applyParentFold(ctx cloud.Ctx, s UserStore, path string, pf *parentFold, stamp []int64) (Object, bool) {
 	parent, _, err := s.Read(ctx, path)
 	if err != nil {
-		return
+		return Object{}, false
 	}
 	spliceInto(parent, pf)
-	_ = s.Write(ctx, parent, stamp)
+	o := NewObject(parent, stamp)
+	return o, s.Write(ctx, o) == nil
 }

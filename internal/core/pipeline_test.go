@@ -80,8 +80,8 @@ func (s *recStore) record(path string, mzxid int64, call func() error) error {
 	return err
 }
 
-func (s *recStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
-	return s.record(n.Path, n.Stat.Mzxid, func() error { return s.UserStore.Write(ctx, n, epoch) })
+func (s *recStore) Write(ctx cloud.Ctx, o Object) error {
+	return s.record(o.Path, o.Node.Stat.Mzxid, func() error { return s.UserStore.Write(ctx, o) })
 }
 
 func (s *recStore) Delete(ctx cloud.Ctx, path string) error {

@@ -43,7 +43,7 @@ var ErrUserNoNode = errors.New("core: node not in user store")
 type UserStore interface {
 	Kind() StoreKind
 	Region() cloud.Region
-	Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error
+	Write(ctx cloud.Ctx, o Object) error
 	Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error)
 	Delete(ctx cloud.Ctx, path string) error
 	// Seed stores a node with no latency or billing (deployment bootstrap).
@@ -52,12 +52,20 @@ type UserStore interface {
 	StoredBytes() int
 }
 
-// BatchWrite is one node's final state inside an atomic multi-path apply:
-// a nil Node deletes the path.
-type BatchWrite struct {
+// Object is one node's user-store object: the node, the epoch stamp it
+// carries, and Blob, the node marshaled with that stamp. The stores keep
+// Blob, so a flush marshals each object once and installs the same blob in
+// the regional cache. A nil Node deletes Path (ApplyBatch).
+type Object struct {
 	Path  string
 	Node  *znode.Node
 	Epoch []int64
+	Blob  []byte
+}
+
+// NewObject marshals n under its epoch stamp.
+func NewObject(n *znode.Node, epoch []int64) Object {
+	return Object{Path: n.Path, Node: n, Epoch: epoch, Blob: znode.Marshal(n, epoch)}
 }
 
 // AtomicApplier is the optional user-store capability a committed
@@ -69,7 +77,7 @@ type BatchWrite struct {
 // readers then see a prefix of the transaction, never an arbitrary mix
 // (documented in the README's transaction section).
 type AtomicApplier interface {
-	ApplyBatch(ctx cloud.Ctx, writes []BatchWrite) error
+	ApplyBatch(ctx cloud.Ctx, objs []Object) error
 }
 
 // objectStore keeps every node as one object.
@@ -86,8 +94,8 @@ func (s *objectStore) Kind() StoreKind      { return StoreObject }
 func (s *objectStore) Region() cloud.Region { return s.bucket.Region() }
 func (s *objectStore) StoredBytes() int     { return s.bucket.TotalSize() }
 
-func (s *objectStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
-	s.bucket.Put(ctx, n.Path, znode.Marshal(n, epoch))
+func (s *objectStore) Write(ctx cloud.Ctx, o Object) error {
+	s.bucket.Put(ctx, o.Path, o.Blob)
 	return nil
 }
 
@@ -126,8 +134,8 @@ func (s *kvStore) Kind() StoreKind      { return StoreKV }
 func (s *kvStore) Region() cloud.Region { return s.region }
 func (s *kvStore) StoredBytes() int     { return s.tbl.TotalSize() }
 
-func (s *kvStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
-	return s.tbl.Put(ctx, n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(n, epoch))}}, nil)
+func (s *kvStore) Write(ctx cloud.Ctx, o Object) error {
+	return s.tbl.Put(ctx, o.Path, kv.Item{{Name: "n", V: kv.B(o.Blob)}}, nil)
 }
 
 func (s *kvStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error) {
@@ -151,15 +159,15 @@ func (s *kvStore) Seed(n *znode.Node) {
 // ApplyBatch makes all of a transaction's writes readable atomically via
 // the table's transactional write (Requirement #6 has no bite here — the
 // KV store does support multi-item transactions, unlike object storage).
-func (s *kvStore) ApplyBatch(ctx cloud.Ctx, writes []BatchWrite) error {
-	ops := make([]kv.TxOp, 0, len(writes))
-	for _, w := range writes {
-		if w.Node == nil {
-			ops = append(ops, kv.TxOp{Key: w.Path, Delete: true})
+func (s *kvStore) ApplyBatch(ctx cloud.Ctx, objs []Object) error {
+	ops := make([]kv.TxOp, 0, len(objs))
+	for _, o := range objs {
+		if o.Node == nil {
+			ops = append(ops, kv.TxOp{Key: o.Path, Delete: true})
 			continue
 		}
-		ops = append(ops, kv.TxOp{Key: w.Path, Updates: []kv.Update{
-			kv.Set{Name: "n", V: kv.B(znode.Marshal(w.Node, w.Epoch))},
+		ops = append(ops, kv.TxOp{Key: o.Path, Updates: []kv.Update{
+			kv.Set{Name: "n", V: kv.B(o.Blob)},
 		}})
 	}
 	return s.tbl.Transact(ctx, ops)
@@ -196,9 +204,12 @@ func (s *hybridStore) Kind() StoreKind      { return StoreHybrid }
 func (s *hybridStore) Region() cloud.Region { return s.region }
 func (s *hybridStore) StoredBytes() int     { return s.tbl.TotalSize() + s.bucket.TotalSize() }
 
-func (s *hybridStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
+// Write stores a small node's blob as is; a large one spills its data and
+// keeps its metadata, marshaled on its own, in the KV item.
+func (s *hybridStore) Write(ctx cloud.Ctx, o Object) error {
+	n := o.Node
 	if len(n.Data) <= s.thresholdB {
-		err := s.tbl.Put(ctx, n.Path, kv.Item{{Name: "n", V: kv.B(znode.Marshal(n, epoch))}}, nil)
+		err := s.tbl.Put(ctx, n.Path, kv.Item{{Name: "n", V: kv.B(o.Blob)}}, nil)
 		if err == nil {
 			// A previously large node may have shrunk; drop stale spill.
 			if _, had := s.bucket.Peek(n.Path); had {
@@ -211,7 +222,7 @@ func (s *hybridStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
 	meta.Data = nil
 	meta.Stat.DataLength = int32(len(n.Data))
 	if err := s.tbl.Put(ctx, n.Path, kv.Item{
-		{Name: "n", V: kv.B(znode.Marshal(meta, epoch))},
+		{Name: "n", V: kv.B(znode.Marshal(meta, o.Epoch))},
 		{Name: "spill", V: kv.N(1)},
 	}, nil); err != nil {
 		return err
@@ -292,12 +303,11 @@ func (s *memStore) lat(ctx cloud.Ctx, base sim.Dist, perKB sim.Time, size int) s
 	return s.env.OpTime(ctx, base, perKB, size)
 }
 
-func (s *memStore) Write(ctx cloud.Ctx, n *znode.Node, epoch []int64) error {
-	blob := znode.Marshal(n, epoch)
+func (s *memStore) Write(ctx cloud.Ctx, o Object) error {
 	p := s.env.Profile
-	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, len(blob)))
+	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, len(o.Blob)))
 	s.ops++
-	s.data[n.Path] = blob
+	s.data[o.Path] = o.Blob
 	return nil
 }
 
@@ -329,23 +339,19 @@ func (s *memStore) Seed(n *znode.Node) { s.data[n.Path] = znode.Marshal(n, nil) 
 
 // ApplyBatch applies every write in one in-memory step after a single
 // write round trip: the Redis analogue of a MULTI/EXEC pipeline.
-func (s *memStore) ApplyBatch(ctx cloud.Ctx, writes []BatchWrite) error {
+func (s *memStore) ApplyBatch(ctx cloud.Ctx, objs []Object) error {
 	size := 0
-	blobs := make([][]byte, len(writes))
-	for i, w := range writes {
-		if w.Node != nil {
-			blobs[i] = znode.Marshal(w.Node, w.Epoch)
-			size += len(blobs[i])
-		}
+	for _, o := range objs {
+		size += len(o.Blob)
 	}
 	p := s.env.Profile
 	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, size))
 	s.ops++
-	for i, w := range writes {
-		if w.Node == nil {
-			delete(s.data, w.Path)
+	for _, o := range objs {
+		if o.Node == nil {
+			delete(s.data, o.Path)
 		} else {
-			s.data[w.Path] = blobs[i]
+			s.data[o.Path] = o.Blob
 		}
 	}
 	return nil

@@ -97,7 +97,7 @@ func TestHybridStoreShrinkDeletesSpill(t *testing.T) {
 	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
 	k.Go("test", func() {
 		bigData := bytes.Repeat([]byte("b"), threshold+1)
-		if err := s.Write(ctx, &znode.Node{Path: "/n", Data: bigData}, nil); err != nil {
+		if err := s.Write(ctx, NewObject(&znode.Node{Path: "/n", Data: bigData}, nil)); err != nil {
 			t.Fatalf("big write: %v", err)
 		}
 		if _, had := hs.bucket.Peek("/n"); !had {
@@ -109,7 +109,7 @@ func TestHybridStoreShrinkDeletesSpill(t *testing.T) {
 		}
 
 		smallData := []byte("small")
-		if err := s.Write(ctx, &znode.Node{Path: "/n", Data: smallData}, nil); err != nil {
+		if err := s.Write(ctx, NewObject(&znode.Node{Path: "/n", Data: smallData}, nil)); err != nil {
 			t.Fatalf("small rewrite: %v", err)
 		}
 		if _, had := hs.bucket.Peek("/n"); had {
@@ -130,7 +130,7 @@ func TestHybridStoreShrinkDeletesSpill(t *testing.T) {
 		}
 
 		// Grow-shrink-grow keeps working (no tombstone interference).
-		if err := s.Write(ctx, &znode.Node{Path: "/n", Data: bigData}, nil); err != nil {
+		if err := s.Write(ctx, NewObject(&znode.Node{Path: "/n", Data: bigData}, nil)); err != nil {
 			t.Fatalf("re-grow: %v", err)
 		}
 		n, _, err = s.Read(ctx, "/n")

@@ -537,19 +537,27 @@ func TestCachingBeatsDirectReads(t *testing.T) {
 	if base.hit != 0 {
 		t.Errorf("uncached run reports %v%% hits", base.hit)
 	}
-	// Acceptance: the cache tier must at least halve the mean read
-	// latency of the KV-store baseline on the Zipf read-heavy workload.
+	// Acceptance: at the default 64 MB the leader's installs keep the hot
+	// set resident, so nearly every read hits and the cache tier serves
+	// reads at most a quarter as slow as the KV-store baseline.
 	for name, v := range map[string]cols{"two-level": two, "regional": reg} {
-		if v.hit < 50 {
-			t.Errorf("%s hit ratio %.1f%%, want > 50%%", name, v.hit)
+		if v.hit <= 90 {
+			t.Errorf("%s hit ratio %.1f%%, want > 90%%", name, v.hit)
 		}
-		if v.mean > base.mean/2 {
-			t.Errorf("%s mean %.2f ms, want <= half of the %.2f ms baseline", name, v.mean, base.mean)
+		if v.mean > base.mean/4 {
+			t.Errorf("%s mean %.2f ms, want <= a quarter of the %.2f ms baseline", name, v.mean, base.mean)
 		}
 	}
-	// The all-mem ablation bounds what caching can reach from below.
-	if !(mem.mean < two.mean && two.mean < base.mean) {
-		t.Errorf("expected mem < two-level < direct means: %v %v %v", mem.mean, two.mean, base.mean)
+	capRows := rep.Sections[1].Rows
+	if last := capRows[len(capRows)-1]; last[0] != "64MB" {
+		t.Errorf("last capacity row is %q, want 64MB", last[0])
+	} else if hit, err := strconv.ParseFloat(last[1], 64); err != nil || hit <= 90 {
+		t.Errorf("64 MB capacity row hit ratio %s%%, want > 90%%", last[1])
+	}
+	// The all-mem ablation is the round trip a regional hit costs; session
+	// hits cost none, so two-level may beat it, but never falls far behind.
+	if two.mean > 1.25*mem.mean {
+		t.Errorf("two-level mean %.2f ms, want <= 1.25x the %.2f ms Redis user store", two.mean, mem.mean)
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 )
 
 func cachedCfg() core.Config {
@@ -29,8 +31,10 @@ func runCached(t *testing.T, seed int64, cfg core.Config, fn func(k *sim.Kernel,
 	k.Shutdown()
 }
 
-// TestCacheServesRepeatedReads: the second identical read must come from a
-// cache level, not the store.
+// TestCacheServesRepeatedReads: every read of a node the session just
+// created comes from a cache level, not the store — the leader installed
+// the object in the regional node after writing it, so even the first read
+// is a hit.
 func TestCacheServesRepeatedReads(t *testing.T) {
 	runCached(t, 1, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		c, err := Connect(d, "s", d.Cfg.Profile.Home)
@@ -47,11 +51,139 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 			}
 		}
 		l1, l2, misses := c.CacheStats()
-		if misses != 1 {
-			t.Errorf("misses = %d, want exactly the first read", misses)
+		if misses != 0 {
+			t.Errorf("misses = %d, want 0: the create installed /x", misses)
 		}
-		if l1+l2 != 2 {
-			t.Errorf("cache hits = %d (l1=%d l2=%d), want 2", l1+l2, l1, l2)
+		if l1+l2 != 3 {
+			t.Errorf("cache hits = %d (l1=%d l2=%d), want 3", l1+l2, l1, l2)
+		}
+	})
+}
+
+// TestCacheWriteInstallsForOtherSessions: after any session's write —
+// a create, a set_data, and the child-list rewrite of the create's parent —
+// another session's first read of the node is a regional hit that reads
+// nothing from the user store.
+func TestCacheWriteInstallsForOtherSessions(t *testing.T) {
+	for _, mode := range []core.CacheMode{core.CacheRegional, core.CacheTwoLevel} {
+		t.Run(string(mode), func(t *testing.T) {
+			cfg := core.Config{UserStore: core.StoreKV, CacheMode: mode}
+			runCached(t, 12, cfg, func(k *sim.Kernel, d *core.Deployment) {
+				w, err := Connect(d, "w", d.Cfg.Profile.Home)
+				if err != nil {
+					t.Fatalf("connect w: %v", err)
+				}
+				defer w.Close()
+				if _, err := w.Create("/p", nil, 0); err != nil {
+					t.Fatalf("create /p: %v", err)
+				}
+				if _, err := w.Create("/p/x", []byte("v0"), 0); err != nil {
+					t.Fatalf("create /p/x: %v", err)
+				}
+				if _, err := w.Create("/y", []byte("y0"), 0); err != nil {
+					t.Fatalf("create /y: %v", err)
+				}
+				if _, err := w.SetData("/y", []byte("y1"), -1); err != nil {
+					t.Fatalf("set /y: %v", err)
+				}
+				r, err := Connect(d, "r", d.Cfg.Profile.Home)
+				if err != nil {
+					t.Fatalf("connect r: %v", err)
+				}
+				defer r.Close()
+				storeReads := d.Env.Meter.Count("userkv.read")
+				if data, _, err := r.GetData("/p/x"); err != nil || string(data) != "v0" {
+					t.Fatalf("read /p/x = %q (%v), want v0", data, err)
+				}
+				if data, _, err := r.GetData("/y"); err != nil || string(data) != "y1" {
+					t.Fatalf("read /y = %q (%v), want y1", data, err)
+				}
+				if kids, err := r.GetChildren("/p"); err != nil || !slices.Equal(kids, []string{"x"}) {
+					t.Fatalf("children of /p = %v (%v), want [x]", kids, err)
+				}
+				if n := d.Env.Meter.Count("userkv.read") - storeReads; n != 0 {
+					t.Errorf("the reads made %d user-store reads, want 0", n)
+				}
+				if l1, l2, misses := r.CacheStats(); l1 != 0 || l2 != 3 || misses != 0 {
+					t.Errorf("cache stats l1=%d l2=%d misses=%d, want 3 regional hits", l1, l2, misses)
+				}
+			})
+		})
+	}
+}
+
+// TestCacheMultiSwapNeverTorn: a multi() swaps a pair on the KV store while
+// a reader reads the pair in reverse order. The regional node holds one
+// entry, so the install of the pair's first path is evicted by its second:
+// the reader mixes cache hits (the second path) with store reads (the
+// first). A hit shows what the store already holds — the install follows
+// the atomic store write — so the first path is never older than the
+// second.
+func TestCacheMultiSwapNeverTorn(t *testing.T) {
+	const payloadB = 100
+	cfg := core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional, CacheCapacityB: 300}
+	runCached(t, 13, cfg, func(k *sim.Kernel, d *core.Deployment) {
+		val := func(tok int) []byte { return []byte(fmt.Sprintf("%0*d", payloadB, tok)) }
+		tokOf := func(b []byte) int {
+			tok, err := strconv.Atoi(string(b))
+			if err != nil {
+				t.Fatalf("bad value %q", b)
+			}
+			return tok
+		}
+		w, err := Connect(d, "w", d.Cfg.Profile.Home)
+		if err != nil {
+			t.Fatalf("connect w: %v", err)
+		}
+		defer w.Close()
+		for _, p := range []string{"/cfg", "/cfg/a", "/cfg/b"} {
+			if _, err := w.Create(p, val(0), 0); err != nil {
+				t.Fatalf("create %s: %v", p, err)
+			}
+		}
+		r, err := Connect(d, "r", d.Cfg.Profile.Home)
+		if err != nil {
+			t.Fatalf("connect r: %v", err)
+		}
+		defer r.Close()
+		const swaps = 40
+		stop := false
+		done := sim.NewWaitGroup(k)
+		done.Add(1)
+		k.Go("swapper", func() {
+			defer done.Done()
+			defer func() { stop = true }()
+			for tok := 1; tok <= swaps; tok++ {
+				if _, err := w.Multi(txn.SetData("/cfg/a", val(tok), -1), txn.SetData("/cfg/b", val(tok), -1)); err != nil {
+					t.Errorf("swap %d: %v", tok, err)
+					return
+				}
+				k.Sleep(sim.Time(tok%7) * sim.Ms(1))
+			}
+		})
+		done.Add(1)
+		k.Go("reader", func() {
+			defer done.Done()
+			for i := 0; !stop; i++ {
+				b, _, err := r.GetData("/cfg/b")
+				if err != nil {
+					t.Errorf("read b: %v", err)
+					return
+				}
+				a, _, err := r.GetData("/cfg/a")
+				if err != nil {
+					t.Errorf("read a: %v", err)
+					return
+				}
+				if ta, tb := tokOf(a), tokOf(b); ta < tb {
+					t.Errorf("torn swap: /cfg/b at %d, then /cfg/a at %d", tb, ta)
+				}
+				k.Sleep(sim.Time(i%3) * sim.Ms(1))
+			}
+		})
+		done.Wait()
+		if _, l2, misses := r.CacheStats(); l2 == 0 || misses == 0 {
+			t.Fatalf("reader made %d regional hits and %d store reads, want both", l2, misses)
 		}
 	})
 }

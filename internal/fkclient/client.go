@@ -725,7 +725,7 @@ func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 		c.maxSeenMzxid = n.Stat.Mzxid
 	}
 	if c.rcache != nil {
-		f := nodeFresh(n)
+		f := n.Fresh()
 		if f > c.lastSeen[path] {
 			c.lastSeen[path] = f
 		}
@@ -769,16 +769,6 @@ func (c *Client) armed() {
 	}
 	clear(c.held)
 	c.held = c.held[:0]
-}
-
-// nodeFresh is the newest transaction reflected in a node's user-store
-// object: its mzxid, raised to its pzxid — child-list rebuilds replace the
-// object without touching the node's own mzxid.
-func nodeFresh(n *znode.Node) int64 {
-	if n.Stat.Pzxid > n.Stat.Mzxid {
-		return n.Stat.Pzxid
-	}
-	return n.Stat.Mzxid
 }
 
 // fetch resolves a path to (node, epoch stamp). With the cache tier off it
@@ -837,7 +827,10 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	// and stale re-fills are floored out — an entry the node still holds
 	// is the path's current committed state as of everything this session
 	// can have observed on the shard (cross-shard txids carry no order,
-	// exactly as in the sharded write path).
+	// exactly as in the sharded write path). The leader installs the
+	// objects it wrote only after the store write, so an entry never runs
+	// ahead of the store either: a written node's next read is usually a
+	// hit here, and a miss below refills the node as the install would.
 	if blob, mzxid, ok := c.rcache.Lookup(c.ctx, path); ok && mzxid >= floor {
 		if n, stamp, err := znode.Unmarshal(blob); err == nil {
 			c.l1Fill(path, blob, mzxid)
@@ -856,7 +849,7 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 		return nil, nil, err
 	}
 	blob := znode.Marshal(n, stamp)
-	fresh := nodeFresh(n)
+	fresh := n.Fresh()
 	c.l1Fill(path, blob, fresh)
 	// Refresh the regional node off the critical path (fire-and-forget,
 	// as a real client would): the fill pays the cache node's write

@@ -360,5 +360,6 @@ const (
 	SpanFollowerCommit = "follower.commit" // system-store commit, concurrent with queue.leader
 	SpanStoreWrite     = "store.write"     // one region's user-store write
 	SpanCacheInval     = "cache.invalidate"
+	SpanCacheInstall   = "cache.install" // the written objects installed in the region's cache node
 	SpanWatchDeliver   = "watch.deliver" // watch function invocation + delivery
 )

@@ -144,6 +144,17 @@ func Unmarshal(buf []byte) (*Node, []int64, error) {
 	return n, epoch, nil
 }
 
+// Fresh is the newest transaction reflected in the node's user-store
+// object: its mzxid, raised to its pzxid — child-list rebuilds replace the
+// object without touching the node's own mzxid. It is the value a cached
+// copy of the object carries.
+func (n *Node) Fresh() int64 {
+	if n.Stat.Pzxid > n.Stat.Mzxid {
+		return n.Stat.Pzxid
+	}
+	return n.Stat.Mzxid
+}
+
 // Owner is a nil-safe accessor used by Marshal size estimation.
 func (n *Node) Owner() string { return n.Stat.Owner }
 
