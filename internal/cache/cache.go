@@ -8,30 +8,35 @@ import (
 	"faaskeeper/internal/sim"
 )
 
-// Invalidation is the record the leader publishes to the regional cache on
-// every user-store write: the path it is about to overwrite, the commit's
-// transaction id, and the union epoch stamp (the in-flight watch ids across
-// all shards) the new value will carry. The epoch union is retained with
-// the path's floor so a future stamp-carrying upgrade — or a test — can
-// reconstruct the exact invalidation order the cache observed.
+// Invalidation is the record the leader publishes to the regional cache
+// before a fenced user-store op — a delete, a write of a shared path, or
+// any object of an atomic batch, which no install can follow object by
+// object: the path it is about to overwrite or delete, the commit's
+// transaction id, and the union epoch stamp (the in-flight watch ids
+// across all shards) the new value will carry. The epoch union is retained
+// with the path's floor so a future stamp-carrying upgrade — or a test —
+// can reconstruct the exact invalidation order the cache observed.
 type Invalidation struct {
 	Path  string
 	Mzxid int64
 	Epoch []int64
 }
 
-// Install is one object the leader just wrote to the region's user store:
-// the blob the store write used and its freshness value (the node's mzxid,
-// raised to its pzxid — the value a reader's fill would carry).
+// Install is one object the leader just wrote to the region's user store,
+// sent before its next store op starts: the blob the store write used and
+// its freshness value (the node's mzxid, raised to its pzxid — the value a
+// reader's fill would carry). Until it lands the path's old entry stays
+// served, so the cache lags the store by at most the one object in flight.
 type Install struct {
 	Path  string
 	Blob  []byte
 	Mzxid int64
 }
 
-// floor is the per-path invalidation watermark: fills below it are
-// rejected, so a read that fetched the old value from the store just
-// before the overwrite can never resurrect it after the invalidation.
+// floor is the per-path watermark, raised by an invalidation and by an
+// install: fills below it are rejected, so a read that fetched the old
+// value from the store just before the overwrite can never resurrect it
+// after the invalidation or the install, even once the entry is evicted.
 type floor struct {
 	mzxid int64
 	epoch []int64
@@ -75,8 +80,9 @@ func (s Stats) Publish(reg *obs.Registry, region string) {
 // consistency decisions stay with the client library — the cache only
 // promises that an entry's (blob, mzxid) pair is something the user store
 // held at some point, whether a reader filled it after a store read or the
-// leader installed it after its store write, and that no entry survives its
-// invalidation.
+// leader installed it after its store write, that no entry survives its
+// invalidation, and that once an install or an invalidation landed no
+// older value of its path is admitted again.
 type Regional struct {
 	env    *cloud.Env
 	region cloud.Region
@@ -221,10 +227,13 @@ func (r *Regional) Fill(ctx cloud.Ctx, path string, blob []byte, mzxid int64) bo
 	return true
 }
 
-// InstallBatch stores the objects one flush leg just wrote to the region's
-// user store: one cache-node round trip whose transfer term covers every
-// blob. Each object passes Fill's admission rule, so an install that lands
-// after a later write's invalidation is rejected by the raised floor.
+// InstallBatch stores the objects one store op of a flush leg just wrote to
+// the region's user store — one object, or an atomic batch — in one
+// cache-node round trip whose transfer term covers every blob. Each object
+// raises its path's floor to its freshness, then passes Fill's admission
+// rule: an install that lands after a later write's invalidation or install
+// is rejected, and a reader's fill of the value it replaced, still in
+// flight, is rejected after it even if the entry was evicted meanwhile.
 func (r *Regional) InstallBatch(ctx cloud.Ctx, objs []Install) {
 	if len(objs) == 0 {
 		return
@@ -237,6 +246,7 @@ func (r *Regional) InstallBatch(ctx cloud.Ctx, objs []Install) {
 	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, size)
 	r.chargeOp(ctx, "cache.write")
 	for _, o := range objs {
+		r.raise(o.Path, o.Mzxid)
 		if r.admit(o.Path, o.Blob, o.Mzxid) {
 			r.stats.Installs++
 		} else {
@@ -298,18 +308,35 @@ func (r *Regional) apply(inv Invalidation) {
 	if inv.Mzxid > newFloor {
 		newFloor = inv.Mzxid
 	}
-	r.floors[inv.Path] = floor{mzxid: newFloor, epoch: append([]int64(nil), inv.Epoch...)}
+	r.setFloor(inv.Path, floor{mzxid: newFloor, epoch: append([]int64(nil), inv.Epoch...)})
 	if cur, ok := r.lru.Peek(inv.Path); ok && cur.Mzxid < newFloor {
 		r.lru.Remove(inv.Path)
 	}
+}
+
+// raise lifts a path's floor to an installed freshness value, keeping the
+// epoch of the record that last set it. Unlike an invalidation it is not a
+// strict bump: the installed value itself stays admissible.
+func (r *Regional) raise(path string, mzxid int64) {
+	if mzxid <= r.floorOf(path) {
+		return
+	}
+	f := r.floors[path]
+	f.mzxid = mzxid
+	r.setFloor(path, f)
+}
+
+// setFloor stores a path's floor, compacting the map on overflow.
+func (r *Regional) setFloor(path string, f floor) {
+	r.floors[path] = f
 	if len(r.floors) > r.floorCap {
 		r.compactFloors()
 	}
 }
 
-// Floor returns the path's effective invalidation watermark and the epoch
-// union of the record that set it (empty epoch when the watermark is the
-// global fold floor or the path was never invalidated).
+// Floor returns the path's effective watermark and the epoch union of the
+// invalidation record that last set it (empty epoch when the watermark is
+// the global fold floor or the path was never invalidated).
 func (r *Regional) Floor(path string) (int64, []int64) {
 	if f, ok := r.floors[path]; ok {
 		return f.mzxid, f.epoch

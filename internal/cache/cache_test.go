@@ -103,6 +103,32 @@ func TestRegionalInstallBatch(t *testing.T) {
 	})
 }
 
+// TestRegionalInstallRaisesFloor: an install is the only thing the leader
+// sends for a plain write, so it must raise the path's floor itself. A
+// reader that fetched v1 from the store just before v2's write landed may
+// fill it after v2's install — and after capacity pressure evicted v2, so
+// no resident entry can reject it. The floor must.
+func TestRegionalInstallRaisesFloor(t *testing.T) {
+	withRegional(t, capFor(1, 32), func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
+		r.InstallBatch(ctx, []Install{{Path: "/n", Blob: blob(32), Mzxid: 20}})
+		if !r.Fill(ctx, "/m", blob(32), 5) {
+			t.Fatal("fill of another path rejected")
+		}
+		if _, _, ok := r.Lookup(ctx, "/n"); ok {
+			t.Fatal("the install of /n was not evicted: the test holds no window")
+		}
+		if f, _ := r.Floor("/n"); f != 20 {
+			t.Errorf("floor after the install = %d, want 20", f)
+		}
+		if r.Fill(ctx, "/n", blob(32), 10) {
+			t.Error("a fill of the value the install replaced resurrected it after an eviction")
+		}
+		if !r.Fill(ctx, "/n", blob(32), 20) {
+			t.Error("a fill of the installed value must be admitted")
+		}
+	})
+}
+
 func TestRegionalOlderFillLosesToNewerEntry(t *testing.T) {
 	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
 		if !r.Fill(ctx, "/r", blob(16), 100) {

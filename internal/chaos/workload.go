@@ -77,9 +77,11 @@ func (s Scenario) withDefaults() Scenario {
 
 // Configs lists the deployment configurations the chaos matrix covers:
 // the paper-faithful single-shard pipeline, the batching distributor, the
-// two-level cache tier, and multi() on four shards.
+// two-level cache tier, multi() on four shards, and the scaled preset the
+// benchmark runs — batching and the cache together, where a flush leg
+// writes several objects and installs each one after its own store write.
 func Configs() []string {
-	return []string{"plain", "batching", "caching", "txn"}
+	return []string{"plain", "batching", "caching", "txn", "scaled"}
 }
 
 // DeployConfig maps a matrix config name to its deployment config. All
@@ -105,6 +107,12 @@ func DeployConfig(name string) (core.Config, bool) {
 		return base, true
 	case "txn":
 		base.WriteShards = 4
+		base.UserStore = core.StoreKV
+		return base, true
+	case "scaled":
+		base.WriteShards = 4
+		base.BatchWrites = true
+		base.CacheMode = core.CacheTwoLevel
 		base.UserStore = core.StoreKV
 		return base, true
 	default:

@@ -48,7 +48,7 @@ const (
 	// CacheTTL bounds client-cache staleness: an entry older than this is
 	// refetched, which keeps ZooKeeper's timeliness guarantee for a session
 	// that never observes newer state. The regional node needs no TTL — the
-	// leader push-invalidates it.
+	// leader installs every write in it (and invalidates every delete).
 	CacheTTL = 5 * time.Second
 
 	hybridThresholdB = 4096                    // hybrid store's KV/object split point
@@ -88,7 +88,7 @@ type Config struct {
 	// (distributor.go): within a chunk only the final state of each
 	// touched node is written to the user stores, every parent gets one
 	// child-list read-modify-write, and the regional caches get one
-	// coalesced invalidation record. Every per-operation invariant is
+	// install per written object. Every per-operation invariant is
 	// preserved: each client still receives its own Stat with its own
 	// txid, watch payloads carry the firing operation's txid, and epoch
 	// entries precede readability of the chunk's writes (Z4). On, a chunk
@@ -102,9 +102,11 @@ type Config struct {
 	// CacheMode enables the read-path cache tier (package cache): a
 	// shared regional cache node fronting each region's user store,
 	// optionally combined with a per-session client cache. The leader
-	// push-invalidates the regional node on every user-store write, and
-	// clients apply the direct path's Z3/Z4 guards before serving a
-	// cached entry. Default CacheOff — the paper's direct read path.
+	// installs each object in the regional node right after its user-store
+	// write (a delete, a shared path or an atomic batch is invalidated
+	// before it), and clients apply the direct path's Z3/Z4 guards before
+	// serving a cached entry. Default CacheOff — the paper's direct read
+	// path.
 	CacheMode CacheMode
 
 	// CacheCapacityB sizes each regional cache node (default 64 MB).

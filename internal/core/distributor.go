@@ -11,7 +11,8 @@ package core
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
 //	                                  the flush
 //	  epoch entry     appendEpochs    with its claim (queryWatches)
-//	➌ flush           distributeFold  per region: invalidate → write →
+//	➌ flush           distributeFold  per region: invalidate the fenced
+//	                                  objects → per object, write →
 //	                                  install (flushLeg.write)
 //	➍ delivery        launchWatch     —
 //	  answer          notifyResult    —
@@ -43,10 +44,11 @@ package core
 // order; the fold writes in first-touch order, so a multi() folded behind a
 // single op on one of its later paths would write that path first, and a
 // reader could see a torn transaction. A chunk commits per message, folding
-// each change into its batchFold, flushes the fold once (one invalidation
-// record, the final state of every touched node, one child-list
-// read-modify-write per parent, then one cache install of everything
-// written, per region), and completes per message in queue order. Only the
+// each change into its batchFold, flushes the fold once (per region: one
+// invalidation record of the objects the leg fences, the final state of
+// every touched node, one child-list read-modify-write per parent, and
+// each object installed in the cache right after its own store write),
+// and completes per message in queue order. Only the
 // flush touches the user stores, so the chunks of an
 // invocation are pipelined on the one handler process: while flush n's legs
 // are in flight the handler runs the pops chunk n−1 deferred and the commit
@@ -655,9 +657,10 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 	return r, true
 }
 
-// distributeFold is ➌ for one fold: one coalesced invalidation record,
-// the final state of every touched node, one read-modify-write per parent
-// and one cache install of the objects written, per region in parallel.
+// distributeFold is ➌ for one fold: per region in parallel, one
+// coalesced invalidation record of the fenced objects, the final state of
+// every touched node, one read-modify-write per parent, and each object
+// installed in the cache right after its store write (flushLeg.write).
 // own names the request whose span tree
 // and bill the regional legs belong to (a one-message chunk); nil records
 // them as trace-0 pipeline spans billed through ctx. atomicApply is the
@@ -785,8 +788,12 @@ type flushLeg struct {
 	own         *leaderMsg
 	atomicApply bool
 
+	// The region's name and cache node (nil without one), set by write.
+	region string
+	rc     *cache.Regional
+
 	// Scratch the leg reuses from flush to flush: the objects it writes and
-	// the cache installs it makes of them.
+	// the installs due after its last store op.
 	objs     []Object
 	installs []cache.Install
 }
@@ -812,40 +819,48 @@ func (d *Deployment) takeLegs() *flushLegs {
 func (d *Deployment) putLegs(legs *flushLegs) {
 	for i := range legs.legs {
 		l := &legs.legs[i]
-		l.store, l.ctx, l.fold, l.stamp, l.own = nil, cloud.Ctx{}, nil, nil, nil
+		l.store, l.ctx, l.fold, l.stamp, l.own, l.rc = nil, cloud.Ctx{}, nil, nil, nil, nil
 		clear(l.objs)
-		clear(l.installs)
-		l.objs, l.installs = l.objs[:0], l.installs[:0]
+		l.objs = l.objs[:0]
 	}
 	d.spareLegs = append(d.spareLegs, legs)
 }
 
-// write is one regional leg: invalidate the region's cache, write the
-// fold's nodes to its store, apply the parent splices no node write
-// absorbed, then install every object it wrote in the region's cache.
+// write is one regional leg: the fold's nodes, then the parent splices no
+// node write absorbed, one store op after another. Each object follows one
+// rule in the region's cache (fenced). A fenced object is invalidated
+// before the leg's first store op, in one round trip for all of them: a
+// delete, so a reader that saw the node gone in the store cannot get it
+// back from the cache; a shared path, whose rebuilds run under the root
+// lock after the legs; and every object of a leg that applies an atomic
+// batch, which lands at one instant no per-object install can follow.
+// Every other object is installed right after its own store write lands,
+// before the leg's next store op starts, and its old entry stays served
+// until then. So the cache never runs ahead of the store and lags it by at
+// most the one object in flight: whatever a reader gets through the cache,
+// a direct read issued just before that write landed could have got too.
+// Without a cache the leg makes exactly its store ops.
 func (l *flushLeg) write() {
 	d, s, fold, ctx, own, stamp := l.d, l.store, l.fold, l.ctx, l.own, l.stamp
 	defer l.wg.Done()
-	region := string(s.Region())
-	rc := d.CacheFor(s.Region())
-	// One coalesced record per touched path, published before any of the
-	// fold's writes become readable in this region: once a new value is
-	// readable, the regional cache has already dropped the old entry and
-	// raised the path's floor, so a concurrent read of the pre-write value
-	// can never re-fill the cache above the overwrite (package cache). A
-	// read in the window between the two sees exactly what the direct path
-	// would: the store's current value.
-	if rc != nil {
-		tsp := d.legSpan(own, obs.SpanCacheInval, region)
+	l.region = string(s.Region())
+	l.rc = d.CacheFor(s.Region())
+	aa, atomic := s.(AtomicApplier)
+	atomic = atomic && l.atomicApply
+	if l.rc != nil {
+		fenced := func(path string, del bool) bool { return del || atomic || d.route.Shared(path) }
 		sp := invSlicePool.Get().(*[]cache.Invalidation)
-		invs := fold.appendInvalidations((*sp)[:0], stamp)
-		rc.InvalidateBatch(d.legCtx(ctx, own, tsp, region), invs)
+		invs := fold.appendInvalidations((*sp)[:0], stamp, fenced)
+		if len(invs) > 0 {
+			tsp := d.legSpan(own, obs.SpanCacheInval, l.region)
+			l.rc.InvalidateBatch(d.legCtx(ctx, own, tsp, l.region), invs)
+			d.spanEnd(tsp)
+		}
 		*sp = invs[:0]
 		invSlicePool.Put(sp)
-		d.spanEnd(tsp)
 	}
 	// Each object is marshaled once, under this region's stamp: the store
-	// keeps the blob, and the install below carries the same one.
+	// keeps the blob, and the install carries the same one.
 	objs := l.objs[:0]
 	for _, p := range fold.order {
 		if nf := fold.nodes[p]; nf.del {
@@ -854,20 +869,27 @@ func (l *flushLeg) write() {
 			objs = append(objs, NewObject(nf.node, stamp))
 		}
 	}
-	tsp := d.legSpan(own, obs.SpanStoreWrite, region)
-	wctx := d.legCtx(ctx, own, tsp, region)
-	if aa, atomic := s.(AtomicApplier); l.atomicApply && atomic {
-		_ = aa.ApplyBatch(wctx, objs)
+	l.objs = objs
+	tsp := d.legSpan(own, obs.SpanStoreWrite, l.region)
+	wctx := d.legCtx(ctx, own, tsp, l.region)
+	if atomic {
+		if aa.ApplyBatch(wctx, objs) == nil {
+			for _, o := range objs {
+				l.due(o)
+			}
+		}
 	} else {
 		for _, o := range objs {
+			l.install() // the previous object's, before this store op starts
 			if o.Node == nil {
 				_ = s.Delete(wctx, o.Path)
-			} else {
-				_ = s.Write(wctx, o)
+			} else if s.Write(wctx, o) == nil {
+				l.due(o)
 			}
 		}
 	}
 	d.spanEnd(tsp)
+	l.install()
 	// Creates and deletes also change the parent's child list, which lives
 	// in the parent's node object: a read-modify-write cycle, because
 	// object stores lack partial updates (Section 3.2, Requirement #6).
@@ -876,38 +898,35 @@ func (l *flushLeg) write() {
 		if pf.consumed {
 			continue
 		}
-		if o, ok := d.applyParentFold(d.legCtx(ctx, own, 0, region), s, p, pf, stamp); ok {
-			objs = append(objs, o)
+		if o, ok := d.applyParentFold(d.legCtx(ctx, own, 0, l.region), s, p, pf, stamp); ok {
+			l.due(o)
+			l.install()
 		}
-	}
-	l.objs = objs
-	if rc != nil {
-		l.install(rc, region)
 	}
 }
 
-// install is the leg's last round trip: every object it wrote goes into the
-// region's cache at its freshness value, the value a reader's fill would
-// carry, so the next read of a written node is a hit. The store already
-// holds each one, so the cache never shows a value the store does not; an
-// install that loses a race with a later invalidation of its path is
-// rejected by the raised floor. Deletes install nothing, and neither do
-// shared paths: their rebuilds run under the root lock after the legs.
-func (l *flushLeg) install(rc *cache.Regional, region string) {
-	d := l.d
-	installs := l.installs[:0]
-	for _, o := range l.objs {
-		if o.Node != nil && !d.route.Shared(o.Path) {
-			installs = append(installs, cache.Install{Path: o.Path, Blob: o.Blob, Mzxid: o.Node.Fresh()})
-		}
+// due queues the install of an object the leg's last store op wrote, at
+// its freshness value, the value a reader's fill would carry. Deletes
+// install nothing, and neither do shared paths: their rebuilds run under
+// the root lock after the legs.
+func (l *flushLeg) due(o Object) {
+	if l.rc != nil && o.Node != nil && !l.d.route.Shared(o.Path) {
+		l.installs = append(l.installs, cache.Install{Path: o.Path, Blob: o.Blob, Mzxid: o.Node.Fresh()})
 	}
-	l.installs = installs
-	if len(installs) == 0 {
+}
+
+// install sends the installs due in one round trip to the region's cache
+// node (package cache admits each one as it would a reader's fill, and
+// raises its path's floor), so the next read of a written node is a hit.
+func (l *flushLeg) install() {
+	if len(l.installs) == 0 {
 		return
 	}
-	tsp := d.legSpan(l.own, obs.SpanCacheInstall, region)
-	rc.InstallBatch(d.legCtx(l.ctx, l.own, tsp, region), installs)
-	d.spanEnd(tsp)
+	tsp := l.d.legSpan(l.own, obs.SpanCacheInstall, l.region)
+	l.rc.InstallBatch(l.d.legCtx(l.ctx, l.own, tsp, l.region), l.installs)
+	l.d.spanEnd(tsp)
+	clear(l.installs)
+	l.installs = l.installs[:0]
 }
 
 // legSpan opens one regional leg of a flush: a child of own's request, or
@@ -928,29 +947,32 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 	return d.billSpan(ctx, costMsgTrace(*own), span, own.Shard, region)
 }
 
-// appendInvalidations assembles the batch's coalesced multi-path
-// invalidation record for one region into invs (pooled scratch): each
-// touched path once, at its newest folded txid. Shared parents' splices
-// (flushed after the regional writes) are included so their floors are
-// raised before their RMWs land too.
-func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64) []cache.Invalidation {
+// appendInvalidations assembles the batch's coalesced invalidation record
+// for one region into invs (pooled scratch): each path the leg's rule
+// fences (fenced, given the path and whether the fold deletes it) once, at
+// its newest folded txid. A shared parent's splices (flushed after the
+// regional writes) are fenced, so its floor is raised before its RMW lands.
+func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, fenced func(path string, del bool) bool) []cache.Invalidation {
 	for _, p := range f.order {
-		invs = append(invs, cache.Invalidation{Path: p, Mzxid: f.nodes[p].txid, Epoch: stamp})
+		if nf := f.nodes[p]; fenced(p, nf.del) {
+			invs = append(invs, cache.Invalidation{Path: p, Mzxid: nf.txid, Epoch: stamp})
+		}
 	}
 	for _, p := range f.parentOrder {
 		pf := f.parents[p]
 		if pf.consumed && !pf.shared {
 			continue // folded into the node write above
 		}
-		invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp})
+		if fenced(p, false) {
+			invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp})
+		}
 	}
 	return invs
 }
 
 // applyParentFold is the batch's one read-modify-write per parent and
 // region: read, apply the coalesced splices, raise the stamps, write
-// back. The invalidation for this path was already published with the
-// batch record. It returns the object it wrote, if it wrote one.
+// back. It returns the object it wrote, if it wrote one.
 func (d *Deployment) applyParentFold(ctx cloud.Ctx, s UserStore, path string, pf *parentFold, stamp []int64) (Object, bool) {
 	parent, _, err := s.Read(ctx, path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -87,40 +88,55 @@ func TestSpliceIntoIdempotentAndRaising(t *testing.T) {
 	}
 }
 
+// TestBatchFoldInvalidations: the record holds only the paths the leg's
+// rule fences — a delete and a shared parent's splices here, every path of
+// an atomic batch — each once, at its newest folded txid, with the stamp.
+// A plain node write, a node that absorbed its splice and a standalone
+// parent RMW are installed after their store writes instead.
 func TestBatchFoldInvalidations(t *testing.T) {
 	f := newBatchFold()
 	f.foldWrite("/p", &znode.Node{Path: "/p"}, 2)
 	f.foldWrite("/p/c", &znode.Node{Path: "/p/c"}, 5)
 	f.foldParent("/p", "c", "", 1, 5)
 	f.foldParent("/q", "d", "", 1, 7)
+	f.foldDelete("/q/d", 7)
+	f.foldParent("/", "r", "", 1, 8)
 
 	// /p's splice folds into its node write (the distributor marks it
-	// consumed and raises the node txid); /q stays a standalone parent RMW.
+	// consumed and raises the node txid); /q stays a standalone parent RMW;
+	// the root is a shared parent, spliced under the root lock.
 	pf := f.parents["/p"]
 	pf.consumed = true
 	if pf.pzxid > f.nodes["/p"].txid {
 		f.nodes["/p"].txid = pf.pzxid
 	}
+	root := f.parents["/"]
+	root.consumed, root.shared = true, true
 
 	stamp := []int64{11}
-	invs := f.appendInvalidations(nil, stamp)
-	got := map[string]int64{}
-	for _, inv := range invs {
-		if _, dup := got[inv.Path]; dup {
-			t.Fatalf("path %s invalidated twice in one record", inv.Path)
+	record := func(atomic bool) map[string]int64 {
+		fenced := func(path string, del bool) bool { return del || atomic || path == "/" }
+		got := map[string]int64{}
+		for _, inv := range f.appendInvalidations(nil, stamp, fenced) {
+			if _, dup := got[inv.Path]; dup {
+				t.Fatalf("path %s invalidated twice in one record", inv.Path)
+			}
+			got[inv.Path] = inv.Mzxid
+			if len(inv.Epoch) != 1 || inv.Epoch[0] != 11 {
+				t.Errorf("epoch stamp lost on %s: %v", inv.Path, inv.Epoch)
+			}
 		}
-		got[inv.Path] = inv.Mzxid
-		if len(inv.Epoch) != 1 || inv.Epoch[0] != 11 {
-			t.Errorf("epoch stamp lost on %s: %v", inv.Path, inv.Epoch)
-		}
+		return got
 	}
-	want := map[string]int64{"/p": 5, "/p/c": 5, "/q": 7}
-	for p, m := range want {
-		if got[p] != m {
-			t.Errorf("invalidation for %s at txid %d, want %d (all: %v)", p, got[p], m, got)
+	for _, tc := range []struct {
+		atomic bool
+		want   map[string]int64
+	}{
+		{false, map[string]int64{"/q/d": 7, "/": 8}},
+		{true, map[string]int64{"/p": 5, "/p/c": 5, "/q/d": 7, "/q": 7, "/": 8}},
+	} {
+		if got := record(tc.atomic); !maps.Equal(got, tc.want) {
+			t.Errorf("atomic=%v: invalidations = %v, want exactly %v", tc.atomic, got, tc.want)
 		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("invalidations = %v, want exactly %v", got, want)
 	}
 }

@@ -59,7 +59,7 @@ func (r cachingRun) hitRatio() float64 {
 // runCachingWorkload drives the Zipf(0.99) read-heavy workload: `readers`
 // sessions issue zipf-chosen get_data calls against a flat node set while
 // one writer session keeps overwriting zipf-chosen nodes, so the leader's
-// push invalidations and the cache's fill/floor races actually exercise.
+// installs and the cache's fill/floor races actually exercise.
 // Each reader checks Z3 inline: a node's observed mzxid must never regress
 // within the session. Cost accounting is on so the cache VM accrues on the
 // meter.
@@ -238,7 +238,7 @@ func runCaching(cfg RunConfig) *Report {
 		r.Note("Two-level cache: %.2f ms mean reads vs %.2f ms direct DynamoDB (%.1fx) and %.2f ms on the Redis user store, at %.0f%% hits — the leader installs every object it writes in the regional node, so even the first read after a write is the mem-store round trip of the paper's Redis ablation, without giving up pay-as-you-go storage; session-cache hits cost no round trip at all.",
 			cachedMean, baseMean, baseMean/cachedMean, memMean, cachedHit*100)
 	}
-	r.Note("Entries are served only when they pass the session guards (per-path last-seen floor, shard MRD, Z4 epoch stamps), so the Z3 violation column must stay zero; the leader invalidates the regional node before every user-store write and installs the written objects after it, and per-path mzxid floors reject stale fills and installs that race an overwrite.")
+	r.Note("Entries are served only when they pass the session guards (per-path last-seen floor, shard MRD, Z4 epoch stamps), so the Z3 violation column must stay zero; the leader installs each object it writes in the regional node right after its own user-store write and invalidates only deletes, shared paths and atomic batches before theirs, so the node lags the store by at most the one write in flight, and per-path mzxid floors, raised by every install and invalidation, reject stale fills and installs that race an overwrite.")
 	r.Note("$/1M reads is the meter's read-side spend over the read phase: user-store reads plus the cache node's VM time, accrued per cache operation. The Redis row's VM bills by the hour outside the meter, so it reads $0.")
 	return r
 }

@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 )
@@ -184,6 +186,210 @@ func TestCacheMultiSwapNeverTorn(t *testing.T) {
 		done.Wait()
 		if _, l2, misses := r.CacheStats(); l2 == 0 || misses == 0 {
 			t.Fatalf("reader made %d regional hits and %d store reads, want both", l2, misses)
+		}
+	})
+}
+
+// legDelay is a sim.FaultHook that holds every operation of the leader's
+// flush legs (the "leader-update-<region>" processes) open for extra, so a
+// reader can act inside a leg, and logs when each of them started.
+type legDelay struct {
+	k     *sim.Kernel
+	extra sim.Time
+	ops   []sim.Time
+}
+
+func (*legDelay) Crash(string, string, int64) bool { return false }
+func (*legDelay) Redeliver(string) bool            { return false }
+func (*legDelay) DeliveryDelay(string) sim.Time    { return 0 }
+func (h *legDelay) OpDelay() sim.Time {
+	if !strings.HasPrefix(h.k.Current().Name(), "leader-update-") {
+		return 0
+	}
+	h.ops = append(h.ops, h.k.Now())
+	return h.extra
+}
+
+// legHold is how long legDelay holds a leg's operation open.
+const legHold = 20 * time.Millisecond
+
+// runLegDelayed runs fn on a batching deployment with a regional cache on
+// the KV store, whose flush legs hold each operation open for legHold. A
+// failed check returns from fn rather than calling t.Fatal, which would
+// end the simulated process without handing the kernel back.
+func runLegDelayed(t *testing.T, seed int64, fn func(k *sim.Kernel, d *core.Deployment, h *legDelay)) {
+	t.Helper()
+	cfg := core.Config{UserStore: core.StoreKV, BatchWrites: true, CacheMode: core.CacheRegional, Telemetry: true}
+	runCached(t, seed, cfg, func(k *sim.Kernel, d *core.Deployment) {
+		h := &legDelay{k: k, extra: legHold}
+		k.SetFaultHook(h)
+		fn(k, d, h)
+	})
+}
+
+// TestCacheBatchedLegInstallsInWriteOrder: one chunk sets /p, then creates
+// /q. A reader polls /q — nothing caches it before the create, so each read
+// reaches the store — and the moment it sees /q it reads /p. /p's install
+// runs before /q's store write starts, so /p is never older than the chunk
+// then; an install of the whole leg after its last store write would serve
+// the old /p for as long as that install takes.
+func TestCacheBatchedLegInstallsInWriteOrder(t *testing.T) {
+	runLegDelayed(t, 31, func(k *sim.Kernel, d *core.Deployment, h *legDelay) {
+		w, r := mustConnect(t, d, "w"), mustConnect(t, d, "r")
+		defer w.Close()
+		defer r.Close()
+		if _, err := w.Create("/p", []byte("p0"), 0); err != nil {
+			t.Errorf("create /p: %v", err)
+			return
+		}
+		if data, _, err := r.GetData("/p"); err != nil || string(data) != "p0" {
+			t.Errorf("warm read /p = %q (%v)", data, err)
+			return
+		}
+		// A first write holds the leader in its flush while the next two
+		// queue up behind it, so they reach it as one chunk.
+		before := len(h.ops)
+		h.extra = 20 * legHold
+		futs := []*sim.Future[core.Response]{w.submitWrite(core.OpSetData, "/p", []byte("p1"), -1, 0)}
+		for len(h.ops) == before {
+			k.Sleep(time.Millisecond)
+		}
+		h.extra = legHold
+		futs = append(futs,
+			w.submitWrite(core.OpSetData, "/p", []byte("p2"), -1, 0),
+			w.submitWrite(core.OpCreate, "/q", []byte("q"), -1, 0))
+		for {
+			_, _, err := r.GetData("/q")
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, core.ErrNoNode) {
+				t.Errorf("read /q: %v", err)
+				return
+			}
+			k.Sleep(time.Millisecond / 2)
+		}
+		if data, _, err := r.GetData("/p"); err != nil || string(data) != "p2" {
+			t.Errorf("read /p after seeing /q = %q (%v), want p2: the cache ran behind an earlier object of the leg", data, err)
+		}
+		for i, f := range futs {
+			if resp, ok := f.WaitTimeout(DefaultRequestTimeout); !ok || resp.Code != core.CodeOK {
+				t.Errorf("write %d: ok=%v code=%s", i, ok, resp.Code)
+				return
+			}
+		}
+		chunked := false
+		for _, sp := range d.Obs.Tracer.TraceSpans(0) {
+			chunked = chunked || sp.Name == obs.SpanStoreWrite
+		}
+		if !chunked {
+			t.Error("no chunk of two messages was flushed: the test holds no window")
+		}
+	})
+}
+
+// TestCacheDeleteInFlightNotServed: a reader polls a node and its parent's
+// child list while the node's delete is in flight. The delete is fenced
+// before its store op, so once any read has shown the node gone — the
+// node read itself, or the parent's child list, installed after its
+// rewrite — no read serves the node again.
+func TestCacheDeleteInFlightNotServed(t *testing.T) {
+	runLegDelayed(t, 32, func(k *sim.Kernel, d *core.Deployment, h *legDelay) {
+		w, r := mustConnect(t, d, "w"), mustConnect(t, d, "r")
+		defer w.Close()
+		defer r.Close()
+		for _, p := range []string{"/dir", "/dir/d"} {
+			if _, err := w.Create(p, []byte("v"), 0); err != nil {
+				t.Errorf("create %s: %v", p, err)
+				return
+			}
+		}
+		if _, _, err := r.GetData("/dir/d"); err != nil {
+			t.Errorf("warm read: %v", err)
+			return
+		}
+		f := w.submitWrite(core.OpDelete, "/dir/d", nil, -1, 0)
+		gone, served := false, 0
+		for !f.Done() {
+			kids, err := r.GetChildren("/dir")
+			if err != nil {
+				t.Errorf("children of /dir: %v", err)
+				return
+			}
+			gone = gone || !slices.Contains(kids, "d")
+			_, _, err = r.GetData("/dir/d")
+			switch {
+			case errors.Is(err, core.ErrNoNode):
+				gone = true
+			case err != nil:
+				t.Errorf("read /dir/d: %v", err)
+				return
+			case gone:
+				t.Error("/dir/d served after a read showed it gone")
+				return
+			default:
+				served++
+			}
+			k.Sleep(time.Millisecond / 2)
+		}
+		if resp := f.Wait(); resp.Code != core.CodeOK {
+			t.Errorf("delete: %s", resp.Code)
+			return
+		}
+		if !gone || served == 0 {
+			t.Errorf("gone=%v after %d reads of the node: the test holds no window", gone, served)
+		}
+		if _, _, err := r.GetData("/dir/d"); !errors.Is(err, core.ErrNoNode) {
+			t.Errorf("read after the delete answered = %v, want ErrNoNode", err)
+		}
+	})
+}
+
+// TestCacheHotNodeHitDuringItsFlush: a node read while its own write is
+// being flushed — after the store write started, before the install
+// landed — is a regional hit on the old value that reads nothing from the
+// user store. Nothing invalidates a plain write's old entry first.
+func TestCacheHotNodeHitDuringItsFlush(t *testing.T) {
+	runLegDelayed(t, 33, func(k *sim.Kernel, d *core.Deployment, h *legDelay) {
+		w, r := mustConnect(t, d, "w"), mustConnect(t, d, "r")
+		defer w.Close()
+		defer r.Close()
+		if _, err := w.Create("/hot", []byte("v0"), 0); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if data, _, err := r.GetData("/hot"); err != nil || string(data) != "v0" {
+			t.Errorf("warm read = %q (%v)", data, err)
+			return
+		}
+		before := len(h.ops)
+		f := w.submitWrite(core.OpSetData, "/hot", []byte("v1"), -1, 0)
+		for len(h.ops) == before {
+			k.Sleep(time.Millisecond / 10)
+		}
+		// Half a held op after the leg's first op could end: the store
+		// write has started (an invalidation ahead of it would have dropped
+		// the entry by now), and an install behind it, a second held op,
+		// cannot have landed.
+		k.Sleep(h.ops[before] + legHold*3/2 - k.Now())
+		storeReads := d.Env.Meter.Count("userkv.read")
+		_, l2, _ := r.CacheStats()
+		data, _, err := r.GetData("/hot")
+		if err != nil || string(data) != "v0" {
+			t.Errorf("read during the flush = %q (%v), want the old value v0", data, err)
+		}
+		if n := d.Env.Meter.Count("userkv.read") - storeReads; n != 0 {
+			t.Errorf("the read made %d user-store reads, want 0", n)
+		}
+		if _, l2After, _ := r.CacheStats(); l2After != l2+1 {
+			t.Errorf("the read was not a regional hit (%d -> %d)", l2, l2After)
+		}
+		if resp := f.Wait(); resp.Code != core.CodeOK {
+			t.Errorf("set: %s", resp.Code)
+			return
+		}
+		if data, _, err := r.GetData("/hot"); err != nil || string(data) != "v1" {
+			t.Errorf("read after the write = %q (%v), want v1", data, err)
 		}
 	})
 }

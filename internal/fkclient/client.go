@@ -786,8 +786,10 @@ func (c *Client) armed() {
 // change between a stale session-local copy and the registration would
 // never fire the watch — the canonical read-then-wait-on-watch pattern
 // would hold the stale value indefinitely. The regional node stays in
-// play: it is push-invalidated before every write becomes readable, so
-// its entry is the committed state as of registration.
+// play: the leader installs each object right after its store write and
+// invalidates a delete before it, so its entry lags the store by at most
+// the one write in flight — a state the store held at registration, which
+// the registration's frontier (fetchArmed) then covers.
 func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	if c.rcache == nil {
 		return c.store.Read(c.ctx, path)
@@ -820,17 +822,18 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 			}
 		}
 	}
-	// The regional node needs no maxSeenMzxid floor: the leader publishes
-	// each invalidation before the store write inside its serialized
-	// per-shard distribution, so by the time any transaction's effect is
-	// readable, every entry it superseded on that shard is already gone
-	// and stale re-fills are floored out — an entry the node still holds
-	// is the path's current committed state as of everything this session
-	// can have observed on the shard (cross-shard txids carry no order,
-	// exactly as in the sharded write path). The leader installs the
-	// objects it wrote only after the store write, so an entry never runs
-	// ahead of the store either: a written node's next read is usually a
-	// hit here, and a miss below refills the node as the install would.
+	// The regional node needs no maxSeenMzxid floor: inside its
+	// serialized per-shard distribution the leader installs each object
+	// right after its own store write, before the next one starts, and
+	// invalidates a delete, a shared path or an atomic batch before its
+	// store op. So the node never runs ahead of the store and lags it by
+	// at most the one object whose write is in flight: whatever it serves
+	// is what a direct read issued just before that write landed could
+	// have returned, and stale re-fills are floored out. The same path
+	// going backwards is what the floor above rejects; cross-shard txids
+	// carry no order, exactly as in the sharded write path. A written
+	// node's next read is usually a hit here, and a miss below refills the
+	// node as the install would.
 	if blob, mzxid, ok := c.rcache.Lookup(c.ctx, path); ok && mzxid >= floor {
 		if n, stamp, err := znode.Unmarshal(blob); err == nil {
 			c.l1Fill(path, blob, mzxid)
@@ -854,7 +857,7 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	// Refresh the regional node off the critical path (fire-and-forget,
 	// as a real client would): the fill pays the cache node's write
 	// latency without delaying this read, and the per-path floor rejects
-	// it if an invalidation for a newer version arrives first.
+	// it if an install or invalidation of a newer version arrives first.
 	rc, ctx := c.rcache, c.ctx
 	c.d.K.Go("cache-fill-"+c.id, func() { rc.Fill(ctx, path, blob, fresh) })
 	return n, stamp, nil
