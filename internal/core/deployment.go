@@ -207,6 +207,9 @@ type Deployment struct {
 	// ("leader-update-<region>", aligned with Stores), built once: every
 	// flush spawns one per region.
 	flushProcs []string
+	// epochProcs names each region's spawned epoch append of a watch-claim
+	// round ("leader-epoch-<region>", aligned with Stores).
+	epochProcs []string
 
 	// Obs is the telemetry hub: the request tracer and the component
 	// metrics registry. Always non-nil; the tracer and the registry's
@@ -236,6 +239,9 @@ type Deployment struct {
 	// serialized leader instance, so its invocations never overlap and one
 	// map serves them all.
 	leaderEpochs []map[cloud.Region][]int64
+	// claimRounds holds each shard's watch-claim round (queryWatches),
+	// reused by every message of the shard's one serialized leader.
+	claimRounds []*claimRound
 	// leaderCarry holds, per shard, the pending pops (➎) the last chunk of
 	// the shard's previous leader invocation left to the next one
 	// (leaderRun.carry). Like lastSeq it stands for warm sandbox memory: a
@@ -291,6 +297,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	for _, r := range regions {
 		d.Stores = append(d.Stores, d.newUserStore(r))
 		d.flushProcs = append(d.flushProcs, "leader-update-"+string(r))
+		d.epochProcs = append(d.epochProcs, "leader-epoch-"+string(r))
 		if cfg.CacheMode != CacheOff {
 			rc := cache.NewRegional(env, r, cfg.CacheCapacityB)
 			if cfg.CostAccounting {
@@ -307,6 +314,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
 		d.leaderEpochs = append(d.leaderEpochs, make(map[cloud.Region][]int64, len(d.Stores)))
+		d.claimRounds = append(d.claimRounds, newClaimRound(d))
 		attr := attrEpochList
 		if s > 0 {
 			attr += strconv.Itoa(s)

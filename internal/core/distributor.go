@@ -9,8 +9,12 @@ package core
 //	                                  read (open); prefetched under the previous
 //	                                  flush (rule 2)
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
-//	                                  the flush
-//	  epoch entry     appendEpochs    with its claim (queryWatches)
+//	                                  the flush; its clears go out with the
+//	                                  epoch entry as one parallel round
+//	                                  (claimRound), joined before the
+//	                                  message's commit phase ends
+//	  epoch entry     appendEpochs    in its claim's round: one append per
+//	                                  region, every id the message fired
 //	➌ flush           distributeFold  per region: invalidate the fenced
 //	                                  objects → per object, write →
 //	                                  install (flushLeg.write)
@@ -36,6 +40,22 @@ package core
 // counters before any flush whose stamp must carry them (Z4): a flush reads
 // its stamp before its legs start, so a claim prefetched under it cannot
 // reach the stamp.
+//
+// The claim's clears — one per record whose groups fired — and its epoch
+// entry touch different items and are unconditional, so their mutual order
+// is free: they go out as one round, and the round is joined before the
+// message's commit phase ends. Both writes have landed by then, so the
+// flush's stamp, read from the mirror, carries the ids; every later commit
+// check on those records, prefetched under the flush (rule 2) or in the
+// serial position, reads them cleared; and the delivery, launched after the
+// flush, cannot race a re-registration against the clear. One interleaving
+// is new: another shard's opening read can see the id appended while the
+// registration is still on the record. That read is concurrent with the
+// change. Whatever is causally after the change learned of it through the
+// flush's store write, the answer or the notification, all of them after
+// the join, so it sees both writes. A shared path's claim is conditional,
+// and which ids the message fires depends on it: it runs serially, ahead
+// of the round (claimGroup).
 //
 // A chunk is one message — the paper's per-message distribution — or, with
 // Config.BatchWrites, a whole run of single ops up to the next multi(). A
@@ -304,6 +324,7 @@ type leaderRun struct {
 	ctx         cloud.Ctx
 	shard       int
 	epochs      map[cloud.Region][]int64 // the epoch counters' mirror (open)
+	round       *claimRound              // the shard's watch-claim round (queryWatches)
 	completions []watchCompletion
 
 	// The opening read's share of the first message (open): its control
@@ -628,11 +649,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 	r := opResult{ctx: ctx, code: CodeOK, popped: popEarly}
 	var one [1]change
 	changes := msg.changes(&one)
-	for _, c := range changes {
-		if c.effectful() {
-			r.fired = p.queryWatches(ctx, c, recordOf(keys, nodes, c.Path), recordOf(keys, nodes, c.ParentPath), r.fired)
-		}
-	}
+	r.fired = p.queryWatches(ctx, changes, keys, nodes, r.fired)
 	for _, c := range changes {
 		stat := f.foldChange(c, txid)
 		if msg.Op != OpMulti {

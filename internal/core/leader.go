@@ -112,7 +112,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		d.leaderCarry[shard] = d.leaderCarry[shard][:0]
 		return errInjectedCrash
 	}
-	p := leaderRun{d: d, ctx: ctx, shard: shard, pops: d.leaderCarry[shard]}
+	p := leaderRun{d: d, ctx: ctx, shard: shard, pops: d.leaderCarry[shard], round: d.claimRounds[shard]}
 	p.open(msgs, acksOnly)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
@@ -458,22 +458,6 @@ func buildUserNode(c change, txid int64) *znode.Node {
 	return n
 }
 
-// appendEpochs enters fired watch ids into the shard's list on every
-// region's epoch item (and the batch's in-memory mirror).
-func (d *Deployment) appendEpochs(ctx cloud.Ctx, fired []firedWatch, shard int, epochs map[cloud.Region][]int64) {
-	for _, f := range fired {
-		for _, s := range d.Stores {
-			r := s.Region()
-			_, err := d.System.Update(ctx, d.epochKey(r),
-				[]kv.Update{kv.ListAppend{Name: d.epochAttrs[shard], Vals: []int64{f.wid}}}, nil)
-			if err != nil {
-				continue
-			}
-			epochs[r] = append(epochs[r], f.wid)
-		}
-	}
-}
-
 // exitEpochs is ➏: once their deliveries completed, wids leave the shard's
 // list on every region's epoch item. An unconditional removal cannot fail:
 // it never grows the item.
@@ -531,52 +515,71 @@ type watchGroup struct {
 	event EventType
 }
 
-// queryWatches is ➍ for one change, in its message's commit phase, on the
-// records its commit check confirmed: the node's, and for a create or delete
-// its parent's. It reads nothing — the records carry the registrations — and
-// clears the fired (one-shot) groups, appending them to fired, and enters
-// their ids into the shard's epoch counters at once, so every value written
-// afterwards carries them (Z4). A clear removes exactly the sessions the
-// read returned: a registration that lands after the read found the change
-// committed, and its reader waits for a value at or past it (Frontier), so
-// it must stay armed for the next change.
-func (p *leaderRun) queryWatches(ctx cloud.Ctx, c change, node, parent *sysNode, fired []firedWatch) []firedWatch {
+// queryWatches is ➍ for one message, in its commit phase, on the records
+// its commit check confirmed: each effectful change's node's, and for a
+// create or delete its parent's. It reads nothing — the records carry the
+// registrations. It claims the fired (one-shot) groups, appending them to
+// fired, and enters their ids into the shard's epoch counters, so every
+// value written afterwards carries them (Z4). The writes of both go out as
+// one parallel round (claimRound), joined before the commit phase ends. A
+// clear removes exactly the sessions the read returned: a registration that
+// lands after the read found the change committed, and its reader waits for
+// a value at or past it (Frontier), so it must stay armed for the next
+// change. A group one change of a multi() claimed is empty for the next.
+func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode, fired []firedWatch) []firedWatch {
 	d, n, t0 := p.d, len(fired), p.d.K.Now()
+	round := p.round
+	round.begin(ctx)
 	child := watchGroup{WatchChild, EventChildrenChanged}
-	switch c.Op {
-	case OpSetData:
-		fired = d.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchData, EventDataChanged})
-	case OpCreate:
-		fired = d.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchExists, EventCreated})
-		fired = d.fireGroups(ctx, c.ParentPath, parent, fired, child)
-	case OpDelete:
-		fired = d.fireGroups(ctx, c.Path, node, fired,
-			watchGroup{WatchData, EventDeleted}, watchGroup{WatchExists, EventDeleted})
-		fired = d.fireGroups(ctx, c.ParentPath, parent, fired, child)
+	for _, c := range changes {
+		if !c.effectful() {
+			continue
+		}
+		node, parent := recordOf(keys, nodes, c.Path), recordOf(keys, nodes, c.ParentPath)
+		switch c.Op {
+		case OpSetData:
+			fired = p.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchData, EventDataChanged})
+		case OpCreate:
+			fired = p.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchExists, EventCreated})
+			fired = p.fireGroups(ctx, c.ParentPath, parent, fired, child)
+		case OpDelete:
+			fired = p.fireGroups(ctx, c.Path, node, fired,
+				watchGroup{WatchData, EventDeleted}, watchGroup{WatchExists, EventDeleted})
+			fired = p.fireGroups(ctx, c.ParentPath, parent, fired, child)
+		}
 	}
-	d.appendEpochs(ctx, fired[n:], p.shard, p.epochs)
+	appends := p.appendEpochs(fired[n:])
+	round.issue()
+	for si, w := range appends {
+		if w.err == nil {
+			r := d.Stores[si].Region()
+			p.epochs[r] = append(p.epochs[r], round.ids...)
+		}
+	}
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
 }
 
-// fireGroups claims path's non-empty groups in rec, its record as read, with
-// one batched clear off shared paths, and empties them in rec: a later
-// change of the same multi() finds them claimed. Shared-path groups (the
-// root of a multi-shard deployment) are claimed one by one (claimGroup): two
-// shard leaders may race between the read and the clear there (shared paths
-// are the only ones whose watches fire from more than one shard), and firing
-// the same group twice would consume a watch the client re-registered in its
-// callback. Everywhere else the owning shard's leader is serialized and
-// keeps the paper's one batched clear.
-func (d *Deployment) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired []firedWatch, groups ...watchGroup) []firedWatch {
-	var clear []kv.Update
+// fireGroups claims path's non-empty groups in rec, its record as read, and
+// empties them in rec: a later change of the same multi() finds them
+// claimed. Off shared paths the claim is one clear of the record in the
+// message's round (claimRound.clear). Shared-path groups (the root of a
+// multi-shard deployment) are claimed one by one, serially, ahead of the
+// round (claimGroup): two shard leaders may race between the read and the
+// clear there (shared paths are the only ones whose watches fire from more
+// than one shard), firing the same group twice would consume a watch the
+// client re-registered in its callback, and which ids the message fires
+// depends on the outcome. Everywhere else the owning shard's leader is
+// serialized and keeps the paper's one batched clear.
+func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired []firedWatch, groups ...watchGroup) []firedWatch {
+	d := p.d
 	for _, g := range groups {
 		attr, sessions := watchAttrs[g.wt-1], rec.Watches[g.wt-1]
 		rec.Watches[g.wt-1] = nil
 		if d.route.Shared(path) {
 			sessions = d.claimGroup(ctx, nodeKey(path), attr, sessions)
 		} else if len(sessions) > 0 {
-			clear = append(clear, kv.StrListRemove{Name: attr, Vals: sessions})
+			p.round.clear(nodeKey(path), attr, sessions)
 		}
 		if len(sessions) == 0 {
 			continue
@@ -588,10 +591,137 @@ func (d *Deployment) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired 
 			sessions: append([]string(nil), sessions...),
 		})
 	}
-	if len(clear) > 0 {
-		_, _ = d.System.Update(ctx, nodeKey(path), clear, nil)
-	}
 	return fired
+}
+
+// appendEpochs is the epoch entry: it adds to the message's round one
+// append per region (aligned with Deployment.Stores), each carrying every
+// id in fired to the shard's list on the region's epoch item, and returns
+// them; none when nothing fired. A region's mirror (p.epochs) takes the ids
+// once its append landed (queryWatches), so the stamp of the flush that
+// follows carries them.
+func (p *leaderRun) appendEpochs(fired []firedWatch) []*roundWrite {
+	d, round := p.d, p.round
+	if len(fired) == 0 {
+		return nil
+	}
+	for _, f := range fired {
+		round.ids = append(round.ids, f.wid)
+	}
+	first := round.n
+	for si, s := range d.Stores {
+		round.appendIDs(d.epochKey(s.Region()), d.epochProcs[si], d.epochAttrs[p.shard])
+	}
+	return round.writes[first:round.n]
+}
+
+// claimRound is one message's watch-claim writes (➍ and its epoch entry):
+// a clear per non-shared record whose groups fired (fireGroups), then one
+// append per region carrying every id the message fired (appendEpochs).
+// The writes touch different items and are unconditional, so their mutual
+// order is free: the handler issues the first itself, spawns the rest, and
+// joins them all before the message's commit phase ends (issue). Each
+// shard has a round of its own (Deployment.claimRounds): a shard's
+// invocations never overlap, while different shards' do. Its writes and
+// their process bodies are kept from round to round, so a steady-state
+// round allocates nothing.
+type claimRound struct {
+	d   *Deployment
+	wg  *sim.WaitGroup
+	ctx cloud.Ctx
+	ids []int64 // every id the message fired, in firing order
+	// writes holds the round's writes, its first n, and spare ones.
+	writes []*roundWrite
+	n      int
+}
+
+// roundWrite is one write of a claim round: its updates on key, run in the
+// handler's process or in one of its own named proc.
+type roundWrite struct {
+	round *claimRound
+	proc  string
+	key   string
+	ups   []kv.Update // pointers into rm or app
+	rm    [len(watchAttrs)]kv.StrListRemove
+	app   kv.ListAppend
+	err   error
+	run   func() // spawned, bound once
+}
+
+// claimProc names the process of a spawned clear; an epoch append's is
+// Deployment.epochProcs' for its region.
+const claimProc = "leader-claim"
+
+func newClaimRound(d *Deployment) *claimRound {
+	return &claimRound{d: d, wg: sim.NewWaitGroup(d.K)}
+}
+
+// begin opens the message's round, empty.
+func (r *claimRound) begin(ctx cloud.Ctx) {
+	r.ctx, r.ids, r.n = ctx, r.ids[:0], 0
+}
+
+// next takes the round's next write, on key under proc.
+func (r *claimRound) next(key, proc string) *roundWrite {
+	if r.n == len(r.writes) {
+		w := &roundWrite{round: r, ups: make([]kv.Update, 0, len(watchAttrs))}
+		w.run = w.spawned
+		r.writes = append(r.writes, w)
+	}
+	w := r.writes[r.n]
+	r.n++
+	w.proc, w.key, w.ups, w.err = proc, key, w.ups[:0], nil
+	return w
+}
+
+// clear adds the removal of sessions from group attr to key's clear, one
+// write per record whatever groups of it fire.
+func (r *claimRound) clear(key, attr string, sessions []string) {
+	var w *roundWrite
+	for _, x := range r.writes[:r.n] {
+		if x.key == key {
+			w = x
+			break
+		}
+	}
+	if w == nil {
+		w = r.next(key, claimProc)
+	}
+	i := len(w.ups)
+	w.rm[i] = kv.StrListRemove{Name: attr, Vals: sessions}
+	w.ups = append(w.ups, &w.rm[i])
+}
+
+// appendIDs adds the append of the round's ids to list attr on key.
+func (r *claimRound) appendIDs(key, proc, attr string) {
+	w := r.next(key, proc)
+	w.app = kv.ListAppend{Name: attr, Vals: r.ids}
+	w.ups = append(w.ups, &w.app)
+}
+
+// issue runs the round's writes in parallel and joins them. A round of one
+// write or none spawns nothing.
+func (r *claimRound) issue() {
+	ws := r.writes[:r.n]
+	if len(ws) == 0 {
+		return
+	}
+	for _, w := range ws[1:] {
+		r.wg.Add(1)
+		r.d.K.Go(w.proc, w.run)
+	}
+	ws[0].do()
+	r.wg.Wait()
+	r.ctx = cloud.Ctx{}
+}
+
+func (w *roundWrite) do() {
+	_, w.err = w.round.d.System.Update(w.round.ctx, w.key, w.ups, nil)
+}
+
+func (w *roundWrite) spawned() {
+	w.do()
+	w.round.wg.Done()
 }
 
 // claimGroup claims a shared path's watch group attr at key, starting from

@@ -34,6 +34,9 @@ type pipeFaults struct {
 	k           *sim.Kernel
 	leaderHeads []sim.Time
 	leaderOps   []sim.Time
+	// hold, when set, is the extra latency of each storage operation, by the
+	// name of the process that starts it.
+	hold func(proc string) sim.Time
 }
 
 func (h *pipeFaults) Crash(stage, session string, seq int64) bool {
@@ -45,8 +48,12 @@ func (h *pipeFaults) Crash(stage, session string, seq int64) bool {
 func (h *pipeFaults) Redeliver(fn string) bool    { return fn == h.redeliver }
 func (*pipeFaults) DeliveryDelay(string) sim.Time { return 0 }
 func (h *pipeFaults) OpDelay() sim.Time {
-	if h.k.Current().Name() == "trigger:"+FnLeader+":0" {
+	proc := h.k.Current().Name()
+	if proc == "trigger:"+FnLeader+":0" {
 		h.leaderOps = append(h.leaderOps, h.k.Now())
+	}
+	if h.hold != nil {
+		return h.hold(proc)
 	}
 	return 0
 }

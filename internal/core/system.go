@@ -76,7 +76,7 @@ func (d *Deployment) epochKey(r cloud.Region) string {
 
 // epochUnion copies out the union of an epoch item's per-shard lists, in
 // shard order: the item may be a read-only view, and callers append to the
-// union (appendEpochs).
+// union (queryWatches).
 func (d *Deployment) epochUnion(it kv.Item) []int64 {
 	var ids []int64
 	for _, attr := range d.epochAttrs {

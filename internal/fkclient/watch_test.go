@@ -2,10 +2,12 @@ package fkclient
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -359,6 +361,87 @@ func TestExistsWatchOnTombstoneSurvivesCollection(t *testing.T) {
 		k.Sleep(5 * time.Second)
 		if len(events) != 1 || events[0] != core.EventCreated {
 			t.Errorf("events %v, want one NodeCreated", events)
+		}
+	})
+}
+
+// procDelay is a sim.FaultHook that holds the storage operations of every
+// process whose name starts with a held prefix open for that prefix's
+// extra, and counts the operations it held.
+type procDelay struct {
+	k     *sim.Kernel
+	holds []procHold
+	held  int
+}
+
+type procHold struct {
+	prefix string
+	extra  sim.Time
+}
+
+func (*procDelay) Crash(string, string, int64) bool { return false }
+func (*procDelay) Redeliver(string) bool            { return false }
+func (*procDelay) DeliveryDelay(string) sim.Time    { return 0 }
+func (h *procDelay) OpDelay() sim.Time {
+	name := h.k.Current().Name()
+	for _, hd := range h.holds {
+		if strings.HasPrefix(name, hd.prefix) {
+			h.held++
+			return hd.extra
+		}
+	}
+	return 0
+}
+
+// TestPrefetchedCommitFindsClaimCleared: create /p/a fires a child watch on
+// /p, and create /p/b follows it in the same leader invocation, in a chunk
+// of its own (no batching). /p/b's commit is prefetched under /p/a's flush
+// and reads /p's record; /p/a's claim round was joined before that flush
+// began, so the prefetch finds the group cleared and fires nothing: the
+// watch function runs once. The round's spawned writes are held open, so a
+// round joined with the flush legs instead would leave the clear in flight
+// under the prefetch, which would fire the group a second time.
+func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
+	run(t, 5, core.Config{Telemetry: true}, func(k *sim.Kernel, d *core.Deployment) {
+		h := &procDelay{k: k}
+		k.SetFaultHook(h)
+		w, v := mustConnect(t, d, "w"), mustConnect(t, d, "v")
+		defer w.Close()
+		defer v.Close()
+		w.Create("/p", nil, 0)
+		w.Create("/q", nil, 0)
+		if _, err := v.GetChildrenW("/p", func(core.Notification) {}); err != nil {
+			t.Errorf("arm: %v", err)
+			return
+		}
+		k.Sleep(2 * time.Second)
+		watch := d.Platform.Function(core.FnWatch)
+		before := watch.Invocations()
+
+		// A first write holds the leader in its flush while the two creates
+		// queue up behind it, so they reach it in one invocation.
+		h.holds = []procHold{{"leader-update-", 400 * time.Millisecond}}
+		futs := []*sim.Future[core.Response]{w.submitWrite(core.OpSetData, "/q", []byte("1"), -1, 0)}
+		for h.held == 0 {
+			k.Sleep(time.Millisecond)
+		}
+		h.holds = []procHold{{"leader-claim", 30 * time.Millisecond}, {"leader-epoch-", 30 * time.Millisecond}}
+		futs = append(futs,
+			w.submitWrite(core.OpCreate, "/p/a", nil, -1, 0),
+			w.submitWrite(core.OpCreate, "/p/b", nil, -1, 0))
+		for i, f := range futs {
+			if resp, ok := f.WaitTimeout(DefaultRequestTimeout); !ok || resp.Code != core.CodeOK {
+				t.Errorf("write %d: ok=%v code=%s", i, ok, resp.Code)
+				return
+			}
+		}
+		k.Sleep(3 * time.Second)
+
+		if n := d.Obs.Metrics.Counter(obs.Key{Component: "leader", Name: "commit_prefetched"}); n == 0 {
+			t.Error("no commit was prefetched: the test holds no window")
+		}
+		if n := watch.Invocations() - before; n != 1 {
+			t.Errorf("the child watch on /p was delivered %d times, want once: a prefetch fired the group again", n)
 		}
 	})
 }
