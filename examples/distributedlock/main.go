@@ -80,9 +80,7 @@ func main() {
 		done := sim.NewWaitGroup(s.Kernel())
 		for i := 0; i < contenders; i++ {
 			id := fmt.Sprintf("worker-%d", i)
-			done.Add(1)
-			s.Go(func() {
-				defer done.Done()
+			done.Go(id, func() {
 				cl, err := deployment.Connect(id)
 				if err != nil {
 					panic(err)

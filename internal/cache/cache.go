@@ -94,7 +94,11 @@ type Regional struct {
 	// compactFloors.
 	floorCap    int
 	globalFloor int64
-	stats       Stats
+	// inc is the node's incarnation, bumped by Lose. A fill carries the
+	// incarnation of the miss that caused it (Probe, Refill), and admit
+	// rejects one from an older incarnation.
+	inc   uint64
+	stats Stats
 
 	// vmAccrual amortizes the cache VM's hourly price over the metered
 	// operations (cost accounting opt-in): each op is charged the VM time
@@ -191,40 +195,57 @@ func (r *Regional) lat(ctx cloud.Ctx, base sim.Dist, perKB sim.Time, size int) {
 	r.env.K.Sleep(r.env.OpTime(ctx, base, perKB, size))
 }
 
-// Lookup probes the cache for path, paying the mem-store read round trip
-// whether it hits or misses. It returns the cached blob and its mzxid; the
-// caller decides whether its session guards allow serving it. The probe
-// executes server-side after the request-travel delay, so the entry (and
-// the size driving the transfer time) is whatever the cache holds at that
-// instant — the same serialization point the mem-backed user store uses.
-func (r *Regional) Lookup(ctx cloud.Ctx, path string) ([]byte, int64, bool) {
+// Probe looks path up in the cache, paying the mem-store read round trip
+// whether it hits or misses. It returns the cached blob and its mzxid, and
+// the node's incarnation, which a refill of what the caller then reads from
+// the store carries (Refill); the caller decides whether its session guards
+// allow serving a hit. The probe executes server-side after the
+// request-travel delay, so the entry (and the size driving the transfer
+// time) is whatever the cache holds at that instant — the same
+// serialization point the mem-backed user store uses.
+func (r *Regional) Probe(ctx cloud.Ctx, path string) (blob []byte, mzxid int64, inc uint64, ok bool) {
 	p := r.env.Profile
 	r.lat(ctx, p.MemReadBase, 0, 0)
 	e, ok := r.lru.Get(path)
+	inc = r.inc
 	r.chargeOp(ctx, "cache.read")
 	if !ok {
 		r.stats.Misses++
-		return nil, 0, false
+		return nil, 0, inc, false
 	}
 	r.lat(ctx, sim.Const(0), p.MemReadPerKB, len(e.Blob))
 	r.stats.Hits++
-	return e.Blob, e.Mzxid, true
+	return e.Blob, e.Mzxid, inc, true
 }
 
-// Fill stores a blob a client fetched from the user store. The fill is
-// rejected when the path's invalidation floor (or an already newer entry)
-// proves the blob stale — the lost race between a read of the old value
-// and the overwrite's invalidation. Reports whether the entry was stored.
-func (r *Regional) Fill(ctx cloud.Ctx, path string, blob []byte, mzxid int64) bool {
+// Lookup is Probe without the incarnation.
+func (r *Regional) Lookup(ctx cloud.Ctx, path string) ([]byte, int64, bool) {
+	blob, mzxid, _, ok := r.Probe(ctx, path)
+	return blob, mzxid, ok
+}
+
+// Refill stores a blob a client fetched from the user store after a probe
+// of incarnation inc missed. The fill is rejected when it comes from an
+// older incarnation, or when the path's invalidation floor (or an already
+// newer entry) proves the blob stale — the lost race between a read of the
+// old value and the overwrite's invalidation or install. Reports whether
+// the entry was stored.
+func (r *Regional) Refill(ctx cloud.Ctx, path string, blob []byte, mzxid int64, inc uint64) bool {
 	p := r.env.Profile
 	r.lat(ctx, p.MemWriteBase, p.MemWritePerKB, len(blob))
 	r.chargeOp(ctx, "cache.write")
-	if !r.admit(path, blob, mzxid) {
+	if !r.admit(path, blob, mzxid, inc) {
 		r.stats.RejectedFills++
 		return false
 	}
 	r.stats.Fills++
 	return true
+}
+
+// Fill is Refill at the node's current incarnation, for a caller that
+// probed nothing.
+func (r *Regional) Fill(ctx cloud.Ctx, path string, blob []byte, mzxid int64) bool {
+	return r.Refill(ctx, path, blob, mzxid, r.inc)
 }
 
 // InstallBatch stores the objects one store op of a flush leg just wrote to
@@ -247,7 +268,7 @@ func (r *Regional) InstallBatch(ctx cloud.Ctx, objs []Install) {
 	r.chargeOp(ctx, "cache.write")
 	for _, o := range objs {
 		r.raise(o.Path, o.Mzxid)
-		if r.admit(o.Path, o.Blob, o.Mzxid) {
+		if r.admit(o.Path, o.Blob, o.Mzxid, r.inc) {
 			r.stats.Installs++
 		} else {
 			r.stats.RejectedInstalls++
@@ -256,10 +277,12 @@ func (r *Regional) InstallBatch(ctx cloud.Ctx, objs []Install) {
 }
 
 // admit is the one admission rule for a (blob, mzxid) pair the user store
-// held: it is stored unless the path's invalidation floor or a newer
-// resident entry proves it stale. Reports whether it was stored.
-func (r *Regional) admit(path string, blob []byte, mzxid int64) bool {
-	if mzxid < r.floorOf(path) {
+// held, read by a reader whose miss was in incarnation inc (an install's is
+// the current one): it is stored unless it comes from an older incarnation,
+// or the path's invalidation floor or a newer resident entry proves it
+// stale. Reports whether it was stored.
+func (r *Regional) admit(path string, blob []byte, mzxid int64, inc uint64) bool {
+	if inc < r.inc || mzxid < r.floorOf(path) {
 		return false
 	}
 	if cur, ok := r.lru.Peek(path); ok && cur.Mzxid > mzxid {
@@ -346,18 +369,22 @@ func (r *Regional) Floor(path string) (int64, []int64) {
 
 // Lose simulates the cache node's process dying and restarting empty:
 // cached entries, per-path invalidation floors, and the global fold floor
-// are all gone, as they would be for any in-memory node. Safety survives
-// the loss because every consistency decision lives with the clients
-// (per-path lastSeen floors, per-shard MRDs, the session sysFloor) and
-// every entry the rebuilt node will ever hold is still a genuine
-// (blob, mzxid) pair the user store held — at worst a fresh session
-// reads older-but-real state, the staleness ZooKeeper's model already
-// permits and the client TTL already bounds. The chaos harness calls this
-// to verify exactly that argument.
+// are all gone, as they would be for any in-memory node, and the node
+// starts its next incarnation. Every entry the restarted node admits is
+// still a (blob, mzxid) pair the user store held, and none is older than
+// what the store held when the node restarted: an install comes from the
+// leader's store write, and a fill is admitted only if the miss that caused
+// it happened in this incarnation. That miss preceded the reader's store
+// read, so the store read came after the restart and saw every value whose
+// install landed before it; the install of any newer value that landed
+// since raised the path's floor in this incarnation. So a loss costs misses,
+// never staleness: no TTL bounds what the node serves. The chaos harness
+// calls this to verify exactly that argument.
 func (r *Regional) Lose() {
 	r.lru = NewLRU(r.lru.CapacityB())
 	r.floors = map[string]floor{}
 	r.globalFloor = 0
+	r.inc++
 	r.stats.Losses++
 }
 

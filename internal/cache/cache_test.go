@@ -129,6 +129,28 @@ func TestRegionalInstallRaisesFloor(t *testing.T) {
 	})
 }
 
+// TestRegionalRefillFromBeforeLossRejected: Lose wipes the floors and
+// starts a new incarnation. A refill whose miss was in the old one is
+// rejected even with no floor left to stop it; one whose miss followed the
+// restart is taken.
+func TestRegionalRefillFromBeforeLossRejected(t *testing.T) {
+	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
+		_, _, before, _ := r.Probe(ctx, "/n")
+		r.InstallBatch(ctx, []Install{{Path: "/n", Blob: blob(16), Mzxid: 20}})
+		r.Lose()
+		if r.Refill(ctx, "/n", blob(16), 10, before) {
+			t.Error("a refill from before the loss was taken")
+		}
+		_, _, after, ok := r.Probe(ctx, "/n")
+		if ok || after <= before {
+			t.Fatalf("probe after the loss: hit %v, incarnation %d after %d", ok, after, before)
+		}
+		if !r.Refill(ctx, "/n", blob(16), 20, after) {
+			t.Error("a refill from after the loss was rejected")
+		}
+	})
+}
+
 func TestRegionalOlderFillLosesToNewerEntry(t *testing.T) {
 	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
 		if !r.Fill(ctx, "/r", blob(16), 100) {

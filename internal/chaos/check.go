@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"faaskeeper/internal/core"
 )
 
 // Violation is one invariant breach found in a history.
@@ -66,8 +68,8 @@ type swKey struct {
 // read-your-writes on single-writer paths, reverse-order multi()
 // atomicity, and watch ordering (no stale read before a delivered
 // notification, no silently lost watch, no fire later than the first acked
-// change after the arming read: WatchFiredLate). It returns every violation
-// found; an empty slice is a clean history.
+// change after the arming read: WatchFiredLate), and timeliness (Untimely).
+// It returns every violation found; an empty slice is a clean history.
 func Check(h *History, opts CheckOpts) []Violation {
 	if opts.PrivatePrefix == "" {
 		opts.PrivatePrefix = "/p-"
@@ -351,6 +353,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 	}
 
 	out = append(out, WatchFiredLate(h)...)
+	out = append(out, Untimely(h)...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Invariant < out[j].Invariant })
 	return out
 }
@@ -402,6 +405,48 @@ func WatchFiredLate(h *History) []Violation {
 					Invariant: "watch-fired-late", Session: e.Session, Path: e.Path,
 					Detail: fmt.Sprintf("watch %d armed at mzxid %d fired with txid %d, missing acked set %d",
 						e.WatchID, r, e.Mzxid, missed),
+				})
+			}
+		}
+	}
+	return out
+}
+
+// Timeliness is the staleness bound of ZooKeeper's timeliness guarantee as
+// Untimely checks it: the session cache may serve an entry for CacheTTL.
+const Timeliness = core.CacheTTL
+
+// Untimely checks ZooKeeper's timeliness guarantee: a read (or a watch's
+// arming read) that starts more than Timeliness after a write to its path
+// was answered returns that write's value or a newer one — an mzxid at or
+// past the write's txid. Only answers that carry a txid count: acked sets
+// and a multi()'s acked ops. Each stale read yields one "timeliness"
+// violation naming the newest txid it missed. Check runs it.
+func Untimely(h *History) []Violation {
+	acks := map[string][]Event{} // path -> acked writes as (End, Mzxid: txid), in answer order
+	var out []Violation
+	for _, e := range h.Events {
+		switch {
+		case e.Kind == KindWrite && e.Err == "" && e.Mzxid > 0:
+			acks[e.Path] = append(acks[e.Path], e)
+		case e.Kind == KindMulti && e.Err == "":
+			for _, op := range e.Ops {
+				if op.Code == "ok" && op.Txid > 0 {
+					acks[op.Path] = append(acks[op.Path], Event{End: e.End, Mzxid: op.Txid})
+				}
+			}
+		case (e.Kind == KindRead || e.Kind == KindWatchArm) && e.Err == "":
+			missed := int64(0)
+			for _, a := range acks[e.Path] {
+				if e.Start > a.End+Timeliness && a.Mzxid > max(e.Mzxid, missed) {
+					missed = a.Mzxid
+				}
+			}
+			if missed > 0 {
+				out = append(out, Violation{
+					Invariant: "timeliness", Session: e.Session, Path: e.Path,
+					Detail: fmt.Sprintf("read at %v returned mzxid %d, missing txid %d answered more than %v before",
+						e.Start, e.Mzxid, missed, Timeliness),
 				})
 			}
 		}

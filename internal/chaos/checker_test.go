@@ -230,3 +230,31 @@ func TestCheckerFlagsWatchFiredLate(t *testing.T) {
 		t.Fatalf("fire after an indeterminate set flagged: %v", vs)
 	}
 }
+
+// TestCheckerFlagsUntimelyRead: a set answered at 1s; a read starting more
+// than Timeliness later must return it or a newer value. One starting within
+// the bound may still return the old value, one starting past it may not.
+func TestCheckerFlagsUntimelyRead(t *testing.T) {
+	set := Event{Session: "w", Kind: KindWrite, Op: "set", Path: "/x", Value: "v#2", Mzxid: 20, Start: sec(1) - 1, End: sec(1)}
+	at := func(start sim.Time, value string, mzxid int64) Event {
+		return Event{Session: "r", Kind: KindRead, Op: "get", Path: "/x", Value: value, Mzxid: mzxid, Start: start, End: start + 1}
+	}
+	base := []Event{
+		{Session: "w", Kind: KindWrite, Op: "create", Path: "/x", Value: "v#1", End: 1},
+		{Session: "w", Kind: KindWrite, Op: "set", Path: "/x", Value: "v#1", Mzxid: 10, End: 2},
+		set,
+	}
+	if vs := checkH(append(base, at(sec(1)+Timeliness, "v#1", 10))...); hasViolation(vs, "timeliness") {
+		t.Errorf("a read within the bound flagged: %v", vs)
+	}
+	if vs := checkH(append(base, at(sec(1)+Timeliness+1, "v#2", 20))...); len(vs) != 0 {
+		t.Errorf("a fresh read flagged: %v", vs)
+	}
+	vs := checkH(append(base, at(sec(1)+Timeliness+1, "v#1", 10))...)
+	if !hasViolation(vs, "timeliness") {
+		t.Fatalf("a read past the bound returned the old value unflagged: %v", vs)
+	}
+	if !strings.Contains(vs[0].Detail, "missing txid 20") {
+		t.Errorf("detail %q does not name the missed write", vs[0].Detail)
+	}
+}

@@ -298,20 +298,13 @@ func Run(s Scenario) *Result {
 		}
 
 		done := sim.NewWaitGroup(k)
-		spawn := func(name string, fn func()) {
-			done.Add(1)
-			k.Go(name, func() {
-				defer done.Done()
-				fn()
-			})
-		}
 
 		// Shared-path workers: randomized set/get plus create/delete of an
 		// owned child, per-client seeded streams.
 		for ci := 0; ci < s.Clients; ci++ {
 			id := fmt.Sprintf("w%d", ci)
 			r := rand.New(rand.NewSource(s.Seed + int64(ci)*101))
-			spawn(id, func() {
+			done.Go(id, func() {
 				c, err := fkclient.Connect(d, id, home)
 				if err != nil {
 					harness("%s connect: %v", id, err)
@@ -343,7 +336,7 @@ func Run(s Scenario) *Result {
 			id := fmt.Sprintf("p%d", pi)
 			path := "/p-" + id
 			r := rand.New(rand.NewSource(s.Seed + 7000 + int64(pi)))
-			spawn(id, func() {
+			done.Go(id, func() {
 				c, err := fkclient.Connect(d, id, home)
 				if err != nil {
 					harness("%s connect: %v", id, err)
@@ -369,7 +362,7 @@ func Run(s Scenario) *Result {
 			pair := pair
 			wid := fmt.Sprintf("swapw%d", wi)
 			rid := fmt.Sprintf("swapr%d", wi)
-			spawn(wid, func() {
+			done.Go(wid, func() {
 				c, err := fkclient.Connect(d, wid, home)
 				if err != nil {
 					harness("%s connect: %v", wid, err)
@@ -385,7 +378,7 @@ func Run(s Scenario) *Result {
 				}
 			})
 			rr := rand.New(rand.NewSource(s.Seed + 9000 + int64(wi)))
-			spawn(rid, func() {
+			done.Go(rid, func() {
 				c, err := fkclient.Connect(d, rid, home)
 				if err != nil {
 					harness("%s connect: %v", rid, err)
@@ -402,7 +395,7 @@ func Run(s Scenario) *Result {
 
 		// Watcher: one-shot data watch on a hot path, re-armed after each
 		// fire; a never-firing arm gathers read evidence for the checker.
-		spawn(watcherID, func() {
+		done.Go(watcherID, func() {
 			c, err := fkclient.Connect(d, watcherID, home)
 			if err != nil {
 				harness("%s connect: %v", watcherID, err)
@@ -457,7 +450,7 @@ func Run(s Scenario) *Result {
 		})
 
 		// Session churn: connect, work, clean close, reconnect fresh.
-		spawn("churn", func() {
+		done.Go("churn", func() {
 			for gen := 0; gen < 3; gen++ {
 				id := fmt.Sprintf("churn%d", gen)
 				c, err := fkclient.Connect(d, id, home)
@@ -478,7 +471,7 @@ func Run(s Scenario) *Result {
 
 		for _, cr := range crashersFor(s.Config) {
 			cr := cr
-			spawn(cr.id, func() {
+			done.Go(cr.id, func() {
 				c, err := fkclient.Connect(d, cr.id, home)
 				if err != nil {
 					harness("%s connect: %v", cr.id, err)
@@ -503,7 +496,7 @@ func Run(s Scenario) *Result {
 
 		// Regional cache-node loss, where a cache tier exists.
 		if rc := d.CacheFor(home); rc != nil && s.Faults.CacheLosses > 0 {
-			spawn("cache-killer", func() {
+			done.Go("cache-killer", func() {
 				for n := 0; n < s.Faults.CacheLosses; n++ {
 					k.Sleep(3 * time.Second)
 					rc.Lose()

@@ -203,10 +203,6 @@ type Deployment struct {
 	System *kv.Table
 	Locks  *fksync.LockManager
 	Stores []UserStore // [0] is the home-region primary
-	// flushProcs names each store's regional flush process
-	// ("leader-update-<region>", aligned with Stores), built once: every
-	// flush spawns one per region.
-	flushProcs []string
 	// epochProcs names each region's spawned epoch append of a watch-claim
 	// round ("leader-epoch-<region>", aligned with Stores).
 	epochProcs []string
@@ -234,22 +230,8 @@ type Deployment struct {
 	// epochAttrs names each shard's watch list on it.
 	epochKeys  map[cloud.Region]string
 	epochAttrs []string
-	// leaderEpochs holds each shard's epoch-counter mirror (leaderRun.open
-	// rebuilds it at the start of every invocation). A shard has one
-	// serialized leader instance, so its invocations never overlap and one
-	// map serves them all.
-	leaderEpochs []map[cloud.Region][]int64
-	// claimRounds holds each shard's watch-claim round (queryWatches),
-	// reused by every message of the shard's one serialized leader.
-	claimRounds []*claimRound
-	// leaderCarry holds, per shard, the pending pops (➎) the last chunk of
-	// the shard's previous leader invocation left to the next one
-	// (leaderRun.carry). Like lastSeq it stands for warm sandbox memory: a
-	// cold invocation drops it (leaderHandler).
-	leaderCarry [][]pendingPop
-	// spareLegs recycles the regional legs of finished flushes
-	// (distributeFold).
-	spareLegs []*flushLegs
+	// leaders holds each shard's leader slot (leaderShard).
+	leaders []*leaderShard
 
 	sessions map[string]*SessionTransport
 
@@ -296,7 +278,6 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	regions := append([]cloud.Region{cfg.Profile.Home}, cfg.ExtraRegions...)
 	for _, r := range regions {
 		d.Stores = append(d.Stores, d.newUserStore(r))
-		d.flushProcs = append(d.flushProcs, "leader-update-"+string(r))
 		d.epochProcs = append(d.epochProcs, "leader-epoch-"+string(r))
 		if cfg.CacheMode != CacheOff {
 			rc := cache.NewRegional(env, r, cfg.CacheCapacityB)
@@ -313,15 +294,13 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	for s := 0; s < cfg.WriteShards; s++ {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
-		d.leaderEpochs = append(d.leaderEpochs, make(map[cloud.Region][]int64, len(d.Stores)))
-		d.claimRounds = append(d.claimRounds, newClaimRound(d))
+		d.leaders = append(d.leaders, d.newLeaderShard())
 		attr := attrEpochList
 		if s > 0 {
 			attr += strconv.Itoa(s)
 		}
 		d.epochAttrs = append(d.epochAttrs, attr)
 	}
-	d.leaderCarry = make([][]pendingPop, cfg.WriteShards)
 	d.route = shardmap.New(cfg.WriteShards)
 
 	d.Platform.Deploy(faas.Config{

@@ -11,13 +11,15 @@ package core
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
 //	                                  the flush; its clears go out with the
 //	                                  epoch entry as one parallel round
-//	                                  (claimRound), joined before the
-//	                                  message's commit phase ends
+//	                                  (leaderShard.round), joined before
+//	                                  the message's commit phase ends
 //	  epoch entry     appendEpochs    in its claim's round: one append per
 //	                                  region, every id the message fired
-//	➌ flush           distributeFold  per region: invalidate the fenced
-//	                                  objects → per object, write →
-//	                                  install (flushLeg.write)
+//	➌ flush           distributeFold  one leg per region (leaderShard.legs):
+//	                                  invalidate the fenced objects → per
+//	                                  object, write → install
+//	                                  (flushLeg.write); then the shared
+//	                                  root's splices (flushLeg.spliceRoot)
 //	➍ delivery        launchWatch     —
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
@@ -79,7 +81,15 @@ package core
 //	handler      pop n−1, commit n+1, join · complete n · pop n, commit n+2, join · complete n+1
 //
 // Flushes never overlap and stay in queue order: the stores always hold a
-// prefix of the total order (single system image). The order rules:
+// prefix of the total order (single system image). Every overlap has one
+// shape: a round of named bodies spawned through sim.WaitGroup.Go and joined
+// before the step that depends on them — the flush legs, joined before the
+// chunk completes; the root splices, one round per shared parent after
+// them; the watch claim's round, whose first write the handler runs itself,
+// joined before the message's commit phase ends; and the watch function's
+// sends. The leader's bodies are bound once, and what its rounds and its
+// pipeline keep from message to message lives in the shard's one slot
+// (leaderShard). The order rules:
 //
 //  1. Pop. A message followed in its chunk by another on one of its targets
 //     pops in the commit phase (commit); every other pop follows every
@@ -316,15 +326,49 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 	n.Stat.NumChildren = int32(len(n.Children))
 }
 
-// leaderRun is one invocation's pass through the pipeline: what every
-// chunk shares, and the two neighbours of the chunk whose flush is in
-// flight. It lives on the handler's stack; the chunks are pooled folds.
+// leaderShard is what a shard's serialized leader keeps from message to
+// message and from invocation to invocation: a shard's invocations never
+// overlap, and neither do its flushes (one handler process runs them), so
+// one slot per shard serves them all.
+type leaderShard struct {
+	epochs map[cloud.Region][]int64 // the epoch counters' mirror (open)
+	// pops holds the deferred pops (➎), oldest first, until they run: those
+	// the shard's previous invocation carried (carry), then the completed
+	// chunk's. Like lastSeq it stands for warm sandbox memory: a cold
+	// invocation drops it (leaderHandler).
+	pops  []pendingPop
+	round claimRound     // the watch-claim round (queryWatches)
+	legs  []flushLeg     // one per user store, aligned with Deployment.Stores
+	wg    *sim.WaitGroup // the legs and the root splices join on it
+}
+
+// newLeaderShard builds a shard's slot, its legs named and their bodies
+// bound once, so a steady-state flush spawns them without allocating.
+func (d *Deployment) newLeaderShard() *leaderShard {
+	ls := &leaderShard{
+		epochs: make(map[cloud.Region][]int64, len(d.Stores)),
+		round:  claimRound{d: d, wg: sim.NewWaitGroup(d.K)},
+		legs:   make([]flushLeg, len(d.Stores)),
+		wg:     sim.NewWaitGroup(d.K),
+	}
+	for i, s := range d.Stores {
+		l := &ls.legs[i]
+		l.d, l.store, l.region, l.rc = d, s, string(s.Region()), d.CacheFor(s.Region())
+		l.proc, l.rootProc = "leader-update-"+l.region, "leader-root-"+l.region
+		l.run, l.splice = l.write, l.spliceRoot
+	}
+	return ls
+}
+
+// leaderRun is one invocation's pass through the pipeline: the shard's slot,
+// what every chunk shares, and the two neighbours of the chunk whose flush
+// is in flight. It lives on the handler's stack; the chunks are pooled
+// folds.
 type leaderRun struct {
+	*leaderShard
 	d           *Deployment
 	ctx         cloud.Ctx
 	shard       int
-	epochs      map[cloud.Region][]int64 // the epoch counters' mirror (open)
-	round       *claimRound              // the shard's watch-claim round (queryWatches)
 	completions []watchCompletion
 
 	// The opening read's share of the first message (open): its control
@@ -334,10 +378,6 @@ type leaderRun struct {
 	openedAt sim.Time
 	opened   bool
 
-	// pops holds the deferred pops (➎), oldest first, until they run: those
-	// the shard's previous invocation carried (Deployment.leaderCarry), then
-	// the completed chunk's.
-	pops  []pendingPop
 	done  *batchFold // chunk n−1: completed, its pops deferred
 	ahead *batchFold // chunk n+1: next in the invocation, commit phase unfinished
 }
@@ -518,8 +558,7 @@ func (p *leaderRun) retire() (pops int) {
 // same objects, and an entry whose carried pop it never learned of is
 // cleared by the next write on its path, through awaitCommit's orphan pop.
 func (p *leaderRun) carry() {
-	p.closeDone()
-	p.d.leaderCarry[p.shard] = p.pops
+	p.closeDone() // the pops stay in the shard's slot
 }
 
 // closeDone closes the completed chunk's leader.total, the container of
@@ -686,13 +725,12 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 // instant; stores without multi-key transactions (the object store) fall
 // back to writing in fold order, so readers observe a prefix of the
 // transaction, never an arbitrary mix. run is the invocation's run: its
-// epoch mirror stamps the writes, and its handler works while the regional
-// legs are in flight (underFlush).
+// epoch mirror stamps the writes, its shard's legs carry them, and its
+// handler works while they are in flight (underFlush).
 func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply bool, own *leaderMsg, run *leaderRun) {
 	if fold.empty() {
 		return
 	}
-	epochs := run.epochs
 
 	// Merge child-list splices into node objects rewritten in the same
 	// batch: a per-parent RMW would read the store's pre-batch object and
@@ -746,21 +784,19 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 		d.refreshSharedFromSystem(ctx, p, nf.node)
 	}
 
-	legs := d.takeLegs()
-	for si, s := range d.Stores {
-		l := &legs.legs[si]
-		l.store, l.ctx, l.fold, l.own, l.atomicApply = s, ctx, fold, own, atomicApply
+	legs := run.legs
+	for i := range legs {
+		l := &legs[i]
+		l.ctx, l.fold, l.own, l.atomicApply = ctx, fold, own, atomicApply
 		// The stamp is this flush's own: read before the legs start, so a
 		// watch claim prefetched under them cannot reach it (Z4).
-		l.stamp = epochs[s.Region()]
-		legs.wg.Add(1)
-		d.K.Go(d.flushProcs[si], l.run)
+		l.stamp = run.epochs[l.store.Region()]
+		run.wg.Go(l.proc, l.run)
 	}
 	if !lockRoot {
 		run.underFlush(fold)
 	}
-	legs.wg.Wait()
-	d.putLegs(legs)
+	run.wg.Wait()
 
 	// The root's coalesced splices run after the regional writes, still
 	// under the root lock taken above. The per-region stamps
@@ -768,79 +804,38 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 	// child-watch notification fired by any shard still holds reads of the
 	// parent (Z4).
 	for _, p := range sharedOrder {
-		p, pf := p, fold.parents[p]
-		rwg := sim.NewWaitGroup(d.K)
-		for _, s := range d.Stores {
-			s := s
-			rwg.Add(1)
-			d.K.Go("leader-root-"+string(s.Region()), func() {
-				defer rwg.Done()
-				d.applyParentFold(ctx, s, p, pf, epochs[s.Region()])
-			})
+		for i := range legs {
+			legs[i].root = p
+			run.wg.Go(legs[i].rootProc, legs[i].splice)
 		}
-		rwg.Wait()
+		run.wg.Wait()
 	}
 }
 
-// flushLegs is one flush's regional legs, one per user store (aligned with
-// Deployment.Stores), and the wait group the flush joins them on. Sets are
-// recycled through Deployment.spareLegs with each leg's process body bound
-// once, so a steady-state flush spawns its legs without allocating.
-type flushLegs struct {
-	wg   *sim.WaitGroup
-	legs []flushLeg
-}
-
-// flushLeg is one region's share of a flush (➌), run as its own process.
+// flushLeg is one region's share of a shard's flushes (➌), run as its own
+// process: the region's store and cache node, and the names and bodies of
+// its processes, all fixed when the deployment is built (newLeaderShard).
 type flushLeg struct {
-	d   *Deployment
-	wg  *sim.WaitGroup
-	run func() // write, bound once
+	d              *Deployment
+	store          UserStore
+	region         string
+	rc             *cache.Regional // nil without a cache
+	proc, rootProc string          // "leader-update-<region>", "leader-root-<region>"
+	run, splice    func()          // write and spliceRoot, bound once
 
-	// The flush it serves: set by distributeFold, cleared by putLegs.
-	store       UserStore
+	// The flush it serves, set by distributeFold, and the shared parent
+	// spliceRoot splices.
 	ctx         cloud.Ctx
 	fold        *batchFold
 	stamp       []int64
 	own         *leaderMsg
 	atomicApply bool
-
-	// The region's name and cache node (nil without one), set by write.
-	region string
-	rc     *cache.Regional
+	root        string
 
 	// Scratch the leg reuses from flush to flush: the objects it writes and
 	// the installs due after its last store op.
 	objs     []Object
 	installs []cache.Install
-}
-
-// takeLegs returns a spare set of flush legs, or a new one.
-func (d *Deployment) takeLegs() *flushLegs {
-	if n := len(d.spareLegs); n > 0 {
-		legs := d.spareLegs[n-1]
-		d.spareLegs = d.spareLegs[:n-1]
-		return legs
-	}
-	legs := &flushLegs{wg: sim.NewWaitGroup(d.K), legs: make([]flushLeg, len(d.Stores))}
-	for i := range legs.legs {
-		l := &legs.legs[i]
-		l.d, l.wg = d, legs.wg
-		l.run = l.write
-	}
-	return legs
-}
-
-// putLegs returns a joined set of legs to the spare list, dropping what
-// they held of the flush.
-func (d *Deployment) putLegs(legs *flushLegs) {
-	for i := range legs.legs {
-		l := &legs.legs[i]
-		l.store, l.ctx, l.fold, l.stamp, l.own, l.rc = nil, cloud.Ctx{}, nil, nil, nil, nil
-		clear(l.objs)
-		l.objs = l.objs[:0]
-	}
-	d.spareLegs = append(d.spareLegs, legs)
 }
 
 // write is one regional leg: the fold's nodes, then the parent splices no
@@ -859,9 +854,6 @@ func (d *Deployment) putLegs(legs *flushLegs) {
 // Without a cache the leg makes exactly its store ops.
 func (l *flushLeg) write() {
 	d, s, fold, ctx, own, stamp := l.d, l.store, l.fold, l.ctx, l.own, l.stamp
-	defer l.wg.Done()
-	l.region = string(s.Region())
-	l.rc = d.CacheFor(s.Region())
 	aa, atomic := s.(AtomicApplier)
 	atomic = atomic && l.atomicApply
 	if l.rc != nil {
@@ -920,6 +912,12 @@ func (l *flushLeg) write() {
 			l.install()
 		}
 	}
+}
+
+// spliceRoot is the region's read-modify-write of the shared parent root,
+// run after every leg joined, under the root lock.
+func (l *flushLeg) spliceRoot() {
+	l.d.applyParentFold(l.ctx, l.store, l.root, l.fold.parents[l.root], l.stamp)
 }
 
 // due queues the install of an object the leg's last store op wrote, at

@@ -100,8 +100,9 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	// memory. A new sandbox starts without them, and so does the retry of a
 	// crashed one: their entries stay at the heads of their pending lists,
 	// where awaitCommit's orphan pop clears them.
+	ls := d.leaders[shard]
 	if inv.Cold {
-		d.leaderCarry[shard] = d.leaderCarry[shard][:0]
+		ls.pops = ls.pops[:0]
 	}
 	// Crash at batch start, before any message is processed or any epoch
 	// entered: redelivery replays the whole batch through awaitCommit's
@@ -109,10 +110,10 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	// this granularity (a watch already launched would strand its epoch
 	// entry), so leader crashes are injected only here.
 	if d.crashAt(obs.StageCommit, msgs[0].msg.Session, msgs[0].msg.Seq) {
-		d.leaderCarry[shard] = d.leaderCarry[shard][:0]
+		ls.pops = ls.pops[:0]
 		return errInjectedCrash
 	}
-	p := leaderRun{d: d, ctx: ctx, shard: shard, pops: d.leaderCarry[shard], round: d.claimRounds[shard]}
+	p := leaderRun{leaderShard: ls, d: d, ctx: ctx, shard: shard}
 	p.open(msgs, acksOnly)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
@@ -153,7 +154,6 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // stage first: the read is the start of its leader.get and leader.total.
 func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d := p.d
-	p.epochs = d.leaderEpochs[p.shard]
 	clear(p.epochs)
 	if acksOnly && d.NumShards() > 1 {
 		return
@@ -528,7 +528,7 @@ type watchGroup struct {
 // change. A group one change of a multi() claimed is empty for the next.
 func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode, fired []firedWatch) []firedWatch {
 	d, n, t0 := p.d, len(fired), p.d.K.Now()
-	round := p.round
+	round := &p.round
 	round.begin(ctx)
 	child := watchGroup{WatchChild, EventChildrenChanged}
 	for _, c := range changes {
@@ -601,7 +601,7 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired [
 // once its append landed (queryWatches), so the stamp of the flush that
 // follows carries them.
 func (p *leaderRun) appendEpochs(fired []firedWatch) []*roundWrite {
-	d, round := p.d, p.round
+	d, round := p.d, &p.round
 	if len(fired) == 0 {
 		return nil
 	}
@@ -621,10 +621,12 @@ func (p *leaderRun) appendEpochs(fired []firedWatch) []*roundWrite {
 // The writes touch different items and are unconditional, so their mutual
 // order is free: the handler issues the first itself, spawns the rest, and
 // joins them all before the message's commit phase ends (issue). Each
-// shard has a round of its own (Deployment.claimRounds): a shard's
+// shard has a round of its own, in its slot (leaderShard): a shard's
 // invocations never overlap, while different shards' do. Its writes and
 // their process bodies are kept from round to round, so a steady-state
-// round allocates nothing.
+// round allocates nothing. It joins on a group of its own: a prefetched
+// commit issues it while the legs of the flush it runs under are counted
+// on the slot's.
 type claimRound struct {
 	d   *Deployment
 	wg  *sim.WaitGroup
@@ -645,16 +647,12 @@ type roundWrite struct {
 	rm    [len(watchAttrs)]kv.StrListRemove
 	app   kv.ListAppend
 	err   error
-	run   func() // spawned, bound once
+	run   func() // do, bound once
 }
 
 // claimProc names the process of a spawned clear; an epoch append's is
 // Deployment.epochProcs' for its region.
 const claimProc = "leader-claim"
-
-func newClaimRound(d *Deployment) *claimRound {
-	return &claimRound{d: d, wg: sim.NewWaitGroup(d.K)}
-}
 
 // begin opens the message's round, empty.
 func (r *claimRound) begin(ctx cloud.Ctx) {
@@ -665,7 +663,7 @@ func (r *claimRound) begin(ctx cloud.Ctx) {
 func (r *claimRound) next(key, proc string) *roundWrite {
 	if r.n == len(r.writes) {
 		w := &roundWrite{round: r, ups: make([]kv.Update, 0, len(watchAttrs))}
-		w.run = w.spawned
+		w.run = w.do
 		r.writes = append(r.writes, w)
 	}
 	w := r.writes[r.n]
@@ -707,8 +705,7 @@ func (r *claimRound) issue() {
 		return
 	}
 	for _, w := range ws[1:] {
-		r.wg.Add(1)
-		r.d.K.Go(w.proc, w.run)
+		r.wg.Go(w.proc, w.run)
 	}
 	ws[0].do()
 	r.wg.Wait()
@@ -717,11 +714,6 @@ func (r *claimRound) issue() {
 
 func (w *roundWrite) do() {
 	_, w.err = w.round.d.System.Update(w.round.ctx, w.key, w.ups, nil)
-}
-
-func (w *roundWrite) spawned() {
-	w.do()
-	w.round.wg.Done()
 }
 
 // claimGroup claims a shared path's watch group attr at key, starting from

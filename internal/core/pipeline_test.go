@@ -105,6 +105,9 @@ func newPipeRig(t *testing.T, seed int64, cfg Config, hook *pipeFaults) *pipeRig
 	}
 	r := &pipeRig{t: t, k: k, d: d, pops: map[int64]sim.Time{}}
 	r.d.Stores[0] = &recStore{UserStore: r.d.Stores[0], rig: r}
+	for _, ls := range r.d.leaders {
+		ls.legs[0].store = r.d.Stores[0] // each shard's home leg writes through it too
+	}
 	// A pending list only ever loses its head, so a changed head is a pop —
 	// by popPending or by awaitCommit's orphan branch, the feed cannot tell.
 	feed := r.d.System.EnableStream().Records
@@ -147,8 +150,8 @@ func (r *pipeRig) run() {
 // Algorithm 2 leaves it after a write's last step. It must run inside a sim
 // process.
 func (r *pipeRig) settle() {
-	for shard, carried := range r.d.leaderCarry {
-		p := leaderRun{d: r.d, ctx: r.d.BillSystemCtx(cloud.ClientCtx(r.d.Cfg.Profile.Home)), shard: shard, pops: carried}
+	for shard, ls := range r.d.leaders {
+		p := leaderRun{leaderShard: ls, d: r.d, ctx: r.d.BillSystemCtx(cloud.ClientCtx(r.d.Cfg.Profile.Home)), shard: shard}
 		p.retire()
 		p.carry()
 	}
@@ -157,8 +160,8 @@ func (r *pipeRig) settle() {
 // carried reports whether txid's pop is still carried: its invocation was
 // its shard's last.
 func (r *pipeRig) carried(txid int64) bool {
-	for _, carried := range r.d.leaderCarry {
-		for _, c := range carried {
+	for _, ls := range r.d.leaders {
+		for _, c := range ls.pops {
 			if c.txid == txid {
 				return true
 			}

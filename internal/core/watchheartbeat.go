@@ -24,10 +24,7 @@ func (d *Deployment) watchHandler(inv *faas.Invocation) error {
 	n := Notification{WatchID: p.WatchID, Event: p.Event, Path: p.Path, Txid: p.Txid}
 	wg := sim.NewWaitGroup(d.K)
 	for _, session := range p.Sessions {
-		session := session
-		wg.Add(1)
-		d.K.Go("watch-send", func() {
-			defer wg.Done()
+		wg.Go("watch-send", func() {
 			d.notify(session, n, n.wireSize())
 			// Wait one round trip for the client's TCP-level delivery
 			// acknowledgment before declaring the notification delivered.

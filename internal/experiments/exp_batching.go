@@ -118,10 +118,7 @@ func runBatchingWorkload(seed int64, cfg core.Config, wl batchingWorkload, sessi
 		done := sim.NewWaitGroup(k)
 		t0 = k.Now()
 		for i := range clients {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("writer-%d", i), func() {
-				defer done.Done()
+			done.Go(fmt.Sprintf("writer-%d", i), func() {
 				var lastMzxid int64
 				var lastVersion int32 = -1
 				for op := 0; op < ops; op++ {

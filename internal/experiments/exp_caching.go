@@ -102,9 +102,7 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 		readersDone := sim.NewWaitGroup(k)
 		writerDone := sim.NewWaitGroup(k)
 		stopWriter := false
-		writerDone.Add(1)
-		k.Go("caching-writer", func() {
-			defer writerDone.Done()
+		writerDone.Go("caching-writer", func() {
 			z := ycsb.NewZipfian(int64(nodeCount))
 			r := rand.New(rand.NewSource(seed*7717 + 13))
 			for !stopWriter {
@@ -116,10 +114,7 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 		})
 		viol := make([]int, readers)
 		for i := range clients {
-			i := i
-			readersDone.Add(1)
-			k.Go(fmt.Sprintf("caching-reader-%d", i), func() {
-				defer readersDone.Done()
+			readersDone.Go(fmt.Sprintf("caching-reader-%d", i), func() {
 				z := ycsb.NewZipfian(int64(nodeCount))
 				r := rand.New(rand.NewSource(seed + int64(i)*919))
 				lastRead := map[string]int64{}

@@ -118,10 +118,7 @@ func runShardingWorkload(seed int64, shards, sessions, ops int, hot bool) shardi
 		done := sim.NewWaitGroup(k)
 		t0 = k.Now()
 		for i := range clients {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("writer-%d", i), func() {
-				defer done.Done()
+			done.Go(fmt.Sprintf("writer-%d", i), func() {
 				for op := 0; op < ops; op++ {
 					ts := k.Now()
 					if _, err := clients[i].SetData(paths[i], payload, -1); err != nil {

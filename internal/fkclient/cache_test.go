@@ -734,6 +734,49 @@ func TestCacheTTLBoundsStaleness(t *testing.T) {
 	})
 }
 
+// TestCacheLossDropsFillFromBeforeIt: a reader's fire-and-forget refill of
+// v1 is held in flight while the writer sets v2 — whose install raises the
+// path's floor — and the cache node is lost, which wipes the floor. The
+// held fill then lands on the restarted node. It carries the incarnation of
+// the miss that caused it, from before the loss, so the node rejects it:
+// a fresh session reads v2, as ZooKeeper's timeliness guarantee requires.
+// Taken, the fill would serve v1 until the next write to the path.
+func TestCacheLossDropsFillFromBeforeIt(t *testing.T) {
+	cfg := core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional}
+	runCached(t, 41, cfg, func(k *sim.Kernel, d *core.Deployment) {
+		rc := d.CacheFor(d.Cfg.Profile.Home)
+		w, r := mustConnect(t, d, "w"), mustConnect(t, d, "r")
+		defer w.Close()
+		defer r.Close()
+		if _, err := w.Create("/p", []byte("v1"), 0); err != nil {
+			t.Errorf("create /p: %v", err)
+			return
+		}
+		rc.Lose() // /p is no longer cached
+		h := &procDelay{k: k, holds: []procHold{{"cache-fill-", 2 * time.Second}}}
+		k.SetFaultHook(h)
+		if data, _, err := r.GetData("/p"); err != nil || string(data) != "v1" {
+			t.Errorf("read /p = %q (%v), want v1", data, err)
+			return
+		}
+		if _, err := w.SetData("/p", []byte("v2"), -1); err != nil {
+			t.Errorf("set /p: %v", err)
+			return
+		}
+		if h.held == 0 {
+			t.Error("no refill was held: the test holds no window")
+			return
+		}
+		rc.Lose()
+		k.Sleep(core.CacheTTL + 3*time.Second) // the held fill lands
+		f := mustConnect(t, d, "f")
+		defer f.Close()
+		if data, _, err := f.GetData("/p"); err != nil || string(data) != "v2" {
+			t.Errorf("a fresh session reads /p = %q (%v) long after v2 was answered, want v2", data, err)
+		}
+	})
+}
+
 // TestCacheShardedRootChildrenVisible: top-level creates on a sharded
 // deployment rebuild the shared root from several shard leaders, possibly
 // out of txid order — two different root contents can share one freshness

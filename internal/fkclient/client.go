@@ -834,9 +834,10 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	// carry no order, exactly as in the sharded write path. A written
 	// node's next read is usually a hit here, and a miss below refills the
 	// node as the install would.
-	if blob, mzxid, ok := c.rcache.Lookup(c.ctx, path); ok && mzxid >= floor {
-		if n, stamp, err := znode.Unmarshal(blob); err == nil {
-			c.l1Fill(path, blob, mzxid)
+	hit, mzxid, inc, ok := c.rcache.Probe(c.ctx, path)
+	if ok && mzxid >= floor {
+		if n, stamp, err := znode.Unmarshal(hit); err == nil {
+			c.l1Fill(path, hit, mzxid)
 			c.l2Hits++
 			return n, stamp, nil
 		}
@@ -858,8 +859,10 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	// as a real client would): the fill pays the cache node's write
 	// latency without delaying this read, and the per-path floor rejects
 	// it if an install or invalidation of a newer version arrives first.
+	// It carries the probe's incarnation, so a node lost and restarted
+	// since — its floors gone — rejects it too.
 	rc, ctx := c.rcache, c.ctx
-	c.d.K.Go("cache-fill-"+c.id, func() { rc.Fill(ctx, path, blob, fresh) })
+	c.d.K.Go("cache-fill-"+c.id, func() { rc.Refill(ctx, path, blob, fresh, inc) })
 	return n, stamp, nil
 }
 

@@ -160,3 +160,20 @@ func TestSpawnAllocations(t *testing.T) {
 		t.Errorf("Go of a body bound once: %v allocations, want 0", got)
 	}
 }
+
+// TestWaitGroupGoAllocations: a steady-state round through WaitGroup.Go —
+// three bodies bound once, spawned and joined, the flush legs' shape —
+// allocates nothing.
+func TestWaitGroupGoAllocations(t *testing.T) {
+	k := NewKernel(1)
+	round := NewWaitGroup(k)
+	leg := func() { k.Sleep(time.Millisecond) }
+	if got := AllocsPerRun(k, 1000, func() {
+		for range 3 {
+			round.Go("leg", leg)
+		}
+		round.Wait()
+	}); got != 0 {
+		t.Errorf("a round of WaitGroup.Go of bodies bound once: %v allocations, want 0", got)
+	}
+}

@@ -121,6 +121,14 @@ func (wg *WaitGroup) Done() {
 	}
 }
 
+// Go counts fn on the group and spawns it as a process named name; the
+// kernel calls Done when fn returns. A caller that keeps fn bound from one
+// round to the next spawns without allocating.
+func (wg *WaitGroup) Go(name string, fn func()) {
+	wg.count++
+	wg.k.Go(name, fn).wg = wg
+}
+
 // Wait blocks until the count is zero.
 func (wg *WaitGroup) Wait() {
 	for wg.count > 0 {

@@ -79,7 +79,8 @@ type Process struct {
 	id   int64
 	name string
 	k    *Kernel
-	fn   func() // this incarnation's body
+	fn   func()     // this incarnation's body
+	wg   *WaitGroup // counts this incarnation (WaitGroup.Go); nil when none does
 
 	resume  chan struct{}
 	parkSeq int64 // bumped on every resume and at exit; wake-ups carrying an older seq are stale
@@ -273,7 +274,7 @@ func (k *Kernel) Go(name string, fn func()) *Process {
 		p = &Process{k: k, resume: make(chan struct{}, 1)}
 		go k.loop(p)
 	}
-	p.id, p.name, p.fn, p.done = k.nextID, name, fn, false
+	p.id, p.name, p.fn, p.wg, p.done = k.nextID, name, fn, nil, false
 	k.live[p.id] = p
 	k.scheduleWake(k.now, p, p.parkSeq)
 	return p
@@ -295,11 +296,16 @@ func (k *Kernel) loop(p *Process) {
 	}
 }
 
-// run executes one incarnation of p; its deferred exit retires it.
+// run executes one incarnation of p; its deferred exit retires it. The
+// group counting it learns that it finished only when its body returned: a
+// body Shutdown unwinds never reaches Done.
 func (k *Kernel) run(p *Process) {
 	defer k.exit(p)
 	if !p.killed {
 		p.fn()
+		if p.wg != nil {
+			p.wg.Done()
+		}
 	}
 }
 
@@ -307,7 +313,7 @@ func (k *Kernel) run(p *Process) {
 // recover to see a panic.
 func (k *Kernel) exit(p *Process) {
 	p.done = true
-	p.fn = nil
+	p.fn, p.wg = nil, nil
 	p.parkSeq++ // whatever still targets this incarnation is stale from here
 	delete(k.live, p.id)
 	if r := recover(); r != nil {

@@ -159,6 +159,69 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
+// TestWaitGroupGoJoinsAfterEveryBody: WaitGroup.Go counts each body and the
+// kernel calls Done as it returns, so Wait returns at the last body's end,
+// after every body ran to its last statement.
+func TestWaitGroupGoJoinsAfterEveryBody(t *testing.T) {
+	k := NewKernel(1)
+	wg := NewWaitGroup(k)
+	returned := 0
+	var doneAt Time
+	for i := 1; i <= 3; i++ {
+		d := time.Duration(i) * time.Second
+		wg.Go("w", func() {
+			k.Sleep(d)
+			returned++
+		})
+	}
+	k.Go("waiter", func() {
+		wg.Wait()
+		doneAt = k.Now()
+		if returned != 3 {
+			t.Errorf("Wait returned after %d of 3 bodies", returned)
+		}
+	})
+	k.Run()
+	if doneAt != 3*time.Second || wg.count != 0 {
+		t.Fatalf("Wait returned at %v with count %d, want 3s and 0", doneAt, wg.count)
+	}
+}
+
+// TestWaitGroupGoNamesTheProcess: the spawned process carries the name
+// given, which is what fault hooks and tests select a process by.
+func TestWaitGroupGoNamesTheProcess(t *testing.T) {
+	k := NewKernel(1)
+	wg := NewWaitGroup(k)
+	var names []string
+	for _, name := range []string{"leg-a", "leg-b"} {
+		wg.Go(name, func() { names = append(names, k.Current().Name()) })
+	}
+	k.Run()
+	if len(names) != 2 || names[0] != "leg-a" || names[1] != "leg-b" {
+		t.Fatalf("process names %v, want [leg-a leg-b]", names)
+	}
+}
+
+// TestWaitGroupGoShutdownWithParkedBody: Shutdown kills a counted body still
+// parked. It does not call Done, so neither the count nor the waiter moves:
+// no panic, and no simulated code runs past the waiter's Wait.
+func TestWaitGroupGoShutdownWithParkedBody(t *testing.T) {
+	k := NewKernel(1)
+	wg := NewWaitGroup(k)
+	q := NewQueue[int](k)
+	wg.Go("blocked", func() { q.Pop() })
+	woke := false
+	k.Go("waiter", func() {
+		wg.Wait()
+		woke = true
+	})
+	k.Run()
+	k.Shutdown()
+	if woke || wg.count != 1 || k.Live() != 0 {
+		t.Fatalf("after Shutdown: waiter woke %v, count %d, live %d; want false, 1, 0", woke, wg.count, k.Live())
+	}
+}
+
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	k := NewKernel(1)
 	sem := NewSemaphore(k, 2)

@@ -136,10 +136,8 @@ func (h *HBaseCluster) RunPhase(w Workload, d time.Duration, nThreads int, recor
 	wg := sim.NewWaitGroup(k)
 	deadline := k.Now() + d
 	for t := 0; t < nThreads; t++ {
-		wg.Add(1)
 		seed := int64(t)*7919 + 13
-		k.Go(fmt.Sprintf("ycsb-%s-%d", w.Name, t), func() {
-			defer wg.Done()
+		wg.Go(fmt.Sprintf("ycsb-%s-%d", w.Name, t), func() {
 			r := newRand(seed)
 			kc := NewKeyChooser(records, w.Latest, r)
 			for k.Now() < deadline {
