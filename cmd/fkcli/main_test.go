@@ -17,12 +17,17 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // deterministic for a seed, so the files are exact; a pipeline change that
 // moves a timestamp or a dollar shows up here as a one-line diff
 // (regenerate with `go test ./cmd/fkcli -update` and review it). Last moved
-// when the watch claim began to ride the commit check's read: every write
-// reads one system-store item fewer and the seeded latency stream is dealt
-// anew, so each footer moves — session 2.855 → 2.878 vs, $0.000069 →
-// $0.000071 (its watch delivery draws a slower cold start; over seeds 1-6
-// the session is as often cheaper), multi 2.980 → 3.092 vs, $0.000071 →
-// $0.000070, gcp_hybrid 3.584 → 3.588 vs, $0.000029 → $0.000028.
+// when, on one shard, the watch claim's round began to run under the flush:
+// the session's `set /x again` fires the watch on /x and reaches its flush
+// without waiting for the round's system-store write, so session moves
+// 2.874313101 → 2.868413195 vs ($0.000070 held); no other session fires a
+// watch. Before that, when the watch claim began to ride the commit check's
+// read: every write reads one system-store item fewer and the seeded
+// latency stream is dealt anew, so each footer moves — session 2.855 →
+// 2.878 vs, $0.000069 → $0.000071 (its watch delivery draws a slower cold
+// start; over seeds 1-6 the session is as often cheaper), multi 2.980 →
+// 3.092 vs, $0.000071 → $0.000070, gcp_hybrid 3.584 → 3.588 vs, $0.000029 →
+// $0.000028.
 func TestGoldenSessions(t *testing.T) {
 	for _, tc := range []struct {
 		name string

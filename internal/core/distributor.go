@@ -11,10 +11,14 @@ package core
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
 //	                                  the flush; its clears go out with the
 //	                                  epoch entry as one parallel round
-//	                                  (leaderShard.round), joined before
-//	                                  the message's commit phase ends
+//	                                  (leaderShard.round), joined before the
+//	                                  message's commit phase ends on several
+//	                                  shards; run under the flush on one,
+//	                                  joined before the next commit check
+//	                                  (commitOne) and the chunk's answers
 //	  epoch entry     appendEpochs    in its claim's round: one append per
-//	                                  region, every id the message fired
+//	                                  region, every id the message fired;
+//	                                  the mirror takes them as it starts
 //	➌ flush           distributeFold  one leg per region (leaderShard.legs):
 //	                                  invalidate the fenced objects → per
 //	                                  object, write → install
@@ -39,25 +43,33 @@ package core
 // delete. A registration that lands after that read found the commit, and
 // the reader that made it waits for a value at or past it (Frontier), so
 // no value the claim missed is ever armed on. The ids enter the epoch
-// counters before any flush whose stamp must carry them (Z4): a flush reads
-// its stamp before its legs start, so a claim prefetched under it cannot
-// reach the stamp.
+// counters' mirror as the claim's round starts, before any flush whose stamp
+// must carry them (Z4): a flush reads its stamp before its legs start, so a
+// claim prefetched under it cannot reach the stamp.
 //
 // The claim's clears — one per record whose groups fired — and its epoch
 // entry touch different items and are unconditional, so their mutual order
-// is free: they go out as one round, and the round is joined before the
-// message's commit phase ends. Both writes have landed by then, so the
-// flush's stamp, read from the mirror, carries the ids; every later commit
-// check on those records, prefetched under the flush (rule 2) or in the
-// serial position, reads them cleared; and the delivery, launched after the
-// flush, cannot race a re-registration against the clear. One interleaving
-// is new: another shard's opening read can see the id appended while the
-// registration is still on the record. That read is concurrent with the
-// change. Whatever is causally after the change learned of it through the
-// flush's store write, the answer or the notification, all of them after
-// the join, so it sees both writes. A shared path's claim is conditional,
-// and which ids the message fires depends on it: it runs serially, ahead
-// of the round (claimGroup).
+// is free: they go out as one round. Where the round is joined depends on
+// who can read its writes. With several shards it is joined before the
+// message's commit phase ends: a reader that saw the flushed value can reach
+// another shard's opening read, which must find the id, so the append lands
+// before the flush. On one shard the only reader of the epoch list is the
+// shard's own next invocation, and the only readers of the cleared records
+// that matter are the commit checks after this one, so the round runs under
+// the flush and is joined in two places: at the top of every commit check
+// (commitOne), so the next message of a chunk and a prefetch under the flush
+// (rule 2) read the records cleared; and before the chunk completes
+// (flushChunk), so no delivery can prompt a re-registration that races the
+// clear, and the next invocation starts after both writes landed. An id in
+// a stamp whose append failed only makes a reader wait for a delivery that
+// is launched anyway. One interleaving is new with several shards: another
+// shard's opening read can see the id appended while the registration is
+// still on the record. That read is concurrent with the change. Whatever is
+// causally after the change learned of it through the flush's store write,
+// the answer or the notification, all of them after the join, so it sees
+// both writes. A shared path's claim is conditional, and which ids the
+// message fires depends on it: it runs serially, ahead of the round
+// (claimGroup).
 //
 // A chunk is one message — the paper's per-message distribution — or, with
 // Config.BatchWrites, a whole run of single ops up to the next multi(). A
@@ -84,9 +96,10 @@ package core
 // prefix of the total order (single system image). Every overlap has one
 // shape: a round of named bodies spawned through sim.WaitGroup.Go and joined
 // before the step that depends on them — the flush legs, joined before the
-// chunk completes; the root splices, one round per shared parent after
-// them; the watch claim's round, whose first write the handler runs itself,
-// joined before the message's commit phase ends; and the watch function's
+// chunk completes; the root splices, one round per shared parent after them;
+// the watch claim's round, joined before the message's commit phase ends on
+// several shards (the handler runs its first write itself) and before the
+// next commit check and the chunk's answers on one; and the watch function's
 // sends. The leader's bodies are bound once, and what its rounds and its
 // pipeline keep from message to message lives in the shard's one slot
 // (leaderShard). The order rules:
@@ -483,6 +496,8 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 		d.recordPhase("leader.update", d.K.Now()-t0)
 	}
 
+	// A claim round still in flight lands before any answer or delivery.
+	p.round.join()
 	for i, dm := range msgs {
 		r, msg := &cur.results[i], dm.msg
 		if msg.Op == OpDeregister {
@@ -646,6 +661,8 @@ func (p *leaderRun) commit(f, under *batchFold) {
 // could regret under another chunk's flush: one read, and a txid not at the
 // head of every target's pending list gives the message up (false).
 func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch bool) (opResult, bool) {
+	// The claim round of the message before lands before any record is read.
+	p.round.join()
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
 	if msg.Op == OpDeregister {

@@ -515,17 +515,20 @@ type watchGroup struct {
 	event EventType
 }
 
-// queryWatches is ➍ for one message, in its commit phase, on the records
-// its commit check confirmed: each effectful change's node's, and for a
-// create or delete its parent's. It reads nothing — the records carry the
+// queryWatches is ➍ for one message, in its commit phase, on the records its
+// commit check confirmed: each effectful change's node's, and for a create
+// or delete its parent's. It reads nothing — the records carry the
 // registrations. It claims the fired (one-shot) groups, appending them to
 // fired, and enters their ids into the shard's epoch counters, so every
 // value written afterwards carries them (Z4). The writes of both go out as
-// one parallel round (claimRound), joined before the commit phase ends. A
-// clear removes exactly the sessions the read returned: a registration that
-// lands after the read found the change committed, and its reader waits for
-// a value at or past it (Frontier), so it must stay armed for the next
-// change. A group one change of a multi() claimed is empty for the next.
+// one parallel round (claimRound). With several shards it is joined before
+// the commit phase ends. On one shard it is left in flight under the flush,
+// and joined before the next commit check reads a record (commitOne) and
+// before the chunk's answers and deliveries (flushChunk). A clear removes
+// exactly the sessions the read returned: a registration that lands after
+// the read found the change committed, and its reader waits for a value at
+// or past it (Frontier), so it must stay armed for the next change. A group
+// one change of a multi() claimed is empty for the next.
 func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode, fired []firedWatch) []firedWatch {
 	d, n, t0 := p.d, len(fired), p.d.K.Now()
 	round := &p.round
@@ -548,14 +551,8 @@ func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string,
 			fired = p.fireGroups(ctx, c.ParentPath, parent, fired, child)
 		}
 	}
-	appends := p.appendEpochs(fired[n:])
-	round.issue()
-	for si, w := range appends {
-		if w.err == nil {
-			r := d.Stores[si].Region()
-			p.epochs[r] = append(p.epochs[r], round.ids...)
-		}
-	}
+	p.appendEpochs(fired[n:])
+	round.issue(d.NumShards() > 1)
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
 }
@@ -595,38 +592,41 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired [
 }
 
 // appendEpochs is the epoch entry: it adds to the message's round one
-// append per region (aligned with Deployment.Stores), each carrying every
-// id in fired to the shard's list on the region's epoch item, and returns
-// them; none when nothing fired. A region's mirror (p.epochs) takes the ids
-// once its append landed (queryWatches), so the stamp of the flush that
-// follows carries them.
-func (p *leaderRun) appendEpochs(fired []firedWatch) []*roundWrite {
+// append per region, each carrying every id in fired to the shard's list on
+// the region's epoch item; none when nothing fired. Each region's mirror
+// (p.epochs) takes the ids as the round starts, so the stamp of the flush
+// that follows carries them (Z4). An id in a stamp whose append failed only
+// makes a reader wait for a delivery that is launched anyway.
+func (p *leaderRun) appendEpochs(fired []firedWatch) {
 	d, round := p.d, &p.round
 	if len(fired) == 0 {
-		return nil
+		return
 	}
 	for _, f := range fired {
 		round.ids = append(round.ids, f.wid)
 	}
-	first := round.n
 	for si, s := range d.Stores {
 		round.appendIDs(d.epochKey(s.Region()), d.epochProcs[si], d.epochAttrs[p.shard])
+		p.epochs[s.Region()] = append(p.epochs[s.Region()], round.ids...)
 	}
-	return round.writes[first:round.n]
 }
 
-// claimRound is one message's watch-claim writes (➍ and its epoch entry):
-// a clear per non-shared record whose groups fired (fireGroups), then one
-// append per region carrying every id the message fired (appendEpochs).
-// The writes touch different items and are unconditional, so their mutual
-// order is free: the handler issues the first itself, spawns the rest, and
-// joins them all before the message's commit phase ends (issue). Each
-// shard has a round of its own, in its slot (leaderShard): a shard's
-// invocations never overlap, while different shards' do. Its writes and
-// their process bodies are kept from round to round, so a steady-state
-// round allocates nothing. It joins on a group of its own: a prefetched
-// commit issues it while the legs of the flush it runs under are counted
-// on the slot's.
+// claimRound is one message's watch-claim writes (➍ and its epoch entry): a
+// clear per non-shared record whose groups fired (fireGroups), then one
+// append per region carrying every id the message fired (appendEpochs). The
+// writes touch different items and are unconditional, so their mutual order
+// is free. With several shards the handler issues the first itself, spawns
+// the rest and joins them all before the message's commit phase ends
+// (issue): a reader that saw the flushed value can reach another shard's
+// opening read, so the append lands first. On one shard the only reader of
+// the epoch list is the shard's own next invocation, so every write is
+// spawned and the round is joined later (join), before the next commit check
+// and before the chunk completes. Each shard has a round of its own, in its
+// slot (leaderShard): a shard's invocations never overlap, while different
+// shards' do. Its writes and their process bodies are kept from round to
+// round, so a steady-state round allocates nothing. It joins on a group of
+// its own: a prefetched commit issues it while the legs of the flush it runs
+// under are counted on the slot's.
 type claimRound struct {
 	d   *Deployment
 	wg  *sim.WaitGroup
@@ -646,7 +646,6 @@ type roundWrite struct {
 	ups   []kv.Update // pointers into rm or app
 	rm    [len(watchAttrs)]kv.StrListRemove
 	app   kv.ListAppend
-	err   error
 	run   func() // do, bound once
 }
 
@@ -668,7 +667,7 @@ func (r *claimRound) next(key, proc string) *roundWrite {
 	}
 	w := r.writes[r.n]
 	r.n++
-	w.proc, w.key, w.ups, w.err = proc, key, w.ups[:0], nil
+	w.proc, w.key, w.ups = proc, key, w.ups[:0]
 	return w
 }
 
@@ -697,23 +696,33 @@ func (r *claimRound) appendIDs(key, proc, attr string) {
 	w.ups = append(w.ups, &w.app)
 }
 
-// issue runs the round's writes in parallel and joins them. A round of one
-// write or none spawns nothing.
-func (r *claimRound) issue() {
-	ws := r.writes[:r.n]
-	if len(ws) == 0 {
-		return
+// issue starts the round's writes in parallel. With wait, the handler runs
+// the first itself and joins the round before it returns; a round of one
+// write spawns nothing. Without, every write runs in a process of its own
+// and the round is joined later (join).
+func (r *claimRound) issue(wait bool) {
+	first := 0
+	if wait && r.n > 0 {
+		first = 1
 	}
-	for _, w := range ws[1:] {
+	for _, w := range r.writes[first:r.n] {
 		r.wg.Go(w.proc, w.run)
 	}
-	ws[0].do()
+	if first > 0 {
+		r.writes[0].do()
+		r.join()
+	}
+}
+
+// join waits until the round's writes have landed; with none in flight it
+// returns at once.
+func (r *claimRound) join() {
 	r.wg.Wait()
 	r.ctx = cloud.Ctx{}
 }
 
 func (w *roundWrite) do() {
-	_, w.err = w.round.d.System.Update(w.round.ctx, w.key, w.ups, nil)
+	_, _ = w.round.d.System.Update(w.round.ctx, w.key, w.ups, nil)
 }
 
 // claimGroup claims a shared path's watch group attr at key, starting from
