@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"faaskeeper/internal/cloud"
-	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -40,7 +39,7 @@ func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderM
 		Session: s.id, Seq: s.seq, LockTs: lock.Timestamp,
 		change: validatedChange(OpSetData, path, req.Data, "", decodeSysNode(item), sysNode{}),
 	}
-	if err := r.d.commitLocked(s.ctx, []fksync.Lock{lock}, msg, txid); err != nil {
+	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
 		r.t.Fatalf("commit %s: %v", path, err)
 	}
 	s.futs[req.Seq] = sim.NewFuture[Response](r.k)

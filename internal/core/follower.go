@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/faas"
@@ -10,6 +11,7 @@ import (
 	"faaskeeper/internal/cloud/queue"
 	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
+	"faaskeeper/internal/txn"
 	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
@@ -62,12 +64,10 @@ func (d *Deployment) processRequest(ctx cloud.Ctx, req Request) error {
 	t0 := d.K.Now()
 	var err error
 	switch req.Op {
-	case OpCreate, OpSetData, OpDelete:
+	case OpCreate, OpSetData, OpDelete, OpMulti:
 		_, err = d.followerWrite(ctx, req)
 	case OpDeregister:
 		err = d.followerDeregister(ctx, req)
-	case OpMulti:
-		err = d.followerMulti(ctx, req)
 	default:
 		d.respondFailure(req, CodeSystemError)
 	}
@@ -94,78 +94,112 @@ func (d *Deployment) lockNode(ctx cloud.Ctx, path string) (fksync.Lock, sysNode,
 	return lock, decodeSysNode(item), err
 }
 
-// followerWrite is Algorithm 1 for one create, set_data or delete; what the
-// op requires, sends and writes comes from the write-op table (writeop.go).
-// It returns the shard the op was routed to (the session-deregistration
-// barrier must put its ack behind a deletion in exactly that queue) along
-// with the usual handler error.
+// followerWrite is Algorithm 1 for one create, set_data or delete, or a
+// multi() of them: a single op is a one-change plan (txnops.go). It locks
+// and validates (plan.prepare), records ephemeral creates on their owner's
+// session, and pushes and commits on the one shard the changes write
+// (pushAndCommit). A single op and a multi() differ only where the client
+// sees it: how a rejection is answered, the crash label and the message's
+// shape. It returns the shard a single op was routed to (the
+// session-deregistration barrier must put its ack behind a deletion in
+// exactly that queue) along with the usual handler error.
 func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
+	multi := req.Op == OpMulti
+	one := [1]txn.Op{{Type: txn.OpType(req.Op), Path: req.Path, Data: req.Data, Version: req.Version, Flags: req.Flags}}
+	ops := one[:]
+	if multi {
+		var err error
+		if ops, err = txn.DecodeOps(req.Data); err != nil || len(ops) == 0 {
+			d.respondFailure(req, CodeSystemError)
+			return 0, nil
+		}
+	}
 	shard := d.route.ShardFor(req.Path)
-	var held []fksync.Lock // release order: node, then parent
-	fail := func(code Code) (int, error) {
-		d.unlockAll(ctx, held...)
-		d.respondFailure(req, code)
+	var changes [1]change
+	var items [2]planItem
+	p := plan{ops: changes[:0], items: items[:0]}
+	// reject releases every lock and answers op i's code (the request's
+	// for i < 0).
+	reject := func(i int, code Code) (int, error) {
+		p.unlock(d, ctx)
+		if multi && i >= 0 {
+			d.respondMultiAbort(req, ops, i, code)
+		} else {
+			d.respondFailure(req, code)
+		}
 		return shard, nil
 	}
-	if len(req.Data) > MaxNodeB {
-		return fail(CodeTooLarge)
-	}
-	if code := checkPath(req.Op, req.Path); code != CodeOK {
-		return fail(code)
-	}
-	// ① Lock parent first, node second.
-	path := req.Path
-	var parentLock fksync.Lock
-	var parent sysNode
-	if splicesParent(req.Op) {
-		var err error
-		if parentLock, parent, err = d.lockNode(ctx, znode.Parent(path)); err != nil {
-			return fail(CodeSystemError)
+	for i, op := range ops {
+		if znode.ValidatePath(op.Path) != nil {
+			return reject(i, CodeSystemError)
 		}
-		held = []fksync.Lock{parentLock}
-		// ② Validate under the locks, the parent as soon as it is held.
-		if code := checkParent(req.Op, parent); code != CodeOK {
-			return fail(code)
-		}
-		// Sequential nodes take their suffix from the parent's counter,
-		// read under the parent lock.
-		if req.Op == OpCreate && req.Flags&znode.FlagSequential != 0 {
-			path = znode.SequentialName(path, parent.SeqCtr)
+		if len(op.Data) > MaxNodeB {
+			return reject(i, CodeTooLarge)
 		}
 	}
-	nodeLock, node, err := d.lockNode(ctx, path)
-	if err != nil {
-		return fail(CodeSystemError)
+	if i, code, err := p.prepare(d, ctx, ops, req.Session); err != nil {
+		return reject(-1, CodeSystemError)
+	} else if code != CodeOK {
+		return reject(i, code)
 	}
-	held = append([]fksync.Lock{nodeLock}, held...)
-	if code := checkNode(req.Op, path, req.Version, node, parent); code != CodeOK {
-		return fail(code)
-	}
-	owner := ""
-	if req.Op == OpCreate && req.Flags&znode.FlagEphemeral != 0 {
-		owner = req.Session
-		if err := d.recordEphemeral(ctx, owner, path); err != nil {
-			return fail(CodeSystemError)
+	// Route on the RESOLVED paths: a top-level sequential create may land
+	// in another shard than the path its request named. (The changes are
+	// index-aligned with the request's ops.)
+	msg := leaderMsg{Session: req.Session, Seq: req.Seq, Shard: -1}
+	for i, c := range p.ops {
+		if !c.effectful() {
+			continue
+		}
+		if s := d.route.ShardFor(c.Path); msg.Shard < 0 {
+			msg.Shard = s
+		} else if s != msg.Shard {
+			return reject(i, CodeCrossShard)
 		}
 	}
-	msg := leaderMsg{
-		Session: req.Session, Seq: req.Seq,
-		change: validatedChange(req.Op, path, req.Data, owner, node, parent),
-		// The subtree's ordered queue: with one shard the paper's single
-		// global FIFO queue and its total order of writes; with more, the
-		// order is total per shard, which suffices because no operation
-		// spans subtrees.
-		Shard:  d.route.ShardFor(path),
-		LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
+	if msg.Shard < 0 {
+		// A multi() of checks only: the locks proved every guard at one
+		// instant.
+		p.unlock(d, ctx)
+		results := make([]txn.Result, len(p.ops))
+		for i, c := range p.ops {
+			results[i] = txn.Result{Type: txn.OpType(c.Op), Path: c.Path, Code: txn.CodeOK}
+		}
+		d.respondMulti(req, CodeOK, results)
+		return shard, nil
 	}
-	r, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageLeaderQ, held,
-		func(ctx cloud.Ctx, txid int64) error {
-			return d.commitLocked(ctx, held, msg, txid)
-		})
-	if committed && req.Op == OpDelete && node.EphOwner != "" {
-		d.forgetEphemeral(ctx, node.EphOwner, path)
+	for _, c := range p.ops {
+		if c.Op == OpCreate && c.EphOwner != "" {
+			if err := d.recordEphemeral(ctx, c.EphOwner, c.Path); err != nil {
+				return reject(-1, CodeSystemError)
+			}
+		}
 	}
-	return r.shard, err
+	stage := obs.StageLeaderQ
+	if multi {
+		// The sub-ops and every locked item ride the message, on the wire
+		// only for OpMulti. The sub-ops are a copy, so that a single op's
+		// change buffer can stay on this function's stack.
+		stage = obs.StageTxnPrep
+		msg.change = change{Op: OpMulti, Path: anchorPath(p.ops)}
+		msg.Ops = slices.Clone(p.ops)
+		for _, it := range p.items {
+			msg.ItemPaths = append(msg.ItemPaths, it.path)
+			msg.ItemLockTs = append(msg.ItemLockTs, it.lock.Timestamp)
+		}
+	} else {
+		msg.change = p.ops[0]
+		msg.LockTs, msg.ParentLockTs = p.lockTs(msg.Path), p.lockTs(msg.ParentPath)
+	}
+	committed, err := d.pushAndCommit(ctx, req, msg, stage, &p)
+	if committed {
+		for _, c := range p.ops {
+			// A path the same multi() created again keeps its entry.
+			if c.Op == OpDelete && c.EphOwner != "" && !p.items[p.find(c.Path)].state.Exists {
+				d.forgetEphemeral(ctx, c.EphOwner, c.Path)
+			}
+		}
+	}
+	return msg.Shard, err
 }
 
 // recordEphemeral tracks an ephemeral create on its owner's session record
@@ -190,65 +224,34 @@ func (d *Deployment) forgetEphemeral(ctx cloud.Ctx, owner, path string) {
 		[]kv.Update{kv.StrListRemove{Name: attrSessionEph, Vals: []string{path}}}, nil)
 }
 
-// pushAndCommit is the tail of Algorithm 1 that a single op and a
-// single-shard multi() share: push the validated message to the shard set
-// on it (③; the FIFO sequence number is the txid), pass the crash point
-// between the two, and run commit — the caller's conditional write of every
-// locked item together with the lock release (④). held is every lock
-// taken, for the paths that give up. committed is false with a nil error
-// when the request was answered here (push failure) or left to the leader's
-// replay (lease lost).
-func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, crashStage string, held []fksync.Lock,
-	commit func(ctx cloud.Ctx, txid int64) error) (r routed, committed bool, err error) {
-	r, err = d.pushToShard(ctx, msg)
+// pushAndCommit is the tail of Algorithm 1: push the validated message to
+// the shard set on it (③; the FIFO sequence number is the txid), pass the
+// crash point between the two, and commit the plan — the conditional write
+// of every locked item together with the lock release (④). committed is
+// false with a nil error when the request was answered here (push failure)
+// or left to the leader's replay (lease lost).
+func (d *Deployment) pushAndCommit(ctx cloud.Ctx, req Request, msg leaderMsg, crashStage string, p *plan) (committed bool, err error) {
+	r, err := d.pushToShard(ctx, msg)
 	if err != nil {
-		d.unlockAll(ctx, held...)
+		p.unlock(d, ctx)
 		code := CodeSystemError
 		if errors.Is(err, errMsgTooLarge) {
 			code = CodeTooLarge
 		}
 		d.respondFailure(req, code)
-		return r, false, nil
+		return false, nil
 	}
 	if d.crashAt(crashStage, req.Session, req.Seq) {
-		return r, false, errInjectedCrash
+		return false, errInjectedCrash
 	}
 	t0 := d.K.Now()
 	sp := d.reqSpan(req, obs.SpanFollowerCommit, r.shard)
-	err = commit(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), r.txid)
+	err = d.commitPlan(d.billSpan(ctx, costReqTrace(req), sp, r.shard, ""), *p, r.txid)
 	d.spanEnd(sp)
 	d.recordPhase("follower.commit", d.K.Now()-t0)
-	if err == nil {
-		return r, true, nil
-	}
 	// Lost the lease: the leader's TryCommit may still save the
 	// transaction; nothing more to do here.
-	return r, false, nil
-}
-
-// commitLocked is step ④ of a single-op message committing at txid, as the
-// follower runs it and as the leader replays it for a dead one (TryCommit).
-// It applies the updates to the items the op locked — held is the node's
-// lock, then the parent's if the op has one — and releases the locks in the
-// same conditional write: one update when the op touches one item, one
-// transaction in which the node and its parent fail or succeed together
-// (Section 3.1) otherwise.
-func (d *Deployment) commitLocked(ctx cloud.Ctx, held []fksync.Lock, msg leaderMsg, txid int64) error {
-	if len(held) == 1 {
-		// A set_data: its two actions and the pending append fit a stack
-		// buffer, which the transaction below would make escape.
-		var buf [3]kv.Update
-		node, _ := commitUpdates(buf[:0], nil, msg.change, txid)
-		_, err := d.Locks.CommitUnlock(ctx, held[0], append(node, pendingAppend(txid)))
-		return err
-	}
-	// Room for a create's node actions, an ephemeral owner's among them,
-	// and the pending append.
-	node, parent := commitUpdates(make([]kv.Update, 0, 9), nil, msg.change, txid)
-	return d.Locks.CommitUnlockTx(ctx, []fksync.TxPart{
-		{Lock: held[0], Updates: append(node, pendingAppend(txid))},
-		{Lock: held[1], Updates: parent},
-	})
+	return err == nil, nil
 }
 
 // followerDeregister closes a session: every ephemeral node it owns is
@@ -351,12 +354,6 @@ func (d *Deployment) pushToShard(ctx cloud.Ctx, msg leaderMsg) (routed, error) {
 		d.lastSeq[msg.Session] = msg.Seq
 	}
 	return routed{txid: shardTxid(seqNo, msg.Shard, d.NumShards()), shard: msg.Shard}, err
-}
-
-func (d *Deployment) unlockAll(ctx cloud.Ctx, locks ...fksync.Lock) {
-	for _, l := range locks {
-		_ = d.Locks.Release(ctx, l)
-	}
 }
 
 // crashAt asks the kernel's fault hook (package chaos) whether the

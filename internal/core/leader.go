@@ -420,21 +420,13 @@ func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, n
 }
 
 // replayCommit is ➋: the leader runs the commit (④) of a follower that died
-// after its push, under the locks the follower held, rebuilt from the
-// timestamps the message carries: every item a multi() locked (multiParts),
-// or a single op's node, then its parent if the op has one. The replay only
-// succeeds while they are still in place, which is exactly the
-// crashed-follower window.
-func (d *Deployment) replayCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) {
-	if msg.Op == OpMulti {
-		_ = d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid))
-		return
-	}
-	held := []fksync.Lock{{Key: nodeKey(msg.Path), Timestamp: msg.LockTs}}
-	if msg.ParentPath != "" {
-		held = append(held, fksync.Lock{Key: nodeKey(msg.ParentPath), Timestamp: msg.ParentLockTs})
-	}
-	_ = d.commitLocked(ctx, held, msg, txid)
+// after its push, rebuilt from the message (leaderMsg.plan): its changes,
+// under the locks the follower held. The replay only succeeds while they are
+// still in place, which is exactly the crashed-follower window.
+func (d *Deployment) replayCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) error {
+	var one [1]change
+	var items [2]planItem
+	return d.commitPlan(ctx, msg.plan(&one, &items), txid)
 }
 
 // buildUserNode assembles the user-store object for one committed change:

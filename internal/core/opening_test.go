@@ -140,7 +140,7 @@ func TestOpeningReadIsOneRoundTrip(t *testing.T) {
 func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 	const txid = 9
 	commit := func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-		_ = d.commitLocked(ctx, []fksync.Lock{lock}, msg, txid)
+		_ = d.replayCommit(ctx, msg, txid)
 	}
 	for _, tc := range []struct {
 		name string

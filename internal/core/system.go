@@ -115,9 +115,9 @@ func decodeSysNode(it kv.Item) sysNode {
 		Mzxid:    it.Get(attrMzxid).Num(),
 		Pzxid:    it.Get(attrPzxid).Num(),
 		// Children is copied: the item may be a read-only view of table
-		// storage, and a multi()'s speculative state appends to the list
-		// (validateMultiOp). Pending and Watches stay views — all uses are
-		// read-only.
+		// storage, and a write's speculative state changes the list in
+		// place (plan.validate). Pending and Watches stay views — all uses
+		// are read-only.
 		Children: append([]string(nil), it.Get(attrChildren).SL()...),
 		EphOwner: it.Get(attrEph).Str(),
 		SeqCtr:   it.Get(attrSeq).Num(),

@@ -1,27 +1,27 @@
 package core
 
-// multi() transactions (package txn). The follower function handling the
-// OpMulti request runs one, so it inherits the session's FIFO position and
-// the queue's redelivery-based retry.
+// The plan: what the follower's one write path (followerWrite) holds
+// between its lock and its commit, for a single create, set_data or delete
+// and for a multi() of them (package txn) alike — a single op is a
+// one-change plan. The follower locks every touched item (global
+// lexicographic order, which puts a parent before its node) and validates
+// the ops in order against the items' speculative state, pushes ONE message
+// to the shard's leader queue, and commits every locked item under its lock
+// timestamp in ONE conditional write (commitPlan): an update for one item, a
+// transaction for more, which lands whole or not at all. The shard's
+// serialized leader applies the message like any write, and replays the
+// commit from the message (leaderMsg.plan) for a follower that died.
 //
-// A multi() commits on one shard's pipeline, like a single op: lock each
-// touched item (global lexicographic order) and validate the ops against a
-// speculative state, push ONE OpMulti message to the shard's leader queue,
-// and commit every item in ONE multi-item conditional transaction under the
-// follower's lock timestamps. That transaction lands whole or not at all,
-// and the shard's serialized leader applies the message like any write,
-// replaying the commit under the same locks for a follower that died.
-//
-// The effectful ops must resolve onto one shard; a check may sit on any,
-// because the locks prove every guard at one instant. A multi() whose
-// effectful ops span shards is answered here, after validation, with its
-// locks released and nothing pushed: the first op on a second shard carries
-// CodeCrossShard and its siblings CodeTxnAborted. Paths under one top-level
-// node share a shard (ShardOf), and on the paper's one-shard deployment
-// every multi() commits.
+// A multi()'s effectful ops must resolve onto one shard; a check may sit on
+// any, because the locks prove every guard at one instant. A multi() whose
+// effectful ops span shards is answered at the follower, after validation,
+// with its locks released and nothing pushed: the first op on a second shard
+// carries CodeCrossShard and its siblings CodeTxnAborted. Paths under one
+// top-level node share a shard (ShardOf), and on the paper's one-shard
+// deployment every multi() commits.
 
 import (
-	"sort"
+	"slices"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
@@ -31,131 +31,155 @@ import (
 	"faaskeeper/internal/znode"
 )
 
-// multiPlan is a multi()'s prepared state: every touched item locked, every
-// op validated into its change.
-type multiPlan struct {
+// planItem is one item a plan locked. state is its speculative state:
+// later ops of a multi() validate against the earlier ops' effects
+// (ZooKeeper validates multi ops sequentially against the evolving state).
+type planItem struct {
+	path  string
+	lock  fksync.Lock
+	state sysNode
+}
+
+// plan is a write's prepared state: every touched item locked, in
+// acquisition order, and every op validated into its change. A plan holds a
+// handful of items (a single op's node and parent), so lookups are linear.
+type plan struct {
 	ops   []change
-	locks map[string]fksync.Lock
-	order []string // lock acquisition order
-	// specs is the speculative state of every locked item: later ops of the
-	// same multi validate against the earlier ops' effects (ZooKeeper
-	// validates multi ops sequentially against the evolving state).
-	specs map[string]*sysNode
+	items []planItem
+}
+
+// find returns the index of path's item, or -1.
+func (p *plan) find(path string) int {
+	for i := range p.items {
+		if p.items[i].path == path {
+			return i
+		}
+	}
+	return -1
 }
 
 // acquire locks one item (idempotently) and seeds its speculative state.
-func (p *multiPlan) acquire(d *Deployment, ctx cloud.Ctx, path string) error {
-	if _, held := p.locks[path]; held {
-		return nil
+func (p *plan) acquire(d *Deployment, ctx cloud.Ctx, path string) (int, error) {
+	if i := p.find(path); i >= 0 {
+		return i, nil
 	}
 	lock, node, err := d.lockNode(ctx, path)
 	if err != nil {
-		return err
+		return -1, err
 	}
-	p.locks[path] = lock
-	p.order = append(p.order, path)
-	p.specs[path] = &node
-	return nil
+	i := len(p.items)
+	p.items = p.items[:i+1] // within the room prepare made
+	p.items[i] = planItem{path: path, lock: lock, state: node}
+	return i, nil
 }
 
-// unlock releases every lock the plan holds (the paths that give up).
-func (p *multiPlan) unlock(d *Deployment, ctx cloud.Ctx) {
-	for _, path := range p.order {
-		_ = d.Locks.Release(ctx, p.locks[path])
+// unlock releases every lock the plan holds, the last taken first (the
+// paths that give up).
+func (p *plan) unlock(d *Deployment, ctx cloud.Ctx) {
+	for i := len(p.items) - 1; i >= 0; i-- {
+		_ = d.Locks.Release(ctx, p.items[i].lock)
 	}
 }
 
-// prepareMulti locks every touched item in global lexicographic order and
-// validates the ops speculatively. On success the locks are still held.
-// On validation failure every lock is released and the failing op's index
-// and code are returned (failIdx >= 0). err is infrastructure-only.
-func (d *Deployment) prepareMulti(ctx cloud.Ctx, req Request, reqOps []txn.Op) (plan *multiPlan, failIdx int, code Code, err error) {
-	plan = &multiPlan{locks: map[string]fksync.Lock{}, specs: map[string]*sysNode{}}
-	// The statically known paths: every op's node and the parent a create
+// prepare locks every item the ops touch and validates the ops, in order,
+// into p's changes. On a rejection it returns the failing op's index and
+// code with the locks still held; err is infrastructure-only.
+func (p *plan) prepare(d *Deployment, ctx cloud.Ctx, ops []txn.Op, session string) (int, Code, error) {
+	// The statically known items: every op's node and the parent a create
 	// or delete splices (a sequential create's node is named only during
 	// validation).
-	seen := map[string]bool{}
-	var static []string
-	note := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			static = append(static, p)
+	var buf [2]string
+	static, named := buf[:0], 0
+	note := func(path string) {
+		if !slices.Contains(static, path) {
+			static = append(static, path)
 		}
 	}
-	for _, op := range reqOps {
-		switch op.Type {
-		case txn.OpCreate:
+	for _, op := range ops {
+		code := OpCode(op.Type)
+		if splicesParent(code) {
 			if op.Path == znode.Root {
 				continue // validation will reject it
 			}
 			note(znode.Parent(op.Path))
-			if op.Flags&znode.FlagSequential == 0 {
-				note(op.Path)
-			}
-		case txn.OpDelete:
-			if op.Path == znode.Root {
-				continue
-			}
-			note(znode.Parent(op.Path))
+		}
+		if code != OpCreate || op.Flags&znode.FlagSequential == 0 {
 			note(op.Path)
-		default:
-			note(op.Path)
+		} else {
+			named++
 		}
 	}
-	// Lexicographic order is deadlock-free against single ops and other
-	// multis: a parent is a strict prefix of its children, so the global
-	// order refines the pipeline's parent-first rule. (Sequential-node
-	// paths resolve during validation and may lock out of order; the timed
-	// lease bounds the rare resulting contention.)
-	sort.Strings(static)
-	t0 := d.K.Now()
-	for _, p := range static {
-		if err := plan.acquire(d, ctx, p); err != nil {
-			plan.unlock(d, ctx)
-			return nil, -1, CodeSystemError, err
-		}
+	// Make room for every item and change up front: p grows by reslicing,
+	// because storing append's result through p would move a single op's
+	// buffers (followerWrite's stack) to the heap.
+	if n := len(static) + named; cap(p.items) < n {
+		p.items = make([]planItem, 0, n)
 	}
-	for i, op := range reqOps {
-		c, code, err := d.validateMultiOp(ctx, plan, op, req.Session)
+	if cap(p.ops) < len(ops) {
+		p.ops = make([]change, 0, len(ops))
+	}
+	// Lexicographic order is deadlock-free against other writes: a parent
+	// is a strict prefix of its children, so the global order refines the
+	// pipeline's parent-first rule. (Sequential-node paths resolve during
+	// validation and may lock out of order; the timed lease bounds the rare
+	// resulting contention.)
+	slices.Sort(static)
+	// The first op's parent check runs as soon as its parent is held, so a
+	// create that cannot succeed gives up before it locks its node.
+	// Sequential validation would fail op 0 first anyway.
+	first, firstParent := OpCode(ops[0].Type), znode.Parent(ops[0].Path)
+	for _, path := range static {
+		i, err := p.acquire(d, ctx, path)
 		if err != nil {
-			plan.unlock(d, ctx)
-			return nil, -1, CodeSystemError, err
+			return -1, CodeSystemError, err
 		}
-		if code != CodeOK {
-			plan.unlock(d, ctx)
-			return nil, i, code, nil
+		if path == firstParent {
+			if code := checkParent(first, p.items[i].state); code != CodeOK {
+				return 0, code, nil
+			}
 		}
-		plan.ops = append(plan.ops, c)
 	}
-	d.recordPhase("txn.prepare", d.K.Now()-t0)
-	return plan, -1, CodeOK, nil
+	for i, op := range ops {
+		c, code, err := p.validate(d, ctx, op, session)
+		if err != nil || code != CodeOK {
+			return i, code, err
+		}
+		p.ops = p.ops[:i+1]
+		p.ops[i] = c
+	}
+	return -1, CodeOK, nil
 }
 
-// validateMultiOp runs one op through the write-op table against the plan's
-// speculative state — the checks followerWrite runs against the stored one
-// — and on success builds its change from that state, as followerWrite does
-// from the stored one, and applies its effect to the state.
-func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, session string) (change, Code, error) {
+// validate runs one op through the write-op table against the plan's
+// speculative state, builds its change from that state and applies the
+// change's effect to it. For a single op, and a multi()'s first op on each
+// item, the speculative state is the one stored under the lock.
+func (p *plan) validate(d *Deployment, ctx cloud.Ctx, op txn.Op, session string) (change, Code, error) {
 	code := OpCode(op.Type)
 	if c := checkPath(code, op.Path); c != CodeOK {
 		return change{}, c, nil
 	}
 	path := op.Path
 	parent := &sysNode{} // stays empty for an op that splices none
+	pi := -1
 	if splicesParent(code) {
-		parent = plan.specs[znode.Parent(path)]
-		if c := checkParent(code, *parent); c != CodeOK {
+		pi = p.find(znode.Parent(path))
+		if c := checkParent(code, p.items[pi].state); c != CodeOK {
 			return change{}, c, nil
 		}
 		if code == OpCreate && op.Flags&znode.FlagSequential != 0 {
-			path = znode.SequentialName(path, parent.SeqCtr)
+			path = znode.SequentialName(path, p.items[pi].state.SeqCtr)
 		}
 	}
 	// Only a sequential create's resolved path is not locked yet.
-	if err := plan.acquire(d, ctx, path); err != nil {
+	ni, err := p.acquire(d, ctx, path)
+	if err != nil {
 		return change{}, CodeSystemError, err
 	}
-	node := plan.specs[path]
+	if pi >= 0 {
+		parent = &p.items[pi].state
+	}
+	node := &p.items[ni].state
 	if c := checkNode(code, path, op.Version, *node, *parent); c != CodeOK {
 		return change{}, c, nil
 	}
@@ -176,59 +200,87 @@ func (d *Deployment) validateMultiOp(ctx cloud.Ctx, plan *multiPlan, op txn.Op, 
 	case OpDelete:
 		node.Exists = false
 		parent.Cversion = c.Cversion
-		parent.Children = removeString(parent.Children, name)
+		// In place: the state's child list is its own copy (decodeSysNode).
+		parent.Children = slices.DeleteFunc(parent.Children, func(c string) bool { return c == name })
 	}
 	return c, CodeOK, nil
 }
 
-// multiUpdates rebuilds every touched item's system-store updates for a
-// multi()'s changes committing at txid: the table's per-op updates in op
-// order, then one pending append per target node (even when several sub-ops
-// touch it). touched lists every item in first-touch order, including
-// check-only ones (which get no updates).
-func multiUpdates(ops []change, txid int64) (touched []string, ups map[string][]kv.Update) {
-	ups = map[string][]kv.Update{}
-	touch := func(p string, u []kv.Update) {
-		if _, seen := ups[p]; !seen {
-			touched = append(touched, p)
-		}
-		ups[p] = append(ups[p], u...)
+// lockTs returns the timestamp of path's lock (0 when the plan holds none).
+func (p *plan) lockTs(path string) int64 {
+	if i := p.find(path); i >= 0 {
+		return p.items[i].lock.Timestamp
 	}
+	return 0
+}
+
+// commitPlan is step ④ of a plan committing at txid, as the follower runs
+// it and as the leader replays it for a dead one (TryCommit): every locked
+// item gets its changes' updates (itemUpdates) and its lock released in the
+// same conditional write — one update when the plan locked one item, one
+// transaction in which every item fails or succeeds together (Section 3.1)
+// otherwise.
+func (d *Deployment) commitPlan(ctx cloud.Ctx, p plan, txid int64) error {
+	if len(p.items) == 1 {
+		// A set_data: its two actions and the pending append fit a stack
+		// buffer, which the transaction below would make escape.
+		var buf [3]kv.Update
+		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, itemUpdates(buf[:0], p.ops, p.items[0].path, txid))
+		return err
+	}
+	parts := make([]fksync.TxPart, len(p.items))
+	for i := range p.items {
+		// Room for a create's node actions, an ephemeral owner's among them,
+		// and the pending append.
+		ups := itemUpdates(make([]kv.Update, 0, 9), p.ops, p.items[i].path, txid)
+		parts[i] = fksync.TxPart{Lock: p.items[i].lock, Updates: ups}
+	}
+	return d.Locks.CommitUnlockTx(ctx, parts)
+}
+
+// itemUpdates appends to ups the updates the changes make to the item at
+// path committing at txid: the table's per-op updates in op order, then one
+// pending append if an effectful op targets the item (once, however many
+// do).
+func itemUpdates(ups []kv.Update, ops []change, path string, txid int64) []kv.Update {
+	target := false
 	for _, c := range ops {
-		node, parent := commitUpdates(nil, nil, c, txid)
-		touch(c.Path, node)
-		if c.ParentPath != "" {
-			touch(c.ParentPath, parent)
+		switch path {
+		case c.Path:
+			ups = nodeUpdates(ups, c, txid)
+			target = target || c.effectful()
+		case c.ParentPath:
+			ups = parentUpdates(ups, c, txid)
 		}
 	}
-	for _, p := range txnTargets(ops) {
-		ups[p] = append(ups[p], pendingAppend(txid))
+	if target {
+		ups = append(ups, pendingAppend(txid))
 	}
-	return touched, ups
+	return ups
 }
 
-// itemLocks rebuilds a multi() message's timed locks, in acquisition order.
-func (m leaderMsg) itemLocks() []fksync.Lock {
-	locks := make([]fksync.Lock, len(m.ItemPaths))
-	for i, p := range m.ItemPaths {
-		locks[i].Key = nodeKey(p)
-		if i < len(m.ItemLockTs) {
-			locks[i].Timestamp = m.ItemLockTs[i]
+// plan rebuilds the plan m's follower committed, for the leader's replay of
+// its commit: the changes, and every item it locked in acquisition order
+// with the lock's timestamp — a multi()'s ItemPaths, a single op's parent
+// (if it splices one), then its node. A single op's plan lives in the
+// caller's buffers.
+func (m *leaderMsg) plan(one *[1]change, buf *[2]planItem) plan {
+	paths, ts := m.ItemPaths, m.ItemLockTs
+	if m.Op != OpMulti {
+		paths, ts = []string{m.ParentPath, m.Path}, []int64{m.ParentLockTs, m.LockTs}
+		if m.ParentPath == "" {
+			paths, ts = paths[1:], ts[1:]
 		}
 	}
-	return locks
-}
-
-// multiParts is step ④ of a multi() message committing at txid: every
-// touched node and parent, each under its own lock. The follower and a
-// leader acting for a dead one both commit exactly these.
-func multiParts(m leaderMsg, txid int64) []fksync.TxPart {
-	_, ups := multiUpdates(m.Ops, txid)
-	parts := make([]fksync.TxPart, len(m.ItemPaths))
-	for i, l := range m.itemLocks() {
-		parts[i] = fksync.TxPart{Lock: l, Updates: ups[m.ItemPaths[i]]}
+	p := plan{ops: m.changes(one), items: buf[:0]}
+	for i, path := range paths {
+		it := planItem{path: path, lock: fksync.Lock{Key: nodeKey(path)}}
+		if i < len(ts) {
+			it.lock.Timestamp = ts[i]
+		}
+		p.items = append(p.items, it)
 	}
-	return parts
+	return p
 }
 
 // anchorPath names a multi() message's Path field: its first effectful
@@ -240,19 +292,6 @@ func anchorPath(ops []change) string {
 		}
 	}
 	return znode.Root
-}
-
-// txnTargets lists the effectful ops' node paths in first-touch order.
-func txnTargets(ops []change) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range ops {
-		if c.effectful() && !seen[c.Path] {
-			seen[c.Path] = true
-			out = append(out, c.Path)
-		}
-	}
-	return out
 }
 
 // respondMultiAbort answers a multi() the follower rejects: the failing op
@@ -275,104 +314,4 @@ func (d *Deployment) respondMulti(req Request, code Code, results []txn.Result) 
 	d.stageReq(req, obs.StageRespond)
 	resp := Response{Session: req.Session, Seq: req.Seq, Code: code, Path: req.Path, MultiResults: results}
 	d.notify(req.Session, resp, resp.wireSize())
-}
-
-// --- the follower side ---
-
-// followerMulti handles an OpMulti request: validate statically, lock and
-// validate every op into its change, and commit on the one shard the
-// changes write.
-func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
-	reqOps, err := txn.DecodeOps(req.Data)
-	if err != nil || len(reqOps) == 0 {
-		d.respondFailure(req, CodeSystemError)
-		return nil
-	}
-	for i, op := range reqOps {
-		if err := znode.ValidatePath(op.Path); err != nil {
-			d.respondMultiAbort(req, reqOps, i, CodeSystemError)
-			return nil
-		}
-		if len(op.Data) > MaxNodeB {
-			d.respondMultiAbort(req, reqOps, i, CodeTooLarge)
-			return nil
-		}
-	}
-	plan, failIdx, code, err := d.prepareMulti(ctx, req, reqOps)
-	if err != nil {
-		d.respondFailure(req, CodeSystemError)
-		return nil
-	}
-	if failIdx >= 0 {
-		d.respondMultiAbort(req, reqOps, failIdx, code)
-		return nil
-	}
-	// Route on the RESOLVED paths: a top-level sequential create may land
-	// in another shard than the path its request named. (The changes are
-	// index-aligned with the request's ops.)
-	shard := -1
-	for i, c := range plan.ops {
-		if !c.effectful() {
-			continue
-		}
-		if s := d.route.ShardFor(c.Path); shard < 0 {
-			shard = s
-		} else if s != shard {
-			plan.unlock(d, ctx)
-			d.respondMultiAbort(req, reqOps, i, CodeCrossShard)
-			return nil
-		}
-	}
-	if shard < 0 {
-		// Checks only: the locks proved every guard at one instant.
-		plan.unlock(d, ctx)
-		results := make([]txn.Result, len(plan.ops))
-		for i, c := range plan.ops {
-			results[i] = txn.Result{Type: txn.OpType(c.Op), Path: c.Path, Code: txn.CodeOK}
-		}
-		d.respondMulti(req, CodeOK, results)
-		return nil
-	}
-	return d.multiFastPath(ctx, req, plan, shard)
-}
-
-// multiFastPath commits a multi() through the existing pipeline: one
-// leader message, one multi-item system-store transaction. The timed locks
-// held across the commit and the shard's serialized leader give atomicity
-// and isolation for free.
-func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, plan *multiPlan, shard int) error {
-	msg := leaderMsg{
-		Session: req.Session, Seq: req.Seq, change: change{Op: OpMulti, Path: anchorPath(plan.ops)}, Shard: shard,
-		Ops: plan.ops, ItemPaths: plan.order, ItemLockTs: make([]int64, len(plan.order)),
-	}
-	for i, p := range plan.order {
-		msg.ItemLockTs[i] = plan.locks[p].Timestamp
-	}
-	// Ephemeral creates go on their session records before the push, for
-	// a single create's reason (recordEphemeral).
-	for _, c := range plan.ops {
-		if c.Op == OpCreate && c.EphOwner != "" {
-			if err := d.recordEphemeral(ctx, c.EphOwner, c.Path); err != nil {
-				plan.unlock(d, ctx)
-				d.respondFailure(req, CodeSystemError)
-				return nil
-			}
-		}
-	}
-	// ③–④ One message, one multi-item commit: every touched node and
-	// parent fails or succeeds together, and the pending appends hand the
-	// transaction to the shard's serialized leader.
-	_, committed, err := d.pushAndCommit(ctx, req, msg, obs.StageTxnPrep, msg.itemLocks(),
-		func(ctx cloud.Ctx, txid int64) error {
-			return d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid))
-		})
-	if committed {
-		for _, c := range plan.ops {
-			// A path the same multi() created again keeps its entry.
-			if c.Op == OpDelete && c.EphOwner != "" && !plan.specs[c.Path].Exists {
-				d.forgetEphemeral(ctx, c.EphOwner, c.Path)
-			}
-		}
-	}
-	return err
 }

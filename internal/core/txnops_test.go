@@ -1,7 +1,7 @@
 package core
 
-// Tests of multi() on the leader and at the follower: the fast path's
-// commit check, and the determinate answer to a multi() whose effectful
+// Tests of multi() on the leader and at the follower: the commit check, the
+// one-item commit, and the determinate answer to a multi() whose effectful
 // ops span shards. They drive the deployment through pipeline_test.go's
 // in-package session and read the system store directly.
 
@@ -10,10 +10,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/fksync"
+	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
@@ -77,6 +79,64 @@ func TestMultiCrossShardRejected(t *testing.T) {
 	r.run()
 }
 
+// TestOneItemMultiCommitsWithOneUpdate: a multi() that locked one item —
+// set /a, or check /a and set /a — commits as a set_data does, with one
+// conditional update and no transaction: at the follower, and in the
+// leader's replay for a follower that died at its crash point. Here a
+// system-store transaction takes an hour (KVTxPenalty), so an answer within
+// a minute is one no transaction delayed.
+func TestOneItemMultiCommitsWithOneUpdate(t *testing.T) {
+	set := []txn.Op{txn.SetData("/a", []byte("1"), -1)}
+	checkSet := []txn.Op{txn.Check("/a", 0), txn.SetData("/a", []byte("1"), 0)}
+	for _, tc := range []struct {
+		name  string
+		ops   []txn.Op
+		crash bool // the follower dies between its push and its commit
+	}{
+		{"set", set, false},
+		{"check, set", checkSet, false},
+		{"set, replayed", set, true},
+		{"check, set, replayed", checkSet, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crashed := false
+			hook := &pipeFaults{crash: func(stage, _ string, _ int64) bool {
+				if !tc.crash || stage != obs.StageTxnPrep || crashed {
+					return false
+				}
+				crashed = true
+				return true
+			}}
+			r := newPipeRig(t, 11, Config{}, hook)
+			var resp Response
+			var took sim.Time
+			var a sysNode
+			r.k.Go("client", func() {
+				s := r.open("w")
+				s.do(OpCreate, "/a", "0")
+				r.k.Sleep(sim.Ms(1000))
+				r.d.Env.Profile.KVTxPenalty = sim.Const(time.Hour)
+				t0 := r.k.Now()
+				resp = s.send(Request{Op: OpMulti, Path: "/a", Data: txn.EncodeOps(tc.ops)}).Wait()
+				took = r.k.Now() - t0
+				r.k.Sleep(sim.Ms(200))
+				r.settle()
+				a = r.sysNode("/a")
+				if res := txnResidue(r.d, s.ctx); len(res) > 0 {
+					t.Errorf("left behind: %v", res)
+				}
+			})
+			r.run()
+			if crashed != tc.crash || resp.Code != CodeOK || a.Version != 1 {
+				t.Fatalf("crashed %v, answered %s, /a at version %d; want crashed %v, ok, version 1", crashed, resp.Code, a.Version, tc.crash)
+			}
+			if took > time.Minute {
+				t.Errorf("answered after %v: the commit ran a transaction", took)
+			}
+		})
+	}
+}
+
 // sysNode reads path's control record. It must run inside a sim process.
 func (r *pipeRig) sysNode(path string) sysNode {
 	it, _ := r.d.System.GetView(cloud.ClientCtx(r.d.Cfg.Profile.Home), nodeKey(path), true)
@@ -114,15 +174,15 @@ func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...st
 		msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
 		msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte(data), "", decodeSysNode(item), sysNode{}))
 	}
-	if err := r.d.Locks.CommitUnlockTx(s.ctx, multiParts(msg, txid)); err != nil {
+	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
 		r.t.Fatalf("commit: %v", err)
 	}
 	s.futs[s.seq] = sim.NewFuture[Response](r.k)
 	return msg
 }
 
-// TestTxnCommitCheck is TestOpeningReadFeedsAwaitCommit for a fast-path
-// multi() message: it delivers one multi() setting /a and /b to the handler
+// TestTxnCommitCheck is TestOpeningReadFeedsAwaitCommit for a multi()
+// message: it delivers one multi() setting /a and /b to the handler
 // by hand, in the states a first or repeated delivery can find the two
 // pending lists in, and checks the leader's commit check (➊/➋) against each
 // — an orphan pop ends its poll and the next one reads only the target not
@@ -133,7 +193,7 @@ func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...st
 func TestTxnCommitCheck(t *testing.T) {
 	const txid = 9
 	commit := func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
-		if err := d.Locks.CommitUnlockTx(ctx, multiParts(msg, txid)); err != nil {
+		if err := d.replayCommit(ctx, msg, txid); err != nil {
 			t.Errorf("commit: %v", err)
 		}
 	}

@@ -48,7 +48,7 @@ func testTxnMsgs() []leaderMsg {
 	}
 }
 
-// testMultiMsg is a multi() message as multiFastPath builds it: a create, a
+// testMultiMsg is a multi() message as followerWrite builds it: a create, a
 // delete and a check under /t, validated against stored states, with the
 // lock of every item it touches.
 func testMultiMsg() leaderMsg {

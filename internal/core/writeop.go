@@ -2,9 +2,10 @@ package core
 
 // The write-op table: what create, set_data and delete require of the
 // locked items, what they send to the leader and what they write to the
-// system store — defined once. The follower (Algorithm 1), the leader's
-// commit replay (Algorithm 2's TryCommit) and both multi() paths read it,
-// so a rule cannot hold on one of them and drift on another.
+// system store — defined once. The follower's one write path (Algorithm 1,
+// followerWrite: a single op is a one-change plan, a multi() a plan of
+// several) and the leader's replay of its commit (Algorithm 2's TryCommit)
+// read it, so a rule cannot hold on one of them and drift on another.
 //
 //	op        locks (in order)   checks, in order                        node item                      parent item
 //	create    parent, node       parent: no_node, no_children_for_eph;   exists=1, version=cversion=0,  children+=name, cversion+1,
@@ -42,9 +43,10 @@ func checkPath(op OpCode, path string) Code {
 	return CodeOK
 }
 
-// checkParent is the first locked stage: it runs once the parent is
-// locked, so a create that cannot succeed gives up before locking the node.
-// (A delete's parent rule comes last in ZooKeeper's order: checkNode.)
+// checkParent is the first locked stage. For a write's first op it runs as
+// soon as the parent is locked (plan.prepare), so a create that cannot
+// succeed gives up before locking the node. (A delete's parent rule comes
+// last in ZooKeeper's order: checkNode.)
 func checkParent(op OpCode, parent sysNode) Code {
 	switch {
 	case op != OpCreate:
@@ -85,8 +87,8 @@ func checkNode(op OpCode, path string, version int32, node, parent sysNode) Code
 }
 
 // validatedChange builds the change a validated op sends to the leader
-// (step ③ of Algorithm 1) from the states read under the locks — the stored
-// ones for a single op, the plan's speculative ones for a multi()'s sub-op.
+// (step ③ of Algorithm 1) from the plan's speculative states: the ones read
+// under the locks, as the write's earlier ops left them.
 // path is the final path (a sequential create's suffix resolved); owner is
 // the ephemeral owner a create stamps.
 func validatedChange(op OpCode, path string, data []byte, owner string, node, parent sysNode) change {
@@ -114,20 +116,20 @@ func validatedChange(op OpCode, path string, data []byte, owner string, node, pa
 	return c
 }
 
-// commitUpdates is the system-store effect of one validated op committing
-// at txid: it appends the updates to its node item to node and those to its
-// parent's to parent (nothing where the op has none). The follower's step
-// ④, the leader's replay of it and the transaction paths all write exactly
-// these. Appending lets a set_data commit build its list in a stack buffer
-// (commitLocked).
-func commitUpdates(node, parent []kv.Update, c change, txid int64) ([]kv.Update, []kv.Update) {
+// nodeUpdates appends to ups the system-store effect of one validated op
+// committing at txid on its node item, and parentUpdates the effect on its
+// parent's (nothing where the op has none) — the table's last two columns.
+// The follower's step ④ and the leader's replay of it write exactly these
+// (itemUpdates). Appending lets a set_data commit build its list in a stack
+// buffer (commitPlan).
+func nodeUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
 	switch c.Op {
 	case OpSetData:
-		node = append(node,
+		return append(ups,
 			kv.Set{Name: attrVersion, V: kv.N(int64(c.Version))},
 			kv.Set{Name: attrMzxid, V: kv.N(txid)})
 	case OpCreate:
-		node = append(node,
+		ups = append(ups,
 			kv.Set{Name: attrExists, V: kv.N(1)},
 			kv.Set{Name: attrVersion, V: kv.N(0)},
 			kv.Set{Name: attrCversion, V: kv.N(0)},
@@ -136,26 +138,34 @@ func commitUpdates(node, parent []kv.Update, c change, txid int64) ([]kv.Update,
 			kv.Set{Name: attrPzxid, V: kv.N(txid)},
 			kv.Set{Name: attrChildren, V: kv.StrList()})
 		if c.EphOwner != "" {
-			node = append(node, kv.Set{Name: attrEph, V: kv.S(c.EphOwner)})
+			ups = append(ups, kv.Set{Name: attrEph, V: kv.S(c.EphOwner)})
 		}
-		parent = append(parent,
+	case OpDelete:
+		// A tombstone (exists=0): the item stays so the leader can track
+		// the pending transaction, and collects it after the pop.
+		return append(ups,
+			kv.Set{Name: attrExists, V: kv.N(0)},
+			kv.Set{Name: attrMzxid, V: kv.N(txid)},
+			kv.Remove{Name: attrEph})
+	}
+	return ups
+}
+
+func parentUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
+	switch c.Op {
+	case OpCreate:
+		return append(ups,
 			kv.StrListAppend{Name: attrChildren, Vals: []string{c.ChildAdd}},
 			kv.Add{Name: attrCversion, Delta: 1},
 			kv.Add{Name: attrSeq, Delta: 1},
 			kv.Set{Name: attrPzxid, V: kv.N(txid)})
 	case OpDelete:
-		// A tombstone (exists=0): the item stays so the leader can track
-		// the pending transaction, and collects it after the pop.
-		node = append(node,
-			kv.Set{Name: attrExists, V: kv.N(0)},
-			kv.Set{Name: attrMzxid, V: kv.N(txid)},
-			kv.Remove{Name: attrEph})
-		parent = append(parent,
+		return append(ups,
 			kv.StrListRemove{Name: attrChildren, Vals: []string{c.ChildDel}},
 			kv.Add{Name: attrCversion, Delta: 1},
 			kv.Set{Name: attrPzxid, V: kv.N(txid)})
 	}
-	return node, parent
+	return ups
 }
 
 // pendingAppend enters txid into a target node's pending list.

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"faaskeeper/internal/cloud/kv"
-	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
@@ -235,6 +234,56 @@ func TestSingleOpMatchesOneOpMulti(t *testing.T) {
 	}
 }
 
+// TestCreateGivesUpAtItsParent: a create under a missing parent or under an
+// ephemeral one gives up as soon as it holds its parent's lock, alone and as
+// the first op of a multi() — whose other op sorts after it and would be
+// locked next. It takes exactly one lock, the parent's: the follower makes
+// two system-store writes (that lock and its release), and the node it would
+// have created leaves no item behind, not even a released lock's husk.
+func TestCreateGivesUpAtItsParent(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		multi bool
+		path  string
+		want  Code
+	}{
+		{"missing parent", false, "/q/n", CodeNoNode},
+		{"ephemeral parent", false, "/e/n", CodeNoChildrenEph},
+		{"missing parent, multi()", true, "/q/n", CodeNoNode},
+		{"ephemeral parent, multi()", true, "/e/n", CodeNoChildrenEph},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPipeRig(t, 5, Config{}, nil)
+			var code Code
+			var writes int64
+			var husk bool
+			r.k.Go("client", func() {
+				s := r.open("c")
+				s.send(Request{Op: OpCreate, Path: "/e", Flags: znode.FlagEphemeral}).Wait()
+				s.do(OpCreate, "/z", "0")
+				r.k.Sleep(sim.Ms(1000))
+				req := Request{Op: OpCreate, Path: tc.path, Data: []byte("x"), Version: -1}
+				if tc.multi {
+					ops := []txn.Op{txn.Create(tc.path, []byte("x"), 0), txn.SetData("/z", []byte("1"), -1)}
+					req = Request{Op: OpMulti, Path: tc.path, Data: txn.EncodeOps(ops)}
+				}
+				_, w0 := syskv(r.d)
+				code = s.send(req).Wait().Code
+				_, w1 := syskv(r.d)
+				writes = w1 - w0
+				_, husk = r.d.System.Peek(nodeKey(tc.path))
+			})
+			r.run()
+			if code != tc.want {
+				t.Errorf("answered %s, want %s", code, tc.want)
+			}
+			if writes != 2 || husk {
+				t.Errorf("%d system-store writes, an item left at %s: %v; want 2 (the parent's lock and its release) and none", writes, tc.path, husk)
+			}
+		})
+	}
+}
+
 func diffLines(t *testing.T, what string, single, multi []string) {
 	t.Helper()
 	if len(single) != len(multi) {
@@ -266,7 +315,7 @@ func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg 
 		Session: s.id, Seq: s.seq, LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
 		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node), decodeSysNode(parent)),
 	}
-	if err := r.d.commitLocked(s.ctx, []fksync.Lock{nodeLock, parentLock}, msg, txid); err != nil {
+	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
 		r.t.Fatalf("commit %s: %v", path, err)
 	}
 	s.futs[s.seq] = sim.NewFuture[Response](r.k)
@@ -306,7 +355,7 @@ func TestObjectIsTheSnapshotAtItsTxid(t *testing.T) {
 					Ops:       []change{validatedChange(OpSetData, "/p", []byte("1"), "", decodeSysNode(item), sysNode{})},
 					ItemPaths: []string{"/p"}, ItemLockTs: []int64{lock.Timestamp},
 				}
-				if err := r.d.Locks.CommitUnlockTx(s.ctx, multiParts(msg, set)); err != nil {
+				if err := r.d.replayCommit(s.ctx, msg, set); err != nil {
 					r.t.Fatalf("commit: %v", err)
 				}
 				s.futs[s.seq] = sim.NewFuture[Response](r.k)
