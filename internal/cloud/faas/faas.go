@@ -33,7 +33,9 @@ const sandboxIdleTTL = 10 * time.Minute
 // platform retry policy for event invocations.
 type Handler func(inv *Invocation) error
 
-// Invocation carries one function execution's inputs.
+// Invocation carries one function execution's inputs. A queue trigger
+// hands the same Invocation, and Messages in the same backing array, to its
+// next delivery: a handler keeps neither past its return.
 type Invocation struct {
 	K        *sim.Kernel
 	Ctx      cloud.Ctx // pre-scaled for the sandbox's memory/arch/vCPU
@@ -239,6 +241,10 @@ func (p *Platform) InvokeAsync(ctx cloud.Ctx, name string, payload []byte) *sim.
 // pollers; FaaSKeeper uses 1 on its FIFO queues so that a single function
 // instance processes a session's requests in order (Section 3.1). Failed
 // batches are retried up to the function's retry budget, then dropped.
+//
+// Each poller receives into one batch buffer and runs every delivery and
+// retry through one Invocation, both reset per delivery: the platform's
+// plumbing, not sandbox state.
 func (p *Platform) AddQueueTrigger(q *queue.Queue, name string, concurrency int) {
 	if concurrency <= 0 {
 		concurrency = 1
@@ -246,12 +252,15 @@ func (p *Platform) AddQueueTrigger(q *queue.Queue, name string, concurrency int)
 	f := p.Function(name)
 	for i := 0; i < concurrency; i++ {
 		p.env.K.Go(fmt.Sprintf("trigger:%s:%d", name, i), func() {
+			var batch []queue.Message
+			inv := new(Invocation)
 			for {
-				batch, ok := q.Receive(0)
-				if !ok {
+				var ok bool
+				if batch, ok = q.ReceiveInto(batch[:0], 0); !ok {
 					return
 				}
-				p.deliver(f, batch)
+				p.deliver(f, inv, batch)
+				clear(batch) // the buffer pins no message body
 			}
 		})
 	}
@@ -268,8 +277,9 @@ func (p *Platform) AddStreamTrigger(s *kv.Stream, name string) {
 	}
 	p.env.K.Go("stream-trigger:"+name, func() {
 		var seq int64
+		inv := new(Invocation)
 		for {
-			recs := s.Records.PopBatch(100, 10*sim.Ms(1))
+			recs := s.Records.PopBatch(nil, 100, 10*sim.Ms(1))
 			if len(recs) == 0 {
 				return
 			}
@@ -280,7 +290,7 @@ func (p *Platform) AddStreamTrigger(s *kv.Stream, name string) {
 				body, _ := marshalStreamRecord(r)
 				msgs[i] = queue.Message{SeqNo: r.SeqNo, GroupID: r.Key, Body: body, SentAt: p.env.K.Now()}
 			}
-			p.deliver(f, msgs)
+			p.deliver(f, inv, msgs)
 		}
 	})
 }
@@ -297,11 +307,12 @@ func (p *Platform) AddSchedule(name string, period sim.Time) {
 	})
 }
 
-func (p *Platform) deliver(f *Function, batch []queue.Message) {
+// deliver runs batch through f, with its retries and an injected
+// redelivery, each run on inv reset to a fresh invocation of the batch.
+func (p *Platform) deliver(f *Function, inv *Invocation, batch []queue.Message) {
 	for attempt := 1; ; attempt++ {
-		err := f.run(&Invocation{
-			K: p.env.K, Ctx: f.SandboxCtx(), Func: f, Messages: batch, Attempt: attempt,
-		})
+		*inv = Invocation{K: p.env.K, Ctx: f.SandboxCtx(), Func: f, Messages: batch, Attempt: attempt}
+		err := f.run(inv)
 		if err == nil {
 			break
 		}
@@ -317,9 +328,8 @@ func (p *Platform) deliver(f *Function, batch []queue.Message) {
 	// checks), so the duplicate's own error — including a further injected
 	// crash — is not retried.
 	if h := p.env.K.Fault(); h != nil && h.Redeliver(f.cfg.Name) {
-		_ = f.run(&Invocation{
-			K: p.env.K, Ctx: f.SandboxCtx(), Func: f, Messages: batch, Attempt: 2,
-		})
+		*inv = Invocation{K: p.env.K, Ctx: f.SandboxCtx(), Func: f, Messages: batch, Attempt: 2}
+		_ = f.run(inv)
 	}
 }
 

@@ -89,6 +89,37 @@ func TestWarmRunAllocations(t *testing.T) {
 	}
 }
 
+// TestWarmQueueDeliveryAllocations: a warm poller receives each batch into
+// the buffer of the one before and runs it through the same Invocation, so
+// a delivery allocates only the message body queue.Send copies.
+func TestWarmQueueDeliveryAllocations(t *testing.T) {
+	k, env, p := newPlatform(6)
+	q := queue.New(env, "reqs", cloud.QueueFIFO)
+	ran := sim.NewQueue[int](k)
+	p.Deploy(Config{Name: "noop"}, func(inv *Invocation) error {
+		ran.Push(len(inv.Messages))
+		return nil
+	})
+	p.AddQueueTrigger(q, "noop", 1)
+	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
+	body := []byte("request")
+	got := sim.AllocsPerRun(k, 200, func() {
+		if _, err := q.Send(ctx, "s", body); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if n, _ := ran.Pop(); n != 1 {
+			t.Fatalf("a batch of %d, want 1", n)
+		}
+	})
+	k.Shutdown()
+	if got != 1 {
+		t.Fatalf("warm queue-triggered delivery: %v allocations, want 1 (the body Send copies)", got)
+	}
+	if f := p.Function("noop"); f.ColdStarts() != 1 || f.Invocations() != 201 {
+		t.Fatalf("%d cold starts in %d runs, want 1 in 201", f.ColdStarts(), f.Invocations())
+	}
+}
+
 func TestSandboxExpiry(t *testing.T) {
 	k, _, p := newPlatform(3)
 	p.Deploy(Config{Name: "f", MemoryMB: 512}, func(inv *Invocation) error { return nil })

@@ -96,9 +96,14 @@ func (q *Queue) Send(ctx cloud.Ctx, groupID string, body []byte) (int64, error) 
 
 // Receive blocks until at least one message is available and returns a
 // batch of up to max messages (capped by the queue technology), after the
-// queue's delivery overhead. This is the poller API used by faas triggers.
-// ok is false once the queue is closed and drained.
-func (q *Queue) Receive(max int) ([]Message, bool) {
+// queue's delivery overhead. ok is false once the queue is closed and
+// drained.
+func (q *Queue) Receive(max int) ([]Message, bool) { return q.ReceiveInto(nil, max) }
+
+// ReceiveInto is Receive appending the batch to buf: the poller API of faas
+// triggers, each of which hands in its previous batch's buf[:0], so a warm
+// poller receives without allocating.
+func (q *Queue) ReceiveInto(buf []Message, max int) ([]Message, bool) {
 	if limit := q.MaxBatch(); max <= 0 || max > limit {
 		max = limit
 	}
@@ -117,9 +122,9 @@ func (q *Queue) Receive(max int) ([]Message, bool) {
 			q.env.K.Sleep(wait)
 		}
 	}
-	batch := q.buf.PopBatch(max, window)
-	if len(batch) == 0 {
-		return nil, false
+	batch := q.buf.PopBatch(buf, max, window)
+	if len(batch) == len(buf) {
+		return buf, false
 	}
 	q.env.K.Sleep(q.env.Profile.QueueDeliver[q.kind].Sample(q.env.K.Rand()))
 	if h := q.env.K.Fault(); h != nil {
@@ -128,7 +133,7 @@ func (q *Queue) Receive(max int) ([]Message, bool) {
 		}
 	}
 	if q.kind == cloud.QueueFIFO {
-		q.groupFreeAt = q.env.K.Now() + sim.Time(len(batch))*fifoGroupPacing
+		q.groupFreeAt = q.env.K.Now() + sim.Time(len(batch)-len(buf))*fifoGroupPacing
 	}
 	return batch, true
 }

@@ -123,6 +123,7 @@ import (
 
 	"faaskeeper/internal/cache"
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -327,7 +328,7 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 				n.Children = append(n.Children, name)
 			}
 		} else {
-			n.Children = removeString(n.Children, name)
+			n.Children = slices.DeleteFunc(slices.Clone(n.Children), func(c string) bool { return c == name })
 		}
 	}
 	if pf.cversion > n.Stat.Cversion {
@@ -349,10 +350,14 @@ type leaderShard struct {
 	// the shard's previous invocation carried (carry), then the completed
 	// chunk's. Like lastSeq it stands for warm sandbox memory: a cold
 	// invocation drops it (leaderHandler).
-	pops  []pendingPop
-	round claimRound     // the watch-claim round (queryWatches)
-	legs  []flushLeg     // one per user store, aligned with Deployment.Stores
-	wg    *sim.WaitGroup // the legs and the root splices join on it
+	pops []pendingPop
+	// msgs is the invocation's decoded batch (leaderHandler) and popCond
+	// the condition of the pop running (popPending): scratch, reset by each.
+	msgs    []decodedMsg
+	popCond kv.NumListHeadEq
+	round   claimRound     // the watch-claim round (queryWatches)
+	legs    []flushLeg     // one per user store, aligned with Deployment.Stores
+	wg      *sim.WaitGroup // the legs and the root splices join on it
 }
 
 // newLeaderShard builds a shard's slot, its legs named and their bodies
@@ -549,7 +554,7 @@ func (p *leaderRun) underFlush(cur *batchFold) {
 // completed chunk (closeDone). It reports how many pops it ran.
 func (p *leaderRun) retire() (pops int) {
 	for _, c := range p.pops {
-		p.d.popPending(c)
+		p.popPending(c)
 	}
 	pops = len(p.pops)
 	p.pops = p.pops[:0]
@@ -596,7 +601,7 @@ func (p *leaderRun) deferred(key string, txid int64) bool {
 // popDeferred runs the deferred pop on key now, if there is one.
 func (p *leaderRun) popDeferred(key string) {
 	if i := slices.IndexFunc(p.pops, func(c pendingPop) bool { return c.key == key }); i >= 0 {
-		p.d.popPending(p.pops[i])
+		p.popPending(p.pops[i])
 		p.pops = slices.Delete(p.pops, i, i+1)
 	}
 }
@@ -724,7 +729,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 	if popEarly {
 		for _, key := range targets {
 			p.popDeferred(key) // a carried entry ahead of ours goes first
-			d.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: dm.collect})
+			p.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: dm.collect})
 		}
 	}
 	return r, true

@@ -68,23 +68,28 @@ func (d *Deployment) readControls(ctx cloud.Ctx, keys []string, nodes []sysNode)
 func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	ctx := inv.Ctx
 	// A batch comes from exactly one shard's queue; decoding is free, so
-	// peel the messages first to learn the shard.
-	msgs := make([]decodedMsg, 0, len(inv.Messages))
-	shard := 0
+	// peel the messages first, into the slot of the shard the first names.
+	// The list never grows past its capacity: a message's keys point into it.
+	var ls *leaderShard
 	acksOnly := true
 	for _, m := range inv.Messages {
 		msg, err := decodeLeaderMsg(m.Body)
 		if err != nil {
 			continue
 		}
-		shard = msg.Shard
+		if ls == nil {
+			ls = d.leaders[msg.Shard]
+			ls.msgs = slices.Grow(ls.msgs[:0], len(inv.Messages))
+		}
 		acksOnly = acksOnly && msg.Op == OpDeregister
-		msgs = append(msgs, decodedMsg{msg: msg, txid: shardTxid(m.SeqNo, msg.Shard, d.NumShards())})
-		msgs[len(msgs)-1].index()
+		ls.msgs = append(ls.msgs, decodedMsg{msg: msg, txid: shardTxid(m.SeqNo, msg.Shard, d.NumShards())})
+		ls.msgs[len(ls.msgs)-1].index()
 	}
-	if len(msgs) == 0 {
+	if ls == nil {
 		return nil
 	}
+	msgs, shard := ls.msgs, ls.msgs[0].msg.Shard
+	defer clear(msgs) // the slot pins no message body between invocations
 	if d.costOn() {
 		traces := make([]int64, 0, len(msgs))
 		for _, dm := range msgs {
@@ -100,7 +105,6 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	// memory. A new sandbox starts without them, and so does the retry of a
 	// crashed one: their entries stay at the heads of their pending lists,
 	// where awaitCommit's orphan pop clears them.
-	ls := d.leaders[shard]
 	if inv.Cold {
 		ls.pops = ls.pops[:0]
 	}
@@ -240,11 +244,10 @@ func recordOf(keys []string, nodes []sysNode, path string) *sysNode {
 // delete garbage collect the tombstone once the list is empty (the pipeline
 // withholds it when a later operation in the same invocation targets the
 // path, whose commit may not have appended to the pending list yet).
-func (d *Deployment) popPending(c pendingPop) {
-	t0 := d.K.Now()
-	it, err := d.System.Update(c.ctx, c.key,
-		[]kv.Update{popPendingHead},
-		kv.NumListHeadEq{Name: attrPending, V: c.txid})
+func (p *leaderRun) popPending(c pendingPop) {
+	d, t0 := p.d, p.d.K.Now()
+	p.popCond = kv.NumListHeadEq{Name: attrPending, V: c.txid}
+	it, err := d.System.Update(c.ctx, c.key, popPendingHead, &p.popCond)
 	if err == nil && c.gc {
 		if after := decodeSysNode(it); !after.Exists && len(after.Pending) == 0 {
 			_ = d.System.Delete(c.ctx, c.key, collectible)
@@ -410,9 +413,7 @@ func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, n
 		case pending[0] > txid:
 			return false, true, false
 		default:
-			_, _ = p.d.System.Update(ctx, key,
-				[]kv.Update{popPendingHead},
-				kv.NumListHeadEq{Name: attrPending, V: pending[0]})
+			_, _ = p.d.System.Update(ctx, key, popPendingHead, kv.NumListHeadEq{Name: attrPending, V: pending[0]})
 			return false, false, true
 		}
 	}
@@ -436,9 +437,11 @@ func (d *Deployment) replayCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) erro
 // control record may already reflect later commits (a child created since
 // would leak its pzxid and its name into an object of an earlier txid), and
 // the snapshot is exactly the state at this txid. Nil for a delete or a
-// check (and an undecodable blob).
+// check (and an undecodable blob). The node's Data is a view into the blob,
+// itself a view into the queue body nobody writes: the object's marshal is
+// the one copy.
 func buildUserNode(c change, txid int64) *znode.Node {
-	n, _, err := znode.Unmarshal(c.NodeBlob)
+	n, _, err := znode.UnmarshalView(c.NodeBlob)
 	if err != nil {
 		return nil
 	}
@@ -758,14 +761,4 @@ func (d *Deployment) notifyResult(msg leaderMsg, txid int64, code Code, stat zno
 		Stat: stat, Txid: txid, MultiResults: results,
 	}
 	d.notify(msg.Session, resp, resp.wireSize())
-}
-
-func removeString(ss []string, s string) []string {
-	out := ss[:0:0]
-	for _, x := range ss {
-		if x != s {
-			out = append(out, x)
-		}
-	}
-	return out
 }

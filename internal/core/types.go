@@ -36,6 +36,10 @@ const (
 	OpMulti OpCode = "multi"
 )
 
+// opCodes is every op code a request or a change carries, which the codec
+// decodes to these constants without allocating.
+var opCodes = []string{string(OpSetData), string(OpCreate), string(OpDelete), string(OpDeregister), string(OpMulti), string(txn.OpCheck)}
+
 // Code is the result of a write request, following ZooKeeper's error
 // vocabulary.
 type Code string

@@ -51,7 +51,7 @@ func DecodeRequest(b []byte) (Request, error) {
 	r := Request{
 		Session: d.String(),
 		Seq:     d.Varint(),
-		Op:      OpCode(d.String()),
+		Op:      OpCode(d.Known(opCodes...)),
 		Path:    d.String(),
 		Data:    d.Bytes(),
 		Version: int32(d.Varint()),
@@ -132,7 +132,7 @@ func (c change) append(e *wire.Encoder) {
 // readChange decodes one change; NodeBlob is a zero-copy view.
 func readChange(d *wire.Decoder) change {
 	return change{
-		Op:         OpCode(d.String()),
+		Op:         OpCode(d.Known(opCodes...)),
 		Path:       d.String(),
 		ParentPath: d.String(),
 		NodeBlob:   d.Bytes(),

@@ -245,8 +245,9 @@ func TestWireSizesPinned(t *testing.T) {
 // Allocation budgets for the hot paths, locked so a regression that
 // reintroduces per-message garbage fails loudly. The counts are ceilings,
 // not exact (minor Go-version variance): a full encode+decode round trip
-// of a request is at most 5 allocations (three decoded strings, the Op
-// string, slice headers) and a leader message at most 8.
+// of a request is at most 5 allocations (the decoded strings, slice
+// headers; its op code decodes to a constant) and a leader message at most
+// 8.
 func TestBinaryAllocBudgets(t *testing.T) {
 	req := testRequests()[1]
 	lm := testLeaderMsgs()[1]
@@ -255,6 +256,39 @@ func TestBinaryAllocBudgets(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { roundTripLM(t, lm) }); allocs > 8 {
 		t.Errorf("leader msg round trip: %.0f allocs, budget 8", allocs)
+	}
+}
+
+// TestOpCodesDecodeToConstants: every op code a request or a change
+// carries decodes to its constant without allocating — the messages below
+// have no other field that would — and an unknown one still decodes, to a
+// copy.
+func TestOpCodesDecodeToConstants(t *testing.T) {
+	encode := func(enc func(*wire.Encoder) []byte) []byte {
+		e := wire.NewEncoder()
+		defer e.Release()
+		return bytes.Clone(enc(e))
+	}
+	for _, code := range append(opCodes, "bogus") {
+		op := OpCode(code)
+		req := encode(Request{Op: op}.Encode)
+		lm := encode(leaderMsg{change: change{Op: op}}.encode)
+		var gotReq, gotLM OpCode
+		allocs := testing.AllocsPerRun(100, func() {
+			r, err := DecodeRequest(req)
+			m, err2 := decodeLeaderMsg(lm)
+			if err != nil || err2 != nil {
+				t.Fatalf("%s: %v, %v", op, err, err2)
+			}
+			gotReq, gotLM = r.Op, m.Op
+		})
+		want := 0.0
+		if op == "bogus" {
+			want = 2 // an unknown code still decodes, to a copy
+		}
+		if gotReq != op || gotLM != op || allocs != want {
+			t.Errorf("%s decodes to request %q and change %q with %v allocations, want itself twice with %v", op, gotReq, gotLM, allocs, want)
+		}
 	}
 }
 

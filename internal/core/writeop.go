@@ -175,4 +175,4 @@ func pendingAppend(txid int64) kv.Update {
 
 // popPendingHead removes the head of a node's pending list (➎, and the
 // leader's orphan pop), boxed once.
-var popPendingHead kv.Update = kv.ListPopHead{Name: attrPending}
+var popPendingHead = []kv.Update{kv.ListPopHead{Name: attrPending}}

@@ -45,10 +45,11 @@ type Client struct {
 	inbox     *sim.Queue[any]
 	callbacks *sim.Queue[func()]
 
+	// outstanding holds the unreleased writes in submission order. Their
+	// seqs run consecutively, so an answer finds its op by its seq's
+	// distance from the head's.
 	nextSeq     int64
-	outstanding []int64                 // unreleased write seqs, FIFO
-	pending     map[int64]*pendingOp    // seq -> op
-	buffered    map[int64]core.Response // responses held for FIFO release
+	outstanding sim.FIFO[*pendingOp]
 	lastWrite   *sim.Future[core.Response]
 
 	// mrd tracks, per write shard, the newest txid across delivered
@@ -105,6 +106,10 @@ type Client struct {
 type pendingOp struct {
 	req  core.Request
 	done *sim.Future[core.Response]
+	// resp is the op's answer once ready, held until every earlier op's
+	// has been released.
+	resp  core.Response
+	ready bool
 }
 
 type watchEntry struct {
@@ -140,8 +145,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 		submitQ:   sim.NewQueue[*pendingOp](d.K),
 		inbox:     sim.NewQueue[any](d.K),
 		callbacks: sim.NewQueue[func()](d.K),
-		pending:   map[int64]*pendingOp{},
-		buffered:  map[int64]core.Response{},
 		mrd:       make([]int64, d.NumShards()),
 		watches:   map[int64]*watchEntry{},
 		route:     d.Route(),
@@ -187,12 +190,8 @@ func (c *Client) senderLoop() {
 		_, err := c.transport.Queue.Send(c.d.BillRequestCtx(c.ctx, op.req), c.id, op.req.Encode(e))
 		e.Release()
 		if err != nil {
-			op.done.TryComplete(core.Response{
-				Session: c.id, Seq: op.req.Seq, Code: core.CodeSystemError,
-			})
-			// The request never reached the pipeline: close its chain here,
-			// since no response will travel back through onResponse.
-			c.traceFinish(op.req)
+			// The request never reached the pipeline: this is its answer.
+			c.onResponse(core.Response{Session: c.id, Seq: op.req.Seq, Code: core.CodeSystemError})
 			continue
 		}
 		c.traceStage(op.req, obs.StageQueue)
@@ -252,24 +251,19 @@ func (c *Client) callbackLoop() {
 }
 
 func (c *Client) onResponse(r core.Response) {
-	if _, known := c.pending[r.Seq]; !known {
-		return // duplicate (a retried batch re-answered): first wins
+	fifo := &c.outstanding
+	if fifo.Len() == 0 {
+		return // nothing outstanding: a duplicate
 	}
-	if _, dup := c.buffered[r.Seq]; dup {
-		return
+	i := int(r.Seq - fifo.At(0).req.Seq)
+	if i < 0 || i >= fifo.Len() || fifo.At(i).ready {
+		return // released already, or a retried batch re-answered: first wins
 	}
-	c.buffered[r.Seq] = r
+	fifo.At(i).resp, fifo.At(i).ready = r, true
 	// Release responses strictly in submission order (FIFO, Z1/Z2).
-	for len(c.outstanding) > 0 {
-		head := c.outstanding[0]
-		resp, ready := c.buffered[head]
-		if !ready {
-			return
-		}
-		delete(c.buffered, head)
-		c.outstanding = c.outstanding[1:]
-		op := c.pending[head]
-		delete(c.pending, head)
+	for fifo.Len() > 0 && fifo.At(0).ready {
+		op := fifo.Pop()
+		resp := op.resp
 		if resp.Code == core.CodeOK && resp.Stat.Mzxid > c.maxSeenMzxid {
 			c.maxSeenMzxid = resp.Stat.Mzxid
 		}
@@ -428,8 +422,7 @@ func (c *Client) submitWrite(op core.OpCode, path string, data []byte, version i
 		},
 		done: sim.NewFuture[core.Response](c.d.K),
 	}
-	c.pending[seq] = p
-	c.outstanding = append(c.outstanding, seq)
+	c.outstanding.Push(p)
 	c.lastWrite = p.done
 	c.traceStart(p.req)
 	c.submitQ.Push(p)
@@ -503,21 +496,7 @@ func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
 			return nil, core.ErrTooLarge
 		}
 	}
-	c.nextSeq++
-	seq := c.nextSeq
-	p := &pendingOp{
-		req: core.Request{
-			Session: c.id, Seq: seq, Op: core.OpMulti,
-			Path: ops[0].Path, Data: txn.EncodeOps(ops),
-		},
-		done: sim.NewFuture[core.Response](c.d.K),
-	}
-	c.pending[seq] = p
-	c.outstanding = append(c.outstanding, seq)
-	c.lastWrite = p.done
-	c.traceStart(p.req)
-	c.submitQ.Push(p)
-	resp, err := c.await(p.done)
+	resp, err := c.await(c.submitWrite(core.OpMulti, ops[0].Path, txn.EncodeOps(ops), 0, 0))
 	return resp.MultiResults, err
 }
 

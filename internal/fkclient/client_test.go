@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -630,6 +631,57 @@ func TestSessionClosedRejectsOps(t *testing.T) {
 		}
 		if err := c.Close(); err != nil {
 			t.Errorf("double close: %v", err)
+		}
+	})
+}
+
+// TestAnswersReleasedOnceInSubmissionOrder drives the orderer directly: a
+// session with four writes in flight (and no sender, so nothing else
+// answers them) is handed their answers out of order, one of them twice,
+// plus answers to seqs it never had or released already. Each write is
+// released once, with its first answer, and only after every earlier one.
+func TestAnswersReleasedOnceInSubmissionOrder(t *testing.T) {
+	run(t, 1, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+		c := &Client{d: d, id: "s", submitQ: sim.NewQueue[*pendingOp](k)}
+		var released []int64
+		var futs []*sim.Future[core.Response]
+		for i := 0; i < 4; i++ {
+			f := c.submitWrite(core.OpSetData, "/x", nil, -1, 0)
+			futs = append(futs, f)
+			k.Go("await", func() { released = append(released, f.Wait().Txid) })
+		}
+		answer := func(seq, txid int64) {
+			c.onResponse(core.Response{Session: "s", Seq: seq, Code: core.CodeOK, Txid: txid})
+			k.Yield() // let the awaiting processes record what was released
+		}
+		steps := []struct {
+			seq, txid int64
+			want      []int64 // the txids released so far, in order
+		}{
+			{3, 30, nil},
+			{1, 10, []int64{10}},
+			{1, 11, []int64{10}}, // a duplicate of a released write
+			{4, 40, []int64{10}},
+			{3, 31, []int64{10}}, // a duplicate of a held one: the first stays
+			{9, 90, []int64{10}}, // never submitted
+			{2, 20, []int64{10, 20, 30, 40}},
+			{2, 21, []int64{10, 20, 30, 40}},
+			{0, 1, []int64{10, 20, 30, 40}},
+		}
+		for i, s := range steps {
+			answer(s.seq, s.txid)
+			if !slices.Equal(released, s.want) {
+				t.Errorf("step %d (seq %d): released %v, want %v", i, s.seq, released, s.want)
+			}
+		}
+		if n := c.outstanding.Len(); n != 0 {
+			t.Errorf("%d writes still outstanding", n)
+		}
+		// The next write starts a new run of the FIFO.
+		f := c.submitWrite(core.OpSetData, "/x", nil, -1, 0)
+		answer(5, 50)
+		if !f.Done() || f.Value().Txid != 50 {
+			t.Errorf("the write after the drain was not released by its answer")
 		}
 	})
 }

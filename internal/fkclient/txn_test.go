@@ -37,6 +37,24 @@ func TestMultiOnDefaultConfig(t *testing.T) {
 	})
 }
 
+// TestUnsendableMultiLeavesTheSessionUsable: a multi() whose ops each fit
+// a node but together overflow the session queue's message limit never
+// leaves the client; it is answered with a system error in its place in the
+// session's order, and the next write is answered as usual.
+func TestUnsendableMultiLeavesTheSessionUsable(t *testing.T) {
+	run(t, 82, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+		c := mustConnect(t, d, "s1")
+		defer c.Close()
+		big := make([]byte, 200*1024)
+		if _, err := c.Multi(txn.Create("/a", big, 0), txn.Create("/b", big, 0)); !errors.Is(err, core.ErrSystemError) {
+			t.Fatalf("a 400 kB multi(): %v, want ErrSystemError", err)
+		}
+		if _, err := c.Create("/after", nil, 0); err != nil {
+			t.Errorf("the write after the unsendable multi(): %v", err)
+		}
+	})
+}
+
 func TestMultiSingleShardFastPath(t *testing.T) {
 	run(t, 82, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
 		c := mustConnect(t, d, "s1")

@@ -35,8 +35,9 @@ func (u Uniform) Sample(r *rand.Rand) time.Duration {
 // in the paper (p99 and max far above the median) are reproduced without
 // distorting the body of the distribution.
 type Quantile struct {
-	qs []float64 // strictly increasing in [0,1]
-	vs []float64 // corresponding values, milliseconds, > 0
+	qs  []float64 // strictly increasing in [0,1]
+	vs  []float64 // corresponding values, milliseconds, > 0
+	lvs []float64 // their natural logs, taken once
 }
 
 // Q builds a Quantile distribution from the five statistics the paper
@@ -81,7 +82,11 @@ func NewQuantile(qs, vs []float64) *Quantile {
 	if vs[0] <= 0 {
 		panic("sim: quantile values must be positive")
 	}
-	return &Quantile{qs: append([]float64(nil), qs...), vs: append([]float64(nil), vs...)}
+	lvs := make([]float64, len(vs))
+	for i, v := range vs {
+		lvs[i] = math.Log(v)
+	}
+	return &Quantile{qs: append([]float64(nil), qs...), vs: append([]float64(nil), vs...), lvs: lvs}
 }
 
 // Sample implements Dist.
@@ -103,10 +108,9 @@ func (d *Quantile) at(u float64) time.Duration {
 		i++
 	}
 	lo, hi := d.qs[i-1], d.qs[i]
-	vlo, vhi := d.vs[i-1], d.vs[i]
 	t := (u - lo) / (hi - lo)
 	// Log-domain interpolation keeps heavy tails heavy.
-	v := math.Exp(math.Log(vlo)*(1-t) + math.Log(vhi)*t)
+	v := math.Exp(d.lvs[i-1]*(1-t) + d.lvs[i]*t)
 	return msToDur(v)
 }
 

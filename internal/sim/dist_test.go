@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -35,6 +36,40 @@ func TestQuantileReproducesCalibrationPoints(t *testing.T) {
 		got := DurMs(d.at(c.u))
 		if got < c.want*0.999 || got > c.want*1.001 {
 			t.Fatalf("at(%v) = %v, want %v", c.u, got, c.want)
+		}
+	}
+}
+
+// TestQuantileLogsTakenOnce: at, which interpolates between logs taken at
+// construction, returns exactly what the formula taking both logs on every
+// sample returns, over 10⁵ values of u and both table shapes.
+func TestQuantileLogsTakenOnce(t *testing.T) {
+	reference := func(d *Quantile, u float64) time.Duration {
+		if u <= 0 {
+			return msToDur(d.vs[0])
+		}
+		if u >= 1 {
+			return msToDur(d.vs[len(d.vs)-1])
+		}
+		i := 1
+		for d.qs[i] < u {
+			i++
+		}
+		lo, hi := d.qs[i-1], d.qs[i]
+		vlo, vhi := d.vs[i-1], d.vs[i]
+		t := (u - lo) / (hi - lo)
+		return msToDur(math.Exp(math.Log(vlo)*(1-t) + math.Log(vhi)*t))
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, d := range []*Quantile{Q(3.95, 4.35, 4.79, 6.33, 60.26), Q90(0.4, 0.4, 0.9, 1.3, 7.1)} {
+		for i := 0; i < 100000; i++ {
+			u := r.Float64()
+			if i < 3 {
+				u = []float64{0, 0.5, 1}[i] // the table's ends and a calibration point
+			}
+			if got, want := d.at(u), reference(d, u); got != want {
+				t.Fatalf("at(%v) = %v, the per-sample formula gives %v", u, got, want)
+			}
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (wg *WaitGroup) Wait() {
 type Semaphore struct {
 	k       *Kernel
 	permits int
-	waiters fifo[waiter]
+	waiters FIFO[waiter]
 }
 
 // NewSemaphore creates a semaphore with the given number of permits.
@@ -152,7 +152,7 @@ func NewSemaphore(k *Kernel, permits int) *Semaphore {
 // Acquire takes one permit, blocking while none are available.
 func (s *Semaphore) Acquire() {
 	for s.permits == 0 {
-		s.waiters.push(s.k.waiterFor(s.k.current))
+		s.waiters.Push(s.k.waiterFor(s.k.current))
 		s.k.park()
 	}
 	s.permits--

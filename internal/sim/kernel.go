@@ -69,6 +69,12 @@ type Kernel struct {
 	live    map[int64]*Process
 	idle    []*Process // returned processes whose goroutines wait for the next Go
 	fault   FaultHook
+
+	// sweepMin is the heap size below which scheduleWake does not sweep
+	// (sweep); swept is the latest instant of a swept wake-up that RunUntil
+	// has not run past yet.
+	sweepMin int
+	swept    Time
 }
 
 // Process is a simulated thread of control. Processes are created by
@@ -106,6 +112,10 @@ type event struct {
 // pop order is independent of the heap's internal layout.
 type eventHeap []event
 
+// dead reports whether e is a stale wake-up, which dispatch drops: its
+// process finished since, or parked again after the park e was for.
+func (e event) dead() bool { return e.proc.done || e.wakeSeq != e.proc.parkSeq }
+
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -134,30 +144,33 @@ func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	last := s[n]
+	s[0] = s[n]
 	s[n] = event{}
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
+	*h = s[:n]
+	if n > 0 {
+		s[:n].down(0)
 	}
-	i := 0
+	return top
+}
+
+// down moves the event at i down to its place below it.
+func (h eventHeap) down(i int) {
+	e := h[i]
 	for {
 		child := 2*i + 1
-		if child >= n {
+		if child >= len(h) {
 			break
 		}
-		if r := child + 1; r < n && s[r].before(s[child]) {
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
 			child = r
 		}
-		if !s[child].before(last) {
+		if !h[child].before(e) {
 			break
 		}
-		s[i] = s[child]
+		h[i] = h[child]
 		i = child
 	}
-	s[i] = last
-	return top
+	h[i] = e
 }
 
 func (h eventHeap) peek() event { return h[0] }
@@ -204,6 +217,35 @@ func (k *Kernel) scheduleWake(at Time, p *Process, wakeSeq int64) {
 	}
 	k.seq++
 	k.events.push(event{at: at, seq: k.seq, proc: p, wakeSeq: wakeSeq})
+	if n := len(k.events); n >= 2*len(k.live)+64 && n >= k.sweepMin {
+		k.sweep()
+	}
+}
+
+// sweep drops every wake-up dispatch would drop — one of a finished
+// incarnation or of an earlier park, such as the timeout of a wait that
+// completed — and restores the heap order. A park generation only grows, so
+// a dead wake-up stays dead, and (at, seq) is a total order: what dispatch
+// runs, and when, does not change. RunUntil's "events pending" rule still
+// counts the swept ones (swept). A live process has at most two live
+// wake-ups (a timeout and its wake), so a heap of twice the live processes
+// plus 64 holds at least 64 dead ones; sweepMin makes the heap double
+// between sweeps, so a sweep costs O(1) per wake-up scheduled.
+func (k *Kernel) sweep() {
+	kept := k.events[:0]
+	for _, ev := range k.events {
+		if ev.dead() {
+			k.swept = max(k.swept, ev.at)
+			continue
+		}
+		kept = append(kept, ev)
+	}
+	clear(k.events[len(kept):])
+	k.events = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.down(i)
+	}
+	k.sweepMin = 2 * len(kept)
 }
 
 // dispatch is the scheduler: it pops events in (at, seq) order, drops stale
@@ -215,7 +257,7 @@ func (k *Kernel) dispatch() *Process {
 	for len(k.events) > 0 && k.events.peek().at <= k.limit {
 		ev := k.events.pop()
 		p := ev.proc
-		if p.done || ev.wakeSeq != p.parkSeq {
+		if ev.dead() {
 			continue // stale wake-up (timeout raced with completion, etc.)
 		}
 		if ev.at > k.now {
@@ -366,8 +408,11 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		<-k.parked
 	}
 	k.releaseIdle()
-	if len(k.events) > 0 && k.now < limit {
+	if (len(k.events) > 0 || k.swept > limit) && k.now < limit {
 		k.now = limit // later events are pending: the window was run to its end
+	}
+	if k.swept <= limit {
+		k.swept = 0 // dispatch would have dropped every swept wake-up by now
 	}
 	return k.now
 }
@@ -423,9 +468,9 @@ func (k *Kernel) wakeAt(at Time, w waiter) { k.scheduleWake(at, w.p, w.seq) }
 // wakeFirst wakes the first waiter of ws still parked where it registered,
 // dropping the stale ones ahead of it (a popper that timed out, a process
 // that has exited since).
-func (k *Kernel) wakeFirst(ws *fifo[waiter]) {
-	for ws.len() > 0 {
-		if w := ws.pop(); w.seq == w.p.parkSeq && !w.p.done {
+func (k *Kernel) wakeFirst(ws *FIFO[waiter]) {
+	for ws.Len() > 0 {
+		if w := ws.Pop(); w.seq == w.p.parkSeq && !w.p.done {
 			k.wake(w)
 			return
 		}

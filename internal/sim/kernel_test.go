@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -523,4 +525,63 @@ func TestIdleProcessesAreUnwound(t *testing.T) {
 	settled(base+1, "after Run") // the blocked process
 	k.Shutdown()
 	settled(base, "after Shutdown")
+}
+
+// TestSweepKeepsHeapBounded: every wait below completes long before its
+// 60 s timeout, which stays in the heap, dead. The sweep keeps the heap
+// near the live processes' share, and the run — each wake-up's instant and
+// order, and the end of every RunFor window — matches a kernel that never
+// sweeps. A last sweep once the waits are over empties the heap, so the
+// windows after it are pending only for timeouts no longer in it.
+func TestSweepKeepsHeapBounded(t *testing.T) {
+	run := func(sweep bool) (log []string, ends []Time, peak, left int) {
+		k := NewKernel(5)
+		if !sweep {
+			k.sweepMin = math.MaxInt
+		}
+		for w := 0; w < 3; w++ {
+			name := fmt.Sprint("waiter-", w)
+			k.Go(name, func() {
+				for i := 0; i < 400; i++ {
+					f := NewFuture[int](k)
+					k.Go("completer", func() {
+						k.Sleep(time.Duration(1+k.Rand().Intn(5)) * time.Millisecond)
+						f.Complete(i)
+					})
+					v, ok := f.WaitTimeout(60 * time.Second)
+					log = append(log, fmt.Sprint(name, v, ok, k.Now()))
+					peak = max(peak, len(k.events))
+				}
+			})
+		}
+		k.Go("sweeper", func() {
+			k.Sleep(5 * time.Second)
+			if sweep {
+				k.sweep()
+			}
+		})
+		for _, d := range []time.Duration{time.Second, 10 * time.Second, 30 * time.Second, 100 * time.Second} {
+			ends = append(ends, k.RunFor(d))
+			if len(ends) == 2 {
+				left = len(k.events)
+			}
+		}
+		return log, ends, peak, left
+	}
+	log, ends, peak, left := run(true)
+	wantLog, wantEnds, unswept, _ := run(false)
+	if !slices.Equal(log, wantLog) || !slices.Equal(ends, wantEnds) {
+		t.Fatalf("the swept run differs: ends %v, want %v", ends, wantEnds)
+	}
+	// The waits end near 2.4 s: the next two windows run to their limit
+	// for the timeouts pending past it, the last one stops where they did.
+	if want := []Time{time.Second, 11 * time.Second, 41 * time.Second, 41 * time.Second}; !slices.Equal(ends, want) {
+		t.Errorf("RunFor windows ended at %v, want %v", ends, want)
+	}
+	if peak > 200 || unswept < 1000 {
+		t.Errorf("heap peaked at %d entries swept, %d unswept; want at most 200 and over 1000", peak, unswept)
+	}
+	if left != 0 {
+		t.Errorf("%d wake-ups left after the last sweep, want none", left)
+	}
 }

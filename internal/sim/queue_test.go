@@ -117,13 +117,21 @@ func TestQueuePopBatchCollectsBuffered(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		q.Push(i)
 	}
-	var batch []int
-	k.Go("poller", func() { batch = q.PopBatch(5, 0) })
+	var batch, again []int
+	k.Go("poller", func() {
+		batch = q.PopBatch(nil, 5, 0)
+		if len(batch) != 5 || batch[0] != 0 || batch[4] != 4 {
+			t.Errorf("batch = %v", batch)
+			return
+		}
+		// The next batch lands in the first one's buffer.
+		again = q.PopBatch(batch[:0:5], 5, 0)
+	})
 	k.Run()
-	if len(batch) != 5 || batch[0] != 0 || batch[4] != 4 {
-		t.Fatalf("batch = %v", batch)
+	if len(again) != 2 || again[0] != 5 || again[1] != 6 || &again[0] != &batch[0] {
+		t.Fatalf("second batch = %v, want [5 6] in the first one's buffer", again)
 	}
-	if q.Len() != 2 {
+	if q.Len() != 0 {
 		t.Fatalf("left %d", q.Len())
 	}
 }
@@ -132,7 +140,7 @@ func TestQueuePopBatchWindowGathersLateArrivals(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[int](k)
 	var batch []int
-	k.Go("poller", func() { batch = q.PopBatch(10, 5*time.Millisecond) })
+	k.Go("poller", func() { batch = q.PopBatch(nil, 10, 5*time.Millisecond) })
 	k.Go("producer", func() {
 		q.Push(0)
 		k.Sleep(2 * time.Millisecond)

@@ -177,6 +177,19 @@ func (d *Decoder) Varint() int64 {
 // String reads a length-prefixed string (allocates the string copy).
 func (d *Decoder) String() string { return string(d.view()) }
 
+// Known reads a length-prefixed string that is usually one of known and
+// returns that element, allocating nothing; any other string it copies, as
+// String does. For enum-like fields (op codes) decoded on every message.
+func (d *Decoder) Known(known ...string) string {
+	b := d.view()
+	for _, s := range known {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
+}
+
 // Bytes reads a length-prefixed byte slice as a zero-copy view into the
 // input. nil for an empty slice.
 func (d *Decoder) Bytes() []byte {

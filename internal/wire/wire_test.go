@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -75,6 +76,31 @@ func TestDecoderZeroCopyView(t *testing.T) {
 	buf[len(buf)-1] = 'Y'
 	if string(cp) != "payloaX" {
 		t.Errorf("BytesCopy aliased the input: %q", cp)
+	}
+}
+
+// TestDecoderKnown: a known string comes back as the caller's own string,
+// without allocating and without aliasing the input; any other reads as a
+// copy, and a short input latches the error.
+func TestDecoderKnown(t *testing.T) {
+	known := []string{"create", "set_data"}
+	e := NewEncoder()
+	defer e.Release()
+	e.String("set_data")
+	e.String("other")
+	buf := append([]byte(nil), e.Data()...)
+	var got, other string
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(buf)
+		got, other = d.Known(known...), d.Known(known...)
+	})
+	if got != "set_data" || unsafe.StringData(got) != unsafe.StringData(known[1]) || other != "other" || allocs != 1 {
+		t.Errorf("Known read %q (the constant: %v) and %q with %v allocations, want the constant and a copy with 1",
+			got, unsafe.StringData(got) == unsafe.StringData(known[1]), other, allocs)
+	}
+	d := NewDecoder(buf[:3])
+	if d.Known(known...) != "" || d.Err() == nil {
+		t.Error("a truncated string decoded without error")
 	}
 }
 

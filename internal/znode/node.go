@@ -1,6 +1,7 @@
 package znode
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,7 +103,14 @@ func Marshal(n *Node, epoch []int64) []byte {
 
 // Unmarshal decodes a blob produced by Marshal, returning the node and the
 // attached epoch stamp.
-func Unmarshal(buf []byte) (*Node, []int64, error) {
+func Unmarshal(buf []byte) (*Node, []int64, error) { return unmarshal(buf, false) }
+
+// UnmarshalView is Unmarshal with the node's Data a view into buf instead
+// of a copy, for a caller that owns buf, never writes into it and hands the
+// node only to code that copies the data it keeps (Marshal does).
+func UnmarshalView(buf []byte) (*Node, []int64, error) { return unmarshal(buf, true) }
+
+func unmarshal(buf []byte, view bool) (*Node, []int64, error) {
 	if len(buf) == 0 || buf[0] != codecVersion {
 		return nil, nil, fmt.Errorf("%w: bad version", ErrCorrupt)
 	}
@@ -116,7 +124,9 @@ func Unmarshal(buf []byte) (*Node, []int64, error) {
 	n.Stat.Cversion = int32(r.varint())
 	n.Stat.Ephemeral = r.byte() == 1
 	n.Stat.Owner = r.str()
-	n.Data = r.bytes()
+	if n.Data = r.view(); !view {
+		n.Data = bytes.Clone(n.Data)
+	}
 	nc := int(r.uvarint())
 	if r.err == nil && nc >= 0 && nc <= 1<<20 {
 		n.Children = make([]string, 0, nc)
@@ -215,9 +225,11 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) str() string { return string(r.view()) }
 
-func (r *reader) bytes() []byte {
+// view reads a length-prefixed byte slice as a sub-slice of the input, nil
+// when it is empty.
+func (r *reader) view() []byte {
 	ln := r.uvarint()
 	if r.err != nil {
 		return nil
@@ -226,7 +238,10 @@ func (r *reader) bytes() []byte {
 		r.fail()
 		return nil
 	}
+	if ln == 0 {
+		return nil
+	}
 	b := r.buf[:ln]
 	r.buf = r.buf[ln:]
-	return append([]byte(nil), b...)
+	return b
 }
