@@ -198,12 +198,11 @@ func (f *Function) run(inv *Invocation) error {
 		f.errors++
 	}
 	usd := env.Profile.Pricing.FaaSCost(f.cfg.MemoryMB, f.cfg.VCPU, sec, f.cfg.Arch == ARM)
-	env.Meter.Charge(f.costCat, usd, 1)
-	if sink := inv.Bill; sink != nil {
-		sink.BillOp(f.costCat, usd, 1)
-	} else if inv.Ctx.Bill != nil {
-		inv.Ctx.Bill.BillOp(f.costCat, usd, 1)
+	bctx := inv.Ctx
+	if inv.Bill != nil {
+		bctx.Bill = inv.Bill
 	}
+	env.Charge(bctx, f.costCat, usd, 1)
 	f.releaseSandbox()
 	return err
 }

@@ -21,9 +21,9 @@ package core
 //	                                  the mirror takes them as it starts
 //	➌ flush           distributeFold  one leg per region (leaderShard.legs):
 //	                                  invalidate the fenced objects → per
-//	                                  object, write → install
-//	                                  (flushLeg.write); then the shared
-//	                                  root's splices (flushLeg.spliceRoot)
+//	                                  object, write → install → per parent,
+//	                                  the shared root's included, splice
+//	                                  (flushLeg.write)
 //	➍ delivery        launchWatch     —
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
@@ -96,11 +96,10 @@ package core
 // prefix of the total order (single system image). Every overlap has one
 // shape: a round of named bodies spawned through sim.WaitGroup.Go and joined
 // before the step that depends on them — the flush legs, joined before the
-// chunk completes; the root splices, one round per shared parent after them;
-// the watch claim's round, joined before the message's commit phase ends on
-// several shards (the handler runs its first write itself) and before the
-// next commit check and the chunk's answers on one; and the watch function's
-// sends. The leader's bodies are bound once, and what its rounds and its
+// chunk completes; the watch claim's round, joined before the message's
+// commit phase ends on several shards (the handler runs its first write
+// itself) and before the next commit check and the chunk's answers on one;
+// and the watch function's sends. The leader's bodies are bound once, and what its rounds and its
 // pipeline keep from message to message lives in the shard's one slot
 // (leaderShard). The order rules:
 //
@@ -144,19 +143,19 @@ type opResult struct {
 
 // nodeFold is the final folded user-store state of one touched node.
 type nodeFold struct {
+	path string
 	node *znode.Node // object to write; nil when the final op deleted it
-	del  bool
-	txid int64 // newest txid folded into this path (invalidation floor)
+	txid int64       // newest txid folded into this path (invalidation floor)
 }
 
 // parentFold coalesces a chunk's child-list splices on one parent.
 type parentFold struct {
+	path     string
 	present  map[string]bool // child name -> final presence, in op order
 	names    []string        // first-touch order, for deterministic splicing
 	cversion int32           // max over the folded operations
 	pzxid    int64           // max txid over the folded operations
-	consumed bool            // merged into a node write or the shared root
-	shared   bool            // a shared path's: spliced under the root lock after the legs
+	consumed bool            // merged into a node write of the same fold
 }
 
 // batchFold accumulates the net effect of one chunk on the user stores.
@@ -164,10 +163,12 @@ type parentFold struct {
 // per node and the child presence map reflects the final create/delete
 // outcome even for create→delete→create chains.
 type batchFold struct {
-	order       []string // node paths in first-touch order
-	nodes       map[string]*nodeFold
-	parentOrder []string
-	parents     map[string]*parentFold
+	// The touched nodes and parents, each in first-touch order, and the
+	// index of each path's entry.
+	nodes    []nodeFold
+	parents  []parentFold
+	nodeAt   map[string]int
+	parentAt map[string]int
 
 	// The chunk's own state: its messages, how far their commit phase got —
 	// results is index-aligned with msgs and ends where the commit phase
@@ -176,90 +177,67 @@ type batchFold struct {
 	msgs []decodedMsg
 	t0   sim.Time // the commit phase began
 
-	// results and the spare entry structs ride the pooled fold, so a
+	// results and the entries' slices ride the pooled fold, so a
 	// steady-state flush allocates none of them.
-	results      []opResult
-	spareNodes   []*nodeFold
-	spareParents []*parentFold
+	results []opResult
 }
 
 // batchFoldPool recycles the per-flush fold: every chunk takes one, and
 // the maps' bucket arrays dominate its cost.
 var batchFoldPool = sync.Pool{New: func() any {
-	return &batchFold{nodes: map[string]*nodeFold{}, parents: map[string]*parentFold{}}
+	return &batchFold{nodeAt: map[string]int{}, parentAt: map[string]int{}}
 }}
 
 func newBatchFold() *batchFold { return batchFoldPool.Get().(*batchFold) }
 
 // release returns the fold to the pool. Callers invoke it only once the
 // flush holds no further references — after distributeFold's regional
-// goroutines have all joined and the results are completed. The entry
-// structs are emptied and kept; the node objects they pointed to were
-// handed to the stores.
+// legs have all joined and the results are completed. A parent entry
+// keeps its emptied map and names for the next fold that reaches it; the
+// node objects were handed to the stores.
 func (f *batchFold) release() {
-	for _, nf := range f.nodes {
-		*nf = nodeFold{}
-		f.spareNodes = append(f.spareNodes, nf)
-	}
-	for _, pf := range f.parents {
+	for i := range f.parents {
+		pf := &f.parents[i]
 		clear(pf.present)
 		*pf = parentFold{present: pf.present, names: pf.names[:0]}
-		f.spareParents = append(f.spareParents, pf)
 	}
 	clear(f.nodes)
-	clear(f.parents)
+	clear(f.nodeAt)
+	clear(f.parentAt)
 	clear(f.results)
-	f.order, f.parentOrder, f.results = f.order[:0], f.parentOrder[:0], f.results[:0]
+	f.nodes, f.parents, f.results = f.nodes[:0], f.parents[:0], f.results[:0]
 	f.msgs = nil
 	batchFoldPool.Put(f)
 }
 
-func (f *batchFold) empty() bool { return len(f.order) == 0 && len(f.parentOrder) == 0 }
+func (f *batchFold) empty() bool { return len(f.nodes) == 0 && len(f.parents) == 0 }
 
-// invSlicePool recycles the per-region invalidation record assembled on
-// every flush; InvalidateBatch does not retain the slice (apply copies
-// the epoch stamp it keeps).
-var invSlicePool = sync.Pool{New: func() any { return new([]cache.Invalidation) }}
-
-// nodeOf returns path's fold entry, registering it on first touch.
-func (f *batchFold) nodeOf(path string) *nodeFold {
-	nf, ok := f.nodes[path]
-	if !ok {
-		if n := len(f.spareNodes); n > 0 {
-			nf, f.spareNodes = f.spareNodes[n-1], f.spareNodes[:n-1]
-		} else {
-			nf = &nodeFold{}
-		}
-		f.nodes[path] = nf
-		f.order = append(f.order, path)
-	}
-	return nf
-}
-
-// foldWrite records path's newest object; an earlier write or tombstone
-// of the same path in this chunk is superseded.
+// foldWrite records path's newest object, nil for a delete; an earlier
+// write or tombstone of the same path in this chunk is superseded.
 func (f *batchFold) foldWrite(path string, n *znode.Node, txid int64) {
-	*f.nodeOf(path) = nodeFold{node: n, txid: txid}
-}
-
-// foldDelete records that path's final state in this chunk is deleted.
-func (f *batchFold) foldDelete(path string, txid int64) {
-	*f.nodeOf(path) = nodeFold{del: true, txid: txid}
+	i, ok := f.nodeAt[path]
+	if !ok {
+		i = len(f.nodes)
+		f.nodeAt[path] = i
+		f.nodes = append(f.nodes, nodeFold{})
+	}
+	f.nodes[i] = nodeFold{path: path, node: n, txid: txid}
 }
 
 // foldParent applies one create/delete's child splice to the parent's
 // coalesced state.
 func (f *batchFold) foldParent(parent, childAdd, childDel string, cversion int32, txid int64) {
-	pf, ok := f.parents[parent]
+	i, ok := f.parentAt[parent]
 	if !ok {
-		if n := len(f.spareParents); n > 0 {
-			pf, f.spareParents = f.spareParents[n-1], f.spareParents[:n-1]
-		} else {
-			pf = &parentFold{present: map[string]bool{}}
+		i = len(f.parents)
+		f.parentAt[parent] = i
+		f.parents = slices.Grow(f.parents, 1)[:i+1]
+		if f.parents[i].present == nil {
+			f.parents[i].present = map[string]bool{}
 		}
-		f.parents[parent] = pf
-		f.parentOrder = append(f.parentOrder, parent)
+		f.parents[i].path = parent
 	}
+	pf := &f.parents[i]
 	if childAdd != "" {
 		if _, seen := pf.present[childAdd]; !seen {
 			pf.names = append(pf.names, childAdd)
@@ -293,16 +271,18 @@ func (f *batchFold) foldParent(parent, childAdd, childDel string, cversion int32
 func (f *batchFold) foldChange(c change, txid int64) (stat znode.Stat) {
 	switch c.Op {
 	case OpDelete:
-		f.foldDelete(c.Path, txid)
+		f.foldWrite(c.Path, nil, txid)
 	case OpCreate, OpSetData:
 		n := buildUserNode(c, txid)
 		if n == nil {
 			return stat
 		}
-		if prev := f.nodes[c.Path]; prev != nil && prev.txid == txid && prev.node != nil {
-			n.Stat.Czxid, n.Stat.Pzxid = prev.node.Stat.Czxid, prev.node.Stat.Pzxid
+		if i, ok := f.nodeAt[c.Path]; ok {
+			if prev := f.nodes[i]; prev.txid == txid && prev.node != nil {
+				n.Stat.Czxid, n.Stat.Pzxid = prev.node.Stat.Czxid, prev.node.Stat.Pzxid
+			}
 		}
-		if pf := f.parents[c.Path]; pf != nil && pf.pzxid == txid {
+		if i, ok := f.parentAt[c.Path]; ok && f.parents[i].pzxid == txid {
 			n.Stat.Pzxid = txid
 		}
 		f.foldWrite(c.Path, n, txid)
@@ -357,7 +337,7 @@ type leaderShard struct {
 	popCond kv.NumListHeadEq
 	round   claimRound     // the watch-claim round (queryWatches)
 	legs    []flushLeg     // one per user store, aligned with Deployment.Stores
-	wg      *sim.WaitGroup // the legs and the root splices join on it
+	wg      *sim.WaitGroup // the flush legs join on it
 }
 
 // newLeaderShard builds a shard's slot, its legs named and their bodies
@@ -372,8 +352,7 @@ func (d *Deployment) newLeaderShard() *leaderShard {
 	for i, s := range d.Stores {
 		l := &ls.legs[i]
 		l.d, l.store, l.region, l.rc = d, s, string(s.Region()), d.CacheFor(s.Region())
-		l.proc, l.rootProc = "leader-update-"+l.region, "leader-root-"+l.region
-		l.run, l.splice = l.write, l.spliceRoot
+		l.proc, l.run = "leader-update-"+l.region, l.write
 	}
 	return ls
 }
@@ -737,8 +716,9 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 
 // distributeFold is ➌ for one fold: per region in parallel, one
 // coalesced invalidation record of the fenced objects, the final state of
-// every touched node, one read-modify-write per parent, and each object
-// installed in the cache right after its store write (flushLeg.write).
+// every touched node, one read-modify-write per parent — the shared root's
+// too, under the root lock — and each object installed in the cache right
+// after its store write (flushLeg.write).
 // own names the request whose span tree
 // and bill the regional legs belong to (a one-message chunk); nil records
 // them as trace-0 pipeline spans billed through ctx. atomicApply is the
@@ -758,39 +738,35 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 	// batch: a per-parent RMW would read the store's pre-batch object and
 	// either the splice or the data write would be lost. A parent deleted
 	// in this batch drops its splices (its child list is moot). A shared
-	// parent — the root of a sharded deployment — is peeled off instead:
-	// its RMW must run under the cross-shard lock.
-	var sharedOrder []string
-	for _, p := range fold.parentOrder {
-		pf := fold.parents[p]
-		if d.route.Shared(p) {
-			sharedOrder = append(sharedOrder, p)
-			pf.consumed, pf.shared = true, true
-			continue
-		}
-		nf, ok := fold.nodes[p]
-		if !ok {
-			continue
-		}
-		pf.consumed = true
-		if nf.del {
-			continue
-		}
-		spliceInto(nf.node, pf)
-		if pf.pzxid > nf.txid {
-			nf.txid = pf.pzxid
-		}
-	}
-
+	// parent — the root of a sharded deployment — is left unconsumed: each
+	// leg splices it with a RMW of its own after its node writes, under the
+	// cross-shard lock.
+	//
 	// Cross-shard shared-path work — a data write to the root or a
 	// create/delete splice under it — is serialized under the root lock,
 	// held once across the whole flush: an interleaved RMW from another
 	// shard would lose children, and a full-object write racing another
 	// shard's child splice would revert the child list (so under the lock
 	// it is refreshed from the system store, the source of truth).
-	lockRoot := len(sharedOrder) > 0
-	for _, p := range fold.order {
-		if nf := fold.nodes[p]; !nf.del && d.route.Shared(p) {
+	lockRoot := false
+	for i := range fold.parents {
+		pf := &fold.parents[i]
+		if d.route.Shared(pf.path) {
+			lockRoot = true
+			continue
+		}
+		j, ok := fold.nodeAt[pf.path]
+		if !ok {
+			continue
+		}
+		pf.consumed = true
+		if nf := &fold.nodes[j]; nf.node != nil {
+			spliceInto(nf.node, pf)
+			nf.txid = max(nf.txid, pf.pzxid)
+		}
+	}
+	for _, nf := range fold.nodes {
+		if nf.node != nil && d.route.Shared(nf.path) {
 			lockRoot = true
 		}
 	}
@@ -798,12 +774,10 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 		lock := d.acquireRootLock(ctx)
 		defer func() { _ = d.Locks.Release(ctx, lock) }()
 	}
-	for _, p := range fold.order {
-		nf := fold.nodes[p]
-		if nf.del || !d.route.Shared(p) {
-			continue
+	for _, nf := range fold.nodes {
+		if nf.node != nil && d.route.Shared(nf.path) {
+			d.refreshSharedFromSystem(ctx, nf.path, nf.node)
 		}
-		d.refreshSharedFromSystem(ctx, p, nf.node)
 	}
 
 	legs := run.legs
@@ -819,54 +793,42 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 		run.underFlush(fold)
 	}
 	run.wg.Wait()
-
-	// The root's coalesced splices run after the regional writes, still
-	// under the root lock taken above. The per-region stamps
-	// already hold the union of every shard's epoch list, so an in-flight
-	// child-watch notification fired by any shard still holds reads of the
-	// parent (Z4).
-	for _, p := range sharedOrder {
-		for i := range legs {
-			legs[i].root = p
-			run.wg.Go(legs[i].rootProc, legs[i].splice)
-		}
-		run.wg.Wait()
-	}
 }
 
 // flushLeg is one region's share of a shard's flushes (➌), run as its own
-// process: the region's store and cache node, and the names and bodies of
-// its processes, all fixed when the deployment is built (newLeaderShard).
+// process: the region's store and cache node, and the name and body of its
+// process, all fixed when the deployment is built (newLeaderShard).
 type flushLeg struct {
-	d              *Deployment
-	store          UserStore
-	region         string
-	rc             *cache.Regional // nil without a cache
-	proc, rootProc string          // "leader-update-<region>", "leader-root-<region>"
-	run, splice    func()          // write and spliceRoot, bound once
+	d      *Deployment
+	store  UserStore
+	region string
+	rc     *cache.Regional // nil without a cache
+	proc   string          // "leader-update-<region>"
+	run    func()          // write, bound once
 
-	// The flush it serves, set by distributeFold, and the shared parent
-	// spliceRoot splices.
+	// The flush it serves, set by distributeFold.
 	ctx         cloud.Ctx
 	fold        *batchFold
 	stamp       []int64
 	own         *leaderMsg
 	atomicApply bool
-	root        string
 
-	// Scratch the leg reuses from flush to flush: the objects it writes and
-	// the installs due after its last store op.
+	// Scratch the leg reuses from flush to flush: its invalidation record
+	// (InvalidateBatch keeps none of it), the objects it writes and the
+	// installs due after its last store op.
+	invs     []cache.Invalidation
 	objs     []Object
 	installs []cache.Install
 }
 
 // write is one regional leg: the fold's nodes, then the parent splices no
-// node write absorbed, one store op after another. Each object follows one
+// node write absorbed — the shared root's among them, under the root lock
+// the flush holds — one store op after another. Each object follows one
 // rule in the region's cache (fenced). A fenced object is invalidated
 // before the leg's first store op, in one round trip for all of them: a
 // delete, so a reader that saw the node gone in the store cannot get it
-// back from the cache; a shared path, whose rebuilds run under the root
-// lock after the legs; and every object of a leg that applies an atomic
+// back from the cache; a shared path, which another shard rewrites under
+// the root lock; and every object of a leg that applies an atomic
 // batch, which lands at one instant no per-object install can follow.
 // Every other object is installed right after its own store write lands,
 // before the leg's next store op starts, and its old entry stays served
@@ -880,22 +842,19 @@ func (l *flushLeg) write() {
 	atomic = atomic && l.atomicApply
 	if l.rc != nil {
 		fenced := func(path string, del bool) bool { return del || atomic || d.route.Shared(path) }
-		sp := invSlicePool.Get().(*[]cache.Invalidation)
-		invs := fold.appendInvalidations((*sp)[:0], stamp, fenced)
-		if len(invs) > 0 {
+		l.invs = fold.appendInvalidations(l.invs[:0], stamp, fenced)
+		if len(l.invs) > 0 {
 			tsp := d.legSpan(own, obs.SpanCacheInval, l.region)
-			l.rc.InvalidateBatch(d.legCtx(ctx, own, tsp, l.region), invs)
+			l.rc.InvalidateBatch(d.legCtx(ctx, own, tsp, l.region), l.invs)
 			d.spanEnd(tsp)
 		}
-		*sp = invs[:0]
-		invSlicePool.Put(sp)
 	}
 	// Each object is marshaled once, under this region's stamp: the store
 	// keeps the blob, and the install carries the same one.
 	objs := l.objs[:0]
-	for _, p := range fold.order {
-		if nf := fold.nodes[p]; nf.del {
-			objs = append(objs, Object{Path: p})
+	for _, nf := range fold.nodes {
+		if nf.node == nil {
+			objs = append(objs, Object{Path: nf.path})
 		} else {
 			objs = append(objs, NewObject(nf.node, stamp))
 		}
@@ -924,28 +883,23 @@ func (l *flushLeg) write() {
 	// Creates and deletes also change the parent's child list, which lives
 	// in the parent's node object: a read-modify-write cycle, because
 	// object stores lack partial updates (Section 3.2, Requirement #6).
-	for _, p := range fold.parentOrder {
-		pf := fold.parents[p]
-		if pf.consumed {
-			continue
-		}
-		if o, ok := d.applyParentFold(d.legCtx(ctx, own, 0, l.region), s, p, pf, stamp); ok {
-			l.due(o)
-			l.install()
+	// The epoch stamp already holds the union of every shard's epoch list,
+	// so an in-flight child-watch notification fired by any shard still
+	// holds reads of the shared root (Z4).
+	for i := range fold.parents {
+		if pf := &fold.parents[i]; !pf.consumed {
+			if o, ok := d.applyParentFold(d.legCtx(ctx, own, 0, l.region), s, pf, stamp); ok {
+				l.due(o)
+				l.install()
+			}
 		}
 	}
 }
 
-// spliceRoot is the region's read-modify-write of the shared parent root,
-// run after every leg joined, under the root lock.
-func (l *flushLeg) spliceRoot() {
-	l.d.applyParentFold(l.ctx, l.store, l.root, l.fold.parents[l.root], l.stamp)
-}
-
 // due queues the install of an object the leg's last store op wrote, at
 // its freshness value, the value a reader's fill would carry. Deletes
-// install nothing, and neither do shared paths: their rebuilds run under
-// the root lock after the legs.
+// install nothing, and neither do shared paths, which stay fenced: another
+// shard rewrites them under the root lock.
 func (l *flushLeg) due(o Object) {
 	if l.rc != nil && o.Node != nil && !l.d.route.Shared(o.Path) {
 		l.installs = append(l.installs, cache.Install{Path: o.Path, Blob: o.Blob, Mzxid: o.Node.Fresh()})
@@ -985,23 +939,19 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 }
 
 // appendInvalidations assembles the batch's coalesced invalidation record
-// for one region into invs (pooled scratch): each path the leg's rule
+// for one region into invs (the leg's scratch): each path the leg's rule
 // fences (fenced, given the path and whether the fold deletes it) once, at
-// its newest folded txid. A shared parent's splices (flushed after the
-// regional writes) are fenced, so its floor is raised before its RMW lands.
+// its newest folded txid. A parent a node write absorbed is that write's; a
+// shared parent's is fenced, so its floor is raised before its RMW lands.
 func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, fenced func(path string, del bool) bool) []cache.Invalidation {
-	for _, p := range f.order {
-		if nf := f.nodes[p]; fenced(p, nf.del) {
-			invs = append(invs, cache.Invalidation{Path: p, Mzxid: nf.txid, Epoch: stamp})
+	for _, nf := range f.nodes {
+		if fenced(nf.path, nf.node == nil) {
+			invs = append(invs, cache.Invalidation{Path: nf.path, Mzxid: nf.txid, Epoch: stamp})
 		}
 	}
-	for _, p := range f.parentOrder {
-		pf := f.parents[p]
-		if pf.consumed && !pf.shared {
-			continue // folded into the node write above
-		}
-		if fenced(p, false) {
-			invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp})
+	for i := range f.parents {
+		if pf := &f.parents[i]; !pf.consumed && fenced(pf.path, false) {
+			invs = append(invs, cache.Invalidation{Path: pf.path, Mzxid: pf.pzxid, Epoch: stamp})
 		}
 	}
 	return invs
@@ -1010,8 +960,8 @@ func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64
 // applyParentFold is the batch's one read-modify-write per parent and
 // region: read, apply the coalesced splices, raise the stamps, write
 // back. It returns the object it wrote, if it wrote one.
-func (d *Deployment) applyParentFold(ctx cloud.Ctx, s UserStore, path string, pf *parentFold, stamp []int64) (Object, bool) {
-	parent, _, err := s.Read(ctx, path)
+func (d *Deployment) applyParentFold(ctx cloud.Ctx, s UserStore, pf *parentFold, stamp []int64) (Object, bool) {
+	parent, _, err := s.Read(ctx, pf.path)
 	if err != nil {
 		return Object{}, false
 	}

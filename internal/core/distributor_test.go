@@ -8,16 +8,31 @@ import (
 	"faaskeeper/internal/znode"
 )
 
+// nodePaths and parentPaths list a fold's entries in first-touch order.
+func nodePaths(f *batchFold) (paths []string) {
+	for _, nf := range f.nodes {
+		paths = append(paths, nf.path)
+	}
+	return paths
+}
+
+func parentPaths(f *batchFold) (paths []string) {
+	for _, pf := range f.parents {
+		paths = append(paths, pf.path)
+	}
+	return paths
+}
+
 func TestBatchFoldLastWriteWins(t *testing.T) {
 	f := newBatchFold()
 	f.foldWrite("/a", &znode.Node{Path: "/a", Data: []byte("1"), Stat: znode.Stat{Mzxid: 1}}, 1)
 	f.foldWrite("/a", &znode.Node{Path: "/a", Data: []byte("2"), Stat: znode.Stat{Mzxid: 5}}, 5)
 	f.foldWrite("/b", &znode.Node{Path: "/b"}, 3)
-	if len(f.order) != 2 || f.order[0] != "/a" || f.order[1] != "/b" {
-		t.Fatalf("order = %v", f.order)
+	if got := nodePaths(f); !slices.Equal(got, []string{"/a", "/b"}) {
+		t.Fatalf("order = %v", got)
 	}
-	nf := f.nodes["/a"]
-	if string(nf.node.Data) != "2" || nf.txid != 5 || nf.del {
+	nf := f.nodes[f.nodeAt["/a"]]
+	if nf.path != "/a" || nf.node == nil || string(nf.node.Data) != "2" || nf.txid != 5 {
 		t.Fatalf("fold of /a = %+v", nf)
 	}
 }
@@ -26,24 +41,24 @@ func TestBatchFoldCreateDeleteCreate(t *testing.T) {
 	f := newBatchFold()
 	f.foldWrite("/a/x", &znode.Node{Path: "/a/x", Data: []byte("one")}, 1)
 	f.foldParent("/a", "x", "", 1, 1)
-	f.foldDelete("/a/x", 2)
+	f.foldWrite("/a/x", nil, 2)
 	f.foldParent("/a", "", "x", 2, 2)
 	f.foldWrite("/a/x", &znode.Node{Path: "/a/x", Data: []byte("two")}, 3)
 	f.foldParent("/a", "x", "", 3, 3)
 
-	nf := f.nodes["/a/x"]
-	if nf.del || string(nf.node.Data) != "two" || nf.txid != 3 {
+	nf := f.nodes[f.nodeAt["/a/x"]]
+	if nf.node == nil || string(nf.node.Data) != "two" || nf.txid != 3 {
 		t.Fatalf("final node state = %+v", nf)
 	}
-	pf := f.parents["/a"]
+	pf := f.parents[f.parentAt["/a"]]
 	if !pf.present["x"] {
 		t.Fatal("child x must be present after create-delete-create")
 	}
 	if pf.cversion != 3 || pf.pzxid != 3 {
 		t.Fatalf("parent stamps = cversion %d pzxid %d, want 3/3", pf.cversion, pf.pzxid)
 	}
-	if len(f.order) != 1 || len(f.parentOrder) != 1 {
-		t.Fatalf("one node + one parent expected: %v %v", f.order, f.parentOrder)
+	if len(f.nodes) != 1 || len(f.parents) != 1 || pf.path != "/a" {
+		t.Fatalf("one node + one parent expected: %v %v", nodePaths(f), parentPaths(f))
 	}
 }
 
@@ -51,13 +66,13 @@ func TestBatchFoldDeleteEndsChain(t *testing.T) {
 	f := newBatchFold()
 	f.foldWrite("/a/y", &znode.Node{Path: "/a/y"}, 4)
 	f.foldParent("/a", "y", "", 1, 4)
-	f.foldDelete("/a/y", 6)
+	f.foldWrite("/a/y", nil, 6)
 	f.foldParent("/a", "", "y", 2, 6)
-	nf := f.nodes["/a/y"]
-	if !nf.del || nf.node != nil || nf.txid != 6 {
+	nf := f.nodes[f.nodeAt["/a/y"]]
+	if nf.path != "/a/y" || nf.node != nil || nf.txid != 6 {
 		t.Fatalf("final state must be the tombstone: %+v", nf)
 	}
-	if f.parents["/a"].present["y"] {
+	if f.parents[f.parentAt["/a"]].present["y"] {
 		t.Fatal("child y must be absent")
 	}
 }
@@ -92,26 +107,26 @@ func TestSpliceIntoIdempotentAndRaising(t *testing.T) {
 // rule fences — a delete and a shared parent's splices here, every path of
 // an atomic batch — each once, at its newest folded txid, with the stamp.
 // A plain node write, a node that absorbed its splice and a standalone
-// parent RMW are installed after their store writes instead.
+// parent RMW are installed after their store writes instead. The shared
+// root is left unconsumed, as distributeFold leaves it: the leg splices it
+// with its own RMW, and both records fence it.
 func TestBatchFoldInvalidations(t *testing.T) {
 	f := newBatchFold()
 	f.foldWrite("/p", &znode.Node{Path: "/p"}, 2)
 	f.foldWrite("/p/c", &znode.Node{Path: "/p/c"}, 5)
 	f.foldParent("/p", "c", "", 1, 5)
 	f.foldParent("/q", "d", "", 1, 7)
-	f.foldDelete("/q/d", 7)
+	f.foldWrite("/q/d", nil, 7)
 	f.foldParent("/", "r", "", 1, 8)
 
 	// /p's splice folds into its node write (the distributor marks it
 	// consumed and raises the node txid); /q stays a standalone parent RMW;
-	// the root is a shared parent, spliced under the root lock.
-	pf := f.parents["/p"]
+	// the root is a shared parent, spliced by each leg under the root lock.
+	pf := &f.parents[f.parentAt["/p"]]
 	pf.consumed = true
-	if pf.pzxid > f.nodes["/p"].txid {
-		f.nodes["/p"].txid = pf.pzxid
+	if nf := &f.nodes[f.nodeAt["/p"]]; pf.pzxid > nf.txid {
+		nf.txid = pf.pzxid
 	}
-	root := f.parents["/"]
-	root.consumed, root.shared = true, true
 
 	stamp := []int64{11}
 	record := func(atomic bool) map[string]int64 {

@@ -3,8 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/fksync"
+	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
 
@@ -115,5 +120,198 @@ func TestDeploymentProvisionsShards(t *testing.T) {
 		if !q.Ordered() {
 			t.Errorf("shard %d queue not ordered", i)
 		}
+	}
+}
+
+// rootRecStore logs every mutation of one region's user store: the path,
+// the process that made it, and the root lock's holder (its acquisition
+// timestamp, 0 when free) as the call starts and as it lands.
+type rootRecStore struct {
+	UserStore
+	d     *Deployment
+	calls *[]rootCall
+}
+
+type rootCall struct {
+	region             cloud.Region
+	path               string
+	proc               string // the process that made it: its name and id
+	procID             int64
+	lockedAt, lockedTo int64
+}
+
+func (s *rootRecStore) rootLock() int64 {
+	it, ok := s.d.System.Peek(rootUpdateLockKey)
+	if !ok {
+		return 0
+	}
+	v, ok := it.Lookup(fksync.LockAttr)
+	if !ok {
+		return 0
+	}
+	return v.Num()
+}
+
+func (s *rootRecStore) record(path string, call func() error) error {
+	p := s.d.K.Current()
+	c := rootCall{region: s.Region(), path: path, proc: p.Name(), procID: p.ID(), lockedAt: s.rootLock()}
+	err := call()
+	c.lockedTo = s.rootLock()
+	*s.calls = append(*s.calls, c)
+	return err
+}
+
+func (s *rootRecStore) Write(ctx cloud.Ctx, o Object) error {
+	return s.record(o.Path, func() error { return s.UserStore.Write(ctx, o) })
+}
+
+func (s *rootRecStore) Delete(ctx cloud.Ctx, path string) error {
+	return s.record(path, func() error { return s.UserStore.Delete(ctx, path) })
+}
+
+// TestSharedRootSplicedInEachLeg: on two shards and two regions, two
+// sessions create top-level nodes on both shards and delete half of them,
+// all pipelined. In every region the root object ends with exactly the live
+// children, the system store's Cversion (one per change) and the highest
+// txid of any change as its Pzxid: the system record keeps the last shard's
+// commit, the objects only raise it. Each region's flush leg splices the
+// root itself: its last store write is the root's, after the leg's child
+// writes, and the root lock has one holder from that write's start to its
+// landing. No process but a leg touches a user store, so no
+// leader-root-<region> process runs.
+func TestSharedRootSplicedInEachLeg(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
+			hook := &pipeFaults{}
+			var procs []string
+			hook.hold = func(proc string) sim.Time {
+				procs = append(procs, proc)
+				return 0
+			}
+			r := newPipeRig(t, 31, Config{WriteShards: 2, ExtraRegions: []cloud.Region{cloud.RegionAWSRemote}, BatchWrites: batch}, hook)
+			var calls []rootCall
+			for i, s := range r.d.Stores {
+				r.d.Stores[i] = &rootRecStore{UserStore: s, d: r.d, calls: &calls}
+				for _, ls := range r.d.leaders {
+					ls.legs[i].store = r.d.Stores[i]
+				}
+			}
+
+			const perSession = 6
+			live := map[string]bool{}
+			shards := map[int]bool{}
+			var changes int32
+			var pzxid int64
+			roots := make([]*znode.Node, len(r.d.Stores))
+			r.k.Go("driver", func() {
+				wg := sim.NewWaitGroup(r.k)
+				for _, id := range []string{"a", "b"} {
+					wg.Go("session-"+id, func() {
+						s := r.open(id)
+						var futs []*sim.Future[Response]
+						for i := 0; i < perSession; i++ {
+							path := fmt.Sprintf("/%s%d", id, i)
+							shards[ShardOf(path, 2)] = true
+							futs = append(futs, s.submit(OpCreate, path, "x"))
+							live[path] = i%2 == 1
+						}
+						for i := 0; i < perSession; i += 2 {
+							futs = append(futs, s.submit(OpDelete, fmt.Sprintf("/%s%d", id, i), ""))
+						}
+						for _, f := range futs {
+							resp := f.Wait()
+							if resp.Code != CodeOK {
+								t.Errorf("%s seq %d: %s", id, resp.Seq, resp.Code)
+							}
+							changes++
+							pzxid = max(pzxid, resp.Txid)
+						}
+					})
+				}
+				wg.Wait()
+				for i, s := range r.d.Stores {
+					n, _, err := s.Read(cloud.ClientCtx(s.Region()), znode.Root)
+					if err != nil {
+						t.Errorf("%s: read root: %v", s.Region(), err)
+					}
+					roots[i] = n
+				}
+			})
+			r.run()
+
+			if len(shards) != 2 {
+				t.Fatalf("the paths reach shards %v, want both", shards)
+			}
+			var want []string
+			for p, ok := range live {
+				if ok {
+					want = append(want, p[1:])
+				}
+			}
+			slices.Sort(want)
+			item, _ := r.d.System.Peek(nodeKey(znode.Root))
+			sys := decodeSysNode(item)
+			if sys.Cversion != changes {
+				t.Errorf("system root: cversion %d, want %d", sys.Cversion, changes)
+			}
+			for i, n := range roots {
+				region := r.d.Stores[i].Region()
+				if n == nil {
+					continue
+				}
+				got := slices.Clone(n.Children)
+				slices.Sort(got)
+				if !slices.Equal(got, want) || n.Stat.NumChildren != int32(len(want)) {
+					t.Errorf("%s: root children %v (%d), want %v", region, n.Children, n.Stat.NumChildren, want)
+				}
+				if n.Stat.Cversion != changes || n.Stat.Pzxid != pzxid {
+					t.Errorf("%s: root cversion %d pzxid %d, want %d %d", region, n.Stat.Cversion, n.Stat.Pzxid, changes, pzxid)
+				}
+			}
+
+			// Per leg process, in the order its store ops landed.
+			legs := map[int64][]rootCall{}
+			var order []int64
+			for _, c := range calls {
+				if _, seen := legs[c.procID]; !seen {
+					order = append(order, c.procID)
+				}
+				legs[c.procID] = append(legs[c.procID], c)
+			}
+			rootWrites := map[cloud.Region]int{}
+			for _, p := range order {
+				cs := legs[p]
+				region := cs[0].region
+				if want := "leader-update-" + string(region); cs[0].proc != want {
+					t.Errorf("%s wrote %s's store, want only %s", cs[0].proc, region, want)
+				}
+				last := cs[len(cs)-1]
+				if last.path != znode.Root {
+					t.Errorf("%s: the leg's last store write is %s, want the root after its child writes %v", region, last.path, cs)
+				}
+				for _, c := range cs {
+					if c.region != region {
+						t.Errorf("one leg wrote to %s and %s", region, c.region)
+					}
+					if c.path != znode.Root {
+						continue
+					}
+					rootWrites[region]++
+					if c.lockedAt == 0 || c.lockedTo != c.lockedAt {
+						t.Errorf("%s: root written with the root lock at %d as it started and %d as it landed, want one holder throughout", region, c.lockedAt, c.lockedTo)
+					}
+				}
+			}
+			for _, s := range r.d.Stores {
+				if rootWrites[s.Region()] == 0 {
+					t.Errorf("%s: the root was never written", s.Region())
+				}
+			}
+			for _, name := range procs {
+				if strings.HasPrefix(name, "leader-root-") {
+					t.Fatalf("a %s process ran: the root's splice belongs to the leg", name)
+				}
+			}
+		})
 	}
 }
