@@ -34,8 +34,7 @@ func runChaosMode(out io.Writer, args []string, seed int64, faults string, quick
 	for _, config := range configs {
 		s := chaos.Scenario{Seed: seed, Config: config, Faults: sched}
 		if quick {
-			s.Clients = 3
-			s.OpsPerClient = 10
+			s = s.Quick()
 		}
 		res := chaos.Run(s)
 		injected := int64(0)

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"faaskeeper/internal/chaos"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -74,5 +77,20 @@ func TestGoldenSessions(t *testing.T) {
 				t.Errorf("fkcli %s\n--- got ---\n%s--- want (%s) ---\n%s", tc.args, out.Bytes(), golden, want)
 			}
 		})
+	}
+}
+
+// TestQuickChaosRunsTheReplayedScenario: `-quick chaos` runs the scenario
+// its replay line names, the PR smoke's size (chaos.Scenario.Quick), so the
+// events and virtual time it prints are those of that scenario's Run.
+func TestQuickChaosRunsTheReplayedScenario(t *testing.T) {
+	const seed = 5
+	res := chaos.Run(chaos.Scenario{Seed: seed, Config: "plain", Faults: chaos.DefaultFaults()}.Quick())
+	var out bytes.Buffer
+	run([]string{"-seed", fmt.Sprint(seed), "-quick", "chaos", "plain"}, &out)
+	want := fmt.Sprintf("(%d events, ", res.History.Len())
+	if !strings.Contains(out.String(), want) || !strings.Contains(out.String(), fmt.Sprintf("vtime %s)", res.VirtualTime)) {
+		t.Errorf("fkcli -quick chaos plain printed %q; chaos.Run of the quick scenario has %d events, vtime %s",
+			out.String(), res.History.Len(), res.VirtualTime)
 	}
 }

@@ -1,66 +1,20 @@
-// Distributedlock: the ZooKeeper lock recipe on FaaSKeeper. Contenders
-// enqueue ephemeral sequential nodes under the lock; the holder is the
-// smallest sequence number, and each waiter watches its predecessor. The
-// example runs several contenders over a shared critical section and
-// verifies mutual exclusion.
+// Distributedlock: the ZooKeeper lock recipe (recipes.Mutex) on
+// FaaSKeeper. Contenders enqueue ephemeral sequential nodes under the lock;
+// the holder is the smallest sequence number, and each waiter watches its
+// predecessor. The example runs several contenders over a shared critical
+// section and verifies mutual exclusion.
 package main
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"faaskeeper"
 	"faaskeeper/internal/sim"
-	"faaskeeper/internal/znode"
+	"faaskeeper/recipes"
 )
 
 const lockRoot = "/locks/resource"
-
-type mutex struct {
-	c      *faaskeeper.Client
-	myNode string
-	s      *faaskeeper.Simulation
-}
-
-// Lock blocks until this contender owns the lock.
-func (m *mutex) Lock() error {
-	name, err := m.c.Create(lockRoot+"/lock-", nil, faaskeeper.FlagEphemeral|faaskeeper.FlagSequential)
-	if err != nil {
-		return err
-	}
-	m.myNode = name
-	for {
-		kids, err := m.c.GetChildren(lockRoot)
-		if err != nil {
-			return err
-		}
-		sort.Strings(kids)
-		mine := znode.Base(m.myNode)
-		idx := sort.SearchStrings(kids, mine)
-		if idx == 0 {
-			return nil // we hold the lock
-		}
-		pred := lockRoot + "/" + kids[idx-1]
-		released := sim.NewFuture[struct{}](m.s.Kernel())
-		st, err := m.c.ExistsW(pred, func(faaskeeper.Notification) {
-			released.TryComplete(struct{}{})
-		})
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			released.Wait() // predecessor still holds it: wait for deletion
-		}
-	}
-}
-
-// Unlock releases the lock.
-func (m *mutex) Unlock() error {
-	err := m.c.Delete(m.myNode, -1)
-	m.myNode = ""
-	return err
-}
 
 func main() {
 	s := faaskeeper.NewSimulation(23)
@@ -86,7 +40,7 @@ func main() {
 					panic(err)
 				}
 				defer cl.Close()
-				m := &mutex{c: cl, s: s}
+				m := recipes.NewMutex(s, cl, lockRoot)
 				for r := 0; r < rounds; r++ {
 					if err := m.Lock(); err != nil {
 						panic(id + ": " + err.Error())

@@ -26,7 +26,8 @@ var (
 )
 
 // matrixSeedBase spaces matrix seeds so every (seed index, config) cell is
-// a distinct RNG stream; replay uses the reported seed directly.
+// a distinct RNG stream: seed = matrixSeedBase*(i+1) + the config's row
+// index in Configs(). Replay uses the reported seed directly.
 const matrixSeedBase = 1000
 
 func scenarioFor(seed int64, config string) Scenario {
@@ -243,9 +244,10 @@ func forEachScenario(t *testing.T, fn func(*testing.T, Scenario)) {
 	}
 	for _, cfg := range configs {
 		cfg := cfg
+		row := int64(slices.Index(Configs(), cfg))
 		t.Run(cfg, func(t *testing.T) {
 			for i := 0; i < *flagSeeds; i++ {
-				seed := matrixSeedBase*int64(i+1) + int64(len(cfg))
+				seed := matrixSeedBase*int64(i+1) + row
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					fn(t, scenarioFor(seed, cfg))
 				})
@@ -284,18 +286,46 @@ func TestReplayCmdReproducesScenario(t *testing.T) {
 }
 
 // TestChaosQuietControl runs the workload with every fault off: the
-// harness and checker themselves must be clean, and nothing injected,
-// before a failure under faults means anything.
+// harness and checker themselves must be clean, nothing injected, and no
+// operation may end in an indeterminate error (a system error or a
+// timeout), before a failure under faults means anything.
 func TestChaosQuietControl(t *testing.T) {
 	for _, cfg := range Configs() {
 		cfg := cfg
 		t.Run(cfg, func(t *testing.T) {
 			s := scenarioFor(42, cfg)
 			s.Faults = Quiet()
-			if res := runScenario(t, s, nil); len(res.FaultCounts) != 0 {
+			res := runScenario(t, s, nil)
+			if len(res.FaultCounts) != 0 {
 				t.Errorf("fault-free control injected faults: %v", res.FaultCounts)
 			}
+			for _, e := range res.History.Events {
+				if e.Err != "" && !e.Definite {
+					t.Errorf("fault-free control: %s %s %s %s: indeterminate error %q",
+						e.Session, e.Kind, e.Op, e.Path, e.Err)
+				}
+			}
 		})
+	}
+}
+
+// TestNightlyRunsEveryConfig: the nightly workflow's job matrix lists
+// exactly Configs(), in order, so a new matrix row is searched nightly.
+func TestNightlyRunsEveryConfig(t *testing.T) {
+	data, err := os.ReadFile("../../.github/workflows/chaos-nightly.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), "config: ["); ok {
+			for _, name := range strings.Split(strings.TrimSuffix(v, "]"), ",") {
+				listed = append(listed, strings.TrimSpace(name))
+			}
+		}
+	}
+	if !slices.Equal(listed, Configs()) {
+		t.Errorf("chaos-nightly.yml runs %v, Configs() is %v", listed, Configs())
 	}
 }
 

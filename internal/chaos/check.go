@@ -40,6 +40,11 @@ type CheckOpts struct {
 	// the only ones whose armed-but-never-fired watches can be judged.
 	OpenSessions map[string]bool
 
+	// Shards is the deployment's write shard count: a txid is minted by
+	// shard txid mod Shards, and a session's acks from one shard carry
+	// strictly increasing txids. 0 means 1.
+	Shards int
+
 	// LostWatchGap is how long after an arm a read must complete to count
 	// as lost-watch evidence: a write already in the leader pipeline when
 	// the registration landed may legally miss it, so only changes
@@ -54,6 +59,12 @@ type writeStatus struct{ ok, indet bool }
 
 type spKey struct{ session, path string }
 
+// ssKey names one session's writes through one shard's leader.
+type ssKey struct {
+	session string
+	shard   int64
+}
+
 // swKey names one session's watch: a one-shot arm stays pending under it
 // until the fire that consumes it.
 type swKey struct {
@@ -63,7 +74,8 @@ type swKey struct {
 
 // Check validates a history against the linearizability-style invariants
 // of the client API: per-session per-path mzxid monotonicity, write-ack
-// txid ordering, value provenance (a read never returns data no
+// txid ordering per session and minting shard (Z2; a multi() is one ack
+// at its one txid), value provenance (a read never returns data no
 // non-failed write produced), a single data value per mzxid, strict
 // read-your-writes on single-writer paths, reverse-order multi()
 // atomicity, and watch ordering (no stale read before a delivered
@@ -77,6 +89,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 	if opts.LostWatchGap == 0 {
 		opts.LostWatchGap = int64(5 * time.Second)
 	}
+	shards := int64(max(opts.Shards, 1))
 	var out []Violation
 	add := func(inv, session, path, format string, args ...any) {
 		out = append(out, Violation{
@@ -162,10 +175,11 @@ func Check(h *History, opts CheckOpts) []Violation {
 		}
 	}
 
-	// ---- Pass 2: per-(session, path) ordering chains, read-your-writes,
-	// swap-pair counters, and watch pairing — one ordered sweep.
+	// ---- Pass 2: per-(session, path) and per-(session, shard) ordering
+	// chains, read-your-writes, swap-pair counters, and watch pairing — one
+	// ordered sweep.
 	lastObs := map[spKey]int64{}       // newest mzxid observed by session on path
-	lastWrite := map[spKey]int64{}     // newest own write-ack txid
+	lastWrite := map[ssKey]int64{}     // newest own write-ack txid per shard
 	ryw := map[spKey]map[string]bool{} // acceptable values on private paths
 
 	pairOfB := map[string]int{}
@@ -199,17 +213,18 @@ func Check(h *History, opts CheckOpts) []Violation {
 			lastObs[k] = m
 		}
 	}
+	// ackWrite checks one acked write's txid against the session's last
+	// ack from the shard that minted it (Z2).
 	ackWrite := func(session, path string, txid int64) {
 		if txid <= 0 {
 			return
 		}
-		k := spKey{session, path}
+		k := ssKey{session, txid % shards}
 		if prev := lastWrite[k]; prev > 0 && txid <= prev {
 			add("write-txid-order", session, path,
-				"write ack txid %d after %d", txid, prev)
+				"write ack txid %d after %d from shard %d", txid, prev, k.shard)
 		}
 		lastWrite[k] = txid
-		obsUp(k, txid)
 	}
 	rywWrite := func(session, path, value string, committed bool) {
 		if !strings.HasPrefix(path, opts.PrivatePrefix) {
@@ -231,6 +246,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 		case KindWrite:
 			if e.Err == "" {
 				ackWrite(e.Session, e.Path, e.Mzxid)
+				obsUp(spKey{e.Session, e.Path}, e.Mzxid)
 				if e.Op == "create" || e.Op == "set" {
 					rywWrite(e.Session, e.Path, e.Value, true)
 				}
@@ -238,9 +254,13 @@ func Check(h *History, opts CheckOpts) []Violation {
 				rywWrite(e.Session, e.Path, e.Value, false)
 			}
 		case KindMulti:
+			if e.Err != "" || len(e.Ops) == 0 {
+				continue
+			}
+			ackWrite(e.Session, e.Path, e.Ops[0].Txid) // every op's txid
 			for _, op := range e.Ops {
-				if e.Err == "" && op.Code == "ok" {
-					ackWrite(e.Session, op.Path, op.Txid)
+				if op.Code == "ok" {
+					obsUp(spKey{e.Session, op.Path}, op.Txid)
 				}
 			}
 		case KindRead:

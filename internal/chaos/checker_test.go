@@ -98,6 +98,37 @@ func TestCheckerFlagsWriteAckReordering(t *testing.T) {
 	}
 }
 
+// TestCheckerWriteOrderIsPerShard: Z2 orders one session's acks per
+// minting shard (txid mod Shards), across paths. Acks on /a then /b with
+// txids 9 then 7 break it on one shard, and on two shards, where shard 1
+// minted both; 9 then 8 come from different shards there and do not. A
+// multi()'s ops share one txid, checked once.
+func TestCheckerWriteOrderIsPerShard(t *testing.T) {
+	a9 := Event{Session: "s", Kind: KindWrite, Op: "set", Path: "/a", Value: "a#1", Mzxid: 9, End: 1}
+	b := func(txid int64) Event {
+		return Event{Session: "s", Kind: KindWrite, Op: "set", Path: "/b", Value: "b#1", Mzxid: txid, End: 2}
+	}
+	check := func(shards int, events ...Event) []Violation {
+		return Check(&History{Events: events}, CheckOpts{Shards: shards})
+	}
+	if vs := check(1, a9, b(7)); !hasViolation(vs, "write-txid-order") {
+		t.Errorf("one shard: acks 9 on /a then 7 on /b not flagged: %v", vs)
+	}
+	if vs := check(2, a9, b(7)); !hasViolation(vs, "write-txid-order") {
+		t.Errorf("two shards: acks 9 then 7, both minted by shard 1, not flagged: %v", vs)
+	}
+	if vs := check(2, a9, b(8)); len(vs) != 0 {
+		t.Errorf("two shards: txids 9 and 8 of different shards flagged: %v", vs)
+	}
+	multi := Event{Session: "s", Kind: KindMulti, Op: "multi", Path: "/swp/a", End: 3, Ops: []SubOp{
+		{Op: "set", Path: "/swp/a", Value: "sw#1", Code: "ok", Txid: 12},
+		{Op: "set", Path: "/swp/b", Value: "sw#1", Code: "ok", Txid: 12},
+	}}
+	if vs := check(1, a9, multi); len(vs) != 0 {
+		t.Errorf("a multi()'s ops sharing one txid flagged: %v", vs)
+	}
+}
+
 func TestCheckerFlagsReadYourWritesBreak(t *testing.T) {
 	vs := checkH(
 		Event{Session: "p0", Kind: KindWrite, Op: "set", Path: "/p-p0", Value: "p0#1", Mzxid: 5, End: 1},

@@ -75,13 +75,42 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// Configs lists the deployment configurations the chaos matrix covers:
-// the paper-faithful single-shard pipeline, the batching distributor, the
-// two-level cache tier, multi() on four shards, and the scaled preset the
-// benchmark runs — batching and the cache together, where a flush leg
-// writes several objects and installs each one after its own store write.
+// matrix is the chaos matrix, one row per deployment config: the
+// paper-faithful single-shard pipeline, the batching distributor, the
+// two-level cache tier, multi() on four shards, the scaled preset the
+// benchmark runs (batching and the cache together, where a flush leg writes
+// several objects and installs each one after its own store write), the
+// hybrid store, the regional cache without the session cache, caches small
+// enough to evict, the two-level cache over the object store, batching on
+// one shard, and four unbatched shards. A row's index is also its matrix
+// seed offset (chaos_test.go), so a new row is appended: moving a row
+// renumbers the seeds of every row it passes.
+var matrix = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"plain", core.Config{}},
+	{"batching", core.Config{WriteShards: 2, BatchWrites: true}},
+	{"caching", core.Config{WriteShards: 2, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
+	{"txn", core.Config{WriteShards: 4, UserStore: core.StoreKV}},
+	{"scaled", core.Config{WriteShards: 4, BatchWrites: true, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
+	{"hybrid", core.Config{UserStore: core.StoreHybrid}},
+	{"regional", core.Config{CacheMode: core.CacheRegional, UserStore: core.StoreKV}},
+	{"tiny-cache", core.Config{CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV,
+		CacheCapacityB: 2 << 10, ClientCacheCapacityB: 1 << 10}},
+	{"object-cache", core.Config{CacheMode: core.CacheTwoLevel}},
+	{"batching-1", core.Config{BatchWrites: true}},
+	{"sharded", core.Config{WriteShards: 4}},
+}
+
+// Configs lists the names of the chaos matrix's deployment configs, in
+// matrix order.
 func Configs() []string {
-	return []string{"plain", "batching", "caching", "txn", "scaled"}
+	names := make([]string, len(matrix))
+	for i, row := range matrix {
+		names[i] = row.name
+	}
+	return names
 }
 
 // DeployConfig maps a matrix config name to its deployment config. All
@@ -89,35 +118,15 @@ func Configs() []string {
 // crash storms always terminate in a redelivery that completes, and run
 // the heartbeat function so crashed sessions' ephemerals are reaped.
 func DeployConfig(name string) (core.Config, bool) {
-	base := core.Config{
-		Retries:        30,
-		HeartbeatEvery: 2 * time.Second,
+	for _, row := range matrix {
+		if row.name == name {
+			cfg := row.cfg
+			cfg.Retries = 30
+			cfg.HeartbeatEvery = 2 * time.Second
+			return cfg, true
+		}
 	}
-	switch name {
-	case "plain":
-		return base, true
-	case "batching":
-		base.WriteShards = 2
-		base.BatchWrites = true
-		return base, true
-	case "caching":
-		base.WriteShards = 2
-		base.CacheMode = core.CacheTwoLevel
-		base.UserStore = core.StoreKV
-		return base, true
-	case "txn":
-		base.WriteShards = 4
-		base.UserStore = core.StoreKV
-		return base, true
-	case "scaled":
-		base.WriteShards = 4
-		base.BatchWrites = true
-		base.CacheMode = core.CacheTwoLevel
-		base.UserStore = core.StoreKV
-		return base, true
-	default:
-		return core.Config{}, false
-	}
+	return core.Config{}, false
 }
 
 // Workload layout. Shared paths take the randomized multi-writer traffic;
@@ -615,6 +624,7 @@ func Run(s Scenario) *Result {
 	res.Violations = append(res.Violations, Check(h, CheckOpts{
 		SwapPairs:    swapPairs,
 		OpenSessions: map[string]bool{watcherID: true},
+		Shards:       d.NumShards(),
 	})...)
 	return res
 }

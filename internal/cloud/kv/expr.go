@@ -41,18 +41,6 @@ func (c AttrNotExists) Eval(item Item, exists bool) bool {
 }
 func (c AttrNotExists) String() string { return fmt.Sprintf("attr_not_exists(%s)", c.Name) }
 
-// AttrExists requires the named attribute to be present.
-type AttrExists struct{ Name string }
-
-// Eval implements Cond.
-func (c AttrExists) Eval(item Item, exists bool) bool {
-	if !exists {
-		return false
-	}
-	return item.index(c.Name) >= 0
-}
-func (c AttrExists) String() string { return fmt.Sprintf("attr_exists(%s)", c.Name) }
-
 // Eq requires attribute Name to equal V.
 type Eq struct {
 	Name string
@@ -130,13 +118,6 @@ func (c Or) Eval(item Item, exists bool) bool {
 	return false
 }
 func (c Or) String() string { return joinConds(c, " OR ") }
-
-// Not negates a condition.
-type Not struct{ C Cond }
-
-// Eval implements Cond.
-func (c Not) Eval(item Item, exists bool) bool { return !c.C.Eval(item, exists) }
-func (c Not) String() string                   { return "NOT " + c.C.String() }
 
 func joinConds[T Cond](cs []T, sep string) string {
 	s := "("

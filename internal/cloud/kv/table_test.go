@@ -451,8 +451,6 @@ func TestCondStringsAndCombinators(t *testing.T) {
 		want bool
 	}{
 		{Exists{}, true},
-		{Not{NotExists{}}, true},
-		{AttrExists{"v"}, true},
 		{AttrNotExists{"v"}, false},
 		{Eq{"v", N(5)}, true},
 		{Eq{"v", N(6)}, false},
@@ -548,7 +546,7 @@ func TestUpdateAllocations(t *testing.T) {
 		{Name: "children", V: StrList("a", "b", "c")}, {Name: "pending", V: NumList(8)},
 	})
 	ups := []Update{Set{"lock", N(1)}}
-	var cond Cond = AttrExists{"exists"}
+	var cond Cond = Eq{"exists", N(1)}
 	got := sim.AllocsPerRun(k, 200, func() {
 		if _, err := tbl.Update(ctx, "n", ups, cond); err != nil {
 			t.Fatalf("update: %v", err)

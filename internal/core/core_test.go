@@ -258,7 +258,7 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 		_, data, _ = d.RegisterWatch(ctx, "/n", WatchData, "s1")
 		_, child, _ = d.RegisterWatch(ctx, "/n", WatchChild, "s2")
 		writes = d.Env.Meter.Count("syskv.write") - w0
-		epoch, _ = d.Epoch(ctx, d.Cfg.Profile.Home)
+		epoch = d.Epoch(ctx, d.Cfg.Profile.Home)
 	})
 	k.Run()
 	k.Shutdown()

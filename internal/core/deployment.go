@@ -523,9 +523,8 @@ func (d *Deployment) NumShards() int { return len(d.LeaderQs) }
 
 // Epoch returns the in-flight watch ids for a region, the union over all
 // write shards: one strongly consistent read of the region's epoch item (a
-// missing item means none; exposed for tests and the client library). The
-// error is always nil, kept for API stability.
-func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) ([]int64, error) {
+// missing item means none; exposed for tests).
+func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) []int64 {
 	it, _ := d.System.GetView(ctx, d.epochKey(region), true)
-	return d.epochUnion(it), nil
+	return d.epochUnion(it)
 }

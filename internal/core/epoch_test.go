@@ -62,7 +62,7 @@ func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 			ws[i].submit(OpSetData, p, "1")
 		}
 		for end := r.k.Now() + sim.Ms(2000); r.k.Now() < end; r.k.Sleep(sim.Ms(1)) {
-			epoch, _ := d.Epoch(v.ctx, home)
+			epoch := d.Epoch(v.ctx, home)
 			item, _ := d.System.Peek(key) // the instant the read returned
 			reads = append(reads, read{r.k.Now(), epoch, item})
 		}

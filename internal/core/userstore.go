@@ -280,7 +280,6 @@ type memStore struct {
 	env    *cloud.Env
 	region cloud.Region
 	data   map[string][]byte
-	ops    int64
 }
 
 // NewMemStore builds the in-memory cache user store.
@@ -306,7 +305,6 @@ func (s *memStore) lat(ctx cloud.Ctx, base sim.Dist, perKB sim.Time, size int) s
 func (s *memStore) Write(ctx cloud.Ctx, o Object) error {
 	p := s.env.Profile
 	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, len(o.Blob)))
-	s.ops++
 	s.data[o.Path] = o.Blob
 	return nil
 }
@@ -318,7 +316,6 @@ func (s *memStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error
 	// server-side, and the transfer term is charged for exactly the blob
 	// returned — the value and the size-driven latency can never diverge.
 	s.env.K.Sleep(s.lat(ctx, p.MemReadBase, 0, 0))
-	s.ops++
 	blob, ok := s.data[path]
 	if !ok {
 		return nil, nil, ErrUserNoNode
@@ -330,7 +327,6 @@ func (s *memStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error
 func (s *memStore) Delete(ctx cloud.Ctx, path string) error {
 	p := s.env.Profile
 	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, 0))
-	s.ops++
 	delete(s.data, path)
 	return nil
 }
@@ -346,7 +342,6 @@ func (s *memStore) ApplyBatch(ctx cloud.Ctx, objs []Object) error {
 	}
 	p := s.env.Profile
 	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, size))
-	s.ops++
 	for _, o := range objs {
 		if o.Node == nil {
 			delete(s.data, o.Path)

@@ -3,9 +3,8 @@ package fkclient
 // Tests of the leader's batching distributor (Config.BatchWrites) from the
 // client's perspective: per-op Stat/txid integrity when store writes are
 // folded, batch folding edge cases (create→delete→create, set→set),
-// sequential numbering and tombstone GC across a coalesced batch, watch
-// notification ordering, and the randomized consistency suite with
-// batching enabled. The paper-faithful default (BatchWrites off ≡ chunks
+// sequential numbering and tombstone GC across a coalesced batch, and watch
+// notification ordering. The paper-faithful default (BatchWrites off ≡ chunks
 // of one message) stays guarded by the golden trace tests in
 // sharding_test.go.
 
@@ -301,25 +300,6 @@ func TestBatchedWatchNotifyOrder(t *testing.T) {
 		watcher.Close()
 		writer.Close()
 	})
-}
-
-// TestBatchedRandomizedHistories runs the randomized consistency workload
-// with the batching distributor on — alone and combined with the sharded
-// pipeline — checking tree integrity and ephemeral cleanup.
-func TestBatchedRandomizedHistories(t *testing.T) {
-	for _, cfg := range []core.Config{
-		{BatchWrites: true},
-		{BatchWrites: true, WriteShards: 4},
-		{BatchWrites: true, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV},
-	} {
-		cfg := cfg
-		// "max0": a chunk is the whole run of single ops between multi()s.
-		name := fmt.Sprintf("shards%d-max0-cache%v", cfg.WriteShards, cfg.CacheMode != core.CacheOff)
-		t.Run(name, func(t *testing.T) {
-			_, d := randomHistory(t, 606, cfg, 4, 12)
-			verifyTreeIntegrity(t, d)
-		})
-	}
 }
 
 // chunkSysWrites pipelines one blocker write and then three sets from one

@@ -911,36 +911,3 @@ func TestCacheShardedRootReadYourWritesLowTxid(t *testing.T) {
 		}
 	})
 }
-
-// TestConsistencyWithCacheTier: the randomized multi-client histories of
-// the consistency suite — including the inline Z3 checks — must hold
-// verbatim with the cache tier enabled, in both modes, with and without
-// write sharding.
-func TestConsistencyWithCacheTier(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"regional", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional}},
-		{"two-level", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel}},
-		{"two-level-sharded", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel, WriteShards: 4}},
-		{"two-level-object-store", core.Config{CacheMode: core.CacheTwoLevel}},
-		{"tiny-caches", core.Config{
-			UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel,
-			CacheCapacityB: 2 << 10, ClientCacheCapacityB: 1 << 10,
-		}},
-	}
-	for i, tc := range cases {
-		tc, i := tc, i
-		t.Run(tc.name, func(t *testing.T) {
-			obs, d := randomHistory(t, 404+int64(i)*17, tc.cfg, 4, 12)
-			if tc.cfg.WriteShards <= 1 {
-				// Z2's global txid comparison does not apply across
-				// shards (txids are only totally ordered within one, see
-				// TestShardedRandomizedHistories).
-				verifyZ2(t, obs)
-			}
-			verifyTreeIntegrity(t, d)
-		})
-	}
-}

@@ -2,9 +2,8 @@ package fkclient
 
 // Tests of the sharded write path from the client's perspective: the
 // determinism guard (WriteShards: 1 is byte-identical to the default
-// pipeline), per-session FIFO delivery at every shard count, watch
-// delivery across shards, and the randomized consistency suite on a
-// multi-shard deployment.
+// pipeline), per-session FIFO delivery at every shard count, and watch
+// delivery across shards.
 
 import (
 	"bytes"
@@ -558,21 +557,6 @@ func TestWatchesAcrossShards(t *testing.T) {
 		watcher.Close()
 		writer.Close()
 	})
-}
-
-// TestShardedRandomizedHistories runs the randomized consistency workload
-// on a 4-shard deployment. Z2's global txid check does not apply across
-// shards, but per-node ordering (Z3), tree integrity (Z1), and ephemeral
-// cleanup must hold at any shard count — including concurrent top-level
-// creates/deletes that exercise the shared-root update gate.
-func TestShardedRandomizedHistories(t *testing.T) {
-	for _, seed := range []int64{404, 505} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			_, d := randomHistory(t, seed, core.Config{WriteShards: 4}, 4, 12)
-			verifyTreeIntegrity(t, d)
-		})
-	}
 }
 
 // TestShardedSessionCloseDeletesEphemerals: Close() must ack only after

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -342,6 +343,51 @@ func TestMultiRandomizedNoPartialCommit(t *testing.T) {
 	verifyTreeIntegrity(t, dep)
 }
 
+// verifyTreeIntegrity checks Z1's end state: every child a node lists in
+// the user store is readable, under its own path.
+func verifyTreeIntegrity(t *testing.T, d *core.Deployment) {
+	t.Helper()
+	done := false
+	d.K.Go("verify", func() {
+		ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
+		store := d.PrimaryStore()
+		var walk func(path string)
+		walk = func(path string) {
+			n, _, err := store.Read(ctx, path)
+			if err != nil {
+				t.Errorf("integrity: read %s: %v", path, err)
+				return
+			}
+			for _, child := range n.Children {
+				childPath := znode.Join(path, child)
+				cn, _, err := store.Read(ctx, childPath)
+				if err != nil {
+					t.Errorf("integrity: %s lists child %s but it is unreadable: %v", path, child, err)
+					continue
+				}
+				if cn.Path != childPath {
+					t.Errorf("integrity: %s stored under wrong path %s", childPath, cn.Path)
+				}
+				walk(childPath)
+			}
+		}
+		walk(znode.Root)
+		done = true
+	})
+	d.K.Run()
+	d.K.Shutdown()
+	if !done {
+		t.Error("integrity walk did not finish")
+	}
+}
+
+// isExpectedError reports whether err is a ZooKeeper answer a random
+// workload may legitimately get.
+func isExpectedError(err error) bool {
+	return errors.Is(err, core.ErrNoNode) || errors.Is(err, core.ErrNodeExists) ||
+		errors.Is(err, core.ErrBadVersion) || errors.Is(err, core.ErrNotEmpty)
+}
+
 func atoiOr(t *testing.T, s string) int {
 	t.Helper()
 	n := 0
@@ -354,9 +400,9 @@ func atoiOr(t *testing.T, s string) int {
 	return n
 }
 
-// TestMultiRandomizedHistoriesWithTxn runs the randomized consistency
-// workload with transactions interleaved — sharded, batched, and cached
-// variants — checking tree integrity afterwards.
+// TestMultiRandomizedHistoriesWithTxn runs a randomized workload of
+// transactions, sets and gets — sharded, batched, and cached variants —
+// checking tree integrity afterwards.
 func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{WriteShards: 4},

@@ -89,11 +89,7 @@ func TestEpochCleanupAfterDelivery(t *testing.T) {
 		watcher.GetDataW("/e", func(core.Notification) {})
 		writer.SetData("/e", []byte("x"), -1)
 		k.Sleep(10 * time.Second)
-		epoch, err := d.Epoch(watcher.ctx, d.Cfg.Profile.Home)
-		if err != nil {
-			t.Errorf("epoch: %v", err)
-		}
-		if len(epoch) != 0 {
+		if epoch := d.Epoch(watcher.ctx, d.Cfg.Profile.Home); len(epoch) != 0 {
 			t.Errorf("epoch not drained: %v", epoch)
 		}
 		// A subsequent read must be instantaneous (no stall).
