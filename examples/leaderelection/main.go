@@ -1,65 +1,19 @@
-// Leaderelection: the classic ZooKeeper recipe on FaaSKeeper — candidates
-// create ephemeral sequential nodes and the smallest sequence number
-// leads; everyone else watches its predecessor. When the leader's session
-// dies, the next candidate is notified and takes over.
+// Leaderelection: the classic ZooKeeper recipe (recipes.Election) on
+// FaaSKeeper — candidates create ephemeral sequential nodes and the
+// smallest sequence number leads; everyone else watches its predecessor.
+// When the leader's session dies, the next candidate is notified and takes
+// over.
 package main
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"faaskeeper"
-	"faaskeeper/internal/znode"
+	"faaskeeper/recipes"
 )
 
 const electionRoot = "/election"
-
-type candidate struct {
-	id     string
-	client *faaskeeper.Client
-	myNode string
-	sim    *faaskeeper.Simulation
-	lead   func(string)
-}
-
-// campaign implements the recipe: create an ephemeral sequential node,
-// then either lead or watch the predecessor.
-func (c *candidate) campaign() error {
-	if c.myNode == "" {
-		name, err := c.client.Create(electionRoot+"/cand-", []byte(c.id), faaskeeper.FlagEphemeral|faaskeeper.FlagSequential)
-		if err != nil {
-			return err
-		}
-		c.myNode = name
-	}
-	kids, err := c.client.GetChildren(electionRoot)
-	if err != nil {
-		return err
-	}
-	sort.Strings(kids)
-	mine := znode.Base(c.myNode)
-	idx := sort.SearchStrings(kids, mine)
-	if idx == 0 {
-		c.lead(c.id)
-		return nil
-	}
-	pred := electionRoot + "/" + kids[idx-1]
-	// Watch the immediate predecessor only: no herd effect.
-	st, err := c.client.ExistsW(pred, func(faaskeeper.Notification) {
-		if err := c.campaign(); err != nil {
-			fmt.Println(c.id, "re-campaign failed:", err)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if st == nil {
-		return c.campaign() // predecessor vanished before the watch landed
-	}
-	fmt.Printf("[t=%7v] %s waits behind %s\n", c.sim.Now().Truncate(time.Millisecond), c.id, pred)
-	return nil
-}
 
 func main() {
 	sim := faaskeeper.NewSimulation(11)
@@ -72,21 +26,19 @@ func main() {
 		setup, _ := deployment.Connect("setup")
 		setup.Create(electionRoot, nil, 0)
 
-		cands := make([]*candidate, 3)
-		for i := range cands {
+		clients := make([]*faaskeeper.Client, 3)
+		for i := range clients {
 			id := fmt.Sprintf("node-%d", i)
 			cl, err := deployment.Connect(id)
 			if err != nil {
 				panic(err)
 			}
-			cands[i] = &candidate{
-				id: id, client: cl, sim: sim,
-				lead: func(who string) {
-					fmt.Printf("[t=%7v] %s is now the leader\n", sim.Now().Truncate(time.Millisecond), who)
-					leaders = append(leaders, who)
-				},
-			}
-			if err := cands[i].campaign(); err != nil {
+			clients[i] = cl
+			e := recipes.NewElection(sim, cl, electionRoot, func() {
+				fmt.Printf("[t=%7v] %s is now the leader\n", sim.Now().Truncate(time.Millisecond), id)
+				leaders = append(leaders, id)
+			})
+			if err := e.Campaign(); err != nil {
 				panic(err)
 			}
 			sim.Sleep(time.Second)
@@ -96,7 +48,7 @@ func main() {
 		// dead session and removes its ephemeral node, promoting the next.
 		sim.Sleep(5 * time.Second)
 		fmt.Printf("[t=%7v] killing %s\n", sim.Now().Truncate(time.Millisecond), leaders[0])
-		cands[0].client.Crash()
+		clients[0].Crash()
 
 		sim.Sleep(3 * time.Minute)
 		setup.Close()

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"faaskeeper/internal/cloud"
-	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 )
 
@@ -52,26 +51,6 @@ type Stats struct {
 	RejectedInstalls int64
 	Invalidations    int64
 	Losses           int64
-}
-
-// Publish mirrors the counters into a metrics registry as gauges keyed
-// by the cache node's region — the snapshot the telemetry exporters dump
-// alongside the pipeline's own instruments.
-func (s Stats) Publish(reg *obs.Registry, region string) {
-	for _, g := range []struct {
-		name string
-		v    int64
-	}{
-		{"hits", s.Hits},
-		{"misses", s.Misses},
-		{"fills", s.Fills},
-		{"rejected_fills", s.RejectedFills},
-		{"installs", s.Installs},
-		{"rejected_installs", s.RejectedInstalls},
-		{"invalidations", s.Invalidations},
-	} {
-		reg.SetGauge(obs.Key{Component: "cache", Name: g.name, Region: region}, g.v)
-	}
 }
 
 // Regional is the shared cache node of one region: an in-memory store on a

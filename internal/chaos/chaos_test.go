@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"faaskeeper/internal/obs"
 )
 
 var (
@@ -122,7 +124,8 @@ func triage(vs []Violation, listed []knownRed) (unlisted []Violation, stale []kn
 }
 
 // writeArtifacts dumps the failing run's history, fault schedule, and
-// violations where CI can pick them up ($CHAOS_ARTIFACT_DIR, if set).
+// violations, and a traced seed's span log, where CI can pick them up
+// ($CHAOS_ARTIFACT_DIR, if set).
 func writeArtifacts(t *testing.T, res *Result) {
 	t.Helper()
 	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
@@ -138,6 +141,12 @@ func writeArtifacts(t *testing.T, res *Result) {
 	if err == nil {
 		_ = res.History.WriteJSONL(hf)
 		hf.Close()
+	}
+	if res.Spans != nil {
+		if sf, err := os.Create(filepath.Join(dir, base+".spans.jsonl")); err == nil {
+			_ = obs.WriteSpanLog(sf, res.Spans)
+			sf.Close()
+		}
 	}
 	report := struct {
 		Scenario   Scenario         `json:"scenario"`
@@ -374,6 +383,47 @@ func TestChaosInjectsFaults(t *testing.T) {
 	if res.Failed() {
 		for _, v := range res.Violations {
 			t.Errorf("%s", v)
+		}
+	}
+}
+
+// TestTracingMovesNoEvent: spans and dollars are pure bookkeeping under
+// faults too, so a seed's history and virtual end time are the same traced
+// and untraced, on every row. TestTelemetryOffTraceByteIdentical (fkclient)
+// is the fault-free counterpart.
+func TestTracingMovesNoEvent(t *testing.T) {
+	for row, cfg := range Configs() {
+		t.Run(cfg, func(t *testing.T) {
+			for i := 0; i < 3; i++ {
+				s := scenarioFor(matrixSeedBase*int64(i+1)+int64(row), cfg)
+				on, off := run(s, true), run(s, false)
+				if on.Spans == nil || off.Spans != nil {
+					t.Fatalf("seed %d: traced run has %d spans, untraced %d", s.Seed, len(on.Spans), len(off.Spans))
+				}
+				if !reflect.DeepEqual(on.History.Events, off.History.Events) || on.VirtualTime != off.VirtualTime {
+					t.Errorf("seed %d: tracing moved the run: %d events ending at %v traced, %d at %v untraced",
+						s.Seed, on.History.Len(), on.VirtualTime, off.History.Len(), off.VirtualTime)
+				}
+				for _, v := range on.Violations {
+					t.Errorf("seed %d traced: %s", s.Seed, v)
+				}
+			}
+		})
+	}
+}
+
+// TestTracedQuarter: the traced seeds are about a quarter of every row's
+// matrix seeds, so the PR smoke checks the span and cost rules on each row.
+func TestTracedQuarter(t *testing.T) {
+	for row, cfg := range Configs() {
+		n := 0
+		for i := 0; i < 64; i++ {
+			if traced(matrixSeedBase*int64(i+1) + int64(row)) {
+				n++
+			}
+		}
+		if n < 8 || n > 24 {
+			t.Errorf("%s: %d of the first 64 matrix seeds traced, want about 16", cfg, n)
 		}
 	}
 }

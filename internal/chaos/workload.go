@@ -24,7 +24,6 @@ type Scenario struct {
 	Clients      int    // shared-path worker sessions (0 = defaultClients)
 	OpsPerClient int    // ops per worker (0 = defaultOpsPerClient)
 	Faults       Faults
-	Telemetry    bool
 }
 
 // Result is one completed chaos run.
@@ -35,7 +34,7 @@ type Result struct {
 	FaultCounts map[string]int64
 	Schedule    []string // injector's fault log, for failure artifacts
 	VirtualTime sim.Time
-	Spans       []obs.Span // only with Scenario.Telemetry
+	Spans       []obs.Span // only on a traced seed (see traced)
 }
 
 // Failed reports whether the run found invariant violations.
@@ -188,11 +187,21 @@ func errStr(err error) string {
 	return err.Error()
 }
 
+// traced reports whether a seed runs with spans and cost accounting on: a
+// quarter of seeds, picked by a hash of the seed alone, so a replayed seed
+// is traced as it was. (A matrix seed's low bits are its row's index.)
+func traced(seed int64) bool { return uint64(seed)*0x9E3779B97F4A7C15>>62 == 0 }
+
 // Run executes one scenario: deploy, install the seeded injector, drive
 // the workload clients, settle, audit the end state, and check the
-// recorded history. It never calls testing APIs so the experiment runner
-// and the CLI share it with the test harness.
-func Run(s Scenario) *Result {
+// recorded history. On a traced seed it also checks the span and cost
+// rules (obs.Hub.Verify). It never calls testing APIs so the experiment
+// runner and the CLI share it with the test harness.
+func Run(s Scenario) *Result { return run(s, traced(s.Seed)) }
+
+// run is Run with tracing chosen by the caller. Spans and dollars are
+// pure bookkeeping: they move no event of the run.
+func run(s Scenario, traced bool) *Result {
 	s = s.withDefaults()
 	cfg, ok := DeployConfig(s.Config)
 	if !ok {
@@ -200,7 +209,7 @@ func Run(s Scenario) *Result {
 			Invariant: "harness", Detail: fmt.Sprintf("unknown config %q", s.Config),
 		}}}
 	}
-	cfg.Telemetry = s.Telemetry
+	cfg.Telemetry, cfg.CostAccounting = traced, traced
 
 	k := sim.NewKernel(s.Seed)
 	inj := NewInjector(s.Seed, s.Faults)
@@ -616,8 +625,11 @@ func Run(s Scenario) *Result {
 	res.VirtualTime = k.Now()
 	res.FaultCounts = inj.Counts()
 	res.Schedule = inj.Schedule()
-	if s.Telemetry && d.Obs != nil {
+	if traced {
 		res.Spans = d.Obs.Tracer.Spans()
+		for _, f := range d.Obs.Verify() {
+			res.Violations = append(res.Violations, Violation{Invariant: f.Rule, Detail: f.Detail})
+		}
 	}
 	k.Shutdown()
 

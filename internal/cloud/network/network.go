@@ -118,41 +118,6 @@ func (e *End) Recv() (Packet, bool) {
 	}
 }
 
-// RecvTimeout is Recv with a deadline; ok is false on timeout or close.
-func (e *End) RecvTimeout(d sim.Time) (Packet, bool) {
-	deadline := e.env.K.Now() + d
-	tp, ok := e.inbox.PopTimeout(d)
-	if !ok {
-		return Packet{}, false
-	}
-	if tp.deliverAt > deadline {
-		// Arrived on the wire but not deliverable before the deadline:
-		// treat as timeout, but do not lose the packet.
-		e.requeueFront(tp)
-		e.env.K.Sleep(deadline - e.env.K.Now())
-		return Packet{}, false
-	}
-	if wait := tp.deliverAt - e.env.K.Now(); wait > 0 {
-		e.env.K.Sleep(wait)
-	}
-	return tp.Packet, true
-}
-
-func (e *End) requeueFront(tp timedPacket) {
-	rest := make([]timedPacket, 0, e.inbox.Len()+1)
-	rest = append(rest, tp)
-	for {
-		m, ok := e.inbox.TryPop()
-		if !ok {
-			break
-		}
-		rest = append(rest, m)
-	}
-	for _, m := range rest {
-		e.inbox.Push(m)
-	}
-}
-
 // Close closes this end; subsequent sends from either side are dropped and
 // pending receives drain then report closure.
 func (e *End) Close() {

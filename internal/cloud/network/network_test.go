@@ -89,44 +89,6 @@ func TestSendDoesNotBlockSender(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	k, env := newEnv(4)
-	c := NewLANConn(env)
-	var ok bool
-	var at sim.Time
-	k.Go("receiver", func() {
-		_, ok = c.B().RecvTimeout(10 * sim.Ms(1))
-		at = k.Now()
-	})
-	k.Run()
-	if ok || at != 10*sim.Ms(1) {
-		t.Fatalf("ok=%v at=%v", ok, at)
-	}
-}
-
-func TestRecvTimeoutDoesNotLosePackets(t *testing.T) {
-	k, env := newEnv(5)
-	c := NewConn(env, cloud.RegionAWSHome, cloud.RegionAWSRemote) // slow link
-	var first, second bool
-	var got int
-	k.Go("receiver", func() {
-		_, first = c.B().RecvTimeout(sim.Ms(1)) // too short for cross-region
-		p, ok := c.B().Recv()
-		second = ok
-		if ok {
-			got = p.Payload.(int)
-		}
-	})
-	k.Go("sender", func() { c.A().Send(42, 8) })
-	k.Run()
-	if first {
-		t.Fatal("timeout should have fired before cross-region delivery")
-	}
-	if !second || got != 42 {
-		t.Fatalf("packet lost: ok=%v got=%d", second, got)
-	}
-}
-
 func TestCrossRegionSlower(t *testing.T) {
 	k, env := newEnv(6)
 	same := NewConn(env, cloud.RegionAWSHome, cloud.RegionAWSHome)

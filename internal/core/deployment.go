@@ -130,8 +130,9 @@ type Config struct {
 	// derived from (Session, Seq) and always written, so message sizes —
 	// and therefore the golden virtual-time trace — do not depend on this
 	// flag, and with Telemetry off every instrumentation point is a
-	// zero-allocation no-op. Default false. (Registry gauges — the cost
-	// mirror, cache statistics — function regardless of this flag.)
+	// zero-allocation no-op. Default false. (The cost ledger's registry
+	// gauges function regardless of this flag; cache statistics are read
+	// through cache.Regional.Stats and the client's CacheStats.)
 	Telemetry bool
 
 	// CostAccounting enables per-request dollar attribution (package obs
@@ -210,7 +211,7 @@ type Deployment struct {
 	// Obs is the telemetry hub: the request tracer and the component
 	// metrics registry. Always non-nil; the tracer and the registry's
 	// hot-path instruments record only when Cfg.Telemetry is set, while
-	// gauges (the cost mirror, cache statistics) always work.
+	// gauges (the cost ledger's mirror) always work.
 	Obs *obs.Hub
 
 	// Caches holds one regional cache node per user store (aligned with

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"faaskeeper/internal/stats"
@@ -135,16 +134,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists registered ids, sorted.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for _, e := range registry {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // formatting helpers shared by all experiments.

@@ -2,10 +2,11 @@ package fkclient
 
 // End-to-end tests of cost attribution (package obs cost ledger): the
 // no-drift guard (cost accounting must not move the golden virtual-time
-// trace), the conservation invariant across every pipeline variant — the
+// trace), and obs.Hub.Verify's rules across every pipeline variant — the
 // sum of per-request span costs equals each request's client-billed total
 // equals the ledger's global delta, with no double-billed or orphaned
-// charges — and the budget monitor end to end.
+// charges, and on the traced rows every request is one telescoping span
+// tree.
 
 import (
 	"bytes"
@@ -37,7 +38,8 @@ func TestCostOffTraceByteIdentical(t *testing.T) {
 
 // costConfigs is the conservation matrix: batching x caching x txn x
 // sharding, each with and without span recording (the ledger must
-// conserve without a tracer to lean on).
+// conserve without a tracer to lean on). The traced rows check the span
+// rules too.
 var costConfigs = []struct {
 	name   string
 	cfg    core.Config
@@ -55,47 +57,12 @@ var costConfigs = []struct {
 	{"txn-batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, BatchWrites: true}, true},
 }
 
-// checkConservation asserts the ledger's global invariant and — when
-// spans were recorded — that every request's span costs sum exactly to
-// its client-billed ledger total.
-func checkConservation(t *testing.T, d *core.Deployment) {
-	t.Helper()
-	l := d.Obs.Cost
-	if l.TotalPd() == 0 {
-		t.Fatal("workload charged nothing")
-	}
-	if got, want := l.AttributedPd(), l.TotalPd(); got != want {
-		t.Fatalf("attributed %d pd != charged total %d pd (orphaned or double-billed charges)", got, want)
-	}
-	// The registry mirror telescopes too: the cost_pd gauges are exactly
-	// the cells, so their sum is the grand total.
-	var gaugePd int64
-	for _, k := range d.Obs.Metrics.GaugeKeys() {
-		if k.Component == "cost_pd" {
-			gaugePd += d.Obs.Metrics.Gauge(k)
-		}
-	}
-	if gaugePd != l.TotalPd() {
-		t.Fatalf("cost_pd gauge sum %d != ledger total %d", gaugePd, l.TotalPd())
-	}
-	if !d.Cfg.Telemetry {
-		return
-	}
-	sums := map[int64]int64{}
-	for _, sp := range d.Obs.Tracer.Spans() {
-		sums[sp.Trace] += sp.CostPd
-	}
-	for _, trace := range l.Traces() {
-		if sums[trace] != l.TracePd(trace) {
-			t.Fatalf("trace %d: span costs sum to %d pd, ledger billed %d pd", trace, sums[trace], l.TracePd(trace))
-		}
-	}
-}
-
 // TestCostConservationRandomized runs a seeded random workload (pipelined
 // writes, reads, watches, failures, multis committed or answered
 // cross_shard) over the config matrix and checks that every charged
-// picodollar is attributed exactly once.
+// picodollar is attributed exactly once and, on the traced rows, that
+// every request forms one connected, telescoping span tree with every
+// span closed exactly once.
 func TestCostConservationRandomized(t *testing.T) {
 	for _, tc := range costConfigs {
 		tc := tc
@@ -143,7 +110,12 @@ func TestCostConservationRandomized(t *testing.T) {
 				if err := c.Close(); err != nil {
 					t.Fatalf("close: %v", err)
 				}
-				checkConservation(t, d)
+				if d.Obs.Cost.TotalPd() == 0 {
+					t.Fatal("workload charged nothing")
+				}
+				for _, f := range d.Obs.Verify() {
+					t.Error(f)
+				}
 			})
 		})
 	}

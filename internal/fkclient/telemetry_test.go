@@ -1,16 +1,17 @@
 package fkclient
 
 // End-to-end tests of the virtual-time telemetry subsystem (package obs):
-// span-tree invariants across every pipeline variant, the exactly-once
-// close discipline, stage telescoping against client-observed latency,
-// and the no-timing-drift guarantee (telemetry on must not move the
-// golden trace by a nanosecond).
+// the store-write attribution rule, stage telescoping against
+// client-observed latency, the exporters, and the no-timing-drift
+// guarantee (telemetry on must not move the golden trace by a nanosecond).
+// The span-tree rules themselves are obs.Hub.Verify's; the randomized
+// workload here checks them per pipeline variant, and chaos runs them
+// under faults.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"faaskeeper/internal/core"
@@ -18,92 +19,6 @@ import (
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 )
-
-// stageNames classifies a span as part of the telescoping stage chain
-// (every other named span is a concurrent child leg).
-var stageNames = map[string]bool{
-	obs.StageSubmit: true, obs.StageQueue: true, obs.StageValidate: true,
-	obs.StageLeaderQ: true, obs.StageCommit: true, obs.StageFlush: true,
-	obs.StageRespond: true,
-}
-
-// checkSpanTrees asserts the tracer's global invariants and, per trace:
-// exactly one root, every span parented to it (one connected tree, depth
-// one — trivially acyclic), stages contiguous from root start to root end
-// with durations summing exactly to the root span.
-func checkSpanTrees(t *testing.T, tr *obs.Tracer) int {
-	t.Helper()
-	if n := tr.OpenCount(); n != 0 {
-		t.Fatalf("%d spans left open (every span must close exactly once)", n)
-	}
-	if errs := tr.Errors(); len(errs) != 0 {
-		t.Fatalf("tracer invariant violations: %v", errs)
-	}
-	byTrace := map[int64][]obs.Span{}
-	for _, sp := range tr.Spans() {
-		if sp.End < sp.Start {
-			t.Fatalf("span %s ends before it starts: %+v", sp.Name, sp)
-		}
-		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
-	}
-	for trace, spans := range byTrace {
-		if trace == 0 {
-			// Pipeline-track spans (batched flush legs): no tree to check
-			// beyond well-formedness above.
-			continue
-		}
-		var root *obs.Span
-		for i := range spans {
-			if spans[i].Parent == 0 {
-				if root != nil {
-					t.Fatalf("trace %d has two roots: %+v and %+v", trace, *root, spans[i])
-				}
-				root = &spans[i]
-			}
-		}
-		if root == nil {
-			t.Fatalf("trace %d has no root span", trace)
-		}
-		var stages []obs.Span
-		for _, sp := range spans {
-			if sp.Parent == 0 {
-				continue
-			}
-			if sp.Parent != root.ID {
-				t.Fatalf("trace %d: span %q parented to %d, want root %d (disconnected tree)",
-					trace, sp.Name, sp.Parent, root.ID)
-			}
-			if stageNames[sp.Name] {
-				stages = append(stages, sp)
-			}
-		}
-		if len(stages) == 0 {
-			t.Fatalf("trace %d has no stage spans", trace)
-		}
-		sort.Slice(stages, func(i, j int) bool { return stages[i].Start < stages[j].Start })
-		if stages[0].Start != root.Start {
-			t.Fatalf("trace %d: first stage %q starts at %d, root at %d",
-				trace, stages[0].Name, stages[0].Start, root.Start)
-		}
-		if last := stages[len(stages)-1]; last.End != root.End {
-			t.Fatalf("trace %d: last stage %q ends at %d, root at %d",
-				trace, last.Name, last.End, root.End)
-		}
-		var sum sim.Time
-		for i, sp := range stages {
-			if i > 0 && sp.Start != stages[i-1].End {
-				t.Fatalf("trace %d: gap in stage chain between %q (end %d) and %q (start %d)",
-					trace, stages[i-1].Name, stages[i-1].End, sp.Name, sp.Start)
-			}
-			sum += sp.End - sp.Start
-		}
-		if sum != root.End-root.Start {
-			t.Fatalf("trace %d: stage durations sum to %d, root span is %d",
-				trace, sum, root.End-root.Start)
-		}
-	}
-	return len(byTrace)
-}
 
 // TestTelemetryOffTraceByteIdentical is the no-drift guard: spans are pure
 // bookkeeping, so enabling telemetry must not move a single virtual
@@ -145,8 +60,10 @@ func TestDefaultConfigStoreWriteIsTheRequestsChild(t *testing.T) {
 		}
 		done.Wait()
 		setup.Close()
+		for _, f := range d.Obs.Verify() {
+			t.Error(f)
+		}
 		tr := d.Obs.Tracer
-		checkSpanTrees(t, tr)
 		for _, trace := range traces {
 			found := false
 			for _, sp := range tr.TraceSpans(trace) {
@@ -206,11 +123,13 @@ func TestStageSumMatchesClientLatency(t *testing.T) {
 					trace, root.Start, root.End, w.t0, w.t1)
 			}
 		}
-		checkSpanTrees(t, tr)
+		for _, f := range d.Obs.Verify() {
+			t.Error(f)
+		}
 	})
 }
 
-// telemetryConfigs is the pipeline matrix the randomized invariant test
+// telemetryConfigs is the pipeline matrix the randomized span test
 // sweeps: every combination exercises a different set of stage
 // transitions (batched folds, cache invalidation legs, transactions
 // committed on one shard and answered cross_shard by the follower).
@@ -229,8 +148,9 @@ var telemetryConfigs = []struct {
 
 // TestSpanInvariantsRandomized runs a seeded random workload (pipelined
 // writes, watches, multis committed or answered cross_shard, failure
-// responses) over the config matrix and checks every trace forms one
-// connected, telescoping span tree with every span closed exactly once.
+// responses) over the config matrix and checks with obs.Hub.Verify that
+// every trace forms one connected, telescoping span tree with every span
+// closed exactly once.
 func TestSpanInvariantsRandomized(t *testing.T) {
 	for _, tc := range telemetryConfigs {
 		tc := tc
@@ -279,9 +199,17 @@ func TestSpanInvariantsRandomized(t *testing.T) {
 				if err := c.Close(); err != nil {
 					t.Fatalf("close: %v", err)
 				}
-				traces := checkSpanTrees(t, d.Obs.Tracer)
-				if traces < 20 {
-					t.Fatalf("expected a substantial trace population, got %d", traces)
+				for _, f := range d.Obs.Verify() {
+					t.Error(f)
+				}
+				traces := map[int64]bool{}
+				for _, s := range d.Obs.Tracer.Spans() {
+					if s.Trace != 0 && s.Parent == 0 {
+						traces[s.Trace] = true
+					}
+				}
+				if len(traces) < 20 {
+					t.Fatalf("expected a substantial trace population, got %d", len(traces))
 				}
 			})
 		})

@@ -278,8 +278,8 @@ func TestLockLatencyMatchesPaperShape(t *testing.T) {
 	if lockSmall <= plain {
 		t.Fatalf("conditional lock %v not slower than plain write %v", lockSmall, plain)
 	}
-	if d := sim.DurMs(lockSmall - plain); d < 1 || d > 6 {
-		t.Fatalf("conditional surcharge = %.2f ms, want ~2.5", d)
+	if d := lockSmall - plain; d < sim.Ms(1) || d > sim.Ms(6) {
+		t.Fatalf("conditional surcharge = %v, want ~2.5ms", d)
 	}
 }
 

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Cost accounting works in integer picodollars (1 pd = 1e-12 USD) so that
 // per-request attribution is exact: integer sums are order-independent,
@@ -122,9 +119,6 @@ func (l *CostLedger) TotalPd() int64 {
 	return l.totalPd
 }
 
-// TotalUSD returns the grand total in dollars.
-func (l *CostLedger) TotalUSD() float64 { return PdToUSD(l.TotalPd()) }
-
 // TracePd returns one trace's attributed total in picodollars — the
 // client-billed cost of that request.
 func (l *CostLedger) TracePd(trace int64) int64 {
@@ -154,19 +148,6 @@ func (l *CostLedger) AttributedPd() int64 {
 		s += pd
 	}
 	return s
-}
-
-// Traces lists the trace ids with attributed cost, sorted.
-func (l *CostLedger) Traces() []int64 {
-	if l == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(l.byTrace))
-	for tr := range l.byTrace {
-		out = append(out, tr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // CategoryPd returns the accumulated picodollars of one (category, shard,

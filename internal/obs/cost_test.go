@@ -30,7 +30,7 @@ func TestCostLedgerConservation(t *testing.T) {
 	if l.SystemPd() != USDToPd(7.7e-7) {
 		t.Fatalf("system bucket = %d pd", l.SystemPd())
 	}
-	if got := len(l.Traces()); got != 2 {
+	if got := len(l.byTrace); got != 2 {
 		t.Fatalf("traces with cost = %d, want 2", got)
 	}
 	// The gauge mirror carries the same totals the accessors report.

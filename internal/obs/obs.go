@@ -15,6 +15,15 @@
 // concurrently with the critical path (the follower's commit, per-region
 // store writes, watch deliveries).
 //
+// A crashed attempt leaves nothing open and nothing unbilled. Crashes (the
+// chaos fault hook's, at the labeled stages) fall only where the attempt
+// holds no concurrent leg open, so its time stays in the request's open
+// stage, and the retry's next Stage call continues the same chain. Every
+// attempt is billed, as the provider bills it: the crashed attempt's
+// function time and the storage operations it made are charged and
+// attributed like any other. Hub.Verify checks the span rules and the cost
+// rules.
+//
 // Everything is built for the simulator's cooperative scheduling: exactly
 // one process runs at a time, so the tracer and registry need no locks,
 // and timestamps come from a sim.Clock so spans live in virtual time.
@@ -298,28 +307,6 @@ func (t *Tracer) TraceSpans(trace int64) []Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// Traces lists the distinct trace ids with a recorded root, sorted.
-func (t *Tracer) Traces() []int64 {
-	if t == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(t.roots))
-	for tr := range t.roots {
-		out = append(out, tr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// OpenCount reports spans started but not yet closed — zero once a run
-// has fully drained.
-func (t *Tracer) OpenCount() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.open)
 }
 
 // Errors returns recorded invariant violations (double close, duplicate

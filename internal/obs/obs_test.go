@@ -49,8 +49,8 @@ func TestStageChainTelescopes(t *testing.T) {
 	clk.t = 100
 	tr.Finish(trace)
 
-	if tr.OpenCount() != 0 {
-		t.Fatalf("open spans after finish: %d", tr.OpenCount())
+	if len(tr.open) != 0 {
+		t.Fatalf("open spans after finish: %d", len(tr.open))
 	}
 	if errs := tr.Errors(); len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)

@@ -48,8 +48,8 @@ func TestQueueSteadyStateAllocations(t *testing.T) {
 	k.Run()
 }
 
-// TestSingleWaiterAllocations: a future, a wait group and a semaphore with
-// one process waiting hold its waiter without allocating.
+// TestSingleWaiterAllocations: a future and a wait group with one process
+// waiting hold its waiter without allocating.
 func TestSingleWaiterAllocations(t *testing.T) {
 	k := NewKernel(1)
 	const runs = 1000
@@ -108,31 +108,6 @@ func TestSingleWaiterAllocations(t *testing.T) {
 		t.Errorf("WaitGroup.Wait: %v allocations, want 0", got)
 	}
 	kick.Close()
-
-	// The peer blocks in Acquire behind the measuring process, which
-	// releases to it and waits for it to finish.
-	sem := NewSemaphore(k, 1)
-	start, done := NewQueue[int](k), NewQueue[int](k)
-	k.Go("contender", func() {
-		for {
-			if _, ok := start.Pop(); !ok {
-				return
-			}
-			sem.Acquire()
-			sem.Release()
-			done.Push(1)
-		}
-	})
-	if got := AllocsPerRun(k, runs, func() {
-		sem.Acquire()
-		start.Push(1)
-		k.Yield() // the contender queues up behind the held permit
-		sem.Release()
-		done.Pop()
-	}); got != 0 {
-		t.Errorf("Semaphore hand-over: %v allocations, want 0", got)
-	}
-	start.Close()
 	k.Run()
 }
 

@@ -126,16 +126,6 @@ func (s scaled) Sample(r *rand.Rand) time.Duration {
 	return time.Duration(float64(s.d.Sample(r)) * s.f)
 }
 
-// Shift returns a distribution that adds a constant offset to every sample.
-func Shift(d Dist, off time.Duration) Dist { return shifted{d: d, off: off} }
-
-type shifted struct {
-	d   Dist
-	off time.Duration
-}
-
-func (s shifted) Sample(r *rand.Rand) time.Duration { return s.d.Sample(r) + s.off }
-
 // Sum samples each distribution once and adds the results.
 type Sum []Dist
 
@@ -150,9 +140,6 @@ func (s Sum) Sample(r *rand.Rand) time.Duration {
 
 // Ms converts milliseconds to a duration; convenient for latency tables.
 func Ms(ms float64) time.Duration { return msToDur(ms) }
-
-// DurMs converts a duration to float milliseconds; used when reporting.
-func DurMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func msToDur(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))

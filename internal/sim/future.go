@@ -136,42 +136,3 @@ func (wg *WaitGroup) Wait() {
 		wg.k.park()
 	}
 }
-
-// Semaphore is a counting semaphore with FIFO wake-up order.
-type Semaphore struct {
-	k       *Kernel
-	permits int
-	waiters FIFO[waiter]
-}
-
-// NewSemaphore creates a semaphore with the given number of permits.
-func NewSemaphore(k *Kernel, permits int) *Semaphore {
-	return &Semaphore{k: k, permits: permits}
-}
-
-// Acquire takes one permit, blocking while none are available.
-func (s *Semaphore) Acquire() {
-	for s.permits == 0 {
-		s.waiters.Push(s.k.waiterFor(s.k.current))
-		s.k.park()
-	}
-	s.permits--
-}
-
-// TryAcquire takes a permit if one is free and reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.permits == 0 {
-		return false
-	}
-	s.permits--
-	return true
-}
-
-// Release returns one permit and wakes one waiter if any.
-func (s *Semaphore) Release() {
-	s.permits++
-	s.k.wakeFirst(&s.waiters)
-}
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.permits }

@@ -224,31 +224,6 @@ func TestWaitGroupGoShutdownWithParkedBody(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	k := NewKernel(1)
-	sem := NewSemaphore(k, 2)
-	active, maxActive := 0, 0
-	for i := 0; i < 6; i++ {
-		k.Go("worker", func() {
-			sem.Acquire()
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			k.Sleep(time.Second)
-			active--
-			sem.Release()
-		})
-	}
-	end := k.Run()
-	if maxActive != 2 {
-		t.Fatalf("maxActive = %d, want 2", maxActive)
-	}
-	if end != 3*time.Second {
-		t.Fatalf("end %v, want 3s (6 jobs / 2 wide / 1s each)", end)
-	}
-}
-
 func TestRunUntilStopsAtLimit(t *testing.T) {
 	k := NewKernel(1)
 	ticks := 0

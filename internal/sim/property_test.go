@@ -99,26 +99,6 @@ func TestFutureCompletedTwicePanics(t *testing.T) {
 	}
 }
 
-// TestSemaphoreTryAcquire covers the non-blocking path.
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	s := NewSemaphore(k, 1)
-	k.Go("x", func() {
-		if !s.TryAcquire() {
-			t.Error("first TryAcquire failed")
-		}
-		if s.TryAcquire() {
-			t.Error("second TryAcquire should fail")
-		}
-		s.Release()
-		if s.Available() != 1 {
-			t.Errorf("available = %d", s.Available())
-		}
-	})
-	k.Run()
-	k.Shutdown()
-}
-
 // TestWaitGroupNegativePanics guards against double Done.
 func TestWaitGroupNegativePanics(t *testing.T) {
 	k := NewKernel(1)

@@ -130,9 +130,6 @@ func NewCounter(window time.Duration) *Counter {
 // Tick records one event at virtual time t.
 func (c *Counter) Tick(t time.Duration) { c.counts[int64(t/c.window)]++ }
 
-// TickN records n events at virtual time t.
-func (c *Counter) TickN(t time.Duration, n int64) { c.counts[int64(t/c.window)] += n }
-
 // Rates returns the per-window rates in events/second, ordered by window.
 func (c *Counter) Rates() []float64 {
 	if len(c.counts) == 0 {
@@ -150,27 +147,4 @@ func (c *Counter) Rates() []float64 {
 		rates[w] = float64(n) * perSec
 	}
 	return rates
-}
-
-// MedianRate returns the median of the per-window rates, the statistic the
-// paper uses for throughput experiments.
-func (c *Counter) MedianRate() float64 {
-	rates := c.Rates()
-	if len(rates) == 0 {
-		return 0
-	}
-	s := NewSample(len(rates))
-	for _, r := range rates {
-		s.Add(r)
-	}
-	return s.Percentile(50)
-}
-
-// Total returns the total number of events recorded.
-func (c *Counter) Total() int64 {
-	var t int64
-	for _, n := range c.counts {
-		t += n
-	}
-	return t
 }

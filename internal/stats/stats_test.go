@@ -98,21 +98,4 @@ func TestCounterRates(t *testing.T) {
 	if len(rates) != 2 || rates[0] != 5 || rates[1] != 5 {
 		t.Fatalf("rates = %v", rates)
 	}
-	if c.MedianRate() != 5 {
-		t.Fatalf("median = %v", c.MedianRate())
-	}
-	if c.Total() != 10 {
-		t.Fatalf("total = %d", c.Total())
-	}
-}
-
-func TestCounterTickN(t *testing.T) {
-	c := NewCounter(100 * time.Millisecond)
-	c.TickN(0, 7)
-	if c.Total() != 7 {
-		t.Fatalf("total = %d", c.Total())
-	}
-	if got := c.Rates()[0]; got != 70 {
-		t.Fatalf("rate = %v", got)
-	}
 }

@@ -200,16 +200,6 @@ func (d *Decoder) Bytes() []byte {
 	return b
 }
 
-// BytesCopy reads a length-prefixed byte slice into fresh memory for
-// callers that outlive the input buffer.
-func (d *Decoder) BytesCopy() []byte {
-	b := d.view()
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 func (d *Decoder) view() []byte {
 	ln := d.Uvarint()
 	if d.err != nil {

@@ -70,13 +70,6 @@ func TestDecoderZeroCopyView(t *testing.T) {
 	if string(view) != "payloaX" {
 		t.Errorf("Bytes is not a view: %q", view)
 	}
-
-	d2 := NewDecoder(buf)
-	cp := d2.BytesCopy()
-	buf[len(buf)-1] = 'Y'
-	if string(cp) != "payloaX" {
-		t.Errorf("BytesCopy aliased the input: %q", cp)
-	}
 }
 
 // TestDecoderKnown: a known string comes back as the caller's own string,
@@ -214,7 +207,6 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 		_ = d.Varint()
 		_ = d.String()
 		_ = d.Bytes()
-		_ = d.BytesCopy()
 		_ = d.Int64s()
 		_ = d.Strings()
 	})

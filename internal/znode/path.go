@@ -80,14 +80,6 @@ func Join(parent, child string) string {
 	return parent + "/" + child
 }
 
-// Depth returns the number of segments (0 for the root).
-func Depth(p string) int {
-	if p == Root {
-		return 0
-	}
-	return strings.Count(p, "/")
-}
-
 // SequentialName formats the monotonically increasing suffix ZooKeeper
 // appends to sequential nodes.
 func SequentialName(prefix string, n int64) string {

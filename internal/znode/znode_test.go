@@ -41,9 +41,6 @@ func TestParentBaseJoin(t *testing.T) {
 	if Join("/", "a") != "/a" || Join("/a", "b") != "/a/b" {
 		t.Error("Join broken")
 	}
-	if Depth("/") != 0 || Depth("/a") != 1 || Depth("/a/b/c") != 3 {
-		t.Error("Depth broken")
-	}
 }
 
 func TestJoinParentInverseProperty(t *testing.T) {
