@@ -2,6 +2,7 @@ package cache
 
 import (
 	"slices"
+	"strings"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
@@ -66,7 +67,10 @@ type Regional struct {
 	env    *cloud.Env
 	region cloud.Region
 	lru    *LRU
-	floors map[string]floor
+	// floors holds each path's floor behind a pointer, so that raising it
+	// never assigns the map again: an assignment stores its key, and an
+	// install's path views the leader's queue message (setFloor).
+	floors map[string]*floor
 	// floorCap bounds the floors map: paths are written forever but
 	// watermarks must not accumulate forever (the tombstone-GC gap).
 	// On overflow the older half folds into globalFloor — see
@@ -104,7 +108,7 @@ func NewRegional(env *cloud.Env, region cloud.Region, capacityB int) *Regional {
 		env:      env,
 		region:   region,
 		lru:      NewLRU(capacityB),
-		floors:   map[string]floor{},
+		floors:   map[string]*floor{},
 		floorCap: defaultFloorCap,
 	}
 }
@@ -323,14 +327,22 @@ func (r *Regional) raise(path string, mzxid int64) {
 	if mzxid <= r.floorOf(path) {
 		return
 	}
-	f := r.floors[path]
-	f.mzxid = mzxid
-	r.setFloor(path, f)
+	if f, ok := r.floors[path]; ok {
+		f.mzxid = mzxid
+		return
+	}
+	r.setFloor(path, floor{mzxid: mzxid})
 }
 
-// setFloor stores a path's floor, compacting the map on overflow.
+// setFloor stores a path's floor, compacting the map on overflow. A new
+// path is stored as a clone, which pins no message.
 func (r *Regional) setFloor(path string, f floor) {
-	r.floors[path] = f
+	if p, ok := r.floors[path]; ok {
+		*p = f
+		return
+	}
+	v := f
+	r.floors[strings.Clone(path)] = &v
 	if len(r.floors) > r.floorCap {
 		r.compactFloors()
 	}
@@ -361,7 +373,7 @@ func (r *Regional) Floor(path string) (int64, []int64) {
 // calls this to verify exactly that argument.
 func (r *Regional) Lose() {
 	r.lru = NewLRU(r.lru.CapacityB())
-	r.floors = map[string]floor{}
+	r.floors = map[string]*floor{}
 	r.globalFloor = 0
 	r.inc++
 	r.stats.Losses++

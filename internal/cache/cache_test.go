@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
@@ -350,6 +351,37 @@ func TestInvalidateBatchEmptyIsFree(t *testing.T) {
 		}
 		if st := r.Stats(); st.Invalidations != 0 {
 			t.Error("empty batch counted invalidations")
+		}
+	})
+}
+
+// TestRegionalKeysOwnTheirBytes: an install's path views the leader's
+// queue message. The node stores a new path as a clone, in its floors and
+// its entries, and never assigns an existing one again, so no stored key
+// views an installer's bytes.
+func TestRegionalKeysOwnTheirBytes(t *testing.T) {
+	first, second := []byte("/n"), []byte("/n")
+	withRegional(t, capFor(2, 32), func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
+		r.InstallBatch(ctx, []Install{{Path: unsafe.String(&first[0], 2), Blob: blob(32), Mzxid: 1}})
+		r.InstallBatch(ctx, []Install{{Path: unsafe.String(&second[0], 2), Blob: blob(32), Mzxid: 2}})
+		keys := []string{}
+		for p := range r.floors {
+			keys = append(keys, p)
+		}
+		for p := range r.lru.idx {
+			keys = append(keys, p)
+		}
+		if len(keys) != 2 {
+			t.Errorf("stored keys %q, want /n once in the floors and once in the entries", keys)
+			return
+		}
+		for _, p := range keys {
+			if d := unsafe.StringData(p); d == &first[0] || d == &second[0] {
+				t.Errorf("stored key %q views an installer's bytes", p)
+			}
+		}
+		if f, _ := r.Floor("/n"); f != 2 {
+			t.Errorf("floor = %d, want 2", f)
 		}
 	})
 }

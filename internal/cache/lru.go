@@ -14,6 +14,7 @@ package cache
 
 import (
 	"container/list"
+	"strings"
 
 	"faaskeeper/internal/sim"
 )
@@ -101,6 +102,9 @@ func (l *LRU) Put(key string, e Entry) {
 		it.entry, it.size = e, size
 		l.ll.MoveToFront(el)
 	} else {
+		// A new key is stored as a clone: an install's path views the
+		// leader's queue message, which the entry would otherwise pin.
+		key = strings.Clone(key)
 		l.idx[key] = l.ll.PushFront(&lruItem{key: key, entry: e, size: size})
 		l.bytes += size
 	}

@@ -275,7 +275,6 @@ func (p *Platform) AddStreamTrigger(s *kv.Stream, name string) {
 		deliver = p.env.Profile.QueueDeliver[p.env.Profile.OrderedQueueKind()]
 	}
 	p.env.K.Go("stream-trigger:"+name, func() {
-		var seq int64
 		inv := new(Invocation)
 		for {
 			recs := s.Records.PopBatch(nil, 100, 10*sim.Ms(1))
@@ -285,7 +284,6 @@ func (p *Platform) AddStreamTrigger(s *kv.Stream, name string) {
 			p.env.K.Sleep(deliver.Sample(p.env.K.Rand()))
 			msgs := make([]queue.Message, len(recs))
 			for i, r := range recs {
-				seq++
 				body, _ := marshalStreamRecord(r)
 				msgs[i] = queue.Message{SeqNo: r.SeqNo, GroupID: r.Key, Body: body, SentAt: p.env.K.Now()}
 			}

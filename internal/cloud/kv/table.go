@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
@@ -430,11 +431,14 @@ func (t *Table) lookup(key string) (Item, bool) {
 	return r.cur, true
 }
 
+// commit installs next under key. A new key is stored as a clone: callers
+// pass keys that borrow a decoded message (a path), and the map outlives
+// it. An existing key is never assigned again, so updates copy nothing.
 func (t *Table) commit(key string, next Item) {
 	r, ok := t.items[key]
 	if !ok {
 		r = &row{}
-		t.items[key] = r
+		t.items[strings.Clone(key)] = r
 		t.dirty = true
 	}
 	r.prev = r.cur

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
@@ -721,5 +722,31 @@ func TestGetViewsSeesCommitDuringItsSleep(t *testing.T) {
 	}
 	if !straddled {
 		t.Fatalf("no read was in flight when the write committed at %v: %v", committed, reads)
+	}
+}
+
+// TestCommitStoresANewKeyAsAClone: a key a caller passes often views a
+// decoded message (a user-store path). A commit stores a new key as a
+// clone, and an update of an existing one does not assign it again, so
+// the stored key views neither caller's bytes.
+func TestCommitStoresANewKeyAsAClone(t *testing.T) {
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	first, second := []byte("/path"), []byte("/path")
+	k.Go("client", func() {
+		for _, b := range [][]byte{first, second} {
+			if _, err := tbl.Update(ctx, unsafe.String(&b[0], len(b)), []Update{Add{Name: "v", Delta: 1}}, nil); err != nil {
+				t.Errorf("update: %v", err)
+			}
+		}
+	})
+	k.Run()
+	for key := range tbl.items {
+		if p := unsafe.StringData(key); p == &first[0] || p == &second[0] {
+			t.Errorf("stored key %q views a caller's bytes", key)
+		}
+	}
+	if it, ok := tbl.Peek("/path"); !ok || it.Get("v").Num() != 2 || tbl.Len() != 1 {
+		t.Errorf("Peek = %v, %v over %d keys; want v=2 under one key", it, ok, tbl.Len())
 	}
 }

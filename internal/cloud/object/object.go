@@ -8,6 +8,7 @@ package object
 
 import (
 	"errors"
+	"strings"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
@@ -22,12 +23,46 @@ type Bucket struct {
 	env     *cloud.Env
 	name    string
 	region  cloud.Region
-	objects map[string][]byte
+	objects Blobs
+}
+
+// Blobs maps keys to byte blobs, each held behind a pointer so that an
+// overwrite never assigns the map again: a map assignment stores its key,
+// and the keys callers pass are often paths that view a decoded queue
+// message, which the map would then keep alive. Put stores a new key as a
+// clone instead.
+type Blobs map[string]*[]byte
+
+// Put stores b under key (b itself, not a copy).
+func (m Blobs) Put(key string, b []byte) {
+	if p, ok := m[key]; ok {
+		*p = b
+		return
+	}
+	v := b
+	m[strings.Clone(key)] = &v
+}
+
+// Get returns the blob under key.
+func (m Blobs) Get(key string) ([]byte, bool) {
+	if p, ok := m[key]; ok {
+		return *p, true
+	}
+	return nil, false
+}
+
+// Size returns the summed length of the blobs.
+func (m Blobs) Size() int {
+	n := 0
+	for _, p := range m {
+		n += len(*p)
+	}
+	return n
 }
 
 // NewBucket creates an empty bucket in the given region.
 func NewBucket(env *cloud.Env, name string, region cloud.Region) *Bucket {
-	return &Bucket{env: env, name: name, region: region, objects: map[string][]byte{}}
+	return &Bucket{env: env, name: name, region: region, objects: Blobs{}}
 }
 
 // Name returns the bucket name.
@@ -50,7 +85,7 @@ func (b *Bucket) Put(ctx cloud.Ctx, key string, data []byte) {
 	p := b.env.Profile
 	b.env.K.Sleep(b.latency(ctx, p.ObjWriteBase, p.ObjWritePerKB, len(data)))
 	b.env.Charge(ctx, "obj.write", p.Pricing.ObjectWriteCost(len(data)), 1)
-	b.objects[key] = append([]byte(nil), data...)
+	b.objects.Put(key, append([]byte(nil), data...))
 }
 
 // Get returns a read-only view of the object. Reads are strongly
@@ -60,11 +95,11 @@ func (b *Bucket) Put(ctx cloud.Ctx, key string, data []byte) {
 // suffices: the returned slice is immutable for its lifetime and callers
 // that mutate must copy first.
 func (b *Bucket) Get(ctx cloud.Ctx, key string) ([]byte, error) {
-	data, ok := b.objects[key]
+	data, _ := b.objects.Get(key)
 	p := b.env.Profile
 	b.env.K.Sleep(b.latency(ctx, p.ObjReadBase, p.ObjReadPerKB, len(data)))
 	b.env.Charge(ctx, "obj.read", p.Pricing.ObjectReadCost(len(data)), 1)
-	data, ok = b.objects[key] // racing writer may have landed while we slept
+	data, ok := b.objects.Get(key) // racing writer may have landed while we slept
 	if !ok {
 		return nil, ErrNoSuchKey
 	}
@@ -83,23 +118,17 @@ func (b *Bucket) Delete(ctx cloud.Ctx, key string) {
 func (b *Bucket) Len() int { return len(b.objects) }
 
 // TotalSize returns the stored bytes (for storage-cost accounting).
-func (b *Bucket) TotalSize() int {
-	n := 0
-	for _, d := range b.objects {
-		n += len(d)
-	}
-	return n
-}
+func (b *Bucket) TotalSize() int { return b.objects.Size() }
 
 // SeedPut stores an object without latency or billing, for deployment
 // bootstrap before measurement starts.
 func (b *Bucket) SeedPut(key string, data []byte) {
-	b.objects[key] = append([]byte(nil), data...)
+	b.objects.Put(key, append([]byte(nil), data...))
 }
 
 // Peek returns the stored object without latency or billing.
 func (b *Bucket) Peek(key string) ([]byte, bool) {
-	d, ok := b.objects[key]
+	d, ok := b.objects.Get(key)
 	if !ok {
 		return nil, false
 	}

@@ -3,6 +3,7 @@ package object
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/sim"
@@ -167,5 +168,24 @@ func TestTotalSize(t *testing.T) {
 	}
 	if _, ok := b.Peek("a"); !ok {
 		t.Fatal("peek failed")
+	}
+}
+
+// TestBlobsKeyOwnsItsBytes: a key a caller passes often views a decoded
+// message. Blobs stores a new key as a clone and never assigns an existing
+// one again (a map assignment stores its key), so the stored key views
+// neither caller's bytes.
+func TestBlobsKeyOwnsItsBytes(t *testing.T) {
+	m := Blobs{}
+	first, second := []byte("/path"), []byte("/path")
+	m.Put(unsafe.String(&first[0], len(first)), []byte("1"))
+	m.Put(unsafe.String(&second[0], len(second)), []byte("2"))
+	for k := range m {
+		if p := unsafe.StringData(k); p == &first[0] || p == &second[0] {
+			t.Errorf("stored key %q views a caller's bytes", k)
+		}
+	}
+	if got, ok := m.Get("/path"); !ok || string(got) != "2" || len(m) != 1 || m.Size() != 1 {
+		t.Errorf("Get = %q, %v over %d keys of %d bytes; want \"2\" under one key", got, ok, len(m), m.Size())
 	}
 }

@@ -114,10 +114,12 @@ func (q *Queue) ReceiveInto(buf []Message, max int) ([]Message, bool) {
 		window = 20 * sim.Ms(1)
 	}
 	if q.kind == cloud.QueueFIFO {
-		// SQS FIFO serializes each message group: a new batch only becomes
-		// visible once the pacing interval from the previous one elapses.
-		// Idle queues are unaffected, but sustained load saturates around
-		// a hundred requests per second (Figure 7b).
+		// SQS FIFO paces its deliveries: a new batch only becomes visible
+		// once the pacing interval from the previous one elapses. One
+		// interval (groupFreeAt) paces the whole queue, whatever groups
+		// its messages belong to. Idle queues are unaffected, but
+		// sustained load saturates around a hundred requests per second
+		// (Figure 7b).
 		if wait := q.groupFreeAt - q.env.K.Now(); wait > 0 {
 			q.env.K.Sleep(wait)
 		}
@@ -139,7 +141,7 @@ func (q *Queue) ReceiveInto(buf []Message, max int) ([]Message, bool) {
 }
 
 // fifoGroupPacing is the per-message serialization delay of an SQS FIFO
-// message group.
+// queue (one pacing clock per queue, not per message group).
 const fifoGroupPacing = 9 * time.Millisecond
 
 // Close marks the queue closed so pollers drain and stop.

@@ -239,7 +239,8 @@ type Deployment struct {
 	// lastSeq is the warm-sandbox deduplication cache: each session's
 	// queue has exactly one concurrent follower instance, so remembering
 	// the last processed sequence number in sandbox state suffices to make
-	// queue-retry redelivery idempotent.
+	// queue-retry redelivery idempotent. Its keys borrow the last request
+	// body of each session, which they pin: one per session, not per path.
 	lastSeq map[string]int64
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/faas"
@@ -213,7 +214,7 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 // node-exists and never get here twice for a committed create.)
 func (d *Deployment) recordEphemeral(ctx cloud.Ctx, owner, path string) error {
 	_, err := d.System.Update(ctx, sessionKey(owner),
-		[]kv.Update{kv.StrListAppend{Name: attrSessionEph, Vals: []string{path}}}, nil)
+		[]kv.Update{kv.StrListAppend{Name: attrSessionEph, Vals: []string{strings.Clone(path)}}}, nil)
 	return err
 }
 

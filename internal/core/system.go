@@ -114,11 +114,9 @@ func decodeSysNode(it kv.Item) sysNode {
 		Czxid:    it.Get(attrCzxid).Num(),
 		Mzxid:    it.Get(attrMzxid).Num(),
 		Pzxid:    it.Get(attrPzxid).Num(),
-		// Children is copied: the item may be a read-only view of table
-		// storage, and a write's speculative state changes the list in
-		// place (plan.validate). Pending and Watches stay views — all uses
-		// are read-only.
-		Children: append([]string(nil), it.Get(attrChildren).SL()...),
+		// Children, Pending and Watches are read-only views of table
+		// storage; plan.validate copies the child list before it splices.
+		Children: it.Get(attrChildren).SL(),
 		EphOwner: it.Get(attrEph).Str(),
 		SeqCtr:   it.Get(attrSeq).Num(),
 		Pending:  it.Get(attrPending).NL(),
@@ -139,7 +137,8 @@ func (s sysNode) hasChild(name string) bool {
 	return false
 }
 
-// toZNode builds the client-visible node from system metadata plus data.
+// toZNode builds the client-visible node from system metadata plus data,
+// its child list a view of s's: the node is for Marshal, which only reads.
 func (s sysNode) toZNode(path string, data []byte) *znode.Node {
 	return &znode.Node{
 		Path: path,
@@ -155,6 +154,6 @@ func (s sysNode) toZNode(path string, data []byte) *znode.Node {
 			DataLength:  int32(len(data)),
 			NumChildren: int32(len(s.Children)),
 		},
-		Children: append([]string(nil), s.Children...),
+		Children: s.Children,
 	}
 }

@@ -195,13 +195,14 @@ func (p *plan) validate(d *Deployment, ctx cloud.Ctx, op txn.Op, session string)
 	case OpCreate:
 		parent.SeqCtr++
 		parent.Cversion = c.Cversion
-		parent.Children = append(parent.Children, name)
+		// The list may be a view of table storage (decodeSysNode): Clip
+		// makes the append copy it.
+		parent.Children = append(slices.Clip(parent.Children), name)
 		*node = sysNode{Exists: true, EphOwner: owner, SeqCtr: node.SeqCtr}
 	case OpDelete:
 		node.Exists = false
 		parent.Cversion = c.Cversion
-		// In place: the state's child list is its own copy (decodeSysNode).
-		parent.Children = slices.DeleteFunc(parent.Children, func(c string) bool { return c == name })
+		parent.Children = slices.DeleteFunc(slices.Clone(parent.Children), func(c string) bool { return c == name })
 	}
 	return c, CodeOK, nil
 }

@@ -300,3 +300,47 @@ func TestTxnCommitCheck(t *testing.T) {
 		})
 	}
 }
+
+// TestMultiLeavesStoredChildListAlone: a plan's speculative child list
+// starts as a view of table storage (decodeSysNode), which plan.validate
+// must copy before it splices. A multi() that creates and deletes under
+// one parent, in either order, and then fails its last check leaves the
+// parent's stored list as it was. The delete's copy is what the second
+// order tests: deleting in place would shift the stored names. (The
+// create's append always copies a view, whose capacity is its length: a
+// kv.Value keeps none.)
+func TestMultiLeavesStoredChildListAlone(t *testing.T) {
+	create, del, fail := txn.Create("/p/x", nil, 0), txn.Delete("/p/a", -1), txn.Check("/p", 99)
+	for _, tc := range []struct {
+		name string
+		ops  []txn.Op
+	}{
+		{"create, delete", []txn.Op{create, del, fail}},
+		{"delete, create", []txn.Op{del, create, fail}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPipeRig(t, 1, Config{}, nil)
+			var resp Response
+			var list, before []string
+			r.k.Go("client", func() {
+				s := r.open("w")
+				for _, p := range []string{"/p", "/p/a", "/p/b", "/p/c"} {
+					s.do(OpCreate, p, "")
+				}
+				list = r.sysNode("/p").Children
+				before = slices.Clone(list)
+				resp = s.send(Request{Op: OpMulti, Path: "/p", Data: txn.EncodeOps(tc.ops)}).Wait()
+			})
+			r.run()
+			if resp.Code != CodeBadVersion {
+				t.Fatalf("multi() answered %s, want %s", resp.Code, CodeBadVersion)
+			}
+			if !slices.Equal(before, []string{"a", "b", "c"}) || !slices.Equal(list, before) {
+				t.Errorf("the multi() wrote into the stored child list: %q, was %q", list, before)
+			}
+			if it, _ := r.d.System.Peek(nodeKey("/p")); !slices.Equal(it.Get(attrChildren).SL(), before) {
+				t.Errorf("stored children %q, want %q", it.Get(attrChildren).SL(), before)
+			}
+		})
+	}
+}

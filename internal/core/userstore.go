@@ -279,24 +279,18 @@ func (s *hybridStore) Seed(n *znode.Node) {
 type memStore struct {
 	env    *cloud.Env
 	region cloud.Region
-	data   map[string][]byte
+	data   object.Blobs
 }
 
 // NewMemStore builds the in-memory cache user store.
 func NewMemStore(env *cloud.Env, region cloud.Region) UserStore {
-	return &memStore{env: env, region: region, data: map[string][]byte{}}
+	return &memStore{env: env, region: region, data: object.Blobs{}}
 }
 
 func (s *memStore) Kind() StoreKind      { return StoreMem }
 func (s *memStore) Region() cloud.Region { return s.region }
 
-func (s *memStore) StoredBytes() int {
-	n := 0
-	for _, b := range s.data {
-		n += len(b)
-	}
-	return n
-}
+func (s *memStore) StoredBytes() int { return s.data.Size() }
 
 func (s *memStore) lat(ctx cloud.Ctx, base sim.Dist, perKB sim.Time, size int) sim.Time {
 	return s.env.OpTime(ctx, base, perKB, size)
@@ -305,7 +299,7 @@ func (s *memStore) lat(ctx cloud.Ctx, base sim.Dist, perKB sim.Time, size int) s
 func (s *memStore) Write(ctx cloud.Ctx, o Object) error {
 	p := s.env.Profile
 	s.env.K.Sleep(s.lat(ctx, p.MemWriteBase, p.MemWritePerKB, len(o.Blob)))
-	s.data[o.Path] = o.Blob
+	s.data.Put(o.Path, o.Blob)
 	return nil
 }
 
@@ -316,7 +310,7 @@ func (s *memStore) Read(ctx cloud.Ctx, path string) (*znode.Node, []int64, error
 	// server-side, and the transfer term is charged for exactly the blob
 	// returned — the value and the size-driven latency can never diverge.
 	s.env.K.Sleep(s.lat(ctx, p.MemReadBase, 0, 0))
-	blob, ok := s.data[path]
+	blob, ok := s.data.Get(path)
 	if !ok {
 		return nil, nil, ErrUserNoNode
 	}
@@ -331,7 +325,7 @@ func (s *memStore) Delete(ctx cloud.Ctx, path string) error {
 	return nil
 }
 
-func (s *memStore) Seed(n *znode.Node) { s.data[n.Path] = znode.Marshal(n, nil) }
+func (s *memStore) Seed(n *znode.Node) { s.data.Put(n.Path, znode.Marshal(n, nil)) }
 
 // ApplyBatch applies every write in one in-memory step after a single
 // write round trip: the Redis analogue of a MULTI/EXEC pipeline.
@@ -346,7 +340,7 @@ func (s *memStore) ApplyBatch(ctx cloud.Ctx, objs []Object) error {
 		if o.Node == nil {
 			delete(s.data, o.Path)
 		} else {
-			s.data[o.Path] = o.Blob
+			s.data.Put(o.Path, o.Blob)
 		}
 	}
 	return nil

@@ -3,10 +3,16 @@ package core
 // Wire codecs for the pipeline's message types (package wire). Queue
 // latencies and billed sizes are functions of these encodings, so a format
 // change here moves the golden virtual-time trace (TestWireSizesPinned
-// attributes the drift). Byte-slice fields (Request.Data, every change's
-// NodeBlob) decode as zero-copy views into the queue message body, which
-// the receiving handler owns; everything the pipeline retains beyond the
-// handler (store items, marshaled znodes) is copied by the storage layer.
+// attributes the drift). Decoding borrows: every string and byte-slice
+// field (paths, sessions, owners, child names, Request.Data, every
+// change's NodeBlob) is a view into the message body, which the receiving
+// handler owns and nobody writes (queue.Send and Encoder.Owned hand over
+// fresh bytes). A view pins the whole body, so what outlives the handler
+// is copied where it is stored: marshaled znodes and blobs by the storage
+// layer, new map keys by the map's owner (kv, object, cache), and the
+// strings a create writes to the system store — its child name and owner
+// (nodeUpdates, parentUpdates) and the session's ephemeral list
+// (recordEphemeral) — by the commit that writes them.
 
 import (
 	"fmt"

@@ -19,6 +19,8 @@ package core
 // shard's serialized leader.
 
 import (
+	"strings"
+
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/znode"
 )
@@ -121,7 +123,8 @@ func validatedChange(op OpCode, path string, data []byte, owner string, node, pa
 // parent's (nothing where the op has none) — the table's last two columns.
 // The follower's step ④ and the leader's replay of it write exactly these
 // (itemUpdates). Appending lets a set_data commit build its list in a stack
-// buffer (commitPlan).
+// buffer (commitPlan). The strings a create stores (its owner, its child
+// name) are clones: c's borrow the message body they were decoded from.
 func nodeUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
 	switch c.Op {
 	case OpSetData:
@@ -138,7 +141,7 @@ func nodeUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
 			kv.Set{Name: attrPzxid, V: kv.N(txid)},
 			kv.Set{Name: attrChildren, V: kv.StrList()})
 		if c.EphOwner != "" {
-			ups = append(ups, kv.Set{Name: attrEph, V: kv.S(c.EphOwner)})
+			ups = append(ups, kv.Set{Name: attrEph, V: kv.S(strings.Clone(c.EphOwner))})
 		}
 	case OpDelete:
 		// A tombstone (exists=0): the item stays so the leader can track
@@ -155,7 +158,7 @@ func parentUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
 	switch c.Op {
 	case OpCreate:
 		return append(ups,
-			kv.StrListAppend{Name: attrChildren, Vals: []string{c.ChildAdd}},
+			kv.StrListAppend{Name: attrChildren, Vals: []string{strings.Clone(c.ChildAdd)}},
 			kv.Add{Name: attrCversion, Delta: 1},
 			kv.Add{Name: attrSeq, Delta: 1},
 			kv.Set{Name: attrPzxid, V: kv.N(txid)})

@@ -6,13 +6,16 @@ package core
 // is the node as of its own txid.
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
+	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
 
@@ -499,4 +502,63 @@ func TestMultiSetTakesItsTxidsStamps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCreateStoresNoViewOfItsMessage: decoding borrows, so every string of
+// a create's request views its message body. The strings the create
+// writes to the system store, which outlives the body, are clones: its
+// child name on the parent's list, its ephemeral owner and the entry on
+// its session's ephemeral list.
+func TestCreateStoresNoViewOfItsMessage(t *testing.T) {
+	r := newPipeRig(t, 1, Config{}, nil)
+	var body []byte
+	r.k.Go("client", func() {
+		s := r.open("s")
+		s.seq++
+		req := Request{Session: s.id, Seq: s.seq, Op: OpCreate, Path: "/eph", Data: []byte("x"), Version: -1, Flags: znode.FlagEphemeral}
+		e := wire.NewEncoder()
+		body = bytes.Clone(req.Encode(e))
+		e.Release()
+		dec, err := DecodeRequest(body)
+		if err != nil || !aliases(dec.Path, body) {
+			t.Errorf("decoded %+v (%v): want its path a view into the body", dec, err)
+			return
+		}
+		fut := sim.NewFuture[Response](r.k)
+		s.futs[req.Seq] = fut
+		r.d.Obs.Tracer.StartRequest(req.trace(), string(req.Op), req.Path)
+		if err := r.d.processRequest(s.ctx, dec); err != nil {
+			t.Errorf("create: %v", err)
+		}
+		if resp := fut.Wait(); resp.Code != CodeOK {
+			t.Errorf("create answered %s", resp.Code)
+		}
+	})
+	r.run()
+	root, _ := r.d.System.Peek(nodeKey(znode.Root))
+	node, _ := r.d.System.Peek(nodeKey("/eph"))
+	sess, _ := r.d.System.Peek(sessionKey("s"))
+	for _, c := range []struct {
+		what string
+		got  []string
+		want string
+	}{
+		{"child name", root.Get(attrChildren).SL(), "eph"},
+		{"owner", []string{node.Get(attrEph).Str()}, "s"},
+		{"session's ephemeral", sess.Get(attrSessionEph).SL(), "/eph"},
+	} {
+		i := slices.Index(c.got, c.want)
+		if i < 0 {
+			t.Errorf("%s: stored %q, want %q in it", c.what, c.got, c.want)
+		} else if aliases(c.got[i], body) {
+			t.Errorf("%s %q is a view into the request's body", c.what, c.want)
+		}
+	}
+}
+
+// aliases reports whether s's bytes lie inside b.
+func aliases(s string, b []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return len(s) > 0 && p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(b))
 }

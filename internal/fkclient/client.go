@@ -1,16 +1,19 @@
 // Package fkclient is the FaaSKeeper client library (Section 3.5),
 // modeled after kazoo's API. Reads go straight to cloud storage; writes
 // travel through the session's FIFO queue. Because the server-side event
-// coordination of ZooKeeper is gone, the client runs three background
-// workers — a request sender, a response receiver, and an orderer — that
-// together enforce the session's FIFO order, deliver watch callbacks in
-// order, and stall reads that would otherwise overtake an undelivered
-// watch notification (epoch counters + MRD, Section 3.4).
+// coordination of ZooKeeper is gone, the client enforces the session's
+// FIFO order, delivers watch callbacks in order, and stalls reads that
+// would otherwise overtake an undelivered watch notification (epoch
+// counters + MRD, Section 3.4). The paper's client uses three threads for
+// this: a request sender, a response receiver and an orderer. Here the
+// orderer's work never blocks, so the receiver does it as each packet
+// arrives, which keeps the same order with two workers.
 package fkclient
 
 import (
 	"errors"
 	"slices"
+	"strings"
 	"time"
 
 	"faaskeeper/internal/cache"
@@ -42,7 +45,6 @@ type Client struct {
 	transport *core.SessionTransport
 
 	submitQ   *sim.Queue[*pendingOp]
-	inbox     *sim.Queue[any]
 	callbacks *sim.Queue[func()]
 
 	// outstanding holds the unreleased writes in submission order. Their
@@ -143,7 +145,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 		store:     d.StoreFor(region),
 		transport: d.Connect(id, region),
 		submitQ:   sim.NewQueue[*pendingOp](d.K),
-		inbox:     sim.NewQueue[any](d.K),
 		callbacks: sim.NewQueue[func()](d.K),
 		mrd:       make([]int64, d.NumShards()),
 		watches:   map[int64]*watchEntry{},
@@ -161,7 +162,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 	}
 	d.K.Go("client-sender-"+id, c.senderLoop)
 	d.K.Go("client-responder-"+id, c.responderLoop)
-	d.K.Go("client-orderer-"+id, c.ordererLoop)
 	d.K.Go("client-events-"+id, c.callbackLoop)
 	return c, nil
 }
@@ -199,12 +199,14 @@ func (c *Client) senderLoop() {
 }
 
 // responderLoop is worker 2: receive responses, notifications, and
-// heartbeat pings from the session connection.
+// heartbeat pings from the session connection. It is also the orderer:
+// it releases write responses in submission order and delivers watch
+// notifications in arrival order, updating the MRD.
 func (c *Client) responderLoop() {
 	for {
 		pkt, ok := c.transport.ClientEnd.Recv()
 		if !ok {
-			c.inbox.Close()
+			c.callbacks.Close()
 			return
 		}
 		if c.crashed {
@@ -213,22 +215,6 @@ func (c *Client) responderLoop() {
 		switch v := pkt.Payload.(type) {
 		case core.Ping:
 			c.transport.ClientEnd.Send(core.Pong{Session: c.id, Nonce: v.Nonce}, 16)
-		default:
-			c.inbox.Push(pkt.Payload)
-		}
-	}
-}
-
-// ordererLoop is worker 3: release write responses in submission order and
-// deliver watch notifications in arrival order, updating the MRD.
-func (c *Client) ordererLoop() {
-	for {
-		m, ok := c.inbox.Pop()
-		if !ok {
-			c.callbacks.Close()
-			return
-		}
-		switch v := m.(type) {
 		case core.Response:
 			c.onResponse(v)
 		case core.Notification:
@@ -237,7 +223,7 @@ func (c *Client) ordererLoop() {
 	}
 }
 
-// callbackLoop runs user watch callbacks outside the orderer, so a
+// callbackLoop runs user watch callbacks outside the receiver, so a
 // callback may itself issue reads and writes without deadlocking the
 // session (the callbacks still run in notification order).
 func (c *Client) callbackLoop() {
@@ -271,7 +257,7 @@ func (c *Client) onResponse(r core.Response) {
 			if len(resp.MultiResults) > 0 {
 				c.noteOwnMulti(resp.MultiResults)
 			} else {
-				c.noteOwnWrite(op.req.Op, resp)
+				c.noteOwnWrite(op.req, resp)
 			}
 		}
 		op.done.TryComplete(resp)
@@ -282,19 +268,25 @@ func (c *Client) onResponse(r core.Response) {
 // noteOwnWrite raises the session's per-path cache floors after one of its
 // writes commits, so read-your-writes holds through the cache tier: the
 // node itself, and — for creates and deletes — its parent, whose child
-// list changed under the same transaction.
-func (c *Client) noteOwnWrite(op core.OpCode, resp core.Response) {
-	if c.rcache == nil || op == core.OpDeregister {
+// list changed under the same transaction. The floors are keyed by the
+// request's own path: the answer's views a queue message, which a map key
+// would keep alive, so a sequential create's resolved name is cloned.
+func (c *Client) noteOwnWrite(req core.Request, resp core.Response) {
+	if c.rcache == nil || req.Op == core.OpDeregister {
 		return
 	}
 	if resp.Txid > c.sysFloor {
 		c.sysFloor = resp.Txid
 	}
-	if resp.Txid > c.lastSeen[resp.Path] {
-		c.lastSeen[resp.Path] = resp.Txid
+	path := req.Path
+	if resp.Path != path {
+		path = strings.Clone(resp.Path)
 	}
-	if op == core.OpCreate || op == core.OpDelete {
-		parent := znode.Parent(resp.Path)
+	if resp.Txid > c.lastSeen[path] {
+		c.lastSeen[path] = resp.Txid
+	}
+	if req.Op == core.OpCreate || req.Op == core.OpDelete {
+		parent := znode.Parent(path)
 		if resp.Txid > c.lastSeen[parent] {
 			c.lastSeen[parent] = resp.Txid
 		}
@@ -328,11 +320,12 @@ func (c *Client) noteOwnMulti(results []txn.Result) {
 		if r.Txid > c.sysFloor {
 			c.sysFloor = r.Txid
 		}
-		if r.Txid > c.lastSeen[r.Path] {
-			c.lastSeen[r.Path] = r.Txid
+		path := strings.Clone(r.Path) // a map key: r.Path views a queue message
+		if r.Txid > c.lastSeen[path] {
+			c.lastSeen[path] = r.Txid
 		}
 		if r.Type == txn.OpCreate || r.Type == txn.OpDelete {
-			parent := znode.Parent(r.Path)
+			parent := znode.Parent(path)
 			if r.Txid > c.lastSeen[parent] {
 				c.lastSeen[parent] = r.Txid
 			}
@@ -450,7 +443,10 @@ func (c *Client) Create(path string, data []byte, flags znode.Flags) (string, er
 	if err != nil {
 		return "", err
 	}
-	return resp.Path, nil
+	if resp.Path == path {
+		return path, nil
+	}
+	return strings.Clone(resp.Path), nil // a resolved name views a queue message
 }
 
 // SetData replaces a node's data; version -1 matches any version.

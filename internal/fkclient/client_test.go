@@ -635,7 +635,8 @@ func TestSessionClosedRejectsOps(t *testing.T) {
 	})
 }
 
-// TestAnswersReleasedOnceInSubmissionOrder drives the orderer directly: a
+// TestAnswersReleasedOnceInSubmissionOrder drives onResponse, the ordering
+// step the receiver runs on each answer, directly: a
 // session with four writes in flight (and no sender, so nothing else
 // answers them) is handed their answers out of order, one of them twice,
 // plus answers to seqs it never had or released already. Each write is

@@ -33,6 +33,7 @@ package obs
 
 import (
 	"sort"
+	"strings"
 
 	"faaskeeper/internal/sim"
 )
@@ -100,7 +101,11 @@ type Tracer struct {
 	roots   map[int64]int64 // trace -> root span id (kept after Finish for late children)
 	cur     map[int64]int64 // trace -> currently open stage span id
 	late    map[int64]int64 // trace -> cost (pd) charged after the trace finished
-	errs    []string
+	// paths interns span paths: a path decoded from a queue message views
+	// the message, and a span outlives it, so the first span of a path
+	// stores a clone that later spans share.
+	paths map[string]string
+	errs  []string
 }
 
 // NewTracer builds a tracer over the clock. A disabled tracer records
@@ -115,6 +120,7 @@ func NewTracer(clock sim.Clock, reg *Registry, enabled bool) *Tracer {
 		roots:   map[int64]int64{},
 		cur:     map[int64]int64{},
 		late:    map[int64]int64{},
+		paths:   map[string]string{},
 	}
 }
 
@@ -126,6 +132,12 @@ func (t *Tracer) errf(msg string) { t.errs = append(t.errs, msg) }
 func (t *Tracer) alloc(trace, parent int64, name, path string, shard int, region string) int64 {
 	t.nextID++
 	id := t.nextID
+	p, ok := t.paths[path]
+	if !ok {
+		p = strings.Clone(path)
+		t.paths[p] = p
+	}
+	path = p
 	t.open[id] = &Span{
 		ID: id, Parent: parent, Trace: trace, Name: name, Path: path,
 		Shard: shard, Region: region, Start: t.clock.Now(),

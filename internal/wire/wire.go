@@ -13,15 +13,22 @@
 //     Release immediately after Send is safe). If the callee retains the
 //     slice (e.g. faas.InvokeAsync captures the payload in a goroutine),
 //     call Detach first to hand over ownership (Owned does both).
-//   - Decoder.Bytes returns a sub-slice of the input, not a copy. Callers
-//     that outlive the input buffer must copy; callers decoding a queue
-//     message they own may alias freely.
+//   - A Decoder borrows: Bytes returns a sub-slice of the input and String
+//     and Known return strings that view its bytes, so decoding a field
+//     copies nothing. The input must never be written after decoding. Every
+//     buffer decoded here is immutable: a queue body (Send copies it), an
+//     Owned payload, a stored object or kv blob, a cache entry.
+//   - A borrowed string pins the whole buffer it came from. Code that keeps
+//     one in something that outlives the decoding invocation (a store
+//     item, a map key that grows with the number of paths) stores a clone
+//     (strings.Clone) where it stores it.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"unsafe"
 )
 
 // ErrCorrupt is returned when decoding malformed bytes.
@@ -174,12 +181,16 @@ func (d *Decoder) Varint() int64 {
 	return v
 }
 
-// String reads a length-prefixed string (allocates the string copy).
-func (d *Decoder) String() string { return string(d.view()) }
+// String reads a length-prefixed string as a view into the input: it
+// allocates nothing and is valid as long as the input is, which must not
+// be written afterwards. A caller that stores it beyond the input's owner
+// clones it (see the package comment).
+func (d *Decoder) String() string { return borrow(d.view()) }
 
 // Known reads a length-prefixed string that is usually one of known and
-// returns that element, allocating nothing; any other string it copies, as
-// String does. For enum-like fields (op codes) decoded on every message.
+// returns that element; any other string it returns as a view into the
+// input, as String does. Either way it allocates nothing. For enum-like
+// fields (op codes) decoded on every message: a known value pins no input.
 func (d *Decoder) Known(known ...string) string {
 	b := d.view()
 	for _, s := range known {
@@ -187,8 +198,11 @@ func (d *Decoder) Known(known ...string) string {
 			return s
 		}
 	}
-	return string(b)
+	return borrow(b)
 }
+
+// borrow returns b's bytes as a string without copying them.
+func borrow(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // Bytes reads a length-prefixed byte slice as a zero-copy view into the
 // input. nil for an empty slice.

@@ -73,8 +73,8 @@ func TestDecoderZeroCopyView(t *testing.T) {
 }
 
 // TestDecoderKnown: a known string comes back as the caller's own string,
-// without allocating and without aliasing the input; any other reads as a
-// copy, and a short input latches the error.
+// without aliasing the input; any other reads as a view into the input.
+// Neither allocates, and a short input latches the error.
 func TestDecoderKnown(t *testing.T) {
 	known := []string{"create", "set_data"}
 	e := NewEncoder()
@@ -87,14 +87,49 @@ func TestDecoderKnown(t *testing.T) {
 		d := NewDecoder(buf)
 		got, other = d.Known(known...), d.Known(known...)
 	})
-	if got != "set_data" || unsafe.StringData(got) != unsafe.StringData(known[1]) || other != "other" || allocs != 1 {
-		t.Errorf("Known read %q (the constant: %v) and %q with %v allocations, want the constant and a copy with 1",
-			got, unsafe.StringData(got) == unsafe.StringData(known[1]), other, allocs)
+	if got != "set_data" || unsafe.StringData(got) != unsafe.StringData(known[1]) || other != "other" ||
+		!within(other, buf) || allocs != 0 {
+		t.Errorf("Known read %q (the constant: %v) and %q (a view: %v) with %v allocations, want the constant and a view with 0",
+			got, unsafe.StringData(got) == unsafe.StringData(known[1]), other, within(other, buf), allocs)
 	}
 	d := NewDecoder(buf[:3])
 	if d.Known(known...) != "" || d.Err() == nil {
 		t.Error("a truncated string decoded without error")
 	}
+}
+
+// TestDecoderStringsBorrow: String and every element of Strings are views
+// into the decoded buffer, not copies, and decoding them allocates only
+// the list.
+func TestDecoderStringsBorrow(t *testing.T) {
+	e := NewEncoder()
+	defer e.Release()
+	e.String("/a/b")
+	e.Strings([]string{"c1", "c2"})
+	buf := append([]byte(nil), e.Data()...)
+	var s string
+	var list []string
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(buf)
+		s, list = d.String(), d.Strings()
+	})
+	if s != "/a/b" || !within(s, buf) || len(list) != 2 || !within(list[0], buf) || !within(list[1], buf) {
+		t.Fatalf("decoded %q %q: not views into the input", s, list)
+	}
+	if allocs != 1 {
+		t.Errorf("String and Strings allocated %v times, want 1 (the list)", allocs)
+	}
+	buf[len(buf)-1] = 'X' // a view observes a write to its input
+	if list[1] != "cX" {
+		t.Errorf("Strings element is not a view: %q", list[1])
+	}
+}
+
+// within reports whether s's bytes lie inside b.
+func within(s string, b []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return len(s) > 0 && p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(b))
 }
 
 func TestDecoderErrorLatches(t *testing.T) {

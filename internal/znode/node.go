@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Flags control node creation, mirroring ZooKeeper's CreateMode.
@@ -102,12 +103,16 @@ func Marshal(n *Node, epoch []int64) []byte {
 }
 
 // Unmarshal decodes a blob produced by Marshal, returning the node and the
-// attached epoch stamp.
+// attached epoch stamp. The node's strings (Path, Stat.Owner, every child
+// name) borrow: they are views into buf, so buf must never be written
+// afterwards (stored objects, kv blobs and cache entries are replaced,
+// never edited). Data is a copy, the one field callers may mutate. Code
+// that keeps a string beyond buf's owner clones it where it keeps it.
 func Unmarshal(buf []byte) (*Node, []int64, error) { return unmarshal(buf, false) }
 
-// UnmarshalView is Unmarshal with the node's Data a view into buf instead
-// of a copy, for a caller that owns buf, never writes into it and hands the
-// node only to code that copies the data it keeps (Marshal does).
+// UnmarshalView is Unmarshal with the node's Data a view into buf as well,
+// for a caller that owns buf, never writes into it and hands the node only
+// to code that copies the data it keeps (Marshal does).
 func UnmarshalView(buf []byte) (*Node, []int64, error) { return unmarshal(buf, true) }
 
 func unmarshal(buf []byte, view bool) (*Node, []int64, error) {
@@ -225,7 +230,12 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) str() string { return string(r.view()) }
+// str reads a length-prefixed string as a view into the input, without
+// copying it.
+func (r *reader) str() string {
+	b := r.view()
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 // view reads a length-prefixed byte slice as a sub-slice of the input, nil
 // when it is empty.

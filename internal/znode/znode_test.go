@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValidatePath(t *testing.T) {
@@ -115,6 +116,35 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if got.Children[0] != "b" || got.Children[1] != "a" {
 		t.Fatalf("children order not preserved: %v", got.Children)
 	}
+}
+
+// TestUnmarshalStringsBorrow: the path, the owner and every child name are
+// views into the decoded blob, under both decoders; only UnmarshalView's
+// Data is a view too.
+func TestUnmarshalStringsBorrow(t *testing.T) {
+	n := &Node{Path: "/p", Data: []byte("d"), Stat: Stat{Ephemeral: true, Owner: "s1"}, Children: []string{"c1", "c2"}}
+	for _, view := range []bool{false, true} {
+		buf := Marshal(n, nil)
+		got, _, err := unmarshal(buf, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{got.Path, got.Stat.Owner, got.Children[0], got.Children[1]} {
+			if !within(s, buf) {
+				t.Errorf("view=%v: %q is a copy, want a view into the blob", view, s)
+			}
+		}
+		if dataView := &got.Data[0] == &buf[bytes.Index(buf, []byte("d"))]; dataView != view {
+			t.Errorf("view=%v: Data is a view: %v", view, dataView)
+		}
+	}
+}
+
+// within reports whether s's bytes lie inside b.
+func within(s string, b []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return len(s) > 0 && p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(b))
 }
 
 func TestMarshalRoundTripProperty(t *testing.T) {
