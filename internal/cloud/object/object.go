@@ -7,6 +7,7 @@
 package object
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 
@@ -80,20 +81,29 @@ func (b *Bucket) latency(ctx cloud.Ctx, base sim.Dist, perKB sim.Time, size int)
 	return sim.Time(float64(t) * ctx.ObjFactor())
 }
 
-// Put stores data (a full-object overwrite; there is no offset write).
+// Put stores a copy of data (a full-object overwrite; there is no offset
+// write): the caller may reuse its buffer afterwards.
 func (b *Bucket) Put(ctx cloud.Ctx, key string, data []byte) {
+	b.PutOwned(ctx, key, bytes.Clone(data))
+}
+
+// PutOwned is Put without the copy: the bucket keeps data itself, so the
+// caller hands the buffer over and must never write into it again. For a
+// blob built to be stored (a marshaled node), which other readers — the
+// regional cache — may share.
+func (b *Bucket) PutOwned(ctx cloud.Ctx, key string, data []byte) {
 	p := b.env.Profile
 	b.env.K.Sleep(b.latency(ctx, p.ObjWriteBase, p.ObjWritePerKB, len(data)))
 	b.env.Charge(ctx, "obj.write", p.Pricing.ObjectWriteCost(len(data)), 1)
-	b.objects.Put(key, append([]byte(nil), data...))
+	b.objects.Put(key, data)
 }
 
 // Get returns a read-only view of the object. Reads are strongly
 // consistent: a successful write is immediately visible (Section 2.1).
-// Put already copies on the way in and overwrites are whole-object
-// replacements (never in-place), so one defensive copy per crossing
-// suffices: the returned slice is immutable for its lifetime and callers
-// that mutate must copy first.
+// Every stored buffer is owned by the bucket (Put copies on the way in,
+// PutOwned takes a buffer nobody writes) and overwrites are whole-object
+// replacements (never in-place), so the returned slice is immutable for
+// its lifetime and callers that mutate must copy first.
 func (b *Bucket) Get(ctx cloud.Ctx, key string) ([]byte, error) {
 	data, _ := b.objects.Get(key)
 	p := b.env.Profile

@@ -76,6 +76,32 @@ func TestMutationAliasing(t *testing.T) {
 	k.Run()
 }
 
+// TestPutOwnedKeepsTheBuffer: PutOwned stores the caller's backing array
+// itself, where Put stores a copy, and an overwrite through it allocates
+// nothing (sim.AllocsPerRun is testing.AllocsPerRun inside a process, which
+// the write's latency needs).
+func TestPutOwnedKeepsTheBuffer(t *testing.T) {
+	k := sim.NewKernel(6)
+	env := cloud.NewEnv(k, cloud.AWSProfile())
+	b := NewBucket(env, "user-data", cloud.RegionAWSHome)
+	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
+	owned, copied := []byte("owned"), []byte("copied")
+	k.Go("client", func() {
+		b.PutOwned(ctx, "o", owned)
+		b.Put(ctx, "c", copied)
+		if got, _ := b.Get(ctx, "o"); unsafe.SliceData(got) != unsafe.SliceData(owned) {
+			t.Error("PutOwned stored a copy of the caller's buffer")
+		}
+		if got, _ := b.Get(ctx, "c"); unsafe.SliceData(got) == unsafe.SliceData(copied) {
+			t.Error("Put stored the caller's buffer")
+		}
+	})
+	k.Run()
+	if allocs := sim.AllocsPerRun(k, 100, func() { b.PutOwned(ctx, "o", owned) }); allocs != 0 {
+		t.Errorf("PutOwned overwrite: %v allocations, want 0", allocs)
+	}
+}
+
 func TestCrossRegionPenalty(t *testing.T) {
 	k := sim.NewKernel(2)
 	env := cloud.NewEnv(k, cloud.AWSProfile())

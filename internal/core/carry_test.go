@@ -20,7 +20,7 @@ import (
 
 // pending returns the pending list of path's control record.
 func (r *pipeRig) pending(path string) []int64 {
-	it, _ := r.d.System.Peek(nodeKey(path))
+	it, _ := r.d.System.Peek(path)
 	return decodeSysNode(it).Pending
 }
 
@@ -31,7 +31,7 @@ func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderM
 	r.t.Helper()
 	s.seq++
 	req := Request{Session: s.id, Seq: s.seq, Op: OpSetData, Path: path, Data: []byte(data), Version: -1}
-	lock, item, err := r.d.Locks.Acquire(s.ctx, nodeKey(path))
+	lock, item, err := r.d.Locks.Acquire(s.ctx, path)
 	if err != nil {
 		r.t.Fatalf("lock %s: %v", path, err)
 	}
@@ -300,13 +300,13 @@ func TestCarriedDeleteCollectsTombstone(t *testing.T) {
 		}
 		s.do(OpDelete, "/x", "")
 		s.do(OpSetData, "/y", "1") // runs the delete's carried pop
-		_, afterOther = r.d.System.Peek(nodeKey("/x"))
+		_, afterOther = r.d.System.Peek("/x")
 		recreated = s.do(OpCreate, "/x", "1")
 
 		s.do(OpDelete, "/x", "")
 		again = s.do(OpCreate, "/x", "2") // runs the delete's carried pop
 		r.k.Sleep(sim.Ms(200))
-		item, ok := r.d.System.Peek(nodeKey("/x"))
+		item, ok := r.d.System.Peek("/x")
 		afterSame, created, user = ok, decodeSysNode(item), r.userNode("/x")
 	})
 	r.run()

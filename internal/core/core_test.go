@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +95,33 @@ func newTestDeployment(seed int64, cfg Config) (*sim.Kernel, *Deployment) {
 	return k, NewDeployment(k, cfg)
 }
 
+// TestNodeKeysArePaths: a node's control record is keyed by the node's
+// path, and no other system-store key starts with "/", so a node path can
+// never name a session, barrier, epoch or lock item.
+func TestNodeKeysArePaths(t *testing.T) {
+	k, d := newTestDeployment(3, Config{WriteShards: 2})
+	others := []string{sessionKey("s"), sessionKey(""), deregKey("s"), deregKey(""), rootUpdateLockKey, deregSeqKey}
+	for _, s := range d.Stores {
+		others = append(others, d.epochKey(s.Region()))
+	}
+	for _, key := range others {
+		if strings.HasPrefix(key, "/") {
+			t.Errorf("key %q is in the node namespace", key)
+		}
+	}
+	r := &pipeRig{t: t, k: k, d: d}
+	k.Go("main", func() {
+		if resp := r.open("s").do(OpCreate, "/n", "x"); resp.Code != CodeOK {
+			t.Errorf("create: %s", resp.Code)
+		}
+	})
+	k.Run()
+	k.Shutdown()
+	if it, ok := d.System.Peek("/n"); !ok || !decodeSysNode(it).Exists {
+		t.Fatalf("no record of /n at its path: %v", it)
+	}
+}
+
 func TestDeploymentSeedsRoot(t *testing.T) {
 	k, d := newTestDeployment(1, Config{})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
@@ -107,7 +135,7 @@ func TestDeploymentSeedsRoot(t *testing.T) {
 	if !rootOK {
 		t.Fatal("root not seeded in user store")
 	}
-	if it, ok := d.System.Peek(nodeKey(znode.Root)); !ok || it.Get(attrExists).Num() != 1 {
+	if it, ok := d.System.Peek(znode.Root); !ok || it.Get(attrExists).Num() != 1 {
 		t.Fatal("root not seeded in system store")
 	}
 }
@@ -251,7 +279,7 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 		if wid, missing, err = d.RegisterWatch(ctx, "/cfg", WatchData, "s1"); err != nil {
 			t.Errorf("register: %v", err)
 		}
-		d.System.SeedPut(nodeKey("/n"), kv.Item{
+		d.System.SeedPut("/n", kv.Item{
 			{Name: attrExists, V: kv.N(1)}, {Name: attrMzxid, V: kv.N(7)}, {Name: attrPzxid, V: kv.N(9)},
 		})
 		w0 := d.Env.Meter.Count("syskv.write")
@@ -280,11 +308,11 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 	if writes != 2 {
 		t.Errorf("two registrations made %d system-store writes, want one each", writes)
 	}
-	it, ok := d.System.Peek(nodeKey("/cfg"))
+	it, ok := d.System.Peek("/cfg")
 	if !ok || !slices.Equal(decodeSysNode(it).Watches[WatchData-1], []string{"s1"}) {
 		t.Fatalf("control record: %v", it)
 	}
-	it, _ = d.System.Peek(nodeKey("/n"))
+	it, _ = d.System.Peek("/n")
 	if w := decodeSysNode(it).Watches; !slices.Equal(w[WatchData-1], []string{"s1"}) || !slices.Equal(w[WatchChild-1], []string{"s2"}) {
 		t.Fatalf("control record: %v", it)
 	}
@@ -298,7 +326,7 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 func TestClaimGroupFiresOnceAndWipesNothingUnread(t *testing.T) {
 	k, d := newTestDeployment(6, Config{WriteShards: 2})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
-	key := nodeKey(znode.Root)
+	key := znode.Root
 	var claims [2][]string
 	var left []string
 	k.Go("main", func() {

@@ -349,7 +349,7 @@ func (d *Deployment) newUserStore(r cloud.Region) UserStore {
 
 // seedRoot bootstraps "/" in system and user stores at no cost.
 func (d *Deployment) seedRoot() {
-	d.System.SeedPut(nodeKey(znode.Root), kv.Item{
+	d.System.SeedPut(znode.Root, kv.Item{
 		{Name: attrExists, V: kv.N(1)},
 		{Name: attrChildren, V: kv.StrList()},
 	})
@@ -489,7 +489,7 @@ func (d *Deployment) RegisterSession(ctx cloud.Ctx, sessionID string) error {
 // cost is that they count toward the record's size, which every lock,
 // commit and pop write pays for per 1 KB (about 70 session ids on one node).
 func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, sessionID string) (int64, Frontier, error) {
-	it, err := d.System.Update(ctx, nodeKey(path),
+	it, err := d.System.Update(ctx, path,
 		[]kv.Update{kv.StrListAppend{Name: watchAttrs[wt-1], Vals: []string{sessionID}}}, nil)
 	if err != nil {
 		return 0, Frontier{}, err
@@ -505,7 +505,7 @@ func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, ses
 // registered, that is, no claim has fired it yet: one strongly consistent
 // read of the node's control record.
 func (d *Deployment) Armed(ctx cloud.Ctx, path string, wt WatchType, sessionID string) bool {
-	it, _ := d.System.GetView(ctx, nodeKey(path), true)
+	it, _ := d.System.GetView(ctx, path, true)
 	return slices.Contains(it.Get(watchAttrs[wt-1]).SL(), sessionID)
 }
 

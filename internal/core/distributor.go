@@ -141,12 +141,17 @@ type opResult struct {
 	popped  bool // ➎ already ran in the commit phase
 }
 
-// nodeFold is the final folded user-store state of one touched node.
+// nodeFold is the final folded user-store state of one touched node. The
+// object lives in the entry, which the pooled fold reuses: folding a write
+// allocates no node.
 type nodeFold struct {
 	path string
-	node *znode.Node // object to write; nil when the final op deleted it
-	txid int64       // newest txid folded into this path (invalidation floor)
+	node znode.Node // object to write; zero when the final op deleted it
+	txid int64      // newest txid folded into this path (invalidation floor)
 }
+
+// live reports whether the entry writes an object: every object has a path.
+func (nf *nodeFold) live() bool { return nf.node.Path != "" }
 
 // parentFold coalesces a chunk's child-list splices on one parent.
 type parentFold struct {
@@ -194,7 +199,7 @@ func newBatchFold() *batchFold { return batchFoldPool.Get().(*batchFold) }
 // flush holds no further references — after distributeFold's regional
 // legs have all joined and the results are completed. A parent entry
 // keeps its emptied map and names for the next fold that reaches it; the
-// node objects were handed to the stores.
+// node entries are cleared, so the fold keeps no view of a message.
 func (f *batchFold) release() {
 	for i := range f.parents {
 		pf := &f.parents[i]
@@ -212,9 +217,9 @@ func (f *batchFold) release() {
 
 func (f *batchFold) empty() bool { return len(f.nodes) == 0 && len(f.parents) == 0 }
 
-// foldWrite records path's newest object, nil for a delete; an earlier
-// write or tombstone of the same path in this chunk is superseded.
-func (f *batchFold) foldWrite(path string, n *znode.Node, txid int64) {
+// foldWrite records path's newest object, the zero node for a delete; an
+// earlier write or tombstone of the same path in this chunk is superseded.
+func (f *batchFold) foldWrite(path string, n znode.Node, txid int64) {
 	i, ok := f.nodeAt[path]
 	if !ok {
 		i = len(f.nodes)
@@ -271,14 +276,14 @@ func (f *batchFold) foldParent(parent, childAdd, childDel string, cversion int32
 func (f *batchFold) foldChange(c change, txid int64) (stat znode.Stat) {
 	switch c.Op {
 	case OpDelete:
-		f.foldWrite(c.Path, nil, txid)
+		f.foldWrite(c.Path, znode.Node{}, txid)
 	case OpCreate, OpSetData:
-		n := buildUserNode(c, txid)
-		if n == nil {
+		var n znode.Node
+		if !buildUserNode(&n, c, txid) {
 			return stat
 		}
 		if i, ok := f.nodeAt[c.Path]; ok {
-			if prev := f.nodes[i]; prev.txid == txid && prev.node != nil {
+			if prev := &f.nodes[i]; prev.txid == txid && prev.live() {
 				n.Stat.Czxid, n.Stat.Pzxid = prev.node.Stat.Czxid, prev.node.Stat.Pzxid
 			}
 		}
@@ -760,13 +765,13 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 			continue
 		}
 		pf.consumed = true
-		if nf := &fold.nodes[j]; nf.node != nil {
-			spliceInto(nf.node, pf)
+		if nf := &fold.nodes[j]; nf.live() {
+			spliceInto(&nf.node, pf)
 			nf.txid = max(nf.txid, pf.pzxid)
 		}
 	}
-	for _, nf := range fold.nodes {
-		if nf.node != nil && d.route.Shared(nf.path) {
+	for i := range fold.nodes {
+		if nf := &fold.nodes[i]; nf.live() && d.route.Shared(nf.path) {
 			lockRoot = true
 		}
 	}
@@ -774,9 +779,9 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 		lock := d.acquireRootLock(ctx)
 		defer func() { _ = d.Locks.Release(ctx, lock) }()
 	}
-	for _, nf := range fold.nodes {
-		if nf.node != nil && d.route.Shared(nf.path) {
-			d.refreshSharedFromSystem(ctx, nf.path, nf.node)
+	for i := range fold.nodes {
+		if nf := &fold.nodes[i]; nf.live() && d.route.Shared(nf.path) {
+			d.refreshSharedFromSystem(ctx, nf.path, &nf.node)
 		}
 	}
 
@@ -852,11 +857,11 @@ func (l *flushLeg) write() {
 	// Each object is marshaled once, under this region's stamp: the store
 	// keeps the blob, and the install carries the same one.
 	objs := l.objs[:0]
-	for _, nf := range fold.nodes {
-		if nf.node == nil {
-			objs = append(objs, Object{Path: nf.path})
+	for i := range fold.nodes {
+		if nf := &fold.nodes[i]; nf.live() {
+			objs = append(objs, NewObject(&nf.node, stamp))
 		} else {
-			objs = append(objs, NewObject(nf.node, stamp))
+			objs = append(objs, Object{Path: nf.path})
 		}
 	}
 	l.objs = objs
@@ -944,8 +949,8 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 // its newest folded txid. A parent a node write absorbed is that write's; a
 // shared parent's is fenced, so its floor is raised before its RMW lands.
 func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, fenced func(path string, del bool) bool) []cache.Invalidation {
-	for _, nf := range f.nodes {
-		if fenced(nf.path, nf.node == nil) {
+	for i := range f.nodes {
+		if nf := &f.nodes[i]; fenced(nf.path, !nf.live()) {
 			invs = append(invs, cache.Invalidation{Path: nf.path, Mzxid: nf.txid, Epoch: stamp})
 		}
 	}

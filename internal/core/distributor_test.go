@@ -25,29 +25,29 @@ func parentPaths(f *batchFold) (paths []string) {
 
 func TestBatchFoldLastWriteWins(t *testing.T) {
 	f := newBatchFold()
-	f.foldWrite("/a", &znode.Node{Path: "/a", Data: []byte("1"), Stat: znode.Stat{Mzxid: 1}}, 1)
-	f.foldWrite("/a", &znode.Node{Path: "/a", Data: []byte("2"), Stat: znode.Stat{Mzxid: 5}}, 5)
-	f.foldWrite("/b", &znode.Node{Path: "/b"}, 3)
+	f.foldWrite("/a", znode.Node{Path: "/a", Data: []byte("1"), Stat: znode.Stat{Mzxid: 1}}, 1)
+	f.foldWrite("/a", znode.Node{Path: "/a", Data: []byte("2"), Stat: znode.Stat{Mzxid: 5}}, 5)
+	f.foldWrite("/b", znode.Node{Path: "/b"}, 3)
 	if got := nodePaths(f); !slices.Equal(got, []string{"/a", "/b"}) {
 		t.Fatalf("order = %v", got)
 	}
 	nf := f.nodes[f.nodeAt["/a"]]
-	if nf.path != "/a" || nf.node == nil || string(nf.node.Data) != "2" || nf.txid != 5 {
+	if nf.path != "/a" || !nf.live() || string(nf.node.Data) != "2" || nf.txid != 5 {
 		t.Fatalf("fold of /a = %+v", nf)
 	}
 }
 
 func TestBatchFoldCreateDeleteCreate(t *testing.T) {
 	f := newBatchFold()
-	f.foldWrite("/a/x", &znode.Node{Path: "/a/x", Data: []byte("one")}, 1)
+	f.foldWrite("/a/x", znode.Node{Path: "/a/x", Data: []byte("one")}, 1)
 	f.foldParent("/a", "x", "", 1, 1)
-	f.foldWrite("/a/x", nil, 2)
+	f.foldWrite("/a/x", znode.Node{}, 2)
 	f.foldParent("/a", "", "x", 2, 2)
-	f.foldWrite("/a/x", &znode.Node{Path: "/a/x", Data: []byte("two")}, 3)
+	f.foldWrite("/a/x", znode.Node{Path: "/a/x", Data: []byte("two")}, 3)
 	f.foldParent("/a", "x", "", 3, 3)
 
 	nf := f.nodes[f.nodeAt["/a/x"]]
-	if nf.node == nil || string(nf.node.Data) != "two" || nf.txid != 3 {
+	if !nf.live() || string(nf.node.Data) != "two" || nf.txid != 3 {
 		t.Fatalf("final node state = %+v", nf)
 	}
 	pf := f.parents[f.parentAt["/a"]]
@@ -64,12 +64,12 @@ func TestBatchFoldCreateDeleteCreate(t *testing.T) {
 
 func TestBatchFoldDeleteEndsChain(t *testing.T) {
 	f := newBatchFold()
-	f.foldWrite("/a/y", &znode.Node{Path: "/a/y"}, 4)
+	f.foldWrite("/a/y", znode.Node{Path: "/a/y"}, 4)
 	f.foldParent("/a", "y", "", 1, 4)
-	f.foldWrite("/a/y", nil, 6)
+	f.foldWrite("/a/y", znode.Node{}, 6)
 	f.foldParent("/a", "", "y", 2, 6)
 	nf := f.nodes[f.nodeAt["/a/y"]]
-	if nf.path != "/a/y" || nf.node != nil || nf.txid != 6 {
+	if nf.path != "/a/y" || nf.live() || nf.txid != 6 {
 		t.Fatalf("final state must be the tombstone: %+v", nf)
 	}
 	if f.parents[f.parentAt["/a"]].present["y"] {
@@ -112,11 +112,11 @@ func TestSpliceIntoIdempotentAndRaising(t *testing.T) {
 // with its own RMW, and both records fence it.
 func TestBatchFoldInvalidations(t *testing.T) {
 	f := newBatchFold()
-	f.foldWrite("/p", &znode.Node{Path: "/p"}, 2)
-	f.foldWrite("/p/c", &znode.Node{Path: "/p/c"}, 5)
+	f.foldWrite("/p", znode.Node{Path: "/p"}, 2)
+	f.foldWrite("/p/c", znode.Node{Path: "/p/c"}, 5)
 	f.foldParent("/p", "c", "", 1, 5)
 	f.foldParent("/q", "d", "", 1, 7)
-	f.foldWrite("/q/d", nil, 7)
+	f.foldWrite("/q/d", znode.Node{}, 7)
 	f.foldParent("/", "r", "", 1, 8)
 
 	// /p's splice folds into its node write (the distributor marks it

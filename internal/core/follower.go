@@ -90,7 +90,7 @@ func (d *Deployment) respondFailure(req Request, code Code) {
 // lockNode acquires the timed lock and decodes the node's system state.
 func (d *Deployment) lockNode(ctx cloud.Ctx, path string) (fksync.Lock, sysNode, error) {
 	t0 := d.K.Now()
-	lock, item, err := d.Locks.AcquireWait(ctx, nodeKey(path), 0)
+	lock, item, err := d.Locks.AcquireWait(ctx, path, 0)
 	d.recordPhase("follower.lock", d.K.Now()-t0)
 	return lock, decodeSysNode(item), err
 }
@@ -184,7 +184,7 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 		msg.change = change{Op: OpMulti, Path: anchorPath(p.ops)}
 		msg.Ops = slices.Clone(p.ops)
 		for _, it := range p.items {
-			msg.ItemPaths = append(msg.ItemPaths, it.path)
+			msg.ItemPaths = append(msg.ItemPaths, it.lock.Key)
 			msg.ItemLockTs = append(msg.ItemLockTs, it.lock.Timestamp)
 		}
 	} else {

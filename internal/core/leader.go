@@ -196,8 +196,8 @@ func (dm *decodedMsg) index() {
 	}
 	dm.keys = dm.ctl[:0]
 	add := func(path string) {
-		if key := nodeKey(path); !slices.Contains(dm.keys, key) {
-			dm.keys = append(dm.keys, key)
+		if !slices.Contains(dm.keys, path) {
+			dm.keys = append(dm.keys, path)
 		}
 	}
 	var one [1]change
@@ -231,10 +231,8 @@ func (m *leaderMsg) changes(one *[1]change) []change {
 // recordOf returns path's record among nodes, index-aligned with keys; nil
 // when the message's commit check read none.
 func recordOf(keys []string, nodes []sysNode, path string) *sysNode {
-	for i, key := range keys {
-		if key[len(nodeKeyPrefix):] == path {
-			return &nodes[i]
-		}
+	if i := slices.Index(keys, path); i >= 0 {
+		return &nodes[i]
 	}
 	return nil
 }
@@ -430,27 +428,26 @@ func (d *Deployment) replayCommit(ctx cloud.Ctx, msg leaderMsg, txid int64) erro
 	return d.commitPlan(ctx, msg.plan(&one, &items), txid)
 }
 
-// buildUserNode assembles the user-store object for one committed change:
-// the node the follower marshaled from its snapshot under the locks,
-// stamped with what only the txid decides — mzxid, and for a create czxid
-// and pzxid — and the version the change carries. It reads no record: the
-// control record may already reflect later commits (a child created since
-// would leak its pzxid and its name into an object of an earlier txid), and
-// the snapshot is exactly the state at this txid. Nil for a delete or a
-// check (and an undecodable blob). The node's Data is a view into the blob,
-// itself a view into the queue body nobody writes: the object's marshal is
-// the one copy.
-func buildUserNode(c change, txid int64) *znode.Node {
-	n, _, err := znode.UnmarshalView(c.NodeBlob)
-	if err != nil {
-		return nil
+// buildUserNode assembles in n the user-store object for one committed
+// change: the node the follower marshaled from its snapshot under the
+// locks, stamped with what only the txid decides — mzxid, and for a create
+// czxid and pzxid — and the version the change carries. It reads no record:
+// the control record may already reflect later commits (a child created
+// since would leak its pzxid and its name into an object of an earlier
+// txid), and the snapshot is exactly the state at this txid. False for a
+// delete or a check (and an undecodable blob). The node's Data is a view
+// into the blob, itself a view into the queue body nobody writes: the
+// object's marshal is the one copy.
+func buildUserNode(n *znode.Node, c change, txid int64) bool {
+	if _, err := znode.UnmarshalView(c.NodeBlob, n); err != nil {
+		return false
 	}
 	n.Stat.Mzxid = txid
 	n.Stat.Version = c.Version
 	if c.Op == OpCreate {
 		n.Stat.Czxid, n.Stat.Pzxid = txid, txid
 	}
-	return n
+	return true
 }
 
 // exitEpochs is ➏: once their deliveries completed, wids leave the shard's
@@ -468,7 +465,7 @@ func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) {
 // Must run under the path's shared lock: a full-object write racing
 // another shard's child splice would otherwise revert the child list.
 func (d *Deployment) refreshSharedFromSystem(ctx cloud.Ctx, path string, n *znode.Node) {
-	it, ok := d.System.Get(ctx, nodeKey(path), true)
+	it, ok := d.System.Get(ctx, path, true)
 	if !ok {
 		return
 	}
@@ -569,9 +566,9 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired [
 		attr, sessions := watchAttrs[g.wt-1], rec.Watches[g.wt-1]
 		rec.Watches[g.wt-1] = nil
 		if d.route.Shared(path) {
-			sessions = d.claimGroup(ctx, nodeKey(path), attr, sessions)
+			sessions = d.claimGroup(ctx, path, attr, sessions)
 		} else if len(sessions) > 0 {
-			p.round.clear(nodeKey(path), attr, sessions)
+			p.round.clear(path, attr, sessions)
 		}
 		if len(sessions) == 0 {
 			continue

@@ -166,7 +166,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		{
 			name: "orphan ahead of txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_, _ = d.System.Update(ctx, nodeKey(msg.Path), []kv.Update{pendingAppend(5)}, nil)
+				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{pendingAppend(5)}, nil)
 				commit(d, ctx, lock, msg)
 			},
 			// The orphan is popped on the opening read's word, conditionally
@@ -177,7 +177,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			name: "duplicate: head beyond txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
 				commit(d, ctx, lock, msg)
-				_, _ = d.System.Update(ctx, nodeKey(msg.Path),
+				_, _ = d.System.Update(ctx, msg.Path,
 					[]kv.Update{kv.ListPopHead{Name: attrPending}, pendingAppend(12)}, nil)
 			},
 			code: CodeSystemError, reads: 2, writes: 0, pending: []int64{12},
@@ -212,7 +212,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			name:    "carried head, orphan behind it",
 			carried: true,
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_, _ = d.System.Update(ctx, nodeKey(msg.Path), []kv.Update{pendingAppend(5)}, nil)
+				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{pendingAppend(5)}, nil)
 				commit(d, ctx, lock, msg)
 			},
 			// The carried pop runs at once, the next poll finds the orphan,
@@ -246,7 +246,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 						change: validatedChange(OpSetData, req.Path, req.Data, "", sysNode{Exists: true}, sysNode{}),
 					}
 				} else {
-					lock, item, err := d.Locks.Acquire(s.ctx, nodeKey(req.Path))
+					lock, item, err := d.Locks.Acquire(s.ctx, req.Path)
 					if err != nil {
 						t.Errorf("lock: %v", err)
 						return
@@ -279,11 +279,11 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 				t.Errorf("the handler made %d system-store reads and %d writes, want %d and %d", reads, writes, tc.reads, tc.writes)
 			}
 			if !tc.missing {
-				it, _ := d.System.Peek(nodeKey("/n"))
+				it, _ := d.System.Peek("/n")
 				if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pending) {
 					t.Errorf("pending list ends as %v, want %v", got, tc.pending)
 				}
-			} else if _, ok := d.System.Peek(nodeKey("/gone")); ok {
+			} else if _, ok := d.System.Peek("/gone"); ok {
 				t.Error("the failed replay left a control record behind")
 			}
 			stored := slices.ContainsFunc(r.calls, func(c storeCall) bool { return c.mzxid == txid })

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"faaskeeper/internal/cloud"
@@ -118,7 +117,7 @@ func newPipeRig(t *testing.T, seed int64, cfg Config, hook *pipeFaults) *pipeRig
 			if !ok {
 				return
 			}
-			if !strings.HasPrefix(rec.Key, nodeKeyPrefix) {
+			if !strings.HasPrefix(rec.Key, "/") {
 				continue
 			}
 			var head int64
@@ -388,7 +387,7 @@ func TestPipelineConcurrentInvariants(t *testing.T) {
 				}
 			}
 			armed := 0
-			if it, ok := r.d.System.Peek(nodeKey(paths[0])); ok {
+			if it, ok := r.d.System.Peek(paths[0]); ok {
 				armed = len(decodeSysNode(it).Watches[WatchData-1])
 			}
 			if w.arms != len(w.notes)+armed {
@@ -582,7 +581,7 @@ func TestSamePathChainNeverPrefetches(t *testing.T) {
 	if last.Stat.Version != 3*sets {
 		t.Errorf("last set has version %d, want %d", last.Stat.Version, 3*sets)
 	}
-	it, _ := r.d.System.Peek(nodeKey("/a"))
+	it, _ := r.d.System.Peek("/a")
 	if sys := decodeSysNode(it); sys.Version != last.Stat.Version || sys.Mzxid != last.Txid || !slices.Equal(sys.Pending, []int64{last.Txid}) || !r.carried(last.Txid) {
 		t.Errorf("system store: %+v, want version %d, mzxid %d, only the last set's carried pop pending", sys, last.Stat.Version, last.Txid)
 	}
@@ -808,7 +807,7 @@ func TestAlternatingPathsPrefetch(t *testing.T) {
 // bench's paper_write workload adds only its own per-write payload and
 // bookkeeping to this count (README, "Wire codec & allocation model").
 func TestPaperWriteAllocations(t *testing.T) {
-	if poolDropsPuts() {
+	if sim.PoolDropsPuts() {
 		t.Skip("sync.Pool drops what it is handed (the race detector does this to a quarter of all puts): the write path's pooled scratch reallocates at random and no count is exact")
 	}
 	k, d := newTestDeployment(1, Config{})
@@ -841,19 +840,10 @@ func TestPaperWriteAllocations(t *testing.T) {
 // decoded its path with one copy, not two (2), and the shard's slot took
 // the decoded batch and the pop's condition (2); it was 25 until the wire
 // and znode decoders returned strings that view their input instead of
-// copies (3).
-const paperWriteAllocs = 22
-
-// poolDropsPuts reports whether a sync.Pool fails to hand back what was
-// just put in it.
-func poolDropsPuts() bool {
-	var p sync.Pool
-	x := new(int)
-	for i := 0; i < 100; i++ {
-		p.Put(x)
-		if p.Get() != x {
-			return true
-		}
-	}
-	return false
-}
+// copies (3); it was 22 until node records were keyed by their paths, so
+// the follower's lock and the leader's commit check build no key (2), the
+// follower marshaled the node image straight into its message (1), the
+// leader decoded it into the fold's reused entry (1), and the object store
+// kept the blob it was handed instead of a copy (1). The client's future
+// moved into its pending op too, which this rig's session never had.
+const paperWriteAllocs = 17

@@ -249,7 +249,7 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 				}
 			}
 			slices.Sort(want)
-			item, _ := r.d.System.Peek(nodeKey(znode.Root))
+			item, _ := r.d.System.Peek(znode.Root)
 			sys := decodeSysNode(item)
 			if sys.Cversion != changes {
 				t.Errorf("system root: cversion %d, want %d", sys.Cversion, changes)

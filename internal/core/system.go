@@ -9,9 +9,11 @@ import (
 // System-store key prefixes and attribute names. One DynamoDB-like table
 // holds three kinds of items (Section 3.3): per-node control records (lock
 // timestamp, committed metadata, pending transactions, watch
-// registrations), session records, and the region epoch counters.
+// registrations), session records, and the region epoch counters. A node's
+// control record is keyed by the node's path; every other key is
+// "<kind>:<id>" or a fixed word, so none starts with "/" and the two
+// namespaces cannot meet.
 const (
-	nodeKeyPrefix    = "node:"
 	sessionKeyPrefix = "session:"
 	epochKeyPrefix   = "epoch:"
 	deregKeyPrefix   = "dereg:"
@@ -54,7 +56,6 @@ const (
 // indexed by WatchType-1.
 var watchAttrs = [...]string{attrWatchData, attrWatchExists, attrWatchChild}
 
-func nodeKey(path string) string  { return nodeKeyPrefix + path }
 func sessionKey(id string) string { return sessionKeyPrefix + id }
 func deregKey(id string) string   { return deregKeyPrefix + id }
 
@@ -139,8 +140,8 @@ func (s sysNode) hasChild(name string) bool {
 
 // toZNode builds the client-visible node from system metadata plus data,
 // its child list a view of s's: the node is for Marshal, which only reads.
-func (s sysNode) toZNode(path string, data []byte) *znode.Node {
-	return &znode.Node{
+func (s sysNode) toZNode(path string, data []byte) znode.Node {
+	return znode.Node{
 		Path: path,
 		Data: data,
 		Stat: znode.Stat{

@@ -31,11 +31,11 @@ import (
 	"faaskeeper/internal/znode"
 )
 
-// planItem is one item a plan locked. state is its speculative state:
-// later ops of a multi() validate against the earlier ops' effects
-// (ZooKeeper validates multi ops sequentially against the evolving state).
+// planItem is one item a plan locked: a node's control record, so its
+// lock's key is the node's path. state is its speculative state: later ops
+// of a multi() validate against the earlier ops' effects (ZooKeeper
+// validates multi ops sequentially against the evolving state).
 type planItem struct {
-	path  string
 	lock  fksync.Lock
 	state sysNode
 }
@@ -51,7 +51,7 @@ type plan struct {
 // find returns the index of path's item, or -1.
 func (p *plan) find(path string) int {
 	for i := range p.items {
-		if p.items[i].path == path {
+		if p.items[i].lock.Key == path {
 			return i
 		}
 	}
@@ -69,7 +69,7 @@ func (p *plan) acquire(d *Deployment, ctx cloud.Ctx, path string) (int, error) {
 	}
 	i := len(p.items)
 	p.items = p.items[:i+1] // within the room prepare made
-	p.items[i] = planItem{path: path, lock: lock, state: node}
+	p.items[i] = planItem{lock: lock, state: node}
 	return i, nil
 }
 
@@ -226,14 +226,14 @@ func (d *Deployment) commitPlan(ctx cloud.Ctx, p plan, txid int64) error {
 		// A set_data: its two actions and the pending append fit a stack
 		// buffer, which the transaction below would make escape.
 		var buf [3]kv.Update
-		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, itemUpdates(buf[:0], p.ops, p.items[0].path, txid))
+		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, itemUpdates(buf[:0], p.ops, p.items[0].lock.Key, txid))
 		return err
 	}
 	parts := make([]fksync.TxPart, len(p.items))
 	for i := range p.items {
 		// Room for a create's node actions, an ephemeral owner's among them,
 		// and the pending append.
-		ups := itemUpdates(make([]kv.Update, 0, 9), p.ops, p.items[i].path, txid)
+		ups := itemUpdates(make([]kv.Update, 0, 9), p.ops, p.items[i].lock.Key, txid)
 		parts[i] = fksync.TxPart{Lock: p.items[i].lock, Updates: ups}
 	}
 	return d.Locks.CommitUnlockTx(ctx, parts)
@@ -275,7 +275,7 @@ func (m *leaderMsg) plan(one *[1]change, buf *[2]planItem) plan {
 	}
 	p := plan{ops: m.changes(one), items: buf[:0]}
 	for i, path := range paths {
-		it := planItem{path: path, lock: fksync.Lock{Key: nodeKey(path)}}
+		it := planItem{lock: fksync.Lock{Key: path}}
 		if i < len(ts) {
 			it.lock.Timestamp = ts[i]
 		}

@@ -139,7 +139,7 @@ func TestOneItemMultiCommitsWithOneUpdate(t *testing.T) {
 
 // sysNode reads path's control record. It must run inside a sim process.
 func (r *pipeRig) sysNode(path string) sysNode {
-	it, _ := r.d.System.GetView(cloud.ClientCtx(r.d.Cfg.Profile.Home), nodeKey(path), true)
+	it, _ := r.d.System.GetView(cloud.ClientCtx(r.d.Cfg.Profile.Home), path, true)
 	return decodeSysNode(it)
 }
 
@@ -148,7 +148,7 @@ func (r *pipeRig) sysNode(path string) sysNode {
 func txnResidue(d *Deployment, ctx cloud.Ctx) []string {
 	var out []string
 	for _, ki := range d.System.Scan(ctx) {
-		if !strings.HasPrefix(ki.Key, nodeKeyPrefix) {
+		if !strings.HasPrefix(ki.Key, "/") {
 			continue
 		}
 		if _, locked := ki.Item.Lookup(fksync.LockAttr); locked || len(decodeSysNode(ki.Item).Pending) > 0 {
@@ -167,7 +167,7 @@ func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...st
 	s.seq++
 	msg := leaderMsg{Session: s.id, Seq: s.seq, change: change{Op: OpMulti, Path: paths[0]}, ItemPaths: paths}
 	for _, p := range paths {
-		lock, item, err := r.d.Locks.Acquire(s.ctx, nodeKey(p))
+		lock, item, err := r.d.Locks.Acquire(s.ctx, p)
 		if err != nil {
 			r.t.Fatalf("lock %s: %v", p, err)
 		}
@@ -211,7 +211,7 @@ func TestTxnCommitCheck(t *testing.T) {
 		{
 			name: "orphan below txid on one target",
 			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
-				_, _ = d.System.Update(ctx, nodeKey("/b"), []kv.Update{pendingAppend(5)}, nil)
+				_, _ = d.System.Update(ctx, "/b", []kv.Update{pendingAppend(5)}, nil)
 				commit(d, ctx, msg)
 			},
 			// The epoch read; /a and /b, whose orphan's pop ends the poll; /b
@@ -223,9 +223,9 @@ func TestTxnCommitCheck(t *testing.T) {
 			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
 				commit(d, ctx, msg)
 				for _, p := range []string{"/a", "/b"} {
-					_, _ = d.System.Update(ctx, nodeKey(p), []kv.Update{kv.ListPopHead{Name: attrPending}}, nil)
+					_, _ = d.System.Update(ctx, p, []kv.Update{kv.ListPopHead{Name: attrPending}}, nil)
 				}
-				_, _ = d.System.Update(ctx, nodeKey("/a"), []kv.Update{pendingAppend(12)}, nil)
+				_, _ = d.System.Update(ctx, "/a", []kv.Update{pendingAppend(12)}, nil)
 			},
 			// The epoch read and /a, whose head is past txid.
 			code: CodeSystemError, reads: 2, writes: 0, pendingA: []int64{12},
@@ -255,7 +255,7 @@ func TestTxnCommitCheck(t *testing.T) {
 				// The coordinator's half of the multi(), up to the push.
 				msg := leaderMsg{Session: s.id, Seq: 3, change: change{Op: OpMulti, Path: "/a"}, ItemPaths: []string{"/a", "/b"}}
 				for _, p := range msg.ItemPaths {
-					lock, item, err := d.Locks.Acquire(s.ctx, nodeKey(p))
+					lock, item, err := d.Locks.Acquire(s.ctx, p)
 					if err != nil {
 						t.Errorf("lock %s: %v", p, err)
 						return
@@ -282,11 +282,11 @@ func TestTxnCommitCheck(t *testing.T) {
 			if reads != tc.reads || writes != tc.writes {
 				t.Errorf("the handler made %d system-store reads and %d writes, want %d and %d", reads, writes, tc.reads, tc.writes)
 			}
-			it, _ := d.System.Peek(nodeKey("/a"))
+			it, _ := d.System.Peek("/a")
 			if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pendingA) {
 				t.Errorf("/a's pending list ends as %v, want %v", got, tc.pendingA)
 			}
-			it, _ = d.System.Peek(nodeKey("/b"))
+			it, _ = d.System.Peek("/b")
 			if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pendingB) {
 				t.Errorf("/b's pending list ends as %v, want %v", got, tc.pendingB)
 			}
@@ -338,7 +338,7 @@ func TestMultiLeavesStoredChildListAlone(t *testing.T) {
 			if !slices.Equal(before, []string{"a", "b", "c"}) || !slices.Equal(list, before) {
 				t.Errorf("the multi() wrote into the stored child list: %q, was %q", list, before)
 			}
-			if it, _ := r.d.System.Peek(nodeKey("/p")); !slices.Equal(it.Get(attrChildren).SL(), before) {
+			if it, _ := r.d.System.Peek("/p"); !slices.Equal(it.Get(attrChildren).SL(), before) {
 				t.Errorf("stored children %q, want %q", it.Get(attrChildren).SL(), before)
 			}
 		})

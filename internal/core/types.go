@@ -143,7 +143,11 @@ type change struct {
 	// change to its children holds that lock too, so the snapshot is the
 	// state at the change's txid), a create's its data and owner. The leader
 	// stamps only what the txid decides (buildUserNode). Nil for a delete.
+	// A decoded change's is a view into the message; the follower builds
+	// image instead, which the encoder marshals in NodeBlob's place, so the
+	// blob is built once, inside the message.
 	NodeBlob []byte
+	image    znode.Node
 
 	Version  int32 // node's new data version
 	Cversion int32 // parent's new child version

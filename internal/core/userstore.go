@@ -55,7 +55,9 @@ type UserStore interface {
 // Object is one node's user-store object: the node, the epoch stamp it
 // carries, and Blob, the node marshaled with that stamp. The stores keep
 // Blob, so a flush marshals each object once and installs the same blob in
-// the regional cache. A nil Node deletes Path (ApplyBatch).
+// the regional cache; nobody writes into it afterwards. They keep nothing
+// else: a flush's Node lives in its fold, which the next flush reuses. A
+// nil Node deletes Path (ApplyBatch).
 type Object struct {
 	Path  string
 	Node  *znode.Node
@@ -95,7 +97,7 @@ func (s *objectStore) Region() cloud.Region { return s.bucket.Region() }
 func (s *objectStore) StoredBytes() int     { return s.bucket.TotalSize() }
 
 func (s *objectStore) Write(ctx cloud.Ctx, o Object) error {
-	s.bucket.Put(ctx, o.Path, o.Blob)
+	s.bucket.PutOwned(ctx, o.Path, o.Blob)
 	return nil
 }
 

@@ -122,12 +122,17 @@ func decodeLeaderMsg(b []byte) (leaderMsg, error) {
 	return m, d.Err()
 }
 
-// append writes one validated change in the binary format.
+// append writes one validated change in the binary format: the node image
+// a follower built is marshaled straight into the message as NodeBlob.
 func (c change) append(e *wire.Encoder) {
 	e.String(string(c.Op))
 	e.String(c.Path)
 	e.String(c.ParentPath)
-	e.Bytes(c.NodeBlob)
+	if c.image.Path != "" {
+		e.Nested(func(b []byte) []byte { return znode.AppendMarshal(b, &c.image, nil) })
+	} else {
+		e.Bytes(c.NodeBlob)
+	}
 	e.Varint(int64(c.Version))
 	e.Varint(int64(c.Cversion))
 	e.String(c.EphOwner)

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"faaskeeper/internal/txn"
@@ -84,13 +85,10 @@ func normReq(r Request) Request {
 }
 
 func normLM(m leaderMsg) leaderMsg {
-	if len(m.NodeBlob) == 0 {
-		m.NodeBlob = nil
-	}
+	m.change = normChange(m.change)
+	m.Ops = slices.Clone(m.Ops)
 	for i := range m.Ops {
-		if len(m.Ops[i].NodeBlob) == 0 {
-			m.Ops[i].NodeBlob = nil
-		}
+		m.Ops[i] = normChange(m.Ops[i])
 	}
 	if len(m.Ops) == 0 {
 		m.Ops = nil
@@ -103,6 +101,18 @@ func normLM(m leaderMsg) leaderMsg {
 	}
 	m.traceID = 0
 	return m
+}
+
+// normChange puts a follower-built change in its decoded form: the node
+// image travels as its marshaled NodeBlob.
+func normChange(c change) change {
+	if c.image.Path != "" {
+		c.NodeBlob, c.image = znode.Marshal(&c.image, nil), znode.Node{}
+	}
+	if len(c.NodeBlob) == 0 {
+		c.NodeBlob = nil
+	}
+	return c
 }
 
 func normWP(p watchPayload) watchPayload {

@@ -98,13 +98,13 @@ func validatedChange(op OpCode, path string, data []byte, owner string, node, pa
 	switch op {
 	case OpSetData:
 		c.Version = node.Version + 1
-		c.NodeBlob = znode.Marshal(node.toZNode(path, data), nil)
+		c.image = node.toZNode(path, data)
 	case OpCreate:
-		c.NodeBlob = znode.Marshal(&znode.Node{
+		c.image = znode.Node{
 			Path: path,
 			Data: data,
 			Stat: znode.Stat{Ephemeral: owner != "", Owner: owner},
-		}, nil)
+		}
 		c.ChildAdd = znode.Base(path)
 		c.EphOwner = owner
 	case OpDelete:

@@ -183,7 +183,7 @@ func TestSingleOpMatchesOneOpMulti(t *testing.T) {
 	node := seq(parent, do(OpCreate, "/p/n", 0))
 	// unlink corrupts the tree: /p stops listing n.
 	unlink := func(s *pipeSession) {
-		if _, err := s.rig.d.System.Update(s.ctx, nodeKey("/p"),
+		if _, err := s.rig.d.System.Update(s.ctx, "/p",
 			[]kv.Update{kv.StrListRemove{Name: attrChildren, Vals: []string{"n"}}}, nil); err != nil {
 			s.rig.t.Errorf("unlink: %v", err)
 		}
@@ -274,7 +274,7 @@ func TestCreateGivesUpAtItsParent(t *testing.T) {
 				code = s.send(req).Wait().Code
 				_, w1 := syskv(r.d)
 				writes = w1 - w0
-				_, husk = r.d.System.Peek(nodeKey(tc.path))
+				_, husk = r.d.System.Peek(tc.path)
 			})
 			r.run()
 			if code != tc.want {
@@ -305,11 +305,11 @@ func diffLines(t *testing.T, what string, single, multi []string) {
 // returns the leader message, with s waiting for the answer.
 func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg {
 	r.t.Helper()
-	parentLock, parent, err := r.d.Locks.Acquire(s.ctx, nodeKey(znode.Parent(path)))
+	parentLock, parent, err := r.d.Locks.Acquire(s.ctx, znode.Parent(path))
 	if err != nil {
 		r.t.Fatalf("lock the parent of %s: %v", path, err)
 	}
-	nodeLock, node, err := r.d.Locks.Acquire(s.ctx, nodeKey(path))
+	nodeLock, node, err := r.d.Locks.Acquire(s.ctx, path)
 	if err != nil {
 		r.t.Fatalf("lock %s: %v", path, err)
 	}
@@ -349,7 +349,7 @@ func TestObjectIsTheSnapshotAtItsTxid(t *testing.T) {
 			name: "multi() set_data",
 			push: func(r *pipeRig, s *pipeSession) leaderMsg {
 				s.seq++
-				lock, item, err := r.d.Locks.Acquire(s.ctx, nodeKey("/p"))
+				lock, item, err := r.d.Locks.Acquire(s.ctx, "/p")
 				if err != nil {
 					r.t.Fatalf("lock /p: %v", err)
 				}
@@ -535,8 +535,8 @@ func TestCreateStoresNoViewOfItsMessage(t *testing.T) {
 		}
 	})
 	r.run()
-	root, _ := r.d.System.Peek(nodeKey(znode.Root))
-	node, _ := r.d.System.Peek(nodeKey("/eph"))
+	root, _ := r.d.System.Peek(znode.Root)
+	node, _ := r.d.System.Peek("/eph")
 	sess, _ := r.d.System.Peek(sessionKey("s"))
 	for _, c := range []struct {
 		what string

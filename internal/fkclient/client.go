@@ -106,8 +106,10 @@ type Client struct {
 }
 
 type pendingOp struct {
-	req  core.Request
-	done *sim.Future[core.Response]
+	req core.Request
+	// done is the op's completion future, held by value so that a write
+	// allocates its pending op and nothing else for it.
+	done sim.Future[core.Response]
 	// resp is the op's answer once ready, held until every earlier op's
 	// has been released.
 	resp  core.Response
@@ -413,13 +415,13 @@ func (c *Client) submitWrite(op core.OpCode, path string, data []byte, version i
 			Session: c.id, Seq: seq, Op: op, Path: path,
 			Data: data, Version: version, Flags: flags,
 		},
-		done: sim.NewFuture[core.Response](c.d.K),
+		done: sim.MakeFuture[core.Response](c.d.K),
 	}
 	c.outstanding.Push(p)
-	c.lastWrite = p.done
+	c.lastWrite = &p.done
 	c.traceStart(p.req)
 	c.submitQ.Push(p)
-	return p.done
+	return &p.done
 }
 
 func (c *Client) await(f *sim.Future[core.Response]) (core.Response, error) {

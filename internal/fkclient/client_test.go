@@ -686,3 +686,45 @@ func TestAnswersReleasedOnceInSubmissionOrder(t *testing.T) {
 		}
 	})
 }
+
+// TestClientWriteAllocations pins the host cost of one SetData through the
+// public client on the paper preset: core.TestPaperWriteAllocations' write
+// plus what its rig's session bypasses — the pending op with its future,
+// the submit hand-off and the response's release. bench's paper_write
+// workload adds only its own bookkeeping to this count (README, "Wire codec
+// & allocation model").
+func TestClientWriteAllocations(t *testing.T) {
+	if sim.PoolDropsPuts() {
+		t.Skip("sync.Pool drops what it is handed (the race detector does this to a quarter of all puts): the write path's pooled scratch reallocates at random and no count is exact")
+	}
+	k := sim.NewKernel(1)
+	d := core.NewDeployment(k, core.Config{})
+	data := bytes.Repeat([]byte{'x'}, 1024)
+	var c *Client
+	k.Go("setup", func() {
+		c = mustConnect(t, d, "w")
+		if _, err := c.Create("/n", data, 0); err != nil {
+			t.Errorf("create: %v", err)
+		}
+		for i := 0; i < 20; i++ { // the sandboxes are warm, the buffers grown
+			_, _ = c.SetData("/n", data, -1)
+		}
+	})
+	k.Run()
+	got := sim.AllocsPerRun(k, 500, func() {
+		if _, err := c.SetData("/n", data, -1); err != nil {
+			t.Errorf("set_data: %v", err)
+		}
+	})
+	k.Shutdown()
+	if got != clientWriteAllocs {
+		t.Fatalf("one client write: %v allocations, want %d", got, clientWriteAllocs)
+	}
+}
+
+// clientWriteAllocs is TestClientWriteAllocations' pinned count. Re-pin it
+// only with a reason: it moves one for one with bench's paper_write
+// allocs_per_op, as core's paperWriteAllocs does. It was 22 until the five
+// allocations paperWriteAllocs names went and the pending op took its
+// future by value (1).
+const clientWriteAllocs = 16

@@ -1,6 +1,9 @@
 package sim
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
 
 // AllocsPerRun is testing.AllocsPerRun for code that must run inside a
 // process (anything that sleeps or waits): it calls fn once to warm up,
@@ -25,4 +28,20 @@ func AllocsPerRun(k *Kernel, runs int, fn func()) float64 {
 	})
 	k.Run()
 	return float64(mallocs / uint64(runs))
+}
+
+// PoolDropsPuts reports whether a sync.Pool fails to hand back what was
+// just put in it, as under the race detector, which drops a quarter of all
+// puts: code that keeps its scratch in a pool then reallocates at random,
+// and no AllocsPerRun count of it is exact.
+func PoolDropsPuts() bool {
+	var p sync.Pool
+	x := new(int)
+	for i := 0; i < 100; i++ {
+		p.Put(x)
+		if p.Get() != x {
+			return true
+		}
+	}
+	return false
 }

@@ -38,8 +38,14 @@ type Future[T any] struct {
 
 // NewFuture creates an incomplete future bound to kernel k.
 func NewFuture[T any](k *Kernel) *Future[T] {
-	return &Future[T]{k: k}
+	f := MakeFuture[T](k)
+	return &f
 }
+
+// MakeFuture is NewFuture by value, for a future that lives inside the
+// struct it completes (a client's pending op): it allocates nothing. The
+// future must not be copied once a process waits on it.
+func MakeFuture[T any](k *Kernel) Future[T] { return Future[T]{k: k} }
 
 // Done reports whether the future has been completed.
 func (f *Future[T]) Done() bool { return f.done }

@@ -102,6 +102,21 @@ func (e *Encoder) Bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Nested appends a length-prefixed byte slice that fill builds in place:
+// fill appends the field's bytes to the buffer it is given and returns it.
+// The result is Bytes(fill(nil)) without the intermediate slice; the
+// prefix is written once the length is known, moving the field up by its
+// size.
+func (e *Encoder) Nested(fill func([]byte) []byte) {
+	start := len(e.buf)
+	e.buf = fill(e.buf)
+	n := len(e.buf) - start
+	k := UvarintLen(uint64(n))
+	e.buf = append(e.buf, make([]byte, k)...)
+	copy(e.buf[start+k:], e.buf[start:start+n])
+	binary.PutUvarint(e.buf[start:], uint64(n))
+}
+
 // Int64s appends a count-prefixed []int64.
 func (e *Encoder) Int64s(v []int64) {
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))

@@ -246,3 +246,27 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 		_ = d.Strings()
 	})
 }
+
+// TestNestedMatchesBytes: a field built in place encodes exactly as the
+// same bytes passed to Bytes, across one-, two- and three-byte length
+// prefixes, with fields on both sides.
+func TestNestedMatchesBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 1100, 1 << 14, 250 << 10} {
+		field := bytes.Repeat([]byte{0xAB}, n)
+		want, got := NewEncoder(), NewEncoder()
+		for _, e := range []*Encoder{want, got} {
+			e.Byte(1)
+			e.String("before")
+		}
+		want.Bytes(field)
+		got.Nested(func(b []byte) []byte { return append(b, field...) })
+		for _, e := range []*Encoder{want, got} {
+			e.Varint(-3)
+		}
+		if !bytes.Equal(got.Data(), want.Data()) {
+			t.Errorf("%d-byte field: Nested and Bytes encode differently", n)
+		}
+		want.Release()
+		got.Release()
+	}
+}

@@ -76,7 +76,12 @@ func Marshal(n *Node, epoch []int64) []byte {
 	for _, c := range n.Children {
 		size += len(c)
 	}
-	buf := make([]byte, 0, size)
+	return AppendMarshal(make([]byte, 0, size), n, epoch)
+}
+
+// AppendMarshal appends Marshal's encoding of the node to buf, for a caller
+// that writes the blob straight into a larger buffer (a message).
+func AppendMarshal(buf []byte, n *Node, epoch []int64) []byte {
 	buf = append(buf, codecVersion)
 	buf = appendString(buf, n.Path)
 	buf = binary.AppendVarint(buf, n.Stat.Czxid)
@@ -108,19 +113,28 @@ func Marshal(n *Node, epoch []int64) []byte {
 // afterwards (stored objects, kv blobs and cache entries are replaced,
 // never edited). Data is a copy, the one field callers may mutate. Code
 // that keeps a string beyond buf's owner clones it where it keeps it.
-func Unmarshal(buf []byte) (*Node, []int64, error) { return unmarshal(buf, false) }
+func Unmarshal(buf []byte) (*Node, []int64, error) {
+	n := &Node{}
+	epoch, err := unmarshal(buf, n, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return n, epoch, nil
+}
 
-// UnmarshalView is Unmarshal with the node's Data a view into buf as well,
-// for a caller that owns buf, never writes into it and hands the node only
-// to code that copies the data it keeps (Marshal does).
-func UnmarshalView(buf []byte) (*Node, []int64, error) { return unmarshal(buf, true) }
+// UnmarshalView is Unmarshal into a node the caller provides, with the
+// node's Data a view into buf as well: for a caller that owns buf, never
+// writes into it and hands the node only to code that copies the data it
+// keeps (Marshal does). Every field of n is overwritten; on an error n
+// holds a partial decode.
+func UnmarshalView(buf []byte, n *Node) ([]int64, error) { return unmarshal(buf, n, true) }
 
-func unmarshal(buf []byte, view bool) (*Node, []int64, error) {
+func unmarshal(buf []byte, n *Node, view bool) ([]int64, error) {
 	if len(buf) == 0 || buf[0] != codecVersion {
-		return nil, nil, fmt.Errorf("%w: bad version", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad version", ErrCorrupt)
 	}
 	r := reader{buf: buf[1:]}
-	n := &Node{}
+	*n = Node{}
 	n.Path = r.str()
 	n.Stat.Czxid = r.varint()
 	n.Stat.Mzxid = r.varint()
@@ -139,7 +153,7 @@ func unmarshal(buf []byte, view bool) (*Node, []int64, error) {
 			n.Children = append(n.Children, r.str())
 		}
 	} else if nc > 1<<20 {
-		return nil, nil, fmt.Errorf("%w: children count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: children count", ErrCorrupt)
 	}
 	ne := int(r.uvarint())
 	var epoch []int64
@@ -149,14 +163,14 @@ func unmarshal(buf []byte, view bool) (*Node, []int64, error) {
 			epoch = append(epoch, r.varint())
 		}
 	} else if ne > 1<<20 {
-		return nil, nil, fmt.Errorf("%w: epoch count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: epoch count", ErrCorrupt)
 	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, r.err
 	}
 	n.Stat.DataLength = int32(len(n.Data))
 	n.Stat.NumChildren = int32(len(n.Children))
-	return n, epoch, nil
+	return epoch, nil
 }
 
 // Fresh is the newest transaction reflected in the node's user-store

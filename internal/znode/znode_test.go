@@ -125,7 +125,8 @@ func TestUnmarshalStringsBorrow(t *testing.T) {
 	n := &Node{Path: "/p", Data: []byte("d"), Stat: Stat{Ephemeral: true, Owner: "s1"}, Children: []string{"c1", "c2"}}
 	for _, view := range []bool{false, true} {
 		buf := Marshal(n, nil)
-		got, _, err := unmarshal(buf, view)
+		got := &Node{}
+		_, err := unmarshal(buf, got, view)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +157,9 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 			Children: children,
 		}
 		buf := Marshal(n, epoch)
+		if app := AppendMarshal([]byte{7}, n, epoch); app[0] != 7 || !bytes.Equal(app[1:], buf) {
+			return false
+		}
 		got, gotEpoch, err := Unmarshal(buf)
 		if err != nil {
 			return false
