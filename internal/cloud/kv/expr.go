@@ -8,10 +8,13 @@ import (
 // Cond is a condition expression evaluated atomically against the current
 // item state when an update commits, mirroring DynamoDB condition
 // expressions (the mechanism behind the paper's synchronization
-// primitives).
+// primitives). The set is closed: its unexported method keeps every
+// implementation in this package, and the table evaluates one through
+// evalCond's switch, never a dynamic call (see the package comment).
 type Cond interface {
 	Eval(item Item, exists bool) bool
 	String() string
+	cond()
 }
 
 // Exists requires the item to exist.
@@ -20,6 +23,7 @@ type Exists struct{}
 // Eval implements Cond.
 func (Exists) Eval(_ Item, exists bool) bool { return exists }
 func (Exists) String() string                { return "exists" }
+func (Exists) cond()                         {}
 
 // NotExists requires the item to not exist (attribute_not_exists on the
 // key, in DynamoDB terms).
@@ -28,6 +32,7 @@ type NotExists struct{}
 // Eval implements Cond.
 func (NotExists) Eval(_ Item, exists bool) bool { return !exists }
 func (NotExists) String() string                { return "not_exists" }
+func (NotExists) cond()                         {}
 
 // AttrNotExists requires the named attribute to be absent.
 type AttrNotExists struct{ Name string }
@@ -40,6 +45,7 @@ func (c AttrNotExists) Eval(item Item, exists bool) bool {
 	return item.index(c.Name) < 0
 }
 func (c AttrNotExists) String() string { return fmt.Sprintf("attr_not_exists(%s)", c.Name) }
+func (AttrNotExists) cond()            {}
 
 // Eq requires attribute Name to equal V.
 type Eq struct {
@@ -56,6 +62,7 @@ func (c Eq) Eval(item Item, exists bool) bool {
 	return ok && v.Equal(c.V)
 }
 func (c Eq) String() string { return fmt.Sprintf("%s == %s", c.Name, c.V) }
+func (Eq) cond()            {}
 
 // NumLt requires numeric attribute Name to be strictly less than V.
 type NumLt struct {
@@ -72,6 +79,7 @@ func (c NumLt) Eval(item Item, exists bool) bool {
 	return ok && v.Kind() == KindNumber && v.Num() < c.V
 }
 func (c NumLt) String() string { return fmt.Sprintf("%s < %d", c.Name, c.V) }
+func (NumLt) cond()            {}
 
 // NumListHeadEq requires the first element of number-list attribute Name to
 // equal V; used by the leader to pop per-node transactions in order.
@@ -90,6 +98,7 @@ func (c NumListHeadEq) Eval(item Item, exists bool) bool {
 	return ok && len(nl) > 0 && nl[0] == c.V
 }
 func (c NumListHeadEq) String() string { return fmt.Sprintf("head(%s) == %d", c.Name, c.V) }
+func (NumListHeadEq) cond()            {}
 
 // And is the conjunction of conditions.
 type And []Cond
@@ -97,13 +106,14 @@ type And []Cond
 // Eval implements Cond.
 func (c And) Eval(item Item, exists bool) bool {
 	for _, sub := range c {
-		if !sub.Eval(item, exists) {
+		if !evalCond(sub, item, exists) {
 			return false
 		}
 	}
 	return true
 }
 func (c And) String() string { return joinConds(c, " AND ") }
+func (And) cond()            {}
 
 // Or is the disjunction of conditions.
 type Or []Cond
@@ -111,13 +121,14 @@ type Or []Cond
 // Eval implements Cond.
 func (c Or) Eval(item Item, exists bool) bool {
 	for _, sub := range c {
-		if sub.Eval(item, exists) {
+		if evalCond(sub, item, exists) {
 			return true
 		}
 	}
 	return false
 }
 func (c Or) String() string { return joinConds(c, " OR ") }
+func (Or) cond()            {}
 
 func joinConds[T Cond](cs []T, sep string) string {
 	s := "("
@@ -134,7 +145,9 @@ func joinConds[T Cond](cs []T, sep string) string {
 // others in the same call. Apply returns the item with the action applied.
 // It may write into the attribute list it is handed — the commit's own copy
 // — but never into a slice value held by it: those are shared with the
-// stored version (see the package comment).
+// stored version (see the package comment). The set is closed like Cond's,
+// by payloadSize, and the table applies an action through applyUpdate's
+// switch.
 type Update interface {
 	Apply(item Item) Item
 	payloadSize() int
@@ -274,3 +287,93 @@ func (u StrListRemove) Apply(item Item) Item {
 	return item
 }
 func (u StrListRemove) payloadSize() int { return 0 }
+
+// The table reaches the closed sets only through the three switches below.
+// Each names every type by value, plus the pointer forms callers build
+// (actions kept in reused memory: a commit's scratch in core, the leader's
+// claim round), and has no default: a dynamic call anywhere in one would
+// make every action and condition a caller passes escape to the heap.
+// A form not listed panics: a caller that needs another pointer form adds
+// it to the switches.
+
+// evalCond reports whether c holds on item.
+func evalCond(c Cond, item Item, exists bool) bool {
+	switch c := c.(type) {
+	case Exists:
+		return c.Eval(item, exists)
+	case NotExists:
+		return c.Eval(item, exists)
+	case AttrNotExists:
+		return c.Eval(item, exists)
+	case Eq:
+		return c.Eval(item, exists)
+	case NumLt:
+		return c.Eval(item, exists)
+	case NumListHeadEq:
+		return c.Eval(item, exists)
+	case And:
+		return c.Eval(item, exists)
+	case Or:
+		return c.Eval(item, exists)
+	}
+	panic("kv: condition of a form evalCond does not list")
+}
+
+// applyUpdate returns item with u applied.
+func applyUpdate(u Update, item Item) Item {
+	switch u := u.(type) {
+	case Set:
+		return u.Apply(item)
+	case *Set:
+		return u.Apply(item)
+	case Remove:
+		return u.Apply(item)
+	case Add:
+		return u.Apply(item)
+	case ListAppend:
+		return u.Apply(item)
+	case *ListAppend:
+		return u.Apply(item)
+	case ListRemove:
+		return u.Apply(item)
+	case ListPopHead:
+		return u.Apply(item)
+	case StrListAppend:
+		return u.Apply(item)
+	case StrListRemove:
+		return u.Apply(item)
+	case *StrListRemove:
+		return u.Apply(item)
+	}
+	panic("kv: update of a form applyUpdate does not list")
+}
+
+// updateSize is u's payload size, which the write's latency and price
+// count.
+func updateSize(u Update) int {
+	switch u := u.(type) {
+	case Set:
+		return u.payloadSize()
+	case *Set:
+		return u.payloadSize()
+	case Remove:
+		return u.payloadSize()
+	case Add:
+		return u.payloadSize()
+	case ListAppend:
+		return u.payloadSize()
+	case *ListAppend:
+		return u.payloadSize()
+	case ListRemove:
+		return u.payloadSize()
+	case ListPopHead:
+		return u.payloadSize()
+	case StrListAppend:
+		return u.payloadSize()
+	case StrListRemove:
+		return u.payloadSize()
+	case *StrListRemove:
+		return u.payloadSize()
+	}
+	panic("kv: update of a form updateSize does not list")
+}

@@ -245,7 +245,7 @@ func (t *Table) Put(ctx cloud.Ctx, key string, item Item, cond Cond) error {
 	t.env.K.Sleep(t.writeLatency(ctx, size, 0, cond != nil))
 	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(size), 1)
 	old, exists := t.lookup(key)
-	if cond != nil && !cond.Eval(old, exists) {
+	if cond != nil && !evalCond(cond, old, exists) {
 		return ErrConditionFailed
 	}
 	t.commit(key, storedCopy(item))
@@ -265,18 +265,18 @@ func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (
 	}
 	appendSize := 0
 	for _, u := range updates {
-		appendSize += u.payloadSize()
+		appendSize += updateSize(u)
 	}
 	t.env.K.Sleep(t.writeLatency(ctx, max(size, appendSize), appendSize, cond != nil))
 	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(max(size, appendSize)), 1)
 
 	old, exists = t.lookup(key) // re-evaluate after the latency
-	if cond != nil && !cond.Eval(old, exists) {
+	if cond != nil && !evalCond(cond, old, exists) {
 		return nil, ErrConditionFailed
 	}
 	next := old.next(len(updates))
 	for _, u := range updates {
-		next = u.Apply(next)
+		next = applyUpdate(u, next)
 	}
 	if next.Size() > t.profile().KVMaxItemB {
 		return nil, fmt.Errorf("%w: %d > %d", ErrItemTooLarge, next.Size(), t.profile().KVMaxItemB)
@@ -296,7 +296,7 @@ func (t *Table) Delete(ctx cloud.Ctx, key string, cond Cond) error {
 	t.env.K.Sleep(t.writeLatency(ctx, size, 0, cond != nil))
 	t.env.Charge(ctx, t.writeCat, t.profile().Pricing.KVWriteCost(max(size, 1)), 1)
 	old, exists = t.lookup(key)
-	if cond != nil && !cond.Eval(old, exists) {
+	if cond != nil && !evalCond(cond, old, exists) {
 		return ErrConditionFailed
 	}
 	if exists {
@@ -326,7 +326,7 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 			size += it.Size()
 		}
 		for _, u := range op.Updates {
-			size += u.payloadSize()
+			size += updateSize(u)
 		}
 	}
 	lat := t.writeLatency(ctx, size, 0, true)
@@ -339,7 +339,7 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 	// Check all conditions against the post-latency state.
 	for _, op := range ops {
 		old, exists := t.lookup(op.Key)
-		if op.Cond != nil && !op.Cond.Eval(old, exists) {
+		if op.Cond != nil && !evalCond(op.Cond, old, exists) {
 			return ErrConditionFailed
 		}
 	}
@@ -355,7 +355,7 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 		old, _ := t.lookup(op.Key)
 		next := old.next(len(op.Updates))
 		for _, u := range op.Updates {
-			next = u.Apply(next)
+			next = applyUpdate(u, next)
 		}
 		t.commit(op.Key, next)
 	}

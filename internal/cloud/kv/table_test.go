@@ -2,6 +2,10 @@ package kv
 
 import (
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
 	"slices"
 	"testing"
@@ -481,6 +485,120 @@ func TestCondStringsAndCombinators(t *testing.T) {
 	}
 }
 
+// TestClosedSetsDispatchEveryForm: every Update and Cond type of the
+// package, by value and in each pointer form callers build, goes through
+// Table.Update, Transact and Delete (whose switches have no default, so a
+// form they miss panics), with the result of calling its own method.
+func TestClosedSetsDispatchEveryForm(t *testing.T) {
+	base := Item{
+		{Name: "v", V: N(5)}, {Name: "nl", V: NumList(7, 8, 7)},
+		{Name: "sl", V: StrList("a", "b")}, {Name: "b", V: B([]byte{1})},
+	}
+	updates := []Update{
+		Set{"v", N(9)}, Set{"new", S("x")}, Remove{"v"}, Add{"v", 3}, Add{"c", 1},
+		ListAppend{"nl", []int64{1, 2}}, ListRemove{"nl", []int64{7}}, ListPopHead{"nl"},
+		StrListAppend{"sl", []string{"c"}}, StrListRemove{"sl", []string{"a"}},
+	}
+	conds := []Cond{
+		Exists{}, NotExists{}, AttrNotExists{"v"}, AttrNotExists{"w"}, Eq{"v", N(5)}, Eq{"v", N(6)},
+		NumLt{"v", 6}, NumLt{"v", 5}, NumListHeadEq{"nl", 7}, NumListHeadEq{"nl", 8},
+		And{Exists{}, Eq{"v", N(5)}}, And{Exists{}, NumLt{"v", 1}},
+		Or{NotExists{}, Eq{"v", N(5)}}, Or{NotExists{}, NumLt{"v", 1}},
+	}
+	// The pointer forms: core's commit scratch and the leader's claim round
+	// keep these actions in reused memory.
+	for _, u := range updates {
+		switch u.(type) {
+		case Set, ListAppend, StrListRemove:
+			p := reflect.New(reflect.TypeOf(u))
+			p.Elem().Set(reflect.ValueOf(u))
+			updates = append(updates, p.Interface().(Update))
+		}
+	}
+
+	// Every type the package declares is in the lists.
+	declared := map[string]string{} // type name -> "Update" or "Cond"
+	f, err := parser.ParseFile(token.NewFileSet(), "expr.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+			if set := map[string]string{"Apply": "Update", "Eval": "Cond"}[fn.Name.Name]; set != "" {
+				declared[fmt.Sprint(fn.Recv.List[0].Type)] = set
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, u := range updates {
+		listed[reflect.Indirect(reflect.ValueOf(u)).Type().Name()] = true
+	}
+	for _, c := range conds {
+		listed[reflect.TypeOf(c).Name()] = true
+	}
+	for name, set := range declared {
+		if !listed[name] {
+			t.Errorf("%s %s is missing from this test", set, name)
+		}
+	}
+
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		for i, u := range updates {
+			want := u.Apply(base.Clone()).String()
+			if got, want := updateSize(u), reflect.Indirect(reflect.ValueOf(u)).Interface().(Update).payloadSize(); got != want {
+				t.Errorf("%T%v: table counts %d payload bytes, the action %d", u, u, got, want)
+			}
+			key := fmt.Sprint("u", i)
+			tbl.SeedPut(key, base)
+			if got, err := tbl.Update(ctx, key, []Update{u}, nil); err != nil || got.String() != want {
+				t.Errorf("Update with %T%v: %v (%v), Apply gives %v", u, u, got, err, want)
+			}
+			tbl.SeedPut(key, base)
+			if err := tbl.Transact(ctx, []TxOp{{Key: key, Updates: []Update{u}}}); err != nil {
+				t.Errorf("Transact with %T%v: %v", u, u, err)
+			} else if got, _ := tbl.Peek(key); got.String() != want {
+				t.Errorf("Transact with %T%v: %v, Apply gives %v", u, u, got, want)
+			}
+		}
+		for i, c := range conds {
+			for _, exists := range []bool{true, false} {
+				item := base
+				if !exists {
+					item = nil
+				}
+				want := c.Eval(item, exists)
+				key := fmt.Sprint("c", i, exists)
+				seed := func() {
+					if exists {
+						tbl.SeedPut(key, base)
+					}
+				}
+				seed()
+				_, err := tbl.Update(ctx, key, []Update{Set{"x", N(1)}}, c)
+				if got := err == nil; got != want {
+					t.Errorf("Update under %v on an item that exists=%v: passed %v (%v), Eval says %v", c, exists, got, err, want)
+				}
+				_ = tbl.Delete(ctx, key, nil)
+				seed()
+				err = tbl.Transact(ctx, []TxOp{{Key: key, Updates: []Update{Set{"x", N(1)}}, Cond: c}})
+				if got := err == nil; got != want {
+					t.Errorf("Transact under %v on an item that exists=%v: passed %v (%v), Eval says %v", c, exists, got, err, want)
+				}
+				_ = tbl.Delete(ctx, key, nil)
+				seed()
+				err = tbl.Delete(ctx, key, c)
+				if got := err == nil; got != want {
+					t.Errorf("Delete under %v on an item that exists=%v: passed %v (%v), Eval says %v", c, exists, got, err, want)
+				}
+				_ = tbl.Delete(ctx, key, nil)
+			}
+		}
+	})
+	k.Run()
+}
+
 // TestUpdateViewIsASnapshot: Update returns the committed item as a
 // read-only view of table storage, and a view is a snapshot. Later commits
 // through every kind of update action, a transaction and a Put leave it as
@@ -535,10 +653,12 @@ func TestUpdateViewIsASnapshot(t *testing.T) {
 }
 
 // TestUpdateAllocations: a conditional Update of an existing item costs
-// one allocation — the new attribute list — beyond what building its
-// arguments costs. The stored slices are shared with the new version
-// rather than copied, the committed item is returned without a second
-// copy, and the meter category is not rebuilt per charge.
+// one allocation — the new attribute list — with its action list and its
+// condition built at the call, as every caller builds them: the table
+// dispatches both by switch, so neither escapes. The stored slices are
+// shared with the new version rather than copied, the committed item is
+// returned without a second copy, and the meter category is not rebuilt
+// per charge.
 func TestUpdateAllocations(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
@@ -546,15 +666,29 @@ func TestUpdateAllocations(t *testing.T) {
 		{Name: "exists", V: N(1)}, {Name: "version", V: N(2)}, {Name: "mzxid", V: N(5)},
 		{Name: "children", V: StrList("a", "b", "c")}, {Name: "pending", V: NumList(8)},
 	})
-	ups := []Update{Set{"lock", N(1)}}
-	var cond Cond = Eq{"exists", N(1)}
-	got := sim.AllocsPerRun(k, 200, func() {
-		if _, err := tbl.Update(ctx, "n", ups, cond); err != nil {
-			t.Fatalf("update: %v", err)
+	conds := []struct {
+		name string
+		run  func(i int64) (Item, error)
+	}{
+		{"Eq", func(i int64) (Item, error) {
+			return tbl.Update(ctx, "n", []Update{Set{"lock", N(i)}, Set{"mzxid", N(i)}}, Eq{"exists", N(1)})
+		}},
+		{"Or{AttrNotExists, NumLt}", func(i int64) (Item, error) {
+			return tbl.Update(ctx, "n", []Update{Set{"lock", N(i)}, Set{"mzxid", N(i)}},
+				Or{AttrNotExists{"lock"}, NumLt{"lock", i}})
+		}},
+	}
+	var i int64 // the lock timestamp, rising across both runs
+	for _, c := range conds {
+		got := sim.AllocsPerRun(k, 200, func() {
+			i++
+			if _, err := c.run(i); err != nil {
+				t.Errorf("update under %s: %v", c.name, err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("Update of an existing item under %s: %v allocations, want exactly 1", c.name, got)
 		}
-	})
-	if got != 1 {
-		t.Fatalf("Update of an existing item: %v allocations, want exactly 1", got)
 	}
 }
 

@@ -18,6 +18,18 @@
 //     storage. A view is a snapshot — later commits never change it — but
 //     the caller must not modify the item or any slice it holds, and must
 //     copy whatever part of it it retains to modify.
+//
+// The expression vocabulary is closed on purpose. The paper builds every
+// synchronization primitive from DynamoDB's fixed set of update and
+// condition expressions, and Update and Cond model exactly that set: each
+// interface has an unexported method, so only this package's types
+// implement it, and the table reaches them through exhaustive type
+// switches (evalCond, applyUpdate, updateSize) instead of dynamic calls.
+// Escape analysis can then see that the table keeps neither an action nor
+// a condition, so a list or a condition built at the call stays on the
+// caller's stack; a dynamic call would box every one of them on the heap.
+// A pointer form is dispatched only where a caller keeps actions in reused
+// memory (the switches list which).
 package kv
 
 import (

@@ -122,7 +122,6 @@ import (
 
 	"faaskeeper/internal/cache"
 	"faaskeeper/internal/cloud"
-	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -336,13 +335,12 @@ type leaderShard struct {
 	// chunk's. Like lastSeq it stands for warm sandbox memory: a cold
 	// invocation drops it (leaderHandler).
 	pops []pendingPop
-	// msgs is the invocation's decoded batch (leaderHandler) and popCond
-	// the condition of the pop running (popPending): scratch, reset by each.
-	msgs    []decodedMsg
-	popCond kv.NumListHeadEq
-	round   claimRound     // the watch-claim round (queryWatches)
-	legs    []flushLeg     // one per user store, aligned with Deployment.Stores
-	wg      *sim.WaitGroup // the flush legs join on it
+	// msgs is the invocation's decoded batch (leaderHandler): scratch,
+	// reset by each.
+	msgs  []decodedMsg
+	round claimRound     // the watch-claim round (queryWatches)
+	legs  []flushLeg     // one per user store, aligned with Deployment.Stores
+	wg    *sim.WaitGroup // the flush legs join on it
 }
 
 // newLeaderShard builds a shard's slot, its legs named and their bodies

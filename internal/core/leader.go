@@ -244,8 +244,8 @@ func recordOf(keys []string, nodes []sysNode, path string) *sysNode {
 // path, whose commit may not have appended to the pending list yet).
 func (p *leaderRun) popPending(c pendingPop) {
 	d, t0 := p.d, p.d.K.Now()
-	p.popCond = kv.NumListHeadEq{Name: attrPending, V: c.txid}
-	it, err := d.System.Update(c.ctx, c.key, popPendingHead, &p.popCond)
+	it, err := d.System.Update(c.ctx, c.key, []kv.Update{kv.ListPopHead{Name: attrPending}},
+		kv.NumListHeadEq{Name: attrPending, V: c.txid})
 	if err == nil && c.gc {
 		if after := decodeSysNode(it); !after.Exists && len(after.Pending) == 0 {
 			_ = d.System.Delete(c.ctx, c.key, collectible)
@@ -411,7 +411,8 @@ func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, n
 		case pending[0] > txid:
 			return false, true, false
 		default:
-			_, _ = p.d.System.Update(ctx, key, popPendingHead, kv.NumListHeadEq{Name: attrPending, V: pending[0]})
+			_, _ = p.d.System.Update(ctx, key, []kv.Update{kv.ListPopHead{Name: attrPending}},
+				kv.NumListHeadEq{Name: attrPending, V: pending[0]})
 			return false, false, true
 		}
 	}

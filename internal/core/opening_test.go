@@ -166,7 +166,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		{
 			name: "orphan ahead of txid",
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{pendingAppend(5)}, nil)
+				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{kv.ListAppend{Name: attrPending, Vals: []int64{5}}}, nil)
 				commit(d, ctx, lock, msg)
 			},
 			// The orphan is popped on the opening read's word, conditionally
@@ -178,7 +178,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
 				commit(d, ctx, lock, msg)
 				_, _ = d.System.Update(ctx, msg.Path,
-					[]kv.Update{kv.ListPopHead{Name: attrPending}, pendingAppend(12)}, nil)
+					[]kv.Update{kv.ListPopHead{Name: attrPending}, kv.ListAppend{Name: attrPending, Vals: []int64{12}}}, nil)
 			},
 			code: CodeSystemError, reads: 2, writes: 0, pending: []int64{12},
 		},
@@ -212,7 +212,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			name:    "carried head, orphan behind it",
 			carried: true,
 			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{pendingAppend(5)}, nil)
+				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{kv.ListAppend{Name: attrPending, Vals: []int64{5}}}, nil)
 				commit(d, ctx, lock, msg)
 			},
 			// The carried pop runs at once, the next poll finds the orphan,

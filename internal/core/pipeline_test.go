@@ -845,5 +845,9 @@ func TestPaperWriteAllocations(t *testing.T) {
 // follower marshaled the node image straight into its message (1), the
 // leader decoded it into the fold's reused entry (1), and the object store
 // kept the blob it was handed instead of a copy (1). The client's future
-// moved into its pending op too, which this rig's session never had.
-const paperWriteAllocs = 17
+// moved into its pending op too, which this rig's session never had. It was
+// 17 until kv dispatched its update actions and conditions by switch, so
+// the lock's Set action (1) and both lock conditions (2), built at the
+// call, stay on the stack, and the commit kept its two Sets (2) and its
+// pending append with its value (2) in a pooled scratch.
+const paperWriteAllocs = 10

@@ -222,42 +222,39 @@ func (p *plan) lockTs(path string) int64 {
 // transaction in which every item fails or succeeds together (Section 3.1)
 // otherwise.
 func (d *Deployment) commitPlan(ctx cloud.Ctx, p plan, txid int64) error {
+	s := commitScratchPool.Get().(*commitScratch)
+	defer s.release()
 	if len(p.items) == 1 {
-		// A set_data: its two actions and the pending append fit a stack
-		// buffer, which the transaction below would make escape.
-		var buf [3]kv.Update
-		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, itemUpdates(buf[:0], p.ops, p.items[0].lock.Key, txid))
+		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, s.itemUpdates(p.ops, p.items[0].lock.Key, txid))
 		return err
 	}
-	parts := make([]fksync.TxPart, len(p.items))
-	for i := range p.items {
-		// Room for a create's node actions, an ephemeral owner's among them,
-		// and the pending append.
-		ups := itemUpdates(make([]kv.Update, 0, 9), p.ops, p.items[i].lock.Key, txid)
-		parts[i] = fksync.TxPart{Lock: p.items[i].lock, Updates: ups}
+	for _, it := range p.items {
+		s.parts = append(s.parts, fksync.TxPart{Lock: it.lock, Updates: s.itemUpdates(p.ops, it.lock.Key, txid)})
 	}
-	return d.Locks.CommitUnlockTx(ctx, parts)
+	return d.Locks.CommitUnlockTx(ctx, s.parts)
 }
 
-// itemUpdates appends to ups the updates the changes make to the item at
-// path committing at txid: the table's per-op updates in op order, then one
+// itemUpdates lists the updates the changes make to the item at path
+// committing at txid: the table's per-op updates in op order, then one
 // pending append if an effectful op targets the item (once, however many
 // do).
-func itemUpdates(ups []kv.Update, ops []change, path string, txid int64) []kv.Update {
-	target := false
+func (s *commitScratch) itemUpdates(ops []change, path string, txid int64) []kv.Update {
+	start, target := len(s.ups), false
 	for _, c := range ops {
 		switch path {
 		case c.Path:
-			ups = nodeUpdates(ups, c, txid)
+			s.nodeUpdates(c, txid)
 			target = target || c.effectful()
 		case c.ParentPath:
-			ups = parentUpdates(ups, c, txid)
+			s.parentUpdates(c, txid)
 		}
 	}
-	if target {
-		ups = append(ups, pendingAppend(txid))
+	if target { // the pending append: one txid, shared by every item
+		s.txid[0] = txid
+		s.pending = kv.ListAppend{Name: attrPending, Vals: s.txid[:]}
+		s.ups = append(s.ups, &s.pending)
 	}
-	return ups
+	return s.ups[start:len(s.ups):len(s.ups)]
 }
 
 // plan rebuilds the plan m's follower committed, for the leader's replay of

@@ -15,13 +15,15 @@ package core
 //	                             parent lists the node                                                  pzxid=txid
 //
 // Every target node also gets txid appended to its pending list, once per
-// message (pendingAppend): that entry is what hands the change to the
+// message (itemUpdates): that entry is what hands the change to the
 // shard's serialized leader.
 
 import (
 	"strings"
+	"sync"
 
 	"faaskeeper/internal/cloud/kv"
+	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/znode"
 )
 
@@ -118,64 +120,67 @@ func validatedChange(op OpCode, path string, data []byte, owner string, node, pa
 	return c
 }
 
-// nodeUpdates appends to ups the system-store effect of one validated op
+// commitScratch is the one home of a commit's variable update actions
+// (commitPlan): nodeUpdates, parentUpdates and itemUpdates keep each Set
+// and the pending append in it and list a pointer to that, where the value
+// itself in a kv.Update would be a heap box of its own. Its slices grow with
+// the commit's op count, and a pointer into one stays valid when it grows.
+// It is pooled and cleared before reuse, so it keeps no view of a message
+// once the commit returns; the table copies every value it stores.
+type commitScratch struct {
+	ups     []kv.Update // every item's list, one after another
+	parts   []fksync.TxPart
+	sets    []kv.Set
+	pending kv.ListAppend
+	txid    [1]int64 // pending's value
+}
+
+var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
+
+func (s *commitScratch) set(name string, v kv.Value) kv.Update {
+	s.sets = append(s.sets, kv.Set{Name: name, V: v})
+	return &s.sets[len(s.sets)-1]
+}
+
+func (s *commitScratch) release() {
+	clear(s.ups)
+	clear(s.parts)
+	clear(s.sets)
+	*s = commitScratch{ups: s.ups[:0], parts: s.parts[:0], sets: s.sets[:0]}
+	commitScratchPool.Put(s)
+}
+
+// nodeUpdates appends to s.ups the system-store effect of one validated op
 // committing at txid on its node item, and parentUpdates the effect on its
 // parent's (nothing where the op has none) — the table's last two columns.
 // The follower's step ④ and the leader's replay of it write exactly these
-// (itemUpdates). Appending lets a set_data commit build its list in a stack
-// buffer (commitPlan). The strings a create stores (its owner, its child
-// name) are clones: c's borrow the message body they were decoded from.
-func nodeUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
+// (itemUpdates). The strings a create stores (its owner, its child name)
+// are clones: c's borrow the message body they were decoded from.
+func (s *commitScratch) nodeUpdates(c change, txid int64) {
 	switch c.Op {
 	case OpSetData:
-		return append(ups,
-			kv.Set{Name: attrVersion, V: kv.N(int64(c.Version))},
-			kv.Set{Name: attrMzxid, V: kv.N(txid)})
+		s.ups = append(s.ups, s.set(attrVersion, kv.N(int64(c.Version))), s.set(attrMzxid, kv.N(txid)))
 	case OpCreate:
-		ups = append(ups,
-			kv.Set{Name: attrExists, V: kv.N(1)},
-			kv.Set{Name: attrVersion, V: kv.N(0)},
-			kv.Set{Name: attrCversion, V: kv.N(0)},
-			kv.Set{Name: attrCzxid, V: kv.N(txid)},
-			kv.Set{Name: attrMzxid, V: kv.N(txid)},
-			kv.Set{Name: attrPzxid, V: kv.N(txid)},
-			kv.Set{Name: attrChildren, V: kv.StrList()})
+		s.ups = append(s.ups, s.set(attrExists, kv.N(1)), s.set(attrVersion, kv.N(0)),
+			s.set(attrCversion, kv.N(0)), s.set(attrCzxid, kv.N(txid)), s.set(attrMzxid, kv.N(txid)),
+			s.set(attrPzxid, kv.N(txid)), s.set(attrChildren, kv.StrList()))
 		if c.EphOwner != "" {
-			ups = append(ups, kv.Set{Name: attrEph, V: kv.S(strings.Clone(c.EphOwner))})
+			s.ups = append(s.ups, s.set(attrEph, kv.S(strings.Clone(c.EphOwner))))
 		}
 	case OpDelete:
 		// A tombstone (exists=0): the item stays so the leader can track
 		// the pending transaction, and collects it after the pop.
-		return append(ups,
-			kv.Set{Name: attrExists, V: kv.N(0)},
-			kv.Set{Name: attrMzxid, V: kv.N(txid)},
-			kv.Remove{Name: attrEph})
+		s.ups = append(s.ups, s.set(attrExists, kv.N(0)), s.set(attrMzxid, kv.N(txid)), kv.Remove{Name: attrEph})
 	}
-	return ups
 }
 
-func parentUpdates(ups []kv.Update, c change, txid int64) []kv.Update {
+func (s *commitScratch) parentUpdates(c change, txid int64) {
 	switch c.Op {
 	case OpCreate:
-		return append(ups,
-			kv.StrListAppend{Name: attrChildren, Vals: []string{strings.Clone(c.ChildAdd)}},
-			kv.Add{Name: attrCversion, Delta: 1},
-			kv.Add{Name: attrSeq, Delta: 1},
-			kv.Set{Name: attrPzxid, V: kv.N(txid)})
+		s.ups = append(s.ups, kv.StrListAppend{Name: attrChildren, Vals: []string{strings.Clone(c.ChildAdd)}},
+			kv.Add{Name: attrCversion, Delta: 1}, kv.Add{Name: attrSeq, Delta: 1}, s.set(attrPzxid, kv.N(txid)))
 	case OpDelete:
-		return append(ups,
-			kv.StrListRemove{Name: attrChildren, Vals: []string{c.ChildDel}},
-			kv.Add{Name: attrCversion, Delta: 1},
-			kv.Set{Name: attrPzxid, V: kv.N(txid)})
+		s.ups = append(s.ups, kv.StrListRemove{Name: attrChildren, Vals: []string{c.ChildDel}},
+			kv.Add{Name: attrCversion, Delta: 1}, s.set(attrPzxid, kv.N(txid)))
 	}
-	return ups
 }
-
-// pendingAppend enters txid into a target node's pending list.
-func pendingAppend(txid int64) kv.Update {
-	return kv.ListAppend{Name: attrPending, Vals: []int64{txid}}
-}
-
-// popPendingHead removes the head of a node's pending list (➎, and the
-// leader's orphan pop), boxed once.
-var popPendingHead = []kv.Update{kv.ListPopHead{Name: attrPending}}

@@ -726,5 +726,6 @@ func TestClientWriteAllocations(t *testing.T) {
 // only with a reason: it moves one for one with bench's paper_write
 // allocs_per_op, as core's paperWriteAllocs does. It was 22 until the five
 // allocations paperWriteAllocs names went and the pending op took its
-// future by value (1).
-const clientWriteAllocs = 16
+// future by value (1); it was 16 until the seven paperWriteAllocs names
+// since 17 went.
+const clientWriteAllocs = 9

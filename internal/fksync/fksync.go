@@ -7,7 +7,6 @@ package fksync
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 
@@ -31,6 +30,19 @@ type Lock struct {
 	Timestamp int64 // virtual-time nanoseconds at acquisition
 }
 
+// free is the paper's lock condition: the lock is free when no timestamp
+// is present or the existing one is older than expired. It and held return
+// kv's own conditions by value and are inlined, so a condition passed
+// straight to a kv.Table call stays on the caller's stack
+// (TestLockCommitAllocations).
+func free(expired int64) kv.Or {
+	return kv.Or{kv.AttrNotExists{Name: LockAttr}, kv.NumLt{Name: LockAttr, V: expired}}
+}
+
+// held guards every mutation under the lock: the stored timestamp must
+// still be ours, so a lock lost to expiry cannot overwrite newer state.
+func (l Lock) held() kv.Eq { return kv.Eq{Name: LockAttr, V: kv.N(l.Timestamp)} }
+
 // LockManager acquires and releases timed locks on a table's items.
 type LockManager struct {
 	tbl     *kv.Table
@@ -46,38 +58,9 @@ func NewLockManager(env *cloud.Env, tbl *kv.Table, maxHold time.Duration) *LockM
 	return &LockManager{tbl: tbl, env: env, maxHold: maxHold}
 }
 
-// lockFree is the paper's lock condition: the lock is free when no
-// timestamp is present or the existing timestamp is older than expired.
-// It decides what kv.Or{kv.AttrNotExists{lock}, kv.NumLt{lock, expired}}
-// decides, as one value: boxing it into a kv.Cond is one 8-byte
-// allocation, boxing the Or of two conditions four.
-type lockFree int64
-
-// Eval implements kv.Cond.
-func (expired lockFree) Eval(item kv.Item, exists bool) bool {
-	v, ok := item.Lookup(LockAttr)
-	return !exists || !ok || (v.Kind() == kv.KindNumber && v.Num() < int64(expired))
-}
-
-func (expired lockFree) String() string {
-	return fmt.Sprintf("(attr_not_exists(%s) OR %s < %d)", LockAttr, LockAttr, int64(expired))
-}
-
-// lockHeld guards every mutation under the lock: the stored timestamp must
-// still be ours, so a lock lost to expiry cannot overwrite newer state. It
-// decides what kv.Eq{lock, kv.N(ts)} decides, in an 8-byte box where
-// kv.Eq takes 128 bytes.
-type lockHeld int64
-
-// Eval implements kv.Cond.
-func (ts lockHeld) Eval(item kv.Item, exists bool) bool {
-	v, ok := item.Lookup(LockAttr)
-	return exists && ok && v.Kind() == kv.KindNumber && v.Num() == int64(ts)
-}
-
-func (ts lockHeld) String() string { return fmt.Sprintf("%s == %d", LockAttr, int64(ts)) }
-
-// unlock is the release action every commit appends, boxed once.
+// unlock is the release action every commit appends. It is a package
+// value because an action appended to a caller's list escapes to the heap,
+// where one built in the list literal of a kv.Table call stays on the stack.
 var unlock kv.Update = kv.Remove{Name: LockAttr}
 
 // Acquire attempts to take the lock once. On success it returns the lock
@@ -87,8 +70,7 @@ var unlock kv.Update = kv.Remove{Name: LockAttr}
 func (m *LockManager) Acquire(ctx cloud.Ctx, key string) (Lock, kv.Item, error) {
 	now := int64(m.env.K.Now())
 	item, err := m.tbl.Update(ctx, key,
-		[]kv.Update{kv.Set{Name: LockAttr, V: kv.N(now)}},
-		lockFree(now-int64(m.maxHold)))
+		[]kv.Update{kv.Set{Name: LockAttr, V: kv.N(now)}}, free(now-int64(m.maxHold)))
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return Lock{}, nil, ErrLockHeld
 	}
@@ -121,7 +103,7 @@ func (m *LockManager) AcquireWait(ctx cloud.Ctx, key string, attempts int) (Lock
 
 // Release drops the lock without modifying the item.
 func (m *LockManager) Release(ctx cloud.Ctx, l Lock) error {
-	_, err := m.tbl.Update(ctx, l.Key, []kv.Update{unlock}, lockHeld(l.Timestamp))
+	_, err := m.tbl.Update(ctx, l.Key, []kv.Update{unlock}, l.held())
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return ErrLockLost
 	}
@@ -134,7 +116,7 @@ func (m *LockManager) Release(ctx cloud.Ctx, l Lock) error {
 func (m *LockManager) CommitUnlock(ctx cloud.Ctx, l Lock, updates []kv.Update) (kv.Item, error) {
 	var buf [12]kv.Update // a create's node item takes 9 actions plus the release
 	all := append(append(buf[:0], updates...), unlock)
-	item, err := m.tbl.Update(ctx, l.Key, all, lockHeld(l.Timestamp))
+	item, err := m.tbl.Update(ctx, l.Key, all, l.held())
 	if errors.Is(err, kv.ErrConditionFailed) {
 		return nil, ErrLockLost
 	}
@@ -154,7 +136,7 @@ type TxPart struct {
 func (m *LockManager) CommitUnlockTx(ctx cloud.Ctx, parts []TxPart) error {
 	ops := make([]kv.TxOp, 0, len(parts))
 	for _, p := range parts {
-		op := kv.TxOp{Key: p.Lock.Key, Cond: lockHeld(p.Lock.Timestamp), Delete: p.Delete}
+		op := kv.TxOp{Key: p.Lock.Key, Cond: p.Lock.held(), Delete: p.Delete}
 		if !p.Delete {
 			op.Updates = make([]kv.Update, 0, len(p.Updates)+1)
 			op.Updates = append(op.Updates, p.Updates...)

@@ -283,44 +283,24 @@ func TestLockLatencyMatchesPaperShape(t *testing.T) {
 	}
 }
 
-// TestLockConditionsMatchTheirExpressions: lockFree and lockHeld are the
-// lock's two conditions as single values; they decide exactly what the
-// kv.Or and kv.Eq expressions they replace decide, on every item shape.
-func TestLockConditionsMatchTheirExpressions(t *testing.T) {
-	items := []struct {
-		item   kv.Item
-		exists bool
-	}{
-		{nil, false},
-		{kv.Item{{Name: "v", V: kv.N(1)}}, true},
-		{kv.Item{{Name: LockAttr, V: kv.N(99)}}, true},
-		{kv.Item{{Name: LockAttr, V: kv.N(100)}}, true},
-		{kv.Item{{Name: LockAttr, V: kv.N(101)}}, true},
-		{kv.Item{{Name: LockAttr, V: kv.S("100")}}, true},
+// TestLockConditionsRender: the lock's two conditions are the paper's
+// expressions, built from kv's own vocabulary.
+func TestLockConditionsRender(t *testing.T) {
+	if got, want := free(100).String(), "(attr_not_exists(lock) OR lock < 100)"; got != want {
+		t.Errorf("the lock-free condition renders as %q, want %q", got, want)
 	}
-	for _, at := range []int64{99, 100, 101} {
-		free := kv.Or{kv.AttrNotExists{Name: LockAttr}, kv.NumLt{Name: LockAttr, V: at}}
-		held := kv.Eq{Name: LockAttr, V: kv.N(at)}
-		for _, c := range items {
-			if got, want := lockFree(at).Eval(c.item, c.exists), free.Eval(c.item, c.exists); got != want {
-				t.Errorf("lockFree(%d) on %v: %v, %s says %v", at, c.item, got, free, want)
-			}
-			if got, want := lockHeld(at).Eval(c.item, c.exists), held.Eval(c.item, c.exists); got != want {
-				t.Errorf("lockHeld(%d) on %v: %v, %s says %v", at, c.item, got, held, want)
-			}
-		}
-		if lockFree(at).String() != free.String() || lockHeld(at).String() != held.String() {
-			t.Errorf("%q and %q render as %q and %q", lockFree(at), lockHeld(at), free, held)
-		}
+	if got, want := (Lock{Timestamp: 100}).held().String(), "lock == 100"; got != want {
+		t.Errorf("the lock-held condition renders as %q, want %q", got, want)
 	}
 }
 
 // TestLockCommitAllocations: the follower's lock round trip — Acquire, then
-// CommitUnlock of one update built beforehand — costs five allocations: the
-// lock timestamp's Set action and the two conditions, boxed, and one new
-// attribute list per conditional write. The release action is boxed once
-// per process, the commit's action list lives on the stack, and the table
-// returns its committed items without copying them.
+// CommitUnlock of one update built beforehand — costs two allocations, one
+// new attribute list per conditional write. The lock timestamp's Set
+// action, its list and both conditions are built at the call and stay on
+// the stack (kv dispatches them by switch), the release action is a
+// package value, the commit's action list lives on the stack, and the
+// table returns its committed items without copying them.
 func TestLockCommitAllocations(t *testing.T) {
 	k, env, tbl, ctx := setup(1)
 	tbl.SeedPut("node:/x", kv.Item{
@@ -338,7 +318,7 @@ func TestLockCommitAllocations(t *testing.T) {
 			t.Fatalf("commit: %v", err)
 		}
 	})
-	if got != 5 {
-		t.Fatalf("Acquire + CommitUnlock: %v allocations, want 5", got)
+	if got != 2 {
+		t.Fatalf("Acquire + CommitUnlock: %v allocations, want 2", got)
 	}
 }
