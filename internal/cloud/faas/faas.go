@@ -66,6 +66,10 @@ type Function struct {
 	cfg     Config
 	handler Handler
 	costCat string // "faas.<name>", the meter category of every run
+	// asyncProc names the process of every asynchronous invocation, and
+	// spare holds the reaped ones for reuse (Async).
+	asyncProc string
+	spare     []*Async
 
 	warmExpiry []sim.Time // idle sandboxes, each with its expiry time
 
@@ -99,7 +103,7 @@ func (p *Platform) Deploy(cfg Config, h Handler) *Function {
 	if _, dup := p.fns[cfg.Name]; dup {
 		panic("faas: duplicate function " + cfg.Name)
 	}
-	f := &Function{p: p, cfg: cfg, handler: h, costCat: "faas." + cfg.Name}
+	f := &Function{p: p, cfg: cfg, handler: h, costCat: "faas." + cfg.Name, asyncProc: "invoke-async:" + cfg.Name}
 	p.fns[cfg.Name] = f
 	return f
 }
@@ -219,20 +223,57 @@ func (p *Platform) Invoke(ctx cloud.Ctx, name string, payload []byte) error {
 	return f.run(&Invocation{K: p.env.K, Ctx: sctx, Func: f, Payload: payload, Attempt: 1})
 }
 
-// InvokeAsync fires a free function without waiting for completion,
-// returning a future resolved with the handler error. Used for the watch
-// function fan-out (Section 4.1).
-func (p *Platform) InvokeAsync(ctx cloud.Ctx, name string, payload []byte) *sim.Future[error] {
+// Async is one asynchronous invocation of a free function: InvokeAsync
+// starts it and Wait reaps it. A function reuses the invocations it has
+// reaped, each with its process body bound once, so a warm invocation that
+// is reaped allocates nothing.
+type Async struct {
+	f       *Function
+	ctx     cloud.Ctx
+	payload []byte
+	inv     Invocation
+	done    sim.Future[error]
+	body    func() // run, bound once
+}
+
+// run is the invocation's process: the API call, then the handler in a
+// sandbox, on behalf of the caller's bill.
+func (a *Async) run() {
+	env, f := a.f.p.env, a.f
+	env.K.Sleep(env.OpTime(a.ctx, env.Profile.DirectInvoke, env.Profile.DirectPerKB, len(a.payload)))
+	sctx := f.SandboxCtx()
+	sctx.Bill = a.ctx.Bill // the invocation works on behalf of the caller
+	a.inv = Invocation{K: env.K, Ctx: sctx, Func: f, Payload: a.payload, Attempt: 1}
+	a.done.Complete(f.run(&a.inv))
+}
+
+// Wait blocks until the invocation has returned and returns the handler's
+// error. It hands the invocation back to its function for reuse: call it
+// once, and do not touch the Async afterwards.
+func (a *Async) Wait() error {
+	err := a.done.Wait()
+	a.ctx, a.payload, a.inv = cloud.Ctx{}, nil, Invocation{}
+	a.done = sim.MakeFuture[error](a.f.p.env.K)
+	a.f.spare = append(a.f.spare, a)
+	return err
+}
+
+// InvokeAsync fires a free function without waiting for completion and
+// returns the invocation, whose Wait gives the handler's error. Used for the
+// watch function fan-out (Section 4.1).
+func (p *Platform) InvokeAsync(ctx cloud.Ctx, name string, payload []byte) *Async {
 	f := p.Function(name)
-	fut := sim.NewFuture[error](p.env.K)
-	prof := p.env.Profile
-	p.env.K.Go("invoke-async:"+name, func() {
-		p.env.K.Sleep(p.env.OpTime(ctx, prof.DirectInvoke, prof.DirectPerKB, len(payload)))
-		sctx := f.SandboxCtx()
-		sctx.Bill = ctx.Bill // the invocation works on behalf of the caller
-		fut.Complete(f.run(&Invocation{K: p.env.K, Ctx: sctx, Func: f, Payload: payload, Attempt: 1}))
-	})
-	return fut
+	var a *Async
+	if n := len(f.spare); n > 0 {
+		a, f.spare[n-1] = f.spare[n-1], nil
+		f.spare = f.spare[:n-1]
+	} else {
+		a = &Async{f: f, done: sim.MakeFuture[error](p.env.K)}
+		a.body = a.run
+	}
+	a.ctx, a.payload = ctx, payload
+	p.env.K.Go(f.asyncProc, a.body)
+	return a
 }
 
 // AddQueueTrigger starts poller processes that deliver message batches

@@ -89,6 +89,38 @@ func TestWarmRunAllocations(t *testing.T) {
 	}
 }
 
+// TestInvokeAsyncAllocations: a warm asynchronous invocation that is
+// reaped allocates nothing — no process name, no process body, no future
+// and no Invocation: the function reuses what an earlier one left, and a
+// payload is passed through, not copied. Its name is bound once at deploy
+// time. It was 4 while InvokeAsync built "invoke-async:"+name, a closure,
+// a future and an Invocation on every call.
+func TestInvokeAsyncAllocations(t *testing.T) {
+	k, env, p := newPlatform(7)
+	p.Deploy(Config{Name: "watch", MemoryMB: 512}, func(inv *Invocation) error {
+		inv.K.Sleep(sim.Ms(5))
+		return nil
+	})
+	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
+	payload := []byte("notification")
+	got := sim.AllocsPerRun(k, 200, func() {
+		// Two in flight at once: the second cannot reuse the first.
+		a, b := p.InvokeAsync(ctx, "watch", payload), p.InvokeAsync(ctx, "watch", payload)
+		if err := a.Wait(); err != nil {
+			t.Errorf("async: %v", err)
+		}
+		if err := b.Wait(); err != nil {
+			t.Errorf("async: %v", err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("two warm asynchronous invocations: %v allocations, want 0", got)
+	}
+	if f := p.Function("watch"); f.ColdStarts() != 2 || env.Meter.Count("faas.watch") != 402 {
+		t.Fatalf("%d cold starts and %d billed runs, want 2 and 402", f.ColdStarts(), env.Meter.Count("faas.watch"))
+	}
+}
+
 // TestWarmQueueDeliveryAllocations: a warm poller receives each batch into
 // the buffer of the one before and runs it through the same Invocation, so
 // a delivery allocates only the message body queue.Send copies.

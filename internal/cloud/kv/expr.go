@@ -160,8 +160,10 @@ type Set struct {
 }
 
 // Apply implements Update.
-func (u Set) Apply(item Item) Item {
-	item.Set(u.Name, u.V.Clone())
+func (u Set) Apply(item Item) Item { return u.apply(item, nil) }
+
+func (u Set) apply(item Item, names map[string]string) Item {
+	*item.add(u.Name, names) = u.V.owned()
 	return item
 }
 func (u Set) payloadSize() int { return u.V.Size() }
@@ -184,8 +186,10 @@ type Add struct {
 }
 
 // Apply implements Update.
-func (u Add) Apply(item Item) Item {
-	v := item.slot(u.Name)
+func (u Add) Apply(item Item) Item { return u.apply(item, nil) }
+
+func (u Add) apply(item Item, names map[string]string) Item {
+	v := item.add(u.Name, names)
 	*v = N(v.Num() + u.Delta)
 	return item
 }
@@ -199,9 +203,11 @@ type ListAppend struct {
 }
 
 // Apply implements Update.
-func (u ListAppend) Apply(item Item) Item {
-	v := item.slot(u.Name)
-	*v = NumList(slices.Concat(v.NL(), u.Vals)...)
+func (u ListAppend) Apply(item Item) Item { return u.apply(item, nil) }
+
+func (u ListAppend) apply(item Item, names map[string]string) Item {
+	v := item.add(u.Name, names)
+	*v = NumList(concat(v.NL(), u.Vals)...)
 	return item
 }
 func (u ListAppend) payloadSize() int { return 8 * len(u.Vals) }
@@ -251,9 +257,11 @@ type StrListAppend struct {
 }
 
 // Apply implements Update.
-func (u StrListAppend) Apply(item Item) Item {
-	v := item.slot(u.Name)
-	*v = StrList(slices.Concat(v.SL(), u.Vals)...)
+func (u StrListAppend) Apply(item Item) Item { return u.apply(item, nil) }
+
+func (u StrListAppend) apply(item Item, names map[string]string) Item {
+	v := item.add(u.Name, names)
+	*v = StrList(concat(v.SL(), u.Vals)...)
 	return item
 }
 func (u StrListAppend) payloadSize() int {
@@ -277,9 +285,12 @@ func (u StrListRemove) Apply(item Item) Item {
 	if v == nil || v.Kind() != KindStrList {
 		return item
 	}
-	var kept []string
-	for _, s := range v.SL() {
+	var kept []string // sized at its first element: one allocation, none for an empty list
+	for i, s := range v.SL() {
 		if !slices.Contains(u.Vals, s) {
+			if kept == nil {
+				kept = make([]string, 0, len(v.SL())-i)
+			}
 			kept = append(kept, s)
 		}
 	}
@@ -295,6 +306,15 @@ func (u StrListRemove) payloadSize() int { return 0 }
 // make every action and condition a caller passes escape to the heap.
 // A form not listed panics: a caller that needs another pointer form adds
 // it to the switches.
+//
+// No action stores memory it points to directly: the value a Set stores is
+// a copy (Value.owned), and an attribute an action adds is named by the
+// table's own copy of the name (Item.add). Escape analysis does not tell a
+// struct's fields apart, nor one case of a switch from another, so a single
+// action storing its Name would leak every action's slices to the heap —
+// a StrListAppend's one-element list built at the call among them. What the
+// table keeps of an action is only what its lists point to: the strings a
+// StrListAppend adds.
 
 // evalCond reports whether c holds on item.
 func evalCond(c Cond, item Item, exists bool) bool {
@@ -319,27 +339,28 @@ func evalCond(c Cond, item Item, exists bool) bool {
 	panic("kv: condition of a form evalCond does not list")
 }
 
-// applyUpdate returns item with u applied.
-func applyUpdate(u Update, item Item) Item {
+// applyUpdate returns item with u applied; an attribute it adds takes its
+// name from names (Item.add).
+func applyUpdate(u Update, item Item, names map[string]string) Item {
 	switch u := u.(type) {
 	case Set:
-		return u.Apply(item)
+		return u.apply(item, names)
 	case *Set:
-		return u.Apply(item)
+		return u.apply(item, names)
 	case Remove:
 		return u.Apply(item)
 	case Add:
-		return u.Apply(item)
+		return u.apply(item, names)
 	case ListAppend:
-		return u.Apply(item)
+		return u.apply(item, names)
 	case *ListAppend:
-		return u.Apply(item)
+		return u.apply(item, names)
 	case ListRemove:
 		return u.Apply(item)
 	case ListPopHead:
 		return u.Apply(item)
 	case StrListAppend:
-		return u.Apply(item)
+		return u.apply(item, names)
 	case StrListRemove:
 		return u.Apply(item)
 	case *StrListRemove:

@@ -30,6 +30,10 @@ type Table struct {
 	items             map[string]*row
 	keys              []string // sorted key index for deterministic scans
 	dirty             bool
+	// names holds the table's copy of every attribute name an update
+	// action added to an item (Item.add): one per name, for the table's
+	// lifetime.
+	names map[string]string
 
 	stream *Stream
 	seqNo  int64
@@ -62,7 +66,7 @@ type StreamRecord struct {
 
 // NewTable creates an empty table in env.
 func NewTable(env *cloud.Env, name string) *Table {
-	t := &Table{env: env, name: name, items: map[string]*row{}}
+	t := &Table{env: env, name: name, items: map[string]*row{}, names: map[string]string{}}
 	t.SetCostCategory("kv")
 	return t
 }
@@ -276,7 +280,7 @@ func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (
 	}
 	next := old.next(len(updates))
 	for _, u := range updates {
-		next = applyUpdate(u, next)
+		next = applyUpdate(u, next, t.names)
 	}
 	if next.Size() > t.profile().KVMaxItemB {
 		return nil, fmt.Errorf("%w: %d > %d", ErrItemTooLarge, next.Size(), t.profile().KVMaxItemB)
@@ -355,7 +359,7 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 		old, _ := t.lookup(op.Key)
 		next := old.next(len(op.Updates))
 		for _, u := range op.Updates {
-			next = applyUpdate(u, next)
+			next = applyUpdate(u, next, t.names)
 		}
 		t.commit(op.Key, next)
 	}

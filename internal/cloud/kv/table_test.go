@@ -658,7 +658,11 @@ func TestUpdateViewIsASnapshot(t *testing.T) {
 // dispatches both by switch, so neither escapes. The stored slices are
 // shared with the new version rather than copied, the committed item is
 // returned without a second copy, and the meter category is not rebuilt
-// per charge.
+// per charge. A string-list action costs one more, the list it stores, and
+// not the one it names: a list built at the call stays on the caller's
+// stack, which only holds while no action stores its own Name or a value
+// it points to (applyUpdate's comment) — a whole-action leak in any of
+// them makes every such list a heap allocation.
 func TestUpdateAllocations(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
@@ -666,28 +670,36 @@ func TestUpdateAllocations(t *testing.T) {
 		{Name: "exists", V: N(1)}, {Name: "version", V: N(2)}, {Name: "mzxid", V: N(5)},
 		{Name: "children", V: StrList("a", "b", "c")}, {Name: "pending", V: NumList(8)},
 	})
-	conds := []struct {
+	sessions := [...]string{"s0", "s1", "s2", "s3"}
+	cases := []struct {
 		name string
+		want float64
 		run  func(i int64) (Item, error)
 	}{
-		{"Eq", func(i int64) (Item, error) {
+		{"Set under Eq", 1, func(i int64) (Item, error) {
 			return tbl.Update(ctx, "n", []Update{Set{"lock", N(i)}, Set{"mzxid", N(i)}}, Eq{"exists", N(1)})
 		}},
-		{"Or{AttrNotExists, NumLt}", func(i int64) (Item, error) {
+		{"Set under Or{AttrNotExists, NumLt}", 1, func(i int64) (Item, error) {
 			return tbl.Update(ctx, "n", []Update{Set{"lock", N(i)}, Set{"mzxid", N(i)}},
 				Or{AttrNotExists{"lock"}, NumLt{"lock", i}})
 		}},
+		{"StrListAppend", 2, func(i int64) (Item, error) {
+			return tbl.Update(ctx, "n", []Update{StrListAppend{"watchers", []string{sessions[i%4]}}}, nil)
+		}},
+		{"StrListRemove", 2, func(i int64) (Item, error) {
+			return tbl.Update(ctx, "n", []Update{StrListRemove{"children", []string{sessions[i%4]}}}, nil)
+		}},
 	}
-	var i int64 // the lock timestamp, rising across both runs
-	for _, c := range conds {
+	var i int64 // the lock timestamp, rising across the runs
+	for _, c := range cases {
 		got := sim.AllocsPerRun(k, 200, func() {
 			i++
 			if _, err := c.run(i); err != nil {
-				t.Errorf("update under %s: %v", c.name, err)
+				t.Errorf("update with %s: %v", c.name, err)
 			}
 		})
-		if got != 1 {
-			t.Errorf("Update of an existing item under %s: %v allocations, want exactly 1", c.name, got)
+		if got != c.want {
+			t.Errorf("Update of an existing item with %s: %v allocations, want exactly %v", c.name, got, c.want)
 		}
 	}
 }

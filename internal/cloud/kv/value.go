@@ -176,6 +176,28 @@ func (v Value) Clone() Value {
 	return v
 }
 
+// owned returns a copy of v that shares no memory with it, a string's bytes
+// included: what an update action stores (see applyUpdate).
+func (v Value) owned() Value {
+	switch v.kind {
+	case KindString:
+		return S(strings.Clone(v.Str()))
+	case KindBytes:
+		return B(bytes.Clone(v.Byt())) // no zeroing of what the copy overwrites
+	case KindNumList:
+		return NumList(concat(v.NL(), nil)...)
+	case KindStrList:
+		return StrList(concat(v.SL(), nil)...)
+	}
+	return Value{kind: v.kind, n: v.n}
+}
+
+// concat is slices.Concat(a, b) into a new array: escape analysis sees
+// that the result aliases neither (it cannot tell that of slices.Clone's),
+// and it is one allocation in every build (slices.Concat makes two under
+// -race, which does not fold slices.Grow's make into its append).
+func concat[T any](a, b []T) []T { return append(append(make([]T, 0, len(a)+len(b)), a...), b...) }
+
 // unshare replaces the slice v holds with a copy of it.
 func (v *Value) unshare() {
 	switch v.kind {
@@ -244,6 +266,24 @@ func (it *Item) slot(name string) *Value {
 		return v
 	}
 	*it = append(*it, Attr{Name: name})
+	return &(*it)[len(*it)-1].V
+}
+
+// add is slot for an update action: an attribute it appends is named by
+// names' copy of name, made there on first use (a fresh copy when names is
+// nil), never by name itself (see applyUpdate).
+func (it *Item) add(name string, names map[string]string) *Value {
+	if v := it.ptr(name); v != nil {
+		return v
+	}
+	own, ok := names[name]
+	if !ok {
+		own = strings.Clone(name)
+		if names != nil {
+			names[own] = own
+		}
+	}
+	*it = append(*it, Attr{Name: own})
 	return &(*it)[len(*it)-1].V
 }
 

@@ -5,6 +5,12 @@
 // A link delivers messages in FIFO order after a one-way latency plus a
 // size-dependent wire time. Sends do not block beyond a negligible local
 // cost, mirroring kernel socket buffers.
+//
+// A link carries one payload type, T, in both directions: each user picks a
+// type that says what its link carries (a FaaSKeeper session's tagged
+// message, a ZooKeeper server's peer message), so a send copies its payload
+// into the receiver's inbox by value and boxes nothing. The inbox keeps its
+// array, so a link in steady state allocates nothing per message.
 package network
 
 import (
@@ -13,27 +19,26 @@ import (
 )
 
 // Packet is one framed message on a link.
-type Packet struct {
-	Payload any
+type Packet[T any] struct {
+	Payload T
 	Size    int
 }
 
-type timedPacket struct {
-	Packet
+type timedPacket[T any] struct {
+	Packet[T]
 	deliverAt sim.Time
 }
 
 // Conn is one duplex TCP-like connection. Use NewConn for a pair of ends.
-type Conn struct {
-	env  *cloud.Env
-	a, b *End
+type Conn[T any] struct {
+	a, b *End[T]
 }
 
 // End is one endpoint of a connection.
-type End struct {
+type End[T any] struct {
 	env         *cloud.Env
-	peer        *End
-	inbox       *sim.Queue[timedPacket]
+	peer        *End[T]
+	inbox       *sim.Queue[timedPacket[T]]
 	lastDeliver sim.Time
 	oneWay      sim.Dist
 	crossRegion bool
@@ -42,48 +47,40 @@ type End struct {
 
 // NewConn creates a connection between two regions. Cross-region
 // connections pay the inter-region penalty on every message.
-func NewConn(env *cloud.Env, ra, rb cloud.Region) *Conn {
-	c := &Conn{env: env}
-	cross := ra != rb
-	mk := func() *End {
-		return &End{
-			env:         env,
-			inbox:       sim.NewQueue[timedPacket](env.K),
-			oneWay:      sim.Scale(env.Profile.ClientRTT, 0.5),
-			crossRegion: cross,
-		}
-	}
-	c.a, c.b = mk(), mk()
-	c.a.peer, c.b.peer = c.b, c.a
-	return c
+func NewConn[T any](env *cloud.Env, ra, rb cloud.Region) *Conn[T] {
+	return newConn[T](env, sim.Scale(env.Profile.ClientRTT, 0.5), ra != rb)
 }
 
 // NewLANConn creates a low-latency connection inside one deployment
 // (ZooKeeper server <-> server, server <-> collocated client).
-func NewLANConn(env *cloud.Env) *Conn {
-	c := &Conn{env: env}
-	mk := func() *End {
-		return &End{
-			env:    env,
-			inbox:  sim.NewQueue[timedPacket](env.K),
-			oneWay: sim.Scale(env.Profile.LANRTT, 0.5),
+func NewLANConn[T any](env *cloud.Env) *Conn[T] {
+	return newConn[T](env, sim.Scale(env.Profile.LANRTT, 0.5), false)
+}
+
+func newConn[T any](env *cloud.Env, oneWay sim.Dist, cross bool) *Conn[T] {
+	mk := func() *End[T] {
+		return &End[T]{
+			env:         env,
+			inbox:       sim.NewQueue[timedPacket[T]](env.K),
+			oneWay:      oneWay,
+			crossRegion: cross,
 		}
 	}
-	c.a, c.b = mk(), mk()
+	c := &Conn[T]{a: mk(), b: mk()}
 	c.a.peer, c.b.peer = c.b, c.a
 	return c
 }
 
 // A returns the first endpoint.
-func (c *Conn) A() *End { return c.a }
+func (c *Conn[T]) A() *End[T] { return c.a }
 
 // B returns the second endpoint.
-func (c *Conn) B() *End { return c.b }
+func (c *Conn[T]) B() *End[T] { return c.b }
 
 // Send transmits a payload of the given size to the peer. It never blocks
 // the sender for the full flight time; delivery order is FIFO and delivery
 // time is monotone per direction (TCP semantics).
-func (e *End) Send(payload any, size int) {
+func (e *End[T]) Send(payload T, size int) {
 	if e.closed || e.peer.closed {
 		return
 	}
@@ -100,27 +97,25 @@ func (e *End) Send(payload any, size int) {
 		at = e.peer.lastDeliver // no reordering on the wire
 	}
 	e.peer.lastDeliver = at
-	e.peer.inbox.Push(timedPacket{Packet: Packet{Payload: payload, Size: size}, deliverAt: at})
+	e.peer.inbox.Push(timedPacket[T]{Packet: Packet[T]{Payload: payload, Size: size}, deliverAt: at})
 }
 
 // Recv blocks until the next message arrives and returns it. ok is false
 // once the connection is closed and drained.
-func (e *End) Recv() (Packet, bool) {
-	for {
-		tp, ok := e.inbox.Pop()
-		if !ok {
-			return Packet{}, false
-		}
-		if wait := tp.deliverAt - e.env.K.Now(); wait > 0 {
-			e.env.K.Sleep(wait)
-		}
-		return tp.Packet, true
+func (e *End[T]) Recv() (Packet[T], bool) {
+	tp, ok := e.inbox.Pop()
+	if !ok {
+		return Packet[T]{}, false
 	}
+	if wait := tp.deliverAt - e.env.K.Now(); wait > 0 {
+		e.env.K.Sleep(wait)
+	}
+	return tp.Packet, true
 }
 
 // Close closes this end; subsequent sends from either side are dropped and
 // pending receives drain then report closure.
-func (e *End) Close() {
+func (e *End[T]) Close() {
 	if !e.closed {
 		e.closed = true
 		e.inbox.Close()
@@ -128,4 +123,4 @@ func (e *End) Close() {
 }
 
 // Pending returns the number of undelivered messages (test helper).
-func (e *End) Pending() int { return e.inbox.Len() }
+func (e *End[T]) Pending() int { return e.inbox.Len() }

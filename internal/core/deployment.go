@@ -251,9 +251,9 @@ type SessionTransport struct {
 	ID        string
 	Region    cloud.Region
 	Queue     *queue.Queue
-	ClientEnd *network.End // client side: receive responses / notifications
-	cloudEnd  *network.End
-	pongs     *sim.Queue[Pong]
+	ClientEnd *network.End[SessionMsg] // client side: receive responses / notifications
+	cloudEnd  *network.End[SessionMsg]
+	pongs     *sim.Queue[int64] // the nonces of the client's pongs
 	closed    bool
 }
 
@@ -397,14 +397,14 @@ func (d *Deployment) Connect(sessionID string, region cloud.Region) *SessionTran
 		panic("core: duplicate session " + sessionID)
 	}
 	q := queue.New(d.Env, "session-"+sessionID, d.Cfg.Profile.OrderedQueueKind())
-	conn := network.NewConn(d.Env, d.Cfg.Profile.Home, region)
+	conn := network.NewConn[SessionMsg](d.Env, d.Cfg.Profile.Home, region)
 	st := &SessionTransport{
 		ID:        sessionID,
 		Region:    region,
 		Queue:     q,
 		ClientEnd: conn.B(),
 		cloudEnd:  conn.A(),
-		pongs:     sim.NewQueue[Pong](d.K),
+		pongs:     sim.NewQueue[int64](d.K),
 	}
 	d.sessions[sessionID] = st
 	d.Platform.AddQueueTrigger(q, FnFollower, 1)
@@ -415,8 +415,8 @@ func (d *Deployment) Connect(sessionID string, region cloud.Region) *SessionTran
 			if !ok {
 				return
 			}
-			if pong, isPong := pkt.Payload.(Pong); isPong {
-				st.pongs.Push(pong)
+			if pkt.Payload.Kind == MsgPong {
+				st.pongs.Push(pkt.Payload.Nonce)
 			}
 		}
 	})
@@ -438,12 +438,12 @@ func (d *Deployment) ReleaseTransport(sessionID string) {
 
 // notify sends a message to the session's client, dropping it if the
 // session is gone (a dead client's responses vanish, as in the cloud).
-func (d *Deployment) notify(sessionID string, payload any, size int) {
+func (d *Deployment) notify(sessionID string, m SessionMsg, size int) {
 	st := d.sessions[sessionID]
 	if st == nil || st.closed {
 		return
 	}
-	st.cloudEnd.Send(payload, size)
+	st.cloudEnd.Send(m, size)
 }
 
 // phaseKey names a per-phase latency histogram in the metrics registry.

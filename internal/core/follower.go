@@ -84,7 +84,7 @@ func (d *Deployment) processRequest(ctx cloud.Ctx, req Request) error {
 func (d *Deployment) respondFailure(req Request, code Code) {
 	d.stageReq(req, obs.StageRespond)
 	resp := Response{Session: req.Session, Seq: req.Seq, Code: code, Path: req.Path}
-	d.notify(req.Session, resp, resp.wireSize())
+	d.notify(req.Session, SessionMsg{Kind: MsgResponse, Response: resp}, resp.wireSize())
 }
 
 // lockNode acquires the timed lock and decodes the node's system state.
@@ -263,7 +263,7 @@ func (d *Deployment) followerDeregister(ctx cloud.Ctx, req Request) error {
 	if !ok {
 		// Already gone: idempotent; answer directly.
 		resp := Response{Session: req.Session, Seq: req.Seq, Code: CodeOK}
-		d.notify(req.Session, resp, resp.wireSize())
+		d.notify(req.Session, SessionMsg{Kind: MsgResponse, Response: resp}, resp.wireSize())
 		return nil
 	}
 	eph := append([]string(nil), item.Get(attrSessionEph).SL()...)

@@ -18,8 +18,8 @@ import (
 // watchCompletion is one launched watch delivery; the handler reaps every
 // completion before it returns (➏).
 type watchCompletion struct {
-	wid int64
-	fut *sim.Future[error]
+	wid   int64
+	async *faas.Async
 	// span is the delivery's telemetry child span (0 with telemetry off),
 	// opened at InvokeAsync and closed when the completion is reaped.
 	span int64
@@ -123,7 +123,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	// WaitAll(WatchCallback): every delivery completes before the function
 	// returns, and its id leaves the shard's epoch list (➏).
 	for _, c := range p.completions {
-		_ = c.fut.Wait()
+		_ = c.async.Wait()
 		d.spanEnd(c.span)
 		d.exitEpochs(ctx, shard, []int64{c.wid})
 	}
@@ -578,7 +578,7 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired [
 			wid:      WatchID(path, g.wt),
 			event:    g.event,
 			path:     path,
-			sessions: append([]string(nil), sessions...),
+			sessions: sessions, // a view of the record, or of the claim's read: never written
 		})
 	}
 	return fired
@@ -747,7 +747,7 @@ func (d *Deployment) launchWatch(ctx cloud.Ctx, msg leaderMsg, f firedWatch, txi
 	}
 	sp := d.tspan(d.msgTrace(msg), obs.SpanWatchDeliver, f.path, msg.Shard, "")
 	wctx := d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, "")
-	return watchCompletion{wid: f.wid, fut: d.Platform.InvokeAsync(wctx, FnWatch, payload.encode()), span: sp}
+	return watchCompletion{wid: f.wid, async: d.Platform.InvokeAsync(wctx, FnWatch, payload.encode()), span: sp}
 }
 
 // notifyResult is the leader's one answer to a client: a single op's code
@@ -758,5 +758,5 @@ func (d *Deployment) notifyResult(msg leaderMsg, txid int64, code Code, stat zno
 		Session: msg.Session, Seq: msg.Seq, Code: code, Path: msg.Path,
 		Stat: stat, Txid: txid, MultiResults: results,
 	}
-	d.notify(msg.Session, resp, resp.wireSize())
+	d.notify(msg.Session, SessionMsg{Kind: MsgResponse, Response: resp}, resp.wireSize())
 }

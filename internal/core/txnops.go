@@ -311,5 +311,5 @@ func (d *Deployment) respondMultiAbort(req Request, reqOps []txn.Op, failIdx int
 func (d *Deployment) respondMulti(req Request, code Code, results []txn.Result) {
 	d.stageReq(req, obs.StageRespond)
 	resp := Response{Session: req.Session, Seq: req.Seq, Code: code, Path: req.Path, MultiResults: results}
-	d.notify(req.Session, resp, resp.wireSize())
+	d.notify(req.Session, SessionMsg{Kind: MsgResponse, Response: resp}, resp.wireSize())
 }

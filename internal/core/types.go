@@ -296,17 +296,27 @@ type Notification struct {
 
 func (n Notification) wireSize() int { return len(n.Path) + 40 }
 
-// Ping is the heartbeat probe; clients answer with Pong on their session
-// connection.
-type Ping struct {
-	Nonce int64
+// SessionMsg is one message on a session's connection, a tagged value: a
+// Response or a Notification from the cloud, the heartbeat function's Ping,
+// or the client's Pong, which echoes the Ping's nonce. The connection
+// carries it by value, so a send boxes nothing.
+type SessionMsg struct {
+	Kind         MsgKind
+	Response     Response     // MsgResponse
+	Notification Notification // MsgNotification
+	Nonce        int64        // MsgPing, MsgPong
 }
 
-// Pong is the client's heartbeat reply.
-type Pong struct {
-	Session string
-	Nonce   int64
-}
+// MsgKind says what a SessionMsg carries.
+type MsgKind uint8
+
+// Session message kinds.
+const (
+	MsgResponse MsgKind = iota + 1
+	MsgNotification
+	MsgPing
+	MsgPong
+)
 
 // watchPayload is the free watch function's invocation payload.
 type watchPayload struct {

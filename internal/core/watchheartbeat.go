@@ -2,7 +2,6 @@ package core
 
 import (
 	"faaskeeper/internal/cloud/faas"
-	"faaskeeper/internal/cloud/queue"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/wire"
 )
@@ -15,23 +14,26 @@ var heartbeatPrepBase = sim.Q(0.3, 1.2, 2.5, 4.0, 10)
 // Delivery"): it fans one notification out to every subscribed client in
 // parallel and waits for the deliveries before returning, which is what
 // lets the leader's epoch bookkeeping treat the invocation's completion as
-// "notification delivered".
+// "notification delivered". A delivery waits one round trip for the
+// client's TCP-level acknowledgment, and a send never blocks, so the
+// parallel fan-out is one loop: each session's send and the draw of its
+// acknowledgment's round trip, in session order, then one wait for the
+// slowest. The loop runs after the events already due at the instant
+// (Sleep(0)), where a process per session would have started, so every
+// event and random draw lands where it would.
 func (d *Deployment) watchHandler(inv *faas.Invocation) error {
 	p, err := decodeWatchPayload(inv.Payload)
 	if err != nil {
 		return err
 	}
-	n := Notification{WatchID: p.WatchID, Event: p.Event, Path: p.Path, Txid: p.Txid}
-	wg := sim.NewWaitGroup(d.K)
+	m := SessionMsg{Kind: MsgNotification, Notification: Notification{WatchID: p.WatchID, Event: p.Event, Path: p.Path, Txid: p.Txid}}
+	var slowest sim.Time
+	d.K.Sleep(0)
 	for _, session := range p.Sessions {
-		wg.Go("watch-send", func() {
-			d.notify(session, n, n.wireSize())
-			// Wait one round trip for the client's TCP-level delivery
-			// acknowledgment before declaring the notification delivered.
-			d.K.Sleep(d.Env.Profile.ClientRTT.Sample(d.K.Rand()))
-		})
+		d.notify(session, m, m.Notification.wireSize())
+		slowest = max(slowest, d.Env.Profile.ClientRTT.Sample(d.K.Rand()))
 	}
-	wg.Wait()
+	d.K.Sleep(slowest)
 	return nil
 }
 
@@ -74,7 +76,7 @@ func (d *Deployment) heartbeatHandler(inv *faas.Invocation) error {
 		d.K.Sleep(d.Env.OpTime(inv.Ctx, heartbeatPrepBase, sim.Ms(1), 1024))
 		nonce := d.K.Rand().Int63()
 		d.K.Go("heartbeat-ping", func() {
-			d.notify(session, Ping{Nonce: nonce}, 16)
+			d.notify(session, SessionMsg{Kind: MsgPing, Nonce: nonce}, 16)
 			deadline := d.K.Now() + heartbeatTimeout
 			for {
 				remaining := deadline - d.K.Now()
@@ -87,7 +89,7 @@ func (d *Deployment) heartbeatHandler(inv *faas.Invocation) error {
 					alive.TryComplete(false)
 					return
 				}
-				if pong.Nonce == nonce {
+				if pong == nonce {
 					alive.TryComplete(true)
 					return
 				}
@@ -108,19 +110,14 @@ func (d *Deployment) heartbeatHandler(inv *faas.Invocation) error {
 // processing queue so its ephemeral nodes are removed through the ordinary
 // ordered write path.
 func (d *Deployment) evictSession(inv *faas.Invocation, session string) {
-	st := d.sessions[session]
-	var q *queue.Queue
-	if st != nil && !st.closed {
-		q = st.Queue
-	} else {
-		// Transport already gone (client process died): run the
-		// deregistration inline; the system store is the source of truth.
-		req := Request{Session: session, Op: OpDeregister, Version: -1}
-		_ = d.followerDeregister(inv.Ctx, req)
+	req := Request{Session: session, Op: OpDeregister, Version: -1}
+	if st := d.sessions[session]; st != nil && !st.closed {
+		e := wire.NewEncoder()
+		_, _ = st.Queue.Send(inv.Ctx, session, req.Encode(e))
+		e.Release()
 		return
 	}
-	req := Request{Session: session, Op: OpDeregister, Version: -1}
-	e := wire.NewEncoder()
-	_, _ = q.Send(inv.Ctx, session, req.Encode(e))
-	e.Release()
+	// Transport already gone (client process died): run the deregistration
+	// inline; the system store is the source of truth.
+	_ = d.followerDeregister(inv.Ctx, req)
 }

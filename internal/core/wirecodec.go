@@ -156,16 +156,17 @@ func readChange(d *wire.Decoder) change {
 }
 
 // encode serializes the watch invocation payload into bytes the callee
-// may retain (faas.InvokeAsync captures its payload in a goroutine).
+// retains (the invocation runs after faas.InvokeAsync returns), at their
+// exact size: one allocation.
 func (p watchPayload) encode() []byte {
-	e := wire.NewEncoder()
+	e := wire.Sized(2 + wire.VarintLen(p.WatchID) + wire.StringLen(p.Path) + wire.VarintLen(p.Txid) + wire.StringsLen(p.Sessions))
 	e.Byte(tagWatch)
 	e.Varint(p.WatchID)
 	e.Byte(byte(p.Event))
 	e.String(p.Path)
 	e.Varint(p.Txid)
 	e.Strings(p.Sessions)
-	return e.Owned()
+	return e.Data()
 }
 
 // decodeWatchPayload parses a watch invocation payload.

@@ -209,6 +209,36 @@ func TestWatchPayloadRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// TestWatchPayloadEncodesAtItsSize: the payload the watch function keeps is
+// encoded once, into a buffer of exactly its size — one allocation, where
+// the pooled encoder it used to detach grew about four times — and its
+// bytes are what the pooled encoder writes. Long strings and a large id
+// take the multi-byte varint lengths.
+func TestWatchPayloadEncodesAtItsSize(t *testing.T) {
+	long := watchPayload{WatchID: 1 << 62, Event: EventChildrenChanged, Path: "/" + string(bytes.Repeat([]byte("p"), 300)),
+		Txid: -1 << 40, Sessions: []string{string(bytes.Repeat([]byte("s"), 200)), "", "x"}}
+	for _, p := range append(testWatchPayloads(), long) {
+		b := p.encode()
+		if len(b) != cap(b) {
+			t.Errorf("%d bytes in a buffer of %d", len(b), cap(b))
+		}
+		e := wire.NewEncoder()
+		e.Byte(tagWatch)
+		e.Varint(p.WatchID)
+		e.Byte(byte(p.Event))
+		e.String(p.Path)
+		e.Varint(p.Txid)
+		e.Strings(p.Sessions)
+		if !bytes.Equal(b, e.Data()) {
+			t.Errorf("encode: %x, the pooled encoder writes %x", b, e.Data())
+		}
+		e.Release()
+		if got := testing.AllocsPerRun(100, func() { _ = p.encode() }); got != 1 {
+			t.Errorf("encode: %v allocations, want 1", got)
+		}
+	}
+}
+
 func TestDecodeRejectsWrongTag(t *testing.T) {
 	e := wire.NewEncoder()
 	defer e.Release()

@@ -165,7 +165,7 @@ func (s *commitScratch) nodeUpdates(c change, txid int64) {
 			s.set(attrCversion, kv.N(0)), s.set(attrCzxid, kv.N(txid)), s.set(attrMzxid, kv.N(txid)),
 			s.set(attrPzxid, kv.N(txid)), s.set(attrChildren, kv.StrList()))
 		if c.EphOwner != "" {
-			s.ups = append(s.ups, s.set(attrEph, kv.S(strings.Clone(c.EphOwner))))
+			s.ups = append(s.ups, s.set(attrEph, kv.S(c.EphOwner))) // the table stores a copy (kv.Set)
 		}
 	case OpDelete:
 		// A tombstone (exists=0): the item stays so the leader can track

@@ -43,7 +43,7 @@ type invocationRig struct {
 	q      *queue.Queue
 	stream *kv.Stream
 	tbl    *kv.Table
-	client *network.End
+	client *network.End[struct{}]
 	ctx    cloud.Ctx
 }
 
@@ -51,7 +51,7 @@ func newInvocationRig(seed int64, profile *cloud.Profile, kind cloud.QueueKind, 
 	k := sim.NewKernel(seed)
 	env := cloud.NewEnv(k, profile)
 	rig := &invocationRig{k: k, env: env, p: faas.NewPlatform(env), ctx: cloud.ClientCtx(profile.Home)}
-	conn := network.NewConn(env, profile.Home, profile.Home)
+	conn := network.NewConn[struct{}](env, profile.Home, profile.Home)
 	rig.client = conn.B()
 	cloudEnd := conn.A()
 	rig.p.Deploy(faas.Config{Name: "echo", MemoryMB: 2048}, func(inv *faas.Invocation) error {
@@ -60,7 +60,7 @@ func newInvocationRig(seed int64, profile *cloud.Profile, kind cloud.QueueKind, 
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			cloudEnd.Send("done", 16)
+			cloudEnd.Send(struct{}{}, 16)
 		}
 		return nil
 	})

@@ -12,7 +12,6 @@ package fkclient
 
 import (
 	"errors"
-	"slices"
 	"strings"
 	"time"
 
@@ -45,7 +44,7 @@ type Client struct {
 	transport *core.SessionTransport
 
 	submitQ   *sim.Queue[*pendingOp]
-	callbacks *sim.Queue[func()]
+	callbacks *sim.Queue[watchFire]
 
 	// outstanding holds the unreleased writes in submission order. Their
 	// seqs run consecutively, so an answer finds its op by its seq's
@@ -99,7 +98,7 @@ type Client struct {
 	// arming counts the watched reads in flight; the callbacks of
 	// notifications that arrive meanwhile are held until none is (armed).
 	arming int
-	held   []func()
+	held   sim.FIFO[watchFire]
 
 	closed  bool
 	crashed bool
@@ -117,8 +116,10 @@ type pendingOp struct {
 }
 
 type watchEntry struct {
-	cb        WatchCallback
-	delivered *sim.Future[core.Notification]
+	cb WatchCallback
+	// delivered completes with the entry's notification; held by value, so
+	// that an entry is the one allocation a registration keeps.
+	delivered sim.Future[core.Notification]
 	path      string
 	wt        core.WatchType
 
@@ -133,8 +134,17 @@ type watchEntry struct {
 	// transaction that fires the new watch read the registration in its
 	// commit check, so its commit phase ran after the registration landed,
 	// and a notification already delivered by then was launched behind the
-	// flush of a transaction earlier in the shard's order.
+	// flush of a transaction earlier in the shard's order. With one shard it
+	// points into armOne.
 	armMRD []int64
+	armOne [1]int64
+}
+
+// watchFire is one callback due to run with the notification that fired
+// it, queued for the session's event worker.
+type watchFire struct {
+	cb WatchCallback
+	n  core.Notification
 }
 
 // Connect registers a new session and starts the client workers. It must
@@ -147,7 +157,7 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 		store:     d.StoreFor(region),
 		transport: d.Connect(id, region),
 		submitQ:   sim.NewQueue[*pendingOp](d.K),
-		callbacks: sim.NewQueue[func()](d.K),
+		callbacks: sim.NewQueue[watchFire](d.K),
 		mrd:       make([]int64, d.NumShards()),
 		watches:   map[int64]*watchEntry{},
 		route:     d.Route(),
@@ -214,13 +224,13 @@ func (c *Client) responderLoop() {
 		if c.crashed {
 			continue // a dead client reads nothing and answers nothing
 		}
-		switch v := pkt.Payload.(type) {
-		case core.Ping:
-			c.transport.ClientEnd.Send(core.Pong{Session: c.id, Nonce: v.Nonce}, 16)
-		case core.Response:
-			c.onResponse(v)
-		case core.Notification:
-			c.onNotification(v)
+		switch m := &pkt.Payload; m.Kind {
+		case core.MsgPing:
+			c.transport.ClientEnd.Send(core.SessionMsg{Kind: core.MsgPong, Nonce: m.Nonce}, 16)
+		case core.MsgResponse:
+			c.onResponse(m.Response)
+		case core.MsgNotification:
+			c.onNotification(m.Notification)
 		}
 	}
 }
@@ -230,11 +240,11 @@ func (c *Client) responderLoop() {
 // session (the callbacks still run in notification order).
 func (c *Client) callbackLoop() {
 	for {
-		fn, ok := c.callbacks.Pop()
+		f, ok := c.callbacks.Pop()
 		if !ok {
 			return
 		}
-		fn()
+		f.cb(f.n)
 	}
 }
 
@@ -372,11 +382,11 @@ func (c *Client) onNotification(n core.Notification) {
 	}
 	delete(c.watches, n.WatchID) // one-shot, as in ZooKeeper
 	entry.delivered.TryComplete(n)
-	if cb := entry.cb; cb != nil {
-		if fn := func() { cb(n) }; c.arming > 0 {
-			c.held = append(c.held, fn)
+	if entry.cb != nil {
+		if f := (watchFire{entry.cb, n}); c.arming > 0 {
+			c.held.Push(f)
 		} else {
-			c.callbacks.Push(fn)
+			c.callbacks.Push(f)
 		}
 	}
 }
@@ -625,11 +635,11 @@ func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback)
 	}
 	arm.entry = &watchEntry{
 		cb:        cb,
-		delivered: sim.NewFuture[core.Notification](c.d.K),
+		delivered: sim.MakeFuture[core.Notification](c.d.K),
 		path:      path,
 		wt:        wt,
-		armMRD:    slices.Clone(c.mrd),
 	}
+	arm.entry.armMRD = append(arm.entry.armOne[:0], c.mrd...)
 	c.watches[wid] = arm.entry
 	return arm, nil
 }
@@ -741,11 +751,9 @@ func (c *Client) armed() {
 	if c.arming--; c.arming > 0 {
 		return
 	}
-	for _, fn := range c.held {
-		c.callbacks.Push(fn)
+	for c.held.Len() > 0 {
+		c.callbacks.Push(c.held.Pop())
 	}
-	clear(c.held)
-	c.held = c.held[:0]
 }
 
 // fetch resolves a path to (node, epoch stamp). With the cache tier off it

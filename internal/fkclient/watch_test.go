@@ -441,3 +441,84 @@ func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
 		}
 	})
 }
+
+// TestWatchCycleAllocations pins the host cost of one watched write's whole
+// cycle through the public client on the paper preset: a SetData to a node
+// that four sessions watch, the watch function's fan-out to them, each
+// session's notification and callback, and each callback's re-arm
+// (GetDataW from inside the callback), up to the moment the leader has
+// retired the delivery. The callbacks are bound once, so the count is the
+// library's alone; bench's watch_notify workload adds its own bookkeeping
+// (README, "Wire codec & allocation model").
+func TestWatchCycleAllocations(t *testing.T) {
+	if sim.PoolDropsPuts() {
+		t.Skip("sync.Pool drops what it is handed (the race detector does this to a quarter of all puts): the write path's pooled scratch reallocates at random and no count is exact")
+	}
+	k := sim.NewKernel(1)
+	d := core.NewDeployment(k, core.Config{})
+	data := []byte(strings.Repeat("x", 128))
+	rearmed := sim.NewQueue[struct{}](k)
+	var w *Client
+	cycle := func() {
+		if _, err := w.SetData("/n", data, -1); err != nil {
+			t.Errorf("set_data: %v", err)
+		}
+		for range watchCycleSessions {
+			rearmed.Pop()
+		}
+		k.Sleep(time.Second) // the acknowledgements, and the leader retiring the delivery
+	}
+	k.Go("setup", func() {
+		w = mustConnect(t, d, "w")
+		if _, err := w.Create("/n", data, 0); err != nil {
+			t.Errorf("create: %v", err)
+		}
+		for i := range watchCycleSessions {
+			s := mustConnect(t, d, fmt.Sprintf("s%d", i))
+			var cb WatchCallback
+			cb = func(core.Notification) {
+				if _, _, err := s.GetDataW("/n", cb); err != nil {
+					t.Errorf("re-arm: %v", err)
+				}
+				rearmed.Push(struct{}{})
+			}
+			if _, _, err := s.GetDataW("/n", cb); err != nil {
+				t.Errorf("arm: %v", err)
+			}
+		}
+		for range 20 { // the sandboxes are warm, the buffers grown
+			cycle()
+		}
+	})
+	k.Run()
+	got := sim.AllocsPerRun(k, 300, cycle)
+	k.Shutdown()
+	if got != watchCycleAllocs {
+		t.Fatalf("one watched write to %d sessions: %v allocations, want %d", watchCycleSessions, got, watchCycleAllocs)
+	}
+}
+
+// watchCycleSessions is how many sessions TestWatchCycleAllocations' node
+// has watching it: watch_notify's 16 watchers over 4 nodes.
+const watchCycleSessions = 4
+
+// watchCycleAllocs is TestWatchCycleAllocations' pinned count: the write
+// (clientWriteAllocs, 8), and per session its registration's item copy and
+// stored list (2), its watch entry (1) and the re-arming read of a version
+// whose epoch stamp carries the watch (node, data, stamp: 3), and the
+// delivery's own (9): the claim's clear and epoch append (item copies 2,
+// the appended list 1), the leader's epoch mirror, fired list and
+// completion list (3), the payload the watch function keeps and its
+// decoded session list (2), and the epoch removal's item copy (1). Re-pin
+// it only with a reason: bench's watch_notify allocs_per_op is this count
+// plus the workload's own bookkeeping (about 5), over 5 ops a write. It was
+// 77 until the watch function sent from one loop instead of a process per
+// session and a wait group (5), the session link stopped boxing each
+// notification and the answer (5), a watch entry held its future by value,
+// queued its callback with the notification instead of a closure and kept
+// a one-shard MRD snapshot inline (12), kv stopped leaking an action whole,
+// so a registration's one-element list and the epoch removal's stay on the
+// stack (5), the payload was encoded once at its size (4) and the fired
+// group borrowed its sessions from the record (1), and an asynchronous
+// invocation reused a reaped one (4).
+const watchCycleAllocs = 41

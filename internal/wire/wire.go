@@ -11,8 +11,8 @@
 //   - Encoder buffers come from a sync.Pool. Call Release once the bytes
 //     have been consumed or copied (cloud/queue.Send copies the body, so
 //     Release immediately after Send is safe). If the callee retains the
-//     slice (e.g. faas.InvokeAsync captures the payload in a goroutine),
-//     call Detach first to hand over ownership (Owned does both).
+//     slice, call Detach first to hand over ownership (Owned does both),
+//     or, knowing its size, encode into a Sized encoder instead.
 //   - A Decoder borrows: Bytes returns a sub-slice of the input and String
 //     and Known return strings that view its bytes, so decoding a field
 //     copies nothing. The input must never be written after decoding. Every
@@ -71,6 +71,12 @@ func (e *Encoder) Data() []byte { return e.buf }
 
 // Detach relinquishes the current buffer so the bytes survive Release.
 func (e *Encoder) Detach() { e.buf = nil }
+
+// Sized returns an encoder over a new buffer of capacity n, outside the
+// pool, for bytes that outlive the encode and whose size is known: encoding
+// exactly n bytes into it and taking them with Data costs the one
+// allocation they need. It has nothing to Release.
+func Sized(n int) Encoder { return Encoder{buf: make([]byte, 0, n)} }
 
 // Owned finishes an encode whose bytes outlive the encoder: it detaches
 // and returns them, and releases the encoder.
@@ -295,4 +301,16 @@ func UvarintLen(v uint64) int {
 // VarintLen reports the encoded size of the zig-zag varint for v.
 func VarintLen(v int64) int {
 	return UvarintLen(uint64(v)<<1 ^ uint64(v>>63))
+}
+
+// StringLen reports the encoded size of String(s).
+func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
+
+// StringsLen reports the encoded size of Strings(v).
+func StringsLen(v []string) int {
+	n := UvarintLen(uint64(len(v)))
+	for _, s := range v {
+		n += StringLen(s)
+	}
+	return n
 }

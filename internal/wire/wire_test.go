@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -195,6 +196,34 @@ func TestVarintLenMatchesEncoding(t *testing.T) {
 	for _, v := range []int64{0, -1, 1, 63, 64, -64, -65, math.MinInt64, math.MaxInt64} {
 		if got, want := VarintLen(v), binary.PutVarint(scratch[:], v); got != want {
 			t.Errorf("VarintLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestStringsLenMatchesEncoding: StringLen and StringsLen count what String
+// and Strings write, across the one- and two-byte length prefixes, and a
+// Sized encoder of that size takes them without growing.
+func TestStringsLenMatchesEncoding(t *testing.T) {
+	long := strings.Repeat("x", 200)
+	for _, v := range [][]string{nil, {""}, {"a"}, {long}, {"a", long, "", "b"}} {
+		e := NewEncoder()
+		e.Strings(v)
+		if got, want := StringsLen(v), len(e.Data()); got != want {
+			t.Errorf("StringsLen(%d strings) = %d, want %d", len(v), got, want)
+		}
+		e.Release()
+		s := Sized(StringsLen(v))
+		s.Strings(v)
+		if len(s.Data()) != cap(s.Data()) {
+			t.Errorf("Sized(%d): %d bytes in %d", StringsLen(v), len(s.Data()), cap(s.Data()))
+		}
+		for _, x := range v {
+			e := NewEncoder()
+			e.String(x)
+			if got, want := StringLen(x), len(e.Data()); got != want {
+				t.Errorf("StringLen(%d bytes) = %d, want %d", len(x), got, want)
+			}
+			e.Release()
 		}
 	}
 }

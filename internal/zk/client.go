@@ -64,7 +64,7 @@ type clientWatchKey struct {
 type Client struct {
 	ens     *Ensemble
 	id      string
-	end     *network.End
+	end     *network.End[sessionMsg]
 	nextSeq int64
 	pending map[int64]*sim.Future[response]
 	watches map[clientWatchKey]WatchCallback
@@ -85,7 +85,7 @@ func Connect(e *Ensemble, serverIdx int) (*Client, error) {
 	}
 	s.nextSessNum++
 	id := fmt.Sprintf("zk-%d-%d", serverIdx, s.nextSessNum)
-	conn := network.NewLANConn(e.env)
+	conn := network.NewLANConn[sessionMsg](e.env)
 	s.accept(id, conn.A())
 	c := &Client{
 		ens: e, id: id, end: conn.B(),
@@ -112,14 +112,11 @@ func (c *Client) responderLoop() {
 		if c.crashed {
 			continue
 		}
-		switch v := pkt.Payload.(type) {
-		case response:
-			if f, ok := c.pending[v.Seq]; ok {
-				delete(c.pending, v.Seq)
-				f.TryComplete(v)
-			}
-		case WatchEvent:
-			c.events.Push(v)
+		if m := pkt.Payload; m.isEvent {
+			c.events.Push(m.event)
+		} else if f, ok := c.pending[m.resp.Seq]; ok {
+			delete(c.pending, m.resp.Seq)
+			f.TryComplete(m.resp)
 		}
 	}
 }
@@ -178,7 +175,7 @@ func (c *Client) call(req request) (response, error) {
 	req.Seq = c.nextSeq
 	f := sim.NewFuture[response](c.ens.env.K)
 	c.pending[req.Seq] = f
-	c.end.Send(req, req.wireSize())
+	c.end.Send(sessionMsg{req: req}, req.wireSize())
 	resp, ok := f.WaitTimeout(requestTimeout)
 	if !ok {
 		delete(c.pending, req.Seq)

@@ -48,7 +48,7 @@ type Server struct {
 
 	replica *tree
 	mailbox *sim.Queue[peerMsg]
-	peers   map[int]*network.End
+	peers   map[int]*network.End[peerMsg]
 
 	isLeader bool
 	spec     *tree // leader only: speculative future state
@@ -76,7 +76,7 @@ func NewEnsemble(env *cloud.Env, cfg Config) *Ensemble {
 			ens: e, id: i, alive: true,
 			replica:  newTree(),
 			mailbox:  sim.NewQueue[peerMsg](env.K),
-			peers:    map[int]*network.End{},
+			peers:    map[int]*network.End[peerMsg]{},
 			pending:  map[int64]*proposal{},
 			sessions: map[string]*serverSession{},
 			watches:  map[string]map[EventType]map[string]bool{},
@@ -86,7 +86,7 @@ func NewEnsemble(env *cloud.Env, cfg Config) *Ensemble {
 	// Full mesh of ordered server-to-server links.
 	for i := 0; i < cfg.Servers; i++ {
 		for j := i + 1; j < cfg.Servers; j++ {
-			conn := network.NewLANConn(env)
+			conn := network.NewLANConn[peerMsg](env)
 			e.servers[i].attachPeer(j, conn.A())
 			e.servers[j].attachPeer(i, conn.B())
 		}
@@ -177,7 +177,7 @@ func (s *Server) becomeLeader() {
 	s.pending = map[int64]*proposal{}
 }
 
-func (s *Server) attachPeer(id int, end *network.End) {
+func (s *Server) attachPeer(id int, end *network.End[peerMsg]) {
 	s.peers[id] = end
 	s.ens.env.K.Go(fmt.Sprintf("zk-peer-recv-%d<-%d", s.id, id), func() {
 		for {
@@ -188,7 +188,7 @@ func (s *Server) attachPeer(id int, end *network.End) {
 			if !s.alive {
 				continue
 			}
-			s.mailbox.Push(pkt.Payload.(peerMsg))
+			s.mailbox.Push(pkt.Payload)
 		}
 	})
 }

@@ -83,6 +83,15 @@ type response struct {
 
 func (r response) wireSize() int { return len(r.Path) + len(r.Data) + 64 + 8*len(r.Children) }
 
+// sessionMsg is one message on a client's session connection: a request
+// from the client, or a response or (isEvent) a watch event from its server.
+type sessionMsg struct {
+	req     request
+	resp    response
+	event   WatchEvent
+	isEvent bool
+}
+
 // WatchEvent is pushed to clients over the session connection; because the
 // connection is FIFO, events are ordered with respect to replies (Z4).
 type WatchEvent struct {

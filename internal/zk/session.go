@@ -9,7 +9,7 @@ import (
 type serverSession struct {
 	id        string
 	srv       *Server
-	end       *network.End // server side of the session connection
+	end       *network.End[sessionMsg] // server side of the session connection
 	lastHeard sim.Time
 	closing   bool
 	closed    bool
@@ -20,7 +20,7 @@ type serverSession struct {
 }
 
 // accept wires a new session onto the server and starts its handler.
-func (s *Server) accept(id string, end *network.End) *serverSession {
+func (s *Server) accept(id string, end *network.End[sessionMsg]) *serverSession {
 	sess := &serverSession{id: id, srv: s, end: end, lastHeard: s.ens.env.K.Now()}
 	s.sessions[id] = sess
 	s.ens.env.K.Go("zk-session-"+id, sess.handlerLoop)
@@ -36,13 +36,13 @@ func (sess *serverSession) close() {
 
 func (sess *serverSession) sendEvent(ev WatchEvent) {
 	if !sess.closed {
-		sess.end.Send(ev, ev.wireSize())
+		sess.end.Send(sessionMsg{event: ev, isEvent: true}, ev.wireSize())
 	}
 }
 
 func (sess *serverSession) send(r response) {
 	if !sess.closed {
-		sess.end.Send(r, r.wireSize())
+		sess.end.Send(sessionMsg{resp: r}, r.wireSize())
 	}
 }
 
@@ -58,7 +58,7 @@ func (sess *serverSession) handlerLoop() {
 		if sess.closed || !s.alive {
 			return
 		}
-		req := pkt.Payload.(request)
+		req := pkt.Payload.req
 		sess.lastHeard = env.K.Now()
 		switch req.Op {
 		case OpPing:
