@@ -34,6 +34,9 @@ type Table struct {
 	// action added to an item (Item.add): one per name, for the table's
 	// lifetime.
 	names map[string]string
+	// spare is the cleared attribute array of a version a commit retired,
+	// the largest since build last took one; nil when none is kept.
+	spare Item
 
 	stream *Stream
 	seqNo  int64
@@ -171,13 +174,13 @@ func (t *Table) Get(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 // GetView reads the item without a defensive deep copy. With
 // consistent=false the read is eventually consistent: a read racing a
 // recent write may return the previous version (and is billed at half
-// price on AWS). The returned item is a READ-ONLY view of table storage: a
-// snapshot of the version read, which a concurrent writer replaces but
-// never mutates (commits swap whole items). Callers must not modify the
-// item or any slice it holds, and must copy whatever they retain to
-// mutate. Hot read paths use it to skip cloning entire items — the paper's
-// znode items carry the full node blob, so the clone dominated read-side
-// allocation.
+// price on AWS). The returned item is a READ-ONLY view of table storage
+// (see the package comment): its attribute list is valid until the caller
+// next blocks, and the values in it stay valid forever. Callers decode it
+// before their next blocking call, must not modify the item or any slice
+// it holds, and must copy whatever they retain to mutate. Hot read paths
+// use it to skip cloning entire items — the paper's znode items carry the
+// full node blob, so the clone dominated read-side allocation.
 func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool) {
 	size := t.sizeOf(key)
 	t.env.K.Sleep(t.readLatency(ctx, size))
@@ -190,8 +193,9 @@ func (t *Table) GetView(ctx cloud.Ctx, key string, consistent bool) (Item, bool)
 // that fetches every key and takes as long as its slowest item, where a
 // loop of GetView calls would take the sum. Each item is still billed as
 // its own read, at GetView's price. out[i] receives keys[i]'s item under
-// GetView's read-only-view contract, all taken at the same instant after
-// the sleep, or nil when the key is missing; len(out) must be len(keys).
+// GetView's contract (valid until the caller next blocks), all taken at the
+// same instant after the sleep, or nil when the key is missing; len(out)
+// must be len(keys).
 func (t *Table) GetViews(ctx cloud.Ctx, keys []string, consistent bool, out []Item) {
 	var sizeBuf [8]int // enough for the leader's opening read without a heap slice
 	sizes := sizeBuf[:0]
@@ -252,15 +256,15 @@ func (t *Table) Put(ctx cloud.Ctx, key string, item Item, cond Cond) error {
 	if cond != nil && !evalCond(cond, old, exists) {
 		return ErrConditionFailed
 	}
-	t.commit(key, storedCopy(item))
+	t.commit(key, t.storedCopy(item))
 	return nil
 }
 
 // Update applies the update actions atomically if cond holds, creating the
 // item when absent (upsert semantics). It returns the committed item under
-// GetView's contract: a read-only view of table storage. Stored items are
-// never mutated in place, so the view is a snapshot of the item as this
-// update committed it, whatever commits later.
+// GetView's contract: a read-only view of table storage, valid until the
+// caller next blocks, whose values stay valid forever. A failed condition
+// or an item over the size limit leaves the row as it was.
 func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (Item, error) {
 	old, exists := t.lookup(key)
 	size := 0
@@ -278,7 +282,7 @@ func (t *Table) Update(ctx cloud.Ctx, key string, updates []Update, cond Cond) (
 	if cond != nil && !evalCond(cond, old, exists) {
 		return nil, ErrConditionFailed
 	}
-	next := old.next(len(updates))
+	next := t.build(old, len(updates))
 	for _, u := range updates {
 		next = applyUpdate(u, next, t.names)
 	}
@@ -357,7 +361,7 @@ func (t *Table) Transact(ctx cloud.Ctx, ops []TxOp) error {
 			continue
 		}
 		old, _ := t.lookup(op.Key)
-		next := old.next(len(op.Updates))
+		next := t.build(old, len(op.Updates))
 		for _, u := range op.Updates {
 			next = applyUpdate(u, next, t.names)
 		}
@@ -403,7 +407,7 @@ func (t *Table) TotalSize() int {
 // SeedPut stores an item without latency or billing. Deployments use it to
 // bootstrap state (the tree root, for example) before measurement starts.
 func (t *Table) SeedPut(key string, item Item) {
-	t.commit(key, storedCopy(item))
+	t.commit(key, t.storedCopy(item))
 }
 
 // Peek returns the stored item without latency or billing; tests and
@@ -416,11 +420,12 @@ func (t *Table) Peek(key string) (Item, bool) {
 	return r.cur.Clone(), true
 }
 
-// storedCopy is the deep copy Put and SeedPut keep of a caller-built item.
-// It goes through Set, so a literal that repeats a name stores one
-// attribute (the last value wins, as in a map literal).
-func storedCopy(item Item) Item {
-	out := make(Item, 0, len(item))
+// storedCopy is the deep copy Put and SeedPut keep of a caller-built item,
+// built like a commit's next version (build). It goes through Set, so a
+// literal that repeats a name stores one attribute (the last value wins, as
+// in a map literal).
+func (t *Table) storedCopy(item Item) Item {
+	out := t.build(nil, len(item))
 	for _, a := range item {
 		out.Set(a.Name, a.V.Clone())
 	}
@@ -435,15 +440,37 @@ func (t *Table) lookup(key string) (Item, bool) {
 	return r.cur, true
 }
 
+// build is the attribute list a commit builds from old, the row's current
+// version (nil for a Put): old's attributes copied into the spare array
+// when it has room for them and extra more, Item.next otherwise. Taking the
+// spare spends it, whether or not the commit goes through.
+func (t *Table) build(old Item, extra int) Item {
+	if t.spare == nil || cap(t.spare) < len(old)+extra {
+		return old.next(extra)
+	}
+	next := append(t.spare, old...)
+	t.spare = nil
+	return next
+}
+
 // commit installs next under key. A new key is stored as a clone: callers
 // pass keys that borrow a decoded message (a path), and the map outlives
 // it. An existing key is never assigned again, so updates copy nothing.
+// The version next pushes out of prev is unreachable from the table: its
+// array is cleared, so a view of it that outlived its contract reads an
+// empty item, and kept as the spare when it is larger than the one kept.
 func (t *Table) commit(key string, next Item) {
 	r, ok := t.items[key]
 	if !ok {
 		r = &row{}
 		t.items[strings.Clone(key)] = r
 		t.dirty = true
+	}
+	if retired := r.prev[:cap(r.prev)]; cap(retired) > 0 {
+		clear(retired)
+		if cap(retired) > cap(t.spare) {
+			t.spare = retired[:0]
+		}
 	}
 	r.prev = r.cur
 	r.cur = next

@@ -599,12 +599,15 @@ func TestClosedSetsDispatchEveryForm(t *testing.T) {
 	k.Run()
 }
 
-// TestUpdateViewIsASnapshot: Update returns the committed item as a
-// read-only view of table storage, and a view is a snapshot. Later commits
-// through every kind of update action, a transaction and a Put leave it as
-// it was; the table shares it with storage rather than copying it; and the
-// stored item never aliases the caller's own argument slices.
-func TestUpdateViewIsASnapshot(t *testing.T) {
+// TestViewValidUntilItsReaderBlocks pins the view contract (package
+// comment). Update returns the stored item itself, which equals the
+// committed item and never aliases the caller's own argument slices. Once
+// two later commits have pushed that version out of the row, its array is
+// cleared for reuse, so the stale view reads empty. Every value taken out
+// of the view — bytes, a number list, a string list — stays as it was
+// through later updates, a transaction and a put, which build into the
+// retired arrays.
+func TestViewValidUntilItsReaderBlocks(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
@@ -620,9 +623,14 @@ func TestUpdateViewIsASnapshot(t *testing.T) {
 			return
 		}
 		vals[0] = 99 // the caller reuses its argument
-		want := view.Clone()
-		if got, _ := tbl.GetView(ctx, "a", true); &got[0] != &view[0] {
-			t.Error("Update returned a copy, not the stored item")
+		committed, _ := tbl.Peek("a")
+		if &tbl.items["a"].cur[0] != &view[0] || view.String() != committed.String() {
+			t.Errorf("Update returned %v, not the stored item %v", view, committed)
+		}
+		b, nl, sl := view.Get("b").Byt(), view.Get("nl").NL(), view.Get("sl").SL()
+		want := fmt.Sprint(b, nl, sl)
+		if want != "[1 2] [1 2] [x y]" {
+			t.Errorf("values taken out of the view: %s", want)
 		}
 
 		later := [][]Update{
@@ -635,8 +643,13 @@ func TestUpdateViewIsASnapshot(t *testing.T) {
 			if _, err := tbl.Update(ctx, "a", ups, nil); err != nil {
 				t.Errorf("later update %d: %v", i, err)
 			}
-			if view.String() != want.String() {
-				t.Fatalf("after later update %d the earlier view reads %v, want %v", i, view, want)
+			if got := fmt.Sprint(b, nl, sl); got != want {
+				t.Errorf("after later update %d the values taken out read %s, want %s", i, got, want)
+			}
+		}
+		for i, a := range view {
+			if a != (Attr{}) {
+				t.Errorf("retired version's attribute %d reads %v, want it cleared", i, a)
 			}
 		}
 		if err := tbl.Transact(ctx, []TxOp{{Key: "a", Updates: []Update{ListAppend{"nl", []int64{4}}}}}); err != nil {
@@ -645,24 +658,62 @@ func TestUpdateViewIsASnapshot(t *testing.T) {
 		if err := tbl.Put(ctx, "a", Item{{Name: "b", V: B([]byte{9, 9})}}, nil); err != nil {
 			t.Errorf("put: %v", err)
 		}
-		if view.String() != want.String() || view.Get("b").Byt()[0] != 1 || view.Get("nl").NL()[0] != 1 {
-			t.Fatalf("after a transaction and a put the earlier view reads %v, want %v", view, want)
+		if got := fmt.Sprint(b, nl, sl); got != want {
+			t.Errorf("after a transaction and a put the values taken out read %s, want %s", got, want)
 		}
 	})
 	k.Run()
 }
 
-// TestUpdateAllocations: a conditional Update of an existing item costs
-// one allocation — the new attribute list — with its action list and its
-// condition built at the call, as every caller builds them: the table
-// dispatches both by switch, so neither escapes. The stored slices are
-// shared with the new version rather than copied, the committed item is
-// returned without a second copy, and the meter category is not rebuilt
-// per charge. A string-list action costs one more, the list it stores, and
-// not the one it names: a list built at the call stays on the caller's
-// stack, which only holds while no action stores its own Name or a value
-// it points to (applyUpdate's comment) — a whole-action leak in any of
-// them makes every such list a heap allocation.
+// TestFailedWriteKeepsPrev: a failed condition and an item over the size
+// limit spend at most the spare array; the row keeps both its versions, so
+// an eventually consistent read can still return the previous one.
+func TestFailedWriteKeepsPrev(t *testing.T) {
+	k, env, ctx := newEnv(3)
+	env.Profile.KVReplicaLag = time.Hour // every read within the window may lag
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		for v := int64(1); v <= 3; v++ { // the third commit retires a version: a spare exists
+			if _, err := tbl.Update(ctx, "a", []Update{Set{"v", N(v)}}, nil); err != nil {
+				t.Errorf("update %d: %v", v, err)
+			}
+		}
+		if _, err := tbl.Update(ctx, "a", []Update{Set{"v", N(4)}}, Eq{"v", N(0)}); !errors.Is(err, ErrConditionFailed) {
+			t.Errorf("update under a false condition: %v", err)
+		}
+		big := B(make([]byte, env.Profile.KVMaxItemB))
+		if _, err := tbl.Update(ctx, "a", []Update{Set{"v", N(5)}, Set{"d", big}}, nil); !errors.Is(err, ErrItemTooLarge) {
+			t.Errorf("update over the size limit: %v", err)
+		}
+		r := tbl.items["a"]
+		if cur, prev := r.cur.Get("v").Num(), r.prev.Get("v").Num(); cur != 3 || prev != 2 || len(r.cur) != 1 || len(r.prev) != 1 {
+			t.Errorf("after two failed writes the row holds %v over %v, want v=3 over v=2", r.cur, r.prev)
+		}
+		seen := map[int64]int{}
+		for i := 0; i < 20; i++ {
+			it, _ := tbl.GetView(ctx, "a", false)
+			seen[it.Get("v").Num()]++
+		}
+		if seen[2] == 0 || seen[2]+seen[3] != 20 {
+			t.Errorf("eventually consistent reads returned %v, want v=2 among them and nothing but v=2 and v=3", seen)
+		}
+	})
+	k.Run()
+}
+
+// TestUpdateAllocations: a conditional Update of an existing item
+// allocates nothing, with its action list and its condition built at the
+// call, as every caller builds them: the table dispatches both by switch,
+// so neither escapes. The new attribute list is built into the array of
+// the version the commit before retired (Table.build), the stored slices
+// are shared with the new version rather than copied, the committed item
+// is returned without a second copy, and the meter category is not rebuilt
+// per charge. A string-list action costs one, the list it stores, and not
+// the one it names: a list built at the call stays on the caller's stack,
+// which only holds while no action stores its own Name or a value it
+// points to (applyUpdate's comment) — a whole-action leak in any of them
+// makes every such list a heap allocation. History: each count was one
+// higher while every commit copied its item into a new array (Item.next).
 func TestUpdateAllocations(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
@@ -676,17 +727,17 @@ func TestUpdateAllocations(t *testing.T) {
 		want float64
 		run  func(i int64) (Item, error)
 	}{
-		{"Set under Eq", 1, func(i int64) (Item, error) {
+		{"Set under Eq", 0, func(i int64) (Item, error) {
 			return tbl.Update(ctx, "n", []Update{Set{"lock", N(i)}, Set{"mzxid", N(i)}}, Eq{"exists", N(1)})
 		}},
-		{"Set under Or{AttrNotExists, NumLt}", 1, func(i int64) (Item, error) {
+		{"Set under Or{AttrNotExists, NumLt}", 0, func(i int64) (Item, error) {
 			return tbl.Update(ctx, "n", []Update{Set{"lock", N(i)}, Set{"mzxid", N(i)}},
 				Or{AttrNotExists{"lock"}, NumLt{"lock", i}})
 		}},
-		{"StrListAppend", 2, func(i int64) (Item, error) {
+		{"StrListAppend", 1, func(i int64) (Item, error) {
 			return tbl.Update(ctx, "n", []Update{StrListAppend{"watchers", []string{sessions[i%4]}}}, nil)
 		}},
-		{"StrListRemove", 2, func(i int64) (Item, error) {
+		{"StrListRemove", 1, func(i int64) (Item, error) {
 			return tbl.Update(ctx, "n", []Update{StrListRemove{"children", []string{sessions[i%4]}}}, nil)
 		}},
 	}

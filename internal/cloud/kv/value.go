@@ -6,18 +6,27 @@
 //
 // An Item is a short slice of named attributes. A stored item is never
 // mutated in place: Put and SeedPut store a deep copy of the caller's item,
-// and a commit swaps in a whole new attribute list — a copy of the old one
+// and a commit installs a whole new attribute list — a copy of the old one
 // with the update actions applied, where an action that changes a list or
 // a byte value builds a new slice instead of writing into the stored one.
 // The old and the new version may therefore share the slices nobody
-// changed, and a reader may hold a stored item without copying it:
+// changed. A row keeps two versions, the current one and the one before
+// it (for eventually consistent reads); the commit that pushes a version
+// out of the second slot clears its attribute array and keeps it, and the
+// table builds its next version into that array instead of a new one
+// (Table.build). So:
 //
 //   - Get, Peek, Scan and stream records return deep copies the caller
 //     owns and may modify.
 //   - GetView, GetViews and Update return read-only views of table
-//     storage. A view is a snapshot — later commits never change it — but
-//     the caller must not modify the item or any slice it holds, and must
-//     copy whatever part of it it retains to modify.
+//     storage. A view's attribute list is valid until its reader next
+//     blocks: the second commit of the row after it clears the array for
+//     reuse, and a view read after that finds every attribute empty. Every
+//     string, byte and list value inside a view stays immutable forever,
+//     so a reader decodes the view before it blocks and may keep the
+//     values it took out without copying them. The caller must not modify
+//     the item or any slice it holds, and must copy whatever part of it it
+//     retains to modify.
 //
 // The expression vocabulary is closed on purpose. The paper builds every
 // synchronization primitive from DynamoDB's fixed set of update and
@@ -56,9 +65,11 @@ const (
 // AttributeValue restricted to the types FaaSKeeper uses). It is three
 // words — the kind, a number or a length, and a pointer to a string's bytes
 // or a list's first element — because every commit copies its item's
-// attribute list (Item.next), and the system store's rows carry about ten
-// attributes. The accessors return the value of their kind and the zero
-// value of any other.
+// attribute list into the next version's array (Table.build), and the
+// system store's rows carry about ten attributes. A value is immutable:
+// the memory it points to is never written, whichever attribute arrays
+// hold it. The accessors return the value of their kind and the zero value
+// of any other.
 type Value struct {
 	kind Kind
 	n    int64          // the number, or the length of a string, byte or list value
@@ -332,10 +343,11 @@ func (it Item) Clone() Item {
 	return out
 }
 
-// next is the attribute list a commit builds from the stored item it: a
-// shallow copy with room for extra more attributes. It shares every slice
-// value with it, which the update actions never write into (see the
-// package comment).
+// next is the attribute list a commit builds from the stored item it when
+// the table has no retired array with room for it (Table.build): a shallow
+// copy into a new array with room for extra more attributes. It shares
+// every slice value with it, which the update actions never write into
+// (see the package comment).
 func (it Item) next(extra int) Item {
 	out := make(Item, len(it), len(it)+extra)
 	copy(out, it)

@@ -39,7 +39,6 @@ type End[T any] struct {
 	env         *cloud.Env
 	peer        *End[T]
 	inbox       *sim.Queue[timedPacket[T]]
-	lastDeliver sim.Time
 	oneWay      sim.Dist
 	crossRegion bool
 	closed      bool
@@ -79,7 +78,10 @@ func (c *Conn[T]) B() *End[T] { return c.b }
 
 // Send transmits a payload of the given size to the peer. It never blocks
 // the sender for the full flight time; delivery order is FIFO and delivery
-// time is monotone per direction (TCP semantics).
+// time is monotone per direction (TCP semantics). Neither needs a clamp on
+// the instant a packet is due: the inbox is FIFO, and its one receiver
+// sleeps to each packet's instant only after it took the one before, so a
+// packet due earlier than its predecessor is delivered right after it.
 func (e *End[T]) Send(payload T, size int) {
 	if e.closed || e.peer.closed {
 		return
@@ -92,12 +94,7 @@ func (e *End[T]) Send(payload T, size int) {
 	if env.Profile.WireKBps > 0 && size > 0 {
 		delay += sim.Time(float64(size) / 1024 / env.Profile.WireKBps * float64(sim.Ms(1)))
 	}
-	at := env.K.Now() + delay
-	if at < e.peer.lastDeliver {
-		at = e.peer.lastDeliver // no reordering on the wire
-	}
-	e.peer.lastDeliver = at
-	e.peer.inbox.Push(timedPacket[T]{Packet: Packet[T]{Payload: payload, Size: size}, deliverAt: at})
+	e.peer.inbox.Push(timedPacket[T]{Packet: Packet[T]{Payload: payload, Size: size}, deliverAt: env.K.Now() + delay})
 }
 
 // Recv blocks until the next message arrives and returns it. ok is false

@@ -528,5 +528,5 @@ func (d *Deployment) NumShards() int { return len(d.LeaderQs) }
 // missing item means none; exposed for tests).
 func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) []int64 {
 	it, _ := d.System.GetView(ctx, d.epochKey(region), true)
-	return d.epochUnion(it)
+	return d.epochUnion(nil, it)
 }

@@ -254,12 +254,8 @@ func (f *batchFold) foldParent(parent, childAdd, childDel string, cversion int32
 		}
 		pf.present[childDel] = false
 	}
-	if cversion > pf.cversion {
-		pf.cversion = cversion
-	}
-	if txid > pf.pzxid {
-		pf.pzxid = txid
-	}
+	pf.cversion = max(pf.cversion, cversion)
+	pf.pzxid = max(pf.pzxid, txid)
 }
 
 // foldChange folds one committed change: its node's object (buildUserNode)
@@ -315,12 +311,8 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 			n.Children = slices.DeleteFunc(slices.Clone(n.Children), func(c string) bool { return c == name })
 		}
 	}
-	if pf.cversion > n.Stat.Cversion {
-		n.Stat.Cversion = pf.cversion
-	}
-	if pf.pzxid > n.Stat.Pzxid {
-		n.Stat.Pzxid = pf.pzxid
-	}
+	n.Stat.Cversion = max(n.Stat.Cversion, pf.cversion)
+	n.Stat.Pzxid = max(n.Stat.Pzxid, pf.pzxid)
 	n.Stat.NumChildren = int32(len(n.Children))
 }
 
@@ -329,7 +321,13 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 // overlap, and neither do its flushes (one handler process runs them), so
 // one slot per shard serves them all.
 type leaderShard struct {
-	epochs map[cloud.Region][]int64 // the epoch counters' mirror (open)
+	// epochs (the epoch counters' mirror, open), fired (every group the
+	// invocation's messages fired, queryWatches) and completions (their
+	// deliveries, flushChunk) are per invocation: reset ends each, and
+	// their arrays stay for the next.
+	epochs      map[cloud.Region][]int64
+	fired       []firedWatch
+	completions []watchCompletion
 	// pops holds the deferred pops (➎), oldest first, until they run: those
 	// the shard's previous invocation carried (carry), then the completed
 	// chunk's. Like lastSeq it stands for warm sandbox memory: a cold
@@ -360,16 +358,27 @@ func (d *Deployment) newLeaderShard() *leaderShard {
 	return ls
 }
 
+// reset ends an invocation: the lists keep their arrays, and the slot pins
+// no message body, claimed group or delivery until the next.
+func (ls *leaderShard) reset() {
+	clear(ls.msgs)
+	clear(ls.fired)
+	clear(ls.completions)
+	ls.fired, ls.completions = ls.fired[:0], ls.completions[:0]
+	for r, ids := range ls.epochs {
+		ls.epochs[r] = ids[:0]
+	}
+}
+
 // leaderRun is one invocation's pass through the pipeline: the shard's slot,
 // what every chunk shares, and the two neighbours of the chunk whose flush
 // is in flight. It lives on the handler's stack; the chunks are pooled
 // folds.
 type leaderRun struct {
 	*leaderShard
-	d           *Deployment
-	ctx         cloud.Ctx
-	shard       int
-	completions []watchCompletion
+	d     *Deployment
+	ctx   cloud.Ctx
+	shard int
 
 	// The opening read's share of the first message (open): its control
 	// record and its parent's, awaitCommit's first poll, and the instant its
@@ -692,7 +701,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 	r := opResult{ctx: ctx, code: CodeOK, popped: popEarly}
 	var one [1]change
 	changes := msg.changes(&one)
-	r.fired = p.queryWatches(ctx, changes, keys, nodes, r.fired)
+	r.fired = p.queryWatches(ctx, changes, keys, nodes)
 	for _, c := range changes {
 		stat := f.foldChange(c, txid)
 		if msg.Op != OpMulti {

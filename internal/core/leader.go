@@ -89,7 +89,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		return nil
 	}
 	msgs, shard := ls.msgs, ls.msgs[0].msg.Shard
-	defer clear(msgs) // the slot pins no message body between invocations
+	defer ls.reset()
 	if d.costOn() {
 		traces := make([]int64, 0, len(msgs))
 		for _, dm := range msgs {
@@ -158,7 +158,6 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // stage first: the read is the start of its leader.get and leader.total.
 func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d := p.d
-	clear(p.epochs)
 	if acksOnly && d.NumShards() > 1 {
 		return
 	}
@@ -184,7 +183,7 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 		}
 	}
 	for ri, s := range d.Stores {
-		p.epochs[s.Region()] = d.epochUnion(items[ri])
+		p.epochs[s.Region()] = d.epochUnion(p.epochs[s.Region()], items[ri])
 	}
 }
 
@@ -473,12 +472,8 @@ func (d *Deployment) refreshSharedFromSystem(ctx cloud.Ctx, path string, n *znod
 	fresh := decodeSysNode(it)
 	n.Children = fresh.Children
 	n.Stat.NumChildren = int32(len(fresh.Children))
-	if fresh.Cversion > n.Stat.Cversion {
-		n.Stat.Cversion = fresh.Cversion
-	}
-	if fresh.Pzxid > n.Stat.Pzxid {
-		n.Stat.Pzxid = fresh.Pzxid
-	}
+	n.Stat.Cversion = max(n.Stat.Cversion, fresh.Cversion)
+	n.Stat.Pzxid = max(n.Stat.Pzxid, fresh.Pzxid)
 }
 
 // acquireRootLock takes the system-store timed lock serializing every
@@ -512,18 +507,21 @@ type watchGroup struct {
 // commit check confirmed: each effectful change's node's, and for a create
 // or delete its parent's. It reads nothing — the records carry the
 // registrations. It claims the fired (one-shot) groups, appending them to
-// fired, and enters their ids into the shard's epoch counters, so every
-// value written afterwards carries them (Z4). The writes of both go out as
-// one parallel round (claimRound). With several shards it is joined before
-// the commit phase ends. On one shard it is left in flight under the flush,
-// and joined before the next commit check reads a record (commitOne) and
-// before the chunk's answers and deliveries (flushChunk). A clear removes
+// the invocation's list (p.fired), and enters their ids into the shard's
+// epoch counters, so every value written afterwards carries them (Z4). The
+// writes of both go out as one parallel round (claimRound). With several
+// shards it is joined before the commit phase ends. On one shard it is left
+// in flight under the flush, and joined before the next commit check reads
+// a record (commitOne) and before the chunk's answers and deliveries
+// (flushChunk). A clear removes
 // exactly the sessions the read returned: a registration that lands after
 // the read found the change committed, and its reader waits for a value at
 // or past it (Frontier), so it must stay armed for the next change. A group
-// one change of a multi() claimed is empty for the next.
-func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode, fired []firedWatch) []firedWatch {
-	d, n, t0 := p.d, len(fired), p.d.K.Now()
+// one change of a multi() claimed is empty for the next. It returns the
+// message's groups, capped so that a later message's appends never reach
+// them.
+func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode) []firedWatch {
+	d, n, t0 := p.d, len(p.fired), p.d.K.Now()
 	round := &p.round
 	round.begin(ctx)
 	child := watchGroup{WatchChild, EventChildrenChanged}
@@ -534,24 +532,26 @@ func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string,
 		node, parent := recordOf(keys, nodes, c.Path), recordOf(keys, nodes, c.ParentPath)
 		switch c.Op {
 		case OpSetData:
-			fired = p.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchData, EventDataChanged})
+			p.fireGroups(ctx, c.Path, node, watchGroup{WatchData, EventDataChanged})
 		case OpCreate:
-			fired = p.fireGroups(ctx, c.Path, node, fired, watchGroup{WatchExists, EventCreated})
-			fired = p.fireGroups(ctx, c.ParentPath, parent, fired, child)
+			p.fireGroups(ctx, c.Path, node, watchGroup{WatchExists, EventCreated})
+			p.fireGroups(ctx, c.ParentPath, parent, child)
 		case OpDelete:
-			fired = p.fireGroups(ctx, c.Path, node, fired,
+			p.fireGroups(ctx, c.Path, node,
 				watchGroup{WatchData, EventDeleted}, watchGroup{WatchExists, EventDeleted})
-			fired = p.fireGroups(ctx, c.ParentPath, parent, fired, child)
+			p.fireGroups(ctx, c.ParentPath, parent, child)
 		}
 	}
-	p.appendEpochs(fired[n:])
+	fired := p.fired[n:len(p.fired):len(p.fired)]
+	p.appendEpochs(fired)
 	round.issue(d.NumShards() > 1)
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
 }
 
-// fireGroups claims path's non-empty groups in rec, its record as read, and
-// empties them in rec: a later change of the same multi() finds them
+// fireGroups claims path's non-empty groups in rec, its record as read,
+// appends them to the invocation's list (p.fired) and empties them in rec:
+// a later change of the same multi() finds them
 // claimed. Off shared paths the claim is one clear of the record in the
 // message's round (claimRound.clear). Shared-path groups (the root of a
 // multi-shard deployment) are claimed one by one, serially, ahead of the
@@ -561,7 +561,7 @@ func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string,
 // client re-registered in its callback, and which ids the message fires
 // depends on the outcome. Everywhere else the owning shard's leader is
 // serialized and keeps the paper's one batched clear.
-func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired []firedWatch, groups ...watchGroup) []firedWatch {
+func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, groups ...watchGroup) {
 	d := p.d
 	for _, g := range groups {
 		attr, sessions := watchAttrs[g.wt-1], rec.Watches[g.wt-1]
@@ -574,14 +574,13 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, fired [
 		if len(sessions) == 0 {
 			continue
 		}
-		fired = append(fired, firedWatch{
+		p.fired = append(p.fired, firedWatch{
 			wid:      WatchID(path, g.wt),
 			event:    g.event,
 			path:     path,
 			sessions: sessions, // a view of the record, or of the claim's read: never written
 		})
 	}
-	return fired
 }
 
 // appendEpochs is the epoch entry: it adds to the message's round one

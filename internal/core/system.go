@@ -75,11 +75,10 @@ func (d *Deployment) epochKey(r cloud.Region) string {
 	return key
 }
 
-// epochUnion copies out the union of an epoch item's per-shard lists, in
-// shard order: the item may be a read-only view, and callers append to the
-// union (queryWatches).
-func (d *Deployment) epochUnion(it kv.Item) []int64 {
-	var ids []int64
+// epochUnion appends to ids a copy of the union of an epoch item's
+// per-shard lists, in shard order: the item may be a read-only view, and
+// callers append to the union (queryWatches).
+func (d *Deployment) epochUnion(ids []int64, it kv.Item) []int64 {
 	for _, attr := range d.epochAttrs {
 		ids = append(ids, it.Get(attr).NL()...)
 	}
@@ -115,8 +114,11 @@ func decodeSysNode(it kv.Item) sysNode {
 		Czxid:    it.Get(attrCzxid).Num(),
 		Mzxid:    it.Get(attrMzxid).Num(),
 		Pzxid:    it.Get(attrPzxid).Num(),
-		// Children, Pending and Watches are read-only views of table
-		// storage; plan.validate copies the child list before it splices.
+		// Children, Pending and Watches are views of values in table
+		// storage, which stay valid and unchanged forever, while the item
+		// itself is valid only until its reader blocks: every caller
+		// decodes it first. plan.validate copies the child list before it
+		// splices.
 		Children: it.Get(attrChildren).SL(),
 		EphOwner: it.Get(attrEph).Str(),
 		SeqCtr:   it.Get(attrSeq).Num(),

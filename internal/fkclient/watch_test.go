@@ -503,15 +503,14 @@ func TestWatchCycleAllocations(t *testing.T) {
 const watchCycleSessions = 4
 
 // watchCycleAllocs is TestWatchCycleAllocations' pinned count: the write
-// (clientWriteAllocs, 8), and per session its registration's item copy and
-// stored list (2), its watch entry (1) and the re-arming read of a version
-// whose epoch stamp carries the watch (node, data, stamp: 3), and the
-// delivery's own (9): the claim's clear and epoch append (item copies 2,
-// the appended list 1), the leader's epoch mirror, fired list and
-// completion list (3), the payload the watch function keeps and its
-// decoded session list (2), and the epoch removal's item copy (1). Re-pin
-// it only with a reason: bench's watch_notify allocs_per_op is this count
-// plus the workload's own bookkeeping (about 5), over 5 ops a write. It was
+// (clientWriteAllocs, 5), and per session its registration's stored list
+// (1), its watch entry (1) and the re-arming read of a version whose epoch
+// stamp carries the watch (node, data, stamp: 3), and the delivery's own
+// (3): the epoch append's list, and the payload the watch function keeps
+// and its decoded session list. No system-store write copies an item: each
+// builds into a retired version's array (kv.Table.build). Re-pin it only
+// with a reason: bench's watch_notify allocs_per_op is this count plus the
+// workload's own bookkeeping (about 5), over 5 ops a write. It was
 // 77 until the watch function sent from one loop instead of a process per
 // session and a wait group (5), the session link stopped boxing each
 // notification and the answer (5), a watch entry held its future by value,
@@ -520,5 +519,10 @@ const watchCycleSessions = 4
 // so a registration's one-element list and the epoch removal's stay on the
 // stack (5), the payload was encoded once at its size (4) and the fired
 // group borrowed its sessions from the record (1), and an asynchronous
-// invocation reused a reaped one (4).
-const watchCycleAllocs = 41
+// invocation reused a reaped one (4). It was 41 until the system store
+// built each commit into a retired version's array, so the write's lock,
+// commit and pop (3), each registration (4), the claim's clear and epoch
+// append and the epoch removal (3) copy no item, and the leader's epoch
+// mirror, fired list and completion list kept their arrays in the shard's
+// slot (3).
+const watchCycleAllocs = 28

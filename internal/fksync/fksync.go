@@ -65,8 +65,9 @@ var unlock kv.Update = kv.Remove{Name: LockAttr}
 
 // Acquire attempts to take the lock once. On success it returns the lock
 // and the item's current state (the follower needs the node's old data to
-// validate the operation) as a read-only view (kv.Table.Update). A held,
-// unexpired lock yields ErrLockHeld.
+// validate the operation) as a read-only view (kv.Table.Update): valid
+// until the caller next blocks, so decode it first; the values in it stay
+// valid forever. A held, unexpired lock yields ErrLockHeld.
 func (m *LockManager) Acquire(ctx cloud.Ctx, key string) (Lock, kv.Item, error) {
 	now := int64(m.env.K.Now())
 	item, err := m.tbl.Update(ctx, key,
@@ -112,7 +113,8 @@ func (m *LockManager) Release(ctx cloud.Ctx, l Lock) error {
 
 // CommitUnlock atomically applies updates and releases the lock in a
 // single conditional write (step ④ of Algorithm 1). If the lease expired,
-// nothing is written. The item is returned as a read-only view.
+// nothing is written. The item is returned as a read-only view, under
+// Acquire's rule: decode it before the next blocking call.
 func (m *LockManager) CommitUnlock(ctx cloud.Ctx, l Lock, updates []kv.Update) (kv.Item, error) {
 	var buf [12]kv.Update // a create's node item takes 9 actions plus the release
 	all := append(append(buf[:0], updates...), unlock)

@@ -340,7 +340,8 @@ func (k *Kernel) loop(p *Process) {
 
 // run executes one incarnation of p; its deferred exit retires it. The
 // group counting it learns that it finished only when its body returned: a
-// body Shutdown unwinds never reaches Done.
+// body Shutdown unwinds never reaches Done. Clearing fn tells exit that the
+// body returned (or never ran).
 func (k *Kernel) run(p *Process) {
 	defer k.exit(p)
 	if !p.killed {
@@ -349,11 +350,16 @@ func (k *Kernel) run(p *Process) {
 			p.wg.Done()
 		}
 	}
+	p.fn = nil
 }
 
 // exit retires p's incarnation. It must be the deferred function itself for
-// recover to see a panic.
+// recover to see a panic. A body that neither returned nor panicked called
+// runtime.Goexit (a test's t.Fatal inside a process): the goroutine ends
+// here without reaching loop's hand-off, so exit gives the baton back to
+// RunUntil (or Shutdown) itself, and the run stops instead of hanging.
 func (k *Kernel) exit(p *Process) {
+	goexit := p.fn != nil
 	p.done = true
 	p.fn, p.wg = nil, nil
 	p.parkSeq++ // whatever still targets this incarnation is stale from here
@@ -362,6 +368,9 @@ func (k *Kernel) exit(p *Process) {
 		if _, ok := r.(killedPanic); !ok {
 			panic(r) // real bug: crash loudly
 		}
+	} else if goexit {
+		k.current = nil
+		k.parked <- struct{}{}
 	}
 }
 

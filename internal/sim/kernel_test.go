@@ -427,6 +427,36 @@ func TestExitedProcessesReleaseGoroutines(t *testing.T) {
 	k.Shutdown()
 }
 
+// TestGoexitEndsTheRun: a body that calls runtime.Goexit — as t.Fatal
+// inside a process does — neither returns nor panics. The kernel gives the
+// baton back to RunUntil, so Run returns instead of blocking forever, and
+// Shutdown still unwinds the process left parked.
+func TestGoexitEndsTheRun(t *testing.T) {
+	k := NewKernel(1)
+	k.Go("parked", func() { k.Sleep(time.Hour) })
+	k.Go("goexit", func() {
+		k.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	returned := make(chan struct{})
+	go func() {
+		k.Run()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10 s after a process called runtime.Goexit")
+	}
+	if k.Live() != 1 {
+		t.Errorf("%d processes live after the run, want the parked one", k.Live())
+	}
+	k.Shutdown()
+	if k.Live() != 0 {
+		t.Errorf("%d processes live after Shutdown", k.Live())
+	}
+}
+
 // TestReusedProcessIgnoresStaleWakeups: a finished process is recycled by
 // the next Go, and nothing addressed to its previous incarnation reaches
 // the new one — not a WaitTimeout that fires after the process exited,
