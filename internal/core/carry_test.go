@@ -62,10 +62,12 @@ func TestRedeliveredBatchAfterCarriedPop(t *testing.T) {
 		pending []int64
 		// The second delivery's system-store operations: a duplicate is
 		// answered on the opening read's word and runs the carried pop; a
-		// replay commits on that word too and carries its pop again.
+		// replay commits on that word too and carries its pop again. A warm
+		// opening read takes the record alone, as the first delivery left
+		// the epoch lists empty; a cold one reads the epoch item too.
 		sysReads, sysWrites int64
 	}{
-		{"warm: a duplicate", false, CodeSystemError, 0, nil, 2, 1},
+		{"warm: a duplicate", false, CodeSystemError, 0, nil, 1, 1},
 		{"cold: a replay", true, CodeOK, 1, []int64{txid}, 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,10 +161,11 @@ func TestEarlyPopRunsCarriedPopFirst(t *testing.T) {
 			t.Errorf("set %d: %s", i+1, resp.Code)
 		}
 	}
-	// The opening read and the second set's poll; the carried pop and the
+	// The opening read — the record alone: the invocation before left the
+	// epoch lists empty — and the second set's poll; the carried pop and the
 	// first set's early pop.
-	if reads != 3 || writes != 2 {
-		t.Errorf("the chunk cost %d system-store reads and %d writes, want 3 and 2", reads, writes)
+	if reads != 2 || writes != 2 {
+		t.Errorf("the chunk cost %d system-store reads and %d writes, want 2 and 2", reads, writes)
 	}
 	if !slices.Equal(pending, []int64{11}) || !r.carried(11) {
 		t.Errorf("pending list ends as %v, want the second set's carried entry alone", pending)
@@ -234,10 +237,12 @@ func TestColdLeaderDropsCarriedPops(t *testing.T) {
 			if !slices.Equal(leftA, []int64{setA.Txid}) {
 				t.Errorf("/a pending %v, want [%d]", leftA, setA.Txid)
 			}
-			// Opening read, the re-poll after the orphan pop; the follower's
-			// lock and commit, the orphan pop, /a's carried pop.
-			if reads != 3 || writes != 4 {
-				t.Errorf("the set of /b cost %d system-store reads and %d writes, want 3 and 4", reads, writes)
+			// Opening read — the record alone: the set of /a ran to its end
+			// and left the epoch lists empty — and the re-poll after the
+			// orphan pop; the follower's lock and commit, the orphan pop, /a's
+			// carried pop.
+			if reads != 2 || writes != 4 {
+				t.Errorf("the set of /b cost %d system-store reads and %d writes, want 2 and 4", reads, writes)
 			}
 			if got := r.pending("/b"); !slices.Equal(got, []int64{setB.Txid}) {
 				t.Errorf("/b pending %v, want [%d]: the orphan pop missed the leftover", got, setB.Txid)
@@ -249,10 +254,10 @@ func TestColdLeaderDropsCarriedPops(t *testing.T) {
 // TestSamePathWriteAfterCarriedPop: back-to-back sets on one path. Every
 // invocation finds the previous set's carried entry at the head and its own
 // txid behind it, commits on the opening read's word, and runs the carried
-// pop under its flush: two system-store reads (the epochs and the record
-// in one round trip, whose view of the record also carries the watch
-// registrations) and three writes (the follower's lock and commit, one pop)
-// per write — what the write cost when its own pop trailed its response.
+// pop under its flush: one system-store read (the record, whose view also
+// carries the watch registrations; the invocation before left the epoch
+// lists empty, so the opening read skips them) and three writes (the
+// follower's lock and commit, one pop) per write.
 func TestSamePathWriteAfterCarriedPop(t *testing.T) {
 	r := newPipeRig(t, 11, Config{}, nil)
 	const writes = 20
@@ -273,9 +278,9 @@ func TestSamePathWriteAfterCarriedPop(t *testing.T) {
 	})
 	r.run()
 
-	if reads != 2*writes || sysWrites != 3*writes {
+	if reads != writes || sysWrites != 3*writes {
 		t.Errorf("%d back-to-back sets on one path cost %d system-store reads and %d writes, want %d and %d (a first poll that misses the follower's commit adds a read: pick another seed)",
-			writes, reads, sysWrites, 2*writes, 3*writes)
+			writes, reads, sysWrites, writes, 3*writes)
 	}
 	if n := r.counter("pop_overlapped"); n != writes {
 		t.Errorf("%d pops ran under a flush, want %d: one carried pop per set", n, writes)

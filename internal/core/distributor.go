@@ -333,6 +333,16 @@ type leaderShard struct {
 	// chunk's. Like lastSeq it stands for warm sandbox memory: a cold
 	// invocation drops it (leaderHandler).
 	pops []pendingPop
+	// quiet is the second warm fact, set only on one shard: the epoch lists
+	// in the store are empty. The previous invocation's last step set it —
+	// it began with empty lists and every removal of the ids it entered
+	// returned no error (leaderHandler) — so the opening read skips the
+	// epoch items (open). Every invocation clears it first, so a crash or an
+	// error leaves it unset, and a cold one does not use it: either just
+	// reads the lists again. One leader queue poller runs the shard's
+	// invocations one at a time, so a warm one runs in the sandbox of the
+	// one before, whose memory this is.
+	quiet bool
 	// msgs is the invocation's decoded batch (leaderHandler): scratch,
 	// reset by each.
 	msgs  []decodedMsg

@@ -90,6 +90,11 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	}
 	msgs, shard := ls.msgs, ls.msgs[0].msg.Shard
 	defer ls.reset()
+	// The slot's word that the epoch lists are empty holds for this
+	// invocation only if the sandbox is the one that left it; taken, it is
+	// cleared until this invocation's last step sets it again.
+	quiet := ls.quiet && !inv.Cold
+	ls.quiet = false
 	if d.costOn() {
 		traces := make([]int64, 0, len(msgs))
 		for _, dm := range msgs {
@@ -118,15 +123,18 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 		return errInjectedCrash
 	}
 	p := leaderRun{leaderShard: ls, d: d, ctx: ctx, shard: shard}
-	p.open(msgs, acksOnly)
+	empty := p.open(msgs, acksOnly, quiet)
 	p.pipeline(msgs)
 	// WaitAll(WatchCallback): every delivery completes before the function
-	// returns, and its id leaves the shard's epoch list (➏).
+	// returns, and its id leaves the shard's epoch list (➏). On one shard,
+	// lists that were empty at the start and lost every id entered since are
+	// empty again: the last step leaves that word in the slot.
 	for _, c := range p.completions {
 		_ = c.async.Wait()
 		d.spanEnd(c.span)
-		d.exitEpochs(ctx, shard, []int64{c.wid})
+		empty = d.exitEpochs(ctx, shard, []int64{c.wid}) && empty
 	}
+	ls.quiet = empty && d.NumShards() == 1
 	return nil
 }
 
@@ -149,6 +157,12 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // read nothing (the single-shard path keeps the read, as the paper's
 // pipeline does).
 //
+// On one shard the leader is the only writer of the lists and reaps every
+// delivery it launches before it returns, so quiet — the word the warm
+// sandbox's previous invocation left (leaderShard.quiet) — says the lists
+// are empty: the read skips the epoch items and the mirror stays empty. It
+// reports whether the lists were empty at the start, as read or as known.
+//
 // The control record of a single op at the head of the batch — with its
 // parent's, for a create or delete — becomes awaitCommit's first poll (a
 // multi() at the head polls its targets itself). Taken here it is at worst
@@ -156,17 +170,20 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // poll, the orphan pop and the commit replay read the store again — so a
 // redelivered batch replays step for step. The message enters its commit
 // stage first: the read is the start of its leader.get and leader.total.
-func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
+func (p *leaderRun) open(msgs []decodedMsg, acksOnly, quiet bool) (empty bool) {
 	d := p.d
 	if acksOnly && d.NumShards() > 1 {
-		return
+		return false
 	}
 	var keyBuf [4]string // one epoch item per region, the record and its parent's
 	var itemBuf [len(keyBuf)]kv.Item
 	keys := keyBuf[:0]
-	for _, s := range d.Stores {
-		keys = append(keys, d.epochKey(s.Region()))
+	if !quiet {
+		for _, s := range d.Stores {
+			keys = append(keys, d.epochKey(s.Region()))
+		}
 	}
+	epochs := len(keys)
 	head := &msgs[0]
 	d.stageMsg(head.msg, obs.StageCommit)
 	head.staged = true
@@ -178,13 +195,17 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly bool) {
 	d.System.GetViews(p.ctx, keys, true, items)
 
 	if p.opened {
-		for i, it := range items[len(d.Stores):] {
+		for i, it := range items[epochs:] {
 			p.opening[i] = decodeSysNode(it)
 		}
 	}
-	for ri, s := range d.Stores {
-		p.epochs[s.Region()] = d.epochUnion(p.epochs[s.Region()], items[ri])
+	empty = true
+	for ri, it := range items[:epochs] {
+		r := d.Stores[ri].Region()
+		p.epochs[r] = d.epochUnion(p.epochs[r], it)
+		empty = empty && len(p.epochs[r]) == 0
 	}
+	return empty
 }
 
 // index builds the message's keys. It runs on the message in place, in the
@@ -451,13 +472,16 @@ func buildUserNode(n *znode.Node, c change, txid int64) bool {
 }
 
 // exitEpochs is ➏: once their deliveries completed, wids leave the shard's
-// list on every region's epoch item. An unconditional removal cannot fail:
-// it never grows the item.
-func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) {
+// list on every region's epoch item. An unconditional removal never grows the
+// item; it reports whether every removal returned no error.
+func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) bool {
+	ok := true
 	for _, s := range d.Stores {
-		_, _ = d.System.Update(ctx, d.epochKey(s.Region()),
+		_, err := d.System.Update(ctx, d.epochKey(s.Region()),
 			[]kv.Update{kv.ListRemove{Name: d.epochAttrs[shard], Vals: wids}}, nil)
+		ok = ok && err == nil
 	}
+	return ok
 }
 
 // refreshSharedFromSystem overwrites a shared object's child list (and

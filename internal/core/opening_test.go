@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/faas"
@@ -68,16 +69,19 @@ func syskv(d *Deployment) (reads, writes int64) {
 // one system-store round trip after its invocation began, and its commit
 // stage opens at the handler's first instant (stage.queue_leader is queue
 // and trigger time only). That round trip is every system-store read the
-// leader makes for it: a set_data reads the epoch item and its control
-// record, a create its parent's record too, whose child watches it fires.
-// The watch claim rides the record's view and reads nothing.
+// leader makes for it: a set_data reads its control record, a create its
+// parent's record too, whose child watches it fires. The watch claim rides
+// the record's view and reads nothing. The read carries the epoch item
+// exactly when the shard's slot does not know the lists empty
+// (leaderShard.quiet): here every invocation is warm and follows a clean
+// one, so none reads it (TestQuietEpochsSkipTheEpochRead reads it back).
 func TestOpeningReadIsOneRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		op    OpCode
 		reads int // per write, all at the invocation's first instant
 	}{
-		{OpSetData, 2},
-		{OpCreate, 3},
+		{OpSetData, 1},
+		{OpCreate, 2},
 	} {
 		t.Run(string(tc.op), func(t *testing.T) {
 			hook := &pipeFaults{}
@@ -136,7 +140,9 @@ func TestOpeningReadIsOneRoundTrip(t *testing.T) {
 // pending list in, and checks that the opening read's view of it stands in
 // for awaitCommit's first poll and for nothing else: every later poll, the
 // orphan pop and the commit replay still go to the store. The set's own pop
-// is carried to the next invocation, so it ends at the head of its list.
+// is carried to the next invocation, so it ends at the head of its list. The
+// create's invocation left the epoch lists empty, so the opening read takes
+// the record alone.
 func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 	const txid = 9
 	commit := func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
@@ -160,8 +166,8 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		{
 			name:    "head is txid",
 			between: commit,
-			// The opening read (epochs + record) alone.
-			code: CodeOK, reads: 2, writes: 0, pending: []int64{txid}, stored: true,
+			// The opening read alone.
+			code: CodeOK, reads: 1, writes: 0, pending: []int64{txid}, stored: true,
 		},
 		{
 			name: "orphan ahead of txid",
@@ -171,7 +177,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			},
 			// The orphan is popped on the opening read's word, conditionally
 			// on the head it named; the poll after it reads the store.
-			code: CodeOK, reads: 3, writes: 1, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 2, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name: "duplicate: head beyond txid",
@@ -180,33 +186,33 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 				_, _ = d.System.Update(ctx, msg.Path,
 					[]kv.Update{kv.ListPopHead{Name: attrPending}, kv.ListAppend{Name: attrPending, Vals: []int64{12}}}, nil)
 			},
-			code: CodeSystemError, reads: 2, writes: 0, pending: []int64{12},
+			code: CodeSystemError, reads: 1, writes: 0, pending: []int64{12},
 		},
 		{
 			name:    "nothing pending: the follower died before its commit",
 			between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
 			// Opening read, two polls, the commit replay after the second
 			// (attempt 2, as before), the poll that finds it; the replay.
-			code: CodeOK, reads: 5, writes: 1, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 4, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "no control record",
 			missing: true,
 			// Opening read, nine polls and the one (failing) replay.
-			code: CodeSystemError, reads: 11, writes: 1,
+			code: CodeSystemError, reads: 10, writes: 1,
 		},
 		{
 			name:    "carried head, txid behind it",
 			carried: true, between: commit,
 			// Committed on the opening read's word alone — no pop, no
 			// re-read — and the carried pop runs under the flush.
-			code: CodeOK, reads: 2, writes: 1, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 1, writes: 1, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "carried head, nothing behind it: the follower died",
 			carried: true, between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
 			// "Nothing pending" above, plus the carried pop under the flush.
-			code: CodeOK, reads: 5, writes: 2, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 4, writes: 2, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "carried head, orphan behind it",
@@ -217,7 +223,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			},
 			// The carried pop runs at once, the next poll finds the orphan,
 			// pops it, and the one after finds txid.
-			code: CodeOK, reads: 4, writes: 2, pending: []int64{txid}, stored: true,
+			code: CodeOK, reads: 3, writes: 2, pending: []int64{txid}, stored: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,8 +275,8 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			})
 			r.run()
 
-			if opening != 2 {
-				t.Errorf("the handler opened with %d storage operations, want the epoch counter and the control record", opening)
+			if opening != 1 {
+				t.Errorf("the handler opened with %d storage operations, want the control record alone", opening)
 			}
 			if resp.Code != tc.code || s.resps != 2 {
 				t.Errorf("answered %s, %d responses in all; want %s and exactly one for each of the two requests", resp.Code, s.resps, tc.code)
@@ -365,5 +371,162 @@ func TestOpeningReadCarriesEpochsOnly(t *testing.T) {
 	if stages != 1 || !slices.Contains(hook.leaderHeads, commit.Start) || hook.opsAt(commit.Start) != 1 {
 		t.Errorf("multi: %d commit stages, the first opened at %d with %d storage operations; want one, at the start of an invocation %v, with the epoch read alone",
 			stages, commit.Start, hook.opsAt(commit.Start), hook.leaderHeads)
+	}
+}
+
+// TestQuietEpochsSkipTheEpochRead: on one shard, an invocation that follows a
+// clean one in its warm sandbox opens with the record alone — the slot knows
+// the epoch lists empty (leaderShard.quiet). An invocation in a new sandbox,
+// after every sandbox expired, and the retry of one that crashed at its
+// batch start read the epoch item again, and so does every opening read on
+// two shards, whose stamp needs every shard's list. A clean invocation gives
+// the word back to the next.
+func TestQuietEpochsSkipTheEpochRead(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		idle    time.Duration // before each measured set
+		crash   bool          // each measured set's first invocation crashes
+		opening int           // storage operations at a measured set's invocation
+		after   int           // and at the plain set after them
+	}{
+		{name: "warm after a clean invocation", shards: 1, idle: sim.Ms(200), opening: 1, after: 1},
+		{name: "cold: every sandbox expired", shards: 1, idle: 11 * time.Minute, opening: 2, after: 1},
+		{name: "retry of a crashed invocation", shards: 1, idle: sim.Ms(200), crash: true, opening: 2, after: 1},
+		{name: "two shards", shards: 2, idle: sim.Ms(200), opening: 2, after: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hook := &pipeFaults{}
+			crashed := map[int64]bool{}
+			measuring := false
+			hook.crash = func(stage, session string, seq int64) bool {
+				if stage != obs.StageCommit || !tc.crash || !measuring || crashed[seq] {
+					return false
+				}
+				crashed[seq] = true
+				return true
+			}
+			r := newPipeRig(t, 17, Config{WriteShards: tc.shards}, hook)
+			const sets = 3
+			heads := make([][]sim.Time, sets+1) // each measured set's invocations, then the plain set's
+			r.k.Go("writer", func() {
+				s := r.open("w")
+				s.do(OpCreate, "/n", "0")
+				s.do(OpSetData, "/n", "0")
+				for i := range heads {
+					measuring = i < sets
+					if measuring {
+						r.k.Sleep(tc.idle)
+					} else {
+						r.k.Sleep(sim.Ms(200))
+					}
+					n := len(hook.leaderHeads)
+					if resp := s.do(OpSetData, "/n", "x"); resp.Code != CodeOK {
+						t.Errorf("set %d: %s", i, resp.Code)
+					}
+					heads[i] = slices.Clone(hook.leaderHeads[n:])
+				}
+			})
+			r.run()
+
+			for i, hs := range heads {
+				want, wantHeads := tc.opening, 1
+				if i == sets {
+					want = tc.after
+				} else if tc.crash {
+					wantHeads = 2
+				}
+				var ops []int
+				for _, at := range hs {
+					ops = append(ops, hook.opsAt(at))
+				}
+				if len(hs) != wantHeads || ops[len(ops)-1] != want || wantHeads == 2 && ops[0] != 0 {
+					t.Errorf("set %d: %d invocations opened with %v storage operations, want %d, the last with %d", i, len(hs), ops, wantHeads, want)
+				}
+			}
+		})
+	}
+}
+
+// TestQuietEpochsAreEmpty: under a watch workload on one shard with two
+// regions — watchers that re-arm in their callbacks, every leader batch
+// delivered twice, and every fifth write's first invocation crashed at its
+// batch start — the store's epoch lists are empty for every region whenever
+// an invocation opens on the slot's word that they are (Deployment.Epoch's
+// view, taken at the invocation's first instant without a read's latency).
+func TestQuietEpochsAreEmpty(t *testing.T) {
+	hook := &pipeFaults{redeliver: FnLeader}
+	var r *pipeRig
+	// The lists at each invocation's first instant, in hook.leaderHeads'
+	// order: the crash hook runs there, ahead of the opening read.
+	var lists [][]int64
+	crashed := map[int64]bool{}
+	hook.crash = func(stage, session string, seq int64) bool {
+		if stage != obs.StageCommit {
+			return false
+		}
+		var ids []int64
+		for _, s := range r.d.Stores {
+			it, _ := r.d.System.Peek(r.d.epochKey(s.Region()))
+			ids = r.d.epochUnion(ids, it)
+		}
+		lists = append(lists, ids)
+		if seq%5 != 0 || crashed[seq] {
+			return false
+		}
+		crashed[seq] = true
+		return true
+	}
+	r = newPipeRig(t, 19, Config{ExtraRegions: []cloud.Region{cloud.RegionAWSRemote}}, hook)
+	paths := []string{"/a", "/b", "/c", "/d"}
+	var watchers []*pipeSession
+	var from int // the first head of the measured writes
+	r.k.Go("writer", func() {
+		w := r.open("w")
+		for _, p := range paths {
+			w.do(OpCreate, p, "0")
+		}
+		for i := 0; i < 8; i++ {
+			v := r.open(fmt.Sprintf("v%d", i))
+			v.arm(paths[i%len(paths)])
+			v.arm(paths[(i+1)%len(paths)])
+			watchers = append(watchers, v)
+		}
+		r.k.Sleep(sim.Ms(200))
+		from = len(hook.leaderHeads)
+		for i := 0; i < 40; i++ {
+			if resp := w.do(OpSetData, paths[i%len(paths)], "x"); resp.Code != CodeOK {
+				t.Errorf("set %d: %s", i, resp.Code)
+			}
+		}
+		r.k.Sleep(sim.Ms(2000))
+	})
+	r.run()
+
+	// Every measured batch is one set_data: the record alone on the slot's
+	// word, the record and two epoch items without it, nothing when it
+	// crashed.
+	quiet, read, crashes := 0, 0, 0
+	for i, at := range hook.leaderHeads[from:] {
+		switch ops := hook.opsAt(at); ops {
+		case 1:
+			quiet++
+			if ids := lists[from+i]; len(ids) > 0 {
+				t.Errorf("an invocation at %v opened on the word that the epoch lists are empty; they held %v", at, ids)
+			}
+		case 3:
+			read++
+		case 0:
+			crashes++
+		default:
+			t.Errorf("an invocation at %v opened with %d storage operations, want 1, 3 or 0", at, ops)
+		}
+	}
+	notes := 0
+	for _, v := range watchers {
+		notes += len(v.notes)
+	}
+	if quiet == 0 || read == 0 || crashes == 0 || notes == 0 {
+		t.Errorf("%d invocations opened on the word, %d read the lists, %d crashed; %d notifications: want some of each", quiet, read, crashes, notes)
 	}
 }

@@ -812,25 +812,45 @@ func TestPaperWriteAllocations(t *testing.T) {
 	if sim.PoolDropsPuts() {
 		t.Skip("sync.Pool drops what it is handed (the race detector does this to a quarter of all puts): the write path's pooled scratch reallocates at random and no count is exact")
 	}
+	k, write := paperWriter(t)
+	got := sim.AllocsPerRun(k, 500, write)
+	k.Shutdown()
+	if got != paperWriteAllocs {
+		t.Fatalf("one paper-preset write: %v allocations, want %d", got, paperWriteAllocs)
+	}
+}
+
+// paperWriter is the rig of the paper-write pins: a deployment whose
+// session has written enough that the sandboxes are warm and the buffers
+// grown, and the write to price.
+func paperWriter(t *testing.T) (*sim.Kernel, func()) {
 	k, d := newTestDeployment(1, Config{})
 	r := &pipeRig{t: t, k: k, d: d}
 	var s *pipeSession
 	k.Go("setup", func() {
 		s = r.open("w")
 		s.do(OpCreate, "/n", "0")
-		for i := 0; i < 20; i++ { // the sandboxes are warm, the buffers grown
+		for i := 0; i < 20; i++ {
 			s.do(OpSetData, "/n", "x")
 		}
 	})
 	k.Run()
-	got := sim.AllocsPerRun(k, 500, func() {
+	return k, func() {
 		if resp := s.do(OpSetData, "/n", "x"); resp.Code != CodeOK {
 			t.Fatalf("set_data: %s", resp.Code)
 		}
-	})
+	}
+}
+
+// TestPaperWriteKernelWork pins the kernel's work for the write
+// TestPaperWriteAllocations prices, over paperWriteRuns writes: exact for
+// the seed, under the race detector too.
+func TestPaperWriteKernelWork(t *testing.T) {
+	k, write := paperWriter(t)
+	got := sim.WorkPerRun(k, paperWriteRuns, write)
 	k.Shutdown()
-	if got != paperWriteAllocs {
-		t.Fatalf("one paper-preset write: %v allocations, want %d", got, paperWriteAllocs)
+	if got != paperWriteWork {
+		t.Fatalf("%d paper-preset writes: kernel work %+v, want %+v", paperWriteRuns, got, paperWriteWork)
 	}
 }
 
@@ -858,3 +878,17 @@ func TestPaperWriteAllocations(t *testing.T) {
 // version the commit before retired (kv.Table.build), so the follower's
 // lock, its commit and the leader's pop copy no item (3).
 const paperWriteAllocs = 6
+
+// paperWriteWork is TestPaperWriteKernelWork's pinned count over
+// paperWriteRuns writes: a write is 18 dispatches — 10 hand-offs and 8
+// self-continues — and the one spawn of the flush's leg. Re-pin it only
+// with a reason. It was 1 799 dispatches and 801 self-continues until a
+// warm one-shard leader skipped the epoch item in its opening read: the
+// read is still one GetViews, so a write's steady count is unchanged, but
+// the shorter read lands earlier and the draws after it shift, and the
+// first poll of 2 writes in 100 now precedes the follower's commit — one
+// polls again (2 more self-continues), one polls three more times and
+// replays the commit (6 more).
+const paperWriteRuns = 100
+
+var paperWriteWork = sim.Work{Dispatches: 1807, HandOffs: 998, SelfContinues: 809, Spawns: 100}

@@ -294,9 +294,11 @@ func TestTxnCommitCheck(t *testing.T) {
 				_, _ = d.System.Update(ctx, "/b", []kv.Update{kv.ListAppend{Name: attrPending, Vals: []int64{5}}}, nil)
 				commit(d, ctx, msg)
 			},
-			// The epoch read; /a and /b, whose orphan's pop ends the poll; /b
-			// again. Both pops are carried.
-			code: CodeOK, reads: 4, writes: 1, pendingA: []int64{txid}, pendingB: []int64{txid}, stored: true,
+			// /a and /b, whose orphan's pop ends the poll; /b again. The
+			// opening read reads nothing: the invocation before left the
+			// epoch lists empty, and a multi() polls its targets itself.
+			// Both pops are carried.
+			code: CodeOK, reads: 3, writes: 1, pendingA: []int64{txid}, pendingB: []int64{txid}, stored: true,
 		},
 		{
 			name: "delivered again after its pop",
@@ -307,16 +309,15 @@ func TestTxnCommitCheck(t *testing.T) {
 				}
 				_, _ = d.System.Update(ctx, "/a", []kv.Update{kv.ListAppend{Name: attrPending, Vals: []int64{12}}}, nil)
 			},
-			// The epoch read and /a, whose head is past txid.
-			code: CodeSystemError, reads: 2, writes: 0, pendingA: []int64{12},
+			// /a, whose head is past txid.
+			code: CodeSystemError, reads: 1, writes: 0, pendingA: []int64{12},
 		},
 		{
 			name:    "the coordinator died after its push",
 			between: func(*Deployment, cloud.Ctx, leaderMsg) {},
-			// The epoch read, four polls of both targets with the replayed
-			// commit after the third; the replay (a write per item). Both
-			// pops are carried.
-			code: CodeOK, reads: 9, writes: 2, pendingA: []int64{txid}, pendingB: []int64{txid}, stored: true,
+			// Four polls of both targets with the replayed commit after the
+			// third; the replay (a write per item). Both pops are carried.
+			code: CodeOK, reads: 8, writes: 2, pendingA: []int64{txid}, pendingB: []int64{txid}, stored: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

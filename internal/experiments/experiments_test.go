@@ -107,27 +107,33 @@ func TestTab1AndTab4AndFig4aAndFig14(t *testing.T) {
 //
 // The counted lines are exact. Per write: two queue messages (session
 // queue, leader queue), one user-store put, three system-store writes (lock,
-// commit, pop) and two system-store reads where the model counts one — the
-// leader's opening read takes the region's epoch item with the record, and
-// the watch claim rides that read. 22 of the 400 opening reads beat the
-// follower's commit and poll again, and 3 of those polls go on to replay the
-// commit, a write each.
+// commit, pop) and one system-store read, as the model counts: the leader's
+// opening read takes the record alone — a warm one-shard leader whose last
+// invocation exited cleanly knows the epoch lists empty and skips the
+// region's epoch item — and the watch claim rides that read. At this seed 20
+// polls follow opening reads that beat the follower's commit, and 2 writes
+// go on to replay the commit, a write each.
 //
-// Function time is the one line priced, not counted: the model bills a
-// fixed 35 ms follower and 65 ms leader at 2048 MB, the simulated ones bill
-// about 30 and 36 ms (the leader carries its last pop into the next
-// invocation and reads nothing between a write's flush and its answer). Its
-// tolerance sits just above that gap. The write's total is −7.5 % off the
-// model: −$1.30 per 1M of function time, +$0.26 of system-store reads and
-// +$0.01 of replayed commits.
+// Function time is the one line priced, not counted, and the only gap left:
+// the model bills a fixed 35 ms follower and 65 ms leader at 2048 MB, the
+// simulated ones bill about 30 and 34 ms (the leader carries its last pop
+// into the next invocation, reads nothing between a write's flush and its
+// answer, and opens with one item). The gap is −36.05 %, and its tolerance
+// is a pin just above it: it guards the function-time model, so a change
+// that makes the simulated functions bill about 1 % of the model's less
+// fails here and re-pins it with its reason; one that brings them closer
+// passes. It was 0.36 until the opening read lost the epoch item, which
+// took the gap from −34.80 %. The write's total is −9.7 % off the model:
+// −$1.35 per 1M of function time, +$0.01 of polls and +$0.01 of replayed
+// commits.
 func TestTable4MatchesMeasuredPaperCost(t *testing.T) {
 	const (
 		nodes  = 16
 		writes = 400
 		reads  = 400
-		polls  = 22 // opening reads that missed the follower's commit
-		replay = 3  // of those, polls that replayed the commit
-		tolF   = 0.36
+		polls  = 20 // polls after opening reads that missed the follower's commit
+		replay = 2  // commits the leader replayed
+		tolF   = 0.37
 	)
 	k := sim.NewKernel(7)
 	d := core.NewDeployment(k, core.Config{})
@@ -185,7 +191,7 @@ func TestTable4MatchesMeasuredPaperCost(t *testing.T) {
 		{"queue.msg", 2 * writes, 2 * writes, p.QueueMsgCost(1024)},
 		{"obj.write", writes, writes, p.StoreWriteCost(1024, false)},
 		{"syskv.write", 3*writes + replay, 3 * writes, p.KVWriteCost(1)},
-		{"syskv.read", 2*writes + polls, writes, p.KVReadCost(1, true)},
+		{"syskv.read", writes + polls, writes, p.KVReadCost(1, true)},
 	} {
 		got := counts[c.cat]
 		t.Logf("%s: %d per %d writes (model %d), $%.4f per 1M writes (model $%.4f)",

@@ -143,7 +143,15 @@ func traceWorkload(t *testing.T, cfg core.Config) []byte {
 // its path to the flush, and every later line moves by exactly that much.
 // The nine lines keep their content; the last moves 1 689 380 426 →
 // 1 684 594 441 ns.
-const singleShardTraceSHA256 = "108c45c365d5db61d025fbe588f0737f9b9cc92e365e7e3de29f156764690dcf"
+//
+// Re-pinned a seventh time (from 108c45c3…0dcf) when a warm one-shard
+// leader whose last invocation exited cleanly began to skip the epoch item
+// in its opening read (core/leader.go open, leaderShard.quiet): every
+// invocation after the first reads one item fewer, so the latency stream
+// is dealt anew from the second line on. The nine lines keep their
+// content; the first keeps its instant, and the last moves 1 684 594 441 →
+// 1 525 343 393 ns.
+const singleShardTraceSHA256 = "28bc68a7b684c21b5e3462d2e8d9d55e958bed6fd0b5a4f66a0364026e2b544f"
 
 // TestSingleShardTraceIdentical is the determinism guard: an explicit
 // WriteShards: 1 deployment must produce a byte-identical virtual-time
@@ -289,7 +297,15 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // answered ahead of c2's failed set of /s1) the races go other ways — 8
 // lines carry an error where 7 did — and the history ends at
 // 1 971 271 333 ns, was 2 141 009 836. checkConcurrentTrace passes on it.
-const concurrentTraceSHA256 = "07211e2c0ffa655dc930583377c50edee289b87dd31c86d974354f33d0da559a"
+//
+// Re-pinned a seventh time (from 07211e2c…559a) for the opening read that
+// skips the epoch item on the slot's word (see singleShardTraceSHA256): the
+// latency stream is dealt to the operations in a new order. The first 8 of
+// the 41 lines keep their content; from line 9 on (c2's failed set of /s1
+// is now answered ahead of c0's notification) the races go other ways — 10
+// lines carry an error where 8 did — and the history ends at
+// 1 768 881 233 ns, was 1 971 271 333. checkConcurrentTrace passes on it.
+const concurrentTraceSHA256 = "457f8fbc99fbc73e33a849a7c15cdbe6f13a9f6ab20c9aeec0b3fadb62b56d83"
 
 // TestConcurrentTraceIdentical: the concurrent default-config trace matches
 // its golden hash, with and without an explicit WriteShards: 1, and is a

@@ -454,6 +454,18 @@ func TestWatchCycleAllocations(t *testing.T) {
 	if sim.PoolDropsPuts() {
 		t.Skip("sync.Pool drops what it is handed (the race detector does this to a quarter of all puts): the write path's pooled scratch reallocates at random and no count is exact")
 	}
+	k, cycle := watchCycle(t)
+	got := sim.AllocsPerRun(k, 300, cycle)
+	k.Shutdown()
+	if got != watchCycleAllocs {
+		t.Fatalf("one watched write to %d sessions: %v allocations, want %d", watchCycleSessions, got, watchCycleAllocs)
+	}
+}
+
+// watchCycle is the rig of the watch-cycle pins: a node watchCycleSessions
+// sessions watch, with callbacks that re-arm, cycled until the sandboxes are
+// warm and the buffers grown, and one cycle to price.
+func watchCycle(t *testing.T) (*sim.Kernel, func()) {
 	k := sim.NewKernel(1)
 	d := core.NewDeployment(k, core.Config{})
 	data := []byte(strings.Repeat("x", 128))
@@ -486,15 +498,23 @@ func TestWatchCycleAllocations(t *testing.T) {
 				t.Errorf("arm: %v", err)
 			}
 		}
-		for range 20 { // the sandboxes are warm, the buffers grown
+		for range 20 {
 			cycle()
 		}
 	})
 	k.Run()
-	got := sim.AllocsPerRun(k, 300, cycle)
+	return k, cycle
+}
+
+// TestWatchCycleKernelWork pins the kernel's work for the cycle
+// TestWatchCycleAllocations prices, over watchCycleRuns cycles: exact for
+// the seed, under the race detector too.
+func TestWatchCycleKernelWork(t *testing.T) {
+	k, cycle := watchCycle(t)
+	got := sim.WorkPerRun(k, watchCycleRuns, cycle)
 	k.Shutdown()
-	if got != watchCycleAllocs {
-		t.Fatalf("one watched write to %d sessions: %v allocations, want %d", watchCycleSessions, got, watchCycleAllocs)
+	if got != watchCycleWork {
+		t.Fatalf("%d watched writes to %d sessions: kernel work %+v, want %+v", watchCycleRuns, watchCycleSessions, got, watchCycleWork)
 	}
 }
 
@@ -526,3 +546,17 @@ const watchCycleSessions = 4
 // mirror, fired list and completion list kept their arrays in the shard's
 // slot (3).
 const watchCycleAllocs = 28
+
+// watchCycleWork is TestWatchCycleKernelWork's pinned count over
+// watchCycleRuns cycles: a watched write is about 55 dispatches — 43 or 44
+// hand-offs, the rest self-continues, as same-instant events fall — and 4
+// spawns (the flush's leg, the claim round's clear and epoch append, the
+// watch function's invocation). Re-pin it only with a reason. It was 5 500
+// dispatches, 4 362 hand-offs and 1 138 self-continues until a warm
+// one-shard leader skipped the epoch item in its opening read: the read is
+// still one GetViews, but the draws after the shorter read shift, and with
+// them how a cycle's events fall, so 3 cycles in 100 now take 57 dispatches
+// and one 54.
+const watchCycleRuns = 100
+
+var watchCycleWork = sim.Work{Dispatches: 5505, HandOffs: 4366, SelfContinues: 1139, Spawns: 400}

@@ -30,6 +30,24 @@ func AllocsPerRun(k *Kernel, runs int, fn func()) float64 {
 	return float64(mallocs / uint64(runs))
 }
 
+// WorkPerRun is AllocsPerRun for the kernel's own work (Work): it calls fn
+// once to warm up, then runs more times inside one process of k, and returns
+// the work those runs did in all — not per run, which need not be whole. It
+// is exact for a seed, under the race detector too.
+func WorkPerRun(k *Kernel, runs int, fn func()) Work {
+	var w Work
+	k.Go("work-per-run", func() {
+		fn()
+		w0 := k.Work()
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+		w = k.Work().Sub(w0)
+	})
+	k.Run()
+	return w
+}
+
 // PoolDropsPuts reports whether a sync.Pool fails to hand back what was
 // just put in it, as under the race detector, which drops a quarter of all
 // puts: code that keeps its scratch in a pool then reallocates at random,

@@ -62,6 +62,7 @@ type Kernel struct {
 	limit   Time // RunUntil's bound: dispatch runs no event later than this
 	events  eventHeap
 	seq     int64
+	work    Work // what the kernel did so far (Work)
 	current *Process
 	parked  chan struct{} // the baton's way back to RunUntil / Shutdown
 	rng     *rand.Rand
@@ -75,6 +76,21 @@ type Kernel struct {
 	// has not run past yet.
 	sweepMin int
 	swept    Time
+}
+
+// Work counts the kernel's own work, exactly for a seed, as allocations are
+// for a toolchain: a price per run is a count of these times a unit cost
+// (bench's sim.* probes).
+type Work struct {
+	Dispatches    int64 // events dispatch handed a process (stale wake-ups dropped are not)
+	HandOffs      int64 // baton passes to another goroutine: a process, or RunUntil
+	SelfContinues int64 // parks whose next event was the parking process's own wake-up
+	Spawns        int64 // processes started (Go)
+}
+
+// Sub is w less o: the work done between two readings.
+func (w Work) Sub(o Work) Work {
+	return Work{w.Dispatches - o.Dispatches, w.HandOffs - o.HandOffs, w.SelfContinues - o.SelfContinues, w.Spawns - o.Spawns}
 }
 
 // Process is a simulated thread of control. Processes are created by
@@ -198,6 +214,9 @@ func (k *Kernel) Now() Time { return k.now }
 // used from inside processes (or before Run), never concurrently.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
+// Work returns what the kernel has done since it was made.
+func (k *Kernel) Work() Work { return k.work }
+
 // Current returns the currently running process. It is only meaningful when
 // called from inside a process.
 func (k *Kernel) Current() *Process { return k.current }
@@ -265,6 +284,7 @@ func (k *Kernel) dispatch() *Process {
 		}
 		p.parkSeq++
 		k.current = p
+		k.work.Dispatches++
 		return p
 	}
 	k.current = nil
@@ -274,6 +294,7 @@ func (k *Kernel) dispatch() *Process {
 // handOff passes the baton to next, or back to RunUntil when next is nil.
 // Neither send can block: see the package comment.
 func (k *Kernel) handOff(next *Process) {
+	k.work.HandOffs++
 	if next == nil {
 		k.parked <- struct{}{}
 		return
@@ -293,6 +314,7 @@ func (k *Kernel) park() {
 	}
 	next := k.dispatch()
 	if next == p {
+		k.work.SelfContinues++
 		return // the next event is our own wake-up
 	}
 	k.handOff(next)
@@ -307,6 +329,7 @@ func (k *Kernel) park() {
 // process. The process reuses an idle goroutine when one is waiting.
 func (k *Kernel) Go(name string, fn func()) *Process {
 	k.nextID++
+	k.work.Spawns++
 	var p *Process
 	if n := len(k.idle); n > 0 {
 		p = k.idle[n-1]

@@ -590,3 +590,25 @@ func TestSweepKeepsHeapBounded(t *testing.T) {
 		t.Errorf("%d wake-ups left after the last sweep, want none", left)
 	}
 }
+
+// TestWorkCountsEachStep: the kernel counts every dispatch, hand-off,
+// self-continue and spawn, exactly. Two processes: a sleeps past b, so the
+// baton goes RunUntil → a → b, b continues itself past its own sleep, and
+// each exit hands the baton on (to a, then back to RunUntil).
+func TestWorkCountsEachStep(t *testing.T) {
+	k := NewKernel(1)
+	k.Go("a", func() { k.Sleep(2) })
+	k.Go("b", func() { k.Sleep(1) })
+	k.Run()
+	want := Work{Dispatches: 4, HandOffs: 4, SelfContinues: 1, Spawns: 2}
+	if got := k.Work(); got != want {
+		t.Errorf("kernel work %+v, want %+v", got, want)
+	}
+	w0 := k.Work()
+	if got := WorkPerRun(k, 3, func() { k.Sleep(1) }); got != (Work{Dispatches: 3, SelfContinues: 3}) {
+		t.Errorf("three sleeps of one process: %+v, want 3 dispatches, each a self-continue", got)
+	}
+	if got := k.Work().Sub(w0).Spawns; got != 1 {
+		t.Errorf("WorkPerRun spawned %d processes, want its one", got)
+	}
+}
