@@ -295,9 +295,11 @@ func TestReplayCmdReproducesScenario(t *testing.T) {
 }
 
 // TestChaosQuietControl runs the workload with every fault off: the
-// harness and checker themselves must be clean, nothing injected, and no
-// operation may end in an indeterminate error (a system error or a
-// timeout), before a failure under faults means anything.
+// harness and checker themselves must be clean (the at-rest audit among
+// them), nothing injected, and no operation may end in an indeterminate
+// error (a system error or a timeout), before a failure under faults means
+// anything. On a sharded row the root watcher arms and fires, and reads a
+// child list with a churned top-level node in it.
 func TestChaosQuietControl(t *testing.T) {
 	for _, cfg := range Configs() {
 		cfg := cfg
@@ -308,11 +310,27 @@ func TestChaosQuietControl(t *testing.T) {
 			if len(res.FaultCounts) != 0 {
 				t.Errorf("fault-free control injected faults: %v", res.FaultCounts)
 			}
+			arms, fires, churned := 0, 0, false
 			for _, e := range res.History.Events {
 				if e.Err != "" && !e.Definite {
 					t.Errorf("fault-free control: %s %s %s %s: indeterminate error %q",
 						e.Session, e.Kind, e.Op, e.Path, e.Err)
 				}
+				if e.Session != rootWatcherID {
+					continue
+				}
+				switch e.Kind {
+				case KindWatchArm:
+					arms++
+					churned = churned || slices.ContainsFunc(e.Children, func(c string) bool { return strings.HasPrefix(c, "t") })
+				case KindWatchFire:
+					fires++
+				}
+			}
+			dc, _ := DeployConfig(s.Config)
+			if sharded := dc.WriteShards > 1; sharded != (arms > 0 && fires > 0 && churned) {
+				t.Errorf("%d shards: the root watcher armed %d times and fired %d times, churned nodes seen %v",
+					dc.WriteShards, arms, fires, churned)
 			}
 		})
 	}

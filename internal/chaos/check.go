@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,8 +80,10 @@ type swKey struct {
 // non-failed write produced), a single data value per mzxid, strict
 // read-your-writes on single-writer paths, reverse-order multi()
 // atomicity, and watch ordering (no stale read before a delivered
-// notification, no silently lost watch, no fire later than the first acked
-// change after the arming read: WatchFiredLate), and timeliness (Untimely).
+// notification, no silently lost watch — a child watch judged by child
+// sets, never by txids, which order only within a shard —, no fire later
+// than the first acked change after the arming read: WatchFiredLate), and
+// timeliness (Untimely).
 // It returns every violation found; an empty slice is a clean history.
 func Check(h *History, opts CheckOpts) []Violation {
 	if opts.PrivatePrefix == "" {
@@ -191,8 +194,10 @@ func Check(h *History, opts CheckOpts) []Violation {
 	lastB := map[string]map[int]int64{} // session -> pair -> counter read on b
 
 	type armRec struct {
-		r   int64 // mzxid of the arming read
-		end int64 // when the arm completed
+		r    int64    // mzxid of the arming read
+		end  int64    // when the arm completed
+		kids []string // a child watch's arming read's child list
+		kid  bool     // a child watch
 	}
 	type fireRec struct {
 		path    string
@@ -207,6 +212,11 @@ func Check(h *History, opts CheckOpts) []Violation {
 		f       fireRec
 	}
 	reads := map[spKey][]struct{ end, mzxid int64 }{} // successful reads
+	type kidRead struct {
+		end  int64
+		kids []string
+	}
+	kidReads := map[spKey][]kidRead{} // successful children reads
 
 	obsUp := func(k spKey, m int64) {
 		if m > lastObs[k] {
@@ -268,6 +278,10 @@ func Check(h *History, opts CheckOpts) []Violation {
 				continue
 			}
 			k := spKey{e.Session, e.Path}
+			if e.Op == "children" {
+				kidReads[k] = append(kidReads[k], kidRead{int64(e.End), e.Children})
+				continue
+			}
 			if e.Mzxid > 0 && e.Mzxid < lastObs[k] {
 				add("mzxid-regression", e.Session, e.Path,
 					"read mzxid %d after observing %d", e.Mzxid, lastObs[k])
@@ -324,7 +338,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 				continue
 			}
 			k := swKey{e.Session, e.WatchID}
-			pendingArm[k] = armRec{r: e.Mzxid, end: int64(e.End)}
+			pendingArm[k] = armRec{r: e.Mzxid, end: int64(e.End), kids: e.Children, kid: e.Op == "children"}
 			armPath[k] = e.Path
 		case KindWatchFire:
 			k := swKey{e.Session, e.WatchID}
@@ -353,12 +367,27 @@ func Check(h *History, opts CheckOpts) []Violation {
 
 	// ---- Lost watches: an armed watch whose owner then observed two
 	// distinct post-arm changes must have fired — the second change's
-	// watch claim provably ran after the registration landed.
+	// watch claim provably ran after the registration landed. A child
+	// watch's arming read returns every child change committed before the
+	// registration, so a child set its owner reads later, past the gap,
+	// that differs from the armed one shows a change the watch had to fire
+	// for.
 	for k, arm := range pendingArm {
 		if !opts.OpenSessions[k.session] {
 			continue
 		}
 		path := armPath[k]
+		if arm.kid {
+			for _, r := range kidReads[spKey{k.session, path}] {
+				if r.end > arm.end+opts.LostWatchGap && !slices.Equal(r.kids, arm.kids) {
+					add("lost-watch", k.session, path,
+						"child watch %d armed on children %v never fired, yet %v were read later",
+						k.wid, arm.kids, r.kids)
+					break
+				}
+			}
+			continue
+		}
 		distinct := map[int64]bool{}
 		for _, r := range reads[spKey{k.session, path}] {
 			if r.end > arm.end+opts.LostWatchGap && r.mzxid > arm.r {

@@ -231,6 +231,30 @@ func TestCheckerLostWatchNeedsDistantEvidence(t *testing.T) {
 	}
 }
 
+// TestCheckerFlagsLostChildWatch: a child watch on the root is judged by
+// child sets, never by txids (a sharded root's children come from several
+// shards, whose txids do not order). Armed on [a], the owner reads [a b]
+// past the gap and the watch never fired: lost. The same read within the
+// gap, an unchanged set, or a fire each clear it.
+func TestCheckerFlagsLostChildWatch(t *testing.T) {
+	arm := Event{Session: "w", Kind: KindWatchArm, Op: "children", Path: "/", Children: []string{"a"}, WatchID: 5, End: sec(1)}
+	read := func(end sim.Time, kids ...string) Event {
+		return Event{Session: "w", Kind: KindRead, Op: "children", Path: "/", Children: kids, End: end}
+	}
+	if vs := checkH(arm, read(sec(10), "a", "b")); !hasViolation(vs, "lost-watch") {
+		t.Fatalf("lost child watch not flagged: %v", vs)
+	}
+	for name, events := range map[string][]Event{
+		"within the gap": {arm, read(sec(2), "a", "b")},
+		"same set":       {arm, read(sec(10), "a"), read(sec(20), "a")},
+		"fired":          {arm, {Session: "w", Kind: KindWatchFire, Path: "/", Mzxid: 3, WatchID: 5, End: sec(2)}, read(sec(10), "a", "b")},
+	} {
+		if vs := checkH(events...); len(vs) != 0 {
+			t.Errorf("%s: flagged %v", name, vs)
+		}
+	}
+}
+
 func TestCheckerFlagsWatchFiredLate(t *testing.T) {
 	// Armed by a read at mzxid 10; sets were acked at 14 and 18, but the
 	// one fire carries 18: the watch missed 14.

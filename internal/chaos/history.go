@@ -12,7 +12,7 @@ const (
 	KindWrite     = "write"      // single-op write ack (create/set/delete)
 	KindRead      = "read"       // GetData / audit read
 	KindMulti     = "multi"      // multi() with per-sub-op results
-	KindWatchArm  = "watch-arm"  // one-shot data watch registered
+	KindWatchArm  = "watch-arm"  // one-shot watch registered (Op "children": a child watch)
 	KindWatchFire = "watch-fire" // notification delivered to the session
 )
 
@@ -32,7 +32,7 @@ type SubOp struct {
 type Event struct {
 	Session string   `json:"session"`
 	Kind    string   `json:"kind"`
-	Op      string   `json:"op,omitempty"` // create|set|delete|get
+	Op      string   `json:"op,omitempty"` // create|set|delete|get|children
 	Path    string   `json:"path"`
 	Value   string   `json:"value,omitempty"`
 	Mzxid   int64    `json:"mzxid,omitempty"` // observed mzxid / ack txid / fire txid / arm-read mzxid
@@ -46,6 +46,9 @@ type Event struct {
 	Definite bool    `json:"definite,omitempty"`
 	WatchID  int64   `json:"watch_id,omitempty"`
 	Ops      []SubOp `json:"ops,omitempty"`
+	// Children is the sorted child list a children read or a child watch's
+	// arming read returned.
+	Children []string `json:"children,omitempty"`
 }
 
 // History is the recorded client-visible history of one scenario run.

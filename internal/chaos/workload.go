@@ -467,6 +467,43 @@ func run(s Scenario, traced bool) *Result {
 			}
 		})
 
+		// On several shards the root's child list changes on every shard:
+		// a churner creates and deletes a top-level node per shard, and a
+		// second watcher keeps a child watch on the root re-armed. The
+		// checker judges it by child sets (Check's lost-watch rule).
+		if d.NumShards() > 1 {
+			done.Go("rootchurn", func() {
+				c, err := fkclient.Connect(d, "rootchurn", home)
+				if err != nil {
+					harness("rootchurn connect: %v", err)
+					return
+				}
+				defer c.Close()
+				r := rand.New(rand.NewSource(s.Seed + 11000))
+				names := topLevelPerShard(d.NumShards())
+				live := make([]bool, len(names))
+				for op := 0; op < s.OpsPerClient; op++ {
+					i := r.Intn(len(names))
+					if live[i] {
+						doDelete(c, "rootchurn", names[i])
+						live[i] = false
+					} else {
+						err := doCreate(c, "rootchurn", names[i], fmt.Sprintf("rootchurn#%d", op), 0)
+						live[i] = err == nil || errors.Is(err, core.ErrNodeExists)
+					}
+					k.Sleep(time.Duration(r.Intn(40)) * time.Millisecond)
+				}
+			})
+			done.Go(rootWatcherID, func() {
+				c, err := fkclient.Connect(d, rootWatcherID, home)
+				if err != nil {
+					harness("%s connect: %v", rootWatcherID, err)
+					return
+				}
+				watchChildren(k, c, rootWatcherID, s.OpsPerClient, record)
+			})
+		}
+
 		// Session churn: connect, work, clean close, reconnect fresh.
 		done.Go("churn", func() {
 			for gen := 0; gen < 3; gen++ {
@@ -612,6 +649,10 @@ func run(s Scenario, traced bool) *Result {
 				}
 			}
 			walk(znode.Root)
+			// At rest the user store agrees with the system store.
+			for _, f := range d.AtRest(ctx) {
+				res.Violations = append(res.Violations, Violation{Invariant: "at-rest", Detail: f})
+			}
 		})
 		auditBy := k.Now() + sim.Time(auditDeadline)
 		for !auditDone && k.Now() < auditBy {
@@ -635,10 +676,74 @@ func run(s Scenario, traced bool) *Result {
 
 	res.Violations = append(res.Violations, Check(h, CheckOpts{
 		SwapPairs:    swapPairs,
-		OpenSessions: map[string]bool{watcherID: true},
+		OpenSessions: map[string]bool{watcherID: true, rootWatcherID: true},
 		Shards:       d.NumShards(),
 	})...)
 	return res
+}
+
+// rootWatcherID is the session that keeps a child watch on the root on a
+// sharded row (watchChildren).
+const rootWatcherID = "rootwatcher"
+
+// topLevelPerShard returns one top-level path per write shard.
+func topLevelPerShard(shards int) []string {
+	paths := make([]string, shards)
+	for i, found := 0, 0; found < shards; i++ {
+		p := fmt.Sprintf("/t%d", i)
+		if s := core.ShardOf(p, shards); paths[s] == "" {
+			paths[s] = p
+			found++
+		}
+	}
+	return paths
+}
+
+// watchChildren keeps a one-shot child watch on the root armed, re-arming
+// it after each fire up to arms times, and records each arming read's child
+// list and each fire.
+// An arm that does not fire within 30 s gathers two children reads as
+// the checker's evidence and ends the loop. The session stays open, so a
+// silent arm at history end is judged.
+func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, record func(Event)) {
+	wid := core.WatchID(znode.Root, core.WatchChild)
+	children := func() {
+		start := k.Now()
+		kids, err := c.GetChildren(znode.Root)
+		record(Event{Session: session, Kind: KindRead, Op: "children", Path: znode.Root,
+			Children: kids, Start: start, End: k.Now(), Err: errStr(err)})
+	}
+	armErrs := 0
+	for n := 0; n < arms; n++ {
+		fired := false
+		cb := func(note core.Notification) {
+			record(Event{Session: session, Kind: KindWatchFire, Path: note.Path,
+				Mzxid: note.Txid, WatchID: note.WatchID, Start: k.Now(), End: k.Now()})
+			fired = true
+		}
+		start := k.Now()
+		kids, err := c.GetChildrenW(znode.Root, cb)
+		record(Event{Session: session, Kind: KindWatchArm, Op: "children", Path: znode.Root,
+			Children: kids, WatchID: wid, Start: start, End: k.Now(), Err: errStr(err)})
+		if err != nil {
+			if armErrs++; armErrs >= 3 {
+				return
+			}
+			k.Sleep(200 * time.Millisecond)
+			continue
+		}
+		armErrs = 0
+		for waitUntil := k.Now() + sim.Time(30*time.Second); !fired && k.Now() < waitUntil; {
+			k.Sleep(50 * time.Millisecond)
+		}
+		if !fired {
+			k.Sleep(5 * time.Second)
+			children()
+			k.Sleep(5 * time.Second)
+			children()
+			return
+		}
+	}
 }
 
 func opName(t txn.OpType) string {

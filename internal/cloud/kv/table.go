@@ -457,8 +457,10 @@ func (t *Table) build(old Item, extra int) Item {
 // pass keys that borrow a decoded message (a path), and the map outlives
 // it. An existing key is never assigned again, so updates copy nothing.
 // The version next pushes out of prev is unreachable from the table: its
-// array is cleared, so a view of it that outlived its contract reads an
-// empty item, and kept as the spare when it is larger than the one kept.
+// array is cleared and kept as the spare when it is larger than the one
+// kept, and the next commit of any row may build into it (build). So a view
+// of it that outlived its contract reads an empty item or another row's
+// attributes.
 func (t *Table) commit(key string, next Item) {
 	r, ok := t.items[key]
 	if !ok {

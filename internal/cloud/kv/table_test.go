@@ -603,7 +603,8 @@ func TestClosedSetsDispatchEveryForm(t *testing.T) {
 // comment). Update returns the stored item itself, which equals the
 // committed item and never aliases the caller's own argument slices. Once
 // two later commits have pushed that version out of the row, its array is
-// cleared for reuse, so the stale view reads empty. Every value taken out
+// cleared for reuse: the stale view reads empty until the next commit of
+// any row builds into it (TestStaleViewReadsAnotherRow). Every value taken out
 // of the view — bytes, a number list, a string list — stays as it was
 // through later updates, a transaction and a put, which build into the
 // retired arrays.
@@ -660,6 +661,38 @@ func TestViewValidUntilItsReaderBlocks(t *testing.T) {
 		}
 		if got := fmt.Sprint(b, nl, sl); got != want {
 			t.Errorf("after a transaction and a put the values taken out read %s, want %s", got, want)
+		}
+	})
+	k.Run()
+}
+
+// TestStaleViewReadsAnotherRow documents what a view read after its
+// contract sees: not an empty item, but whatever the table built into its
+// retired array since. A view of /lock, held across two later commits of
+// its row and one update of /node, reads /node's attributes — a lock's
+// reader would find a node's owner where the holder was.
+func TestStaleViewReadsAnotherRow(t *testing.T) {
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		if err := tbl.Put(ctx, "/node", Item{{Name: "owner", V: S("s1")}}, nil); err != nil {
+			t.Errorf("put: %v", err)
+		}
+		view, err := tbl.Update(ctx, "/lock", []Update{Set{"holder", S("s2")}, Set{"ts", N(1)}}, nil)
+		if err != nil || view.Get("holder").Str() != "s2" {
+			t.Errorf("update: %v %v", view, err)
+			return
+		}
+		for ts := int64(2); ts <= 3; ts++ {
+			if _, err := tbl.Update(ctx, "/lock", []Update{Set{"ts", N(ts)}}, nil); err != nil {
+				t.Errorf("lock update %d: %v", ts, err)
+			}
+		}
+		if _, err := tbl.Update(ctx, "/node", []Update{Set{"owner", S("s3")}}, nil); err != nil {
+			t.Errorf("node update: %v", err)
+		}
+		if view.Get("holder").Str() != "" || view.Get("owner").Str() != "s3" {
+			t.Errorf("the stale view of /lock reads %v, want /node's new attributes", view)
 		}
 	})
 	k.Run()

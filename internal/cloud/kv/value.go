@@ -21,7 +21,9 @@
 //   - GetView, GetViews and Update return read-only views of table
 //     storage. A view's attribute list is valid until its reader next
 //     blocks: the second commit of the row after it clears the array for
-//     reuse, and a view read after that finds every attribute empty. Every
+//     reuse, and the next commit of any row may build into it. A view read
+//     after that finds every attribute empty or, just as likely, another
+//     row's attributes — data that looks valid and is not. Every
 //     string, byte and list value inside a view stays immutable forever,
 //     so a reader decodes the view before it blocks and may keep the
 //     values it took out without copying them. The caller must not modify

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -296,13 +297,13 @@ func TestRegisterWatchAndEpoch(t *testing.T) {
 	if len(epoch) != 0 {
 		t.Fatalf("epoch should start empty: %v", epoch)
 	}
-	if want := (Frontier{}); missing != want {
+	if want := (Frontier{}); !reflect.DeepEqual(missing, want) {
 		t.Errorf("frontier on a missing node %+v, want %+v", missing, want)
 	}
-	if want := (Frontier{Zxid: 7, Exists: true}); data != want {
+	if want := (Frontier{Zxid: 7, Exists: true}); !reflect.DeepEqual(data, want) {
 		t.Errorf("data watch frontier %+v, want %+v", data, want)
 	}
-	if want := (Frontier{Zxid: 9, Exists: true}); child != want {
+	if want := (Frontier{Zxid: 9, Exists: true}); !reflect.DeepEqual(child, want) {
 		t.Errorf("child watch frontier %+v, want %+v", child, want)
 	}
 	if writes != 2 {

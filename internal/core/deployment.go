@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"faaskeeper/internal/cache"
@@ -104,7 +103,8 @@ type Config struct {
 	// optionally combined with a per-session client cache. The leader
 	// installs each object in the regional node right after its user-store
 	// write (a delete, a shared path or an atomic batch is invalidated
-	// before it), and clients apply the direct path's Z3/Z4 guards before
+	// before it; clients read the shared root of a sharded deployment from
+	// the store), and clients apply the direct path's Z3/Z4 guards before
 	// serving a cached entry. Default CacheOff — the paper's direct read
 	// path.
 	CacheMode CacheMode
@@ -228,9 +228,11 @@ type Deployment struct {
 	route *shardmap.Map
 
 	// epochKeys memoizes each region's epoch item key (epochKey), and
-	// epochAttrs names each shard's watch list on it.
+	// epochAttrs names each shard's watch list on it. pzxidAttrs names each
+	// shard's child stamp on the shared root's control record (childStamps).
 	epochKeys  map[cloud.Region]string
 	epochAttrs []string
+	pzxidAttrs []string
 	// leaders holds each shard's leader slot (leaderShard).
 	leaders []*leaderShard
 
@@ -297,11 +299,8 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
 		d.leaders = append(d.leaders, d.newLeaderShard())
-		attr := attrEpochList
-		if s > 0 {
-			attr += strconv.Itoa(s)
-		}
-		d.epochAttrs = append(d.epochAttrs, attr)
+		d.epochAttrs = append(d.epochAttrs, shardAttr(attrEpochList, s))
+		d.pzxidAttrs = append(d.pzxidAttrs, shardAttr(attrPzxid, s))
 	}
 	d.route = shardmap.New(cfg.WriteShards)
 
@@ -347,13 +346,17 @@ func (d *Deployment) newUserStore(r cloud.Region) UserStore {
 	}
 }
 
-// seedRoot bootstraps "/" in system and user stores at no cost.
+// seedRoot bootstraps "/" in system and user stores at no cost. A shared
+// root's object starts with a zero child stamp per shard (spliceInto).
 func (d *Deployment) seedRoot() {
 	d.System.SeedPut(znode.Root, kv.Item{
 		{Name: attrExists, V: kv.N(1)},
 		{Name: attrChildren, V: kv.StrList()},
 	})
 	root := &znode.Node{Path: znode.Root}
+	if d.route.Shared(znode.Root) {
+		root.Pzxids = make([]int64, d.NumShards())
+	}
 	for _, s := range d.Stores {
 		s.Seed(root)
 	}
@@ -496,7 +499,10 @@ func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, ses
 	}
 	f := Frontier{Zxid: it.Get(attrMzxid).Num(), Exists: it.Get(attrExists).Num() == 1}
 	if wt == WatchChild {
-		f.Zxid = it.Get(attrPzxid).Num()
+		f.Zxid = newestPzxid(it)
+		if d.route.Shared(path) {
+			f.Pzxids = d.childStamps(it)
+		}
 	}
 	return WatchID(path, wt), f, nil
 }
@@ -513,10 +519,16 @@ func (d *Deployment) Armed(ctx cloud.Ctx, path string, wt WatchType, sessionID s
 // found: the record's mzxid (pzxid for a child watch) and whether the node
 // existed. A change committed before the registration may have been claimed
 // without it, so the read that arms the watch must return a state at or past
-// the frontier: one the watch has nothing left to fire for.
+// the frontier: one the watch has nothing left to fire for. A child watch's
+// frontier on the shared root is per shard (Pzxids, the record's child
+// stamps; Zxid is their maximum): a txid orders only against its own
+// shard's, so the arming read waits until the object's stamp for every
+// shard (znode.Node.Pzxids) is at or past the frontier's. On every other
+// path Pzxids is nil, and the one stamp is Zxid.
 type Frontier struct {
 	Zxid   int64
 	Exists bool
+	Pzxids []int64
 }
 
 // NumShards returns the number of write shards the leader pipeline is

@@ -300,7 +300,9 @@ func (f *batchFold) foldChange(c change, txid int64) (stat znode.Stat) {
 // presences (idempotently — the object may already reflect some of them)
 // and only-raised stamps (within a shard they are monotone anyway; on a
 // shared root two shards may apply their updates out of global txid
-// order).
+// order). The shared root's object carries a child stamp per shard
+// (znode.Node.Pzxids, one per shard since seedRoot): the fold raises its
+// own shard's, the one that minted its txids (shardTxid).
 func spliceInto(n *znode.Node, pf *parentFold) {
 	for _, name := range pf.names {
 		if pf.present[name] {
@@ -313,6 +315,10 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 	}
 	n.Stat.Cversion = max(n.Stat.Cversion, pf.cversion)
 	n.Stat.Pzxid = max(n.Stat.Pzxid, pf.pzxid)
+	if len(n.Pzxids) > 0 {
+		s := pf.pzxid % int64(len(n.Pzxids))
+		n.Pzxids[s] = max(n.Pzxids[s], pf.pzxid)
+	}
 	n.Stat.NumChildren = int32(len(n.Children))
 }
 
@@ -849,9 +855,11 @@ type flushLeg struct {
 // rule in the region's cache (fenced). A fenced object is invalidated
 // before the leg's first store op, in one round trip for all of them: a
 // delete, so a reader that saw the node gone in the store cannot get it
-// back from the cache; a shared path, which another shard rewrites under
-// the root lock; and every object of a leg that applies an atomic
-// batch, which lands at one instant no per-object install can follow.
+// back from the cache; a shared path; and every object of a leg that
+// applies an atomic batch, which lands at one instant no per-object install
+// can follow. (A reader reads a shared path from the store, past the cache,
+// so its fence only keeps the timing of sharded cached runs: dropping it
+// moves them, ROADMAP 23.)
 // Every other object is installed right after its own store write lands,
 // before the leg's next store op starts, and its old entry stays served
 // until then. So the cache never runs ahead of the store and lags it by at
@@ -920,8 +928,8 @@ func (l *flushLeg) write() {
 
 // due queues the install of an object the leg's last store op wrote, at
 // its freshness value, the value a reader's fill would carry. Deletes
-// install nothing, and neither do shared paths, which stay fenced: another
-// shard rewrites them under the root lock.
+// install nothing, and neither do shared paths, which no reader reads
+// through a cache.
 func (l *flushLeg) due(o Object) {
 	if l.rc != nil && o.Node != nil && !l.d.route.Shared(o.Path) {
 		l.installs = append(l.installs, cache.Install{Path: o.Path, Blob: o.Blob, Mzxid: o.Node.Fresh()})
@@ -964,7 +972,7 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 // for one region into invs (the leg's scratch): each path the leg's rule
 // fences (fenced, given the path and whether the fold deletes it) once, at
 // its newest folded txid. A parent a node write absorbed is that write's; a
-// shared parent's is fenced, so its floor is raised before its RMW lands.
+// shared parent's is fenced before its RMW lands.
 func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, fenced func(path string, del bool) bool) []cache.Invalidation {
 	for i := range f.nodes {
 		if nf := &f.nodes[i]; fenced(nf.path, !nf.live()) {

@@ -192,7 +192,9 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly, quiet bool) (empty bool) {
 		p.opened, p.openedAt = true, d.K.Now()
 	}
 	items := slices.Grow(itemBuf[:0], len(keys))[:len(keys)]
-	d.System.GetViews(p.ctx, keys, true, items)
+	if len(keys) > 0 { // quiet, with a multi() or acks at the head: nothing to read
+		d.System.GetViews(p.ctx, keys, true, items)
+	}
 
 	if p.opened {
 		for i, it := range items[epochs:] {
@@ -484,10 +486,12 @@ func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) bool {
 	return ok
 }
 
-// refreshSharedFromSystem overwrites a shared object's child list (and
-// raises its child stamps) from the system store, the source of truth.
-// Must run under the path's shared lock: a full-object write racing
-// another shard's child splice would otherwise revert the child list.
+// refreshSharedFromSystem overwrites a shared object's child list and its
+// per-shard child stamps (and raises its cversion and pzxid) from the
+// system store, the source of truth: the record's stamps are every
+// shard's newest committed child change, which its child list holds. Must
+// run under the path's shared lock: a full-object write racing another
+// shard's child splice would otherwise revert the child list.
 func (d *Deployment) refreshSharedFromSystem(ctx cloud.Ctx, path string, n *znode.Node) {
 	it, ok := d.System.Get(ctx, path, true)
 	if !ok {
@@ -495,6 +499,7 @@ func (d *Deployment) refreshSharedFromSystem(ctx cloud.Ctx, path string, n *znod
 	}
 	fresh := decodeSysNode(it)
 	n.Children = fresh.Children
+	n.Pzxids = d.childStamps(it)
 	n.Stat.NumChildren = int32(len(fresh.Children))
 	n.Stat.Cversion = max(n.Stat.Cversion, fresh.Cversion)
 	n.Stat.Pzxid = max(n.Stat.Pzxid, fresh.Pzxid)

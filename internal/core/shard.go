@@ -26,6 +26,37 @@ import (
 // hash of the top-level path segment modulo n. The root maps to shard 0.
 // It is a pure function of the path, like WatchID, so routing never needs
 // a storage round trip.
+//
+// Txids order only within the shard that minted them (shardTxid). Every
+// comparison of two txids whose operands could come from different shards,
+// and why it is sound:
+//   - The shared root's child stamps — its record's pzxid, its object's,
+//     a child watch's frontier and fkclient's watchArm.reached: fixed, one
+//     stamp per shard (childStamps, znode.Node.Pzxids, Frontier.Pzxids).
+//     The root's Stat.Pzxid is their maximum, for show only.
+//   - The cache tier's floors and freshness values on the shared root
+//     (cache.Regional's admission, fkclient's lastSeen["/"] and the root's
+//     MRD floor): fixed, the shared root bypasses both cache levels
+//     (fkclient's fetch), and the flush legs never install it.
+//     A strict floor bump did not suffice: a node that lost its floors
+//     admitted a refill older than a low-txid shard's rebuild.
+//   - fkclient's sysFloor, the session-wide floor of client-cache hits:
+//     cross-shard; over-rejects only (a miss falls through to the
+//     regional node).
+//   - fkclient's maxSeenMzxid and mrdMax: cross-shard maxima, read only
+//     by their accessors (MaxSeenMzxid, MRD); nothing decides on them.
+//   - fkclient's read gate (mrd, armMRD): same shard by construction, by
+//     the minting shard (mintShard).
+//   - A data or exists watch's frontier (mzxid): same shard by
+//     construction; a node's data writes all route to its shard, the
+//     root's to shard 0.
+//   - The leader's commit check and pops (pending list heads): same shard
+//     by construction; a record lists its node's shard's txids only.
+//   - The distributor's fold stamps (foldChange, foldParent, spliceInto):
+//     same shard by construction; a fold is one shard's.
+//   - chaos.Check: write-txid-order keys by minting shard; the per-path
+//     rules keep to one shard, and a child watch on the root is judged by
+//     child sets, not txids.
 func ShardOf(path string, n int) int { return shardmap.DefaultShard(path, n) }
 
 // shardTxid interleaves per-shard queue sequence numbers into globally

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
@@ -173,11 +174,12 @@ func (s *rootRecStore) Delete(ctx cloud.Ctx, path string) error {
 // sessions create top-level nodes on both shards and delete half of them,
 // all pipelined. In every region the root object ends with exactly the live
 // children, the system store's Cversion (one per change) and the highest
-// txid of any change as its Pzxid: the system record keeps the last shard's
-// commit, the objects only raise it. Each region's flush leg splices the
-// root itself: its last store write is the root's, after the leg's child
-// writes, and the root lock has one holder from that write's start to its
-// landing. No process but a leg touches a user store, so no
+// txid of any change as its Pzxid. The system record and every object keep
+// one child stamp per shard, that shard's highest txid (childStamps,
+// znode.Node.Pzxids): each shard sets or raises only its own. Each region's
+// flush leg splices the root itself: its last store write is the root's,
+// after the leg's child writes, and the root lock has one holder from that
+// write's start to its landing. No process but a leg touches a user store, so no
 // leader-root-<region> process runs.
 func TestSharedRootSplicedInEachLeg(t *testing.T) {
 	for _, batch := range []bool{false, true} {
@@ -202,6 +204,7 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 			shards := map[int]bool{}
 			var changes int32
 			var pzxid int64
+			stamps := make([]int64, 2) // per shard
 			roots := make([]*znode.Node, len(r.d.Stores))
 			r.k.Go("driver", func() {
 				wg := sim.NewWaitGroup(r.k)
@@ -225,6 +228,7 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 							}
 							changes++
 							pzxid = max(pzxid, resp.Txid)
+							stamps[resp.Txid%2] = max(stamps[resp.Txid%2], resp.Txid)
 						}
 					})
 				}
@@ -254,6 +258,9 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 			if sys.Cversion != changes {
 				t.Errorf("system root: cversion %d, want %d", sys.Cversion, changes)
 			}
+			if got := r.d.childStamps(item); !slices.Equal(got, stamps) || sys.Pzxid != pzxid {
+				t.Errorf("system root: child stamps %v pzxid %d, want %v %d", got, sys.Pzxid, stamps, pzxid)
+			}
 			for i, n := range roots {
 				region := r.d.Stores[i].Region()
 				if n == nil {
@@ -264,8 +271,9 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 				if !slices.Equal(got, want) || n.Stat.NumChildren != int32(len(want)) {
 					t.Errorf("%s: root children %v (%d), want %v", region, n.Children, n.Stat.NumChildren, want)
 				}
-				if n.Stat.Cversion != changes || n.Stat.Pzxid != pzxid {
-					t.Errorf("%s: root cversion %d pzxid %d, want %d %d", region, n.Stat.Cversion, n.Stat.Pzxid, changes, pzxid)
+				if n.Stat.Cversion != changes || n.Stat.Pzxid != pzxid || !slices.Equal(n.Pzxids, stamps) {
+					t.Errorf("%s: root cversion %d pzxid %d stamps %v, want %d %d %v",
+						region, n.Stat.Cversion, n.Stat.Pzxid, n.Pzxids, changes, pzxid, stamps)
 				}
 			}
 
@@ -313,5 +321,40 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAtRestFlagsEachDisagreement: the at-rest audit is clean on a fresh
+// two-shard deployment and names each planted disagreement between the
+// system store and the user store: a record without its object, a stale
+// object, a shared root whose object lacks a shard's child stamp, and an
+// epoch list left non-empty.
+func TestAtRestFlagsEachDisagreement(t *testing.T) {
+	k, d := newTestDeployment(3, Config{WriteShards: 2})
+	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
+	var clean, planted []string
+	k.Go("audit", func() {
+		clean = d.AtRest(ctx)
+		d.System.SeedPut("/gone", kv.Item{{Name: attrExists, V: kv.N(1)}, {Name: attrMzxid, V: kv.N(4)}})
+		d.System.SeedPut("/stale", kv.Item{{Name: attrExists, V: kv.N(1)}, {Name: attrVersion, V: kv.N(2)}})
+		d.Stores[0].Seed(&znode.Node{Path: "/stale", Stat: znode.Stat{Version: 1}})
+		root, _ := d.System.Peek(znode.Root)
+		root.Set(d.pzxidAttrs[1], kv.N(7))
+		d.System.SeedPut(znode.Root, root)
+		d.System.SeedPut(d.epochKey(d.Cfg.Profile.Home), kv.Item{{Name: d.epochAttrs[1], V: kv.NumList(9)}})
+		planted = d.AtRest(ctx)
+	})
+	k.Run()
+	k.Shutdown()
+	if len(clean) != 0 {
+		t.Errorf("a fresh deployment is not at rest: %v", clean)
+	}
+	for _, want := range []string{"/gone in", "/stale in", "/ in", "epoch:"} {
+		if !slices.ContainsFunc(planted, func(f string) bool { return strings.HasPrefix(f, want) }) {
+			t.Errorf("no finding starts with %q: %v", want, planted)
+		}
+	}
+	if len(planted) != 4 {
+		t.Errorf("%d findings, want 4: %v", len(planted), planted)
 	}
 }

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/znode"
@@ -75,6 +80,30 @@ func (d *Deployment) epochKey(r cloud.Region) string {
 	return key
 }
 
+// shardAttr names shard s's attribute of a kind every shard keeps its own
+// of on one item: shard 0's is base, so a one-shard item is the paper's.
+func shardAttr(base string, s int) string {
+	if s == 0 {
+		return base
+	}
+	return base + strconv.Itoa(s)
+}
+
+// childStamps returns the child stamps on the shared root's control record
+// it: each shard's pzxid (pzxidAttrs), the txid of its last child
+// change. Txids of two shards do not order, so a last-writer-wins pzxid
+// cannot say which shards' changes the child list holds; one stamp per
+// shard can, and the root's user-store object carries the same vector
+// (znode.Node.Pzxids). Each shard sets only its own (commitPlan), as with
+// the epoch lists.
+func (d *Deployment) childStamps(it kv.Item) []int64 {
+	stamps := make([]int64, len(d.pzxidAttrs))
+	for s, attr := range d.pzxidAttrs {
+		stamps[s] = it.Get(attr).Num()
+	}
+	return stamps
+}
+
 // epochUnion appends to ids a copy of the union of an epoch item's
 // per-shard lists, in shard order: the item may be a read-only view, and
 // callers append to the union (queryWatches).
@@ -113,7 +142,7 @@ func decodeSysNode(it kv.Item) sysNode {
 		Cversion: int32(it.Get(attrCversion).Num()),
 		Czxid:    it.Get(attrCzxid).Num(),
 		Mzxid:    it.Get(attrMzxid).Num(),
-		Pzxid:    it.Get(attrPzxid).Num(),
+		Pzxid:    newestPzxid(it),
 		// Children, Pending and Watches are views of values in table
 		// storage, which stay valid and unchanged forever, while the item
 		// itself is valid only until its reader blocks: every caller
@@ -128,6 +157,17 @@ func decodeSysNode(it kv.Item) sysNode {
 		n.Watches[i] = it.Get(attr).SL()
 	}
 	return n
+}
+
+// newestPzxid is a record's newest child stamp: the shared root's keeps one
+// per shard (childStamps), every other record one.
+func newestPzxid(it kv.Item) (pzxid int64) {
+	for i := range it {
+		if strings.HasPrefix(it[i].Name, attrPzxid) {
+			pzxid = max(pzxid, it[i].V.Num())
+		}
+	}
+	return pzxid
 }
 
 // hasChild reports whether the child name is present.
@@ -159,4 +199,61 @@ func (s sysNode) toZNode(path string, data []byte) znode.Node {
 		},
 		Children: s.Children,
 	}
+}
+
+// AtRest audits a quiescent deployment — every write flushed, no delivery
+// in flight — against the system store, the authority the user stores
+// replicate (Z3). One strongly consistent scan; for every node record (a
+// key that starts with "/") and every region's store:
+//   - the record says the node exists exactly when its object is readable;
+//   - version, cversion, czxid, mzxid, pzxid (and the shared root's
+//     per-shard child stamps) and the child set are equal;
+//   - every pending txid is flushed: the object is at or past it;
+//
+// and every epoch item's watch lists are empty. It returns one line per
+// disagreement, in key order.
+func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
+	var out []string
+	for _, ki := range d.System.Scan(ctx) {
+		if strings.HasPrefix(ki.Key, epochKeyPrefix) {
+			if ids := d.epochUnion(nil, ki.Item); len(ids) > 0 {
+				out = append(out, fmt.Sprintf("%s: watch ids %v still listed", ki.Key, ids))
+			}
+		}
+		if !strings.HasPrefix(ki.Key, znode.Root) {
+			continue
+		}
+		path, rec := ki.Key, decodeSysNode(ki.Item)
+		var stamps []int64
+		if d.route.Shared(path) {
+			stamps = d.childStamps(ki.Item)
+		}
+		for _, s := range d.Stores {
+			n, _, err := s.Read(ctx, path)
+			if rec.Exists != (err == nil) {
+				out = append(out, fmt.Sprintf("%s in %s: record exists=%v, object read error %v", path, s.Region(), rec.Exists, err))
+			}
+			if err != nil {
+				continue
+			}
+			st := n.Stat
+			if st.Version != rec.Version || st.Cversion != rec.Cversion || st.Czxid != rec.Czxid ||
+				st.Mzxid != rec.Mzxid || st.Pzxid != rec.Pzxid || !slices.Equal(n.Pzxids, stamps) {
+				out = append(out, fmt.Sprintf("%s in %s: object version %d cversion %d czxid %d mzxid %d pzxid %d %v, record %d %d %d %d %d %v",
+					path, s.Region(), st.Version, st.Cversion, st.Czxid, st.Mzxid, st.Pzxid, n.Pzxids,
+					rec.Version, rec.Cversion, rec.Czxid, rec.Mzxid, rec.Pzxid, stamps))
+			}
+			kids := slices.Clone(rec.Children)
+			slices.Sort(kids)
+			if got := n.SortedChildren(); !slices.Equal(got, kids) {
+				out = append(out, fmt.Sprintf("%s in %s: object children %v, record %v", path, s.Region(), got, kids))
+			}
+			for _, t := range rec.Pending {
+				if t > st.Mzxid {
+					out = append(out, fmt.Sprintf("%s in %s: pending txid %d not flushed (object mzxid %d)", path, s.Region(), t, st.Mzxid))
+				}
+			}
+		}
+	}
+	return out
 }

@@ -224,6 +224,7 @@ func (p *plan) lockTs(path string) int64 {
 func (d *Deployment) commitPlan(ctx cloud.Ctx, p plan, txid int64) error {
 	s := commitScratchPool.Get().(*commitScratch)
 	defer s.release()
+	s.rootPzxid = d.pzxidAttrs[txid%int64(d.NumShards())] // txid's minting shard (shardTxid)
 	if len(p.items) == 1 {
 		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, s.itemUpdates(p.ops, p.items[0].lock.Key, txid))
 		return err

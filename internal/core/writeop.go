@@ -14,9 +14,10 @@ package core
 //	delete    parent, node       no_node, bad_version, not_empty,        exists=0, mzxid=txid, −eph     children−=name, cversion+1,
 //	                             parent lists the node                                                  pzxid=txid
 //
-// Every target node also gets txid appended to its pending list, once per
-// message (itemUpdates): that entry is what hands the change to the
-// shard's serialized leader.
+// A parent's pzxid is its committing shard's on the shared root, which
+// keeps one per shard (childStamps). Every target node also gets txid
+// appended to its pending list, once per message (itemUpdates): that entry
+// is what hands the change to the shard's serialized leader.
 
 import (
 	"strings"
@@ -133,6 +134,9 @@ type commitScratch struct {
 	sets    []kv.Set
 	pending kv.ListAppend
 	txid    [1]int64 // pending's value
+	// rootPzxid names the committing shard's child stamp on the root
+	// (pzxidAttrs), the one the commit sets there.
+	rootPzxid string
 }
 
 var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
@@ -175,12 +179,16 @@ func (s *commitScratch) nodeUpdates(c change, txid int64) {
 }
 
 func (s *commitScratch) parentUpdates(c change, txid int64) {
+	pzxid := attrPzxid
+	if c.ParentPath == znode.Root {
+		pzxid = s.rootPzxid
+	}
 	switch c.Op {
 	case OpCreate:
 		s.ups = append(s.ups, kv.StrListAppend{Name: attrChildren, Vals: []string{strings.Clone(c.ChildAdd)}},
-			kv.Add{Name: attrCversion, Delta: 1}, kv.Add{Name: attrSeq, Delta: 1}, s.set(attrPzxid, kv.N(txid)))
+			kv.Add{Name: attrCversion, Delta: 1}, kv.Add{Name: attrSeq, Delta: 1}, s.set(pzxid, kv.N(txid)))
 	case OpDelete:
 		s.ups = append(s.ups, kv.StrListRemove{Name: attrChildren, Vals: []string{c.ChildDel}},
-			kv.Add{Name: attrCversion, Delta: 1}, s.set(attrPzxid, kv.N(txid)))
+			kv.Add{Name: attrCversion, Delta: 1}, s.set(pzxid, kv.N(txid)))
 	}
 }

@@ -781,8 +781,8 @@ func TestCacheLossDropsFillFromBeforeIt(t *testing.T) {
 // deployment rebuild the shared root from several shard leaders, possibly
 // out of txid order — two different root contents can share one freshness
 // value. Every creator must still see its own child through the cache
-// tier, and a fresh session must see all of them (the regional node's
-// strictly-raised invalidation floor fences superseded root copies).
+// tier, and a fresh session must see all of them (the shared root is read
+// from the store, past both cache levels).
 func TestCacheShardedRootChildrenVisible(t *testing.T) {
 	for _, seed := range []int64{21, 22, 23} {
 		seed := seed
@@ -851,8 +851,8 @@ func TestCacheShardedRootChildrenVisible(t *testing.T) {
 // the shared-root race: a session caches the root at a pzxid minted by
 // another shard's HIGH txid, then its own top-level create lands on a
 // lightly-loaded shard with a LOWER txid. No floor derived from that txid
-// can fence the cached copy (cross-shard txids carry no order), so the
-// client must drop the parent's local copy on its own create/delete.
+// can fence a cached copy (cross-shard txids carry no order), so the
+// shared root is never served from a cache.
 func TestCacheShardedRootReadYourWritesLowTxid(t *testing.T) {
 	cfg := cachedCfg()
 	cfg.WriteShards = 4
@@ -908,6 +908,52 @@ func TestCacheShardedRootReadYourWritesLowTxid(t *testing.T) {
 		}
 		if kids, err := s.GetChildren("/"); err != nil || slices.Contains(kids, own[1:]) {
 			t.Fatalf("own deleted node still listed: %v (%v)", kids, err)
+		}
+	})
+}
+
+// TestCacheSharedRootNotServedAfterLoss: a regional cache node that lost
+// its floors, and a reader's refill of the root held across a top-level
+// create on the shard whose txids run far behind. The create's rebuild of
+// the root carries a txid below the held copy's freshness, so no scalar
+// floor can fence the stale copy: until the shared root was read from the
+// store, the refill landed and both the creator and a fresh session read a
+// root without the new node, until the root's next change.
+func TestCacheSharedRootNotServedAfterLoss(t *testing.T) {
+	cfg := core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional, WriteShards: 2}
+	paths := shardedPaths(2, 3) // on shards 0, 1 and 0 of two
+	a0, wp, a1 := paths[0], paths[1], paths[2]
+	runCached(t, 1, cfg, func(k *sim.Kernel, d *core.Deployment) {
+		a, w, r := mustConnect(t, d, "a"), mustConnect(t, d, "w"), mustConnect(t, d, "r")
+		defer a.Close()
+		defer w.Close()
+		defer r.Close()
+		for _, p := range []string{a0, a1} {
+			if _, err := a.Create(p, nil, 0); err != nil {
+				t.Errorf("create %s: %v", p, err)
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := a.SetData(p, []byte{byte(i)}, -1); err != nil {
+					t.Errorf("set %s: %v", p, err)
+				}
+			}
+		}
+		d.CacheFor(d.Cfg.Profile.Home).Lose()
+		h := &procDelay{k: k, holds: []procHold{{"cache-fill-", 2 * time.Second}}}
+		k.SetFaultHook(h)
+		if _, err := r.GetChildren("/"); err != nil {
+			t.Errorf("read /: %v", err)
+		}
+		if _, err := w.Create(wp, nil, 0); err != nil {
+			t.Errorf("create %s: %v", wp, err)
+		}
+		k.Sleep(3 * time.Second) // any held refill lands
+		f := mustConnect(t, d, "f")
+		defer f.Close()
+		for _, c := range []*Client{w, f} {
+			if kids, err := c.GetChildren("/"); err != nil || !slices.Contains(kids, wp[1:]) {
+				t.Errorf("%s reads / = %v (%v) after the create of %s was answered", c.id, kids, err, wp)
+			}
 		}
 	})
 }

@@ -305,9 +305,9 @@ func (c *Client) noteOwnWrite(req core.Request, resp core.Response) {
 		// Defensively drop the cached parent copy, whose child list this
 		// write superseded. For non-root parents the floors above already
 		// fence it (parent and child share a shard, so txids order the
-		// rebuilds), and the sharded root never enters the client cache
-		// at all (l1Cacheable) — the removal just keeps the invariant
-		// local and unconditional.
+		// rebuilds), and the sharded root never enters a cache at all
+		// (fetch) — the removal just keeps the invariant local and
+		// unconditional.
 		if c.lcache != nil {
 			c.lcache.Remove(parent)
 		}
@@ -598,11 +598,13 @@ type watchArm struct {
 
 // reached reports whether a fetch's result may arm the watch: a node whose
 // mzxid — pzxid for a child watch — is at or past the frontier, or a store
-// error, which the read returns as it is. No node is past the frontier where
-// the registration found none. Where it found one, the create may not be
-// readable yet, or a delete may have followed: that fires a data or exists
-// watch, whose delivery ends the wait (fetchArmed), but no child watch, which
-// takes no node as it is.
+// error, which the read returns as it is. On the shared root a child watch
+// compares each shard's pzxid with the frontier's for that shard
+// (core.Frontier.Pzxids): txids of two shards do not order. No node is past
+// the frontier where the registration found none. Where it found one, the
+// create may not be readable yet, or a delete may have followed: that fires
+// a data or exists watch, whose delivery ends the wait (fetchArmed), but no
+// child watch, which takes no node as it is.
 func (a watchArm) reached(n *znode.Node, err error) bool {
 	switch {
 	case errors.Is(err, core.ErrUserNoNode):
@@ -610,6 +612,11 @@ func (a watchArm) reached(n *znode.Node, err error) bool {
 	case err != nil:
 		return true
 	case a.wt == core.WatchChild:
+		for s, z := range a.front.Pzxids {
+			if s >= len(n.Pzxids) || n.Pzxids[s] < z {
+				return false
+			}
+		}
 		return n.Stat.Pzxid >= a.front.Zxid
 	}
 	return n.Stat.Mzxid >= a.front.Zxid
@@ -775,15 +782,22 @@ func (c *Client) armed() {
 // invalidates a delete before it, so its entry lags the store by at most
 // the one write in flight — a state the store held at registration, which
 // the registration's frontier (fetchArmed) then covers.
+//
+// A shared path — the root of a sharded deployment — is read from the
+// store, as with the cache tier off. Several shards rebuild it, and a
+// cache's floors and freshness values are single txids, which order only
+// within a shard: a regional node that lost its floors could admit a
+// refill of a root older than a low-txid shard's rebuild and serve it, even
+// to that create's own session.
 func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
-	if c.rcache == nil {
+	if c.rcache == nil || c.route.Shared(path) {
 		return c.store.Read(c.ctx, path)
 	}
 	floor := c.lastSeen[path]
 	if m := c.mrd[c.route.ShardFor(path)]; m > floor {
 		floor = m
 	}
-	if c.lcache != nil && !skipL1 && c.l1Cacheable(path) {
+	if c.lcache != nil && !skipL1 {
 		// The client cache additionally floors on sysFloor: nothing
 		// invalidates session-local copies, so cross-path monotonicity
 		// (single system image — a client never observes an older system
@@ -851,14 +865,6 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	return n, stamp, nil
 }
 
-// l1Cacheable reports whether a path may live in the client cache. A
-// shared path — the root of a sharded deployment — may not: it is rebuilt
-// by several shard leaders, so two successive contents can share one
-// freshness value and no session-local floor can order them. The regional
-// node handles it safely — every rebuild strictly raises its invalidation
-// floor there.
-func (c *Client) l1Cacheable(path string) bool { return !c.route.Shared(path) }
-
 // decodedNode is one memoized client-cache decode (see Client.decoded).
 type decodedNode struct {
 	mzxid int64
@@ -897,7 +903,7 @@ func (c *Client) memoize(path string, mzxid int64, n *znode.Node, stamp []int64)
 
 // l1Fill stores a blob in the client cache (two-level mode only).
 func (c *Client) l1Fill(path string, blob []byte, mzxid int64) {
-	if c.lcache == nil || !c.l1Cacheable(path) {
+	if c.lcache == nil {
 		return
 	}
 	c.lcache.Put(path, cache.Entry{Blob: blob, Mzxid: mzxid, FilledAt: c.d.K.Now()})

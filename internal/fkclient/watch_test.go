@@ -2,6 +2,7 @@ package fkclient
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -264,6 +265,72 @@ func TestWatchArmedDuringFlushIsNotLost(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if lost := lostWatchOffsets(t, tc.cfg); len(lost) > 0 {
 				t.Errorf("the watcher read v0 and was never notified of v1 at offsets %v vms", lost)
+			}
+		})
+	}
+}
+
+// lostRootWatchOffsets sweeps a GetChildrenW("/") in 1-vms steps over
+// 0…400 vms after session w started creating a top-level node on shard 1 of
+// two, while shard 0's txids run far ahead of shard 1's (session a set one
+// of its nodes 40 times first). It returns every offset at which the
+// reader's list lacked w's node and its watch never fired.
+func lostRootWatchOffsets(t *testing.T, cfg core.Config) (lost []int) {
+	t.Helper()
+	paths := shardedPaths(2, 3) // on shards 0, 1 and 0 of two
+	a0, wp, a1 := paths[0], paths[1], paths[2]
+	for off := 0; off <= 400; off++ {
+		run(t, 1, cfg, func(k *sim.Kernel, d *core.Deployment) {
+			a := mustConnect(t, d, "a")
+			w := mustConnect(t, d, "w")
+			r := mustConnect(t, d, "r")
+			defer a.Close()
+			defer w.Close()
+			defer r.Close()
+			if _, err := a.Create(a0, nil, 0); err != nil {
+				t.Errorf("offset %d: create %s: %v", off, a0, err)
+			}
+			for i := 0; i < 40; i++ {
+				if _, err := a.SetData(a0, []byte{byte(i)}, -1); err != nil {
+					t.Errorf("offset %d: set %s: %v", off, a0, err)
+				}
+			}
+			if _, err := a.Create(a1, nil, 0); err != nil {
+				t.Errorf("offset %d: create %s: %v", off, a1, err)
+			}
+			k.Go("create", func() {
+				if _, err := w.Create(wp, nil, 0); err != nil {
+					t.Errorf("offset %d: create %s: %v", off, wp, err)
+				}
+			})
+			k.Sleep(time.Duration(off) * time.Millisecond)
+			notified := false
+			children, err := r.GetChildrenW("/", func(core.Notification) { notified = true })
+			if err != nil {
+				t.Errorf("offset %d: read: %v", off, err)
+			}
+			k.Sleep(10 * time.Second)
+			if !slices.Contains(children, znode.Base(wp)) && !notified {
+				lost = append(lost, off)
+			}
+		})
+	}
+	return lost
+}
+
+// TestRootChildWatchAcrossShardsIsNotLost: a child watch on the root, which
+// every shard's top-level creates change, fires for the first change after
+// its read on any number of shards. Shard 1's create commits at a txid far
+// below shard 0's; the registration, the commit and the flush interleave at
+// every offset. Until the root kept one child stamp per shard (its record
+// and its object, core.Frontier.Pzxids), the arming read compared shard 1's
+// txid with shard 0's, returned a list without w's node, and the watch
+// never fired: offsets 88…135 vms at seed 1 on two shards.
+func TestRootChildWatchAcrossShardsIsNotLost(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			if lost := lostRootWatchOffsets(t, core.Config{WriteShards: shards}); len(lost) > 0 {
+				t.Errorf("the reader's list lacked the new node and its watch never fired at %d offsets %v vms", len(lost), lost)
 			}
 		})
 	}

@@ -41,6 +41,13 @@ type Node struct {
 	Data     []byte
 	Stat     Stat
 	Children []string
+	// Pzxids are the child stamps of a node whose child list several
+	// write shards change — the root of a sharded FaaSKeeper deployment:
+	// one pzxid per shard, each the txid of that shard's last child change
+	// (txids of two shards do not order, so no one number can say which
+	// of them the list holds). Stat.Pzxid is their maximum. Nil on every
+	// other node, whose Stat.Pzxid is its one stamp.
+	Pzxids []int64
 }
 
 // Clone deep-copies the node.
@@ -48,6 +55,7 @@ func (n *Node) Clone() *Node {
 	out := *n
 	out.Data = append([]byte(nil), n.Data...)
 	out.Children = append([]string(nil), n.Children...)
+	out.Pzxids = append([]int64(nil), n.Pzxids...)
 	return &out
 }
 
@@ -68,11 +76,16 @@ const (
 var ErrCorrupt = errors.New("znode: corrupt encoding")
 
 // Marshal encodes the node (and the epoch stamp FaaSKeeper attaches for
-// watch ordering) into a compact binary blob for object storage.
+// watch ordering) into a compact binary blob for object storage. The
+// per-shard child stamps (Pzxids) follow the epoch stamp, only where the
+// node has them: every other node's blob ends with the stamp.
 func Marshal(n *Node, epoch []int64) []byte {
 	size := 1 + 10*binary.MaxVarintLen64 +
 		len(n.Path) + len(n.Data) + len(n.Owner()) +
 		binary.MaxVarintLen64*(2+len(epoch)+len(n.Children))
+	if len(n.Pzxids) > 0 {
+		size += binary.MaxVarintLen64 * (1 + len(n.Pzxids))
+	}
 	for _, c := range n.Children {
 		size += len(c)
 	}
@@ -100,9 +113,9 @@ func AppendMarshal(buf []byte, n *Node, epoch []int64) []byte {
 	for _, c := range n.Children {
 		buf = appendString(buf, c)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(epoch)))
-	for _, e := range epoch {
-		buf = binary.AppendVarint(buf, e)
+	buf = appendInts(buf, epoch)
+	if len(n.Pzxids) > 0 {
+		buf = appendInts(buf, n.Pzxids)
 	}
 	return buf
 }
@@ -155,15 +168,9 @@ func unmarshal(buf []byte, n *Node, view bool) ([]int64, error) {
 	} else if nc > 1<<20 {
 		return nil, fmt.Errorf("%w: children count", ErrCorrupt)
 	}
-	ne := int(r.uvarint())
-	var epoch []int64
-	if r.err == nil && ne >= 0 && ne <= 1<<20 {
-		epoch = make([]int64, 0, ne)
-		for i := 0; i < ne; i++ {
-			epoch = append(epoch, r.varint())
-		}
-	} else if ne > 1<<20 {
-		return nil, fmt.Errorf("%w: epoch count", ErrCorrupt)
+	epoch := r.ints()
+	if r.err == nil && len(r.buf) > 0 {
+		n.Pzxids = r.ints()
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -190,6 +197,15 @@ func (n *Node) Owner() string { return n.Stat.Owner }
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
+}
+
+// appendInts appends a counted list of varints.
+func appendInts(buf []byte, vs []int64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vs)))
+	for _, v := range vs {
+		buf = binary.AppendVarint(buf, v)
+	}
+	return buf
 }
 
 func appendBytes(buf, b []byte) []byte {
@@ -242,6 +258,20 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// ints reads a counted list of varints (appendInts), never nil on success.
+func (r *reader) ints() []int64 {
+	n := r.uvarint()
+	if r.err != nil || n > 1<<20 {
+		r.fail()
+		return nil
+	}
+	vs := make([]int64, 0, n)
+	for i := uint64(0); i < n; i++ {
+		vs = append(vs, r.varint())
+	}
+	return vs
 }
 
 // str reads a length-prefixed string as a view into the input, without

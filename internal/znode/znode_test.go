@@ -118,6 +118,33 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPerShardChildStampsRoundTrip: a node with per-shard child stamps
+// (the shared root of a sharded deployment) carries them after its epoch
+// stamp, and a node without them encodes exactly as if the field did not
+// exist: its blob ends with the epoch stamp.
+func TestPerShardChildStampsRoundTrip(t *testing.T) {
+	n := &Node{Path: "/", Stat: Stat{Pzxid: 85}, Children: []string{"a", "b"}}
+	plain := Marshal(n, []int64{7})
+	if want := append(bytes.Clone(plain[:len(plain)-2]), 1, 14); !bytes.Equal(plain, want) {
+		t.Fatalf("a node without stamps ends % x, want its epoch stamp [7] last", plain)
+	}
+	got, _, err := Unmarshal(plain)
+	if err != nil || got.Pzxids != nil {
+		t.Fatalf("no stamps: %v %v", got.Pzxids, err)
+	}
+	n.Pzxids = []int64{84, 85, 0}
+	got, epoch, err := Unmarshal(Marshal(n, []int64{7}))
+	if err != nil || len(epoch) != 1 || epoch[0] != 7 {
+		t.Fatalf("epoch %v %v", epoch, err)
+	}
+	if len(got.Pzxids) != 3 || got.Pzxids[0] != 84 || got.Pzxids[1] != 85 || got.Pzxids[2] != 0 {
+		t.Fatalf("stamps %v, want %v", got.Pzxids, n.Pzxids)
+	}
+	if c := n.Clone(); &c.Pzxids[0] == &n.Pzxids[0] {
+		t.Fatal("clone aliases the stamps")
+	}
+}
+
 // TestUnmarshalStringsBorrow: the path, the owner and every child name are
 // views into the decoded blob, under both decoders; only UnmarshalView's
 // Data is a view too.
