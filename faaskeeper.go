@@ -135,7 +135,6 @@ type CacheMode = core.CacheMode
 const (
 	CacheOff      = core.CacheOff      // reads hit the user store directly
 	CacheRegional = core.CacheRegional // shared per-region cache node
-	CacheTwoLevel = core.CacheTwoLevel // client cache + regional node
 )
 
 // DeploymentOptions configures a FaaSKeeper deployment. It is core.Config

@@ -9,13 +9,13 @@ import (
 )
 
 // Invalidation is the record the leader publishes to the regional cache
-// before a fenced user-store op — a delete, a write of a shared path, or
-// any object of an atomic batch, which no install can follow object by
-// object: the path it is about to overwrite or delete, the commit's
-// transaction id, and the union epoch stamp (the in-flight watch ids
-// across all shards) the new value will carry. The epoch union is retained
-// with the path's floor so a future stamp-carrying upgrade — or a test —
-// can reconstruct the exact invalidation order the cache observed.
+// before a fenced user-store op — a delete, or any object of an atomic
+// batch, which no install can follow object by object: the path it is
+// about to overwrite or delete, the commit's transaction id, and the union
+// epoch stamp (the in-flight watch ids across all shards) the new value
+// will carry. The epoch union is retained with the path's floor so a
+// future stamp-carrying upgrade — or a test — can reconstruct the exact
+// invalidation order the cache observed.
 type Invalidation struct {
 	Path  string
 	Mzxid int64
@@ -271,25 +271,19 @@ func (r *Regional) admit(path string, blob []byte, mzxid int64, inc uint64) bool
 	if cur, ok := r.lru.Peek(path); ok && cur.Mzxid > mzxid {
 		return false
 	}
-	r.lru.Put(path, Entry{Blob: blob, Mzxid: mzxid, FilledAt: r.env.K.Now()})
+	r.lru.Put(path, Entry{Blob: blob, Mzxid: mzxid})
 	return true
 }
 
 // InvalidateBatch applies one leader-published invalidation record — one
-// entry per path the distributor's flush touches: one cache-node round
-// trip whose transfer term covers all entries, then for each path
-// STRICTLY raise the floor — to the entry's mzxid, but always past the
-// previous floor — and drop any cached entry below it. Within a shard
-// records arrive in txid order, so the floor lands exactly on each
-// entry's mzxid and post-write fills pass. The strict bump matters for
-// the shared root, the one path written by several shards: its rebuilds
-// are serialized by the root lock but may carry out-of-order txids, and
-// the freshness value (pzxid only rises) cannot distinguish two
-// successive root contents when the later rebuild applies the lower txid.
-// Bumping past the old floor fences both the resident copy and any
-// in-flight fill of the pre-rebuild value — at worst the root over-misses
-// until its next higher-txid change, never serves a superseded child
-// list.
+// entry per path the distributor's flush fences: one cache-node round trip
+// whose transfer term covers all entries, then for each path raise the
+// floor to the entry's mzxid and drop any cached entry below it. A fenced
+// path other than the shared root is one shard's, so its records arrive in
+// that shard's txid order and the floor lands exactly on each entry's
+// mzxid: post-write fills pass, and a fill of the value the write replaced
+// is rejected. The shared root (fenced only in an atomic batch) is never
+// installed or read through the cache, so its floor orders nothing.
 func (r *Regional) InvalidateBatch(ctx cloud.Ctx, invs []Invalidation) {
 	if len(invs) == 0 {
 		return
@@ -310,10 +304,7 @@ func (r *Regional) InvalidateBatch(ctx cloud.Ctx, invs []Invalidation) {
 // latency and metering were already paid by the caller).
 func (r *Regional) apply(inv Invalidation) {
 	r.stats.Invalidations++
-	newFloor := r.floorOf(inv.Path) + 1
-	if inv.Mzxid > newFloor {
-		newFloor = inv.Mzxid
-	}
+	newFloor := max(r.floorOf(inv.Path), inv.Mzxid)
 	r.setFloor(inv.Path, floor{mzxid: newFloor, epoch: append([]int64(nil), inv.Epoch...)})
 	if cur, ok := r.lru.Peek(inv.Path); ok && cur.Mzxid < newFloor {
 		r.lru.Remove(inv.Path)
@@ -321,8 +312,8 @@ func (r *Regional) apply(inv Invalidation) {
 }
 
 // raise lifts a path's floor to an installed freshness value, keeping the
-// epoch of the record that last set it. Unlike an invalidation it is not a
-// strict bump: the installed value itself stays admissible.
+// epoch of the record that last set it. The installed value itself stays
+// admissible.
 func (r *Regional) raise(path string, mzxid int64) {
 	if mzxid <= r.floorOf(path) {
 		return

@@ -167,36 +167,25 @@ func TestRegionalOlderFillLosesToNewerEntry(t *testing.T) {
 	})
 }
 
-// TestRegionalSharedRootOutOfOrderInvalidation pins the shared-root race:
-// two shard leaders rebuild the root under the lock in the opposite of
-// txid order, so two DIFFERENT root contents share one freshness value
-// (pzxid only rises). The second rebuild's lower-txid invalidation must
-// still fence the first rebuild's cached copy — and any in-flight fill of
-// it — even though mzxid comparison cannot tell the versions apart.
-func TestRegionalSharedRootOutOfOrderInvalidation(t *testing.T) {
+// TestRegionalInvalidationNeverLowersFloor: an invalidation raises a
+// path's floor to its mzxid and never lowers it, so one that arrives below
+// the floor an install set keeps the installed entry and its floor.
+func TestRegionalInvalidationNeverLowersFloor(t *testing.T) {
 	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
-		const txC, txD = 7, 10 // shard B commits C, shard A commits D first
-		// Shard A's rebuild (txid D) lands first: invalidate, write, and a
-		// reader caches the root at freshness D — without shard B's child.
-		r.InvalidateBatch(ctx, []Invalidation{{Path: "/", Mzxid: txD}})
-		if !r.Fill(ctx, "/", blob(20), txD) {
-			t.Fatal("fill of the first rebuild rejected")
+		r.InstallBatch(ctx, []Install{{Path: "/n", Blob: blob(20), Mzxid: 10}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/n", Mzxid: 7}})
+		if f, _ := r.Floor("/n"); f != 10 {
+			t.Errorf("floor after a lower invalidation = %d, want 10", f)
 		}
-		// Shard B's rebuild (txid C < D) runs second: its content
-		// supersedes the cached copy, its freshness is still D.
-		r.InvalidateBatch(ctx, []Invalidation{{Path: "/", Mzxid: txC}})
-		if _, _, ok := r.Lookup(ctx, "/"); ok {
-			t.Error("superseded root copy survived the out-of-order invalidation")
+		if _, mzxid, ok := r.Lookup(ctx, "/n"); !ok || mzxid != 10 {
+			t.Errorf("installed entry at the floor: ok=%v mzxid=%d, want kept at 10", ok, mzxid)
 		}
-		// A delayed fill of the pre-rebuild value (same freshness D) must
-		// be fenced too.
-		if r.Fill(ctx, "/", blob(20), txD) {
-			t.Error("in-flight fill of the superseded root must be rejected")
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/n", Mzxid: 12}})
+		if _, _, ok := r.Lookup(ctx, "/n"); ok {
+			t.Error("entry below a higher invalidation's floor survived it")
 		}
-		// The root regains cacheability at its next higher-txid change.
-		r.InvalidateBatch(ctx, []Invalidation{{Path: "/", Mzxid: txD + 5}})
-		if !r.Fill(ctx, "/", blob(20), txD+5) {
-			t.Error("fill of a genuinely newer root rejected")
+		if !r.Fill(ctx, "/n", blob(20), 12) {
+			t.Error("fill at the new floor rejected")
 		}
 	})
 }

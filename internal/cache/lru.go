@@ -1,22 +1,19 @@
 // Package cache implements FaaSKeeper's read-path cache tier: a shared
 // regional cache node (a Redis-like VM fronting the user store, as in the
-// paper's FK/Redis ablation) plus a byte-accounted LRU reusable as the
-// per-session client cache. Entries carry the node's marshaled blob — which
-// embeds the epoch stamp the leader attached at write time — and its mzxid,
-// so the client library can apply the exact Z3/Z4 guards the direct read
-// path uses before serving a cached copy. The leader keeps the regional
-// node current: it publishes per-path invalidation records (path, new
-// mzxid, epoch union) before every user-store write and installs the
-// objects it wrote after the write, and the cache keeps a per-path mzxid
-// floor so a stale fill racing an invalidation can never resurrect
-// overwritten data.
+// paper's FK/Redis ablation) over a byte-accounted LRU. Entries carry the
+// node's marshaled blob — which embeds the epoch stamp the leader attached
+// at write time — and its mzxid, so the client library can apply the exact
+// Z3/Z4 guards the direct read path uses before serving a cached copy. The
+// leader keeps the regional node current: it installs each object right
+// after its user-store write, publishes an invalidation record (path, new
+// mzxid, epoch union) before a delete or an atomic batch, and the cache
+// keeps a per-path mzxid floor so a stale fill racing a write can never
+// resurrect overwritten data.
 package cache
 
 import (
 	"container/list"
 	"strings"
-
-	"faaskeeper/internal/sim"
 )
 
 // entryOverheadB approximates the per-entry bookkeeping bytes (list node,
@@ -34,9 +31,6 @@ type Entry struct {
 	// node's own mzxid. Duplicated outside the blob so guard checks and
 	// floor comparisons never need to unmarshal.
 	Mzxid int64
-	// FilledAt is the virtual time the entry was cached; client caches
-	// use it to bound staleness (ZooKeeper's timeliness guarantee).
-	FilledAt sim.Time
 }
 
 type lruItem struct {

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"faaskeeper/internal/core"
 )
 
 // Violation is one invariant breach found in a history.
@@ -462,8 +460,11 @@ func WatchFiredLate(h *History) []Violation {
 }
 
 // Timeliness is the staleness bound of ZooKeeper's timeliness guarantee as
-// Untimely checks it: the session cache may serve an entry for CacheTTL.
-const Timeliness = core.CacheTTL
+// Untimely checks it. The guarantee names no number. Every read path
+// returns a write's value, or a newer one, once the write is answered: the
+// leader writes every store and installs or invalidates every cache node
+// before it answers. So the bound only has to outlast a read in flight.
+const Timeliness = 5 * time.Second
 
 // Untimely checks ZooKeeper's timeliness guarantee: a read (or a watch's
 // arming read) that starts more than Timeliness after a write to its path

@@ -76,12 +76,12 @@ func (s Scenario) withDefaults() Scenario {
 
 // matrix is the chaos matrix, one row per deployment config: the
 // paper-faithful single-shard pipeline, the batching distributor, the
-// two-level cache tier, multi() on four shards, the scaled preset the
+// cache tier on two shards, multi() on four shards, the scaled preset the
 // benchmark runs (batching and the cache together, where a flush leg writes
 // several objects and installs each one after its own store write), the
-// hybrid store, the regional cache without the session cache, caches small
-// enough to evict, the two-level cache over the object store, batching on
-// one shard, and four unbatched shards. A row's index is also its matrix
+// hybrid store, the cache tier on one shard, a cache small enough to
+// evict, the cache over the object store, batching on one shard, and four
+// unbatched shards. A row's index is also its matrix
 // seed offset (chaos_test.go), so a new row is appended: moving a row
 // renumbers the seeds of every row it passes.
 var matrix = []struct {
@@ -90,14 +90,13 @@ var matrix = []struct {
 }{
 	{"plain", core.Config{}},
 	{"batching", core.Config{WriteShards: 2, BatchWrites: true}},
-	{"caching", core.Config{WriteShards: 2, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
+	{"caching", core.Config{WriteShards: 2, CacheMode: core.CacheRegional, UserStore: core.StoreKV}},
 	{"txn", core.Config{WriteShards: 4, UserStore: core.StoreKV}},
-	{"scaled", core.Config{WriteShards: 4, BatchWrites: true, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV}},
+	{"scaled", core.Config{WriteShards: 4, BatchWrites: true, CacheMode: core.CacheRegional, UserStore: core.StoreKV}},
 	{"hybrid", core.Config{UserStore: core.StoreHybrid}},
 	{"regional", core.Config{CacheMode: core.CacheRegional, UserStore: core.StoreKV}},
-	{"tiny-cache", core.Config{CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV,
-		CacheCapacityB: 2 << 10, ClientCacheCapacityB: 1 << 10}},
-	{"object-cache", core.Config{CacheMode: core.CacheTwoLevel}},
+	{"tiny-cache", core.Config{CacheMode: core.CacheRegional, UserStore: core.StoreKV, CacheCapacityB: 2 << 10}},
+	{"object-cache", core.Config{CacheMode: core.CacheRegional}},
 	{"batching-1", core.Config{BatchWrites: true}},
 	{"sharded", core.Config{WriteShards: 4}},
 }

@@ -460,7 +460,8 @@ func (t *Table) build(old Item, extra int) Item {
 // array is cleared and kept as the spare when it is larger than the one
 // kept, and the next commit of any row may build into it (build). So a view
 // of it that outlived its contract reads an empty item or another row's
-// attributes.
+// attributes. Under the race detector the array is poisoned instead and
+// never reused, so such a read panics (poisonRetired).
 func (t *Table) commit(key string, next Item) {
 	r, ok := t.items[key]
 	if !ok {
@@ -468,7 +469,11 @@ func (t *Table) commit(key string, next Item) {
 		t.items[strings.Clone(key)] = r
 		t.dirty = true
 	}
-	if retired := r.prev[:cap(r.prev)]; cap(retired) > 0 {
+	if retired := r.prev[:cap(r.prev)]; poisonRetired {
+		for i := range retired {
+			retired[i] = poison
+		}
+	} else if cap(retired) > 0 {
 		clear(retired)
 		if cap(retired) > cap(t.spare) {
 			t.spare = retired[:0]

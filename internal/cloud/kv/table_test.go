@@ -604,7 +604,8 @@ func TestClosedSetsDispatchEveryForm(t *testing.T) {
 // committed item and never aliases the caller's own argument slices. Once
 // two later commits have pushed that version out of the row, its array is
 // cleared for reuse: the stale view reads empty until the next commit of
-// any row builds into it (TestStaleViewReadsAnotherRow). Every value taken out
+// any row builds into it (TestStaleViewReadsAnotherRow); under the race
+// detector it is poisoned instead (TestStaleViewPanicsUnderRace). Every value taken out
 // of the view — bytes, a number list, a string list — stays as it was
 // through later updates, a transaction and a put, which build into the
 // retired arrays.
@@ -648,9 +649,13 @@ func TestViewValidUntilItsReaderBlocks(t *testing.T) {
 				t.Errorf("after later update %d the values taken out read %s, want %s", i, got, want)
 			}
 		}
+		retired := Attr{}
+		if poisonRetired {
+			retired = poison
+		}
 		for i, a := range view {
-			if a != (Attr{}) {
-				t.Errorf("retired version's attribute %d reads %v, want it cleared", i, a)
+			if a != retired {
+				t.Errorf("retired version's attribute %d reads %v, want %v", i, a, retired)
 			}
 		}
 		if err := tbl.Transact(ctx, []TxOp{{Key: "a", Updates: []Update{ListAppend{"nl", []int64{4}}}}}); err != nil {
@@ -672,6 +677,9 @@ func TestViewValidUntilItsReaderBlocks(t *testing.T) {
 // its row and one update of /node, reads /node's attributes — a lock's
 // reader would find a node's owner where the holder was.
 func TestStaleViewReadsAnotherRow(t *testing.T) {
+	if poisonRetired {
+		t.Skip("under the race detector a retired array is poisoned, not reused: TestStaleViewPanicsUnderRace")
+	}
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
 	k.Go("client", func() {
@@ -694,6 +702,36 @@ func TestStaleViewReadsAnotherRow(t *testing.T) {
 		if view.Get("holder").Str() != "" || view.Get("owner").Str() != "s3" {
 			t.Errorf("the stale view of /lock reads %v, want /node's new attributes", view)
 		}
+	})
+	k.Run()
+}
+
+// TestStaleViewPanicsUnderRace: under the race detector a view held across
+// the two later commits of its row that retire its version panics on its
+// next read, instead of reading whatever the table built into its array.
+func TestStaleViewPanicsUnderRace(t *testing.T) {
+	if !poisonRetired {
+		t.Skip("a retired array is poisoned only under the race detector (go test -race)")
+	}
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		view, err := tbl.Update(ctx, "/lock", []Update{Set{"holder", S("s2")}}, nil)
+		if err != nil || view.Get("holder").Str() != "s2" {
+			t.Errorf("update: %v %v", view, err)
+			return
+		}
+		for ts := int64(1); ts <= 2; ts++ {
+			if _, err := tbl.Update(ctx, "/lock", []Update{Set{"ts", N(ts)}}, nil); err != nil {
+				t.Errorf("lock update %d: %v", ts, err)
+			}
+		}
+		defer func() {
+			if r := recover(); r != "kv view used after its reader blocked" {
+				t.Errorf("the stale view's read recovered %v, want the kv view panic", r)
+			}
+		}()
+		view.Get("holder")
 	})
 	k.Run()
 }
@@ -746,7 +784,8 @@ func TestFailedWriteKeepsPrev(t *testing.T) {
 // which only holds while no action stores its own Name or a value it
 // points to (applyUpdate's comment) — a whole-action leak in any of them
 // makes every such list a heap allocation. History: each count was one
-// higher while every commit copied its item into a new array (Item.next).
+// higher while every commit copied its item into a new array (Item.next),
+// as it still is under the race detector.
 func TestUpdateAllocations(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
@@ -782,6 +821,9 @@ func TestUpdateAllocations(t *testing.T) {
 				t.Errorf("update with %s: %v", c.name, err)
 			}
 		})
+		if poisonRetired {
+			c.want++ // a commit builds a new array: retired ones are poisoned, not reused
+		}
 		if got != c.want {
 			t.Errorf("Update of an existing item with %s: %v allocations, want exactly %v", c.name, got, c.want)
 		}

@@ -49,6 +49,8 @@ import (
 	"slices"
 	"strings"
 	"unsafe"
+
+	"faaskeeper/internal/sim"
 )
 
 // Kind enumerates the attribute value types the reproduction needs.
@@ -61,6 +63,8 @@ const (
 	KindBytes
 	KindNumList
 	KindStrList
+
+	kindRetired // poison's (index), never a stored value's
 )
 
 // Value is a typed attribute value (the equivalent of a DynamoDB
@@ -255,7 +259,20 @@ type Attr struct {
 // String and every condition are independent of it.
 type Item []Attr
 
+// poisonRetired is set under the race detector (sim.PoolDropsPuts), where
+// Table.commit fills a retired version's array with poison instead of
+// reusing it, and index panics on a view that reads one: a view used after
+// its reader blocked fails loudly there instead of reading another row.
+var poisonRetired = sim.PoolDropsPuts()
+
+// poison is the attribute a retired array holds under the race detector:
+// its kind is no kind a value can have, so index checks one byte.
+var poison = Attr{Name: "retired", V: Value{kind: kindRetired}}
+
 func (it Item) index(name string) int {
+	if poisonRetired && len(it) > 0 && it[0].V.kind == kindRetired {
+		panic("kv view used after its reader blocked")
+	}
 	for i := range it {
 		if it[i].Name == name {
 			return i

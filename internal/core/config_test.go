@@ -43,7 +43,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 		"FollowerMemMB LeaderMemMB HeartbeatMemMB Arch VCPU " +
 		"HeartbeatEvery Retries " +
 		"WriteShards BatchWrites " +
-		"CacheMode CacheCapacityB ClientCacheCapacityB " +
+		"CacheMode CacheCapacityB " +
 		"WireCodec " +
 		"Telemetry CostAccounting"
 	fields := exportedFields(Config{})

@@ -361,12 +361,15 @@ func TestClaimGroupFiresOnceAndWipesNothingUnread(t *testing.T) {
 }
 
 func TestCacheModeValidation(t *testing.T) {
-	// Known modes (plus the "off" spelling) pass and normalize.
-	for _, m := range []CacheMode{CacheOff, "off", CacheRegional, CacheTwoLevel} {
+	// Known modes, the "off" spelling and the frozen bench preset's
+	// "two-level" pass and normalize.
+	for m, want := range map[CacheMode]CacheMode{
+		CacheOff: CacheOff, "off": CacheOff, CacheRegional: CacheRegional, "two-level": CacheRegional,
+	} {
 		c := Config{CacheMode: m}
 		c.defaults()
-		if m == "off" && c.CacheMode != CacheOff {
-			t.Errorf("%q did not normalize to CacheOff", m)
+		if c.CacheMode != want {
+			t.Errorf("%q normalized to %q, want %q", m, c.CacheMode, want)
 		}
 	}
 	// A typo must fail loudly instead of silently deploying the wrong tier.

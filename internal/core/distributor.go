@@ -852,14 +852,13 @@ type flushLeg struct {
 // write is one regional leg: the fold's nodes, then the parent splices no
 // node write absorbed — the shared root's among them, under the root lock
 // the flush holds — one store op after another. Each object follows one
-// rule in the region's cache (fenced). A fenced object is invalidated
-// before the leg's first store op, in one round trip for all of them: a
-// delete, so a reader that saw the node gone in the store cannot get it
-// back from the cache; a shared path; and every object of a leg that
-// applies an atomic batch, which lands at one instant no per-object install
-// can follow. (A reader reads a shared path from the store, past the cache,
-// so its fence only keeps the timing of sharded cached runs: dropping it
-// moves them, ROADMAP 23.)
+// rule in the region's cache. A fenced object is invalidated before the
+// leg's first store op, in one round trip for all of them: a delete, so a
+// reader that saw the node gone in the store cannot get it back from the
+// cache, and every object of a leg that applies an atomic batch, which
+// lands at one instant no per-object install can follow. A shared path is
+// never installed, and fenced only in an atomic batch: readers read it from
+// the store, past the cache (fkclient's fetch).
 // Every other object is installed right after its own store write lands,
 // before the leg's next store op starts, and its old entry stays served
 // until then. So the cache never runs ahead of the store and lags it by at
@@ -871,8 +870,7 @@ func (l *flushLeg) write() {
 	aa, atomic := s.(AtomicApplier)
 	atomic = atomic && l.atomicApply
 	if l.rc != nil {
-		fenced := func(path string, del bool) bool { return del || atomic || d.route.Shared(path) }
-		l.invs = fold.appendInvalidations(l.invs[:0], stamp, fenced)
+		l.invs = fold.appendInvalidations(l.invs[:0], stamp, atomic)
 		if len(l.invs) > 0 {
 			tsp := d.legSpan(own, obs.SpanCacheInval, l.region)
 			l.rc.InvalidateBatch(d.legCtx(ctx, own, tsp, l.region), l.invs)
@@ -969,18 +967,18 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 }
 
 // appendInvalidations assembles the batch's coalesced invalidation record
-// for one region into invs (the leg's scratch): each path the leg's rule
-// fences (fenced, given the path and whether the fold deletes it) once, at
-// its newest folded txid. A parent a node write absorbed is that write's; a
-// shared parent's is fenced before its RMW lands.
-func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, fenced func(path string, del bool) bool) []cache.Invalidation {
+// for one region into invs (the leg's scratch): each path the leg fences
+// once, at its newest folded txid — every deleted node, and with atomic
+// every node and every parent no node write absorbed (a parent a node
+// write absorbed is that write's).
+func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, atomic bool) []cache.Invalidation {
 	for i := range f.nodes {
-		if nf := &f.nodes[i]; fenced(nf.path, !nf.live()) {
+		if nf := &f.nodes[i]; atomic || !nf.live() {
 			invs = append(invs, cache.Invalidation{Path: nf.path, Mzxid: nf.txid, Epoch: stamp})
 		}
 	}
 	for i := range f.parents {
-		if pf := &f.parents[i]; !pf.consumed && fenced(pf.path, false) {
+		if pf := &f.parents[i]; atomic && !pf.consumed {
 			invs = append(invs, cache.Invalidation{Path: pf.path, Mzxid: pf.pzxid, Epoch: stamp})
 		}
 	}

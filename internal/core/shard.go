@@ -36,13 +36,12 @@ import (
 //     The root's Stat.Pzxid is their maximum, for show only.
 //   - The cache tier's floors and freshness values on the shared root
 //     (cache.Regional's admission, fkclient's lastSeen["/"] and the root's
-//     MRD floor): fixed, the shared root bypasses both cache levels
-//     (fkclient's fetch), and the flush legs never install it.
-//     A strict floor bump did not suffice: a node that lost its floors
-//     admitted a refill older than a low-txid shard's rebuild.
-//   - fkclient's sysFloor, the session-wide floor of client-cache hits:
-//     cross-shard; over-rejects only (a miss falls through to the
-//     regional node).
+//     MRD floor): fixed, the shared root bypasses the cache (fkclient's
+//     fetch), and the flush legs never install it (an atomic batch's
+//     fence of it raises a floor nothing reads).
+//     A strict floor bump on its invalidations did not suffice: a node
+//     that lost its floors admitted a refill older than a low-txid
+//     shard's rebuild.
 //   - fkclient's maxSeenMzxid and mrdMax: cross-shard maxima, read only
 //     by their accessors (MaxSeenMzxid, MRD); nothing decides on them.
 //   - fkclient's read gate (mrd, armMRD): same shard by construction, by

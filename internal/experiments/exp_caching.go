@@ -28,8 +28,7 @@ const cachingPayloadB = 256
 type cachingRun struct {
 	reads   int
 	lat     *stats.Sample
-	l1Hits  int64
-	l2Hits  int64
+	hits    int64
 	misses  int64
 	z3Viol  int
 	readUSD float64 // metered read-side dollars of the read phase
@@ -46,14 +45,14 @@ func (r cachingRun) dollarsPer1M() float64 {
 	return r.readUSD / float64(r.reads) * 1e6
 }
 
-// hitRatio is the client-observed share of reads served by either cache
-// level (0 with the tier off).
+// hitRatio is the client-observed share of reads the regional node served
+// (0 with the tier off).
 func (r cachingRun) hitRatio() float64 {
-	total := r.l1Hits + r.l2Hits + r.misses
+	total := r.hits + r.misses
 	if total == 0 {
 		return 0
 	}
-	return float64(r.l1Hits+r.l2Hits) / float64(total)
+	return float64(r.hits) / float64(total)
 }
 
 // runCachingWorkload drives the Zipf(0.99) read-heavy workload: `readers`
@@ -141,10 +140,9 @@ func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCoun
 		stopWriter = true
 		writerDone.Wait()
 		for i, c := range clients {
-			h1, h2, mi := c.CacheStats()
-			res.l1Hits += h1
-			res.l2Hits += h2
-			res.misses += mi
+			_, hits, misses := c.CacheStats()
+			res.hits += hits
+			res.misses += misses
 			res.z3Viol += viol[i]
 			c.Close()
 		}
@@ -173,7 +171,6 @@ func runCaching(cfg RunConfig) *Report {
 	}{
 		{"FK DynamoDB (no cache)", core.Config{UserStore: core.StoreKV}},
 		{"FK DynamoDB + regional cache", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional}},
-		{"FK DynamoDB + two-level cache", core.Config{UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel}},
 		{"FK Redis user store (paper ablation)", core.Config{UserStore: core.StoreMem}},
 	}
 
@@ -193,10 +190,10 @@ func runCaching(cfg RunConfig) *Report {
 		switch i {
 		case 0:
 			baseMean = mean
-		case 2:
+		case 1:
 			cachedMean = mean
 			cachedHit = run.hitRatio()
-		case 3:
+		case 2:
 			memMean = mean
 		}
 		p50, p99 := latCells(run.lat, f2)
@@ -209,17 +206,10 @@ func runCaching(cfg RunConfig) *Report {
 
 	// Capacity sensitivity: a regional node too small for the working set
 	// must keep evicting and lose its hit ratio, not break consistency.
-	s2 := r.AddSection("Two-level cache vs regional capacity (same workload)",
+	s2 := r.AddSection("Regional cache capacity (same workload)",
 		[]string{"regional capacity", "hit %", "mean ms", "Z3 viol"})
 	for i, capB := range []int{4 << 10, 64 << 20} {
-		cc := core.Config{
-			UserStore:      core.StoreKV,
-			CacheMode:      core.CacheTwoLevel,
-			CacheCapacityB: capB,
-			// Starve the client level too, so the regional capacity is
-			// what the row actually measures.
-			ClientCacheCapacityB: 2 << 10,
-		}
+		cc := core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional, CacheCapacityB: capB}
 		run := runCachingWorkload(cfg.Seed+int64(100+i), cc, readers, readsPer, nodes)
 		if !run.ok {
 			s2.AddRow(sizeLabel(capB), "-", "-", "-")
@@ -230,10 +220,10 @@ func runCaching(cfg RunConfig) *Report {
 	}
 
 	if baseMean > 0 && cachedMean > 0 && memMean > 0 {
-		r.Note("Two-level cache: %.2f ms mean reads vs %.2f ms direct DynamoDB (%.1fx) and %.2f ms on the Redis user store, at %.0f%% hits — the leader installs every object it writes in the regional node, so even the first read after a write is the mem-store round trip of the paper's Redis ablation, without giving up pay-as-you-go storage; session-cache hits cost no round trip at all.",
+		r.Note("Regional cache: %.2f ms mean reads vs %.2f ms direct DynamoDB (%.1fx) and %.2f ms on the Redis user store, at %.0f%% hits — the leader installs every object it writes in the regional node, so even the first read after a write is the mem-store round trip of the paper's Redis ablation, without giving up pay-as-you-go storage.",
 			cachedMean, baseMean, baseMean/cachedMean, memMean, cachedHit*100)
 	}
-	r.Note("Entries are served only when they pass the session guards (per-path last-seen floor, shard MRD, Z4 epoch stamps), so the Z3 violation column must stay zero; the leader installs each object it writes in the regional node right after its own user-store write and invalidates only deletes, shared paths and atomic batches before theirs, so the node lags the store by at most the one write in flight, and per-path mzxid floors, raised by every install and invalidation, reject stale fills and installs that race an overwrite.")
+	r.Note("Entries are served only when they pass the session guards (per-path last-seen floor, shard MRD, Z4 epoch stamps), so the Z3 violation column must stay zero; the leader installs each object it writes in the regional node right after its own user-store write and invalidates only deletes and atomic batches before theirs, so the node lags the store by at most the one write in flight, and per-path mzxid floors, raised by every install and invalidation, reject stale fills and installs that race an overwrite.")
 	r.Note("$/1M reads is the meter's read-side spend over the read phase: user-store reads plus the cache node's VM time, accrued per cache operation. The Redis row's VM bills by the hour outside the meter, so it reads $0.")
 	return r
 }

@@ -2,7 +2,8 @@ package fkclient
 
 // Tests of the read-path cache tier as seen through the client library:
 // the session guards (per-path last-seen floor, shard MRD, Z4 stamps) must
-// keep every ZooKeeper guarantee intact while the caches absorb reads.
+// keep every ZooKeeper guarantee intact while the regional node absorbs
+// reads.
 
 import (
 	"errors"
@@ -20,10 +21,10 @@ import (
 )
 
 func cachedCfg() core.Config {
-	return core.Config{UserStore: core.StoreKV, CacheMode: core.CacheTwoLevel}
+	return core.Config{UserStore: core.StoreKV, CacheMode: core.CacheRegional}
 }
 
-// runCached builds a two-level-cache deployment and runs fn as a driver.
+// runCached builds a deployment and runs fn as a driver.
 func runCached(t *testing.T, seed int64, cfg core.Config, fn func(k *sim.Kernel, d *core.Deployment)) {
 	t.Helper()
 	k := sim.NewKernel(seed)
@@ -34,9 +35,8 @@ func runCached(t *testing.T, seed int64, cfg core.Config, fn func(k *sim.Kernel,
 }
 
 // TestCacheServesRepeatedReads: every read of a node the session just
-// created comes from a cache level, not the store — the leader installed
-// the object in the regional node after writing it, so even the first read
-// is a hit.
+// created comes from the regional node, not the store — the leader
+// installed the object after writing it, so even the first read is a hit.
 func TestCacheServesRepeatedReads(t *testing.T) {
 	runCached(t, 1, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		c, err := Connect(d, "s", d.Cfg.Profile.Home)
@@ -56,8 +56,8 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 		if misses != 0 {
 			t.Errorf("misses = %d, want 0: the create installed /x", misses)
 		}
-		if l1+l2 != 3 {
-			t.Errorf("cache hits = %d (l1=%d l2=%d), want 3", l1+l2, l1, l2)
+		if l1 != 0 || l2 != 3 {
+			t.Errorf("cache hits l1=%d l2=%d, want 3 regional hits", l1, l2)
 		}
 	})
 }
@@ -67,51 +67,48 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 // another session's first read of the node is a regional hit that reads
 // nothing from the user store.
 func TestCacheWriteInstallsForOtherSessions(t *testing.T) {
-	for _, mode := range []core.CacheMode{core.CacheRegional, core.CacheTwoLevel} {
-		t.Run(string(mode), func(t *testing.T) {
-			cfg := core.Config{UserStore: core.StoreKV, CacheMode: mode}
-			runCached(t, 12, cfg, func(k *sim.Kernel, d *core.Deployment) {
-				w, err := Connect(d, "w", d.Cfg.Profile.Home)
-				if err != nil {
-					t.Fatalf("connect w: %v", err)
-				}
-				defer w.Close()
-				if _, err := w.Create("/p", nil, 0); err != nil {
-					t.Fatalf("create /p: %v", err)
-				}
-				if _, err := w.Create("/p/x", []byte("v0"), 0); err != nil {
-					t.Fatalf("create /p/x: %v", err)
-				}
-				if _, err := w.Create("/y", []byte("y0"), 0); err != nil {
-					t.Fatalf("create /y: %v", err)
-				}
-				if _, err := w.SetData("/y", []byte("y1"), -1); err != nil {
-					t.Fatalf("set /y: %v", err)
-				}
-				r, err := Connect(d, "r", d.Cfg.Profile.Home)
-				if err != nil {
-					t.Fatalf("connect r: %v", err)
-				}
-				defer r.Close()
-				storeReads := d.Env.Meter.Count("userkv.read")
-				if data, _, err := r.GetData("/p/x"); err != nil || string(data) != "v0" {
-					t.Fatalf("read /p/x = %q (%v), want v0", data, err)
-				}
-				if data, _, err := r.GetData("/y"); err != nil || string(data) != "y1" {
-					t.Fatalf("read /y = %q (%v), want y1", data, err)
-				}
-				if kids, err := r.GetChildren("/p"); err != nil || !slices.Equal(kids, []string{"x"}) {
-					t.Fatalf("children of /p = %v (%v), want [x]", kids, err)
-				}
-				if n := d.Env.Meter.Count("userkv.read") - storeReads; n != 0 {
-					t.Errorf("the reads made %d user-store reads, want 0", n)
-				}
-				if l1, l2, misses := r.CacheStats(); l1 != 0 || l2 != 3 || misses != 0 {
-					t.Errorf("cache stats l1=%d l2=%d misses=%d, want 3 regional hits", l1, l2, misses)
-				}
-			})
+	t.Run(string(core.CacheRegional), func(t *testing.T) {
+		runCached(t, 12, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
+			w, err := Connect(d, "w", d.Cfg.Profile.Home)
+			if err != nil {
+				t.Fatalf("connect w: %v", err)
+			}
+			defer w.Close()
+			if _, err := w.Create("/p", nil, 0); err != nil {
+				t.Fatalf("create /p: %v", err)
+			}
+			if _, err := w.Create("/p/x", []byte("v0"), 0); err != nil {
+				t.Fatalf("create /p/x: %v", err)
+			}
+			if _, err := w.Create("/y", []byte("y0"), 0); err != nil {
+				t.Fatalf("create /y: %v", err)
+			}
+			if _, err := w.SetData("/y", []byte("y1"), -1); err != nil {
+				t.Fatalf("set /y: %v", err)
+			}
+			r, err := Connect(d, "r", d.Cfg.Profile.Home)
+			if err != nil {
+				t.Fatalf("connect r: %v", err)
+			}
+			defer r.Close()
+			storeReads := d.Env.Meter.Count("userkv.read")
+			if data, _, err := r.GetData("/p/x"); err != nil || string(data) != "v0" {
+				t.Fatalf("read /p/x = %q (%v), want v0", data, err)
+			}
+			if data, _, err := r.GetData("/y"); err != nil || string(data) != "y1" {
+				t.Fatalf("read /y = %q (%v), want y1", data, err)
+			}
+			if kids, err := r.GetChildren("/p"); err != nil || !slices.Equal(kids, []string{"x"}) {
+				t.Fatalf("children of /p = %v (%v), want [x]", kids, err)
+			}
+			if n := d.Env.Meter.Count("userkv.read") - storeReads; n != 0 {
+				t.Errorf("the reads made %d user-store reads, want 0", n)
+			}
+			if l1, l2, misses := r.CacheStats(); l1 != 0 || l2 != 3 || misses != 0 {
+				t.Errorf("cache stats l1=%d l2=%d misses=%d, want 3 regional hits", l1, l2, misses)
+			}
 		})
-	}
+	})
 }
 
 // TestCacheMultiSwapNeverTorn: a multi() swaps a pair on the KV store while
@@ -550,9 +547,10 @@ func TestCacheDeletedNodeNotServed(t *testing.T) {
 
 // TestCacheSingleSystemImageAcrossPaths: once a session observes system
 // state at some transaction, a read of ANY path must not return a version
-// superseded by an earlier transaction on the same shard — the client
-// cache carries the session-wide sysFloor precisely because nothing
-// push-invalidates session-local copies.
+// superseded by an earlier transaction on the same shard. The regional
+// node holds it because the leader installs each object right after its
+// store write, so the node never lags the store by more than the one
+// write in flight.
 func TestCacheSingleSystemImageAcrossPaths(t *testing.T) {
 	runCached(t, 8, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		w, err := Connect(d, "w", d.Cfg.Profile.Home)
@@ -571,7 +569,7 @@ func TestCacheSingleSystemImageAcrossPaths(t *testing.T) {
 		if _, err := w.Create("/a", []byte("a0"), 0); err != nil {
 			t.Fatalf("create /a: %v", err)
 		}
-		// The reader caches /b's old version locally.
+		// The reader reads /b's old version through the cache.
 		if _, _, err := r.GetData("/b"); err != nil {
 			t.Fatalf("warm read /b: %v", err)
 		}
@@ -588,8 +586,7 @@ func TestCacheSingleSystemImageAcrossPaths(t *testing.T) {
 		if data, _, err := r.GetData("/a"); err != nil || string(data) != "a1" {
 			t.Fatalf("read /a = %q (%v), want a1", data, err)
 		}
-		// ...so the locally cached /b@b0 must not be served, well inside
-		// its TTL or not.
+		// ...so /b@b0 must not be served.
 		data, _, err := r.GetData("/b")
 		if err != nil {
 			t.Fatalf("read /b: %v", err)
@@ -603,8 +600,8 @@ func TestCacheSingleSystemImageAcrossPaths(t *testing.T) {
 // TestCacheSingleSystemImageViaPzxid: observing a parent's child list
 // also advances the session's view of system state (through pzxid, not
 // mzxid — a child splice rewrites the parent without touching its own
-// modification txid), so an older cached copy of an unrelated node must
-// stop being served after it.
+// modification txid), so an older copy of an unrelated node must stop
+// being served after it.
 func TestCacheSingleSystemImageViaPzxid(t *testing.T) {
 	runCached(t, 10, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		w, err := Connect(d, "w", d.Cfg.Profile.Home)
@@ -649,13 +646,13 @@ func TestCacheSingleSystemImageViaPzxid(t *testing.T) {
 	})
 }
 
-// TestCacheWatchReadBypassesClientCache: a read that arms a watch must
-// not be served a session-local copy older than the registration — the
-// change between that copy and the registration would never fire the
-// watch, so the canonical read-then-wait-on-watch pattern would hold the
-// stale value indefinitely. The data returned with the armed watch must
-// be the committed state as of registration.
-func TestCacheWatchReadBypassesClientCache(t *testing.T) {
+// TestCacheWatchReadReturnsRegisteredState: a read that arms a watch must
+// not be served a copy older than the registration — the change between
+// that copy and the registration would never fire the watch, so the
+// canonical read-then-wait-on-watch pattern would hold the stale value
+// indefinitely. The data returned with the armed watch must be the
+// committed state as of registration.
+func TestCacheWatchReadReturnsRegisteredState(t *testing.T) {
 	runCached(t, 9, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		w, err := Connect(d, "w", d.Cfg.Profile.Home)
 		if err != nil {
@@ -670,7 +667,7 @@ func TestCacheWatchReadBypassesClientCache(t *testing.T) {
 		if _, err := w.Create("/config", []byte("v0"), 0); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		// r holds /config@v0 in its client cache.
+		// r reads /config@v0 through the cache.
 		if _, _, err := r.GetData("/config"); err != nil {
 			t.Fatalf("warm read: %v", err)
 		}
@@ -678,7 +675,7 @@ func TestCacheWatchReadBypassesClientCache(t *testing.T) {
 		if _, err := w.SetData("/config", []byte("v1"), -1); err != nil {
 			t.Fatalf("write v1: %v", err)
 		}
-		k.Sleep(time.Second) // well inside the 5 s client-cache TTL
+		k.Sleep(time.Second)
 		fired := false
 		data, _, err := r.GetDataW("/config", func(core.Notification) { fired = true })
 		if err != nil {
@@ -693,16 +690,16 @@ func TestCacheWatchReadBypassesClientCache(t *testing.T) {
 		}
 		k.Sleep(5 * time.Second)
 		if !fired {
-			t.Error("watch armed by the bypassing read did not fire")
+			t.Error("watch armed by the read did not fire")
 		}
 	})
 }
 
-// TestCacheTTLBoundsStaleness: a read-only session with no watches sees
-// another session's write once its client-cache TTL expires (ZooKeeper's
-// timeliness guarantee) — the regional node was push-invalidated, only the
-// session-local copy could linger.
-func TestCacheTTLBoundsStaleness(t *testing.T) {
+// TestCacheReadAfterWriteIsTimely: a read-only session with no watches sees
+// another session's write well after it was answered (ZooKeeper's
+// timeliness guarantee), though the session read the old value through the
+// cache before: the leader installed the new one in the regional node.
+func TestCacheReadAfterWriteIsTimely(t *testing.T) {
 	runCached(t, 6, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
 		w, err := Connect(d, "w", d.Cfg.Profile.Home)
 		if err != nil {
@@ -723,13 +720,13 @@ func TestCacheTTLBoundsStaleness(t *testing.T) {
 		if _, err := w.SetData("/t", []byte("v1"), -1); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		k.Sleep(core.CacheTTL + time.Second) // beyond the TTL and the distribution
+		k.Sleep(6 * time.Second) // past chaos.Timeliness
 		data, _, err := r.GetData("/t")
 		if err != nil {
-			t.Fatalf("read after TTL: %v", err)
+			t.Fatalf("late read: %v", err)
 		}
 		if string(data) != "v1" {
-			t.Fatalf("TTL-expired read returned %q, want v1", data)
+			t.Fatalf("late read returned %q, want v1", data)
 		}
 	})
 }
@@ -768,7 +765,7 @@ func TestCacheLossDropsFillFromBeforeIt(t *testing.T) {
 			return
 		}
 		rc.Lose()
-		k.Sleep(core.CacheTTL + 3*time.Second) // the held fill lands
+		k.Sleep(8 * time.Second) // the held fill lands
 		f := mustConnect(t, d, "f")
 		defer f.Close()
 		if data, _, err := f.GetData("/p"); err != nil || string(data) != "v2" {
@@ -782,7 +779,7 @@ func TestCacheLossDropsFillFromBeforeIt(t *testing.T) {
 // out of txid order — two different root contents can share one freshness
 // value. Every creator must still see its own child through the cache
 // tier, and a fresh session must see all of them (the shared root is read
-// from the store, past both cache levels).
+// from the store, past the cache).
 func TestCacheShardedRootChildrenVisible(t *testing.T) {
 	for _, seed := range []int64{21, 22, 23} {
 		seed := seed
@@ -848,7 +845,7 @@ func TestCacheShardedRootChildrenVisible(t *testing.T) {
 }
 
 // TestCacheShardedRootReadYourWritesLowTxid pins the low-txid variant of
-// the shared-root race: a session caches the root at a pzxid minted by
+// the shared-root race: a session reads the root at a pzxid minted by
 // another shard's HIGH txid, then its own top-level create lands on a
 // lightly-loaded shard with a LOWER txid. No floor derived from that txid
 // can fence a cached copy (cross-shard txids carry no order), so the
@@ -886,7 +883,7 @@ func TestCacheShardedRootReadYourWritesLowTxid(t *testing.T) {
 				t.Fatalf("create on busy shard: %v", err)
 			}
 		}
-		// The session caches the root at the busy shard's high pzxid.
+		// The session reads the root at the busy shard's high pzxid.
 		if _, err := s.GetChildren("/"); err != nil {
 			t.Fatalf("warm root read: %v", err)
 		}

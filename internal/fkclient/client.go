@@ -63,36 +63,20 @@ type Client struct {
 	maxSeenMzxid int64 // newest data this session has observed (Z3)
 
 	// Read-path cache tier (nil / unused when CacheMode is off, keeping
-	// the direct path byte-for-byte the paper's). rcache is the shared
-	// regional node, lcache the per-session client cache. lastSeen is the
-	// per-path floor of the session guard: the newest transaction this
-	// session has observed *for that path* — through reads or its own
-	// write responses — refining maxSeenMzxid so one hot node doesn't
-	// evict every colder path from cacheability while Z3's per-node
-	// monotonicity still holds exactly.
+	// the direct path byte-for-byte the paper's). rcache is the region's
+	// shared cache node. lastSeen is the per-path floor of the session
+	// guard: the newest transaction this session has observed *for that
+	// path* — through reads or its own write responses — refining
+	// maxSeenMzxid so one hot node doesn't evict every colder path from
+	// cacheability while Z3's per-node monotonicity still holds exactly.
 	rcache   *cache.Regional
-	lcache   *cache.LRU
 	lastSeen map[string]int64
-
-	// decoded memoizes the znode decoded from a client-cache entry, keyed
-	// by path and guarded by the entry's mzxid, so a repeat L1 hit skips
-	// the blob parse (see fetch). The memo keeps private copies — hits hand
-	// out a shallow clone with copied Data.
-	decoded map[string]decodedNode
 
 	// route is the deployment's write route: the shard whose MRD floors a
 	// cached path, and whether the path is shared between shards.
-	route *shardmap.Map
-	// sysFloor is the newest transaction this session has observed
-	// through any read (including a parent's pzxid — a child splice
-	// advances system state without touching mzxid) or its own write
-	// responses. It floors the client cache for cross-path monotonicity
-	// (single system image); strictly stronger than maxSeenMzxid, which
-	// keeps its public mzxid-only meaning.
-	sysFloor int64
-	l1Hits   int64
-	l2Hits   int64
-	l12Miss  int64
+	route  *shardmap.Map
+	hits   int64 // reads the regional node served
+	misses int64 // reads that fell through to the user store
 
 	watches map[int64]*watchEntry
 	// arming counts the watched reads in flight; the callbacks of
@@ -165,9 +149,6 @@ func Connect(d *core.Deployment, id string, region cloud.Region) (*Client, error
 	if rc := d.CacheFor(region); rc != nil {
 		c.rcache = rc
 		c.lastSeen = map[string]int64{}
-		if d.Cfg.CacheMode == core.CacheTwoLevel {
-			c.lcache = cache.NewLRU(d.Cfg.ClientCacheCapacityB)
-		}
 	}
 	if err := d.RegisterSession(c.ctx, id); err != nil {
 		return nil, err
@@ -287,9 +268,6 @@ func (c *Client) noteOwnWrite(req core.Request, resp core.Response) {
 	if c.rcache == nil || req.Op == core.OpDeregister {
 		return
 	}
-	if resp.Txid > c.sysFloor {
-		c.sysFloor = resp.Txid
-	}
 	path := req.Path
 	if resp.Path != path {
 		path = strings.Clone(resp.Path)
@@ -301,15 +279,6 @@ func (c *Client) noteOwnWrite(req core.Request, resp core.Response) {
 		parent := znode.Parent(path)
 		if resp.Txid > c.lastSeen[parent] {
 			c.lastSeen[parent] = resp.Txid
-		}
-		// Defensively drop the cached parent copy, whose child list this
-		// write superseded. For non-root parents the floors above already
-		// fence it (parent and child share a shard, so txids order the
-		// rebuilds), and the sharded root never enters a cache at all
-		// (fetch) — the removal just keeps the invariant local and
-		// unconditional.
-		if c.lcache != nil {
-			c.lcache.Remove(parent)
 		}
 	}
 }
@@ -329,9 +298,6 @@ func (c *Client) noteOwnMulti(results []txn.Result) {
 		if c.rcache == nil {
 			continue
 		}
-		if r.Txid > c.sysFloor {
-			c.sysFloor = r.Txid
-		}
 		path := strings.Clone(r.Path) // a map key: r.Path views a queue message
 		if r.Txid > c.lastSeen[path] {
 			c.lastSeen[path] = r.Txid
@@ -341,13 +307,6 @@ func (c *Client) noteOwnMulti(results []txn.Result) {
 			if r.Txid > c.lastSeen[parent] {
 				c.lastSeen[parent] = r.Txid
 			}
-			if c.lcache != nil {
-				c.lcache.Remove(parent)
-			}
-		}
-		if c.lcache != nil {
-			// The transaction superseded any session-local copy.
-			c.lcache.Remove(r.Path)
 		}
 	}
 }
@@ -369,12 +328,6 @@ func (c *Client) onNotification(n core.Notification) {
 	}
 	if n.Txid > c.mrdMax {
 		c.mrdMax = n.Txid
-	}
-	// The notified path's client-cache copy predates the event; drop it
-	// eagerly (the shard-MRD floor just raised above would reject it
-	// anyway — this only saves the dead lookup).
-	if c.lcache != nil {
-		c.lcache.Remove(n.Path)
 	}
 	entry, ok := c.watches[n.WatchID]
 	if !ok {
@@ -653,8 +606,8 @@ func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback)
 
 // read performs the storage read — through the cache tier when one is
 // deployed — and applies the ordering gate. arm names the watch the read
-// just registered, if any: the read bypasses the client cache and re-reads
-// until it reaches the registration's frontier (fetchArmed).
+// just registered, if any: the read re-reads until it reaches the
+// registration's frontier (fetchArmed).
 func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 	if c.closed {
 		return nil, core.ErrSessionClosed
@@ -670,7 +623,7 @@ func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 	var stamp []int64
 	var err error
 	if arm.entry == nil {
-		n, stamp, err = c.fetch(path, false)
+		n, stamp, err = c.fetch(path)
 	} else {
 		// A watch event follows the read that set the watch (ZooKeeper
 		// answers the read first): callbacks wait until this read returns.
@@ -719,12 +672,8 @@ func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 		c.maxSeenMzxid = n.Stat.Mzxid
 	}
 	if c.rcache != nil {
-		f := n.Fresh()
-		if f > c.lastSeen[path] {
+		if f := n.Fresh(); f > c.lastSeen[path] {
 			c.lastSeen[path] = f
-		}
-		if f > c.sysFloor {
-			c.sysFloor = f
 		}
 	}
 	return n, nil
@@ -741,7 +690,7 @@ func (c *Client) fetchArmed(path string, arm watchArm) (*znode.Node, []int64, er
 	deadline := c.d.K.Now() + sim.Time(DefaultRequestTimeout)
 	for {
 		fired := arm.entry.delivered.Done()
-		n, stamp, err := c.fetch(path, true)
+		n, stamp, err := c.fetch(path)
 		if fired || arm.reached(n, err) {
 			return n, stamp, err
 		}
@@ -765,31 +714,22 @@ func (c *Client) armed() {
 
 // fetch resolves a path to (node, epoch stamp). With the cache tier off it
 // is exactly the paper's direct store read. With a cache it tries the
-// client cache, then the regional node, then falls through to the strongly
-// consistent store and refreshes both levels. A cached entry is served
-// only when it passes the session guard: at least as new as everything
-// this session has observed for the path (Z3, read-your-writes) and as
-// the owning shard's MRD — a delivered notification proves the shard
-// reached that transaction, and a single ZooKeeper server would never
-// answer from an older state (single system image). The Z4 epoch-stamp
-// gate runs in read() on every source alike.
-// Reads that just armed a watch (skipL1) bypass the client cache: the
-// registration took effect against the server's CURRENT state, so a
-// change between a stale session-local copy and the registration would
-// never fire the watch — the canonical read-then-wait-on-watch pattern
-// would hold the stale value indefinitely. The regional node stays in
-// play: the leader installs each object right after its store write and
-// invalidates a delete before it, so its entry lags the store by at most
-// the one write in flight — a state the store held at registration, which
-// the registration's frontier (fetchArmed) then covers.
+// regional node, then falls through to the strongly consistent store and
+// refills the node. A cached entry is served only when it passes the
+// session guard: at least as new as everything this session has observed
+// for the path (Z3, read-your-writes) and as the owning shard's MRD — a
+// delivered notification proves the shard reached that transaction, and a
+// single ZooKeeper server would never answer from an older state (single
+// system image). The Z4 epoch-stamp gate runs in read() on every source
+// alike.
 //
 // A shared path — the root of a sharded deployment — is read from the
-// store, as with the cache tier off. Several shards rebuild it, and a
-// cache's floors and freshness values are single txids, which order only
-// within a shard: a regional node that lost its floors could admit a
-// refill of a root older than a low-txid shard's rebuild and serve it, even
-// to that create's own session.
-func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
+// store, as with the cache tier off. Several shards rebuild it, and the
+// node's floors and freshness values are single txids, which order only
+// within a shard: a node that lost its floors could admit a refill of a
+// root older than a low-txid shard's rebuild and serve it, even to that
+// create's own session.
+func (c *Client) fetch(path string) (*znode.Node, []int64, error) {
 	if c.rcache == nil || c.route.Shared(path) {
 		return c.store.Read(c.ctx, path)
 	}
@@ -797,63 +737,32 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	if m := c.mrd[c.route.ShardFor(path)]; m > floor {
 		floor = m
 	}
-	if c.lcache != nil && !skipL1 {
-		// The client cache additionally floors on sysFloor: nothing
-		// invalidates session-local copies, so cross-path monotonicity
-		// (single system image — a client never observes an older system
-		// state than it has already seen) needs the session-wide floor
-		// here. A cold path's copy that fails it is simply re-fetched
-		// from the regional node, which serves it safely (see below).
-		l1Floor := floor
-		if c.sysFloor > l1Floor {
-			l1Floor = c.sysFloor
-		}
-		if e, ok := c.lcache.Get(path); ok && e.Mzxid >= l1Floor &&
-			c.d.K.Now()-e.FilledAt <= core.CacheTTL {
-			if n, stamp, ok := c.memoHit(path, e.Mzxid); ok {
-				c.l1Hits++
-				return n, stamp, nil
-			}
-			if n, stamp, err := znode.Unmarshal(e.Blob); err == nil {
-				c.memoize(path, e.Mzxid, n, stamp)
-				c.l1Hits++
-				return n, stamp, nil
-			}
-		}
-	}
 	// The regional node needs no maxSeenMzxid floor: inside its
 	// serialized per-shard distribution the leader installs each object
 	// right after its own store write, before the next one starts, and
-	// invalidates a delete, a shared path or an atomic batch before its
-	// store op. So the node never runs ahead of the store and lags it by
-	// at most the one object whose write is in flight: whatever it serves
-	// is what a direct read issued just before that write landed could
-	// have returned, and stale re-fills are floored out. The same path
-	// going backwards is what the floor above rejects; cross-shard txids
-	// carry no order, exactly as in the sharded write path. A written
-	// node's next read is usually a hit here, and a miss below refills the
-	// node as the install would.
+	// invalidates a delete or an atomic batch before its store op. So the
+	// node never runs ahead of the store and lags it by at most the one
+	// object whose write is in flight: whatever it serves is what a direct
+	// read issued just before that write landed could have returned, and
+	// stale re-fills are floored out. The same path going backwards is
+	// what the floor above rejects; cross-shard txids carry no order,
+	// exactly as in the sharded write path. A written node's next read is
+	// usually a hit here, and a miss below refills the node as the install
+	// would.
 	hit, mzxid, inc, ok := c.rcache.Probe(c.ctx, path)
 	if ok && mzxid >= floor {
 		if n, stamp, err := znode.Unmarshal(hit); err == nil {
-			c.l1Fill(path, hit, mzxid)
-			c.l2Hits++
+			c.hits++
 			return n, stamp, nil
 		}
 	}
-	c.l12Miss++
+	c.misses++
 	n, stamp, err := c.store.Read(c.ctx, path)
 	if err != nil {
-		if c.lcache != nil {
-			// Notably ErrUserNoNode: drop any lingering copy of a node
-			// the store no longer has.
-			c.lcache.Remove(path)
-		}
 		return nil, nil, err
 	}
 	blob := znode.Marshal(n, stamp)
 	fresh := n.Fresh()
-	c.l1Fill(path, blob, fresh)
 	// Refresh the regional node off the critical path (fire-and-forget,
 	// as a real client would): the fill pays the cache node's write
 	// latency without delaying this read, and the per-path floor rejects
@@ -865,55 +774,13 @@ func (c *Client) fetch(path string, skipL1 bool) (*znode.Node, []int64, error) {
 	return n, stamp, nil
 }
 
-// decodedNode is one memoized client-cache decode (see Client.decoded).
-type decodedNode struct {
-	mzxid int64
-	node  *znode.Node
-	stamp []int64
-}
-
-// memoCap bounds the decode memo; on overflow the whole map is dropped
-// (the client cache's own LRU keeps the hot set small, so an overflow
-// means pathologically many cold paths — restart cheaply).
-const memoCap = 4096
-
-// memoHit returns a private-copy-backed node for a client-cache entry
-// whose decode this session already performed at the same mzxid. The
-// handed-out node shallow-clones the memo with its own Data slice, since
-// Data is the one field callers may mutate (GetDataW exposes it).
-func (c *Client) memoHit(path string, mzxid int64) (*znode.Node, []int64, bool) {
-	dn, ok := c.decoded[path]
-	if !ok || dn.mzxid != mzxid {
-		return nil, nil, false
-	}
-	out := *dn.node
-	out.Data = append([]byte(nil), dn.node.Data...)
-	return &out, dn.stamp, true
-}
-
-// memoize records a freshly decoded client-cache entry under its mzxid.
-// The memo clones the node so the caller may hand the original to the
-// application.
-func (c *Client) memoize(path string, mzxid int64, n *znode.Node, stamp []int64) {
-	if c.decoded == nil || len(c.decoded) >= memoCap {
-		c.decoded = map[string]decodedNode{}
-	}
-	c.decoded[path] = decodedNode{mzxid: mzxid, node: n.Clone(), stamp: stamp}
-}
-
-// l1Fill stores a blob in the client cache (two-level mode only).
-func (c *Client) l1Fill(path string, blob []byte, mzxid int64) {
-	if c.lcache == nil {
-		return
-	}
-	c.lcache.Put(path, cache.Entry{Blob: blob, Mzxid: mzxid, FilledAt: c.d.K.Now()})
-}
-
-// CacheStats reports this session's read-path cache effectiveness: hits
-// served by the client cache, hits served by the regional node, and reads
-// that fell through to the user store (all zero with the cache tier off).
+// CacheStats reports this session's read-path cache effectiveness in the
+// shape of a two-level tier: session-cache hits, which are always 0 (there
+// is one cache tier, the regional node), hits served by the regional node,
+// and reads that fell through to the user store (all zero with the cache
+// tier off).
 func (c *Client) CacheStats() (l1Hits, l2Hits, misses int64) {
-	return c.l1Hits, c.l2Hits, c.l12Miss
+	return 0, c.hits, c.misses
 }
 
 func (c *Client) check(path string) error {

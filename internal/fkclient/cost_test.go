@@ -50,8 +50,8 @@ var costConfigs = []struct {
 	{"sharded", core.Config{CostAccounting: true, WriteShards: 4}, false},
 	{"batched", core.Config{CostAccounting: true, WriteShards: 2, BatchWrites: true}, false},
 	{"batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, BatchWrites: true}, false},
-	{"cached", core.Config{CostAccounting: true, CacheMode: core.CacheTwoLevel}, false},
-	{"cached-traced", core.Config{CostAccounting: true, Telemetry: true, CacheMode: core.CacheTwoLevel}, false},
+	{"cached", core.Config{CostAccounting: true, CacheMode: core.CacheRegional}, false},
+	{"cached-traced", core.Config{CostAccounting: true, Telemetry: true, CacheMode: core.CacheRegional}, false},
 	{"txn", core.Config{CostAccounting: true, WriteShards: 4}, true},
 	{"txn-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 4}, true},
 	{"txn-batched-traced", core.Config{CostAccounting: true, Telemetry: true, WriteShards: 2, BatchWrites: true}, true},

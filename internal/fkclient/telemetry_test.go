@@ -141,7 +141,7 @@ var telemetryConfigs = []struct {
 	{"plain", core.Config{Telemetry: true}, false},
 	{"sharded", core.Config{Telemetry: true, WriteShards: 4}, false},
 	{"batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}, false},
-	{"cached", core.Config{Telemetry: true, CacheMode: core.CacheTwoLevel}, false},
+	{"cached", core.Config{Telemetry: true, CacheMode: core.CacheRegional}, false},
 	{"txn", core.Config{Telemetry: true, WriteShards: 4}, true},
 	{"txn-batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}, true},
 }

@@ -407,7 +407,7 @@ func TestMultiRandomizedHistoriesWithTxn(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{WriteShards: 4},
 		{WriteShards: 4, BatchWrites: true},
-		{WriteShards: 2, CacheMode: core.CacheTwoLevel, UserStore: core.StoreKV},
+		{WriteShards: 2, CacheMode: core.CacheRegional, UserStore: core.StoreKV},
 	} {
 		cfg := cfg
 		name := fmt.Sprintf("shards%d-batch%v-cache%v", cfg.WriteShards, cfg.BatchWrites, cfg.CacheMode != core.CacheOff)

@@ -303,7 +303,7 @@ func TestLockConditionsRender(t *testing.T) {
 // package value, the commit's action list lives on the stack, and the
 // table returns its committed items without copying them. History: it was
 // two, one new attribute list per write, until the table recycled retired
-// arrays.
+// arrays; it still is under the race detector.
 func TestLockCommitAllocations(t *testing.T) {
 	k, env, tbl, ctx := setup(1)
 	tbl.SeedPut("node:/x", kv.Item{
@@ -321,7 +321,11 @@ func TestLockCommitAllocations(t *testing.T) {
 			t.Fatalf("commit: %v", err)
 		}
 	})
-	if got != 0 {
-		t.Fatalf("Acquire + CommitUnlock: %v allocations, want 0", got)
+	want := 0.0
+	if sim.PoolDropsPuts() {
+		want = 2 // under -race kv poisons retired arrays instead of reusing them
+	}
+	if got != want {
+		t.Fatalf("Acquire + CommitUnlock: %v allocations, want %v", got, want)
 	}
 }

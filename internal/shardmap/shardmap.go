@@ -48,6 +48,6 @@ func (m *Map) ShardFor(path string) int { return DefaultShard(path, m.n) }
 
 // Shared reports whether a path's user-store object is rebuilt by more
 // than one shard leader: the tree root of a multi-shard deployment. Shared
-// paths are serialized under a cross-shard lock and excluded from the
-// session-local client cache.
+// paths are serialized under a cross-shard lock and read past the cache
+// tier.
 func (m *Map) Shared(path string) bool { return m.n > 1 && path == "/" }
