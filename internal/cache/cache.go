@@ -11,15 +11,11 @@ import (
 // Invalidation is the record the leader publishes to the regional cache
 // before a fenced user-store op — a delete, or any object of an atomic
 // batch, which no install can follow object by object: the path it is
-// about to overwrite or delete, the commit's transaction id, and the union
-// epoch stamp (the in-flight watch ids across all shards) the new value
-// will carry. The epoch union is retained with the path's floor so a
-// future stamp-carrying upgrade — or a test — can reconstruct the exact
-// invalidation order the cache observed.
+// about to overwrite or delete and the commit's transaction id, which
+// becomes the path's floor.
 type Invalidation struct {
 	Path  string
 	Mzxid int64
-	Epoch []int64
 }
 
 // Install is one object the leader just wrote to the region's user store,
@@ -31,15 +27,6 @@ type Install struct {
 	Path  string
 	Blob  []byte
 	Mzxid int64
-}
-
-// floor is the per-path watermark, raised by an invalidation and by an
-// install: fills below it are rejected, so a read that fetched the old
-// value from the store just before the overwrite can never resurrect it
-// after the invalidation or the install, even once the entry is evicted.
-type floor struct {
-	mzxid int64
-	epoch []int64
 }
 
 // Stats counts one regional cache's traffic.
@@ -67,10 +54,14 @@ type Regional struct {
 	env    *cloud.Env
 	region cloud.Region
 	lru    *LRU
-	// floors holds each path's floor behind a pointer, so that raising it
-	// never assigns the map again: an assignment stores its key, and an
+	// floors holds each path's floor, the watermark an invalidation and an
+	// install raise: fills below it are rejected, so a read that fetched
+	// the old value from the store just before the overwrite can never
+	// resurrect it after the invalidation or the install, even once the
+	// entry is evicted. Each floor sits behind a pointer, so that raising
+	// it never assigns the map again: an assignment stores its key, and an
 	// install's path views the leader's queue message (setFloor).
-	floors map[string]*floor
+	floors map[string]*int64
 	// floorCap bounds the floors map: paths are written forever but
 	// watermarks must not accumulate forever (the tombstone-GC gap).
 	// On overflow the older half folds into globalFloor — see
@@ -108,16 +99,16 @@ func NewRegional(env *cloud.Env, region cloud.Region, capacityB int) *Regional {
 		env:      env,
 		region:   region,
 		lru:      NewLRU(capacityB),
-		floors:   map[string]*floor{},
+		floors:   map[string]*int64{},
 		floorCap: defaultFloorCap,
 	}
 }
 
-// floorOf returns a path's effective invalidation watermark: its own
-// floor, or the global floor it may have been folded into.
-func (r *Regional) floorOf(path string) int64 {
+// Floor returns a path's effective invalidation watermark: its own floor,
+// or the global floor it may have been folded into.
+func (r *Regional) Floor(path string) int64 {
 	if f, ok := r.floors[path]; ok {
-		return f.mzxid
+		return *f
 	}
 	return r.globalFloor
 }
@@ -130,12 +121,12 @@ func (r *Regional) floorOf(path string) int64 {
 func (r *Regional) compactFloors() {
 	ms := make([]int64, 0, len(r.floors))
 	for _, f := range r.floors {
-		ms = append(ms, f.mzxid)
+		ms = append(ms, *f)
 	}
 	slices.Sort(ms)
 	cut := ms[len(ms)/2]
 	for p, f := range r.floors {
-		if f.mzxid <= cut {
+		if *f <= cut {
 			delete(r.floors, p)
 		}
 	}
@@ -265,7 +256,7 @@ func (r *Regional) InstallBatch(ctx cloud.Ctx, objs []Install) {
 // or the path's invalidation floor or a newer resident entry proves it
 // stale. Reports whether it was stored.
 func (r *Regional) admit(path string, blob []byte, mzxid int64, inc uint64) bool {
-	if inc < r.inc || mzxid < r.floorOf(path) {
+	if inc < r.inc || mzxid < r.Floor(path) {
 		return false
 	}
 	if cur, ok := r.lru.Peek(path); ok && cur.Mzxid > mzxid {
@@ -304,49 +295,33 @@ func (r *Regional) InvalidateBatch(ctx cloud.Ctx, invs []Invalidation) {
 // latency and metering were already paid by the caller).
 func (r *Regional) apply(inv Invalidation) {
 	r.stats.Invalidations++
-	newFloor := max(r.floorOf(inv.Path), inv.Mzxid)
-	r.setFloor(inv.Path, floor{mzxid: newFloor, epoch: append([]int64(nil), inv.Epoch...)})
+	newFloor := max(r.Floor(inv.Path), inv.Mzxid)
+	r.setFloor(inv.Path, newFloor)
 	if cur, ok := r.lru.Peek(inv.Path); ok && cur.Mzxid < newFloor {
 		r.lru.Remove(inv.Path)
 	}
 }
 
-// raise lifts a path's floor to an installed freshness value, keeping the
-// epoch of the record that last set it. The installed value itself stays
-// admissible.
+// raise lifts a path's floor to an installed freshness value. The installed
+// value itself stays admissible.
 func (r *Regional) raise(path string, mzxid int64) {
-	if mzxid <= r.floorOf(path) {
-		return
+	if mzxid > r.Floor(path) {
+		r.setFloor(path, mzxid)
 	}
-	if f, ok := r.floors[path]; ok {
-		f.mzxid = mzxid
-		return
-	}
-	r.setFloor(path, floor{mzxid: mzxid})
 }
 
 // setFloor stores a path's floor, compacting the map on overflow. A new
 // path is stored as a clone, which pins no message.
-func (r *Regional) setFloor(path string, f floor) {
+func (r *Regional) setFloor(path string, mzxid int64) {
 	if p, ok := r.floors[path]; ok {
-		*p = f
+		*p = mzxid
 		return
 	}
-	v := f
+	v := mzxid // a parameter whose address escapes is allocated on every call
 	r.floors[strings.Clone(path)] = &v
 	if len(r.floors) > r.floorCap {
 		r.compactFloors()
 	}
-}
-
-// Floor returns the path's effective watermark and the epoch union of the
-// invalidation record that last set it (empty epoch when the watermark is
-// the global fold floor or the path was never invalidated).
-func (r *Regional) Floor(path string) (int64, []int64) {
-	if f, ok := r.floors[path]; ok {
-		return f.mzxid, f.epoch
-	}
-	return r.globalFloor, nil
 }
 
 // Lose simulates the cache node's process dying and restarting empty:
@@ -364,7 +339,7 @@ func (r *Regional) Floor(path string) (int64, []int64) {
 // calls this to verify exactly that argument.
 func (r *Regional) Lose() {
 	r.lru = NewLRU(r.lru.CapacityB())
-	r.floors = map[string]*floor{}
+	r.floors = map[string]*int64{}
 	r.globalFloor = 0
 	r.inc++
 	r.stats.Losses++

@@ -33,13 +33,12 @@ func TestRegionalFillLookupInvalidate(t *testing.T) {
 		if !ok || mzxid != 10 || len(b) != 64 {
 			t.Fatalf("lookup after fill: ok=%v mzxid=%d len=%d", ok, mzxid, len(b))
 		}
-		r.InvalidateBatch(ctx, []Invalidation{{Path: "/a", Mzxid: 20, Epoch: []int64{5, 6}}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/a", Mzxid: 20}})
 		if _, _, ok := r.Lookup(ctx, "/a"); ok {
 			t.Error("invalidated entry still served")
 		}
-		floor, epoch := r.Floor("/a")
-		if floor != 20 || len(epoch) != 2 {
-			t.Errorf("floor = %d epoch %v, want 20 [5 6]", floor, epoch)
+		if floor := r.Floor("/a"); floor != 20 {
+			t.Errorf("floor = %d, want 20", floor)
 		}
 		st := r.Stats()
 		if st.Hits != 1 || st.Misses != 2 || st.Invalidations != 1 {
@@ -118,7 +117,7 @@ func TestRegionalInstallRaisesFloor(t *testing.T) {
 		if _, _, ok := r.Lookup(ctx, "/n"); ok {
 			t.Fatal("the install of /n was not evicted: the test holds no window")
 		}
-		if f, _ := r.Floor("/n"); f != 20 {
+		if f := r.Floor("/n"); f != 20 {
 			t.Errorf("floor after the install = %d, want 20", f)
 		}
 		if r.Fill(ctx, "/n", blob(32), 10) {
@@ -174,7 +173,7 @@ func TestRegionalInvalidationNeverLowersFloor(t *testing.T) {
 	withRegional(t, 1<<20, func(k *sim.Kernel, ctx cloud.Ctx, r *Regional) {
 		r.InstallBatch(ctx, []Install{{Path: "/n", Blob: blob(20), Mzxid: 10}})
 		r.InvalidateBatch(ctx, []Invalidation{{Path: "/n", Mzxid: 7}})
-		if f, _ := r.Floor("/n"); f != 10 {
+		if f := r.Floor("/n"); f != 10 {
 			t.Errorf("floor after a lower invalidation = %d, want 10", f)
 		}
 		if _, mzxid, ok := r.Lookup(ctx, "/n"); !ok || mzxid != 10 {
@@ -209,7 +208,7 @@ func TestFloorCompaction(t *testing.T) {
 			t.Error("stale fill slipped under a folded watermark")
 		}
 		// A recent path keeps its exact floor and accepts current fills.
-		if f, _ := r.Floor(fmt.Sprintf("/n%d", paths-1)); f != int64(100+paths-1) {
+		if f := r.Floor(fmt.Sprintf("/n%d", paths-1)); f != int64(100+paths-1) {
 			t.Errorf("recent floor = %d, want %d", f, 100+paths-1)
 		}
 		if !r.Fill(ctx, fmt.Sprintf("/n%d", paths-1), blob(8), int64(100+paths-1)) {
@@ -253,7 +252,7 @@ func TestInvalidationOrderingUnderConcurrentShardWrites(t *testing.T) {
 			defer wg.Done()
 			for seq := int64(1); seq <= writesPerShard; seq++ {
 				txid := seq*nShards + int64(shard)
-				r.InvalidateBatch(ctx, []Invalidation{{Path: path, Mzxid: txid, Epoch: []int64{txid}}})
+				r.InvalidateBatch(ctx, []Invalidation{{Path: path, Mzxid: txid}})
 				// A racing reader re-fills the version this write just
 				// overwrote; the floor must reject it.
 				r.Fill(ctx, path, blob(24), txid-int64(nShards))
@@ -265,12 +264,9 @@ func TestInvalidationOrderingUnderConcurrentShardWrites(t *testing.T) {
 	k.Go("verify", func() {
 		wg.Wait()
 		for path, want := range newest {
-			floor, epoch := r.Floor(path)
+			floor := r.Floor(path)
 			if floor != want {
 				t.Errorf("%s floor = %d, want %d", path, floor, want)
-			}
-			if len(epoch) != 1 || epoch[0] != want {
-				t.Errorf("%s floor epoch = %v, want [%d]", path, epoch, want)
 			}
 			if e, present := r.lru.Peek(path); present && e.Mzxid < floor {
 				t.Errorf("%s: stale entry (mzxid %d) survived below floor %d", path, e.Mzxid, floor)
@@ -299,15 +295,15 @@ func TestInvalidateBatchCoalesces(t *testing.T) {
 		// entry dropped, but only ONE cache-node write paid.
 		writesBefore := k.Now()
 		r.InvalidateBatch(ctx, []Invalidation{
-			{Path: "/a", Mzxid: 20, Epoch: []int64{5}},
-			{Path: "/b", Mzxid: 30, Epoch: []int64{5}},
+			{Path: "/a", Mzxid: 20},
+			{Path: "/b", Mzxid: 30},
 		})
 		batchDur := k.Now() - writesBefore
 		for _, c := range []struct {
 			path  string
 			floor int64
 		}{{"/a", 20}, {"/b", 30}} {
-			if f, _ := r.Floor(c.path); f != c.floor {
+			if f := r.Floor(c.path); f != c.floor {
 				t.Errorf("floor of %s = %d, want %d", c.path, f, c.floor)
 			}
 			if _, _, ok := r.Lookup(ctx, c.path); ok {
@@ -323,8 +319,8 @@ func TestInvalidateBatchCoalesces(t *testing.T) {
 		// The coalesced record must be cheaper than two standalone
 		// publishes (one base round trip instead of two).
 		t0 := k.Now()
-		r.InvalidateBatch(ctx, []Invalidation{{Path: "/a", Mzxid: 40, Epoch: []int64{5}}})
-		r.InvalidateBatch(ctx, []Invalidation{{Path: "/b", Mzxid: 50, Epoch: []int64{5}}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/a", Mzxid: 40}})
+		r.InvalidateBatch(ctx, []Invalidation{{Path: "/b", Mzxid: 50}})
 		if single := k.Now() - t0; batchDur >= single {
 			t.Errorf("batch record took %v, two standalone records %v", batchDur, single)
 		}
@@ -369,7 +365,7 @@ func TestRegionalKeysOwnTheirBytes(t *testing.T) {
 				t.Errorf("stored key %q views an installer's bytes", p)
 			}
 		}
-		if f, _ := r.Floor("/n"); f != 2 {
+		if f := r.Floor("/n"); f != 2 {
 			t.Errorf("floor = %d, want 2", f)
 		}
 	})

@@ -18,13 +18,7 @@ const tagInvalidation byte = 0xD1
 // invSize is an invalidation record's on-wire size for the latency model:
 // len(EncodeInvalidation(inv)), computed without encoding.
 func invSize(inv Invalidation) int {
-	n := 1 + wire.UvarintLen(uint64(len(inv.Path))) + len(inv.Path) +
-		wire.VarintLen(inv.Mzxid) +
-		wire.UvarintLen(uint64(len(inv.Epoch)))
-	for _, e := range inv.Epoch {
-		n += wire.VarintLen(e)
-	}
-	return n
+	return 1 + wire.UvarintLen(uint64(len(inv.Path))) + len(inv.Path) + wire.VarintLen(inv.Mzxid)
 }
 
 // EncodeInvalidation serializes one record in the binary wire format.
@@ -33,7 +27,6 @@ func EncodeInvalidation(inv Invalidation) []byte {
 	e.Byte(tagInvalidation)
 	e.String(inv.Path)
 	e.Varint(inv.Mzxid)
-	e.Int64s(inv.Epoch)
 	return e.Owned()
 }
 
@@ -43,10 +36,6 @@ func DecodeInvalidation(b []byte) (Invalidation, error) {
 	if d.Byte() != tagInvalidation {
 		return Invalidation{}, fmt.Errorf("%w: invalidation tag", wire.ErrCorrupt)
 	}
-	inv := Invalidation{
-		Path:  d.String(),
-		Mzxid: d.Varint(),
-		Epoch: d.Int64s(),
-	}
+	inv := Invalidation{Path: d.String(), Mzxid: d.Varint()}
 	return inv, d.Err()
 }

@@ -7,6 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"faaskeeper/internal/core"
+	"faaskeeper/internal/sim"
+	"faaskeeper/internal/znode"
 )
 
 // Violation is one invariant breach found in a history.
@@ -80,8 +84,8 @@ type swKey struct {
 // atomicity, and watch ordering (no stale read before a delivered
 // notification, no silently lost watch — a child watch judged by child
 // sets, never by txids, which order only within a shard —, no fire later
-// than the first acked change after the arming read: WatchFiredLate), and
-// timeliness (Untimely).
+// than the first acked change after the arming read: WatchFiredLate),
+// timeliness (Untimely), and a listed child readable (listedUnreadable).
 // It returns every violation found; an empty slice is a clean history.
 func Check(h *History, opts CheckOpts) []Violation {
 	if opts.PrivatePrefix == "" {
@@ -401,6 +405,7 @@ func Check(h *History, opts CheckOpts) []Violation {
 
 	out = append(out, WatchFiredLate(h)...)
 	out = append(out, Untimely(h)...)
+	out = append(out, listedUnreadable(h)...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Invariant < out[j].Invariant })
 	return out
 }
@@ -411,7 +416,8 @@ func Check(h *History, opts CheckOpts) []Violation {
 // (r, t) fired late: the watch missed that set and was delivered for a later
 // one. Each such fire yields one "watch-fired-late" violation naming the
 // smallest missed txid. An indeterminate set (no ack) proves nothing and is
-// not counted. Check runs it.
+// not counted. A child watch is not judged: a set changes no child list.
+// Check runs it.
 func WatchFiredLate(h *History) []Violation {
 	setAcks := map[string][]int64{} // path -> acked set txids
 	for _, e := range h.Events {
@@ -432,7 +438,7 @@ func WatchFiredLate(h *History) []Violation {
 		k := swKey{e.Session, e.WatchID}
 		switch e.Kind {
 		case KindWatchArm:
-			if e.Err == "" {
+			if e.Err == "" && e.Op != "children" {
 				armedAt[k] = e.Mzxid
 			}
 		case KindWatchFire:
@@ -470,8 +476,9 @@ const Timeliness = 5 * time.Second
 // arming read) that starts more than Timeliness after a write to its path
 // was answered returns that write's value or a newer one — an mzxid at or
 // past the write's txid. Only answers that carry a txid count: acked sets
-// and a multi()'s acked ops. Each stale read yields one "timeliness"
-// violation naming the newest txid it missed. Check runs it.
+// and a multi()'s acked ops; a children read carries none and is not
+// judged. Each stale read yields one "timeliness" violation naming the
+// newest txid it missed. Check runs it.
 func Untimely(h *History) []Violation {
 	acks := map[string][]Event{} // path -> acked writes as (End, Mzxid: txid), in answer order
 	var out []Violation
@@ -485,7 +492,7 @@ func Untimely(h *History) []Violation {
 					acks[op.Path] = append(acks[op.Path], Event{End: e.End, Mzxid: op.Txid})
 				}
 			}
-		case (e.Kind == KindRead || e.Kind == KindWatchArm) && e.Err == "":
+		case (e.Kind == KindRead || e.Kind == KindWatchArm) && e.Err == "" && e.Op != "children":
 			missed := int64(0)
 			for _, a := range acks[e.Path] {
 				if e.Start > a.End+Timeliness && a.Mzxid > max(e.Mzxid, missed) {
@@ -499,6 +506,69 @@ func Untimely(h *History) []Violation {
 						e.Start, e.Mzxid, missed, Timeliness),
 				})
 			}
+		}
+	}
+	return out
+}
+
+// listedUnreadable checks the single system image across a parent and its
+// children: a read of a node that answers "no node" although its session's
+// previous children read of the parent listed the node shows a listing
+// ahead of the store — unless a delete of the node may have landed in
+// between: one that started before the read ended, did not definitely
+// fail, and was not answered before the listing started (a node listed
+// after that is a later create's). A node that vanishes without a recorded
+// delete (an ephemeral whose session ended) must not be read this way.
+// Each such read yields one "listed-unreadable" violation. Check runs it.
+func listedUnreadable(h *History) []Violation {
+	type deletion struct {
+		start, end sim.Time
+		acked      bool
+	}
+	deletes := map[string][]deletion{}
+	for _, e := range h.Events {
+		if e.Err != "" && e.Definite {
+			continue
+		}
+		switch e.Kind {
+		case KindWrite:
+			if e.Op == "delete" {
+				deletes[e.Path] = append(deletes[e.Path], deletion{e.Start, e.End, e.Err == ""})
+			}
+		case KindMulti:
+			for _, op := range e.Ops {
+				if op.Op == "delete" {
+					deletes[op.Path] = append(deletes[op.Path], deletion{e.Start, e.End, e.Err == ""})
+				}
+			}
+		}
+	}
+	type listing struct {
+		start sim.Time
+		kids  []string
+	}
+	listed := map[spKey]listing{} // a session's last children read of a parent
+	noNode := core.ErrNoNode.Error()
+	var out []Violation
+	for _, e := range h.Events {
+		switch {
+		case (e.Kind == KindRead || e.Kind == KindWatchArm) && e.Op == "children" && e.Err == "":
+			listed[spKey{e.Session, e.Path}] = listing{e.Start, e.Children}
+		case e.Kind == KindRead && e.Op == "get" && e.Err == noNode:
+			l, ok := listed[spKey{e.Session, znode.Parent(e.Path)}]
+			if !ok || !slices.Contains(l.kids, znode.Base(e.Path)) {
+				continue
+			}
+			if slices.ContainsFunc(deletes[e.Path], func(d deletion) bool {
+				return d.start < e.End && !(d.acked && d.end < l.start)
+			}) {
+				continue
+			}
+			out = append(out, Violation{
+				Invariant: "listed-unreadable", Session: e.Session, Path: e.Path,
+				Detail: fmt.Sprintf("read at %v found no node, though the children read at %v listed it and no delete may have landed since",
+					e.Start, l.start),
+			})
 		}
 	}
 	return out

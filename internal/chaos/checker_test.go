@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 )
 
@@ -311,5 +312,43 @@ func TestCheckerFlagsUntimelyRead(t *testing.T) {
 	}
 	if !strings.Contains(vs[0].Detail, "missing txid 20") {
 		t.Errorf("detail %q does not name the missed write", vs[0].Detail)
+	}
+}
+
+// TestCheckerFlagsListedUnreadable: a session lists the root with t1 in it
+// and then reads /t1: "no node" is a listing ahead of the store, unless a
+// delete of /t1 may have landed between the listing and the read. A
+// definitely failed delete, or one answered before the listing started,
+// cannot have; one in flight across the listing, or with an unknown
+// outcome, may have. A listing without t1, or another session's, proves
+// nothing.
+func TestCheckerFlagsListedUnreadable(t *testing.T) {
+	create := Event{Session: "c", Kind: KindWrite, Op: "create", Path: "/t1", Value: "v#0", Start: sec(1), End: sec(2)}
+	list := func(session string, kids ...string) Event {
+		return Event{Session: session, Kind: KindWatchArm, Op: "children", Path: "/", Children: kids, WatchID: 5, Start: sec(3), End: sec(4)}
+	}
+	gone := Event{Session: "w", Kind: KindRead, Op: "get", Path: "/t1", Err: core.ErrNoNode.Error(), Definite: true, Start: sec(5), End: sec(6)}
+	del := func(start, end sim.Time, err string, definite bool) Event {
+		return Event{Session: "d", Kind: KindWrite, Op: "delete", Path: "/t1", Start: start, End: end, Err: err, Definite: definite}
+	}
+	for name, events := range map[string][]Event{
+		"no delete":             {create, list("w", "t1"), gone},
+		"delete failed":         {create, del(sec(3), sec(4), core.ErrNoNode.Error(), true), list("w", "t1"), gone},
+		"delete answered first": {create, del(sec(2), sec(2)+1, "", false), list("w", "t1"), gone},
+	} {
+		if vs := checkH(events...); !hasViolation(vs, "listed-unreadable") {
+			t.Errorf("%s: not flagged: %v", name, vs)
+		}
+	}
+	for name, events := range map[string][]Event{
+		"delete across the listing": {create, list("w", "t1"), del(sec(3), sec(5), "", false), gone},
+		"delete unknown":            {create, del(sec(2), sec(2)+1, "fkclient: request timed out", false), list("w", "t1"), gone},
+		"multi delete":              {create, list("w", "t1"), {Session: "d", Kind: KindMulti, Op: "multi", Path: "/t1", Start: sec(4), End: sec(5), Ops: []SubOp{{Op: "delete", Path: "/t1", Code: "ok", Txid: 9}}}, gone},
+		"not listed":                {create, list("w"), gone},
+		"another session's listing": {create, list("r", "t1"), gone},
+	} {
+		if vs := checkH(events...); hasViolation(vs, "listed-unreadable") {
+			t.Errorf("%s: flagged %v", name, vs)
+		}
 	}
 }

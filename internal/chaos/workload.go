@@ -467,9 +467,12 @@ func run(s Scenario, traced bool) *Result {
 		})
 
 		// On several shards the root's child list changes on every shard:
-		// a churner creates and deletes a top-level node per shard, and a
-		// second watcher keeps a child watch on the root re-armed. The
-		// checker judges it by child sets (Check's lost-watch rule).
+		// a churner creates and deletes a top-level node per shard and
+		// writes the root's data every third op, and a second watcher keeps
+		// a child watch on the root re-armed and reads every node its
+		// arming read listed. The checker judges the watch by child sets
+		// (Check's lost-watch rule) and each listed node by its read
+		// (listed-unreadable).
 		if d.NumShards() > 1 {
 			done.Go("rootchurn", func() {
 				c, err := fkclient.Connect(d, "rootchurn", home)
@@ -490,6 +493,9 @@ func run(s Scenario, traced bool) *Result {
 						err := doCreate(c, "rootchurn", names[i], fmt.Sprintf("rootchurn#%d", op), 0)
 						live[i] = err == nil || errors.Is(err, core.ErrNodeExists)
 					}
+					if op%3 == 2 {
+						doSet(c, "rootchurn", znode.Root, fmt.Sprintf("root#%d", op))
+					}
 					k.Sleep(time.Duration(r.Intn(40)) * time.Millisecond)
 				}
 			})
@@ -499,7 +505,16 @@ func run(s Scenario, traced bool) *Result {
 					harness("%s connect: %v", rootWatcherID, err)
 					return
 				}
-				watchChildren(k, c, rootWatcherID, s.OpsPerClient, record)
+				// A crasher's ephemeral vanishes without a recorded delete.
+				vanishes := map[string]bool{}
+				for _, cr := range crashersFor(s.Config) {
+					vanishes[cr.path] = true
+				}
+				watchChildren(k, c, rootWatcherID, s.OpsPerClient, record, func(path string) {
+					if !vanishes[path] {
+						doGet(c, rootWatcherID, path)
+					}
+				})
 			})
 		}
 
@@ -700,11 +715,12 @@ func topLevelPerShard(shards int) []string {
 
 // watchChildren keeps a one-shot child watch on the root armed, re-arming
 // it after each fire up to arms times, and records each arming read's child
-// list and each fire.
+// list and each fire. After each arming read it reads every node the read
+// listed through get.
 // An arm that does not fire within 30 s gathers two children reads as
 // the checker's evidence and ends the loop. The session stays open, so a
 // silent arm at history end is judged.
-func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, record func(Event)) {
+func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, record func(Event), get func(path string)) {
 	wid := core.WatchID(znode.Root, core.WatchChild)
 	children := func() {
 		start := k.Now()
@@ -732,6 +748,9 @@ func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, 
 			continue
 		}
 		armErrs = 0
+		for _, kid := range kids {
+			get(znode.Join(znode.Root, kid))
+		}
 		for waitUntil := k.Now() + sim.Time(30*time.Second); !fired && k.Now() < waitUntil; {
 			k.Sleep(50 * time.Millisecond)
 		}

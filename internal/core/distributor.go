@@ -772,10 +772,9 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 	//
 	// Cross-shard shared-path work — a data write to the root or a
 	// create/delete splice under it — is serialized under the root lock,
-	// held once across the whole flush: an interleaved RMW from another
-	// shard would lose children, and a full-object write racing another
-	// shard's child splice would revert the child list (so under the lock
-	// it is refreshed from the system store, the source of truth).
+	// held once across the whole flush: each is a read-modify-write of the
+	// region's object (flushLeg.write), and an interleaved one from another
+	// shard would lose children or revert the child list.
 	lockRoot := false
 	for i := range fold.parents {
 		pf := &fold.parents[i]
@@ -801,11 +800,6 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 	if lockRoot {
 		lock := d.acquireRootLock(ctx)
 		defer func() { _ = d.Locks.Release(ctx, lock) }()
-	}
-	for i := range fold.nodes {
-		if nf := &fold.nodes[i]; nf.live() && d.route.Shared(nf.path) {
-			d.refreshSharedFromSystem(ctx, nf.path, &nf.node)
-		}
 	}
 
 	legs := run.legs
@@ -851,7 +845,8 @@ type flushLeg struct {
 
 // write is one regional leg: the fold's nodes, then the parent splices no
 // node write absorbed — the shared root's among them, under the root lock
-// the flush holds — one store op after another. Each object follows one
+// the flush holds, which a data write of the root builds on too
+// (sharedObject) — one store op after another. Each object follows one
 // rule in the region's cache. A fenced object is invalidated before the
 // leg's first store op, in one round trip for all of them: a delete, so a
 // reader that saw the node gone in the store cannot get it back from the
@@ -870,7 +865,7 @@ func (l *flushLeg) write() {
 	aa, atomic := s.(AtomicApplier)
 	atomic = atomic && l.atomicApply
 	if l.rc != nil {
-		l.invs = fold.appendInvalidations(l.invs[:0], stamp, atomic)
+		l.invs = fold.appendInvalidations(l.invs[:0], atomic)
 		if len(l.invs) > 0 {
 			tsp := d.legSpan(own, obs.SpanCacheInval, l.region)
 			l.rc.InvalidateBatch(d.legCtx(ctx, own, tsp, l.region), l.invs)
@@ -881,10 +876,15 @@ func (l *flushLeg) write() {
 	// keeps the blob, and the install carries the same one.
 	objs := l.objs[:0]
 	for i := range fold.nodes {
-		if nf := &fold.nodes[i]; nf.live() {
-			objs = append(objs, NewObject(&nf.node, stamp))
-		} else {
+		switch nf := &fold.nodes[i]; {
+		case !nf.live():
 			objs = append(objs, Object{Path: nf.path})
+		case d.route.Shared(nf.path):
+			if o, ok := d.sharedObject(d.legCtx(ctx, own, 0, l.region), s, &nf.node, stamp); ok {
+				objs = append(objs, o)
+			}
+		default:
+			objs = append(objs, NewObject(&nf.node, stamp))
 		}
 	}
 	l.objs = objs
@@ -971,18 +971,34 @@ func (d *Deployment) legCtx(ctx cloud.Ctx, own *leaderMsg, span int64, region st
 // once, at its newest folded txid — every deleted node, and with atomic
 // every node and every parent no node write absorbed (a parent a node
 // write absorbed is that write's).
-func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, atomic bool) []cache.Invalidation {
+func (f *batchFold) appendInvalidations(invs []cache.Invalidation, atomic bool) []cache.Invalidation {
 	for i := range f.nodes {
 		if nf := &f.nodes[i]; atomic || !nf.live() {
-			invs = append(invs, cache.Invalidation{Path: nf.path, Mzxid: nf.txid, Epoch: stamp})
+			invs = append(invs, cache.Invalidation{Path: nf.path, Mzxid: nf.txid})
 		}
 	}
 	for i := range f.parents {
 		if pf := &f.parents[i]; atomic && !pf.consumed {
-			invs = append(invs, cache.Invalidation{Path: pf.path, Mzxid: pf.pzxid, Epoch: stamp})
+			invs = append(invs, cache.Invalidation{Path: pf.path, Mzxid: pf.pzxid})
 		}
 	}
 	return invs
+}
+
+// sharedObject is a data write of a shared path, a read-modify-write of the
+// region's object like a splice: the write owns the data, version and
+// mzxid, and the object keeps its child list and stamps, which only the
+// splices of the shards that distributed them change. The fold's node is
+// the follower's image, whose child list is the record's and may name
+// another shard's committed but undistributed children; the legs share it,
+// so it is only read.
+func (d *Deployment) sharedObject(ctx cloud.Ctx, s UserStore, w *znode.Node, stamp []int64) (Object, bool) {
+	n, _, err := s.Read(ctx, w.Path)
+	if err != nil {
+		return Object{}, false
+	}
+	n.Data, n.Stat.Version, n.Stat.Mzxid, n.Stat.DataLength = w.Data, w.Stat.Version, w.Stat.Mzxid, w.Stat.DataLength
+	return NewObject(n, stamp), true
 }
 
 // applyParentFold is the batch's one read-modify-write per parent and

@@ -128,17 +128,13 @@ func TestBatchFoldInvalidations(t *testing.T) {
 		nf.txid = pf.pzxid
 	}
 
-	stamp := []int64{11}
 	record := func(atomic bool) map[string]int64 {
 		got := map[string]int64{}
-		for _, inv := range f.appendInvalidations(nil, stamp, atomic) {
+		for _, inv := range f.appendInvalidations(nil, atomic) {
 			if _, dup := got[inv.Path]; dup {
 				t.Fatalf("path %s invalidated twice in one record", inv.Path)
 			}
 			got[inv.Path] = inv.Mzxid
-			if len(inv.Epoch) != 1 || inv.Epoch[0] != 11 {
-				t.Errorf("epoch stamp lost on %s: %v", inv.Path, inv.Epoch)
-			}
 		}
 		return got
 	}

@@ -486,25 +486,6 @@ func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) bool {
 	return ok
 }
 
-// refreshSharedFromSystem overwrites a shared object's child list and its
-// per-shard child stamps (and raises its cversion and pzxid) from the
-// system store, the source of truth: the record's stamps are every
-// shard's newest committed child change, which its child list holds. Must
-// run under the path's shared lock: a full-object write racing another
-// shard's child splice would otherwise revert the child list.
-func (d *Deployment) refreshSharedFromSystem(ctx cloud.Ctx, path string, n *znode.Node) {
-	it, ok := d.System.Get(ctx, path, true)
-	if !ok {
-		return
-	}
-	fresh := decodeSysNode(it)
-	n.Children = fresh.Children
-	n.Pzxids = d.childStamps(it)
-	n.Stat.NumChildren = int32(len(fresh.Children))
-	n.Stat.Cversion = max(n.Stat.Cversion, fresh.Cversion)
-	n.Stat.Pzxid = max(n.Stat.Pzxid, fresh.Pzxid)
-}
-
 // acquireRootLock takes the system-store timed lock serializing every
 // write to the shared tree root's user-store object. It retries until
 // acquired: the lease makes the lock recoverable after a crash, and

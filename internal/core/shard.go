@@ -42,8 +42,12 @@ import (
 //     A strict floor bump on its invalidations did not suffice: a node
 //     that lost its floors admitted a refill older than a low-txid
 //     shard's rebuild.
-//   - fkclient's maxSeenMzxid and mrdMax: cross-shard maxima, read only
-//     by their accessors (MaxSeenMzxid, MRD); nothing decides on them.
+//   - fkclient's session-wide cache floor (seenFloor: the older half of
+//     lastSeen, folded once it passes lastSeenCap paths): over-rejecting
+//     only; a cached read floored above its shard's txids falls through to
+//     the store.
+//   - fkclient's MRD(): the maximum over the shards' MRDs, an accessor;
+//     nothing decides on it.
 //   - fkclient's read gate (mrd, armMRD): same shard by construction, by
 //     the minting shard (mintShard).
 //   - A data or exists watch's frontier (mzxid): same shard by

@@ -172,9 +172,11 @@ func (s *rootRecStore) Delete(ctx cloud.Ctx, path string) error {
 
 // TestSharedRootSplicedInEachLeg: on two shards and two regions, two
 // sessions create top-level nodes on both shards and delete half of them,
-// all pipelined. In every region the root object ends with exactly the live
-// children, the system store's Cversion (one per change) and the highest
-// txid of any change as its Pzxid. The system record and every object keep
+// all pipelined, and one writes the root's data among them. In every region
+// the root object ends with the written data, version and mzxid, exactly
+// the live children, the system store's Cversion (one per change) and the
+// highest txid of any change as its Pzxid: the data write keeps the child
+// list its region's object had (sharedObject). The system record and every object keep
 // one child stamp per shard, that shard's highest txid (childStamps,
 // znode.Node.Pzxids): each shard sets or raises only its own. Each region's
 // flush leg splices the root itself: its last store write is the root's,
@@ -203,7 +205,7 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 			live := map[string]bool{}
 			shards := map[int]bool{}
 			var changes int32
-			var pzxid int64
+			var pzxid, setTxid int64
 			stamps := make([]int64, 2) // per shard
 			roots := make([]*znode.Node, len(r.d.Stores))
 			r.k.Go("driver", func() {
@@ -218,8 +220,19 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 							futs = append(futs, s.submit(OpCreate, path, "x"))
 							live[path] = i%2 == 1
 						}
+						var set *sim.Future[Response]
+						if id == "a" {
+							set = s.submit(OpSetData, znode.Root, "root")
+						}
 						for i := 0; i < perSession; i += 2 {
 							futs = append(futs, s.submit(OpDelete, fmt.Sprintf("/%s%d", id, i), ""))
+						}
+						if set != nil {
+							if resp := set.Wait(); resp.Code != CodeOK {
+								t.Errorf("set /: %s", resp.Code)
+							} else {
+								setTxid = resp.Txid
+							}
 						}
 						for _, f := range futs {
 							resp := f.Wait()
@@ -270,6 +283,9 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 				slices.Sort(got)
 				if !slices.Equal(got, want) || n.Stat.NumChildren != int32(len(want)) {
 					t.Errorf("%s: root children %v (%d), want %v", region, n.Children, n.Stat.NumChildren, want)
+				}
+				if string(n.Data) != "root" || n.Stat.Version != 1 || n.Stat.Mzxid != setTxid {
+					t.Errorf("%s: root data %q version %d mzxid %d, want %q 1 %d", region, n.Data, n.Stat.Version, n.Stat.Mzxid, "root", setTxid)
 				}
 				if n.Stat.Cversion != changes || n.Stat.Pzxid != pzxid || !slices.Equal(n.Pzxids, stamps) {
 					t.Errorf("%s: root cversion %d pzxid %d stamps %v, want %d %d %v",

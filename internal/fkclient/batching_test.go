@@ -244,7 +244,7 @@ func TestBatchedSetSetFoldingRaisesCacheFloor(t *testing.T) {
 				}
 			}
 		}
-		floor, _ := d.CacheFor(d.Cfg.Profile.Home).Floor("/hot")
+		floor := d.CacheFor(d.Cfg.Profile.Home).Floor("/hot")
 		if floor < lastTxid {
 			t.Errorf("cache floor %d below the last folded txid %d", floor, lastTxid)
 		}

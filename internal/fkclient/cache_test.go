@@ -18,6 +18,7 @@ import (
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
+	"faaskeeper/internal/znode"
 )
 
 func cachedCfg() core.Config {
@@ -951,6 +952,51 @@ func TestCacheSharedRootNotServedAfterLoss(t *testing.T) {
 			if kids, err := c.GetChildren("/"); err != nil || !slices.Contains(kids, wp[1:]) {
 				t.Errorf("%s reads / = %v (%v) after the create of %s was answered", c.id, kids, err, wp)
 			}
+		}
+	})
+}
+
+// TestCacheSessionFloorsStayBounded: a cached session that reads more
+// distinct paths than lastSeenCap keeps at most lastSeenCap per-path floors:
+// the older half folds into one session-wide floor (see). A folded path's
+// cached entry sits below that floor, so its next read falls through to the
+// store, and every path's reads stay monotonic.
+func TestCacheSessionFloorsStayBounded(t *testing.T) {
+	const paths = lastSeenCap + 100
+	runCached(t, 5, cachedCfg(), func(k *sim.Kernel, d *core.Deployment) {
+		store := d.StoreFor(d.Cfg.Profile.Home)
+		for i := 0; i < paths; i++ {
+			txid := int64(i + 1)
+			store.Seed(&znode.Node{Path: fmt.Sprintf("/n%d", i), Data: []byte("v"), Stat: znode.Stat{Czxid: txid, Mzxid: txid, Pzxid: txid}})
+		}
+		c, err := Connect(d, "s", d.Cfg.Profile.Home)
+		if err != nil {
+			t.Fatalf("connect: %v", err)
+		}
+		defer c.Close()
+		seen := make([]int64, paths)
+		read := func(i int) {
+			_, st, err := c.GetData(fmt.Sprintf("/n%d", i))
+			if err != nil {
+				t.Fatalf("read /n%d: %v", i, err)
+			}
+			if st.Mzxid < seen[i] {
+				t.Errorf("/n%d: mzxid %d after %d", i, st.Mzxid, seen[i])
+			}
+			seen[i] = st.Mzxid
+		}
+		for i := 0; i < paths; i++ {
+			read(i)
+		}
+		if len(c.lastSeen) > lastSeenCap || c.seenFloor == 0 {
+			t.Fatalf("%d per-path floors, session floor %d: want at most %d and a fold", len(c.lastSeen), c.seenFloor, lastSeenCap)
+		}
+		k.Sleep(time.Second) // the refills land
+		_, hits, misses := c.CacheStats()
+		read(0)         // folded: its entry is below the session floor
+		read(paths - 1) // kept: its entry is at its own floor
+		if _, h, m := c.CacheStats(); m != misses+1 || h != hits+1 {
+			t.Errorf("re-reads: %d hits %d misses, want the folded path to miss and the kept one to hit", h-hits, m-misses)
 		}
 	})
 }

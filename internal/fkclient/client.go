@@ -12,6 +12,8 @@ package fkclient
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,19 +60,19 @@ type Client struct {
 	// read-ordering shortcut ("updates older than the MRD are always
 	// safe") must compare against the owning shard's MRD; with one shard
 	// this is exactly the paper's single MRD register.
-	mrd          []int64
-	mrdMax       int64 // max across shards (informational)
-	maxSeenMzxid int64 // newest data this session has observed (Z3)
+	mrd []int64
 
 	// Read-path cache tier (nil / unused when CacheMode is off, keeping
 	// the direct path byte-for-byte the paper's). rcache is the region's
 	// shared cache node. lastSeen is the per-path floor of the session
 	// guard: the newest transaction this session has observed *for that
-	// path* — through reads or its own write responses — refining
-	// maxSeenMzxid so one hot node doesn't evict every colder path from
-	// cacheability while Z3's per-node monotonicity still holds exactly.
-	rcache   *cache.Regional
-	lastSeen map[string]int64
+	// path* — through reads or its own write responses — so one hot node
+	// doesn't evict every colder path from cacheability while Z3's
+	// per-node monotonicity still holds exactly. Past lastSeenCap paths its
+	// older half folds into seenFloor, which floors every path (see).
+	rcache    *cache.Regional
+	lastSeen  map[string]int64
+	seenFloor int64
 
 	// route is the deployment's write route: the shard whose MRD floors a
 	// cached path, and whether the path is shared between shards.
@@ -164,11 +166,7 @@ func (c *Client) ID() string { return c.id }
 
 // MRD returns the newest transaction id delivered through notifications
 // (across all write shards).
-func (c *Client) MRD() int64 { return c.mrdMax }
-
-// MaxSeenMzxid returns the newest modification this session has read; it
-// never decreases (single system image, Z3).
-func (c *Client) MaxSeenMzxid() int64 { return c.maxSeenMzxid }
+func (c *Client) MRD() int64 { return slices.Max(c.mrd) }
 
 // senderLoop is worker 1: serialize requests into the session queue, one
 // at a time, preserving the session's FIFO order.
@@ -243,9 +241,6 @@ func (c *Client) onResponse(r core.Response) {
 	for fifo.Len() > 0 && fifo.At(0).ready {
 		op := fifo.Pop()
 		resp := op.resp
-		if resp.Code == core.CodeOK && resp.Stat.Mzxid > c.maxSeenMzxid {
-			c.maxSeenMzxid = resp.Stat.Mzxid
-		}
 		if resp.Code == core.CodeOK {
 			if len(resp.MultiResults) > 0 {
 				c.noteOwnMulti(resp.MultiResults)
@@ -272,14 +267,9 @@ func (c *Client) noteOwnWrite(req core.Request, resp core.Response) {
 	if resp.Path != path {
 		path = strings.Clone(resp.Path)
 	}
-	if resp.Txid > c.lastSeen[path] {
-		c.lastSeen[path] = resp.Txid
-	}
+	c.see(path, resp.Txid)
 	if req.Op == core.OpCreate || req.Op == core.OpDelete {
-		parent := znode.Parent(path)
-		if resp.Txid > c.lastSeen[parent] {
-			c.lastSeen[parent] = resp.Txid
-		}
+		c.see(znode.Parent(path), resp.Txid)
 	}
 }
 
@@ -288,27 +278,45 @@ func (c *Client) noteOwnWrite(req core.Request, resp core.Response) {
 // performs per single op, including the parents whose child lists the
 // transaction's creates and deletes rewrote.
 func (c *Client) noteOwnMulti(results []txn.Result) {
+	if c.rcache == nil {
+		return
+	}
 	for _, r := range results {
 		if r.Code != txn.CodeOK || r.Txid == 0 {
 			continue
 		}
-		if r.Stat.Mzxid > c.maxSeenMzxid {
-			c.maxSeenMzxid = r.Stat.Mzxid
-		}
-		if c.rcache == nil {
-			continue
-		}
 		path := strings.Clone(r.Path) // a map key: r.Path views a queue message
-		if r.Txid > c.lastSeen[path] {
-			c.lastSeen[path] = r.Txid
-		}
+		c.see(path, r.Txid)
 		if r.Type == txn.OpCreate || r.Type == txn.OpDelete {
-			parent := znode.Parent(path)
-			if r.Txid > c.lastSeen[parent] {
-				c.lastSeen[parent] = r.Txid
-			}
+			c.see(znode.Parent(path), r.Txid)
 		}
 	}
+}
+
+// lastSeenCap bounds a session's per-path floors, as the regional node
+// bounds its own (cache.Regional.compactFloors).
+const lastSeenCap = 64 << 10
+
+// see raises the session's floor for path to txid. Past lastSeenCap paths
+// the older half (by txid) folds into seenFloor, which fetch applies to
+// every path: the fold mixes shards' txids, so it can only over-reject — a
+// cached read of a low-txid shard's path falls through to the store.
+func (c *Client) see(path string, txid int64) {
+	if txid <= c.lastSeen[path] {
+		return
+	}
+	c.lastSeen[path] = txid
+	if len(c.lastSeen) <= lastSeenCap {
+		return
+	}
+	txids := make([]int64, 0, len(c.lastSeen))
+	for _, t := range c.lastSeen {
+		txids = append(txids, t)
+	}
+	slices.Sort(txids)
+	cut := txids[len(txids)/2]
+	maps.DeleteFunc(c.lastSeen, func(_ string, t int64) bool { return t <= cut })
+	c.seenFloor = max(c.seenFloor, cut)
 }
 
 // mintShard recovers the shard that minted a txid from the interleave
@@ -325,9 +333,6 @@ func (c *Client) onNotification(n core.Notification) {
 	shard := c.mintShard(n.Txid)
 	if n.Txid > c.mrd[shard] {
 		c.mrd[shard] = n.Txid
-	}
-	if n.Txid > c.mrdMax {
-		c.mrdMax = n.Txid
 	}
 	entry, ok := c.watches[n.WatchID]
 	if !ok {
@@ -668,13 +673,8 @@ func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 			}
 		}
 	}
-	if n.Stat.Mzxid > c.maxSeenMzxid {
-		c.maxSeenMzxid = n.Stat.Mzxid
-	}
 	if c.rcache != nil {
-		if f := n.Fresh(); f > c.lastSeen[path] {
-			c.lastSeen[path] = f
-		}
+		c.see(path, n.Fresh())
 	}
 	return n, nil
 }
@@ -733,12 +733,10 @@ func (c *Client) fetch(path string) (*znode.Node, []int64, error) {
 	if c.rcache == nil || c.route.Shared(path) {
 		return c.store.Read(c.ctx, path)
 	}
-	floor := c.lastSeen[path]
-	if m := c.mrd[c.route.ShardFor(path)]; m > floor {
-		floor = m
-	}
-	// The regional node needs no maxSeenMzxid floor: inside its
-	// serialized per-shard distribution the leader installs each object
+	floor := max(c.seenFloor, c.lastSeen[path], c.mrd[c.route.ShardFor(path)])
+	// Correctness needs no session-wide floor (seenFloor only stands in
+	// for the folded paths' own): inside the serialized per-shard
+	// distribution the leader installs each object into the regional node
 	// right after its own store write, before the next one starts, and
 	// invalidates a delete or an atomic batch before its store op. So the
 	// node never runs ahead of the store and lags it by at most the one

@@ -1,6 +1,7 @@
 package fkclient
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -334,6 +335,81 @@ func TestRootChildWatchAcrossShardsIsNotLost(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRootDataWriteListsOnlyDistributedChildren: the user store is a prefix
+// of the committed order, so a top-level node a reader finds listed under
+// the root is readable, and one it finds unlisted after its delete started
+// is gone. Session s writes the root's data while another session creates
+// (or deletes) a node on shard 1, the write swept in 1-vms steps over
+// 0…200 vms across it; then session r lists the root and reads the node.
+// Until a data write of the root built on its region's object
+// (core.sharedObject), the flush rebuilt the root from its system record,
+// whose child list holds shard 1's committed but undistributed change: at
+// seed 1 on two shards a reader listed the new node and got "no node" for
+// it at 68 of 201 offsets.
+func TestRootDataWriteListsOnlyDistributedChildren(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, del := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/delete=%v", shards, del), func(t *testing.T) {
+				if bad := rootListingSweep(t, shards, del); len(bad) > 0 {
+					t.Errorf("the root's list disagreed with the node's read at %d offsets %v vms", len(bad), bad)
+				}
+			})
+		}
+	}
+}
+
+// rootListingSweep runs TestRootDataWriteListsOnlyDistributedChildren's
+// sweep and returns every offset at which r listed the node but could not
+// read it (a create) or did not list it but could read it (a delete).
+func rootListingSweep(t *testing.T, shards int, del bool) (bad []int) {
+	t.Helper()
+	wp := shardedPaths(2, 2)[1] // on shard 1 of two
+	for off := 0; off <= 200; off++ {
+		run(t, 1, core.Config{WriteShards: shards}, func(k *sim.Kernel, d *core.Deployment) {
+			w := mustConnect(t, d, "w")
+			s := mustConnect(t, d, "s")
+			r := mustConnect(t, d, "r")
+			defer w.Close()
+			defer s.Close()
+			defer r.Close()
+			if del {
+				if _, err := w.Create(wp, nil, 0); err != nil {
+					t.Errorf("offset %d: create %s: %v", off, wp, err)
+				}
+			}
+			k.Go("change", func() {
+				var err error
+				if del {
+					err = w.Delete(wp, -1)
+				} else {
+					_, err = w.Create(wp, nil, 0)
+				}
+				if err != nil {
+					t.Errorf("offset %d: change %s: %v", off, wp, err)
+				}
+			})
+			k.Sleep(time.Duration(off) * time.Millisecond)
+			if _, err := s.SetData(znode.Root, []byte{byte(off)}, -1); err != nil {
+				t.Errorf("offset %d: set /: %v", off, err)
+			}
+			children, err := r.GetChildren(znode.Root)
+			if err != nil {
+				t.Errorf("offset %d: children of /: %v", off, err)
+			}
+			_, _, err = r.GetData(wp)
+			listed := slices.Contains(children, znode.Base(wp))
+			switch {
+			case err != nil && !errors.Is(err, core.ErrNoNode):
+				t.Errorf("offset %d: read %s: %v", off, wp, err)
+			case !del && listed && err != nil, del && !listed && err == nil:
+				bad = append(bad, off)
+			}
+			k.Sleep(5 * time.Second)
+		})
+	}
+	return bad
 }
 
 // TestWatchedReadReachesFrontier: a GetDataW whose registration lands after
