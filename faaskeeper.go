@@ -46,7 +46,7 @@ type (
 	// Notification is a watch event delivered to callbacks.
 	Notification = core.Notification
 	// WatchCallback receives watch events.
-	WatchCallback = fkclient.WatchCallback
+	WatchCallback = core.WatchCallback
 )
 
 // Node creation flags.
@@ -55,13 +55,39 @@ const (
 	FlagSequential = znode.FlagSequential
 )
 
-// Client-facing errors.
+// Client-facing errors, the same on a FaaSKeeper and a ZooKeeper session.
 var (
-	ErrNodeExists = core.ErrNodeExists
-	ErrNoNode     = core.ErrNoNode
-	ErrBadVersion = core.ErrBadVersion
-	ErrNotEmpty   = core.ErrNotEmpty
-	ErrTxnAborted = core.ErrTxnAborted
+	ErrNodeExists    = core.ErrNodeExists
+	ErrNoNode        = core.ErrNoNode
+	ErrBadVersion    = core.ErrBadVersion
+	ErrNotEmpty      = core.ErrNotEmpty
+	ErrNoChildrenEph = core.ErrNoChildrenEph
+	ErrSessionClosed = core.ErrSessionClosed
+	ErrSystemError   = core.ErrSystemError
+	ErrTxnAborted    = core.ErrTxnAborted
+)
+
+// Session is the ZooKeeper client interface: a FaaSKeeper Client and a
+// baseline ZKClient both implement it, so recipes and the conformance suite
+// (internal/conform) drive either system through the same calls.
+type Session interface {
+	ID() string
+	Create(path string, data []byte, flags Flags) (string, error)
+	SetData(path string, data []byte, version int32) (Stat, error)
+	Delete(path string, version int32) error
+	Multi(ops ...MultiOp) ([]MultiResult, error)
+	GetData(path string) ([]byte, Stat, error)
+	GetDataW(path string, cb WatchCallback) ([]byte, Stat, error)
+	Exists(path string) (*Stat, error)
+	ExistsW(path string, cb WatchCallback) (*Stat, error)
+	GetChildren(path string) ([]string, error)
+	GetChildrenW(path string, cb WatchCallback) ([]string, error)
+	Close() error
+}
+
+var (
+	_ Session = (*Client)(nil)
+	_ Session = (*ZKClient)(nil)
 )
 
 // Transaction types (Client.Multi).

@@ -255,6 +255,10 @@ func forEachScenario(t *testing.T, fn func(*testing.T, Scenario)) {
 		cfg := cfg
 		row := int64(slices.Index(Configs(), cfg))
 		t.Run(cfg, func(t *testing.T) {
+			// Rows share nothing (each seed is its own kernel and
+			// deployment), and a failing seed's artifacts are named by its
+			// config and seed, so rows run side by side.
+			t.Parallel()
 			for i := 0; i < *flagSeeds; i++ {
 				seed := matrixSeedBase*int64(i+1) + row
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

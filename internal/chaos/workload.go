@@ -468,11 +468,11 @@ func run(s Scenario, traced bool) *Result {
 
 		// On several shards the root's child list changes on every shard:
 		// a churner creates and deletes a top-level node per shard and
-		// writes the root's data every third op, and a second watcher keeps
-		// a child watch on the root re-armed and reads every node its
-		// arming read listed. The checker judges the watch by child sets
-		// (Check's lost-watch rule) and each listed node by its read
-		// (listed-unreadable).
+		// writes the root's data every third op, a second writer writes
+		// the root's data meanwhile, and a watcher keeps a child watch on
+		// the root re-armed and reads every node its arming read listed.
+		// The checker judges the watch by child sets (Check's lost-watch
+		// rule) and each listed node by its read (listed-unreadable).
 		if d.NumShards() > 1 {
 			done.Go("rootchurn", func() {
 				c, err := fkclient.Connect(d, "rootchurn", home)
@@ -497,6 +497,19 @@ func run(s Scenario, traced bool) *Result {
 						doSet(c, "rootchurn", znode.Root, fmt.Sprintf("root#%d", op))
 					}
 					k.Sleep(time.Duration(r.Intn(40)) * time.Millisecond)
+				}
+			})
+			done.Go("rootwriter", func() {
+				c, err := fkclient.Connect(d, "rootwriter", home)
+				if err != nil {
+					harness("rootwriter connect: %v", err)
+					return
+				}
+				defer c.Close()
+				r := rand.New(rand.NewSource(s.Seed + 12000))
+				for op := 0; op < s.OpsPerClient; op++ {
+					doSet(c, "rootwriter", znode.Root, fmt.Sprintf("rootwriter#%d", op))
+					k.Sleep(time.Duration(r.Intn(60)) * time.Millisecond)
 				}
 			})
 			done.Go(rootWatcherID, func() {

@@ -70,6 +70,8 @@ var (
 	ErrSessionClosed = errors.New("faaskeeper: session closed")
 	ErrTxnAborted    = errors.New("faaskeeper: transaction aborted")
 	ErrCrossShard    = errors.New("faaskeeper: transaction spans write shards")
+	// ErrTimeout is returned when a request receives no answer in time.
+	ErrTimeout = errors.New("fkclient: request timed out")
 )
 
 // CodeError converts a result code to the client-facing error (nil for OK).
@@ -295,6 +297,9 @@ type Notification struct {
 }
 
 func (n Notification) wireSize() int { return len(n.Path) + 40 }
+
+// WatchCallback receives one-shot watch events.
+type WatchCallback func(Notification)
 
 // SessionMsg is one message on a session's connection, a tagged value: a
 // Response or a Notification from the cloud, the heartbeat function's Ping,

@@ -29,13 +29,13 @@ import (
 )
 
 // ErrTimeout is returned when a request receives no response.
-var ErrTimeout = errors.New("fkclient: request timed out")
+var ErrTimeout = core.ErrTimeout
 
 // DefaultRequestTimeout bounds how long a write waits for its response.
 const DefaultRequestTimeout = 60 * time.Second
 
 // WatchCallback receives one-shot watch events.
-type WatchCallback func(core.Notification)
+type WatchCallback = core.WatchCallback
 
 // Client is one FaaSKeeper session.
 type Client struct {

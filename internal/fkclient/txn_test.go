@@ -1,8 +1,9 @@
 package fkclient
 
 // Tests of multi() (package txn + the core fast path) from the client's
-// perspective: multi() on the default config, the one-shard fast path,
-// validation aborts with no partial effects, the cross_shard answer,
+// perspective, beyond conform's Atomic group (commit, per-op aborts and
+// sequential names on every target): validation aborts with no partial
+// effects across shards, the cross_shard answer,
 // isolation against conflicting writers, and the randomized histories
 // asserting that no partial commit is ever observable and no uncommitted
 // write is ever read. On a sharded deployment the pairs a multi() writes
@@ -12,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"faaskeeper/internal/cloud"
@@ -21,22 +21,6 @@ import (
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
-
-// TestMultiOnDefaultConfig: multi() needs no switch — a transaction on
-// the zero Config commits.
-func TestMultiOnDefaultConfig(t *testing.T) {
-	run(t, 81, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
-		c := mustConnect(t, d, "s1")
-		defer c.Close()
-		res, err := c.Multi(txn.Create("/a", []byte("v"), 0))
-		if err != nil || len(res) != 1 || res[0].Code != "ok" {
-			t.Fatalf("multi on core.Config{}: %+v, %v", res, err)
-		}
-		if data, _, err := c.GetData("/a"); err != nil || string(data) != "v" {
-			t.Errorf("get /a after multi: %q, %v", data, err)
-		}
-	})
-}
 
 // TestUnsendableMultiLeavesTheSessionUsable: a multi() whose ops each fit
 // a node but together overflow the session queue's message limit never
@@ -52,48 +36,6 @@ func TestUnsendableMultiLeavesTheSessionUsable(t *testing.T) {
 		}
 		if _, err := c.Create("/after", nil, 0); err != nil {
 			t.Errorf("the write after the unsendable multi(): %v", err)
-		}
-	})
-}
-
-func TestMultiSingleShardFastPath(t *testing.T) {
-	run(t, 82, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
-		c := mustConnect(t, d, "s1")
-		defer c.Close()
-		if _, err := c.Create("/app", []byte("v0"), 0); err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		results, err := c.Multi(
-			txn.Check("/app", 0),
-			txn.Create("/app/a", []byte("one"), 0),
-			txn.Create("/app/b", []byte("two"), 0),
-			txn.SetData("/app", []byte("v1"), 0),
-		)
-		if err != nil {
-			t.Fatalf("multi: %v", err)
-		}
-		if len(results) != 4 {
-			t.Fatalf("results: %d, want 4", len(results))
-		}
-		for i, r := range results {
-			if r.Code != txn.CodeOK {
-				t.Errorf("op %d: code %s", i, r.Code)
-			}
-		}
-		// All effectful ops share one txid — one transaction, one zxid.
-		if results[1].Txid == 0 || results[1].Txid != results[2].Txid || results[2].Txid != results[3].Txid {
-			t.Errorf("sub-op txids differ: %d %d %d", results[1].Txid, results[2].Txid, results[3].Txid)
-		}
-		if results[3].Stat.Version != 1 {
-			t.Errorf("set version = %d, want 1", results[3].Stat.Version)
-		}
-		data, st, err := c.GetData("/app")
-		if err != nil || string(data) != "v1" || st.Version != 1 {
-			t.Errorf("final /app: %q v%d (%v)", data, st.Version, err)
-		}
-		kids, err := c.GetChildren("/app")
-		if err != nil || len(kids) != 2 {
-			t.Errorf("children: %v (%v)", kids, err)
 		}
 	})
 }
@@ -520,43 +462,6 @@ func TestMultiTopLevelSequentialShardDrift(t *testing.T) {
 		}
 		if data, _, err := c.GetData(name); err != nil || string(data) != "x" {
 			t.Errorf("read %s: %q (%v)", name, data, err)
-		}
-	})
-}
-
-// TestMultiSequentialAndEphemeral: sequential names resolve inside the
-// transaction and ephemeral creates register with the session (removed on
-// close).
-func TestMultiSequentialAndEphemeral(t *testing.T) {
-	run(t, 99, core.Config{WriteShards: 2}, func(k *sim.Kernel, d *core.Deployment) {
-		owner := mustConnect(t, d, "owner")
-		if _, err := owner.Create("/q", nil, 0); err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		results, err := owner.Multi(
-			txn.Create("/q/n-", nil, znode.FlagSequential),
-			txn.Create("/q/n-", nil, znode.FlagSequential),
-			txn.Create("/q/eph", nil, znode.FlagEphemeral),
-		)
-		if err != nil {
-			t.Fatalf("multi: %v", err)
-		}
-		if results[0].Path != znode.SequentialName("/q/n-", 0) || results[1].Path != znode.SequentialName("/q/n-", 1) {
-			t.Errorf("sequential names: %q %q", results[0].Path, results[1].Path)
-		}
-		if !strings.HasPrefix(results[0].Path, "/q/n-") {
-			t.Errorf("sequential path %q", results[0].Path)
-		}
-		if err := owner.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		reader := mustConnect(t, d, "reader")
-		defer reader.Close()
-		if st, err := reader.Exists("/q/eph"); err != nil || st != nil {
-			t.Errorf("ephemeral survived owner close: %v %v", st, err)
-		}
-		if kids, err := reader.GetChildren("/q"); err != nil || len(kids) != 2 {
-			t.Errorf("children after close: %v (%v)", kids, err)
 		}
 	})
 }

@@ -14,39 +14,6 @@ import (
 	"faaskeeper/internal/znode"
 )
 
-// TestWatchReRegistrationFromCallback: callbacks run on the client's event
-// worker, so re-arming a watch (a synchronous system-store write) from
-// inside a callback must not deadlock the session.
-func TestWatchReRegistrationFromCallback(t *testing.T) {
-	run(t, 41, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
-		writer := mustConnect(t, d, "writer")
-		watcher := mustConnect(t, d, "watcher")
-		defer writer.Close()
-		defer watcher.Close()
-		writer.Create("/cfg", []byte("0"), 0)
-
-		events := 0
-		var arm func()
-		arm = func() {
-			_, _, err := watcher.GetDataW("/cfg", func(n core.Notification) {
-				events++
-				arm() // synchronous op from the callback
-			})
-			if err != nil {
-				t.Errorf("re-arm: %v", err)
-			}
-		}
-		arm()
-		for i := 1; i <= 3; i++ {
-			writer.SetData("/cfg", []byte{byte(i)}, -1)
-			k.Sleep(3 * time.Second)
-		}
-		if events != 3 {
-			t.Errorf("saw %d events, want 3 (re-registration broken)", events)
-		}
-	})
-}
-
 // TestManyWatchersSingleEvent: dozens of sessions watch one node; a single
 // update must notify every one of them through one watch-function fan-out.
 func TestManyWatchersSingleEvent(t *testing.T) {
@@ -101,32 +68,6 @@ func TestEpochCleanupAfterDelivery(t *testing.T) {
 		}
 		if k.Now()-t0 > 100*time.Millisecond {
 			t.Errorf("read stalled %v after epoch drain", k.Now()-t0)
-		}
-	})
-}
-
-// TestDeleteFiresBothDataAndExistsWatches matches ZooKeeper semantics.
-func TestDeleteFiresBothDataAndExistsWatches(t *testing.T) {
-	run(t, 45, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
-		writer := mustConnect(t, d, "writer")
-		w1 := mustConnect(t, d, "w1")
-		w2 := mustConnect(t, d, "w2")
-		defer writer.Close()
-		defer w1.Close()
-		defer w2.Close()
-		writer.Create("/victim", nil, 0)
-		var got []core.EventType
-		w1.GetDataW("/victim", func(n core.Notification) { got = append(got, n.Event) })
-		w2.ExistsW("/victim", func(n core.Notification) { got = append(got, n.Event) })
-		writer.Delete("/victim", -1)
-		k.Sleep(5 * time.Second)
-		if len(got) != 2 {
-			t.Fatalf("events = %v", got)
-		}
-		for _, e := range got {
-			if e != core.EventDeleted {
-				t.Errorf("event = %v, want deleted", e)
-			}
 		}
 	})
 }

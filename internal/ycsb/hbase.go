@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/zk"
 	"faaskeeper/internal/znode"
@@ -68,9 +69,9 @@ func NewHBaseCluster(env *cloud.Env, ens *zk.Ensemble, n int) (*HBaseCluster, er
 		return nil, err
 	}
 	// The master watches region-server membership.
-	if _, err := m.GetChildrenW("/hbase/rs", func(zk.WatchEvent) {
+	if _, err := m.GetChildrenW("/hbase/rs", func(core.Notification) {
 		// Re-arm on membership change, as the real master does.
-		m.GetChildrenW("/hbase/rs", func(zk.WatchEvent) {})
+		m.GetChildrenW("/hbase/rs", func(core.Notification) {})
 	}); err != nil {
 		return nil, err
 	}

@@ -1,51 +1,27 @@
 package zk
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"faaskeeper/internal/cloud/network"
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
 
-// Client-facing errors, mirroring the FaaSKeeper client so experiments can
-// drive both systems through the same shape of API.
-var (
-	ErrNodeExists    = errors.New("zk: node already exists")
-	ErrNoNode        = errors.New("zk: node does not exist")
-	ErrBadVersion    = errors.New("zk: version mismatch")
-	ErrNotEmpty      = errors.New("zk: node has children")
-	ErrNoChildrenEph = errors.New("zk: ephemeral nodes cannot have children")
-	ErrSessionClosed = errors.New("zk: session closed")
-	ErrTimeout       = errors.New("zk: request timed out")
-)
-
-func codeError(c Code) error {
-	switch c {
-	case CodeOK:
-		return nil
-	case CodeNodeExists:
-		return ErrNodeExists
-	case CodeNoNode:
-		return ErrNoNode
-	case CodeBadVersion:
-		return ErrBadVersion
-	case CodeNotEmpty:
-		return ErrNotEmpty
-	case CodeNoChildrenEph:
-		return ErrNoChildrenEph
-	default:
-		return ErrSessionClosed
+// The client answers with FaaSKeeper's errors (core.CodeError), so a caller
+// drives both systems through one interface (faaskeeper.Session).
+func codeError(c core.Code) error {
+	if c == codeClosed {
+		return core.ErrSessionClosed
 	}
+	return core.CodeError(c)
 }
 
 // requestTimeout bounds client waits.
 const requestTimeout = 60 * time.Second
-
-// WatchCallback receives one-shot watch events.
-type WatchCallback func(WatchEvent)
 
 type watchKind uint8
 
@@ -67,11 +43,11 @@ type Client struct {
 	end     *network.End[sessionMsg]
 	nextSeq int64
 	pending map[int64]*sim.Future[response]
-	watches map[clientWatchKey]WatchCallback
+	watches map[clientWatchKey]core.WatchCallback
 	// events decouples callback execution from the I/O loop, like the
 	// Java client's event thread: a callback may safely issue synchronous
 	// operations (re-registering a watch, for example).
-	events  *sim.Queue[WatchEvent]
+	events  *sim.Queue[core.Notification]
 	closed  bool
 	crashed bool
 }
@@ -81,7 +57,7 @@ type Client struct {
 func Connect(e *Ensemble, serverIdx int) (*Client, error) {
 	s := e.servers[serverIdx]
 	if !s.alive {
-		return nil, ErrSessionClosed
+		return nil, core.ErrSessionClosed
 	}
 	s.nextSessNum++
 	id := fmt.Sprintf("zk-%d-%d", serverIdx, s.nextSessNum)
@@ -90,8 +66,8 @@ func Connect(e *Ensemble, serverIdx int) (*Client, error) {
 	c := &Client{
 		ens: e, id: id, end: conn.B(),
 		pending: map[int64]*sim.Future[response]{},
-		watches: map[clientWatchKey]WatchCallback{},
-		events:  sim.NewQueue[WatchEvent](e.env.K),
+		watches: map[clientWatchKey]core.WatchCallback{},
+		events:  sim.NewQueue[core.Notification](e.env.K),
 	}
 	e.env.K.Go("zk-client-"+id, c.responderLoop)
 	e.env.K.Go("zk-events-"+id, c.eventLoop)
@@ -134,14 +110,14 @@ func (c *Client) eventLoop() {
 // dispatchEvent fires and clears the one-shot registrations the event
 // consumes, matching ZooKeeper's semantics (a delete clears both data and
 // exists watches, for example).
-func (c *Client) dispatchEvent(ev WatchEvent) {
+func (c *Client) dispatchEvent(ev core.Notification) {
 	var kinds []watchKind
-	switch ev.Type {
-	case EventCreated:
+	switch ev.Event {
+	case core.EventCreated:
 		kinds = []watchKind{watchExists}
-	case EventDataChanged, EventDeleted:
+	case core.EventDataChanged, core.EventDeleted:
 		kinds = []watchKind{watchData, watchExists}
-	case EventChildrenChanged:
+	case core.EventChildrenChanged:
 		kinds = []watchKind{watchChild}
 	}
 	for _, kind := range kinds {
@@ -169,7 +145,7 @@ func (c *Client) pingLoop() {
 // call sends one request and waits for its response.
 func (c *Client) call(req request) (response, error) {
 	if c.closed {
-		return response{}, ErrSessionClosed
+		return response{}, core.ErrSessionClosed
 	}
 	c.nextSeq++
 	req.Seq = c.nextSeq
@@ -179,7 +155,7 @@ func (c *Client) call(req request) (response, error) {
 	resp, ok := f.WaitTimeout(requestTimeout)
 	if !ok {
 		delete(c.pending, req.Seq)
-		return response{}, ErrTimeout
+		return response{}, core.ErrTimeout
 	}
 	return resp, nil
 }
@@ -221,19 +197,26 @@ func (c *Client) Delete(path string, version int32) error {
 }
 
 // Multi submits an atomic multi-op transaction: every sub-op commits at
-// one zxid or the whole batch is rejected (the first failing op's error
-// is returned). The baseline counterpart of FaaSKeeper's Multi.
-func (c *Client) Multi(ops ...MultiOp) (znode.Stat, error) {
+// one zxid or the whole batch is rejected with the first failing op's
+// error. The per-op results come back in FaaSKeeper's shape, even on a
+// rollback: the failing op carries its code, its siblings txn.CodeAborted.
+func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
+	if c.closed {
+		return nil, core.ErrSessionClosed
+	}
+	if len(ops) == 0 {
+		return nil, core.ErrSystemError
+	}
 	for _, op := range ops {
-		if err := c.check(op.Path); err != nil {
-			return znode.Stat{}, err
+		if err := znode.ValidatePath(op.Path); err != nil {
+			return nil, err
 		}
 	}
 	resp, err := c.call(request{Op: OpMulti, Path: "/", Version: -1, MultiOps: ops})
 	if err != nil {
-		return znode.Stat{}, err
+		return nil, err
 	}
-	return resp.Stat, codeError(resp.Code)
+	return resp.Results, codeError(resp.Code)
 }
 
 // GetData reads a node from the session's server replica.
@@ -242,7 +225,7 @@ func (c *Client) GetData(path string) ([]byte, znode.Stat, error) {
 }
 
 // GetDataW is GetData with an optional one-shot data watch.
-func (c *Client) GetDataW(path string, cb WatchCallback) ([]byte, znode.Stat, error) {
+func (c *Client) GetDataW(path string, cb core.WatchCallback) ([]byte, znode.Stat, error) {
 	if err := c.check(path); err != nil {
 		return nil, znode.Stat{}, err
 	}
@@ -265,7 +248,7 @@ func (c *Client) GetDataW(path string, cb WatchCallback) ([]byte, znode.Stat, er
 func (c *Client) Exists(path string) (*znode.Stat, error) { return c.ExistsW(path, nil) }
 
 // ExistsW is Exists with an optional one-shot watch.
-func (c *Client) ExistsW(path string, cb WatchCallback) (*znode.Stat, error) {
+func (c *Client) ExistsW(path string, cb core.WatchCallback) (*znode.Stat, error) {
 	if err := c.check(path); err != nil {
 		return nil, err
 	}
@@ -291,7 +274,7 @@ func (c *Client) ExistsW(path string, cb WatchCallback) (*znode.Stat, error) {
 func (c *Client) GetChildren(path string) ([]string, error) { return c.GetChildrenW(path, nil) }
 
 // GetChildrenW is GetChildren with an optional one-shot child watch.
-func (c *Client) GetChildrenW(path string, cb WatchCallback) ([]string, error) {
+func (c *Client) GetChildrenW(path string, cb core.WatchCallback) ([]string, error) {
 	if err := c.check(path); err != nil {
 		return nil, err
 	}
@@ -311,7 +294,7 @@ func (c *Client) GetChildrenW(path string, cb WatchCallback) ([]string, error) {
 
 func (c *Client) check(path string) error {
 	if c.closed {
-		return ErrSessionClosed
+		return core.ErrSessionClosed
 	}
 	return znode.ValidatePath(path)
 }

@@ -2,11 +2,14 @@ package zk
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/network"
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 )
 
 // Config sizes the ensemble.
@@ -58,12 +61,12 @@ type Server struct {
 
 	lastApplied int64
 	sessions    map[string]*serverSession
-	watches     map[string]map[EventType]map[string]bool // path -> event -> sessions
+	watches     map[string]map[core.EventType]map[string]bool // path -> event -> sessions
 	nextSessNum int64
 }
 
 type proposal struct {
-	txn  *txn
+	txn  *ztxn
 	acks map[int]bool
 }
 
@@ -79,7 +82,7 @@ func NewEnsemble(env *cloud.Env, cfg Config) *Ensemble {
 			peers:    map[int]*network.End[peerMsg]{},
 			pending:  map[int64]*proposal{},
 			sessions: map[string]*serverSession{},
-			watches:  map[string]map[EventType]map[string]bool{},
+			watches:  map[string]map[core.EventType]map[string]bool{},
 		}
 		e.servers = append(e.servers, s)
 	}
@@ -243,10 +246,10 @@ func (s *Server) mainLoop() {
 func (s *Server) submitWrite(pw *pendingWrite) {
 	leader := s.ens.Leader()
 	if leader == nil {
-		s.replyWrite(pw, CodeClosed, pw.req.Path)
+		s.replyWrite(pw, codeClosed, pw.req.Path)
 		return
 	}
-	x := &txn{origin: pw}
+	x := &ztxn{origin: pw}
 	if leader == s {
 		s.mailbox.Push(peerMsg{Type: msgForward, From: s.id, Txn: x})
 		return
@@ -263,9 +266,9 @@ func (s *Server) leaderPropose(pw *pendingWrite) {
 	}
 	code, finalPath, owner := s.spec.validate(pw.session.id, pw.req)
 	if pw.req.Op == OpCloseSession {
-		code, finalPath = CodeOK, ""
+		code, finalPath = core.CodeOK, ""
 	}
-	if code != CodeOK {
+	if code != core.CodeOK {
 		// Rejections are not replicated; answer through the origin server.
 		pw.code = code
 		pw.path = pw.req.Path
@@ -274,7 +277,7 @@ func (s *Server) leaderPropose(pw *pendingWrite) {
 	}
 	zxid := s.ens.zxid(s.nextCtr)
 	s.nextCtr++
-	x := &txn{
+	x := &ztxn{
 		Zxid: zxid, Path: finalPath, Data: pw.req.Data,
 		Flags: pw.req.Flags, Owner: owner, origin: pw,
 		SessionID: pw.session.id,
@@ -304,28 +307,37 @@ func (s *Server) leaderPropose(pw *pendingWrite) {
 // the speculative tree (sub-ops see their predecessors' effects) and, if
 // every sub-op passes, replicates the whole batch as ONE transaction with
 // one zxid — the baseline semantics FaaSKeeper's multi() is compared
-// against. Any failure rejects the multi without replicating anything.
+// against. Any failure rejects the multi without replicating anything, and
+// answers per op as FaaSKeeper does: the failing op carries its code, every
+// other op txn.CodeAborted.
 func (s *Server) leaderProposeMulti(pw *pendingWrite) {
 	spec := s.spec.clone()
 	zxid := s.ens.zxid(s.nextCtr)
-	subs := make([]*txn, 0, len(pw.req.MultiOps))
-	for _, op := range pw.req.MultiOps {
-		sub := request{Op: op.Op, Path: op.Path, Data: op.Data, Version: op.Version, Flags: op.Flags}
+	subs := make([]*ztxn, 0, len(pw.req.MultiOps))
+	results := make([]txn.Result, len(pw.req.MultiOps))
+	for i, op := range pw.req.MultiOps {
+		sub := request{Op: subOps[op.Type], Path: op.Path, Data: op.Data, Version: op.Version, Flags: op.Flags}
 		code, finalPath, owner := spec.validate(pw.session.id, sub)
-		if code != CodeOK {
-			pw.code = code
-			pw.path = op.Path
+		if code != core.CodeOK {
+			for j := range results {
+				results[j] = txn.Result{Type: pw.req.MultiOps[j].Type, Path: pw.req.MultiOps[j].Path, Code: txn.CodeAborted}
+			}
+			results[i].Code = string(code)
+			pw.code, pw.path, pw.results = code, op.Path, results
 			s.deliverReply(pw)
 			return
 		}
-		if op.Op == OpCheck {
+		results[i] = txn.Result{Type: op.Type, Path: finalPath, Code: txn.CodeOK}
+		if sub.Op == OpCheck {
+			n, _ := spec.get(op.Path)
+			results[i].Stat = n.Stat
 			continue // guards replicate nothing
 		}
-		x := &txn{
+		x := &ztxn{
 			Zxid: zxid, Path: finalPath, Data: op.Data,
 			Flags: op.Flags, Owner: owner, SessionID: pw.session.id,
 		}
-		switch op.Op {
+		switch sub.Op {
 		case OpCreate:
 			x.Type = txnCreate
 		case OpSetData:
@@ -333,11 +345,13 @@ func (s *Server) leaderProposeMulti(pw *pendingWrite) {
 		case OpDelete:
 			x.Type = txnDelete
 		}
-		spec.apply(x)
+		results[i].Stat, _ = spec.apply(x)
+		results[i].Txid = zxid
 		subs = append(subs, x)
 	}
 	s.nextCtr++
-	x := &txn{Zxid: zxid, Type: txnMulti, Sub: subs, SessionID: pw.session.id, origin: pw}
+	pw.results = results
+	x := &ztxn{Zxid: zxid, Type: txnMulti, Sub: subs, SessionID: pw.session.id, origin: pw}
 	s.spec.apply(x)
 	s.fsync(x.size())
 	s.pending[zxid] = &proposal{txn: x, acks: map[int]bool{s.id: true}}
@@ -384,7 +398,7 @@ func (s *Server) maybeCommit() {
 
 // applyCommitted applies a committed txn to the local replica, fires local
 // watches, and answers the client if its session lives here.
-func (s *Server) applyCommitted(x *txn) {
+func (s *Server) applyCommitted(x *ztxn) {
 	stat, events := s.replica.apply(x)
 	if x.Zxid > s.lastApplied {
 		s.lastApplied = x.Zxid
@@ -393,7 +407,7 @@ func (s *Server) applyCommitted(x *txn) {
 	if x.origin != nil && x.origin.serverID == s.id {
 		pw := x.origin
 		pw.stat = stat
-		s.replyWrite(pw, CodeOK, x.Path)
+		s.replyWrite(pw, core.CodeOK, x.Path)
 	}
 	if x.Type == txnCloseSession {
 		if sess, ok := s.sessions[x.SessionID]; ok {
@@ -417,7 +431,7 @@ func (s *Server) fireWatches(events []firedEvent, zxid int64) {
 	for _, ev := range events {
 		targets := map[string]bool{}
 		if byEvent := s.watches[ev.Path]; byEvent != nil {
-			consume := func(et EventType) {
+			consume := func(et core.EventType) {
 				for sess := range byEvent[et] {
 					targets[sess] = true
 				}
@@ -426,30 +440,37 @@ func (s *Server) fireWatches(events []firedEvent, zxid int64) {
 			// A node event consumes the matching registrations, mirroring
 			// ZooKeeper's one-shot semantics.
 			switch ev.Type {
-			case EventCreated:
-				consume(EventCreated)
-			case EventDataChanged, EventDeleted:
-				consume(EventDataChanged)
-				consume(EventCreated) // exists watches fire on change/delete
-			case EventChildrenChanged:
-				consume(EventChildrenChanged)
+			case core.EventCreated:
+				consume(core.EventCreated)
+			case core.EventDataChanged, core.EventDeleted:
+				consume(core.EventDataChanged)
+				consume(core.EventCreated) // exists watches fire on change/delete
+			case core.EventChildrenChanged:
+				consume(core.EventChildrenChanged)
 			}
 		}
-		for sessID := range targets {
+		// In session order: each send draws its latency from the kernel's
+		// random stream, so a map's order would make the run irreproducible.
+		ids := make([]string, 0, len(targets))
+		for id := range targets {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, sessID := range ids {
 			if sess, ok := s.sessions[sessID]; ok {
-				sess.sendEvent(WatchEvent{Type: ev.Type, Path: ev.Path, Zxid: zxid})
+				sess.sendEvent(core.Notification{Event: ev.Type, Path: ev.Path, Txid: zxid})
 			}
 		}
 	}
 }
 
 // registerWatch adds a one-shot registration. Watch kinds are encoded by
-// the event type that consumes them: EventDataChanged for data watches,
-// EventCreated for exists watches, EventChildrenChanged for child watches.
-func (s *Server) registerWatch(path string, et EventType, session string) {
+// the event type that consumes them: core.EventDataChanged for data watches,
+// core.EventCreated for exists watches, core.EventChildrenChanged for child watches.
+func (s *Server) registerWatch(path string, et core.EventType, session string) {
 	byEvent := s.watches[path]
 	if byEvent == nil {
-		byEvent = map[EventType]map[string]bool{}
+		byEvent = map[core.EventType]map[string]bool{}
 		s.watches[path] = byEvent
 	}
 	if byEvent[et] == nil {

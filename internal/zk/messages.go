@@ -7,6 +7,8 @@
 package zk
 
 import (
+	"faaskeeper/internal/core"
+	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
 )
 
@@ -27,13 +29,9 @@ const (
 	OpMulti // atomic multi-op transaction
 )
 
-// MultiOp is one sub-operation of a baseline multi() transaction.
-type MultiOp struct {
-	Op      OpCode
-	Path    string
-	Data    []byte
-	Version int32
-	Flags   znode.Flags
+// subOps maps a multi()'s sub-operation types to the request they validate as.
+var subOps = map[txn.OpType]OpCode{
+	txn.OpCreate: OpCreate, txn.OpSetData: OpSetData, txn.OpDelete: OpDelete, txn.OpCheck: OpCheck,
 }
 
 // request travels client -> server over the session connection.
@@ -45,7 +43,7 @@ type request struct {
 	Version  int32
 	Flags    znode.Flags
 	Watch    bool
-	MultiOps []MultiOp
+	MultiOps []txn.Op
 }
 
 func (r request) wireSize() int {
@@ -56,62 +54,37 @@ func (r request) wireSize() int {
 	return n
 }
 
-// Code is a ZooKeeper result code.
-type Code uint8
-
-// Result codes.
-const (
-	CodeOK Code = iota
-	CodeNodeExists
-	CodeNoNode
-	CodeBadVersion
-	CodeNotEmpty
-	CodeNoChildrenEph
-	CodeClosed
-)
+// Result codes are FaaSKeeper's (core.Code), so both clients answer with one
+// set of errors (core.CodeError). codeClosed is the baseline's own: no
+// leader is alive to order the write.
+const codeClosed core.Code = "closed"
 
 // response travels server -> client.
 type response struct {
 	Seq      int64
-	Code     Code
+	Code     core.Code
 	Path     string
 	Data     []byte
 	Stat     znode.Stat
 	Children []string
 	Exists   bool
+	Results  []txn.Result // a multi()'s per-op outcomes
 }
 
 func (r response) wireSize() int { return len(r.Path) + len(r.Data) + 64 + 8*len(r.Children) }
 
 // sessionMsg is one message on a client's session connection: a request
 // from the client, or a response or (isEvent) a watch event from its server.
+// An event is FaaSKeeper's notification type, its Txid the zxid; because the
+// connection is FIFO, events are ordered with respect to replies (Z4).
 type sessionMsg struct {
 	req     request
 	resp    response
-	event   WatchEvent
+	event   core.Notification
 	isEvent bool
 }
 
-// WatchEvent is pushed to clients over the session connection; because the
-// connection is FIFO, events are ordered with respect to replies (Z4).
-type WatchEvent struct {
-	Type EventType
-	Path string
-	Zxid int64
-}
-
-func (e WatchEvent) wireSize() int { return len(e.Path) + 24 }
-
-// EventType mirrors ZooKeeper's watch event types.
-type EventType uint8
-
-// Event types.
-const (
-	EventDataChanged EventType = iota + 1
-	EventCreated
-	EventDeleted
-	EventChildrenChanged
-)
+func eventWireSize(ev core.Notification) int { return len(ev.Path) + 24 }
 
 // txnType is the kind of a replicated transaction.
 type txnType uint8
@@ -124,23 +97,23 @@ const (
 	txnMulti // an atomic batch of sub-transactions sharing one zxid
 )
 
-// txn is one replicated state change: the unit ZAB agrees on.
-type txn struct {
+// ztxn is one replicated state change: the unit ZAB agrees on.
+type ztxn struct {
 	Zxid      int64
 	Type      txnType
 	Path      string
 	Data      []byte
 	Flags     znode.Flags
-	Owner     string // ephemeral owner session
-	SessionID string // originating session (close-session txns)
-	Sub       []*txn // txnMulti: the sub-transactions, applied atomically
+	Owner     string  // ephemeral owner session
+	SessionID string  // originating session (close-session txns)
+	Sub       []*ztxn // txnMulti: the sub-transactions, applied atomically
 
 	// Filled by the leader when it validates and sequences the request.
 	origin *pendingWrite
 }
 
 // size is the replication payload size.
-func (t *txn) size() int {
+func (t *ztxn) size() int {
 	n := len(t.Path) + len(t.Data) + 48
 	for _, sub := range t.Sub {
 		n += sub.size()
@@ -153,9 +126,10 @@ type pendingWrite struct {
 	serverID int // server that owns the client session
 	session  *serverSession
 	req      request
-	code     Code // validation verdict decided by the leader
+	code     core.Code // validation verdict decided by the leader
 	path     string
 	stat     znode.Stat
+	results  []txn.Result // a multi()'s per-op outcomes
 	barrier  interface{ TryComplete(struct{}) bool }
 }
 
@@ -174,7 +148,7 @@ const (
 type peerMsg struct {
 	Type peerMsgType
 	From int
-	Txn  *txn
+	Txn  *ztxn
 	Zxid int64
 }
 

@@ -2,6 +2,7 @@ package zk
 
 import (
 	"faaskeeper/internal/cloud/network"
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 )
 
@@ -34,9 +35,9 @@ func (sess *serverSession) close() {
 	}
 }
 
-func (sess *serverSession) sendEvent(ev WatchEvent) {
+func (sess *serverSession) sendEvent(ev core.Notification) {
 	if !sess.closed {
-		sess.end.Send(sessionMsg{event: ev, isEvent: true}, ev.wireSize())
+		sess.end.Send(sessionMsg{event: ev, isEvent: true}, eventWireSize(ev))
 	}
 }
 
@@ -62,7 +63,7 @@ func (sess *serverSession) handlerLoop() {
 		sess.lastHeard = env.K.Now()
 		switch req.Op {
 		case OpPing:
-			sess.send(response{Seq: req.Seq, Code: CodeOK})
+			sess.send(response{Seq: req.Seq, Code: core.CodeOK})
 		case OpGetData, OpExists, OpGetChildren:
 			sess.handleRead(req)
 		case OpCreate, OpSetData, OpDelete, OpMulti, OpCloseSession:
@@ -89,11 +90,11 @@ func (sess *serverSession) handleRead(req request) {
 	if req.Watch {
 		switch req.Op {
 		case OpGetData:
-			s.registerWatch(req.Path, EventDataChanged, sess.id)
+			s.registerWatch(req.Path, core.EventDataChanged, sess.id)
 		case OpExists:
-			s.registerWatch(req.Path, EventCreated, sess.id)
+			s.registerWatch(req.Path, core.EventCreated, sess.id)
 		case OpGetChildren:
-			s.registerWatch(req.Path, EventChildrenChanged, sess.id)
+			s.registerWatch(req.Path, core.EventChildrenChanged, sess.id)
 		}
 	}
 	n, ok := s.replica.get(req.Path)
@@ -106,15 +107,15 @@ func (sess *serverSession) handleRead(req request) {
 	s.ens.reads++
 	resp := response{Seq: req.Seq, Path: req.Path}
 	if !ok {
-		resp.Code = CodeNoNode
+		resp.Code = core.CodeNoNode
 		if req.Op == OpExists {
-			resp.Code = CodeOK
+			resp.Code = core.CodeOK
 			resp.Exists = false
 		}
 		sess.send(resp)
 		return
 	}
-	resp.Code = CodeOK
+	resp.Code = core.CodeOK
 	resp.Exists = true
 	resp.Stat = n.Stat
 	switch req.Op {
@@ -128,12 +129,12 @@ func (sess *serverSession) handleRead(req request) {
 
 // replyWrite completes a client write after local commit (or validation
 // failure on the leader).
-func (s *Server) replyWrite(pw *pendingWrite, code Code, path string) {
+func (s *Server) replyWrite(pw *pendingWrite, code core.Code, path string) {
 	sess := pw.session
 	if pw.barrier != nil {
 		pw.barrier.TryComplete(struct{}{})
 	}
-	sess.send(response{Seq: pw.req.Seq, Code: code, Path: path, Stat: pw.stat})
+	sess.send(response{Seq: pw.req.Seq, Code: code, Path: path, Stat: pw.stat, Results: pw.results})
 }
 
 // deliverReply routes a leader-side rejection back through the origin
@@ -143,5 +144,5 @@ func (s *Server) deliverReply(pw *pendingWrite) {
 		s.replyWrite(pw, pw.code, pw.path)
 		return
 	}
-	s.sendPeer(pw.serverID, peerMsg{Type: msgReject, From: s.id, Txn: &txn{origin: pw}})
+	s.sendPeer(pw.serverID, peerMsg{Type: msgReject, From: s.id, Txn: &ztxn{origin: pw}})
 }

@@ -3,6 +3,7 @@ package zk
 import (
 	"sort"
 
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/znode"
 )
 
@@ -48,71 +49,76 @@ func (t *tree) get(path string) (*znode.Node, bool) {
 // validate checks a write request against the current (speculative) state
 // and, for creates, resolves the final sequential path and ephemeral
 // owner. It mirrors the semantics checks of the FaaSKeeper follower.
-func (t *tree) validate(session string, req request) (code Code, finalPath, owner string) {
+func (t *tree) validate(session string, req request) (code core.Code, finalPath, owner string) {
 	switch req.Op {
 	case OpCreate:
 		parentPath := znode.Parent(req.Path)
 		parent, ok := t.nodes[parentPath]
 		if !ok {
-			return CodeNoNode, "", ""
+			return core.CodeNoNode, "", ""
 		}
 		if parent.Stat.Ephemeral {
-			return CodeNoChildrenEph, "", ""
+			return core.CodeNoChildrenEph, "", ""
 		}
 		finalPath = req.Path
 		if req.Flags&znode.FlagSequential != 0 {
 			finalPath = znode.SequentialName(req.Path, t.seq[parentPath])
 		}
 		if _, exists := t.nodes[finalPath]; exists {
-			return CodeNodeExists, "", ""
+			return core.CodeNodeExists, "", ""
 		}
 		if req.Flags&znode.FlagEphemeral != 0 {
 			owner = session
 		}
-		return CodeOK, finalPath, owner
+		return core.CodeOK, finalPath, owner
 	case OpSetData:
 		n, ok := t.nodes[req.Path]
 		if !ok {
-			return CodeNoNode, "", ""
+			return core.CodeNoNode, "", ""
 		}
 		if req.Version != -1 && req.Version != n.Stat.Version {
-			return CodeBadVersion, "", ""
+			return core.CodeBadVersion, "", ""
 		}
-		return CodeOK, req.Path, ""
+		return core.CodeOK, req.Path, ""
 	case OpDelete:
+		if req.Path == znode.Root {
+			// Real ZooKeeper refuses with BADARGUMENTS; this answers as
+			// FaaSKeeper's follower does (core.checkPath).
+			return core.CodeSystemError, "", ""
+		}
 		n, ok := t.nodes[req.Path]
 		if !ok {
-			return CodeNoNode, "", ""
+			return core.CodeNoNode, "", ""
 		}
 		if req.Version != -1 && req.Version != n.Stat.Version {
-			return CodeBadVersion, "", ""
+			return core.CodeBadVersion, "", ""
 		}
 		if len(n.Children) > 0 {
-			return CodeNotEmpty, "", ""
+			return core.CodeNotEmpty, "", ""
 		}
-		return CodeOK, req.Path, ""
+		return core.CodeOK, req.Path, ""
 	case OpCheck:
 		n, ok := t.nodes[req.Path]
 		if !ok {
-			return CodeNoNode, "", ""
+			return core.CodeNoNode, "", ""
 		}
 		if req.Version != -1 && req.Version != n.Stat.Version {
-			return CodeBadVersion, "", ""
+			return core.CodeBadVersion, "", ""
 		}
-		return CodeOK, req.Path, ""
+		return core.CodeOK, req.Path, ""
 	}
-	return CodeOK, req.Path, ""
+	return core.CodeOK, req.Path, ""
 }
 
 // firedEvent describes a watch-relevant change produced by applying a txn.
 type firedEvent struct {
-	Type EventType
+	Type core.EventType
 	Path string
 }
 
 // apply mutates the tree with a committed transaction and returns the
 // node's resulting stat plus the watch events the change triggers.
-func (t *tree) apply(x *txn) (znode.Stat, []firedEvent) {
+func (t *tree) apply(x *ztxn) (znode.Stat, []firedEvent) {
 	switch x.Type {
 	case txnCreate:
 		return t.applyCreate(x)
@@ -137,7 +143,7 @@ func (t *tree) apply(x *txn) (znode.Stat, []firedEvent) {
 	return znode.Stat{}, nil
 }
 
-func (t *tree) applyCreate(x *txn) (znode.Stat, []firedEvent) {
+func (t *tree) applyCreate(x *ztxn) (znode.Stat, []firedEvent) {
 	parentPath := znode.Parent(x.Path)
 	parent := t.nodes[parentPath]
 	n := &znode.Node{
@@ -159,12 +165,12 @@ func (t *tree) applyCreate(x *txn) (znode.Stat, []firedEvent) {
 		t.eph[x.Owner] = append(t.eph[x.Owner], x.Path)
 	}
 	return n.Stat, []firedEvent{
-		{EventCreated, x.Path},
-		{EventChildrenChanged, parentPath},
+		{core.EventCreated, x.Path},
+		{core.EventChildrenChanged, parentPath},
 	}
 }
 
-func (t *tree) applySetData(x *txn) (znode.Stat, []firedEvent) {
+func (t *tree) applySetData(x *ztxn) (znode.Stat, []firedEvent) {
 	n, ok := t.nodes[x.Path]
 	if !ok {
 		return znode.Stat{}, nil
@@ -173,10 +179,10 @@ func (t *tree) applySetData(x *txn) (znode.Stat, []firedEvent) {
 	n.Stat.Version++
 	n.Stat.Mzxid = x.Zxid
 	n.Stat.DataLength = int32(len(x.Data))
-	return n.Stat, []firedEvent{{EventDataChanged, x.Path}}
+	return n.Stat, []firedEvent{{core.EventDataChanged, x.Path}}
 }
 
-func (t *tree) applyDelete(x *txn) (znode.Stat, []firedEvent) {
+func (t *tree) applyDelete(x *ztxn) (znode.Stat, []firedEvent) {
 	n, ok := t.nodes[x.Path]
 	if !ok {
 		return znode.Stat{}, nil
@@ -207,14 +213,14 @@ func (t *tree) applyDelete(x *txn) (znode.Stat, []firedEvent) {
 		t.eph[n.Stat.Owner] = owned
 	}
 	return n.Stat, []firedEvent{
-		{EventDeleted, x.Path},
-		{EventChildrenChanged, parentPath},
+		{core.EventDeleted, x.Path},
+		{core.EventChildrenChanged, parentPath},
 	}
 }
 
 // applyCloseSession removes every ephemeral node the session owns, in
 // deterministic path order, and returns all fired events.
-func (t *tree) applyCloseSession(x *txn) []firedEvent {
+func (t *tree) applyCloseSession(x *ztxn) []firedEvent {
 	paths := append([]string(nil), t.eph[x.SessionID]...)
 	sort.Strings(paths)
 	var events []firedEvent
@@ -222,7 +228,7 @@ func (t *tree) applyCloseSession(x *txn) []firedEvent {
 		if _, ok := t.nodes[p]; !ok {
 			continue
 		}
-		_, evs := t.applyDelete(&txn{Zxid: x.Zxid, Type: txnDelete, Path: p})
+		_, evs := t.applyDelete(&ztxn{Zxid: x.Zxid, Type: txnDelete, Path: p})
 		events = append(events, evs...)
 	}
 	delete(t.eph, x.SessionID)

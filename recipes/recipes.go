@@ -1,14 +1,15 @@
 // Package recipes implements the classic ZooKeeper coordination recipes on
-// top of the FaaSKeeper client: distributed mutex, leader election, double
-// barrier, and a distributed FIFO queue. They exercise exactly the
-// primitives the paper highlights (ephemeral + sequential nodes, one-shot
-// watches, conditional versions) and work unchanged against the serverless
-// deployment.
+// top of the ZooKeeper client interface (faaskeeper.Session): distributed
+// mutex, leader election, double barrier, and a distributed FIFO queue. They
+// exercise exactly the primitives the paper highlights (ephemeral +
+// sequential nodes, one-shot watches, conditional versions) and run
+// unchanged on the serverless deployment and on the baseline ensemble.
 package recipes
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"faaskeeper"
@@ -24,13 +25,13 @@ var ErrNotHeld = errors.New("recipes: lock not held")
 // only its predecessor (no herd effect).
 type Mutex struct {
 	sim    *faaskeeper.Simulation
-	client *faaskeeper.Client
+	client faaskeeper.Session
 	root   string
 	myNode string
 }
 
 // NewMutex creates a mutex rooted at root (the node must exist).
-func NewMutex(s *faaskeeper.Simulation, c *faaskeeper.Client, root string) *Mutex {
+func NewMutex(s *faaskeeper.Simulation, c faaskeeper.Session, root string) *Mutex {
 	return &Mutex{sim: s, client: c, root: root}
 }
 
@@ -89,7 +90,7 @@ func (m *Mutex) Unlock() error {
 // leader.
 type Election struct {
 	sim    *faaskeeper.Simulation
-	client *faaskeeper.Client
+	client faaskeeper.Session
 	root   string
 	myNode string
 	onLead func()
@@ -97,7 +98,7 @@ type Election struct {
 }
 
 // NewElection creates an election rooted at root (the node must exist).
-func NewElection(s *faaskeeper.Simulation, c *faaskeeper.Client, root string, onLead func()) *Election {
+func NewElection(s *faaskeeper.Simulation, c faaskeeper.Session, root string, onLead func()) *Election {
 	return &Election{sim: s, client: c, root: root, onLead: onLead}
 }
 
@@ -154,38 +155,57 @@ func (e *Election) Resign() error {
 }
 
 // Barrier is the double-barrier recipe: Enter blocks until `count`
-// participants arrived; Leave blocks until everyone left.
+// participants arrived; Leave blocks until everyone left. The last party to
+// arrive creates a ready node, which releases the others: counting arrivals
+// is not enough, because once a released party has left again, one still
+// counting never sees the barrier full. No party may be named "ready".
 type Barrier struct {
 	sim    *faaskeeper.Simulation
-	client *faaskeeper.Client
+	client faaskeeper.Session
 	root   string
 	name   string
 	count  int
 }
 
 // NewBarrier creates a barrier under root for the given participant count.
-func NewBarrier(s *faaskeeper.Simulation, c *faaskeeper.Client, root, name string, count int) *Barrier {
+func NewBarrier(s *faaskeeper.Simulation, c faaskeeper.Session, root, name string, count int) *Barrier {
 	return &Barrier{sim: s, client: c, root: root, name: name, count: count}
+}
+
+// readyNode is the child of a barrier's root that says it is full.
+const readyNode = "ready"
+
+// parties counts the participants among a barrier root's children.
+func parties(kids []string) int {
+	if slices.Contains(kids, readyNode) {
+		return len(kids) - 1
+	}
+	return len(kids)
 }
 
 // Enter registers this participant and waits for the barrier to fill.
 func (b *Barrier) Enter() error {
-	if _, err := b.client.Create(b.root+"/"+b.name, nil, faaskeeper.FlagEphemeral); err != nil {
+	ready := b.root + "/" + readyNode
+	filled := sim.NewFuture[struct{}](b.sim.Kernel())
+	st, err := b.client.ExistsW(ready, func(faaskeeper.Notification) { filled.TryComplete(struct{}{}) })
+	if err != nil {
 		return err
 	}
-	for {
-		arrived := sim.NewFuture[struct{}](b.sim.Kernel())
-		kids, err := b.client.GetChildrenW(b.root, func(faaskeeper.Notification) {
-			arrived.TryComplete(struct{}{})
-		})
-		if err != nil {
-			return err
-		}
-		if len(kids) >= b.count {
-			return nil
-		}
-		arrived.Wait()
+	if _, err := b.client.Create(b.root+"/"+b.name, nil, faaskeeper.FlagEphemeral); err != nil || st != nil {
+		return err
 	}
+	kids, err := b.client.GetChildren(b.root)
+	if err != nil {
+		return err
+	}
+	if parties(kids) < b.count {
+		filled.Wait()
+		return nil
+	}
+	if _, err := b.client.Create(ready, nil, 0); err != nil && !errors.Is(err, faaskeeper.ErrNodeExists) {
+		return err
+	}
+	return nil
 }
 
 // Leave removes this participant and waits until the barrier drains.
@@ -201,7 +221,7 @@ func (b *Barrier) Leave() error {
 		if err != nil {
 			return err
 		}
-		if len(kids) == 0 {
+		if parties(kids) == 0 {
 			return nil
 		}
 		left.Wait()
@@ -211,12 +231,12 @@ func (b *Barrier) Leave() error {
 // Queue is the distributed FIFO queue recipe over sequential nodes.
 type Queue struct {
 	sim    *faaskeeper.Simulation
-	client *faaskeeper.Client
+	client faaskeeper.Session
 	root   string
 }
 
 // NewQueue creates a queue rooted at root (the node must exist).
-func NewQueue(s *faaskeeper.Simulation, c *faaskeeper.Client, root string) *Queue {
+func NewQueue(s *faaskeeper.Simulation, c faaskeeper.Session, root string) *Queue {
 	return &Queue{sim: s, client: c, root: root}
 }
 

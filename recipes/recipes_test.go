@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"faaskeeper"
-	"faaskeeper/internal/sim"
 )
 
 func harness(t *testing.T, seed int64, horizon time.Duration, fn func(s *faaskeeper.Simulation, d *faaskeeper.Deployment)) {
@@ -23,54 +22,6 @@ func harness(t *testing.T, seed int64, horizon time.Duration, fn func(s *faaskee
 	if !done {
 		t.Fatal("scenario did not finish within the horizon")
 	}
-}
-
-func TestMutexMutualExclusion(t *testing.T) {
-	harness(t, 1, time.Hour, func(s *faaskeeper.Simulation, d *faaskeeper.Deployment) {
-		setup, _ := d.Connect("setup")
-		setup.Create("/lock", nil, 0)
-		inside, maxInside, total := 0, 0, 0
-		wg := sim.NewWaitGroup(s.Kernel())
-		for i := 0; i < 4; i++ {
-			id := fmt.Sprintf("w%d", i)
-			wg.Add(1)
-			s.Go(func() {
-				defer wg.Done()
-				c, err := d.Connect(id)
-				if err != nil {
-					t.Errorf("%s connect: %v", id, err)
-					return
-				}
-				defer c.Close()
-				m := NewMutex(s, c, "/lock")
-				for r := 0; r < 2; r++ {
-					if err := m.Lock(); err != nil {
-						t.Errorf("%s lock: %v", id, err)
-						return
-					}
-					inside++
-					if inside > maxInside {
-						maxInside = inside
-					}
-					total++
-					s.Sleep(100 * time.Millisecond)
-					inside--
-					if err := m.Unlock(); err != nil {
-						t.Errorf("%s unlock: %v", id, err)
-						return
-					}
-				}
-			})
-		}
-		wg.Wait()
-		setup.Close()
-		if maxInside != 1 {
-			t.Errorf("max holders = %d", maxInside)
-		}
-		if total != 8 {
-			t.Errorf("acquisitions = %d", total)
-		}
-	})
 }
 
 func TestMutexDoubleLockAndUnheldUnlock(t *testing.T) {
@@ -135,110 +86,6 @@ func TestElectionFailover(t *testing.T) {
 		}
 		clients[1].Close()
 		clients[2].Close()
-		setup.Close()
-	})
-}
-
-func TestBarrier(t *testing.T) {
-	harness(t, 4, time.Hour, func(s *faaskeeper.Simulation, d *faaskeeper.Deployment) {
-		setup, _ := d.Connect("setup")
-		setup.Create("/barrier", nil, 0)
-		const parties = 3
-		entered := 0
-		afterBarrier := 0
-		wg := sim.NewWaitGroup(s.Kernel())
-		for i := 0; i < parties; i++ {
-			id := fmt.Sprintf("p%d", i)
-			delay := time.Duration(i) * 2 * time.Second
-			wg.Add(1)
-			s.Go(func() {
-				defer wg.Done()
-				c, _ := d.Connect(id)
-				defer c.Close()
-				b := NewBarrier(s, c, "/barrier", id, parties)
-				s.Sleep(delay) // stagger arrivals
-				entered++
-				if err := b.Enter(); err != nil {
-					t.Errorf("%s enter: %v", id, err)
-					return
-				}
-				// Everyone must have arrived before anyone proceeds.
-				if entered != parties {
-					t.Errorf("%s passed the barrier with only %d arrived", id, entered)
-				}
-				afterBarrier++
-				if err := b.Leave(); err != nil {
-					t.Errorf("%s leave: %v", id, err)
-				}
-			})
-		}
-		wg.Wait()
-		setup.Close()
-		if afterBarrier != parties {
-			t.Errorf("passed = %d", afterBarrier)
-		}
-	})
-}
-
-func TestDistributedQueueFIFO(t *testing.T) {
-	harness(t, 5, time.Hour, func(s *faaskeeper.Simulation, d *faaskeeper.Deployment) {
-		setup, _ := d.Connect("setup")
-		setup.Create("/queue", nil, 0)
-		producer, _ := d.Connect("producer")
-		consumer, _ := d.Connect("consumer")
-		defer producer.Close()
-		defer consumer.Close()
-		q := NewQueue(s, producer, "/queue")
-		cq := NewQueue(s, consumer, "/queue")
-		for i := 0; i < 5; i++ {
-			if err := q.Put([]byte{byte(i)}); err != nil {
-				t.Errorf("put %d: %v", i, err)
-			}
-		}
-		for i := 0; i < 5; i++ {
-			data, err := cq.Take()
-			if err != nil {
-				t.Errorf("take %d: %v", i, err)
-				return
-			}
-			if data[0] != byte(i) {
-				t.Errorf("item %d = %d (FIFO broken)", i, data[0])
-			}
-		}
-		setup.Close()
-	})
-}
-
-func TestQueueBlocksUntilProducer(t *testing.T) {
-	harness(t, 6, time.Hour, func(s *faaskeeper.Simulation, d *faaskeeper.Deployment) {
-		setup, _ := d.Connect("setup")
-		setup.Create("/queue", nil, 0)
-		consumer, _ := d.Connect("consumer")
-		producer, _ := d.Connect("producer")
-		defer consumer.Close()
-		defer producer.Close()
-		var got []byte
-		var tTake time.Duration
-		wg := sim.NewWaitGroup(s.Kernel())
-		wg.Add(1)
-		s.Go(func() {
-			defer wg.Done()
-			data, err := NewQueue(s, consumer, "/queue").Take()
-			if err != nil {
-				t.Errorf("take: %v", err)
-				return
-			}
-			got = data
-			tTake = s.Now()
-		})
-		s.Sleep(10 * time.Second)
-		if err := NewQueue(s, producer, "/queue").Put([]byte("late")); err != nil {
-			t.Errorf("put: %v", err)
-		}
-		wg.Wait()
-		if string(got) != "late" || tTake < 10*time.Second {
-			t.Errorf("take returned %q at %v", got, tTake)
-		}
 		setup.Close()
 	})
 }
