@@ -65,6 +65,7 @@ var (
 	ErrSessionClosed = core.ErrSessionClosed
 	ErrSystemError   = core.ErrSystemError
 	ErrTxnAborted    = core.ErrTxnAborted
+	ErrBadArguments  = core.ErrBadArguments
 )
 
 // Session is the ZooKeeper client interface: a FaaSKeeper Client and a

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"faaskeeper/internal/histcheck"
 	"faaskeeper/internal/obs"
 )
 
@@ -109,14 +110,14 @@ func loadKnown(t *testing.T, path string) []knownRed {
 // triage splits a run's violations against the known-red entries listed for
 // its scenario: the violations whose rule no entry lists, and the entries
 // whose rule the run no longer breaks.
-func triage(vs []Violation, listed []knownRed) (unlisted []Violation, stale []knownRed) {
+func triage(vs []histcheck.Violation, listed []knownRed) (unlisted []histcheck.Violation, stale []knownRed) {
 	for _, v := range vs {
 		if !slices.ContainsFunc(listed, func(k knownRed) bool { return k.Rule == v.Invariant }) {
 			unlisted = append(unlisted, v)
 		}
 	}
 	for _, k := range listed {
-		if !slices.ContainsFunc(vs, func(v Violation) bool { return v.Invariant == k.Rule }) {
+		if !slices.ContainsFunc(vs, func(v histcheck.Violation) bool { return v.Invariant == k.Rule }) {
 			stale = append(stale, k)
 		}
 	}
@@ -149,11 +150,11 @@ func writeArtifacts(t *testing.T, res *Result) {
 		}
 	}
 	report := struct {
-		Scenario   Scenario         `json:"scenario"`
-		Replay     string           `json:"replay"`
-		Violations []Violation      `json:"violations"`
-		Faults     map[string]int64 `json:"fault_counts"`
-		Schedule   []string         `json:"schedule"`
+		Scenario   Scenario              `json:"scenario"`
+		Replay     string                `json:"replay"`
+		Violations []histcheck.Violation `json:"violations"`
+		Faults     map[string]int64      `json:"fault_counts"`
+		Schedule   []string              `json:"schedule"`
 	}{res.Scenario, res.ReplayCmd(), res.Violations, res.FaultCounts, res.Schedule}
 	if data, err := json.MarshalIndent(report, "", "  "); err == nil {
 		_ = os.WriteFile(filepath.Join(dir, base+".report.json"), data, 0o644)
@@ -210,19 +211,19 @@ func TestChaosKnownList(t *testing.T) {
 	}
 
 	listed := []knownRed{{Config: "caching", Seed: 7, Rule: "mzxid-regression", Roadmap: "1(a)"}}
-	regress := Violation{Invariant: "mzxid-regression", Path: "/s1"}
-	lost := Violation{Invariant: "lost-watch", Path: "/w"}
+	regress := histcheck.Violation{Invariant: "mzxid-regression", Path: "/s1"}
+	lost := histcheck.Violation{Invariant: "lost-watch", Path: "/w"}
 	for _, tc := range []struct {
 		name     string
-		vs       []Violation
+		vs       []histcheck.Violation
 		listed   []knownRed
-		unlisted []Violation
+		unlisted []histcheck.Violation
 		stale    []knownRed
 	}{
-		{"listed rule is logged", []Violation{regress, regress}, listed, nil, nil},
-		{"unlisted rule fails", []Violation{regress, lost}, listed, []Violation{lost}, nil},
+		{"listed rule is logged", []histcheck.Violation{regress, regress}, listed, nil, nil},
+		{"unlisted rule fails", []histcheck.Violation{regress, lost}, listed, []histcheck.Violation{lost}, nil},
 		{"listed seed that passes is stale", nil, listed, nil, listed},
-		{"unlisted seed fails", []Violation{regress}, nil, []Violation{regress}, nil},
+		{"unlisted seed fails", []histcheck.Violation{regress}, nil, []histcheck.Violation{regress}, nil},
 	} {
 		unlisted, stale := triage(tc.vs, tc.listed)
 		if !slices.Equal(unlisted, tc.unlisted) || !slices.Equal(stale, tc.stale) {
@@ -324,10 +325,10 @@ func TestChaosQuietControl(t *testing.T) {
 					continue
 				}
 				switch e.Kind {
-				case KindWatchArm:
+				case histcheck.KindWatchArm:
 					arms++
 					churned = churned || slices.ContainsFunc(e.Children, func(c string) bool { return strings.HasPrefix(c, "t") })
-				case KindWatchFire:
+				case histcheck.KindWatchFire:
 					fires++
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/fkclient"
+	"faaskeeper/internal/histcheck"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -29,8 +30,8 @@ type Scenario struct {
 // Result is one completed chaos run.
 type Result struct {
 	Scenario    Scenario
-	History     *History
-	Violations  []Violation
+	History     *histcheck.History
+	Violations  []histcheck.Violation
 	FaultCounts map[string]int64
 	Schedule    []string // injector's fault log, for failure artifacts
 	VirtualTime sim.Time
@@ -169,8 +170,8 @@ func isDefinite(err error) bool {
 	for _, e := range []error{
 		core.ErrNoNode, core.ErrNodeExists, core.ErrBadVersion,
 		core.ErrNotEmpty, core.ErrNoChildrenEph, core.ErrTooLarge,
-		core.ErrTxnAborted, core.ErrSessionClosed,
-		znode.ErrBadPath,
+		core.ErrTxnAborted, core.ErrSessionClosed, core.ErrBadArguments,
+		core.ErrCrossShard, znode.ErrBadPath,
 	} {
 		if errors.Is(err, e) {
 			return true
@@ -204,7 +205,7 @@ func run(s Scenario, traced bool) *Result {
 	s = s.withDefaults()
 	cfg, ok := DeployConfig(s.Config)
 	if !ok {
-		return &Result{Scenario: s, Violations: []Violation{{
+		return &Result{Scenario: s, Violations: []histcheck.Violation{{
 			Invariant: "harness", Detail: fmt.Sprintf("unknown config %q", s.Config),
 		}}}
 	}
@@ -216,11 +217,11 @@ func run(s Scenario, traced bool) *Result {
 	d := core.NewDeployment(k, cfg)
 	home := d.Cfg.Profile.Home
 
-	h := &History{}
+	h := &histcheck.History{}
 	res := &Result{Scenario: s, History: h}
-	record := func(e Event) { h.Add(e) }
+	record := func(e histcheck.Event) { h.Add(e) }
 	harness := func(format string, args ...any) {
-		res.Violations = append(res.Violations, Violation{
+		res.Violations = append(res.Violations, histcheck.Violation{
 			Invariant: "harness", Detail: fmt.Sprintf(format, args...),
 		})
 	}
@@ -229,17 +230,17 @@ func run(s Scenario, traced bool) *Result {
 	doSet := func(c *fkclient.Client, session, path, value string) {
 		start := k.Now()
 		st, err := c.SetData(path, []byte(value), -1)
-		record(Event{
-			Session: session, Kind: KindWrite, Op: "set", Path: path, Value: value,
-			Mzxid: st.Mzxid, Start: start, End: k.Now(),
+		record(histcheck.Event{
+			Session: session, Kind: histcheck.KindWrite, Op: "set", Path: path, Value: value,
+			Mzxid: st.Mzxid, Version: st.Version, Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
 	}
 	doCreate := func(c *fkclient.Client, session, path, value string, flags znode.Flags) error {
 		start := k.Now()
 		_, err := c.Create(path, []byte(value), flags)
-		record(Event{
-			Session: session, Kind: KindWrite, Op: "create", Path: path, Value: value,
+		record(histcheck.Event{
+			Session: session, Kind: histcheck.KindWrite, Op: "create", Path: path, Value: value,
 			Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
@@ -248,8 +249,8 @@ func run(s Scenario, traced bool) *Result {
 	doDelete := func(c *fkclient.Client, session, path string) {
 		start := k.Now()
 		err := c.Delete(path, -1)
-		record(Event{
-			Session: session, Kind: KindWrite, Op: "delete", Path: path,
+		record(histcheck.Event{
+			Session: session, Kind: histcheck.KindWrite, Op: "delete", Path: path,
 			Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
@@ -257,8 +258,8 @@ func run(s Scenario, traced bool) *Result {
 	doGet := func(c *fkclient.Client, session, path string) {
 		start := k.Now()
 		data, st, err := c.GetData(path)
-		record(Event{
-			Session: session, Kind: KindRead, Op: "get", Path: path, Value: string(data),
+		record(histcheck.Event{
+			Session: session, Kind: histcheck.KindRead, Op: "get", Path: path, Value: string(data),
 			Mzxid: st.Mzxid, Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
@@ -266,13 +267,13 @@ func run(s Scenario, traced bool) *Result {
 	doMulti := func(c *fkclient.Client, session string, ops ...txn.Op) error {
 		start := k.Now()
 		results, err := c.Multi(ops...)
-		ev := Event{
-			Session: session, Kind: KindMulti, Op: "multi", Path: ops[0].Path,
+		ev := histcheck.Event{
+			Session: session, Kind: histcheck.KindMulti, Op: "multi", Path: ops[0].Path,
 			Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		}
 		for i, op := range ops {
-			sub := SubOp{Op: opName(op.Type), Path: op.Path, Value: string(op.Data)}
+			sub := histcheck.SubOp{Op: opName(op.Type), Path: op.Path, Value: string(op.Data)}
 			if i < len(results) {
 				sub.Code = results[i].Code
 				sub.Txid = results[i].Txid
@@ -425,8 +426,8 @@ func run(s Scenario, traced bool) *Result {
 			for n := 0; n < s.OpsPerClient; n++ {
 				fired := false
 				cb := func(note core.Notification) {
-					record(Event{
-						Session: watcherID, Kind: KindWatchFire, Path: note.Path,
+					record(histcheck.Event{
+						Session: watcherID, Kind: histcheck.KindWatchFire, Path: note.Path,
 						Mzxid: note.Txid, WatchID: note.WatchID,
 						Start: k.Now(), End: k.Now(),
 					})
@@ -434,8 +435,8 @@ func run(s Scenario, traced bool) *Result {
 				}
 				start := k.Now()
 				_, st, err := c.GetDataW(watchPath, cb)
-				record(Event{
-					Session: watcherID, Kind: KindWatchArm, Path: watchPath,
+				record(histcheck.Event{
+					Session: watcherID, Kind: histcheck.KindWatchArm, Path: watchPath,
 					Mzxid: st.Mzxid, WatchID: wid, Start: start, End: k.Now(),
 					Err: errStr(err),
 				})
@@ -471,8 +472,8 @@ func run(s Scenario, traced bool) *Result {
 		// writes the root's data every third op, a second writer writes
 		// the root's data meanwhile, and a watcher keeps a child watch on
 		// the root re-armed and reads every node its arming read listed.
-		// The checker judges the watch by child sets (Check's lost-watch
-		// rule) and each listed node by its read (listed-unreadable).
+		// histcheck.Check judges the watch by child sets (lost-watch) and
+		// each listed node by its read (listed-unreadable).
 		if d.NumShards() > 1 {
 			done.Go("rootchurn", func() {
 				c, err := fkclient.Connect(d, "rootchurn", home)
@@ -639,7 +640,7 @@ func run(s Scenario, traced bool) *Result {
 					k.Sleep(5 * time.Second)
 				}
 				if !evicted {
-					res.Violations = append(res.Violations, Violation{
+					res.Violations = append(res.Violations, histcheck.Violation{
 						Invariant: "ephemeral-reaping", Session: cr.id, Path: cr.path,
 						Detail: "ephemeral of crashed session still readable 90s after crash",
 					})
@@ -652,7 +653,7 @@ func run(s Scenario, traced bool) *Result {
 			walk = func(path string) {
 				n, _, err := store.Read(ctx, path)
 				if err != nil {
-					res.Violations = append(res.Violations, Violation{
+					res.Violations = append(res.Violations, histcheck.Violation{
 						Invariant: "tree-integrity", Path: path,
 						Detail: fmt.Sprintf("unreadable: %v", err),
 					})
@@ -661,12 +662,12 @@ func run(s Scenario, traced bool) *Result {
 				for _, child := range n.Children {
 					childPath := znode.Join(path, child)
 					if cn, _, err := store.Read(ctx, childPath); err != nil {
-						res.Violations = append(res.Violations, Violation{
+						res.Violations = append(res.Violations, histcheck.Violation{
 							Invariant: "tree-integrity", Path: childPath,
 							Detail: fmt.Sprintf("listed by %s but unreadable: %v", path, err),
 						})
 					} else if cn.Path != childPath {
-						res.Violations = append(res.Violations, Violation{
+						res.Violations = append(res.Violations, histcheck.Violation{
 							Invariant: "tree-integrity", Path: childPath,
 							Detail: fmt.Sprintf("stored under wrong path %s", cn.Path),
 						})
@@ -678,7 +679,7 @@ func run(s Scenario, traced bool) *Result {
 			walk(znode.Root)
 			// At rest the user store agrees with the system store.
 			for _, f := range d.AtRest(ctx) {
-				res.Violations = append(res.Violations, Violation{Invariant: "at-rest", Detail: f})
+				res.Violations = append(res.Violations, histcheck.Violation{Invariant: "at-rest", Detail: f})
 			}
 		})
 		auditBy := k.Now() + sim.Time(auditDeadline)
@@ -696,13 +697,12 @@ func run(s Scenario, traced bool) *Result {
 	if traced {
 		res.Spans = d.Obs.Tracer.Spans()
 		for _, f := range d.Obs.Verify() {
-			res.Violations = append(res.Violations, Violation{Invariant: f.Rule, Detail: f.Detail})
+			res.Violations = append(res.Violations, histcheck.Violation{Invariant: f.Rule, Detail: f.Detail})
 		}
 	}
 	k.Shutdown()
 
-	res.Violations = append(res.Violations, Check(h, CheckOpts{
-		SwapPairs:    swapPairs,
+	res.Violations = append(res.Violations, histcheck.Check(h, histcheck.CheckOpts{
 		OpenSessions: map[string]bool{watcherID: true, rootWatcherID: true},
 		Shards:       d.NumShards(),
 	})...)
@@ -733,25 +733,25 @@ func topLevelPerShard(shards int) []string {
 // An arm that does not fire within 30 s gathers two children reads as
 // the checker's evidence and ends the loop. The session stays open, so a
 // silent arm at history end is judged.
-func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, record func(Event), get func(path string)) {
+func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, record func(histcheck.Event), get func(path string)) {
 	wid := core.WatchID(znode.Root, core.WatchChild)
 	children := func() {
 		start := k.Now()
 		kids, err := c.GetChildren(znode.Root)
-		record(Event{Session: session, Kind: KindRead, Op: "children", Path: znode.Root,
+		record(histcheck.Event{Session: session, Kind: histcheck.KindRead, Op: "children", Path: znode.Root,
 			Children: kids, Start: start, End: k.Now(), Err: errStr(err)})
 	}
 	armErrs := 0
 	for n := 0; n < arms; n++ {
 		fired := false
 		cb := func(note core.Notification) {
-			record(Event{Session: session, Kind: KindWatchFire, Path: note.Path,
+			record(histcheck.Event{Session: session, Kind: histcheck.KindWatchFire, Path: note.Path,
 				Mzxid: note.Txid, WatchID: note.WatchID, Start: k.Now(), End: k.Now()})
 			fired = true
 		}
 		start := k.Now()
 		kids, err := c.GetChildrenW(znode.Root, cb)
-		record(Event{Session: session, Kind: KindWatchArm, Op: "children", Path: znode.Root,
+		record(histcheck.Event{Session: session, Kind: histcheck.KindWatchArm, Op: "children", Path: znode.Root,
 			Children: kids, WatchID: wid, Start: start, End: k.Now(), Err: errStr(err)})
 		if err != nil {
 			if armErrs++; armErrs >= 3 {

@@ -72,10 +72,10 @@ var common = []testCase{
 		e.must("connect", err)
 		_, err = s.Create("/", nil, 0)
 		e.is("create /", err, faaskeeper.ErrNodeExists)
-		e.is("delete an empty /", s.Delete("/", -1), faaskeeper.ErrSystemError)
+		e.is("delete an empty /", s.Delete("/", -1), faaskeeper.ErrBadArguments)
 		e.must("close", s.Close())
 		c := e.client()
-		e.is("delete /", c.Delete("/", -1), faaskeeper.ErrSystemError)
+		e.is("delete /", c.Delete("/", -1), faaskeeper.ErrBadArguments)
 		if st, err := c.Exists("/"); err != nil || st == nil {
 			e.Errorf("exists / after its deletes were refused: %v %v", st, err)
 		}

@@ -57,9 +57,13 @@ import (
 //     by construction; a record lists its node's shard's txids only.
 //   - The distributor's fold stamps (foldChange, foldParent, spliceInto):
 //     same shard by construction; a fold is one shard's.
-//   - chaos.Check: write-txid-order keys by minting shard; the per-path
-//     rules keep to one shard, and a child watch on the root is judged by
-//     child sets, not txids.
+//   - histcheck.Check: its Z2 clause (write-txid-order) keys by minting
+//     shard; its bounds are per session and path, and a path's versions
+//     come from one shard (a multi()'s paths share it), so every other
+//     order is same shard by construction; duplicate-txid and
+//     phantom-notification test txids for equality only, which global
+//     uniqueness makes exact; a child watch on the root is judged by child
+//     sets, not txids.
 func ShardOf(path string, n int) int { return shardmap.DefaultShard(path, n) }
 
 // shardTxid interleaves per-shard queue sequence numbers into globally

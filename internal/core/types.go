@@ -54,8 +54,9 @@ const (
 	CodeNoChildrenEph Code = "no_children_for_ephemerals"
 	CodeSystemError   Code = "system_error"
 	CodeTooLarge      Code = "too_large"
-	CodeTxnAborted    Code = "txn_aborted" // multi() rolled back: a sibling op failed
-	CodeCrossShard    Code = "cross_shard" // multi() writes more than one shard
+	CodeTxnAborted    Code = "txn_aborted"   // multi() rolled back: a sibling op failed
+	CodeCrossShard    Code = "cross_shard"   // multi() writes more than one shard
+	CodeBadArguments  Code = "bad_arguments" // a request no state can satisfy: delete /
 )
 
 // Client-facing errors corresponding to result codes.
@@ -70,6 +71,7 @@ var (
 	ErrSessionClosed = errors.New("faaskeeper: session closed")
 	ErrTxnAborted    = errors.New("faaskeeper: transaction aborted")
 	ErrCrossShard    = errors.New("faaskeeper: transaction spans write shards")
+	ErrBadArguments  = errors.New("faaskeeper: bad arguments")
 	// ErrTimeout is returned when a request receives no answer in time.
 	ErrTimeout = errors.New("fkclient: request timed out")
 )
@@ -95,6 +97,8 @@ func CodeError(c Code) error {
 		return ErrTxnAborted
 	case CodeCrossShard:
 		return ErrCrossShard
+	case CodeBadArguments:
+		return ErrBadArguments
 	default:
 		return fmt.Errorf("%w: %s", ErrSystemError, c)
 	}

@@ -35,7 +35,7 @@ import (
 func splicesParent(op OpCode) bool { return op == OpCreate || op == OpDelete }
 
 // checkPath is the table's pre-lock stage: the root always exists and can
-// never be deleted.
+// never be deleted (ZooKeeper's BADARGUMENTS, a definite refusal).
 func checkPath(op OpCode, path string) Code {
 	switch {
 	case path != znode.Root:
@@ -43,7 +43,7 @@ func checkPath(op OpCode, path string) Code {
 	case op == OpCreate:
 		return CodeNodeExists
 	case op == OpDelete:
-		return CodeSystemError
+		return CodeBadArguments
 	}
 	return CodeOK
 }

@@ -81,7 +81,7 @@ func TestWriteOpTable(t *testing.T) {
 		{"delete wrong version", OpDelete, "/p/n", 2, live, parent, atNode, CodeBadVersion},
 		{"delete with children", OpDelete, "/p/n", 3, withKids, parent, atNode, CodeNotEmpty},
 		{"delete under an ephemeral", OpDelete, "/p/n", 3, live, ephemera, "", CodeOK},
-		{"delete the root", OpDelete, "/", -1, live, missing, atPath, CodeSystemError},
+		{"delete the root", OpDelete, "/", -1, live, missing, atPath, CodeBadArguments},
 		{"delete unlinked", OpDelete, "/p/n", 3, live, unlinked, atNode, CodeSystemError},
 		{"delete under a missing parent", OpDelete, "/p/n", 3, live, missing, atNode, CodeSystemError},
 		// ZooKeeper's order: no_node, bad_version, not_empty, then the link.
@@ -218,7 +218,7 @@ func TestSingleOpMatchesOneOpMulti(t *testing.T) {
 		{"delete wrong version", node, txn.Delete("/p/n", 5), CodeBadVersion},
 		{"delete missing", parent, txn.Delete("/p/n", -1), CodeNoNode},
 		{"delete with children", node, txn.Delete("/p", -1), CodeNotEmpty},
-		{"delete the root", parent, txn.Delete("/", -1), CodeSystemError},
+		{"delete the root", parent, txn.Delete("/", -1), CodeBadArguments},
 		{"delete unlinked", seq(node, unlink), txn.Delete("/p/n", -1), CodeSystemError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

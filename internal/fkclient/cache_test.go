@@ -721,7 +721,7 @@ func TestCacheReadAfterWriteIsTimely(t *testing.T) {
 		if _, err := w.SetData("/t", []byte("v1"), -1); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		k.Sleep(6 * time.Second) // past chaos.Timeliness
+		k.Sleep(6 * time.Second) // past histcheck.Timeliness
 		data, _, err := r.GetData("/t")
 		if err != nil {
 			t.Fatalf("late read: %v", err)

@@ -2,8 +2,7 @@ package fkclient_test
 
 // The watch claim's round seen from the client: its two writes — the clear
 // of the fired group and the epoch append — land in either order, and no
-// history tells. An external test package, so it can judge histories with
-// package chaos, which imports fkclient.
+// history tells: histcheck.Check finds nothing in the recorded history.
 
 import (
 	"fmt"
@@ -11,9 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"faaskeeper/internal/chaos"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/fkclient"
+	"faaskeeper/internal/histcheck"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -43,7 +42,7 @@ func (h *holdProcs) OpDelay() sim.Time {
 // process of its own the epoch append: holding the handler's operations
 // open makes the append land first, so the other shard's opening read can
 // see the id while the registration is still on /a's record; holding the
-// append's makes the clear land first. Either way chaos.Check finds nothing
+// append's makes the clear land first. Either way histcheck.Check finds nothing
 // in the history, and the watcher hears of every set.
 func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 	for _, tc := range []struct{ name, prefix string }{
@@ -64,7 +63,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 					b = p
 				}
 			}
-			h := &chaos.History{}
+			h := &histcheck.History{}
 			var acked, heard []int64
 			k.Go("main", func() {
 				connect := func(id string) *fkclient.Client {
@@ -87,7 +86,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 					} else {
 						st, err = c.SetData(path, []byte(value), -1)
 					}
-					h.Add(chaos.Event{Session: session, Kind: chaos.KindWrite, Op: op, Path: path, Value: value,
+					h.Add(histcheck.Event{Session: session, Kind: histcheck.KindWrite, Op: op, Path: path, Value: value,
 						Mzxid: st.Mzxid, Start: start, End: k.Now(), Err: errStr(err)})
 					if err != nil {
 						t.Errorf("%s %s %s: %v", session, op, path, err)
@@ -101,7 +100,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 				wid := core.WatchID(a, core.WatchData)
 				var arm func()
 				cb := func(n core.Notification) {
-					h.Add(chaos.Event{Session: "v", Kind: chaos.KindWatchFire, Path: n.Path,
+					h.Add(histcheck.Event{Session: "v", Kind: histcheck.KindWatchFire, Path: n.Path,
 						Mzxid: n.Txid, WatchID: n.WatchID, Start: k.Now(), End: k.Now()})
 					heard = append(heard, n.Txid)
 					arm()
@@ -109,7 +108,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 				arm = func() {
 					start := k.Now()
 					_, st, err := v.GetDataW(a, cb)
-					h.Add(chaos.Event{Session: "v", Kind: chaos.KindWatchArm, Path: a,
+					h.Add(histcheck.Event{Session: "v", Kind: histcheck.KindWatchArm, Path: a,
 						Mzxid: st.Mzxid, WatchID: wid, Start: start, End: k.Now(), Err: errStr(err)})
 					if err != nil {
 						t.Errorf("arm %s: %v", a, err)
@@ -129,7 +128,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 						for _, p := range []string{b, a} {
 							start := k.Now()
 							data, st, err := r.GetData(p)
-							h.Add(chaos.Event{Session: "r", Kind: chaos.KindRead, Op: "get", Path: p, Value: string(data),
+							h.Add(histcheck.Event{Session: "r", Kind: histcheck.KindRead, Op: "get", Path: p, Value: string(data),
 								Mzxid: st.Mzxid, Start: start, End: k.Now(), Err: errStr(err)})
 						}
 						k.Sleep(20 * time.Millisecond)
@@ -145,7 +144,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 			k.Run()
 			k.Shutdown()
 
-			if vs := chaos.Check(h, chaos.CheckOpts{OpenSessions: map[string]bool{"v": true}}); len(vs) > 0 {
+			if vs := histcheck.Check(h, histcheck.CheckOpts{OpenSessions: map[string]bool{"v": true}}); len(vs) > 0 {
 				t.Errorf("%d violations, first: %s", len(vs), vs[0])
 			}
 			if len(acked) != sets || len(heard) != sets {

@@ -9,13 +9,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"regexp"
-	"sort"
-	"strconv"
-	"strings"
 	"testing"
 
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/histcheck"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 	"faaskeeper/internal/znode"
@@ -178,13 +175,17 @@ func TestSingleShardTraceIdentical(t *testing.T) {
 // single leader queue backs up, so invocations carry several messages and
 // same-path transaction chains — the shapes the sequential trace never
 // produces. Every response, read and notification is rendered with its
-// virtual timestamp.
-func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
+// virtual timestamp, and recorded as a history for histcheck.Check. No
+// fault is injected, so every refusal is recorded as definite.
+func concurrentTraceWorkload(t *testing.T, cfg core.Config) ([]byte, *histcheck.History) {
 	t.Helper()
 	var buf bytes.Buffer
+	h := &histcheck.History{}
 	k := sim.NewKernel(4321)
 	d := core.NewDeployment(k, cfg)
 	paths := []string{"/s1", "/s2"}
+	opName := map[core.OpCode]string{core.OpCreate: "create", core.OpSetData: "set", core.OpDelete: "delete"}
+	announces := map[core.EventType]string{core.EventDataChanged: "set", core.EventDeleted: "delete"}
 	for i := 0; i < 3; i++ {
 		i := i
 		id := fmt.Sprintf("c%d", i)
@@ -194,38 +195,72 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 				t.Errorf("connect %s: %v", id, err)
 				return
 			}
+			// An acked create or set answers with the node's Stat at its
+			// txid; a create's at version 0. The history carries the txid.
+			write := func(op core.OpCode, path string, start sim.Time, resp core.Response, err error) {
+				if err == nil && op != core.OpDelete && (resp.Stat.Mzxid != resp.Txid || op == core.OpCreate && resp.Stat.Version != 0) {
+					t.Errorf("%s %s %s acked at txid %d with mzxid %d, version %d", id, opName[op], path, resp.Txid, resp.Stat.Mzxid, resp.Stat.Version)
+				}
+				e := histcheck.Event{Session: id, Kind: histcheck.KindWrite, Op: opName[op], Path: path,
+					Mzxid: resp.Txid, Version: resp.Stat.Version, Start: start, End: k.Now(), Definite: err != nil}
+				if op != core.OpDelete {
+					e.Value = id
+				}
+				if err != nil {
+					e.Err = err.Error()
+				}
+				h.Add(e)
+			}
 			// The first create of each path is synchronous so the watch
 			// below has a node to attach to; everything after is pipelined.
 			for _, p := range paths {
-				_, err := c.Create(p, []byte(id), 0)
+				start := k.Now()
+				resp, err := c.await(c.submitWrite(core.OpCreate, p, []byte(id), -1, 0))
 				fmt.Fprintf(&buf, "%d %s create %s err=%v\n", k.Now(), id, p, err)
+				write(core.OpCreate, p, start, resp, err)
 			}
 			if i == 0 {
+				start := k.Now()
 				_, st, err := c.GetDataW(paths[0], func(n core.Notification) {
 					fmt.Fprintf(&buf, "%d %s notify %s ev=%v txid=%d\n", k.Now(), id, n.Path, n.Event, n.Txid)
+					h.Add(histcheck.Event{Session: id, Kind: histcheck.KindWatchFire, Op: announces[n.Event], Path: n.Path,
+						Mzxid: n.Txid, WatchID: n.WatchID, Start: k.Now(), End: k.Now()})
 				})
 				fmt.Fprintf(&buf, "%d %s watch %s v=%d mzxid=%d err=%v\n", k.Now(), id, paths[0], st.Version, st.Mzxid, err)
+				if err == nil {
+					h.Add(histcheck.Event{Session: id, Kind: histcheck.KindWatchArm, Path: paths[0], Mzxid: st.Mzxid,
+						WatchID: core.WatchID(paths[0], core.WatchData), Start: start, End: k.Now()})
+				}
 			}
 			type sub struct {
-				op   core.OpCode
-				path string
-				fut  *sim.Future[core.Response]
+				op    core.OpCode
+				path  string
+				start sim.Time
+				fut   *sim.Future[core.Response]
 			}
 			var subs []sub
 			for j := range paths {
 				p := paths[(i+j)%len(paths)]
 				for _, op := range []core.OpCode{core.OpSetData, core.OpSetData, core.OpDelete, core.OpCreate} {
-					subs = append(subs, sub{op, p, c.submitWrite(op, p, []byte(id), -1, 0)})
+					subs = append(subs, sub{op, p, k.Now(), c.submitWrite(op, p, []byte(id), -1, 0)})
 				}
 			}
 			for _, s := range subs {
 				resp, err := c.await(s.fut)
 				fmt.Fprintf(&buf, "%d %s %s %s v=%d mzxid=%d txid=%d err=%v\n",
 					k.Now(), id, s.op, s.path, resp.Stat.Version, resp.Stat.Mzxid, resp.Txid, err)
+				write(s.op, s.path, s.start, resp, err)
 			}
 			for _, p := range paths {
+				start := k.Now()
 				data, st, err := c.GetData(p)
 				fmt.Fprintf(&buf, "%d %s get %s:%s v=%d mzxid=%d err=%v\n", k.Now(), id, p, data, st.Version, st.Mzxid, err)
+				e := histcheck.Event{Session: id, Kind: histcheck.KindRead, Op: "get", Path: p, Value: string(data),
+					Mzxid: st.Mzxid, Start: start, End: k.Now(), Definite: err != nil}
+				if err != nil {
+					e.Err = err.Error()
+				}
+				h.Add(e)
 			}
 			err = c.Close()
 			fmt.Fprintf(&buf, "%d %s close err=%v\n", k.Now(), id, err)
@@ -233,7 +268,7 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 	}
 	k.Run()
 	k.Shutdown()
-	return buf.Bytes()
+	return buf.Bytes(), h
 }
 
 // concurrentTraceSHA256 pins concurrentTraceWorkload on the default
@@ -250,8 +285,8 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // 6 on the lines differ in content, not only in timestamp (c1's second set
 // of /s2 now beats c0's re-create of /s1 to the leader queue, two sets lose
 // to a delete that used to come later). What must not depend on who wins is
-// checked by checkConcurrentTrace on every run, so the pin is not the only
-// thing standing behind this trace.
+// checked by the trace's history check on every run, so the pin is not the
+// only thing standing behind this trace.
 //
 // Re-pinned a second time (from 95d15d01…ec8073) for the leader's opening
 // read (see singleShardTraceSHA256): every invocation reaches its first flush
@@ -259,7 +294,7 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // first 11 of the 41 lines keep their content, from line 12 on (c0's
 // re-create of /s1 now beats c1's first set of /s2 to the leader queue) they
 // differ, and this history happens to end later, at 2 421 420 899 ns: still
-// 8 writes lose a race, but other ones. checkConcurrentTrace passes on it.
+// 8 writes lose a race, but other ones. The history check passes on it.
 //
 // Re-pinned a third time (from b54ef3dd…fd32) for the carried pop (see
 // singleShardTraceSHA256): an invocation's last pop now runs under the next
@@ -268,7 +303,7 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // from line 13 on (c1's first set of /s2 now reaches the leader ahead of
 // c0's) the races go other ways — 10 lines carry an error where 8 did, c0's
 // delete and re-create of /s2 among them — and the history ends at
-// 2 116 776 222 ns, was 2 421 420 899. checkConcurrentTrace passes on it.
+// 2 116 776 222 ns, was 2 421 420 899. The history check passes on it.
 //
 // Re-pinned a fourth time (from 91f707d2…8664) for the watch claim on the
 // commit check's read (see singleShardTraceSHA256). The first 12 of the lines
@@ -277,7 +312,7 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // registration's frontier and returns the node (mzxid 1) where it answered
 // no_node. From there the races go other ways — 14 lines carry an error
 // where 10 did — and the history ends at 2 034 072 048 ns, was
-// 2 116 776 222. checkConcurrentTrace passes on it.
+// 2 116 776 222. The history check passes on it.
 //
 // Re-pinned a fifth time (from a5ac0d44…3eca) for the watch claim's one
 // parallel round (see singleShardTraceSHA256): the write that fires c0's
@@ -286,7 +321,7 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // first 15 of the 41 lines keep their content; from line 16 on (c0's set of
 // /s2 now commits ahead of c2's set of /s1) the races go other ways — 7
 // lines carry an error where 14 did — and the history ends at
-// 2 141 009 836 ns, was 2 034 072 048. checkConcurrentTrace passes on it.
+// 2 141 009 836 ns, was 2 034 072 048. The history check passes on it.
 //
 // Re-pinned a sixth time (from c4fae2c4…bbd4) for the one-shard claim
 // round run under the flush (see singleShardTraceSHA256): the write that
@@ -296,7 +331,7 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // from line 8 on (c0's set of /s1, the write that fires the watch, is now
 // answered ahead of c2's failed set of /s1) the races go other ways — 8
 // lines carry an error where 7 did — and the history ends at
-// 1 971 271 333 ns, was 2 141 009 836. checkConcurrentTrace passes on it.
+// 1 971 271 333 ns, was 2 141 009 836. The history check passes on it.
 //
 // Re-pinned a seventh time (from 07211e2c…559a) for the opening read that
 // skips the epoch item on the slot's word (see singleShardTraceSHA256): the
@@ -304,137 +339,26 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) []byte {
 // the 41 lines keep their content; from line 9 on (c2's failed set of /s1
 // is now answered ahead of c0's notification) the races go other ways — 10
 // lines carry an error where 8 did — and the history ends at
-// 1 768 881 233 ns, was 1 971 271 333. checkConcurrentTrace passes on it.
+// 1 768 881 233 ns, was 1 971 271 333. The history check passes on it.
 const concurrentTraceSHA256 = "457f8fbc99fbc73e33a849a7c15cdbe6f13a9f6ab20c9aeec0b3fadb62b56d83"
 
 // TestConcurrentTraceIdentical: the concurrent default-config trace matches
-// its golden hash, with and without an explicit WriteShards: 1, and is a
-// legal ZooKeeper history whichever way its races went.
+// its golden hash, with and without an explicit WriteShards: 1, and its
+// history is a legal ZooKeeper history whichever way its races went:
+// histcheck.Check replays every path's acked writes in txid order and
+// judges each session's answers, reads and notification against them.
 func TestConcurrentTraceIdentical(t *testing.T) {
-	base := concurrentTraceWorkload(t, core.Config{})
-	one := concurrentTraceWorkload(t, core.Config{WriteShards: 1})
+	base, h := concurrentTraceWorkload(t, core.Config{})
+	one, _ := concurrentTraceWorkload(t, core.Config{WriteShards: 1})
 	if !bytes.Equal(base, one) {
 		t.Fatalf("WriteShards:1 trace differs from default:\n--- default ---\n%s--- shards=1 ---\n%s", base, one)
 	}
-	checkConcurrentTrace(t, base)
+	for _, v := range histcheck.Check(h, histcheck.CheckOpts{}) {
+		t.Errorf("%s", v)
+	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(base)); got != concurrentTraceSHA256 {
 		t.Fatalf("concurrent trace drifted from the paper-faithful pipeline:\nhash %s (golden %s)\ntrace:\n%s",
 			got, concurrentTraceSHA256, base)
-	}
-}
-
-var (
-	traceWriteLine  = regexp.MustCompile(`^\d+ (\w+) (set_data|delete|create) (\S+) v=(\d+) mzxid=(\d+) txid=(\d+) err=(.*)$`)
-	traceNotifyLine = regexp.MustCompile(`^\d+ (\w+) notify (\S+) ev=(\w+) txid=(\d+)$`)
-	traceGetLine    = regexp.MustCompile(`^\d+ (\w+) get (\S+):(\w*) v=(\d+) mzxid=(\d+) err=(.*)$`)
-)
-
-// checkConcurrentTrace asserts on a rendered concurrentTraceWorkload trace
-// what holds however its create/delete races resolve: the leader answers
-// each session in submission order; replayed in txid order, every path's
-// acknowledged writes form a legal history with strictly increasing mzxid;
-// the one armed watch fires at most once, for a write that happened; and
-// every final read returns a state some acknowledged write produced, no
-// older than the reader's own last write.
-func checkConcurrentTrace(t *testing.T, trace []byte) {
-	t.Helper()
-	type write struct {
-		session, op, path string
-		v, mzxid, txid    int64
-	}
-	num := func(s string) int64 { n, _ := strconv.ParseInt(s, 10, 64); return n }
-	var writes []write
-	lastTxid := map[string]int64{}            // session -> newest txid answered
-	ownMzxid := map[[2]string]int64{}         // (session, path) -> newest own mzxid
-	produced := map[string]map[int64]string{} // path -> mzxid -> data written
-	deleted := map[string]bool{}              // path -> some delete was acknowledged
-	var notified []write
-	for _, line := range strings.Split(strings.TrimSpace(string(trace)), "\n") {
-		if m := traceWriteLine.FindStringSubmatch(line); m != nil && m[7] == "<nil>" {
-			w := write{m[1], m[2], m[3], num(m[4]), num(m[5]), num(m[6])}
-			if w.txid <= lastTxid[w.session] {
-				t.Errorf("%s answered txid %d after txid %d: not in submission order\n%s", w.session, w.txid, lastTxid[w.session], line)
-			}
-			lastTxid[w.session] = w.txid
-			writes = append(writes, w)
-		} else if m := traceNotifyLine.FindStringSubmatch(line); m != nil {
-			notified = append(notified, write{session: m[1], path: m[2], op: m[3], txid: num(m[4])})
-		}
-	}
-	sort.Slice(writes, func(i, j int) bool { return writes[i].txid < writes[j].txid })
-	// Both paths exist at version 0 once the synchronous creates are through.
-	type state struct {
-		exists         bool
-		version, mzxid int64
-	}
-	nodes := map[string]*state{}
-	for i, w := range writes {
-		if i > 0 && w.txid == writes[i-1].txid {
-			t.Errorf("txid %d acknowledged twice", w.txid)
-		}
-		n := nodes[w.path]
-		if n == nil {
-			n = &state{exists: true}
-			nodes[w.path] = n
-			produced[w.path] = map[int64]string{}
-		}
-		switch w.op {
-		case "set_data":
-			n.version++
-			if !n.exists || w.v != n.version || w.mzxid != w.txid {
-				t.Errorf("illegal at txid %d: %+v on %+v", w.txid, w, *n)
-			}
-		case "create":
-			if n.exists || w.v != 0 || w.mzxid != w.txid {
-				t.Errorf("illegal at txid %d: %+v on %+v", w.txid, w, *n)
-			}
-			n.exists, n.version = true, 0
-		case "delete":
-			if !n.exists {
-				t.Errorf("illegal at txid %d: delete of a deleted node", w.txid)
-			}
-			n.exists, deleted[w.path] = false, true
-		}
-		if w.op != "delete" {
-			if w.mzxid <= n.mzxid {
-				t.Errorf("%s: mzxid %d after %d", w.path, w.mzxid, n.mzxid)
-			}
-			n.mzxid = w.mzxid
-			produced[w.path][w.mzxid] = w.session // every write's data is its session id
-			ownMzxid[[2]string{w.session, w.path}] = w.mzxid
-		}
-	}
-	if len(notified) > 1 {
-		t.Errorf("the one-shot watch fired %d times", len(notified))
-	}
-	for _, n := range notified {
-		ok := false
-		for _, w := range writes {
-			ok = ok || (w.txid == n.txid && w.path == n.path &&
-				(w.op == "set_data" && n.op == "data_changed" || w.op == "delete" && n.op == "deleted"))
-		}
-		if !ok {
-			t.Errorf("notification %+v matches no acknowledged write", n)
-		}
-	}
-	for _, line := range strings.Split(string(trace), "\n") {
-		m := traceGetLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		session, path, data, mzxid := m[1], m[2], m[3], num(m[5])
-		if m[6] != "<nil>" {
-			if !deleted[path] {
-				t.Errorf("%s: %s reads as missing, but no delete was acknowledged", session, path)
-			}
-			continue
-		}
-		if by, ok := produced[path][mzxid]; !ok || by != data {
-			t.Errorf("%s read %s = %q at mzxid %d, which no acknowledged write produced", session, path, data, mzxid)
-		}
-		if own := ownMzxid[[2]string{session, path}]; mzxid < own {
-			t.Errorf("%s read %s at mzxid %d, older than its own write at %d", session, path, mzxid, own)
-		}
 	}
 }
 

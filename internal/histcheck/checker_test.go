@@ -1,4 +1,4 @@
-package chaos
+package histcheck
 
 // Self-tests for the history checker: hand-crafted known-bad histories it
 // must flag, and a known-good history it must pass. A checker that cannot
@@ -26,7 +26,6 @@ func hasViolation(vs []Violation, invariant string) bool {
 
 func checkH(events ...Event) []Violation {
 	return Check(&History{Events: events}, CheckOpts{
-		SwapPairs:    [][2]string{{"/swp/a", "/swp/b"}},
 		OpenSessions: map[string]bool{"w": true},
 	})
 }

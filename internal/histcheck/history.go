@@ -1,4 +1,10 @@
-package chaos
+// Package histcheck judges a recorded client-visible history of a
+// FaaSKeeper (or ZooKeeper) run against one model of the guarantees the
+// paper claims: atomic updates, linearized writes, a single system image
+// and ordered notifications (Z1–Z4), plus multi() atomicity, timeliness and
+// lost-watch freedom. It imports no client, so the chaos harness and the
+// client's own tests both record histories for it.
+package histcheck
 
 import (
 	"encoding/json"
@@ -30,15 +36,17 @@ type SubOp struct {
 // history is totally ordered by End (equal timestamps keep completion
 // order).
 type Event struct {
-	Session string   `json:"session"`
-	Kind    string   `json:"kind"`
-	Op      string   `json:"op,omitempty"` // create|set|delete|get|children
-	Path    string   `json:"path"`
-	Value   string   `json:"value,omitempty"`
-	Mzxid   int64    `json:"mzxid,omitempty"` // observed mzxid / ack txid / fire txid / arm-read mzxid
-	Start   sim.Time `json:"start_ns"`
-	End     sim.Time `json:"end_ns"`
-	Err     string   `json:"err,omitempty"`
+	Session string `json:"session"`
+	Kind    string `json:"kind"`
+	// Op is create|set|delete|get|children; on a fire, the write it
+	// announces (set, delete, create) or empty when not recorded.
+	Op    string   `json:"op,omitempty"`
+	Path  string   `json:"path"`
+	Value string   `json:"value,omitempty"`
+	Mzxid int64    `json:"mzxid,omitempty"` // observed mzxid / ack txid / fire txid / arm-read mzxid
+	Start sim.Time `json:"start_ns"`
+	End   sim.Time `json:"end_ns"`
+	Err   string   `json:"err,omitempty"`
 	// Definite marks an error the validation pipeline produced before any
 	// commit (no_node, bad_version, ...): the operation certainly did not
 	// happen. Errors without it (system error, timeout) are indeterminate
@@ -49,6 +57,8 @@ type Event struct {
 	// Children is the sorted child list a children read or a child watch's
 	// arming read returned.
 	Children []string `json:"children,omitempty"`
+	// Version is an acked set's data version (0: not recorded).
+	Version int32 `json:"version,omitempty"`
 }
 
 // History is the recorded client-visible history of one scenario run.

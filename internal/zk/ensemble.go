@@ -3,6 +3,7 @@ package zk
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"faaskeeper/internal/cloud"
@@ -488,17 +489,22 @@ func (s *Server) sessionExpiryLoop() {
 		if !s.alive {
 			return
 		}
+		// Each submission draws from the kernel's random stream, so the
+		// expired sessions close in id order, not map order.
 		now := s.ens.env.K.Now()
-		for id, sess := range s.sessions {
+		var expired []*serverSession
+		for _, sess := range s.sessions {
 			if now-sess.lastHeard > s.ens.cfg.SessionTimeout && !sess.closing {
-				sess.closing = true
-				pw := &pendingWrite{
-					serverID: s.id, session: sess,
-					req: request{Op: OpCloseSession},
-				}
-				_ = id
-				s.submitWrite(pw)
+				expired = append(expired, sess)
 			}
+		}
+		slices.SortFunc(expired, func(a, b *serverSession) int { return strings.Compare(a.id, b.id) })
+		for _, sess := range expired {
+			sess.closing = true
+			s.submitWrite(&pendingWrite{
+				serverID: s.id, session: sess,
+				req: request{Op: OpCloseSession},
+			})
 		}
 	}
 }

@@ -82,9 +82,7 @@ func (t *tree) validate(session string, req request) (code core.Code, finalPath,
 		return core.CodeOK, req.Path, ""
 	case OpDelete:
 		if req.Path == znode.Root {
-			// Real ZooKeeper refuses with BADARGUMENTS; this answers as
-			// FaaSKeeper's follower does (core.checkPath).
-			return core.CodeSystemError, "", ""
+			return core.CodeBadArguments, "", "" // as ZooKeeper and core.checkPath
 		}
 		n, ok := t.nodes[req.Path]
 		if !ok {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -162,4 +163,45 @@ func TestWriteCountTracksCommits(t *testing.T) {
 			c.GetData("/") // ensure reads tracked separately
 		}
 	})
+}
+
+// TestSessionExpiryClosesInSeedOrder: two sessions on one server lapse at
+// the same tick, and the order their close-session writes commit in — the
+// zxids of their ephemerals' deletions, as an observer's watches report
+// them — is the same on every run of one seed. The expiry loop used to
+// submit the closes in map order.
+func TestSessionExpiryClosesInSeedOrder(t *testing.T) {
+	var want string
+	for run := 0; run < 20; run++ {
+		var got string
+		harness(t, 9, Config{SessionTimeout: 3 * time.Second}, time.Hour, func(k *sim.Kernel, e *Ensemble) {
+			obs, _ := Connect(e, 2)
+			defer obs.Close()
+			var dying []*Client
+			zxid := map[string]int64{}
+			for _, p := range []string{"/a", "/b", "/c", "/d"} {
+				c, _ := Connect(e, 1)
+				if _, err := c.Create(p, nil, znode.FlagEphemeral); err != nil {
+					t.Fatalf("create %s: %v", p, err)
+				}
+				dying = append(dying, c)
+			}
+			k.Sleep(time.Second)
+			for _, p := range []string{"/a", "/b", "/c", "/d"} {
+				if _, err := obs.ExistsW(p, func(n core.Notification) { zxid[n.Path] = n.Txid }); err != nil {
+					t.Fatalf("watch %s: %v", p, err)
+				}
+			}
+			for _, c := range dying {
+				c.Crash()
+			}
+			k.Sleep(15 * time.Second)
+			got = fmt.Sprint(zxid)
+		})
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d closed the sessions at %s, run 0 at %s", run, got, want)
+		}
+	}
 }
