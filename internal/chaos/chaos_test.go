@@ -196,6 +196,32 @@ func TestChaosCachingObjectAsOfItsTxid(t *testing.T) {
 	}
 }
 
+// TestChaosCreateTxidIsJudged: chaos records the txid of every create and
+// delete, so histcheck replays each path of a clean run in txid order, and a
+// private path's create moved past the path's later sets is flagged.
+func TestChaosCreateTxidIsJudged(t *testing.T) {
+	res := Run(scenarioFor(1010, "sharded"))
+	for _, v := range res.Violations {
+		t.Errorf("%s", v)
+	}
+	events := slices.Clone(res.History.Events)
+	i := slices.IndexFunc(events, func(e histcheck.Event) bool {
+		return e.Session == "p0" && e.Op == "create" && e.Err == ""
+	})
+	if i < 0 || events[i].Mzxid == 0 {
+		t.Fatalf("p0's create is not recorded with its txid: %+v", events[max(i, 0)])
+	}
+	events[i].Mzxid += 4 << 20 // the same minting shard, past every write
+	vs := histcheck.Check(&histcheck.History{Events: events}, histcheck.CheckOpts{
+		OpenSessions: map[string]bool{watcherID: true, rootWatcherID: true}, Shards: 4,
+	})
+	if !slices.ContainsFunc(vs, func(v histcheck.Violation) bool {
+		return v.Invariant == "illegal-write" && v.Path == events[i].Path
+	}) {
+		t.Errorf("create of %s moved to txid %d: no illegal-write among %v", events[i].Path, events[i].Mzxid, vs)
+	}
+}
+
 // TestChaosKnownList: the committed known-red list parses, names real
 // configs and no scenario twice for one rule, and triage logs exactly the
 // listed rule, fails an unlisted one, and flags a listed rule that no
@@ -411,42 +437,49 @@ func TestChaosInjectsFaults(t *testing.T) {
 }
 
 // TestTracingMovesNoEvent: spans and dollars are pure bookkeeping under
-// faults too, so a seed's history and virtual end time are the same traced
-// and untraced, on every row. TestTelemetryOffTraceByteIdentical (fkclient)
-// is the fault-free counterpart.
+// faults too, so a seed's history and virtual end time are the same traced,
+// cost-only and untraced, on every row. TestTelemetryOffTraceByteIdentical
+// (fkclient) is the fault-free counterpart.
 func TestTracingMovesNoEvent(t *testing.T) {
 	for row, cfg := range Configs() {
 		t.Run(cfg, func(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				s := scenarioFor(matrixSeedBase*int64(i+1)+int64(row), cfg)
-				on, off := run(s, true), run(s, false)
-				if on.Spans == nil || off.Spans != nil {
-					t.Fatalf("seed %d: traced run has %d spans, untraced %d", s.Seed, len(on.Spans), len(off.Spans))
+				off := run(s, modeOff)
+				if off.Spans != nil {
+					t.Fatalf("seed %d: untraced run has %d spans", s.Seed, len(off.Spans))
 				}
-				if !reflect.DeepEqual(on.History.Events, off.History.Events) || on.VirtualTime != off.VirtualTime {
-					t.Errorf("seed %d: tracing moved the run: %d events ending at %v traced, %d at %v untraced",
-						s.Seed, on.History.Len(), on.VirtualTime, off.History.Len(), off.VirtualTime)
-				}
-				for _, v := range on.Violations {
-					t.Errorf("seed %d traced: %s", s.Seed, v)
+				for _, m := range []mode{modeTraced, modeCostOnly} {
+					on := run(s, m)
+					if (on.Spans != nil) != (m == modeTraced) {
+						t.Fatalf("seed %d mode %d: %d spans", s.Seed, m, len(on.Spans))
+					}
+					if !reflect.DeepEqual(on.History.Events, off.History.Events) || on.VirtualTime != off.VirtualTime {
+						t.Errorf("seed %d mode %d: bookkeeping moved the run: %d events ending at %v, %d at %v untraced",
+							s.Seed, m, on.History.Len(), on.VirtualTime, off.History.Len(), off.VirtualTime)
+					}
+					for _, v := range on.Violations {
+						t.Errorf("seed %d mode %d: %s", s.Seed, m, v)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestTracedQuarter: the traced seeds are about a quarter of every row's
-// matrix seeds, so the PR smoke checks the span and cost rules on each row.
+// TestTracedQuarter: the traced seeds and the cost-only seeds are each
+// about a quarter of every row's matrix seeds, so the PR smoke checks the
+// span and cost rules, and the cost rules without spans, on each row.
 func TestTracedQuarter(t *testing.T) {
 	for row, cfg := range Configs() {
-		n := 0
+		n := map[mode]int{}
 		for i := 0; i < 64; i++ {
-			if traced(matrixSeedBase*int64(i+1) + int64(row)) {
-				n++
-			}
+			n[modeOf(matrixSeedBase*int64(i+1)+int64(row))]++
 		}
-		if n < 8 || n > 24 {
-			t.Errorf("%s: %d of the first 64 matrix seeds traced, want about 16", cfg, n)
+		for _, m := range []mode{modeTraced, modeCostOnly} {
+			if n[m] < 8 || n[m] > 24 {
+				t.Errorf("%s: %d of the first 64 matrix seeds in mode %d, want about 16", cfg, n[m], m)
+			}
 		}
 	}
 }

@@ -27,10 +27,6 @@ type Faults struct {
 	// 0 means DefaultCrashCap.
 	CrashCap int
 
-	// Stages restricts crash injection to the listed obs stage labels;
-	// empty means every instrumented stage is eligible.
-	Stages []string
-
 	// RedeliverProb is the probability that a successfully processed
 	// batch is delivered once more — the at-least-once duplicate.
 	RedeliverProb float64

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 
 	"faaskeeper/internal/sim"
@@ -12,10 +13,9 @@ import (
 // function of (seed, call sequence) and a replay with the same seed
 // injects exactly the same faults at the same points.
 type Injector struct {
-	f      Faults
-	rng    *rand.Rand
-	stages map[string]bool
-	cap    int
+	f   Faults
+	rng *rand.Rand
+	cap int
 
 	crashes map[string]int   // (stage|session|seq) -> injected crashes
 	counts  map[string]int64 // fault kind -> total injections
@@ -30,17 +30,9 @@ func NewInjector(seed int64, f Faults) *Injector {
 	if f.CrashCap <= 0 {
 		f.CrashCap = DefaultCrashCap
 	}
-	var stages map[string]bool
-	if len(f.Stages) > 0 {
-		stages = make(map[string]bool, len(f.Stages))
-		for _, s := range f.Stages {
-			stages[s] = true
-		}
-	}
 	return &Injector{
 		f:       f,
 		rng:     rand.New(rand.NewSource(seed ^ 0x5eedfa17)),
-		stages:  stages,
 		cap:     f.CrashCap,
 		crashes: map[string]int{},
 		counts:  map[string]int64{},
@@ -57,9 +49,6 @@ func (in *Injector) note(kind, detail string) {
 // Crash implements sim.FaultHook.
 func (in *Injector) Crash(stage, session string, seq int64) bool {
 	if in.f.CrashProb <= 0 {
-		return false
-	}
-	if in.stages != nil && !in.stages[stage] {
 		return false
 	}
 	// One draw per opportunity keeps the schedule deterministic even for
@@ -106,13 +95,7 @@ func (in *Injector) OpDelay() sim.Time {
 }
 
 // Counts returns a copy of the per-kind injection totals.
-func (in *Injector) Counts() map[string]int64 {
-	out := make(map[string]int64, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
+func (in *Injector) Counts() map[string]int64 { return maps.Clone(in.counts) }
 
 // Schedule returns the recorded fault schedule (bounded at maxLog
 // entries) — part of the failure artifact that makes a seed's run

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"faaskeeper/internal/cloud"
@@ -35,7 +36,7 @@ type Result struct {
 	FaultCounts map[string]int64
 	Schedule    []string // injector's fault log, for failure artifacts
 	VirtualTime sim.Time
-	Spans       []obs.Span // only on a traced seed (see traced)
+	Spans       []obs.Span // only on a traced seed (see modeOf)
 }
 
 // Failed reports whether the run found invariant violations.
@@ -129,20 +130,21 @@ func DeployConfig(name string) (core.Config, bool) {
 }
 
 // Workload layout. Shared paths take the randomized multi-writer traffic;
-// the swap pair is written only by atomic multis and probed in reverse
-// order; private paths have a single writing session each.
+// the swap pair is written by multi()s (and single-op sets of one half)
+// and probed in reverse order; private paths have a single writing session
+// each.
 var sharedRoots = []string{"/s0", "/s1", "/s2", "/s3"}
 
 const (
 	watchPath  = "/s0/x"
 	swapParent = "/swp"
-	swapA      = "/swp/a" // colocated pair: one shard, one multi() message
-	swapB      = "/swp/b"
+	swapA      = "/swp/a" // the swap pair: one multi() writes both, so they
+	swapB      = "/swp/b" // share their top-level node and with it a shard
 )
 
-// swapPairs lists the swap probes: pairs one multi() may write, so they
-// share their top-level node and with it a shard.
-var swapPairs = [][2]string{{swapA, swapB}}
+// pipeProcs is the number of processes that share the pipelined session's
+// client.
+const pipeProcs = 3
 
 // crasher is an ephemeral owner that stops answering heartbeats mid-run:
 // the settle phase must reap its ephemeral.
@@ -187,21 +189,40 @@ func errStr(err error) string {
 	return err.Error()
 }
 
-// traced reports whether a seed runs with spans and cost accounting on: a
-// quarter of seeds, picked by a hash of the seed alone, so a replayed seed
-// is traced as it was. (A matrix seed's low bits are its row's index.)
-func traced(seed int64) bool { return uint64(seed)*0x9E3779B97F4A7C15>>62 == 0 }
+// mode is what a run records beside its history: spans and dollars
+// (modeTraced), dollars alone (modeCostOnly), or neither.
+type mode int
+
+const (
+	modeOff mode = iota
+	modeTraced
+	modeCostOnly
+)
+
+// modeOf picks a seed's mode by a hash of the seed alone, so a replayed
+// seed runs as it did: a quarter of seeds traced, a quarter cost-only. (A
+// matrix seed's low bits are its row's index.)
+func modeOf(seed int64) mode {
+	switch uint64(seed) * 0x9E3779B97F4A7C15 >> 62 {
+	case 0:
+		return modeTraced
+	case 1:
+		return modeCostOnly
+	}
+	return modeOff
+}
 
 // Run executes one scenario: deploy, install the seeded injector, drive
 // the workload clients, settle, audit the end state, and check the
 // recorded history. On a traced seed it also checks the span and cost
-// rules (obs.Hub.Verify). It never calls testing APIs so the experiment
-// runner and the CLI share it with the test harness.
-func Run(s Scenario) *Result { return run(s, traced(s.Seed)) }
+// rules (obs.Hub.Verify), on a cost-only seed the cost rules. It never
+// calls testing APIs so the experiment runner and the CLI share it with
+// the test harness.
+func Run(s Scenario) *Result { return run(s, modeOf(s.Seed)) }
 
-// run is Run with tracing chosen by the caller. Spans and dollars are
+// run is Run with the mode chosen by the caller. Spans and dollars are
 // pure bookkeeping: they move no event of the run.
-func run(s Scenario, traced bool) *Result {
+func run(s Scenario, m mode) *Result {
 	s = s.withDefaults()
 	cfg, ok := DeployConfig(s.Config)
 	if !ok {
@@ -209,7 +230,7 @@ func run(s Scenario, traced bool) *Result {
 			Invariant: "harness", Detail: fmt.Sprintf("unknown config %q", s.Config),
 		}}}
 	}
-	cfg.Telemetry, cfg.CostAccounting = traced, traced
+	cfg.Telemetry, cfg.CostAccounting = m == modeTraced, m != modeOff
 
 	k := sim.NewKernel(s.Seed)
 	inj := NewInjector(s.Seed, s.Faults)
@@ -227,35 +248,17 @@ func run(s Scenario, traced bool) *Result {
 	}
 
 	// ---- recorded client-op wrappers -----------------------------------
-	doSet := func(c *fkclient.Client, session, path, value string) {
+	doWrite := func(c *fkclient.Client, session string, op core.OpCode, path, value string, flags znode.Flags) error {
 		start := k.Now()
-		st, err := c.SetData(path, []byte(value), -1)
+		resp, err := c.Write(op, path, []byte(value), -1, flags)
 		record(histcheck.Event{
-			Session: session, Kind: histcheck.KindWrite, Op: "set", Path: path, Value: value,
-			Mzxid: st.Mzxid, Version: st.Version, Start: start, End: k.Now(),
-			Err: errStr(err), Definite: err != nil && isDefinite(err),
-		})
-	}
-	doCreate := func(c *fkclient.Client, session, path, value string, flags znode.Flags) error {
-		start := k.Now()
-		_, err := c.Create(path, []byte(value), flags)
-		record(histcheck.Event{
-			Session: session, Kind: histcheck.KindWrite, Op: "create", Path: path, Value: value,
-			Start: start, End: k.Now(),
+			Session: session, Kind: histcheck.KindWrite, Op: opName(string(op)), Path: path, Value: value,
+			Mzxid: resp.Txid, Version: resp.Stat.Version, Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
 		return err
 	}
-	doDelete := func(c *fkclient.Client, session, path string) {
-		start := k.Now()
-		err := c.Delete(path, -1)
-		record(histcheck.Event{
-			Session: session, Kind: histcheck.KindWrite, Op: "delete", Path: path,
-			Start: start, End: k.Now(),
-			Err: errStr(err), Definite: err != nil && isDefinite(err),
-		})
-	}
-	doGet := func(c *fkclient.Client, session, path string) {
+	doGet := func(c *fkclient.Client, session, path string) znode.Stat {
 		start := k.Now()
 		data, st, err := c.GetData(path)
 		record(histcheck.Event{
@@ -263,6 +266,7 @@ func run(s Scenario, traced bool) *Result {
 			Mzxid: st.Mzxid, Start: start, End: k.Now(),
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		})
+		return st
 	}
 	doMulti := func(c *fkclient.Client, session string, ops ...txn.Op) error {
 		start := k.Now()
@@ -273,7 +277,7 @@ func run(s Scenario, traced bool) *Result {
 			Err: errStr(err), Definite: err != nil && isDefinite(err),
 		}
 		for i, op := range ops {
-			sub := histcheck.SubOp{Op: opName(op.Type), Path: op.Path, Value: string(op.Data)}
+			sub := histcheck.SubOp{Op: opName(string(op.Type)), Path: op.Path, Value: string(op.Data)}
 			if i < len(results) {
 				sub.Code = results[i].Code
 				sub.Txid = results[i].Txid
@@ -286,6 +290,15 @@ func run(s Scenario, traced bool) *Result {
 		return err
 	}
 
+	// connect opens a session; a failure is a harness violation.
+	connect := func(id string) *fkclient.Client {
+		c, err := fkclient.Connect(d, id, home)
+		if err != nil {
+			harness("%s connect: %v", id, err)
+		}
+		return c
+	}
+
 	// ---- driver ---------------------------------------------------------
 	const (
 		mainDeadline  = 15 * time.Minute // virtual
@@ -293,27 +306,23 @@ func run(s Scenario, traced bool) *Result {
 		auditDeadline = 3 * time.Minute
 	)
 	mainDone, auditDone := false, false
-	watcherID := "watcher"
 
 	k.Go("chaos-driver", func() {
-		setup, err := fkclient.Connect(d, "setup", home)
-		if err != nil {
-			harness("setup connect: %v", err)
+		setup := connect("setup")
+		if setup == nil {
 			mainDone = true
 			return
 		}
 		for _, p := range sharedRoots {
-			if err := doCreate(setup, "setup", p, "init"+p+"#0", 0); err != nil {
+			if err := doWrite(setup, "setup", core.OpCreate, p, "init"+p+"#0", 0); err != nil {
 				harness("setup create %s: %v", p, err)
 			}
 		}
-		_ = doCreate(setup, "setup", watchPath, "init"+watchPath+"#0", 0)
-		_ = doCreate(setup, "setup", "/s1/y", "init/s1/y#0", 0)
-		_ = doCreate(setup, "setup", swapParent, "init"+swapParent+"#0", 0)
-		for _, pair := range swapPairs {
-			_ = doCreate(setup, "setup", pair[0], pair[0]+"#0", 0)
-			_ = doCreate(setup, "setup", pair[1], pair[1]+"#0", 0)
-		}
+		_ = doWrite(setup, "setup", core.OpCreate, watchPath, "init"+watchPath+"#0", 0)
+		_ = doWrite(setup, "setup", core.OpCreate, "/s1/y", "init/s1/y#0", 0)
+		_ = doWrite(setup, "setup", core.OpCreate, swapParent, "init"+swapParent+"#0", 0)
+		_ = doWrite(setup, "setup", core.OpCreate, swapA, swapA+"#0", 0)
+		_ = doWrite(setup, "setup", core.OpCreate, swapB, swapB+"#0", 0)
 
 		done := sim.NewWaitGroup(k)
 
@@ -323,9 +332,8 @@ func run(s Scenario, traced bool) *Result {
 			id := fmt.Sprintf("w%d", ci)
 			r := rand.New(rand.NewSource(s.Seed + int64(ci)*101))
 			done.Go(id, func() {
-				c, err := fkclient.Connect(d, id, home)
-				if err != nil {
-					harness("%s connect: %v", id, err)
+				c := connect(id)
+				if c == nil {
 					return
 				}
 				defer c.Close()
@@ -334,13 +342,13 @@ func run(s Scenario, traced bool) *Result {
 					path := sharedRoots[r.Intn(len(sharedRoots))]
 					switch r.Intn(10) {
 					case 0, 1, 2, 3:
-						doSet(c, id, path, fmt.Sprintf("%s#%d", id, op))
+						_ = doWrite(c, id, core.OpSetData, path, fmt.Sprintf("%s#%d", id, op), 0)
 					case 4:
-						_ = doCreate(c, id, own, fmt.Sprintf("%s-own#%d", id, op), 0)
+						_ = doWrite(c, id, core.OpCreate, own, fmt.Sprintf("%s-own#%d", id, op), 0)
 					case 5:
-						doDelete(c, id, own)
+						_ = doWrite(c, id, core.OpDelete, own, "", 0)
 					case 6:
-						doSet(c, id, watchPath, fmt.Sprintf("%s@x#%d", id, op))
+						_ = doWrite(c, id, core.OpSetData, watchPath, fmt.Sprintf("%s@x#%d", id, op), 0)
 					default:
 						doGet(c, id, path)
 					}
@@ -355,18 +363,17 @@ func run(s Scenario, traced bool) *Result {
 			path := "/p-" + id
 			r := rand.New(rand.NewSource(s.Seed + 7000 + int64(pi)))
 			done.Go(id, func() {
-				c, err := fkclient.Connect(d, id, home)
-				if err != nil {
-					harness("%s connect: %v", id, err)
+				c := connect(id)
+				if c == nil {
 					return
 				}
 				defer c.Close()
-				if doCreate(c, id, path, id+"#0", 0) != nil {
+				if doWrite(c, id, core.OpCreate, path, id+"#0", 0) != nil {
 					return
 				}
 				for op := 1; op <= s.OpsPerClient; op++ {
 					if r.Intn(2) == 0 {
-						doSet(c, id, path, fmt.Sprintf("%s#%d", id, op))
+						_ = doWrite(c, id, core.OpSetData, path, fmt.Sprintf("%s#%d", id, op), 0)
 					} else {
 						doGet(c, id, path)
 					}
@@ -375,96 +382,112 @@ func run(s Scenario, traced bool) *Result {
 			})
 		}
 
-		// Swap writer + reverse-order reader per active pair.
-		for wi, pair := range swapPairs {
-			pair := pair
-			wid := fmt.Sprintf("swapw%d", wi)
-			rid := fmt.Sprintf("swapr%d", wi)
-			done.Go(wid, func() {
-				c, err := fkclient.Connect(d, wid, home)
-				if err != nil {
-					harness("%s connect: %v", wid, err)
-					return
+		// Swap writer and reverse-order reader of the swap pair.
+		done.Go("swapw0", func() {
+			c := connect("swapw0")
+			if c == nil {
+				return
+			}
+			defer c.Close()
+			for kk := 1; kk <= s.OpsPerClient; kk++ {
+				v := fmt.Sprintf("sw0#%d", kk)
+				_ = doMulti(c, "swapw0", txn.SetData(swapA, []byte(v), -1), txn.SetData(swapB, []byte(v), -1))
+				k.Sleep(60 * time.Millisecond)
+			}
+		})
+		rr := rand.New(rand.NewSource(s.Seed + 9000))
+		done.Go("swapr0", func() {
+			c := connect("swapr0")
+			if c == nil {
+				return
+			}
+			defer c.Close()
+			for n := 0; n < s.OpsPerClient; n++ {
+				doGet(c, "swapr0", swapB) // b first ...
+				doGet(c, "swapr0", swapA) // ... then a: a must not trail b
+				k.Sleep(time.Duration(20+rr.Intn(60)) * time.Millisecond)
+			}
+		})
+
+		// Pipelined session: several processes share one client, so the
+		// session has several writes in flight at once: sets of the shared
+		// roots, creates and deletes of one child per process, and creates
+		// of a shared root, which the follower refuses (node_exists). The
+		// session reads nothing: a read overtaken by its own in-flight
+		// write would be judged against it.
+		done.Go("pipe", func() {
+			c := connect("pipe")
+			if c == nil {
+				return
+			}
+			defer c.Close()
+			procs := sim.NewWaitGroup(k)
+			for pi := 0; pi < pipeProcs; pi++ {
+				own := fmt.Sprintf("/s2/pipe%d", pi)
+				r := rand.New(rand.NewSource(s.Seed + 13000 + int64(pi)))
+				procs.Go(fmt.Sprintf("pipe%d", pi), func() {
+					for op := 0; op < s.OpsPerClient/(2*pipeProcs); op++ {
+						v := fmt.Sprintf("pipe%d#%d", pi, op)
+						switch root := sharedRoots[r.Intn(len(sharedRoots))]; r.Intn(5) {
+						case 0, 1:
+							_ = doWrite(c, "pipe", core.OpSetData, root, v, 0)
+						case 2:
+							_ = doWrite(c, "pipe", core.OpCreate, own, v, 0)
+						case 3:
+							_ = doWrite(c, "pipe", core.OpDelete, own, "", 0)
+						default:
+							_ = doWrite(c, "pipe", core.OpCreate, root, v, 0)
+						}
+						k.Sleep(time.Duration(r.Intn(20)) * time.Millisecond)
+					}
+				})
+			}
+			procs.Wait()
+		})
+
+		// Transaction mixer: version-guarded multi()s on the swap pair,
+		// which race the swap writer's and its own single-op sets of one
+		// half (bad_version aborts); a create+set multi() under a shared
+		// root; and a multi() over two top-level paths, committed where
+		// they share a shard and answered cross_shard where they do not.
+		done.Go("txmix", func() {
+			c := connect("txmix")
+			if c == nil {
+				return
+			}
+			defer c.Close()
+			r := rand.New(rand.NewSource(s.Seed + 14000))
+			for op := 0; op < s.OpsPerClient/2; op++ {
+				v := fmt.Sprintf("txmix#%d", op)
+				switch r.Intn(4) {
+				case 0:
+					va, vb := doGet(c, "txmix", swapA).Version, doGet(c, "txmix", swapB).Version
+					_ = doMulti(c, "txmix", txn.SetData(swapA, []byte(v), va), txn.SetData(swapB, []byte(v), vb))
+				case 1:
+					_ = doWrite(c, "txmix", core.OpSetData, []string{swapA, swapB}[r.Intn(2)], v, 0)
+				case 2:
+					p := fmt.Sprintf("%s/m%d", sharedRoots[r.Intn(len(sharedRoots))], op)
+					_ = doMulti(c, "txmix", txn.Create(p, []byte(v+"-c"), 0), txn.SetData(p, []byte(v), 0))
+				default:
+					i := r.Intn(len(sharedRoots))
+					j := (i + 1 + r.Intn(len(sharedRoots)-1)) % len(sharedRoots)
+					_ = doMulti(c, "txmix", txn.SetData(sharedRoots[i], []byte(v), -1), txn.SetData(sharedRoots[j], []byte(v), -1))
 				}
-				defer c.Close()
-				for kk := 1; kk <= s.OpsPerClient; kk++ {
-					v := fmt.Sprintf("sw%d#%d", wi, kk)
-					_ = doMulti(c, wid,
-						txn.SetData(pair[0], []byte(v), -1),
-						txn.SetData(pair[1], []byte(v), -1))
-					k.Sleep(60 * time.Millisecond)
-				}
-			})
-			rr := rand.New(rand.NewSource(s.Seed + 9000 + int64(wi)))
-			done.Go(rid, func() {
-				c, err := fkclient.Connect(d, rid, home)
-				if err != nil {
-					harness("%s connect: %v", rid, err)
-					return
-				}
-				defer c.Close()
-				for n := 0; n < s.OpsPerClient; n++ {
-					doGet(c, rid, pair[1]) // b first ...
-					doGet(c, rid, pair[0]) // ... then a: a must not trail b
-					k.Sleep(time.Duration(20+rr.Intn(60)) * time.Millisecond)
-				}
-			})
-		}
+				k.Sleep(time.Duration(r.Intn(40)) * time.Millisecond)
+			}
+		})
 
 		// Watcher: one-shot data watch on a hot path, re-armed after each
 		// fire; a never-firing arm gathers read evidence for the checker.
 		done.Go(watcherID, func() {
-			c, err := fkclient.Connect(d, watcherID, home)
-			if err != nil {
-				harness("%s connect: %v", watcherID, err)
+			c := connect(watcherID)
+			if c == nil {
 				return
 			}
 			// No Close: the session must stay open so an armed-but-silent
 			// watch at history end is judged, not excused.
-			wid := core.WatchID(watchPath, core.WatchData)
-			armErrs := 0
-			for n := 0; n < s.OpsPerClient; n++ {
-				fired := false
-				cb := func(note core.Notification) {
-					record(histcheck.Event{
-						Session: watcherID, Kind: histcheck.KindWatchFire, Path: note.Path,
-						Mzxid: note.Txid, WatchID: note.WatchID,
-						Start: k.Now(), End: k.Now(),
-					})
-					fired = true
-				}
-				start := k.Now()
-				_, st, err := c.GetDataW(watchPath, cb)
-				record(histcheck.Event{
-					Session: watcherID, Kind: histcheck.KindWatchArm, Path: watchPath,
-					Mzxid: st.Mzxid, WatchID: wid, Start: start, End: k.Now(),
-					Err: errStr(err),
-				})
-				if err != nil {
-					// Arm reads can time out under heavy schedules; each
-					// retry costs a full request timeout, so give up after
-					// a few rather than eat the phase deadline.
-					if armErrs++; armErrs >= 3 {
-						break
-					}
-					k.Sleep(200 * time.Millisecond)
-					continue
-				}
-				armErrs = 0
-				waitUntil := k.Now() + sim.Time(30*time.Second)
-				for !fired && k.Now() < waitUntil {
-					k.Sleep(50 * time.Millisecond)
-				}
-				if !fired {
-					// Evidence reads, spaced past any in-flight pipeline
-					// race, then give up on this arm.
-					k.Sleep(5 * time.Second)
-					doGet(c, watcherID, watchPath)
-					k.Sleep(5 * time.Second)
-					doGet(c, watcherID, watchPath)
-					break
-				}
-			}
+			watchLoop(k, c, watcherID, watchPath, core.WatchData, s.OpsPerClient, record,
+				func() { doGet(c, watcherID, watchPath) }, nil)
 		})
 
 		// On several shards the root's child list changes on every shard:
@@ -476,9 +499,8 @@ func run(s Scenario, traced bool) *Result {
 		// each listed node by its read (listed-unreadable).
 		if d.NumShards() > 1 {
 			done.Go("rootchurn", func() {
-				c, err := fkclient.Connect(d, "rootchurn", home)
-				if err != nil {
-					harness("rootchurn connect: %v", err)
+				c := connect("rootchurn")
+				if c == nil {
 					return
 				}
 				defer c.Close()
@@ -488,35 +510,33 @@ func run(s Scenario, traced bool) *Result {
 				for op := 0; op < s.OpsPerClient; op++ {
 					i := r.Intn(len(names))
 					if live[i] {
-						doDelete(c, "rootchurn", names[i])
+						_ = doWrite(c, "rootchurn", core.OpDelete, names[i], "", 0)
 						live[i] = false
 					} else {
-						err := doCreate(c, "rootchurn", names[i], fmt.Sprintf("rootchurn#%d", op), 0)
+						err := doWrite(c, "rootchurn", core.OpCreate, names[i], fmt.Sprintf("rootchurn#%d", op), 0)
 						live[i] = err == nil || errors.Is(err, core.ErrNodeExists)
 					}
 					if op%3 == 2 {
-						doSet(c, "rootchurn", znode.Root, fmt.Sprintf("root#%d", op))
+						_ = doWrite(c, "rootchurn", core.OpSetData, znode.Root, fmt.Sprintf("root#%d", op), 0)
 					}
 					k.Sleep(time.Duration(r.Intn(40)) * time.Millisecond)
 				}
 			})
 			done.Go("rootwriter", func() {
-				c, err := fkclient.Connect(d, "rootwriter", home)
-				if err != nil {
-					harness("rootwriter connect: %v", err)
+				c := connect("rootwriter")
+				if c == nil {
 					return
 				}
 				defer c.Close()
 				r := rand.New(rand.NewSource(s.Seed + 12000))
 				for op := 0; op < s.OpsPerClient; op++ {
-					doSet(c, "rootwriter", znode.Root, fmt.Sprintf("rootwriter#%d", op))
+					_ = doWrite(c, "rootwriter", core.OpSetData, znode.Root, fmt.Sprintf("rootwriter#%d", op), 0)
 					k.Sleep(time.Duration(r.Intn(60)) * time.Millisecond)
 				}
 			})
 			done.Go(rootWatcherID, func() {
-				c, err := fkclient.Connect(d, rootWatcherID, home)
-				if err != nil {
-					harness("%s connect: %v", rootWatcherID, err)
+				c := connect(rootWatcherID)
+				if c == nil {
 					return
 				}
 				// A crasher's ephemeral vanishes without a recorded delete.
@@ -524,7 +544,13 @@ func run(s Scenario, traced bool) *Result {
 				for _, cr := range crashersFor(s.Config) {
 					vanishes[cr.path] = true
 				}
-				watchChildren(k, c, rootWatcherID, s.OpsPerClient, record, func(path string) {
+				children := func() {
+					start := k.Now()
+					kids, err := c.GetChildren(znode.Root)
+					record(histcheck.Event{Session: rootWatcherID, Kind: histcheck.KindRead, Op: "children", Path: znode.Root,
+						Children: kids, Start: start, End: k.Now(), Err: errStr(err)})
+				}
+				watchLoop(k, c, rootWatcherID, znode.Root, core.WatchChild, s.OpsPerClient, record, children, func(path string) {
 					if !vanishes[path] {
 						doGet(c, rootWatcherID, path)
 					}
@@ -536,13 +562,12 @@ func run(s Scenario, traced bool) *Result {
 		done.Go("churn", func() {
 			for gen := 0; gen < 3; gen++ {
 				id := fmt.Sprintf("churn%d", gen)
-				c, err := fkclient.Connect(d, id, home)
-				if err != nil {
-					harness("%s connect: %v", id, err)
+				c := connect(id)
+				if c == nil {
 					return
 				}
 				for n := 0; n < 5; n++ {
-					doSet(c, id, "/s2", fmt.Sprintf("%s#%d", id, n))
+					_ = doWrite(c, id, core.OpSetData, "/s2", fmt.Sprintf("%s#%d", id, n), 0)
 					doGet(c, id, "/s2")
 					k.Sleep(30 * time.Millisecond)
 				}
@@ -555,22 +580,22 @@ func run(s Scenario, traced bool) *Result {
 		for _, cr := range crashersFor(s.Config) {
 			cr := cr
 			done.Go(cr.id, func() {
-				c, err := fkclient.Connect(d, cr.id, home)
-				if err != nil {
-					harness("%s connect: %v", cr.id, err)
+				c := connect(cr.id)
+				if c == nil {
 					return
 				}
+				var err error
 				if cr.viaMulti {
 					err = doMulti(c, cr.id, txn.Create(cr.path, []byte("eph#0"), znode.FlagEphemeral))
 				} else {
-					err = doCreate(c, cr.id, cr.path, "eph#0", znode.FlagEphemeral)
+					err = doWrite(c, cr.id, core.OpCreate, cr.path, "eph#0", znode.FlagEphemeral)
 				}
 				if err != nil {
 					c.Crash()
 					return
 				}
 				for n := 1; n <= 4; n++ {
-					doSet(c, cr.id, cr.path, fmt.Sprintf("eph#%d", n))
+					_ = doWrite(c, cr.id, core.OpSetData, cr.path, fmt.Sprintf("eph#%d", n), 0)
 					k.Sleep(40 * time.Millisecond)
 				}
 				c.Crash()
@@ -608,21 +633,15 @@ func run(s Scenario, traced bool) *Result {
 		k.RunFor(settleTime)
 
 		// ---- audit: end-state reads through a fresh session, ephemeral
-		// reaping, and store-level tree integrity.
+		// reaping, and the stores at rest.
 		k.Go("chaos-audit", func() {
 			defer func() { auditDone = true }()
-			c, err := fkclient.Connect(d, "audit", home)
-			if err != nil {
-				harness("audit connect: %v", err)
+			c := connect("audit")
+			if c == nil {
 				return
 			}
 			defer c.Close()
-			paths := append([]string{}, sharedRoots...)
-			paths = append(paths, watchPath, "/s1/y")
-			for _, pair := range swapPairs {
-				paths = append(paths, pair[0], pair[1])
-			}
-			for _, p := range paths {
+			for _, p := range append(slices.Clone(sharedRoots), watchPath, "/s1/y", swapA, swapB) {
 				doGet(c, "audit", p)
 			}
 			// A crashed session's ephemeral must be reaped once its
@@ -646,38 +665,9 @@ func run(s Scenario, traced bool) *Result {
 					})
 				}
 			}
-			// Tree integrity: parent/child links in the user store agree.
+			// At rest the user store agrees with the system store, and
+			// every child a record lists exists, under its own path.
 			ctx := cloud.ClientCtx(home)
-			store := d.StoreFor(home)
-			var walk func(path string)
-			walk = func(path string) {
-				n, _, err := store.Read(ctx, path)
-				if err != nil {
-					res.Violations = append(res.Violations, histcheck.Violation{
-						Invariant: "tree-integrity", Path: path,
-						Detail: fmt.Sprintf("unreadable: %v", err),
-					})
-					return
-				}
-				for _, child := range n.Children {
-					childPath := znode.Join(path, child)
-					if cn, _, err := store.Read(ctx, childPath); err != nil {
-						res.Violations = append(res.Violations, histcheck.Violation{
-							Invariant: "tree-integrity", Path: childPath,
-							Detail: fmt.Sprintf("listed by %s but unreadable: %v", path, err),
-						})
-					} else if cn.Path != childPath {
-						res.Violations = append(res.Violations, histcheck.Violation{
-							Invariant: "tree-integrity", Path: childPath,
-							Detail: fmt.Sprintf("stored under wrong path %s", cn.Path),
-						})
-					} else {
-						walk(childPath)
-					}
-				}
-			}
-			walk(znode.Root)
-			// At rest the user store agrees with the system store.
 			for _, f := range d.AtRest(ctx) {
 				res.Violations = append(res.Violations, histcheck.Violation{Invariant: "at-rest", Detail: f})
 			}
@@ -694,8 +684,10 @@ func run(s Scenario, traced bool) *Result {
 	res.VirtualTime = k.Now()
 	res.FaultCounts = inj.Counts()
 	res.Schedule = inj.Schedule()
-	if traced {
+	if m == modeTraced {
 		res.Spans = d.Obs.Tracer.Spans()
+	}
+	if m != modeOff {
 		for _, f := range d.Obs.Verify() {
 			res.Violations = append(res.Violations, histcheck.Violation{Invariant: f.Rule, Detail: f.Detail})
 		}
@@ -709,9 +701,9 @@ func run(s Scenario, traced bool) *Result {
 	return res
 }
 
-// rootWatcherID is the session that keeps a child watch on the root on a
-// sharded row (watchChildren).
-const rootWatcherID = "rootwatcher"
+// The sessions that keep a watch armed and stay open: the data watcher on
+// watchPath, and on a sharded row the child watcher on the root.
+const watcherID, rootWatcherID = "watcher", "rootwatcher"
 
 // topLevelPerShard returns one top-level path per write shard.
 func topLevelPerShard(shards int) []string {
@@ -726,21 +718,16 @@ func topLevelPerShard(shards int) []string {
 	return paths
 }
 
-// watchChildren keeps a one-shot child watch on the root armed, re-arming
-// it after each fire up to arms times, and records each arming read's child
-// list and each fire. After each arming read it reads every node the read
-// listed through get.
-// An arm that does not fire within 30 s gathers two children reads as
-// the checker's evidence and ends the loop. The session stays open, so a
-// silent arm at history end is judged.
-func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, record func(histcheck.Event), get func(path string)) {
-	wid := core.WatchID(znode.Root, core.WatchChild)
-	children := func() {
-		start := k.Now()
-		kids, err := c.GetChildren(znode.Root)
-		record(histcheck.Event{Session: session, Kind: histcheck.KindRead, Op: "children", Path: znode.Root,
-			Children: kids, Start: start, End: k.Now(), Err: errStr(err)})
-	}
+// watchLoop keeps a one-shot watch of type wt on path armed, re-arming it
+// after each fire up to arms times, and records each arming read (a child
+// watch's with the children it listed) and each fire. After a child watch's
+// arming read it reads every node the read listed through get. An arm that
+// does not fire within 30 s gathers two evidence reads through read, spaced
+// past any in-flight pipeline race, and ends the loop. The session stays
+// open, so a silent arm at history end is judged.
+func watchLoop(k *sim.Kernel, c *fkclient.Client, session, path string, wt core.WatchType, arms int,
+	record func(histcheck.Event), read func(), get func(path string)) {
+	wid := core.WatchID(path, wt)
 	armErrs := 0
 	for n := 0; n < arms; n++ {
 		fired := false
@@ -749,11 +736,22 @@ func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, 
 				Mzxid: note.Txid, WatchID: note.WatchID, Start: k.Now(), End: k.Now()})
 			fired = true
 		}
-		start := k.Now()
-		kids, err := c.GetChildrenW(znode.Root, cb)
-		record(histcheck.Event{Session: session, Kind: histcheck.KindWatchArm, Op: "children", Path: znode.Root,
-			Children: kids, WatchID: wid, Start: start, End: k.Now(), Err: errStr(err)})
+		arm := histcheck.Event{Session: session, Kind: histcheck.KindWatchArm, Path: path, WatchID: wid, Start: k.Now()}
+		var err error
+		if wt == core.WatchChild {
+			arm.Op = "children"
+			arm.Children, err = c.GetChildrenW(path, cb)
+		} else {
+			var st znode.Stat
+			_, st, err = c.GetDataW(path, cb)
+			arm.Mzxid = st.Mzxid
+		}
+		arm.End, arm.Err = k.Now(), errStr(err)
+		record(arm)
 		if err != nil {
+			// Arm reads can time out under heavy schedules; each retry
+			// costs a full request timeout, so give up after a few rather
+			// than eat the phase deadline.
 			if armErrs++; armErrs >= 3 {
 				return
 			}
@@ -761,31 +759,27 @@ func watchChildren(k *sim.Kernel, c *fkclient.Client, session string, arms int, 
 			continue
 		}
 		armErrs = 0
-		for _, kid := range kids {
-			get(znode.Join(znode.Root, kid))
+		for _, kid := range arm.Children {
+			get(znode.Join(path, kid))
 		}
 		for waitUntil := k.Now() + sim.Time(30*time.Second); !fired && k.Now() < waitUntil; {
 			k.Sleep(50 * time.Millisecond)
 		}
 		if !fired {
 			k.Sleep(5 * time.Second)
-			children()
+			read()
 			k.Sleep(5 * time.Second)
-			children()
+			read()
 			return
 		}
 	}
 }
 
-func opName(t txn.OpType) string {
-	switch t {
-	case txn.OpCreate:
-		return "create"
-	case txn.OpSetData:
+// opName names a write or a multi() sub-op in a history: its op code, with
+// set_data as "set".
+func opName(op string) string {
+	if op == string(core.OpSetData) {
 		return "set"
-	case txn.OpDelete:
-		return "delete"
-	default:
-		return "check"
 	}
+	return op
 }

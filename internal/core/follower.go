@@ -139,6 +139,14 @@ func (d *Deployment) followerWrite(ctx cloud.Ctx, req Request) (int, error) {
 		}
 	}
 	if i, code, err := p.prepare(d, ctx, ops, req.Session); err != nil {
+		if req.Seq < 0 {
+			// A deregistration's delete (followerDeregister) that could not
+			// lock its node: the node stays, so the session record must too.
+			// Failing the batch has the queue deliver the deregistration
+			// again.
+			p.unlock(d, ctx)
+			return shard, err
+		}
 		return reject(-1, CodeSystemError)
 	} else if code != CodeOK {
 		return reject(i, code)

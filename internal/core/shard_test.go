@@ -343,8 +343,9 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 // TestAtRestFlagsEachDisagreement: the at-rest audit is clean on a fresh
 // two-shard deployment and names each planted disagreement between the
 // system store and the user store: a record without its object, a stale
-// object, a shared root whose object lacks a shard's child stamp, and an
-// epoch list left non-empty.
+// object, a shared root whose object lacks a shard's child stamp, an epoch
+// list left non-empty, a record listing a child that has no record, and an
+// object stored under another path.
 func TestAtRestFlagsEachDisagreement(t *testing.T) {
 	k, d := newTestDeployment(3, Config{WriteShards: 2})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
@@ -358,6 +359,10 @@ func TestAtRestFlagsEachDisagreement(t *testing.T) {
 		root.Set(d.pzxidAttrs[1], kv.N(7))
 		d.System.SeedPut(znode.Root, root)
 		d.System.SeedPut(d.epochKey(d.Cfg.Profile.Home), kv.Item{{Name: d.epochAttrs[1], V: kv.NumList(9)}})
+		d.System.SeedPut("/orphans", kv.Item{{Name: attrExists, V: kv.N(1)}, {Name: attrChildren, V: kv.StrList("ghost")}})
+		d.Stores[0].Seed(&znode.Node{Path: "/orphans", Children: []string{"ghost"}})
+		d.System.SeedPut("/moved", kv.Item{{Name: attrExists, V: kv.N(1)}})
+		d.Stores[0].(*objectStore).bucket.SeedPut("/moved", znode.Marshal(&znode.Node{Path: "/elsewhere"}, nil))
 		planted = d.AtRest(ctx)
 	})
 	k.Run()
@@ -365,12 +370,12 @@ func TestAtRestFlagsEachDisagreement(t *testing.T) {
 	if len(clean) != 0 {
 		t.Errorf("a fresh deployment is not at rest: %v", clean)
 	}
-	for _, want := range []string{"/gone in", "/stale in", "/ in", "epoch:"} {
+	for _, want := range []string{"/gone in", "/stale in", "/ in", "epoch:", "/orphans: record lists child ghost", "/moved in"} {
 		if !slices.ContainsFunc(planted, func(f string) bool { return strings.HasPrefix(f, want) }) {
 			t.Errorf("no finding starts with %q: %v", want, planted)
 		}
 	}
-	if len(planted) != 4 {
-		t.Errorf("%d findings, want 4: %v", len(planted), planted)
+	if len(planted) != 6 {
+		t.Errorf("%d findings, want 6: %v", len(planted), planted)
 	}
 }

@@ -209,12 +209,19 @@ func (s sysNode) toZNode(path string, data []byte) znode.Node {
 //   - version, cversion, czxid, mzxid, pzxid (and the shared root's
 //     per-shard child stamps) and the child set are equal;
 //   - every pending txid is flushed: the object is at or past it;
+//   - every child the record lists has a record that says it exists;
+//   - the object is stored under its own path;
 //
 // and every epoch item's watch lists are empty. It returns one line per
 // disagreement, in key order.
 func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 	var out []string
-	for _, ki := range d.System.Scan(ctx) {
+	scan := d.System.Scan(ctx)
+	exists := map[string]bool{}
+	for _, ki := range scan {
+		exists[ki.Key] = ki.Item.Get(attrExists).Num() == 1
+	}
+	for _, ki := range scan {
 		if strings.HasPrefix(ki.Key, epochKeyPrefix) {
 			if ids := d.epochUnion(nil, ki.Item); len(ids) > 0 {
 				out = append(out, fmt.Sprintf("%s: watch ids %v still listed", ki.Key, ids))
@@ -228,6 +235,11 @@ func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 		if d.route.Shared(path) {
 			stamps = d.childStamps(ki.Item)
 		}
+		for _, kid := range rec.Children {
+			if !exists[znode.Join(path, kid)] {
+				out = append(out, fmt.Sprintf("%s: record lists child %s, whose record is missing or says exists=0", path, kid))
+			}
+		}
 		for _, s := range d.Stores {
 			n, _, err := s.Read(ctx, path)
 			if rec.Exists != (err == nil) {
@@ -235,6 +247,9 @@ func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 			}
 			if err != nil {
 				continue
+			}
+			if n.Path != path {
+				out = append(out, fmt.Sprintf("%s in %s: object stored under path %s", path, s.Region(), n.Path))
 			}
 			st := n.Stat
 			if st.Version != rec.Version || st.Cversion != rec.Cversion || st.Czxid != rec.Czxid ||

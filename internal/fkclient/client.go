@@ -400,16 +400,24 @@ func (c *Client) await(f *sim.Future[core.Response]) (core.Response, error) {
 	return resp, core.CodeError(resp.Code)
 }
 
+// Write submits one create, set_data or delete and returns its answer: for
+// an acked write the txid it committed at and, for a create or a set, the
+// node's Stat as of that txid. version -1 matches any version; flags apply
+// to a create only.
+func (c *Client) Write(op core.OpCode, path string, data []byte, version int32, flags znode.Flags) (core.Response, error) {
+	if err := c.check(path); err != nil {
+		return core.Response{}, err
+	}
+	if len(data) > core.MaxNodeB {
+		return core.Response{}, core.ErrTooLarge
+	}
+	return c.await(c.submitWrite(op, path, data, version, flags))
+}
+
 // Create creates a node and returns its final path (which differs from the
 // requested path for sequential nodes).
 func (c *Client) Create(path string, data []byte, flags znode.Flags) (string, error) {
-	if err := c.check(path); err != nil {
-		return "", err
-	}
-	if len(data) > core.MaxNodeB {
-		return "", core.ErrTooLarge
-	}
-	resp, err := c.await(c.submitWrite(core.OpCreate, path, data, -1, flags))
+	resp, err := c.Write(core.OpCreate, path, data, -1, flags)
 	if err != nil {
 		return "", err
 	}
@@ -421,22 +429,13 @@ func (c *Client) Create(path string, data []byte, flags znode.Flags) (string, er
 
 // SetData replaces a node's data; version -1 matches any version.
 func (c *Client) SetData(path string, data []byte, version int32) (znode.Stat, error) {
-	if err := c.check(path); err != nil {
-		return znode.Stat{}, err
-	}
-	if len(data) > core.MaxNodeB {
-		return znode.Stat{}, core.ErrTooLarge
-	}
-	resp, err := c.await(c.submitWrite(core.OpSetData, path, data, version, 0))
+	resp, err := c.Write(core.OpSetData, path, data, version, 0)
 	return resp.Stat, err
 }
 
 // Delete removes a node; version -1 matches any version.
 func (c *Client) Delete(path string, version int32) error {
-	if err := c.check(path); err != nil {
-		return err
-	}
-	_, err := c.await(c.submitWrite(core.OpDelete, path, nil, version, 0))
+	_, err := c.Write(core.OpDelete, path, nil, version, 0)
 	return err
 }
 

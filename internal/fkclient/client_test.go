@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
@@ -111,6 +113,39 @@ func TestHeartbeatEvictsCrashedClient(t *testing.T) {
 	}
 	if d.Platform.Function(core.FnHeartbeat).Invocations() == 0 {
 		t.Fatal("heartbeat function never ran")
+	}
+}
+
+// TestEvictionOutlastsAHeldLock: an eviction's ephemeral delete that
+// cannot lock the node (another holder keeps it past every lock attempt)
+// must not drop the session record with the node still in the tree. The
+// deregistration fails, is delivered again, and reaps the node once the
+// lock is free. It was answered system_error, the record deleted anyway,
+// and the ephemeral outlived its session for good (chaos txn seed 1405003).
+func TestEvictionOutlastsAHeldLock(t *testing.T) {
+	k := sim.NewKernel(7)
+	d := core.NewDeployment(k, core.Config{HeartbeatEvery: 2 * time.Second})
+	var observed *znode.Stat
+	var observedErr error
+	k.Go("test-main", func() {
+		c1 := mustConnect(t, d, "dying")
+		c2 := mustConnect(t, d, "watcher")
+		if _, err := c1.Create("/e", nil, znode.FlagEphemeral); err != nil {
+			t.Errorf("create: %v", err)
+		}
+		// A lock stamped 8 s ahead stays held for 10 s of virtual time.
+		it, _ := d.System.Peek("/e")
+		it.Set(fksync.LockAttr, kv.N(int64(k.Now()+8*sim.Ms(1000))))
+		d.System.SeedPut("/e", it)
+		c1.Crash()
+		k.Sleep(60 * sim.Ms(1000))
+		observed, observedErr = c2.Exists("/e")
+		c2.Close()
+	})
+	k.RunFor(5 * time.Minute)
+	k.Shutdown()
+	if observedErr != nil || observed != nil {
+		t.Fatalf("exists /e a minute after its owner crashed: %v (%v)", observed, observedErr)
 	}
 }
 

@@ -4,20 +4,17 @@ package fkclient
 // the store-write attribution rule, stage telescoping against
 // client-observed latency, the exporters, and the no-timing-drift
 // guarantee (telemetry on must not move the golden trace by a nanosecond).
-// The span-tree rules themselves are obs.Hub.Verify's; the randomized
-// workload here checks them per pipeline variant, and chaos runs them
-// under faults.
+// The span-tree rules themselves are obs.Hub.Verify's; chaos runs them on
+// its traced seeds, on every matrix row under faults.
 
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
-	"faaskeeper/internal/txn"
 )
 
 // TestTelemetryOffTraceByteIdentical is the no-drift guard: spans are pure
@@ -127,93 +124,6 @@ func TestStageSumMatchesClientLatency(t *testing.T) {
 			t.Error(f)
 		}
 	})
-}
-
-// telemetryConfigs is the pipeline matrix the randomized span test
-// sweeps: every combination exercises a different set of stage
-// transitions (batched folds, cache invalidation legs, transactions
-// committed on one shard and answered cross_shard by the follower).
-var telemetryConfigs = []struct {
-	name   string
-	cfg    core.Config
-	multis bool // the workload issues multi() transactions
-}{
-	{"plain", core.Config{Telemetry: true}, false},
-	{"sharded", core.Config{Telemetry: true, WriteShards: 4}, false},
-	{"batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}, false},
-	{"cached", core.Config{Telemetry: true, CacheMode: core.CacheRegional}, false},
-	{"txn", core.Config{Telemetry: true, WriteShards: 4}, true},
-	{"txn-batched", core.Config{Telemetry: true, WriteShards: 2, BatchWrites: true}, true},
-}
-
-// TestSpanInvariantsRandomized runs a seeded random workload (pipelined
-// writes, watches, multis committed or answered cross_shard, failure
-// responses) over the config matrix and checks with obs.Hub.Verify that
-// every trace forms one connected, telescoping span tree with every span
-// closed exactly once.
-func TestSpanInvariantsRandomized(t *testing.T) {
-	for _, tc := range telemetryConfigs {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			run(t, 424242, tc.cfg, func(k *sim.Kernel, d *core.Deployment) {
-				rng := rand.New(rand.NewSource(99))
-				c := mustConnect(t, d, "rnd")
-				paths := make([]string, 6)
-				for i := range paths {
-					paths[i] = fmt.Sprintf("/r%d", i)
-					if _, err := c.Create(paths[i], []byte("seed"), 0); err != nil {
-						t.Fatalf("seed create %s: %v", paths[i], err)
-					}
-				}
-				var futs []*sim.Future[core.Response]
-				for i := 0; i < 40; i++ {
-					p := paths[rng.Intn(len(paths))]
-					switch rng.Intn(6) {
-					case 0:
-						futs = append(futs, c.submitWrite(core.OpSetData, p, []byte(fmt.Sprint(i)), -1, 0))
-					case 1:
-						futs = append(futs, c.submitWrite(core.OpCreate, p+fmt.Sprintf("/c%d", i), nil, -1, 0))
-					case 2:
-						// A doomed write: version mismatch answers from the
-						// follower (failure chains must telescope too).
-						futs = append(futs, c.submitWrite(core.OpSetData, p, nil, 9999, 0))
-					case 3:
-						_, _, _ = c.GetDataW(p, func(core.Notification) {})
-					case 4:
-						if tc.multis {
-							// Spans two top-level subtrees: answered cross_shard
-							// where they sit on two shards, committed otherwise.
-							q := paths[(rng.Intn(len(paths)-1)+1+rng.Intn(1))%len(paths)]
-							_, _ = c.Multi(
-								txn.SetData(p, []byte("m"), -1),
-								txn.SetData(q, []byte("m"), -1),
-							)
-						}
-					default:
-						futs = append(futs, c.submitWrite(core.OpSetData, p, []byte("w"), -1, 0))
-					}
-				}
-				for _, f := range futs {
-					f.Wait()
-				}
-				if err := c.Close(); err != nil {
-					t.Fatalf("close: %v", err)
-				}
-				for _, f := range d.Obs.Verify() {
-					t.Error(f)
-				}
-				traces := map[int64]bool{}
-				for _, s := range d.Obs.Tracer.Spans() {
-					if s.Trace != 0 && s.Parent == 0 {
-						traces[s.Trace] = true
-					}
-				}
-				if len(traces) < 20 {
-					t.Fatalf("expected a substantial trace population, got %d", len(traces))
-				}
-			})
-		})
-	}
 }
 
 // TestTelemetryExports runs a traced workload and round-trips all three
