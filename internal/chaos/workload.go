@@ -140,6 +140,8 @@ const (
 	swapParent = "/swp"
 	swapA      = "/swp/a" // the swap pair: one multi() writes both, so they
 	swapB      = "/swp/b" // share their top-level node and with it a shard
+	pairA      = "/s3/wa" // the watched pair: one writer sets both back to
+	pairB      = "/s3/wb" // back, under one top-level node, so one shard
 )
 
 // pipeProcs is the number of processes that share the pipelined session's
@@ -323,6 +325,8 @@ func run(s Scenario, m mode) *Result {
 		_ = doWrite(setup, "setup", core.OpCreate, swapParent, "init"+swapParent+"#0", 0)
 		_ = doWrite(setup, "setup", core.OpCreate, swapA, swapA+"#0", 0)
 		_ = doWrite(setup, "setup", core.OpCreate, swapB, swapB+"#0", 0)
+		_ = doWrite(setup, "setup", core.OpCreate, pairA, pairA+"#0", 0)
+		_ = doWrite(setup, "setup", core.OpCreate, pairB, pairB+"#0", 0)
 
 		done := sim.NewWaitGroup(k)
 
@@ -490,6 +494,60 @@ func run(s Scenario, m mode) *Result {
 				func() { doGet(c, watcherID, watchPath) }, nil)
 		})
 
+		// Watched pair: one writer sets both paths back to back, and a
+		// watcher keeps a data watch armed on each, re-arming the one that
+		// fired, and reads both while it waits. Its notifications come
+		// from one shard, which must deliver them in txid order, each
+		// ahead of the watcher's reads of that write or a later one
+		// (notification-order, watch-stale-read).
+		pairDone := false
+		done.Go("pairw", func() {
+			defer func() { pairDone = true }()
+			c := connect("pairw")
+			if c == nil {
+				return
+			}
+			defer c.Close()
+			r := rand.New(rand.NewSource(s.Seed + 15000))
+			for op := 0; op < s.OpsPerClient; op++ {
+				v := fmt.Sprintf("pairw#%d", op)
+				_ = doWrite(c, "pairw", core.OpSetData, pairA, v, 0)
+				_ = doWrite(c, "pairw", core.OpSetData, pairB, v, 0)
+				k.Sleep(time.Duration(r.Intn(80)) * time.Millisecond)
+			}
+		})
+		done.Go(pairWatcherID, func() {
+			c := connect(pairWatcherID)
+			if c == nil {
+				return
+			}
+			defer c.Close()
+			r := rand.New(rand.NewSource(s.Seed + 16000))
+			armed := map[string]bool{}
+			arm := func(path string) {
+				ev := histcheck.Event{Session: pairWatcherID, Kind: histcheck.KindWatchArm, Path: path,
+					WatchID: core.WatchID(path, core.WatchData), Start: k.Now()}
+				_, st, err := c.GetDataW(path, func(note core.Notification) {
+					record(histcheck.Event{Session: pairWatcherID, Kind: histcheck.KindWatchFire, Path: note.Path,
+						Mzxid: note.Txid, WatchID: note.WatchID, Start: k.Now(), End: k.Now()})
+					armed[path] = false
+				})
+				ev.Mzxid, ev.End, ev.Err = st.Mzxid, k.Now(), errStr(err)
+				record(ev)
+				armed[path] = err == nil
+			}
+			for !pairDone {
+				for _, p := range []string{pairA, pairB} {
+					if !armed[p] {
+						arm(p)
+					}
+				}
+				doGet(c, pairWatcherID, pairA)
+				doGet(c, pairWatcherID, pairB)
+				k.Sleep(time.Duration(10+r.Intn(40)) * time.Millisecond)
+			}
+		})
+
 		// On several shards the root's child list changes on every shard:
 		// a churner creates and deletes a top-level node per shard and
 		// writes the root's data every third op, a second writer writes
@@ -641,7 +699,7 @@ func run(s Scenario, m mode) *Result {
 				return
 			}
 			defer c.Close()
-			for _, p := range append(slices.Clone(sharedRoots), watchPath, "/s1/y", swapA, swapB) {
+			for _, p := range append(slices.Clone(sharedRoots), watchPath, "/s1/y", swapA, swapB, pairA, pairB) {
 				doGet(c, "audit", p)
 			}
 			// A crashed session's ephemeral must be reaped once its
@@ -694,16 +752,19 @@ func run(s Scenario, m mode) *Result {
 	}
 	k.Shutdown()
 
+	_, atomic := d.Stores[0].(core.AtomicApplier)
 	res.Violations = append(res.Violations, histcheck.Check(h, histcheck.CheckOpts{
 		OpenSessions: map[string]bool{watcherID: true, rootWatcherID: true},
 		Shards:       d.NumShards(),
+		AtomicMulti:  atomic,
 	})...)
 	return res
 }
 
 // The sessions that keep a watch armed and stay open: the data watcher on
-// watchPath, and on a sharded row the child watcher on the root.
-const watcherID, rootWatcherID = "watcher", "rootwatcher"
+// watchPath, and on a sharded row the child watcher on the root. The pair
+// watcher closes once the pair's writer is done.
+const watcherID, rootWatcherID, pairWatcherID = "watcher", "rootwatcher", "pairwatch"
 
 // topLevelPerShard returns one top-level path per write shard.
 func topLevelPerShard(shards int) []string {

@@ -66,10 +66,12 @@ type Function struct {
 	cfg     Config
 	handler Handler
 	costCat string // "faas.<name>", the meter category of every run
-	// asyncProc names the process of every asynchronous invocation, and
-	// spare holds the reaped ones for reuse (Async).
+	// asyncProc names the process of every asynchronous invocation, spare
+	// holds the returned ones for reuse, and ret is their return hook
+	// (InvokeAsync, OnReturn).
 	asyncProc string
-	spare     []*Async
+	spare     []*async
+	ret       func(tag int64, err error)
 
 	warmExpiry []sim.Time // idle sandboxes, each with its expiry time
 
@@ -223,57 +225,56 @@ func (p *Platform) Invoke(ctx cloud.Ctx, name string, payload []byte) error {
 	return f.run(&Invocation{K: p.env.K, Ctx: sctx, Func: f, Payload: payload, Attempt: 1})
 }
 
-// Async is one asynchronous invocation of a free function: InvokeAsync
-// starts it and Wait reaps it. A function reuses the invocations it has
-// reaped, each with its process body bound once, so a warm invocation that
-// is reaped allocates nothing.
-type Async struct {
+// async is one asynchronous invocation of a free function, in flight from
+// InvokeAsync until its handler returns. The platform recycles it then: a
+// function reuses the invocations that returned, each with its process body
+// bound once, so a warm one allocates nothing.
+type async struct {
 	f       *Function
 	ctx     cloud.Ctx
 	payload []byte
+	tag     int64
 	inv     Invocation
-	done    sim.Future[error]
 	body    func() // run, bound once
 }
 
 // run is the invocation's process: the API call, then the handler in a
-// sandbox, on behalf of the caller's bill.
-func (a *Async) run() {
+// sandbox, on behalf of the caller's bill; then the function's return hook,
+// and the invocation goes back to its function.
+func (a *async) run() {
 	env, f := a.f.p.env, a.f
 	env.K.Sleep(env.OpTime(a.ctx, env.Profile.DirectInvoke, env.Profile.DirectPerKB, len(a.payload)))
 	sctx := f.SandboxCtx()
 	sctx.Bill = a.ctx.Bill // the invocation works on behalf of the caller
 	a.inv = Invocation{K: env.K, Ctx: sctx, Func: f, Payload: a.payload, Attempt: 1}
-	a.done.Complete(f.run(&a.inv))
-}
-
-// Wait blocks until the invocation has returned and returns the handler's
-// error. It hands the invocation back to its function for reuse: call it
-// once, and do not touch the Async afterwards.
-func (a *Async) Wait() error {
-	err := a.done.Wait()
+	err := f.run(&a.inv)
+	if f.ret != nil {
+		f.ret(a.tag, err)
+	}
 	a.ctx, a.payload, a.inv = cloud.Ctx{}, nil, Invocation{}
-	a.done = sim.MakeFuture[error](a.f.p.env.K)
-	a.f.spare = append(a.f.spare, a)
-	return err
+	f.spare = append(f.spare, a)
 }
 
-// InvokeAsync fires a free function without waiting for completion and
-// returns the invocation, whose Wait gives the handler's error. Used for the
-// watch function fan-out (Section 4.1).
-func (p *Platform) InvokeAsync(ctx cloud.Ctx, name string, payload []byte) *Async {
+// OnReturn sets the hook every asynchronous invocation of f calls as it
+// returns, after its bill, with the tag InvokeAsync was given and the
+// handler's error.
+func (f *Function) OnReturn(ret func(tag int64, err error)) { f.ret = ret }
+
+// InvokeAsync fires a free function and returns at once: nobody waits for
+// it (the watch function fan-out, Section 4.1). The function's return hook
+// (OnReturn) gets tag when the invocation returns.
+func (p *Platform) InvokeAsync(ctx cloud.Ctx, name string, payload []byte, tag int64) {
 	f := p.Function(name)
-	var a *Async
+	var a *async
 	if n := len(f.spare); n > 0 {
 		a, f.spare[n-1] = f.spare[n-1], nil
 		f.spare = f.spare[:n-1]
 	} else {
-		a = &Async{f: f, done: sim.MakeFuture[error](p.env.K)}
+		a = &async{f: f}
 		a.body = a.run
 	}
-	a.ctx, a.payload = ctx, payload
+	a.ctx, a.payload, a.tag = ctx, payload, tag
 	p.env.K.Go(f.asyncProc, a.body)
-	return a
 }
 
 // AddQueueTrigger starts poller processes that deliver message batches

@@ -89,35 +89,40 @@ func TestWarmRunAllocations(t *testing.T) {
 	}
 }
 
-// TestInvokeAsyncAllocations: a warm asynchronous invocation that is
-// reaped allocates nothing — no process name, no process body, no future
-// and no Invocation: the function reuses what an earlier one left, and a
-// payload is passed through, not copied. Its name is bound once at deploy
-// time. It was 4 while InvokeAsync built "invoke-async:"+name, a closure,
-// a future and an Invocation on every call.
-func TestInvokeAsyncAllocations(t *testing.T) {
+// TestInvokeAsyncRecyclesAllocations: a warm asynchronous invocation
+// allocates nothing — no process name, no process body and no Invocation:
+// the platform recycles each invocation as it returns, and a payload is
+// passed through, not copied. Its name is bound once at deploy time. It was
+// 4 while InvokeAsync built "invoke-async:"+name, a closure, a future and an
+// Invocation on every call; an invocation now has no future, since nobody
+// waits for it.
+func TestInvokeAsyncRecyclesAllocations(t *testing.T) {
 	k, env, p := newPlatform(7)
-	p.Deploy(Config{Name: "watch", MemoryMB: 512}, func(inv *Invocation) error {
+	f := p.Deploy(Config{Name: "watch", MemoryMB: 512}, func(inv *Invocation) error {
 		inv.K.Sleep(sim.Ms(5))
 		return nil
+	})
+	returned := int64(0)
+	f.OnReturn(func(tag int64, err error) {
+		if err != nil {
+			t.Errorf("async: %v", err)
+		}
+		returned += tag
 	})
 	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
 	payload := []byte("notification")
 	got := sim.AllocsPerRun(k, 200, func() {
 		// Two in flight at once: the second cannot reuse the first.
-		a, b := p.InvokeAsync(ctx, "watch", payload), p.InvokeAsync(ctx, "watch", payload)
-		if err := a.Wait(); err != nil {
-			t.Errorf("async: %v", err)
-		}
-		if err := b.Wait(); err != nil {
-			t.Errorf("async: %v", err)
-		}
+		p.InvokeAsync(ctx, "watch", payload, 1)
+		p.InvokeAsync(ctx, "watch", payload, 2)
+		k.Sleep(sim.Ms(200)) // both return
 	})
 	if got != 0 {
 		t.Fatalf("two warm asynchronous invocations: %v allocations, want 0", got)
 	}
-	if f := p.Function("watch"); f.ColdStarts() != 2 || env.Meter.Count("faas.watch") != 402 {
-		t.Fatalf("%d cold starts and %d billed runs, want 2 and 402", f.ColdStarts(), env.Meter.Count("faas.watch"))
+	if f.ColdStarts() != 2 || env.Meter.Count("faas.watch") != 402 || returned != 3*201 {
+		t.Fatalf("%d cold starts, %d billed runs and return tags summing to %d, want 2, 402 and %d",
+			f.ColdStarts(), env.Meter.Count("faas.watch"), returned, 3*201)
 	}
 }
 
@@ -261,28 +266,33 @@ func TestStreamTrigger(t *testing.T) {
 	}
 }
 
+// TestInvokeAsyncCompletes: the caller does not wait, and the return
+// hook runs once the handler has run, after its bill, with the caller's tag.
 func TestInvokeAsyncCompletes(t *testing.T) {
-	k, _, p := newPlatform(8)
-	p.Deploy(Config{Name: "watch", MemoryMB: 512}, func(inv *Invocation) error {
+	k, env, p := newPlatform(8)
+	f := p.Deploy(Config{Name: "watch", MemoryMB: 512}, func(inv *Invocation) error {
 		inv.K.Sleep(sim.Ms(30))
 		return nil
 	})
-	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
 	var issued, done sim.Time
-	k.Go("caller", func() {
-		fut := p.InvokeAsync(ctx, "watch", nil)
-		issued = k.Now()
-		if err := fut.Wait(); err != nil {
-			t.Errorf("async err: %v", err)
+	var billed int64
+	f.OnReturn(func(tag int64, err error) {
+		if tag != 7 || err != nil {
+			t.Errorf("return hook got tag %d and error %v, want 7 and none", tag, err)
 		}
-		done = k.Now()
+		done, billed = k.Now(), env.Meter.Count("faas.watch")
+	})
+	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
+	k.Go("caller", func() {
+		p.InvokeAsync(ctx, "watch", nil, 7)
+		issued = k.Now()
 	})
 	k.Run()
 	if issued != 0 {
 		t.Fatalf("async invoke blocked caller until %v", issued)
 	}
-	if done <= issued {
-		t.Fatal("future resolved immediately")
+	if done < issued+sim.Ms(30) || billed != 1 {
+		t.Fatalf("invocation returned at %v with %d billed runs, want past %v and 1", done, billed, issued+sim.Ms(30))
 	}
 }
 

@@ -32,7 +32,7 @@ type Table struct {
 	dirty             bool
 	// names holds the table's copy of every attribute name an update
 	// action added to an item (Item.add): one per name, for the table's
-	// lifetime.
+	// lifetime, up to maxNames of them.
 	names map[string]string
 	// spare is the cleared attribute array of a version a commit retired,
 	// the largest since build last took one; nil when none is kept.

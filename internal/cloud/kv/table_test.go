@@ -1022,3 +1022,28 @@ func TestCommitStoresANewKeyAsAClone(t *testing.T) {
 		t.Errorf("Peek = %v, %v over %d keys; want v=2 under one key", it, ok, tbl.Len())
 	}
 }
+
+// TestNameCopiesAreBounded: an attribute name minted per write — set once
+// and removed once, like a watch epoch entry — is copied for its item but
+// not kept in the table's copies past maxNames, and the item still reads
+// and drops it by name.
+func TestNameCopiesAreBounded(t *testing.T) {
+	k, env, ctx := newEnv(1)
+	tbl := NewTable(env, "state")
+	k.Go("client", func() {
+		for i := 0; i < maxNames+100; i++ {
+			name := fmt.Sprintf("e%d", i)
+			if _, err := tbl.Update(ctx, "epoch", []Update{Set{Name: name, V: N(int64(i))}}, nil); err != nil {
+				t.Errorf("set %s: %v", name, err)
+			}
+			it, err := tbl.Update(ctx, "epoch", []Update{Remove{Name: name}}, nil)
+			if err != nil || len(it) != 0 {
+				t.Errorf("remove %s: item %v, %v", name, it, err)
+			}
+		}
+	})
+	k.Run()
+	if len(tbl.names) != maxNames {
+		t.Fatalf("the table keeps %d name copies, want the bound %d", len(tbl.names), maxNames)
+	}
+}

@@ -301,7 +301,7 @@ func (it *Item) slot(name string) *Value {
 
 // add is slot for an update action: an attribute it appends is named by
 // names' copy of name, made there on first use (a fresh copy when names is
-// nil), never by name itself (see applyUpdate).
+// nil or full), never by name itself (see applyUpdate).
 func (it *Item) add(name string, names map[string]string) *Value {
 	if v := it.ptr(name); v != nil {
 		return v
@@ -309,13 +309,19 @@ func (it *Item) add(name string, names map[string]string) *Value {
 	own, ok := names[name]
 	if !ok {
 		own = strings.Clone(name)
-		if names != nil {
+		if names != nil && len(names) < maxNames {
 			names[own] = own
 		}
 	}
 	*it = append(*it, Attr{Name: own})
 	return &(*it)[len(*it)-1].V
 }
+
+// maxNames bounds a table's copies of attribute names (Table.names). A
+// schema's names are few and added first; a name minted per write — a watch
+// epoch entry, set once and removed once — is cloned each time past the
+// bound instead of growing the table's copies for ever.
+const maxNames = 1 << 10
 
 // Get returns the named attribute's value, or the zero Value when the item
 // has no such attribute.

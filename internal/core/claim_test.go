@@ -23,7 +23,7 @@ func roundProc(d *Deployment, proc string) bool {
 
 // TestWatchClaimIsOneRound: a set_data that fires one data watch makes two
 // claim writes — the clear of the node's group and the region's epoch
-// append — each in a process of its own, started at one instant. With the
+// write — each in a process of its own, started at one instant. With the
 // round's processes held open for hold, the claim (leader.watchquery) holds
 // none of it: the handler runs none of the round's writes and does not wait
 // for them.
@@ -65,15 +65,16 @@ func TestWatchClaimIsOneRound(t *testing.T) {
 	}
 	clr, app := starts[claimProc], starts["leader-epoch-"+string(r.d.Cfg.Profile.Home)]
 	if len(clr) != 1 || len(app) != 1 || clr[0] != app[0] {
-		t.Errorf("the clear started at %v, the epoch append at %v: want one of each, at one instant", clr, app)
+		t.Errorf("the clear started at %v, the epoch write at %v: want one of each, at one instant", clr, app)
 	}
 }
 
 // TestWatchClaimRoundOneAppendPerRegion: a create that fires an exists
 // watch on its node and a child watch on its parent claims both in one
 // round of three writes started at one instant — the node's clear, the
-// parent's clear and the region's one epoch append, carrying both ids, each
-// in a process of its own — and the epoch item holds both ids once the
+// parent's clear and the region's one epoch write, setting both groups'
+// entries, each in a process of its own — and the epoch item lists both
+// entries, named by the create's txid and the group's index, once the
 // create is answered.
 func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 	hook := &pipeFaults{}
@@ -90,6 +91,8 @@ func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 	home := r.d.Cfg.Profile.Home
 	key := epochKeyPrefix + string(home)
 	var inFlight []int64
+	var names []string
+	var txid int64
 	r.k.Go("main", func() {
 		w, v := r.open("w"), r.open("v")
 		w.do(OpCreate, "/p", "0")
@@ -103,30 +106,37 @@ func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 		}
 		r.k.Sleep(sim.Ms(200))
 		holding = true
-		if resp := w.do(OpCreate, "/p/c", "1"); resp.Code != CodeOK {
+		resp := w.do(OpCreate, "/p/c", "1")
+		if resp.Code != CodeOK {
 			t.Errorf("create: %s", resp.Code)
 		}
 		holding = false
 		it, _ := r.d.System.Peek(key)
-		inFlight = it.Get(attrEpochList).NL()
+		inFlight, txid = epochUnion(nil, it), resp.Txid
+		for _, a := range it {
+			names = append(names, a.Name)
+		}
 		r.k.Sleep(sim.Ms(2000))
 	})
 	r.run()
 
 	want := []int64{WatchID("/p/c", WatchExists), WatchID("/p", WatchChild)}
 	if !slices.Equal(inFlight, want) {
-		t.Errorf("epoch list after the create = %v, want %v", inFlight, want)
+		t.Errorf("epoch ids after the create = %v, want %v", inFlight, want)
+	}
+	if e0, e1 := string(appendEntryName(nil, entryPrefix(0), txid, 0)), string(appendEntryName(nil, entryPrefix(0), txid, 1)); !slices.Equal(names, []string{e0, e1}) {
+		t.Errorf("epoch entries after the create = %v, want %v", names, []string{e0, e1})
 	}
 	app, clr := starts["leader-epoch-"+string(home)], starts[claimProc]
 	if len(app) != 1 || len(clr) != 2 || clr[0] != app[0] || clr[1] != app[0] {
-		t.Errorf("round writes started at %v (epoch append), %v (clears): want one append and two clears, at one instant",
+		t.Errorf("round writes started at %v (epoch write), %v (clears): want one epoch write and two clears, at one instant",
 			app, clr)
 	}
 }
 
 // TestWatchClaimRunsUnderFlush: on one shard a set_data that fires a data
 // watch flushes while its claim round is in flight. With the round's clear
-// and epoch append held open for hold and the flush unheld, the store write
+// and epoch write held open for hold and the flush unheld, the store write
 // starts before the round lands, and the answer leaves about max(flush,
 // hold) after the round started, not hold plus the flush; the epoch item
 // holds the id by the time the answer arrives.
@@ -162,7 +172,7 @@ func TestWatchClaimRunsUnderFlush(t *testing.T) {
 		holding = false
 		seq = w.seq
 		it, _ := r.d.System.Peek(key)
-		inFlight = it.Get(attrEpochList).NL()
+		inFlight = epochUnion(nil, it)
 		r.k.Sleep(sim.Ms(2000))
 	})
 	r.run()
@@ -183,7 +193,7 @@ func TestWatchClaimRunsUnderFlush(t *testing.T) {
 		t.Errorf("answered %v after the round started, with the round held %v and a %v flush: want at least the hold and under their sum", took, hold, flush)
 	}
 	if wid := WatchID("/x", WatchData); !slices.Contains(inFlight, wid) {
-		t.Errorf("the epoch list held %v when the answer arrived, want it to carry %d", inFlight, wid)
+		t.Errorf("the epoch item listed %v when the answer arrived, want it to carry %d", inFlight, wid)
 	}
 }
 

@@ -193,7 +193,7 @@ type Deployment struct {
 	System *kv.Table
 	Locks  *fksync.LockManager
 	Stores []UserStore // [0] is the home-region primary
-	// epochProcs names each region's spawned epoch append of a watch-claim
+	// epochProcs names each region's spawned epoch write of a watch-claim
 	// round ("leader-epoch-<region>", aligned with Stores).
 	epochProcs []string
 
@@ -216,11 +216,10 @@ type Deployment struct {
 	// WriteShards.
 	route *shardmap.Map
 
-	// epochKeys memoizes each region's epoch item key (epochKey), and
-	// epochAttrs names each shard's watch list on it. pzxidAttrs names each
-	// shard's child stamp on the shared root's control record (childStamps).
+	// epochKeys memoizes each region's epoch item key (epochKey).
+	// pzxidAttrs names each shard's child stamp on the shared root's control
+	// record (childStamps).
 	epochKeys  map[cloud.Region]string
-	epochAttrs []string
 	pzxidAttrs []string
 	// leaders holds each shard's leader slot (leaderShard).
 	leaders []*leaderShard
@@ -287,8 +286,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	for s := 0; s < cfg.WriteShards; s++ {
 		d.LeaderQs = append(d.LeaderQs,
 			queue.New(env, leaderQueueName(s, cfg.WriteShards), cfg.Profile.OrderedQueueKind()))
-		d.leaders = append(d.leaders, d.newLeaderShard())
-		d.epochAttrs = append(d.epochAttrs, shardAttr(attrEpochList, s))
+		d.leaders = append(d.leaders, d.newLeaderShard(s))
 		d.pzxidAttrs = append(d.pzxidAttrs, shardAttr(attrPzxid, s))
 	}
 	d.route = shardmap.New(cfg.WriteShards)
@@ -303,7 +301,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	}, d.leaderHandler)
 	d.Platform.Deploy(faas.Config{
 		Name: FnWatch, MemoryMB: watchMemMB, Arch: cfg.Arch, VCPU: cfg.VCPU,
-	}, d.watchHandler)
+	}, d.watchHandler).OnReturn(d.deliveryReturned)
 	d.Platform.Deploy(faas.Config{
 		Name: FnHeartbeat, MemoryMB: cfg.HeartbeatMemMB,
 	}, d.heartbeatHandler)
@@ -525,9 +523,9 @@ type Frontier struct {
 func (d *Deployment) NumShards() int { return len(d.LeaderQs) }
 
 // Epoch returns the in-flight watch ids for a region, the union over all
-// write shards: one strongly consistent read of the region's epoch item (a
-// missing item means none; exposed for tests).
+// write shards: one strongly consistent read of the region's epoch item,
+// an id per entry (a missing item means none; exposed for tests).
 func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) []int64 {
 	it, _ := d.System.GetView(ctx, d.epochKey(region), true)
-	return d.epochUnion(nil, it)
+	return epochUnion(nil, it)
 }

@@ -16,20 +16,25 @@ package core
 //	                                  shards; run under the flush on one,
 //	                                  joined before the next commit check
 //	                                  (commitOne) and the chunk's answers
-//	  epoch entry     appendEpochs    in its claim's round: one append per
-//	                                  region, every id the message fired;
-//	                                  the mirror takes them as it starts
+//	  epoch entry     enterEpochs     in its claim's round: one write per
+//	                                  region setting an entry per group the
+//	                                  message fired; the mirror takes them
+//	                                  as it starts
 //	➌ flush           distributeFold  one leg per region (leaderShard.legs):
 //	                                  invalidate the fenced objects → per
 //	                                  object, write → install → per parent,
 //	                                  the shared root's included, splice
 //	                                  (flushLeg.write)
-//	➍ delivery        launchWatch     —
+//	➍ delivery        launchWatch     fire and forget: the watch function
+//	                                  waits out the shard's earlier entries
+//	                                  its payload lists, then sends
 //	  answer          notifyResult    —
 //	➎ pop             popPending      run under the next flush; carried to the
 //	                                  next invocation; in the commit phase
 //	                                  (rule 1)
-//	➏ epoch exit      exitEpochs      —
+//	➏ epoch exit      watchHandler    the watch function's, once its sends
+//	                                  are acknowledged: it removes its own
+//	                                  entry from every region's epoch item
 //
 // One lane calls them in this order, chunk by chunk (flushChunk): a chunk
 // answers before it pops. A message commits on a list of targets: a single
@@ -52,18 +57,20 @@ package core
 // is free: they go out as one round. Where the round is joined depends on
 // who can read its writes. With several shards it is joined before the
 // message's commit phase ends: a reader that saw the flushed value can reach
-// another shard's opening read, which must find the id, so the append lands
-// before the flush. On one shard the only reader of the epoch list is the
-// shard's own next invocation, and the only readers of the cleared records
+// another shard's opening read, which must find the id, so the entry lands
+// before the flush. On one shard the only readers of the epoch item are the
+// shard's own next invocation and its later deliveries, which wait out the
+// entry (watchHandler) and are launched after the round is joined, and the
+// only readers of the cleared records
 // that matter are the commit checks after this one, so the round runs under
 // the flush and is joined in two places: at the top of every commit check
 // (commitOne), so the next message of a chunk and a prefetch under the flush
 // (rule 2) read the records cleared; and before the chunk completes
 // (flushChunk), so no delivery can prompt a re-registration that races the
 // clear, and the next invocation starts after both writes landed. An id in
-// a stamp whose append failed only makes a reader wait for a delivery that
-// is launched anyway. One interleaving is new with several shards: another
-// shard's opening read can see the id appended while the registration is
+// a stamp whose entry failed to land only makes a reader wait for a delivery
+// that is launched anyway. One interleaving is new with several shards:
+// another shard's opening read can see the entry set while the registration is
 // still on the record. That read is concurrent with the change. Whatever is
 // causally after the change learned of it through the flush's store write,
 // the answer or the notification, all of them after the join, so it sees
@@ -327,23 +334,25 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 // overlap, and neither do its flushes (one handler process runs them), so
 // one slot per shard serves them all.
 type leaderShard struct {
-	// epochs (the epoch counters' mirror, open), fired (every group the
-	// invocation's messages fired, queryWatches) and completions (their
-	// deliveries, flushChunk) are per invocation: reset ends each, and
-	// their arrays stay for the next.
-	epochs      map[cloud.Region][]int64
-	fired       []firedWatch
-	completions []watchCompletion
+	// epochs (each region's mirror of the ids its epoch item lists, open),
+	// entries (the names of the shard's entries the home region's item
+	// lists) and fired (every group the invocation's messages fired,
+	// queryWatches) are per invocation: reset ends each, and their arrays
+	// stay for the next. prefix starts the shard's entry names.
+	epochs  map[cloud.Region][]int64
+	entries []string
+	fired   []firedWatch
+	prefix  string
 	// pops holds the deferred pops (➎), oldest first, until they run: those
 	// the shard's previous invocation carried (carry), then the completed
 	// chunk's. Like lastSeq it stands for warm sandbox memory: a cold
 	// invocation drops it (leaderHandler).
 	pops []pendingPop
-	// quiet is the second warm fact, set only on one shard: the epoch lists
-	// in the store are empty. The previous invocation's last step set it —
-	// it began with empty lists and every removal of the ids it entered
-	// returned no error (leaderHandler) — so the opening read skips the
-	// epoch items (open). Every invocation clears it first, so a crash or an
+	// quiet is the second warm fact, set only on one shard: the epoch items
+	// in the store list no entry. The previous invocation's last step set
+	// it — it began with empty lists and fired nothing, so it entered no
+	// entry and no delivery of its own can be in flight (leaderHandler) — so
+	// the opening read skips the epoch items (open). Every invocation clears it first, so a crash or an
 	// error leaves it unset, and a cold one does not use it: either just
 	// reads the lists again. One leader queue poller runs the shard's
 	// invocations one at a time, so a warm one runs in the sandbox of the
@@ -357,10 +366,11 @@ type leaderShard struct {
 	wg    *sim.WaitGroup // the flush legs join on it
 }
 
-// newLeaderShard builds a shard's slot, its legs named and their bodies
+// newLeaderShard builds shard s's slot, its legs named and their bodies
 // bound once, so a steady-state flush spawns them without allocating.
-func (d *Deployment) newLeaderShard() *leaderShard {
+func (d *Deployment) newLeaderShard(s int) *leaderShard {
 	ls := &leaderShard{
+		prefix: entryPrefix(s),
 		epochs: make(map[cloud.Region][]int64, len(d.Stores)),
 		round:  claimRound{d: d, wg: sim.NewWaitGroup(d.K)},
 		legs:   make([]flushLeg, len(d.Stores)),
@@ -375,12 +385,12 @@ func (d *Deployment) newLeaderShard() *leaderShard {
 }
 
 // reset ends an invocation: the lists keep their arrays, and the slot pins
-// no message body, claimed group or delivery until the next.
+// no message body, claimed group or payload until the next.
 func (ls *leaderShard) reset() {
 	clear(ls.msgs)
 	clear(ls.fired)
-	clear(ls.completions)
-	ls.fired, ls.completions = ls.fired[:0], ls.completions[:0]
+	clear(ls.entries)
+	ls.fired, ls.entries = ls.fired[:0], ls.entries[:0]
 	for r, ids := range ls.epochs {
 		ls.epochs[r] = ids[:0]
 	}
@@ -522,7 +532,7 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 			continue
 		}
 		for _, fw := range r.fired {
-			p.completions = append(p.completions, d.launchWatch(r.ctx, msg, fw, dm.txid))
+			d.launchWatch(r.ctx, msg, fw)
 		}
 		t0 := d.K.Now()
 		d.notifyResult(msg, dm.txid, r.code, r.stat, r.results)
@@ -717,7 +727,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 	r := opResult{ctx: ctx, code: CodeOK, popped: popEarly}
 	var one [1]change
 	changes := msg.changes(&one)
-	r.fired = p.queryWatches(ctx, changes, keys, nodes)
+	r.fired = p.queryWatches(ctx, changes, keys, nodes, txid)
 	for _, c := range changes {
 		stat := f.foldChange(c, txid)
 		if msg.Op != OpMulti {
@@ -911,8 +921,8 @@ func (l *flushLeg) write() {
 	// Creates and deletes also change the parent's child list, which lives
 	// in the parent's node object: a read-modify-write cycle, because
 	// object stores lack partial updates (Section 3.2, Requirement #6).
-	// The epoch stamp already holds the union of every shard's epoch list,
-	// so an in-flight child-watch notification fired by any shard still
+	// The epoch stamp already holds the ids of every shard's entries, so
+	// an in-flight child-watch notification fired by any shard still
 	// holds reads of the shared root (Z4).
 	for i := range fold.parents {
 		if pf := &fold.parents[i]; !pf.consumed {

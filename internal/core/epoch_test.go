@@ -1,12 +1,14 @@
 package core
 
 // Tests of the watch epoch item's layout: one system-store item per region
-// (epochKey) holding every leader shard's in-flight watch list, one
-// attribute per shard (Deployment.epochAttrs).
+// (epochKey) listing one entry per fired group still in flight — an
+// attribute named by its shard, txid and index (appendEntryName) holding its watch
+// id — set by the leader that fired it and removed by its delivery.
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"faaskeeper/internal/cloud/kv"
@@ -16,12 +18,12 @@ import (
 
 // TestEpochListsShareOneItemPerRegion fires data watches on every shard of a
 // 4-shard deployment at once and reads the region's epoch item every
-// virtual millisecond until every delivery is reaped. At every read, each
-// shard's attribute holds only ids that shard fired, Deployment.Epoch — one
-// read of the item — returns exactly the union of the attributes, and that
-// union holds every delivery then in flight, on whichever shard. Once every
-// delivery is reaped each attribute is empty: the shards' concurrent
-// appends and removes on the shared item lost nothing.
+// virtual millisecond until every delivery has returned. At every read, each
+// entry names the shard that fired the id it holds, Deployment.Epoch
+// — one read of the item — returns exactly the entries' ids, and they hold
+// every delivery then in flight, on whichever shard. Once every delivery
+// has returned the item lists no entry: the shards' concurrent sets and the
+// deliveries' removals on the shared item lost nothing.
 func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 	const shards, perShard = 4, 2
 	r := newPipeRig(t, 41, Config{WriteShards: shards}, nil)
@@ -80,25 +82,28 @@ func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 	}
 	concurrent := 0 // the most shards with a delivery in flight at one read
 	for _, rd := range reads {
-		var union []int64
-		for s, attr := range d.epochAttrs {
-			list := rd.item.Get(attr).NL()
-			for _, id := range list {
-				if !slices.Contains(fired[s], id) {
-					t.Fatalf("at %d shard %d's list %s holds %d, which it did not fire (item %v)", rd.at, s, attr, id, rd.item)
+		var ids []int64
+		for _, a := range rd.item {
+			s := -1
+			for i := 0; i < shards; i++ {
+				if strings.HasPrefix(a.Name, entryPrefix(i)) {
+					s = i
 				}
 			}
-			union = append(union, list...)
+			if s < 0 || !slices.Contains(fired[s], a.V.Num()) {
+				t.Fatalf("at %d entry %s holds %d, which the shard it names did not fire (item %v)", rd.at, a.Name, a.V.Num(), rd.item)
+			}
+			ids = append(ids, a.V.Num())
 		}
-		if len(rd.item) > shards {
-			t.Fatalf("at %d the epoch item %v has more attributes than shards", rd.at, rd.item)
+		if len(rd.item) > len(paths) {
+			t.Fatalf("at %d the epoch item %v lists more entries than groups fired", rd.at, rd.item)
 		}
-		if !slices.Equal(rd.epoch, union) {
-			t.Fatalf("at %d Epoch = %v, want the union of the shards' lists %v", rd.at, rd.epoch, union)
+		if !slices.Equal(rd.epoch, ids) {
+			t.Fatalf("at %d Epoch = %v, want the ids of the item's entries %v", rd.at, rd.epoch, ids)
 		}
 		busy := map[int]bool{}
 		for _, sp := range deliveries {
-			if sp.Start <= rd.at && rd.at <= sp.End {
+			if sp.Start <= rd.at && rd.at < sp.End {
 				busy[sp.Shard] = true
 				if wid := WatchID(sp.Path, WatchData); !slices.Contains(rd.epoch, wid) {
 					t.Fatalf("at %d Epoch = %v misses %d, whose delivery on shard %d is in flight", rd.at, rd.epoch, wid, sp.Shard)
@@ -110,39 +115,109 @@ func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 	if concurrent < 2 {
 		t.Fatalf("at most %d shard(s) had a delivery in flight at one read, want two or more (pick another seed)", concurrent)
 	}
-
-	reaped, ok := d.System.Peek(key)
-	if !ok || len(reaped) != shards {
-		t.Fatalf("epoch item after the run: %v, want one attribute per shard", reaped)
-	}
-	for _, a := range reaped {
-		if len(a.V.NL()) != 0 {
-			t.Errorf("list %s still holds %v after every delivery was reaped", a.Name, a.V.NL())
-		}
+	if after, _ := d.System.Peek(key); len(after) != 0 {
+		t.Errorf("epoch item after every delivery returned: %v, want no entry", after)
 	}
 }
 
 // TestOneShardEpochItemIsThePaperCounter: on the paper's one-shard
-// deployment a fired watch's id enters and leaves the single attribute w of
-// the region's epoch item, so the item — and every latency and dollar drawn
-// from its size — is the paper's per-region counter.
+// deployment a fired watch's id enters the region's epoch item as one entry,
+// named by the write's txid, and leaves it with its delivery, so the item
+// is the paper's per-region counter of deliveries in flight.
 func TestOneShardEpochItemIsThePaperCounter(t *testing.T) {
 	r := newPipeRig(t, 5, Config{}, nil)
 	key := epochKeyPrefix + string(r.d.Cfg.Profile.Home)
 	wid := WatchID("/x", WatchData)
 	var inFlight kv.Item
+	var txid int64
 	r.k.Go("main", func() {
 		w, v := r.open("w"), r.open("v")
 		w.do(OpCreate, "/x", "0")
 		v.arm("/x")
-		w.do(OpSetData, "/x", "1")
+		txid = w.do(OpSetData, "/x", "1").Txid
 		inFlight, _ = r.d.System.Peek(key)
 	})
 	r.run()
-	if len(inFlight) != 1 || inFlight[0].Name != "w" || !slices.Equal(inFlight[0].V.NL(), []int64{wid}) {
-		t.Errorf("one-shard epoch item in flight = %v, want {w: [%d]}", inFlight, wid)
+	if name := string(appendEntryName(nil, entryPrefix(0), txid, 0)); len(inFlight) != 1 || inFlight[0].Name != name || inFlight[0].V.Num() != wid {
+		t.Errorf("one-shard epoch item in flight = %v, want {%s: %d}", inFlight, name, wid)
 	}
-	if reaped, _ := r.d.System.Peek(key); len(reaped) != 1 || reaped[0].Name != "w" || len(reaped[0].V.NL()) != 0 {
-		t.Errorf("one-shard epoch item after the run = %v, want {w: []}", reaped)
+	if after, _ := r.d.System.Peek(key); len(after) != 0 {
+		t.Errorf("one-shard epoch item after the run = %v, want no entry", after)
+	}
+}
+
+// TestEpochExitRemovesOnlyItsOwnEntry: two sessions watch one node, the
+// second arming after the first's fire was claimed, so two deliveries of
+// one watch id are in flight at once. Every storage operation of the watch
+// function is held, so the first delivery exits while the second is still
+// in flight, and it removes its own entry only: at every read while the
+// second is in flight, Deployment.Epoch still lists the id. An exit that
+// removed every entry of its id would leave the second delivery's
+// notification out of the stamps of the writes made meanwhile.
+func TestEpochExitRemovesOnlyItsOwnEntry(t *testing.T) {
+	hook := &pipeFaults{}
+	holding := false
+	hook.hold = func(proc string) sim.Time {
+		if holding && proc == "invoke-async:"+FnWatch {
+			return sim.Ms(300)
+		}
+		return 0
+	}
+	r := newPipeRig(t, 23, Config{}, hook)
+	d, home := r.d, r.d.Cfg.Profile.Home
+	wid := WatchID("/x", WatchData)
+	type read struct {
+		at    sim.Time
+		epoch []int64
+	}
+	var reads []read
+	var v1, v2 *pipeSession
+	r.k.Go("main", func() {
+		w := r.open("w")
+		v1 = r.open("v1")
+		w.do(OpCreate, "/x", "0")
+		v1.arm("/x")
+		r.k.Sleep(sim.Ms(200))
+		holding = true
+		w.do(OpSetData, "/x", "1") // fires v1's registration
+		v2 = r.open("v2")
+		v2.arm("/x") // after the first fire's claim: the second fire's
+		w.do(OpSetData, "/x", "2")
+		for end := r.k.Now() + sim.Ms(4000); r.k.Now() < end; r.k.Sleep(sim.Ms(1)) {
+			epoch := d.Epoch(w.ctx, home)
+			reads = append(reads, read{r.k.Now(), epoch}) // the instant the read returned
+		}
+		holding = false
+	})
+	r.run()
+
+	var deliveries []obs.Span
+	for _, sp := range d.Obs.Tracer.Spans() {
+		if sp.Name == obs.SpanWatchDeliver {
+			deliveries = append(deliveries, sp)
+		}
+	}
+	if len(deliveries) != 2 || len(v1.notes) != 1 || len(v2.notes) != 1 {
+		t.Fatalf("%d deliveries, %d and %d notifications: want two deliveries, one notification each", len(deliveries), len(v1.notes), len(v2.notes))
+	}
+	first, second := deliveries[0], deliveries[1]
+	if first.Start > second.Start {
+		first, second = second, first
+	}
+	if !(second.Start < first.End && first.End < second.End) {
+		t.Fatalf("deliveries %v–%v and %v–%v: want the first to return while the second is in flight", first.Start, first.End, second.Start, second.End)
+	}
+	checked := 0
+	for _, rd := range reads {
+		if rd.at >= first.End && rd.at < second.End {
+			checked++
+			if !slices.Contains(rd.epoch, wid) {
+				t.Fatalf("at %v, after the first delivery returned at %v, Epoch = %v misses %d, whose second delivery returns at %v",
+					rd.at, first.End, rd.epoch, wid, second.End)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no read fell between the two deliveries' returns")
 	}
 }

@@ -15,16 +15,6 @@ import (
 	"faaskeeper/internal/znode"
 )
 
-// watchCompletion is one launched watch delivery; the handler reaps every
-// completion before it returns (➏).
-type watchCompletion struct {
-	wid   int64
-	async *faas.Async
-	// span is the delivery's telemetry child span (0 with telemetry off),
-	// opened at InvokeAsync and closed when the completion is reaped.
-	span int64
-}
-
 // decodedMsg is one peeled leader-queue message with its derived txid.
 type decodedMsg struct {
 	msg  leaderMsg
@@ -64,7 +54,8 @@ func (d *Deployment) readControls(ctx cloud.Ctx, keys []string, nodes []sysNode)
 // leaderHandler is Algorithm 2, one invocation of it: the steps of every
 // message run in the distributor's one pipeline (distributor.go, whose
 // package comment tables them); this function owns what is per invocation
-// — decoding, the opening read, and the reaping of watch deliveries (➏).
+// — decoding and the opening read. It waits for no watch delivery: each
+// removes its own epoch entry (➏, watchHandler).
 func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	ctx := inv.Ctx
 	// A batch comes from exactly one shard's queue; decoding is free, so
@@ -116,8 +107,9 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	// Crash at batch start, before any message is processed or any epoch
 	// entered: redelivery replays the whole batch through awaitCommit's
 	// orphan pop and commit replay. Later crash windows are unsafe to fake at
-	// this granularity (a watch already launched would strand its epoch
-	// entry), so leader crashes are injected only here.
+	// this granularity (a group claimed but not yet launched would lose its
+	// notification and strand its epoch entry; a launched one strands
+	// nothing), so leader crashes are injected only here.
 	if d.crashAt(obs.StageCommit, msgs[0].msg.Session, msgs[0].msg.Seq) {
 		ls.pops = ls.pops[:0]
 		return errInjectedCrash
@@ -125,16 +117,12 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	p := leaderRun{leaderShard: ls, d: d, ctx: ctx, shard: shard}
 	empty := p.open(msgs, acksOnly, quiet)
 	p.pipeline(msgs)
-	// WaitAll(WatchCallback): every delivery completes before the function
-	// returns, and its id leaves the shard's epoch list (➏). On one shard,
-	// lists that were empty at the start and lost every id entered since are
-	// empty again: the last step leaves that word in the slot.
-	for _, c := range p.completions {
-		_ = c.async.Wait()
-		d.spanEnd(c.span)
-		empty = d.exitEpochs(ctx, shard, []int64{c.wid}) && empty
-	}
-	ls.quiet = empty && d.NumShards() == 1
+	// Algorithm 2's WaitAll is gone: the handler returns once its last chunk
+	// answered and launched its deliveries, each of which removes its own
+	// entry (➏). So on one shard the lists are surely empty now only if they
+	// were at the start and the invocation fired nothing: the last step
+	// leaves that word in the slot.
+	ls.quiet = empty && len(ls.fired) == 0 && d.NumShards() == 1
 	return nil
 }
 
@@ -146,22 +134,25 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 //
 // The epoch counters are maintained in the system store across invocations
 // (functions are stateless) and mirrored in p.epochs while the batch runs.
-// With several shards the per-region stamp is the union over every shard's
-// list, all of them attributes of the region's one epoch item (epochKey): a
-// strongly consistent read of it at batch start is an atomic snapshot that
+// With several shards the per-region stamp is the ids of every shard's
+// entries, all of them attributes of the region's one epoch item (epochKey):
+// a strongly consistent read of it at batch start is an atomic snapshot that
 // sees every watch id whose notification causally precedes this batch's
 // writes (the client that triggered a write observed its previous response
-// only after the firing shard appended the id), so reads of any node still
+// only after the firing shard set the entry), so reads of any node still
 // hold for undelivered cross-shard notifications (Z4). On a multi-shard
 // deployment, batches of pure deregistration acks never touch epochs and
 // read nothing (the single-shard path keeps the read, as the paper's
 // pipeline does).
 //
-// On one shard the leader is the only writer of the lists and reaps every
-// delivery it launches before it returns, so quiet — the word the warm
-// sandbox's previous invocation left (leaderShard.quiet) — says the lists
-// are empty: the read skips the epoch items and the mirror stays empty. It
-// reports whether the lists were empty at the start, as read or as known.
+// On one shard the leader is the only writer of entries, and the watch
+// functions only remove them, so quiet — the word the warm sandbox's
+// previous invocation left when it began with empty lists and fired nothing
+// (leaderShard.quiet) — says the lists are empty: the read skips the epoch
+// items and the mirror stays empty. It reports whether the lists were empty
+// at the start, as read or as known. The shard's own entries on the home
+// region's item also enter p.entries, for its deliveries to wait out
+// (enterEpochs).
 //
 // The control record of a single op at the head of the batch — with its
 // parent's, for a create or delete — becomes awaitCommit's first poll (a
@@ -204,8 +195,13 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly, quiet bool) (empty bool) {
 	empty = true
 	for ri, it := range items[:epochs] {
 		r := d.Stores[ri].Region()
-		p.epochs[r] = d.epochUnion(p.epochs[r], it)
-		empty = empty && len(p.epochs[r]) == 0
+		p.epochs[r] = epochUnion(p.epochs[r], it)
+		empty = empty && len(it) == 0
+		for i := range it {
+			if ri == 0 && strings.HasPrefix(it[i].Name, p.prefix) {
+				p.entries = append(p.entries, it[i].Name)
+			}
+		}
 	}
 	return empty
 }
@@ -473,19 +469,6 @@ func buildUserNode(n *znode.Node, c change, txid int64) bool {
 	return true
 }
 
-// exitEpochs is ➏: once their deliveries completed, wids leave the shard's
-// list on every region's epoch item. An unconditional removal never grows the
-// item; it reports whether every removal returned no error.
-func (d *Deployment) exitEpochs(ctx cloud.Ctx, shard int, wids []int64) bool {
-	ok := true
-	for _, s := range d.Stores {
-		_, err := d.System.Update(ctx, d.epochKey(s.Region()),
-			[]kv.Update{kv.ListRemove{Name: d.epochAttrs[shard], Vals: wids}}, nil)
-		ok = ok && err == nil
-	}
-	return ok
-}
-
 // acquireRootLock takes the system-store timed lock serializing every
 // write to the shared tree root's user-store object. It retries until
 // acquired: the lease makes the lock recoverable after a crash, and
@@ -499,11 +482,16 @@ func (d *Deployment) acquireRootLock(ctx cloud.Ctx) fksync.Lock {
 	}
 }
 
+// firedWatch is one claimed group: what it fires, and from its epoch entry
+// on (enterEpochs) the payload of its delivery and its entry's name, a view
+// into the payload.
 type firedWatch struct {
 	wid      int64
 	event    EventType
 	path     string
 	sessions []string
+	payload  []byte
+	entry    string
 }
 
 // watchGroup is one watch list a change fires: its type and the event its
@@ -513,12 +501,12 @@ type watchGroup struct {
 	event EventType
 }
 
-// queryWatches is ➍ for one message, in its commit phase, on the records its
-// commit check confirmed: each effectful change's node's, and for a create
-// or delete its parent's. It reads nothing — the records carry the
+// queryWatches is ➍ for the message at txid, in its commit phase, on the
+// records its commit check confirmed: each effectful change's node's, and for
+// a create or delete its parent's. It reads nothing — the records carry the
 // registrations. It claims the fired (one-shot) groups, appending them to
-// the invocation's list (p.fired), and enters their ids into the shard's
-// epoch counters, so every value written afterwards carries them (Z4). The
+// the invocation's list (p.fired), and gives each an epoch entry, so every
+// value written afterwards carries its id (Z4). The
 // writes of both go out as one parallel round (claimRound). With several
 // shards it is joined before the commit phase ends. On one shard it is left
 // in flight under the flush, and joined before the next commit check reads
@@ -530,7 +518,7 @@ type watchGroup struct {
 // one change of a multi() claimed is empty for the next. It returns the
 // message's groups, capped so that a later message's appends never reach
 // them.
-func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode) []firedWatch {
+func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode, txid int64) []firedWatch {
 	d, n, t0 := p.d, len(p.fired), p.d.K.Now()
 	round := &p.round
 	round.begin(ctx)
@@ -553,7 +541,7 @@ func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string,
 		}
 	}
 	fired := p.fired[n:len(p.fired):len(p.fired)]
-	p.appendEpochs(fired)
+	p.enterEpochs(fired, txid)
 	round.issue(d.NumShards() > 1)
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
@@ -593,37 +581,50 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, groups 
 	}
 }
 
-// appendEpochs is the epoch entry: it adds to the message's round one
-// append per region, each carrying every id in fired to the shard's list on
-// the region's epoch item; none when nothing fired. Each region's mirror
-// (p.epochs) takes the ids as the round starts, so the stamp of the flush
-// that follows carries them (Z4). An id in a stamp whose append failed only
-// makes a reader wait for a delivery that is launched anyway.
-func (p *leaderRun) appendEpochs(fired []firedWatch) {
-	d, round := p.d, &p.round
+// enterEpochs is the epoch entry of the groups in fired, which the message
+// at txid claimed. Each gets an entry named by txid and its index
+// (appendEntryName), and its delivery's payload, encoded now: it names the
+// entry, and lists the shard's entries the home region's mirror holds
+// (p.entries), every one fired earlier, which the delivery waits out before
+// it sends (watchHandler), so a session gets a shard's notifications in
+// txid order. The message's round takes one write per region setting every
+// entry (claimRound.setEntries), and each region's mirror (p.epochs) takes
+// the ids as the round starts, so the stamp of the flush that follows
+// carries them (Z4). An id in a stamp whose write failed only makes a reader
+// wait for a delivery that is launched anyway.
+func (p *leaderRun) enterEpochs(fired []firedWatch, txid int64) {
+	d, waits := p.d, p.entries
 	if len(fired) == 0 {
 		return
 	}
-	for _, f := range fired {
-		round.ids = append(round.ids, f.wid)
+	var name [32]byte
+	for g := range fired {
+		f := &fired[g]
+		f.payload, f.entry = encodeWatchPayload(appendEntryName(name[:0], p.prefix, txid, g), watchPayload{
+			WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions, Waits: waits,
+		})
+		p.entries = append(p.entries, f.entry)
 	}
 	for si, s := range d.Stores {
-		round.appendIDs(d.epochKey(s.Region()), d.epochProcs[si], d.epochAttrs[p.shard])
-		p.epochs[s.Region()] = append(p.epochs[s.Region()], round.ids...)
+		r := s.Region()
+		p.round.setEntries(d.epochKey(r), d.epochProcs[si], fired)
+		for _, f := range fired {
+			p.epochs[r] = append(p.epochs[r], f.wid)
+		}
 	}
 }
 
 // claimRound is one message's watch-claim writes (➍ and its epoch entry): a
 // clear per non-shared record whose groups fired (fireGroups), then one
-// append per region carrying every id the message fired (appendEpochs). The
+// write per region setting every entry the message fired (enterEpochs). The
 // writes touch different items and are unconditional, so their mutual order
 // is free. With several shards the handler issues the first itself, spawns
 // the rest and joins them all before the message's commit phase ends
 // (issue): a reader that saw the flushed value can reach another shard's
-// opening read, so the append lands first. On one shard the only reader of
-// the epoch list is the shard's own next invocation, so every write is
-// spawned and the round is joined later (join), before the next commit check
-// and before the chunk completes. Each shard has a round of its own, in its
+// opening read, so the entry lands first. On one shard the only readers of
+// the epoch item are the shard's own next invocation and its later
+// deliveries, so every write is spawned and the round is joined later
+// (join), before the next commit check and before the chunk completes. Each shard has a round of its own, in its
 // slot (leaderShard): a shard's invocations never overlap, while different
 // shards' do. Its writes and their process bodies are kept from round to
 // round, so a steady-state round allocates nothing. It joins on a group of
@@ -633,7 +634,6 @@ type claimRound struct {
 	d   *Deployment
 	wg  *sim.WaitGroup
 	ctx cloud.Ctx
-	ids []int64 // every id the message fired, in firing order
 	// writes holds the round's writes, its first n, and spare ones.
 	writes []*roundWrite
 	n      int
@@ -645,19 +645,19 @@ type roundWrite struct {
 	round *claimRound
 	proc  string
 	key   string
-	ups   []kv.Update // pointers into rm or app
+	ups   []kv.Update // pointers into rm or sets
 	rm    [len(watchAttrs)]kv.StrListRemove
-	app   kv.ListAppend
+	sets  []kv.Set
 	run   func() // do, bound once
 }
 
-// claimProc names the process of a spawned clear; an epoch append's is
+// claimProc names the process of a spawned clear; an epoch write's is
 // Deployment.epochProcs' for its region.
 const claimProc = "leader-claim"
 
 // begin opens the message's round, empty.
 func (r *claimRound) begin(ctx cloud.Ctx) {
-	r.ctx, r.ids, r.n = ctx, r.ids[:0], 0
+	r.ctx, r.n = ctx, 0
 }
 
 // next takes the round's next write, on key under proc.
@@ -691,11 +691,17 @@ func (r *claimRound) clear(key, attr string, sessions []string) {
 	w.ups = append(w.ups, &w.rm[i])
 }
 
-// appendIDs adds the append of the round's ids to list attr on key.
-func (r *claimRound) appendIDs(key, proc, attr string) {
+// setEntries adds the write on key that sets the entry of every group in
+// fired, each a whole attribute holding the group's id.
+func (r *claimRound) setEntries(key, proc string, fired []firedWatch) {
 	w := r.next(key, proc)
-	w.app = kv.ListAppend{Name: attr, Vals: r.ids}
-	w.ups = append(w.ups, &w.app)
+	w.sets = w.sets[:0]
+	for _, f := range fired {
+		w.sets = append(w.sets, kv.Set{Name: f.entry, V: kv.N(f.wid)})
+	}
+	for i := range w.sets {
+		w.ups = append(w.ups, &w.sets[i])
+	}
 }
 
 // issue starts the round's writes in parallel. With wait, the handler runs
@@ -748,16 +754,19 @@ func (d *Deployment) claimGroup(ctx cloud.Ctx, key, attr string, sessions []stri
 }
 
 // launchWatch starts one claimed group's delivery as a child span of the
-// request that fired it. The delivery's whole cost — invocation, pushes,
-// the watch sandbox's GB-s — rides the propagated sink into that span.
-func (d *Deployment) launchWatch(ctx cloud.Ctx, msg leaderMsg, f firedWatch, txid int64) watchCompletion {
-	payload := watchPayload{
-		WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions,
-	}
+// request that fired it, and returns at once: nobody waits for it. The
+// delivery's whole cost — invocation, pushes, its epoch exit, the watch
+// sandbox's GB-s — rides the propagated sink into that span, which closes
+// as the invocation returns (deliveryReturned).
+func (d *Deployment) launchWatch(ctx cloud.Ctx, msg leaderMsg, f firedWatch) {
 	sp := d.tspan(d.msgTrace(msg), obs.SpanWatchDeliver, f.path, msg.Shard, "")
 	wctx := d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, "")
-	return watchCompletion{wid: f.wid, async: d.Platform.InvokeAsync(wctx, FnWatch, payload.encode()), span: sp}
+	d.Platform.InvokeAsync(wctx, FnWatch, f.payload, sp)
 }
+
+// deliveryReturned is the watch function's return hook: it closes the
+// delivery's span.
+func (d *Deployment) deliveryReturned(span int64, _ error) { d.spanEnd(span) }
 
 // notifyResult is the leader's one answer to a client: a single op's code
 // and Stat, or a multi()'s per-op results.

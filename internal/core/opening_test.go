@@ -449,11 +449,14 @@ func TestQuietEpochsSkipTheEpochRead(t *testing.T) {
 }
 
 // TestQuietEpochsAreEmpty: under a watch workload on one shard with two
-// regions — watchers that re-arm in their callbacks, every leader batch
-// delivered twice, and every fifth write's first invocation crashed at its
-// batch start — the store's epoch lists are empty for every region whenever
-// an invocation opens on the slot's word that they are (Deployment.Epoch's
-// view, taken at the invocation's first instant without a read's latency).
+// regions — watchers that re-arm in their callbacks, each watched write
+// followed by two unwatched ones, every leader batch delivered twice, and
+// every fifth write's first invocation crashed at its batch start — the
+// store's epoch items list no entry for any region whenever an invocation
+// opens on the slot's word that they are (Deployment.Epoch's view, taken at
+// the invocation's first instant without a read's latency). An invocation
+// that fires leaves the word unset, so only the unwatched writes give it
+// back.
 func TestQuietEpochsAreEmpty(t *testing.T) {
 	hook := &pipeFaults{redeliver: FnLeader}
 	var r *pipeRig
@@ -468,7 +471,7 @@ func TestQuietEpochsAreEmpty(t *testing.T) {
 		var ids []int64
 		for _, s := range r.d.Stores {
 			it, _ := r.d.System.Peek(r.d.epochKey(s.Region()))
-			ids = r.d.epochUnion(ids, it)
+			ids = epochUnion(ids, it)
 		}
 		lists = append(lists, ids)
 		if seq%5 != 0 || crashed[seq] {
@@ -483,7 +486,7 @@ func TestQuietEpochsAreEmpty(t *testing.T) {
 	var from int // the first head of the measured writes
 	r.k.Go("writer", func() {
 		w := r.open("w")
-		for _, p := range paths {
+		for _, p := range append(paths, "/u") {
 			w.do(OpCreate, p, "0")
 		}
 		for i := 0; i < 8; i++ {
@@ -494,8 +497,12 @@ func TestQuietEpochsAreEmpty(t *testing.T) {
 		}
 		r.k.Sleep(sim.Ms(200))
 		from = len(hook.leaderHeads)
-		for i := 0; i < 40; i++ {
-			if resp := w.do(OpSetData, paths[i%len(paths)], "x"); resp.Code != CodeOK {
+		for i := 0; i < 60; i++ {
+			p := "/u" // unwatched
+			if i%3 == 0 {
+				p = paths[i/3%len(paths)]
+			}
+			if resp := w.do(OpSetData, p, "x"); resp.Code != CodeOK {
 				t.Errorf("set %d: %s", i, resp.Code)
 			}
 		}

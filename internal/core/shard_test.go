@@ -344,8 +344,8 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 // two-shard deployment and names each planted disagreement between the
 // system store and the user store: a record without its object, a stale
 // object, a shared root whose object lacks a shard's child stamp, an epoch
-// list left non-empty, a record listing a child that has no record, and an
-// object stored under another path.
+// entry stranded by a delivery that never exited, a record listing a child
+// that has no record, and an object stored under another path.
 func TestAtRestFlagsEachDisagreement(t *testing.T) {
 	k, d := newTestDeployment(3, Config{WriteShards: 2})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
@@ -358,7 +358,8 @@ func TestAtRestFlagsEachDisagreement(t *testing.T) {
 		root, _ := d.System.Peek(znode.Root)
 		root.Set(d.pzxidAttrs[1], kv.N(7))
 		d.System.SeedPut(znode.Root, root)
-		d.System.SeedPut(d.epochKey(d.Cfg.Profile.Home), kv.Item{{Name: d.epochAttrs[1], V: kv.NumList(9)}})
+		// A stranded entry: shard 1's delivery of txid 5 died before its exit.
+		d.System.SeedPut(d.epochKey(d.Cfg.Profile.Home), kv.Item{{Name: string(appendEntryName(nil, entryPrefix(1), 5, 0)), V: kv.N(9)}})
 		d.System.SeedPut("/orphans", kv.Item{{Name: attrExists, V: kv.N(1)}, {Name: attrChildren, V: kv.StrList("ghost")}})
 		d.Stores[0].Seed(&znode.Node{Path: "/orphans", Children: []string{"ghost"}})
 		d.System.SeedPut("/moved", kv.Item{{Name: attrExists, V: kv.N(1)}})

@@ -53,8 +53,6 @@ const (
 	attrWatchData   = "w_data"
 	attrWatchExists = "w_exists"
 	attrWatchChild  = "w_child"
-
-	attrEpochList = "w"
 )
 
 // watchAttrs names each watch type's session list on a control record,
@@ -64,13 +62,16 @@ var watchAttrs = [...]string{attrWatchData, attrWatchExists, attrWatchChild}
 func sessionKey(id string) string { return sessionKeyPrefix + id }
 func deregKey(id string) string   { return deregKeyPrefix + id }
 
-// epochKey names a region's watch epoch item. It holds every leader shard's
-// in-flight watch list, one attribute per shard (Deployment.epochAttrs;
-// shard 0's is attrEpochList, so a one-shard item is the paper's counter).
-// One strongly consistent read of it is an atomic snapshot of the region's
-// union, and shards still never contend: each writes only its own
-// attribute, with unconditional updates. A region's key is built on first
-// use and kept: every leader invocation reads it.
+// epochKey names a region's watch epoch item. It holds one attribute per
+// watch group fired and not yet delivered — the group's epoch entry
+// (appendEntryName) — whose value is the group's watch id. The leader that
+// fires the group sets it, with an unconditional update, and the watch
+// function that delivers it removes it (watchHandler): each writes and
+// removes its own attribute whole, so no entry is ever cleared by another
+// fire's exit, and shards never contend. One strongly consistent read of
+// the item is an atomic snapshot of the region's in-flight ids over every
+// shard (epochUnion). A region's key is built on first use and kept: every
+// leader invocation reads it.
 func (d *Deployment) epochKey(r cloud.Region) string {
 	key, ok := d.epochKeys[r]
 	if !ok {
@@ -79,6 +80,17 @@ func (d *Deployment) epochKey(r cloud.Region) string {
 	}
 	return key
 }
+
+// appendEntryName appends the epoch entry name of the g-th group txid
+// fired, after the firing shard's prefix (entryPrefix): "w<shard>.<txid>.<g>".
+// Txids are unique, so the name is unique to one fire.
+func appendEntryName(b []byte, prefix string, txid int64, g int) []byte {
+	b = strconv.AppendInt(append(b, prefix...), txid, 10)
+	return strconv.AppendInt(append(b, '.'), int64(g), 10)
+}
+
+// entryPrefix starts the name of every epoch entry shard s fires.
+func entryPrefix(s int) string { return "w" + strconv.Itoa(s) + "." }
 
 // shardAttr names shard s's attribute of a kind every shard keeps its own
 // of on one item: shard 0's is base, so a one-shard item is the paper's.
@@ -94,8 +106,7 @@ func shardAttr(base string, s int) string {
 // change. Txids of two shards do not order, so a last-writer-wins pzxid
 // cannot say which shards' changes the child list holds; one stamp per
 // shard can, and the root's user-store object carries the same vector
-// (znode.Node.Pzxids). Each shard sets only its own (commitPlan), as with
-// the epoch lists.
+// (znode.Node.Pzxids). Each shard sets only its own (commitPlan).
 func (d *Deployment) childStamps(it kv.Item) []int64 {
 	stamps := make([]int64, len(d.pzxidAttrs))
 	for s, attr := range d.pzxidAttrs {
@@ -104,12 +115,11 @@ func (d *Deployment) childStamps(it kv.Item) []int64 {
 	return stamps
 }
 
-// epochUnion appends to ids a copy of the union of an epoch item's
-// per-shard lists, in shard order: the item may be a read-only view, and
-// callers append to the union (queryWatches).
-func (d *Deployment) epochUnion(ids []int64, it kv.Item) []int64 {
-	for _, attr := range d.epochAttrs {
-		ids = append(ids, it.Get(attr).NL()...)
+// epochUnion appends to ids the watch id of every entry on an epoch item,
+// over every shard, in the order the item lists them.
+func epochUnion(ids []int64, it kv.Item) []int64 {
+	for i := range it {
+		ids = append(ids, it[i].V.Num())
 	}
 	return ids
 }
@@ -212,8 +222,8 @@ func (s sysNode) toZNode(path string, data []byte) znode.Node {
 //   - every child the record lists has a record that says it exists;
 //   - the object is stored under its own path;
 //
-// and every epoch item's watch lists are empty. It returns one line per
-// disagreement, in key order.
+// and every epoch item lists no entry: each delivery removed its own. It
+// returns one line per disagreement, in key order.
 func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 	var out []string
 	scan := d.System.Scan(ctx)
@@ -222,10 +232,8 @@ func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 		exists[ki.Key] = ki.Item.Get(attrExists).Num() == 1
 	}
 	for _, ki := range scan {
-		if strings.HasPrefix(ki.Key, epochKeyPrefix) {
-			if ids := d.epochUnion(nil, ki.Item); len(ids) > 0 {
-				out = append(out, fmt.Sprintf("%s: watch ids %v still listed", ki.Key, ids))
-			}
+		if strings.HasPrefix(ki.Key, epochKeyPrefix) && len(ki.Item) > 0 {
+			out = append(out, fmt.Sprintf("%s: epoch entries %v still listed", ki.Key, ki.Item))
 		}
 		if !strings.HasPrefix(ki.Key, znode.Root) {
 			continue

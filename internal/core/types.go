@@ -327,11 +327,17 @@ const (
 	MsgPong
 )
 
-// watchPayload is the free watch function's invocation payload.
+// watchPayload is the free watch function's invocation payload: the
+// notification, its sessions, the name of the fire's epoch entry, which the
+// function removes once it delivered (➏), and Waits, the entries of earlier
+// txids of the firing shard listed when the leader fired it, which it waits
+// out before it sends.
 type watchPayload struct {
+	Entry    string
 	WatchID  int64
 	Event    EventType
 	Path     string
 	Txid     int64
 	Sessions []string
+	Waits    []string
 }

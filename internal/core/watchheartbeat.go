@@ -1,7 +1,11 @@
 package core
 
 import (
+	"slices"
+	"time"
+
 	"faaskeeper/internal/cloud/faas"
+	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/wire"
 )
@@ -12,19 +16,35 @@ var heartbeatPrepBase = sim.Q(0.3, 1.2, 2.5, 4.0, 10)
 
 // watchHandler is the free watch function (Section 4.1 "Decoupling Watch
 // Delivery"): it fans one notification out to every subscribed client in
-// parallel and waits for the deliveries before returning, which is what
-// lets the leader's epoch bookkeeping treat the invocation's completion as
-// "notification delivered". A delivery waits one round trip for the
-// client's TCP-level acknowledgment, and a send never blocks, so the
-// parallel fan-out is one loop: each session's send and the draw of its
-// acknowledgment's round trip, in session order, then one wait for the
-// slowest. The loop runs after the events already due at the instant
-// (Sleep(0)), where a process per session would have started, so every
-// event and random draw lands where it would.
+// parallel, waits for their acknowledgments, and then removes its own epoch
+// entry from every region's epoch item (➏): the leader that fired it waits
+// for nothing. A delivery waits one round trip for the client's TCP-level
+// acknowledgment, and a send never blocks, so the parallel fan-out is one
+// loop: each session's send and the draw of its acknowledgment's round
+// trip, in session order, then one wait for the slowest. The loop runs after
+// the events already due at the instant (Sleep(0)), where a process per
+// session would have started, so every event and random draw lands where it
+// would.
+//
+// Within a shard, deliveries keep txid order: first the function waits out
+// the entries its payload lists — the shard's entries listed when the
+// leader fired it (enterEpochs), each removed only once its delivery was
+// acknowledged — re-reading the home region's item every entryPoll, for at
+// most entryWaitMax: an entry whose delivery died before its exit holds the
+// shard's later deliveries that long, once. An entry
+// never comes back once removed, so each read drops the ones gone. With
+// none, as on every delivery that overlaps no earlier one of its shard, it
+// reads nothing.
 func (d *Deployment) watchHandler(inv *faas.Invocation) error {
 	p, err := decodeWatchPayload(inv.Payload)
 	if err != nil {
 		return err
+	}
+	for end := d.K.Now() + entryWaitMax; len(p.Waits) > 0 && d.K.Now() < end; {
+		it, _ := d.System.GetView(inv.Ctx, d.epochKey(d.Stores[0].Region()), true)
+		if p.Waits = slices.DeleteFunc(p.Waits, func(e string) bool { _, ok := it.Lookup(e); return !ok }); len(p.Waits) > 0 {
+			d.K.Sleep(entryPoll)
+		}
 	}
 	m := SessionMsg{Kind: MsgNotification, Notification: Notification{WatchID: p.WatchID, Event: p.Event, Path: p.Path, Txid: p.Txid}}
 	var slowest sim.Time
@@ -34,8 +54,16 @@ func (d *Deployment) watchHandler(inv *faas.Invocation) error {
 		slowest = max(slowest, d.Env.Profile.ClientRTT.Sample(d.K.Rand()))
 	}
 	d.K.Sleep(slowest)
+	for _, s := range d.Stores {
+		_, _ = d.System.Update(inv.Ctx, d.epochKey(s.Region()), []kv.Update{kv.Remove{Name: p.Entry}}, nil)
+	}
 	return nil
 }
+
+// entryPoll is how often a delivery re-reads the home region's epoch item
+// while an entry it waits out is listed, and entryWaitMax how long it waits
+// at most: the client's request timeout.
+const entryPoll, entryWaitMax = 2 * time.Millisecond, 60 * time.Second
 
 // heartbeatHandler is the scheduled heartbeat function (Section 3.6): scan
 // the session table, ping every session that owns ephemeral nodes in

@@ -155,18 +155,23 @@ func readChange(d *wire.Decoder) change {
 	}
 }
 
-// encode serializes the watch invocation payload into bytes the callee
-// retains (the invocation runs after faas.InvokeAsync returns), at their
-// exact size: one allocation.
-func (p watchPayload) encode() []byte {
-	e := wire.Sized(2 + wire.VarintLen(p.WatchID) + wire.StringLen(p.Path) + wire.VarintLen(p.Txid) + wire.StringsLen(p.Sessions))
+// encodeWatchPayload serializes a watch invocation payload, whose epoch
+// entry is named entry, into bytes the callee retains (the invocation runs
+// after faas.InvokeAsync returns), at their exact size: one allocation. It
+// also returns the entry's name as a view into them.
+func encodeWatchPayload(entry []byte, p watchPayload) ([]byte, string) {
+	e := wire.Sized(2 + wire.UvarintLen(uint64(len(entry))) + len(entry) + wire.VarintLen(p.WatchID) +
+		wire.StringLen(p.Path) + wire.VarintLen(p.Txid) + wire.StringsLen(p.Sessions) + wire.StringsLen(p.Waits))
 	e.Byte(tagWatch)
+	e.Bytes(entry)
 	e.Varint(p.WatchID)
 	e.Byte(byte(p.Event))
 	e.String(p.Path)
 	e.Varint(p.Txid)
 	e.Strings(p.Sessions)
-	return e.Data()
+	e.Strings(p.Waits)
+	name := wire.NewDecoder(e.Data()[1:])
+	return e.Data(), name.String()
 }
 
 // decodeWatchPayload parses a watch invocation payload.
@@ -176,11 +181,13 @@ func decodeWatchPayload(b []byte) (watchPayload, error) {
 		return watchPayload{}, fmt.Errorf("%w: watch payload tag", wire.ErrCorrupt)
 	}
 	p := watchPayload{
+		Entry:    d.String(),
 		WatchID:  d.Varint(),
 		Event:    EventType(d.Byte()),
 		Path:     d.String(),
 		Txid:     d.Varint(),
 		Sessions: d.Strings(),
+		Waits:    d.Strings(),
 	}
 	return p, d.Err()
 }

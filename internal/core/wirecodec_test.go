@@ -69,8 +69,15 @@ func testMultiMsg() leaderMsg {
 func testWatchPayloads() []watchPayload {
 	return []watchPayload{
 		{},
-		{WatchID: 5, Event: EventDataChanged, Path: "/w", Txid: 99, Sessions: []string{"a", "b"}},
+		{Entry: "w99.0", WatchID: 5, Event: EventDataChanged, Path: "/w", Txid: 99, Sessions: []string{"a", "b"}},
+		{Entry: "w99.1", WatchID: 6, Event: EventChildrenChanged, Path: "/", Txid: 99, Sessions: []string{"a"}, Waits: []string{"w95.0", "w97.2"}},
 	}
+}
+
+// encode is encodeWatchPayload with the entry name p carries.
+func (p watchPayload) encode() []byte {
+	b, _ := encodeWatchPayload([]byte(p.Entry), p)
+	return b
 }
 
 // The norm* helpers map empty slices to nil, the decoder's canonical form.
@@ -118,6 +125,9 @@ func normChange(c change) change {
 func normWP(p watchPayload) watchPayload {
 	if len(p.Sessions) == 0 {
 		p.Sessions = nil
+	}
+	if len(p.Waits) == 0 {
+		p.Waits = nil
 	}
 	return p
 }
@@ -215,8 +225,8 @@ func TestWatchPayloadRoundTripIdentity(t *testing.T) {
 // bytes are what the pooled encoder writes. Long strings and a large id
 // take the multi-byte varint lengths.
 func TestWatchPayloadEncodesAtItsSize(t *testing.T) {
-	long := watchPayload{WatchID: 1 << 62, Event: EventChildrenChanged, Path: "/" + string(bytes.Repeat([]byte("p"), 300)),
-		Txid: -1 << 40, Sessions: []string{string(bytes.Repeat([]byte("s"), 200)), "", "x"}}
+	long := watchPayload{Entry: "w1099511627776.12", WatchID: 1 << 62, Event: EventChildrenChanged, Path: "/" + string(bytes.Repeat([]byte("p"), 300)),
+		Txid: -1 << 40, Sessions: []string{string(bytes.Repeat([]byte("s"), 200)), "", "x"}, Waits: []string{"w1.0", string(bytes.Repeat([]byte("w"), 130))}}
 	for _, p := range append(testWatchPayloads(), long) {
 		b := p.encode()
 		if len(b) != cap(b) {
@@ -224,17 +234,22 @@ func TestWatchPayloadEncodesAtItsSize(t *testing.T) {
 		}
 		e := wire.NewEncoder()
 		e.Byte(tagWatch)
+		e.String(p.Entry)
 		e.Varint(p.WatchID)
 		e.Byte(byte(p.Event))
 		e.String(p.Path)
 		e.Varint(p.Txid)
 		e.Strings(p.Sessions)
+		e.Strings(p.Waits)
 		if !bytes.Equal(b, e.Data()) {
 			t.Errorf("encode: %x, the pooled encoder writes %x", b, e.Data())
 		}
 		e.Release()
 		if got := testing.AllocsPerRun(100, func() { _ = p.encode() }); got != 1 {
 			t.Errorf("encode: %v allocations, want 1", got)
+		}
+		if _, got := encodeWatchPayload([]byte(p.Entry), p); got != p.Entry {
+			t.Errorf("the entry name encodeWatchPayload returns = %q, want %q", got, p.Entry)
 		}
 	}
 }
@@ -269,7 +284,9 @@ func TestWireSizesPinned(t *testing.T) {
 	}{
 		{"Request", len(testRequests()[1].Encode(e1)), 38},
 		{"leaderMsg", len(testLeaderMsgs()[1].encode(e2)), 51},
-		{"watchPayload", len(testWatchPayloads()[1].encode()), 13},
+		// The epoch entry's name and an empty wait list joined the payload
+		// when the watch function took over the entry's exit (+7 B).
+		{"watchPayload", len(testWatchPayloads()[1].encode()), 20},
 		// The same multi() encoded to 127 B as a leaderMsg nesting its
 		// payload in NodeBlob: the blob's length prefix, tag and second
 		// trace id went (−9 B), and the create carries its marshaled node
@@ -408,10 +425,11 @@ func FuzzTxnMsgCodecs(f *testing.F) {
 // FuzzWatchPayloadCodecs covers the watch invocation payload, including
 // multi-element session lists.
 func FuzzWatchPayloadCodecs(f *testing.F) {
-	f.Add(int64(1), byte(2), "/w", int64(3), "a", "b")
-	f.Fuzz(func(t *testing.T, wid int64, event byte, path string, txid int64, s1 string, s2 string) {
+	f.Add("w3.0", int64(1), byte(2), "/w", int64(3), "a", "b", "w1.0")
+	f.Fuzz(func(t *testing.T, entry string, wid int64, event byte, path string, txid int64, s1, s2, wait string) {
 		neverPanics([]byte(path))
-		p := watchPayload{WatchID: wid, Event: EventType(event), Path: path, Txid: txid, Sessions: []string{s1, s2}}
+		p := watchPayload{Entry: entry, WatchID: wid, Event: EventType(event), Path: path, Txid: txid,
+			Sessions: []string{s1, s2}, Waits: []string{wait}}
 		got, err := decodeWatchPayload(p.encode())
 		if err != nil {
 			t.Fatalf("decode: %v", err)

@@ -148,7 +148,17 @@ func traceWorkload(t *testing.T, cfg core.Config) []byte {
 // is dealt anew from the second line on. The nine lines keep their
 // content; the first keeps its instant, and the last moves 1 684 594 441 →
 // 1 525 343 393 ns.
-const singleShardTraceSHA256 = "28bc68a7b684c21b5e3462d2e8d9d55e958bed6fd0b5a4f66a0364026e2b544f"
+//
+// Re-pinned an eighth time (from 28bc68a7…544f) when the leader stopped
+// waiting for watch deliveries: each watch function removes its own epoch
+// entry, and the leader's invocation returns once it launched them
+// (core/leader.go leaderHandler, core/watchheartbeat.go watchHandler).
+// Only the second set of /a/x fires a watch. The first five lines keep
+// their content and their instants; the sixth (the create-seq) reaches a
+// leader no longer busy with that delivery and lands 94.6 ms sooner, and
+// every later line moves by a similar amount. The nine lines keep their
+// content; the last moves 1 525 343 393 → 1 494 946 542 ns.
+const singleShardTraceSHA256 = "042e6b77b6f31103813d7b3ca0a626ee7bca83d2e1f2b4215c8e455f15db096b"
 
 // TestSingleShardTraceIdentical is the determinism guard: an explicit
 // WriteShards: 1 deployment must produce a byte-identical virtual-time
@@ -340,7 +350,17 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) ([]byte, *histcheck.
 // is now answered ahead of c0's notification) the races go other ways — 10
 // lines carry an error where 8 did — and the history ends at
 // 1 768 881 233 ns, was 1 971 271 333. The history check passes on it.
-const concurrentTraceSHA256 = "457f8fbc99fbc73e33a849a7c15cdbe6f13a9f6ab20c9aeec0b3fadb62b56d83"
+//
+// Re-pinned an eighth time (from 457f8fbc…6d83) for the leader that no
+// longer waits for watch deliveries (see singleShardTraceSHA256): the
+// invocation of c0's set of /s1, which fires c0's watch, returns without
+// waiting for the delivery, so the writes queued behind it are answered
+// sooner. The first 19 of the 41 lines keep their content; from line 20 on
+// (c1's set of /s2 is now answered at 740 ms, ahead of c0's notification,
+// which the watch function still sends at 916 ms) the races go other ways —
+// 7 lines carry an error where 10 did — and the history ends at
+// 1 743 345 892 ns, was 1 768 881 233. The history check passes on it.
+const concurrentTraceSHA256 = "9d025eaabfadf38ea2ee88857eb7f173328c905ceef899b40ce16b266fc7759d"
 
 // TestConcurrentTraceIdentical: the concurrent default-config trace matches
 // its golden hash, with and without an explicit WriteShards: 1, and its

@@ -526,6 +526,72 @@ func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
 	})
 }
 
+// TestNotificationsKeepTxidOrder: a session watches /a and then /b, and a
+// writer sets /a and then /b, back to back; both nodes share a shard. Once
+// both writes are answered and a first notification is in, the session
+// reads /a. Over 200 seeds the callbacks run in txid order, /a's first, and
+// the read returns /a's new value no sooner than /a's callback runs. The
+// deliveries overlap when the watch function starts cold, and a later one
+// of a shard waits out the earlier ones' epoch entries (core watchHandler):
+// without that wait, /b's notification can arrive first, and its txid, the
+// session's newest of the shard, lets a read of /a's new value past the
+// epoch gate.
+func TestNotificationsKeepTxidOrder(t *testing.T) {
+	overlapped := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		run(t, seed, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+			w, v := mustConnect(t, d, "w"), mustConnect(t, d, "v")
+			defer w.Close()
+			defer v.Close()
+			for _, p := range []string{"/a", "/b"} {
+				if _, err := w.Create(p, []byte("0"), 0); err != nil {
+					t.Fatalf("seed %d: create %s: %v", seed, p, err)
+				}
+			}
+			var fired []core.Notification
+			var aRan sim.Time // the instant /a's callback ran; 0 before
+			for _, p := range []string{"/a", "/b"} {
+				if _, _, err := v.GetDataW(p, func(n core.Notification) {
+					fired = append(fired, n)
+					if n.Path == "/a" {
+						aRan = k.Now()
+					}
+				}); err != nil {
+					t.Fatalf("seed %d: watch %s: %v", seed, p, err)
+				}
+			}
+			for _, p := range []string{"/a", "/b"} {
+				if _, err := w.SetData(p, []byte("1"), -1); err != nil {
+					t.Fatalf("seed %d: set %s: %v", seed, p, err)
+				}
+			}
+			if len(fired) < 2 {
+				overlapped++
+			}
+			// The first notification in raises the session's newest txid
+			// of the shard; a read of /a then must still wait for /a's.
+			for len(fired) == 0 {
+				k.Sleep(time.Millisecond)
+			}
+			data, _, err := v.GetData("/a")
+			if err != nil || string(data) != "1" {
+				t.Fatalf("seed %d: get /a after both writes were answered: %q, %v", seed, data, err)
+			}
+			read := k.Now()
+			k.Sleep(10 * time.Second)
+			if aRan == 0 || read < aRan {
+				t.Errorf("seed %d: read /a's new value at %v, /a's callback ran at %v", seed, read, aRan)
+			}
+			if len(fired) != 2 || fired[0].Path != "/a" || fired[0].Txid >= fired[1].Txid {
+				t.Errorf("seed %d: notifications %+v, want /a's then /b's, in txid order", seed, fired)
+			}
+		})
+	}
+	if overlapped == 0 {
+		t.Error("no seed had a delivery in flight once both writes were answered: the test saw no overlap")
+	}
+}
+
 // TestWatchCycleAllocations pins the host cost of one watched write's whole
 // cycle through the public client on the paper preset: a SetData to a node
 // that four sessions watch, the watch function's fan-out to them, each
@@ -610,8 +676,8 @@ const watchCycleSessions = 4
 // (clientWriteAllocs, 5), and per session its registration's stored list
 // (1), its watch entry (1) and the re-arming read of a version whose epoch
 // stamp carries the watch (node, data, stamp: 3), and the delivery's own
-// (3): the epoch append's list, and the payload the watch function keeps
-// and its decoded session list. No system-store write copies an item: each
+// (3): the system store's copy of its epoch entry's name, and the payload
+// the watch function keeps and its decoded session list. No system-store write copies an item: each
 // builds into a retired version's array (kv.Table.build). Re-pin it only
 // with a reason: bench's watch_notify allocs_per_op is this count plus the
 // workload's own bookkeeping (about 5), over 5 ops a write. It was
@@ -628,19 +694,25 @@ const watchCycleSessions = 4
 // commit and pop (3), each registration (4), the claim's clear and epoch
 // append and the epoch removal (3) copy no item, and the leader's epoch
 // mirror, fired list and completion list kept their arrays in the shard's
-// slot (3).
+// slot (3). The leader stopped waiting for deliveries with the count
+// unchanged: the epoch append's new list went, and the copy of the entry's
+// name came; the name itself is a view into the payload.
 const watchCycleAllocs = 28
 
 // watchCycleWork is TestWatchCycleKernelWork's pinned count over
-// watchCycleRuns cycles: a watched write is about 55 dispatches — 43 or 44
+// watchCycleRuns cycles: a watched write is about 54 dispatches — 42 or 43
 // hand-offs, the rest self-continues, as same-instant events fall — and 4
-// spawns (the flush's leg, the claim round's clear and epoch append, the
+// spawns (the flush's leg, the claim round's clear and epoch write, the
 // watch function's invocation). Re-pin it only with a reason. It was 5 500
 // dispatches, 4 362 hand-offs and 1 138 self-continues until a warm
 // one-shard leader skipped the epoch item in its opening read: the read is
 // still one GetViews, but the draws after the shorter read shift, and with
 // them how a cycle's events fall, so 3 cycles in 100 now take 57 dispatches
-// and one 54.
+// and one 54. It was 5 505, 4 366 and 1 139 until the leader stopped
+// waiting for the delivery: the wake from the invocation's future went
+// (about one hand-off a write), the watch function took over the epoch exit,
+// and the opening read takes the epoch item again (every invocation fires,
+// so the slot's word never holds).
 const watchCycleRuns = 100
 
-var watchCycleWork = sim.Work{Dispatches: 5505, HandOffs: 4366, SelfContinues: 1139, Spawns: 400}
+var watchCycleWork = sim.Work{Dispatches: 5407, HandOffs: 4269, SelfContinues: 1138, Spawns: 400}

@@ -35,6 +35,12 @@ type CheckOpts struct {
 	// strictly increasing txids. 0 means 1.
 	Shards int
 
+	// AtomicMulti says the user store applies a multi()'s writes at one
+	// instant (core.AtomicApplier, the KV store): a reader that saw any op
+	// of a multi() sees every other op of it at or past its txid. Without
+	// it the ops are applied in order, and only the earlier ops are bound.
+	AtomicMulti bool
+
 	// LostWatchGap is how long after an arm a read must complete to count
 	// as lost-watch evidence: a write already in the leader pipeline when
 	// the registration landed may legally miss it, so only changes
@@ -80,13 +86,16 @@ type deletion struct {
 // wrote or was notified of, the txid of a multi() it observed on a sibling
 // path, the values its own writes leave on a path no other session writes,
 // the latest evidence that the node existed and the invariant a "no node"
-// read after it breaks, and its successful reads.
+// read after it breaks, and its successful reads. A notification bounds
+// only the reads that start after it (notes): the session's callbacks run
+// beside its reads.
 type bound struct {
 	mz, multi int64
 	vals      map[string]bool
 	seen      sim.Time
 	seenBy    string
 	reads     []*Event
+	notes     []*Event
 }
 
 func (b *bound) see(at sim.Time, by string) {
@@ -114,7 +123,9 @@ type model struct {
 	deletes  map[string][]deletion
 	at       map[int64]*Event // the acked write at each txid
 	bounds   map[key]*bound
-	lastAck  map[key]int64 // a session's newest ack per minting shard
+	lastAck  map[key]int64       // a session's newest ack per minting shard
+	lastFire map[key]int64       // a session's newest notification per minting shard
+	reads    map[string][]*Event // each session's successful data reads
 	out      []Violation
 }
 
@@ -162,7 +173,7 @@ func byTxid(v version, t int64) int { return cmp.Compare(v.txid, t) }
 //     the session's bound, whether raised by its reads, its own writes
 //     (values too, on a path only it writes), or a multi() it observed on
 //     a later op's path (a multi()'s ops commit at one txid and are
-//     applied in order);
+//     applied in order) — on any other op's path with AtomicMulti;
 //   - listed-unreadable (and the two above): a node the session listed,
 //     wrote or read answers "no node" only after a delete that may have
 //     landed since;
@@ -172,9 +183,13 @@ func byTxid(v version, t int64) int { return cmp.Compare(v.txid, t) }
 //     create finds no node, a set or delete finds one, and a set raises
 //     the version by one;
 //   - watch-stale-read, watch-fired-late, phantom-notification: a
-//     notification precedes its owner's reads of newer state (Z4),
+//     notification precedes its owner's reads of newer state (Z4) — of its
+//     path, and once the watch was armed before the firing write's ack, of
+//     any path at or past the write's txid from the write's shard —
 //     announces the first acked write past the arming read, matches a
 //     write, and fires at most once per arm;
+//   - notification-order: a session gets the notifications one shard
+//     minted in txid order (Z4);
 //   - lost-watch: an open session's silent arm with changes read past
 //     LostWatchGap; timeliness: a read starting Timeliness after an ack
 //     returns it or newer.
@@ -185,7 +200,8 @@ func Check(h *History, opts CheckOpts) []Violation {
 	opts.Shards = max(opts.Shards, 1)
 	m := &model{opts: opts, versions: map[string][]version{}, origins: map[string]map[string]*origin{},
 		writers: map[string]map[string]bool{}, partial: map[string]bool{}, deletes: map[string][]deletion{},
-		at: map[int64]*Event{}, bounds: map[key]*bound{}, lastAck: map[key]int64{}}
+		at: map[int64]*Event{}, bounds: map[key]*bound{}, lastAck: map[key]int64{}, lastFire: map[key]int64{},
+		reads: map[string][]*Event{}}
 	for i := range h.Events {
 		m.index(&h.Events[i])
 	}
@@ -365,6 +381,7 @@ func (m *model) read(e *Event) {
 		m.list(e)
 	default:
 		m.observe(e, b)
+		m.reads[e.Session] = append(m.reads[e.Session], e)
 	}
 	b.reads = append(b.reads, e)
 }
@@ -400,6 +417,12 @@ func (m *model) observe(e *Event, b *bound) {
 			m.flag("same-mzxid-different-data", e.Session, e.Path, "mzxid %d observed as %q and %q", e.Mzxid, vs[i].value, e.Value)
 		}
 	}
+	b.notes = slices.DeleteFunc(b.notes, func(n *Event) bool {
+		if n.End <= e.Start {
+			b.mz = max(b.mz, n.Mzxid)
+		}
+		return n.End <= e.Start
+	})
 	if e.Mzxid > 0 && e.Mzxid < b.mz {
 		m.flag("mzxid-regression", e.Session, e.Path, "read mzxid %d after observing %d", e.Mzxid, b.mz)
 	}
@@ -419,8 +442,11 @@ func (m *model) observe(e *Event, b *bound) {
 	b.see(e.Start, "mzxid-regression")
 	if o != nil && o.multi != nil {
 		for _, op := range o.multi.Ops {
-			if op.Path == e.Path {
+			if op.Path == e.Path && !m.opts.AtomicMulti {
 				break
+			}
+			if op.Path == e.Path || op.Op == "check" {
+				continue
 			}
 			sib := m.bound(e.Session, op.Path)
 			sib.multi = max(sib.multi, e.Mzxid)
@@ -457,13 +483,38 @@ func (m *model) arm(e *Event) {
 	m.timely(e)
 }
 
-// fire judges a notification against the arm it consumes.
+// fire judges a notification against the arm it consumes, and against the
+// session's earlier notifications from its shard.
 func (m *model) fire(e, arm *Event) {
 	b := m.bound(e.Session, e.Path)
+	shards := int64(m.opts.Shards)
+	if e.Mzxid > 0 {
+		k := key{session: e.Session, n: e.Mzxid % shards}
+		if last := m.lastFire[k]; e.Mzxid < last {
+			m.flag("notification-order", e.Session, e.Path, "notification of txid %d after one of txid %d from shard %d",
+				e.Mzxid, last, k.n)
+		}
+		m.lastFire[k] = max(m.lastFire[k], e.Mzxid)
+	}
 	if arm != nil {
 		for _, r := range b.reads {
 			if r.Op != "children" && r.End >= arm.End && r.End < e.End && r.Mzxid > e.Mzxid {
 				m.flag("watch-stale-read", e.Session, e.Path, "read mzxid %d before delivery of watch txid %d", r.Mzxid, e.Mzxid)
+			}
+		}
+		// Armed before the firing write was acked, and not on a value it
+		// already read: the write's stamp, and every later one of its shard
+		// while the delivery is in flight, holds the session's reads of
+		// other paths at or past it until the notification. (The watched
+		// path's own value at the txid is left out: the client's alias
+		// check, Deployment.Armed, can read the registration before the
+		// claim's clear lands, which one shard runs under the flush.)
+		if w := m.at[e.Mzxid]; w != nil && arm.End < w.End && arm.Mzxid < e.Mzxid {
+			for _, r := range m.reads[e.Session] {
+				if r.Path != e.Path && r.End >= arm.End && r.End < e.End && r.Mzxid >= e.Mzxid && r.Mzxid%shards == e.Mzxid%shards {
+					m.flag("watch-stale-read", e.Session, r.Path, "read mzxid %d before delivery of watch %d on %s, fired by txid %d",
+						r.Mzxid, e.WatchID, e.Path, e.Mzxid)
+				}
 			}
 		}
 	}
@@ -487,7 +538,7 @@ func (m *model) fire(e, arm *Event) {
 				e.WatchID, e.Mzxid)
 		}
 	}
-	b.mz = max(b.mz, e.Mzxid)
+	b.notes = append(b.notes, e)
 }
 
 // lost judges an open session's arm that never fired: a child watch whose

@@ -351,3 +351,91 @@ func TestCheckerFlagsListedUnreadable(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckerFlagsNotificationOutOfOrder: a session gets one shard's
+// notifications in txid order; two shards' interleave freely.
+func TestCheckerFlagsNotificationOutOfOrder(t *testing.T) {
+	events := []Event{
+		{Session: "w", Kind: KindWatchArm, Path: "/a", Mzxid: 2, WatchID: 1, End: 1},
+		{Session: "w", Kind: KindWatchArm, Path: "/b", Mzxid: 3, WatchID: 2, End: 2},
+		{Session: "w", Kind: KindWatchFire, Path: "/b", Mzxid: 21, WatchID: 2, End: 8},
+		{Session: "w", Kind: KindWatchFire, Path: "/a", Mzxid: 17, WatchID: 1, End: 9},
+	}
+	if vs := Check(&History{Events: events}, CheckOpts{}); !hasViolation(vs, "notification-order") {
+		t.Errorf("txid 17 notified after txid 21 of the same shard, not flagged: %v", vs)
+	}
+	events[3].Mzxid = 18 // minted by the other of two shards
+	if vs := Check(&History{Events: events}, CheckOpts{Shards: 2}); hasViolation(vs, "notification-order") {
+		t.Errorf("two shards' notifications interleaved, flagged: %v", vs)
+	}
+}
+
+// TestCheckerFlagsCrossPathReadBeforeWatchDelivery: a session armed on /a
+// before the write that fires it was acked reads /b at or past that write's
+// txid, on the same shard, before /a's notification: its own watch's
+// delivery was in flight, so the read must have waited (Z4). A read of a
+// path another shard minted is not held.
+func TestCheckerFlagsCrossPathReadBeforeWatchDelivery(t *testing.T) {
+	events := []Event{
+		{Session: "w", Kind: KindWatchArm, Path: "/a", Mzxid: 4, WatchID: 1, End: 2},
+		{Session: "x", Kind: KindWrite, Op: "set", Path: "/a", Value: "a1", Mzxid: 20, Start: 3, End: 5},
+		{Session: "x", Kind: KindWrite, Op: "set", Path: "/b", Value: "b1", Mzxid: 22, Start: 5, End: 6},
+		{Session: "w", Kind: KindRead, Op: "get", Path: "/b", Value: "b1", Mzxid: 22, Start: 6, End: 7},
+		{Session: "w", Kind: KindWatchFire, Path: "/a", Mzxid: 20, WatchID: 1, End: 9},
+	}
+	if vs := Check(&History{Events: events}, CheckOpts{}); !hasViolation(vs, "watch-stale-read") {
+		t.Errorf("read /b at 22 before the notification of /a's txid 20, not flagged: %v", vs)
+	}
+	events[2].Mzxid, events[3].Mzxid = 23, 23 // the other of two shards
+	if vs := Check(&History{Events: events}, CheckOpts{Shards: 2}); hasViolation(vs, "watch-stale-read") {
+		t.Errorf("read of another shard's path flagged: %v", vs)
+	}
+	events[0].End = 5 // armed no sooner than the ack: the clause does not apply
+	events[2].Mzxid, events[3].Mzxid = 22, 22
+	if vs := Check(&History{Events: events}, CheckOpts{}); hasViolation(vs, "watch-stale-read") {
+		t.Errorf("a watch armed as the firing write was acked, flagged: %v", vs)
+	}
+}
+
+// TestCheckerAtomicMultiBindsEveryOp: on a store that applies a multi()'s
+// writes at one instant, a reader that saw any op of it sees every other op
+// at or past its txid, in either order; on object storage only the earlier
+// ops are bound (TestMultiOrderIsOneWay).
+func TestCheckerAtomicMultiBindsEveryOp(t *testing.T) {
+	multi := func(value string, txid int64) Event {
+		return Event{Session: "w", Kind: KindMulti, Op: "multi", Path: "/a", End: sim.Time(txid), Ops: []SubOp{
+			{Op: "set", Path: "/a", Value: value, Code: "ok", Txid: txid},
+			{Op: "set", Path: "/b", Value: value, Code: "ok", Txid: txid},
+		}}
+	}
+	read := func(path, value string, mzxid int64) Event {
+		return Event{Session: "r", Kind: KindRead, Op: "get", Path: path, Value: value, Mzxid: mzxid, End: sim.Time(30 + mzxid)}
+	}
+	h := &History{Events: []Event{multi("v1", 10), multi("v2", 18), read("/a", "v2", 18), read("/b", "v1", 10)}}
+	if vs := Check(h, CheckOpts{AtomicMulti: true}); !hasViolation(vs, "multi-atomicity") {
+		t.Errorf("the first op seen at 18, then the second at 10 on an atomic store, not flagged: %v", vs)
+	}
+	if vs := Check(h, CheckOpts{}); len(vs) != 0 {
+		t.Errorf("the same reads on an in-order store flagged: %v", vs)
+	}
+}
+
+// TestCheckerNotificationBoundsLaterReads: a notification raises the
+// session's bound on its path for the reads that start after it; a read
+// already in flight may still return the value from before.
+func TestCheckerNotificationBoundsLaterReads(t *testing.T) {
+	events := []Event{
+		{Session: "x", Kind: KindWrite, Op: "set", Path: "/a", Value: "a0", Mzxid: 10, End: 1},
+		{Session: "w", Kind: KindWatchArm, Path: "/a", Mzxid: 10, WatchID: 1, End: 1},
+		{Session: "x", Kind: KindWrite, Op: "set", Path: "/a", Value: "a1", Mzxid: 20, Start: 2, End: 3},
+		{Session: "w", Kind: KindWatchFire, Path: "/a", Mzxid: 20, WatchID: 1, End: 5},
+		{Session: "w", Kind: KindRead, Op: "get", Path: "/a", Value: "a0", Mzxid: 10, Start: 2, End: 6},
+	}
+	if vs := Check(&History{Events: events}, CheckOpts{}); len(vs) != 0 {
+		t.Errorf("a read in flight across the notification flagged: %v", vs)
+	}
+	events[4].Start = 5
+	if vs := Check(&History{Events: events}, CheckOpts{}); !hasViolation(vs, "mzxid-regression") {
+		t.Errorf("a read started after the notification of txid 20 returned 10, not flagged: %v", vs)
+	}
+}
