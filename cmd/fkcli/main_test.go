@@ -20,7 +20,12 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // deterministic for a seed, so the files are exact; a pipeline change that
 // moves a timestamp or a dollar shows up here as a one-line diff
 // (regenerate with `go test ./cmd/fkcli -update` and review it). Last moved
-// when, on one shard, the watch claim's round began to run under the flush:
+// when a commit began to move the groups it fires into fire records its pop
+// removes: the session's `set /x again` makes no claim clear, one
+// system-store write fewer, and the seeded latency stream is dealt anew
+// from it, so session moves 2.800537619 → 2.855687556 vs, $0.000060 →
+// $0.000059; no other session fires a watch. Earlier, when, on one
+// shard, the watch claim's round began to run under the flush:
 // the session's `set /x again` fires the watch on /x and reaches its flush
 // without waiting for the round's system-store write, so session moves
 // 2.874313101 → 2.868413195 vs ($0.000070 held); no other session fires a

@@ -162,7 +162,7 @@ type Set struct {
 // Apply implements Update.
 func (u Set) Apply(item Item) Item { return u.apply(item, nil) }
 
-func (u Set) apply(item Item, names map[string]string) Item {
+func (u Set) apply(item Item, names *nameCopies) Item {
 	*item.add(u.Name, names) = u.V.owned()
 	return item
 }
@@ -188,7 +188,7 @@ type Add struct {
 // Apply implements Update.
 func (u Add) Apply(item Item) Item { return u.apply(item, nil) }
 
-func (u Add) apply(item Item, names map[string]string) Item {
+func (u Add) apply(item Item, names *nameCopies) Item {
 	v := item.add(u.Name, names)
 	*v = N(v.Num() + u.Delta)
 	return item
@@ -205,7 +205,7 @@ type ListAppend struct {
 // Apply implements Update.
 func (u ListAppend) Apply(item Item) Item { return u.apply(item, nil) }
 
-func (u ListAppend) apply(item Item, names map[string]string) Item {
+func (u ListAppend) apply(item Item, names *nameCopies) Item {
 	v := item.add(u.Name, names)
 	*v = NumList(concat(v.NL(), u.Vals)...)
 	return item
@@ -259,7 +259,7 @@ type StrListAppend struct {
 // Apply implements Update.
 func (u StrListAppend) Apply(item Item) Item { return u.apply(item, nil) }
 
-func (u StrListAppend) apply(item Item, names map[string]string) Item {
+func (u StrListAppend) apply(item Item, names *nameCopies) Item {
 	v := item.add(u.Name, names)
 	*v = StrList(concat(v.SL(), u.Vals)...)
 	return item
@@ -298,6 +298,39 @@ func (u StrListRemove) Apply(item Item) Item {
 	return item
 }
 func (u StrListRemove) payloadSize() int { return 0 }
+
+// Move appends string-list attribute From to string-list attribute To and
+// removes From, in one action: the list moves whole, with whatever it holds
+// when the update commits. A missing or empty From writes nothing. DynamoDB
+// evaluates every operand of an update expression against the item as it
+// was before the update, so it spells the move
+//
+//	SET #to = list_append(if_not_exists(#to, :empty), #from) REMOVE #from
+//
+// or, where To cannot exist yet, SET #to = #from REMOVE #from. It rejects an
+// operand that names a missing attribute, so where From may be missing the
+// operand is if_not_exists(#from, :empty), and DynamoDB stores an empty To
+// where Move stores nothing.
+type Move struct{ From, To string }
+
+// Apply implements Update.
+func (u Move) Apply(item Item) Item { return u.apply(item, nil) }
+
+func (u Move) apply(item Item, names *nameCopies) Item {
+	i := item.index(u.From)
+	if i < 0 || len(item[i].V.SL()) == 0 {
+		return item
+	}
+	moved := item[i].V.SL()
+	item = slices.Delete(item, i, i+1)
+	v := item.add(u.To, names)
+	if to := v.SL(); len(to) > 0 {
+		moved = concat(to, moved)
+	}
+	*v = StrList(moved...) // a new To shares From's list: values are immutable
+	return item
+}
+func (u Move) payloadSize() int { return 0 }
 
 // The table reaches the closed sets only through the three switches below.
 // Each names every type by value, plus the pointer forms callers build
@@ -341,13 +374,15 @@ func evalCond(c Cond, item Item, exists bool) bool {
 
 // applyUpdate returns item with u applied; an attribute it adds takes its
 // name from names (Item.add).
-func applyUpdate(u Update, item Item, names map[string]string) Item {
+func applyUpdate(u Update, item Item, names *nameCopies) Item {
 	switch u := u.(type) {
 	case Set:
 		return u.apply(item, names)
 	case *Set:
 		return u.apply(item, names)
 	case Remove:
+		return u.Apply(item)
+	case *Remove:
 		return u.Apply(item)
 	case Add:
 		return u.apply(item, names)
@@ -363,8 +398,10 @@ func applyUpdate(u Update, item Item, names map[string]string) Item {
 		return u.apply(item, names)
 	case StrListRemove:
 		return u.Apply(item)
-	case *StrListRemove:
-		return u.Apply(item)
+	case Move:
+		return u.apply(item, names)
+	case *Move:
+		return u.apply(item, names)
 	}
 	panic("kv: update of a form applyUpdate does not list")
 }
@@ -379,6 +416,8 @@ func updateSize(u Update) int {
 		return u.payloadSize()
 	case Remove:
 		return u.payloadSize()
+	case *Remove:
+		return u.payloadSize()
 	case Add:
 		return u.payloadSize()
 	case ListAppend:
@@ -393,7 +432,9 @@ func updateSize(u Update) int {
 		return u.payloadSize()
 	case StrListRemove:
 		return u.payloadSize()
-	case *StrListRemove:
+	case Move:
+		return u.payloadSize()
+	case *Move:
 		return u.payloadSize()
 	}
 	panic("kv: update of a form updateSize does not list")

@@ -30,10 +30,9 @@ type Table struct {
 	items             map[string]*row
 	keys              []string // sorted key index for deterministic scans
 	dirty             bool
-	// names holds the table's copy of every attribute name an update
-	// action added to an item (Item.add): one per name, for the table's
-	// lifetime, up to maxNames of them.
-	names map[string]string
+	// names holds the table's copies of the attribute names update actions
+	// added to items (Item.add).
+	names *nameCopies
 	// spare is the cleared attribute array of a version a commit retired,
 	// the largest since build last took one; nil when none is kept.
 	spare Item
@@ -69,7 +68,7 @@ type StreamRecord struct {
 
 // NewTable creates an empty table in env.
 func NewTable(env *cloud.Env, name string) *Table {
-	t := &Table{env: env, name: name, items: map[string]*row{}, names: map[string]string{}}
+	t := &Table{env: env, name: name, items: map[string]*row{}, names: &nameCopies{kept: map[string]string{}}}
 	t.SetCostCategory("kv")
 	return t
 }

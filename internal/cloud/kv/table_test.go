@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -134,6 +135,44 @@ func TestStrListOps(t *testing.T) {
 		}
 	})
 	k.Run()
+}
+
+// TestMoveTable: Move appends From's list to To's and removes From, in the
+// one update; a missing or empty From leaves the item as it was. Its
+// payload is nothing, so a move bills the stored item's size alone: the
+// item below, over 1 100 bytes, costs two 1 KB write units, a move or none.
+func TestMoveTable(t *testing.T) {
+	pad := Attr{Name: "pad", V: B(make([]byte, 1100))}
+	for _, tc := range []struct {
+		name      string
+		item, out Item
+	}{
+		{"into a new group", Item{pad, {Name: "w", V: StrList("a", "b")}},
+			Item{pad, {Name: "f", V: StrList("a", "b")}}},
+		{"into a group that holds sessions", Item{pad, {Name: "w", V: StrList("a")}, {Name: "f", V: StrList("x")}},
+			Item{pad, {Name: "f", V: StrList("x", "a")}}},
+		{"a missing group", Item{pad, {Name: "f", V: StrList("x")}},
+			Item{pad, {Name: "f", V: StrList("x")}}},
+		{"an empty group", Item{pad, {Name: "w", V: StrList()}},
+			Item{pad, {Name: "w", V: StrList()}}},
+	} {
+		k, env, ctx := newEnv(1)
+		tbl := NewTable(env, "state")
+		tbl.SeedPut("n", tc.item)
+		var got Item
+		var err error
+		k.Go("client", func() {
+			_, err = tbl.Update(ctx, "n", []Update{&Move{From: "w", To: "f"}}, nil)
+			got, _ = tbl.Peek("n")
+		})
+		k.Run()
+		if err != nil || got.String() != tc.out.String() {
+			t.Errorf("move of %s: %v, %v; want %v", tc.name, got, err, tc.out)
+		}
+		if units := env.Meter.Cost("kv.write") / env.Profile.Pricing.KVWritePerUnit; math.Round(units) != 2 {
+			t.Errorf("move of %s billed %v write units, want 2: the item's size alone", tc.name, units)
+		}
+	}
 }
 
 func TestConditionalUpdateLockSemantics(t *testing.T) {
@@ -498,6 +537,7 @@ func TestClosedSetsDispatchEveryForm(t *testing.T) {
 		Set{"v", N(9)}, Set{"new", S("x")}, Remove{"v"}, Add{"v", 3}, Add{"c", 1},
 		ListAppend{"nl", []int64{1, 2}}, ListRemove{"nl", []int64{7}}, ListPopHead{"nl"},
 		StrListAppend{"sl", []string{"c"}}, StrListRemove{"sl", []string{"a"}},
+		Move{"sl", "to"}, Move{"gone", "to"},
 	}
 	conds := []Cond{
 		Exists{}, NotExists{}, AttrNotExists{"v"}, AttrNotExists{"w"}, Eq{"v", N(5)}, Eq{"v", N(6)},
@@ -509,7 +549,7 @@ func TestClosedSetsDispatchEveryForm(t *testing.T) {
 	// keep these actions in reused memory.
 	for _, u := range updates {
 		switch u.(type) {
-		case Set, ListAppend, StrListRemove:
+		case Set, ListAppend, Remove, Move:
 			p := reflect.New(reflect.TypeOf(u))
 			p.Elem().Set(reflect.ValueOf(u))
 			updates = append(updates, p.Interface().(Update))
@@ -1026,7 +1066,8 @@ func TestCommitStoresANewKeyAsAClone(t *testing.T) {
 // TestNameCopiesAreBounded: an attribute name minted per write — set once
 // and removed once, like a watch epoch entry — is copied for its item but
 // not kept in the table's copies past maxNames, and the item still reads
-// and drops it by name.
+// and drops it by name. Past the bound a minted name costs no allocation of
+// its own: the copies are cut from one block (nameCopies).
 func TestNameCopiesAreBounded(t *testing.T) {
 	k, env, ctx := newEnv(1)
 	tbl := NewTable(env, "state")
@@ -1043,7 +1084,23 @@ func TestNameCopiesAreBounded(t *testing.T) {
 		}
 	})
 	k.Run()
-	if len(tbl.names) != maxNames {
-		t.Fatalf("the table keeps %d name copies, want the bound %d", len(tbl.names), maxNames)
+	if len(tbl.names.kept) != maxNames {
+		t.Fatalf("the table keeps %d name copies, want the bound %d", len(tbl.names.kept), maxNames)
+	}
+	minted := make([]string, 301)
+	for i := range minted {
+		minted[i] = fmt.Sprintf("f%d.data", 1000000+i)
+	}
+	i := 0
+	got := sim.AllocsPerRun(k, 300, func() {
+		_, _ = tbl.Update(ctx, "epoch", []Update{Set{Name: minted[i], V: N(1)}}, nil)
+		_, _ = tbl.Update(ctx, "epoch", []Update{Remove{Name: minted[i]}}, nil)
+		i++
+	})
+	if poisonRetired {
+		got -= 2 // each commit builds a new array: retired ones are poisoned, not reused
+	}
+	if got != 0 {
+		t.Errorf("a name minted past the bound cost %v allocations to set and remove, want none", got)
 	}
 }

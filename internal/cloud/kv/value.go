@@ -40,7 +40,10 @@
 // a condition, so a list or a condition built at the call stays on the
 // caller's stack; a dynamic call would box every one of them on the heap.
 // A pointer form is dispatched only where a caller keeps actions in reused
-// memory (the switches list which).
+// memory (the switches list which). Each action is one clause of a DynamoDB
+// update expression but Move, which is two: SET #to = #from REMOVE #from
+// (list_append onto an existing To; its comment gives the spelling where
+// From may be missing, which DynamoDB rejects as an operand).
 package kv
 
 import (
@@ -300,28 +303,50 @@ func (it *Item) slot(name string) *Value {
 }
 
 // add is slot for an update action: an attribute it appends is named by
-// names' copy of name, made there on first use (a fresh copy when names is
-// nil or full), never by name itself (see applyUpdate).
-func (it *Item) add(name string, names map[string]string) *Value {
+// names' copy of name (a fresh copy when names is nil), never by name
+// itself (see applyUpdate).
+func (it *Item) add(name string, names *nameCopies) *Value {
 	if v := it.ptr(name); v != nil {
 		return v
 	}
-	own, ok := names[name]
-	if !ok {
-		own = strings.Clone(name)
-		if names != nil && len(names) < maxNames {
-			names[own] = own
-		}
-	}
-	*it = append(*it, Attr{Name: own})
+	*it = append(*it, Attr{Name: names.copyOf(name)})
 	return &(*it)[len(*it)-1].V
 }
 
-// maxNames bounds a table's copies of attribute names (Table.names). A
-// schema's names are few and added first; a name minted per write — a watch
-// epoch entry, set once and removed once — is cloned each time past the
-// bound instead of growing the table's copies for ever.
-const maxNames = 1 << 10
+// nameCopies is a table's copies of the attribute names update actions add
+// (Item.add): one kept per name, for the table's lifetime, up to maxNames
+// of them, each cut from a block of memory the table only appends to. A
+// schema's names are few and kept first; a name minted per write — a watch
+// epoch entry or fire record, set once and removed once — is copied into
+// the block each time past the bound instead of growing the kept set for
+// ever, so it costs an allocation per nameBlock bytes, not one per write.
+type nameCopies struct {
+	kept  map[string]string
+	block []byte
+}
+
+const (
+	maxNames  = 1 << 10
+	nameBlock = 4 << 10
+)
+
+func (n *nameCopies) copyOf(name string) string {
+	if n == nil {
+		return strings.Clone(name)
+	}
+	if own, ok := n.kept[name]; ok || name == "" {
+		return own
+	}
+	if cap(n.block)-len(n.block) < len(name) {
+		n.block = make([]byte, 0, max(nameBlock, len(name)))
+	}
+	n.block = append(n.block, name...)
+	own := unsafe.String(&n.block[len(n.block)-len(name)], len(name)) // never written again
+	if len(n.kept) < maxNames {
+		n.kept[own] = own
+	}
+	return own
+}
 
 // Get returns the named attribute's value, or the zero Value when the item
 // has no such attribute.

@@ -21,7 +21,7 @@ import (
 // pending returns the pending list of path's control record.
 func (r *pipeRig) pending(path string) []int64 {
 	it, _ := r.d.System.Peek(path)
-	return decodeSysNode(it).Pending
+	return decodeSysNode(it, 0).Pending
 }
 
 // pushSet is the follower's half of a set_data of path by s, through its
@@ -37,7 +37,7 @@ func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderM
 	}
 	msg := leaderMsg{
 		Session: s.id, Seq: s.seq, LockTs: lock.Timestamp,
-		change: validatedChange(OpSetData, path, req.Data, "", decodeSysNode(item), sysNode{}),
+		change: validatedChange(OpSetData, path, req.Data, "", decodeSysNode(item, 0), sysNode{}),
 	}
 	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
 		r.t.Fatalf("commit %s: %v", path, err)
@@ -312,7 +312,7 @@ func TestCarriedDeleteCollectsTombstone(t *testing.T) {
 		again = s.do(OpCreate, "/x", "2") // runs the delete's carried pop
 		r.k.Sleep(sim.Ms(200))
 		item, ok := r.d.System.Peek("/x")
-		afterSame, created, user = ok, decodeSysNode(item), r.userNode("/x")
+		afterSame, created, user = ok, decodeSysNode(item, 0), r.userNode("/x")
 	})
 	r.run()
 

@@ -1,18 +1,22 @@
 package core
 
-// Tests of the watch claim's round (queryWatches, claimRound): the clears
-// of the fired groups and the epoch entry go out together. On one shard the
-// handler spawns them all and goes on to the flush: the round is joined
-// before the next commit check reads a record and before the chunk's
-// answers and deliveries. They ride pipeline_test.go's rig, whose fault
-// hook holds storage operations open by process name.
+// Tests of the watch claim's round (queryWatches, claimRound): the epoch
+// entry, and the removal of a parent's child fire record, go out together;
+// a target's fire records go with its pop. On one shard the handler spawns
+// the round and goes on to the flush: the round is joined before the next
+// message's round and before the chunk's answers and deliveries. They ride
+// pipeline_test.go's rig, whose fault hook holds storage operations open by
+// process name.
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/znode"
 )
 
 // roundProc reports whether proc is one of the processes a claim round
@@ -21,12 +25,12 @@ func roundProc(d *Deployment, proc string) bool {
 	return proc == claimProc || slices.Contains(d.epochProcs, proc)
 }
 
-// TestWatchClaimIsOneRound: a set_data that fires one data watch makes two
-// claim writes — the clear of the node's group and the region's epoch
-// write — each in a process of its own, started at one instant. With the
-// round's processes held open for hold, the claim (leader.watchquery) holds
-// none of it: the handler runs none of the round's writes and does not wait
-// for them.
+// TestWatchClaimIsOneRound: a set_data that fires one data watch makes one
+// claim write — the region's epoch write, in a process of its own, and no
+// clear: the node's fire record goes with its pop. With the round's
+// process held open for hold, the claim (leader.watchquery) holds none of
+// it: the handler runs none of the round's writes and does not wait for
+// them.
 func TestWatchClaimIsOneRound(t *testing.T) {
 	hold := sim.Ms(100)
 	hook := &pipeFaults{}
@@ -64,18 +68,19 @@ func TestWatchClaimIsOneRound(t *testing.T) {
 		t.Errorf("the claim took %v with the round's writes held %v: the handler waited for the round", claim, hold)
 	}
 	clr, app := starts[claimProc], starts["leader-epoch-"+string(r.d.Cfg.Profile.Home)]
-	if len(clr) != 1 || len(app) != 1 || clr[0] != app[0] {
-		t.Errorf("the clear started at %v, the epoch write at %v: want one of each, at one instant", clr, app)
+	if len(clr) != 0 || len(app) != 1 {
+		t.Errorf("a clear started at %v, the epoch write at %v: want the epoch write alone", clr, app)
 	}
 }
 
 // TestWatchClaimRoundOneAppendPerRegion: a create that fires an exists
 // watch on its node and a child watch on its parent claims both in one
-// round of three writes started at one instant — the node's clear, the
-// parent's clear and the region's one epoch write, setting both groups'
-// entries, each in a process of its own — and the epoch item lists both
-// entries, named by the create's txid and the group's index, once the
-// create is answered.
+// round of two writes started at one instant — the removal of the parent's
+// child fire record, which no pop of the create reaches, and the region's
+// one epoch write, setting both groups' entries, each in a process of its
+// own — and the epoch item lists both entries, named by the create's txid
+// and the group's index, once the create is answered; once every write has
+// settled neither record keeps a fire record.
 func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 	hook := &pipeFaults{}
 	holding := false
@@ -93,6 +98,7 @@ func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 	var inFlight []int64
 	var names []string
 	var txid int64
+	var node, parent kv.Item
 	r.k.Go("main", func() {
 		w, v := r.open("w"), r.open("v")
 		w.do(OpCreate, "/p", "0")
@@ -117,10 +123,13 @@ func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 			names = append(names, a.Name)
 		}
 		r.k.Sleep(sim.Ms(2000))
+		r.settle()
+		node, _ = r.d.System.Peek("/p/c")
+		parent, _ = r.d.System.Peek("/p")
 	})
 	r.run()
 
-	want := []int64{WatchID("/p/c", WatchExists), WatchID("/p", WatchChild)}
+	want := []int64{WatchID("/p/c", WatchExists), txid, WatchID("/p", WatchChild), txid}
 	if !slices.Equal(inFlight, want) {
 		t.Errorf("epoch ids after the create = %v, want %v", inFlight, want)
 	}
@@ -128,15 +137,19 @@ func TestWatchClaimRoundOneAppendPerRegion(t *testing.T) {
 		t.Errorf("epoch entries after the create = %v, want %v", names, []string{e0, e1})
 	}
 	app, clr := starts["leader-epoch-"+string(home)], starts[claimProc]
-	if len(app) != 1 || len(clr) != 2 || clr[0] != app[0] || clr[1] != app[0] {
-		t.Errorf("round writes started at %v (epoch write), %v (clears): want one epoch write and two clears, at one instant",
-			app, clr)
+	if len(app) != 1 || len(clr) != 1 || clr[0] != app[0] {
+		t.Errorf("round writes started at %v (epoch write), %v (removals): want one of each, at one instant", app, clr)
+	}
+	for _, a := range append(node, parent...) {
+		if _, _, fire := parseFire(a.Name); fire {
+			t.Errorf("fire record %s = %v left once every write settled", a.Name, a.V)
+		}
 	}
 }
 
 // TestWatchClaimRunsUnderFlush: on one shard a set_data that fires a data
-// watch flushes while its claim round is in flight. With the round's clear
-// and epoch write held open for hold and the flush unheld, the store write
+// watch flushes while its claim round is in flight. With the round's epoch
+// write held open for hold and the flush unheld, the store write
 // starts before the round lands, and the answer leaves about max(flush,
 // hold) after the round started, not hold plus the flush; the epoch item
 // holds the id by the time the answer arrives.
@@ -198,12 +211,13 @@ func TestWatchClaimRunsUnderFlush(t *testing.T) {
 }
 
 // TestBatchedCommitFindsClaimCleared: under BatchWrites two creates under
-// /p ride one chunk, and the first fires /p's child watch. Its clear is
-// held open, yet the second's commit check, which reads /p's record, waits
-// for the round: it finds the group cleared and fires nothing, so the watch
-// is delivered once. A round joined only before the chunk completes would
-// leave the clear in flight under that read, which would fire the group a
-// second time.
+// /p ride one chunk, and the first fires /p's child watch. The first's
+// commit moved the group into its own fire record, so the second's commit
+// moved nothing, and its check, which reads /p's record while the first's
+// round — the removal of that fire record — is held open, finds no fire
+// record of its own txid and fires nothing: the watch is delivered once.
+// A claim that fired the record's live group, or any fire record it found,
+// would fire it a second time.
 func TestBatchedCommitFindsClaimCleared(t *testing.T) {
 	hold := sim.Ms(100)
 	hook := &pipeFaults{}
@@ -246,5 +260,49 @@ func TestBatchedCommitFindsClaimCleared(t *testing.T) {
 	}
 	if deliveries != 1 {
 		t.Errorf("the child watch on /p was delivered %d times, want once: the second create fired the group again", deliveries)
+	}
+}
+
+// TestRootChildFireIsEachCommits: on two shards, each top-level create moves
+// the root's live child group into its own fire record, under the root's
+// lock, so the two shards' leaders never race for one group. Session a
+// registers before a create on shard 0, b between it and a create on shard
+// 1: a hears of the first create alone and b of the second alone, and once
+// both are answered the root's record keeps no live child group and, each
+// claim round removing its own, no fire record.
+func TestRootChildFireIsEachCommits(t *testing.T) {
+	r := newPipeRig(t, 6, Config{WriteShards: 2}, &pipeFaults{})
+	var paths [2]string
+	for i := 0; paths[0] == "" || paths[1] == ""; i++ {
+		if p := fmt.Sprintf("/n%d", i); paths[ShardOf(p, 2)] == "" {
+			paths[ShardOf(p, 2)] = p
+		}
+	}
+	var sessions [2]*pipeSession
+	var txids [2]int64
+	var root kv.Item
+	r.k.Go("main", func() {
+		w := r.open("w")
+		for i, p := range paths {
+			sessions[i] = r.open(fmt.Sprint("s", i))
+			if _, _, err := r.d.RegisterWatch(sessions[i].ctx, znode.Root, WatchChild, sessions[i].id); err != nil {
+				t.Errorf("register: %v", err)
+			}
+			txids[i] = w.do(OpCreate, p, "0").Txid
+		}
+		r.k.Sleep(sim.Ms(2000))
+		root, _ = r.d.System.Peek(znode.Root)
+	})
+	r.run()
+
+	for i, s := range sessions {
+		if len(s.notes) != 1 || s.notes[0].Txid != txids[i] || s.notes[0].Event != EventChildrenChanged {
+			t.Errorf("%s heard %+v, want one child notification at txid %d", s.id, s.notes, txids[i])
+		}
+	}
+	for _, a := range root {
+		if _, _, fire := parseFire(a.Name); fire || a.Name == attrWatchChild {
+			t.Errorf("the root's record keeps %s = %v once both creates are answered", a.Name, a.V)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"faaskeeper/internal/cache"
@@ -494,14 +493,6 @@ func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, ses
 	return WatchID(path, wt), f, nil
 }
 
-// Armed reports whether the session's watch of type wt on path is still
-// registered, that is, no claim has fired it yet: one strongly consistent
-// read of the node's control record.
-func (d *Deployment) Armed(ctx cloud.Ctx, path string, wt WatchType, sessionID string) bool {
-	it, _ := d.System.GetView(ctx, path, true)
-	return slices.Contains(it.Get(watchAttrs[wt-1]).SL(), sessionID)
-}
-
 // Frontier is the newest committed state of its node a watch registration
 // found: the record's mzxid (pzxid for a child watch) and whether the node
 // existed. A change committed before the registration may have been claimed
@@ -522,9 +513,10 @@ type Frontier struct {
 // partitioned into (1 in the paper's base configuration).
 func (d *Deployment) NumShards() int { return len(d.LeaderQs) }
 
-// Epoch returns the in-flight watch ids for a region, the union over all
-// write shards: one strongly consistent read of the region's epoch item,
-// an id per entry (a missing item means none; exposed for tests).
+// Epoch returns the stamp a flush in region would carry: the (watch id,
+// txid) pair of every fire in flight, over all write shards, from one
+// strongly consistent read of the region's epoch item (a missing item means
+// none; exposed for tests).
 func (d *Deployment) Epoch(ctx cloud.Ctx, region cloud.Region) []int64 {
 	it, _ := d.System.GetView(ctx, d.epochKey(region), true)
 	return epochUnion(nil, it)

@@ -9,13 +9,16 @@ package core
 //	                                  read (open); prefetched under the previous
 //	                                  flush (rule 2)
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
-//	                                  the flush; its clears go out with the
-//	                                  epoch entry as one parallel round
-//	                                  (leaderShard.round), joined before the
-//	                                  message's commit phase ends on several
-//	                                  shards; run under the flush on one,
-//	                                  joined before the next commit check
-//	                                  (commitOne) and the chunk's answers
+//	                                  the flush: fires the fire records f<t>
+//	                                  the commit left, and clears nothing; a
+//	                                  parent's child fire record, which no pop
+//	                                  of t reaches, is removed in the round
+//	                                  with the epoch entry (leaderShard.round),
+//	                                  joined before the message's commit phase
+//	                                  ends on several shards; run under the
+//	                                  flush on one, joined before the next
+//	                                  message's round (commitOne) and the
+//	                                  chunk's answers
 //	  epoch entry     enterEpochs     in its claim's round: one write per
 //	                                  region setting an entry per group the
 //	                                  message fired; the mirror takes them
@@ -29,7 +32,8 @@ package core
 //	                                  waits out the shard's earlier entries
 //	                                  its payload lists, then sends
 //	  answer          notifyResult    —
-//	➎ pop             popPending      run under the next flush; carried to the
+//	➎ pop             popPending      removes f<t>.* in the write that pops t;
+//	                                  run under the next flush; carried to the
 //	                                  next invocation; in the commit phase
 //	                                  (rule 1)
 //	➏ epoch exit      watchHandler    the watch function's, once its sends
@@ -42,41 +46,38 @@ package core
 // its txid, confirmed by the read its watch claim rides, and popped.
 //
 // The watch claim reads nothing: a node's registrations live on its control
-// record, so the read that shows a change's txid at the head of its pending
-// list — the first read that can see the commit — returns the groups it
-// fires, with its parent's record in the same round trip for a create or
-// delete. A registration that lands after that read found the commit, and
-// the reader that made it waits for a value at or past it (Frontier), so
-// no value the claim missed is ever armed on. The ids enter the epoch
-// counters' mirror as the claim's round starts, before any flush whose stamp
-// must carry them (Z4): a flush reads its stamp before its legs start, so a
+// record, and the commit at txid t moves every group its changes fire into
+// the record's fire record f<t>.<type> in the same conditional write (the
+// write-op table), so the read that shows t at the head of its pending list
+// — the first read that can see the commit — returns exactly the
+// registrations t fires, with its parent's record in the same round trip
+// for a create or delete. A registration that lands after the commit stays
+// live: its frontier is t or later, so its reader waits for a value at or
+// past t (Frontier), and a stamped fire of its id at t is not its own
+// (fkclient). No value the claim missed is ever armed on, and nothing the
+// claim writes is read by the next commit check. A fire record lives until
+// the pop of t, which removes it in the same write; a redelivered batch
+// replays its claim from it. The ids, each with t, enter the epoch counters'
+// mirror as the claim's round starts, before any flush whose stamp must
+// carry them (Z4): a flush reads its stamp before its legs start, so a
 // claim prefetched under it cannot reach the stamp.
 //
-// The claim's clears — one per record whose groups fired — and its epoch
-// entry touch different items and are unconditional, so their mutual order
-// is free: they go out as one round. Where the round is joined depends on
-// who can read its writes. With several shards it is joined before the
-// message's commit phase ends: a reader that saw the flushed value can reach
-// another shard's opening read, which must find the id, so the entry lands
-// before the flush. On one shard the only readers of the epoch item are the
-// shard's own next invocation and its later deliveries, which wait out the
-// entry (watchHandler) and are launched after the round is joined, and the
-// only readers of the cleared records
-// that matter are the commit checks after this one, so the round runs under
-// the flush and is joined in two places: at the top of every commit check
-// (commitOne), so the next message of a chunk and a prefetch under the flush
-// (rule 2) read the records cleared; and before the chunk completes
-// (flushChunk), so no delivery can prompt a re-registration that races the
-// clear, and the next invocation starts after both writes landed. An id in
-// a stamp whose entry failed to land only makes a reader wait for a delivery
-// that is launched anyway. One interleaving is new with several shards:
-// another shard's opening read can see the entry set while the registration is
-// still on the record. That read is concurrent with the change. Whatever is
-// causally after the change learned of it through the flush's store write,
-// the answer or the notification, all of them after the join, so it sees
-// both writes. A shared path's claim is conditional, and which ids the
-// message fires depends on it: it runs serially, ahead of the round
-// (claimGroup).
+// The claim's round — the epoch entry, and the removal of the child fire
+// record of each parent the message does not commit on — touches different
+// items with unconditional writes, so their mutual order is free. Where the
+// round is joined depends on who can read its writes. With several shards it
+// is joined before the message's commit phase ends: a reader that saw the
+// flushed value can reach another shard's opening read, which must find the
+// id, so the entry lands before the flush. On one shard the only readers of
+// the epoch item are the shard's own next invocation and its later
+// deliveries, which wait out the entry (watchHandler) and are launched after
+// the round is joined, so the round runs under the flush and is joined
+// before the next message's round reuses its writes (commitOne) and before
+// the chunk completes (flushChunk). An id in a stamp whose entry failed to
+// land only makes a reader wait for a delivery that is launched anyway. Per-
+// txid fire records cannot race: on the shared root, where two shards'
+// commits fire one group, each commit moves the group under the root's lock
+// into a record of its own.
 //
 // A chunk is one message — the paper's per-message distribution — or, with
 // Config.BatchWrites, a whole run of single ops up to the next multi(). A
@@ -105,7 +106,7 @@ package core
 // before the step that depends on them — the flush legs, joined before the
 // chunk completes; the watch claim's round, joined before the message's
 // commit phase ends on several shards (the handler runs its first write
-// itself) and before the next commit check and the chunk's answers on one;
+// itself) and before the next round and the chunk's answers on one;
 // and the watch function's sends. The leader's bodies are bound once, and what its rounds and its
 // pipeline keep from message to message lives in the shard's one slot
 // (leaderShard). The order rules:
@@ -683,7 +684,8 @@ func (p *leaderRun) commit(f, under *batchFold) {
 // could regret under another chunk's flush: one read, and a txid not at the
 // head of every target's pending list gives the message up (false).
 func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch bool) (opResult, bool) {
-	// The claim round of the message before lands before any record is read.
+	// The claim round of the message before lands first: a round's writes
+	// are kept from message to message.
 	p.round.join()
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
@@ -696,7 +698,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 	nodes := slices.Grow(nodeBuf[:0], len(keys))[:len(keys)] // index-aligned with keys
 	committed := false
 	if prefetch {
-		d.readControls(ctx, keys, nodes)
+		d.readControls(ctx, keys, nodes, txid)
 		for i := range targets {
 			if pending := nodes[i].Pending; len(pending) == 0 || pending[0] != txid {
 				return opResult{}, false
@@ -712,7 +714,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 			first, t0, p.opened = p.opening[:len(keys)], p.openedAt, false
 			f.t0 = t0
 		}
-		committed = p.awaitCommit(ctx, targets, keys[len(targets):], txid, nodes, first, func() {
+		committed = p.awaitCommit(ctx, dm, nodes, first, func() {
 			d.replayCommit(ctx, msg, txid) // the follower died after its push
 		})
 	}
@@ -721,13 +723,13 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 		return opResult{ctx: ctx, code: CodeSystemError}, true
 	}
 
-	// ➍ rides the read that confirmed the commit: a registration it missed
-	// landed after the commit, and its reader waits for this change. A group
-	// one change of a multi() claimed is empty for the next.
+	// ➍ rides the read that confirmed the commit: it fires the fire records
+	// the commit left, and a registration that landed after the commit stays
+	// live, its reader waiting for this change.
 	r := opResult{ctx: ctx, code: CodeOK, popped: popEarly}
 	var one [1]change
 	changes := msg.changes(&one)
-	r.fired = p.queryWatches(ctx, changes, keys, nodes, txid)
+	r.fired = p.queryWatches(ctx, dm, changes, nodes)
 	for _, c := range changes {
 		stat := f.foldChange(c, txid)
 		if msg.Op != OpMulti {

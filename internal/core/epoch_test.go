@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,8 +21,9 @@ import (
 // 4-shard deployment at once and reads the region's epoch item every
 // virtual millisecond until every delivery has returned. At every read, each
 // entry names the shard that fired the id it holds, Deployment.Epoch
-// — one read of the item — returns exactly the entries' ids, and they hold
-// every delivery then in flight, on whichever shard. Once every delivery
+// — one read of the item — returns exactly the entries' (id, txid) pairs,
+// the txid the one the entry's name carries, and they hold every delivery
+// then in flight, on whichever shard. Once every delivery
 // has returned the item lists no entry: the shards' concurrent sets and the
 // deliveries' removals on the shared item lost nothing.
 func TestEpochListsShareOneItemPerRegion(t *testing.T) {
@@ -93,13 +95,14 @@ func TestEpochListsShareOneItemPerRegion(t *testing.T) {
 			if s < 0 || !slices.Contains(fired[s], a.V.Num()) {
 				t.Fatalf("at %d entry %s holds %d, which the shard it names did not fire (item %v)", rd.at, a.Name, a.V.Num(), rd.item)
 			}
-			ids = append(ids, a.V.Num())
+			txid, _ := strconv.ParseInt(strings.Split(a.Name, ".")[1], 10, 64)
+			ids = append(ids, a.V.Num(), txid)
 		}
 		if len(rd.item) > len(paths) {
 			t.Fatalf("at %d the epoch item %v lists more entries than groups fired", rd.at, rd.item)
 		}
 		if !slices.Equal(rd.epoch, ids) {
-			t.Fatalf("at %d Epoch = %v, want the ids of the item's entries %v", rd.at, rd.epoch, ids)
+			t.Fatalf("at %d Epoch = %v, want the pairs of the item's entries %v", rd.at, rd.epoch, ids)
 		}
 		busy := map[int]bool{}
 		for _, sp := range deliveries {

@@ -92,7 +92,7 @@ func (d *Deployment) lockNode(ctx cloud.Ctx, path string) (fksync.Lock, sysNode,
 	t0 := d.K.Now()
 	lock, item, err := d.Locks.AcquireWait(ctx, path, 0)
 	d.recordPhase("follower.lock", d.K.Now()-t0)
-	return lock, decodeSysNode(item), err
+	return lock, decodeSysNode(item, 0), err
 }
 
 // followerWrite is Algorithm 1 for one create, set_data or delete, or a

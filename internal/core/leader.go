@@ -40,14 +40,15 @@ type decodedMsg struct {
 }
 
 // readControls is one strongly consistent round trip for the control records
-// at keys, decoded into nodes (index-aligned); a missing record reads as the
-// zero sysNode, with nothing pending and no watch registered.
-func (d *Deployment) readControls(ctx cloud.Ctx, keys []string, nodes []sysNode) {
+// at keys, decoded into nodes (index-aligned) with the fire records of the
+// commit at txid; a missing record reads as the zero sysNode, with nothing
+// pending and nothing fired.
+func (d *Deployment) readControls(ctx cloud.Ctx, keys []string, nodes []sysNode, txid int64) {
 	var itemBuf [2]kv.Item
 	items := slices.Grow(itemBuf[:0], len(keys))[:len(keys)]
 	d.System.GetViews(ctx, keys, true, items)
 	for i, it := range items {
-		nodes[i] = decodeSysNode(it)
+		nodes[i] = decodeSysNode(it, txid)
 	}
 }
 
@@ -106,10 +107,12 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	}
 	// Crash at batch start, before any message is processed or any epoch
 	// entered: redelivery replays the whole batch through awaitCommit's
-	// orphan pop and commit replay. Later crash windows are unsafe to fake at
-	// this granularity (a group claimed but not yet launched would lose its
-	// notification and strand its epoch entry; a launched one strands
-	// nothing), so leader crashes are injected only here.
+	// orphan pop and commit replay. A group claimed but not yet launched
+	// keeps its fire record until the pop of its txid, so a redelivery
+	// before that pop fires it again; but a crash between the claim round
+	// and the launch would strand the round's epoch entry, and one after
+	// the pop would lose the notification, so leader crashes are injected
+	// only here.
 	if d.crashAt(obs.StageCommit, msgs[0].msg.Session, msgs[0].msg.Seq) {
 		ls.pops = ls.pops[:0]
 		return errInjectedCrash
@@ -189,7 +192,7 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly, quiet bool) (empty bool) {
 
 	if p.opened {
 		for i, it := range items[epochs:] {
-			p.opening[i] = decodeSysNode(it)
+			p.opening[i] = decodeSysNode(it, head.txid)
 		}
 	}
 	empty = true
@@ -256,25 +259,31 @@ func recordOf(keys []string, nodes []sysNode, path string) *sysNode {
 }
 
 // popPending is step ➎ for every message kind: c.txid leaves the head of
-// the pending list of the control record at c.key; c.gc lets the pop of a
-// delete garbage collect the tombstone once the list is empty (the pipeline
-// withholds it when a later operation in the same invocation targets the
-// path, whose commit may not have appended to the pending list yet).
+// the pending list of the control record at c.key, and the fire records its
+// commit left there go in the same write (a REMOVE of an absent one is a
+// no-op); c.gc lets the pop of a delete garbage collect the tombstone once
+// the list is empty (the pipeline withholds it when a later operation in
+// the same invocation targets the path, whose commit may not have appended
+// to the pending list yet).
 func (p *leaderRun) popPending(c pendingPop) {
 	d, t0 := p.d, p.d.K.Now()
-	it, err := d.System.Update(c.ctx, c.key, []kv.Update{kv.ListPopHead{Name: attrPending}},
+	var buf fireBuf
+	f := fireRecords(&buf, c.txid)
+	it, err := d.System.Update(c.ctx, c.key, []kv.Update{kv.ListPopHead{Name: attrPending},
+		kv.Remove{Name: f[0]}, kv.Remove{Name: f[1]}, kv.Remove{Name: f[2]}},
 		kv.NumListHeadEq{Name: attrPending, V: c.txid})
 	if err == nil && c.gc {
-		if after := decodeSysNode(it); !after.Exists && len(after.Pending) == 0 {
+		if after := decodeSysNode(it, 0); !after.Exists && len(after.Pending) == 0 {
 			_ = d.System.Delete(c.ctx, c.key, collectible)
 		}
 	}
 	d.recordPhase("leader.pop", d.K.Now()-t0)
 }
 
-// collectible holds on a tombstone nothing needs any more: nothing pending,
-// no watch registered — an exists watch armed on the deleted node fires
-// when it is created again — and no lock held. The lock guard keeps the
+// collectible holds on a tombstone nothing needs any more: nothing pending
+// (so no fire record either: a pop removes its own), no watch registered —
+// an exists watch armed on the deleted node fires when it is created
+// again — and no lock held. The lock guard keeps the
 // collection from racing a pipelined re-create: a follower validating
 // create-after-delete holds the node lock from before its push until its
 // commit, and deleting the item in that window would strand the commit (its
@@ -284,10 +293,10 @@ var collectible = kv.And{
 	kv.Eq{Name: attrExists, V: kv.N(0)},
 	kv.Eq{Name: attrPending, V: kv.NumList()},
 	kv.AttrNotExists{Name: "lock"},
-	// Each watch group absent, or emptied by a claim.
-	kv.Or{kv.AttrNotExists{Name: attrWatchData}, kv.Eq{Name: attrWatchData, V: kv.StrList()}},
-	kv.Or{kv.AttrNotExists{Name: attrWatchExists}, kv.Eq{Name: attrWatchExists, V: kv.StrList()}},
-	kv.Or{kv.AttrNotExists{Name: attrWatchChild}, kv.Eq{Name: attrWatchChild, V: kv.StrList()}},
+	// A commit moves a group whole, so a live group is never empty.
+	kv.AttrNotExists{Name: attrWatchData},
+	kv.AttrNotExists{Name: attrWatchExists},
+	kv.AttrNotExists{Name: attrWatchChild},
 }
 
 // deregAckComplete processes one shard's deregistration ack and reports
@@ -332,26 +341,26 @@ const opPolls, replayPoll = 10, 2
 
 // awaitCommit is the commit check (➊/➋) of every message. It resolves the
 // race between the push (③, which intentionally precedes the commit ④) and
-// the leader observing the transaction: it polls until txid heads the
-// pending list of every key — the message's targets — recording each
-// control record found so in nodes. A poll that finds nothing pending on a
+// the leader observing the transaction: it polls until dm's txid heads the
+// pending list of every target, recording each control record found so in
+// nodes, with the fire records its commit left. A poll that finds nothing pending on a
 // key — the commit may still be in flight, or its committer died after
 // pushing — sleeps and polls again; the first such poll from replayPoll on
 // runs replay instead, which replays the commit on the committer's behalf
 // (➋: whichever of the two conditional commits lands first wins, and the
 // next poll decides).
 //
-// also names the records the message's watch claim needs besides its
-// targets (the parents its creates and deletes splice): every read of
-// keys[0] takes them in the same round trip, and the read that confirms
-// keys[0] — the first that can show the commit, so the first after it; a
-// multi()'s commit is one transaction — records them in nodes after the
-// targets'. first, when non-nil, is such a read somebody already paid for —
-// the invocation's opening read — and stands in for the first one.
-func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode, replay func()) bool {
+// The records the message's watch claim needs besides its targets (the
+// parents its creates and deletes splice) ride every read of its first
+// target, and the read that confirms it — the first that can show the
+// commit, so the first after it; a multi()'s commit is one transaction —
+// records them in nodes after the targets'. first, when non-nil, is such a
+// read somebody already paid for — the invocation's opening read — and
+// stands in for the first one.
+func (p *leaderRun) awaitCommit(ctx cloud.Ctx, dm *decodedMsg, nodes, first []sysNode, replay func()) bool {
 	replayed := false
 	for attempt := 0; attempt < opPolls; attempt++ {
-		done, consumed, popped := p.pollCommit(ctx, keys, also, txid, nodes, first)
+		done, consumed, popped := p.pollCommit(ctx, dm, nodes, first)
 		first = nil
 		switch {
 		case done:
@@ -370,15 +379,15 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, 
 	return false
 }
 
-// pollCommit is one poll of awaitCommit: it reads each key whose record is
-// not in nodes yet, which txid at the head of its pending list confirms.
+// pollCommit is one poll of awaitCommit: it reads each target whose record
+// is not in nodes yet, which txid at the head of its pending list confirms.
 // Nothing pending leaves the key to the next poll (not done); a head past
 // txid means our entry was consumed already, a duplicate delivery
-// (consumed). A head below txid is an orphan of a
-// transaction the leader abandoned, popped on the spot: without this a
-// single lost transaction would wedge its node's pipeline forever. The poll
-// ends at the orphan pop (popped, and the pop costs a poll); the next one
-// reads only the keys not confirmed yet.
+// (consumed). A head below txid is an orphan of a transaction the leader
+// abandoned, popped on the spot (popOrphan): without this a single lost
+// transaction would wedge its node's pipeline forever. The poll ends at the
+// orphan pop (popped, and the pop costs a poll); the next one reads only
+// the keys not confirmed yet.
 //
 // A head whose pop this leader deferred (p.pops) is no orphan: it was
 // distributed, only its pop is still to run, so the poll looks past it. Our
@@ -388,10 +397,11 @@ func (p *leaderRun) awaitCommit(ctx cloud.Ctx, keys, also []string, txid int64, 
 // still in flight. Our own txid as that head is a batch delivered again
 // after it completed: a duplicate. Anything else behind it (an orphan, a
 // later txid) runs the deferred pop here, as an orphan pop.
-func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, nodes, first []sysNode) (done, consumed, popped bool) {
+func (p *leaderRun) pollCommit(ctx cloud.Ctx, dm *decodedMsg, nodes, first []sysNode) (done, consumed, popped bool) {
 	done = true
 	var keyBuf [2]string
 	var readBuf [len(keyBuf)]sysNode
+	keys, txid := dm.targetKeys(), dm.txid
 	for i, key := range keys {
 		if len(nodes[i].Pending) > 0 {
 			continue // confirmed by an earlier poll
@@ -402,10 +412,10 @@ func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, n
 		} else {
 			batch := append(keyBuf[:0], key)
 			if i == 0 {
-				batch = append(batch, also...)
+				batch = append(batch, dm.keys[dm.targets:]...)
 			}
 			read = slices.Grow(readBuf[:0], len(batch))[:len(batch)]
-			p.d.readControls(ctx, batch, read)
+			p.d.readControls(ctx, batch, read, txid)
 		}
 		node := read[0]
 		pending := node.Pending
@@ -429,12 +439,28 @@ func (p *leaderRun) pollCommit(ctx cloud.Ctx, keys, also []string, txid int64, n
 		case pending[0] > txid:
 			return false, true, false
 		default:
-			_, _ = p.d.System.Update(ctx, key, []kv.Update{kv.ListPopHead{Name: attrPending}},
-				kv.NumListHeadEq{Name: attrPending, V: pending[0]})
+			p.popOrphan(ctx, key, pending[0])
 			return false, false, true
 		}
 	}
 	return done, false, false
+}
+
+// popOrphan pops the orphan o at the head of key's pending list. Its txid
+// was never distributed, so nothing may fire for it: the groups its commit
+// moved into its fire records go back to the live groups in the same write,
+// where a commit after the pop moves them. (A commit that landed behind o
+// before the pop moved the live groups without them, so they fire with the
+// change after it. A pop a cold invocation dropped is taken for an orphan:
+// its groups fired already, and a session that gets one of them again
+// ignores it, being armed past o or not at all. A child fire record an
+// abandoned create or delete left on its parent stays: the parent's object
+// never took that splice either, which AtRest reports.)
+func (p *leaderRun) popOrphan(ctx cloud.Ctx, key string, o int64) {
+	var buf fireBuf
+	f := fireRecords(&buf, o)
+	_, _ = p.d.System.Update(ctx, key, []kv.Update{kv.ListPopHead{Name: attrPending}, kv.Move{From: f[0], To: watchAttrs[0]},
+		kv.Move{From: f[1], To: watchAttrs[1]}, kv.Move{From: f[2], To: watchAttrs[2]}}, kv.NumListHeadEq{Name: attrPending, V: o})
 }
 
 // replayCommit is ➋: the leader runs the commit (④) of a follower that died
@@ -501,74 +527,54 @@ type watchGroup struct {
 	event EventType
 }
 
-// queryWatches is ➍ for the message at txid, in its commit phase, on the
-// records its commit check confirmed: each effectful change's node's, and for
-// a create or delete its parent's. It reads nothing — the records carry the
-// registrations. It claims the fired (one-shot) groups, appending them to
-// the invocation's list (p.fired), and gives each an epoch entry, so every
-// value written afterwards carries its id (Z4). The
-// writes of both go out as one parallel round (claimRound). With several
-// shards it is joined before the commit phase ends. On one shard it is left
-// in flight under the flush, and joined before the next commit check reads
-// a record (commitOne) and before the chunk's answers and deliveries
-// (flushChunk). A clear removes
-// exactly the sessions the read returned: a registration that lands after
-// the read found the change committed, and its reader waits for a value at
-// or past it (Frontier), so it must stay armed for the next change. A group
-// one change of a multi() claimed is empty for the next. It returns the
-// message's groups, capped so that a later message's appends never reach
-// them.
-func (p *leaderRun) queryWatches(ctx cloud.Ctx, changes []change, keys []string, nodes []sysNode, txid int64) []firedWatch {
+// queryWatches is ➍ for the message dm, in its commit phase, on the records
+// its commit check confirmed: each effectful change's node's, and for a
+// create or delete its parent's. It reads nothing and clears nothing — the
+// records carry the fire records dm's commit left (nodes, read for its
+// txid), which hold exactly the registrations that landed before the
+// commit: a later one stays live, and its reader waits for a value at or
+// past the commit (Frontier). It fires each change's groups, appending them
+// to the invocation's list (p.fired), and gives each an epoch entry, so
+// every value written afterwards carries its id (Z4); a group one change of
+// a multi() fired is empty for the next. The pop of dm's txid removes the
+// fire records of its targets; a parent's child fire record, which no pop
+// reaches, is removed in the message's round, with the epoch entry
+// (claimRound). With several shards the round is joined before the commit
+// phase ends. On one shard it is left in flight under the flush, and joined
+// before the next message's round (commitOne) and before the chunk's
+// answers and deliveries (flushChunk). It returns the message's groups,
+// capped so that a later message's appends never reach them.
+func (p *leaderRun) queryWatches(ctx cloud.Ctx, dm *decodedMsg, changes []change, nodes []sysNode) []firedWatch {
 	d, n, t0 := p.d, len(p.fired), p.d.K.Now()
 	round := &p.round
 	round.begin(ctx)
-	child := watchGroup{WatchChild, EventChildrenChanged}
-	for _, c := range changes {
-		if !c.effectful() {
-			continue
+	for i, key := range dm.keys[dm.targets:] {
+		if f := nodes[dm.targets+i].Fired[WatchChild-1]; f.Name != "" {
+			round.remove(key, f.Name)
 		}
-		node, parent := recordOf(keys, nodes, c.Path), recordOf(keys, nodes, c.ParentPath)
-		switch c.Op {
-		case OpSetData:
-			p.fireGroups(ctx, c.Path, node, watchGroup{WatchData, EventDataChanged})
-		case OpCreate:
-			p.fireGroups(ctx, c.Path, node, watchGroup{WatchExists, EventCreated})
-			p.fireGroups(ctx, c.ParentPath, parent, child)
-		case OpDelete:
-			p.fireGroups(ctx, c.Path, node,
-				watchGroup{WatchData, EventDeleted}, watchGroup{WatchExists, EventDeleted})
-			p.fireGroups(ctx, c.ParentPath, parent, child)
+	}
+	for _, c := range changes {
+		if c.effectful() {
+			p.fireGroups(c.Path, recordOf(dm.keys, nodes, c.Path), nodeFires[c.Op])
+		}
+		if c.ParentPath != "" {
+			p.fireGroups(c.ParentPath, recordOf(dm.keys, nodes, c.ParentPath), childFires)
 		}
 	}
 	fired := p.fired[n:len(p.fired):len(p.fired)]
-	p.enterEpochs(fired, txid)
+	p.enterEpochs(fired, dm.txid)
 	round.issue(d.NumShards() > 1)
 	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	return fired
 }
 
-// fireGroups claims path's non-empty groups in rec, its record as read,
-// appends them to the invocation's list (p.fired) and empties them in rec:
-// a later change of the same multi() finds them
-// claimed. Off shared paths the claim is one clear of the record in the
-// message's round (claimRound.clear). Shared-path groups (the root of a
-// multi-shard deployment) are claimed one by one, serially, ahead of the
-// round (claimGroup): two shard leaders may race between the read and the
-// clear there (shared paths are the only ones whose watches fire from more
-// than one shard), firing the same group twice would consume a watch the
-// client re-registered in its callback, and which ids the message fires
-// depends on the outcome. Everywhere else the owning shard's leader is
-// serialized and keeps the paper's one batched clear.
-func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, groups ...watchGroup) {
-	d := p.d
+// fireGroups fires path's non-empty groups in rec, its record as read,
+// appending them to the invocation's list (p.fired), and empties them in
+// rec: a later change of the same multi() finds them fired.
+func (p *leaderRun) fireGroups(path string, rec *sysNode, groups []watchGroup) {
 	for _, g := range groups {
-		attr, sessions := watchAttrs[g.wt-1], rec.Watches[g.wt-1]
-		rec.Watches[g.wt-1] = nil
-		if d.route.Shared(path) {
-			sessions = d.claimGroup(ctx, path, attr, sessions)
-		} else if len(sessions) > 0 {
-			p.round.clear(path, attr, sessions)
-		}
+		sessions := rec.Fired[g.wt-1].V.SL()
+		rec.Fired[g.wt-1] = kv.Attr{}
 		if len(sessions) == 0 {
 			continue
 		}
@@ -576,7 +582,7 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, groups 
 			wid:      WatchID(path, g.wt),
 			event:    g.event,
 			path:     path,
-			sessions: sessions, // a view of the record, or of the claim's read: never written
+			sessions: sessions, // a view of the fire record: never written
 		})
 	}
 }
@@ -589,8 +595,8 @@ func (p *leaderRun) fireGroups(ctx cloud.Ctx, path string, rec *sysNode, groups 
 // it sends (watchHandler), so a session gets a shard's notifications in
 // txid order. The message's round takes one write per region setting every
 // entry (claimRound.setEntries), and each region's mirror (p.epochs) takes
-// the ids as the round starts, so the stamp of the flush that follows
-// carries them (Z4). An id in a stamp whose write failed only makes a reader
+// the (id, txid) pairs as the round starts, so the stamp of the flush that
+// follows carries them (Z4). An id in a stamp whose write failed only makes a reader
 // wait for a delivery that is launched anyway.
 func (p *leaderRun) enterEpochs(fired []firedWatch, txid int64) {
 	d, waits := p.d, p.entries
@@ -609,14 +615,15 @@ func (p *leaderRun) enterEpochs(fired []firedWatch, txid int64) {
 		r := s.Region()
 		p.round.setEntries(d.epochKey(r), d.epochProcs[si], fired)
 		for _, f := range fired {
-			p.epochs[r] = append(p.epochs[r], f.wid)
+			p.epochs[r] = append(p.epochs[r], f.wid, txid)
 		}
 	}
 }
 
-// claimRound is one message's watch-claim writes (➍ and its epoch entry): a
-// clear per non-shared record whose groups fired (fireGroups), then one
-// write per region setting every entry the message fired (enterEpochs). The
+// claimRound is one message's watch-claim writes (➍ and its epoch entry):
+// the removal of each child fire record on a parent the message does not
+// commit on (queryWatches), then one write per region setting every entry
+// the message fired (enterEpochs). The
 // writes touch different items and are unconditional, so their mutual order
 // is free. With several shards the handler issues the first itself, spawns
 // the rest and joins them all before the message's commit phase ends
@@ -624,7 +631,7 @@ func (p *leaderRun) enterEpochs(fired []firedWatch, txid int64) {
 // opening read, so the entry lands first. On one shard the only readers of
 // the epoch item are the shard's own next invocation and its later
 // deliveries, so every write is spawned and the round is joined later
-// (join), before the next commit check and before the chunk completes. Each shard has a round of its own, in its
+// (join), before the next message's round and before the chunk completes. Each shard has a round of its own, in its
 // slot (leaderShard): a shard's invocations never overlap, while different
 // shards' do. Its writes and their process bodies are kept from round to
 // round, so a steady-state round allocates nothing. It joins on a group of
@@ -646,13 +653,13 @@ type roundWrite struct {
 	proc  string
 	key   string
 	ups   []kv.Update // pointers into rm or sets
-	rm    [len(watchAttrs)]kv.StrListRemove
+	rm    kv.Remove
 	sets  []kv.Set
 	run   func() // do, bound once
 }
 
-// claimProc names the process of a spawned clear; an epoch write's is
-// Deployment.epochProcs' for its region.
+// claimProc names the process of a spawned fire record removal; an epoch
+// write's is Deployment.epochProcs' for its region.
 const claimProc = "leader-claim"
 
 // begin opens the message's round, empty.
@@ -673,22 +680,11 @@ func (r *claimRound) next(key, proc string) *roundWrite {
 	return w
 }
 
-// clear adds the removal of sessions from group attr to key's clear, one
-// write per record whatever groups of it fire.
-func (r *claimRound) clear(key, attr string, sessions []string) {
-	var w *roundWrite
-	for _, x := range r.writes[:r.n] {
-		if x.key == key {
-			w = x
-			break
-		}
-	}
-	if w == nil {
-		w = r.next(key, claimProc)
-	}
-	i := len(w.ups)
-	w.rm[i] = kv.StrListRemove{Name: attr, Vals: sessions}
-	w.ups = append(w.ups, &w.rm[i])
+// remove adds the write that removes the fire record name from key.
+func (r *claimRound) remove(key, name string) {
+	w := r.next(key, claimProc)
+	w.rm = kv.Remove{Name: name}
+	w.ups = append(w.ups, &w.rm)
 }
 
 // setEntries adds the write on key that sets the entry of every group in
@@ -731,26 +727,6 @@ func (r *claimRound) join() {
 
 func (w *roundWrite) do() {
 	_, _ = w.round.d.System.Update(w.round.ctx, w.key, w.ups, nil)
-}
-
-// claimGroup claims a shared path's watch group attr at key, starting from
-// the sessions a read returned: it removes exactly them, on the condition
-// that the group still holds exactly them. A failed condition means the
-// group changed under the claim — another shard's leader claimed it, or a
-// session registered — so it reads the group again and claims what it finds.
-// A group is fired by one leader only, and no registration is removed unread.
-// It returns the sessions claimed (none once the group is empty).
-func (d *Deployment) claimGroup(ctx cloud.Ctx, key, attr string, sessions []string) []string {
-	for len(sessions) > 0 {
-		_, err := d.System.Update(ctx, key,
-			[]kv.Update{kv.StrListRemove{Name: attr, Vals: sessions}}, kv.Eq{Name: attr, V: kv.StrList(sessions...)})
-		if err == nil {
-			return sessions
-		}
-		it, _ := d.System.GetView(ctx, key, true)
-		sessions = it.Get(attr).SL()
-	}
-	return nil
 }
 
 // launchWatch starts one claimed group's delivery as a child span of the

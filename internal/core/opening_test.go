@@ -259,7 +259,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 					}
 					msg = leaderMsg{
 						Session: req.Session, Seq: req.Seq, LockTs: lock.Timestamp,
-						change: validatedChange(OpSetData, req.Path, req.Data, "", decodeSysNode(item), sysNode{}),
+						change: validatedChange(OpSetData, req.Path, req.Data, "", decodeSysNode(item, 0), sysNode{}),
 					}
 					tc.between(d, s.ctx, lock, msg)
 				}
@@ -286,7 +286,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 			}
 			if !tc.missing {
 				it, _ := d.System.Peek("/n")
-				if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pending) {
+				if got := decodeSysNode(it, 0).Pending; !slices.Equal(got, tc.pending) {
 					t.Errorf("pending list ends as %v, want %v", got, tc.pending)
 				}
 			} else if _, ok := d.System.Peek("/gone"); ok {

@@ -121,7 +121,7 @@ func newPipeRig(t *testing.T, seed int64, cfg Config, hook *pipeFaults) *pipeRig
 				continue
 			}
 			var head int64
-			if p := decodeSysNode(rec.Item).Pending; len(p) > 0 {
+			if p := decodeSysNode(rec.Item, 0).Pending; len(p) > 0 {
 				head = p[0]
 			}
 			if old := heads[rec.Key]; old != 0 && old != head {
@@ -390,7 +390,7 @@ func TestPipelineConcurrentInvariants(t *testing.T) {
 			}
 			armed := 0
 			if it, ok := r.d.System.Peek(paths[0]); ok {
-				armed = len(decodeSysNode(it).Watches[WatchData-1])
+				armed = len(it.Get(attrWatchData).SL())
 			}
 			if w.arms != len(w.notes)+armed {
 				t.Errorf("%d arms, %d notifications, %d still armed", w.arms, len(w.notes), armed)
@@ -584,7 +584,7 @@ func TestSamePathChainNeverPrefetches(t *testing.T) {
 		t.Errorf("last set has version %d, want %d", last.Stat.Version, 3*sets)
 	}
 	it, _ := r.d.System.Peek("/a")
-	if sys := decodeSysNode(it); sys.Version != last.Stat.Version || sys.Mzxid != last.Txid || !slices.Equal(sys.Pending, []int64{last.Txid}) || !r.carried(last.Txid) {
+	if sys := decodeSysNode(it, 0); sys.Version != last.Stat.Version || sys.Mzxid != last.Txid || !slices.Equal(sys.Pending, []int64{last.Txid}) || !r.carried(last.Txid) {
 		t.Errorf("system store: %+v, want version %d, mzxid %d, only the last set's carried pop pending", sys, last.Stat.Version, last.Txid)
 	}
 	if c := r.calls[len(r.calls)-1]; c.path != "/a" || c.mzxid != last.Txid {

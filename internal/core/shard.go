@@ -48,8 +48,10 @@ import (
 //     the store.
 //   - fkclient's MRD(): the maximum over the shards' MRDs, an accessor;
 //     nothing decides on it.
-//   - fkclient's read gate (mrd, armMRD): same shard by construction, by
-//     the minting shard (mintShard).
+//   - fkclient's read gate and notification rule (mrd, a stamped fire's
+//     txid against its watch's frontier, watchEntry.fires): same shard by
+//     construction, by the minting shard (mintShard); against the shared
+//     root's per-shard frontier for a child watch on it.
 //   - A data or exists watch's frontier (mzxid): same shard by
 //     construction; a node's data writes all route to its shard, the
 //     root's to shard 0.

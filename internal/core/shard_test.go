@@ -267,7 +267,7 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 			}
 			slices.Sort(want)
 			item, _ := r.d.System.Peek(znode.Root)
-			sys := decodeSysNode(item)
+			sys := decodeSysNode(item, 0)
 			if sys.Cversion != changes {
 				t.Errorf("system root: cversion %d, want %d", sys.Cversion, changes)
 			}
@@ -345,7 +345,9 @@ func TestSharedRootSplicedInEachLeg(t *testing.T) {
 // system store and the user store: a record without its object, a stale
 // object, a shared root whose object lacks a shard's child stamp, an epoch
 // entry stranded by a delivery that never exited, a record listing a child
-// that has no record, and an object stored under another path.
+// that has no record, an object stored under another path, a fire record
+// whose txid is no longer pending, and a parent's child fire record its
+// claim never removed — but not a fire record whose pop is still to run.
 func TestAtRestFlagsEachDisagreement(t *testing.T) {
 	k, d := newTestDeployment(3, Config{WriteShards: 2})
 	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
@@ -364,6 +366,15 @@ func TestAtRestFlagsEachDisagreement(t *testing.T) {
 		d.Stores[0].Seed(&znode.Node{Path: "/orphans", Children: []string{"ghost"}})
 		d.System.SeedPut("/moved", kv.Item{{Name: attrExists, V: kv.N(1)}})
 		d.Stores[0].(*objectStore).bucket.SeedPut("/moved", znode.Marshal(&znode.Node{Path: "/elsewhere"}, nil))
+		// Fire records: txid 5's is its pop's to remove, txid 3's outlived
+		// its pop, and a parent's child fire record outlived its claim.
+		var b5, b3, b4 fireBuf
+		d.System.SeedPut("/fired", kv.Item{{Name: attrExists, V: kv.N(1)}, {Name: attrMzxid, V: kv.N(5)},
+			{Name: attrPending, V: kv.NumList(5)}, {Name: fireRecords(&b5, 5)[WatchData-1], V: kv.StrList("a")},
+			{Name: fireRecords(&b3, 3)[WatchData-1], V: kv.StrList("b")}})
+		d.Stores[0].Seed(&znode.Node{Path: "/fired", Stat: znode.Stat{Mzxid: 5}})
+		d.System.SeedPut("/kids", kv.Item{{Name: attrExists, V: kv.N(1)}, {Name: fireRecords(&b4, 4)[WatchChild-1], V: kv.StrList("c")}})
+		d.Stores[0].Seed(&znode.Node{Path: "/kids"})
 		planted = d.AtRest(ctx)
 	})
 	k.Run()
@@ -371,12 +382,13 @@ func TestAtRestFlagsEachDisagreement(t *testing.T) {
 	if len(clean) != 0 {
 		t.Errorf("a fresh deployment is not at rest: %v", clean)
 	}
-	for _, want := range []string{"/gone in", "/stale in", "/ in", "epoch:", "/orphans: record lists child ghost", "/moved in"} {
+	for _, want := range []string{"/gone in", "/stale in", "/ in", "epoch:", "/orphans: record lists child ghost", "/moved in",
+		"/fired: fire record f3.data", "/kids: fire record f4.child"} {
 		if !slices.ContainsFunc(planted, func(f string) bool { return strings.HasPrefix(f, want) }) {
 			t.Errorf("no finding starts with %q: %v", want, planted)
 		}
 	}
-	if len(planted) != 6 {
-		t.Errorf("%d findings, want 6: %v", len(planted), planted)
+	if len(planted) != 8 {
+		t.Errorf("%d findings, want 8: %v", len(planted), planted)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
@@ -56,8 +57,48 @@ const (
 )
 
 // watchAttrs names each watch type's session list on a control record,
-// indexed by WatchType-1.
+// indexed by WatchType-1: its live group, the registrations no commit has
+// moved yet.
 var watchAttrs = [...]string{attrWatchData, attrWatchExists, attrWatchChild}
+
+// fireRecords names the fire records of the commit at txid, indexed by
+// WatchType-1: "f<txid>.<type>". A commit at txid t moves every live group
+// its changes fire (the write-op table's fires column) into the record's
+// fire record of that type, in the same conditional write, so the
+// registrations that landed before the commit, and no later one, are the
+// ones t fires. The leader's commit check reads the fire records with the
+// commit, the pop of t removes them, and a parent's child fire record,
+// which no pop of t reaches, is removed by t's claim round. The names are
+// views of buf: the table only reads a name it is handed, and copies one it
+// keeps (kv.Item.add).
+func fireRecords(buf *fireBuf, txid int64) (names [len(watchAttrs)]string) {
+	b := buf[:0]
+	for i := range names {
+		n := len(b)
+		b = strconv.AppendInt(append(b, 'f'), txid, 10)
+		b = append(append(b, '.'), fireTypes[i]...)
+		names[i] = unsafe.String(&b[n], len(b)-n)
+	}
+	return names
+}
+
+// parseFire reads a fire record's name: the txid of the commit that left it
+// and its watch type. No other attribute of a record starts with "f".
+func parseFire(name string) (txid int64, wt WatchType, ok bool) {
+	t, typ, _ := strings.Cut(name, ".")
+	if wt = WatchType(slices.Index(fireTypes, typ) + 1); wt == 0 || !strings.HasPrefix(t, "f") {
+		return 0, 0, false
+	}
+	txid, err := strconv.ParseInt(t[1:], 10, 64)
+	return txid, wt, err == nil
+}
+
+// fireTypes spells each watch type in a fire record's name.
+var fireTypes = []string{WatchData.String(), WatchExists.String(), WatchChild.String()}
+
+// fireBuf holds a commit's fire record names: "f", a txid and a type, at
+// most 32 bytes each.
+type fireBuf [3 * 32]byte
 
 func sessionKey(id string) string { return sessionKeyPrefix + id }
 func deregKey(id string) string   { return deregKeyPrefix + id }
@@ -115,13 +156,16 @@ func (d *Deployment) childStamps(it kv.Item) []int64 {
 	return stamps
 }
 
-// epochUnion appends to ids the watch id of every entry on an epoch item,
-// over every shard, in the order the item lists them.
-func epochUnion(ids []int64, it kv.Item) []int64 {
+// epochUnion appends to stamp the (watch id, txid) pair of every entry on
+// an epoch item, over every shard, in the order the item lists them: the
+// txid is the one the entry's name carries (appendEntryName).
+func epochUnion(stamp []int64, it kv.Item) []int64 {
 	for i := range it {
-		ids = append(ids, it[i].V.Num())
+		_, rest, _ := strings.Cut(it[i].Name, ".")
+		txid, _ := strconv.ParseInt(rest[:strings.IndexByte(rest, '.')], 10, 64)
+		stamp = append(stamp, it[i].V.Num(), txid)
 	}
-	return ids
+	return stamp
 }
 
 // sysNode is the decoded view of a per-node system item.
@@ -136,13 +180,15 @@ type sysNode struct {
 	EphOwner string
 	SeqCtr   int64
 	Pending  []int64
-	// Watches lists the sessions registered for each watch type (index
-	// WatchType-1). They live on the record whose change fires them, so
-	// the commit check's read of a change returns them.
-	Watches [len(watchAttrs)][]string
+	// Fired holds, per watch type (index WatchType-1), the fire record the
+	// commit at the txid the record was decoded for left (fireRecords): its
+	// name, and the sessions it fires. A view of the item's attribute.
+	Fired [len(watchAttrs)]kv.Attr
 }
 
-func decodeSysNode(it kv.Item) sysNode {
+// decodeSysNode decodes a control record, with the fire records the commit
+// at txid left on it (none for txid 0).
+func decodeSysNode(it kv.Item, txid int64) sysNode {
 	if it == nil {
 		return sysNode{}
 	}
@@ -153,7 +199,7 @@ func decodeSysNode(it kv.Item) sysNode {
 		Czxid:    it.Get(attrCzxid).Num(),
 		Mzxid:    it.Get(attrMzxid).Num(),
 		Pzxid:    newestPzxid(it),
-		// Children, Pending and Watches are views of values in table
+		// Children, Pending and Fired are views of values in table
 		// storage, which stay valid and unchanged forever, while the item
 		// itself is valid only until its reader blocks: every caller
 		// decodes it first. plan.validate copies the child list before it
@@ -163,8 +209,10 @@ func decodeSysNode(it kv.Item) sysNode {
 		SeqCtr:   it.Get(attrSeq).Num(),
 		Pending:  it.Get(attrPending).NL(),
 	}
-	for i, attr := range watchAttrs {
-		n.Watches[i] = it.Get(attr).SL()
+	for i := range it {
+		if t, wt, ok := parseFire(it[i].Name); ok && t == txid {
+			n.Fired[wt-1] = it[i]
+		}
 	}
 	return n
 }
@@ -221,6 +269,9 @@ func (s sysNode) toZNode(path string, data []byte) znode.Node {
 //   - every pending txid is flushed: the object is at or past it;
 //   - every child the record lists has a record that says it exists;
 //   - the object is stored under its own path;
+//   - every fire record is one a pop still has to remove: its txid is
+//     pending on the record (a parent's child fire record never is: its
+//     claim removes it);
 //
 // and every epoch item lists no entry: each delivery removed its own. It
 // returns one line per disagreement, in key order.
@@ -238,7 +289,12 @@ func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 		if !strings.HasPrefix(ki.Key, znode.Root) {
 			continue
 		}
-		path, rec := ki.Key, decodeSysNode(ki.Item)
+		path, rec := ki.Key, decodeSysNode(ki.Item, 0)
+		for _, a := range ki.Item {
+			if t, _, ok := parseFire(a.Name); ok && !slices.Contains(rec.Pending, t) {
+				out = append(out, fmt.Sprintf("%s: fire record %s %v, txid %d not pending", path, a.Name, a.V, t))
+			}
+		}
 		var stamps []int64
 		if d.route.Shared(path) {
 			stamps = d.childStamps(ki.Item)

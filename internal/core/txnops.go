@@ -225,6 +225,7 @@ func (d *Deployment) commitPlan(ctx cloud.Ctx, p plan, txid int64) error {
 	s := commitScratchPool.Get().(*commitScratch)
 	defer s.release()
 	s.rootPzxid = d.pzxidAttrs[txid%int64(d.NumShards())] // txid's minting shard (shardTxid)
+	s.fires = fireRecords(&s.names, txid)
 	if len(p.items) == 1 {
 		_, err := d.Locks.CommitUnlock(ctx, p.items[0].lock, s.itemUpdates(p.ops, p.items[0].lock.Key, txid))
 		return err
@@ -236,18 +237,32 @@ func (d *Deployment) commitPlan(ctx cloud.Ctx, p plan, txid int64) error {
 }
 
 // itemUpdates lists the updates the changes make to the item at path
-// committing at txid: the table's per-op updates in op order, then one
-// pending append if an effectful op targets the item (once, however many
-// do).
+// committing at txid: the table's per-op updates in op order, each group a
+// change fires moved into its fire record (once per group, however many
+// changes fire it), then one pending append if an effectful op targets the
+// item (once, however many do). The move is the table's: it takes whatever
+// the group holds when the commit lands, a registration made after the
+// follower's locked read among them.
 func (s *commitScratch) itemUpdates(ops []change, path string, txid int64) []kv.Update {
 	start, target := len(s.ups), false
+	var fires [len(watchAttrs)]bool
 	for _, c := range ops {
 		switch path {
 		case c.Path:
 			s.nodeUpdates(c, txid)
 			target = target || c.effectful()
+			for _, g := range nodeFires[c.Op] {
+				fires[g.wt-1] = true
+			}
 		case c.ParentPath:
 			s.parentUpdates(c, txid)
+			fires[WatchChild-1] = true
+		}
+	}
+	for i, fired := range fires {
+		if fired {
+			s.moves = append(s.moves, kv.Move{From: watchAttrs[i], To: s.fires[i]})
+			s.ups = append(s.ups, &s.moves[len(s.moves)-1])
 		}
 	}
 	if target { // the pending append: one txid, shared by every item

@@ -220,7 +220,7 @@ func TestCommitScratchKeepsNoView(t *testing.T) {
 // sysNode reads path's control record. It must run inside a sim process.
 func (r *pipeRig) sysNode(path string) sysNode {
 	it, _ := r.d.System.GetView(cloud.ClientCtx(r.d.Cfg.Profile.Home), path, true)
-	return decodeSysNode(it)
+	return decodeSysNode(it, 0)
 }
 
 // txnResidue lists what no finished multi() may leave behind on a node
@@ -231,7 +231,7 @@ func txnResidue(d *Deployment, ctx cloud.Ctx) []string {
 		if !strings.HasPrefix(ki.Key, "/") {
 			continue
 		}
-		if _, locked := ki.Item.Lookup(fksync.LockAttr); locked || len(decodeSysNode(ki.Item).Pending) > 0 {
+		if _, locked := ki.Item.Lookup(fksync.LockAttr); locked || len(decodeSysNode(ki.Item, 0).Pending) > 0 {
 			out = append(out, ki.Key+" "+ki.Item.String())
 		}
 	}
@@ -252,7 +252,7 @@ func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...st
 			r.t.Fatalf("lock %s: %v", p, err)
 		}
 		msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
-		msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte(data), "", decodeSysNode(item), sysNode{}))
+		msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte(data), "", decodeSysNode(item, 0), sysNode{}))
 	}
 	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
 		r.t.Fatalf("commit: %v", err)
@@ -342,7 +342,7 @@ func TestTxnCommitCheck(t *testing.T) {
 						return
 					}
 					msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
-					msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte("1"), "", decodeSysNode(item), sysNode{}))
+					msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte("1"), "", decodeSysNode(item, 0), sysNode{}))
 				}
 				tc.between(d, s.ctx, msg)
 				s.seq = msg.Seq
@@ -364,11 +364,11 @@ func TestTxnCommitCheck(t *testing.T) {
 				t.Errorf("the handler made %d system-store reads and %d writes, want %d and %d", reads, writes, tc.reads, tc.writes)
 			}
 			it, _ := d.System.Peek("/a")
-			if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pendingA) {
+			if got := decodeSysNode(it, 0).Pending; !slices.Equal(got, tc.pendingA) {
 				t.Errorf("/a's pending list ends as %v, want %v", got, tc.pendingA)
 			}
 			it, _ = d.System.Peek("/b")
-			if got := decodeSysNode(it).Pending; !slices.Equal(got, tc.pendingB) {
+			if got := decodeSysNode(it, 0).Pending; !slices.Equal(got, tc.pendingB) {
 				t.Errorf("/b's pending list ends as %v, want %v", got, tc.pendingB)
 			}
 			if r.carried(txid) != tc.stored {

@@ -7,17 +7,21 @@ package core
 // several) and the leader's replay of its commit (Algorithm 2's TryCommit)
 // read it, so a rule cannot hold on one of them and drift on another.
 //
-//	op        locks (in order)   checks, in order                        node item                      parent item
-//	create    parent, node       parent: no_node, no_children_for_eph;   exists=1, version=cversion=0,  children+=name, cversion+1,
+//	op        locks (in order)   checks, in order                        node item                      parent item                   fires (node; parent)
+//	create    parent, node       parent: no_node, no_children_for_eph;   exists=1, version=cversion=0,  children+=name, cversion+1,   exists; child
 //	                             node: node_exists                       c/m/pzxid=txid, eph=owner      seq+1, pzxid=txid
-//	set_data  node               no_node, bad_version                    version=new, mzxid=txid        —
-//	delete    parent, node       no_node, bad_version, not_empty,        exists=0, mzxid=txid, −eph     children−=name, cversion+1,
+//	set_data  node               no_node, bad_version                    version=new, mzxid=txid        —                             data
+//	delete    parent, node       no_node, bad_version, not_empty,        exists=0, mzxid=txid, −eph     children−=name, cversion+1,   data, exists; child
 //	                             parent lists the node                                                  pzxid=txid
 //
 // A parent's pzxid is its committing shard's on the shared root, which
 // keeps one per shard (childStamps). Every target node also gets txid
 // appended to its pending list, once per message (itemUpdates): that entry
-// is what hands the change to the shard's serialized leader.
+// is what hands the change to the shard's serialized leader. Each group the
+// change fires moves from the item's live group into its fire record at
+// txid (fireRecords), once per item however many changes fire it, and the
+// leader's watch claim fires those records with the events of the last
+// column.
 
 import (
 	"strings"
@@ -47,6 +51,18 @@ func checkPath(op OpCode, path string) Code {
 	}
 	return CodeOK
 }
+
+// nodeFires lists the groups a change fires on its node, each with the event
+// its delivery carries, and childFires the one a create or delete fires on
+// its parent: the table's last column.
+var (
+	nodeFires = map[OpCode][]watchGroup{
+		OpSetData: {{WatchData, EventDataChanged}},
+		OpCreate:  {{WatchExists, EventCreated}},
+		OpDelete:  {{WatchData, EventDeleted}, {WatchExists, EventDeleted}},
+	}
+	childFires = []watchGroup{{WatchChild, EventChildrenChanged}}
+)
 
 // checkParent is the first locked stage. For a write's first op it runs as
 // soon as the parent is locked (plan.prepare), so a create that cannot
@@ -132,11 +148,15 @@ type commitScratch struct {
 	ups     []kv.Update // every item's list, one after another
 	parts   []fksync.TxPart
 	sets    []kv.Set
+	moves   []kv.Move
 	pending kv.ListAppend
 	txid    [1]int64 // pending's value
 	// rootPzxid names the committing shard's child stamp on the root
 	// (pzxidAttrs), the one the commit sets there.
 	rootPzxid string
+	// fires names the commit's fire records, views of names.
+	fires [len(watchAttrs)]string
+	names fireBuf
 }
 
 var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
@@ -150,7 +170,8 @@ func (s *commitScratch) release() {
 	clear(s.ups)
 	clear(s.parts)
 	clear(s.sets)
-	*s = commitScratch{ups: s.ups[:0], parts: s.parts[:0], sets: s.sets[:0]}
+	clear(s.moves)
+	*s = commitScratch{ups: s.ups[:0], parts: s.parts[:0], sets: s.sets[:0], moves: s.moves[:0]}
 	commitScratchPool.Put(s)
 }
 

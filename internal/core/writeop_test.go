@@ -316,7 +316,7 @@ func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg 
 	s.seq++
 	msg := leaderMsg{
 		Session: s.id, Seq: s.seq, LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
-		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node), decodeSysNode(parent)),
+		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node, 0), decodeSysNode(parent, 0)),
 	}
 	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
 		r.t.Fatalf("commit %s: %v", path, err)
@@ -355,7 +355,7 @@ func TestObjectIsTheSnapshotAtItsTxid(t *testing.T) {
 				}
 				msg := leaderMsg{
 					Session: s.id, Seq: s.seq, change: change{Op: OpMulti, Path: "/p"},
-					Ops:       []change{validatedChange(OpSetData, "/p", []byte("1"), "", decodeSysNode(item), sysNode{})},
+					Ops:       []change{validatedChange(OpSetData, "/p", []byte("1"), "", decodeSysNode(item, 0), sysNode{})},
 					ItemPaths: []string{"/p"}, ItemLockTs: []int64{lock.Timestamp},
 				}
 				if err := r.d.replayCommit(s.ctx, msg, set); err != nil {

@@ -1,8 +1,9 @@
 package fkclient_test
 
-// The watch claim's round seen from the client: its two writes — the clear
-// of the fired group and the epoch append — land in either order, and no
-// history tells: histcheck.Check finds nothing in the recorded history.
+// The watch claim's round seen from the client: its two writes — the
+// removal of a parent's child fire record and the epoch entry — land in
+// either order, and no history tells: histcheck.Check finds nothing in the
+// recorded history.
 
 import (
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/histcheck"
 	"faaskeeper/internal/sim"
-	"faaskeeper/internal/znode"
 )
 
 // holdProcs is a sim.FaultHook that holds every storage operation of the
@@ -36,14 +36,15 @@ func (h *holdProcs) OpDelay() sim.Time {
 }
 
 // TestWatchClaimRoundLandsInEitherOrder runs a two-shard deployment where a
-// watcher re-arms a data watch on /a in its callback while /a is set over
-// and over, /b — on the other shard — is set in between, and a reader reads
-// both. The leader's handler issues the clear of /a's fired group and a
-// process of its own the epoch append: holding the handler's operations
-// open makes the append land first, so the other shard's opening read can
-// see the id while the registration is still on /a's record; holding the
-// append's makes the clear land first. Either way histcheck.Check finds nothing
-// in the history, and the watcher hears of every set.
+// watcher re-arms a child watch on /a in its callback while children are
+// created under /a one after another, /b — on the other shard — is set in
+// between, and a reader reads both. The leader's handler issues the removal
+// of /a's child fire record itself and a process of its own the epoch
+// entry: holding the handler's operations open makes the entry land first,
+// so the other shard's opening read can see the id while the fire record is
+// still on /a's record; holding the entry's makes the removal land first.
+// Either way histcheck.Check finds nothing in the history, and the watcher
+// hears of every create.
 func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 	for _, tc := range []struct{ name, prefix string }{
 		{"append lands first", "trigger:" + core.FnLeader + ":"},
@@ -79,25 +80,23 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 				}
 				write := func(c *fkclient.Client, session, op, path, value string) {
 					start := k.Now()
-					var st znode.Stat
-					var err error
+					code := core.OpSetData
 					if op == "create" {
-						_, err = c.Create(path, []byte(value), 0)
-					} else {
-						st, err = c.SetData(path, []byte(value), -1)
+						code = core.OpCreate
 					}
+					resp, err := c.Write(code, path, []byte(value), -1, 0)
 					h.Add(histcheck.Event{Session: session, Kind: histcheck.KindWrite, Op: op, Path: path, Value: value,
-						Mzxid: st.Mzxid, Start: start, End: k.Now(), Err: errStr(err)})
+						Mzxid: resp.Txid, Start: start, End: k.Now(), Err: errStr(err)})
 					if err != nil {
 						t.Errorf("%s %s %s: %v", session, op, path, err)
-					} else if session == "w" && op == "set" {
-						acked = append(acked, st.Mzxid)
+					} else if session == "w" && path != a {
+						acked = append(acked, resp.Txid)
 					}
 				}
 				write(w, "w", "create", a, "a0")
 				write(o, "o", "create", b, "b0")
 
-				wid := core.WatchID(a, core.WatchData)
+				wid := core.WatchID(a, core.WatchChild)
 				var arm func()
 				cb := func(n core.Notification) {
 					h.Add(histcheck.Event{Session: "v", Kind: histcheck.KindWatchFire, Path: n.Path,
@@ -107,9 +106,9 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 				}
 				arm = func() {
 					start := k.Now()
-					_, st, err := v.GetDataW(a, cb)
-					h.Add(histcheck.Event{Session: "v", Kind: histcheck.KindWatchArm, Path: a,
-						Mzxid: st.Mzxid, WatchID: wid, Start: start, End: k.Now(), Err: errStr(err)})
+					children, err := v.GetChildrenW(a, cb)
+					h.Add(histcheck.Event{Session: "v", Kind: histcheck.KindWatchArm, Op: "children", Path: a,
+						Children: children, WatchID: wid, Start: start, End: k.Now(), Err: errStr(err)})
 					if err != nil {
 						t.Errorf("arm %s: %v", a, err)
 					}
@@ -135,7 +134,7 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 					}
 				})
 				for i := 1; i <= sets; i++ {
-					write(w, "w", "set", a, fmt.Sprintf("a%d", i))
+					write(w, "w", "create", fmt.Sprintf("%s/c%d", a, i), "")
 					k.Sleep(400 * time.Millisecond)
 				}
 				done = true
@@ -148,11 +147,11 @@ func TestWatchClaimRoundLandsInEitherOrder(t *testing.T) {
 				t.Errorf("%d violations, first: %s", len(vs), vs[0])
 			}
 			if len(acked) != sets || len(heard) != sets {
-				t.Fatalf("%d sets acked, %d notifications heard; want %d each", len(acked), len(heard), sets)
+				t.Fatalf("%d creates acked, %d notifications heard; want %d each", len(acked), len(heard), sets)
 			}
 			for i := range acked {
 				if heard[i] != acked[i] {
-					t.Errorf("notification %d carries txid %d, want set %d's %d", i, heard[i], i+1, acked[i])
+					t.Errorf("notification %d carries txid %d, want create %d's %d", i, heard[i], i+1, acked[i])
 				}
 			}
 		})

@@ -106,24 +106,25 @@ type watchEntry struct {
 	// delivered completes with the entry's notification; held by value, so
 	// that an entry is the one allocation a registration keeps.
 	delivered sim.Future[core.Notification]
-	path      string
-	wt        core.WatchType
+	// front is the registration's frontier (core.Frontier): the commits
+	// at or below it landed before the registration, so none of them fired
+	// it, and the first above it on its shard that fires the group does. A
+	// watch id is a hash of (path, type), so a fire of the id at or below
+	// the frontier — a previous registration's, another session's, or a
+	// cold replay's second delivery — is not this entry's. A second
+	// registration of a watched (path, type) keeps the entry, and its
+	// frontier: the first fire after either is the entry's.
+	front core.Frontier
+}
 
-	// armMRD snapshots the per-shard MRD at registration time. A watch id
-	// is a pure hash of (path, type), so a re-registration after a
-	// delivered fire aliases the old id — and node versions stamped by
-	// the *previous* registration's fire would otherwise block the Z4
-	// epoch wait against the new entry forever (the canonical
-	// read-then-re-arm pattern would wedge until an unrelated next
-	// write). A version at or below the arm-time MRD of its minting shard
-	// cannot have a notification in flight for this registration: any
-	// transaction that fires the new watch read the registration in its
-	// commit check, so its commit phase ran after the registration landed,
-	// and a notification already delivered by then was launched behind the
-	// flush of a transaction earlier in the shard's order. With one shard it
-	// points into armOne.
-	armMRD []int64
-	armOne [1]int64
+// fires reports whether a fire of the entry's id at txid can be the
+// entry's: txid is above its frontier on txid's shard (on the shared root a
+// child watch's frontier holds one stamp per shard).
+func (e *watchEntry) fires(txid int64, shard int) bool {
+	if len(e.front.Pzxids) > 0 {
+		return txid > e.front.Pzxids[shard]
+	}
+	return txid > e.front.Zxid
 }
 
 // watchFire is one callback due to run with the notification that fired
@@ -335,7 +336,7 @@ func (c *Client) onNotification(n core.Notification) {
 		c.mrd[shard] = n.Txid
 	}
 	entry, ok := c.watches[n.WatchID]
-	if !ok {
+	if !ok || !entry.fires(n.Txid, shard) {
 		return
 	}
 	delete(c.watches, n.WatchID) // one-shot, as in ZooKeeper
@@ -473,17 +474,7 @@ func (c *Client) GetData(path string) ([]byte, znode.Stat, error) {
 // GetDataW reads a node and, when cb is non-nil, leaves a one-shot data
 // watch that fires on the next change or deletion.
 func (c *Client) GetDataW(path string, cb WatchCallback) ([]byte, znode.Stat, error) {
-	if err := c.check(path); err != nil {
-		return nil, znode.Stat{}, err
-	}
-	var arm watchArm
-	if cb != nil {
-		var err error
-		if arm, err = c.registerWatch(path, core.WatchData, cb); err != nil {
-			return nil, znode.Stat{}, err
-		}
-	}
-	n, err := c.read(path, arm)
+	n, err := c.read(path, core.WatchData, cb)
 	if err != nil {
 		return nil, znode.Stat{}, err
 	}
@@ -498,17 +489,7 @@ func (c *Client) Exists(path string) (*znode.Stat, error) {
 // ExistsW is Exists with an optional one-shot watch that fires when the
 // node is created, deleted, or modified.
 func (c *Client) ExistsW(path string, cb WatchCallback) (*znode.Stat, error) {
-	if err := c.check(path); err != nil {
-		return nil, err
-	}
-	var arm watchArm
-	if cb != nil {
-		var err error
-		if arm, err = c.registerWatch(path, core.WatchExists, cb); err != nil {
-			return nil, err
-		}
-	}
-	n, err := c.read(path, arm)
+	n, err := c.read(path, core.WatchExists, cb)
 	if errors.Is(err, core.ErrNoNode) {
 		return nil, nil
 	}
@@ -527,17 +508,7 @@ func (c *Client) GetChildren(path string) ([]string, error) {
 
 // GetChildrenW is GetChildren with an optional one-shot child watch.
 func (c *Client) GetChildrenW(path string, cb WatchCallback) ([]string, error) {
-	if err := c.check(path); err != nil {
-		return nil, err
-	}
-	var arm watchArm
-	if cb != nil {
-		var err error
-		if arm, err = c.registerWatch(path, core.WatchChild, cb); err != nil {
-			return nil, err
-		}
-	}
-	n, err := c.read(path, arm)
+	n, err := c.read(path, core.WatchChild, cb)
 	if err != nil {
 		return nil, err
 	}
@@ -591,30 +562,35 @@ func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback)
 	}
 	arm := watchArm{wt: wt, front: front, entry: c.watches[wid]}
 	if arm.entry != nil {
-		// Same path+type watched twice: keep one entry, both callbacks via
-		// chaining would complicate ordering; latest callback wins, as the
-		// registration is idempotent server-side.
+		// Same path+type watched twice: one entry, with the first
+		// registration's frontier; the latest callback wins (README,
+		// "Conformance").
 		arm.entry.cb = cb
 		return arm, nil
 	}
 	arm.entry = &watchEntry{
 		cb:        cb,
 		delivered: sim.MakeFuture[core.Notification](c.d.K),
-		path:      path,
-		wt:        wt,
+		front:     front,
 	}
-	arm.entry.armMRD = append(arm.entry.armOne[:0], c.mrd...)
 	c.watches[wid] = arm.entry
 	return arm, nil
 }
 
 // read performs the storage read — through the cache tier when one is
-// deployed — and applies the ordering gate. arm names the watch the read
-// just registered, if any: the read re-reads until it reaches the
-// registration's frontier (fetchArmed).
-func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
-	if c.closed {
-		return nil, core.ErrSessionClosed
+// deployed — and applies the ordering gate. With a callback it first
+// registers a one-shot watch of type wt, which the read arms: it re-reads
+// until it reaches the registration's frontier (fetchArmed).
+func (c *Client) read(path string, wt core.WatchType, cb WatchCallback) (*znode.Node, error) {
+	if err := c.check(path); err != nil {
+		return nil, err
+	}
+	var arm watchArm
+	if cb != nil {
+		var err error
+		if arm, err = c.registerWatch(path, wt, cb); err != nil {
+			return nil, err
+		}
 	}
 	// FIFO: a read issued after a write cannot return before it.
 	barrier := c.lastWrite
@@ -641,30 +617,18 @@ func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Ordered notifications (Z4): if the node was committed while one of
+	// Ordered notifications (Z4): if the node was written while one of
 	// *our* watches was still being delivered, hold the result until that
-	// notification arrives. Updates older than the minting shard's MRD
-	// are always safe (txids are totally ordered within a shard). Cached
-	// entries carry the epoch stamp the
-	// leader attached when it wrote this exact version, so the guard is
-	// identical on every source.
+	// notification arrives. The stamp lists the (watch id, txid) of every
+	// fire in flight when the leader wrote this exact version; a fire is
+	// ours if it is above our registration's frontier (watchEntry.fires).
+	// Updates older than the minting shard's MRD are always safe (txids are
+	// totally ordered within a shard). Cached entries carry the same stamp,
+	// so the guard is identical on every source.
 	if n.Stat.Mzxid >= c.mrd[c.mintShard(n.Stat.Mzxid)] {
-		for _, wid := range stamp {
-			entry, mine := c.watches[wid]
-			if !mine || entry.delivered.Done() {
-				continue
-			}
-			if n.Stat.Mzxid <= entry.armMRD[c.mintShard(n.Stat.Mzxid)] {
-				// Stale alias: this version's fire belonged to a previous
-				// registration of the same watch id and was already
-				// delivered before the current one was armed (see
-				// watchEntry.armMRD).
-				continue
-			}
-			if c.d.Armed(c.ctx, entry.path, entry.wt, c.id) {
-				// Another registration's alias: a claim that fired ours for
-				// a change at or below this version cleared it before the
-				// version's flush, and it is still registered.
+		for i := 0; i+1 < len(stamp); i += 2 {
+			entry, mine := c.watches[stamp[i]]
+			if !mine || entry.delivered.Done() || !entry.fires(stamp[i+1], c.mintShard(stamp[i+1])) {
 				continue
 			}
 			if _, ok := entry.delivered.WaitTimeout(DefaultRequestTimeout); !ok {
@@ -679,12 +643,12 @@ func (c *Client) read(path string, arm watchArm) (*znode.Node, error) {
 }
 
 // fetchArmed is fetch for a read that just registered a watch. A change
-// committed before the registration landed may have been claimed without
-// it, so a value older than that change would arm a watch the change never
-// fires: the read re-reads until its result reaches the registration's
-// frontier, or until the watch has fired — a claim that read the
-// registration came after every claim that missed it, and the store holds
-// the claimed change by its delivery. It gives up at DefaultRequestTimeout.
+// committed before the registration landed does not fire it, so a value
+// older than that change would arm a watch the change never fires: the read
+// re-reads until its result reaches the registration's frontier, or until
+// the watch has fired — the commit that fired it came after every commit
+// that missed it, and the store holds the fired change by its delivery. It
+// gives up at DefaultRequestTimeout.
 func (c *Client) fetchArmed(path string, arm watchArm) (*znode.Node, []int64, error) {
 	deadline := c.d.K.Now() + sim.Time(DefaultRequestTimeout)
 	for {

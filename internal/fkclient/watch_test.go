@@ -135,15 +135,15 @@ func lostWatchOffsets(t *testing.T, cfg core.Config) (lost []int) {
 	return lost
 }
 
-// TestWatchRegisteredDuringClearIsNotWiped: watcher A's data watch on /a/x is
-// armed when SetData(v1) reaches the leader, whose watch claim reads the
-// group with the commit check and then clears it. Watcher B's GetDataW is
-// swept across the write in 1-vms steps; a registration that lands between
-// the claim's read and its clear must survive the clear, so B — whatever
-// version it read — hears of
-// the first change after it. Until the clear removed exactly the sessions it
-// had read, offsets 89…93 vms at seed 77 read v1 and never heard of v2.
-func TestWatchRegisteredDuringClearIsNotWiped(t *testing.T) {
+// TestWatchRegisteredAcrossTheCommitIsNotLost: watcher A's data watch on
+// /a/x is armed when SetData(v1) commits, moving the group into v1's fire
+// record. Watcher B's GetDataW is swept across the write in 1-vms steps: a
+// registration that lands before the commit is moved with A's and fires
+// with v1, and one that lands after it stays live, so B — whatever version
+// it read — hears of the first change after it. (While the claim read the
+// live group and then cleared it, a clear that removed the whole group lost
+// offsets 89…93 vms at seed 77: B read v1 and never heard of v2.)
+func TestWatchRegisteredAcrossTheCommitIsNotLost(t *testing.T) {
 	var lost []int
 	for off := 60; off <= 200; off++ {
 		run(t, 77, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
@@ -184,6 +184,41 @@ func TestWatchRegisteredDuringClearIsNotWiped(t *testing.T) {
 	if len(lost) > 0 {
 		t.Errorf("watcher B read an older value and was never notified at offsets %v vms", lost)
 	}
+}
+
+// TestStaleFireLeavesTheWatchArmed: a watch id is a hash of (path, type),
+// so a notification of the id can belong to a fire the registration
+// missed — a previous registration's, delivered again by a cold replay of
+// its batch. One at or below the registration's frontier runs no callback
+// and leaves the watch armed, and the next change fires it. (While any
+// notification of the id completed the entry, the replayed one ran the
+// callback with the old txid, and the next change went unheard.)
+func TestStaleFireLeavesTheWatchArmed(t *testing.T) {
+	run(t, 45, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+		w, v := mustConnect(t, d, "w"), mustConnect(t, d, "v")
+		defer w.Close()
+		defer v.Close()
+		if _, err := w.Create("/n", nil, 0); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		first, err := w.SetData("/n", []byte("1"), -1)
+		if err != nil {
+			t.Fatalf("set: %v", err)
+		}
+		var heard []int64
+		if _, _, err := v.GetDataW("/n", func(n core.Notification) { heard = append(heard, n.Txid) }); err != nil {
+			t.Fatalf("arm: %v", err)
+		}
+		v.onNotification(core.Notification{WatchID: core.WatchID("/n", core.WatchData), Event: core.EventDataChanged, Path: "/n", Txid: first.Mzxid})
+		next, err := w.SetData("/n", []byte("2"), -1)
+		if err != nil {
+			t.Fatalf("set: %v", err)
+		}
+		k.Sleep(5 * time.Second)
+		if !slices.Equal(heard, []int64{next.Mzxid}) {
+			t.Errorf("the callback ran for txids %v, want only the next set's, %d", heard, next.Mzxid)
+		}
+	})
 }
 
 // TestWatchArmedDuringFlushIsNotLost guards the watch claim against the
@@ -475,12 +510,13 @@ func (h *procDelay) OpDelay() sim.Time {
 
 // TestPrefetchedCommitFindsClaimCleared: create /p/a fires a child watch on
 // /p, and create /p/b follows it in the same leader invocation, in a chunk
-// of its own (no batching). /p/b's commit is prefetched under /p/a's flush
-// and reads /p's record; /p/a's claim round was joined before that flush
-// began, so the prefetch finds the group cleared and fires nothing: the
-// watch function runs once. The round's spawned writes are held open, so a
-// round joined with the flush legs instead would leave the clear in flight
-// under the prefetch, which would fire the group a second time.
+// of its own (no batching). /p/a's commit moved /p's group into its own
+// fire record, so /p/b's commit moved nothing; its check is prefetched
+// under /p/a's flush and reads /p's record while /p/a's round — the removal
+// of that fire record and the epoch entry — is held open, finds no fire
+// record of its own txid and fires nothing: the watch function runs once.
+// A claim that fired the live group, or any fire record it found, would
+// fire the group a second time.
 func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
 	run(t, 5, core.Config{Telemetry: true}, func(k *sim.Kernel, d *core.Deployment) {
 		h := &procDelay{k: k}
@@ -696,14 +732,21 @@ const watchCycleSessions = 4
 // mirror, fired list and completion list kept their arrays in the shard's
 // slot (3). The leader stopped waiting for deliveries with the count
 // unchanged: the epoch append's new list went, and the copy of the entry's
-// name came; the name itself is a view into the payload.
-const watchCycleAllocs = 28
+// name came; the name itself is a view into the payload. It was 28 until
+// the system store cut the names it copies from one block (kv.nameCopies):
+// the epoch entry's name, and the commit's new fire record's, each unique
+// to its write, cost no allocation of their own.
+const watchCycleAllocs = 27
 
 // watchCycleWork is TestWatchCycleKernelWork's pinned count over
-// watchCycleRuns cycles: a watched write is about 54 dispatches — 42 or 43
-// hand-offs, the rest self-continues, as same-instant events fall — and 4
-// spawns (the flush's leg, the claim round's clear and epoch write, the
-// watch function's invocation). Re-pin it only with a reason. It was 5 500
+// watchCycleRuns cycles: a watched write is about 52 dispatches — 40 or 41
+// hand-offs, the rest self-continues, as same-instant events fall — and 3
+// spawns (the flush's leg, the claim round's epoch write, the watch
+// function's invocation). Re-pin it only with a reason. It was 5 407
+// dispatches, 4 269 hand-offs, 1 138 self-continues and 400 spawns until the
+// commit moved the groups it fires into fire records its pop removes: the
+// claim round's clear and its process went (about 2 hand-offs and one spawn
+// a write). It was 5 500
 // dispatches, 4 362 hand-offs and 1 138 self-continues until a warm
 // one-shard leader skipped the epoch item in its opening read: the read is
 // still one GetViews, but the draws after the shorter read shift, and with
@@ -715,4 +758,4 @@ const watchCycleAllocs = 28
 // so the slot's word never holds).
 const watchCycleRuns = 100
 
-var watchCycleWork = sim.Work{Dispatches: 5407, HandOffs: 4269, SelfContinues: 1138, Spawns: 400}
+var watchCycleWork = sim.Work{Dispatches: 5204, HandOffs: 4073, SelfContinues: 1131, Spawns: 300}

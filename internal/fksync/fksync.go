@@ -116,7 +116,7 @@ func (m *LockManager) Release(ctx cloud.Ctx, l Lock) error {
 // nothing is written. The item is returned as a read-only view, under
 // Acquire's rule: decode it before the next blocking call.
 func (m *LockManager) CommitUnlock(ctx cloud.Ctx, l Lock, updates []kv.Update) (kv.Item, error) {
-	var buf [12]kv.Update // a create's node item takes 9 actions plus the release
+	var buf [12]kv.Update // a create's node item takes 10 actions (its group move among them) plus the release
 	all := append(append(buf[:0], updates...), unlock)
 	item, err := m.tbl.Update(ctx, l.Key, all, l.held())
 	if errors.Is(err, kv.ErrConditionFailed) {

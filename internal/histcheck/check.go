@@ -505,13 +505,11 @@ func (m *model) fire(e, arm *Event) {
 		// Armed before the firing write was acked, and not on a value it
 		// already read: the write's stamp, and every later one of its shard
 		// while the delivery is in flight, holds the session's reads of
-		// other paths at or past it until the notification. (The watched
-		// path's own value at the txid is left out: the client's alias
-		// check, Deployment.Armed, can read the registration before the
-		// claim's clear lands, which one shard runs under the flush.)
+		// every path, the watched one included, at or past it until the
+		// notification.
 		if w := m.at[e.Mzxid]; w != nil && arm.End < w.End && arm.Mzxid < e.Mzxid {
 			for _, r := range m.reads[e.Session] {
-				if r.Path != e.Path && r.End >= arm.End && r.End < e.End && r.Mzxid >= e.Mzxid && r.Mzxid%shards == e.Mzxid%shards {
+				if r.End >= arm.End && r.End < e.End && r.Mzxid >= e.Mzxid && r.Mzxid%shards == e.Mzxid%shards {
 					m.flag("watch-stale-read", e.Session, r.Path, "read mzxid %d before delivery of watch %d on %s, fired by txid %d",
 						r.Mzxid, e.WatchID, e.Path, e.Mzxid)
 				}

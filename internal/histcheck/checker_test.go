@@ -193,6 +193,18 @@ func TestCheckerFlagsStaleReadBeforeWatchDelivery(t *testing.T) {
 	if !hasViolation(vs, "watch-stale-read") {
 		t.Fatalf("stale read before watch delivery not flagged: %v", vs)
 	}
+	// Armed before the firing write at txid 20 was acked, the owner read
+	// /x at txid 20 itself before the notification: the value's stamp
+	// held the read until it (Z4).
+	vs = checkH(
+		Event{Session: "w", Kind: KindWatchArm, Path: "/x", Mzxid: 10, WatchID: 77, End: 2},
+		Event{Session: "x", Kind: KindWrite, Op: "set", Path: "/x", Value: "v", Mzxid: 20, Start: 3, End: 5},
+		Event{Session: "w", Kind: KindRead, Op: "get", Path: "/x", Value: "v", Mzxid: 20, Start: 6, End: 7},
+		Event{Session: "w", Kind: KindWatchFire, Path: "/x", Mzxid: 20, WatchID: 77, End: 9},
+	)
+	if !hasViolation(vs, "watch-stale-read") {
+		t.Fatalf("read of the watched path at the firing txid before the notification, not flagged: %v", vs)
+	}
 }
 
 func TestCheckerFlagsLostWatch(t *testing.T) {
