@@ -15,35 +15,12 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
-	"faaskeeper/internal/txn"
 )
 
 // pending returns the pending list of path's control record.
 func (r *pipeRig) pending(path string) []int64 {
 	it, _ := r.d.System.Peek(path)
 	return decodeSysNode(it, 0).Pending
-}
-
-// pushSet is the follower's half of a set_data of path by s, through its
-// commit under txid: lock, validate, commit. It returns the leader message,
-// with s waiting for the answer.
-func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderMsg {
-	r.t.Helper()
-	s.seq++
-	req := Request{Session: s.id, Seq: s.seq, Op: OpSetData, Path: path, Data: []byte(data), Version: -1}
-	lock, item, err := r.d.Locks.Acquire(s.ctx, path)
-	if err != nil {
-		r.t.Fatalf("lock %s: %v", path, err)
-	}
-	msg := leaderMsg{
-		Session: s.id, Seq: s.seq, LockTs: lock.Timestamp,
-		change: validatedChange(OpSetData, path, req.Data, "", decodeSysNode(item, 0), sysNode{}),
-	}
-	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
-		r.t.Fatalf("commit %s: %v", path, err)
-	}
-	s.futs[req.Seq] = sim.NewFuture[Response](r.k)
-	return msg
 }
 
 // TestRedeliveredBatchAfterCarriedPop: a batch delivered again after it
@@ -327,51 +304,5 @@ func TestCarriedDeleteCollectsTombstone(t *testing.T) {
 	}
 	if user[:1] != "2" {
 		t.Errorf("user store /x = %s, want the second re-create's data", user)
-	}
-}
-
-// TestMultiRunsCarriedPopsUnderItsFlush: a multi() at the head of an
-// invocation is a chunk like any other, so the pops carried from the
-// previous invocation stay deferred for its flush. On another path the
-// carried pop runs under that flush; on one of the multi()'s targets its
-// commit check looks past the carried head (pollCommit) and the pop still
-// runs under the flush. Either way it lands after the multi()'s first poll,
-// never serially ahead of it.
-func TestMultiRunsCarriedPopsUnderItsFlush(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ops  []txn.Op
-	}{
-		{"carried on another path", []txn.Op{txn.SetData("/m", []byte("1"), -1)}},
-		{"carried on a target", []txn.Op{txn.SetData("/m", []byte("1"), -1), txn.SetData("/n", []byte("1"), -1)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			hook := &pipeFaults{}
-			r := newPipeRig(t, 31, Config{}, hook)
-			var cn, resp Response
-			r.k.Go("client", func() {
-				s := r.open("c")
-				s.do(OpCreate, "/m", "0")
-				cn = s.do(OpCreate, "/n", "0") // its pop is carried
-				resp = s.send(Request{Op: OpMulti, Path: "/m", Data: txn.EncodeOps(tc.ops)}).Wait()
-			})
-			r.run()
-			if cn.Code != CodeOK || resp.Code != CodeOK {
-				t.Fatalf("create %s, multi %s", cn.Code, resp.Code)
-			}
-			trace := obs.TraceOf("c", 3)
-			commit, flush := r.span(trace, obs.StageCommit).Start, r.span(trace, obs.SpanStoreWrite)
-			var ops []sim.Time
-			for _, at := range hook.leaderOps {
-				if at >= commit {
-					ops = append(ops, at)
-				}
-			}
-			pop, ok := r.pops[cn.Txid]
-			if !ok || len(ops) < 2 || pop <= ops[1] || pop < flush.Start || pop > flush.End {
-				t.Errorf("the carried pop of txid %d landed at %v (ok %v); the multi's invocation opened at %d with storage operations at %v and flushed over [%d, %d]: want it under the flush, after the first poll",
-					cn.Txid, pop, ok, commit, ops, flush.Start, flush.End)
-			}
-		})
 	}
 }

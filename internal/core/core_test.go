@@ -1,95 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"errors"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"faaskeeper/internal/cloud"
-	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
-
-func TestRequestEncodeDecode(t *testing.T) {
-	r := Request{
-		Session: "s1", Seq: 42, Op: OpCreate, Path: "/a/b",
-		Data: []byte{1, 2, 3}, Version: -1, Flags: znode.FlagEphemeral,
-	}
-	got := roundTripReq(t, r)
-	if got.Session != "s1" || got.Seq != 42 || got.Op != OpCreate ||
-		got.Path != "/a/b" || !bytes.Equal(got.Data, r.Data) ||
-		got.Version != -1 || got.Flags != znode.FlagEphemeral {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if _, err := DecodeRequest([]byte("not json")); err == nil {
-		t.Fatal("accepted garbage")
-	}
-}
-
-func TestLeaderMsgEncodeDecode(t *testing.T) {
-	m := leaderMsg{
-		Session: "s", Seq: 7,
-		change: change{
-			Op: OpSetData, Path: "/x", NodeBlob: []byte{9, 9}, ParentPath: "/", ChildAdd: "x",
-			Version: 3, Cversion: 2, EphOwner: "s",
-		},
-		LockTs: 123, ParentLockTs: 456,
-	}
-	got := roundTripLM(t, m)
-	if got.LockTs != 123 || got.ParentLockTs != 456 || got.Version != 3 ||
-		!bytes.Equal(got.NodeBlob, m.NodeBlob) || got.EphOwner != "s" {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
-func TestCodeErrorMapping(t *testing.T) {
-	cases := []struct {
-		code Code
-		err  error
-	}{
-		{CodeOK, nil},
-		{CodeNodeExists, ErrNodeExists},
-		{CodeNoNode, ErrNoNode},
-		{CodeBadVersion, ErrBadVersion},
-		{CodeNotEmpty, ErrNotEmpty},
-		{CodeNoChildrenEph, ErrNoChildrenEph},
-		{CodeTooLarge, ErrTooLarge},
-		{CodeTxnAborted, ErrTxnAborted},
-		{CodeCrossShard, ErrCrossShard},
-		{CodeSystemError, ErrSystemError},
-	}
-	for _, c := range cases {
-		got := CodeError(c.code)
-		if c.err == nil {
-			if got != nil {
-				t.Errorf("CodeError(%s) = %v", c.code, got)
-			}
-			continue
-		}
-		if !errors.Is(got, c.err) {
-			t.Errorf("CodeError(%s) = %v, want %v", c.code, got, c.err)
-		}
-	}
-}
-
-func TestWatchIDStableAndDistinct(t *testing.T) {
-	a := WatchID("/x", WatchData)
-	b := WatchID("/x", WatchData)
-	if a != b {
-		t.Fatal("WatchID not deterministic")
-	}
-	if a < 0 {
-		t.Fatal("WatchID must be non-negative")
-	}
-	if WatchID("/x", WatchChild) == a || WatchID("/y", WatchData) == a {
-		t.Fatal("WatchID collisions across type/path")
-	}
-}
 
 func newTestDeployment(seed int64, cfg Config) (*sim.Kernel, *Deployment) {
 	k := sim.NewKernel(seed)
@@ -123,70 +44,31 @@ func TestNodeKeysArePaths(t *testing.T) {
 	}
 }
 
-func TestDeploymentSeedsRoot(t *testing.T) {
-	k, d := newTestDeployment(1, Config{})
-	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
-	var rootOK bool
-	k.Go("check", func() {
-		n, _, err := d.PrimaryStore().Read(ctx, znode.Root)
-		rootOK = err == nil && n.Path == znode.Root
-	})
-	k.Run()
-	k.Shutdown()
-	if !rootOK {
-		t.Fatal("root not seeded in user store")
-	}
-	if it, ok := d.System.Peek(znode.Root); !ok || it.Get(attrExists).Num() != 1 {
-		t.Fatal("root not seeded in system store")
-	}
-}
-
-func userStoreKinds() []StoreKind {
-	return []StoreKind{StoreObject, StoreKV, StoreHybrid, StoreMem}
-}
-
+// TestUserStoreRoundTripAllKinds: every user store writes a small node and
+// a large one, reads both back (the small one with its stamp), and deletes
+// the small one. The chaos matrix runs every kind but mem, which this test
+// keeps covered.
 func TestUserStoreRoundTripAllKinds(t *testing.T) {
-	for _, kind := range userStoreKinds() {
-		kind := kind
+	for kind, open := range map[StoreKind]func(*cloud.Env) UserStore{
+		StoreObject: func(env *cloud.Env) UserStore { return NewObjectStore(env, "u", cloud.RegionAWSHome) },
+		StoreKV:     func(env *cloud.Env) UserStore { return NewKVStore(env, "u", cloud.RegionAWSHome) },
+		StoreHybrid: func(env *cloud.Env) UserStore { return NewHybridStore(env, "u", cloud.RegionAWSHome, 4096) },
+		StoreMem:    func(env *cloud.Env) UserStore { return NewMemStore(env, cloud.RegionAWSHome) },
+	} {
 		t.Run(string(kind), func(t *testing.T) {
 			k := sim.NewKernel(3)
-			env := cloud.NewEnv(k, cloud.AWSProfile())
-			var s UserStore
-			switch kind {
-			case StoreObject:
-				s = NewObjectStore(env, "u", cloud.RegionAWSHome)
-			case StoreKV:
-				s = NewKVStore(env, "u", cloud.RegionAWSHome)
-			case StoreHybrid:
-				s = NewHybridStore(env, "u", cloud.RegionAWSHome, 4096)
-			case StoreMem:
-				s = NewMemStore(env, cloud.RegionAWSHome)
-			}
-			ctx := cloud.ClientCtx(cloud.RegionAWSHome)
+			s, ctx := open(cloud.NewEnv(k, cloud.AWSProfile())), cloud.ClientCtx(cloud.RegionAWSHome)
 			k.Go("rt", func() {
-				small := &znode.Node{Path: "/small", Data: []byte("hello"),
-					Stat: znode.Stat{Mzxid: 5, Version: 1}, Children: []string{"c1"}}
-				big := &znode.Node{Path: "/big", Data: make([]byte, 64*1024),
-					Stat: znode.Stat{Mzxid: 6}}
-				if err := s.Write(ctx, NewObject(small, []int64{11})); err != nil {
-					t.Errorf("write small: %v", err)
+				small := &znode.Node{Path: "/small", Data: []byte("hello"), Stat: znode.Stat{Mzxid: 5, Version: 1}, Children: []string{"c1"}}
+				big := &znode.Node{Path: "/big", Data: make([]byte, 64*1024), Stat: znode.Stat{Mzxid: 6}}
+				if err := errors.Join(s.Write(ctx, NewObject(small, []int64{11})), s.Write(ctx, NewObject(big, nil))); err != nil {
+					t.Errorf("write: %v", err)
 				}
-				if err := s.Write(ctx, NewObject(big, nil)); err != nil {
-					t.Errorf("write big: %v", err)
+				if n, stamp, err := s.Read(ctx, "/small"); err != nil || string(n.Data) != "hello" || n.Stat.Mzxid != 5 || !slices.Equal(stamp, []int64{11}) {
+					t.Errorf("read small: %+v %v %v", n, stamp, err)
 				}
-				n, stamp, err := s.Read(ctx, "/small")
-				if err != nil || string(n.Data) != "hello" || n.Stat.Mzxid != 5 {
-					t.Errorf("read small: %+v %v", n, err)
-				}
-				if len(stamp) != 1 || stamp[0] != 11 {
-					t.Errorf("stamp: %v", stamp)
-				}
-				nb, _, err := s.Read(ctx, "/big")
-				if err != nil || len(nb.Data) != 64*1024 {
+				if n, _, err := s.Read(ctx, "/big"); err != nil || len(n.Data) != 64*1024 || n.Stat.DataLength != 64*1024 {
 					t.Errorf("read big: %v", err)
-				}
-				if nb.Stat.DataLength != 64*1024 {
-					t.Errorf("big DataLength = %d", nb.Stat.DataLength)
 				}
 				if err := s.Delete(ctx, "/small"); err != nil {
 					t.Errorf("delete: %v", err)
@@ -262,60 +144,6 @@ func TestHybridReadLatencySplit(t *testing.T) {
 	}
 	if tSmall > 10*time.Millisecond {
 		t.Fatalf("hybrid small read too slow: %v", tSmall)
-	}
-}
-
-// TestRegisterWatchAndEpoch: a registration is one write on the node's own
-// control record, and its frontier is what that record held: mzxid, or
-// pzxid for a child watch, and whether the node existed.
-func TestRegisterWatchAndEpoch(t *testing.T) {
-	k, d := newTestDeployment(6, Config{})
-	ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
-	var wid int64
-	var missing, data, child Frontier
-	var epoch []int64
-	var writes int64
-	k.Go("w", func() {
-		var err error
-		if wid, missing, err = d.RegisterWatch(ctx, "/cfg", WatchData, "s1"); err != nil {
-			t.Errorf("register: %v", err)
-		}
-		d.System.SeedPut("/n", kv.Item{
-			{Name: attrExists, V: kv.N(1)}, {Name: attrMzxid, V: kv.N(7)}, {Name: attrPzxid, V: kv.N(9)},
-		})
-		w0 := d.Env.Meter.Count("syskv.write")
-		_, data, _ = d.RegisterWatch(ctx, "/n", WatchData, "s1")
-		_, child, _ = d.RegisterWatch(ctx, "/n", WatchChild, "s2")
-		writes = d.Env.Meter.Count("syskv.write") - w0
-		epoch = d.Epoch(ctx, d.Cfg.Profile.Home)
-	})
-	k.Run()
-	k.Shutdown()
-	if wid != WatchID("/cfg", WatchData) {
-		t.Fatalf("wid = %d", wid)
-	}
-	if len(epoch) != 0 {
-		t.Fatalf("epoch should start empty: %v", epoch)
-	}
-	if want := (Frontier{}); !reflect.DeepEqual(missing, want) {
-		t.Errorf("frontier on a missing node %+v, want %+v", missing, want)
-	}
-	if want := (Frontier{Zxid: 7, Exists: true}); !reflect.DeepEqual(data, want) {
-		t.Errorf("data watch frontier %+v, want %+v", data, want)
-	}
-	if want := (Frontier{Zxid: 9, Exists: true}); !reflect.DeepEqual(child, want) {
-		t.Errorf("child watch frontier %+v, want %+v", child, want)
-	}
-	if writes != 2 {
-		t.Errorf("two registrations made %d system-store writes, want one each", writes)
-	}
-	it, ok := d.System.Peek("/cfg")
-	if !ok || !slices.Equal(it.Get(attrWatchData).SL(), []string{"s1"}) {
-		t.Fatalf("control record: %v", it)
-	}
-	it, _ = d.System.Peek("/n")
-	if !slices.Equal(it.Get(attrWatchData).SL(), []string{"s1"}) || !slices.Equal(it.Get(attrWatchChild).SL(), []string{"s2"}) {
-		t.Fatalf("control record: %v", it)
 	}
 }
 

@@ -1,153 +1,20 @@
 package core
 
-// Tests of the watch epoch item's layout: one system-store item per region
-// (epochKey) listing one entry per fired group still in flight — an
-// attribute named by its shard, txid and index (appendEntryName) holding its watch
-// id — set by the leader that fired it and removed by its delivery.
+// Tests of the watch epoch item: one system-store item per region
+// (epochKey) listing one entry per fired group still in flight, set by the
+// leader that fired it and removed by its own delivery. That the shards'
+// entries share the item without losing one, that every delivery in flight
+// is in the stamp, and that the item is empty at rest are the chaos
+// matrix's to check: histcheck's watch-stale-read judges its reads against
+// the notifications, and Deployment.AtRest its end state.
 
 import (
-	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 
-	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 )
-
-// TestEpochListsShareOneItemPerRegion fires data watches on every shard of a
-// 4-shard deployment at once and reads the region's epoch item every
-// virtual millisecond until every delivery has returned. At every read, each
-// entry names the shard that fired the id it holds, Deployment.Epoch
-// — one read of the item — returns exactly the entries' (id, txid) pairs,
-// the txid the one the entry's name carries, and they hold every delivery
-// then in flight, on whichever shard. Once every delivery
-// has returned the item lists no entry: the shards' concurrent sets and the
-// deliveries' removals on the shared item lost nothing.
-func TestEpochListsShareOneItemPerRegion(t *testing.T) {
-	const shards, perShard = 4, 2
-	r := newPipeRig(t, 41, Config{WriteShards: shards}, nil)
-	d := r.d
-	home := d.Cfg.Profile.Home
-	key := epochKeyPrefix + string(home)
-
-	var paths []string
-	fired := make([][]int64, shards)
-	for i := 0; len(paths) < shards*perShard; i++ {
-		p := fmt.Sprintf("/p%d", i)
-		if s := ShardOf(p, shards); len(fired[s]) < perShard {
-			paths = append(paths, p)
-			fired[s] = append(fired[s], WatchID(p, WatchData))
-		}
-	}
-	type read struct {
-		at    sim.Time
-		epoch []int64
-		item  kv.Item
-	}
-	var reads []read
-	var v *pipeSession
-	r.k.Go("main", func() {
-		v = r.open("v")
-		var ws []*pipeSession
-		for i, p := range paths {
-			ws = append(ws, r.open(fmt.Sprint("w", i)))
-			if resp := ws[i].do(OpCreate, p, "0"); resp.Code != CodeOK {
-				t.Errorf("create %s: %s", p, resp.Code)
-			}
-			v.arm(p)
-		}
-		r.k.Sleep(sim.Ms(200))
-		// One writer per path, all at once: the shards' leaders claim their
-		// watches while the others' deliveries are in flight.
-		for i, p := range paths {
-			ws[i].submit(OpSetData, p, "1")
-		}
-		for end := r.k.Now() + sim.Ms(2000); r.k.Now() < end; r.k.Sleep(sim.Ms(1)) {
-			epoch := d.Epoch(v.ctx, home)
-			item, _ := d.System.Peek(key) // the instant the read returned
-			reads = append(reads, read{r.k.Now(), epoch, item})
-		}
-	})
-	r.run()
-
-	var deliveries []obs.Span
-	for _, sp := range d.Obs.Tracer.Spans() {
-		if sp.Name == obs.SpanWatchDeliver {
-			deliveries = append(deliveries, sp)
-		}
-	}
-	if len(deliveries) != len(paths) || len(v.notes) != len(paths) {
-		t.Fatalf("%d deliveries, %d notifications; want one of each per path (%d)", len(deliveries), len(v.notes), len(paths))
-	}
-	concurrent := 0 // the most shards with a delivery in flight at one read
-	for _, rd := range reads {
-		var ids []int64
-		for _, a := range rd.item {
-			s := -1
-			for i := 0; i < shards; i++ {
-				if strings.HasPrefix(a.Name, entryPrefix(i)) {
-					s = i
-				}
-			}
-			if s < 0 || !slices.Contains(fired[s], a.V.Num()) {
-				t.Fatalf("at %d entry %s holds %d, which the shard it names did not fire (item %v)", rd.at, a.Name, a.V.Num(), rd.item)
-			}
-			txid, _ := strconv.ParseInt(strings.Split(a.Name, ".")[1], 10, 64)
-			ids = append(ids, a.V.Num(), txid)
-		}
-		if len(rd.item) > len(paths) {
-			t.Fatalf("at %d the epoch item %v lists more entries than groups fired", rd.at, rd.item)
-		}
-		if !slices.Equal(rd.epoch, ids) {
-			t.Fatalf("at %d Epoch = %v, want the pairs of the item's entries %v", rd.at, rd.epoch, ids)
-		}
-		busy := map[int]bool{}
-		for _, sp := range deliveries {
-			if sp.Start <= rd.at && rd.at < sp.End {
-				busy[sp.Shard] = true
-				if wid := WatchID(sp.Path, WatchData); !slices.Contains(rd.epoch, wid) {
-					t.Fatalf("at %d Epoch = %v misses %d, whose delivery on shard %d is in flight", rd.at, rd.epoch, wid, sp.Shard)
-				}
-			}
-		}
-		concurrent = max(concurrent, len(busy))
-	}
-	if concurrent < 2 {
-		t.Fatalf("at most %d shard(s) had a delivery in flight at one read, want two or more (pick another seed)", concurrent)
-	}
-	if after, _ := d.System.Peek(key); len(after) != 0 {
-		t.Errorf("epoch item after every delivery returned: %v, want no entry", after)
-	}
-}
-
-// TestOneShardEpochItemIsThePaperCounter: on the paper's one-shard
-// deployment a fired watch's id enters the region's epoch item as one entry,
-// named by the write's txid, and leaves it with its delivery, so the item
-// is the paper's per-region counter of deliveries in flight.
-func TestOneShardEpochItemIsThePaperCounter(t *testing.T) {
-	r := newPipeRig(t, 5, Config{}, nil)
-	key := epochKeyPrefix + string(r.d.Cfg.Profile.Home)
-	wid := WatchID("/x", WatchData)
-	var inFlight kv.Item
-	var txid int64
-	r.k.Go("main", func() {
-		w, v := r.open("w"), r.open("v")
-		w.do(OpCreate, "/x", "0")
-		v.arm("/x")
-		txid = w.do(OpSetData, "/x", "1").Txid
-		inFlight, _ = r.d.System.Peek(key)
-	})
-	r.run()
-	if name := string(appendEntryName(nil, entryPrefix(0), txid, 0)); len(inFlight) != 1 || inFlight[0].Name != name || inFlight[0].V.Num() != wid {
-		t.Errorf("one-shard epoch item in flight = %v, want {%s: %d}", inFlight, name, wid)
-	}
-	if after, _ := r.d.System.Peek(key); len(after) != 0 {
-		t.Errorf("one-shard epoch item after the run = %v, want no entry", after)
-	}
-}
 
 // TestEpochExitRemovesOnlyItsOwnEntry: two sessions watch one node, the
 // second arming after the first's fire was claimed, so two deliveries of

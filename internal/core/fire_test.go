@@ -14,22 +14,6 @@ import (
 	"faaskeeper/internal/sim"
 )
 
-// lockSet locks path as a follower validating a set_data does and returns
-// the message it would push, uncommitted.
-func (r *pipeRig) lockSet(s *pipeSession, path, data string) leaderMsg {
-	r.t.Helper()
-	s.seq++
-	lock, item, err := r.d.Locks.Acquire(s.ctx, path)
-	if err != nil {
-		r.t.Fatalf("lock %s: %v", path, err)
-	}
-	s.futs[s.seq] = sim.NewFuture[Response](r.k)
-	return leaderMsg{
-		Session: s.id, Seq: s.seq, LockTs: lock.Timestamp,
-		change: validatedChange(OpSetData, path, []byte(data), "", decodeSysNode(item, 0), sysNode{}),
-	}
-}
-
 // fireRecordsOf lists the fire records on path's control record.
 func (r *pipeRig) fireRecordsOf(path string) (names []string) {
 	it, _ := r.d.System.Peek(path)

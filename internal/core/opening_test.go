@@ -17,7 +17,6 @@ import (
 	"faaskeeper/internal/cloud/faas"
 	"faaskeeper/internal/cloud/kv"
 	"faaskeeper/internal/cloud/queue"
-	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -145,7 +144,7 @@ func TestOpeningReadIsOneRoundTrip(t *testing.T) {
 // the record alone.
 func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 	const txid = 9
-	commit := func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
+	commit := func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
 		_ = d.replayCommit(ctx, msg, txid)
 	}
 	for _, tc := range []struct {
@@ -155,7 +154,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		carried bool
 		// between is what happened between the follower's push and this
 		// delivery; the follower still holds lock.
-		between func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg)
+		between func(d *Deployment, ctx cloud.Ctx, msg leaderMsg)
 		missing bool // the message targets a path without a control record
 
 		code          Code
@@ -171,9 +170,9 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		},
 		{
 			name: "orphan ahead of txid",
-			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
+			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
 				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{kv.ListAppend{Name: attrPending, Vals: []int64{5}}}, nil)
-				commit(d, ctx, lock, msg)
+				commit(d, ctx, msg)
 			},
 			// The orphan is popped on the opening read's word, conditionally
 			// on the head it named; the poll after it reads the store.
@@ -181,8 +180,8 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		},
 		{
 			name: "duplicate: head beyond txid",
-			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
-				commit(d, ctx, lock, msg)
+			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
+				commit(d, ctx, msg)
 				_, _ = d.System.Update(ctx, msg.Path,
 					[]kv.Update{kv.ListPopHead{Name: attrPending}, kv.ListAppend{Name: attrPending, Vals: []int64{12}}}, nil)
 			},
@@ -190,7 +189,7 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		},
 		{
 			name:    "nothing pending: the follower died before its commit",
-			between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
+			between: func(*Deployment, cloud.Ctx, leaderMsg) {},
 			// Opening read, two polls, the commit replay after the second
 			// (attempt 2, as before), the poll that finds it; the replay.
 			code: CodeOK, reads: 4, writes: 1, pending: []int64{txid}, stored: true,
@@ -210,16 +209,16 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 		},
 		{
 			name:    "carried head, nothing behind it: the follower died",
-			carried: true, between: func(*Deployment, cloud.Ctx, fksync.Lock, leaderMsg) {},
+			carried: true, between: func(*Deployment, cloud.Ctx, leaderMsg) {},
 			// "Nothing pending" above, plus the carried pop under the flush.
 			code: CodeOK, reads: 4, writes: 2, pending: []int64{txid}, stored: true,
 		},
 		{
 			name:    "carried head, orphan behind it",
 			carried: true,
-			between: func(d *Deployment, ctx cloud.Ctx, lock fksync.Lock, msg leaderMsg) {
+			between: func(d *Deployment, ctx cloud.Ctx, msg leaderMsg) {
 				_, _ = d.System.Update(ctx, msg.Path, []kv.Update{kv.ListAppend{Name: attrPending, Vals: []int64{5}}}, nil)
-				commit(d, ctx, lock, msg)
+				commit(d, ctx, msg)
 			},
 			// The carried pop runs at once, the next poll finds the orphan,
 			// pops it, and the one after finds txid.
@@ -243,34 +242,22 @@ func TestOpeningReadFeedsAwaitCommit(t *testing.T) {
 				}
 
 				// The follower's half of set_data, up to the push.
-				req := Request{Session: s.id, Seq: 2, Op: OpSetData, Path: "/n", Data: []byte("1"), Version: -1}
 				var msg leaderMsg
 				if tc.missing {
-					req.Path = "/gone"
 					msg = leaderMsg{
-						Session: req.Session, Seq: req.Seq, LockTs: 1,
-						change: validatedChange(OpSetData, req.Path, req.Data, "", sysNode{Exists: true}, sysNode{}),
+						Session: s.id, Seq: r.expect(s), LockTs: 1,
+						change: validatedChange(OpSetData, "/gone", []byte("1"), "", sysNode{Exists: true}, sysNode{}),
 					}
 				} else {
-					lock, item, err := d.Locks.Acquire(s.ctx, req.Path)
-					if err != nil {
-						t.Errorf("lock: %v", err)
-						return
-					}
-					msg = leaderMsg{
-						Session: req.Session, Seq: req.Seq, LockTs: lock.Timestamp,
-						change: validatedChange(OpSetData, req.Path, req.Data, "", decodeSysNode(item, 0), sysNode{}),
-					}
-					tc.between(d, s.ctx, lock, msg)
+					msg = r.lockSet(s, "/n", "1")
+					tc.between(d, s.ctx, msg)
 				}
-				s.seq = req.Seq
-				s.futs[req.Seq] = sim.NewFuture[Response](r.k)
 
 				r0, w0 := syskv(d)
 				start := r.deliver(s.ctx, txid, msg)
 				r1, w1 := syskv(d)
 				reads, writes, opening = r1-r0, w1-w0, hook.opsAt(start)
-				resp = s.futs[req.Seq].Wait()
+				resp = s.futs[msg.Seq].Wait()
 				r.k.Sleep(sim.Ms(200))
 			})
 			r.run()
@@ -445,95 +432,5 @@ func TestQuietEpochsSkipTheEpochRead(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestQuietEpochsAreEmpty: under a watch workload on one shard with two
-// regions — watchers that re-arm in their callbacks, each watched write
-// followed by two unwatched ones, every leader batch delivered twice, and
-// every fifth write's first invocation crashed at its batch start — the
-// store's epoch items list no entry for any region whenever an invocation
-// opens on the slot's word that they are (Deployment.Epoch's view, taken at
-// the invocation's first instant without a read's latency). An invocation
-// that fires leaves the word unset, so only the unwatched writes give it
-// back.
-func TestQuietEpochsAreEmpty(t *testing.T) {
-	hook := &pipeFaults{redeliver: FnLeader}
-	var r *pipeRig
-	// The lists at each invocation's first instant, in hook.leaderHeads'
-	// order: the crash hook runs there, ahead of the opening read.
-	var lists [][]int64
-	crashed := map[int64]bool{}
-	hook.crash = func(stage, session string, seq int64) bool {
-		if stage != obs.StageCommit {
-			return false
-		}
-		var ids []int64
-		for _, s := range r.d.Stores {
-			it, _ := r.d.System.Peek(r.d.epochKey(s.Region()))
-			ids = epochUnion(ids, it)
-		}
-		lists = append(lists, ids)
-		if seq%5 != 0 || crashed[seq] {
-			return false
-		}
-		crashed[seq] = true
-		return true
-	}
-	r = newPipeRig(t, 19, Config{ExtraRegions: []cloud.Region{cloud.RegionAWSRemote}}, hook)
-	paths := []string{"/a", "/b", "/c", "/d"}
-	var watchers []*pipeSession
-	var from int // the first head of the measured writes
-	r.k.Go("writer", func() {
-		w := r.open("w")
-		for _, p := range append(paths, "/u") {
-			w.do(OpCreate, p, "0")
-		}
-		for i := 0; i < 8; i++ {
-			v := r.open(fmt.Sprintf("v%d", i))
-			v.arm(paths[i%len(paths)])
-			v.arm(paths[(i+1)%len(paths)])
-			watchers = append(watchers, v)
-		}
-		r.k.Sleep(sim.Ms(200))
-		from = len(hook.leaderHeads)
-		for i := 0; i < 60; i++ {
-			p := "/u" // unwatched
-			if i%3 == 0 {
-				p = paths[i/3%len(paths)]
-			}
-			if resp := w.do(OpSetData, p, "x"); resp.Code != CodeOK {
-				t.Errorf("set %d: %s", i, resp.Code)
-			}
-		}
-		r.k.Sleep(sim.Ms(2000))
-	})
-	r.run()
-
-	// Every measured batch is one set_data: the record alone on the slot's
-	// word, the record and two epoch items without it, nothing when it
-	// crashed.
-	quiet, read, crashes := 0, 0, 0
-	for i, at := range hook.leaderHeads[from:] {
-		switch ops := hook.opsAt(at); ops {
-		case 1:
-			quiet++
-			if ids := lists[from+i]; len(ids) > 0 {
-				t.Errorf("an invocation at %v opened on the word that the epoch lists are empty; they held %v", at, ids)
-			}
-		case 3:
-			read++
-		case 0:
-			crashes++
-		default:
-			t.Errorf("an invocation at %v opened with %d storage operations, want 1, 3 or 0", at, ops)
-		}
-	}
-	notes := 0
-	for _, v := range watchers {
-		notes += len(v.notes)
-	}
-	if quiet == 0 || read == 0 || crashes == 0 || notes == 0 {
-		t.Errorf("%d invocations opened on the word, %d read the lists, %d crashed; %d notifications: want some of each", quiet, read, crashes, notes)
 	}
 }

@@ -1,34 +1,35 @@
 package core
 
-// Tests of the leader's software pipeline (distributor.go): what
-// may run under a flush in flight, what may not, and that nothing a client
-// or a store can observe tells the pipelined order apart from Algorithm 2's.
-// They drive the deployment through a minimal in-package session (package
-// fkclient imports this one) and watch it from three sides: the telemetry
-// spans (when each stage and store leg ran), the system store's change
-// feed (when each pending entry left its list's head), and a recording
-// wrapper around the user store (every write, with its interval).
+// Tests of the leader's software pipeline (distributor.go): what may run
+// under a flush in flight and what may not. That nothing a client or a
+// store can observe tells the pipelined order apart from Algorithm 2's is
+// the chaos matrix's to check (internal/chaos). They drive the deployment
+// through a minimal in-package session (package fkclient imports this one)
+// and watch it from three sides: the telemetry spans (when each stage and
+// store leg ran), the system store's change feed (when each pending entry
+// left its list's head), and a recording wrapper around the user store
+// (every write and delete, in order).
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
 	"faaskeeper/internal/cloud"
+	"faaskeeper/internal/cloud/kv"
+	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/wire"
 	"faaskeeper/internal/znode"
 )
 
-// pipeFaults is these tests' sim.FaultHook: a targeted crash predicate, a
-// function whose every successful batch is delivered once more, and a log
-// of when the leader's handler process began each invocation (its crash
-// point is the first thing it reaches) and started each storage operation.
+// pipeFaults is these tests' sim.FaultHook: a targeted crash predicate and
+// a log of when the leader's handler process began each invocation (its
+// crash point is the first thing it reaches) and started each storage
+// operation.
 type pipeFaults struct {
-	crash     func(stage, session string, seq int64) bool
-	redeliver string
+	crash func(stage, session string, seq int64) bool
 
 	k           *sim.Kernel
 	leaderHeads []sim.Time
@@ -44,7 +45,7 @@ func (h *pipeFaults) Crash(stage, session string, seq int64) bool {
 	}
 	return h.crash != nil && h.crash(stage, session, seq)
 }
-func (h *pipeFaults) Redeliver(fn string) bool    { return fn == h.redeliver }
+func (*pipeFaults) Redeliver(string) bool         { return false }
 func (*pipeFaults) DeliveryDelay(string) sim.Time { return 0 }
 func (h *pipeFaults) OpDelay() sim.Time {
 	proc := h.k.Current().Name()
@@ -59,39 +60,32 @@ func (h *pipeFaults) OpDelay() sim.Time {
 
 // storeCall is one Write or Delete the primary user store served.
 type storeCall struct {
-	path       string
-	mzxid      int64 // 0 for a delete
-	start, end sim.Time
+	path  string
+	mzxid int64 // 0 for a delete
 }
 
 type pipeRig struct {
 	t     *testing.T
 	k     *sim.Kernel
 	d     *Deployment
-	calls []storeCall        // in start order
+	calls []storeCall        // in the order they started
 	pops  map[int64]sim.Time // txid -> first instant it left the head of a pending list
 }
 
-// recStore records the interval of every mutation of the store it wraps.
+// recStore records every mutation of the store it wraps.
 type recStore struct {
 	UserStore
 	rig *pipeRig
 }
 
-func (s *recStore) record(path string, mzxid int64, call func() error) error {
-	i := len(s.rig.calls)
-	s.rig.calls = append(s.rig.calls, storeCall{path: path, mzxid: mzxid, start: s.rig.k.Now()})
-	err := call()
-	s.rig.calls[i].end = s.rig.k.Now()
-	return err
-}
-
 func (s *recStore) Write(ctx cloud.Ctx, o Object) error {
-	return s.record(o.Path, o.Node.Stat.Mzxid, func() error { return s.UserStore.Write(ctx, o) })
+	s.rig.calls = append(s.rig.calls, storeCall{o.Path, o.Node.Stat.Mzxid})
+	return s.UserStore.Write(ctx, o)
 }
 
 func (s *recStore) Delete(ctx cloud.Ctx, path string) error {
-	return s.record(path, 0, func() error { return s.UserStore.Delete(ctx, path) })
+	s.rig.calls = append(s.rig.calls, storeCall{path, 0})
+	return s.UserStore.Delete(ctx, path)
 }
 
 func newPipeRig(t *testing.T, seed int64, cfg Config, hook *pipeFaults) *pipeRig {
@@ -196,10 +190,8 @@ type pipeSession struct {
 	ctx   cloud.Ctx
 	seq   int64
 	futs  map[int64]*sim.Future[Response]
-	order []int64 // seqs in first-arrival order
-	resps int     // responses received, duplicates included
+	resps int // responses received, duplicates included
 	notes []Notification
-	arms  int // data watches registered, re-arming on every notification
 }
 
 // open must run inside a sim process.
@@ -224,7 +216,6 @@ func (r *pipeRig) open(id string) *pipeSession {
 				v := pkt.Payload.Response
 				s.resps++
 				if s.futs[v.Seq].TryComplete(v) {
-					s.order = append(s.order, v.Seq)
 					d.Obs.Tracer.Finish(obs.TraceOf(id, v.Seq))
 				}
 			case MsgNotification:
@@ -241,7 +232,6 @@ func (s *pipeSession) arm(path string) {
 	if _, _, err := s.rig.d.RegisterWatch(s.ctx, path, WatchData, s.id); err != nil {
 		s.rig.t.Errorf("%s: arm %s: %v", s.id, path, err)
 	}
-	s.arms++
 }
 
 func (s *pipeSession) submit(op OpCode, path, data string) *sim.Future[Response] {
@@ -269,139 +259,6 @@ func (s *pipeSession) send(req Request) *sim.Future[Response] {
 
 func (s *pipeSession) do(op OpCode, path, data string) Response {
 	return s.submit(op, path, data).Wait()
-}
-
-// TestPipelineConcurrentInvariants runs the shape of fkclient's
-// concurrentTraceWorkload — three sessions pipelining set ×2 / delete /
-// create on two shared paths, one re-arming data watch — where invocations
-// carry several messages and same-path chains, and checks what no step
-// order may change. Then again with every leader batch delivered twice.
-func TestPipelineConcurrentInvariants(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		hook *pipeFaults
-	}{
-		{"plain", nil},
-		{"leader-batches-redelivered", &pipeFaults{redeliver: FnLeader}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newPipeRig(t, 4321, Config{}, tc.hook)
-			paths := []string{"/s1", "/s2"}
-			var sessions []*pipeSession
-			for i := 0; i < 3; i++ {
-				i := i
-				r.k.Go(fmt.Sprintf("session-%d", i), func() {
-					s := r.open(fmt.Sprintf("c%d", i))
-					sessions = append(sessions, s)
-					for _, p := range paths {
-						s.do(OpCreate, p, s.id)
-					}
-					if i == 0 {
-						s.arm(paths[0])
-					}
-					var futs []*sim.Future[Response]
-					for j := range paths {
-						p := paths[(i+j)%len(paths)]
-						for _, op := range []OpCode{OpSetData, OpSetData, OpDelete, OpCreate} {
-							futs = append(futs, s.submit(op, p, s.id))
-						}
-					}
-					for _, f := range futs {
-						f.Wait()
-					}
-				})
-			}
-			r.run()
-
-			for _, s := range sessions {
-				if int64(len(s.order)) != s.seq {
-					t.Fatalf("%s: %d of %d requests answered", s.id, len(s.order), s.seq)
-				}
-				var lastSeq, lastTxid int64
-				for _, seq := range s.order {
-					resp := s.futs[seq].Value()
-					switch resp.Code {
-					case CodeOK:
-					case CodeNoNode, CodeNodeExists:
-						// The follower's own verdict on a lost race: it never
-						// reached the leader and may overtake what did (the
-						// client library re-orders; this session does not).
-						continue
-					default:
-						t.Errorf("%s seq %d: %s", s.id, seq, resp.Code)
-						continue
-					}
-					// The leader answers a session in submission order, which
-					// is also its txid order.
-					if seq < lastSeq || resp.Txid < lastTxid {
-						t.Errorf("%s: seq %d (txid %d) answered after seq %d (txid %d)", s.id, seq, resp.Txid, lastSeq, lastTxid)
-					}
-					lastSeq, lastTxid = seq, resp.Txid
-					trace := obs.TraceOf(s.id, seq)
-					respond := r.span(trace, obs.StageRespond).Start
-					// A response leaves only after its own flush joined.
-					if w := r.span(trace, obs.SpanStoreWrite); respond < w.End {
-						t.Errorf("%s seq %d (txid %d): answered at %d, its store write ended at %d", s.id, seq, resp.Txid, respond, w.End)
-					}
-					// Chunks of one never pop in the commit phase, so a pending
-					// entry gone before its own notify was taken by somebody
-					// else's awaitCommit: the orphan branch on a live head.
-					// Only the shard's last invocation leaves pops unrun.
-					pop, ok := r.pops[resp.Txid]
-					if !ok {
-						if !r.carried(resp.Txid) {
-							t.Errorf("%s seq %d: txid %d never popped", s.id, seq, resp.Txid)
-						}
-					} else if pop < respond {
-						t.Errorf("%s seq %d: txid %d popped at %d, before its notify at %d", s.id, seq, resp.Txid, pop, respond)
-					}
-				}
-			}
-
-			// The user store sees one write at a time, in queue order.
-			var last int64
-			for i, c := range r.calls {
-				if i > 0 && c.start < r.calls[i-1].end {
-					t.Errorf("user-store calls overlap: %+v then %+v", r.calls[i-1], c)
-				}
-				if c.path == znode.Root || c.mzxid == 0 {
-					continue // a parent's child-list splice, a delete
-				}
-				if c.mzxid <= last {
-					t.Errorf("write of %s at mzxid %d after mzxid %d", c.path, c.mzxid, last)
-				}
-				last = c.mzxid
-			}
-
-			// Every armed watch fired exactly once, in txid order.
-			w := sessions[0]
-			for _, s := range sessions {
-				if s.arms > 0 {
-					w = s
-				}
-			}
-			if len(w.notes) < 2 {
-				t.Fatalf("only %d notifications: the watch order is not exercised", len(w.notes))
-			}
-			for i := 1; i < len(w.notes); i++ {
-				if w.notes[i].Txid <= w.notes[i-1].Txid {
-					t.Errorf("notifications out of txid order: %d then %d", w.notes[i-1].Txid, w.notes[i].Txid)
-				}
-			}
-			armed := 0
-			if it, ok := r.d.System.Peek(paths[0]); ok {
-				armed = len(it.Get(attrWatchData).SL())
-			}
-			if w.arms != len(w.notes)+armed {
-				t.Errorf("%d arms, %d notifications, %d still armed", w.arms, len(w.notes), armed)
-			}
-
-			if r.counter("commit_prefetched") == 0 || r.counter("pop_overlapped") == 0 {
-				t.Errorf("pipeline never engaged: commit_prefetched %d, pop_overlapped %d",
-					r.counter("commit_prefetched"), r.counter("pop_overlapped"))
-			}
-		})
-	}
 }
 
 // backlog opens n sessions that each pipeline sets sets, cycling through
@@ -545,50 +402,6 @@ func TestLeaderTotalContainsPop(t *testing.T) {
 	}
 	if pop := r.d.Phase("leader.pop").Mean(); pop < 3 {
 		t.Fatalf("leader.pop mean %.3f ms: the test no longer measures a real pop", pop)
-	}
-}
-
-// TestSamePathChainNeverPrefetches: three sessions set /a over and over in
-// chunks of one. The sets reach the leader in runs, but each needs its
-// predecessor popped before its commit check, so nothing is prefetched and
-// no pop moves inside an invocation — only the pop each invocation carries
-// to the next, which runs under that one's first flush — and both stores end
-// on the last value.
-func TestSamePathChainNeverPrefetches(t *testing.T) {
-	r := newPipeRig(t, 3, Config{}, nil)
-	const sets = 4
-	loaders := r.backlog(3, sets, func(int) []string { return []string{"/a"} })
-	r.run()
-
-	inv := r.d.Platform.Function(FnLeader).Invocations()
-	if inv >= 1+3*sets {
-		t.Fatalf("%d leader invocations for %d messages: none carried a chain", inv, 1+3*sets)
-	}
-	if n := r.counter("commit_prefetched"); n != 0 {
-		t.Errorf("commit_prefetched = %d on a same-path chain", n)
-	}
-	if n := r.counter("pop_overlapped"); n != inv-1 {
-		t.Errorf("pop_overlapped = %d in %d invocations, want one carried pop under each first flush but the first", n, inv)
-	}
-	var last Response
-	for _, s := range loaders {
-		for _, f := range s.futs {
-			if resp := f.Value(); resp.Code != CodeOK {
-				t.Fatalf("%s seq %d: %s", s.id, resp.Seq, resp.Code)
-			} else if resp.Txid > last.Txid {
-				last = resp
-			}
-		}
-	}
-	if last.Stat.Version != 3*sets {
-		t.Errorf("last set has version %d, want %d", last.Stat.Version, 3*sets)
-	}
-	it, _ := r.d.System.Peek("/a")
-	if sys := decodeSysNode(it, 0); sys.Version != last.Stat.Version || sys.Mzxid != last.Txid || !slices.Equal(sys.Pending, []int64{last.Txid}) || !r.carried(last.Txid) {
-		t.Errorf("system store: %+v, want version %d, mzxid %d, only the last set's carried pop pending", sys, last.Stat.Version, last.Txid)
-	}
-	if c := r.calls[len(r.calls)-1]; c.path != "/a" || c.mzxid != last.Txid {
-		t.Errorf("last user-store write %+v, want /a at mzxid %d", c, last.Txid)
 	}
 }
 
@@ -746,42 +559,6 @@ func TestMultiPrefetchComparesEveryTarget(t *testing.T) {
 	}
 }
 
-// TestMultiIsAChunkOfItsOwn: under BatchWrites the run set /p/b, multi(set
-// /p/a, set /p/b), set /p/c flushes in three chunks, in queue order, and the
-// multi()'s objects are written in its op order. Folded into one chunk, /p/b
-// would be written first: a reader of the multi()'s paths in reverse order
-// could see its new /p/b next to its old /p/a.
-func TestMultiIsAChunkOfItsOwn(t *testing.T) {
-	r := newPipeRig(t, 21, Config{BatchWrites: true}, &pipeFaults{})
-	var from, flushes int
-	r.k.Go(leaderProc, func() {
-		s := r.open("w")
-		s.do(OpCreate, "/p", "0")
-		for _, p := range []string{"/p/a", "/p/b", "/p/c"} {
-			s.do(OpCreate, p, "0")
-		}
-		r.k.Sleep(sim.Ms(200))
-		r.settle()
-		msgs := []leaderMsg{r.pushSet(s, "/p/b", "1", 9), r.pushMulti(s, 10, "2", "/p/a", "/p/b"), r.pushSet(s, "/p/c", "3", 11)}
-		from, flushes = len(r.calls), r.d.Phase("leader.update").N()
-		r.deliver(s.ctx, 9, msgs...)
-		flushes = r.d.Phase("leader.update").N() - flushes
-		for _, m := range msgs {
-			if resp := s.futs[m.Seq].Wait(); resp.Code != CodeOK {
-				t.Errorf("seq %d: %s", m.Seq, resp.Code)
-			}
-		}
-	})
-	r.run()
-	var got []string
-	for _, c := range r.calls[from:] {
-		got = append(got, fmt.Sprintf("%s@%d", c.path, c.mzxid))
-	}
-	if want := []string{"/p/b@9", "/p/a@10", "/p/b@10", "/p/c@11"}; flushes != 3 || !slices.Equal(got, want) {
-		t.Errorf("%d flushes wrote %v, want 3 writing %v", flushes, got, want)
-	}
-}
-
 // TestAlternatingPathsPrefetch: two sessions each take turns on two paths
 // of their own, so no message follows one on its own path directly, but
 // many follow one at a distance of two: x y x. The order under a
@@ -892,3 +669,70 @@ const paperWriteAllocs = 6
 const paperWriteRuns = 100
 
 var paperWriteWork = sim.Work{Dispatches: 1807, HandOffs: 998, SelfContinues: 809, Spawns: 100}
+
+// The follower's half of a write by s, by hand: lockSet and lockMulti lock
+// and validate a set_data of path, or of every one of paths in one
+// multi(), and return the message the follower would push, uncommitted;
+// the push* helpers go on through the follower's commit under txid. s
+// waits for the answer. They must run inside a sim process.
+func (r *pipeRig) lockSet(s *pipeSession, path, data string) leaderMsg {
+	r.t.Helper()
+	lock, item := r.lock(s, path)
+	return leaderMsg{
+		Session: s.id, Seq: r.expect(s), LockTs: lock.Timestamp,
+		change: validatedChange(OpSetData, path, []byte(data), "", decodeSysNode(item, 0), sysNode{}),
+	}
+}
+
+func (r *pipeRig) lockMulti(s *pipeSession, data string, paths ...string) leaderMsg {
+	r.t.Helper()
+	msg := leaderMsg{Session: s.id, Seq: r.expect(s), change: change{Op: OpMulti, Path: paths[0]}, ItemPaths: paths}
+	for _, p := range paths {
+		lock, item := r.lock(s, p)
+		msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
+		msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte(data), "", decodeSysNode(item, 0), sysNode{}))
+	}
+	return msg
+}
+
+func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderMsg {
+	return r.commit(s, r.lockSet(s, path, data), txid)
+}
+
+func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...string) leaderMsg {
+	return r.commit(s, r.lockMulti(s, data, paths...), txid)
+}
+
+// pushCreate locks the parent, then the node, as a create does.
+func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg {
+	parentLock, parent := r.lock(s, znode.Parent(path))
+	nodeLock, node := r.lock(s, path)
+	return r.commit(s, leaderMsg{
+		Session: s.id, Seq: r.expect(s), LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
+		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node, 0), decodeSysNode(parent, 0)),
+	}, txid)
+}
+
+func (r *pipeRig) lock(s *pipeSession, path string) (fksync.Lock, kv.Item) {
+	r.t.Helper()
+	lock, item, err := r.d.Locks.Acquire(s.ctx, path)
+	if err != nil {
+		r.t.Fatalf("lock %s: %v", path, err)
+	}
+	return lock, item
+}
+
+// expect takes s's next sequence number and the future its answer completes.
+func (r *pipeRig) expect(s *pipeSession) int64 {
+	s.seq++
+	s.futs[s.seq] = sim.NewFuture[Response](r.k)
+	return s.seq
+}
+
+func (r *pipeRig) commit(s *pipeSession, msg leaderMsg, txid int64) leaderMsg {
+	r.t.Helper()
+	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
+		r.t.Fatalf("commit %s: %v", msg.Path, err)
+	}
+	return msg
+}

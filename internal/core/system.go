@@ -9,6 +9,7 @@ import (
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/cloud/kv"
+	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/znode"
 )
 
@@ -272,6 +273,8 @@ func (s sysNode) toZNode(path string, data []byte) znode.Node {
 //   - every fire record is one a pop still has to remove: its txid is
 //     pending on the record (a parent's child fire record never is: its
 //     claim removes it);
+//   - no lock is live: a lock younger than the lease is a write still in
+//     flight, or one whose retry never came;
 //
 // and every epoch item lists no entry: each delivery removed its own. It
 // returns one line per disagreement, in key order.
@@ -290,6 +293,9 @@ func (d *Deployment) AtRest(ctx cloud.Ctx) []string {
 			continue
 		}
 		path, rec := ki.Key, decodeSysNode(ki.Item, 0)
+		if ts, ok := ki.Item.Lookup(fksync.LockAttr); ok && int64(d.K.Now())-ts.Num() < int64(lockLease) {
+			out = append(out, fmt.Sprintf("%s: lock taken at %d is live at rest (lease %v)", path, ts.Num(), lockLease))
+		}
 		for _, a := range ki.Item {
 			if t, _, ok := parseFire(a.Name); ok && !slices.Contains(rec.Pending, t) {
 				out = append(out, fmt.Sprintf("%s: fire record %s %v, txid %d not pending", path, a.Name, a.V, t))

@@ -84,10 +84,11 @@ func TestMemStoreReadMiss(t *testing.T) {
 	k.Shutdown()
 }
 
-// TestHybridStoreShrinkDeletesSpill: a node written above the spill
-// threshold and then rewritten below it must drop the stale spill object —
-// otherwise the orphan blob leaks storage cost forever and a later grow
-// cycle could resurrect stale bytes.
+// TestHybridStoreShrinkDeletesSpill: a node at or below the spill threshold
+// stays in the kv table alone, and a node written above it and then
+// rewritten below it must drop the stale spill object — otherwise the
+// orphan blob leaks storage cost forever and a later grow cycle could
+// resurrect stale bytes.
 func TestHybridStoreShrinkDeletesSpill(t *testing.T) {
 	k := sim.NewKernel(9)
 	env := cloud.NewEnv(k, cloud.AWSProfile())
@@ -96,6 +97,12 @@ func TestHybridStoreShrinkDeletesSpill(t *testing.T) {
 	hs := s.(*hybridStore)
 	ctx := cloud.ClientCtx(cloud.RegionAWSHome)
 	k.Go("test", func() {
+		if err := s.Write(ctx, NewObject(&znode.Node{Path: "/s", Data: make([]byte, threshold)}, nil)); err != nil {
+			t.Fatalf("small write: %v", err)
+		}
+		if _, had := hs.bucket.Peek("/s"); had {
+			t.Error("a node at the threshold spilled to the object store")
+		}
 		bigData := bytes.Repeat([]byte("b"), threshold+1)
 		if err := s.Write(ctx, NewObject(&znode.Node{Path: "/n", Data: bigData}, nil)); err != nil {
 			t.Fatalf("big write: %v", err)

@@ -19,15 +19,10 @@ import (
 	"faaskeeper/internal/znode"
 )
 
+// TestWriteOpTable: each precondition stage on its own, in ZooKeeper's
+// order of precedence. (That a multi()'s ops convert to op codes by
+// spelling is conform's Atomic group's to check.)
 func TestWriteOpTable(t *testing.T) {
-	// The transaction vocabulary converts to op codes by spelling.
-	for op, want := range map[txn.OpType]OpCode{
-		txn.OpCreate: OpCreate, txn.OpSetData: OpSetData, txn.OpDelete: OpDelete,
-	} {
-		if OpCode(op) != want {
-			t.Errorf("OpCode(%q) != %q", op, want)
-		}
-	}
 	check := OpCode(txn.OpCheck)
 	var (
 		missing  = sysNode{}
@@ -300,31 +295,6 @@ func diffLines(t *testing.T, what string, single, multi []string) {
 	}
 }
 
-// pushCreate is the follower's half of a create of path by s, through its
-// commit under txid: lock the parent, then the node, validate, commit. It
-// returns the leader message, with s waiting for the answer.
-func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg {
-	r.t.Helper()
-	parentLock, parent, err := r.d.Locks.Acquire(s.ctx, znode.Parent(path))
-	if err != nil {
-		r.t.Fatalf("lock the parent of %s: %v", path, err)
-	}
-	nodeLock, node, err := r.d.Locks.Acquire(s.ctx, path)
-	if err != nil {
-		r.t.Fatalf("lock %s: %v", path, err)
-	}
-	s.seq++
-	msg := leaderMsg{
-		Session: s.id, Seq: s.seq, LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
-		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node, 0), decodeSysNode(parent, 0)),
-	}
-	if err := r.d.replayCommit(s.ctx, msg, txid); err != nil {
-		r.t.Fatalf("commit %s: %v", path, err)
-	}
-	s.futs[s.seq] = sim.NewFuture[Response](r.k)
-	return msg
-}
-
 // TestObjectIsTheSnapshotAtItsTxid: a set_data's user-store object is the
 // node as of its own txid. Here a child create commits after the set's
 // follower did and before the leader takes the set up, so the set's commit
@@ -347,23 +317,7 @@ func TestObjectIsTheSnapshotAtItsTxid(t *testing.T) {
 		},
 		{
 			name: "multi() set_data",
-			push: func(r *pipeRig, s *pipeSession) leaderMsg {
-				s.seq++
-				lock, item, err := r.d.Locks.Acquire(s.ctx, "/p")
-				if err != nil {
-					r.t.Fatalf("lock /p: %v", err)
-				}
-				msg := leaderMsg{
-					Session: s.id, Seq: s.seq, change: change{Op: OpMulti, Path: "/p"},
-					Ops:       []change{validatedChange(OpSetData, "/p", []byte("1"), "", decodeSysNode(item, 0), sysNode{})},
-					ItemPaths: []string{"/p"}, ItemLockTs: []int64{lock.Timestamp},
-				}
-				if err := r.d.replayCommit(s.ctx, msg, set); err != nil {
-					r.t.Fatalf("commit: %v", err)
-				}
-				s.futs[s.seq] = sim.NewFuture[Response](r.k)
-				return msg
-			},
+			push: func(r *pipeRig, s *pipeSession) leaderMsg { return r.pushMulti(s, set, "1", "/p") },
 			stat: func(resp Response) znode.Stat {
 				if len(resp.MultiResults) != 1 {
 					return znode.Stat{}
@@ -441,66 +395,6 @@ func TestChunkObjectsAreEachTheirTxids(t *testing.T) {
 	}
 	if obj == nil || obj.Stat != second || !slices.Equal(obj.Children, []string{"c"}) {
 		t.Errorf("object %+v, want %+v listing c", obj, second)
-	}
-}
-
-// TestMultiSetTakesItsTxidsStamps: a set_data on a node an earlier op of the
-// same multi() created, or whose child list one changed, builds its object
-// from the speculative state, which cannot know the txid: it takes the
-// create's czxid and pzxid, and the txid as its pzxid once its child list
-// changed.
-func TestMultiSetTakesItsTxidsStamps(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		exists   bool // /q is created ahead of the multi()
-		ops      []txn.Op
-		children []string
-		version  int32
-	}{
-		{"create, set", false, []txn.Op{txn.Create("/q", []byte("0"), 0), txn.SetData("/q", []byte("1"), 0)}, nil, 1},
-		{"create, create a child, set, set", false, []txn.Op{
-			txn.Create("/q", []byte("0"), 0), txn.Create("/q/c", nil, 0),
-			txn.SetData("/q", []byte("1"), 0), txn.SetData("/q", []byte("1"), 1),
-		}, []string{"c"}, 2},
-		{"create a child, set", true, []txn.Op{txn.Create("/q/c", nil, 0), txn.SetData("/q", []byte("1"), 0)}, []string{"c"}, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newPipeRig(t, 21, Config{}, nil)
-			var resp Response
-			var obj *znode.Node
-			var born int64
-			r.k.Go("client", func() {
-				s := r.open("w")
-				if tc.exists {
-					born = s.do(OpCreate, "/q", "0").Txid
-				}
-				resp = s.send(Request{Op: OpMulti, Path: "/q", Data: txn.EncodeOps(tc.ops)}).Wait()
-				r.k.Sleep(sim.Ms(200))
-				var err error
-				if obj, _, err = r.d.PrimaryStore().Read(s.ctx, "/q"); err != nil {
-					t.Errorf("read /q: %v", err)
-				}
-			})
-			r.run()
-			if resp.Code != CodeOK || len(resp.MultiResults) != len(tc.ops) || obj == nil {
-				t.Fatalf("answered %s with %d results", resp.Code, len(resp.MultiResults))
-			}
-			last := resp.MultiResults[len(tc.ops)-1]
-			txid := last.Txid
-			if !tc.exists {
-				born = txid
-			}
-			want := znode.Stat{
-				Czxid: born, Mzxid: txid, Pzxid: txid, Version: tc.version, Cversion: int32(len(tc.children)),
-				DataLength: 1, NumChildren: int32(len(tc.children)),
-			}
-			if obj.Stat != want || !slices.Equal(obj.Children, tc.children) {
-				t.Errorf("object %+v %v, want %+v %v", obj.Stat, obj.Children, want, tc.children)
-			}
-			if last.Stat != want {
-				t.Errorf("the last set answered %+v, want %+v", last.Stat, want)
-			}
-		})
 	}
 }
 
