@@ -107,7 +107,7 @@ func (r *pipeRig) userNode(path string) string {
 
 // TestEarlyPopRunsCarriedPopFirst: a chunk of two sets on one path opens the
 // invocation after one that carried the path's entry. The first set commits
-// by the same-path rule and pops in the commit phase (order rule 1), and the
+// by the same-path rule and pops in the commit phase (the pop rule), and the
 // carried entry ahead of it goes first, so the second set finds its txid at
 // the head: no pop fails, no orphan is popped, no poll repeats.
 func TestEarlyPopRunsCarriedPopFirst(t *testing.T) {

@@ -6,8 +6,7 @@ package core
 //
 //	step              function        admissible moves
 //	➊/➋ commit check  awaitCommit     a single op's first poll rides the opening
-//	                                  read (open); prefetched under the previous
-//	                                  flush (rule 2)
+//	                                  read (open)
 //	➍ watch claim     queryWatches    rides the commit check's read, ahead of
 //	                                  the flush: fires the fire records f<t>
 //	                                  the commit left, and clears nothing; a
@@ -35,7 +34,7 @@ package core
 //	➎ pop             popPending      removes f<t>.* in the write that pops t;
 //	                                  run under the next flush; carried to the
 //	                                  next invocation; in the commit phase
-//	                                  (rule 1)
+//	                                  (the pop rule)
 //	➏ epoch exit      watchHandler    the watch function's, once its sends
 //	                                  are acknowledged: it removes its own
 //	                                  entry from every region's epoch item
@@ -59,8 +58,8 @@ package core
 // the pop of t, which removes it in the same write; a redelivered batch
 // replays its claim from it. The ids, each with t, enter the epoch counters'
 // mirror as the claim's round starts, before any flush whose stamp must
-// carry them (Z4): a flush reads its stamp before its legs start, so a
-// claim prefetched under it cannot reach the stamp.
+// carry them (Z4): every claim of a chunk runs in its commit phase, before
+// the flush reads its stamp.
 //
 // The claim's round — the epoch entry, and the removal of the child fire
 // record of each parent the message does not commit on — touches different
@@ -71,13 +70,13 @@ package core
 // id, so the entry lands before the flush. On one shard the only readers of
 // the epoch item are the shard's own next invocation and its later
 // deliveries, which wait out the entry (watchHandler) and are launched after
-// the round is joined, so the round runs under the flush and is joined
-// before the next message's round reuses its writes (commitOne) and before
-// the chunk completes (flushChunk). An id in a stamp whose entry failed to
-// land only makes a reader wait for a delivery that is launched anyway. Per-
-// txid fire records cannot race: on the shared root, where two shards'
-// commits fire one group, each commit moves the group under the root's lock
-// into a record of its own.
+// the round is joined, so the round runs under the flush and is joined with
+// its legs, or before a later message of the chunk reuses its writes
+// (commitOne). An id in a stamp whose entry failed to land only makes a
+// reader wait for a delivery that is launched anyway. Per-txid fire records
+// cannot race: on the shared root, where two shards' commits fire one group,
+// each commit moves the group under the root's lock into a record of its
+// own.
 //
 // A chunk is one message — the paper's per-message distribution — or, with
 // Config.BatchWrites, a whole run of single ops up to the next multi(). A
@@ -90,15 +89,14 @@ package core
 // invalidation record of the objects the leg fences, the final state of
 // every touched node, one child-list read-modify-write per parent, and
 // each object installed in the cache right after its own store write),
-// and completes per message in queue order. Only the
-// flush touches the user stores, so the chunks of an
-// invocation are pipelined on the one handler process: while flush n's legs
-// are in flight the handler runs the pops chunk n−1 deferred and the commit
-// phase of n+1 (underFlush). The pops of an invocation's last chunk are
-// carried to the shard's next invocation, whose first flush runs them:
+// and completes per message in queue order. Every chunk commits after the
+// chunk before it answered and before its own flush, and leaves its pops
+// deferred: while flush n's legs are in flight the handler runs the pops of
+// chunk n−1 (underFlush). The pops of an invocation's last chunk are carried
+// to the shard's next invocation, whose first flush runs them:
 //
-//	user stores  ├──── flush n ─────┤            ├─── flush n+1 ────┤
-//	handler      pop n−1, commit n+1, join · complete n · pop n, commit n+2, join · complete n+1
+//	user stores             ├─ flush n ─┤                             ├ flush n+1 ┤
+//	handler      commit n · pop n−1, join · complete n · commit n+1 · pop n, join · complete n+1
 //
 // Flushes never overlap and stay in queue order: the stores always hold a
 // prefix of the total order (single system image). Every overlap has one
@@ -106,19 +104,13 @@ package core
 // before the step that depends on them — the flush legs, joined before the
 // chunk completes; the watch claim's round, joined before the message's
 // commit phase ends on several shards (the handler runs its first write
-// itself) and before the next round and the chunk's answers on one;
-// and the watch function's sends. The leader's bodies are bound once, and what its rounds and its
-// pipeline keep from message to message lives in the shard's one slot
-// (leaderShard). The order rules:
-//
-//  1. Pop. A message followed in its chunk by another on one of its targets
-//     pops in the commit phase (commit); every other pop follows every
-//     answer of its chunk. A commit check looks past a head whose pop is
-//     deferred (pollCommit).
-//  2. Prefetched commit. A commit runs under the previous flush only when no
-//     un-popped message ahead of it shares one of its targets, as one read
-//     that never acts (commitOne); anything else waits for the serial
-//     position.
+// itself) and with the flush legs on one; and the watch function's sends.
+// The leader's bodies are bound once, and what its rounds and its pipeline
+// keep from message to message lives in the shard's one slot (leaderShard).
+// The pop rule: a message followed in its chunk by another on one of its
+// targets pops in the commit phase (commit); every other pop follows every
+// answer of its chunk. A commit check looks past a head whose pop is
+// deferred (pollCommit).
 //
 // A batch redelivered at any point replays step for step: each step is
 // idempotent under its own condition, and a deferred pop's entry stays in
@@ -364,18 +356,19 @@ type leaderShard struct {
 	msgs  []decodedMsg
 	round claimRound     // the watch-claim round (queryWatches)
 	legs  []flushLeg     // one per user store, aligned with Deployment.Stores
-	wg    *sim.WaitGroup // the flush legs join on it
+	wg    *sim.WaitGroup // the flush legs and the claim round join on it
 }
 
 // newLeaderShard builds shard s's slot, its legs named and their bodies
 // bound once, so a steady-state flush spawns them without allocating.
 func (d *Deployment) newLeaderShard(s int) *leaderShard {
+	wg := sim.NewWaitGroup(d.K)
 	ls := &leaderShard{
 		prefix: entryPrefix(s),
 		epochs: make(map[cloud.Region][]int64, len(d.Stores)),
-		round:  claimRound{d: d, wg: sim.NewWaitGroup(d.K)},
+		round:  claimRound{d: d, wg: wg},
 		legs:   make([]flushLeg, len(d.Stores)),
-		wg:     sim.NewWaitGroup(d.K),
+		wg:     wg,
 	}
 	for i, s := range d.Stores {
 		l := &ls.legs[i]
@@ -398,9 +391,8 @@ func (ls *leaderShard) reset() {
 }
 
 // leaderRun is one invocation's pass through the pipeline: the shard's slot,
-// what every chunk shares, and the two neighbours of the chunk whose flush
-// is in flight. It lives on the handler's stack; the chunks are pooled
-// folds.
+// what every chunk shares, and the completed chunk before the one in
+// flight. It lives on the handler's stack; the chunks are pooled folds.
 type leaderRun struct {
 	*leaderShard
 	d     *Deployment
@@ -414,8 +406,7 @@ type leaderRun struct {
 	openedAt sim.Time
 	opened   bool
 
-	done  *batchFold // chunk n−1: completed, its pops deferred
-	ahead *batchFold // chunk n+1: next in the invocation, commit phase unfinished
+	done *batchFold // chunk n−1: completed, its pops deferred
 }
 
 // pendingPop is one pop (➎): the control record at key loses txid from the
@@ -430,8 +421,9 @@ type pendingPop struct {
 }
 
 // pipeline runs one invocation's messages through the pipeline, chunk by
-// chunk, each chunk's flush carrying its two neighbours (underFlush). The
-// last chunk's pops are carried to the shard's next invocation.
+// chunk, each chunk's flush carrying the pops of the chunk before it
+// (underFlush). The last chunk's pops are carried to the shard's next
+// invocation.
 //
 // A delete's pops, and a multi()'s, may garbage collect a tombstone unless a
 // later message of the invocation commits on one of its targets: that
@@ -446,9 +438,8 @@ func (p *leaderRun) pipeline(msgs []decodedMsg) {
 			msgs[i].collect = !holdsTarget(msgs[i+1:], &msgs[i])
 		}
 	}
-	for cur := p.openChunk(msgs); cur != nil; cur = p.ahead {
+	for cur := p.openChunk(msgs); cur != nil; cur = p.openChunk(msgs) {
 		msgs = msgs[len(cur.msgs):]
-		p.ahead = p.openChunk(msgs)
 		p.flushChunk(cur)
 	}
 	p.carry()
@@ -472,24 +463,16 @@ func (p *leaderRun) openChunk(msgs []decodedMsg) *batchFold {
 	return f
 }
 
-// flushChunk finishes cur's commit phase where a prefetch left it (nowhere,
-// for an invocation's first chunk), distributes the folded state with the
+// flushChunk runs cur's commit phase, distributes the folded state with the
 // work underFlush runs under it — atomically for a multi() — and completes
 // every buffered operation in queue order: deliveries launch, and answers
 // leave, only after the flush, so a response in hand implies the write is
-// readable (read-your-writes). The chunk's pops stay behind for the next
-// flush to carry.
+// readable (read-your-writes). The pops of the chunk before — or the carried
+// ones — stay deferred through the commit phase, which looks past a deferred
+// head (awaitCommit), and cur's own stay behind for the next flush to carry.
 func (p *leaderRun) flushChunk(cur *batchFold) {
 	d, msgs := p.d, cur.msgs
-	if len(cur.results) < len(msgs) {
-		// The serial position: behind every pop of this invocation ahead of
-		// it. The carried pops — only the first chunk can find any — stay
-		// for its flush: awaitCommit looks past a deferred head.
-		if p.done != nil {
-			p.retire()
-		}
-		p.commit(cur, nil)
-	}
+	p.commit(cur)
 
 	if !cur.empty() {
 		// A one-message chunk's distribution is that request's own: its
@@ -555,16 +538,12 @@ func (p *leaderRun) flushChunk(cur *batchFold) {
 }
 
 // underFlush is what the handler process does, instead of parking, while
-// cur's regional legs are in flight. The order is order rule 2's: the pops
-// of the chunk before cur — for an invocation's first chunk, the pops
-// carried from the previous invocation — then the prefetch of the chunk
-// after it.
+// cur's regional legs are in flight: the pops of the chunk before cur — for
+// an invocation's first chunk, the pops carried from the previous
+// invocation.
 func (p *leaderRun) underFlush(cur *batchFold) {
 	if pops := p.retire(); pops > 0 {
 		p.d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "pop_overlapped", Shard: cur.msgs[0].msg.Shard}, int64(pops))
-	}
-	if p.ahead != nil {
-		p.commit(p.ahead, cur)
 	}
 }
 
@@ -638,89 +617,54 @@ func holdsTarget(msgs []decodedMsg, dm *decodedMsg) bool {
 	return false
 }
 
-// commit runs f's commit phase on from where it stands. In the serial
-// position (under nil) that is to the end of the chunk. Under the flush of
-// the chunk before, it is a prefetch and stops at the first message order
-// rule 2 keeps back: one with an un-popped message on one of its targets
-// ahead of it — in under, or later in f, where order rule 1 would make it
-// pop — or one whose txid is not at the head of every target's pending list
-// yet. The order under a flush is "pops of n−1 (for an invocation's first
-// chunk, the carried ones), then commit of n+1", so the only un-popped
-// messages ahead are those of chunk n and of n+1 itself, and a later
-// awaitCommit still finds every earlier entry of its targets popped.
-func (p *leaderRun) commit(f, under *batchFold) {
-	for i := len(f.results); i < len(f.msgs); i++ {
+// commit runs f's commit phase, message by message.
+func (p *leaderRun) commit(f *batchFold) {
+	f.t0 = p.d.K.Now()
+	for i := range f.msgs {
 		dm := &f.msgs[i]
-		// Order rule 1: pop in the commit phase only for a later message
-		// of this chunk whose awaitCommit needs the head.
-		popEarly := holdsTarget(f.msgs[i+1:], dm)
-		if under != nil && (popEarly || holdsTarget(under.msgs, dm)) {
-			return
-		}
-		if i == 0 {
-			f.t0 = p.d.K.Now()
-		}
 		// The invocation's first message entered its commit stage ahead of
-		// the opening read, and a message whose prefetch was abandoned is
-		// still in it when the serial position takes it up again.
-		if !dm.staged {
+		// the opening read.
+		if dm != &p.msgs[0] {
 			p.d.stageMsg(dm.msg, obs.StageCommit)
-			dm.staged = true
 		}
-		r, ok := p.commitOne(f, dm, popEarly, under != nil)
-		if !ok {
-			return
-		}
-		f.results = append(f.results, r)
+		// The pop rule: pop in the commit phase only for a later message of
+		// this chunk whose awaitCommit needs the head.
+		f.results = append(f.results, p.commitOne(f, dm, holdsTarget(f.msgs[i+1:], dm)))
 	}
 }
 
 // commitOne is the per-message commit phase: Algorithm 2's verification on
 // every target, the watch claim on the records it confirmed, and the
-// pending pops when order rule 1 pulls them ahead of the flush. It folds
+// pending pops when the pop rule pulls them ahead of the flush. It folds
 // each change and captures its Stat here, from the change's own txid and
 // version, before any later operation folds over the node, so each client
-// receives its own Stat at any chunk size. A prefetch may do nothing it
-// could regret under another chunk's flush: one read, and a txid not at the
-// head of every target's pending list gives the message up (false).
-func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch bool) (opResult, bool) {
+// receives its own Stat at any chunk size.
+func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly bool) opResult {
 	// The claim round of the message before lands first: a round's writes
 	// are kept from message to message.
 	p.round.join()
 	d, msg, txid := p.d, dm.msg, dm.txid
 	ctx := d.billMsg(p.ctx, msg)
 	if msg.Op == OpDeregister {
-		return opResult{ctx: ctx}, true // completed after the flush, nothing to commit
+		return opResult{ctx: ctx} // completed after the flush, nothing to commit
 	}
 	t0 := d.K.Now()
 	keys, targets := dm.keys, dm.targetKeys()
 	var nodeBuf [2]sysNode
 	nodes := slices.Grow(nodeBuf[:0], len(keys))[:len(keys)] // index-aligned with keys
-	committed := false
-	if prefetch {
-		d.readControls(ctx, keys, nodes, txid)
-		for i := range targets {
-			if pending := nodes[i].Pending; len(pending) == 0 || pending[0] != txid {
-				return opResult{}, false
-			}
-		}
-		committed = true
-		d.Obs.Metrics.Inc(obs.Key{Component: "leader", Name: "commit_prefetched", Shard: msg.Shard}, 1)
-	} else {
-		// The invocation's first message was read by the opening read, which
-		// is where its leader.get and its chunk's leader.total began.
-		var first []sysNode
-		if p.opened {
-			first, t0, p.opened = p.opening[:len(keys)], p.openedAt, false
-			f.t0 = t0
-		}
-		committed = p.awaitCommit(ctx, dm, nodes, first, func() {
-			d.replayCommit(ctx, msg, txid) // the follower died after its push
-		})
+	// The invocation's first message was read by the opening read, which is
+	// where its leader.get and its chunk's leader.total began.
+	var first []sysNode
+	if p.opened {
+		first, t0, p.opened = p.opening[:len(keys)], p.openedAt, false
+		f.t0 = t0
 	}
+	committed := p.awaitCommit(ctx, dm, nodes, first, func() {
+		d.replayCommit(ctx, msg, txid) // the follower died after its push
+	})
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
-		return opResult{ctx: ctx, code: CodeSystemError}, true
+		return opResult{ctx: ctx, code: CodeSystemError}
 	}
 
 	// ➍ rides the read that confirmed the commit: it fires the fire records
@@ -751,7 +695,7 @@ func (p *leaderRun) commitOne(f *batchFold, dm *decodedMsg, popEarly, prefetch b
 			p.popPending(pendingPop{ctx: ctx, key: key, txid: txid, gc: dm.collect})
 		}
 	}
-	return r, true
+	return r
 }
 
 // distributeFold is ➌ for one fold: per region in parallel, one
@@ -818,8 +762,8 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, atomicApply 
 	for i := range legs {
 		l := &legs[i]
 		l.ctx, l.fold, l.own, l.atomicApply = ctx, fold, own, atomicApply
-		// The stamp is this flush's own: read before the legs start, so a
-		// watch claim prefetched under them cannot reach it (Z4).
+		// The stamp is this flush's own, read as its legs start: every claim
+		// of the fold ran before it (Z4).
 		l.stamp = run.epochs[l.store.Region()]
 		run.wg.Go(l.proc, l.run)
 	}

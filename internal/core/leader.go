@@ -33,10 +33,6 @@ type decodedMsg struct {
 	// tombstone: nothing later in the invocation commits on any of its
 	// targets (pipeline).
 	collect bool
-	// staged: the message is in its commit stage already — the invocation's
-	// first message enters it ahead of the opening read, a message whose
-	// prefetch was abandoned stays in it until the serial position.
-	staged bool
 }
 
 // readControls is one strongly consistent round trip for the control records
@@ -166,6 +162,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 // stage first: the read is the start of its leader.get and leader.total.
 func (p *leaderRun) open(msgs []decodedMsg, acksOnly, quiet bool) (empty bool) {
 	d := p.d
+	d.stageMsg(msgs[0].msg, obs.StageCommit)
 	if acksOnly && d.NumShards() > 1 {
 		return false
 	}
@@ -179,8 +176,6 @@ func (p *leaderRun) open(msgs []decodedMsg, acksOnly, quiet bool) (empty bool) {
 	}
 	epochs := len(keys)
 	head := &msgs[0]
-	d.stageMsg(head.msg, obs.StageCommit)
-	head.staged = true
 	if head.msg.Op != OpMulti && head.keys != nil {
 		keys = append(keys, head.keys...)
 		p.opened, p.openedAt = true, d.K.Now()
@@ -634,9 +629,9 @@ func (p *leaderRun) enterEpochs(fired []firedWatch, txid int64) {
 // (join), before the next message's round and before the chunk completes. Each shard has a round of its own, in its
 // slot (leaderShard): a shard's invocations never overlap, while different
 // shards' do. Its writes and their process bodies are kept from round to
-// round, so a steady-state round allocates nothing. It joins on a group of
-// its own: a prefetched commit issues it while the legs of the flush it runs
-// under are counted on the slot's.
+// round, so a steady-state round allocates nothing. It joins on the slot's
+// one wait group, with the flush legs: a round left in flight under a flush
+// lands before the flush is over.
 type claimRound struct {
 	d   *Deployment
 	wg  *sim.WaitGroup

@@ -298,67 +298,6 @@ func (r *pipeRig) backlog(n, sets int, pathsOf func(i int) []string) []*pipeSess
 	return loaders
 }
 
-// TestPrefetchAbandonedLeavesFlushAlone: B's follower dies between push and
-// commit, so when the leader prefetches B's message under the flush of the
-// message ahead of it, its txid is not in the pending list. The prefetch
-// must give up after its one read — no poll, no replayed commit, no orphan
-// pop under somebody else's flush — and B's message commits in the serial
-// position — behind the pop of its
-// predecessor — where awaitCommit replays the dead follower's commit.
-func TestPrefetchAbandonedLeavesFlushAlone(t *testing.T) {
-	crashed := false
-	hook := &pipeFaults{crash: func(stage, session string, seq int64) bool {
-		if stage != obs.StageLeaderQ || session != "B" || seq != 2 || crashed {
-			return false
-		}
-		crashed = true
-		return true
-	}}
-	r := newPipeRig(t, 7, Config{}, hook)
-	loaders := r.backlog(3, 6, func(i int) []string { return []string{fmt.Sprintf("/a%d", i)} })
-	var respB Response
-	r.k.Go("B", func() {
-		b := r.open("B")
-		b.do(OpCreate, "/b", "0")
-		respB = b.do(OpSetData, "/b", "1")
-	})
-	r.run()
-
-	if !crashed || respB.Code != CodeOK {
-		t.Fatalf("B's set: crashed=%v code=%s", crashed, respB.Code)
-	}
-	// The message ahead of B's in the leader queue.
-	var prev int64
-	for _, s := range loaders {
-		for seq, f := range s.futs {
-			if f.Value().Txid == respB.Txid-1 {
-				prev = obs.TraceOf(s.id, seq)
-			}
-		}
-	}
-	if prev == 0 {
-		t.Fatalf("no loader message at txid %d: the scenario drifted", respB.Txid-1)
-	}
-	traceB := obs.TraceOf("B", 2)
-	flush, peek := r.span(prev, obs.SpanStoreWrite), r.span(traceB, obs.StageCommit).Start
-	if peek < flush.Start || peek >= flush.End {
-		t.Fatalf("B's commit stage opened at %d, not under the flush ahead of it [%d, %d]: the scenario drifted",
-			peek, flush.Start, flush.End)
-	}
-	ops := 0
-	for _, at := range hook.leaderOps {
-		if at >= peek && at < flush.End {
-			ops++
-		}
-	}
-	if ops != 1 {
-		t.Errorf("the leader started %d storage operations between B's prefetch and the end of the flush it ran under, want the one read", ops)
-	}
-	if pop, w := r.pops[respB.Txid-1], r.span(traceB, obs.SpanStoreWrite); w.Start < pop {
-		t.Errorf("B's flush started at %d, before its predecessor's pop at %d: it did not commit in the serial position", w.Start, pop)
-	}
-}
-
 // TestLeaderTotalContainsPop: a lone message's leader.total closes in the
 // invocation that completed it. It holds every phase that ran there and
 // never the idle time before the next invocation, to which the message's pop
@@ -441,7 +380,7 @@ func TestChunkNotifiesBeforeItPops(t *testing.T) {
 			shared++
 		}
 		for _, txid := range c.txids {
-			// A pop before the flush is order rule 1's, in the commit phase.
+			// A pop before the flush is the pop rule's, in the commit phase.
 			// One that lands the instant a notify starts was run ahead of it.
 			if pop := r.pops[txid]; pop >= flush && pop <= c.lastNotify {
 				t.Errorf("txid %d popped at %d, not after its chunk's last notify at %d", txid, pop, c.lastNotify)
@@ -495,87 +434,6 @@ func TestMultiNotifiesBeforeItPops(t *testing.T) {
 		if got := r.pending(p); len(got) != 0 {
 			t.Errorf("%s pending %v after the invocation, want its pop run", p, got)
 		}
-	}
-}
-
-// TestMultiPrefetchComparesEveryTarget: under BatchWrites a commit is
-// prefetched under the previous chunk's flush only when no message there
-// commits on one of its targets — every target of both, not a multi()'s
-// anchor alone. A single op on the multi()'s second target, behind it or
-// ahead of it, waits for the serial position; one on a path of its own is
-// prefetched, and so is a multi() behind one.
-func TestMultiPrefetchComparesEveryTarget(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		multiFirst bool
-		single     string // the single op's path; the multi() sets /a, then /b
-		prefetched bool   // the second message's commit ran under the first's flush
-	}{
-		{"set on the second target after the multi", true, "/b", false},
-		{"multi after a set on its second target", false, "/b", false},
-		{"set on its own path after the multi", true, "/c", true},
-		{"multi after a set on another path", false, "/c", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newPipeRig(t, 21, Config{BatchWrites: true}, &pipeFaults{})
-			var msgs []leaderMsg
-			var obj string
-			r.k.Go(leaderProc, func() {
-				s := r.open("w")
-				for _, p := range []string{"/a", "/b", "/c"} {
-					s.do(OpCreate, p, "0")
-				}
-				r.k.Sleep(sim.Ms(200))
-				r.settle()
-				if tc.multiFirst {
-					msgs = r.traced(r.pushMulti(s, 9, "m", "/a", "/b"), r.pushSet(s, tc.single, "s", 10))
-				} else {
-					msgs = r.traced(r.pushSet(s, tc.single, "s", 9), r.pushMulti(s, 10, "m", "/a", "/b"))
-				}
-				r.deliver(s.ctx, 9, msgs...)
-				for _, m := range msgs {
-					if resp := s.futs[m.Seq].Wait(); resp.Code != CodeOK {
-						t.Errorf("seq %d: %s", m.Seq, resp.Code)
-					}
-				}
-				r.k.Sleep(sim.Ms(200))
-				obj = r.userNode("/b")
-			})
-			r.run()
-			flush := r.span(msgs[0].trace(), obs.SpanStoreWrite)
-			commit := r.span(msgs[1].trace(), obs.StageCommit).Start
-			if under := commit < flush.End; under != tc.prefetched || (r.counter("commit_prefetched") == 1) != tc.prefetched {
-				t.Errorf("the second message's commit stage opened at %d, the first's flush ran over [%d, %d], %d commits prefetched: want prefetched %v",
-					commit, flush.Start, flush.End, r.counter("commit_prefetched"), tc.prefetched)
-			}
-			want := "m" // the last write of /b
-			if tc.multiFirst && tc.single == "/b" {
-				want = "s"
-			}
-			if obj[:1] != want {
-				t.Errorf("user store /b = %s, want the last write's %q", obj, want)
-			}
-		})
-	}
-}
-
-// TestAlternatingPathsPrefetch: two sessions each take turns on two paths
-// of their own, so no message follows one on its own path directly, but
-// many follow one at a distance of two: x y x. The order under a
-// flush — the pops of the chunk before, then the prefetch of the chunk
-// after — is what lets the second x find the first one popped, so every
-// message behind the head of its invocation commits under the flush ahead
-// of it.
-func TestAlternatingPathsPrefetch(t *testing.T) {
-	r := newPipeRig(t, 9, Config{}, nil)
-	const sets = 8
-	r.backlog(2, sets, func(i int) []string { return [][]string{{"/x", "/y"}, {"/u", "/v"}}[i] })
-	r.run()
-
-	msgs, inv := int64(2*(2+sets)), r.d.Platform.Function(FnLeader).Invocations()
-	if got := r.counter("commit_prefetched"); got != msgs-inv || got < sets {
-		t.Errorf("%d messages in %d invocations, %d commits prefetched: want every message behind its invocation's head, and at least %d",
-			msgs, inv, got, sets)
 	}
 }
 

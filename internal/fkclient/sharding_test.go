@@ -82,91 +82,17 @@ func traceWorkload(t *testing.T, cfg core.Config) []byte {
 // hash. If the drift is intentional, regenerate with the trace printed by
 // the failing test, and say here why the new trace is as faithful.
 //
-// Re-pinned once (from 1571356e…25266e) when encoding/gob left the write
-// path and package wire's binary codec became the only format. The paper
-// asks for a compact binary payload (Section 4.4), not for gob's per-message
-// type descriptors, and queue latency is a function of message size: the
-// messages are ~100 B smaller, so the same nine lines (op, path, version,
-// mzxid, err all unchanged) land at timestamps each ≤ the old one and
-// within 0.05 % of it — last line 1 625 099 562 → 1 624 672 621 ns. The
-// Fig. 8/9/11 ordering tests in internal/experiments did not move. The next
-// drift should first show in core.TestWireSizesPinned, which names the
-// message whose size changed.
-//
-// Re-pinned a second time (from 72ab4905…64870b) when the leader's
-// invocation began with one batched read of the epoch counters and the first
-// message's control record instead of two reads in a row, and launched a
-// watch delivery ahead of its epoch append (core/leader.go open,
-// core/distributor.go flushChunk). Every read, write and condition of
-// Algorithm 2 is still there; two of them moved off a critical path. The same
-// nine lines land at timestamps each ≤ the old one, by 1 to 34 ms (the
-// latency draws are the same stream, dealt to operations in a new order) —
-// last line 1 624 672 621 → 1 608 592 418 ns. TestTraceIndependentOfProcessHistory
-// below checks the same hash.
-//
-// Re-pinned a third time (from 268bac67…7fa2) when the pending pop of an
-// invocation's last message moved from the end of that invocation to the
-// next one, under its flush (core/distributor.go carry). The pop runs with
-// its condition and its tombstone collection as before, one invocation
-// later. The nine lines keep their content; their timestamps move because
-// the latency stream is dealt to operations in a new order (the pop's draw
-// now falls inside the next write), not because a write does more: over
-// seeds 1…200 this workload ends at 1 604.8 ms on average, against
-// 1 608.2 ms before. At this seed the last line moves 1 608 592 418 →
-// 1 742 357 962 ns.
-//
-// Re-pinned a fourth time (from ca246c37…e7e3) when the watch claim began to
-// ride the commit check's read (watch registrations live on the node's
-// control record): no system-store read runs between a write's flush and its
-// answer any more. The nine lines keep their content and land sooner — the
-// set of v1 at 806 ms, was 870 — and the last line moves 1 742 357 962 →
-// 1 693 502 641 ns.
-//
-// Re-pinned a fifth time (from 6bc63021…0354) when a fired watch's claim
-// writes began to go out as one parallel round: the leader clears the fired
-// group and appends its id to the epoch item at once, and joins both before
-// the flush (core/leader.go queryWatches, claimRound). Only a write that
-// fires a watch runs new code, and here that is the set of v2: it is
-// answered 4 122 215 ns sooner, one system-store write off its commit
-// phase, and every later line moves by exactly that much. The nine lines
-// keep their content; the last moves 1 693 502 641 → 1 689 380 426 ns.
-//
-// Re-pinned a sixth time (from a2a4626a…af8a) when, on one shard, that
-// round began to run under the flush: the leader spawns the clear and the
-// append and joins them before the next commit check and before the
-// chunk's answers, not before the flush (core/leader.go queryWatches,
-// core/distributor.go commitOne and flushChunk). Again only the set of v2
-// fires a watch: it is answered 4 785 985 ns sooner, the round's write off
-// its path to the flush, and every later line moves by exactly that much.
-// The nine lines keep their content; the last moves 1 689 380 426 →
-// 1 684 594 441 ns.
-//
-// Re-pinned a seventh time (from 108c45c3…0dcf) when a warm one-shard
-// leader whose last invocation exited cleanly began to skip the epoch item
-// in its opening read (core/leader.go open, leaderShard.quiet): every
-// invocation after the first reads one item fewer, so the latency stream
-// is dealt anew from the second line on. The nine lines keep their
-// content; the first keeps its instant, and the last moves 1 684 594 441 →
-// 1 525 343 393 ns.
-//
-// Re-pinned an eighth time (from 28bc68a7…544f) when the leader stopped
-// waiting for watch deliveries: each watch function removes its own epoch
-// entry, and the leader's invocation returns once it launched them
-// (core/leader.go leaderHandler, core/watchheartbeat.go watchHandler).
-// Only the second set of /a/x fires a watch. The first five lines keep
-// their content and their instants; the sixth (the create-seq) reaches a
-// leader no longer busy with that delivery and lands 94.6 ms sooner, and
-// every later line moves by a similar amount. The nine lines keep their
-// content; the last moves 1 525 343 393 → 1 494 946 542 ns.
-//
-// Re-pinned a ninth time (from 042e6b77…096b) when the commit began to move
-// the groups it fires into per-txid fire records, which its pop removes
-// (core/txnops.go itemUpdates, core/leader.go popPending): the claim round
-// of the set that fires the watch has no clear left, one system-store write
-// fewer, so the latency stream is dealt anew from that set on. The first
-// four lines keep their instants; the set lands 23.1 ms later (998 092 668
-// → 1 021 204 125 ns). The nine lines keep their content; the last moves
-// 1 494 946 542 → 1 427 378 117 ns.
+// The workload is sequential, so the nine lines' content — op, path,
+// version, mzxid, error — is fixed by the ZooKeeper semantics alone, and
+// only their instants depend on the pipeline. The current value holds for
+// the pipeline in which a one-shard leader reads the epoch counters with
+// the first message's control record (skipping them on a quiet warm
+// sandbox), claims a write's watches from fire records its commit left, runs
+// the claim round and the previous chunk's pops under the flush, carries an
+// invocation's last pops to the next one, and waits for no delivery; the
+// last line lands at 1 427 378 117 ns. A size change should first show in
+// core.TestWireSizesPinned, which names the message that changed.
+// CHANGES.md and the history of this file record each earlier value.
 const singleShardTraceSHA256 = "f89371b1ab56c0a4c1e8cd0ad70693999f9413ac334b55985f357c7fe16b8560"
 
 // TestSingleShardTraceIdentical is the determinism guard: an explicit
@@ -292,93 +218,19 @@ func concurrentTraceWorkload(t *testing.T, cfg core.Config) ([]byte, *histcheck.
 
 // concurrentTraceSHA256 pins concurrentTraceWorkload on the default
 // configuration: multi-message invocations and same-path chains are where
-// a reordered pop, watch claim or prefetched commit would show first.
+// a reordered commit, pop or watch claim would show first.
 //
-// Re-pinned once (from 6ca0acd6…f8caad, which had held since before PR 18)
-// when the leader became a two-lane software pipeline (distributor.go):
-// under a flush in flight it now retires the previous message's pop and
-// commits the next message, so a backed-up leader answers sooner — the
-// trace ends at 2 297 810 275 ns, was 2 577 915 797. The workload is racy
-// by construction (three sessions create and delete the same two paths),
-// so sooner answers let followers win and lose different races: from line
-// 6 on the lines differ in content, not only in timestamp (c1's second set
-// of /s2 now beats c0's re-create of /s1 to the leader queue, two sets lose
-// to a delete that used to come later). What must not depend on who wins is
-// checked by the trace's history check on every run, so the pin is not the
-// only thing standing behind this trace.
-//
-// Re-pinned a second time (from 95d15d01…ec8073) for the leader's opening
-// read (see singleShardTraceSHA256): every invocation reaches its first flush
-// one system-store read sooner, which again moves who wins the races — the
-// first 11 of the 41 lines keep their content, from line 12 on (c0's
-// re-create of /s1 now beats c1's first set of /s2 to the leader queue) they
-// differ, and this history happens to end later, at 2 421 420 899 ns: still
-// 8 writes lose a race, but other ones. The history check passes on it.
-//
-// Re-pinned a third time (from b54ef3dd…fd32) for the carried pop (see
-// singleShardTraceSHA256): an invocation's last pop now runs under the next
-// invocation's first flush, and a write on the path just written commits on
-// the opening read's word. The first 12 of the 41 lines keep their content;
-// from line 13 on (c1's first set of /s2 now reaches the leader ahead of
-// c0's) the races go other ways — 10 lines carry an error where 8 did, c0's
-// delete and re-create of /s2 among them — and the history ends at
-// 2 116 776 222 ns, was 2 421 420 899. The history check passes on it.
-//
-// Re-pinned a fourth time (from 91f707d2…8664) for the watch claim on the
-// commit check's read (see singleShardTraceSHA256). The first 12 of the lines
-// keep their content. Line 13 is c0's GetDataW of /s1: its registration finds
-// c1's create committed but not yet readable, so the read waits for the
-// registration's frontier and returns the node (mzxid 1) where it answered
-// no_node. From there the races go other ways — 14 lines carry an error
-// where 10 did — and the history ends at 2 034 072 048 ns, was
-// 2 116 776 222. The history check passes on it.
-//
-// Re-pinned a fifth time (from a5ac0d44…3eca) for the watch claim's one
-// parallel round (see singleShardTraceSHA256): the write that fires c0's
-// watch on /s1 reaches its flush one system-store write sooner, and the
-// latency stream is dealt to the operations after it in a new order. The
-// first 15 of the 41 lines keep their content; from line 16 on (c0's set of
-// /s2 now commits ahead of c2's set of /s1) the races go other ways — 7
-// lines carry an error where 14 did — and the history ends at
-// 2 141 009 836 ns, was 2 034 072 048. The history check passes on it.
-//
-// Re-pinned a sixth time (from c4fae2c4…bbd4) for the one-shard claim
-// round run under the flush (see singleShardTraceSHA256): the write that
-// fires c0's watch on /s1 reaches its flush without waiting for the round's
-// system-store write, and the latency stream is dealt to the operations
-// after it in a new order. The first 7 of the 41 lines keep their content;
-// from line 8 on (c0's set of /s1, the write that fires the watch, is now
-// answered ahead of c2's failed set of /s1) the races go other ways — 8
-// lines carry an error where 7 did — and the history ends at
-// 1 971 271 333 ns, was 2 141 009 836. The history check passes on it.
-//
-// Re-pinned a seventh time (from 07211e2c…559a) for the opening read that
-// skips the epoch item on the slot's word (see singleShardTraceSHA256): the
-// latency stream is dealt to the operations in a new order. The first 8 of
-// the 41 lines keep their content; from line 9 on (c2's failed set of /s1
-// is now answered ahead of c0's notification) the races go other ways — 10
-// lines carry an error where 8 did — and the history ends at
-// 1 768 881 233 ns, was 1 971 271 333. The history check passes on it.
-//
-// Re-pinned an eighth time (from 457f8fbc…6d83) for the leader that no
-// longer waits for watch deliveries (see singleShardTraceSHA256): the
-// invocation of c0's set of /s1, which fires c0's watch, returns without
-// waiting for the delivery, so the writes queued behind it are answered
-// sooner. The first 19 of the 41 lines keep their content; from line 20 on
-// (c1's set of /s2 is now answered at 740 ms, ahead of c0's notification,
-// which the watch function still sends at 916 ms) the races go other ways —
-// 7 lines carry an error where 10 did — and the history ends at
-// 1 743 345 892 ns, was 1 768 881 233. The history check passes on it.
-//
-// Re-pinned a ninth time (from 9d025eaa…759d) for the per-txid fire records
-// (see singleShardTraceSHA256): the write that fires c0's watch on /s1 makes
-// no clear, and the latency stream is dealt to the operations after it in a
-// new order. The first 14 of the lines keep their content; from line 15 on
-// (c0's set of /s2 now commits at txid 9, ahead of c2's set of /s1) the
-// races go other ways — 8 lines carry an error where 7 did — and the history
-// ends at 1 752 931 604 ns, was 1 743 345 892. The history check passes on
-// it.
-const concurrentTraceSHA256 = "666ffc2137fcad1fff9727718c6f732a85697976dff96624eb056a3a2d04e1c7"
+// The workload is racy by construction (three sessions create and delete
+// the same two paths), so any change to the leader's timing lets followers
+// win and lose different races, and the lines then differ in content, not
+// only in instant. What must not depend on who wins is checked by the
+// trace's history check on every run, so the pin is not the only thing
+// standing behind this trace. The current value holds for the pipeline in
+// which every chunk commits after the chunk before it answered and before
+// its own flush: of the 41 lines, 9 carry an error, and the history ends at
+// 1 850 167 697 ns. CHANGES.md and the history of this file record each
+// earlier value.
+const concurrentTraceSHA256 = "9d74e17947ad2a968bdc9a673c3deb8170cc926be295a88f095073452ff276b7"
 
 // TestConcurrentTraceIdentical: the concurrent default-config trace matches
 // its golden hash, with and without an explicit WriteShards: 1, and its

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"faaskeeper/internal/core"
-	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -508,17 +507,17 @@ func (h *procDelay) OpDelay() sim.Time {
 	return 0
 }
 
-// TestPrefetchedCommitFindsClaimCleared: create /p/a fires a child watch on
+// TestNextChunkCommitFindsClaimCleared: create /p/a fires a child watch on
 // /p, and create /p/b follows it in the same leader invocation, in a chunk
 // of its own (no batching). /p/a's commit moved /p's group into its own
-// fire record, so /p/b's commit moved nothing; its check is prefetched
-// under /p/a's flush and reads /p's record while /p/a's round — the removal
-// of that fire record and the epoch entry — is held open, finds no fire
-// record of its own txid and fires nothing: the watch function runs once.
-// A claim that fired the live group, or any fire record it found, would
-// fire the group a second time.
-func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
-	run(t, 5, core.Config{Telemetry: true}, func(k *sim.Kernel, d *core.Deployment) {
+// fire record, so /p/b's commit moved nothing, and /p/b's check, which runs
+// after /p/a's chunk answered and its claim round — held open here — has
+// landed, fires nothing: the watch function runs once. A claim that hands
+// a message the invocation's whole list of fired groups (queryWatches
+// returning p.fired[0:], not the message's own share) launches /p/a's
+// delivery again with /p/b's answer.
+func TestNextChunkCommitFindsClaimCleared(t *testing.T) {
+	run(t, 5, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
 		h := &procDelay{k: k}
 		k.SetFaultHook(h)
 		w, v := mustConnect(t, d, "w"), mustConnect(t, d, "v")
@@ -531,8 +530,8 @@ func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
 			return
 		}
 		k.Sleep(2 * time.Second)
-		watch := d.Platform.Function(core.FnWatch)
-		before := watch.Invocations()
+		leader, watch := d.Platform.Function(core.FnLeader), d.Platform.Function(core.FnWatch)
+		invs, before := leader.Invocations(), watch.Invocations()
 
 		// A first write holds the leader in its flush while the two creates
 		// queue up behind it, so they reach it in one invocation.
@@ -541,6 +540,7 @@ func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
 		for h.held == 0 {
 			k.Sleep(time.Millisecond)
 		}
+		h.held = 0
 		h.holds = []procHold{{"leader-claim", 30 * time.Millisecond}, {"leader-epoch-", 30 * time.Millisecond}}
 		futs = append(futs,
 			w.submitWrite(core.OpCreate, "/p/a", nil, -1, 0),
@@ -553,11 +553,11 @@ func TestPrefetchedCommitFindsClaimCleared(t *testing.T) {
 		}
 		k.Sleep(3 * time.Second)
 
-		if n := d.Obs.Metrics.Counter(obs.Key{Component: "leader", Name: "commit_prefetched"}); n == 0 {
-			t.Error("no commit was prefetched: the test holds no window")
+		if n := leader.Invocations() - invs; n != 2 || h.held == 0 {
+			t.Errorf("%d leader invocations for the three writes, %d claim writes held: want the creates in one, and the round held", n, h.held)
 		}
 		if n := watch.Invocations() - before; n != 1 {
-			t.Errorf("the child watch on /p was delivered %d times, want once: a prefetch fired the group again", n)
+			t.Errorf("the child watch on /p was delivered %d times, want once: the next chunk fired the first create's group again", n)
 		}
 	})
 }
