@@ -15,6 +15,7 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 )
 
 // pending returns the pending list of path's control record.
@@ -304,5 +305,55 @@ func TestCarriedDeleteCollectsTombstone(t *testing.T) {
 	}
 	if user[:1] != "2" {
 		t.Errorf("user store /x = %s, want the second re-create's data", user)
+	}
+}
+
+// TestPopLeavesTombstoneToALaterMessage: one invocation holds a multi() that
+// sets /a and deletes /b, then a set of /c, then a create whose follower has
+// pushed and not yet committed: it still holds its node's lock, and the
+// leader replays its commit. The multi()'s pop of /b runs under the set's
+// flush. When the create is of /b, it commits on /b's record, so the pop
+// leaves the tombstone alone (pipeline: holdsTarget looks at every target of
+// the multi(), not its anchor /a); when it is of /d, the pop collects /b.
+// So the /b invocation makes one system-store write fewer than the /d one:
+// the collection's conditional delete. With holdsTarget judging a multi() by
+// its anchor alone (ranging over dm.keys[:min(dm.targets, 1)]) the pop tries
+// to collect /b too, the create's lock fails the delete, and both
+// invocations make as many writes; no other test or check notices.
+func TestPopLeavesTombstoneToALaterMessage(t *testing.T) {
+	writes := map[string]int64{}
+	for _, path := range []string{"/b", "/d"} {
+		r := newPipeRig(t, 21, Config{}, &pipeFaults{})
+		var created Response
+		var b sysNode
+		var bStored bool
+		r.k.Go(leaderProc, func() {
+			s := r.open("w")
+			for _, p := range []string{"/a", "/b", "/c"} {
+				s.do(OpCreate, p, "0")
+			}
+			r.k.Sleep(sim.Ms(200))
+			r.settle()
+			multi := r.commit(s, r.lockOps(s, true, txn.SetData("/a", []byte("1"), -1), txn.Delete("/b", -1)), 9)
+			msgs := []leaderMsg{multi, r.pushSet(s, "/c", "1", 10), r.lockOps(s, false, txn.Create(path, []byte("c"), 0))}
+			_, w0 := syskv(r.d)
+			r.deliver(s.ctx, 9, msgs...)
+			_, w1 := syskv(r.d)
+			writes[path] = w1 - w0
+			created = s.futs[msgs[2].Seq].Wait()
+			item, ok := r.d.System.Peek("/b")
+			b, bStored = decodeSysNode(item, 0), ok
+		})
+		r.run()
+		if created.Code != CodeOK {
+			t.Fatalf("create %s: %s", path, created.Code)
+		}
+		if bStored != (path == "/b") || (path == "/b" && !b.Exists) {
+			t.Errorf("with the create of %s: /b's item stored %v (%+v); want it collected only when nothing commits on it", path, bStored, b)
+		}
+	}
+	if writes["/b"] != writes["/d"]-1 {
+		t.Errorf("the invocation made %d system-store writes with the create of /b, %d with /d: want one fewer, no collection of /b's tombstone",
+			writes["/b"], writes["/d"])
 	}
 }

@@ -16,12 +16,10 @@ import (
 	"testing"
 
 	"faaskeeper/internal/cloud"
-	"faaskeeper/internal/cloud/kv"
-	"faaskeeper/internal/fksync"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
+	"faaskeeper/internal/txn"
 	"faaskeeper/internal/wire"
-	"faaskeeper/internal/znode"
 )
 
 // pipeFaults is these tests' sim.FaultHook: a targeted crash predicate and
@@ -530,27 +528,19 @@ var paperWriteWork = sim.Work{Dispatches: 1807, HandOffs: 998, SelfContinues: 80
 
 // The follower's half of a write by s, by hand: lockSet and lockMulti lock
 // and validate a set_data of path, or of every one of paths in one
-// multi(), and return the message the follower would push, uncommitted;
-// the push* helpers go on through the follower's commit under txid. s
-// waits for the answer. They must run inside a sim process.
+// multi(), and return the message the follower would push, uncommitted
+// (lockOps); the push* helpers go on through the follower's commit under
+// txid. s waits for the answer. They must run inside a sim process.
 func (r *pipeRig) lockSet(s *pipeSession, path, data string) leaderMsg {
-	r.t.Helper()
-	lock, item := r.lock(s, path)
-	return leaderMsg{
-		Session: s.id, Seq: r.expect(s), LockTs: lock.Timestamp,
-		change: validatedChange(OpSetData, path, []byte(data), "", decodeSysNode(item, 0), sysNode{}),
-	}
+	return r.lockOps(s, false, txn.SetData(path, []byte(data), -1))
 }
 
 func (r *pipeRig) lockMulti(s *pipeSession, data string, paths ...string) leaderMsg {
-	r.t.Helper()
-	msg := leaderMsg{Session: s.id, Seq: r.expect(s), change: change{Op: OpMulti, Path: paths[0]}, ItemPaths: paths}
+	var ops []txn.Op
 	for _, p := range paths {
-		lock, item := r.lock(s, p)
-		msg.ItemLockTs = append(msg.ItemLockTs, lock.Timestamp)
-		msg.Ops = append(msg.Ops, validatedChange(OpSetData, p, []byte(data), "", decodeSysNode(item, 0), sysNode{}))
+		ops = append(ops, txn.SetData(p, []byte(data), -1))
 	}
-	return msg
+	return r.lockOps(s, true, ops...)
 }
 
 func (r *pipeRig) pushSet(s *pipeSession, path, data string, txid int64) leaderMsg {
@@ -561,23 +551,30 @@ func (r *pipeRig) pushMulti(s *pipeSession, txid int64, data string, paths ...st
 	return r.commit(s, r.lockMulti(s, data, paths...), txid)
 }
 
-// pushCreate locks the parent, then the node, as a create does.
 func (r *pipeRig) pushCreate(s *pipeSession, path string, txid int64) leaderMsg {
-	parentLock, parent := r.lock(s, znode.Parent(path))
-	nodeLock, node := r.lock(s, path)
-	return r.commit(s, leaderMsg{
-		Session: s.id, Seq: r.expect(s), LockTs: nodeLock.Timestamp, ParentLockTs: parentLock.Timestamp,
-		change: validatedChange(OpCreate, path, []byte("c"), "", decodeSysNode(node, 0), decodeSysNode(parent, 0)),
-	}, txid)
+	return r.commit(s, r.lockOps(s, false, txn.Create(path, []byte("c"), 0)), txid)
 }
 
-func (r *pipeRig) lock(s *pipeSession, path string) (fksync.Lock, kv.Item) {
+// lockOps locks and validates ops as the follower does (plan.prepare) and
+// returns the message it would push: a multi() of them, or the one op.
+func (r *pipeRig) lockOps(s *pipeSession, multi bool, ops ...txn.Op) leaderMsg {
 	r.t.Helper()
-	lock, item, err := r.d.Locks.Acquire(s.ctx, path)
-	if err != nil {
-		r.t.Fatalf("lock %s: %v", path, err)
+	var p plan
+	if i, code, err := p.prepare(r.d, s.ctx, ops, s.id); err != nil || code != CodeOK {
+		r.t.Fatalf("op %d: %s %v", i, code, err)
 	}
-	return lock, item
+	msg := leaderMsg{Session: s.id, Seq: r.expect(s)}
+	if !multi {
+		msg.change = p.ops[0]
+		msg.LockTs, msg.ParentLockTs = p.lockTs(msg.Path), p.lockTs(msg.ParentPath)
+		return msg
+	}
+	msg.change, msg.Ops = change{Op: OpMulti, Path: anchorPath(p.ops)}, p.ops
+	for _, it := range p.items {
+		msg.ItemPaths = append(msg.ItemPaths, it.lock.Key)
+		msg.ItemLockTs = append(msg.ItemLockTs, it.lock.Timestamp)
+	}
+	return msg
 }
 
 // expect takes s's next sequence number and the future its answer completes.
